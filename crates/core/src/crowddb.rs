@@ -9,14 +9,14 @@ use parking_lot::{Mutex, RwLock};
 
 use crowddb_common::{CancelReason, CrowdError, Result, Row, Value};
 use crowddb_exec::{
-    execute as execute_plan, execute_physical, execute_physical_guarded, flush_op_stats,
-    lower_plan, render_analyzed, CompareCaches, OpStatsNode, SharedCaches,
+    dml, execute_physical_guarded, flush_op_stats, lower_plan, render_analyzed, CompareCaches,
+    ExecGuard, ExecResult, OpStatsNode, SharedCaches, TaskNeed,
 };
 use crowddb_obs::{Event, MetricsSnapshot, Obs};
 use crowddb_plan::cardinality::{FnStats, StatsSource};
 use crowddb_plan::{
     analyze_boundedness, annotate_cardinality, optimize, Binder, LogicalPlan, OptimizerConfig,
-    StandingPlan,
+    PhysicalPlan, StandingPlan,
 };
 use crowddb_platform::{Platform, WorkerRelationshipManager};
 use crowddb_sql::{parse_statement, Query, Statement};
@@ -248,23 +248,7 @@ impl CrowdDB {
         match rec {
             LogRecord::Dml { sql } => {
                 let stmt = parse_statement(sql)?;
-                let caches = self.caches.snapshot();
-                match &stmt {
-                    Statement::Insert(ins) => {
-                        crowddb_exec::dml::execute_insert(&self.db, &caches, ins)?;
-                    }
-                    Statement::Update(upd) => {
-                        crowddb_exec::dml::execute_update(&self.db, &caches, upd)?;
-                    }
-                    Statement::Delete(del) => {
-                        crowddb_exec::dml::execute_delete(&self.db, &caches, del)?;
-                    }
-                    other => {
-                        return Err(CrowdError::Io(format!(
-                            "wal: DML record holds non-DML statement: {other}"
-                        )))
-                    }
-                }
+                self.local_step(|c| self.eval_dml(&stmt, c, true, ExecGuard::unlimited()))?;
                 Ok(())
             }
             LogRecord::PutEqual {
@@ -516,7 +500,7 @@ impl CrowdDB {
         // on unwind; the few std locks recover from poisoning), so
         // containment is safe.
         let r = match catch_unwind(AssertUnwindSafe(|| {
-            self.execute_statement(&stmt, platform, &guard)
+            self.execute_statement(&stmt, Some(&mut *platform), &guard)
         })) {
             Ok(r) => r,
             Err(payload) => {
@@ -566,8 +550,8 @@ impl CrowdDB {
         if !statement_touches_crowd(&stmt) {
             return false;
         }
-        if let Statement::Select(_) = &stmt {
-            if let Ok((plan, _)) = self.plan_select(&stmt, true) {
+        if let Statement::Select(query) = &stmt {
+            if let Ok((plan, _)) = self.plan_query(query, true) {
                 return plan.is_crowd_related();
             }
         }
@@ -638,70 +622,14 @@ impl CrowdDB {
         }
     }
 
-    /// Execute a statement using local data only. Statements that would
-    /// need the crowd return a partial result with warnings.
+    /// Execute a statement using local data only — the statement driver
+    /// with no platform attached. Statements that would need the crowd
+    /// return a partial result with a warning; nothing is posted and
+    /// nothing is marked exhausted.
     pub fn execute_local(&self, sql: &str) -> Result<QueryResult> {
-        struct NoPlatform;
-        impl Platform for NoPlatform {
-            fn name(&self) -> &str {
-                "none"
-            }
-            fn post(
-                &mut self,
-                _tasks: Vec<crowddb_platform::TaskSpec>,
-            ) -> Result<Vec<crowddb_platform::HitId>> {
-                Err(CrowdError::Platform(
-                    "no crowdsourcing platform attached".into(),
-                ))
-            }
-            fn extend(&mut self, _hit: crowddb_platform::HitId, _extra: u32) -> Result<()> {
-                Err(CrowdError::Platform("no platform".into()))
-            }
-            fn advance(&mut self, _dt: f64) {}
-            fn collect(&mut self) -> Vec<crowddb_platform::TaskResponse> {
-                vec![]
-            }
-            fn now(&self) -> f64 {
-                0.0
-            }
-            fn stats(&self) -> crowddb_platform::PlatformStats {
-                Default::default()
-            }
-            fn is_complete(&self, _hit: crowddb_platform::HitId) -> bool {
-                false
-            }
-        }
         let stmt = parse_statement(sql)?;
         let id = self.begin_statement(sql);
-        let r = match &stmt {
-            Statement::Select(_) => (|| {
-                // One local round; report pending work as warnings.
-                let (plan, mut warnings) = self.plan_select(&stmt, false)?;
-                let caches = self.caches.snapshot();
-                let physical = lower_plan(&self.db, &plan);
-                let (exec, op_stats) = execute_physical(&self.db, &caches, &physical)?;
-                flush_op_stats(self.obs.registry(), &op_stats);
-                let complete = exec.is_final();
-                if !complete {
-                    warnings.push(format!(
-                        "{} crowd task(s) would be needed to complete this result",
-                        exec.needs.len()
-                    ));
-                }
-                Ok(QueryResult {
-                    columns: output_columns(&plan),
-                    rows: exec.rows,
-                    affected: 0,
-                    crowd: CrowdSummary {
-                        rounds: 1,
-                        ..Default::default()
-                    },
-                    warnings,
-                    complete,
-                })
-            })(),
-            _ => self.execute_statement(&stmt, &mut NoPlatform, &StatementGuard::unlimited()),
-        };
+        let r = self.execute_statement(&stmt, None, &StatementGuard::unlimited());
         self.finish_statement(id, &r);
         let r = r?;
         self.maybe_checkpoint()?;
@@ -719,10 +647,7 @@ impl CrowdDB {
     /// wrappers (however deeply nested) are stripped rather than
     /// re-stringified and re-parsed.
     fn explain_statement(&self, stmt: &Statement) -> Result<String> {
-        let mut inner = stmt;
-        while let Statement::Explain { statement, .. } = inner {
-            inner = statement;
-        }
+        let inner = strip_explain(stmt);
         let (standing, query) = match inner {
             Statement::Select(q) => (false, q),
             Statement::Subscribe(q) => (true, q),
@@ -759,125 +684,17 @@ impl CrowdDB {
         Ok(out)
     }
 
-    /// `EXPLAIN ANALYZE`: actually run the statement's round loop against
-    /// `platform`, then render the physical plan annotated with measured
-    /// per-operator statistics (rows in/out, crowd needs by kind,
-    /// compare-cache hits/misses, wall time) and per-round crowd
-    /// accounting.
+    /// `EXPLAIN ANALYZE` as text: [`CrowdDB::execute`] of `EXPLAIN
+    /// ANALYZE <sql>` — the statement's execution, rendered as the
+    /// physical plan annotated with measured per-operator statistics
+    /// (rows in/out, crowd needs by kind, compare-cache hits/misses, wall
+    /// time) and per-round crowd accounting.
     ///
     /// Only `SELECT` statements are analyzed; for anything else the
     /// output falls back to plain [`CrowdDB::explain`].
     pub fn explain_analyze(&self, sql: &str, platform: &mut dyn Platform) -> Result<String> {
-        let stmt = parse_statement(sql)?;
-        let mut inner = &stmt;
-        while let Statement::Explain { statement, .. } = inner {
-            inner = statement;
-        }
-        let mut guard = StatementGuard::new(&self.config.governor, &self.cancel, platform.now());
-        guard.exec.hybrid_order = self.config.hybrid_order;
-        let text = self.explain_analyze_statement(inner, platform, &guard)?;
-        self.maybe_checkpoint()?;
-        Ok(text)
-    }
-
-    fn explain_analyze_statement(
-        &self,
-        inner: &Statement,
-        platform: &mut dyn Platform,
-        guard: &StatementGuard,
-    ) -> Result<String> {
-        let Statement::Select(_) = inner else {
-            return self.explain_statement(inner);
-        };
-        let (plan, mut warnings) = self.plan_select(inner, true)?;
-        let physical = lower_plan(&self.db, &plan);
-        let mut merged = OpStatsNode::skeleton(&physical);
-        let start_stats = platform.stats();
-        let start_now = platform.now();
-        let budget = effective_budget(self.config.max_budget_cents, guard.max_crowd_cents);
-        let mut rounds: Vec<String> = Vec::new();
-        let mut complete = false;
-        for round in 1..=self.config.max_rounds {
-            guard.check(platform.now())?;
-            let caches_snapshot = self.caches.snapshot();
-            let (exec, round_stats) = execute_physical_guarded(
-                &self.db,
-                &caches_snapshot,
-                &physical,
-                guard.exec.clone(),
-            )?;
-            flush_op_stats(self.obs.registry(), &round_stats);
-            merged.merge(&round_stats);
-            rounds.push(format!(
-                "round {round}: {} row(s), {} need(s)",
-                exec.rows.len(),
-                exec.needs.len()
-            ));
-            if exec.needs.is_empty() {
-                complete = true;
-                break;
-            }
-            let fresh = self.fresh_needs(exec.needs);
-            if fresh.is_empty() {
-                warnings.push(
-                    "result is partial: remaining crowd tasks were previously exhausted".into(),
-                );
-                break;
-            }
-            if let Some(budget) = budget {
-                let spent = platform.stats().cents_spent - start_stats.cents_spent;
-                if spent >= budget {
-                    warnings.push(format!(
-                        "crowd budget of {budget}¢ exhausted ({spent}¢ spent); {} task(s) abandoned, result is partial",
-                        fresh.len()
-                    ));
-                    break;
-                }
-            }
-            let wave = self.fulfill(
-                &fresh,
-                platform,
-                &mut warnings,
-                start_stats.cents_spent,
-                round,
-                guard,
-                budget,
-            )?;
-            let _ = wave;
-        }
-        if !complete && rounds.len() >= self.config.max_rounds {
-            warnings.push(format!(
-                "round budget ({}) exhausted; result may be partial",
-                self.config.max_rounds
-            ));
-        }
-        let end = platform.stats();
-        let mut out = String::new();
-        out.push_str("== Physical plan (analyzed) ==\n");
-        out.push_str(&render_analyzed(&physical, &merged));
-        out.push_str("\n== Rounds ==\n");
-        for line in &rounds {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out.push_str(&format!(
-            "result: {}\n",
-            if complete { "complete" } else { "partial" }
-        ));
-        out.push_str("\n== Crowd ==\n");
-        out.push_str(&format!(
-            "tasks posted: {}\nanswers collected: {}\ncents spent: {}\nvirtual seconds: {}\n",
-            end.hits_posted - start_stats.hits_posted,
-            end.assignments_completed - start_stats.assignments_completed,
-            end.cents_spent - start_stats.cents_spent,
-            platform.now() - start_now,
-        ));
-        for w in &warnings {
-            out.push_str("warning: ");
-            out.push_str(w);
-            out.push('\n');
-        }
-        Ok(out)
+        let r = self.execute(&format!("EXPLAIN ANALYZE {sql}"), platform)?;
+        Ok(r.rows.iter().map(|row| format!("{}\n", row[0])).collect())
     }
 
     /// Render the Mechanical-Turk-style page for the first task a query
@@ -885,12 +702,11 @@ impl CrowdDB {
     /// compiled onto the crowdsourcing platforms").
     pub fn preview_first_task(&self, sql: &str) -> Result<Option<String>> {
         let stmt = parse_statement(sql)?;
-        let Statement::Select(_) = &stmt else {
+        let Statement::Select(query) = &stmt else {
             return Ok(None);
         };
-        let (plan, _) = self.plan_select(&stmt, true)?;
-        let caches = self.caches.snapshot();
-        let exec = execute_plan(&self.db, &caches, &plan)?;
+        let (plan, _) = self.plan_query(query, true)?;
+        let exec = self.evaluate_once(&plan)?;
         let templates = self.templates.lock();
         Ok(exec.needs.first().map(|need| {
             let spec = taskman::need_to_spec(need, &self.config, &templates);
@@ -901,25 +717,28 @@ impl CrowdDB {
     fn execute_statement(
         &self,
         stmt: &Statement,
-        platform: &mut dyn Platform,
+        crowd: Option<&mut dyn Platform>,
         guard: &StatementGuard,
     ) -> Result<QueryResult> {
         match stmt {
             Statement::Explain { statement, analyze } => {
-                let text = if *analyze {
-                    let mut inner: &Statement = statement;
-                    while let Statement::Explain { statement, .. } = inner {
-                        inner = statement;
+                // EXPLAIN ANALYZE is the statement's execution, rendered:
+                // the same driver call, its summary, and the plan text
+                // (warnings included) as the rows.
+                let mut r = QueryResult::ddl();
+                let text = match strip_explain(statement) {
+                    Statement::Select(query) if *analyze => {
+                        let mut analysis = Analysis::default();
+                        r = self.execute_select(query, crowd, guard, Some(&mut analysis))?;
+                        analysis.render(&r)
                     }
-                    self.explain_analyze_statement(inner, platform, guard)?
-                } else {
-                    self.explain_statement(statement)?
+                    _ => self.explain_statement(statement)?,
                 };
                 Ok(QueryResult {
                     columns: vec!["plan".into()],
                     rows: text.lines().map(|l| Row::new(vec![l.into()])).collect(),
-                    complete: true,
-                    ..Default::default()
+                    warnings: Vec::new(),
+                    ..r
                 })
             }
             Statement::CreateTable(ct) => {
@@ -966,78 +785,16 @@ impl CrowdDB {
                 Ok(QueryResult::ddl())
             }
             Statement::Insert(ins) => {
-                let caches = self.caches.snapshot();
-                let r = {
-                    let _latch = self.ckpt_latch.read();
-                    let r = crowddb_exec::dml::execute_insert_guarded(
-                        &self.db,
-                        &caches,
-                        ins,
-                        guard.exec.clone(),
-                    )?;
-                    self.log_record(LogRecord::Dml {
-                        sql: stmt.to_string(),
-                    })?;
-                    r
-                };
-                self.notify_subscriptions(Some(&ins.table));
+                let r = self.apply_dml(stmt, &ins.table, guard)?;
                 Ok(QueryResult {
                     affected: r.affected,
                     complete: r.needs.is_empty(),
                     ..Default::default()
                 })
             }
-            Statement::Update(upd) => {
-                let r = self.run_dml(
-                    platform,
-                    stmt.to_string(),
-                    guard,
-                    |caches| {
-                        crowddb_exec::dml::plan_update_guarded(
-                            &self.db,
-                            caches,
-                            upd,
-                            guard.exec.clone(),
-                        )
-                    },
-                    |caches| {
-                        crowddb_exec::dml::execute_update_guarded(
-                            &self.db,
-                            caches,
-                            upd,
-                            guard.exec.clone(),
-                        )
-                    },
-                )?;
-                self.notify_subscriptions(Some(&upd.table));
-                Ok(r)
-            }
-            Statement::Delete(del) => {
-                let r = self.run_dml(
-                    platform,
-                    stmt.to_string(),
-                    guard,
-                    |caches| {
-                        crowddb_exec::dml::plan_delete_guarded(
-                            &self.db,
-                            caches,
-                            del,
-                            guard.exec.clone(),
-                        )
-                    },
-                    |caches| {
-                        crowddb_exec::dml::execute_delete_guarded(
-                            &self.db,
-                            caches,
-                            del,
-                            guard.exec.clone(),
-                        )
-                    },
-                )?;
-                self.notify_subscriptions(Some(&del.table));
-                Ok(r)
-            }
-            Statement::Select(_) => self.run_select(stmt, platform, guard),
+            Statement::Update(upd) => self.execute_dml(stmt, &upd.table, crowd, guard),
+            Statement::Delete(del) => self.execute_dml(stmt, &del.table, crowd, guard),
+            Statement::Select(query) => self.execute_select(query, crowd, guard, None),
             Statement::Subscribe(query) => {
                 let (id, _columns) = self.register_subscription(query)?;
                 Ok(QueryResult {
@@ -1054,206 +811,252 @@ impl CrowdDB {
         }
     }
 
-    /// The shared round loop for DML whose predicates may need the crowd.
-    ///
-    /// Crowd needs are resolved via repeated *dry runs* first, and the
-    /// mutation is applied exactly once at the end — a non-idempotent
-    /// assignment like `SET n = n + 1` must not be re-applied per round.
-    fn run_dml(
+    /// The statement driver: the one round loop behind `SELECT`, `EXPLAIN
+    /// ANALYZE`, `UPDATE`/`DELETE` and [`CrowdDB::execute_local`] (DESIGN.md
+    /// §3, "Statement driver"). Each round checks the governor, runs `step`
+    /// against a fresh cache snapshot and, if that left needs, has the Task
+    /// Manager fulfill them and goes again. `crowd: None` is what "local"
+    /// means: one round, nothing posted, nothing marked exhausted.
+    fn drive<T>(
         &self,
-        platform: &mut dyn Platform,
-        sql: String,
+        mut crowd: Option<&mut (dyn Platform + '_)>,
         guard: &StatementGuard,
-        mut dry_run: impl FnMut(&CompareCaches) -> Result<crowddb_exec::dml::DmlResult>,
-        apply: impl FnOnce(&CompareCaches) -> Result<crowddb_exec::dml::DmlResult>,
-    ) -> Result<QueryResult> {
-        let mut summary = CrowdSummary::default();
-        let mut warnings = Vec::new();
-        let start_stats = platform.stats();
-        let start_now = platform.now();
+        mut warnings: Vec<String>,
+        mut step: impl FnMut(&CompareCaches) -> Result<(T, Vec<TaskNeed>)>,
+    ) -> Result<Driven<T>> {
+        let start_stats = crowd.as_deref().map(|p| p.stats()).unwrap_or_default();
+        let start_now = crowd.as_deref().map_or(0.0, |p| p.now());
         let budget = effective_budget(self.config.max_budget_cents, guard.max_crowd_cents);
-        let mut resolved = false;
-        for _ in 0..self.config.max_rounds {
-            // Governor checkpoint: a cancelled or deadline-exceeded DML
-            // errors *before* the mutation is applied (paid crowd
-            // verdicts stay cached).
-            guard.check(platform.now())?;
-            summary.rounds += 1;
-            let caches_snapshot = self.caches.snapshot();
-            let r = dry_run(&caches_snapshot)?;
-            let fresh = self.fresh_needs(r.needs);
-            if fresh.is_empty() {
-                resolved = true;
-                break;
-            }
-            if let Some(budget) = budget {
-                let spent = platform.stats().cents_spent - start_stats.cents_spent;
-                if spent >= budget {
-                    warnings.push(format!(
-                        "crowd budget of {budget}¢ exhausted; DML applied with                          undecided crowd predicates"
-                    ));
-                    break;
-                }
-            }
-            let wave = self.fulfill(
-                &fresh,
-                platform,
-                &mut warnings,
-                start_stats.cents_spent,
-                summary.rounds,
-                guard,
-                budget,
-            )?;
-            summary.absorb_resilience(&wave);
-        }
-        if !resolved {
-            warnings.push(
-                "round budget exhausted; DML applied with some crowd predicates undecided".into(),
-            );
-        }
-        guard.check(platform.now())?;
-        let r = {
-            // Logical DML records are not idempotent: the mutation and its
-            // log record must not straddle a checkpoint (see `ckpt_latch`).
-            let _latch = self.ckpt_latch.read();
-            let caches_snapshot = self.caches.snapshot();
-            let r = apply(&caches_snapshot)?;
-            self.log_record(LogRecord::Dml { sql })?;
-            r
-        };
-        let end = platform.stats();
-        summary.tasks_posted = end.hits_posted - start_stats.hits_posted;
-        summary.answers_collected = end.assignments_completed - start_stats.assignments_completed;
-        summary.cents_spent = end.cents_spent - start_stats.cents_spent;
-        summary.virtual_secs = platform.now() - start_now;
-        Ok(QueryResult {
-            affected: r.affected,
-            crowd: summary,
-            warnings,
-            complete: resolved,
-            ..Default::default()
-        })
-    }
-
-    fn run_select(
-        &self,
-        stmt: &Statement,
-        platform: &mut dyn Platform,
-        guard: &StatementGuard,
-    ) -> Result<QueryResult> {
-        let (plan, mut warnings) = self.plan_select(stmt, false)?;
-        let columns = output_columns(&plan);
         let mut summary = CrowdSummary::default();
-        let start_stats = platform.stats();
-        let start_now = platform.now();
-        let budget = effective_budget(self.config.max_budget_cents, guard.max_crowd_cents);
-        let mut rows = Vec::new();
-        let mut complete = false;
-        for _ in 0..self.config.max_rounds {
+        let mut output = None;
+        let mut stop = StopReason::RoundCap;
+        for round in 1..=self.config.max_rounds {
             // Governor checkpoint: terminate at the round boundary if the
             // statement was cancelled or overran its virtual deadline.
             // Everything earlier rounds paid for is already memorized.
-            guard.check(platform.now())?;
-            summary.rounds += 1;
-            let caches_snapshot = self.caches.snapshot();
-            // Lowering is repeated per round on purpose: cardinality
-            // estimates shift as crowd answers are written back.
-            let physical = lower_plan(&self.db, &plan);
-            let (exec, op_stats) = execute_physical_guarded(
-                &self.db,
-                &caches_snapshot,
-                &physical,
-                guard.exec.clone(),
-            )?;
-            flush_op_stats(self.obs.registry(), &op_stats);
-            rows = exec.rows;
-            if exec.needs.is_empty() {
-                complete = true;
+            guard.check(crowd.as_deref().map_or(0.0, |p| p.now()))?;
+            summary.rounds = round;
+            let (out, mut needs) = self.local_step(&mut step)?;
+            output = Some(out);
+            if needs.is_empty() {
+                stop = StopReason::Complete;
                 break;
             }
-            let fresh = self.fresh_needs(exec.needs);
-            if fresh.is_empty() {
+            let Some(platform) = crowd.as_deref_mut() else {
+                warnings.push(format!(
+                    "{} crowd task(s) would be needed to complete this result",
+                    needs.len()
+                ));
+                stop = StopReason::Local;
+                break;
+            };
+            let exhausted = self.exhausted.lock();
+            needs.retain(|n| !exhausted.contains(&n.dedup_key()));
+            drop(exhausted);
+            if needs.is_empty() {
                 warnings.push(
                     "result is partial: remaining crowd tasks were previously exhausted".into(),
                 );
+                stop = StopReason::Exhausted;
                 break;
             }
             if let Some(budget) = budget {
                 let spent = platform.stats().cents_spent - start_stats.cents_spent;
                 if spent >= budget {
                     warnings.push(format!(
-                        "crowd budget of {budget}¢ exhausted ({spent}¢ spent);                          {} task(s) abandoned, result is partial",
-                        fresh.len()
+                        "crowd budget of {budget}¢ exhausted ({spent}¢ spent); \
+                         {} task(s) abandoned, result is partial",
+                        needs.len()
                     ));
+                    stop = StopReason::Budget;
                     break;
                 }
-            }
-            let wave = self.fulfill(
-                &fresh,
-                platform,
-                &mut warnings,
-                start_stats.cents_spent,
-                summary.rounds,
-                guard,
-                budget,
-            )?;
-            summary.absorb_resilience(&wave);
-        }
-        if !complete && summary.rounds >= self.config.max_rounds {
-            warnings.push(format!(
-                "round budget ({}) exhausted; result may be partial",
-                self.config.max_rounds
-            ));
-        }
-        let end = platform.stats();
-        summary.tasks_posted = end.hits_posted - start_stats.hits_posted;
-        summary.answers_collected = end.assignments_completed - start_stats.assignments_completed;
-        summary.cents_spent = end.cents_spent - start_stats.cents_spent;
-        summary.virtual_secs = platform.now() - start_now;
-        Ok(QueryResult {
-            columns,
-            rows,
-            affected: 0,
-            crowd: summary,
-            warnings,
-            complete,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fulfill(
-        &self,
-        needs: &[crowddb_exec::TaskNeed],
-        platform: &mut dyn Platform,
-        warnings: &mut Vec<String>,
-        statement_start_cents: u64,
-        round: usize,
-        guard: &StatementGuard,
-        budget: Option<u64>,
-    ) -> Result<taskman::FulfillSummary> {
-        // Budget-aware wave sizing: never post more tasks than the
-        // remaining per-statement budget can pay for (escalations may
-        // still nudge past the line; the round-level gate catches that).
-        let needs = match budget {
-            Some(budget) => {
+                // Budget-aware wave sizing: never post more tasks than the
+                // remaining budget can pay for (escalations may still
+                // nudge past the line; the gate above catches that).
                 let per_task =
                     (self.config.reward_cents as u64 * self.config.vote.replication as u64).max(1);
-                let spent = platform
-                    .stats()
-                    .cents_spent
-                    .saturating_sub(statement_start_cents);
-                let remaining = budget.saturating_sub(spent.min(budget));
-                let affordable = (remaining / per_task) as usize;
+                let affordable = ((budget - spent) / per_task) as usize;
                 if affordable < needs.len() {
                     warnings.push(format!(
                         "budget allows only {affordable} of {} crowd task(s) this wave",
                         needs.len()
                     ));
+                    needs.truncate(affordable);
                 }
-                &needs[..affordable.min(needs.len())]
             }
-            None => needs,
+            let wave = self.fulfill(&needs, platform, &mut warnings, round, guard)?;
+            summary.absorb_resilience(&wave);
+        }
+        if let Some(platform) = crowd {
+            let end = platform.stats();
+            summary.tasks_posted = end.hits_posted - start_stats.hits_posted;
+            summary.answers_collected =
+                end.assignments_completed - start_stats.assignments_completed;
+            summary.cents_spent = end.cents_spent - start_stats.cents_spent;
+            summary.virtual_secs = platform.now() - start_now;
+        }
+        if stop == StopReason::RoundCap {
+            warnings.push(format!(
+                "round budget ({}) exhausted; result may be partial",
+                self.config.max_rounds
+            ));
+        }
+        Ok(Driven {
+            output,
+            summary,
+            warnings,
+            stop,
+        })
+    }
+
+    /// One local evaluation against a point-in-time copy of the verdict
+    /// caches: the driver's round step, and what standing-query
+    /// evaluation, DML application and log replay run exactly once. The
+    /// only place the engine snapshots the caches for evaluation.
+    fn local_step<T>(&self, step: impl FnOnce(&CompareCaches) -> T) -> T {
+        step(&self.caches.snapshot())
+    }
+
+    /// Lower `plan` against the live catalog and execute it for one
+    /// round. Lowering is repeated per round on purpose — cardinality
+    /// estimates shift as crowd answers are written back — and this is
+    /// the only place a plan is lowered for execution.
+    fn run_plan(
+        &self,
+        plan: &LogicalPlan,
+        caches: &CompareCaches,
+        guard: ExecGuard,
+    ) -> Result<(PhysicalPlan, ExecResult, OpStatsNode)> {
+        let physical = lower_plan(&self.db, plan);
+        let (exec, stats) = execute_physical_guarded(&self.db, caches, &physical, guard)?;
+        Ok((physical, exec, stats))
+    }
+
+    /// One ungoverned evaluation of `plan` on current knowledge: what a
+    /// standing query re-runs on every trigger (unsettled crowd state
+    /// simply shows as CNULLs / missing tuples until a later one) and
+    /// what a task preview inspects. Deliberately flushes no operator
+    /// stats.
+    fn evaluate_once(&self, plan: &LogicalPlan) -> Result<ExecResult> {
+        let (_, exec, _) =
+            self.local_step(|caches| self.run_plan(plan, caches, ExecGuard::unlimited()))?;
+        Ok(exec)
+    }
+
+    /// The rows sink of the driver — and, given an `analysis` to fill,
+    /// the analyzed-tree sink: `EXPLAIN ANALYZE` runs this very function
+    /// and keeps each round's operator stats for rendering.
+    fn execute_select(
+        &self,
+        query: &Query,
+        crowd: Option<&mut dyn Platform>,
+        guard: &StatementGuard,
+        mut analysis: Option<&mut Analysis>,
+    ) -> Result<QueryResult> {
+        let (plan, warnings) = self.plan_query(query, analysis.is_some())?;
+        let driven = self.drive(crowd, guard, warnings, |caches| {
+            let (physical, exec, stats) = self.run_plan(&plan, caches, guard.exec.clone())?;
+            flush_op_stats(self.obs.registry(), &stats);
+            if let Some(analysis) = analysis.as_deref_mut() {
+                analysis.absorb(physical, stats, &exec);
+            }
+            Ok((exec.rows, exec.needs))
+        })?;
+        Ok(QueryResult {
+            columns: output_columns(&plan),
+            rows: driven.output.unwrap_or_default(),
+            affected: 0,
+            crowd: driven.summary,
+            warnings: driven.warnings,
+            complete: driven.stop == StopReason::Complete,
+        })
+    }
+
+    /// The DML sink of the driver: crowd predicates are resolved through
+    /// *dry runs*, then the mutation is applied exactly once — a
+    /// non-idempotent assignment like `SET n = n + 1` must not be
+    /// re-applied per round.
+    fn execute_dml(
+        &self,
+        stmt: &Statement,
+        table: &str,
+        mut crowd: Option<&mut dyn Platform>,
+        guard: &StatementGuard,
+    ) -> Result<QueryResult> {
+        let mut driven = self.drive(crowd.as_deref_mut(), guard, Vec::new(), |caches| {
+            let dry_run = self.eval_dml(stmt, caches, false, guard.exec.clone())?;
+            Ok(((), dry_run.needs))
+        })?;
+        // A cancelled or deadline-exceeded DML errors *before* the
+        // mutation is applied (paid crowd verdicts stay cached).
+        guard.check(crowd.map_or(0.0, |p| p.now()))?;
+        let r = self.apply_dml(stmt, table, guard)?;
+        if driven.stop != StopReason::Complete {
+            driven
+                .warnings
+                .push("DML applied with some crowd predicates undecided".into());
+        }
+        Ok(QueryResult {
+            affected: r.affected,
+            crowd: driven.summary,
+            warnings: driven.warnings,
+            complete: driven.stop == StopReason::Complete,
+            ..Default::default()
+        })
+    }
+
+    /// Apply a DML statement once, log it, and tell the standing queries.
+    fn apply_dml(
+        &self,
+        stmt: &Statement,
+        table: &str,
+        guard: &StatementGuard,
+    ) -> Result<dml::DmlResult> {
+        let r = {
+            // Logical DML records are not idempotent: the mutation and its
+            // log record must not straddle a checkpoint (see `ckpt_latch`).
+            let _latch = self.ckpt_latch.read();
+            let r = self.local_step(|c| self.eval_dml(stmt, c, true, guard.exec.clone()))?;
+            self.log_record(LogRecord::Dml {
+                sql: stmt.to_string(),
+            })?;
+            r
         };
+        self.notify_subscriptions(Some(table));
+        Ok(r)
+    }
+
+    /// Evaluate a DML statement once against `caches`; `apply == false`
+    /// is a dry run that only reports the crowd work its predicates need.
+    fn eval_dml(
+        &self,
+        stmt: &Statement,
+        caches: &CompareCaches,
+        apply: bool,
+        guard: ExecGuard,
+    ) -> Result<dml::DmlResult> {
+        match stmt {
+            Statement::Insert(ins) => dml::execute_insert(&self.db, caches, ins, guard),
+            Statement::Update(upd) => dml::execute_update(&self.db, caches, upd, apply, guard),
+            Statement::Delete(del) => dml::execute_delete(&self.db, caches, del, apply, guard),
+            other => Err(CrowdError::Internal(format!(
+                "not a DML statement: {other}"
+            ))),
+        }
+    }
+
+    /// Hand one wave of needs to the Task Manager and settle what comes
+    /// back: registry counters, round events, the write-ahead log, the
+    /// session's exhausted set, and the standing queries.
+    fn fulfill(
+        &self,
+        needs: &[TaskNeed],
+        platform: &mut dyn Platform,
+        warnings: &mut Vec<String>,
+        round: usize,
+        guard: &StatementGuard,
+    ) -> Result<taskman::FulfillSummary> {
         if needs.is_empty() {
             return Ok(taskman::FulfillSummary::default());
         }
@@ -1338,14 +1141,6 @@ impl CrowdDB {
         // here — see the `subs` field docs for the ordering argument).
         self.notify_subscriptions(None);
         Ok(fulfill)
-    }
-
-    fn fresh_needs(&self, needs: Vec<crowddb_exec::TaskNeed>) -> Vec<crowddb_exec::TaskNeed> {
-        let exhausted = self.exhausted.lock();
-        needs
-            .into_iter()
-            .filter(|n| !exhausted.contains(&n.dedup_key()))
-            .collect()
     }
 
     // ── Continuous queries (`SUBSCRIBE`) ────────────────────────────
@@ -1503,7 +1298,7 @@ impl CrowdDB {
                 self.config.subscriptions.max_subscriptions
             )));
         }
-        let rows = self.eval_standing(&standing)?;
+        let rows = self.evaluate_once(&standing.logical)?.rows;
         let last = subscribe::rowset_from_rows(&rows);
         subs.next_id += 1;
         let id = subs.next_id;
@@ -1542,17 +1337,6 @@ impl CrowdDB {
         Ok((id, columns))
     }
 
-    /// One deterministic local evaluation of a standing plan: re-lower
-    /// against the current catalog, execute against current storage and
-    /// cache snapshots. Unsettled crowd state simply shows as CNULLs /
-    /// missing tuples until a later trigger.
-    fn eval_standing(&self, standing: &StandingPlan) -> Result<Vec<Row>> {
-        let caches = self.caches.snapshot();
-        let physical = lower_plan(&self.db, &standing.logical);
-        let (exec, _stats) = execute_physical(&self.db, &caches, &physical)?;
-        Ok(exec.rows)
-    }
-
     /// Re-evaluate standing queries after a mutation: `touched` is the
     /// table a DML/DDL statement wrote (`None` = a crowd round settled,
     /// which can affect any crowd-related state, so everything
@@ -1580,11 +1364,7 @@ impl CrowdDB {
                 }
             }
             reg.counter_inc("crowddb_subscription_evals_total");
-            let rows = {
-                let caches = self.caches.snapshot();
-                let physical = lower_plan(&self.db, &sub.plan.logical);
-                execute_physical(&self.db, &caches, &physical).map(|(exec, _)| exec.rows)
-            };
+            let rows = self.evaluate_once(&sub.plan.logical).map(|exec| exec.rows);
             let rows = match rows {
                 Ok(rows) => rows,
                 Err(e) => {
@@ -1718,17 +1498,6 @@ impl CrowdDB {
         })
     }
 
-    fn plan_select(
-        &self,
-        stmt: &Statement,
-        allow_unbounded: bool,
-    ) -> Result<(LogicalPlan, Vec<String>)> {
-        let Statement::Select(query) = stmt else {
-            return Err(CrowdError::Internal("plan_select on non-select".into()));
-        };
-        self.plan_query(query, allow_unbounded)
-    }
-
     /// Bind, optimize, and boundedness-check one query block (shared by
     /// one-shot `SELECT` and standing `SUBSCRIBE` registration).
     fn plan_query(
@@ -1782,6 +1551,99 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CrowdDB>();
 };
+
+/// Why the statement driver stopped — the one value every sink words
+/// its outcome from. Anything but `Complete` is a partial result and
+/// carries a warning saying so.
+#[derive(PartialEq)]
+enum StopReason {
+    /// A round reported no needs: the output is final.
+    Complete,
+    /// No platform attached: one round ran, its needs stayed unposted.
+    Local,
+    /// Every remaining need was already given up on in this session.
+    Exhausted,
+    /// The crowd budget ran out with needs still open.
+    Budget,
+    /// `max_rounds` rounds ran without converging.
+    RoundCap,
+}
+
+/// What [`CrowdDB::drive`] hands its sink.
+struct Driven<T> {
+    /// The last round's output (`None` only under `max_rounds == 0`).
+    output: Option<T>,
+    summary: CrowdSummary,
+    /// The caller's planning warnings, each wave's, the stop reason's.
+    warnings: Vec<String>,
+    stop: StopReason,
+}
+
+/// What `EXPLAIN ANALYZE` keeps of its statement's execution: the
+/// round-1 physical plan with every round's operator stats merged in,
+/// and one line per round.
+#[derive(Default)]
+struct Analysis {
+    tree: Option<(PhysicalPlan, OpStatsNode)>,
+    rounds: Vec<String>,
+}
+
+impl Analysis {
+    fn absorb(&mut self, physical: PhysicalPlan, stats: OpStatsNode, exec: &ExecResult) {
+        self.rounds.push(format!(
+            "round {}: {} row(s), {} need(s)\n",
+            self.rounds.len() + 1,
+            exec.rows.len(),
+            exec.needs.len()
+        ));
+        match &mut self.tree {
+            Some((_, merged)) if same_shape(merged, &stats) => merged.merge(&stats),
+            // Round 1 — or a concurrent DDL changed what the plan lowers
+            // to mid-statement, in which case the tree starts over.
+            tree => *tree = Some((physical, stats)),
+        }
+    }
+
+    /// The `EXPLAIN ANALYZE` text for the execution that produced `r`.
+    fn render(&self, r: &QueryResult) -> String {
+        let tree = self
+            .tree
+            .as_ref()
+            .map(|(p, stats)| render_analyzed(p, stats));
+        let mut out = format!(
+            "== Physical plan (analyzed) ==\n{}\n== Rounds ==\n{}result: {}\n\n== Crowd ==\n\
+             tasks posted: {}\nanswers collected: {}\ncents spent: {}\nvirtual seconds: {}\n",
+            tree.unwrap_or_default(),
+            self.rounds.concat(),
+            if r.complete { "complete" } else { "partial" },
+            r.crowd.tasks_posted,
+            r.crowd.answers_collected,
+            r.crowd.cents_spent,
+            r.crowd.virtual_secs,
+        );
+        for w in &r.warnings {
+            out.push_str(&format!("warning: {w}\n"));
+        }
+        out
+    }
+}
+
+fn same_shape(a: &OpStatsNode, b: &OpStatsNode) -> bool {
+    a.name == b.name
+        && a.children.len() == b.children.len()
+        && a.children
+            .iter()
+            .zip(&b.children)
+            .all(|(a, b)| same_shape(a, b))
+}
+
+/// The statement under any number of `EXPLAIN` wrappers.
+fn strip_explain(mut stmt: &Statement) -> &Statement {
+    while let Statement::Explain { statement, .. } = stmt {
+        stmt = statement;
+    }
+    stmt
+}
 
 fn output_columns(plan: &LogicalPlan) -> Vec<String> {
     plan.schema().columns.into_iter().map(|c| c.name).collect()

@@ -61,20 +61,6 @@ pub struct FulfillSummary {
 }
 
 impl FulfillSummary {
-    /// Fold a wave's counters into an accumulator (the statement loop
-    /// calls `fulfill_needs` once per round).
-    pub fn absorb(&mut self, other: &FulfillSummary) {
-        self.tasks_posted += other.tasks_posted;
-        self.answers_collected += other.answers_collected;
-        self.retries += other.retries;
-        self.reposts += other.reposts;
-        self.duplicates_dropped += other.duplicates_dropped;
-        self.post_failures += other.post_failures;
-        self.extend_failures += other.extend_failures;
-        self.gave_up += other.gave_up;
-        self.degraded |= other.degraded;
-    }
-
     /// Append the structured one-line fault digest, if any fault was
     /// absorbed this pass.
     fn note_absorbed_faults(&mut self) {

@@ -30,19 +30,14 @@ pub struct DmlResult {
     pub needs: Vec<TaskNeed>,
 }
 
-/// Execute an INSERT.
+/// Execute an INSERT under a cooperative-cancellation guard; each row is
+/// a checkpoint, and a trip rolls the whole statement back (the normal
+/// DML atomicity path).
 ///
 /// Columns omitted from an explicit column list default to `CNULL` for
 /// CROWD columns (so they will be crowdsourced on first use — the
 /// CrowdSQL default) and `NULL` otherwise.
-pub fn execute_insert(db: &Database, caches: &CompareCaches, ins: &Insert) -> Result<DmlResult> {
-    execute_insert_guarded(db, caches, ins, ExecGuard::unlimited())
-}
-
-/// [`execute_insert`] under a cooperative-cancellation guard; each row
-/// is a checkpoint, and a trip rolls the whole statement back (the
-/// normal DML atomicity path).
-pub fn execute_insert_guarded(
+pub fn execute_insert(
     db: &Database,
     caches: &CompareCaches,
     ins: &Insert,
@@ -121,41 +116,15 @@ pub fn execute_insert_guarded(
     Ok(DmlResult { affected, needs })
 }
 
-/// Execute an UPDATE for one round.
-pub fn execute_update(db: &Database, caches: &CompareCaches, upd: &Update) -> Result<DmlResult> {
-    update_inner(db, caches, upd, true, ExecGuard::unlimited())
-}
-
-/// [`execute_update`] under a cooperative-cancellation guard.
-pub fn execute_update_guarded(
-    db: &Database,
-    caches: &CompareCaches,
-    upd: &Update,
-    guard: ExecGuard,
-) -> Result<DmlResult> {
-    update_inner(db, caches, upd, true, guard)
-}
-
-/// Dry-run an UPDATE: report how many rows *would* be affected and which
-/// crowd work is needed, without mutating anything. The driver resolves
-/// the needs first and applies the statement exactly once — otherwise a
-/// non-idempotent assignment like `SET n = n + 1` would be re-applied on
-/// every crowd round.
-pub fn plan_update(db: &Database, caches: &CompareCaches, upd: &Update) -> Result<DmlResult> {
-    update_inner(db, caches, upd, false, ExecGuard::unlimited())
-}
-
-/// [`plan_update`] under a cooperative-cancellation guard.
-pub fn plan_update_guarded(
-    db: &Database,
-    caches: &CompareCaches,
-    upd: &Update,
-    guard: ExecGuard,
-) -> Result<DmlResult> {
-    update_inner(db, caches, upd, false, guard)
-}
-
-fn update_inner(
+/// Evaluate an UPDATE for one round under a cooperative-cancellation
+/// guard.
+///
+/// With `apply == false` this is a dry run: it reports how many rows
+/// *would* be affected and which crowd work is needed, without mutating
+/// anything. The driver resolves the needs first and applies the
+/// statement exactly once — otherwise a non-idempotent assignment like
+/// `SET n = n + 1` would be re-applied on every crowd round.
+pub fn execute_update(
     db: &Database,
     caches: &CompareCaches,
     upd: &Update,
@@ -219,37 +188,9 @@ fn update_inner(
     Ok(DmlResult { affected, needs })
 }
 
-/// Execute a DELETE for one round.
-pub fn execute_delete(db: &Database, caches: &CompareCaches, del: &Delete) -> Result<DmlResult> {
-    delete_inner(db, caches, del, true, ExecGuard::unlimited())
-}
-
-/// [`execute_delete`] under a cooperative-cancellation guard.
-pub fn execute_delete_guarded(
-    db: &Database,
-    caches: &CompareCaches,
-    del: &Delete,
-    guard: ExecGuard,
-) -> Result<DmlResult> {
-    delete_inner(db, caches, del, true, guard)
-}
-
-/// Dry-run a DELETE (see [`plan_update`]).
-pub fn plan_delete(db: &Database, caches: &CompareCaches, del: &Delete) -> Result<DmlResult> {
-    delete_inner(db, caches, del, false, ExecGuard::unlimited())
-}
-
-/// [`plan_delete`] under a cooperative-cancellation guard.
-pub fn plan_delete_guarded(
-    db: &Database,
-    caches: &CompareCaches,
-    del: &Delete,
-    guard: ExecGuard,
-) -> Result<DmlResult> {
-    delete_inner(db, caches, del, false, guard)
-}
-
-fn delete_inner(
+/// Evaluate a DELETE for one round; `apply == false` is a dry run (see
+/// [`execute_update`]).
+pub fn execute_delete(
     db: &Database,
     caches: &CompareCaches,
     del: &Delete,
@@ -307,7 +248,7 @@ mod tests {
         let Statement::Insert(i) = parse_statement(sql).unwrap() else {
             panic!()
         };
-        execute_insert(db, &CompareCaches::default(), &i).unwrap()
+        execute_insert(db, &CompareCaches::default(), &i, ExecGuard::unlimited()).unwrap()
     }
 
     #[test]
@@ -350,7 +291,9 @@ mod tests {
         else {
             panic!()
         };
-        assert!(execute_insert(&db, &CompareCaches::default(), &i).is_err());
+        assert!(
+            execute_insert(&db, &CompareCaches::default(), &i, ExecGuard::unlimited()).is_err()
+        );
     }
 
     #[test]
@@ -364,7 +307,9 @@ mod tests {
             panic!()
         };
         // 'keep' violates the primary key after 'a' and 'b' landed.
-        assert!(execute_insert(&db, &CompareCaches::default(), &i).is_err());
+        assert!(
+            execute_insert(&db, &CompareCaches::default(), &i, ExecGuard::unlimited()).is_err()
+        );
         let rows = db.with_table("talk", |t| t.scan_rows()).unwrap().unwrap();
         assert_eq!(rows.len(), 1, "partial statement must be rolled back");
         // Tuple-id space is clean too: the next insert reuses slot 1, as
@@ -386,7 +331,14 @@ mod tests {
         let Statement::Update(u) = parse_statement("UPDATE talk SET title = 'z'").unwrap() else {
             panic!()
         };
-        assert!(execute_update(&db, &CompareCaches::default(), &u).is_err());
+        assert!(execute_update(
+            &db,
+            &CompareCaches::default(),
+            &u,
+            true,
+            ExecGuard::unlimited()
+        )
+        .is_err());
         let rows = db.with_table("talk", |t| t.scan_rows()).unwrap().unwrap();
         let titles: Vec<_> = rows.iter().map(|(_, r)| r[0].clone()).collect();
         assert_eq!(
@@ -402,7 +354,9 @@ mod tests {
         else {
             panic!()
         };
-        assert!(execute_insert(&db, &CompareCaches::default(), &i).is_err());
+        assert!(
+            execute_insert(&db, &CompareCaches::default(), &i, ExecGuard::unlimited()).is_err()
+        );
     }
 
     #[test]
@@ -418,7 +372,14 @@ mod tests {
         else {
             panic!()
         };
-        let r = execute_update(&db, &CompareCaches::default(), &u).unwrap();
+        let r = execute_update(
+            &db,
+            &CompareCaches::default(),
+            &u,
+            true,
+            ExecGuard::unlimited(),
+        )
+        .unwrap();
         assert_eq!(r.affected, 1);
         let rows = db.with_table("talk", |t| t.scan_rows()).unwrap().unwrap();
         assert_eq!(rows[0].1[2], Value::Int(15));
@@ -436,7 +397,14 @@ mod tests {
         else {
             panic!()
         };
-        let r = execute_update(&db, &CompareCaches::default(), &u).unwrap();
+        let r = execute_update(
+            &db,
+            &CompareCaches::default(),
+            &u,
+            true,
+            ExecGuard::unlimited(),
+        )
+        .unwrap();
         assert_eq!(r.affected, 2);
     }
 
@@ -452,7 +420,14 @@ mod tests {
         else {
             panic!()
         };
-        let r = execute_delete(&db, &CompareCaches::default(), &d).unwrap();
+        let r = execute_delete(
+            &db,
+            &CompareCaches::default(),
+            &d,
+            true,
+            ExecGuard::unlimited(),
+        )
+        .unwrap();
         assert_eq!(r.affected, 1);
         assert_eq!(db.stats("talk").unwrap().live_rows, 1);
     }
@@ -467,7 +442,14 @@ mod tests {
             panic!()
         };
         // Round 1: the comparison is unknown — nothing updated, one need.
-        let r = execute_update(&db, &CompareCaches::default(), &u).unwrap();
+        let r = execute_update(
+            &db,
+            &CompareCaches::default(),
+            &u,
+            true,
+            ExecGuard::unlimited(),
+        )
+        .unwrap();
         assert_eq!(r.affected, 0);
         assert_eq!(r.needs.len(), 1);
         // Crowd says yes; round 2 applies the update.
@@ -478,7 +460,7 @@ mod tests {
             "Do these two values refer to the same entity?",
             true,
         );
-        let r = execute_update(&db, &caches, &u).unwrap();
+        let r = execute_update(&db, &caches, &u, true, ExecGuard::unlimited()).unwrap();
         assert_eq!(r.affected, 1);
         assert!(r.needs.is_empty());
     }
@@ -493,7 +475,14 @@ mod tests {
         let Statement::Delete(d) = parse_statement("DELETE FROM talk").unwrap() else {
             panic!()
         };
-        let r = execute_delete(&db, &CompareCaches::default(), &d).unwrap();
+        let r = execute_delete(
+            &db,
+            &CompareCaches::default(),
+            &d,
+            true,
+            ExecGuard::unlimited(),
+        )
+        .unwrap();
         assert_eq!(r.affected, 2);
         assert_eq!(db.stats("talk").unwrap().live_rows, 0);
     }

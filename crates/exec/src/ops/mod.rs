@@ -172,8 +172,16 @@ impl OpStatsNode {
             .fold(self.cum_wall, |acc, c| acc.saturating_sub(c.cum_wall))
     }
 
-    /// Accumulate another round's stats tree into this one (same shape).
+    /// Accumulate another round's stats tree into this one. The trees
+    /// must have the same shape: plans are re-lowered per round, and a
+    /// caller that cannot rule out a shape change between rounds starts a
+    /// fresh tree instead of merging.
     pub fn merge(&mut self, other: &OpStatsNode) {
+        debug_assert!(
+            self.name == other.name && self.children.len() == other.children.len(),
+            "stats trees differ in shape at {}",
+            self.name
+        );
         self.rows_in += other.rows_in;
         self.rows_out += other.rows_out;
         self.rounds += other.rounds;

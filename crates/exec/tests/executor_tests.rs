@@ -555,7 +555,14 @@ fn crowdequal_needs_identical_for_query_and_dml_paths() {
     else {
         panic!()
     };
-    let dml = crowddb_exec::dml::plan_update(&db, &CompareCaches::default(), &upd).unwrap();
+    let dml = crowddb_exec::dml::execute_update(
+        &db,
+        &CompareCaches::default(),
+        &upd,
+        false,
+        crowddb_exec::ExecGuard::unlimited(),
+    )
+    .unwrap();
     assert_eq!(
         query.needs, dml.needs,
         "select and DML evaluate the predicate through the same path"

@@ -255,7 +255,8 @@ impl<'a> Binder<'a> {
                 }
                 other => {
                     return Err(CrowdError::Analyze(format!(
-                        "ORDER BY over a UNION must reference an output column or                          position, got '{other}'"
+                        "ORDER BY over a UNION must reference an output column or \
+                         position, got '{other}'"
                     )))
                 }
             };

@@ -643,6 +643,56 @@ fn exhausted_quota_refuses_crowd_statements_with_budget_error() {
     server.join().expect("drain");
 }
 
+/// `EXPLAIN ANALYZE` is the statement's execution, so it is charged like
+/// one: it cannot be used to spend past a tenant's quota for free.
+#[test]
+fn explain_analyze_is_charged_against_the_tenant_quota() {
+    let tenants = vec![TenantConfig {
+        name: "thrifty".into(),
+        token: String::new(),
+        quota_cents: Some(3),
+        max_connections: None,
+        max_subscriptions: None,
+        policy: GovernorPolicy::default(),
+    }];
+    let server = local_server(tenants, CrowdDB::with_config(CrowdConfig::fast_test()));
+    let mut c = Client::connect(&addr(&server), "thrifty", "", 5).expect("connect");
+    c.query(DDL).expect("ddl");
+    let titles: Vec<String> = (0..10).map(|i| format!("('t{i}')")).collect();
+    c.query(&format!(
+        "INSERT INTO Talk (title) VALUES {}",
+        titles.join(", ")
+    ))
+    .expect("seed");
+
+    let mut reported = 0;
+    let mut refused = 0;
+    for i in 0..10 {
+        match c.query(&format!(
+            "EXPLAIN ANALYZE SELECT abstract FROM Talk WHERE title = 't{i}'"
+        )) {
+            Ok(r) => reported += r.cents_spent,
+            Err(e) => {
+                assert_eq!(e.category(), "budget", "{e}");
+                refused += 1;
+            }
+        }
+    }
+    let tenant = server.tenant("thrifty").expect("tenant");
+    assert!(reported > 0, "the analyzed statements paid the crowd");
+    assert_eq!(tenant.spent_cents(), reported, "every cent is charged");
+    assert!(tenant.exhausted(), "quota should be exhausted");
+    assert!(refused > 0, "analyzing past the quota is refused");
+
+    let err = c
+        .query("SELECT abstract FROM Talk WHERE title = 't9'")
+        .map(|r| r.tasks_posted)
+        .expect_err("crowd statement after exhaustion");
+    assert_eq!(err.category(), "budget", "{err}");
+    c.close().expect("close");
+    server.join().expect("drain");
+}
+
 // ------------------------------------------------- chaos reconciliation
 
 /// Chaos suite: 30% uniform platform faults, several concurrent
