@@ -3,9 +3,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use crowddb_common::{row, Row, Value};
+use crowddb_common::{codec, row, Row, Value};
 use crowddb_sql::{parse_statement, Statement};
-use crowddb_storage::{codec, Database};
+use crowddb_storage::Database;
 
 fn make_db(rows: usize) -> Database {
     let db = Database::new();
@@ -36,7 +36,7 @@ fn bench_codec(c: &mut Criterion) {
     });
     let encoded = codec::encode_rows(&rows);
     c.bench_function("codec_decode_1k_rows", |b| {
-        b.iter(|| codec::decode_rows(black_box(encoded.clone())).unwrap())
+        b.iter(|| codec::decode_rows(black_box(&encoded)).unwrap())
     });
 }
 
@@ -80,7 +80,7 @@ fn bench_snapshot(c: &mut Criterion) {
     c.bench_function("snapshot_5k_rows", |b| b.iter(|| db.snapshot()));
     let snap = db.snapshot().unwrap();
     c.bench_function("restore_5k_rows", |b| {
-        b.iter(|| Database::restore(black_box(snap.clone())).unwrap())
+        b.iter(|| Database::restore(black_box(&snap)).unwrap())
     });
 }
 

@@ -4,14 +4,17 @@
 //!
 //! This crate defines the value model (including the `CNULL` marker that
 //! CrowdSQL adds to every SQL type), the schema model (including `CROWD`
-//! columns and `CROWD` tables), rows, identifiers, and the common error
-//! type used across all CrowdDB crates.
+//! columns and `CROWD` tables), rows, identifiers, the common error type
+//! used across all CrowdDB crates, and [`codec`] — the one binary codec
+//! (reader, writers, frames, CRC-32, `Value`/`Row` encoding) every
+//! on-disk and on-wire format is written in.
 //!
 //! The design follows the VLDB 2011 demo paper "CrowdDB: Query Processing
 //! with the VLDB Crowd": `CNULL` indicates that a value *should be
 //! crowdsourced when it is first used*, which is distinct from SQL `NULL`
 //! ("known to be missing / inapplicable").
 
+pub mod codec;
 pub mod error;
 pub mod ids;
 pub mod row;

@@ -1,5 +1,6 @@
 //! The [`CrowdDB`] facade.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -7,6 +8,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
+use crowddb_common::codec::{self, Reader};
 use crowddb_common::{CancelReason, CrowdError, Result, Row, Value};
 use crowddb_exec::{
     dml, execute_physical_guarded, flush_op_stats, lower_plan, render_analyzed, CompareCaches,
@@ -20,7 +22,7 @@ use crowddb_plan::{
 };
 use crowddb_platform::{Platform, WorkerRelationshipManager};
 use crowddb_sql::{parse_statement, Query, Statement};
-use crowddb_storage::{codec, Database, IndexKind, LogRecord};
+use crowddb_storage::{Database, IndexKind, LogRecord};
 use crowddb_ui::manager::UiTemplateManager;
 use crowddb_ui::render_task;
 use crowddb_wal::{DurableStore, FsyncPolicy, GroupCommitStore};
@@ -1432,20 +1434,11 @@ impl CrowdDB {
 
     /// Split a session snapshot into its storage and caches sections.
     fn split_snapshot(bytes: &[u8]) -> Result<(&[u8], &[u8])> {
-        let take_u64 = |b: &[u8], at: usize| -> Result<u64> {
-            b.get(at..at + 8)
-                .map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
-                .ok_or_else(|| CrowdError::Internal("session snapshot truncated".into()))
-        };
-        let storage_len = take_u64(bytes, 0)? as usize;
-        let storage_end = 8 + storage_len;
-        let storage_bytes = bytes
-            .get(8..storage_end)
-            .ok_or_else(|| CrowdError::Internal("session snapshot truncated".into()))?;
-        let caches_len = take_u64(bytes, storage_end)? as usize;
-        let caches_bytes = bytes
-            .get(storage_end + 8..storage_end + 8 + caches_len)
-            .ok_or_else(|| CrowdError::Internal("session snapshot truncated".into()))?;
+        let mut r = Reader::new(bytes);
+        let storage_len = r.u64()? as usize;
+        let storage_bytes = r.take(storage_len, "session snapshot storage section")?;
+        let caches_len = r.u64()? as usize;
+        let caches_bytes = r.take(caches_len, "session snapshot caches section")?;
         Ok((storage_bytes, caches_bytes))
     }
 
@@ -1454,9 +1447,9 @@ impl CrowdDB {
     fn wrap_snapshot(&self, storage: &[u8]) -> Vec<u8> {
         let caches_bytes = encode_caches(&self.caches.snapshot());
         let mut out = Vec::with_capacity(16 + storage.len() + caches_bytes.len());
-        out.extend_from_slice(&(storage.len() as u64).to_le_bytes());
+        codec::put_u64(&mut out, storage.len() as u64);
         out.extend_from_slice(storage);
-        out.extend_from_slice(&(caches_bytes.len() as u64).to_le_bytes());
+        codec::put_u64(&mut out, caches_bytes.len() as u64);
         out.extend_from_slice(&caches_bytes);
         out
     }
@@ -1464,7 +1457,7 @@ impl CrowdDB {
     /// Restore a session saved by [`CrowdDB::snapshot`].
     pub fn restore(bytes: &[u8], config: CrowdConfig) -> Result<CrowdDB> {
         let (storage_bytes, caches_bytes) = Self::split_snapshot(bytes)?;
-        let db = Database::restore(bytes::Bytes::copy_from_slice(storage_bytes))?;
+        let db = Database::restore(storage_bytes)?;
         Self::from_storage(db, caches_bytes, config)
     }
 
@@ -1684,61 +1677,42 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Deterministic comparison-cache encoding: each map is a count followed
 /// by `(Str key, Bool verdict)` codec values in sorted key order.
 fn encode_caches(caches: &CompareCaches) -> Vec<u8> {
-    use bytes::BytesMut;
-    fn encode_map(buf: &mut BytesMut, map: &std::collections::HashMap<String, bool>) {
-        use bytes::BufMut;
+    let mut buf = Vec::new();
+    for map in [&caches.equal, &caches.order] {
         let mut keys: Vec<&String> = map.keys().collect();
         keys.sort();
-        buf.put_u64_le(keys.len() as u64);
+        codec::put_u64(&mut buf, keys.len() as u64);
         for k in keys {
-            codec::encode_value(buf, &crowddb_common::Value::Str(k.clone()));
-            codec::encode_value(buf, &crowddb_common::Value::Bool(map[k]));
+            codec::encode_value(&mut buf, &Value::Str(k.clone()));
+            codec::encode_value(&mut buf, &Value::Bool(map[k]));
         }
     }
-    let mut buf = BytesMut::new();
-    encode_map(&mut buf, &caches.equal);
-    encode_map(&mut buf, &caches.order);
-    buf.freeze().to_vec()
+    buf
 }
 
 fn decode_caches(bytes: &[u8]) -> Result<CompareCaches> {
-    use bytes::Buf;
-    fn decode_map(buf: &mut bytes::Bytes) -> Result<std::collections::HashMap<String, bool>> {
-        if buf.remaining() < 8 {
-            return Err(CrowdError::Internal("cache section truncated".into()));
-        }
-        let n = buf.get_u64_le();
-        let mut map = std::collections::HashMap::new();
+    fn decode_map(r: &mut Reader<'_>) -> Result<HashMap<String, bool>> {
+        // An entry is a tagged string (5 bytes at least) and a bool.
+        let n = r.count_u64(6)?;
+        let mut map = HashMap::with_capacity(n);
         for _ in 0..n {
-            let k = match codec::decode_value(buf)? {
-                crowddb_common::Value::Str(s) => s,
-                other => {
-                    return Err(CrowdError::Internal(format!(
-                        "cache key must be a string, got {other:?}"
-                    )))
-                }
-            };
-            let v = match codec::decode_value(buf)? {
-                crowddb_common::Value::Bool(b) => b,
-                other => {
-                    return Err(CrowdError::Internal(format!(
-                        "cache verdict must be a bool, got {other:?}"
-                    )))
-                }
+            let (k, v) = (codec::decode_value(r)?, codec::decode_value(r)?);
+            let (Value::Str(k), Value::Bool(v)) = (k, v) else {
+                return Err(CrowdError::Internal(
+                    "cache entry must be a (string, bool) pair".into(),
+                ));
             };
             map.insert(k, v);
         }
         Ok(map)
     }
-    let mut buf = bytes::Bytes::copy_from_slice(bytes);
-    let equal = decode_map(&mut buf)?;
-    let order = decode_map(&mut buf)?;
-    if buf.remaining() != 0 {
-        return Err(CrowdError::Internal(
-            "trailing bytes after cache section".into(),
-        ));
-    }
-    Ok(CompareCaches { equal, order })
+    let mut r = Reader::new(bytes);
+    let caches = CompareCaches {
+        equal: decode_map(&mut r)?,
+        order: decode_map(&mut r)?,
+    };
+    r.finish()?;
+    Ok(caches)
 }
 
 #[cfg(test)]

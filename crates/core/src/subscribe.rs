@@ -7,7 +7,7 @@
 //! known state — a *recompute-and-diff* incremental model, which is the
 //! only sound one under CrowdDB's open-world semantics (a settled crowd
 //! answer can change any predicate's verdict, not just rows "near" the
-//! write). The diff is a multiset delta keyed by the storage codec's
+//! write). The diff is a multiset delta keyed by the shared codec's
 //! row encoding, so delta batches are deterministic byte-for-byte across
 //! runs and worker counts.
 //!
@@ -20,11 +20,9 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-use bytes::BytesMut;
-
+use crowddb_common::codec;
 use crowddb_common::{CrowdError, Result, Row};
 use crowddb_plan::StandingPlan;
-use crowddb_storage::codec;
 
 use crate::crowddb::CrowdDB;
 
@@ -62,11 +60,11 @@ pub enum SubscriptionStatement {
 /// A multiset of rows keyed by canonical codec bytes.
 pub(crate) type RowSet = BTreeMap<Vec<u8>, (Row, usize)>;
 
-/// Canonical byte encoding of one row (storage codec).
+/// Canonical byte encoding of one row ([`crowddb_common::codec`]).
 pub fn row_key(row: &Row) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     codec::encode_row(&mut buf, row);
-    buf.freeze().to_vec()
+    buf
 }
 
 pub(crate) fn rowset_from_rows(rows: &[Row]) -> RowSet {

@@ -8,41 +8,11 @@
 //! seeds, and worker counts — and the delta stream itself must be
 //! byte-identical between serial and parallel fulfillment.
 
-use std::collections::HashMap;
-
 use crowddb_core::{canonical_rows, CrowdConfig, CrowdDB, DeltaBatch, SubscriberState};
-use crowddb_platform::{Answer, FaultConfig, FaultyPlatform, MockPlatform, TaskKind};
+use crowddb_platform::{FaultConfig, FaultyPlatform};
 
-/// Ground truth the scripted crowd answers from.
-fn world_script() -> MockPlatform {
-    let abstracts: HashMap<&'static str, &'static str> = HashMap::from([
-        ("CrowdDB", "Query processing with crowdsourced data"),
-        ("Qurk", "A query processor for human operators"),
-        ("PIQL", "Performance insightful query language"),
-        ("HyPer", "Hybrid OLTP and OLAP main memory database"),
-    ]);
-    MockPlatform::unanimous(move |task: &TaskKind| match task {
-        TaskKind::Probe { known, asked, .. } => {
-            let title = known
-                .iter()
-                .find(|(k, _)| k == "title")
-                .map(|(_, v)| v.as_str())
-                .unwrap_or("");
-            Answer::Form(
-                asked
-                    .iter()
-                    .map(|(col, _)| {
-                        (
-                            col.clone(),
-                            abstracts.get(title).copied().unwrap_or("unknown").into(),
-                        )
-                    })
-                    .collect(),
-            )
-        }
-        _ => Answer::Blank,
-    })
-}
+mod common;
+use common::world_script;
 
 const DDL: &str = "CREATE TABLE Talk (
     title STRING PRIMARY KEY,

@@ -39,7 +39,6 @@ pub mod mock;
 pub mod model;
 pub mod sim;
 pub mod task;
-pub mod wire;
 pub mod worker;
 pub mod wrm;
 
@@ -51,6 +50,5 @@ pub use task::{
     batched_reward_cents, split_cents, Answer, HitId, Platform, PlatformStats, TaskKind,
     TaskResponse, TaskSpec, WorkerId,
 };
-pub use wire::{decode_answer, decode_spec, encode_answer, encode_spec};
 pub use worker::{WorkerPool, WorkerPoolConfig, WorkerProfile};
 pub use wrm::WorkerRelationshipManager;

@@ -289,7 +289,7 @@ mod tests {
             match m.erroneous_answer(&batch, &mut r) {
                 Answer::Batch(items) => {
                     assert_eq!(items.len(), 6, "arity preserved");
-                    saw_flip |= items.iter().any(|i| *i == Answer::No);
+                    saw_flip |= items.contains(&Answer::No);
                 }
                 Answer::Blank => {} // whole-batch spam is allowed
                 other => panic!("{other:?}"),

@@ -2,7 +2,8 @@
 //!
 //! A connection starts with an 8-byte magic (`CDBP0001`: protocol name +
 //! format version), after which both directions exchange CRC-checked,
-//! length-framed messages with the same shape as the WAL codec:
+//! length-framed messages — [`crowddb_common::codec::frame`], the shape
+//! the write-ahead log uses too:
 //!
 //! ```text
 //! +-----------------------------+
@@ -39,10 +40,10 @@
 use std::fmt;
 use std::io::{Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crowddb_common::codec::{
+    self, put_bool, put_f64, put_str, put_u32, put_u64, DecodeError, FrameError, Reader,
+};
 use crowddb_common::Row;
-use crowddb_storage::codec;
-use crowddb_wal::crc32::crc32;
 
 /// Connection magic: protocol name + format version.
 pub const MAGIC: &[u8; 8] = b"CDBP0001";
@@ -50,10 +51,6 @@ pub const MAGIC: &[u8; 8] = b"CDBP0001";
 /// Hard upper bound on one frame payload. A length above it is treated
 /// as garbage framing, never as an allocation hint.
 pub const MAX_FRAME: u32 = 1 << 24;
-
-/// Upper bound on decoded collection lengths (rows, columns, warnings)
-/// so a corrupted count cannot demand an absurd allocation.
-const MAX_ITEMS: usize = 1 << 20;
 
 const REQ_HELLO: u8 = 0x01;
 const REQ_QUERY: u8 = 0x02;
@@ -124,6 +121,27 @@ impl fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
+
+/// Field-level decode failures keep their kind.
+impl From<DecodeError> for ProtocolError {
+    fn from(e: DecodeError) -> ProtocolError {
+        match e {
+            DecodeError::Truncated(what) => ProtocolError::Truncated(what),
+            DecodeError::Malformed(m) => ProtocolError::Malformed(m),
+            DecodeError::Trailing(n) => ProtocolError::TrailingBytes(n),
+        }
+    }
+}
+
+impl From<FrameError> for ProtocolError {
+    fn from(e: FrameError) -> ProtocolError {
+        match e {
+            FrameError::Truncated(what) => ProtocolError::Truncated(what),
+            FrameError::Length(n) => ProtocolError::FrameTooLarge(n),
+            FrameError::Crc => ProtocolError::CrcMismatch,
+        }
+    }
+}
 
 impl ProtocolError {
     /// Whether the byte stream is desynchronized (framing can no longer
@@ -312,11 +330,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolErr
     if payload.is_empty() || payload.len() > MAX_FRAME as usize {
         return Err(ProtocolError::OversizedPayload(payload.len()));
     }
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)
+    w.write_all(&codec::frame(payload))
         .and_then(|_| w.flush())
         .map_err(|e| ProtocolError::Io(e.to_string()))
 }
@@ -325,7 +339,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolErr
 /// boundary is [`ProtocolError::Closed`]; EOF inside a frame is
 /// [`ProtocolError::Truncated`].
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtocolError> {
-    let mut header = [0u8; 8];
+    let mut header = [0u8; codec::FRAME_HEADER];
     let mut got = 0;
     while got < header.len() {
         match r.read(&mut header[got..]) {
@@ -336,39 +350,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtocolError> {
             Err(e) => return Err(ProtocolError::Io(e.to_string())),
         }
     }
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-    if len == 0 || len > MAX_FRAME {
-        return Err(ProtocolError::FrameTooLarge(len));
-    }
-    let mut payload = vec![0u8; len as usize];
+    let (len, crc) = codec::frame_header(&header, MAX_FRAME)?;
+    let mut payload = vec![0u8; len];
     r.read_exact(&mut payload).map_err(|e| match e.kind() {
         std::io::ErrorKind::UnexpectedEof => ProtocolError::Truncated("frame payload"),
         _ => ProtocolError::Io(e.to_string()),
     })?;
-    if crc32(&payload) != crc {
-        return Err(ProtocolError::CrcMismatch);
-    }
-    Ok(payload)
-}
-
-/// Validate a standalone frame image (header + payload in one buffer)
-/// and hand back its payload. Used by the corruption tests: the decode
-/// path over a byte slice must reject every damaged image.
-pub fn decode_frame(image: &[u8]) -> Result<&[u8], ProtocolError> {
-    if image.len() < 8 {
-        return Err(ProtocolError::Truncated("frame header"));
-    }
-    let len = u32::from_le_bytes(image[..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(image[4..8].try_into().expect("4 bytes"));
-    if len == 0 || len > MAX_FRAME {
-        return Err(ProtocolError::FrameTooLarge(len));
-    }
-    let payload = &image[8..];
-    if payload.len() != len as usize {
-        return Err(ProtocolError::Truncated("frame payload"));
-    }
-    if crc32(payload) != crc {
+    if codec::crc32(&payload) != crc {
         return Err(ProtocolError::CrcMismatch);
     }
     Ok(payload)
@@ -376,181 +364,112 @@ pub fn decode_frame(image: &[u8]) -> Result<&[u8], ProtocolError> {
 
 // --------------------------------------------------------------- fields
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_strs(buf: &mut BytesMut, items: &[String]) {
-    buf.put_u32_le(items.len() as u32);
+fn put_strs(buf: &mut Vec<u8>, items: &[String]) {
+    put_u32(buf, items.len() as u32);
     for s in items {
         put_str(buf, s);
     }
 }
 
-fn get_u8(buf: &mut Bytes) -> Result<u8, ProtocolError> {
-    if buf.remaining() < 1 {
-        return Err(ProtocolError::Truncated("u8"));
-    }
-    Ok(buf.get_u8())
+fn get_str(r: &mut Reader<'_>) -> Result<String, ProtocolError> {
+    Ok(r.str()?.to_string())
 }
 
-fn get_u32(buf: &mut Bytes) -> Result<u32, ProtocolError> {
-    if buf.remaining() < 4 {
-        return Err(ProtocolError::Truncated("u32"));
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut Bytes) -> Result<u64, ProtocolError> {
-    if buf.remaining() < 8 {
-        return Err(ProtocolError::Truncated("u64"));
-    }
-    Ok(buf.get_u64_le())
-}
-
-fn get_f64(buf: &mut Bytes) -> Result<f64, ProtocolError> {
-    if buf.remaining() < 8 {
-        return Err(ProtocolError::Truncated("f64"));
-    }
-    Ok(buf.get_f64_le())
-}
-
-fn get_bool(buf: &mut Bytes) -> Result<bool, ProtocolError> {
-    match get_u8(buf)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(ProtocolError::Malformed(format!("bad bool byte {other}"))),
-    }
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, ProtocolError> {
-    let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(ProtocolError::Truncated("string body"));
-    }
-    let bytes = buf.copy_to_bytes(len);
-    std::str::from_utf8(&bytes)
-        .map(|s| s.to_string())
-        .map_err(|e| ProtocolError::Malformed(format!("invalid utf8: {e}")))
-}
-
-fn get_strs(buf: &mut Bytes) -> Result<Vec<String>, ProtocolError> {
-    let n = get_u32(buf)? as usize;
-    if n > MAX_ITEMS {
-        return Err(ProtocolError::Malformed(format!(
-            "list count {n} too large"
-        )));
-    }
+fn get_strs(r: &mut Reader<'_>) -> Result<Vec<String>, ProtocolError> {
+    let n = r.count(4)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(get_str(buf)?);
+        out.push(get_str(r)?);
     }
     Ok(out)
 }
 
-fn put_rows(buf: &mut BytesMut, rows: &[Row]) {
-    buf.put_u32_le(rows.len() as u32);
+fn put_rows(buf: &mut Vec<u8>, rows: &[Row]) {
+    put_u32(buf, rows.len() as u32);
     for row in rows {
         codec::encode_row(buf, row);
     }
 }
 
-fn get_rows(buf: &mut Bytes) -> Result<Vec<Row>, ProtocolError> {
-    let n = get_u32(buf)? as usize;
-    if n > MAX_ITEMS {
-        return Err(ProtocolError::Malformed(format!("row count {n} too large")));
-    }
+fn get_rows(r: &mut Reader<'_>) -> Result<Vec<Row>, ProtocolError> {
+    let n = r.count(4)?;
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
-        rows.push(codec::decode_row(buf).map_err(|e| ProtocolError::Malformed(e.to_string()))?);
+        // Whatever is wrong inside a row, the frame around it was intact.
+        rows.push(codec::decode_row(r).map_err(|e| ProtocolError::Malformed(e.to_string()))?);
     }
     Ok(rows)
-}
-
-fn finish(buf: &Bytes) -> Result<(), ProtocolError> {
-    if buf.remaining() != 0 {
-        return Err(ProtocolError::TrailingBytes(buf.remaining()));
-    }
-    Ok(())
 }
 
 // ------------------------------------------------------------- requests
 
 /// Encode a request payload (opcode + body, unframed).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     match req {
         Request::Hello {
             tenant,
             token,
             seed,
         } => {
-            buf.put_u8(REQ_HELLO);
+            buf.push(REQ_HELLO);
             put_str(&mut buf, tenant);
             put_str(&mut buf, token);
-            buf.put_u64_le(*seed);
+            put_u64(&mut buf, *seed);
         }
         Request::Query { sql } => {
-            buf.put_u8(REQ_QUERY);
+            buf.push(REQ_QUERY);
             put_str(&mut buf, sql);
         }
         Request::Cancel { session, key } => {
-            buf.put_u8(REQ_CANCEL);
-            buf.put_u64_le(*session);
-            buf.put_u64_le(*key);
+            buf.push(REQ_CANCEL);
+            put_u64(&mut buf, *session);
+            put_u64(&mut buf, *key);
         }
-        Request::Close => buf.put_u8(REQ_CLOSE),
-        Request::Metrics => buf.put_u8(REQ_METRICS),
+        Request::Close => buf.push(REQ_CLOSE),
+        Request::Metrics => buf.push(REQ_METRICS),
         Request::Subscribe { sql } => {
-            buf.put_u8(REQ_SUBSCRIBE);
+            buf.push(REQ_SUBSCRIBE);
             put_str(&mut buf, sql);
         }
         Request::Poll { id, max } => {
-            buf.put_u8(REQ_POLL);
-            buf.put_u64_le(*id);
-            buf.put_u32_le(*max);
+            buf.push(REQ_POLL);
+            put_u64(&mut buf, *id);
+            put_u32(&mut buf, *max);
         }
         Request::Unsubscribe { id } => {
-            buf.put_u8(REQ_UNSUBSCRIBE);
-            buf.put_u64_le(*id);
+            buf.push(REQ_UNSUBSCRIBE);
+            put_u64(&mut buf, *id);
         }
     }
-    buf.freeze().to_vec()
+    buf
 }
 
 /// Strictly decode a request payload: the whole buffer must be consumed.
 pub fn decode_request(payload: &[u8]) -> Result<Request, ProtocolError> {
-    let mut buf = Bytes::copy_from_slice(payload);
-    let op = get_u8(&mut buf)?;
-    let req = match op {
+    let r = &mut Reader::new(payload);
+    let req = match r.u8()? {
         REQ_HELLO => Request::Hello {
-            tenant: get_str(&mut buf)?,
-            token: get_str(&mut buf)?,
-            seed: get_u64(&mut buf)?,
+            tenant: get_str(r)?,
+            token: get_str(r)?,
+            seed: r.u64()?,
         },
-        REQ_QUERY => Request::Query {
-            sql: get_str(&mut buf)?,
-        },
+        REQ_QUERY => Request::Query { sql: get_str(r)? },
         REQ_CANCEL => Request::Cancel {
-            session: get_u64(&mut buf)?,
-            key: get_u64(&mut buf)?,
+            session: r.u64()?,
+            key: r.u64()?,
         },
         REQ_CLOSE => Request::Close,
         REQ_METRICS => Request::Metrics,
-        REQ_SUBSCRIBE => Request::Subscribe {
-            sql: get_str(&mut buf)?,
-        },
+        REQ_SUBSCRIBE => Request::Subscribe { sql: get_str(r)? },
         REQ_POLL => Request::Poll {
-            id: get_u64(&mut buf)?,
-            max: get_u32(&mut buf)?,
+            id: r.u64()?,
+            max: r.u32()?,
         },
-        REQ_UNSUBSCRIBE => Request::Unsubscribe {
-            id: get_u64(&mut buf)?,
-        },
+        REQ_UNSUBSCRIBE => Request::Unsubscribe { id: r.u64()? },
         other => return Err(ProtocolError::UnknownOpcode(other)),
     };
-    finish(&buf)?;
+    r.finish()?;
     Ok(req)
 }
 
@@ -558,144 +477,120 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtocolError> {
 
 /// Encode a response payload (opcode + body, unframed).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     match resp {
         Response::HelloOk {
             session,
             cancel_key,
             server,
         } => {
-            buf.put_u8(RESP_HELLO_OK);
-            buf.put_u64_le(*session);
-            buf.put_u64_le(*cancel_key);
+            buf.push(RESP_HELLO_OK);
+            put_u64(&mut buf, *session);
+            put_u64(&mut buf, *cancel_key);
             put_str(&mut buf, server);
         }
         Response::RowSet(r) => {
-            buf.put_u8(RESP_ROWSET);
+            buf.push(RESP_ROWSET);
             put_strs(&mut buf, &r.columns);
-            buf.put_u32_le(r.rows.len() as u32);
-            for row in &r.rows {
-                codec::encode_row(&mut buf, row);
-            }
-            buf.put_u64_le(r.affected);
-            buf.put_u8(u8::from(r.complete));
+            put_rows(&mut buf, &r.rows);
+            put_u64(&mut buf, r.affected);
+            put_bool(&mut buf, r.complete);
             put_strs(&mut buf, &r.warnings);
-            buf.put_u64_le(r.rounds);
-            buf.put_u64_le(r.tasks_posted);
-            buf.put_u64_le(r.answers_collected);
-            buf.put_u64_le(r.cents_spent);
-            buf.put_f64_le(r.virtual_secs);
-            buf.put_u64_le(r.retries);
-            buf.put_u64_le(r.reposts);
-            buf.put_u64_le(r.duplicates_dropped);
-            buf.put_u64_le(r.post_failures);
-            buf.put_u64_le(r.extend_failures);
-            buf.put_u64_le(r.gave_up);
-            buf.put_u8(u8::from(r.degraded));
+            put_u64(&mut buf, r.rounds);
+            put_u64(&mut buf, r.tasks_posted);
+            put_u64(&mut buf, r.answers_collected);
+            put_u64(&mut buf, r.cents_spent);
+            put_f64(&mut buf, r.virtual_secs);
+            put_u64(&mut buf, r.retries);
+            put_u64(&mut buf, r.reposts);
+            put_u64(&mut buf, r.duplicates_dropped);
+            put_u64(&mut buf, r.post_failures);
+            put_u64(&mut buf, r.extend_failures);
+            put_u64(&mut buf, r.gave_up);
+            put_bool(&mut buf, r.degraded);
         }
         Response::Error { category, message } => {
-            buf.put_u8(RESP_ERROR);
+            buf.push(RESP_ERROR);
             put_str(&mut buf, category);
             put_str(&mut buf, message);
         }
         Response::MetricsText { text } => {
-            buf.put_u8(RESP_METRICS);
+            buf.push(RESP_METRICS);
             put_str(&mut buf, text);
         }
-        Response::CancelOk => buf.put_u8(RESP_CANCEL_OK),
-        Response::CloseOk => buf.put_u8(RESP_CLOSE_OK),
+        Response::CancelOk => buf.push(RESP_CANCEL_OK),
+        Response::CloseOk => buf.push(RESP_CLOSE_OK),
         Response::SubscribeOk { id, columns } => {
-            buf.put_u8(RESP_SUBSCRIBE_OK);
-            buf.put_u64_le(*id);
+            buf.push(RESP_SUBSCRIBE_OK);
+            put_u64(&mut buf, *id);
             put_strs(&mut buf, columns);
         }
         Response::DeltaBatches { id, batches } => {
-            buf.put_u8(RESP_DELTA_BATCHES);
-            buf.put_u64_le(*id);
-            buf.put_u32_le(batches.len() as u32);
+            buf.push(RESP_DELTA_BATCHES);
+            put_u64(&mut buf, *id);
+            put_u32(&mut buf, batches.len() as u32);
             for b in batches {
-                buf.put_u64_le(b.revision);
-                buf.put_u8(u8::from(b.snapshot));
+                put_u64(&mut buf, b.revision);
+                put_bool(&mut buf, b.snapshot);
                 put_rows(&mut buf, &b.added);
                 put_rows(&mut buf, &b.removed);
             }
         }
-        Response::UnsubscribeOk => buf.put_u8(RESP_UNSUBSCRIBE_OK),
+        Response::UnsubscribeOk => buf.push(RESP_UNSUBSCRIBE_OK),
     }
-    buf.freeze().to_vec()
+    buf
 }
 
 /// Strictly decode a response payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
-    let mut buf = Bytes::copy_from_slice(payload);
-    let op = get_u8(&mut buf)?;
-    let resp = match op {
+    let r = &mut Reader::new(payload);
+    let resp = match r.u8()? {
         RESP_HELLO_OK => Response::HelloOk {
-            session: get_u64(&mut buf)?,
-            cancel_key: get_u64(&mut buf)?,
-            server: get_str(&mut buf)?,
+            session: r.u64()?,
+            cancel_key: r.u64()?,
+            server: get_str(r)?,
         },
-        RESP_ROWSET => {
-            let columns = get_strs(&mut buf)?;
-            let n = get_u32(&mut buf)? as usize;
-            if n > MAX_ITEMS {
-                return Err(ProtocolError::Malformed(format!("row count {n} too large")));
-            }
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push(
-                    codec::decode_row(&mut buf)
-                        .map_err(|e| ProtocolError::Malformed(e.to_string()))?,
-                );
-            }
-            Response::RowSet(WireResult {
-                columns,
-                rows,
-                affected: get_u64(&mut buf)?,
-                complete: get_bool(&mut buf)?,
-                warnings: get_strs(&mut buf)?,
-                rounds: get_u64(&mut buf)?,
-                tasks_posted: get_u64(&mut buf)?,
-                answers_collected: get_u64(&mut buf)?,
-                cents_spent: get_u64(&mut buf)?,
-                virtual_secs: get_f64(&mut buf)?,
-                retries: get_u64(&mut buf)?,
-                reposts: get_u64(&mut buf)?,
-                duplicates_dropped: get_u64(&mut buf)?,
-                post_failures: get_u64(&mut buf)?,
-                extend_failures: get_u64(&mut buf)?,
-                gave_up: get_u64(&mut buf)?,
-                degraded: get_bool(&mut buf)?,
-            })
-        }
+        RESP_ROWSET => Response::RowSet(WireResult {
+            columns: get_strs(r)?,
+            rows: get_rows(r)?,
+            affected: r.u64()?,
+            complete: r.bool()?,
+            warnings: get_strs(r)?,
+            rounds: r.u64()?,
+            tasks_posted: r.u64()?,
+            answers_collected: r.u64()?,
+            cents_spent: r.u64()?,
+            virtual_secs: r.f64()?,
+            retries: r.u64()?,
+            reposts: r.u64()?,
+            duplicates_dropped: r.u64()?,
+            post_failures: r.u64()?,
+            extend_failures: r.u64()?,
+            gave_up: r.u64()?,
+            degraded: r.bool()?,
+        }),
         RESP_ERROR => Response::Error {
-            category: get_str(&mut buf)?,
-            message: get_str(&mut buf)?,
+            category: get_str(r)?,
+            message: get_str(r)?,
         },
-        RESP_METRICS => Response::MetricsText {
-            text: get_str(&mut buf)?,
-        },
+        RESP_METRICS => Response::MetricsText { text: get_str(r)? },
         RESP_CANCEL_OK => Response::CancelOk,
         RESP_CLOSE_OK => Response::CloseOk,
         RESP_SUBSCRIBE_OK => Response::SubscribeOk {
-            id: get_u64(&mut buf)?,
-            columns: get_strs(&mut buf)?,
+            id: r.u64()?,
+            columns: get_strs(r)?,
         },
         RESP_DELTA_BATCHES => {
-            let id = get_u64(&mut buf)?;
-            let n = get_u32(&mut buf)? as usize;
-            if n > MAX_ITEMS {
-                return Err(ProtocolError::Malformed(format!(
-                    "batch count {n} too large"
-                )));
-            }
+            let id = r.u64()?;
+            // A batch is a revision, a flag and two row counts at least.
+            let n = r.count(8 + 1 + 4 + 4)?;
             let mut batches = Vec::with_capacity(n);
             for _ in 0..n {
                 batches.push(WireDeltaBatch {
-                    revision: get_u64(&mut buf)?,
-                    snapshot: get_bool(&mut buf)?,
-                    added: get_rows(&mut buf)?,
-                    removed: get_rows(&mut buf)?,
+                    revision: r.u64()?,
+                    snapshot: r.bool()?,
+                    added: get_rows(r)?,
+                    removed: get_rows(r)?,
                 });
             }
             Response::DeltaBatches { id, batches }
@@ -703,26 +598,18 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
         RESP_UNSUBSCRIBE_OK => Response::UnsubscribeOk,
         other => return Err(ProtocolError::UnknownOpcode(other)),
     };
-    finish(&buf)?;
+    r.finish()?;
     Ok(resp)
 }
 
 /// Frame a request for the wire.
 pub fn frame_request(req: &Request) -> Vec<u8> {
-    frame(&encode_request(req))
+    codec::frame(&encode_request(req))
 }
 
 /// Frame a response for the wire.
 pub fn frame_response(resp: &Response) -> Vec<u8> {
-    frame(&encode_response(resp))
-}
-
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    codec::frame(&encode_response(resp))
 }
 
 #[cfg(test)]
@@ -848,6 +735,16 @@ mod tests {
         ));
     }
 
+    /// The decode path over a byte slice: `image` must be exactly one
+    /// intact frame.
+    fn open(image: &[u8]) -> Result<&[u8], ProtocolError> {
+        let (payload, used) = codec::unframe(image, MAX_FRAME)?;
+        match image.len() - used {
+            0 => Ok(payload),
+            extra => Err(ProtocolError::TrailingBytes(extra)),
+        }
+    }
+
     /// The WAL-style corruption sweep: every single-byte corruption of a
     /// framed request is rejected with a typed error — by the frame
     /// validator (length/CRC) or by the strict decoder — and never
@@ -855,17 +752,12 @@ mod tests {
     #[test]
     fn every_single_byte_corruption_is_rejected() {
         for req in sample_requests() {
-            let image = frame_request(&req);
-            for i in 0..image.len() {
-                for flip in [0x01u8, 0x80, 0xff] {
-                    let mut bad = image.clone();
-                    bad[i] ^= flip;
-                    let outcome = decode_frame(&bad).and_then(decode_request);
-                    assert!(
-                        outcome.is_err(),
-                        "byte {i} flip {flip:#x} of {req:?} was not rejected: {outcome:?}"
-                    );
-                }
+            for (what, bad) in codec::corruptions(&frame_request(&req)) {
+                let outcome = open(&bad).and_then(decode_request);
+                assert!(
+                    outcome.is_err(),
+                    "{what} of {req:?} was not rejected: {outcome:?}"
+                );
             }
         }
     }
@@ -875,18 +767,15 @@ mod tests {
     #[test]
     fn response_corruption_is_rejected() {
         for resp in sample_responses() {
-            let image = frame_response(&resp);
-            for i in 0..image.len() {
-                let mut bad = image.clone();
-                bad[i] ^= 0xff;
-                let outcome = decode_frame(&bad).and_then(decode_response);
-                assert!(outcome.is_err(), "byte {i} of {resp:?} was not rejected");
+            for (what, bad) in codec::corruptions(&frame_response(&resp)) {
+                let outcome = open(&bad).and_then(decode_response);
+                assert!(outcome.is_err(), "{what} of {resp:?} was not rejected");
             }
         }
     }
 
-    /// Truncation at every offset is detected, mirroring the WAL torn-
-    /// tail sweep.
+    /// Truncation at every offset is detected as such, mirroring the WAL
+    /// torn-tail sweep.
     #[test]
     fn truncation_at_every_offset_is_rejected() {
         let image = frame_request(&Request::Hello {
@@ -894,8 +783,13 @@ mod tests {
             token: "k".into(),
             seed: 9,
         });
-        for cut in 0..image.len() {
-            assert!(decode_frame(&image[..cut]).is_err(), "cut at {cut}");
+        for (what, bad) in codec::corruptions(&image) {
+            if bad.len() < image.len() {
+                assert!(
+                    matches!(open(&bad), Err(ProtocolError::Truncated(_))),
+                    "{what}"
+                );
+            }
         }
     }
 

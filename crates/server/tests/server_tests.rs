@@ -14,13 +14,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crowddb_common::codec;
 use crowddb_core::{CrowdConfig, CrowdDB, GovernorPolicy};
 use crowddb_platform::{
     Answer, ClosureModel, FaultConfig, FaultyPlatform, HitId, Platform, PlatformStats, SimPlatform,
     TaskKind, TaskResponse, TaskSpec,
 };
 use crowddb_server::{protocol, Client, ClientError, Server, ServerConfig, TenantConfig};
-use crowddb_storage::codec;
 use crowddb_wal::testutil::TestDir;
 
 // ------------------------------------------------------------- fixtures
@@ -159,8 +159,8 @@ fn remote_execution_is_byte_identical_to_in_process() {
     for (sql, expect) in statements.iter().zip(&reference) {
         let got = client.query(sql).expect("remote execute");
         assert_eq!(
-            codec::encode_rows(&got.rows).to_vec(),
-            codec::encode_rows(&expect.rows).to_vec(),
+            codec::encode_rows(&got.rows),
+            codec::encode_rows(&expect.rows),
             "rows diverge for {sql}"
         );
         assert_eq!(got.columns, expect.columns, "columns diverge for {sql}");
@@ -805,10 +805,7 @@ fn unknown_opcode_keeps_the_session_alive() {
     // A well-framed payload with a nonsense opcode: payload-scoped
     // error, and the session keeps working afterwards.
     let bogus = [0x7fu8, 1, 2, 3];
-    let mut image = Vec::new();
-    image.extend_from_slice(&(bogus.len() as u32).to_le_bytes());
-    image.extend_from_slice(&crowddb_wal::crc32::crc32(&bogus).to_le_bytes());
-    image.extend_from_slice(&bogus);
+    let image = codec::frame(&bogus);
     client.send_raw(&image).expect("send bogus opcode");
     match client.read_one() {
         Ok(protocol::Response::Error { category, .. }) => assert_eq!(category, "protocol"),

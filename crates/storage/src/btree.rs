@@ -15,11 +15,9 @@
 
 use std::cmp::Ordering;
 
-use bytes::Bytes;
-
+use crowddb_common::codec::{self, Reader};
 use crowddb_common::{CrowdError, Result};
 
-use crate::codec;
 use crate::page::{kind, PageId};
 use crate::pager::Pager;
 
@@ -50,24 +48,21 @@ impl KeyCmp {
 fn cmp_index_entries(a: &[u8], b: &[u8]) -> Ordering {
     let (av, atid) = split_index_entry(a);
     let (bv, btid) = split_index_entry(b);
-    let mut ab = Bytes::copy_from_slice(av);
-    let mut bb = Bytes::copy_from_slice(bv);
+    let (mut ar, mut br) = (Reader::new(av), Reader::new(bv));
     loop {
-        match (ab.is_empty(), bb.is_empty()) {
+        match (ar.is_empty(), br.is_empty()) {
             (true, true) => return atid.cmp(btid),
             (true, false) => return Ordering::Less,
             (false, true) => return Ordering::Greater,
             (false, false) => {}
         }
-        let (x, y) = match (codec::decode_value(&mut ab), codec::decode_value(&mut bb)) {
-            (Ok(x), Ok(y)) => (x, y),
+        // Values compare straight from the page bytes, no allocation.
+        match codec::cmp_encoded_values(&mut ar, &mut br) {
+            Ok(Ordering::Equal) => continue,
+            Ok(other) => return other,
             // Unreachable for keys this module encoded; fall back to a
             // total order rather than panic on foreign bytes.
-            _ => return a.cmp(b),
-        };
-        match x.sort_cmp(&y) {
-            Ordering::Equal => continue,
-            other => return other,
+            Err(_) => return a.cmp(b),
         }
     }
 }
@@ -765,9 +760,8 @@ mod tests {
     fn index_entry_order_missing_first_then_value_then_tid() {
         use crowddb_common::Value;
         let entry = |v: &Value, tid: u64| {
-            let mut buf = bytes::BytesMut::new();
-            codec::encode_value(&mut buf, v);
-            let mut k = buf.to_vec();
+            let mut k = Vec::new();
+            codec::encode_value(&mut k, v);
             k.extend_from_slice(&tid.to_be_bytes());
             k
         };

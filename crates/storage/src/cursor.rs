@@ -5,12 +5,10 @@
 //! inside a `Database::with_table` closure; callers that need rows past
 //! the closure materialize exactly the prefix they consume.
 
-use bytes::Bytes;
-
+use crowddb_common::codec::{self, Reader};
 use crowddb_common::{CrowdError, Result, Row, TupleId};
 
 use crate::btree::BTreeCursor;
-use crate::codec;
 use crate::pager::Pager;
 
 /// Forward scan over a table's live rows in tuple-id (insertion) order.
@@ -34,7 +32,7 @@ impl<'a> TableCursor<'a> {
             None => Ok(None),
             Some((key, val)) => {
                 let tid = decode_tid_key(&key)?;
-                let row = codec::decode_row(&mut Bytes::from(val))?;
+                let row = codec::decode_row(&mut Reader::new(&val))?;
                 Ok(Some((tid, row)))
             }
         }

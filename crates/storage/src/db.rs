@@ -13,13 +13,12 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use parking_lot::RwLock;
 
+use crowddb_common::codec::{self, put_str, put_u32, put_u64, Reader};
 use crowddb_common::{CrowdError, Result, Row, TableSchema, TupleId, Value};
 
 use crate::catalog::Catalog;
-use crate::codec;
 use crate::index::{Index, IndexKind};
 use crate::logrec::LogRecord;
 use crate::page;
@@ -107,65 +106,77 @@ impl Database {
         )?;
         pager.set_alloc_state(meta.free, meta.page_count, meta.epoch);
         let db = Database::with_pager(pager);
-        // Register schemas FK-deferred (meta order is alphabetical, not
-        // topological), then attach tables to their recorded trees.
-        let mut pending = meta.tables;
+        // Attach every table to its recorded trees.
+        db.create_deferred(
+            "meta",
+            meta.tables,
+            |entry| (entry.name.as_str(), entry.ddl.as_str()),
+            |entry, schema| {
+                let mut inner = db.inner.write();
+                inner.catalog.register(schema.clone())?;
+                let indexes = entry
+                    .indexes
+                    .iter()
+                    .map(|i| {
+                        Index::open(i.name.clone(), i.columns.clone(), i.kind, i.unique, i.root)
+                    })
+                    .collect();
+                let table = HeapTable::from_parts(
+                    Arc::clone(&db.pager),
+                    schema,
+                    entry.primary_root,
+                    entry.total_slots,
+                    entry.live_rows,
+                    entry.cnull_values,
+                    indexes,
+                );
+                inner.tables.insert(entry.name.clone(), table);
+                Ok(())
+            },
+        )?;
+        Ok(db)
+    }
+
+    /// Create tables from decoded `(name, DDL)` entries in dependency
+    /// order: an entry whose foreign-key target is not registered yet
+    /// waits for a later round (images list tables alphabetically, not
+    /// topologically). `attach` builds the table once its schema resolves.
+    fn create_deferred<E>(
+        &self,
+        what: &str,
+        mut pending: Vec<E>,
+        ddl_of: impl Fn(&E) -> (&str, &str),
+        mut attach: impl FnMut(&E, TableSchema) -> Result<()>,
+    ) -> Result<()> {
         while !pending.is_empty() {
+            let before = pending.len();
             let mut next_round = Vec::new();
-            let mut progressed = false;
             for entry in pending {
-                let stmt = crowddb_sql::parse_statement(&entry.ddl).map_err(|e| {
-                    CrowdError::Internal(format!("meta: bad DDL for '{}': {e}", entry.name))
+                let (name, ddl) = ddl_of(&entry);
+                let stmt = crowddb_sql::parse_statement(ddl).map_err(|e| {
+                    CrowdError::Internal(format!("{what}: bad DDL for '{name}': {e}"))
                 })?;
                 let crowddb_sql::Statement::CreateTable(ct) = stmt else {
                     return Err(CrowdError::Internal(format!(
-                        "meta: DDL for '{}' is not CREATE TABLE",
-                        entry.name
+                        "{what}: DDL for '{name}' is not CREATE TABLE"
                     )));
                 };
-                match db.with_catalog(|c| c.schema_from_ast(&ct)) {
-                    Ok(schema) => {
-                        let mut inner = db.inner.write();
-                        inner.catalog.register(schema.clone())?;
-                        let indexes = entry
-                            .indexes
-                            .iter()
-                            .map(|i| {
-                                Index::open(
-                                    i.name.clone(),
-                                    i.columns.clone(),
-                                    i.kind,
-                                    i.unique,
-                                    i.root,
-                                )
-                            })
-                            .collect();
-                        let table = HeapTable::from_parts(
-                            Arc::clone(&db.pager),
-                            schema,
-                            entry.primary_root,
-                            entry.total_slots,
-                            entry.live_rows,
-                            entry.cnull_values,
-                            indexes,
-                        );
-                        inner.tables.insert(entry.name.clone(), table);
-                        progressed = true;
-                    }
+                match self.with_catalog(|c| c.schema_from_ast(&ct)) {
+                    Ok(schema) => attach(&entry, schema)?,
                     Err(CrowdError::Catalog(msg)) if msg.contains("unknown table") => {
                         next_round.push(entry);
                     }
                     Err(e) => return Err(e),
                 }
             }
-            if !progressed && !next_round.is_empty() {
-                return Err(CrowdError::Internal(
-                    "meta: circular or dangling foreign keys".into(),
-                ));
+            if next_round.len() == before {
+                return Err(CrowdError::Internal(format!(
+                    "{what}: circular or dangling foreign keys"
+                )));
             }
             pending = next_round;
         }
-        Ok(db)
+        Ok(())
     }
 
     /// Cumulative pager counters (page reads/writes, pool hits/misses).
@@ -199,7 +210,7 @@ impl Database {
     /// caller to commit. Row data is *not* serialized — that is the point
     /// of paged checkpoints. Call [`Database::complete_checkpoint`] after
     /// the metadata commit succeeds.
-    pub fn begin_checkpoint(&self) -> Result<(CheckpointPrep, Bytes)> {
+    pub fn begin_checkpoint(&self) -> Result<(CheckpointPrep, Vec<u8>)> {
         // Hold the read lock across journal + metadata capture so no DML
         // can slip between them.
         let inner = self.inner.read();
@@ -432,126 +443,68 @@ impl Database {
     /// that future write-ahead-log records will address — not merely
     /// equivalent row-content-wise. The byte format is independent of
     /// page size and pool budget.
-    pub fn snapshot(&self) -> Result<Bytes> {
+    pub fn snapshot(&self) -> Result<Vec<u8>> {
         let inner = self.inner.read();
-        let mut buf = BytesMut::new();
-        buf.put_slice(SNAPSHOT_MAGIC);
-        buf.put_u32_le(inner.tables.len() as u32);
+        let mut buf = SNAPSHOT_MAGIC.to_vec();
+        put_u32(&mut buf, inner.tables.len() as u32);
         for (name, table) in &inner.tables {
-            let ddl = table.schema().to_ddl();
-            buf.put_u32_le(name.len() as u32);
-            buf.put_slice(name.as_bytes());
-            buf.put_u32_le(ddl.len() as u32);
-            buf.put_slice(ddl.as_bytes());
-            buf.put_u64_le(table.stats().total_slots as u64);
+            put_str(&mut buf, name);
+            put_str(&mut buf, &table.schema().to_ddl());
+            put_u64(&mut buf, table.stats().total_slots as u64);
             let live = table.scan_rows()?;
-            let mut rows_buf = BytesMut::new();
-            rows_buf.put_u64_le(live.len() as u64);
+            let mut rows_buf = Vec::new();
+            put_u64(&mut rows_buf, live.len() as u64);
             for (tid, row) in live {
-                rows_buf.put_u64_le(tid.0);
+                put_u64(&mut rows_buf, tid.0);
                 codec::encode_row(&mut rows_buf, &row);
             }
-            buf.put_u64_le(rows_buf.len() as u64);
-            buf.put_slice(rows_buf.chunk());
+            put_u64(&mut buf, rows_buf.len() as u64);
+            buf.extend_from_slice(&rows_buf);
         }
-        Ok(buf.freeze())
+        Ok(buf)
     }
 
     /// Restore an in-memory database from a [`Database::snapshot`]
     /// buffer.
-    pub fn restore(snapshot: Bytes) -> Result<Database> {
-        let mut buf = snapshot;
+    pub fn restore(snapshot: &[u8]) -> Result<Database> {
         let db = Database::new();
-        if buf.remaining() < SNAPSHOT_MAGIC.len() + 4 {
-            return Err(CrowdError::Internal("snapshot: truncated header".into()));
-        }
-        let magic = buf.copy_to_bytes(SNAPSHOT_MAGIC.len());
-        if &magic[..] != SNAPSHOT_MAGIC {
+        let r = &mut Reader::new(snapshot);
+        if r.take(SNAPSHOT_MAGIC.len(), "snapshot magic")? != SNAPSHOT_MAGIC {
             return Err(CrowdError::Internal(
                 "snapshot: bad magic (not a CrowdDB v2 snapshot)".into(),
             ));
         }
-        let n_tables = buf.get_u32_le();
-        // Sanity: every entry needs at least 24 bytes of headers; a count
-        // that can't fit in the buffer is corruption, not a large DB.
-        if (n_tables as usize).saturating_mul(24) > buf.remaining() {
-            return Err(CrowdError::Internal(format!(
-                "snapshot: implausible table count {n_tables}"
-            )));
-        }
-        // First pass: decode every table entry.
-        let mut entries = Vec::with_capacity(n_tables as usize);
+        // First pass: decode every table entry (name, DDL, slot
+        // high-water mark, row section — 24 bytes of headers at least).
+        let n_tables = r.count(24)?;
+        let mut entries = Vec::with_capacity(n_tables);
         for _ in 0..n_tables {
-            let name = read_string(&mut buf)?;
-            let ddl = read_string(&mut buf)?;
-            if buf.remaining() < 16 {
-                return Err(CrowdError::Internal(
-                    "snapshot: truncated table header".into(),
-                ));
-            }
-            let total_slots = buf.get_u64_le() as usize;
-            let len = buf.get_u64_le() as usize;
-            if buf.remaining() < len {
-                return Err(CrowdError::Internal("snapshot: truncated rows".into()));
-            }
-            let rows_buf = buf.copy_to_bytes(len);
-            entries.push((name, ddl, total_slots, rows_buf));
+            let name = r.str()?.to_string();
+            let ddl = r.str()?.to_string();
+            let total_slots = r.u64()? as usize;
+            let len = r.u64()? as usize;
+            entries.push((name, ddl, total_slots, r.take(len, "snapshot rows")?));
         }
-        // Second pass: create tables, deferring any whose foreign-key
-        // targets have not been registered yet (snapshot order is
-        // alphabetical, not topological).
-        let mut pending = entries;
-        while !pending.is_empty() {
-            let mut next_round = Vec::new();
-            let mut progressed = false;
-            for (name, ddl, total_slots, rows_buf) in pending {
-                let stmt = crowddb_sql::parse_statement(&ddl).map_err(|e| {
-                    CrowdError::Internal(format!("snapshot: bad DDL for '{name}': {e}"))
-                })?;
-                let crowddb_sql::Statement::CreateTable(ct) = stmt else {
-                    return Err(CrowdError::Internal(format!(
-                        "snapshot: DDL for '{name}' is not CREATE TABLE"
-                    )));
-                };
-                match db.with_catalog(|c| c.schema_from_ast(&ct)) {
-                    Ok(schema) => {
-                        db.create_table(schema)?;
-                        let mut rows = rows_buf.clone();
-                        if rows.remaining() < 8 {
-                            return Err(CrowdError::Internal(
-                                "snapshot: truncated row count".into(),
-                            ));
-                        }
-                        let n_rows = rows.get_u64_le();
-                        db.with_table_mut(&name, |t| {
-                            for _ in 0..n_rows {
-                                if rows.remaining() < 8 {
-                                    return Err(CrowdError::Internal(
-                                        "snapshot: truncated tuple id".into(),
-                                    ));
-                                }
-                                let tid = TupleId(rows.get_u64_le());
-                                let row = codec::decode_row(&mut rows)?;
-                                t.restore_at(tid, row)?;
-                            }
-                            t.pad_slots(total_slots);
-                            Ok(())
-                        })?;
-                        progressed = true;
+        // Second pass: create the tables and load their rows.
+        db.create_deferred(
+            "snapshot",
+            entries,
+            |entry| (entry.0.as_str(), entry.1.as_str()),
+            |(name, _, total_slots, rows_buf), schema| {
+                db.create_table(schema)?;
+                let rows = &mut Reader::new(rows_buf);
+                // Each row is a tuple id and at least an arity.
+                let n_rows = rows.count_u64(12)?;
+                db.with_table_mut(name, |t| {
+                    for _ in 0..n_rows {
+                        let tid = TupleId(rows.u64()?);
+                        t.restore_at(tid, codec::decode_row(rows)?)?;
                     }
-                    Err(CrowdError::Catalog(msg)) if msg.contains("unknown table") => {
-                        next_round.push((name, ddl, total_slots, rows_buf));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            if !progressed && !next_round.is_empty() {
-                return Err(CrowdError::Internal(
-                    "snapshot: circular or dangling foreign keys".into(),
-                ));
-            }
-            pending = next_round;
-        }
+                    t.pad_slots(*total_slots);
+                    Ok(())
+                })
+            },
+        )?;
         Ok(db)
     }
 }
@@ -582,102 +535,83 @@ struct Meta {
     tables: Vec<MetaTable>,
 }
 
-fn encode_meta(pager: &Pager, inner: &Inner, epoch: u64) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(META_MAGIC);
-    buf.put_u64_le(epoch);
-    buf.put_u32_le(pager.page_size() as u32);
+fn encode_meta(pager: &Pager, inner: &Inner, epoch: u64) -> Vec<u8> {
+    let mut buf = META_MAGIC.to_vec();
+    put_u64(&mut buf, epoch);
+    put_u32(&mut buf, pager.page_size() as u32);
     let (free, page_count) = pager.alloc_state();
-    buf.put_u64_le(page_count);
-    buf.put_u64_le(free.len() as u64);
+    put_u64(&mut buf, page_count);
+    put_u64(&mut buf, free.len() as u64);
     for id in free {
-        buf.put_u64_le(id);
+        put_u64(&mut buf, id);
     }
-    buf.put_u32_le(inner.tables.len() as u32);
+    put_u32(&mut buf, inner.tables.len() as u32);
     for (name, table) in &inner.tables {
-        let ddl = table.schema().to_ddl();
-        put_string(&mut buf, name);
-        put_string(&mut buf, &ddl);
+        put_str(&mut buf, name);
+        put_str(&mut buf, &table.schema().to_ddl());
         let stats = table.stats();
-        buf.put_u64_le(stats.total_slots as u64);
-        buf.put_u64_le(stats.live_rows as u64);
-        buf.put_u64_le(stats.cnull_values as u64);
-        buf.put_u64_le(table.primary_root());
-        buf.put_u32_le(table.indexes().len() as u32);
+        put_u64(&mut buf, stats.total_slots as u64);
+        put_u64(&mut buf, stats.live_rows as u64);
+        put_u64(&mut buf, stats.cnull_values as u64);
+        put_u64(&mut buf, table.primary_root());
+        put_u32(&mut buf, table.indexes().len() as u32);
         for idx in table.indexes() {
-            put_string(&mut buf, &idx.name);
-            buf.put_u32_le(idx.columns.len() as u32);
+            put_str(&mut buf, &idx.name);
+            put_u32(&mut buf, idx.columns.len() as u32);
             for &c in &idx.columns {
-                buf.put_u32_le(c as u32);
+                put_u32(&mut buf, c as u32);
             }
-            buf.put_u8(match idx.kind() {
+            buf.push(match idx.kind() {
                 IndexKind::Hash => 0,
                 IndexKind::BTree => 1,
             });
-            buf.put_u8(idx.unique as u8);
-            buf.put_u64_le(idx.root());
+            buf.push(idx.unique as u8);
+            put_u64(&mut buf, idx.root());
         }
     }
-    buf.freeze()
+    buf
 }
 
+/// Decode a paged-metadata image. Every count is checked against the
+/// bytes that remain ([`Reader::count`]) before anything is sized by it,
+/// so a corrupt image is a typed `internal` error, never an allocator
+/// abort.
 fn decode_meta(bytes: &[u8]) -> Result<Meta> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    let fail = |what: &str| CrowdError::Internal(format!("meta: truncated ({what})"));
-    if buf.remaining() < META_MAGIC.len() {
-        return Err(fail("magic"));
-    }
-    let magic = buf.copy_to_bytes(META_MAGIC.len());
-    if &magic[..] != META_MAGIC {
+    let r = &mut Reader::new(bytes);
+    if r.take(META_MAGIC.len(), "meta magic")? != META_MAGIC {
         return Err(CrowdError::Internal(
             "meta: bad magic (not a CrowdDB paged-metadata snapshot)".into(),
         ));
     }
-    if buf.remaining() < 8 + 4 + 8 + 8 {
-        return Err(fail("header"));
-    }
-    let epoch = buf.get_u64_le();
-    let page_size = buf.get_u32_le() as usize;
-    let page_count = buf.get_u64_le();
-    let n_free = buf.get_u64_le() as usize;
-    if buf.remaining() < n_free * 8 {
-        return Err(fail("free list"));
-    }
+    let epoch = r.u64()?;
+    let page_size = r.u32()? as usize;
+    let page_count = r.u64()?;
+    let n_free = r.count_u64(8)?;
     let mut free = Vec::with_capacity(n_free);
     for _ in 0..n_free {
-        free.push(buf.get_u64_le());
+        free.push(r.u64()?);
     }
-    if buf.remaining() < 4 {
-        return Err(fail("table count"));
-    }
-    let n_tables = buf.get_u32_le();
-    let mut tables = Vec::with_capacity(n_tables as usize);
+    // A table is two strings, four u64s and an index count at least; an
+    // index is a name, a column count, kind, unique and a root.
+    let n_tables = r.count(4 + 4 + 8 * 4 + 4)?;
+    let mut tables = Vec::with_capacity(n_tables);
     for _ in 0..n_tables {
-        let name = read_string(&mut buf)?;
-        let ddl = read_string(&mut buf)?;
-        if buf.remaining() < 8 * 4 + 4 {
-            return Err(fail("table header"));
-        }
-        let total_slots = buf.get_u64_le();
-        let live_rows = buf.get_u64_le() as usize;
-        let cnull_values = buf.get_u64_le() as usize;
-        let primary_root = buf.get_u64_le();
-        let n_indexes = buf.get_u32_le();
-        let mut indexes = Vec::with_capacity(n_indexes as usize);
+        let name = r.str()?.to_string();
+        let ddl = r.str()?.to_string();
+        let total_slots = r.u64()?;
+        let live_rows = r.u64()? as usize;
+        let cnull_values = r.u64()? as usize;
+        let primary_root = r.u64()?;
+        let n_indexes = r.count(4 + 4 + 2 + 8)?;
+        let mut indexes = Vec::with_capacity(n_indexes);
         for _ in 0..n_indexes {
-            let iname = read_string(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(fail("index columns"));
-            }
-            let n_cols = buf.get_u32_le() as usize;
-            if buf.remaining() < n_cols * 4 + 2 + 8 {
-                return Err(fail("index body"));
-            }
+            let iname = r.str()?.to_string();
+            let n_cols = r.count(4)?;
             let mut columns = Vec::with_capacity(n_cols);
             for _ in 0..n_cols {
-                columns.push(buf.get_u32_le() as usize);
+                columns.push(r.u32()? as usize);
             }
-            let kind = match buf.get_u8() {
+            let kind = match r.u8()? {
                 0 => IndexKind::Hash,
                 1 => IndexKind::BTree,
                 other => {
@@ -686,14 +620,12 @@ fn decode_meta(bytes: &[u8]) -> Result<Meta> {
                     )))
                 }
             };
-            let unique = buf.get_u8() != 0;
-            let root = buf.get_u64_le();
             indexes.push(MetaIndex {
                 name: iname,
                 columns,
                 kind,
-                unique,
-                root,
+                unique: r.u8()? != 0,
+                root: r.u64()?,
             });
         }
         tables.push(MetaTable {
@@ -713,26 +645,6 @@ fn decode_meta(bytes: &[u8]) -> Result<Meta> {
         free,
         tables,
     })
-}
-
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn read_string(buf: &mut Bytes) -> Result<String> {
-    if buf.remaining() < 4 {
-        return Err(CrowdError::Internal(
-            "snapshot: truncated string len".into(),
-        ));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(CrowdError::Internal("snapshot: truncated string".into()));
-    }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec())
-        .map_err(|e| CrowdError::Internal(format!("snapshot: invalid utf8: {e}")))
 }
 
 #[cfg(test)]
@@ -920,7 +832,7 @@ mod tests {
             .unwrap();
         let snap = db.snapshot().unwrap();
 
-        let restored = Database::restore(snap).unwrap();
+        let restored = Database::restore(&snap).unwrap();
         assert_eq!(restored.table_names(), vec!["talk".to_string()]);
         let schema = restored.schema("talk").unwrap();
         assert_eq!(schema.crowd_columns(), vec![1, 2]);
@@ -975,14 +887,14 @@ mod tests {
     #[test]
     fn snapshot_of_empty_db() {
         let db = Database::new();
-        let restored = Database::restore(db.snapshot().unwrap()).unwrap();
+        let restored = Database::restore(&db.snapshot().unwrap()).unwrap();
         assert!(restored.table_names().is_empty());
     }
 
     #[test]
     fn restore_rejects_garbage() {
-        assert!(Database::restore(Bytes::from_static(b"nonsense")).is_err());
-        assert!(Database::restore(Bytes::new()).is_err());
+        assert!(Database::restore(b"nonsense").is_err());
+        assert!(Database::restore(&[]).is_err());
     }
 
     #[test]
@@ -1046,6 +958,62 @@ mod tests {
             total_pages
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A metadata image whose counts exceed what the image can hold is a
+    /// typed `internal` error — not a multiply overflow, not an
+    /// allocator abort.
+    #[test]
+    fn decode_meta_rejects_counts_the_image_cannot_hold() {
+        let header = |n_free: u64| {
+            let mut m = META_MAGIC.to_vec();
+            put_u64(&mut m, 3); // epoch
+            put_u32(&mut m, 256); // page size
+            put_u64(&mut m, 9); // page count
+            put_u64(&mut m, n_free);
+            m
+        };
+        let table = |n_indexes: u32| {
+            let mut m = header(0);
+            put_u32(&mut m, 1); // one table
+            put_str(&mut m, "t");
+            put_str(&mut m, "CREATE TABLE t (a INTEGER)");
+            for v in [1u64, 1, 0, 2] {
+                put_u64(&mut m, v);
+            }
+            put_u32(&mut m, n_indexes);
+            m
+        };
+        let mut n_free = header(1 << 61);
+        n_free.extend_from_slice(&[0; 64]);
+        let mut n_tables = header(0);
+        put_u32(&mut n_tables, u32::MAX);
+        n_tables.extend_from_slice(&[0; 64]);
+        let mut n_indexes = table(u32::MAX);
+        n_indexes.extend_from_slice(&[0; 64]);
+        let mut n_cols = table(1);
+        put_str(&mut n_cols, "t_pk");
+        put_u32(&mut n_cols, u32::MAX);
+        n_cols.extend_from_slice(&[0; 64]);
+        for (what, image) in [
+            ("n_free", n_free),
+            ("n_tables", n_tables),
+            ("n_indexes", n_indexes),
+            ("n_cols", n_cols),
+        ] {
+            let err = decode_meta(&image).err().expect(what);
+            assert_eq!(err.category(), "internal", "{what}: {err}");
+            assert!(err.message().contains("count"), "{what}: {err}");
+        }
+        // The same shapes with honest counts decode.
+        let mut ok = table(1);
+        put_str(&mut ok, "t_pk");
+        put_u32(&mut ok, 1);
+        put_u32(&mut ok, 0);
+        ok.extend_from_slice(&[0, 1]);
+        put_u64(&mut ok, 4);
+        let meta = decode_meta(&ok).unwrap();
+        assert_eq!(meta.tables[0].indexes[0].columns, vec![0]);
     }
 
     #[test]

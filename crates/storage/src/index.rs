@@ -17,12 +17,10 @@
 
 use std::cmp::Ordering;
 
-use bytes::{Bytes, BytesMut};
-
+use crowddb_common::codec::{self, Reader};
 use crowddb_common::{CrowdError, Result, TupleId, Value};
 
 use crate::btree::{BTree, KeyCmp};
-use crate::codec;
 use crate::page::PageId;
 use crate::pager::Pager;
 
@@ -69,11 +67,10 @@ impl IndexKey {
 
 /// Encode an index entry key: codec-encoded values ‖ tid (8 bytes BE).
 pub fn encode_index_entry(values: &[Value], tid: TupleId) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut key = Vec::new();
     for v in values {
-        codec::encode_value(&mut buf, v);
+        codec::encode_value(&mut key, v);
     }
-    let mut key = buf.to_vec();
     key.extend_from_slice(&tid.0.to_be_bytes());
     key
 }
@@ -86,10 +83,10 @@ pub fn decode_index_entry(key: &[u8]) -> Result<(IndexKey, TupleId)> {
         ));
     }
     let (vals, tid) = key.split_at(key.len() - 8);
-    let mut bytes = Bytes::copy_from_slice(vals);
+    let mut r = Reader::new(vals);
     let mut values = Vec::new();
-    while !bytes.is_empty() {
-        values.push(codec::decode_value(&mut bytes)?);
+    while !r.is_empty() {
+        values.push(codec::decode_value(&mut r)?);
     }
     Ok((
         IndexKey(values),

@@ -1,8 +1,8 @@
 //! # crowddb-storage
 //!
 //! The CrowdDB storage engine: a paged row store with a catalog, a
-//! buffer pool, B-tree primary and secondary access paths, and a compact
-//! binary row codec used for snapshots.
+//! buffer pool, and B-tree primary and secondary access paths. Rows are
+//! stored in the shared binary codec ([`crowddb_common::codec`]).
 //!
 //! The paper's prototype reused the H2 storage engine; this crate is the
 //! equivalent substrate built from scratch. Layers, bottom up:
@@ -27,7 +27,6 @@
 
 pub mod btree;
 pub mod catalog;
-pub mod codec;
 pub mod cursor;
 pub mod db;
 pub mod index;

@@ -7,14 +7,14 @@
 //! [`Database::apply`](crate::Database::apply), engine-level records
 //! (logical DML, comparison-cache verdicts) through the `CrowdDB` facade.
 //!
-//! The encoding is built entirely on [`codec`]: every field
-//! is a tagged [`Value`] or a [`Row`], so the log inherits the codec's
-//! self-description and its truncation-safety properties.
+//! The encoding is built entirely on [`crowddb_common::codec`]: a tag
+//! byte, then every field as a tagged [`Value`] or a [`Row`], so the log
+//! inherits the codec's self-description and its truncation safety.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::fmt::Display;
+
+use crowddb_common::codec::{self, Reader};
 use crowddb_common::{CrowdError, Result, Row, TupleId, Value};
-
-use crate::codec;
 
 const TAG_DDL: u8 = 1;
 const TAG_DML: u8 = 2;
@@ -100,15 +100,15 @@ impl LogRecord {
 
     /// Encode this record into a standalone buffer (no framing — the log
     /// layer adds length + CRC).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
         match self {
             LogRecord::Ddl { sql } => {
-                buf.put_u8(TAG_DDL);
+                buf.push(TAG_DDL);
                 put_str(&mut buf, sql);
             }
             LogRecord::Dml { sql } => {
-                buf.put_u8(TAG_DML);
+                buf.push(TAG_DML);
                 put_str(&mut buf, sql);
             }
             LogRecord::WriteBackValue {
@@ -117,14 +117,14 @@ impl LogRecord {
                 col,
                 value,
             } => {
-                buf.put_u8(TAG_WRITE_BACK_VALUE);
+                buf.push(TAG_WRITE_BACK_VALUE);
                 put_str(&mut buf, table);
                 codec::encode_value(&mut buf, &Value::Int(tid.0 as i64));
                 codec::encode_value(&mut buf, &Value::Int(*col as i64));
                 codec::encode_value(&mut buf, value);
             }
             LogRecord::WriteBackTuple { table, row } => {
-                buf.put_u8(TAG_WRITE_BACK_TUPLE);
+                buf.push(TAG_WRITE_BACK_TUPLE);
                 put_str(&mut buf, table);
                 codec::encode_row(&mut buf, row);
             }
@@ -134,7 +134,7 @@ impl LogRecord {
                 instruction,
                 verdict,
             } => {
-                buf.put_u8(TAG_PUT_EQUAL);
+                buf.push(TAG_PUT_EQUAL);
                 put_str(&mut buf, left);
                 put_str(&mut buf, right);
                 put_str(&mut buf, instruction);
@@ -146,100 +146,80 @@ impl LogRecord {
                 instruction,
                 left_preferred,
             } => {
-                buf.put_u8(TAG_PUT_ORDER);
+                buf.push(TAG_PUT_ORDER);
                 put_str(&mut buf, left);
                 put_str(&mut buf, right);
                 put_str(&mut buf, instruction);
                 codec::encode_value(&mut buf, &Value::Bool(*left_preferred));
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decode a record written by [`LogRecord::encode`]. The whole buffer
     /// must be consumed; trailing bytes are corruption.
-    pub fn decode(mut buf: Bytes) -> Result<LogRecord> {
-        if !buf.has_remaining() {
-            return Err(CrowdError::Io("log record: empty payload".into()));
-        }
-        let tag = buf.get_u8();
-        let rec = match tag {
-            TAG_DDL => LogRecord::Ddl {
-                sql: get_str(&mut buf)?,
+    pub fn decode(buf: &[u8]) -> Result<LogRecord> {
+        let r = &mut Reader::new(buf);
+        let rec = match r.u8().map_err(|_| bad("empty payload"))? {
+            TAG_DDL => LogRecord::Ddl { sql: get_str(r)? },
+            TAG_DML => LogRecord::Dml { sql: get_str(r)? },
+            TAG_WRITE_BACK_VALUE => LogRecord::WriteBackValue {
+                table: get_str(r)?,
+                tid: TupleId(get_int(r)? as u64),
+                col: get_int(r)? as usize,
+                value: codec::decode_value(r).map_err(bad)?,
             },
-            TAG_DML => LogRecord::Dml {
-                sql: get_str(&mut buf)?,
+            TAG_WRITE_BACK_TUPLE => LogRecord::WriteBackTuple {
+                table: get_str(r)?,
+                row: codec::decode_row(r).map_err(bad)?,
             },
-            TAG_WRITE_BACK_VALUE => {
-                let table = get_str(&mut buf)?;
-                let tid = get_int(&mut buf)?;
-                let col = get_int(&mut buf)?;
-                let value = codec::decode_value(&mut buf)?;
-                LogRecord::WriteBackValue {
-                    table,
-                    tid: TupleId(tid as u64),
-                    col: col as usize,
-                    value,
-                }
-            }
-            TAG_WRITE_BACK_TUPLE => {
-                let table = get_str(&mut buf)?;
-                let row = codec::decode_row(&mut buf)?;
-                LogRecord::WriteBackTuple { table, row }
-            }
             TAG_PUT_EQUAL => LogRecord::PutEqual {
-                left: get_str(&mut buf)?,
-                right: get_str(&mut buf)?,
-                instruction: get_str(&mut buf)?,
-                verdict: get_bool(&mut buf)?,
+                left: get_str(r)?,
+                right: get_str(r)?,
+                instruction: get_str(r)?,
+                verdict: get_bool(r)?,
             },
             TAG_PUT_ORDER => LogRecord::PutOrder {
-                left: get_str(&mut buf)?,
-                right: get_str(&mut buf)?,
-                instruction: get_str(&mut buf)?,
-                left_preferred: get_bool(&mut buf)?,
+                left: get_str(r)?,
+                right: get_str(r)?,
+                instruction: get_str(r)?,
+                left_preferred: get_bool(r)?,
             },
-            other => return Err(CrowdError::Io(format!("log record: unknown tag {other}"))),
+            other => return Err(bad(format!("unknown tag {other}"))),
         };
-        if buf.has_remaining() {
-            return Err(CrowdError::Io(format!(
-                "log record: {} trailing byte(s) after {} record",
-                buf.remaining(),
-                rec.kind()
-            )));
-        }
+        r.finish()
+            .map_err(|e| bad(format!("{e} after {} record", rec.kind())))?;
         Ok(rec)
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+/// Every way a log record fails to decode is a durability (`io`) error.
+fn bad(why: impl Display) -> CrowdError {
+    CrowdError::Io(format!("log record: {why}"))
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     codec::encode_value(buf, &Value::Str(s.to_string()));
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String> {
-    match codec::decode_value(buf)? {
+fn get_str(r: &mut Reader<'_>) -> Result<String> {
+    match codec::decode_value(r).map_err(bad)? {
         Value::Str(s) => Ok(s),
-        other => Err(CrowdError::Io(format!(
-            "log record: expected string, got {other:?}"
-        ))),
+        other => Err(bad(format!("expected string, got {other:?}"))),
     }
 }
 
-fn get_int(buf: &mut Bytes) -> Result<i64> {
-    match codec::decode_value(buf)? {
+fn get_int(r: &mut Reader<'_>) -> Result<i64> {
+    match codec::decode_value(r).map_err(bad)? {
         Value::Int(i) => Ok(i),
-        other => Err(CrowdError::Io(format!(
-            "log record: expected integer, got {other:?}"
-        ))),
+        other => Err(bad(format!("expected integer, got {other:?}"))),
     }
 }
 
-fn get_bool(buf: &mut Bytes) -> Result<bool> {
-    match codec::decode_value(buf)? {
+fn get_bool(r: &mut Reader<'_>) -> Result<bool> {
+    match codec::decode_value(r).map_err(bad)? {
         Value::Bool(b) => Ok(b),
-        other => Err(CrowdError::Io(format!(
-            "log record: expected boolean, got {other:?}"
-        ))),
+        other => Err(bad(format!("expected boolean, got {other:?}"))),
     }
 }
 
@@ -284,36 +264,39 @@ mod tests {
     #[test]
     fn every_variant_round_trips() {
         for rec in all_records() {
-            let bytes = rec.encode();
-            let back = LogRecord::decode(bytes).unwrap();
-            assert_eq!(rec, back);
+            assert_eq!(LogRecord::decode(&rec.encode()).unwrap(), rec);
         }
     }
 
+    /// Every proper prefix and a one-byte extension are typed `io`
+    /// errors; a flipped byte is an error or a different record, never a
+    /// panic.
     #[test]
     fn truncated_records_error_not_panic() {
         for rec in all_records() {
             let bytes = rec.encode();
-            for cut in 0..bytes.len() {
-                assert!(
-                    LogRecord::decode(bytes.slice(..cut)).is_err(),
-                    "{}: cut at {cut} decoded",
-                    rec.kind()
-                );
+            for (what, bad) in codec::corruptions(&bytes) {
+                match LogRecord::decode(&bad) {
+                    Err(e) => assert_eq!(e.category(), "io", "{}: {what}", rec.kind()),
+                    Ok(got) => {
+                        assert_eq!(bad.len(), bytes.len(), "{}: {what} decoded", rec.kind());
+                        assert_ne!(got, rec, "{}: {what} went unnoticed", rec.kind());
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = all_records()[0].encode().to_vec();
+        let mut bytes = all_records()[0].encode();
         bytes.push(0);
-        assert!(LogRecord::decode(Bytes::from(bytes)).is_err());
+        assert!(LogRecord::decode(&bytes).is_err());
     }
 
     #[test]
     fn unknown_tag_rejected() {
-        assert!(LogRecord::decode(Bytes::from_static(&[99])).is_err());
-        assert!(LogRecord::decode(Bytes::new()).is_err());
+        assert!(LogRecord::decode(&[99]).is_err());
+        assert!(LogRecord::decode(&[]).is_err());
     }
 }

@@ -10,12 +10,10 @@
 
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
-
+use crowddb_common::codec::{self, Reader};
 use crowddb_common::{CrowdError, Result, Row, TableSchema, TupleId, Value};
 
 use crate::btree::{BTree, KeyCmp};
-use crate::codec;
 use crate::cursor::{encode_tid_key, TableCursor};
 use crate::index::{Index, IndexKey, IndexKind};
 use crate::page::PageId;
@@ -192,7 +190,7 @@ impl HeapTable {
     }
 
     fn write_primary(&mut self, tid: TupleId, row: &Row) -> Result<()> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         codec::encode_row(&mut buf, row);
         self.primary.insert(&self.pager, &encode_tid_key(tid), &buf)
     }
@@ -261,7 +259,7 @@ impl HeapTable {
         }
         match self.primary.get(&self.pager, &encode_tid_key(tid))? {
             None => Ok(None),
-            Some(bytes) => Ok(Some(codec::decode_row(&mut Bytes::from(bytes))?)),
+            Some(bytes) => Ok(Some(codec::decode_row(&mut Reader::new(&bytes))?)),
         }
     }
 

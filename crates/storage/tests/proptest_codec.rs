@@ -3,10 +3,12 @@
 //! external dependencies, reproducible by seed).
 //!
 //! * every generated [`LogRecord`] survives an encode→decode round trip;
-//! * **any** single-byte corruption of a framed record is rejected by
-//!   the WAL's CRC path: recovery either errors (header damage) or
-//!   stops strictly before the corrupted frame.
+//! * **any** corruption of a WAL image the shared harness produces
+//!   (`codec::corruptions`: byte flips, truncations, an extension) is
+//!   caught by the WAL's CRC path: recovery either errors (header damage)
+//!   or keeps exactly the frames that end before the damage.
 
+use crowddb_common::codec;
 use crowddb_common::{Row, TupleId, Value};
 use crowddb_storage::LogRecord;
 use crowddb_wal::testutil::TestDir;
@@ -86,8 +88,7 @@ fn arbitrary_records_round_trip() {
     let mut rng = Rng::new(0xC0DEC);
     for i in 0..300 {
         let rec = rng.record();
-        let encoded = rec.encode();
-        let decoded = LogRecord::decode(encoded).unwrap_or_else(|e| {
+        let decoded = LogRecord::decode(&rec.encode()).unwrap_or_else(|e| {
             panic!("iteration {i}: {rec:?} failed to decode: {e}");
         });
         assert_eq!(decoded, rec, "iteration {i}");
@@ -100,42 +101,32 @@ fn any_single_byte_corruption_is_rejected() {
     let path = dir.path().join("wal.bin");
     let mut rng = Rng::new(0xBADBEEF);
     let records: Vec<LogRecord> = (0..4).map(|_| rng.record()).collect();
-    let mut frame_starts = Vec::new();
+    let mut frame_ends = Vec::new();
     {
         let (mut wal, _) = Wal::open(&path, FsyncPolicy::Never).unwrap();
         for rec in &records {
-            frame_starts.push(wal.len());
             wal.append(rec).unwrap();
+            frame_ends.push(wal.len());
         }
     }
     let image = std::fs::read(&path).unwrap();
-    assert!(frame_starts[0] == WAL_MAGIC.len() as u64);
 
-    // Index of the frame a byte offset falls in (header bytes → None).
-    let frame_of = |off: usize| -> Option<usize> {
-        frame_starts.iter().rposition(|&start| off as u64 >= start)
-    };
-
-    for pos in 0..image.len() {
-        let mut corrupt = image.clone();
-        corrupt[pos] ^= 0xFF;
+    for (what, corrupt) in codec::corruptions(&image) {
+        // The damage starts where the image and its corruption part ways.
+        let at = image
+            .iter()
+            .zip(&corrupt)
+            .take_while(|(a, b)| a == b)
+            .count();
         match scan_frames(&corrupt) {
-            Err(_) => {
-                // Only header damage hard-errors; a single-byte flip in
-                // a frame can never keep its CRC valid, so frame damage
-                // always degrades to a shorter valid prefix instead.
-                assert!(
-                    pos < WAL_MAGIC.len(),
-                    "unexpected hard error for byte {pos}"
-                );
-            }
+            // Only header damage hard-errors; damage to a frame can never
+            // keep its CRC valid, so it always degrades to a shorter valid
+            // prefix instead.
+            Err(_) => assert!(at < WAL_MAGIC.len(), "unexpected hard error: {what}"),
             Ok((recovered, _)) => {
-                let frame = frame_of(pos).expect("header corruption must error");
-                assert!(
-                    recovered.len() <= frame,
-                    "byte {pos} in frame {frame} corrupted, yet {} record(s) recovered",
-                    recovered.len()
-                );
+                assert!(at >= WAL_MAGIC.len(), "header corruption must error");
+                let intact = frame_ends.iter().filter(|&&end| end <= at as u64).count();
+                assert_eq!(recovered.len(), intact, "{what}");
                 for (i, (lsn, rec)) in recovered.iter().enumerate() {
                     assert_eq!(*lsn, (i + 1) as u64);
                     assert_eq!(

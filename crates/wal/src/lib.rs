@@ -27,7 +27,6 @@
 //! manager logs crowd answers as each round completes — so a crash mid-
 //! query loses at most the in-flight round, never paid-for answers.
 
-pub mod crc32;
 pub mod group;
 pub mod log;
 pub mod snapshot;

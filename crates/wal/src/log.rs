@@ -12,7 +12,8 @@
 //! +--------------+
 //! ```
 //!
-//! All integers are little-endian, matching `storage::codec`. Every frame
+//! All integers are little-endian and the frame is
+//! [`crowddb_common::codec::frame`], the shape CDBP shares. Every frame
 //! carries its own length and CRC, so a torn final write (the only kind of
 //! damage an append-only log suffers from a crash) is detected on open and
 //! trimmed: the log is truncated back to the last frame that checks out,
@@ -26,18 +27,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::Bytes;
+use crowddb_common::codec;
 use crowddb_common::{CrowdError, Result};
 use crowddb_obs::{Event, Obs};
 use crowddb_storage::LogRecord;
 
-use crate::crc32::crc32;
-
 /// Magic + format version prefix of a WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"CDBWAL01";
-
-/// Frame header size: u32 payload length + u32 CRC.
-const FRAME_HEADER: usize = 8;
 
 /// Hard upper bound on a single frame payload; anything larger in a
 /// length field is treated as a torn/garbage tail, not an allocation hint.
@@ -188,14 +184,9 @@ impl Wal {
     /// policy the log was opened with.
     pub fn append(&mut self, rec: &LogRecord) -> Result<u64> {
         let lsn = self.next_lsn;
-        let body = rec.encode();
-        let mut payload = Vec::with_capacity(8 + body.len());
-        payload.extend_from_slice(&lsn.to_le_bytes());
-        payload.extend_from_slice(&body);
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut payload = lsn.to_le_bytes().to_vec();
+        payload.extend_from_slice(&rec.encode());
+        let frame = codec::frame(&payload);
         self.file
             .write_all(&frame)
             .map_err(|e| io_err("append", e))?;
@@ -277,29 +268,23 @@ pub fn scan_frames(bytes: &[u8]) -> Result<(Vec<(u64, LogRecord)>, usize)> {
     }
     let mut records = Vec::new();
     let mut off = WAL_MAGIC.len();
-    loop {
-        let rest = &bytes[off..];
-        if rest.len() < FRAME_HEADER {
-            break; // torn frame header (or clean EOF)
+    // A torn header, a garbage length, a short or checksum-failing
+    // payload, or one too short for its LSN all end the valid prefix
+    // (a clean EOF is the first of these).
+    while let Ok((payload, used)) = codec::unframe(&bytes[off..], MAX_PAYLOAD) {
+        if payload.len() < 8 {
+            break;
         }
-        let plen = u32::from_le_bytes(rest[..4].try_into().unwrap());
-        if !(8..=MAX_PAYLOAD).contains(&plen) || rest.len() - FRAME_HEADER < plen as usize {
-            break; // torn or garbage length
-        }
-        let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-        let payload = &rest[FRAME_HEADER..FRAME_HEADER + plen as usize];
-        if crc32(payload) != crc {
-            break; // torn payload
-        }
-        let lsn = u64::from_le_bytes(payload[..8].try_into().unwrap());
-        let rec = LogRecord::decode(Bytes::copy_from_slice(&payload[8..])).map_err(|e| {
+        let (lsn, body) = payload.split_at(8);
+        let lsn = u64::from_le_bytes(lsn.try_into().expect("8 bytes"));
+        let rec = LogRecord::decode(body).map_err(|e| {
             CrowdError::Io(format!(
                 "wal: frame at offset {off} has a valid checksum but an undecodable record \
                  (on-disk corruption, not a torn write): {e}"
             ))
         })?;
         records.push((lsn, rec));
-        off += FRAME_HEADER + plen as usize;
+        off += used;
     }
     Ok((records, off))
 }
@@ -376,7 +361,7 @@ mod tests {
         drop(wal);
         let mut image = std::fs::read(&path).unwrap();
         // Flip a bit inside the second frame's payload.
-        let idx = second_start as usize + FRAME_HEADER + 2;
+        let idx = second_start as usize + codec::FRAME_HEADER + 2;
         image[idx] ^= 0x40;
         std::fs::write(&path, &image).unwrap();
         let (_, recovered) = Wal::open(&path, FsyncPolicy::Never).unwrap();
@@ -401,9 +386,7 @@ mod tests {
         // A frame whose payload checks out but holds an unknown tag.
         let mut payload = 1u64.to_le_bytes().to_vec();
         payload.push(0xEE);
-        image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        image.extend_from_slice(&crc32(&payload).to_le_bytes());
-        image.extend_from_slice(&payload);
+        image.extend_from_slice(&codec::frame(&payload));
         std::fs::write(&path, &image).unwrap();
         let err = Wal::open(&path, FsyncPolicy::Never).unwrap_err();
         assert!(err.message().contains("undecodable"), "{err}");

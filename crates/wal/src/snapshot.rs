@@ -1,8 +1,8 @@
 //! Checkpoint snapshots.
 //!
 //! A snapshot is one opaque payload (the engine serializes the whole
-//! `Database` + session caches through `storage`'s codec) stamped with the
-//! LSN of the last log record it covers:
+//! `Database` + session caches through `crowddb_common::codec`) stamped
+//! with the LSN of the last log record it covers:
 //!
 //! ```text
 //! [8  b"CDBSNAP1"][u64 last_lsn][u64 payload_len][u32 crc32(payload)][payload]
@@ -22,9 +22,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
 
+use crowddb_common::codec::{crc32, put_u32, put_u64};
 use crowddb_common::{CrowdError, Result};
-
-use crate::crc32::crc32;
 
 /// Magic + format version prefix of a snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CDBSNAP1";
@@ -42,9 +41,9 @@ pub fn write(path: &Path, last_lsn: u64, payload: &[u8]) -> Result<()> {
     let tmp = path.with_extension("tmp");
     let mut buf = Vec::with_capacity(HEADER + payload.len());
     buf.extend_from_slice(SNAPSHOT_MAGIC);
-    buf.extend_from_slice(&last_lsn.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
+    put_u64(&mut buf, last_lsn);
+    put_u64(&mut buf, payload.len() as u64);
+    put_u32(&mut buf, crc32(payload));
     buf.extend_from_slice(payload);
     {
         let mut f = OpenOptions::new()
@@ -136,17 +135,24 @@ mod tests {
         let dir = TestDir::new("snap-corrupt");
         let path = dir.path().join("snapshot.bin");
         write(&path, 7, b"precious crowd answers").unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(read(&path).unwrap_err().category(), "io");
-        // Truncation is also caught (length mismatch).
-        let good_len = bytes.len();
-        bytes[last] ^= 0x01;
-        bytes.truncate(good_len - 3);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(read(&path).is_err());
+        let image = std::fs::read(&path).unwrap();
+        // Every flipped byte, every truncation and an extension: a typed
+        // `io` error. The one exception is the LSN stamp (bytes 8..16),
+        // which the format leaves outside the checksum — a flip there
+        // reads back as a different LSN over the intact payload.
+        for (what, bad) in crowddb_common::codec::corruptions(&image) {
+            std::fs::write(&path, &bad).unwrap();
+            match read(&path) {
+                Err(e) => assert_eq!(e.category(), "io", "{what}"),
+                Ok(got) => {
+                    let (lsn, payload) = got.expect("the file exists");
+                    assert!(what.starts_with("byte ") && lsn != 7, "{what} accepted");
+                    assert_eq!(bad[..8], image[..8], "{what}");
+                    assert_eq!(bad[16..], image[16..], "{what}");
+                    assert_eq!(payload, b"precious crowd answers");
+                }
+            }
+        }
         // Garbage header.
         std::fs::write(&path, b"not a snapshot at all").unwrap();
         assert!(read(&path).is_err());

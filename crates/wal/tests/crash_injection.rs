@@ -7,7 +7,7 @@
 //!
 //! 1. **Prefix consistency**: reopening a log cut at any byte yields the
 //!    database produced by some prefix of the committed records, and the
-//!    recovered state is byte-identical (via the storage codec) to that
+//!    recovered state is byte-identical (via the storage snapshot) to that
 //!    reference prefix state.
 //! 2. **Monotonicity**: cutting at a later offset never recovers fewer
 //!    records than cutting at an earlier one.
@@ -84,7 +84,7 @@ fn reference_states(script: &[LogRecord]) -> Vec<Vec<u8>> {
 
 fn replay(recovered_snapshot: Option<&[u8]>, records: &[LogRecord]) -> Database {
     let db = match recovered_snapshot {
-        Some(bytes) => Database::restore(bytes.to_vec().into()).unwrap(),
+        Some(bytes) => Database::restore(bytes).unwrap(),
         None => Database::new(),
     };
     for rec in records {

@@ -138,7 +138,7 @@ proptest! {
             .execute_local("SELECT id, grp, score FROM t ORDER BY id")
             .unwrap();
         let snap = db.storage().snapshot().unwrap();
-        let restored_storage = crowddb_storage::Database::restore(snap).unwrap();
+        let restored_storage = crowddb_storage::Database::restore(&snap).unwrap();
         // Query the restored storage through a fresh engine round.
         let caches = crowddb_exec::CompareCaches::default();
         let stmt = crowddb_sql::parse_statement("SELECT id, grp, score FROM t ORDER BY id").unwrap();
