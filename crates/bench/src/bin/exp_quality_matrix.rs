@@ -301,31 +301,7 @@ fn main() {
     );
     out.print();
     if let Ok(path) = std::env::var("BENCH_JSON") {
-        std::fs::write(&path, render_json(&out)).expect("write BENCH_JSON");
+        std::fs::write(&path, out.to_json()).expect("write BENCH_JSON");
         eprintln!("wrote {path}");
     }
-}
-
-/// Hand-rolled JSON for the trajectory record: the workspace's
-/// serde_json may be an offline stub, and this file is checked in, so
-/// the bytes must not depend on which one is linked.
-fn render_json(out: &ExperimentOutput) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    fn arr(items: &[String]) -> String {
-        let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", esc(s))).collect();
-        format!("[{}]", quoted.join(", "))
-    }
-    let rows: Vec<String> = out.rows.iter().map(|r| format!("    {}", arr(r))).collect();
-    format!(
-        "{{\n  \"id\": \"{}\",\n  \"paper_artifact\": \"{}\",\n  \"headers\": {},\n  \
-         \"rows\": [\n{}\n  ],\n  \"notes\": {},\n  \"op_stats\": {}\n}}\n",
-        esc(&out.id),
-        esc(&out.paper_artifact),
-        arr(&out.headers),
-        rows.join(",\n"),
-        arr(&out.notes),
-        arr(&out.op_stats),
-    )
 }

@@ -1,12 +1,10 @@
 //! Shared experiment-harness utilities: platform pumping, time series,
 //! and table/JSON output.
 
-use serde::Serialize;
-
 use crowddb_platform::{HitId, Platform, TaskResponse};
 
 /// A named series of `(x, y)` points — one line of a paper figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Legend label (e.g. `"$0.01"`).
     pub label: String,
@@ -25,7 +23,7 @@ impl Series {
 }
 
 /// A complete experiment output: metadata + table rows + optional series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentOutput {
     /// Experiment id from DESIGN.md (e.g. `"E1"`).
     pub id: String,
@@ -116,11 +114,69 @@ impl ExperimentOutput {
         for n in &self.notes {
             println!("note: {n}");
         }
-        println!(
-            "JSON: {}",
-            serde_json::to_string(self).unwrap_or_else(|e| format!("<serialization failed: {e}>"))
+        println!("JSON: {}", self.to_json());
+    }
+
+    /// The record as JSON: the bytes `BENCH_4.json` is checked in as
+    /// (two-space indent, one table row per line), so they depend on
+    /// nothing but this function. `series` is written only when there
+    /// is one.
+    pub fn to_json(&self) -> String {
+        fn quote(s: &str) -> String {
+            let mut q = String::with_capacity(s.len() + 2);
+            q.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => q.push_str("\\\""),
+                    '\\' => q.push_str("\\\\"),
+                    c if c < ' ' => q.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => q.push(c),
+                }
+            }
+            q.push('"');
+            q
+        }
+        fn arr(items: &[String]) -> String {
+            let quoted: Vec<String> = items.iter().map(|s| quote(s)).collect();
+            format!("[{}]", quoted.join(", "))
+        }
+        fn lines(items: Vec<String>) -> String {
+            format!("[\n{}\n  ]", items.join(",\n"))
+        }
+        let rows = lines(
+            self.rows
+                .iter()
+                .map(|r| format!("    {}", arr(r)))
+                .collect(),
         );
-        println!();
+        let series = if self.series.is_empty() {
+            String::new()
+        } else {
+            let each = self.series.iter().map(|s| {
+                let points: Vec<String> = s
+                    .points
+                    .iter()
+                    .map(|(x, y)| format!("[{x}, {y}]"))
+                    .collect();
+                format!(
+                    "    {{\"label\": {}, \"points\": [{}]}}",
+                    quote(&s.label),
+                    points.join(", ")
+                )
+            });
+            format!("  \"series\": {},\n", lines(each.collect()))
+        };
+        format!(
+            "{{\n  \"id\": {},\n  \"paper_artifact\": {},\n  \"headers\": {},\n  \
+             \"rows\": {},\n{}  \"notes\": {},\n  \"op_stats\": {}\n}}\n",
+            quote(&self.id),
+            quote(&self.paper_artifact),
+            arr(&self.headers),
+            rows,
+            series,
+            arr(&self.notes),
+            arr(&self.op_stats),
+        )
     }
 }
 
@@ -201,5 +257,34 @@ mod tests {
         });
         out.notes.push("shape holds".into());
         out.print();
+    }
+
+    #[test]
+    fn to_json_is_the_checked_in_record_shape() {
+        let mut out = ExperimentOutput::new("E0", "a \"quoted\" back\\slash");
+        out.headers = vec!["a".into(), "b".into()];
+        out.rows = vec![vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]];
+        out.notes
+            .push("line one\nline two\ttabbed \u{1} — dash".into());
+        let without_series = "{\n  \"id\": \"E0\",\n  \
+             \"paper_artifact\": \"a \\\"quoted\\\" back\\\\slash\",\n  \
+             \"headers\": [\"a\", \"b\"],\n  \
+             \"rows\": [\n    [\"1\", \"2\"],\n    [\"3\", \"4\"]\n  ],\n  \
+             \"notes\": [\"line one\\u000aline two\\u0009tabbed \\u0001 — dash\"],\n  \
+             \"op_stats\": []\n}\n";
+        assert_eq!(out.to_json(), without_series);
+
+        out.series.push(Series {
+            label: "$0.01".into(),
+            points: vec![(0.0, 0.25), (60.0, 1.0)],
+        });
+        out.series.push(Series::new("empty"));
+        let with_series = without_series.replace(
+            "  \"notes\"",
+            "  \"series\": [\n    \
+             {\"label\": \"$0.01\", \"points\": [[0, 0.25], [60, 1]]},\n    \
+             {\"label\": \"empty\", \"points\": []}\n  ],\n  \"notes\"",
+        );
+        assert_eq!(out.to_json(), with_series);
     }
 }

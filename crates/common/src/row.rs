@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::Index;
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::Value;
 
 /// A tuple of values.
@@ -12,7 +10,7 @@ use crate::value::Value;
 /// Rows are the unit of data flow between operators and the unit of storage
 /// in heap tables. A row does not know its schema; operators carry schema
 /// information separately (see `crowddb-plan`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Row {
     values: Vec<Value>,
 }

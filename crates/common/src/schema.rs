@@ -10,13 +10,11 @@
 //! Both tables and columns can additionally carry free-text annotations
 //! that the UI generator embeds as worker instructions (paper §3.1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{CrowdError, Result};
 use crate::types::DataType;
 
 /// Definition of a single column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     /// Column name (stored lower-cased; SQL identifiers are
     /// case-insensitive in CrowdDB).
@@ -64,7 +62,7 @@ impl ColumnDef {
 }
 
 /// A foreign-key constraint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForeignKey {
     /// Referencing column ordinals in this table.
     pub columns: Vec<usize>,
@@ -75,7 +73,7 @@ pub struct ForeignKey {
 }
 
 /// Definition of a table, electronic or crowdsourced.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
     /// Table name (lower-cased).
     pub name: String,

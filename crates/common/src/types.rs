@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Data types supported by CrowdDB.
 ///
 /// The paper's examples use `STRING` and `INTEGER`; we additionally support
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// built on provides as well. Every type implicitly contains the two
 /// missing-value markers `NULL` and `CNULL` (see
 /// [`Value`](crate::value::Value)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// Boolean truth values.
     Bool,

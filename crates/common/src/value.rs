@@ -10,8 +10,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 use crate::truth::Truth;
 use crate::types::DataType;
 
@@ -20,7 +18,7 @@ use crate::types::DataType;
 /// `Float` is stored as `f64`; CrowdDB forbids NaN floats at ingestion time
 /// (see [`Value::validate`]) so that `Value` can provide a total sort
 /// order and be hashed for grouping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// Standard SQL NULL: the value is unknown or inapplicable, final.
     Null,

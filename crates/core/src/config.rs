@@ -14,8 +14,10 @@ use crate::governor::GovernorPolicy;
 /// Neither knob affects query results — the pool is no-steal, so its
 /// size only changes page traffic (`pages_read`/`pool_hits` in
 /// `EXPLAIN ANALYZE`), never bytes on disk or rows returned. The page
-/// size is fixed at database creation; reopening an existing page file
-/// keeps its recorded size regardless of this setting.
+/// size is fixed by the first checkpoint: from then on a reopen keeps
+/// the page file's recorded size regardless of this setting. Until then
+/// the page file holds nothing the log does not, and every open lays it
+/// down afresh at this size.
 #[derive(Debug, Clone)]
 pub struct StoragePolicy {
     /// Page size in bytes for newly created page files.

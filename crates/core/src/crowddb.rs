@@ -174,8 +174,9 @@ impl CrowdDB {
     /// in a page file next to the log, checkpoints flush only dirty
     /// pages, and the committed snapshot payload is the small paged
     /// metadata blob rather than a full state dump. A directory whose
-    /// last checkpoint predates the paged engine (a full-state snapshot)
-    /// is still restored — into an in-memory engine, exactly as before.
+    /// last checkpoint is a full-state snapshot (the format from before
+    /// the paged engine, which nothing writes any more) is refused with
+    /// an `io` error.
     pub fn open_with_config(path: impl AsRef<Path>, config: CrowdConfig) -> Result<CrowdDB> {
         let fsync = config.durability.fsync;
         let (mut store, recovered) = DurableStore::open(path.as_ref(), fsync)?;
@@ -183,15 +184,19 @@ impl CrowdDB {
         let mut crowddb = match &recovered.snapshot {
             Some(bytes) => {
                 let (storage_bytes, caches_bytes) = Self::split_snapshot(bytes)?;
-                if Database::is_paged_meta(storage_bytes) {
-                    let db = Database::open_paged(path.as_ref(), pager_cfg, storage_bytes)?;
-                    Self::from_storage(db, caches_bytes, config)?
-                } else {
-                    CrowdDB::restore(bytes, config)?
+                if !Database::is_paged_meta(storage_bytes) {
+                    return Err(CrowdError::Io(format!(
+                        "{}: the checkpoint's storage section is not paged metadata \
+                         (`CDBM\\x01`); a full-state `CDBS\\x02` checkpoint, the format \
+                         from before the paged engine, is no longer read",
+                        path.as_ref().display()
+                    )));
                 }
+                let db = Database::open_paged(path.as_ref(), pager_cfg, storage_bytes)?;
+                Self::from_storage(db, caches_bytes, config)?
             }
-            // No checkpoint yet: a fresh page file (any pre-crash pages
-            // are unreachable — the log replays history from genesis).
+            // No checkpoint yet: the log replays history from genesis
+            // into a fresh page file.
             None => {
                 let db = Database::open_file(path.as_ref(), pager_cfg)?;
                 let mut session = CrowdDB::with_config(config);
@@ -292,13 +297,11 @@ impl CrowdDB {
     /// Take a checkpoint now and truncate the log. No-op for in-memory
     /// sessions.
     ///
-    /// On the paged engine this flushes only the pages dirtied since the
-    /// last checkpoint: dirty pages are journaled, the small paged
-    /// metadata blob is committed as the snapshot payload (the durable
-    /// commit point), and the journal is then applied to the page file.
-    /// A crash anywhere in that window recovers on reopen via the
-    /// journal-epoch protocol. Legacy in-memory durable sessions keep
-    /// writing full-state snapshots.
+    /// This flushes only the pages dirtied since the last checkpoint:
+    /// dirty pages are journaled, the small paged metadata blob is
+    /// committed as the snapshot payload (the durable commit point), and
+    /// the journal is then applied to the page file. A crash anywhere in
+    /// that window recovers on reopen via the journal-epoch protocol.
     pub fn checkpoint(&self) -> Result<()> {
         let Some(store) = &self.durable else {
             return Ok(());
@@ -310,20 +313,15 @@ impl CrowdDB {
         // Hold the store lock across the state capture so no append can
         // slip between the snapshot and the truncation.
         let covered = store.with_store(|s| {
-            if self.db.is_file_backed() {
-                let (prep, meta) = self.db.begin_checkpoint()?;
-                s.checkpoint(&self.wrap_snapshot(&meta))?;
-                // Metadata committed: applying the journaled pages to
-                // the page file is now safe (and redone on crash).
-                self.db.complete_checkpoint(&prep)?;
-                self.obs.registry().counter_add(
-                    "crowddb_checkpoint_pages_written_total",
-                    prep.pages_written(),
-                );
-            } else {
-                let payload = self.snapshot()?;
-                s.checkpoint(&payload)?;
-            }
+            let (prep, meta) = self.db.begin_checkpoint()?;
+            s.checkpoint(&self.wrap_snapshot(&meta))?;
+            // Metadata committed: applying the journaled pages to
+            // the page file is now safe (and redone on crash).
+            self.db.complete_checkpoint(&prep)?;
+            self.obs.registry().counter_add(
+                "crowddb_checkpoint_pages_written_total",
+                prep.pages_written(),
+            );
             Ok::<u64, CrowdError>(s.last_lsn())
         })?;
         // A checkpoint fsyncs the log before snapshotting, so everything
@@ -1651,16 +1649,6 @@ pub fn statement_touches_crowd(stmt: &Statement) -> bool {
         Statement::Explain { analyze, statement } => *analyze && statement_touches_crowd(statement),
         _ => false,
     }
-}
-
-/// Whether a SQL string may engage the crowd, by parsing and classifying
-/// it. Servers use this *before* execution to pick the right admission
-/// tier; an unparseable statement classifies as non-crowd (execution
-/// will surface the parse error on the cheap tier).
-pub fn sql_touches_crowd(sql: &str) -> bool {
-    parse_statement(sql)
-        .map(|stmt| statement_touches_crowd(&stmt))
-        .unwrap_or(false)
 }
 
 /// Best-effort text from a caught panic payload.

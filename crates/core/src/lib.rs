@@ -37,7 +37,7 @@ pub use config::{
     ConcurrencyPolicy, CrowdConfig, DurabilityPolicy, QualityPolicy, RetryPolicy,
     SubscriptionPolicy,
 };
-pub use crowddb::{sql_touches_crowd, statement_touches_crowd, CrowdDB};
+pub use crowddb::{statement_touches_crowd, CrowdDB};
 pub use crowddb_obs::{Event, EventRecord, MetricsSnapshot, Obs};
 pub use crowddb_wal::FsyncPolicy;
 pub use governor::{AdmissionController, CancelToken, GovernorPolicy, StatementGuard};

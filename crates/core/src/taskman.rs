@@ -902,7 +902,7 @@ pub fn fulfill_needs(
         let em_verdicts = &em_verdicts;
         par_map_mut(&mut trackers, workers, threshold, |i, t| {
             let em = em_verdicts.as_ref().map(|v| v[i].as_slice());
-            settle_plan(&t.state, config, &normalizer, db, em)
+            settle_plan(&t.state, config, db, em)
         })
     };
     let mut winning_key: HashMap<usize, Vec<String>> = HashMap::new();
@@ -1315,7 +1315,6 @@ fn unit_outcome(
 fn settle_plan(
     state: &HitState,
     config: &CrowdConfig,
-    normalizer: &Normalizer,
     db: &Database,
     em: Option<&[Option<EmVerdict>]>,
 ) -> Result<SettlePlan> {
@@ -1354,7 +1353,7 @@ fn settle_plan(
                 want: *want,
                 rows: collected
                     .iter()
-                    .filter_map(|fields| build_tuple(&schema, preset, fields, normalizer))
+                    .filter_map(|fields| build_tuple(&schema, preset, fields))
                     .collect(),
             }
         }
@@ -1572,7 +1571,6 @@ fn build_tuple(
     schema: &TableSchema,
     preset: &[(String, Value)],
     fields: &[(String, String)],
-    _normalizer: &Normalizer,
 ) -> Option<Row> {
     let mut values: Vec<Value> = vec![Value::CNull; schema.arity()];
     for (name, v) in preset {
@@ -1599,16 +1597,6 @@ fn build_tuple(
     Some(Row::new(values))
 }
 
-/// Validation-oriented accessor used by unit tests.
-#[doc(hidden)]
-pub fn build_tuple_for_tests(
-    schema: &TableSchema,
-    preset: &[(String, Value)],
-    fields: &[(String, String)],
-) -> Option<Row> {
-    build_tuple(schema, preset, fields, &Normalizer::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1631,7 +1619,7 @@ mod tests {
     #[test]
     fn build_tuple_with_preset_and_fields() {
         let schema = attendee_schema();
-        let row = build_tuple_for_tests(
+        let row = build_tuple(
             &schema,
             &[("title".into(), Value::str("CrowdDB"))],
             &[("name".into(), " Mike Franklin ".into())],
@@ -1644,7 +1632,7 @@ mod tests {
     #[test]
     fn build_tuple_requires_pk() {
         let schema = attendee_schema();
-        assert!(build_tuple_for_tests(
+        assert!(build_tuple(
             &schema,
             &[("title".into(), Value::str("CrowdDB"))],
             &[("name".into(), "   ".into())],
@@ -1655,7 +1643,7 @@ mod tests {
     #[test]
     fn build_tuple_ignores_unknown_and_preset_overrides() {
         let schema = attendee_schema();
-        let row = build_tuple_for_tests(
+        let row = build_tuple(
             &schema,
             &[("title".into(), Value::str("CrowdDB"))],
             &[

@@ -7,7 +7,7 @@ use crowddb_common::Value;
 use crowddb_core::{CrowdConfig, CrowdDB};
 use crowddb_platform::{Answer, MockPlatform, TaskKind};
 use crowddb_wal::testutil::TestDir;
-use crowddb_wal::{FsyncPolicy, WAL_MAGIC};
+use crowddb_wal::{DurableStore, FsyncPolicy, WAL_MAGIC};
 
 /// A crowd that fills probe forms with fixed values and approves
 /// everything else.
@@ -348,6 +348,65 @@ fn paged_reopen_survives_uncheckpointed_tail() {
         .execute("SELECT title, nb_attendees FROM talk", &mut p)
         .unwrap();
     assert_eq!(r.rows.len(), 2);
+}
+
+/// Until the first checkpoint the page file holds nothing the log does
+/// not, so the configured page size (which `CROWDDB_PAGE_SIZE` feeds by
+/// default) may change between opens; once a checkpoint has committed,
+/// the recorded size wins.
+#[test]
+fn uncheckpointed_directory_reopens_under_another_page_size() {
+    let dir = TestDir::new("core-page-size");
+    let sized = |page_size: usize| {
+        let mut cfg = config();
+        cfg.durability.checkpoint_every_records = 0; // manual checkpoints only
+        cfg.storage.page_size = page_size;
+        cfg
+    };
+    let db = CrowdDB::open_with_config(dir.path(), sized(4096)).unwrap();
+    let mut p = crowd();
+    db.execute(DDL, &mut p).unwrap();
+    db.execute("INSERT INTO talk VALUES ('a', 'x', 1)", &mut p)
+        .unwrap();
+    let before = db.snapshot().unwrap();
+    drop(db); // crash before any checkpoint
+
+    for page_size in [8192, 1024] {
+        let db = CrowdDB::open_with_config(dir.path(), sized(page_size)).unwrap();
+        assert_eq!(db.storage().page_size(), page_size);
+        assert_eq!(db.snapshot().unwrap(), before);
+        drop(db);
+    }
+    // A page file cut short mid-creation is as unreachable as a whole one.
+    std::fs::write(dir.path().join(crowddb_storage::pager::PAGES_FILE), b"torn").unwrap();
+    let db = CrowdDB::open_with_config(dir.path(), sized(4096)).unwrap();
+    assert_eq!(db.snapshot().unwrap(), before);
+    db.checkpoint().unwrap();
+    drop(db);
+
+    let db = CrowdDB::open_with_config(dir.path(), sized(8192)).unwrap();
+    assert_eq!(db.storage().page_size(), 4096, "checkpointed size wins");
+    assert_eq!(db.snapshot().unwrap(), before);
+}
+
+/// Nothing since the paged engine writes a checkpoint whose storage
+/// section is a full-state snapshot; a directory holding one is refused
+/// by name rather than restored into an engine that cannot checkpoint.
+#[test]
+fn full_state_checkpoint_is_refused_typed() {
+    let dir = TestDir::new("core-legacy-ckpt");
+    let mem = CrowdDB::with_config(config());
+    mem.execute_local(DDL).unwrap();
+    let (mut store, _) = DurableStore::open(dir.path(), FsyncPolicy::Never).unwrap();
+    store.checkpoint(&mem.snapshot().unwrap()).unwrap();
+    drop(store);
+
+    let err = CrowdDB::open_with_config(dir.path(), config())
+        .err()
+        .expect("a CDBS checkpoint must not open");
+    assert_eq!(err.category(), "io", "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("CDBS") && msg.contains("CDBM"), "{msg}");
 }
 
 /// The buffer pool is no-steal and purely a cache: a durable session

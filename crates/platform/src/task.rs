@@ -10,10 +10,9 @@
 use std::fmt;
 
 use crowddb_common::{DataType, Result};
-use serde::{Deserialize, Serialize};
 
 /// Identifies a posted HIT on a platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HitId(pub u64);
 
 impl fmt::Display for HitId {
@@ -23,7 +22,7 @@ impl fmt::Display for HitId {
 }
 
 /// Identifies a worker on a platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WorkerId(pub u64);
 
 impl fmt::Display for WorkerId {
@@ -34,7 +33,7 @@ impl fmt::Display for WorkerId {
 
 /// What the crowd is asked to do. The variants map 1:1 to the paper's
 /// crowd operators (§3.2.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TaskKind {
     /// CrowdProbe, missing-value flavor: fill in `asked` fields of a tuple
     /// whose `known` fields are shown for context (paper Fig. 2: "Please
@@ -185,7 +184,7 @@ pub fn split_cents(total: u64, items: usize) -> Vec<u64> {
 }
 
 /// One answer from one assignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
     /// Probe answer: `(field, raw text)` pairs as typed into the form.
     Form(Vec<(String, String)>),
@@ -210,7 +209,7 @@ pub enum Answer {
 }
 
 /// A task to post: kind + marketplace parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpec {
     /// What to ask.
     pub kind: TaskKind,

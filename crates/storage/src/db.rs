@@ -22,7 +22,7 @@ use crate::catalog::Catalog;
 use crate::index::{Index, IndexKind};
 use crate::logrec::LogRecord;
 use crate::page;
-use crate::pager::{CheckpointPrep, Pager, PagerConfig};
+use crate::pager::{CheckpointPrep, Pager, PagerConfig, PAGES_FILE};
 use crate::pool::PagerStats;
 use crate::table::{HeapTable, TableStats};
 
@@ -77,8 +77,23 @@ impl Database {
         Ok(Database::with_pager(Pager::new_mem(cfg)?))
     }
 
-    /// Create a fresh file-backed database in `dir`.
+    /// Create a fresh file-backed database in `dir`. A page file already
+    /// there belongs to no committed checkpoint — the caller would hold
+    /// its metadata and call [`Database::open_paged`] — so nothing in it
+    /// is reachable, whatever its page size and however much of its
+    /// header reached the disk: it is replaced.
     pub fn open_file(dir: &Path, cfg: PagerConfig) -> Result<Database> {
+        let stale = dir.join(PAGES_FILE);
+        match std::fs::remove_file(&stale) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => {
+                return Err(CrowdError::Io(format!(
+                    "pager: remove {}: {e}",
+                    stale.display()
+                )))
+            }
+        }
         Ok(Database::with_pager(Pager::open_file(dir, cfg, 0)?))
     }
 

@@ -8,12 +8,11 @@
 use std::collections::HashMap;
 
 use crowddb_common::DataType;
-use serde::{Deserialize, Serialize};
 
 use crate::html;
 
 /// One form field of a template.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldSpec {
     /// Column name.
     pub name: String,
@@ -26,7 +25,7 @@ pub struct FieldSpec {
 }
 
 /// The shape of task a template serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TemplateKind {
     /// Fill missing CROWD-column values of an existing tuple.
     Probe,
@@ -35,7 +34,7 @@ pub enum TemplateKind {
 }
 
 /// A reusable task UI template.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UiTemplate {
     /// Unique template name, `<table>:<kind>`.
     pub name: String,
