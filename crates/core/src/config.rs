@@ -230,8 +230,6 @@ pub struct CrowdConfig {
     pub round_budget_secs: f64,
     /// Platform pump step, virtual seconds.
     pub pump_step_secs: f64,
-    /// Tuples requested per CrowdJoin miss / unbounded-scan quota unit.
-    pub join_quota: u64,
     /// Reject queries the boundedness analysis flags as unbounded
     /// (paper: the optimizer "warns the user at compile-time"; with this
     /// set the warning is a hard error).
@@ -287,7 +285,6 @@ impl Default for CrowdConfig {
             max_rounds: 16,
             round_budget_secs: 14.0 * 24.0 * 3600.0, // two virtual weeks
             pump_step_secs: 600.0,
-            join_quota: 3,
             reject_unbounded: true,
             max_tuples_per_assignment: 5,
             ban_threshold: 0.25,
@@ -310,25 +307,10 @@ impl CrowdConfig {
     /// no escalation, few rounds.
     pub fn fast_test() -> CrowdConfig {
         CrowdConfig {
-            reward_cents: 1,
             vote: VoteConfig::single(),
             max_rounds: 8,
             round_budget_secs: 1e7,
-            pump_step_secs: 600.0,
-            join_quota: 3,
-            reject_unbounded: true,
-            max_tuples_per_assignment: 5,
-            ban_threshold: 0.25,
-            max_budget_cents: None,
-            slow_statement_virtual_secs: None,
-            retry: RetryPolicy::default(),
-            durability: DurabilityPolicy::default(),
-            concurrency: ConcurrencyPolicy::default(),
-            storage: StoragePolicy::default(),
-            governor: GovernorPolicy::default(),
-            subscriptions: SubscriptionPolicy::default(),
-            quality: QualityPolicy::default(),
-            hybrid_order: false,
+            ..CrowdConfig::default()
         }
     }
 }

@@ -21,7 +21,7 @@ use crowddb_plan::{
     PhysicalPlan, StandingPlan,
 };
 use crowddb_platform::{Platform, WorkerRelationshipManager};
-use crowddb_sql::{parse_statement, Query, Statement};
+use crowddb_sql::{parse_statement, Delete, Query, Statement, Update};
 use crowddb_storage::{Database, IndexKind, LogRecord};
 use crowddb_ui::manager::UiTemplateManager;
 use crowddb_ui::render_task;
@@ -637,7 +637,8 @@ impl CrowdDB {
     }
 
     /// EXPLAIN output for a statement: optimized plan, lowered physical
-    /// plan, cardinality annotation, and the boundedness report.
+    /// plan, cardinality annotation, and the boundedness report. For an
+    /// `UPDATE`/`DELETE`, the scan that will select its rows.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let stmt = parse_statement(sql)?;
         self.explain_statement(&stmt)
@@ -651,6 +652,11 @@ impl CrowdDB {
         let (standing, query) = match inner {
             Statement::Select(q) => (false, q),
             Statement::Subscribe(q) => (true, q),
+            Statement::Update(Update { table, filter, .. })
+            | Statement::Delete(Delete { table, filter }) => {
+                let scan = dml::target_plan(&self.db, table, filter.as_ref())?;
+                return Ok(format!("== Physical plan ==\n{}", scan.explain()));
+            }
             _ => return Ok(format!("{inner}")),
         };
         let (plan, _) = self.plan_query(query, true)?;

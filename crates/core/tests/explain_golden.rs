@@ -271,3 +271,28 @@ fn explain_analyze_aggregate() {
         "analyze_aggregate",
     );
 }
+
+#[test]
+fn explain_update_pk() {
+    // EXPLAIN of a DML statement is the scan that will select its rows:
+    // a pinned primary key is an index probe, not a table scan.
+    let actual = explain("UPDATE Talk SET nb_attendees = 10 WHERE title = 'CrowdDB'");
+    assert_golden(
+        &actual,
+        include_str!("golden/explain_update_pk.txt"),
+        "explain_update_pk",
+    );
+}
+
+#[test]
+fn explain_delete_crowd() {
+    // The crowd conjunct is written first; DML goes through the
+    // optimizer like a query, so the residual evaluates the machine
+    // conjunct first and the crowd is only asked about its survivors.
+    let actual = explain("DELETE FROM Talk WHERE title ~= 'crowddb.' AND nb_attendees >= 100");
+    assert_golden(
+        &actual,
+        include_str!("golden/explain_delete_crowd.txt"),
+        "explain_delete_crowd",
+    );
+}

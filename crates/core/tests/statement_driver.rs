@@ -10,7 +10,10 @@
 //!   `EXPLAIN ANALYZE` reporting a zero summary, local DML retrying
 //!   against a platform that is not there and poisoning the session's
 //!   exhausted set, and DML wording its stop reason differently from
-//!   `SELECT`.
+//!   `SELECT`;
+//! * `dml_asks_the_crowd_what_its_twin_select_asks` — UPDATE/DELETE
+//!   select their rows through the optimizer, so conjunct order in the
+//!   SQL text does not decide the bill.
 //!
 //! The world and the operator suite are `explain_golden.rs`'s.
 
@@ -370,4 +373,51 @@ fn dml_words_its_stop_reason_like_select() {
     texts.extend([s.warnings, d.warnings, u.warnings].concat());
     assert_no_space_runs(&texts);
     assert!(texts[0].contains("output column or position"), "{texts:?}");
+}
+
+/// `WHERE <crowd> AND <machine>` used to cost a DML one crowd task per
+/// *stored* row — it evaluated the filter as written and never saw the
+/// optimizer — where the same `WHERE` in a `SELECT` asks only about the
+/// rows the machine conjunct lets through. Both statement kinds, both
+/// conjunct orders: the specs posted are the twin SELECT's.
+#[test]
+fn dml_asks_the_crowd_what_its_twin_select_asks() {
+    let posts = |sql: &str| -> (Vec<String>, QueryResult) {
+        let mut p = Recorder {
+            inner: world_script(),
+            calls: Vec::new(),
+        };
+        let db = seeded(config(1), Obs::new(), &mut p);
+        let r = db.execute(sql, &mut p).expect(sql);
+        let specs = p
+            .calls
+            .iter()
+            .filter(|c| c.starts_with("post "))
+            .map(|c| c.split(" -> ").next().unwrap().to_string())
+            .collect();
+        (specs, r)
+    };
+    let crowd = "room ~= 'r102.'";
+    let machine = "talk = 'Qurk'";
+    for filter in [
+        format!("{crowd} AND {machine}"),
+        format!("{machine} AND {crowd}"),
+    ] {
+        let (select, s) = posts(&format!("SELECT talk FROM Venue WHERE {filter}"));
+        assert_eq!(
+            s.crowd.tasks_posted, 1,
+            "one row survives the machine conjunct"
+        );
+        assert_eq!(s.rows.len(), 1);
+        for dml in [
+            format!("DELETE FROM Venue WHERE {filter}"),
+            format!("UPDATE Venue SET room = 'moved' WHERE {filter}"),
+        ] {
+            let (posted, r) = posts(&dml);
+            assert_eq!(posted, select, "{dml}");
+            assert_eq!(r.crowd.tasks_posted, 1, "{dml}");
+            assert_eq!(r.affected, 1, "{dml}");
+            assert!(r.complete, "{dml}: {:?}", r.warnings);
+        }
+    }
 }

@@ -264,10 +264,11 @@ pub struct RunStats {
     /// Comparisons resolved locally by the hybrid CROWDORDER machine
     /// path (identical/numeric operands) — no cache entry, no HIT.
     pub machine_ordered: u64,
-    /// Scans answered via a primary-key index point lookup.
+    /// Always zero (a pinned primary key counts in `index_probes` like
+    /// any index); kept because the frozen crowdbench sums the field.
     pub index_lookups: u64,
-    /// Secondary-index probes (point gets, range scans, and INL
-    /// crowd-join probes).
+    /// Index probes (point gets, range scans, and INL crowd-join
+    /// probes), the primary-key index included.
     pub index_probes: u64,
 }
 

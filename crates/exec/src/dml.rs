@@ -3,7 +3,11 @@
 //! DML shares the round-based crowd semantics of queries: an `UPDATE ...
 //! WHERE name ~= 'IBM'` only touches rows whose crowd predicate is
 //! already decided; undecided comparisons are returned as needs and the
-//! statement converges on re-execution.
+//! statement converges on re-execution. It shares the access path too:
+//! UPDATE and DELETE choose their rows through the same optimized
+//! [`PhysicalPlan::Scan`] a `SELECT` with that `WHERE` would run
+//! ([`target_plan`]), so machine conjuncts reject rows before a crowd
+//! conjunct is asked about them and a pinned index is probed, not scanned.
 //!
 //! Multi-row statements are atomic: if any row fails (constraint
 //! violation, evaluation error), mutations already applied by the same
@@ -13,13 +17,15 @@
 //! partial in-memory effect would be invisible to recovery.
 
 use crowddb_common::{CrowdError, Result, Row, TupleId, Value};
-use crowddb_plan::Binder;
-use crowddb_sql::{Delete, Insert, Update};
+use crowddb_plan::{optimize, Binder, OptimizerConfig, PhysicalPlan};
+use crowddb_sql::{Delete, Expr, Insert, Update};
 use crowddb_storage::Database;
 
 use crate::context::{CompareCaches, ExecCtx, ExecGuard};
-use crate::eval::{eval, eval_truth};
+use crate::eval::eval;
+use crate::executor::{live_row_stats, lower_plan};
 use crate::need::TaskNeed;
+use crate::ops::scan::ScanOp;
 
 /// Result of a DML statement round.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,6 +122,28 @@ pub fn execute_insert(
     Ok(DmlResult { affected, needs })
 }
 
+/// The plan that selects the rows of an `UPDATE`/`DELETE` on `table`:
+/// the `WHERE` over a scan of the table, through the same `optimize` →
+/// `lower` a query gets. Always a single [`PhysicalPlan::Scan`] — what
+/// `EXPLAIN UPDATE`/`EXPLAIN DELETE` print.
+pub fn target_plan(db: &Database, table: &str, filter: Option<&Expr>) -> Result<PhysicalPlan> {
+    let bound = db.with_catalog(|c| Binder::new(c).bind_table_scan(table, filter))?;
+    let plan = optimize(bound, &live_row_stats(db), &OptimizerConfig::default());
+    Ok(lower_plan(db, &plan))
+}
+
+/// The `(tid, row)` pairs the statement's `WHERE` passes on current
+/// knowledge, in tid order, collected in full before anything is
+/// mutated; undecided crowd predicates land in `ctx` as needs.
+fn targets(
+    ctx: &mut ExecCtx<'_>,
+    table: &str,
+    filter: Option<&Expr>,
+) -> Result<Vec<(TupleId, Row)>> {
+    let plan = target_plan(ctx.db, table, filter)?;
+    ScanOp::new(&plan).tuples(ctx)
+}
+
 /// Evaluate an UPDATE for one round under a cooperative-cancellation
 /// guard.
 ///
@@ -132,12 +160,8 @@ pub fn execute_update(
     guard: ExecGuard,
 ) -> Result<DmlResult> {
     let schema = db.schema(&upd.table)?;
-    let (filter, assignments) = db.with_catalog(|catalog| {
+    let assignments = db.with_catalog(|catalog| {
         let mut binder = Binder::new(catalog);
-        let filter = match &upd.filter {
-            Some(f) => Some(binder.bind_table_filter(&upd.table, f)?.0),
-            None => None,
-        };
         let mut assignments = Vec::with_capacity(upd.assignments.len());
         for (col, expr) in &upd.assignments {
             let idx = schema.column_index(col).ok_or_else(|| {
@@ -146,26 +170,18 @@ pub fn execute_update(
             let (bound, _) = binder.bind_table_filter(&upd.table, expr)?;
             assignments.push((idx, bound));
         }
-        Ok::<_, CrowdError>((filter, assignments))
+        Ok::<_, CrowdError>(assignments)
     })?;
 
-    let rows = db.with_table(&upd.table, |t| t.scan_rows())??;
     let mut ctx = ExecCtx::with_guard(db, caches, guard);
     let mut to_apply = Vec::new();
-    for (tid, row) in rows {
-        ctx.rt.check()?;
-        let hit = match &filter {
-            Some(f) => eval_truth(&mut ctx, f, &row)?.passes_filter(),
-            None => true,
-        };
-        if hit {
-            let mut new_row = row.clone();
-            for (idx, expr) in &assignments {
-                let v = eval(&mut ctx, expr, &row)?;
-                new_row.set(*idx, v);
-            }
-            to_apply.push((tid, row, new_row));
+    for (tid, row) in targets(&mut ctx, &upd.table, upd.filter.as_ref())? {
+        let mut new_row = row.clone();
+        for (idx, expr) in &assignments {
+            let v = eval(&mut ctx, expr, &row)?;
+            new_row.set(*idx, v);
         }
+        to_apply.push((tid, row, new_row));
     }
     let affected = to_apply.len();
     if apply {
@@ -197,29 +213,11 @@ pub fn execute_delete(
     apply: bool,
     guard: ExecGuard,
 ) -> Result<DmlResult> {
-    let filter = db.with_catalog(|catalog| {
-        let mut binder = Binder::new(catalog);
-        match &del.filter {
-            Some(f) => Ok::<_, CrowdError>(Some(binder.bind_table_filter(&del.table, f)?.0)),
-            None => Ok(None),
-        }
-    })?;
-    let rows = db.with_table(&del.table, |t| t.scan_rows())??;
     let mut ctx = ExecCtx::with_guard(db, caches, guard);
-    let mut victims = Vec::new();
-    for (tid, row) in rows {
-        ctx.rt.check()?;
-        let hit = match &filter {
-            Some(f) => eval_truth(&mut ctx, f, &row)?.passes_filter(),
-            None => true,
-        };
-        if hit {
-            victims.push(tid);
-        }
-    }
+    let victims = targets(&mut ctx, &del.table, del.filter.as_ref())?;
     let affected = victims.len();
     if apply {
-        for tid in victims {
+        for (tid, _) in victims {
             db.with_table_mut(&del.table, |t| t.delete(tid).map(|_| ()))?;
         }
     }

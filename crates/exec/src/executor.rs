@@ -46,7 +46,7 @@ pub fn execute(db: &Database, caches: &CompareCaches, plan: &LogicalPlan) -> Res
 /// come from current table stats, boundedness from primary-key metadata,
 /// and access-path choice from the tables' secondary indexes.
 pub fn lower_plan(db: &Database, plan: &LogicalPlan) -> PhysicalPlan {
-    let stats = FnStats(|table: &str| db.stats(table).ok().map(|s| s.live_rows as u64));
+    let stats = live_row_stats(db);
     let pk = |table: &str| {
         db.schema(table)
             .map(|s| s.primary_key.clone())
@@ -66,6 +66,11 @@ pub fn lower_plan(db: &Database, plan: &LogicalPlan) -> PhysicalPlan {
         .unwrap_or_default()
     };
     crowddb_plan::physical::lower(plan, &stats, &pk, &indexes)
+}
+
+/// Table cardinalities for the planner, read off the live tables.
+pub(crate) fn live_row_stats(db: &Database) -> FnStats<impl Fn(&str) -> Option<u64> + '_> {
+    FnStats(move |table: &str| db.stats(table).ok().map(|s| s.live_rows as u64))
 }
 
 /// Execute an already-lowered physical plan for one round, returning the

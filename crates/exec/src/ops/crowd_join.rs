@@ -13,15 +13,14 @@
 
 use std::collections::HashSet;
 
-use crowddb_common::{Result, Row, Value};
-use crowddb_plan::{BExpr, IndexMeta, JoinType, PhysicalPlan};
+use crowddb_common::{Result, Row};
+use crowddb_plan::{Access, BExpr, IndexMeta, JoinType, PhysicalPlan};
 use crowddb_storage::IndexKey;
 
 use crate::context::ExecCtx;
 use crate::eval::eval;
 use crate::ops::hash_join::{join_hashed, CrowdSpec};
-use crate::ops::index_scan::{fetch_with_missing, resolve_index};
-use crate::ops::table_scan::{process_candidates, ScanShape};
+use crate::ops::scan::ScanOp;
 use crate::ops::{build, run_op, BoxedOp, OpStatsNode, Operator};
 
 /// Crowd-join operator; see [`PhysicalPlan::CrowdJoin`].
@@ -37,11 +36,11 @@ pub struct CrowdJoinOp<'p> {
 }
 
 /// The index-nested-loop plan for the inner side: the chosen index plus
-/// the inner scan's shape, so probed candidates run through the same
+/// the inner scan itself, so probed candidates run through the same
 /// residual/probe/quota pipeline the scan would have applied.
 struct InlProbe<'p> {
     index: &'p IndexMeta,
-    shape: ScanShape<'p>,
+    scan: ScanOp<'p>,
 }
 
 impl<'p> CrowdJoinOp<'p> {
@@ -62,29 +61,22 @@ impl<'p> CrowdJoinOp<'p> {
         else {
             unreachable!("CrowdJoinOp built from {plan:?}")
         };
-        // The INL upgrade needs the inner scan's shape to replay its
-        // pipeline over the probed candidates; the planner only sets
-        // probe_index when the inner side is a bare crowd TableScan.
-        let probe = probe_index.as_ref().and_then(|idx| match right.as_ref() {
-            PhysicalPlan::TableScan {
-                table,
-                needed_columns,
-                crowd_table,
-                expected_tuples,
-                residual,
-                ..
-            } => Some(InlProbe {
-                index: idx,
-                shape: ScanShape {
-                    table,
-                    needed_columns,
-                    crowd_table: *crowd_table,
-                    expected_tuples: *expected_tuples,
-                    residual: residual.as_ref(),
+        // The INL upgrade replays the inner scan's pipeline over the
+        // probed candidates, so it applies when the inner side is a scan
+        // that would otherwise read the whole crowd table.
+        let probe = match (probe_index, right.as_ref()) {
+            (
+                Some(index),
+                PhysicalPlan::Scan {
+                    access: Access::Full,
+                    ..
                 },
+            ) => Some(InlProbe {
+                index,
+                scan: ScanOp::new(right),
             }),
             _ => None,
-        });
+        };
         CrowdJoinOp {
             right_arity: right.schema().arity(),
             left: build(left),
@@ -116,25 +108,15 @@ impl<'p> CrowdJoinOp<'p> {
         // missing keys can never equal an inner key, so they probe
         // nothing (the unmatched outer row still drives the new-tuple
         // policy in the join below).
+        let mut keys: Vec<IndexKey> = Vec::new();
         let mut seen = HashSet::new();
-        let mut keys: Vec<Value> = Vec::new();
         for row in left_rows {
             let key = eval(ctx, &self.equi.0, row)?;
-            if !key.is_missing() && seen.insert(IndexKey(vec![key.clone()])) {
-                keys.push(key);
+            if !key.is_missing() && seen.insert(key.clone()) {
+                keys.push(IndexKey(vec![key]));
             }
         }
-        let candidates = ctx.db.with_table(probe.shape.table, |t| {
-            let idx = resolve_index(t, probe.shape.table, probe.index)?;
-            let mut tids = Vec::new();
-            for key in &keys {
-                tids.extend(idx.get(t.pager(), &IndexKey(vec![key.clone()]))?);
-            }
-            fetch_with_missing(t, idx, tids)
-        })??;
-        ctx.rt.stats.index_probes += keys.len() as u64;
-        let total_live = ctx.db.stats(probe.shape.table)?.live_rows as u64;
-        let rows = process_candidates(ctx, child, &probe.shape, candidates, total_live)?;
+        let rows = probe.scan.probe_rows(ctx, child, probe.index, &keys)?;
         child.rows_out += rows.len() as u64;
         child.rounds += 1;
         Ok(rows)

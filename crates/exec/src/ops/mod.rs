@@ -24,12 +24,11 @@ mod crowd_sort;
 mod distinct;
 mod filter;
 mod hash_join;
-mod index_scan;
 mod nested_loop_join;
 mod project;
+pub(crate) mod scan;
 mod sort;
 mod stop_after;
-mod table_scan;
 mod union;
 mod values;
 
@@ -54,9 +53,7 @@ pub type BoxedOp<'p> = Box<dyn Operator + 'p>;
 /// Build the operator tree for a physical plan.
 pub fn build<'p>(plan: &'p PhysicalPlan) -> BoxedOp<'p> {
     match plan {
-        PhysicalPlan::TableScan { .. } => Box::new(table_scan::TableScanOp::new(plan)),
-        PhysicalPlan::IndexScan { .. } => Box::new(index_scan::IndexScanOp::new(plan)),
-        PhysicalPlan::IndexRangeScan { .. } => Box::new(index_scan::IndexRangeScanOp::new(plan)),
+        PhysicalPlan::Scan { .. } => Box::new(scan::ScanOp::new(plan)),
         PhysicalPlan::Filter { .. } => Box::new(filter::FilterOp::new(plan)),
         PhysicalPlan::Project { .. } => Box::new(project::ProjectOp::new(plan)),
         PhysicalPlan::HashJoin { .. } => Box::new(hash_join::HashJoinOp::new(plan)),

@@ -281,8 +281,24 @@ impl<'a> Binder<'a> {
         Ok(plan)
     }
 
+    /// The row-selection plan of an UPDATE/DELETE: a scan of `table`
+    /// under the statement's `WHERE`, ready for the same optimize → lower
+    /// a query gets. The scan's `needed_columns` stays empty and it has no
+    /// tuple quota, so selecting rows to change probes no CNULL and asks
+    /// for no new tuples — only crowd *predicates* can need the crowd.
+    pub fn bind_table_scan(&mut self, table: &str, filter: Option<&Expr>) -> Result<LogicalPlan> {
+        let scan = self.bind_scan(table, None)?;
+        Ok(match filter {
+            Some(f) => LogicalPlan::Filter {
+                predicate: self.bind_expr(f, &scan.schema())?,
+                input: Box::new(scan),
+            },
+            None => scan,
+        })
+    }
+
     /// Bind an expression against a base table's scan schema — used by
-    /// UPDATE/DELETE filters in the execution layer.
+    /// UPDATE assignments in the execution layer.
     pub fn bind_table_filter(&mut self, table: &str, expr: &Expr) -> Result<(BExpr, PlanSchema)> {
         let scan = self.bind_scan(table, None)?;
         let schema = scan.schema();

@@ -351,6 +351,41 @@ impl BExpr {
         found
     }
 
+    /// The `column op literal` comparisons among this predicate's AND
+    /// conjuncts, in conjunct order, each normalised so the column is on
+    /// the left (`5 < c` reads `c > 5`). The one place the planner reads
+    /// literal pins and bounds off a predicate: access-path choice and the
+    /// primary-key boundedness rule both start here.
+    pub fn literal_comparisons(&self) -> Vec<(usize, BinaryOp, &Value)> {
+        fn rec<'e>(e: &'e BExpr, out: &mut Vec<(usize, BinaryOp, &'e Value)>) {
+            let BExpr::Binary { left, op, right } = e else {
+                return;
+            };
+            match (left.as_ref(), *op, right.as_ref()) {
+                (l, BinaryOp::And, r) => {
+                    rec(l, out);
+                    rec(r, out);
+                }
+                (BExpr::Column(c), op, BExpr::Literal(v)) => out.push((*c, op, v)),
+                (BExpr::Literal(v), op, BExpr::Column(c)) => out.push((
+                    *c,
+                    match op {
+                        BinaryOp::Lt => BinaryOp::Gt,
+                        BinaryOp::LtEq => BinaryOp::GtEq,
+                        BinaryOp::Gt => BinaryOp::Lt,
+                        BinaryOp::GtEq => BinaryOp::LtEq,
+                        other => other,
+                    },
+                    v,
+                )),
+                _ => {}
+            }
+        }
+        let mut out = Vec::new();
+        rec(self, &mut out);
+        out
+    }
+
     /// Rewrite every column ordinal through `map` (used when predicates
     /// move across joins/projections).
     pub fn remap_columns(&self, map: &impl Fn(usize) -> usize) -> BExpr {

@@ -226,44 +226,15 @@ fn has_equality_conjunct(on: &BExpr) -> bool {
 }
 
 /// Whether a predicate pins every primary-key column with an equality to
-/// a literal (conjunctions allowed).
-fn filter_pins_primary_key(pred: &BExpr, pk: &[usize]) -> bool {
-    if pk.is_empty() {
-        return false;
-    }
-    let mut pinned = vec![false; pk.len()];
-    collect_pins(pred, pk, &mut pinned);
-    pinned.iter().all(|&b| b)
-}
-
-fn collect_pins(pred: &BExpr, pk: &[usize], pinned: &mut [bool]) {
-    match pred {
-        BExpr::Binary {
-            op: BinaryOp::And,
-            left,
-            right,
-        } => {
-            collect_pins(left, pk, pinned);
-            collect_pins(right, pk, pinned);
-        }
-        BExpr::Binary {
-            op: BinaryOp::Eq,
-            left,
-            right,
-        } => {
-            let (col, lit) = match (left.as_ref(), right.as_ref()) {
-                (BExpr::Column(c), BExpr::Literal(_)) => (Some(*c), true),
-                (BExpr::Literal(_), BExpr::Column(c)) => (Some(*c), true),
-                _ => (None, false),
-            };
-            if let (Some(c), true) = (col, lit) {
-                if let Some(pos) = pk.iter().position(|&p| p == c) {
-                    pinned[pos] = true;
-                }
-            }
-        }
-        _ => {}
-    }
+/// a literal (conjunctions allowed). Unlike access-path choice, which
+/// reads the same comparisons, `pk = NULL` counts: it matches nothing,
+/// so the scan still requests at most one entity.
+pub(crate) fn filter_pins_primary_key(pred: &BExpr, pk: &[usize]) -> bool {
+    let cmps = pred.literal_comparisons();
+    !pk.is_empty()
+        && pk
+            .iter()
+            .all(|p| cmps.iter().any(|(c, op, _)| c == p && *op == BinaryOp::Eq))
 }
 
 #[cfg(test)]

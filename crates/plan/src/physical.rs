@@ -7,9 +7,10 @@
 //! [`PhysicalPlan`] tree in which every decision the executor used to
 //! make implicitly is now an explicit, inspectable node:
 //!
-//! * filter-over-scan fusion → [`PhysicalPlan::TableScan`] with a
-//!   `residual` predicate (so machine predicates reject rows *before*
-//!   any probe task is generated);
+//! * filter-over-scan fusion and access-path choice →
+//!   [`PhysicalPlan::Scan`] with a `residual` predicate (so machine
+//!   predicates reject rows *before* any probe task is generated) and an
+//!   [`Access`] saying which tuples are fetched at all;
 //! * equi-join detection → [`PhysicalPlan::HashJoin`] vs
 //!   [`PhysicalPlan::NestedLoopJoin`];
 //! * the CrowdJoin pattern (single-column equi key into a CROWD-table
@@ -73,90 +74,70 @@ impl PhysAnnot {
     }
 }
 
-/// A physical operator tree, lowered from an optimized [`LogicalPlan`]
-/// by [`lower`]. Execution semantics (materialize-per-round) live in
-/// `crowddb-exec`; this type only records *which* operator runs where.
+/// How a [`PhysicalPlan::Scan`] reaches its candidate tuples. Every
+/// kind yields a *superset* of the qualifying rows in tid order, so the
+/// choice changes which pages are read, never what the query means.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PhysicalPlan {
-    /// Base-table scan with CrowdProbe insertion points: needed CROWD
-    /// columns holding `CNULL` probe the crowd; a bounded CROWD-table
-    /// scan short of `expected_tuples` asks for new tuples. A fused
-    /// `residual` predicate is evaluated before any probe need is
-    /// generated (predicate push-down "minimizes the requests against
-    /// the crowd", paper §3.2.2).
-    TableScan {
-        /// Base table name.
-        table: String,
-        /// Visible alias (equals `table` when not aliased).
-        alias: String,
-        /// Output schema (base-table columns).
-        schema: PlanSchema,
-        /// Scanning a `CREATE CROWD TABLE`?
-        crowd_table: bool,
-        /// Column ordinals the query actually uses (probe candidates).
-        needed_columns: Vec<usize>,
-        /// Tuple quota for bounded CROWD-table scans.
-        expected_tuples: Option<u64>,
-        /// Fused filter predicate, if the logical plan had a filter
-        /// directly over this scan.
-        residual: Option<BExpr>,
-        /// Cardinality/boundedness annotations.
-        annot: PhysAnnot,
-    },
-    /// Index point access: the residual predicate pins every column of
-    /// `index` with literal equalities, so the scan touches only the
-    /// matching tuples (plus tuples whose key is still missing — their
-    /// CNULLs may decide the predicate, so they keep their probe
-    /// semantics). The full predicate is re-evaluated as `residual`;
-    /// the index only narrows which pages are read.
-    IndexScan {
-        /// Base table name.
-        table: String,
-        /// Visible alias (equals `table` when not aliased).
-        alias: String,
-        /// Output schema (base-table columns).
-        schema: PlanSchema,
-        /// Scanning a `CREATE CROWD TABLE`?
-        crowd_table: bool,
-        /// Column ordinals the query actually uses (probe candidates).
-        needed_columns: Vec<usize>,
-        /// Tuple quota for bounded CROWD-table scans.
-        expected_tuples: Option<u64>,
+pub enum Access {
+    /// Every live tuple (shown as `TableScan`).
+    Full,
+    /// Index point access (shown as `IndexScan`): the predicate pins
+    /// every column of `index` with literal equalities, so the scan
+    /// touches only the matching tuples — plus tuples whose key is still
+    /// missing, whose CNULLs may decide the predicate and so keep their
+    /// probe semantics.
+    Point {
         /// The chosen index.
         index: IndexMeta,
         /// Literal key values, one per index column, in key order.
         key: Vec<Value>,
-        /// The full fused predicate (exact filter over the candidates).
-        residual: Option<BExpr>,
-        /// Cardinality/boundedness annotations.
-        annot: PhysAnnot,
     },
-    /// Index range access over a single-column ordered (B-tree) index:
-    /// literal comparisons bound the key, the B-tree enumerates the
-    /// candidate range, and the full predicate re-filters exactly (so
-    /// strict bounds need no special casing — the range is a superset).
-    /// Missing-key tuples are included for probe semantics, as in
-    /// [`PhysicalPlan::IndexScan`].
-    IndexRangeScan {
-        /// Base table name.
-        table: String,
-        /// Visible alias (equals `table` when not aliased).
-        alias: String,
-        /// Output schema (base-table columns).
-        schema: PlanSchema,
-        /// Scanning a `CREATE CROWD TABLE`?
-        crowd_table: bool,
-        /// Column ordinals the query actually uses (probe candidates).
-        needed_columns: Vec<usize>,
-        /// Tuple quota for bounded CROWD-table scans.
-        expected_tuples: Option<u64>,
+    /// Index range access over a single-column ordered (B-tree) index
+    /// (shown as `IndexRangeScan`): literal comparisons bound the key and
+    /// the B-tree enumerates the candidate range. Strict bounds need no
+    /// special casing — the range is a superset. Missing-key tuples are
+    /// included, as for [`Access::Point`].
+    Range {
         /// The chosen single-column ordered index.
         index: IndexMeta,
         /// Inclusive lower bound on the key (None = open).
         low: Option<Value>,
         /// Inclusive upper bound on the key (None = open).
         high: Option<Value>,
-        /// The full fused predicate (exact filter over the candidates).
+    },
+}
+
+/// A physical operator tree, lowered from an optimized [`LogicalPlan`]
+/// by [`lower`]. Execution semantics (materialize-per-round) live in
+/// `crowddb-exec`; this type only records *which* operator runs where.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PhysicalPlan {
+    /// Base-table access — the one way a plan (and an `UPDATE`/`DELETE`)
+    /// reads stored tuples — with CrowdProbe insertion points: needed
+    /// CROWD columns holding `CNULL` probe the crowd; a bounded
+    /// CROWD-table scan short of `expected_tuples` asks for new tuples. A
+    /// fused `residual` predicate is evaluated before any probe need is
+    /// generated (predicate push-down "minimizes the requests against
+    /// the crowd", paper §3.2.2). `access` only narrows which tuples are
+    /// fetched; the residual is always the full predicate, re-evaluated
+    /// exactly over the candidates.
+    Scan {
+        /// Base table name.
+        table: String,
+        /// Visible alias (equals `table` when not aliased).
+        alias: String,
+        /// Output schema (base-table columns).
+        schema: PlanSchema,
+        /// Scanning a `CREATE CROWD TABLE`?
+        crowd_table: bool,
+        /// Column ordinals the query actually uses (probe candidates).
+        needed_columns: Vec<usize>,
+        /// Tuple quota for bounded CROWD-table scans.
+        expected_tuples: Option<u64>,
+        /// How the candidate tuples are reached.
+        access: Access,
+        /// Fused filter predicate, if the logical plan had a filter
+        /// directly over this scan.
         residual: Option<BExpr>,
         /// Cardinality/boundedness annotations.
         annot: PhysAnnot,
@@ -316,9 +297,7 @@ impl PhysicalPlan {
     /// Output schema of this operator.
     pub fn schema(&self) -> PlanSchema {
         match self {
-            PhysicalPlan::TableScan { schema, .. }
-            | PhysicalPlan::IndexScan { schema, .. }
-            | PhysicalPlan::IndexRangeScan { schema, .. }
+            PhysicalPlan::Scan { schema, .. }
             | PhysicalPlan::Project { schema, .. }
             | PhysicalPlan::Aggregate { schema, .. }
             | PhysicalPlan::Values { schema, .. } => schema.clone(),
@@ -339,9 +318,7 @@ impl PhysicalPlan {
     /// The node's annotations.
     pub fn annot(&self) -> &PhysAnnot {
         match self {
-            PhysicalPlan::TableScan { annot, .. }
-            | PhysicalPlan::IndexScan { annot, .. }
-            | PhysicalPlan::IndexRangeScan { annot, .. }
+            PhysicalPlan::Scan { annot, .. }
             | PhysicalPlan::Filter { annot, .. }
             | PhysicalPlan::Project { annot, .. }
             | PhysicalPlan::HashJoin { annot, .. }
@@ -360,10 +337,7 @@ impl PhysicalPlan {
     /// Child operators, in execution order.
     pub fn children(&self) -> Vec<&PhysicalPlan> {
         match self {
-            PhysicalPlan::TableScan { .. }
-            | PhysicalPlan::IndexScan { .. }
-            | PhysicalPlan::IndexRangeScan { .. }
-            | PhysicalPlan::Values { .. } => vec![],
+            PhysicalPlan::Scan { .. } | PhysicalPlan::Values { .. } => vec![],
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::Sort { input, .. }
@@ -381,9 +355,11 @@ impl PhysicalPlan {
     /// Operator name, as shown in EXPLAIN and the stats tree.
     pub fn name(&self) -> &'static str {
         match self {
-            PhysicalPlan::TableScan { .. } => "TableScan",
-            PhysicalPlan::IndexScan { .. } => "IndexScan",
-            PhysicalPlan::IndexRangeScan { .. } => "IndexRangeScan",
+            PhysicalPlan::Scan { access, .. } => match access {
+                Access::Full => "TableScan",
+                Access::Point { .. } => "IndexScan",
+                Access::Range { .. } => "IndexRangeScan",
+            },
             PhysicalPlan::Filter { predicate, .. } => {
                 if predicate.is_crowd() {
                     "CrowdFilter"
@@ -408,113 +384,50 @@ impl PhysicalPlan {
     /// One-line description of this node (no children, no annotations).
     pub fn describe(&self) -> String {
         match self {
-            PhysicalPlan::TableScan {
+            PhysicalPlan::Scan {
                 table,
                 alias,
                 schema,
                 crowd_table,
                 needed_columns,
                 expected_tuples,
+                access,
                 residual,
                 ..
             } => {
-                format!(
-                    "TableScan {table}{}{}",
-                    if alias != table {
-                        format!(" AS {alias}")
-                    } else {
-                        String::new()
-                    },
-                    scan_suffixes(
-                        schema,
-                        *crowd_table,
-                        needed_columns,
-                        expected_tuples,
-                        residual
-                    )
-                )
-            }
-            PhysicalPlan::IndexScan {
-                table,
-                alias,
-                schema,
-                crowd_table,
-                needed_columns,
-                expected_tuples,
-                index,
-                key,
-                residual,
-                ..
-            } => {
-                let keys: Vec<String> = index
-                    .columns
-                    .iter()
-                    .zip(key)
-                    .map(|(&c, v)| {
-                        format!(
-                            "{}={}",
-                            schema
-                                .columns
-                                .get(c)
-                                .map(|col| col.name.as_str())
-                                .unwrap_or("?"),
-                            v.sql_literal()
-                        )
-                    })
-                    .collect();
-                format!(
-                    "IndexScan {table}{} via {} [key: {}]{}",
-                    if alias != table {
-                        format!(" AS {alias}")
-                    } else {
-                        String::new()
-                    },
-                    index.name,
-                    keys.join(", "),
-                    scan_suffixes(
-                        schema,
-                        *crowd_table,
-                        needed_columns,
-                        expected_tuples,
-                        residual
-                    )
-                )
-            }
-            PhysicalPlan::IndexRangeScan {
-                table,
-                alias,
-                schema,
-                crowd_table,
-                needed_columns,
-                expected_tuples,
-                index,
-                low,
-                high,
-                residual,
-                ..
-            } => {
-                let col = index
-                    .columns
-                    .first()
-                    .and_then(|&c| schema.columns.get(c))
-                    .map(|c| c.name.as_str())
-                    .unwrap_or("?");
-                let range = match (low, high) {
-                    (Some(l), Some(h)) => {
-                        format!("{} <= {col} <= {}", l.sql_literal(), h.sql_literal())
+                let col = |c: &usize| schema.columns.get(*c).map_or("?", |col| col.name.as_str());
+                let via = match access {
+                    Access::Full => String::new(),
+                    Access::Point { index, key } => {
+                        let keys: Vec<String> = index
+                            .columns
+                            .iter()
+                            .zip(key)
+                            .map(|(c, v)| format!("{}={}", col(c), v.sql_literal()))
+                            .collect();
+                        format!(" via {} [key: {}]", index.name, keys.join(", "))
                     }
-                    (Some(l), None) => format!("{col} >= {}", l.sql_literal()),
-                    (None, Some(h)) => format!("{col} <= {}", h.sql_literal()),
-                    (None, None) => col.to_string(),
+                    Access::Range { index, low, high } => {
+                        let col = index.columns.first().map_or("?", col);
+                        let range = match (low, high) {
+                            (Some(l), Some(h)) => {
+                                format!("{} <= {col} <= {}", l.sql_literal(), h.sql_literal())
+                            }
+                            (Some(l), None) => format!("{col} >= {}", l.sql_literal()),
+                            (None, Some(h)) => format!("{col} <= {}", h.sql_literal()),
+                            (None, None) => col.to_string(),
+                        };
+                        format!(" via {} [range: {range}]", index.name)
+                    }
                 };
                 format!(
-                    "IndexRangeScan {table}{} via {} [range: {range}]{}",
+                    "{} {table}{}{via}{}",
+                    self.name(),
                     if alias != table {
                         format!(" AS {alias}")
                     } else {
                         String::new()
                     },
-                    index.name,
                     scan_suffixes(
                         schema,
                         *crowd_table,
@@ -683,59 +596,15 @@ pub fn lower(
         bounded: analyze_boundedness(plan, stats, pk_columns).bounded,
     };
     match plan {
-        LogicalPlan::Scan {
-            table,
-            alias,
-            schema,
-            crowd_table,
-            needed_columns,
-            expected_tuples,
-        } => PhysicalPlan::TableScan {
-            table: table.clone(),
-            alias: alias.clone(),
-            schema: schema.clone(),
-            crowd_table: *crowd_table,
-            needed_columns: needed_columns.clone(),
-            expected_tuples: *expected_tuples,
-            residual: None,
-            annot,
-        },
+        LogicalPlan::Scan { .. } => lower_scan(plan, Access::Full, None, annot),
         LogicalPlan::Filter { input, predicate } => {
             // Filter-over-scan fusion: the predicate becomes the scan's
             // residual so decidedly-rejected rows never generate probes —
             // and, when the predicate pins an index, the scan itself
             // narrows to an index access path.
-            if let LogicalPlan::Scan {
-                table,
-                alias,
-                schema,
-                crowd_table,
-                needed_columns,
-                expected_tuples,
-            } = input.as_ref()
-            {
-                if let Some(access) = choose_access_path(predicate, &indexes(table)) {
-                    return access.into_plan(
-                        table,
-                        alias,
-                        schema,
-                        *crowd_table,
-                        needed_columns,
-                        *expected_tuples,
-                        predicate,
-                        annot,
-                    );
-                }
-                return PhysicalPlan::TableScan {
-                    table: table.clone(),
-                    alias: alias.clone(),
-                    schema: schema.clone(),
-                    crowd_table: *crowd_table,
-                    needed_columns: needed_columns.clone(),
-                    expected_tuples: *expected_tuples,
-                    residual: Some(predicate.clone()),
-                    annot,
-                };
+            if let LogicalPlan::Scan { table, .. } = input.as_ref() {
+                let access = choose_access(predicate, &indexes(table));
+                return lower_scan(input, access, Some(predicate), annot);
             }
             PhysicalPlan::Filter {
                 input: Box::new(lower(input, stats, pk_columns, indexes)),
@@ -868,65 +737,40 @@ pub fn lower(
     }
 }
 
-/// A chosen index access path: equality pinning of every index column,
-/// or a single-column range.
-enum AccessPath {
-    Point {
-        index: IndexMeta,
-        key: Vec<Value>,
-    },
-    Range {
-        index: IndexMeta,
-        low: Option<Value>,
-        high: Option<Value>,
-    },
-}
-
-impl AccessPath {
-    #[allow(clippy::too_many_arguments)]
-    fn into_plan(
-        self,
-        table: &str,
-        alias: &str,
-        schema: &PlanSchema,
-        crowd_table: bool,
-        needed_columns: &[usize],
-        expected_tuples: Option<u64>,
-        predicate: &BExpr,
-        annot: PhysAnnot,
-    ) -> PhysicalPlan {
-        match self {
-            AccessPath::Point { index, key } => PhysicalPlan::IndexScan {
-                table: table.to_string(),
-                alias: alias.to_string(),
-                schema: schema.clone(),
-                crowd_table,
-                needed_columns: needed_columns.to_vec(),
-                expected_tuples,
-                index,
-                key,
-                residual: Some(predicate.clone()),
-                annot,
-            },
-            AccessPath::Range { index, low, high } => PhysicalPlan::IndexRangeScan {
-                table: table.to_string(),
-                alias: alias.to_string(),
-                schema: schema.clone(),
-                crowd_table,
-                needed_columns: needed_columns.to_vec(),
-                expected_tuples,
-                index,
-                low,
-                high,
-                residual: Some(predicate.clone()),
-                annot,
-            },
-        }
+/// Build the one base-access node from a `LogicalPlan::Scan`.
+fn lower_scan(
+    scan: &LogicalPlan,
+    access: Access,
+    residual: Option<&BExpr>,
+    annot: PhysAnnot,
+) -> PhysicalPlan {
+    let LogicalPlan::Scan {
+        table,
+        alias,
+        schema,
+        crowd_table,
+        needed_columns,
+        expected_tuples,
+    } = scan
+    else {
+        unreachable!("lower_scan over {scan:?}")
+    };
+    PhysicalPlan::Scan {
+        table: table.clone(),
+        alias: alias.clone(),
+        schema: schema.clone(),
+        crowd_table: *crowd_table,
+        needed_columns: needed_columns.clone(),
+        expected_tuples: *expected_tuples,
+        access,
+        residual: residual.cloned(),
+        annot,
     }
 }
 
-/// Pick an index access path for a fused scan predicate, if any index
-/// applies. Deterministic selection rules, in order:
+/// Pick the access path for a fused scan predicate: an index path when
+/// one applies, [`Access::Full`] otherwise. Deterministic selection
+/// rules, in order:
 ///
 /// 1. **Point**: the index whose columns are *all* pinned by literal
 ///    equalities; ties broken by most columns pinned, then catalog
@@ -937,73 +781,45 @@ impl AccessPath {
 /// Bounds are deliberately sloppy-inclusive (`>` contributes the same
 /// lower bound as `>=`): the full predicate is re-evaluated as the
 /// residual, so the access path only has to be a superset.
-fn choose_access_path(predicate: &BExpr, indexes: &[IndexMeta]) -> Option<AccessPath> {
-    let mut conjuncts = Vec::new();
-    split_conjuncts(predicate.clone(), &mut conjuncts);
-    // col ordinal -> first pinned literal.
-    let mut eq_pins: Vec<(usize, Value)> = Vec::new();
-    // col ordinal -> (low, high) bounds.
-    let mut bounds: Vec<(usize, Option<Value>, Option<Value>)> = Vec::new();
-    for c in &conjuncts {
-        let BExpr::Binary { left, op, right } = c else {
-            continue;
-        };
-        let (col, lit, op_towards_col) = match (left.as_ref(), right.as_ref()) {
-            (BExpr::Column(i), BExpr::Literal(v)) => (*i, v, *op),
-            (BExpr::Literal(v), BExpr::Column(i)) => (*i, v, flip_cmp(*op)),
-            _ => continue,
-        };
-        if lit.is_missing() {
-            continue;
-        }
-        match op_towards_col {
-            BinaryOp::Eq if !eq_pins.iter().any(|(i, _)| *i == col) => {
-                eq_pins.push((col, lit.clone()));
-            }
-            BinaryOp::Gt | BinaryOp::GtEq => {
-                let entry = bound_entry(&mut bounds, col);
-                if entry.1.is_none() {
-                    entry.1 = Some(lit.clone());
-                }
-            }
-            BinaryOp::Lt | BinaryOp::LtEq => {
-                let entry = bound_entry(&mut bounds, col);
-                if entry.2.is_none() {
-                    entry.2 = Some(lit.clone());
-                }
-            }
-            _ => {}
-        }
-    }
+fn choose_access(predicate: &BExpr, indexes: &[IndexMeta]) -> Access {
+    // A comparison against a missing literal is Unknown for every row:
+    // no key to probe with. (The boundedness rule reads the same
+    // comparisons but does count `pk = NULL` as a pin — it bounds how
+    // many entities are *requested*, and that is still at most one.)
+    let cmps: Vec<(usize, BinaryOp, &Value)> = predicate
+        .literal_comparisons()
+        .into_iter()
+        .filter(|(_, _, lit)| !lit.is_missing())
+        .collect();
+    // The first comparison on `col` satisfying `ops` wins.
+    let first = |col: usize, ops: &[BinaryOp]| {
+        cmps.iter()
+            .find(|(c, op, _)| *c == col && ops.contains(op))
+            .map(|(.., lit)| (*lit).clone())
+    };
     // Rule 1: fully pinned index, widest first.
-    let mut best: Option<&IndexMeta> = None;
+    let mut best: Option<(&IndexMeta, Vec<Value>)> = None;
     for idx in indexes {
-        let all_pinned = !idx.columns.is_empty()
-            && idx
-                .columns
-                .iter()
-                .all(|c| eq_pins.iter().any(|(i, _)| i == c));
-        if all_pinned && best.is_none_or(|b| idx.columns.len() > b.columns.len()) {
-            best = Some(idx);
-        }
-    }
-    if let Some(idx) = best {
-        let key = idx
+        let key: Option<Vec<Value>> = idx
             .columns
             .iter()
-            .map(|c| {
-                eq_pins
-                    .iter()
-                    .find(|(i, _)| i == c)
-                    .expect("pinned")
-                    .1
-                    .clone()
-            })
+            .map(|&c| first(c, &[BinaryOp::Eq]))
             .collect();
-        return Some(AccessPath::Point {
-            index: idx.clone(),
+        if let Some(key) = key {
+            if !key.is_empty()
+                && best
+                    .as_ref()
+                    .is_none_or(|(b, _)| key.len() > b.columns.len())
+            {
+                best = Some((idx, key));
+            }
+        }
+    }
+    if let Some((index, key)) = best {
+        return Access::Point {
+            index: index.clone(),
             key,
-        });
+        };
     }
     // Rule 2: single-column ordered index with a range bound. (An
     // equality pin on such an index is always caught by rule 1, so only
@@ -1012,38 +828,17 @@ fn choose_access_path(predicate: &BExpr, indexes: &[IndexMeta]) -> Option<Access
         if !idx.ordered || idx.columns.len() != 1 {
             continue;
         }
-        if let Some((_, low, high)) = bounds.iter().find(|(i, ..)| *i == idx.columns[0]) {
-            return Some(AccessPath::Range {
+        let low = first(idx.columns[0], &[BinaryOp::Gt, BinaryOp::GtEq]);
+        let high = first(idx.columns[0], &[BinaryOp::Lt, BinaryOp::LtEq]);
+        if low.is_some() || high.is_some() {
+            return Access::Range {
                 index: idx.clone(),
-                low: low.clone(),
-                high: high.clone(),
-            });
+                low,
+                high,
+            };
         }
     }
-    None
-}
-
-/// `lit op col` rewritten as `col op' lit`.
-fn flip_cmp(op: BinaryOp) -> BinaryOp {
-    match op {
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::LtEq => BinaryOp::GtEq,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::GtEq => BinaryOp::LtEq,
-        other => other,
-    }
-}
-
-fn bound_entry(
-    bounds: &mut Vec<(usize, Option<Value>, Option<Value>)>,
-    col: usize,
-) -> &mut (usize, Option<Value>, Option<Value>) {
-    if let Some(pos) = bounds.iter().position(|(i, ..)| *i == col) {
-        &mut bounds[pos]
-    } else {
-        bounds.push((col, None, None));
-        bounds.last_mut().expect("just pushed")
-    }
+    Access::Full
 }
 
 /// Split a join condition into hashable equi-conjuncts (right exprs
@@ -1175,12 +970,16 @@ mod tests {
     #[test]
     fn scan_lowers_to_table_scan() {
         let p = lower_t(&talk_scan());
-        let PhysicalPlan::TableScan {
-            table, residual, ..
+        let PhysicalPlan::Scan {
+            table,
+            access: Access::Full,
+            residual,
+            ..
         } = &p
         else {
             panic!("{p:?}")
         };
+        assert_eq!(p.name(), "TableScan");
         assert_eq!(table, "talk");
         assert!(residual.is_none());
         assert!(p.annot().bounded);
@@ -1193,7 +992,12 @@ mod tests {
             predicate: eq(col(0), BExpr::Literal(Value::str("CrowdDB"))),
         };
         let p = lower_t(&plan);
-        let PhysicalPlan::TableScan { residual, .. } = &p else {
+        let PhysicalPlan::Scan {
+            access: Access::Full,
+            residual,
+            ..
+        } = &p
+        else {
             panic!("{p:?}")
         };
         assert!(residual.is_some(), "predicate must fuse into the scan");
@@ -1385,15 +1189,15 @@ mod tests {
             predicate: eq(col(0), BExpr::Literal(Value::str("CrowdDB"))),
         };
         let p = lower_idx(&plan, vec![pk_index(), att_index()]);
-        let PhysicalPlan::IndexScan {
-            index,
-            key,
+        let PhysicalPlan::Scan {
+            access: Access::Point { index, key },
             residual,
             ..
         } = &p
         else {
             panic!("{p:?}")
         };
+        assert_eq!(p.name(), "IndexScan");
         assert_eq!(index.name, "talk_pk");
         assert_eq!(key, &[Value::str("CrowdDB")]);
         assert!(residual.is_some(), "full predicate stays as residual");
@@ -1420,7 +1224,11 @@ mod tests {
             },
         };
         let p = lower_idx(&plan, vec![pk_index(), wide]);
-        let PhysicalPlan::IndexScan { index, key, .. } = &p else {
+        let PhysicalPlan::Scan {
+            access: Access::Point { index, key },
+            ..
+        } = &p
+        else {
             panic!("{p:?}")
         };
         assert_eq!(index.name, "talk_both");
@@ -1446,12 +1254,14 @@ mod tests {
             },
         };
         let p = lower_idx(&plan, vec![pk_index(), att_index()]);
-        let PhysicalPlan::IndexRangeScan {
-            index, low, high, ..
+        let PhysicalPlan::Scan {
+            access: Access::Range { index, low, high },
+            ..
         } = &p
         else {
             panic!("{p:?}")
         };
+        assert_eq!(p.name(), "IndexRangeScan");
         assert_eq!(index.name, "talk_att");
         assert_eq!(low.as_ref(), Some(&Value::Int(10)));
         // `50 > col` flips to `col < 50`; sloppy-inclusive upper bound.
@@ -1471,7 +1281,168 @@ mod tests {
         };
         // Only the (hash) pk index on column 0 exists: no access path.
         let p = lower_idx(&plan, vec![pk_index()]);
-        assert!(matches!(p, PhysicalPlan::TableScan { .. }), "{p:?}");
+        assert!(
+            matches!(
+                p,
+                PhysicalPlan::Scan {
+                    access: Access::Full,
+                    ..
+                }
+            ),
+            "{p:?}"
+        );
+    }
+
+    fn and(l: BExpr, r: BExpr) -> BExpr {
+        BExpr::Binary {
+            left: Box::new(l),
+            op: BinaryOp::And,
+            right: Box::new(r),
+        }
+    }
+
+    fn lit(v: Value) -> BExpr {
+        BExpr::Literal(v)
+    }
+
+    fn access_of(predicate: BExpr, idx: Vec<IndexMeta>) -> Access {
+        let plan = LogicalPlan::Filter {
+            input: Box::new(talk_scan()),
+            predicate,
+        };
+        let PhysicalPlan::Scan { access, .. } = lower_idx(&plan, idx) else {
+            panic!("filter over scan must fuse")
+        };
+        access
+    }
+
+    /// Since the `<table>_pk` index is listed with the table's other
+    /// indexes, a predicate that pins the whole primary key with present
+    /// literals always gets a Point path — which is why the executor
+    /// needs no primary-key fast path of its own inside a full scan.
+    #[test]
+    fn pk_pinned_filter_never_lowers_to_full_access() {
+        let crowd = BExpr::CrowdEqual {
+            left: Box::new(col(0)),
+            right: Box::new(lit(Value::str("x"))),
+        };
+        let composite = IndexMeta {
+            name: "talk_pk".into(),
+            columns: vec![0, 1],
+            ordered: false,
+        };
+        let both = and(
+            eq(lit(Value::Int(7)), col(1)),
+            eq(col(0), lit(Value::str("a"))),
+        );
+        let cases: Vec<(BExpr, IndexMeta, Vec<Value>)> = vec![
+            (
+                eq(col(0), lit(Value::str("a"))),
+                pk_index(),
+                vec![Value::str("a")],
+            ),
+            (
+                eq(lit(Value::str("a")), col(0)),
+                pk_index(),
+                vec![Value::str("a")],
+            ),
+            (
+                and(crowd.clone(), eq(col(0), lit(Value::str("a")))),
+                pk_index(),
+                vec![Value::str("a")],
+            ),
+            (
+                both.clone(),
+                composite.clone(),
+                vec![Value::str("a"), Value::Int(7)],
+            ),
+            (
+                and(and(crowd, both), eq(col(1), lit(Value::Int(9)))),
+                composite,
+                vec![Value::str("a"), Value::Int(7)],
+            ),
+        ];
+        for (predicate, pk_idx, want) in cases {
+            assert!(
+                crate::bounded::filter_pins_primary_key(&predicate, &pk_idx.columns),
+                "{predicate}"
+            );
+            // The pk index last: catalog order must not matter either.
+            match access_of(predicate.clone(), vec![att_index(), pk_idx]) {
+                Access::Point { index, key } => {
+                    assert_eq!(index.name, "talk_pk", "{predicate}");
+                    assert_eq!(key, want, "{predicate}");
+                }
+                other => panic!("{predicate}: {other:?}"),
+            }
+        }
+    }
+
+    /// `BExpr::literal_comparisons` is the only reader of literal pins;
+    /// this holds it to what each of its two callers answered when each
+    /// had an analysis of its own.
+    #[test]
+    fn one_pin_analysis_serves_both_callers() {
+        let or = BExpr::Binary {
+            left: Box::new(eq(col(0), lit(Value::str("a")))),
+            op: BinaryOp::Or,
+            right: Box::new(eq(col(0), lit(Value::str("b")))),
+        };
+        let gt = |l: BExpr, r: BExpr| BExpr::Binary {
+            left: Box::new(l),
+            op: BinaryOp::Gt,
+            right: Box::new(r),
+        };
+        // (predicate, boundedness says "pins pk [0]", access kind)
+        let cases: Vec<(BExpr, bool, &str)> = vec![
+            (eq(col(0), lit(Value::str("a"))), true, "IndexScan"),
+            (eq(lit(Value::str("a")), col(0)), true, "IndexScan"),
+            (
+                and(
+                    eq(col(1), lit(Value::Int(1))),
+                    eq(col(0), lit(Value::str("a"))),
+                ),
+                true,
+                "IndexScan",
+            ),
+            // The one disagreement, kept: `pk = NULL` bounds the crowd
+            // requests (it can match at most one entity — none), but is
+            // no key to probe an index with.
+            (eq(col(0), lit(Value::Null)), true, "TableScan"),
+            (eq(col(0), lit(Value::CNull)), true, "TableScan"),
+            // Not pins for either caller.
+            (eq(col(0), col(1)), false, "TableScan"),
+            (or, false, "TableScan"),
+            (gt(col(0), lit(Value::str("a"))), false, "TableScan"),
+            // Range on the ordered secondary index; pk untouched.
+            (gt(lit(Value::Int(5)), col(1)), false, "IndexRangeScan"),
+            (eq(col(1), lit(Value::Int(5))), false, "IndexScan"),
+        ];
+        for (predicate, pins_pk, kind) in cases {
+            assert_eq!(
+                crate::bounded::filter_pins_primary_key(&predicate, &[0]),
+                pins_pk,
+                "{predicate}"
+            );
+            let plan = LogicalPlan::Filter {
+                input: Box::new(talk_scan()),
+                predicate: predicate.clone(),
+            };
+            assert_eq!(
+                lower_idx(&plan, vec![pk_index(), att_index()]).name(),
+                kind,
+                "{predicate}"
+            );
+        }
+        // First pin per column wins, as before.
+        let twice = and(
+            eq(col(0), lit(Value::str("a"))),
+            eq(col(0), lit(Value::str("b"))),
+        );
+        let Access::Point { key, .. } = access_of(twice, vec![pk_index()]) else {
+            panic!()
+        };
+        assert_eq!(key, vec![Value::str("a")]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! The model is a symmetric-confusion simplification of Dawid–Skene:
 //! worker `w` answers correctly with probability `r_w` and otherwise
 //! picks uniformly among an open answer space of at least
-//! [`SPREAD_FLOOR`] alternatives. The E-step computes
+//! `SPREAD_FLOOR` alternatives. The E-step computes
 //! posterior answer distributions given reliabilities; the M-step
 //! re-estimates reliabilities as the posterior-weighted agreement rate
 //! (Laplace-smoothed, clamped away from 0 and 1 so no ballot is ever

@@ -28,6 +28,19 @@ const SUITE: &[&str] = &[
 /// The simulated crowd's knowledge: attendance figures per talk, and an
 /// entity-resolution sense of when two renderings name the same talk.
 fn conference_crowd() -> Box<dyn CrowdModel> {
+    fn same_entity(left: &str, right: &str) -> Answer {
+        let norm = |s: &str| {
+            s.chars()
+                .filter(|c| c.is_alphanumeric())
+                .collect::<String>()
+                .to_lowercase()
+        };
+        if norm(left) == norm(right) {
+            Answer::Yes
+        } else {
+            Answer::No
+        }
+    }
     Box::new(ClosureModel::new(|task: &TaskKind| match task {
         TaskKind::Probe { asked, .. } => Answer::Form(
             asked
@@ -35,21 +48,14 @@ fn conference_crowd() -> Box<dyn CrowdModel> {
                 .map(|(c, _)| (c.clone(), "180".to_string()))
                 .collect(),
         ),
-        TaskKind::Equal { left, right, .. } => {
-            let norm = |s: &str| {
-                s.chars()
-                    .filter(|c| c.is_alphanumeric())
-                    .collect::<String>()
-                    .to_lowercase()
-            };
-            if norm(left) == norm(right) {
-                Answer::Yes
-            } else {
-                Answer::No
-            }
-        }
+        TaskKind::Equal { left, right, .. } => same_entity(left, right),
         TaskKind::Order { .. } => Answer::Left,
-        TaskKind::NewTuples { .. } => Answer::Blank,
+        // Batched HITs: one verdict per pair, by the same judgement.
+        TaskKind::EqualBatch { pairs, .. } => {
+            Answer::Batch(pairs.iter().map(|(l, r)| same_entity(l, r)).collect())
+        }
+        TaskKind::OrderBatch { pairs, .. } => Answer::Batch(vec![Answer::Left; pairs.len()]),
+        TaskKind::NewTuples { .. } | TaskKind::RankGroup { .. } => Answer::Blank,
     }))
 }
 
