@@ -167,8 +167,7 @@ pub fn execute_update(
             let idx = schema.column_index(col).ok_or_else(|| {
                 CrowdError::Analyze(format!("unknown column '{col}' in UPDATE {}", schema.name))
             })?;
-            let (bound, _) = binder.bind_table_filter(&upd.table, expr)?;
-            assignments.push((idx, bound));
+            assignments.push((idx, binder.bind_table_expr(&upd.table, expr)?));
         }
         Ok::<_, CrowdError>(assignments)
     })?;

@@ -39,7 +39,8 @@ fn insert(db: &Database, sql: &str) {
 
 /// `item`: single-column PK, a B-tree on a nullable machine column
 /// (`grp`) and one on a CROWD column (`score`), so both indexes hold
-/// missing keys. `pair`: composite PK.
+/// missing keys. `pair`: composite PK. `priced`: a B-tree on a FLOAT
+/// column, for literals whose type is not the column's.
 fn world() -> Database {
     let db = Database::new();
     create(
@@ -51,8 +52,16 @@ fn world() -> Database {
         &db,
         "CREATE TABLE pair (a INTEGER, b STRING, v INTEGER, PRIMARY KEY (a, b))",
     );
-    for (name, col) in [("item_grp", "grp"), ("item_score", "score")] {
-        db.create_index(name, "item", &[col.to_string()], false, IndexKind::BTree)
+    create(
+        &db,
+        "CREATE TABLE priced (sku INTEGER PRIMARY KEY, price FLOAT)",
+    );
+    for (name, table, col) in [
+        ("item_grp", "item", "grp"),
+        ("item_score", "item", "score"),
+        ("priced_price", "priced", "price"),
+    ] {
+        db.create_index(name, table, &[col.to_string()], false, IndexKind::BTree)
             .unwrap();
     }
     insert(
@@ -65,6 +74,10 @@ fn world() -> Database {
         &db,
         "INSERT INTO pair VALUES (1, 'x', 0), (1, 'y', 0), (2, 'x', 0), (2, 'y', 0), (3, 'z', 0)",
     );
+    insert(
+        &db,
+        "INSERT INTO priced VALUES (1, 3), (2, 3.0), (3, 3.5), (4, 4), (5, NULL)",
+    );
     db
 }
 
@@ -76,10 +89,7 @@ fn oracle_targets(
 ) -> Result<Vec<(TupleId, Row)>> {
     let db = ctx.db;
     let filter = match filter {
-        Some(f) => Some(
-            db.with_catalog(|c| Binder::new(c).bind_table_filter(table, f))?
-                .0,
-        ),
+        Some(f) => Some(db.with_catalog(|c| Binder::new(c).bind_table_expr(table, f))?),
         None => None,
     };
     let mut hits = Vec::new();
@@ -120,9 +130,8 @@ fn oracle(
                 let idx = schema
                     .column_index(col)
                     .ok_or_else(|| CrowdError::Analyze(format!("unknown column '{col}'")))?;
-                let bound = db
-                    .with_catalog(|c| Binder::new(c).bind_table_filter(&upd.table, expr))?
-                    .0;
+                let bound =
+                    db.with_catalog(|c| Binder::new(c).bind_table_expr(&upd.table, expr))?;
                 assignments.push((idx, bound));
             }
             let mut to_apply = Vec::new();
@@ -234,6 +243,11 @@ const ITEM_FILTERS: &[(&str, &str)] = &[
     ("3 = id AND grp = 2", "IndexScan"),
     ("id = 99", "IndexScan"),
     ("id = 2 + 1", "IndexScan"),
+    // a literal that is not the key's type is no key: the residual decides
+    ("id = 3.0", "TableScan"),
+    ("id = 3.5", "TableScan"),
+    ("id = '3'", "TableScan"),
+    ("id = 3.0 AND id = 3", "IndexScan"),
     // secondary B-tree point, keys NULL on some rows
     ("grp = 2", "IndexScan"),
     ("grp = 7", "IndexScan"),
@@ -249,6 +263,8 @@ const ITEM_FILTERS: &[(&str, &str)] = &[
     ("4 > grp", "IndexRangeScan"),
     ("score > 40", "IndexRangeScan"),
     ("score >= 50 AND score <= 90", "IndexRangeScan"),
+    ("grp >= 1.5 AND grp < 3.0", "IndexRangeScan"),
+    ("grp = 2.0", "TableScan"),
     // nothing to pin: full scan
     ("name = 'n4'", "TableScan"),
     ("name LIKE 'n1%'", "TableScan"),
@@ -296,6 +312,41 @@ fn composite_primary_key_is_a_point_probe() {
             assert_eq!(access_of(&sql), access, "{sql}");
             assert_eq!(differential(&sql, &caches).unwrap().affected, hits, "{sql}");
         }
+    }
+}
+
+/// SQL `=` unifies numerics where an index probe matches stored keys
+/// exactly: an integer literal probes a FLOAT index as the float the
+/// column stores, and a float literal on an INTEGER key falls back to a
+/// scan — either way the rows the oracle's `=` finds.
+#[test]
+fn numeric_literals_unify_with_the_indexed_column() {
+    let caches = CompareCaches::default();
+    for (filter, access, hits) in [
+        ("price = 3", "IndexScan", 2),
+        ("price = 3.0", "IndexScan", 2),
+        ("3 = price AND sku = 2", "IndexScan", 1),
+        ("price = 4", "IndexScan", 1),
+        ("price = 'x'", "TableScan", 0),
+        ("price >= 3 AND price < 4", "IndexRangeScan", 3),
+        ("sku = 2.0", "TableScan", 1),
+        ("sku = 2.5", "TableScan", 0),
+    ] {
+        for sql in [
+            format!("DELETE FROM priced WHERE {filter}"),
+            format!("UPDATE priced SET price = price + 1 WHERE {filter}"),
+        ] {
+            assert_eq!(access_of(&sql), access, "{sql}");
+            assert_eq!(differential(&sql, &caches).unwrap().affected, hits, "{sql}");
+        }
+    }
+    for (filter, access, hits) in [
+        ("a = 1.0 AND b = 'y'", "TableScan", 1),
+        ("a = 1 AND b = 1", "TableScan", 0),
+    ] {
+        let sql = format!("DELETE FROM pair WHERE {filter}");
+        assert_eq!(access_of(&sql), access, "{sql}");
+        assert_eq!(differential(&sql, &caches).unwrap().affected, hits, "{sql}");
     }
 }
 

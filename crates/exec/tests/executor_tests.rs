@@ -512,6 +512,30 @@ fn pk_lookup_miss_returns_empty() {
     assert_eq!(r.stats.rows_scanned, 0);
 }
 
+#[test]
+fn index_point_lookup_unifies_numeric_literals() {
+    let db = setup();
+    for i in 0..5 {
+        db.insert("dept", row![format!("d{i}"), i as i64]).unwrap();
+    }
+    db.create_index(
+        "dept_building",
+        "dept",
+        &["building".to_string()],
+        false,
+        crowddb_storage::IndexKind::BTree,
+    )
+    .unwrap();
+    // SQL `=` unifies Int and Float; an index probe matches stored keys
+    // exactly, so a float literal on an INTEGER key must not probe.
+    let r = run(&db, "SELECT dept FROM dept WHERE building = 3.0");
+    assert_eq!(r.rows, vec![row!["d3"]]);
+    assert_eq!(r.stats.index_probes, 0);
+    let r = run(&db, "SELECT dept FROM dept WHERE building = 3");
+    assert_eq!(r.rows, vec![row!["d3"]]);
+    assert_eq!(r.stats.index_probes, 1);
+}
+
 // Regression tests for the shared evaluation path (`crowddb_exec::eval`):
 // query execution (operators) and DML planning evaluate predicates via
 // the same `eval`/`eval_truth`, so crowd-compare needs must dedup

@@ -297,13 +297,11 @@ impl<'a> Binder<'a> {
         })
     }
 
-    /// Bind an expression against a base table's scan schema — used by
-    /// UPDATE assignments in the execution layer.
-    pub fn bind_table_filter(&mut self, table: &str, expr: &Expr) -> Result<(BExpr, PlanSchema)> {
-        let scan = self.bind_scan(table, None)?;
-        let schema = scan.schema();
-        let bound = self.bind_expr(expr, &schema)?;
-        Ok((bound, schema))
+    /// Bind one expression over a base table's columns — the right-hand
+    /// side of an UPDATE assignment.
+    pub fn bind_table_expr(&mut self, table: &str, expr: &Expr) -> Result<BExpr> {
+        let schema = self.bind_scan(table, None)?.schema();
+        self.bind_expr(expr, &schema)
     }
 
     /// Bind a column-free expression (INSERT values, `SELECT 1+1`).

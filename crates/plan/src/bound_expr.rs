@@ -351,33 +351,30 @@ impl BExpr {
         found
     }
 
-    /// The `column op literal` comparisons among this predicate's AND
-    /// conjuncts, in conjunct order, each normalised so the column is on
-    /// the left (`5 < c` reads `c > 5`). The one place the planner reads
-    /// literal pins and bounds off a predicate: access-path choice and the
-    /// primary-key boundedness rule both start here.
-    pub fn literal_comparisons(&self) -> Vec<(usize, BinaryOp, &Value)> {
+    /// The `column <cmp> literal` conjuncts of this predicate (`=`, `<`,
+    /// `<=`, `>`, `>=`), in conjunct order, each normalised so the column
+    /// is on the left (`5 < c` reads `c > 5`). The one place the planner
+    /// reads literal pins and bounds off a predicate: access-path choice
+    /// and the primary-key boundedness rule both start here.
+    pub(crate) fn literal_comparisons(&self) -> Vec<(usize, BinaryOp, &Value)> {
+        use BinaryOp::{And, Eq, Gt, GtEq, Lt, LtEq};
         fn rec<'e>(e: &'e BExpr, out: &mut Vec<(usize, BinaryOp, &'e Value)>) {
             let BExpr::Binary { left, op, right } = e else {
                 return;
             };
             match (left.as_ref(), *op, right.as_ref()) {
-                (l, BinaryOp::And, r) => {
+                (l, And, r) => {
                     rec(l, out);
                     rec(r, out);
                 }
-                (BExpr::Column(c), op, BExpr::Literal(v)) => out.push((*c, op, v)),
-                (BExpr::Literal(v), op, BExpr::Column(c)) => out.push((
-                    *c,
-                    match op {
-                        BinaryOp::Lt => BinaryOp::Gt,
-                        BinaryOp::LtEq => BinaryOp::GtEq,
-                        BinaryOp::Gt => BinaryOp::Lt,
-                        BinaryOp::GtEq => BinaryOp::LtEq,
-                        other => other,
-                    },
-                    v,
-                )),
+                (BExpr::Column(c), Eq | Lt | LtEq | Gt | GtEq, BExpr::Literal(v)) => {
+                    out.push((*c, *op, v))
+                }
+                (BExpr::Literal(v), Eq, BExpr::Column(c)) => out.push((*c, Eq, v)),
+                (BExpr::Literal(v), Lt, BExpr::Column(c)) => out.push((*c, Gt, v)),
+                (BExpr::Literal(v), LtEq, BExpr::Column(c)) => out.push((*c, GtEq, v)),
+                (BExpr::Literal(v), Gt, BExpr::Column(c)) => out.push((*c, Lt, v)),
+                (BExpr::Literal(v), GtEq, BExpr::Column(c)) => out.push((*c, LtEq, v)),
                 _ => {}
             }
         }

@@ -602,8 +602,8 @@ pub fn lower(
             // residual so decidedly-rejected rows never generate probes —
             // and, when the predicate pins an index, the scan itself
             // narrows to an index access path.
-            if let LogicalPlan::Scan { table, .. } = input.as_ref() {
-                let access = choose_access(predicate, &indexes(table));
+            if let LogicalPlan::Scan { table, schema, .. } = input.as_ref() {
+                let access = choose_access(predicate, schema, &indexes(table));
                 return lower_scan(input, access, Some(predicate), annot);
             }
             PhysicalPlan::Filter {
@@ -778,10 +778,16 @@ fn lower_scan(
 /// 2. **Range**: the first single-column *ordered* index whose column
 ///    has at least one literal comparison bound.
 ///
-/// Bounds are deliberately sloppy-inclusive (`>` contributes the same
-/// lower bound as `>=`): the full predicate is re-evaluated as the
-/// residual, so the access path only has to be a superset.
-fn choose_access(predicate: &BExpr, indexes: &[IndexMeta]) -> Access {
+/// A point probe matches stored keys exactly, where SQL `=` unifies
+/// numerics, so a pin only counts when its literal stores as the
+/// column's type: `price = 3` probes a FLOAT index with `3.0`, while
+/// `id = 3.0` on an INTEGER column pins nothing and the residual decides
+/// over a wider access. Range bounds need no such care — index order
+/// unifies numerics — and are deliberately sloppy-inclusive (`>`
+/// contributes the same lower bound as `>=`): the full predicate is
+/// re-evaluated as the residual, so the access path only has to be a
+/// superset.
+fn choose_access(predicate: &BExpr, schema: &PlanSchema, indexes: &[IndexMeta]) -> Access {
     // A comparison against a missing literal is Unknown for every row:
     // no key to probe with. (The boundedness rule reads the same
     // comparisons but does count `pk = NULL` as a pin — it bounds how
@@ -791,8 +797,15 @@ fn choose_access(predicate: &BExpr, indexes: &[IndexMeta]) -> Access {
         .into_iter()
         .filter(|(_, _, lit)| !lit.is_missing())
         .collect();
-    // The first comparison on `col` satisfying `ops` wins.
-    let first = |col: usize, ops: &[BinaryOp]| {
+    // The first equality on `col` whose literal is a storable key.
+    let pin = |col: usize| {
+        let ty = schema.columns[col].data_type?;
+        cmps.iter()
+            .filter(|(c, op, _)| *c == col && *op == BinaryOp::Eq)
+            .find_map(|(.., lit)| (*lit).clone().coerce_to(ty))
+    };
+    // The first comparison on `col` among `ops`.
+    let bound = |col: usize, ops: [BinaryOp; 2]| {
         cmps.iter()
             .find(|(c, op, _)| *c == col && ops.contains(op))
             .map(|(.., lit)| (*lit).clone())
@@ -800,11 +813,7 @@ fn choose_access(predicate: &BExpr, indexes: &[IndexMeta]) -> Access {
     // Rule 1: fully pinned index, widest first.
     let mut best: Option<(&IndexMeta, Vec<Value>)> = None;
     for idx in indexes {
-        let key: Option<Vec<Value>> = idx
-            .columns
-            .iter()
-            .map(|&c| first(c, &[BinaryOp::Eq]))
-            .collect();
+        let key: Option<Vec<Value>> = idx.columns.iter().map(|&c| pin(c)).collect();
         if let Some(key) = key {
             if !key.is_empty()
                 && best
@@ -821,15 +830,14 @@ fn choose_access(predicate: &BExpr, indexes: &[IndexMeta]) -> Access {
             key,
         };
     }
-    // Rule 2: single-column ordered index with a range bound. (An
-    // equality pin on such an index is always caught by rule 1, so only
-    // genuine inequalities land here.)
+    // Rule 2: single-column ordered index with a range bound. (A
+    // storable equality pin on such an index is caught by rule 1.)
     for idx in indexes {
         if !idx.ordered || idx.columns.len() != 1 {
             continue;
         }
-        let low = first(idx.columns[0], &[BinaryOp::Gt, BinaryOp::GtEq]);
-        let high = first(idx.columns[0], &[BinaryOp::Lt, BinaryOp::LtEq]);
+        let low = bound(idx.columns[0], [BinaryOp::Gt, BinaryOp::GtEq]);
+        let high = bound(idx.columns[0], [BinaryOp::Lt, BinaryOp::LtEq]);
         if low.is_some() || high.is_some() {
             return Access::Range {
                 index: idx.clone(),
@@ -1318,8 +1326,9 @@ mod tests {
 
     /// Since the `<table>_pk` index is listed with the table's other
     /// indexes, a predicate that pins the whole primary key with present
-    /// literals always gets a Point path — which is why the executor
-    /// needs no primary-key fast path of its own inside a full scan.
+    /// literals of the key's own types always gets a Point path — which
+    /// is why the executor needs no primary-key fast path of its own
+    /// inside a full scan.
     #[test]
     fn pk_pinned_filter_never_lowers_to_full_access() {
         let crowd = BExpr::CrowdEqual {
@@ -1417,6 +1426,23 @@ mod tests {
             // Range on the ordered secondary index; pk untouched.
             (gt(lit(Value::Int(5)), col(1)), false, "IndexRangeScan"),
             (eq(col(1), lit(Value::Int(5))), false, "IndexScan"),
+            // Only comparisons are read: `title OR 'a'` is not one.
+            (
+                BExpr::Binary {
+                    left: Box::new(col(0)),
+                    op: BinaryOp::Or,
+                    right: Box::new(lit(Value::str("a"))),
+                },
+                false,
+                "TableScan",
+            ),
+            // A literal that does not store as the column's type bounds
+            // the request like any pin, but is no key: SQL `=` unifies
+            // numerics, an index probe matches stored keys exactly.
+            (eq(col(0), lit(Value::Int(1))), true, "TableScan"),
+            (eq(col(1), lit(Value::Float(5.0))), false, "TableScan"),
+            // Index order does unify numerics, so a bound may differ.
+            (gt(col(1), lit(Value::Float(4.5))), false, "IndexRangeScan"),
         ];
         for (predicate, pins_pk, kind) in cases {
             assert_eq!(
@@ -1443,6 +1469,29 @@ mod tests {
             panic!()
         };
         assert_eq!(key, vec![Value::str("a")]);
+        // A pin is stored the way the column stores it (Int widens to a
+        // FLOAT column), and an unstorable pin yields to a later one.
+        let price = IndexMeta {
+            name: "item_price".into(),
+            columns: vec![1],
+            ordered: true,
+        };
+        let predicate = and(
+            eq(col(1), lit(Value::str("3"))),
+            eq(col(1), lit(Value::Int(3))),
+        );
+        let schema = scan_schema(
+            "item",
+            &[
+                ("id".into(), DataType::Int, false),
+                ("price".into(), DataType::Float, false),
+            ],
+            "item",
+        );
+        match choose_access(&predicate, &schema, &[price]) {
+            Access::Point { key, .. } => assert_eq!(key, vec![Value::Float(3.0)]),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
