@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -12,7 +12,7 @@ use crowddb_common::codec::{self, Reader};
 use crowddb_common::{CancelReason, CrowdError, Result, Row, Value};
 use crowddb_exec::{
     dml, execute_physical_guarded, flush_op_stats, lower_plan, render_analyzed, CompareCaches,
-    ExecGuard, ExecResult, OpStatsNode, SharedCaches, TaskNeed,
+    ExecGuard, ExecResult, Maintained, OpStatsNode, SharedCaches, TableChange, TaskNeed,
 };
 use crowddb_obs::{Event, MetricsSnapshot, Obs};
 use crowddb_plan::cardinality::{FnStats, StatsSource};
@@ -104,10 +104,30 @@ pub struct CrowdDB {
     admission: AdmissionController,
     /// Standing queries (`SUBSCRIBE`): id allocator + per-subscription
     /// state. A leaf lock in the hierarchy — held across standing-query
-    /// re-evaluation (which takes only storage read locks and cache
+    /// maintenance (which takes only storage read locks and cache
     /// snapshots) so delta revisions are produced in one serial order,
     /// but never held while acquiring `ckpt_latch` or `durable`.
+    ///
+    /// It does *not* order DML against maintenance: a statement mutates
+    /// first and notifies afterwards, so a notification may find storage
+    /// ahead of the statement it speaks for. Re-evaluation does not mind
+    /// (it diffs whatever is there); a delta does — it is exact only on
+    /// top of the state its statement started from. `dml_begun` and
+    /// `dml_ended` say when that holds, with no further lock (DESIGN.md
+    /// §14.1): every DML takes the next `dml_begun` as its ticket before
+    /// its first mutation and bumps `dml_ended` after its last, failed
+    /// or not. A subscription's `epoch` is the ticket its state is exact
+    /// as of; it is set by a delta of ticket `epoch + 1` during which
+    /// `dml_begun` still read that ticket, or by a re-evaluation around
+    /// which nothing was in flight (`dml_ended == dml_begun`, unmoved
+    /// afterwards), and cleared by any other re-evaluation.
     subs: Mutex<SubRegistry>,
+    /// Live subscriptions, for a DML to read without `subs`: only with
+    /// one to tell does it copy out the rows it changes.
+    subs_open: AtomicUsize,
+    /// DML statements begun (the ticket counter) and ended.
+    dml_begun: AtomicU64,
+    dml_ended: AtomicU64,
 }
 
 impl Default for CrowdDB {
@@ -152,6 +172,9 @@ impl CrowdDB {
             cancel: CancelToken::new(),
             admission,
             subs: Mutex::new(SubRegistry::default()),
+            subs_open: AtomicUsize::new(0),
+            dml_begun: AtomicU64::new(0),
+            dml_ended: AtomicU64::new(0),
         }
     }
 
@@ -255,7 +278,7 @@ impl CrowdDB {
         match rec {
             LogRecord::Dml { sql } => {
                 let stmt = parse_statement(sql)?;
-                self.local_step(|c| self.eval_dml(&stmt, c, true, ExecGuard::unlimited()))?;
+                self.local_step(|c| self.eval_dml(&stmt, c, true, ExecGuard::unlimited(), false))?;
                 Ok(())
             }
             LogRecord::PutEqual {
@@ -763,17 +786,22 @@ impl CrowdDB {
                 Ok(QueryResult::ddl())
             }
             Statement::CreateIndex(ci) => {
-                let _latch = self.ckpt_latch.read();
-                self.db.create_index(
-                    &ci.name,
-                    &ci.table,
-                    &ci.columns,
-                    ci.unique,
-                    IndexKind::BTree,
-                )?;
-                self.log_record(LogRecord::Ddl {
-                    sql: stmt.to_string(),
-                })?;
+                {
+                    let _latch = self.ckpt_latch.read();
+                    self.db.create_index(
+                        &ci.name,
+                        &ci.table,
+                        &ci.columns,
+                        ci.unique,
+                        IndexKind::BTree,
+                    )?;
+                    self.log_record(LogRecord::Ddl {
+                        sql: stmt.to_string(),
+                    })?;
+                }
+                // Standing queries keep the plan they last lowered; have
+                // the table's watchers lower again, with the new index.
+                self.notify_subscriptions(Trigger::Ddl(&ci.table));
                 Ok(QueryResult::ddl())
             }
             Statement::DropTable { name, if_exists } => {
@@ -787,7 +815,7 @@ impl CrowdDB {
                 }
                 // Standing queries watching the table fail on their next
                 // trigger; notify outside the checkpoint latch.
-                self.notify_subscriptions(Some(name));
+                self.notify_subscriptions(Trigger::Ddl(name));
                 Ok(QueryResult::ddl())
             }
             Statement::Insert(ins) => {
@@ -940,14 +968,28 @@ impl CrowdDB {
     }
 
     /// One ungoverned evaluation of `plan` on current knowledge: what a
-    /// standing query re-runs on every trigger (unsettled crowd state
-    /// simply shows as CNULLs / missing tuples until a later one) and
-    /// what a task preview inspects. Deliberately flushes no operator
-    /// stats.
+    /// task preview inspects. Deliberately flushes no operator stats.
     fn evaluate_once(&self, plan: &LogicalPlan) -> Result<ExecResult> {
         let (_, exec, _) =
             self.local_step(|caches| self.run_plan(plan, caches, ExecGuard::unlimited()))?;
         Ok(exec)
+    }
+
+    /// One full, ungoverned evaluation of a standing query on current
+    /// knowledge (unsettled crowd state simply shows as CNULLs / missing
+    /// tuples until a later trigger): the rows, what the delta route
+    /// continues from, and the DML ticket both are exact as of — `None`
+    /// unless no DML was in flight before and none began meanwhile (see
+    /// the `subs` field). Flushes no operator stats either.
+    fn evaluate_standing(&self, plan: &LogicalPlan) -> Result<(Vec<Row>, Maintained, Option<u64>)> {
+        // `dml_ended` first: it never exceeds `dml_begun`, so reading the
+        // same number twice means nothing was in flight at the second read.
+        let ended = self.dml_ended.load(Ordering::SeqCst);
+        let begun = self.dml_begun.load(Ordering::SeqCst);
+        let (exec, maintained) =
+            self.local_step(|caches| Maintained::evaluate(&self.db, caches, plan))?;
+        let quiet = ended == begun && self.dml_begun.load(Ordering::SeqCst) == begun;
+        Ok((exec.rows, maintained, quiet.then_some(begun)))
     }
 
     /// The rows sink of the driver — and, given an `analysis` to fill,
@@ -991,7 +1033,7 @@ impl CrowdDB {
         guard: &StatementGuard,
     ) -> Result<QueryResult> {
         let mut driven = self.drive(crowd.as_deref_mut(), guard, Vec::new(), |caches| {
-            let dry_run = self.eval_dml(stmt, caches, false, guard.exec.clone())?;
+            let dry_run = self.eval_dml(stmt, caches, false, guard.exec.clone(), false)?;
             Ok(((), dry_run.needs))
         })?;
         // A cancelled or deadline-exceeded DML errors *before* the
@@ -1012,40 +1054,57 @@ impl CrowdDB {
         })
     }
 
-    /// Apply a DML statement once, log it, and tell the standing queries.
+    /// Apply a DML statement once, log it, and hand the standing queries
+    /// the rows it changed (see the `subs` field for the ticket).
     fn apply_dml(
         &self,
         stmt: &Statement,
         table: &str,
         guard: &StatementGuard,
     ) -> Result<dml::DmlResult> {
-        let r = {
+        let report = self.subs_open.load(Ordering::SeqCst) > 0;
+        let ticket = self.dml_begun.fetch_add(1, Ordering::SeqCst) + 1;
+        let mut r = {
             // Logical DML records are not idempotent: the mutation and its
             // log record must not straddle a checkpoint (see `ckpt_latch`).
             let _latch = self.ckpt_latch.read();
-            let r = self.local_step(|c| self.eval_dml(stmt, c, true, guard.exec.clone()))?;
+            let r = {
+                let _in_flight = DmlInFlight(&self.dml_ended);
+                self.local_step(|c| self.eval_dml(stmt, c, true, guard.exec.clone(), report))
+            }?;
             self.log_record(LogRecord::Dml {
                 sql: stmt.to_string(),
             })?;
             r
         };
-        self.notify_subscriptions(Some(table));
+        let change = r.change.take();
+        self.notify_subscriptions(Trigger::Dml {
+            table,
+            ticket,
+            change: change.as_ref(),
+        });
         Ok(r)
     }
 
     /// Evaluate a DML statement once against `caches`; `apply == false`
-    /// is a dry run that only reports the crowd work its predicates need.
+    /// is a dry run that only reports the crowd work its predicates need,
+    /// `report` asks an applied one for the rows it changed.
     fn eval_dml(
         &self,
         stmt: &Statement,
         caches: &CompareCaches,
         apply: bool,
         guard: ExecGuard,
+        report: bool,
     ) -> Result<dml::DmlResult> {
         match stmt {
-            Statement::Insert(ins) => dml::execute_insert(&self.db, caches, ins, guard),
-            Statement::Update(upd) => dml::execute_update(&self.db, caches, upd, apply, guard),
-            Statement::Delete(del) => dml::execute_delete(&self.db, caches, del, apply, guard),
+            Statement::Insert(ins) => dml::execute_insert(&self.db, caches, ins, guard, report),
+            Statement::Update(upd) => {
+                dml::execute_update(&self.db, caches, upd, apply, guard, report)
+            }
+            Statement::Delete(del) => {
+                dml::execute_delete(&self.db, caches, del, apply, guard, report)
+            }
             other => Err(CrowdError::Internal(format!(
                 "not a DML statement: {other}"
             ))),
@@ -1143,9 +1202,10 @@ impl CrowdDB {
             }
         }
         // The round settled: every write-back and cache verdict is in
-        // place, so re-evaluate the standing queries (no locks held
-        // here — see the `subs` field docs for the ordering argument).
-        self.notify_subscriptions(None);
+        // place, so re-evaluate the crowd-related standing queries (no
+        // locks held here — see the `subs` field docs for the ordering
+        // argument).
+        self.notify_subscriptions(Trigger::Settlement);
         Ok(fulfill)
     }
 
@@ -1187,6 +1247,7 @@ impl CrowdDB {
         if subs.subs.remove(&id).is_none() {
             return Err(CrowdError::Exec(format!("no such subscription: {id}")));
         }
+        self.subs_open.store(subs.subs.len(), Ordering::SeqCst);
         self.obs
             .registry()
             .gauge_set("crowddb_subscriptions_active", subs.subs.len() as f64);
@@ -1280,7 +1341,7 @@ impl CrowdDB {
             return Ok(Some(DeltaBatch {
                 revision: sub.revision,
                 snapshot: true,
-                added: subscribe::rowset_to_rows(&sub.last),
+                added: subscribe::rowset_to_rows(&sub.last)?,
                 removed: vec![],
             }));
         }
@@ -1304,8 +1365,10 @@ impl CrowdDB {
                 self.config.subscriptions.max_subscriptions
             )));
         }
-        let rows = self.evaluate_once(&standing.logical)?.rows;
+        let (rows, maintained, epoch) = self.evaluate_standing(&standing.logical)?;
+        // One copy at a time: the snapshot batch is decoded from `last`.
         let last = subscribe::rowset_from_rows(&rows);
+        drop(rows);
         subs.next_id += 1;
         let id = subs.next_id;
         let mut state = SubState {
@@ -1313,6 +1376,8 @@ impl CrowdDB {
             plan: standing,
             columns: columns.clone(),
             last,
+            maintained,
+            epoch,
             revision: 1,
             queue: std::collections::VecDeque::new(),
             lagged: false,
@@ -1322,11 +1387,12 @@ impl CrowdDB {
         state.queue.push_back(DeltaBatch {
             revision: 1,
             snapshot: true,
-            added: subscribe::rowset_to_rows(&state.last),
+            added: subscribe::rowset_to_rows(&state.last)?,
             removed: vec![],
         });
-        let added = state.last.values().map(|(_, n)| *n as u64).sum();
+        let added = state.last.values().map(|n| *n as u64).sum();
         subs.subs.insert(id, state);
+        self.subs_open.store(subs.subs.len(), Ordering::SeqCst);
         let reg = self.obs.registry();
         reg.gauge_set("crowddb_subscriptions_active", subs.subs.len() as f64);
         reg.counter_inc("crowddb_subscription_deltas_total");
@@ -1343,36 +1409,57 @@ impl CrowdDB {
         Ok((id, columns))
     }
 
-    /// Re-evaluate standing queries after a mutation: `touched` is the
-    /// table a DML/DDL statement wrote (`None` = a crowd round settled,
-    /// which can affect any crowd-related state, so everything
-    /// re-evaluates). Produces at most one delta batch per affected
-    /// subscription.
-    fn notify_subscriptions(&self, touched: Option<&str>) {
-        let mut subs = self.subs.lock();
+    /// Bring the standing queries `trigger` concerns up to date, each by
+    /// its delta rules where they apply and by re-evaluation where they
+    /// do not; either way at most one delta batch per subscription, and
+    /// the same one.
+    fn notify_subscriptions(&self, trigger: Trigger<'_>) {
         // Fast path: with no subscriptions the machinery must be
-        // invisible — no metrics, no events, no extra evaluation — so
-        // non-subscribing workloads stay byte-identical to older
-        // builds.
-        if subs.subs.is_empty() {
+        // invisible — no lock, no metrics, no events, no evaluation — so
+        // non-subscribing workloads stay byte-identical to older builds.
+        if self.subs_open.load(Ordering::SeqCst) == 0 {
             return;
         }
+        let mut subs = self.subs.lock();
         let reg = self.obs.registry();
         let max_queue = self.config.subscriptions.max_queue_batches.max(1);
         for (id, sub) in subs.subs.iter_mut() {
             if sub.failed.is_some() {
                 continue;
             }
-            if let Some(table) = touched {
-                if !sub.plan.watches(table) {
-                    reg.counter_inc("crowddb_subscription_evals_skipped_total");
-                    continue;
+            let concerned = match trigger {
+                Trigger::Settlement => sub.plan.crowd_related,
+                Trigger::Ddl(table) => sub.plan.watches(table),
+                Trigger::Dml { table, change, .. } => {
+                    sub.plan.watches(table) && !change.is_some_and(TableChange::is_empty)
                 }
+            };
+            if !concerned {
+                reg.counter_inc("crowddb_subscription_evals_skipped_total");
+                // A DML that cannot have moved this result leaves it
+                // exact as of one ticket later.
+                if let Trigger::Dml { ticket, .. } = trigger {
+                    if sub.epoch.is_some_and(|e| e + 1 == ticket) {
+                        sub.epoch = Some(ticket);
+                    }
+                }
+                continue;
             }
             reg.counter_inc("crowddb_subscription_evals_total");
-            let rows = self.evaluate_once(&sub.plan.logical).map(|exec| exec.rows);
-            let rows = match rows {
-                Ok(rows) => rows,
+            let delta = match self.delta_of(sub, trigger) {
+                Some(delta) => {
+                    reg.counter_inc("crowddb_subscription_evals_incremental_total");
+                    Ok(delta)
+                }
+                None => self.reevaluate(sub),
+            };
+            // One tail for both routes from here on.
+            let folded = delta.and_then(|(added, removed)| {
+                subscribe::fold_delta(&mut sub.last, &added, &removed)?;
+                Ok((added, removed))
+            });
+            let (added, removed) = match folded {
+                Ok(delta) => delta,
                 Err(e) => {
                     // E.g. a watched table was dropped. The error is
                     // surfaced on the consumer's next poll.
@@ -1380,12 +1467,9 @@ impl CrowdDB {
                     continue;
                 }
             };
-            let new = subscribe::rowset_from_rows(&rows);
-            let (added, removed) = subscribe::diff_rowsets(&sub.last, &new);
             if added.is_empty() && removed.is_empty() {
                 continue;
             }
-            sub.last = new;
             sub.revision += 1;
             reg.counter_inc("crowddb_subscription_deltas_total");
             reg.counter_add("crowddb_subscription_rows_added_total", added.len() as u64);
@@ -1420,6 +1504,52 @@ impl CrowdDB {
                     .emit(Event::SubscriptionLagged { id: *id, dropped });
             }
         }
+    }
+
+    /// The delta route: `(added, removed)` from the plan's delta rules
+    /// over the rows a DML changed. Taken only for a plan no crowd round
+    /// can move, by the DML whose ticket is the subscription's next, and
+    /// only if no later DML began before the rules were done reading
+    /// storage (see the `subs` field); `None` sends the caller to
+    /// [`CrowdDB::reevaluate`], as does an operator without a rule.
+    fn delta_of(&self, sub: &mut SubState, trigger: Trigger<'_>) -> Option<(Vec<Row>, Vec<Row>)> {
+        let Trigger::Dml {
+            ticket,
+            change: Some(change),
+            ..
+        } = trigger
+        else {
+            return None;
+        };
+        let latest = || self.dml_begun.load(Ordering::SeqCst) == ticket;
+        let next = !sub.plan.crowd_related && sub.epoch.is_some_and(|e| e + 1 == ticket);
+        if !(next && latest()) {
+            return None;
+        }
+        let delta = sub.maintained.delta(&self.db, change).ok().flatten()?;
+        if !latest() {
+            return None;
+        }
+        sub.epoch = Some(ticket);
+        // Rows in both lists cancel (an UPDATE of a column the query does
+        // not show); the rest sort as the other route's diff does.
+        let (removed, added) = (&delta.removed, &delta.added);
+        subscribe::diff_rowsets(
+            &subscribe::rowset_from_rows(removed),
+            &subscribe::rowset_from_rows(added),
+        )
+        .ok()
+    }
+
+    /// The recompute route: evaluate afresh (which also renews what the
+    /// delta route continues from) and diff against the last result.
+    fn reevaluate(&self, sub: &mut SubState) -> Result<(Vec<Row>, Vec<Row>)> {
+        sub.epoch = None;
+        let (rows, maintained, epoch) = self.evaluate_standing(&sub.plan.logical)?;
+        let diff = subscribe::diff_rowsets(&sub.last, &subscribe::rowset_from_rows(&rows))?;
+        sub.maintained = maintained;
+        sub.epoch = epoch;
+        Ok(diff)
     }
 
     /// Serialize the full session: storage (schemas + rows, including
@@ -1492,6 +1622,9 @@ impl CrowdDB {
             cancel: CancelToken::new(),
             admission,
             subs: Mutex::new(SubRegistry::default()),
+            subs_open: AtomicUsize::new(0),
+            dml_begun: AtomicU64::new(0),
+            dml_ended: AtomicU64::new(0),
         })
     }
 
@@ -1574,6 +1707,32 @@ struct Driven<T> {
     /// The caller's planning warnings, each wave's, the stop reason's.
     warnings: Vec<String>,
     stop: StopReason,
+}
+
+/// What sets the standing queries off.
+#[derive(Clone, Copy)]
+enum Trigger<'a> {
+    /// A crowd round settled: every crowd-related query re-evaluates.
+    Settlement,
+    /// DDL on a table: its watchers re-evaluate (and re-lower).
+    Ddl(&'a str),
+    /// A DML applied: its table's watchers take the change set
+    /// (`None`: it was not collected) through their delta rules when
+    /// `ticket` is their next, and re-evaluate otherwise.
+    Dml {
+        table: &'a str,
+        ticket: u64,
+        change: Option<&'a TableChange>,
+    },
+}
+
+/// Bumps `dml_ended` when a DML's mutations are over, however they end.
+struct DmlInFlight<'a>(&'a AtomicU64);
+
+impl Drop for DmlInFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 /// What `EXPLAIN ANALYZE` keeps of its statement's execution: the
@@ -1940,6 +2099,99 @@ mod tests {
         assert_eq!(d.added, vec![row![120i64]]);
         assert_eq!(d.removed.len(), 1);
         assert!(d.removed[0][0].is_cnull());
+        assert!(sub.poll().unwrap().is_none());
+    }
+
+    /// `Plain` (no crowd column anywhere) with one row above and one
+    /// below the watch's filter, and a subscription on it, drained.
+    fn plain_watch(db: &CrowdDB) -> SubscriptionHandle<'_> {
+        for sql in [
+            "CREATE TABLE plain (k INTEGER PRIMARY KEY, v INTEGER)",
+            "INSERT INTO plain VALUES (1, 10), (2, 3)",
+        ] {
+            db.execute_local(sql).unwrap();
+        }
+        let sub = db
+            .subscribe("SUBSCRIBE SELECT k, v FROM plain WHERE v >= 10")
+            .unwrap();
+        assert_eq!(sub.poll().unwrap().unwrap().added, vec![row![1i64, 10i64]]);
+        sub
+    }
+
+    fn sub_counter(db: &CrowdDB, which: &str) -> u64 {
+        db.metrics()
+            .counter(&format!("crowddb_subscription_evals_{which}total"))
+    }
+
+    #[test]
+    fn dml_that_touches_no_row_triggers_no_evaluation() {
+        let db = CrowdDB::with_config(CrowdConfig::fast_test());
+        let sub = plain_watch(&db);
+        let r = db
+            .execute_local("UPDATE plain SET v = 5 WHERE k = 99")
+            .unwrap();
+        assert_eq!(r.affected, 0);
+        db.execute_local("DELETE FROM plain WHERE v > 1000")
+            .unwrap();
+        assert_eq!(sub_counter(&db, ""), 0, "nothing changed, nothing to do");
+        assert_eq!(sub_counter(&db, "skipped_"), 2);
+        assert!(sub.poll().unwrap().is_none());
+        // The next real change still goes the delta route.
+        db.execute_local("UPDATE plain SET v = 50 WHERE k = 2")
+            .unwrap();
+        assert_eq!(sub_counter(&db, ""), 1);
+        assert_eq!(sub_counter(&db, "incremental_"), 1);
+        let d = sub.poll().unwrap().unwrap();
+        assert_eq!((d.added, d.removed), (vec![row![2i64, 50i64]], vec![]));
+    }
+
+    #[test]
+    fn settlement_leaves_plans_no_round_can_move_alone() {
+        let db = CrowdDB::with_config(CrowdConfig::fast_test());
+        ddl(&db);
+        let sub = plain_watch(&db);
+        assert!(db
+            .explain("SUBSCRIBE SELECT k, v FROM plain WHERE v >= 10")
+            .unwrap()
+            .contains("triggers: DML commit\n"));
+        let mut crowd = MockPlatform::unanimous(|kind| match kind {
+            TaskKind::Probe { asked, .. } => Answer::Form(
+                asked
+                    .iter()
+                    .map(|(c, _)| (c.clone(), "an abstract".to_string()))
+                    .collect(),
+            ),
+            _ => Answer::Blank,
+        });
+        db.execute("INSERT INTO talk (title) VALUES ('CrowdDB')", &mut crowd)
+            .unwrap();
+        let (evals, skipped) = (sub_counter(&db, ""), sub_counter(&db, "skipped_"));
+        let r = db
+            .execute(
+                "SELECT abstract FROM talk WHERE title = 'CrowdDB'",
+                &mut crowd,
+            )
+            .unwrap();
+        assert_eq!(r.crowd.rounds, 2, "a round settled");
+        assert_eq!(sub_counter(&db, ""), evals, "EXPLAIN said DML only");
+        assert_eq!(sub_counter(&db, "skipped_"), skipped + 1);
+        assert!(sub.poll().unwrap().is_none());
+    }
+
+    /// An UPDATE of a column the projection does not show produces a
+    /// non-empty operator delta (-row +row) and, normalised, no batch.
+    #[test]
+    fn update_the_projection_does_not_show_produces_no_batch() {
+        let db = CrowdDB::with_config(CrowdConfig::fast_test());
+        db.execute_local("CREATE TABLE t (k INTEGER PRIMARY KEY, shown INTEGER, hidden INTEGER)")
+            .unwrap();
+        db.execute_local("INSERT INTO t VALUES (1, 10, 100)")
+            .unwrap();
+        let sub = db.subscribe("SELECT k, shown FROM t").unwrap();
+        let _ = sub.poll().unwrap();
+        db.execute_local("UPDATE t SET hidden = 7 WHERE k = 1")
+            .unwrap();
+        assert_eq!(sub_counter(&db, "incremental_"), 1);
         assert!(sub.poll().unwrap().is_none());
     }
 

@@ -1,15 +1,18 @@
 //! Continuous queries: the standing-query registry and delta machinery.
 //!
 //! A `SUBSCRIBE SELECT ...` registers a [`StandingPlan`] with the
-//! engine. Whenever a crowd round settles or a DML statement commits,
-//! the engine re-evaluates every affected standing query against
-//! current storage and diffs the result against the subscription's last
-//! known state — a *recompute-and-diff* incremental model, which is the
-//! only sound one under CrowdDB's open-world semantics (a settled crowd
-//! answer can change any predicate's verdict, not just rows "near" the
-//! write). The diff is a multiset delta keyed by the shared codec's
-//! row encoding, so delta batches are deterministic byte-for-byte across
-//! runs and worker counts.
+//! engine. A committed DML hands the rows it changed to the standing
+//! queries watching its table, and a query's operator tree answers with
+//! the rows that leave and enter its result (`Operator::delta` in
+//! `crowddb-exec`): work proportional to the change, not the table.
+//! Where an operator has no rule whose answer is certain to be exact,
+//! and for every crowd-related query — a settled crowd answer can change
+//! any predicate's verdict, not just rows "near" a write, so those
+//! re-evaluate when a round settles — the engine *recomputes and diffs*
+//! against the subscription's last known result. Either route yields the
+//! same multiset delta, sorted by the shared codec's row encoding, so
+//! delta batches are deterministic byte-for-byte across runs, worker
+//! counts and routes.
 //!
 //! Deltas flow through a bounded per-subscription queue. A consumer
 //! that falls behind loses its queued batches, receives one typed
@@ -22,6 +25,7 @@ use std::collections::VecDeque;
 
 use crowddb_common::codec;
 use crowddb_common::{CrowdError, Result, Row};
+use crowddb_exec::Maintained;
 use crowddb_plan::StandingPlan;
 
 use crate::crowddb::CrowdDB;
@@ -57,8 +61,9 @@ pub enum SubscriptionStatement {
     Unsubscribe(u64),
 }
 
-/// A multiset of rows keyed by canonical codec bytes.
-pub(crate) type RowSet = BTreeMap<Vec<u8>, (Row, usize)>;
+/// A multiset of rows: canonical codec bytes → copies. The key *is* the
+/// row ([`key_row`] decodes it), so each row is held once.
+pub(crate) type RowSet = BTreeMap<Vec<u8>, usize>;
 
 /// Canonical byte encoding of one row ([`crowddb_common::codec`]).
 pub fn row_key(row: &Row) -> Vec<u8> {
@@ -67,65 +72,82 @@ pub fn row_key(row: &Row) -> Vec<u8> {
     buf
 }
 
+/// The row a [`row_key`] encodes.
+fn key_row(key: &[u8]) -> Result<Row> {
+    Ok(codec::decode_row(&mut codec::Reader::new(key))?)
+}
+
 pub(crate) fn rowset_from_rows(rows: &[Row]) -> RowSet {
     let mut set = RowSet::new();
     for r in rows {
-        let e = set.entry(row_key(r)).or_insert_with(|| (r.clone(), 0));
-        e.1 += 1;
+        *set.entry(row_key(r)).or_insert(0) += 1;
     }
     set
 }
 
-/// Expand a multiset into rows sorted by canonical encoding.
-pub(crate) fn rowset_to_rows(set: &RowSet) -> Vec<Row> {
-    let mut out = Vec::new();
-    for (row, n) in set.values() {
-        for _ in 0..*n {
-            out.push(row.clone());
-        }
-    }
-    out
+/// Expand a multiset into rows sorted by canonical encoding: what it
+/// adds to nothing.
+pub(crate) fn rowset_to_rows(set: &RowSet) -> Result<Vec<Row>> {
+    Ok(diff_rowsets(&RowSet::new(), set)?.0)
 }
 
 /// Multiset difference `new - old` / `old - new`, both sorted by
-/// canonical encoding.
-pub(crate) fn diff_rowsets(old: &RowSet, new: &RowSet) -> (Vec<Row>, Vec<Row>) {
-    let mut added = Vec::new();
-    let mut removed = Vec::new();
-    let mut keys: Vec<&Vec<u8>> = old.keys().chain(new.keys()).collect();
-    keys.sort();
-    keys.dedup();
-    for k in keys {
-        let o = old.get(k).map(|(_, n)| *n).unwrap_or(0);
-        let n = new.get(k).map(|(_, n)| *n).unwrap_or(0);
-        let row = old
-            .get(k)
-            .or_else(|| new.get(k))
-            .map(|(r, _)| r.clone())
-            .expect("key from union");
-        if n > o {
-            for _ in 0..n - o {
-                added.push(row.clone());
-            }
-        } else {
-            for _ in 0..o - n {
-                removed.push(row.clone());
-            }
+/// canonical encoding: one merge pass over the two ordered maps, a row
+/// decoded only where its counts differ. (Of an operator-tree delta's
+/// two lists, it cancels the rows in both and sorts the rest.)
+pub(crate) fn diff_rowsets(old: &RowSet, new: &RowSet) -> Result<(Vec<Row>, Vec<Row>)> {
+    let (mut added, mut removed) = (Vec::new(), Vec::new());
+    let (mut olds, mut news) = (old.iter().peekable(), new.iter().peekable());
+    while let Some(key) = match (olds.peek(), news.peek()) {
+        (Some((o, _)), Some((n, _))) => Some(*o.min(n)),
+        (o, n) => o.or(n).map(|(key, _)| *key),
+    } {
+        let was = olds.next_if(|(k, _)| *k == key).map_or(0, |(_, n)| *n);
+        let is = news.next_if(|(k, _)| *k == key).map_or(0, |(_, n)| *n);
+        if was != is {
+            let list = if is > was { &mut added } else { &mut removed };
+            list.resize(list.len() + is.abs_diff(was), key_row(key)?);
         }
     }
-    (added, removed)
+    Ok((added, removed))
+}
+
+/// Apply a delta to a multiset, removals first. Errors on a removed row
+/// the set does not hold.
+pub(crate) fn fold_delta(set: &mut RowSet, added: &[Row], removed: &[Row]) -> Result<()> {
+    for r in removed {
+        let k = row_key(r);
+        let copies = set.get_mut(&k).ok_or_else(|| {
+            CrowdError::Internal("delta removed a row the subscriber never had".into())
+        })?;
+        *copies -= 1;
+        if *copies == 0 {
+            set.remove(&k);
+        }
+    }
+    for r in added {
+        *set.entry(row_key(r)).or_insert(0) += 1;
+    }
+    Ok(())
 }
 
 /// Internal per-subscription state.
 pub(crate) struct SubState {
     /// Canonical SQL of the underlying `SELECT`.
     pub sql: String,
-    /// The lowered standing plan (re-lowered to physical per trigger).
+    /// The standing plan (optimized once, at registration).
     pub plan: StandingPlan,
     /// Output column names.
     pub columns: Vec<String>,
-    /// Last evaluated result as a multiset.
+    /// The result as of the last trigger, as a multiset.
     pub last: RowSet,
+    /// What the evaluation that last produced `last` in full left for
+    /// the delta route: the plan it lowered, its aggregate state.
+    pub maintained: Maintained,
+    /// The DML ticket `last` is exact as of — every DML up to it folded,
+    /// none after — when that can be said (the `subs` field of `CrowdDB`
+    /// says when). A DML's delta applies only on top of its predecessor.
+    pub epoch: Option<u64>,
     /// Last assigned revision.
     pub revision: u64,
     /// Undelivered delta batches, oldest first.
@@ -241,27 +263,7 @@ impl SubscriberState {
         if batch.snapshot {
             self.rows = rowset_from_rows(&batch.added);
         } else {
-            for r in &batch.removed {
-                let k = row_key(r);
-                match self.rows.get_mut(&k) {
-                    Some((_, n)) if *n > 1 => *n -= 1,
-                    Some(_) => {
-                        self.rows.remove(&k);
-                    }
-                    None => {
-                        return Err(CrowdError::Internal(
-                            "delta removed a row the subscriber never had".into(),
-                        ))
-                    }
-                }
-            }
-            for r in &batch.added {
-                let e = self
-                    .rows
-                    .entry(row_key(r))
-                    .or_insert_with(|| (r.clone(), 0));
-                e.1 += 1;
-            }
+            fold_delta(&mut self.rows, &batch.added, &batch.removed)?;
         }
         self.last_revision = batch.revision;
         self.batches_applied += 1;
@@ -270,30 +272,28 @@ impl SubscriberState {
 
     /// Accumulated rows, sorted by canonical encoding.
     pub fn rows(&self) -> Vec<Row> {
-        rowset_to_rows(&self.rows)
+        rowset_to_rows(&self.rows).expect("keys are this module's own row encodings")
     }
 
     /// Canonical byte encoding of the accumulated multiset (sorted,
     /// concatenated row encodings) — the oracle comparison key.
     pub fn canonical(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for (k, (_, n)) in &self.rows {
-            for _ in 0..*n {
-                out.extend_from_slice(k);
-            }
-        }
-        out
+        canonical_of(&self.rows)
     }
 }
 
 /// Canonical byte encoding of an arbitrary row collection — what a
 /// fresh one-shot re-execution hashes to for the oracle comparison.
 pub fn canonical_rows(rows: &[Row]) -> Vec<u8> {
-    let mut keys: Vec<Vec<u8>> = rows.iter().map(row_key).collect();
-    keys.sort();
+    canonical_of(&rowset_from_rows(rows))
+}
+
+fn canonical_of(set: &RowSet) -> Vec<u8> {
     let mut out = Vec::new();
-    for k in keys {
-        out.extend_from_slice(&k);
+    for (key, n) in set {
+        for _ in 0..*n {
+            out.extend_from_slice(key);
+        }
     }
     out
 }
@@ -307,9 +307,45 @@ mod tests {
     fn diff_is_multiset_aware() {
         let old = rowset_from_rows(&[row![1i64], row![1i64], row![2i64]]);
         let new = rowset_from_rows(&[row![1i64], row![3i64]]);
-        let (added, removed) = diff_rowsets(&old, &new);
+        let (added, removed) = diff_rowsets(&old, &new).unwrap();
         assert_eq!(added, vec![row![3i64]]);
         assert_eq!(removed, vec![row![1i64], row![2i64]]);
+    }
+
+    #[test]
+    fn diff_of_equal_and_of_disjoint_maps() {
+        let a = rowset_from_rows(&[row![1i64], row![1i64], row!["x"]]);
+        assert_eq!(diff_rowsets(&a, &a).unwrap(), (vec![], vec![]));
+        let b = rowset_from_rows(&[row![2i64], row!["y"], row!["y"]]);
+        let (added, removed) = diff_rowsets(&a, &b).unwrap();
+        assert_eq!(added, rowset_to_rows(&b).unwrap());
+        assert_eq!(removed, rowset_to_rows(&a).unwrap());
+        let empty = RowSet::new();
+        assert_eq!(
+            diff_rowsets(&empty, &a).unwrap(),
+            (rowset_to_rows(&a).unwrap(), vec![])
+        );
+        assert_eq!(diff_rowsets(&empty, &empty).unwrap(), (vec![], vec![]));
+    }
+
+    /// An operator-tree delta, its two lists diffed as multisets and
+    /// folded, lands where the recompute route's diff does.
+    #[test]
+    fn normalized_delta_equals_the_diff() {
+        let old = rowset_from_rows(&[row![1i64], row![2i64], row![2i64], row![5i64]]);
+        // -2 +2 cancels (an UPDATE the projection does not show), one 2
+        // really leaves, 9 and 0 enter, unsorted.
+        let (added, removed) = diff_rowsets(
+            &rowset_from_rows(&[row![2i64], row![5i64], row![2i64]]),
+            &rowset_from_rows(&[row![9i64], row![2i64], row![0i64]]),
+        )
+        .unwrap();
+        assert_eq!(added, vec![row![0i64], row![9i64]]);
+        assert_eq!(removed, vec![row![2i64], row![5i64]]);
+        let mut new = old.clone();
+        fold_delta(&mut new, &added, &removed).unwrap();
+        assert_eq!(diff_rowsets(&old, &new).unwrap(), (added, removed));
+        assert!(fold_delta(&mut new, &[], &[row![5i64]]).is_err());
     }
 
     #[test]

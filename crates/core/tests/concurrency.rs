@@ -412,3 +412,129 @@ fn multi_session_stress_preserves_every_row() {
         "updates lost on reopen"
     );
 }
+
+/// Standing queries over two tables while four sessions write both and
+/// a fifth keeps registering and dropping subscriptions. A delta is only
+/// exact on top of the state its DML started from, and nothing orders
+/// one session's mutation against another's notification — the ticket
+/// protocol (the `subs` field of `CrowdDB`) has to notice every overlap
+/// and recompute instead. The queues are deep enough to keep every
+/// batch, so the final state is right only if each delta was; and once
+/// the contention is over the delta route must come back by itself.
+#[test]
+fn standing_queries_stay_exact_under_concurrent_dml_on_both_join_sides() {
+    use crowddb_core::{canonical_rows, SubscriberState};
+    use std::sync::Barrier;
+
+    const WATCHES: [&str; 3] = [
+        "SELECT s.k, r.floor FROM Sessions s JOIN Room r ON s.room = r.room",
+        "SELECT room, COUNT(*), SUM(cap) FROM Sessions GROUP BY room",
+        "SELECT r.floor, COUNT(*), SUM(s.cap) FROM Sessions s JOIN Room r ON s.room = r.room \
+         GROUP BY r.floor",
+    ];
+    const PER_THREAD: usize = 200;
+    let mut cfg = CrowdConfig::fast_test();
+    cfg.subscriptions.max_queue_batches = 8 * PER_THREAD;
+    let db = Arc::new(CrowdDB::with_config(cfg));
+    for sql in [
+        "CREATE TABLE Sessions (k INTEGER PRIMARY KEY, room STRING, cap INTEGER)",
+        "CREATE TABLE Room (room STRING PRIMARY KEY, floor INTEGER)",
+        "INSERT INTO Room VALUES ('R0', 0), ('R1', 1), ('R2', 2), ('R3', 3)",
+        "INSERT INTO Sessions VALUES (1, 'R0', 10), (2, 'R1', 20), (3, 'R9', 30)",
+    ] {
+        db.execute_local(sql).unwrap();
+    }
+    let ids: Vec<u64> = WATCHES
+        .iter()
+        .map(|sql| db.subscribe_id(sql).unwrap().0)
+        .collect();
+    let counter = |which: &str| {
+        db.metrics()
+            .counter(&format!("crowddb_subscription_evals_{which}total"))
+    };
+
+    let start = Barrier::new(5);
+    std::thread::scope(|scope| {
+        for t in 0..4usize {
+            let (db, start) = (Arc::clone(&db), &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..PER_THREAD {
+                    // Sessions 0 and 1 write Sessions, 2 and 3 write Room,
+                    // each on keys of its own; rows come, move between
+                    // rooms and floors, and go.
+                    let key = 1000 * (t + 1) + i / 4;
+                    let sql = match (t < 2, i % 4) {
+                        (true, 0) => {
+                            format!("INSERT INTO Sessions VALUES ({key}, 'R{}', {i})", i % 5)
+                        }
+                        (true, 1) => format!(
+                            "UPDATE Sessions SET room = 'X{}' WHERE k = {key}",
+                            2 + i % 2
+                        ),
+                        (true, 2) => format!("UPDATE Sessions SET cap = cap + 1 WHERE k = {key}"),
+                        (true, _) if i % 8 == 3 => format!("DELETE FROM Sessions WHERE k = {key}"),
+                        (true, _) => format!("UPDATE Sessions SET room = 'R{}' WHERE k = {key}", t),
+                        (false, 0) => format!("INSERT INTO Room VALUES ('X{t}', {i})"),
+                        (false, 1) => {
+                            format!("UPDATE Room SET floor = {} WHERE room = 'X{t}'", i % 3)
+                        }
+                        (false, 2) => format!("UPDATE Room SET floor = {i} WHERE room = 'R{t}'"),
+                        (false, _) => format!("DELETE FROM Room WHERE room = 'X{t}'"),
+                    };
+                    let r = db
+                        .execute_local(&sql)
+                        .unwrap_or_else(|e| panic!("{sql}: {e}"));
+                    assert_eq!(r.affected, 1, "{sql}");
+                }
+            });
+        }
+        let (db, start) = (Arc::clone(&db), &start);
+        scope.spawn(move || {
+            start.wait();
+            for i in 0..60 {
+                let sub = db.subscribe(WATCHES[i % 3]).unwrap();
+                assert!(sub.poll().unwrap().expect("the snapshot").snapshot);
+                sub.unsubscribe().unwrap();
+            }
+        });
+    });
+
+    // Every batch of every long-lived subscription, in order.
+    let check = |states: &mut Vec<SubscriberState>| {
+        for ((id, sql), state) in ids.iter().zip(WATCHES).zip(states.iter_mut()) {
+            let mut last = state.last_revision;
+            while let Some(batch) = db.poll_subscription(*id).expect("no lag, no failure") {
+                assert!(batch.revision > last, "{sql}: revisions must rise");
+                last = batch.revision;
+                state.apply(&batch).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            }
+            let fresh = db.execute_local(sql).unwrap();
+            assert_eq!(
+                state.canonical(),
+                canonical_rows(&fresh.rows),
+                "{sql}: accumulated deltas diverge from a fresh evaluation"
+            );
+        }
+    };
+    let mut states: Vec<SubscriberState> = ids.iter().map(|_| SubscriberState::new()).collect();
+    check(&mut states);
+    assert!(states.iter().all(|s| s.batches_applied > 50));
+
+    // Alone again, the delta route re-establishes itself: at most the
+    // first DML has to recompute before every later one is a delta.
+    let before = counter("incremental_");
+    for i in 0..10 {
+        let r = db
+            .execute_local(&format!("UPDATE Sessions SET cap = {i} WHERE k = 2"))
+            .unwrap();
+        assert_eq!(r.affected, 1);
+    }
+    assert!(
+        counter("incremental_") - before >= 9 * 3,
+        "the protocol left the delta route disabled: {} of 30",
+        counter("incremental_") - before
+    );
+    check(&mut states);
+    assert_eq!(db.subscriptions().len(), 3, "the churned ones are gone");
+}

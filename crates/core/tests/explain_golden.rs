@@ -195,6 +195,17 @@ fn explain_subscribe_join() {
 }
 
 #[test]
+fn explain_subscribe_limit() {
+    // No delta rule for StopAfter: the maintenance line names it.
+    let actual = explain("SUBSCRIBE SELECT talk, room FROM Venue ORDER BY talk LIMIT 1");
+    assert_golden(
+        &actual,
+        include_str!("golden/explain_subscribe_limit.txt"),
+        "explain_subscribe_limit",
+    );
+}
+
+#[test]
 fn explain_aggregate() {
     let actual = explain("SELECT COUNT(*), MAX(nb_attendees) FROM Talk");
     assert_golden(

@@ -464,6 +464,10 @@ impl<'caches> RunContext<'caches> {
     }
 }
 
+/// The running state of a standing query's `Aggregate` nodes, by node
+/// (see `ops::aggregate`).
+pub(crate) type GroupStates = HashMap<usize, crate::ops::aggregate::Groups>;
+
 /// Everything one execution round threads through the operator tree:
 /// the database, the per-round [`RunContext`], and a table-schema cache.
 ///
@@ -475,6 +479,9 @@ pub struct ExecCtx<'a> {
     pub db: &'a Database,
     /// Per-round mutable state (needs, counters, subquery memo).
     pub rt: RunContext<'a>,
+    /// `execute` leaves aggregate state here when there is a map to
+    /// leave it in, `delta` moves it; `None` for a one-shot statement.
+    pub(crate) groups: Option<GroupStates>,
     schema_cache: HashMap<String, TableSchema>,
 }
 
@@ -493,6 +500,7 @@ impl<'a> ExecCtx<'a> {
         ExecCtx {
             db,
             rt: RunContext::with_guard(caches, guard),
+            groups: None,
             schema_cache: HashMap::new(),
         }
     }

@@ -26,6 +26,7 @@ use crate::eval::eval;
 use crate::executor::{live_row_stats, lower_plan};
 use crate::need::TaskNeed;
 use crate::ops::scan::ScanOp;
+use crate::ops::TableChange;
 
 /// Result of a DML statement round.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,6 +35,9 @@ pub struct DmlResult {
     pub affected: usize,
     /// Crowd work pending (empty ⇒ the statement is fully applied).
     pub needs: Vec<TaskNeed>,
+    /// The stored rows an applied statement removed and added, when the
+    /// caller asked for them (`report`); `None` for a dry run too.
+    pub change: Option<TableChange>,
 }
 
 /// Execute an INSERT under a cooperative-cancellation guard; each row is
@@ -43,11 +47,15 @@ pub struct DmlResult {
 /// Columns omitted from an explicit column list default to `CNULL` for
 /// CROWD columns (so they will be crowdsourced on first use — the
 /// CrowdSQL default) and `NULL` otherwise.
+///
+/// `report` asks for [`DmlResult::change`]; only a caller with a standing
+/// query to tell pays the row copies.
 pub fn execute_insert(
     db: &Database,
     caches: &CompareCaches,
     ins: &Insert,
     guard: ExecGuard,
+    report: bool,
 ) -> Result<DmlResult> {
     let schema = db.schema(&ins.table)?;
     let bound_rows: Vec<Vec<crowddb_plan::BExpr>> = {
@@ -80,6 +88,7 @@ pub fn execute_insert(
     let mut ctx = ExecCtx::with_guard(db, caches, guard);
     let empty = Row::default();
     let mut inserted: Vec<TupleId> = Vec::new();
+    let mut added = Vec::new();
     let outcome = (|| {
         for exprs in &bound_rows {
             ctx.rt.check()?;
@@ -106,7 +115,16 @@ pub fn execute_insert(
             for (expr, &pos) in exprs.iter().zip(&positions) {
                 values[pos] = eval(&mut ctx, expr, &empty)?;
             }
-            inserted.push(db.insert(&schema.name, Row::new(values))?);
+            let row = Row::new(values);
+            let tid = db.with_table_mut(&schema.name, |t| {
+                // A change set holds rows as stored (validated, coerced
+                // to the column types): what a scan reads back.
+                let stored = report.then(|| t.validate_row(row.clone())).transpose()?;
+                let tid = t.insert(row)?;
+                added.extend(stored.map(|row| (tid, row)));
+                Ok(tid)
+            })?;
+            inserted.push(tid);
         }
         Ok(())
     })();
@@ -119,7 +137,15 @@ pub fn execute_insert(
     }
     let affected = inserted.len();
     let (needs, _) = ctx.finish();
-    Ok(DmlResult { affected, needs })
+    Ok(DmlResult {
+        affected,
+        needs,
+        change: report.then(|| TableChange {
+            table: schema.name,
+            removed: Vec::new(),
+            added,
+        }),
+    })
 }
 
 /// The plan that selects the rows of an `UPDATE`/`DELETE` on `table`:
@@ -158,6 +184,7 @@ pub fn execute_update(
     upd: &Update,
     apply: bool,
     guard: ExecGuard,
+    report: bool,
 ) -> Result<DmlResult> {
     let schema = db.schema(&upd.table)?;
     let assignments = db.with_catalog(|catalog| {
@@ -183,10 +210,20 @@ pub fn execute_update(
         to_apply.push((tid, row, new_row));
     }
     let affected = to_apply.len();
+    let mut change = None;
     if apply {
+        // The rows as they were: what a failure restores, and the
+        // `removed` half of the change set.
         let mut applied: Vec<(TupleId, Row)> = Vec::new();
+        let mut added = Vec::new();
         for (tid, old_row, new_row) in to_apply {
-            match db.with_table_mut(&upd.table, |t| t.update(tid, new_row)) {
+            let updated = db.with_table_mut(&upd.table, |t| {
+                if report {
+                    added.push((tid, t.validate_row(new_row.clone())?));
+                }
+                t.update(tid, new_row)
+            });
+            match updated {
                 Ok(()) => applied.push((tid, old_row)),
                 Err(e) => {
                     // Atomicity: put the rows this statement already
@@ -198,9 +235,18 @@ pub fn execute_update(
                 }
             }
         }
+        change = report.then_some(TableChange {
+            table: schema.name,
+            removed: applied,
+            added,
+        });
     }
     let (needs, _) = ctx.finish();
-    Ok(DmlResult { affected, needs })
+    Ok(DmlResult {
+        affected,
+        needs,
+        change,
+    })
 }
 
 /// Evaluate a DELETE for one round; `apply == false` is a dry run (see
@@ -211,17 +257,29 @@ pub fn execute_delete(
     del: &Delete,
     apply: bool,
     guard: ExecGuard,
+    report: bool,
 ) -> Result<DmlResult> {
     let mut ctx = ExecCtx::with_guard(db, caches, guard);
     let victims = targets(&mut ctx, &del.table, del.filter.as_ref())?;
     let affected = victims.len();
     if apply {
-        for (tid, _) in victims {
-            db.with_table_mut(&del.table, |t| t.delete(tid).map(|_| ()))?;
+        for (tid, _) in &victims {
+            db.with_table_mut(&del.table, |t| t.delete(*tid).map(|_| ()))?;
         }
     }
+    // Catalog names are the lower-cased spelling (`with_table_mut` above
+    // found the table by it).
+    let change = (apply && report).then(|| TableChange {
+        table: del.table.to_ascii_lowercase(),
+        removed: victims,
+        added: Vec::new(),
+    });
     let (needs, _) = ctx.finish();
-    Ok(DmlResult { affected, needs })
+    Ok(DmlResult {
+        affected,
+        needs,
+        change,
+    })
 }
 
 #[cfg(test)]
@@ -245,7 +303,14 @@ mod tests {
         let Statement::Insert(i) = parse_statement(sql).unwrap() else {
             panic!()
         };
-        execute_insert(db, &CompareCaches::default(), &i, ExecGuard::unlimited()).unwrap()
+        execute_insert(
+            db,
+            &CompareCaches::default(),
+            &i,
+            ExecGuard::unlimited(),
+            false,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -288,9 +353,14 @@ mod tests {
         else {
             panic!()
         };
-        assert!(
-            execute_insert(&db, &CompareCaches::default(), &i, ExecGuard::unlimited()).is_err()
-        );
+        assert!(execute_insert(
+            &db,
+            &CompareCaches::default(),
+            &i,
+            ExecGuard::unlimited(),
+            false
+        )
+        .is_err());
     }
 
     #[test]
@@ -304,9 +374,14 @@ mod tests {
             panic!()
         };
         // 'keep' violates the primary key after 'a' and 'b' landed.
-        assert!(
-            execute_insert(&db, &CompareCaches::default(), &i, ExecGuard::unlimited()).is_err()
-        );
+        assert!(execute_insert(
+            &db,
+            &CompareCaches::default(),
+            &i,
+            ExecGuard::unlimited(),
+            false
+        )
+        .is_err());
         let rows = db.with_table("talk", |t| t.scan_rows()).unwrap().unwrap();
         assert_eq!(rows.len(), 1, "partial statement must be rolled back");
         // Tuple-id space is clean too: the next insert reuses slot 1, as
@@ -333,7 +408,8 @@ mod tests {
             &CompareCaches::default(),
             &u,
             true,
-            ExecGuard::unlimited()
+            ExecGuard::unlimited(),
+            false
         )
         .is_err());
         let rows = db.with_table("talk", |t| t.scan_rows()).unwrap().unwrap();
@@ -351,9 +427,14 @@ mod tests {
         else {
             panic!()
         };
-        assert!(
-            execute_insert(&db, &CompareCaches::default(), &i, ExecGuard::unlimited()).is_err()
-        );
+        assert!(execute_insert(
+            &db,
+            &CompareCaches::default(),
+            &i,
+            ExecGuard::unlimited(),
+            false
+        )
+        .is_err());
     }
 
     #[test]
@@ -375,6 +456,7 @@ mod tests {
             &u,
             true,
             ExecGuard::unlimited(),
+            false,
         )
         .unwrap();
         assert_eq!(r.affected, 1);
@@ -400,6 +482,7 @@ mod tests {
             &u,
             true,
             ExecGuard::unlimited(),
+            false,
         )
         .unwrap();
         assert_eq!(r.affected, 2);
@@ -423,6 +506,7 @@ mod tests {
             &d,
             true,
             ExecGuard::unlimited(),
+            false,
         )
         .unwrap();
         assert_eq!(r.affected, 1);
@@ -445,6 +529,7 @@ mod tests {
             &u,
             true,
             ExecGuard::unlimited(),
+            false,
         )
         .unwrap();
         assert_eq!(r.affected, 0);
@@ -457,7 +542,7 @@ mod tests {
             "Do these two values refer to the same entity?",
             true,
         );
-        let r = execute_update(&db, &caches, &u, true, ExecGuard::unlimited()).unwrap();
+        let r = execute_update(&db, &caches, &u, true, ExecGuard::unlimited(), false).unwrap();
         assert_eq!(r.affected, 1);
         assert!(r.needs.is_empty());
     }
@@ -478,6 +563,7 @@ mod tests {
             &d,
             true,
             ExecGuard::unlimited(),
+            false,
         )
         .unwrap();
         assert_eq!(r.affected, 2);

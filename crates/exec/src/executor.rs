@@ -13,9 +13,9 @@ use crowddb_plan::cardinality::FnStats;
 use crowddb_plan::{LogicalPlan, PhysicalPlan};
 use crowddb_storage::Database;
 
-use crate::context::{CompareCaches, ExecCtx, ExecGuard, RunStats};
+use crate::context::{CompareCaches, ExecCtx, ExecGuard, GroupStates, RunStats};
 use crate::need::TaskNeed;
-use crate::ops::{self, OpStatsNode};
+use crate::ops::{self, Delta, OpStatsNode, TableChange};
 
 /// Outcome of one execution round.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,6 +84,61 @@ pub fn execute_physical(
     execute_physical_guarded(db, caches, physical, ExecGuard::unlimited())
 }
 
+/// A standing query between triggers: the plan one evaluation lowered
+/// and the aggregate state that same evaluation left behind. Holding the
+/// two together is what makes [`Maintained::delta`] sound — its answer is
+/// relative to exactly the result [`Maintained::evaluate`] returned, as
+/// moved by every delta since.
+#[derive(Debug)]
+pub struct Maintained {
+    /// Boxed: `Aggregate` nodes find their state by plan-node address.
+    plan: Box<PhysicalPlan>,
+    groups: GroupStates,
+}
+
+impl Maintained {
+    /// Lower `plan` against the live catalog and execute it for one
+    /// ungoverned round.
+    pub fn evaluate(
+        db: &Database,
+        caches: &CompareCaches,
+        plan: &LogicalPlan,
+    ) -> Result<(ExecResult, Maintained)> {
+        let plan = Box::new(lower_plan(db, plan));
+        let mut ctx = ExecCtx::new(db, caches);
+        ctx.groups = Some(GroupStates::new());
+        let (result, _, groups) = run_round(ctx, &plan)?;
+        let groups = groups.unwrap_or_default();
+        Ok((result, Maintained { plan, groups }))
+    }
+
+    /// What `change` — already applied to `db`, and the only difference
+    /// between `db` now and `db` as the last `evaluate` or `delta` saw it
+    /// — does to the result: [`ops::Operator::delta`] of the plan's root.
+    /// `None` means some operator has no rule for it; the state is then
+    /// spent and the caller evaluates afresh. So does a delta that would
+    /// have had to ask the crowd (every comparison misses the empty cache
+    /// it runs against): what the crowd settles arrives outside any DML.
+    pub fn delta(&mut self, db: &Database, change: &TableChange) -> Result<Option<Delta>> {
+        Ok(self.delta_counted(db, change)?.0)
+    }
+
+    /// [`Maintained::delta`] with the counters of the run that found it.
+    fn delta_counted(
+        &mut self,
+        db: &Database,
+        change: &TableChange,
+    ) -> Result<(Option<Delta>, RunStats)> {
+        let caches = CompareCaches::default();
+        let mut ctx = ExecCtx::new(db, &caches);
+        ctx.groups = Some(std::mem::take(&mut self.groups));
+        let delta = ops::build(&self.plan).delta(&mut ctx, change)?;
+        self.groups = ctx.groups.take().unwrap_or_default();
+        let (needs, stats) = ctx.finish();
+        Ok((delta.filter(|_| needs.is_empty()), stats))
+    }
+}
+
 /// Execute an already-lowered physical plan for one round under a
 /// cooperative-cancellation [`ExecGuard`]. The guard's output-row cap is
 /// enforced here, at the plan root, so a statement whose final result
@@ -95,7 +150,16 @@ pub fn execute_physical_guarded(
     physical: &PhysicalPlan,
     guard: ExecGuard,
 ) -> Result<(ExecResult, OpStatsNode)> {
-    let mut ctx = ExecCtx::with_guard(db, caches, guard);
+    let (result, stats_tree, _) = run_round(ExecCtx::with_guard(db, caches, guard), physical)?;
+    Ok((result, stats_tree))
+}
+
+/// One round of `physical` in `ctx`: the result, the per-operator stats,
+/// and the aggregate state, if the context was set up to keep any.
+fn run_round(
+    mut ctx: ExecCtx<'_>,
+    physical: &PhysicalPlan,
+) -> Result<(ExecResult, OpStatsNode, Option<GroupStates>)> {
     let op = ops::build(physical);
     let mut stats_tree = OpStatsNode::skeleton(physical);
     let rows = ops::run_op(op.as_ref(), &mut ctx, &mut stats_tree)?;
@@ -104,6 +168,154 @@ pub fn execute_physical_guarded(
             return Err(CrowdError::Cancelled(CancelReason::OutputRowLimit));
         }
     }
+    let groups = ctx.groups.take();
     let (needs, stats) = ctx.finish();
-    Ok((ExecResult { rows, needs, stats }, stats_tree))
+    Ok((ExecResult { rows, needs, stats }, stats_tree, groups))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dml::{execute_insert, execute_update};
+    use crowddb_common::row;
+    use crowddb_plan::{optimize, Binder, OptimizerConfig};
+    use crowddb_sql::{parse_statement, Statement};
+
+    /// crowdbench's tables with `rows` sessions over seven rooms.
+    fn world(rows: i64) -> Database {
+        let db = Database::new();
+        for ddl in [
+            "CREATE TABLE Sessions (k INTEGER PRIMARY KEY, room STRING, cap INTEGER)",
+            "CREATE TABLE Room (room STRING PRIMARY KEY, floor INTEGER)",
+        ] {
+            let Statement::CreateTable(ct) = parse_statement(ddl).unwrap() else {
+                panic!("{ddl}")
+            };
+            let schema = db.with_catalog(|c| c.schema_from_ast(&ct)).unwrap();
+            db.create_table(schema).unwrap();
+        }
+        for r in 0..7i64 {
+            db.insert("room", row![format!("R{r}"), r]).unwrap();
+        }
+        for k in 0..rows {
+            db.insert("sessions", row![k, format!("R{}", k % 7), (k * 37) % 500])
+                .unwrap();
+        }
+        db
+    }
+
+    /// `sql` as a standing query: evaluated once, ready for deltas.
+    fn standing(db: &Database, sql: &str) -> (ExecResult, Maintained) {
+        let Statement::Select(q) = parse_statement(sql).unwrap() else {
+            panic!("{sql}")
+        };
+        let bound = db.with_catalog(|c| Binder::new(c).bind_query(&q)).unwrap();
+        let plan = optimize(bound, &live_row_stats(db), &OptimizerConfig::default());
+        Maintained::evaluate(db, &CompareCaches::default(), &plan).unwrap()
+    }
+
+    /// Apply a DML statement and hand back the rows it changed.
+    fn apply(db: &Database, sql: &str) -> TableChange {
+        let (caches, guard) = (CompareCaches::default(), ExecGuard::unlimited());
+        let applied = match parse_statement(sql).unwrap() {
+            Statement::Insert(i) => execute_insert(db, &caches, &i, guard, true),
+            Statement::Update(u) => execute_update(db, &caches, &u, true, guard, true),
+            other => panic!("{other}"),
+        };
+        applied.unwrap().change.expect("asked for")
+    }
+
+    /// What one single-row UPDATE makes the delta rules of crowdbench's
+    /// three standing queries scan, and what they answer.
+    fn one_update(rows: i64) -> Vec<(u64, Delta)> {
+        let db = world(rows);
+        let mut standing: Vec<Maintained> = [
+            "SELECT k, room FROM Sessions WHERE cap >= 250",
+            "SELECT s.k, r.floor FROM Sessions s JOIN Room r ON s.room = r.room",
+            "SELECT room, COUNT(*), SUM(cap) FROM Sessions GROUP BY room",
+        ]
+        .iter()
+        .map(|sql| {
+            let (result, maintained) = standing(&db, sql);
+            assert!(result.stats.rows_scanned >= rows as u64, "{sql}");
+            maintained
+        })
+        .collect();
+        let change = apply(
+            &db,
+            "UPDATE Sessions SET room = 'R3', cap = 499 WHERE k = 100",
+        );
+        assert_eq!((change.removed.len(), change.added.len()), (1, 1));
+        standing
+            .iter_mut()
+            .map(|m| {
+                let (delta, stats) = m.delta_counted(&db, &change).unwrap();
+                (
+                    stats.rows_scanned,
+                    delta.expect("every operator has a rule"),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_delta_scans_the_change_not_the_table() {
+        let (small, large) = (one_update(200), one_update(4000));
+        // The old and the new row; the join also reads the 7-row Room.
+        for run in [&small, &large] {
+            let scanned: Vec<u64> = run.iter().map(|(n, _)| *n).collect();
+            assert_eq!(scanned, vec![2, 9, 2]);
+        }
+        assert_eq!(small[..2], large[..2], "same change, same answer");
+        // 100 % 7 = 2, (100 * 37) % 500 = 200: the row enters the filter,
+        // moves floors, and moves between two groups.
+        assert_eq!(
+            small[0].1,
+            Delta {
+                removed: vec![],
+                added: vec![row![100i64, "R3"]]
+            }
+        );
+        assert_eq!(
+            small[1].1,
+            Delta {
+                removed: vec![row![100i64, 2i64]],
+                added: vec![row![100i64, 3i64]]
+            }
+        );
+        assert_eq!((small[2].1.removed.len(), small[2].1.added.len()), (2, 2));
+    }
+    /// An aggregate answers only while its answer is certain to equal a
+    /// fresh evaluation byte for byte; once it has declined, its state is
+    /// spent until the next evaluation.
+    #[test]
+    fn an_aggregate_that_may_not_be_exact_declines() {
+        let db = world(3);
+        let big = i64::MAX - 1_000;
+        // 37 + 74 + big fits; one more `big` and some order of the
+        // additions overflows, so a fresh evaluation may error.
+        let (_, mut sum) = standing(&db, "SELECT SUM(cap) FROM Sessions");
+        let change = apply(&db, &format!("UPDATE Sessions SET cap = {big} WHERE k = 0"));
+        let delta = sum.delta(&db, &change).unwrap().expect("still exact");
+        assert_eq!(delta.added, vec![row![big + 111]]);
+        let change = apply(
+            &db,
+            &format!("INSERT INTO Sessions VALUES (9, 'R0', {big})"),
+        );
+        assert_eq!(sum.delta(&db, &change).unwrap(), None);
+        let change = apply(&db, "UPDATE Sessions SET cap = 1 WHERE k = 9");
+        assert_eq!(sum.delta(&db, &change).unwrap(), None, "spent");
+        let (_, mut sum) = standing(&db, "SELECT SUM(cap) FROM Sessions");
+        let change = apply(&db, "UPDATE Sessions SET cap = 2 WHERE k = 9");
+        let delta = sum.delta(&db, &change).unwrap().expect("rebuilt");
+        assert_eq!(delta.added, vec![row![big + 113]]);
+
+        // A FLOAT grouping key: 0.0 and -0.0 are one group to `=`.
+        let (_, mut by_half) = standing(
+            &db,
+            "SELECT cap / 2.0, COUNT(*) FROM Sessions GROUP BY cap / 2.0",
+        );
+        let change = apply(&db, "UPDATE Sessions SET cap = 4 WHERE k = 1");
+        assert_eq!(by_half.delta(&db, &change).unwrap(), None);
+    }
 }

@@ -39,6 +39,8 @@ pub mod ops;
 pub use context::{
     CompareCaches, ExecCtx, ExecGuard, NeedCounts, RunContext, RunStats, SharedCaches,
 };
-pub use executor::{execute, execute_physical, execute_physical_guarded, lower_plan, ExecResult};
+pub use executor::{
+    execute, execute_physical, execute_physical_guarded, lower_plan, ExecResult, Maintained,
+};
 pub use need::TaskNeed;
-pub use ops::{flush_op_stats, render_analyzed, OpStatsNode, Operator};
+pub use ops::{flush_op_stats, render_analyzed, Delta, OpStatsNode, Operator, TableChange};

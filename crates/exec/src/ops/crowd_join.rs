@@ -133,8 +133,8 @@ impl Operator for CrowdJoinOp<'_> {
         stats.rows_in += (left_rows.len() + right_rows.len()) as u64;
         join_hashed(
             ctx,
-            left_rows,
-            right_rows,
+            &left_rows,
+            &right_rows,
             self.kind,
             std::slice::from_ref(self.equi),
             self.residual,

@@ -10,12 +10,14 @@ use crowddb_plan::{BExpr, JoinType, PhysicalPlan};
 use crate::context::ExecCtx;
 use crate::eval::{eval, eval_truth};
 use crate::need::TaskNeed;
-use crate::ops::{build, run_op, BoxedOp, OpStatsNode, Operator};
+use crate::ops::{build, join_delta, run_op, BoxedOp, Delta, OpStatsNode, Operator, TableChange};
 
 /// Hash-join operator; see [`PhysicalPlan::HashJoin`].
 pub struct HashJoinOp<'p> {
     left: BoxedOp<'p>,
     right: BoxedOp<'p>,
+    /// The node, for the children's plans (`delta` runs one unobserved).
+    plan: &'p PhysicalPlan,
     kind: JoinType,
     equi: &'p [(BExpr, BExpr)],
     residual: &'p [BExpr],
@@ -40,6 +42,7 @@ impl<'p> HashJoinOp<'p> {
             right_arity: right.schema().arity(),
             left: build(left),
             right: build(right),
+            plan,
             kind: *kind,
             equi,
             residual,
@@ -52,10 +55,36 @@ impl Operator for HashJoinOp<'_> {
         let left_rows = run_op(self.left.as_ref(), ctx, &mut stats.children[0])?;
         let right_rows = run_op(self.right.as_ref(), ctx, &mut stats.children[1])?;
         stats.rows_in += (left_rows.len() + right_rows.len()) as u64;
+        self.join(ctx, &left_rows, &right_rows)
+    }
+
+    fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
+        let on = self
+            .equi
+            .iter()
+            .flat_map(|(l, r)| [l, r])
+            .chain(self.residual);
+        if on.into_iter().any(BExpr::has_subplan) {
+            return Ok(None);
+        }
+        let children = self.plan.children();
+        join_delta(
+            ctx,
+            change,
+            (self.left.as_ref(), children[0]),
+            (self.right.as_ref(), children[1]),
+            self.kind,
+            |ctx, l, r| self.join(ctx, l, r),
+        )
+    }
+}
+
+impl HashJoinOp<'_> {
+    fn join(&self, ctx: &mut ExecCtx<'_>, left: &[Row], right: &[Row]) -> Result<Vec<Row>> {
         join_hashed(
             ctx,
-            left_rows,
-            right_rows,
+            left,
+            right,
             self.kind,
             self.equi,
             self.residual,
@@ -81,8 +110,8 @@ pub(crate) struct CrowdSpec<'p> {
 #[allow(clippy::too_many_arguments)] // one call site per join flavor
 pub(crate) fn join_hashed(
     ctx: &mut ExecCtx<'_>,
-    left_rows: Vec<Row>,
-    right_rows: Vec<Row>,
+    left_rows: &[Row],
+    right_rows: &[Row],
     kind: JoinType,
     equi: &[(BExpr, BExpr)],
     residual: &[BExpr],
@@ -106,7 +135,7 @@ pub(crate) fn join_hashed(
         }
     }
     let mut out = Vec::new();
-    for l in &left_rows {
+    for l in left_rows {
         ctx.rt.check()?;
         let mut key = Vec::with_capacity(equi.len());
         let mut missing = false;

@@ -17,8 +17,15 @@
 //! * `execute` sets `stats.rows_in` itself (input rows consumed);
 //!   everything else (rows out, needs, cache counters, wall time) is
 //!   attributed by [`run_op`] via snapshot diffs.
+//! * `delta` answers "what does this [`TableChange`] do to my output?"
+//!   for a standing query, against storage that already holds the
+//!   change. It returns `None` unless the answer is certain to equal,
+//!   row for row, the difference of two `execute`s — the default, which
+//!   every operator without a rule keeps, and which makes the caller
+//!   re-execute and diff. A rule re-runs the operator's own row code
+//!   over the changed rows; there is no second evaluator.
 
-mod aggregate;
+pub(crate) mod aggregate;
 mod crowd_join;
 mod crowd_sort;
 mod distinct;
@@ -34,17 +41,61 @@ mod values;
 
 use std::time::{Duration, Instant};
 
-use crowddb_common::{Result, Row};
+use crowddb_common::{Result, Row, TupleId};
 use crowddb_obs::MetricsRegistry;
-use crowddb_plan::PhysicalPlan;
+use crowddb_plan::{JoinType, PhysicalPlan};
 
 use crate::context::{ExecCtx, NeedCounts};
+
+/// The stored rows one applied DML statement took out of and put into a
+/// base table — an `UPDATE` does both, under the same tuple id.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TableChange {
+    /// Catalog name of the table written.
+    pub table: String,
+    /// Rows as they were stored before the statement.
+    pub removed: Vec<(TupleId, Row)>,
+    /// Rows as they are stored after it.
+    pub added: Vec<(TupleId, Row)>,
+}
+
+impl TableChange {
+    /// Whether the statement touched no row.
+    pub fn is_empty(&self) -> bool {
+        self.removed.is_empty() && self.added.is_empty()
+    }
+}
+
+/// What a [`TableChange`] does to one operator's output, as a multiset:
+/// rows that leave it and rows that enter it, in no particular order. A
+/// row may appear in both lists (an `UPDATE` of a column the operator
+/// does not show); the consumer cancels those.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Delta {
+    /// Rows leaving the output.
+    pub removed: Vec<Row>,
+    /// Rows entering the output.
+    pub added: Vec<Row>,
+}
+
+impl Delta {
+    /// Whether the output does not change.
+    pub fn is_empty(&self) -> bool {
+        self.removed.is_empty() && self.added.is_empty()
+    }
+}
 
 /// A physical operator: materializes its output for one round.
 pub trait Operator {
     /// Produce this node's full output from current knowledge, recording
     /// input row counts into `stats` and crowd needs into `ctx`.
     fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>>;
+
+    /// The difference `change` (already applied to storage) makes to
+    /// this node's output, or `None` for "no delta rule: re-execute".
+    fn delta(&self, _ctx: &mut ExecCtx<'_>, _change: &TableChange) -> Result<Option<Delta>> {
+        Ok(None)
+    }
 }
 
 /// A built operator tree borrowing the physical plan it was built from.
@@ -275,6 +326,42 @@ pub fn run_op(
     node.rows_out += rows.len() as u64;
     node.rounds += 1;
     Ok(rows)
+}
+
+/// The delta rule of the two machine joins: Δ(L ⋈ R) = ΔL ⋈ R while R
+/// stands still, and the mirror image. Both children are asked; the side
+/// that did not change is `execute`d as in any round and `join` — the
+/// operator's own loop — runs once over the removed and once over the
+/// added rows of the other. No rule when both sides changed (a
+/// self-join) or when the nullable side of a LEFT join did (a preserved
+/// row may gain or lose its `NULL` padding).
+pub(crate) fn join_delta(
+    ctx: &mut ExecCtx<'_>,
+    change: &TableChange,
+    (left, left_plan): (&dyn Operator, &PhysicalPlan),
+    (right, right_plan): (&dyn Operator, &PhysicalPlan),
+    kind: JoinType,
+    mut join: impl FnMut(&mut ExecCtx<'_>, &[Row], &[Row]) -> Result<Vec<Row>>,
+) -> Result<Option<Delta>> {
+    let (Some(dl), Some(dr)) = (left.delta(ctx, change)?, right.delta(ctx, change)?) else {
+        return Ok(None);
+    };
+    let (changed, (still, still_plan), left_changed) = match (dl.is_empty(), dr.is_empty()) {
+        (true, true) => return Ok(Some(Delta::default())),
+        (false, true) => (dl, (right, right_plan), true),
+        (true, false) if kind != JoinType::Left => (dr, (left, left_plan), false),
+        _ => return Ok(None),
+    };
+    let rows = run_op(still, ctx, &mut OpStatsNode::skeleton(still_plan))?;
+    let mut half = |changed: &[Row]| match (changed.is_empty(), left_changed) {
+        (true, _) => Ok(Vec::new()),
+        (false, true) => join(ctx, changed, &rows),
+        (false, false) => join(ctx, &rows, changed),
+    };
+    Ok(Some(Delta {
+        removed: half(&changed.removed)?,
+        added: half(&changed.added)?,
+    }))
 }
 
 /// Flush one round's per-operator stats tree into the metrics registry.

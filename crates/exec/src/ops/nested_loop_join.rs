@@ -5,12 +5,14 @@ use crowddb_plan::{BExpr, JoinType, PhysicalPlan};
 
 use crate::context::ExecCtx;
 use crate::eval::eval_truth;
-use crate::ops::{build, run_op, BoxedOp, OpStatsNode, Operator};
+use crate::ops::{build, join_delta, run_op, BoxedOp, Delta, OpStatsNode, Operator, TableChange};
 
 /// Nested-loop join operator; see [`PhysicalPlan::NestedLoopJoin`].
 pub struct NestedLoopJoinOp<'p> {
     left: BoxedOp<'p>,
     right: BoxedOp<'p>,
+    /// The node, for the children's plans (`delta` runs one unobserved).
+    plan: &'p PhysicalPlan,
     kind: JoinType,
     on: Option<&'p BExpr>,
     right_arity: usize,
@@ -33,6 +35,7 @@ impl<'p> NestedLoopJoinOp<'p> {
             right_arity: right.schema().arity(),
             left: build(left),
             right: build(right),
+            plan,
             kind: *kind,
             on: on.as_ref(),
         }
@@ -44,11 +47,32 @@ impl Operator for NestedLoopJoinOp<'_> {
         let left_rows = run_op(self.left.as_ref(), ctx, &mut stats.children[0])?;
         let right_rows = run_op(self.right.as_ref(), ctx, &mut stats.children[1])?;
         stats.rows_in += (left_rows.len() + right_rows.len()) as u64;
+        self.join(ctx, &left_rows, &right_rows)
+    }
+
+    fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
+        if self.on.is_some_and(BExpr::has_subplan) {
+            return Ok(None);
+        }
+        let children = self.plan.children();
+        join_delta(
+            ctx,
+            change,
+            (self.left.as_ref(), children[0]),
+            (self.right.as_ref(), children[1]),
+            self.kind,
+            |ctx, l, r| self.join(ctx, l, r),
+        )
+    }
+}
+
+impl NestedLoopJoinOp<'_> {
+    fn join(&self, ctx: &mut ExecCtx<'_>, left: &[Row], right: &[Row]) -> Result<Vec<Row>> {
         let mut out = Vec::new();
-        for l in &left_rows {
+        for l in left {
             ctx.rt.check()?;
             let mut matched = false;
-            for r in &right_rows {
+            for r in right {
                 let joined = l.concat(r);
                 let ok = match self.on {
                     Some(p) => eval_truth(ctx, p, &joined)?.passes_filter(),

@@ -5,7 +5,7 @@ use crowddb_plan::{BExpr, PhysicalPlan};
 
 use crate::context::ExecCtx;
 use crate::eval::eval;
-use crate::ops::{build, run_op, BoxedOp, OpStatsNode, Operator};
+use crate::ops::{build, run_op, BoxedOp, Delta, OpStatsNode, Operator, TableChange};
 
 /// Projection operator; see [`PhysicalPlan::Project`].
 pub struct ProjectOp<'p> {
@@ -26,10 +26,9 @@ impl<'p> ProjectOp<'p> {
     }
 }
 
-impl Operator for ProjectOp<'_> {
-    fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>> {
-        let rows = run_op(self.input.as_ref(), ctx, &mut stats.children[0])?;
-        stats.rows_in += rows.len() as u64;
+impl ProjectOp<'_> {
+    /// The output row of every row of `rows`.
+    fn project(&self, ctx: &mut ExecCtx<'_>, rows: Vec<Row>) -> Result<Vec<Row>> {
         let mut out = Vec::with_capacity(rows.len());
         for row in rows {
             ctx.rt.check()?;
@@ -40,5 +39,27 @@ impl Operator for ProjectOp<'_> {
             out.push(Row::new(values));
         }
         Ok(out)
+    }
+}
+
+impl Operator for ProjectOp<'_> {
+    fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>> {
+        let rows = run_op(self.input.as_ref(), ctx, &mut stats.children[0])?;
+        stats.rows_in += rows.len() as u64;
+        self.project(ctx, rows)
+    }
+
+    /// Row-at-a-time expressions map both lists (see `FilterOp::delta`).
+    fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
+        if self.exprs.iter().any(BExpr::has_subplan) {
+            return Ok(None);
+        }
+        let Some(input) = self.input.delta(ctx, change)? else {
+            return Ok(None);
+        };
+        Ok(Some(Delta {
+            removed: self.project(ctx, input.removed)?,
+            added: self.project(ctx, input.added)?,
+        }))
     }
 }

@@ -17,7 +17,7 @@ use crowddb_storage::IndexKey;
 use crate::context::ExecCtx;
 use crate::eval::eval_truth;
 use crate::need::TaskNeed;
-use crate::ops::{OpStatsNode, Operator};
+use crate::ops::{Delta, OpStatsNode, Operator, TableChange};
 
 /// Scan operator; see [`PhysicalPlan::Scan`].
 pub struct ScanOp<'p> {
@@ -255,5 +255,23 @@ impl Operator for ScanOp<'_> {
     fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>> {
         let candidates = self.candidates(ctx)?;
         self.rows(ctx, stats, candidates)
+    }
+
+    /// The changed rows are the candidates: the residual is the whole
+    /// predicate, so which access path would have fetched them does not
+    /// matter. A change to another table leaves a scan alone, and storage
+    /// is not touched either way.
+    fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
+        if self.residual.is_some_and(BExpr::has_subplan) {
+            return Ok(None);
+        }
+        let mut delta = Delta::default();
+        if change.table == self.table {
+            self.process(ctx, change.removed.clone(), |_, row| {
+                delta.removed.push(row)
+            })?;
+            self.process(ctx, change.added.clone(), |_, row| delta.added.push(row))?;
+        }
+        Ok(Some(delta))
     }
 }

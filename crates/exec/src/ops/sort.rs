@@ -8,7 +8,7 @@ use crowddb_plan::{PhysicalPlan, SortKey};
 
 use crate::context::ExecCtx;
 use crate::eval::eval;
-use crate::ops::{build, run_op, BoxedOp, OpStatsNode, Operator};
+use crate::ops::{build, run_op, BoxedOp, Delta, OpStatsNode, Operator, TableChange};
 
 /// Machine-sort operator; see [`PhysicalPlan::Sort`].
 pub struct SortOp<'p> {
@@ -56,5 +56,9 @@ impl Operator for SortOp<'_> {
             Ordering::Equal
         });
         Ok(keyed.into_iter().map(|(_, r)| r).collect())
+    }
+    /// A delta is a multiset: sorting changes no row, only their order.
+    fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
+        self.input.delta(ctx, change)
     }
 }

@@ -6,7 +6,7 @@ use crowddb_common::{Result, Row};
 use crowddb_plan::PhysicalPlan;
 
 use crate::context::ExecCtx;
-use crate::ops::{build, run_op, BoxedOp, OpStatsNode, Operator};
+use crate::ops::{build, run_op, BoxedOp, Delta, OpStatsNode, Operator, TableChange};
 
 /// Union operator; see [`PhysicalPlan::Union`].
 pub struct UnionOp<'p> {
@@ -42,5 +42,22 @@ impl Operator for UnionOp<'_> {
             rows.retain(|r| seen.insert(r.clone()));
         }
         Ok(rows)
+    }
+    /// `UNION ALL` concatenates its inputs, so their deltas too. Set
+    /// union has no rule: whether a row leaves depends on the copies the
+    /// other input still holds.
+    fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
+        if !self.all {
+            return Ok(None);
+        }
+        let (Some(mut delta), Some(right)) = (
+            self.left.delta(ctx, change)?,
+            self.right.delta(ctx, change)?,
+        ) else {
+            return Ok(None);
+        };
+        delta.removed.extend(right.removed);
+        delta.added.extend(right.added);
+        Ok(Some(delta))
     }
 }

@@ -5,7 +5,7 @@ use crowddb_plan::{BExpr, PhysicalPlan};
 
 use crate::context::ExecCtx;
 use crate::eval::eval;
-use crate::ops::{OpStatsNode, Operator};
+use crate::ops::{Delta, OpStatsNode, Operator, TableChange};
 
 /// Literal-rows operator; see [`PhysicalPlan::Values`].
 pub struct ValuesOp<'p> {
@@ -35,5 +35,10 @@ impl Operator for ValuesOp<'_> {
             out.push(Row::new(values));
         }
         Ok(out)
+    }
+    /// Literal rows read no table — unless a subquery in one does.
+    fn delta(&self, _ctx: &mut ExecCtx<'_>, _change: &TableChange) -> Result<Option<Delta>> {
+        let constant = !self.rows.iter().flatten().any(BExpr::has_subplan);
+        Ok(constant.then(Delta::default))
     }
 }

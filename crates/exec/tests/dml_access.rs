@@ -14,7 +14,7 @@
 use crowddb_common::{CrowdError, Result, Row, TupleId};
 use crowddb_exec::dml::{execute_delete, execute_update, target_plan, DmlResult};
 use crowddb_exec::eval::{eval, eval_truth};
-use crowddb_exec::{CompareCaches, ExecCtx, ExecGuard, TaskNeed};
+use crowddb_exec::{CompareCaches, ExecCtx, ExecGuard, TableChange, TaskNeed};
 use crowddb_plan::Binder;
 use crowddb_sql::{parse_statement, Statement};
 use crowddb_storage::{Database, IndexKind, PagerConfig};
@@ -33,8 +33,14 @@ fn insert(db: &Database, sql: &str) {
     let Statement::Insert(i) = parse_statement(sql).unwrap() else {
         panic!("{sql}")
     };
-    crowddb_exec::dml::execute_insert(db, &CompareCaches::default(), &i, ExecGuard::unlimited())
-        .expect(sql);
+    crowddb_exec::dml::execute_insert(
+        db,
+        &CompareCaches::default(),
+        &i,
+        ExecGuard::unlimited(),
+        false,
+    )
+    .expect(sql);
 }
 
 /// `item`: single-column PK, a B-tree on a nullable machine column
@@ -105,7 +111,9 @@ fn oracle_targets(
     Ok(hits)
 }
 
-/// The reference UPDATE/DELETE, apply and rollback included.
+/// The reference UPDATE/DELETE, apply and rollback included. Its change
+/// set is read back from storage: the rows the victims' tuple ids held
+/// before, the rows they hold after.
 fn oracle(
     db: &Database,
     caches: &CompareCaches,
@@ -113,6 +121,7 @@ fn oracle(
     apply: bool,
 ) -> Result<DmlResult> {
     let mut ctx = ExecCtx::with_guard(db, caches, ExecGuard::unlimited());
+    let mut change = None;
     let affected = match stmt {
         Statement::Delete(del) => {
             let victims = oracle_targets(&mut ctx, &del.table, del.filter.as_ref())?;
@@ -121,7 +130,13 @@ fn oracle(
                     db.with_table_mut(&del.table, |t| t.delete(*tid).map(|_| ()))?;
                 }
             }
-            victims.len()
+            let affected = victims.len();
+            change = apply.then(|| TableChange {
+                table: del.table.clone(),
+                removed: victims,
+                added: Vec::new(),
+            });
+            affected
         }
         Statement::Update(upd) => {
             let schema = db.schema(&upd.table)?;
@@ -157,13 +172,26 @@ fn oracle(
                         }
                     }
                 }
+                let stored = |tid: TupleId| db.with_table(&upd.table, |t| t.get(tid));
+                change = Some(TableChange {
+                    table: upd.table.clone(),
+                    added: applied
+                        .iter()
+                        .map(|(tid, _)| Ok((*tid, stored(*tid)??.expect("just updated"))))
+                        .collect::<Result<_>>()?,
+                    removed: applied,
+                });
             }
             affected
         }
         other => panic!("not an UPDATE/DELETE: {other}"),
     };
     let (needs, _) = ctx.finish();
-    Ok(DmlResult { affected, needs })
+    Ok(DmlResult {
+        affected,
+        needs,
+        change,
+    })
 }
 
 fn subject(
@@ -173,8 +201,8 @@ fn subject(
     apply: bool,
 ) -> Result<DmlResult> {
     match stmt {
-        Statement::Update(u) => execute_update(db, caches, u, apply, ExecGuard::unlimited()),
-        Statement::Delete(d) => execute_delete(db, caches, d, apply, ExecGuard::unlimited()),
+        Statement::Update(u) => execute_update(db, caches, u, apply, ExecGuard::unlimited(), true),
+        Statement::Delete(d) => execute_delete(db, caches, d, apply, ExecGuard::unlimited(), true),
         other => panic!("not an UPDATE/DELETE: {other}"),
     }
 }
@@ -204,6 +232,7 @@ fn differential(sql: &str, caches: &CompareCaches) -> Result<DmlResult> {
         match (&got, &want) {
             (Ok(g), Ok(w)) => {
                 assert_eq!(g.affected, w.affected, "{sql} (apply={apply})");
+                assert_eq!(g.change, w.change, "{sql} (apply={apply}): change set");
                 let (g, w) = (need_keys(&g.needs), need_keys(&w.needs));
                 assert!(
                     g.iter().all(|n| w.contains(n)),

@@ -585,6 +585,7 @@ fn crowdequal_needs_identical_for_query_and_dml_paths() {
         &upd,
         false,
         crowddb_exec::ExecGuard::unlimited(),
+        false,
     )
     .unwrap();
     assert_eq!(

@@ -117,6 +117,30 @@ pub struct AggCall {
     pub distinct: bool,
 }
 
+impl AggCall {
+    /// Whether a running accumulator reproduces this call exactly, byte
+    /// for byte, whatever order rows came and went in — what lets a
+    /// standing query maintain an aggregate instead of recomputing it:
+    /// `COUNT(*)`, `COUNT(x)`, and `SUM` of an `INTEGER` column of
+    /// `input` (the aggregate's input schema). Not `AVG` or a float `SUM`
+    /// (rounding depends on the order of the additions), not `MIN`/`MAX`
+    /// (the runner-up is gone once the extreme leaves), not `DISTINCT`.
+    pub fn exact_running(&self, input: &crate::schema::PlanSchema) -> bool {
+        let int_column = |arg: &BExpr| match arg {
+            BExpr::Column(c) => {
+                input.columns.get(*c).and_then(|c| c.data_type) == Some(DataType::Int)
+            }
+            _ => false,
+        };
+        !self.distinct
+            && match self.func {
+                AggFn::Count => !self.arg.as_ref().is_some_and(BExpr::has_subplan),
+                AggFn::Sum => self.arg.as_ref().is_some_and(int_column),
+                AggFn::Avg | AggFn::Min | AggFn::Max => false,
+            }
+    }
+}
+
 impl fmt::Display for AggCall {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}(", self.func.name())?;

@@ -2,18 +2,21 @@
 //!
 //! A standing plan wraps an optimized logical plan with the metadata the
 //! incremental evaluator needs: which base tables the query *watches*
-//! (any write to one of them can change the result) and whether the
-//! query is crowd-related (so settling crowd rounds must also trigger
-//! re-evaluation). The engine re-lowers the logical plan on every
-//! trigger, exactly like one-shot `SELECT` does per round, so index
-//! selection stays current as the catalog evolves.
+//! (any write to one of them can change the result), whether the query
+//! is crowd-related (so settling crowd rounds must also trigger
+//! re-evaluation), and how a trigger is answered — by the operators'
+//! delta rules over the rows a DML changed, or by evaluating afresh and
+//! diffing ([`StandingPlan::maintenance`]). The engine lowers the logical
+//! plan whenever it evaluates afresh, so index selection follows the
+//! catalog.
 //!
 //! The trigger model is deliberately coarse (table-level, not
 //! predicate-level): CrowdDB's open-world tables gain tuples and fill
 //! CNULLs in ways no static predicate analysis can bound, so the only
 //! safe skip is "no watched table was touched".
 
-use crate::logical::LogicalPlan;
+use crate::bound_expr::BExpr;
+use crate::logical::{JoinType, LogicalPlan};
 
 /// A lowered standing query: the optimized logical plan plus the
 /// trigger metadata for incremental re-evaluation.
@@ -22,27 +25,21 @@ pub struct StandingPlan {
     /// The optimized logical plan of the underlying `SELECT`.
     pub logical: LogicalPlan,
     /// Base tables whose writes can change the result (sorted, deduped,
-    /// catalog names — not aliases).
+    /// catalog names — not aliases), those only a subquery reads
+    /// included.
     pub tables: Vec<String>,
     /// Whether crowd activity (settling rounds) can change the result,
-    /// in addition to DML.
+    /// in addition to DML: a CROWD table or needed CROWD column, or a
+    /// crowd comparison, anywhere in the plan or its subqueries. The
+    /// engine re-evaluates only such queries when a round settles, so
+    /// this errs on the side of `true`.
     pub crowd_related: bool,
 }
 
 impl StandingPlan {
     /// Wrap an optimized logical plan as a standing plan.
     pub fn new(logical: LogicalPlan) -> StandingPlan {
-        let mut tables: Vec<String> = logical
-            .scans()
-            .iter()
-            .filter_map(|s| match s {
-                LogicalPlan::Scan { table, .. } => Some(table.clone()),
-                _ => None,
-            })
-            .collect();
-        tables.sort();
-        tables.dedup();
-        let crowd_related = logical.is_crowd_related();
+        let (tables, crowd_related) = reads_of(&logical);
         StandingPlan {
             logical,
             tables,
@@ -56,8 +53,32 @@ impl StandingPlan {
         self.tables.iter().any(|t| t == table)
     }
 
+    /// How a DML trigger is answered, as `EXPLAIN SUBSCRIBE` words it:
+    /// `incremental` when every operator has a delta rule
+    /// (`crowddb-exec`'s `Operator::delta`; this walk states the same
+    /// rules over the logical plan), else `recompute (<the first thing
+    /// without one>)`. Two rules depend on which table a DML writes and
+    /// say so instead.
+    pub fn maintenance(&self) -> String {
+        if self.crowd_related {
+            return "recompute (crowd-related: a settled round can change any verdict)".into();
+        }
+        let mut reason = None;
+        let mut conditions = Vec::new();
+        self.logical.walk(&mut |n| {
+            if reason.is_none() {
+                reason = no_delta_rule(n, &mut conditions);
+            }
+        });
+        match reason {
+            Some(reason) => format!("recompute ({reason})"),
+            None if conditions.is_empty() => "incremental".into(),
+            None => format!("incremental, recompute on {}", conditions.join("; ")),
+        }
+    }
+
     /// The `== Standing plan ==` EXPLAIN section: watched tables,
-    /// triggers, and delivery semantics.
+    /// triggers, maintenance route, and delivery semantics.
     pub fn explain(&self) -> String {
         let watches = if self.tables.is_empty() {
             "(none — constant query, initial snapshot only)".to_string()
@@ -71,9 +92,99 @@ impl StandingPlan {
         };
         format!(
             "== Standing plan ==\nwatches: {watches}\ntriggers: {triggers}\n\
-             delivery: delta batches (+row/-row), monotone revisions, bounded queue\n"
+             maintenance: {}\n\
+             delivery: delta batches (+row/-row), monotone revisions, bounded queue\n",
+            self.maintenance()
         )
     }
+}
+
+/// Every expression `node` itself evaluates.
+fn exprs_of(node: &LogicalPlan) -> Vec<&BExpr> {
+    match node {
+        LogicalPlan::Scan { .. }
+        | LogicalPlan::Limit { .. }
+        | LogicalPlan::Distinct { .. }
+        | LogicalPlan::Union { .. } => vec![],
+        LogicalPlan::Filter { predicate, .. } => vec![predicate],
+        LogicalPlan::Project { exprs, .. } => exprs.iter().collect(),
+        LogicalPlan::Join { on, .. } => on.iter().collect(),
+        LogicalPlan::Aggregate { group_by, aggs, .. } => group_by
+            .iter()
+            .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+            .collect(),
+        LogicalPlan::Sort { keys, .. } => keys.iter().map(|k| &k.expr).collect(),
+        LogicalPlan::Values { rows, .. } => rows.iter().flatten().collect(),
+    }
+}
+
+/// What `plan` reads, subqueries included: its base tables (catalog
+/// names, sorted, deduped) and whether any of it is the crowd's to fill
+/// in or decide.
+fn reads_of(plan: &LogicalPlan) -> (Vec<String>, bool) {
+    fn rec(plan: &LogicalPlan, tables: &mut Vec<String>, crowd: &mut bool) {
+        *crowd |= plan.is_crowd_related();
+        plan.walk(&mut |n| {
+            if let LogicalPlan::Scan { table, .. } = n {
+                tables.push(table.clone());
+            }
+            for e in exprs_of(n) {
+                *crowd |= e.is_crowd();
+                e.walk(&mut |e| {
+                    if let BExpr::InPlan { plan, .. }
+                    | BExpr::ExistsPlan { plan, .. }
+                    | BExpr::ScalarPlan(plan) = e
+                    {
+                        rec(plan, tables, crowd);
+                    }
+                });
+            }
+        });
+    }
+    let (mut tables, mut crowd) = (Vec::new(), false);
+    rec(plan, &mut tables, &mut crowd);
+    tables.sort();
+    tables.dedup();
+    (tables, crowd)
+}
+
+/// Why `node` has no delta rule, if it has none; a rule that holds only
+/// for some DMLs adds when it does not to `conditions`.
+fn no_delta_rule(node: &LogicalPlan, conditions: &mut Vec<String>) -> Option<String> {
+    match node {
+        // The identity, whatever its keys read.
+        LogicalPlan::Sort { .. } => return None,
+        LogicalPlan::Limit { .. } => return Some("StopAfter".into()),
+        LogicalPlan::Distinct { .. } => return Some("Distinct".into()),
+        LogicalPlan::Union { all: false, .. } => return Some("UNION without ALL".into()),
+        LogicalPlan::Aggregate { input, aggs, .. } => {
+            let schema = input.schema();
+            if let Some(call) = aggs.iter().find(|a| !a.exact_running(&schema)) {
+                return Some(format!("Aggregate {call}"));
+            }
+        }
+        LogicalPlan::Join {
+            left, right, kind, ..
+        } => {
+            let (left, right) = (reads_of(left).0, reads_of(right).0);
+            if let Some(both) = left.iter().find(|t| right.contains(t)) {
+                conditions.push(format!(
+                    "a DML that changes both sides of the self-join on {both}"
+                ));
+            }
+            if *kind == JoinType::Left && !right.is_empty() {
+                conditions.push(format!(
+                    "DML to {} (nullable side of a LEFT join)",
+                    right.join(", ")
+                ));
+            }
+        }
+        _ => {}
+    }
+    exprs_of(node)
+        .into_iter()
+        .any(BExpr::has_subplan)
+        .then(|| "subquery: it reads tables the change does not name".into())
 }
 
 #[cfg(test)]
@@ -134,6 +245,73 @@ mod tests {
         let sp = StandingPlan::new(scan("sessions", false));
         let section = sp.explain();
         assert!(section.contains("triggers: DML commit\n"));
+    }
+
+    #[test]
+    fn a_subquery_is_watched_and_makes_the_plan_crowd_related_too() {
+        let plan = LogicalPlan::Filter {
+            input: Box::new(scan("sessions", false)),
+            predicate: BExpr::InPlan {
+                expr: Box::new(BExpr::Column(0)),
+                plan: Box::new(scan("paper", true)),
+                negated: false,
+            },
+        };
+        let sp = StandingPlan::new(plan);
+        assert_eq!(sp.tables, vec!["paper".to_string(), "sessions".to_string()]);
+        assert!(
+            sp.crowd_related,
+            "a round can change what the subquery holds"
+        );
+        assert!(sp.maintenance().starts_with("recompute (crowd-related"));
+    }
+
+    #[test]
+    fn maintenance_names_what_has_no_delta_rule() {
+        let join = |kind, right: &str| LogicalPlan::Join {
+            left: Box::new(scan("sessions", false)),
+            right: Box::new(scan(right, false)),
+            kind,
+            on: None,
+        };
+        let of = |plan: LogicalPlan| StandingPlan::new(plan).maintenance();
+        assert_eq!(
+            of(join(crate::logical::JoinType::Inner, "room")),
+            "incremental"
+        );
+        assert_eq!(
+            of(join(crate::logical::JoinType::Left, "room")),
+            "incremental, recompute on DML to room (nullable side of a LEFT join)"
+        );
+        assert!(of(join(crate::logical::JoinType::Inner, "sessions")).contains("self-join"));
+        // The first node without a rule, from the root down.
+        let limited = LogicalPlan::Limit {
+            input: Box::new(LogicalPlan::Distinct {
+                input: Box::new(scan("sessions", false)),
+            }),
+            limit: Some(3),
+            offset: 0,
+        };
+        assert_eq!(of(limited), "recompute (StopAfter)");
+        let sum_of = |data_type| LogicalPlan::Aggregate {
+            input: Box::new(LogicalPlan::Scan {
+                table: "fee".into(),
+                alias: "fee".into(),
+                schema: PlanSchema::new(vec![PlanColumn::computed("amount", Some(data_type))]),
+                crowd_table: false,
+                needed_columns: vec![0],
+                expected_tuples: None,
+            }),
+            group_by: vec![],
+            aggs: vec![crate::bound_expr::AggCall {
+                func: crate::bound_expr::AggFn::Sum,
+                arg: Some(BExpr::Column(0)),
+                distinct: false,
+            }],
+            schema: PlanSchema::default(),
+        };
+        assert_eq!(of(sum_of(DataType::Int)), "incremental");
+        assert_eq!(of(sum_of(DataType::Float)), "recompute (Aggregate SUM(#0))");
     }
 
     #[test]
