@@ -1255,16 +1255,6 @@ impl CrowdDB {
         Ok(())
     }
 
-    /// Output column names of subscription `id`.
-    pub fn subscription_columns(&self, id: u64) -> Result<Vec<String>> {
-        self.subs
-            .lock()
-            .subs
-            .get(&id)
-            .map(|s| s.columns.clone())
-            .ok_or_else(|| CrowdError::Exec(format!("no such subscription: {id}")))
-    }
-
     /// Currently registered subscriptions as `(id, sql)` pairs.
     pub fn subscriptions(&self) -> Vec<(u64, String)> {
         self.subs
@@ -1374,7 +1364,6 @@ impl CrowdDB {
         let mut state = SubState {
             sql: sql.clone(),
             plan: standing,
-            columns: columns.clone(),
             last,
             maintained,
             epoch,

@@ -75,6 +75,31 @@ impl QueryResult {
         }
     }
 
+    /// Everything a front end prints for this result: the table (or the
+    /// DML acknowledgement), the crowd-accounting line when HITs were
+    /// posted — marked `[partial]` while crowd work is outstanding — and
+    /// one `note:` line per warning. The shell (embedded and
+    /// `\connect`ed) and `crowddb-client` all print through this, so a
+    /// statement reads the same wherever it ran.
+    pub fn render(&self) -> String {
+        let mut out = self.to_table();
+        if self.crowd.tasks_posted > 0 {
+            out.push_str(&format!(
+                "\ncrowd: {} task(s), {} answer(s), {}¢, {:.1} virtual min, {} round(s){}",
+                self.crowd.tasks_posted,
+                self.crowd.answers_collected,
+                self.crowd.cents_spent,
+                self.crowd.virtual_secs / 60.0,
+                self.crowd.rounds,
+                if self.complete { "" } else { " [partial]" },
+            ));
+        }
+        for w in &self.warnings {
+            out.push_str(&format!("\nnote: {w}"));
+        }
+        out
+    }
+
     /// Format the rows as an aligned text table (for examples and the
     /// demo).
     pub fn to_table(&self) -> String {
@@ -163,6 +188,32 @@ mod tests {
         assert!(t.contains("| title   | n     |"), "{t}");
         assert!(t.contains("| CrowdDB | CNULL |"), "{t}");
         assert!(t.contains("| Qurk    | 80    |"), "{t}");
+    }
+
+    #[test]
+    fn render_adds_crowd_line_and_notes() {
+        let mut r = QueryResult {
+            affected: 1,
+            complete: true,
+            ..Default::default()
+        };
+        assert_eq!(r.render(), r.to_table(), "no crowd work, no warnings");
+        r.crowd = CrowdSummary {
+            rounds: 2,
+            tasks_posted: 3,
+            answers_collected: 9,
+            cents_spent: 9,
+            virtual_secs: 90.0,
+            ..Default::default()
+        };
+        r.warnings = vec!["accepted plurality answer".into()];
+        r.complete = false;
+        assert_eq!(
+            r.render(),
+            "OK (1 row(s) affected)\n\
+             crowd: 3 task(s), 9 answer(s), 9¢, 1.5 virtual min, 2 round(s) [partial]\n\
+             note: accepted plurality answer"
+        );
     }
 
     #[test]

@@ -137,8 +137,6 @@ pub(crate) struct SubState {
     pub sql: String,
     /// The standing plan (optimized once, at registration).
     pub plan: StandingPlan,
-    /// Output column names.
-    pub columns: Vec<String>,
     /// The result as of the last trigger, as a multiset.
     pub last: RowSet,
     /// What the evaluation that last produced `last` in full left for

@@ -2,6 +2,18 @@
 //! tasks, collects and quality-controls the answers, and memorizes them
 //! (storage write-back for probe answers and new tuples, session caches
 //! for comparisons).
+//!
+//! Each task family — probe, new tuples, compare — has one
+//! representation from posting through settlement. A compare unit is
+//! the same-instruction `CROWDEQUAL` (or `CROWDORDER`) pairs one HIT
+//! carries: `max_batch_size` sizes the unit, and a lone comparison is a
+//! unit of one pair that runs through the same state, decisions and
+//! settle arm. Unit size shows in two places only: the wire shape
+//! (`unit_spec` posts `Equal`/`Order` for one pair and `EqualBatch`/
+//! `OrderBatch` for more; `ingest_answer` takes back exactly the shape
+//! posted) and WRM agreement scoring (voters of a one-pair HIT are
+//! scored; batched voters are paid but not scored — inherited from the
+//! two code paths this replaced, see DESIGN §15.2).
 
 use std::collections::{HashMap, HashSet};
 
@@ -9,8 +21,7 @@ use crowddb_common::{Result, Row, TableSchema, Value};
 use crowddb_exec::{SharedCaches, TaskNeed};
 use crowddb_obs::{Event, Obs};
 use crowddb_platform::{
-    batched_reward_cents, split_cents, Answer, HitId, Platform, TaskKind, TaskSpec,
-    WorkerRelationshipManager,
+    batched_reward_cents, Answer, HitId, Platform, TaskKind, TaskSpec, WorkerRelationshipManager,
 };
 use crowddb_quality::{
     infer, record_em_round, record_vote_outcome, EmConfig, MajorityVote, Normalizer, VoteOutcome,
@@ -176,22 +187,11 @@ enum HitState {
         collected: Vec<Vec<(String, String)>>,
         assignments_seen: u32,
     },
-    Equal {
-        left: String,
-        right: String,
-        instruction: String,
-        vote: MajorityVote,
-    },
-    Order {
-        left: String,
-        right: String,
-        instruction: String,
-        vote: MajorityVote,
-    },
-    /// A batched compare HIT covering several Equal (or Order) needs
-    /// that share an instruction: one vote per item, mirroring how a
-    /// probe HIT carries one vote per asked column.
-    CompareBatch {
+    /// One compare unit: the same-instruction CROWDEQUAL (or
+    /// CROWDORDER) pairs one HIT carries, with one vote per pair,
+    /// mirroring how a probe HIT carries one vote per asked column. A
+    /// lone comparison is a unit of one pair.
+    Compare {
         /// `true` for Order pairs (left/right verdicts), `false` for
         /// Equal pairs (yes/no verdicts).
         order: bool,
@@ -411,11 +411,25 @@ fn batch_ranges(
     ranges
 }
 
-/// Build the platform spec for one post unit. Singleton units keep the
-/// classic per-need spec; multi-need units become a single batched
-/// compare HIT whose reward grows sublinearly in the item count, so the
-/// per-item price strictly drops (the batching economics the knob is
-/// for).
+/// The `(left, right)` operands of a compare unit, in need order.
+fn unit_pairs(needs: &[TaskNeed], unit: &[usize]) -> Vec<(String, String)> {
+    unit.iter()
+        .map(|&i| match &needs[i] {
+            TaskNeed::Equal { left, right, .. } | TaskNeed::Order { left, right, .. } => {
+                (left.clone(), right.clone())
+            }
+            _ => unreachable!("a compare unit holds only compare needs"),
+        })
+        .collect()
+}
+
+/// Build the platform spec for one post unit. The wire kind is chosen
+/// by unit size: a unit of one keeps the classic per-need spec (it is
+/// what the platform, the simulator's per-batch error draw and the UI
+/// renderer see for a lone comparison); a larger unit becomes a single
+/// batched compare HIT whose reward grows sublinearly in the item
+/// count, so the per-item price strictly drops (the batching economics
+/// the knob is for).
 fn unit_spec(
     needs: &[TaskNeed],
     unit: &[usize],
@@ -425,15 +439,7 @@ fn unit_spec(
     if unit.len() == 1 {
         return need_to_spec(&needs[unit[0]], config, templates);
     }
-    let pairs: Vec<(String, String)> = unit
-        .iter()
-        .map(|&i| match &needs[i] {
-            TaskNeed::Equal { left, right, .. } | TaskNeed::Order { left, right, .. } => {
-                (left.clone(), right.clone())
-            }
-            _ => unreachable!("only compare needs batch"),
-        })
-        .collect();
+    let pairs = unit_pairs(needs, unit);
     let kind = match &needs[unit[0]] {
         TaskNeed::Equal { instruction, .. } => TaskKind::EqualBatch {
             pairs,
@@ -452,75 +458,41 @@ fn unit_spec(
 
 /// Initial QC state for a post unit.
 fn unit_state(needs: &[TaskNeed], unit: &[usize]) -> HitState {
-    if unit.len() == 1 {
-        return initial_state(&needs[unit[0]]);
-    }
-    let pairs = unit
-        .iter()
-        .map(|&i| match &needs[i] {
-            TaskNeed::Equal { left, right, .. } | TaskNeed::Order { left, right, .. } => {
-                (left.clone(), right.clone())
-            }
-            _ => unreachable!("only compare needs batch"),
-        })
-        .collect();
     let (order, instruction) = match &needs[unit[0]] {
-        TaskNeed::Equal { instruction, .. } => (false, instruction.clone()),
-        TaskNeed::Order { instruction, .. } => (true, instruction.clone()),
-        _ => unreachable!("only compare needs batch"),
-    };
-    HitState::CompareBatch {
-        order,
-        instruction,
-        votes: vec![MajorityVote::new(); unit.len()],
-        pairs,
-    }
-}
-
-fn initial_state(need: &TaskNeed) -> HitState {
-    match need {
         TaskNeed::ProbeValues {
             table,
             tid,
             columns,
             ..
-        } => HitState::Probe {
-            table: table.clone(),
-            tid: *tid,
-            columns: columns.clone(),
-            votes: columns.iter().map(|_| MajorityVote::new()).collect(),
-        },
+        } => {
+            return HitState::Probe {
+                table: table.clone(),
+                tid: *tid,
+                columns: columns.clone(),
+                votes: vec![MajorityVote::new(); columns.len()],
+            }
+        }
         TaskNeed::NewTuples {
             table,
             preset,
             want,
-        } => HitState::NewTuples {
-            table: table.clone(),
-            preset: preset.clone(),
-            want: *want,
-            collected: Vec::new(),
-            assignments_seen: 0,
-        },
-        TaskNeed::Equal {
-            left,
-            right,
-            instruction,
-        } => HitState::Equal {
-            left: left.clone(),
-            right: right.clone(),
-            instruction: instruction.clone(),
-            vote: MajorityVote::new(),
-        },
-        TaskNeed::Order {
-            left,
-            right,
-            instruction,
-        } => HitState::Order {
-            left: left.clone(),
-            right: right.clone(),
-            instruction: instruction.clone(),
-            vote: MajorityVote::new(),
-        },
+        } => {
+            return HitState::NewTuples {
+                table: table.clone(),
+                preset: preset.clone(),
+                want: *want,
+                collected: Vec::new(),
+                assignments_seen: 0,
+            }
+        }
+        TaskNeed::Equal { instruction, .. } => (false, instruction),
+        TaskNeed::Order { instruction, .. } => (true, instruction),
+    };
+    HitState::Compare {
+        order,
+        instruction: instruction.clone(),
+        pairs: unit_pairs(needs, unit),
+        votes: vec![MajorityVote::new(); unit.len()],
     }
 }
 
@@ -869,7 +841,7 @@ pub fn fulfill_needs(
                     .iter()
                     .map(|t| {
                         vote_units(&t.state)
-                            .into_iter()
+                            .iter()
                             .map(|vote| {
                                 let map = solution.map_answer(task_idx);
                                 task_idx += 1;
@@ -905,6 +877,7 @@ pub fn fulfill_needs(
             settle_plan(&t.state, config, db, em)
         })
     };
+    // Per tracker, the answer keys its scored voters are held against.
     let mut winning_key: HashMap<usize, Vec<String>> = HashMap::new();
     for (ti, plan) in plans.into_iter().enumerate() {
         let unit = &units[tracker_unit[ti]];
@@ -922,41 +895,30 @@ pub fn fulfill_needs(
                         total,
                     } = plan;
                     record_vote(obs, "probe", total, &outcome);
-                    match outcome {
-                        VoteOutcome::Decided { value, .. } => {
-                            db.write_back_value(&table, tid, col, value.clone())?;
-                            summary.log.push(LogRecord::WriteBackValue {
-                                table: table.clone(),
-                                tid,
-                                col,
-                                value: value.clone(),
-                            });
-                            winners.push(normalizer.normalize(&value.to_string()));
-                        }
-                        VoteOutcome::Pending { .. } | VoteOutcome::Unresolved => {
-                            // Accept the leader if any votes exist,
-                            // otherwise give up on this value.
-                            fell_back = true;
-                            if let Some(value) = leader {
-                                db.write_back_value(&table, tid, col, value.clone())?;
-                                summary.log.push(LogRecord::WriteBackValue {
-                                    table: table.clone(),
-                                    tid,
-                                    col,
-                                    value: value.clone(),
-                                });
-                                winners.push(normalizer.normalize(&value.to_string()));
-                                summary.warnings.push(format!(
-                                    "accepted plurality answer for {table}.{name} without a \
-                                     strict majority"
-                                ));
-                            } else {
-                                summary.exhausted.push(need.dedup_key());
-                                summary.warnings.push(format!(
-                                    "no usable answers for {table}.{name}; value left CNULL"
-                                ));
-                            }
-                        }
+                    let (decided, accepted) = accepted_value(outcome, leader);
+                    fell_back |= !decided;
+                    // Accept the leader if any votes exist, otherwise
+                    // give up on this value.
+                    let Some(value) = accepted else {
+                        summary.exhausted.push(need.dedup_key());
+                        summary.warnings.push(format!(
+                            "no usable answers for {table}.{name}; value left CNULL"
+                        ));
+                        continue;
+                    };
+                    db.write_back_value(&table, tid, col, value.clone())?;
+                    winners.push(normalizer.normalize(&value.to_string()));
+                    summary.log.push(LogRecord::WriteBackValue {
+                        table: table.clone(),
+                        tid,
+                        col,
+                        value,
+                    });
+                    if !decided {
+                        summary.warnings.push(format!(
+                            "accepted plurality answer for {table}.{name} without a strict \
+                             majority"
+                        ));
                     }
                 }
                 if fell_back {
@@ -995,107 +957,17 @@ pub fn fulfill_needs(
                     }
                 }
             }
-            SettlePlan::Equal {
-                left,
-                right,
-                instruction,
-                outcome,
-                leader,
-                total,
-            } => {
-                record_vote(obs, "equal", total, &outcome);
-                match outcome {
-                    VoteOutcome::Decided { value, .. } => {
-                        let verdict = value.as_bool().unwrap_or(false);
-                        caches.put_equal(&left, &right, &instruction, verdict);
-                        summary
-                            .log
-                            .push(put_equal_record(&left, &right, &instruction, verdict));
-                        winning_key.insert(ti, vec![if verdict { "yes" } else { "no" }.into()]);
-                    }
-                    _ => {
-                        summary.gave_up += 1;
-                        if let Some(value) = leader {
-                            let verdict = value.as_bool().unwrap_or(false);
-                            caches.put_equal(&left, &right, &instruction, verdict);
-                            summary.log.push(put_equal_record(
-                                &left,
-                                &right,
-                                &instruction,
-                                verdict,
-                            ));
-                            summary.warnings.push(format!(
-                                "accepted plurality verdict for CROWDEQUAL('{left}', '{right}')"
-                            ));
-                        } else {
-                            // No answers at all: default to not-equal so the
-                            // query converges (and note it).
-                            caches.put_equal(&left, &right, &instruction, false);
-                            summary
-                                .log
-                                .push(put_equal_record(&left, &right, &instruction, false));
-                            summary.exhausted.push(need.dedup_key());
-                            summary.warnings.push(format!(
-                                "no verdicts for CROWDEQUAL('{left}', '{right}'); assumed FALSE"
-                            ));
-                        }
-                    }
-                }
-            }
-            SettlePlan::Order {
-                left,
-                right,
-                instruction,
-                outcome,
-                leader,
-                total,
-            } => {
-                record_vote(obs, "order", total, &outcome);
-                match outcome {
-                    VoteOutcome::Decided { value, .. } => {
-                        let left_preferred = value.as_bool().unwrap_or(true);
-                        caches.put_prefer(&left, &right, &instruction, left_preferred);
-                        summary.log.push(put_order_record(
-                            &left,
-                            &right,
-                            &instruction,
-                            left_preferred,
-                        ));
-                        winning_key.insert(
-                            ti,
-                            vec![if left_preferred { "left" } else { "right" }.into()],
-                        );
-                    }
-                    _ => {
-                        summary.gave_up += 1;
-                        let left_preferred = leader.and_then(|v| v.as_bool()).unwrap_or(true);
-                        caches.put_prefer(&left, &right, &instruction, left_preferred);
-                        summary.log.push(put_order_record(
-                            &left,
-                            &right,
-                            &instruction,
-                            left_preferred,
-                        ));
-                        summary.warnings.push(format!(
-                            "accepted fallback preference for CROWDORDER('{left}' vs '{right}')"
-                        ));
-                    }
-                }
-            }
-            SettlePlan::CompareBatch {
+            SettlePlan::Compare {
                 order,
                 instruction,
                 items,
             } => {
-                // One batched HIT settles as if each item had been its
-                // own compare HIT: same cache puts, same log records,
-                // same fallbacks. Cost is attributed per item with an
-                // exact remainder-first split of the batched reward so
-                // cents are conserved across any batch size.
-                let shares = split_cents(trackers[ti].reward_cents as u64, items.len());
+                // Each pair settles on its own vote, whatever shared its
+                // HIT: a strict majority, else the plurality leader, else
+                // a default that lets the query converge (not-equal,
+                // left-preferred).
                 let kind: &'static str = if order { "order" } else { "equal" };
-                let mut winners = Vec::new();
-                for (j, item) in items.into_iter().enumerate() {
+                for (item, &ni) in items.into_iter().zip(unit) {
                     let CompareItemPlan {
                         left,
                         right,
@@ -1104,65 +976,57 @@ pub fn fulfill_needs(
                         total,
                     } = item;
                     record_vote(obs, kind, total, &outcome);
-                    obs.registry()
-                        .counter_add("crowddb_crowd_item_cents_total", shares[j] * total);
-                    let item_need = &needs[unit[j]];
-                    let decided = matches!(outcome, VoteOutcome::Decided { .. });
-                    let value = match outcome {
-                        VoteOutcome::Decided { value, .. } => Some(value),
-                        _ => leader,
-                    };
+                    let (decided, accepted) = accepted_value(outcome, leader);
+                    let had_ballots = accepted.is_some();
+                    // The defaults: not-equal (false), left-preferred (true).
+                    let verdict = accepted.and_then(|v| v.as_bool()).unwrap_or(order);
                     if order {
-                        let left_preferred = value.and_then(|v| v.as_bool()).unwrap_or(true);
-                        caches.put_prefer(&left, &right, &instruction, left_preferred);
-                        summary.log.push(put_order_record(
-                            &left,
-                            &right,
-                            &instruction,
-                            left_preferred,
-                        ));
-                        winners.push(if left_preferred { "left" } else { "right" }.into());
-                        if !decided {
-                            summary.gave_up += 1;
-                            summary.warnings.push(format!(
-                                "accepted fallback preference for CROWDORDER('{left}' vs \
-                                 '{right}')"
-                            ));
-                        }
+                        caches.put_prefer(&left, &right, &instruction, verdict);
+                        summary.log.push(LogRecord::PutOrder {
+                            left: left.clone(),
+                            right: right.clone(),
+                            instruction: instruction.clone(),
+                            left_preferred: verdict,
+                        });
                     } else {
-                        let had_leader = value.is_some();
-                        let verdict = value.and_then(|v| v.as_bool()).unwrap_or(false);
                         caches.put_equal(&left, &right, &instruction, verdict);
-                        summary
-                            .log
-                            .push(put_equal_record(&left, &right, &instruction, verdict));
-                        winners.push(if verdict { "yes" } else { "no" }.into());
-                        if !decided {
-                            summary.gave_up += 1;
-                            if had_leader {
-                                summary.warnings.push(format!(
-                                    "accepted plurality verdict for CROWDEQUAL('{left}', \
-                                     '{right}')"
-                                ));
-                            } else {
-                                summary.exhausted.push(item_need.dedup_key());
-                                summary.warnings.push(format!(
-                                    "no verdicts for CROWDEQUAL('{left}', '{right}'); assumed \
-                                     FALSE"
-                                ));
-                            }
-                        }
+                        summary.log.push(LogRecord::PutEqual {
+                            left: left.clone(),
+                            right: right.clone(),
+                            instruction: instruction.clone(),
+                            verdict,
+                        });
                     }
+                    if decided {
+                        // Inherited, not designed: voters are scored
+                        // against a *decided* verdict only. A fallback
+                        // leaves no entry, and the WRM pass below then
+                        // counts every scored voter as agreeing.
+                        let key = verdict_key(order, verdict);
+                        winning_key.entry(ti).or_default().push(key.into());
+                        continue;
+                    }
+                    summary.gave_up += 1;
+                    summary.warnings.push(if order {
+                        format!(
+                            "accepted fallback preference for CROWDORDER('{left}' vs '{right}')"
+                        )
+                    } else if had_ballots {
+                        format!("accepted plurality verdict for CROWDEQUAL('{left}', '{right}')")
+                    } else {
+                        summary.exhausted.push(needs[ni].dedup_key());
+                        format!("no verdicts for CROWDEQUAL('{left}', '{right}'); assumed FALSE")
+                    });
                 }
-                winning_key.insert(ti, winners);
             }
         }
     }
 
     // WRM: pay and score workers. Assignments without a voted key (new-
-    // tuple contributions, or answers QC discarded) are paid but not
-    // scored — scoring them as disagreement would eventually ban honest
-    // contributors whose task kind simply has no majority vote.
+    // tuple contributions, batched compares, or answers QC discarded)
+    // are paid but not scored — scoring them as disagreement would
+    // eventually ban honest contributors whose task kind simply has no
+    // majority vote.
     for (worker, hit, voted) in worker_votes {
         let ti = hit_to_tracker.get(&hit).copied();
         // Pay what the HIT actually offered (batched compares carry a
@@ -1226,23 +1090,7 @@ enum SettlePlan {
         /// against the table schema.
         rows: Vec<Row>,
     },
-    Equal {
-        left: String,
-        right: String,
-        instruction: String,
-        outcome: VoteOutcome,
-        leader: Option<Value>,
-        total: u64,
-    },
-    Order {
-        left: String,
-        right: String,
-        instruction: String,
-        outcome: VoteOutcome,
-        leader: Option<Value>,
-        total: u64,
-    },
-    CompareBatch {
+    Compare {
         order: bool,
         instruction: String,
         items: Vec<CompareItemPlan>,
@@ -1259,7 +1107,7 @@ struct ProbeColPlan {
     total: u64,
 }
 
-/// One batched-compare item's computed outcome.
+/// One compare pair's computed outcome.
 struct CompareItemPlan {
     left: String,
     right: String,
@@ -1276,17 +1124,23 @@ struct EmVerdict {
     votes: usize,
 }
 
+/// The value a vote settles on — the decided value, else the plurality
+/// leader, else nothing — and whether a strict majority decided it.
+fn accepted_value(outcome: VoteOutcome, leader: Option<Value>) -> (bool, Option<Value>) {
+    match outcome {
+        VoteOutcome::Decided { value, .. } => (true, Some(value)),
+        VoteOutcome::Pending { .. } | VoteOutcome::Unresolved => (false, leader),
+    }
+}
+
 /// A tracker's vote units in settle order: one per probe column, one
-/// per batched-compare item, one for a single compare, none for
-/// new-tuple collection. The EM pass indexes its verdicts by this
-/// order, so it must stay in lockstep with [`settle_plan`].
-fn vote_units(state: &HitState) -> Vec<&MajorityVote> {
+/// per compare pair, none for new-tuple collection. The EM pass indexes
+/// its verdicts by this order and [`settle_plan`] walks the same votes,
+/// so the two cannot fall out of step.
+fn vote_units(state: &HitState) -> &[MajorityVote] {
     match state {
-        HitState::Probe { votes, .. } | HitState::CompareBatch { votes, .. } => {
-            votes.iter().collect()
-        }
-        HitState::Equal { vote, .. } | HitState::Order { vote, .. } => vec![vote],
-        HitState::NewTuples { .. } => vec![],
+        HitState::Probe { votes, .. } | HitState::Compare { votes, .. } => votes,
+        HitState::NewTuples { .. } => &[],
     }
 }
 
@@ -1357,38 +1211,12 @@ fn settle_plan(
                     .collect(),
             }
         }
-        HitState::Equal {
-            left,
-            right,
-            instruction,
-            vote,
-        } => SettlePlan::Equal {
-            left: left.clone(),
-            right: right.clone(),
-            instruction: instruction.clone(),
-            outcome: unit_outcome(vote, config, em, 0),
-            leader: vote.leader().map(|(v, _)| v.clone()),
-            total: vote.total() as u64,
-        },
-        HitState::Order {
-            left,
-            right,
-            instruction,
-            vote,
-        } => SettlePlan::Order {
-            left: left.clone(),
-            right: right.clone(),
-            instruction: instruction.clone(),
-            outcome: unit_outcome(vote, config, em, 0),
-            leader: vote.leader().map(|(v, _)| v.clone()),
-            total: vote.total() as u64,
-        },
-        HitState::CompareBatch {
+        HitState::Compare {
             order,
             instruction,
             pairs,
             votes,
-        } => SettlePlan::CompareBatch {
+        } => SettlePlan::Compare {
             order: *order,
             instruction: instruction.clone(),
             items: pairs
@@ -1407,21 +1235,14 @@ fn settle_plan(
     })
 }
 
-fn put_equal_record(left: &str, right: &str, instruction: &str, verdict: bool) -> LogRecord {
-    LogRecord::PutEqual {
-        left: left.to_string(),
-        right: right.to_string(),
-        instruction: instruction.to_string(),
-        verdict,
-    }
-}
-
-fn put_order_record(left: &str, right: &str, instruction: &str, left_preferred: bool) -> LogRecord {
-    LogRecord::PutOrder {
-        left: left.to_string(),
-        right: right.to_string(),
-        instruction: instruction.to_string(),
-        left_preferred,
+/// The key a compare verdict is tallied under: a worker's Yes/No
+/// (CROWDEQUAL) or Left/Right (CROWDORDER).
+fn verdict_key(order: bool, verdict: bool) -> &'static str {
+    match (order, verdict) {
+        (false, true) => "yes",
+        (false, false) => "no",
+        (true, true) => "left",
+        (true, false) => "right",
     }
 }
 
@@ -1432,46 +1253,32 @@ enum Decision {
 }
 
 fn hit_decision(state: &HitState, config: &CrowdConfig) -> Decision {
-    let check_vote = |vote: &MajorityVote| -> Decision {
+    // A HIT extends by the largest ask among its votes; with no ask
+    // left it gives up if any vote is unresolved and is decided
+    // otherwise (new-tuple collection has no vote to wait for).
+    let mut extend = 0u32;
+    let mut any_giveup = false;
+    for vote in vote_units(state) {
         match vote.outcome(&config.vote) {
-            VoteOutcome::Decided { .. } => Decision::Decided,
-            VoteOutcome::Pending { needed } => Decision::Extend(needed as u32),
-            VoteOutcome::Unresolved => Decision::GiveUp,
+            VoteOutcome::Decided { .. } => {}
+            VoteOutcome::Pending { needed } => extend = extend.max(needed as u32),
+            VoteOutcome::Unresolved => any_giveup = true,
         }
-    };
-    match state {
-        HitState::Probe { votes, .. } | HitState::CompareBatch { votes, .. } => {
-            let mut extend = 0u32;
-            let mut any_giveup = false;
-            for v in votes {
-                match check_vote(v) {
-                    Decision::Decided => {}
-                    Decision::Extend(n) => extend = extend.max(n),
-                    Decision::GiveUp => any_giveup = true,
-                }
-            }
-            if extend > 0 {
-                Decision::Extend(extend)
-            } else if any_giveup {
-                Decision::GiveUp
-            } else {
-                Decision::Decided
-            }
-        }
-        HitState::NewTuples { .. } => Decision::Decided,
-        HitState::Equal { vote, .. } | HitState::Order { vote, .. } => check_vote(vote),
+    }
+    if extend > 0 {
+        Decision::Extend(extend)
+    } else if any_giveup {
+        Decision::GiveUp
+    } else {
+        Decision::Decided
     }
 }
 
 fn note_escalations(state: &mut HitState) {
-    match state {
-        HitState::Probe { votes, .. } | HitState::CompareBatch { votes, .. } => {
-            for v in votes {
-                v.note_escalation();
-            }
+    if let HitState::Probe { votes, .. } | HitState::Compare { votes, .. } = state {
+        for v in votes {
+            v.note_escalation();
         }
-        HitState::Equal { vote, .. } | HitState::Order { vote, .. } => vote.note_escalation(),
-        HitState::NewTuples { .. } => {}
     }
 }
 
@@ -1513,51 +1320,35 @@ fn ingest_answer(
             }
             None
         }
-        (HitState::Equal { vote, .. }, Answer::Yes) => {
-            vote.add_from(w, "yes".into(), Value::Bool(true));
-            Some("yes".into())
-        }
-        (HitState::Equal { vote, .. }, Answer::No) => {
-            vote.add_from(w, "no".into(), Value::Bool(false));
-            Some("no".into())
-        }
-        (HitState::Order { vote, .. }, Answer::Left) => {
-            vote.add_from(w, "left".into(), Value::Bool(true));
-            Some("left".into())
-        }
-        (HitState::Order { vote, .. }, Answer::Right) => {
-            vote.add_from(w, "right".into(), Value::Bool(false));
-            Some("right".into())
-        }
-        // A batched compare: per-item verdicts land in per-item votes.
-        // The worker is paid per assignment but not agreement-scored
-        // (there is no single majority key to compare against); the EM
-        // policy scores them properly via the ballot record instead.
-        (
-            HitState::CompareBatch {
-                order,
-                pairs,
-                votes,
-                ..
-            },
-            Answer::Batch(items),
-        ) => {
-            if items.len() != pairs.len() {
+        // One verdict per pair lands in that pair's vote. The answer must
+        // have the shape that was posted: a bare verdict for a lone
+        // pair, a batch of equal arity otherwise.
+        (HitState::Compare { order, votes, .. }, answer) => {
+            let lone = votes.len() == 1;
+            let items = match answer {
+                Answer::Batch(items) if !lone => items.as_slice(),
+                bare => std::slice::from_ref(bare),
+            };
+            if items.len() != votes.len() {
                 return None; // malformed arity: QC discards
             }
+            let mut voted = None;
             for (vote, item) in votes.iter_mut().zip(items) {
-                let keyed = match (*order, item) {
-                    (false, Answer::Yes) => Some(("yes", Value::Bool(true))),
-                    (false, Answer::No) => Some(("no", Value::Bool(false))),
-                    (true, Answer::Left) => Some(("left", Value::Bool(true))),
-                    (true, Answer::Right) => Some(("right", Value::Bool(false))),
-                    _ => None, // blank/mismatched item: discarded
+                let verdict = match (*order, item) {
+                    (false, Answer::Yes) | (true, Answer::Left) => true,
+                    (false, Answer::No) | (true, Answer::Right) => false,
+                    _ => continue, // blank/mismatched item: discarded
                 };
-                if let Some((key, value)) = keyed {
-                    vote.add_from(w, key.into(), value);
-                }
+                let key = verdict_key(*order, verdict);
+                vote.add_from(w, key.into(), Value::Bool(verdict));
+                voted = Some(key);
             }
-            None
+            // Inherited, not designed: only a HIT carrying one pair has
+            // its voters agreement-scored. Batched voters are paid per
+            // assignment but never scored (so `ban_threshold` is inert
+            // for them); the EM policy weighs them through the ballot
+            // record instead.
+            voted.filter(|_| lone).map(String::from)
         }
         // Blank or shape-mismatched answers are discarded by QC.
         _ => None,
@@ -1826,12 +1617,40 @@ mod tests {
         }
     }
 
-    fn run_sweep(order: [&str; 2]) -> FulfillSummary {
+    /// Everything one fulfillment pass leaves behind.
+    struct Settled {
+        summary: FulfillSummary,
+        caches: SharedCaches,
+        wrm: WorkerRelationshipManager,
+        obs: std::sync::Arc<Obs>,
+    }
+
+    fn fulfill(config: &CrowdConfig, needs: &[TaskNeed], platform: &mut dyn Platform) -> Settled {
         let db = Database::new();
         let caches = SharedCaches::default();
         let mut wrm = WorkerRelationshipManager::new();
-        let templates = UiTemplateManager::new();
         let obs = Obs::new();
+        let summary = fulfill_needs(
+            &db,
+            &caches,
+            &mut wrm,
+            &UiTemplateManager::new(),
+            platform,
+            config,
+            needs,
+            &obs,
+            &crate::governor::StatementGuard::unlimited(),
+        )
+        .unwrap();
+        Settled {
+            summary,
+            caches,
+            wrm,
+            obs,
+        }
+    }
+
+    fn run_sweep(order: [&str; 2]) -> FulfillSummary {
         let mut config = CrowdConfig::default();
         config.pump_step_secs = 1.0;
         config.round_budget_secs = 20.0;
@@ -1846,19 +1665,7 @@ mod tests {
             breaker_threshold: 100,
         };
         let needs: Vec<TaskNeed> = order.iter().map(|t| sweep_need(t)).collect();
-        let mut p = SweepClockPlatform::new();
-        fulfill_needs(
-            &db,
-            &caches,
-            &mut wrm,
-            &templates,
-            &mut p,
-            &config,
-            &needs,
-            &obs,
-            &crate::governor::StatementGuard::unlimited(),
-        )
-        .unwrap()
+        fulfill(&config, &needs, &mut SweepClockPlatform::new()).summary
     }
 
     /// Regression: the decision sweep snapshots the clock up front, so a
@@ -1912,6 +1719,357 @@ mod tests {
                 assert_eq!(preset[0], ("title".into(), "CrowdDB".into()));
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The settle table: what one compare unit leaves behind, for
+    // CROWDEQUAL and CROWDORDER, as its own HIT and inside a batch of two.
+    // -----------------------------------------------------------------
+
+    const INSTRUCTION: &str = "same thing?";
+
+    fn compare_need(order: bool, j: usize) -> TaskNeed {
+        let (left, right, instruction) = (format!("l{j}"), format!("r{j}"), INSTRUCTION.into());
+        if order {
+            TaskNeed::Order {
+                left,
+                right,
+                instruction,
+            }
+        } else {
+            TaskNeed::Equal {
+                left,
+                right,
+                instruction,
+            }
+        }
+    }
+
+    /// One scripted assignment. `y` is the affirmative verdict (Yes /
+    /// Left), `n` the negative (No / Right), anything else a blank; a
+    /// bracketed entry is a batch answer with one verdict per char.
+    fn scripted_answer(order: bool, entry: &str) -> Answer {
+        let item = |c: char| match (c, order) {
+            ('y', false) => Answer::Yes,
+            ('n', false) => Answer::No,
+            ('y', true) => Answer::Left,
+            ('n', true) => Answer::Right,
+            _ => Answer::Blank,
+        };
+        match entry.strip_prefix('[').and_then(|e| e.strip_suffix(']')) {
+            Some(items) => Answer::Batch(items.chars().map(item).collect()),
+            None => item(entry.chars().next().unwrap_or('_')),
+        }
+    }
+
+    /// Post `items` same-instruction compares as one unit (`items` 1 at
+    /// `max_batch_size` 0, `items` 2 at 2) to a mock whose assignment
+    /// `k` answers `script[k]`, and blank past the end of the script.
+    /// Replication 3, one escalation, 2¢ base reward.
+    fn run_compare_unit(order: bool, items: usize, script: Vec<String>) -> Settled {
+        let mut config = CrowdConfig {
+            reward_cents: 2,
+            vote: crowddb_quality::VoteConfig {
+                replication: 3,
+                max_escalations: 1,
+            },
+            ..CrowdConfig::default()
+        };
+        config.concurrency.max_batch_size = if items == 1 { 0 } else { items };
+        let needs: Vec<TaskNeed> = (0..items).map(|j| compare_need(order, j)).collect();
+        let mut platform = crowddb_platform::MockPlatform::new(Box::new(move |kind, ordinal| {
+            // The wire kind is chosen by unit size.
+            let batch = match (kind, order) {
+                (TaskKind::Equal { .. }, false) | (TaskKind::Order { .. }, true) => None,
+                (TaskKind::EqualBatch { pairs, .. }, false)
+                | (TaskKind::OrderBatch { pairs, .. }, true) => Some(pairs.len()),
+                other => panic!("unexpected task {other:?}"),
+            };
+            assert_eq!(batch.unwrap_or(1), items, "{kind:?}");
+            match (script.get(ordinal as usize), batch) {
+                (Some(entry), _) => scripted_answer(order, entry),
+                (None, None) => Answer::Blank,
+                (None, Some(n)) => Answer::Batch(vec![Answer::Blank; n]),
+            }
+        }));
+        let settled = fulfill(&config, &needs, &mut platform);
+        // Every collected assignment was paid what the unit's HIT offered.
+        let stats = platform.stats();
+        assert_eq!(stats.hits_posted, 1);
+        assert_eq!(settled.summary.tasks_posted, 1);
+        assert_eq!(
+            settled.summary.answers_collected,
+            stats.assignments_completed
+        );
+        assert_eq!(settled.wrm.total_paid_cents(), stats.cents_spent);
+        assert_eq!(
+            stats.cents_spent,
+            stats.assignments_completed * u64::from(batched_reward_cents(2, items))
+        );
+        settled
+    }
+
+    /// One item's expected settlement.
+    struct ItemOutcome {
+        /// The verdict memorized for the pair.
+        verdict: bool,
+        /// Votes for the winner when a strict majority decided.
+        decided: Option<u64>,
+        /// Ballots that reached the item's vote.
+        total: u64,
+    }
+
+    /// Assert everything a settled unit left behind. `scored` has one
+    /// char per worker in arrival order: `a` the WRM scored an agreeing
+    /// assignment, `d` a disagreeing one, `c` an unscored contribution.
+    fn assert_unit(label: &str, order: bool, s: &Settled, items: &[ItemOutcome], scored: &str) {
+        let mut log = Vec::new();
+        let mut warnings = Vec::new();
+        let mut exhausted = Vec::new();
+        let mut events = Vec::new();
+        for (j, item) in items.iter().enumerate() {
+            let (left, right) = (format!("l{j}"), format!("r{j}"));
+            let cached = if order {
+                s.caches.get_prefer(&left, &right, INSTRUCTION)
+            } else {
+                s.caches.get_equal(&left, &right, INSTRUCTION)
+            };
+            assert_eq!(cached, Some(item.verdict), "{label}: cached verdict {j}");
+            events.push(Event::VoteResolved {
+                kind: if order { "order" } else { "equal" },
+                decided: item.decided.is_some(),
+                votes: item.decided.unwrap_or(0),
+                total: item.total,
+            });
+            if item.decided.is_none() {
+                warnings.push(match (order, item.total) {
+                    (true, _) => format!(
+                        "accepted fallback preference for CROWDORDER('{left}' vs '{right}')"
+                    ),
+                    (false, 0) => {
+                        exhausted.push(compare_need(order, j).dedup_key());
+                        format!("no verdicts for CROWDEQUAL('{left}', '{right}'); assumed FALSE")
+                    }
+                    (false, _) => {
+                        format!("accepted plurality verdict for CROWDEQUAL('{left}', '{right}')")
+                    }
+                });
+            }
+            let instruction = INSTRUCTION.to_string();
+            log.push(if order {
+                LogRecord::PutOrder {
+                    left,
+                    right,
+                    instruction,
+                    left_preferred: item.verdict,
+                }
+            } else {
+                LogRecord::PutEqual {
+                    left,
+                    right,
+                    instruction,
+                    verdict: item.verdict,
+                }
+            });
+        }
+        assert_eq!(s.summary.log, log, "{label}: log");
+        assert_eq!(s.summary.warnings, warnings, "{label}: warnings");
+        assert_eq!(s.summary.exhausted, exhausted, "{label}: exhausted");
+        assert_eq!(s.summary.gave_up, warnings.len() as u64, "{label}: gave_up");
+        let resolved: Vec<Event> = s
+            .obs
+            .events()
+            .records()
+            .into_iter()
+            .map(|r| r.event)
+            .filter(|e| matches!(e, Event::VoteResolved { .. }))
+            .collect();
+        assert_eq!(resolved, events, "{label}: VoteResolved events");
+        // One scored assignment moves the Laplace-smoothed rate off its
+        // 1/2 prior: 2/3 agreed, 1/3 disagreed; a contribution leaves it.
+        let seen: String = (0..s.wrm.community_size() as u64)
+            .map(
+                |w| match s.wrm.agreement_rate(crowddb_platform::WorkerId(w)) {
+                    Some(r) if r > 0.6 => 'a',
+                    Some(r) if r < 0.4 => 'd',
+                    Some(_) => 'c',
+                    None => '?',
+                },
+            )
+            .collect();
+        assert_eq!(seen, scored, "{label}: WRM scoring per worker");
+    }
+
+    /// One item's scripted first-posting ballots (assignment ordinals
+    /// 0–2; every escalation assignment answers blank, so an item's
+    /// tally does not depend on what shares its HIT) and what they must
+    /// settle to.
+    struct ItemCase {
+        ballots: &'static str,
+        /// Extra assignments the item's vote asks for when its HIT first
+        /// completes (a HIT extends by the largest ask among its items).
+        extend: usize,
+        decided: Option<u64>,
+        total: u64,
+        /// Verdict memorized when the item is a CROWDEQUAL pair / a
+        /// CROWDORDER pair. They differ on an exact tie, which goes to
+        /// the smaller key: `no` < `yes` but `left` < `right`.
+        equal: bool,
+        order: bool,
+        /// WRM view of workers 0–2 when the item is its own HIT.
+        scored: &'static str,
+    }
+
+    const ITEM_CASES: [ItemCase; 6] = [
+        // Strict majorities, one dissenter each.
+        ItemCase {
+            ballots: "yyn",
+            extend: 0,
+            decided: Some(2),
+            total: 3,
+            equal: true,
+            order: true,
+            scored: "aad",
+        },
+        ItemCase {
+            ballots: "nny",
+            extend: 0,
+            decided: Some(2),
+            total: 3,
+            equal: false,
+            order: false,
+            scored: "aad",
+        },
+        // A split the escalation does not resolve: the plurality leader
+        // of an exact tie is accepted, and on a lone HIT both voters
+        // score as agreeing with it.
+        ItemCase {
+            ballots: "yn_",
+            extend: 1,
+            decided: None,
+            total: 2,
+            equal: false,
+            order: true,
+            scored: "aac",
+        },
+        // Too few valid ballots after escalation: the leader, which is
+        // not the kind's default for `y`/Equal and `n`/Order.
+        ItemCase {
+            ballots: "y__",
+            extend: 2,
+            decided: None,
+            total: 1,
+            equal: true,
+            order: true,
+            scored: "acc",
+        },
+        ItemCase {
+            ballots: "n__",
+            extend: 2,
+            decided: None,
+            total: 1,
+            equal: false,
+            order: false,
+            scored: "acc",
+        },
+        // No ballots at all: Equal assumes FALSE and is exhausted, Order
+        // assumes the left operand.
+        ItemCase {
+            ballots: "___",
+            extend: 3,
+            decided: None,
+            total: 0,
+            equal: false,
+            order: true,
+            scored: "ccc",
+        },
+    ];
+
+    #[test]
+    fn settle_table_equal_and_order_as_units_of_one_and_two() {
+        for order in [false, true] {
+            for size in [1usize, 2] {
+                for first in 0..ITEM_CASES.len() {
+                    let unit: Vec<&ItemCase> = (0..size)
+                        .map(|k| &ITEM_CASES[(first + k) % ITEM_CASES.len()])
+                        .collect();
+                    let script = (0..3)
+                        .map(|o| {
+                            let verdicts: String =
+                                unit.iter().map(|c| &c.ballots[o..o + 1]).collect();
+                            if size == 1 {
+                                verdicts
+                            } else {
+                                format!("[{verdicts}]")
+                            }
+                        })
+                        .collect();
+                    let settled = run_compare_unit(order, size, script);
+                    let items: Vec<ItemOutcome> = unit
+                        .iter()
+                        .map(|c| ItemOutcome {
+                            verdict: if order { c.order } else { c.equal },
+                            decided: c.decided,
+                            total: c.total,
+                        })
+                        .collect();
+                    let extend = unit.iter().map(|c| c.extend).max().unwrap();
+                    // Inherited, not designed: only a HIT carrying one
+                    // pair has its voters agreement-scored.
+                    let scored = if size == 1 {
+                        format!("{}{}", unit[0].scored, "c".repeat(extend))
+                    } else {
+                        "c".repeat(3 + extend)
+                    };
+                    let label = format!(
+                        "{} x{size} {:?}",
+                        if order { "order" } else { "equal" },
+                        unit.iter().map(|c| c.ballots).collect::<Vec<_>>()
+                    );
+                    assert_unit(&label, order, &settled, &items, &scored);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn settle_table_discards_answers_of_the_wrong_shape() {
+        for order in [false, true] {
+            // A lone pair takes a bare verdict; a batch answer to it is
+            // discarded (that worker is paid, not scored). y + n ask for
+            // one more assignment, whose y decides 2 of 3.
+            let script = ["y", "[y]", "n", "y"].map(String::from).to_vec();
+            let settled = run_compare_unit(order, 1, script);
+            let items = [ItemOutcome {
+                verdict: true,
+                decided: Some(2),
+                total: 3,
+            }];
+            assert_unit("lone pair", order, &settled, &items, "acda");
+
+            // A batch of two takes a batch answer of arity two: the
+            // one-item answer and the bare verdict are discarded whole,
+            // a blank item only skips its own vote. Item 0 gets y,y,y
+            // (decided); item 1 y,y — short of replication once the
+            // escalation is spent, so its leader is accepted.
+            let script = ["[yy]", "[y]", "[y_]", "[yy]", "y"]
+                .map(String::from)
+                .to_vec();
+            let settled = run_compare_unit(order, 2, script);
+            let items = [
+                ItemOutcome {
+                    verdict: true,
+                    decided: Some(3),
+                    total: 3,
+                },
+                ItemOutcome {
+                    verdict: true,
+                    decided: None,
+                    total: 2,
+                },
+            ];
+            assert_unit("batch of two", order, &settled, &items, "ccccc");
         }
     }
 }

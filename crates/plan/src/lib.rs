@@ -39,6 +39,7 @@ pub mod optimizer;
 pub mod physical;
 pub mod schema;
 pub mod standing;
+pub mod value_ops;
 
 pub use binder::Binder;
 pub use bound_expr::{AggCall, AggFn, BExpr, ScalarFn};

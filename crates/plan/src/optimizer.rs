@@ -17,13 +17,14 @@
 //!    `expected_tuples` bound, which is what makes an open-world query
 //!    *bounded*.
 
-use crowddb_common::{Truth, Value};
+use crowddb_common::Value;
 use crowddb_sql::{BinaryOp, UnaryOp};
 
 use crate::bound_expr::BExpr;
 use crate::cardinality::{estimate_rows, StatsSource};
 use crate::logical::{JoinType, LogicalPlan};
 use crate::schema::PlanSchema;
+use crate::value_ops::eval_binary;
 
 /// Optimizer knobs.
 #[derive(Debug, Clone)]
@@ -166,7 +167,11 @@ pub fn fold_expr(e: BExpr) -> BExpr {
     match e {
         BExpr::Binary { left, op, right } => {
             if let (BExpr::Literal(l), BExpr::Literal(r)) = (left.as_ref(), right.as_ref()) {
-                if let Some(v) = eval_const_binary(l, op, r) {
+                // Fold to what the executor would compute. Errors
+                // (overflow, /0, NaN, type) and missing results stay
+                // unfolded for the runtime; `CrowdEq` is an error here,
+                // so crowd operators never fold.
+                if let Some(v) = eval_binary(l, op, r).ok().filter(|v| !v.is_missing()) {
                     return BExpr::Literal(v);
                 }
             }
@@ -228,95 +233,6 @@ fn is_true(e: &BExpr) -> bool {
 }
 fn is_false(e: &BExpr) -> bool {
     matches!(e, BExpr::Literal(Value::Bool(false)))
-}
-
-fn eval_const_binary(l: &Value, op: BinaryOp, r: &Value) -> Option<Value> {
-    use BinaryOp::*;
-    match op {
-        Add | Sub | Mul | Div | Mod => {
-            if let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) {
-                return match op {
-                    Add => a.checked_add(b).map(Value::Int),
-                    Sub => a.checked_sub(b).map(Value::Int),
-                    Mul => a.checked_mul(b).map(Value::Int),
-                    Div => {
-                        if b == 0 {
-                            None
-                        } else {
-                            Some(Value::Int(a / b))
-                        }
-                    }
-                    Mod => {
-                        if b == 0 {
-                            None
-                        } else {
-                            Some(Value::Int(a % b))
-                        }
-                    }
-                    _ => unreachable!(),
-                };
-            }
-            let (a, b) = (l.as_f64()?, r.as_f64()?);
-            let v = match op {
-                Add => a + b,
-                Sub => a - b,
-                Mul => a * b,
-                Div => {
-                    if b == 0.0 {
-                        return None;
-                    }
-                    a / b
-                }
-                Mod => {
-                    if b == 0.0 {
-                        return None;
-                    }
-                    a % b
-                }
-                _ => unreachable!(),
-            };
-            if v.is_nan() {
-                None
-            } else {
-                Some(Value::Float(v))
-            }
-        }
-        Eq | NotEq | Lt | LtEq | Gt | GtEq => {
-            if l.is_missing() || r.is_missing() {
-                return None; // keep 3VL semantics at runtime
-            }
-            let ord = l.compare(r)?;
-            let b = match op {
-                Eq => ord == std::cmp::Ordering::Equal,
-                NotEq => ord != std::cmp::Ordering::Equal,
-                Lt => ord == std::cmp::Ordering::Less,
-                LtEq => ord != std::cmp::Ordering::Greater,
-                Gt => ord == std::cmp::Ordering::Greater,
-                GtEq => ord != std::cmp::Ordering::Less,
-                _ => unreachable!(),
-            };
-            Some(Value::Bool(b))
-        }
-        And | Or => {
-            let a = truth_of(l)?;
-            let b = truth_of(r)?;
-            let t = if op == And { a.and(b) } else { a.or(b) };
-            t.to_bool().map(Value::Bool)
-        }
-        Concat => match (l, r) {
-            (Value::Str(a), Value::Str(b)) => Some(Value::Str(format!("{a}{b}"))),
-            _ => None,
-        },
-        CrowdEq => None, // crowd ops are never folded
-    }
-}
-
-fn truth_of(v: &Value) -> Option<Truth> {
-    match v {
-        Value::Bool(b) => Some(Truth::from_bool(*b)),
-        Value::Null | Value::CNull => Some(Truth::Unknown),
-        _ => None,
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1090,6 +1006,58 @@ mod tests {
             right: Box::new(BExpr::Literal(Value::Null)),
         };
         assert_eq!(fold_expr(e.clone()), e);
+    }
+
+    /// The folder has no arithmetic or logic of its own: over every
+    /// literal pair and operator it either leaves the expression for the
+    /// runtime or writes down exactly what the executor's `eval_binary`
+    /// computes — so `FALSE AND NULL` folds to `FALSE`, `NULL = NULL`
+    /// and `1 / 0` stay, and `CROWDEQUAL` (an error there) never folds.
+    #[test]
+    fn fold_agrees_with_the_executor_on_every_literal_pair() {
+        use BinaryOp::*;
+        let values = [
+            Value::Int(0),
+            Value::Int(7),
+            Value::Int(i64::MAX),
+            Value::Float(2.5),
+            Value::Float(0.0),
+            Value::str("a"),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Null,
+            Value::CNull,
+        ];
+        let ops = [
+            Add, Sub, Mul, Div, Mod, Concat, Eq, NotEq, Lt, LtEq, Gt, GtEq, And, Or, CrowdEq,
+        ];
+        let mut folded_count = 0;
+        for l in &values {
+            for r in &values {
+                for op in ops {
+                    let e = BExpr::Binary {
+                        left: Box::new(BExpr::Literal(l.clone())),
+                        op,
+                        right: Box::new(BExpr::Literal(r.clone())),
+                    };
+                    let folded = fold_expr(e.clone());
+                    // The AND/OR identities look at one operand only:
+                    // they may return the other one as it stands (`TRUE
+                    // AND NULL` -> `NULL`), even one the runtime would
+                    // reject (`TRUE AND 7` -> `7`), or the absorbing
+                    // constant (`FALSE AND 7` -> `FALSE`).
+                    let identity = matches!(op, And | Or)
+                        && (matches!(l, Value::Bool(_)) || matches!(r, Value::Bool(_)));
+                    let ok = match eval_binary(l, op, r) {
+                        Ok(v) if !v.is_missing() => folded == BExpr::Literal(v),
+                        Ok(_) | Err(_) => folded == e || identity,
+                    };
+                    assert!(ok, "{l:?} {op:?} {r:?} folded to {folded:?}");
+                    folded_count += usize::from(folded != e);
+                }
+            }
+        }
+        assert!(folded_count > 300, "{folded_count} of 1500 folded");
     }
 
     #[test]

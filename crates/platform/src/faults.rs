@@ -187,11 +187,6 @@ impl<P: Platform> FaultyPlatform<P> {
         &self.inner
     }
 
-    /// The wrapped platform, mutably.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
-    }
-
     /// Unwrap.
     pub fn into_inner(self) -> P {
         self.inner

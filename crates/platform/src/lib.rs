@@ -47,8 +47,8 @@ pub use mock::MockPlatform;
 pub use model::{ClosureModel, CrowdModel, PerfectModel};
 pub use sim::{SimConfig, SimPlatform};
 pub use task::{
-    batched_reward_cents, split_cents, Answer, HitId, Platform, PlatformStats, TaskKind,
-    TaskResponse, TaskSpec, WorkerId,
+    batched_reward_cents, Answer, HitId, Platform, PlatformStats, TaskKind, TaskResponse, TaskSpec,
+    WorkerId,
 };
 pub use worker::{WorkerPool, WorkerPoolConfig, WorkerProfile};
 pub use wrm::WorkerRelationshipManager;

@@ -134,8 +134,7 @@ impl TaskKind {
     }
 
     /// Number of individually-answerable items this task carries (1 for
-    /// the single-item kinds). Per-item cost attribution divides the HIT
-    /// reward by this via [`split_cents`].
+    /// the single-item kinds).
     pub fn item_count(&self) -> usize {
         match self {
             TaskKind::EqualBatch { pairs, .. } | TaskKind::OrderBatch { pairs, .. } => {
@@ -169,18 +168,6 @@ pub fn batched_reward_cents(base: u32, items: usize) -> u32 {
     let items = items.max(1) as u64;
     let base = base.max(1) as u64;
     (base.max(base * (items + 1) / 2)).min(u32::MAX as u64) as u32
-}
-
-/// Split a HIT-level cost of `total` cents over `items` items so the
-/// parts sum *exactly* to `total`: every item gets `total / items`, and
-/// the remainder goes to the first `total % items` items. Deterministic
-/// and exact — the per-item cost attribution in `CrowdSummary` (and the
-/// benchmarks) relies on `sum(split) == total` with no rounding drift.
-pub fn split_cents(total: u64, items: usize) -> Vec<u64> {
-    let items = items.max(1);
-    let base = total / items as u64;
-    let rem = (total % items as u64) as usize;
-    (0..items).map(|i| base + u64::from(i < rem)).collect()
 }
 
 /// One answer from one assignment.
@@ -434,21 +421,6 @@ mod tests {
                 assert!(batched < base as f64, "base {base} k {k}");
             }
         }
-    }
-
-    #[test]
-    fn split_cents_is_exact_and_deterministic() {
-        for total in 0u64..50 {
-            for items in 1usize..10 {
-                let parts = split_cents(total, items);
-                assert_eq!(parts.len(), items);
-                assert_eq!(parts.iter().sum::<u64>(), total, "{total}/{items}");
-                // Parts differ by at most one cent.
-                let (min, max) = (parts.iter().min().unwrap(), parts.iter().max().unwrap());
-                assert!(max - min <= 1);
-            }
-        }
-        assert_eq!(split_cents(7, 3), vec![3, 2, 2]);
     }
 
     #[test]

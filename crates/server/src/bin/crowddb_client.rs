@@ -12,8 +12,8 @@
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
-use crowddb_common::Row;
-use crowddb_server::{Client, WireResult};
+use crowddb_core::QueryResult;
+use crowddb_server::Client;
 
 fn usage() -> ! {
     eprintln!(
@@ -21,61 +21,6 @@ fn usage() -> ! {
          [--seed N] [-c SQL]..."
     );
     std::process::exit(2);
-}
-
-fn print_result(r: &WireResult) {
-    if r.columns.is_empty() && r.rows.is_empty() {
-        println!("OK ({} row(s) affected)", r.affected);
-    } else {
-        println!("{}", render_table(&r.columns, &r.rows));
-    }
-    for w in &r.warnings {
-        println!("warning: {w}");
-    }
-    if r.tasks_posted > 0 || r.cents_spent > 0 {
-        println!(
-            "crowd: {} round(s), {} task(s), {} answer(s), {}¢, {:.0} virtual sec(s){}",
-            r.rounds,
-            r.tasks_posted,
-            r.answers_collected,
-            r.cents_spent,
-            r.virtual_secs,
-            if r.complete { "" } else { " [partial]" },
-        );
-    }
-}
-
-fn render_table(columns: &[String], rows: &[Row]) -> String {
-    let rendered: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| r.values().iter().map(|v| v.to_string()).collect())
-        .collect();
-    let mut widths: Vec<usize> = columns.iter().map(|c| c.len()).collect();
-    for row in &rendered {
-        for (i, cell) in row.iter().enumerate() {
-            if i >= widths.len() {
-                widths.push(cell.len());
-            } else {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let mut out = String::new();
-    for (i, c) in columns.iter().enumerate() {
-        out.push_str(&format!("{:<width$}  ", c, width = widths[i]));
-    }
-    out.push('\n');
-    for w in &widths {
-        out.push_str(&"-".repeat(*w));
-        out.push_str("  ");
-    }
-    for row in &rendered {
-        out.push('\n');
-        for (i, cell) in row.iter().enumerate() {
-            out.push_str(&format!("{:<width$}  ", cell, width = widths[i]));
-        }
-    }
-    out
 }
 
 fn run_one(client: &mut Client, line: &str) -> bool {
@@ -91,7 +36,7 @@ fn run_one(client: &mut Client, line: &str) -> bool {
         }
         sql => {
             match client.query(sql) {
-                Ok(r) => print_result(&r),
+                Ok(r) => println!("{}", QueryResult::from(&r).render()),
                 Err(e) => eprintln!("error: {e}"),
             }
             true

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crowddb_common::{CrowdError, Row, Value};
-use crowddb_core::{CancelToken, QueryResult, SubscriptionStatement};
+use crowddb_core::{CancelToken, CrowdSummary, QueryResult, SubscriptionStatement};
 use crowddb_obs::Event;
 
 use crate::protocol::{
@@ -53,6 +53,35 @@ pub fn wire_result(r: &QueryResult) -> WireResult {
         extend_failures: r.crowd.extend_failures,
         gave_up: r.crowd.gave_up,
         degraded: r.crowd.degraded,
+    }
+}
+
+/// The engine result a wire result carries — [`wire_result`]'s inverse —
+/// so remote front ends print through [`QueryResult::render`] like the
+/// embedded one.
+impl From<&WireResult> for QueryResult {
+    fn from(r: &WireResult) -> QueryResult {
+        QueryResult {
+            columns: r.columns.clone(),
+            rows: r.rows.clone(),
+            affected: r.affected as usize,
+            crowd: CrowdSummary {
+                rounds: r.rounds as usize,
+                tasks_posted: r.tasks_posted,
+                answers_collected: r.answers_collected,
+                cents_spent: r.cents_spent,
+                virtual_secs: r.virtual_secs,
+                retries: r.retries,
+                reposts: r.reposts,
+                duplicates_dropped: r.duplicates_dropped,
+                post_failures: r.post_failures,
+                extend_failures: r.extend_failures,
+                gave_up: r.gave_up,
+                degraded: r.degraded,
+            },
+            warnings: r.warnings.clone(),
+            complete: r.complete,
+        }
     }
 }
 
@@ -544,5 +573,40 @@ fn execute_query(
         // `hold` drops here: the reservation is released, nothing is
         // charged (a failed statement reports no summary to charge).
         Err(e) => engine_error(&e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crowddb_common::row;
+
+    #[test]
+    fn a_result_renders_the_same_after_the_wire_round_trip() {
+        let r = QueryResult {
+            columns: vec!["title".into(), "n".into()],
+            rows: vec![row!["CrowdDB", Value::CNull], row!["Qurk", Value::Null]],
+            affected: 0,
+            crowd: CrowdSummary {
+                rounds: 2,
+                tasks_posted: 3,
+                answers_collected: 9,
+                cents_spent: 9,
+                virtual_secs: 1260.0,
+                retries: 1,
+                reposts: 2,
+                duplicates_dropped: 3,
+                post_failures: 4,
+                extend_failures: 5,
+                gave_up: 6,
+                degraded: true,
+            },
+            warnings: vec!["accepted plurality answer".into()],
+            complete: false,
+        };
+        let back = QueryResult::from(&wire_result(&r));
+        assert_eq!(back, r);
+        assert_eq!(back.render(), r.render());
+        assert!(r.render().contains("[partial]\nnote: accepted"), "{r:?}");
     }
 }

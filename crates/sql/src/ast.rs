@@ -236,16 +236,6 @@ pub enum Relation {
     },
 }
 
-impl Relation {
-    /// The name this relation is visible under in the enclosing scope.
-    pub fn visible_name(&self) -> &str {
-        match self {
-            Relation::Table { name, alias } => alias.as_deref().unwrap_or(name),
-            Relation::Subquery { alias, .. } => alias,
-        }
-    }
-}
-
 /// One explicit join.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Join {
@@ -313,19 +303,6 @@ pub enum BinaryOp {
 }
 
 impl BinaryOp {
-    /// Whether this operator produces a boolean.
-    pub fn is_predicate(self) -> bool {
-        !matches!(
-            self,
-            BinaryOp::Add
-                | BinaryOp::Sub
-                | BinaryOp::Mul
-                | BinaryOp::Div
-                | BinaryOp::Mod
-                | BinaryOp::Concat
-        )
-    }
-
     /// SQL spelling.
     pub fn sql(self) -> &'static str {
         match self {

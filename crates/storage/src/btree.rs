@@ -296,11 +296,6 @@ impl BTree {
         self.root
     }
 
-    /// The comparator this tree was opened with.
-    pub fn key_cmp(&self) -> KeyCmp {
-        self.cmp
-    }
-
     /// Insert or replace (`upsert`) a key.
     pub fn insert(&mut self, pager: &Pager, key: &[u8], value: &[u8]) -> Result<()> {
         if key.len() > max_key_len(pager.page_size()) {
@@ -605,11 +600,6 @@ impl BTreeCursor {
                 }
             }
         }
-    }
-
-    /// Peek at the next key without consuming it (no overflow I/O).
-    pub fn peek_key(&self) -> Option<&[u8]> {
-        self.leaf.get(self.pos).map(|(k, _)| k.as_slice())
     }
 }
 

@@ -49,13 +49,6 @@ impl Catalog {
         self.tables.get(&name.to_ascii_lowercase()).map(|(_, s)| s)
     }
 
-    /// Look up a table id by name.
-    pub fn id_of(&self, name: &str) -> Option<TableId> {
-        self.tables
-            .get(&name.to_ascii_lowercase())
-            .map(|(id, _)| *id)
-    }
-
     /// Whether a table exists.
     pub fn contains(&self, name: &str) -> bool {
         self.tables.contains_key(&name.to_ascii_lowercase())

@@ -27,9 +27,9 @@
 
 use std::io::{self, BufRead, Write};
 
-use crowddb::{CrowdDB, Platform, QualityPolicy, SimPlatform};
+use crowddb::{CrowdDB, Platform, QualityPolicy, QueryResult, SimPlatform};
 use crowddb_platform::PerfectModel;
-use crowddb_server::{Client as RemoteClient, ClientError, WireResult};
+use crowddb_server::{Client as RemoteClient, ClientError};
 
 fn make_platform(kind: &str, seed: u64) -> Result<Box<dyn Platform>, String> {
     match kind {
@@ -75,71 +75,13 @@ fn print_help() {
     );
 }
 
-/// Render a remote result the same way the embedded path does.
-fn print_remote_result(r: &WireResult) {
-    if r.columns.is_empty() && r.rows.is_empty() {
-        println!("OK ({} row(s) affected)", r.affected);
-    } else {
-        let mut widths: Vec<usize> = r.columns.iter().map(|c| c.len()).collect();
-        let rendered: Vec<Vec<String>> = r
-            .rows
-            .iter()
-            .map(|row| row.values().iter().map(|v| v.to_string()).collect())
-            .collect();
-        for row in &rendered {
-            for (i, cell) in row.iter().enumerate() {
-                if i < widths.len() {
-                    widths[i] = widths[i].max(cell.len());
-                }
-            }
-        }
-        let header: Vec<String> = r
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:<width$}", c, width = widths[i]))
-            .collect();
-        println!("{}", header.join("  "));
-        println!(
-            "{}",
-            widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        );
-        for row in &rendered {
-            let cells: Vec<String> = row
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:<width$}", c, width = widths[i]))
-                .collect();
-            println!("{}", cells.join("  "));
-        }
-    }
-    if r.tasks_posted > 0 {
-        println!(
-            "crowd: {} task(s), {} answer(s), {}¢, {:.1} virtual min, {} round(s){}",
-            r.tasks_posted,
-            r.answers_collected,
-            r.cents_spent,
-            r.virtual_secs / 60.0,
-            r.rounds,
-            if r.complete { "" } else { " [partial]" },
-        );
-    }
-    for w in &r.warnings {
-        println!("note: {w}");
-    }
-}
-
 /// Run one statement on the remote session. Returns `false` when the
 /// connection itself is gone and the shell should fall back to the
 /// embedded engine.
 fn run_remote(remote: &mut RemoteClient, sql: &str) -> bool {
     match remote.query(sql) {
         Ok(r) => {
-            print_remote_result(&r);
+            println!("{}", QueryResult::from(&r).render());
             true
         }
         Err(ClientError::Protocol(e)) => {
@@ -303,7 +245,7 @@ fn run_meta(
                     }
                     println!("crowddb> {stmt};");
                     match db.execute(stmt, platform.as_mut()) {
-                        Ok(r) => println!("{}", r.to_table()),
+                        Ok(r) => println!("{}", r.render()),
                         Err(e) => println!("error: {e}"),
                     }
                 }
@@ -560,22 +502,7 @@ fn main() {
             continue;
         }
         match db.execute(sql.trim().trim_end_matches(';'), platform.as_mut()) {
-            Ok(r) => {
-                println!("{}", r.to_table());
-                if r.crowd.tasks_posted > 0 {
-                    println!(
-                        "crowd: {} task(s), {} answer(s), {}¢, {:.1} virtual min, {} round(s)",
-                        r.crowd.tasks_posted,
-                        r.crowd.answers_collected,
-                        r.crowd.cents_spent,
-                        r.crowd.virtual_secs / 60.0,
-                        r.crowd.rounds
-                    );
-                }
-                for w in &r.warnings {
-                    println!("note: {w}");
-                }
-            }
+            Ok(r) => println!("{}", r.render()),
             Err(e) => println!("error: {e}"),
         }
     }
