@@ -6,7 +6,8 @@
 //! that encoding today produces exactly those bytes and that decoding
 //! those bytes yields the expected values — so the test fails if a single
 //! byte of the row codec, a `LogRecord`, a WAL frame, a snapshot file, a
-//! storage or session snapshot, paged metadata or a CDBP frame moves.
+//! storage or session snapshot, paged metadata, a checkpoint journal or
+//! a CDBP frame moves.
 //! It lives in the server crate because that is the one place that sees
 //! every format.
 
@@ -16,6 +17,7 @@ use crowddb_common::codec::{self, Reader};
 use crowddb_common::{row, Row, TupleId, Value};
 use crowddb_core::{CrowdConfig, CrowdDB};
 use crowddb_server::protocol::{self, Request, Response, WireResult};
+use crowddb_storage::pager::JOURNAL_FILE;
 use crowddb_storage::{Database, IndexKind, LogRecord, PagerConfig};
 use crowddb_wal::testutil::TestDir;
 use crowddb_wal::{scan_frames, snapshot, FsyncPolicy, Wal};
@@ -94,6 +96,24 @@ const PAGED_META: &str = "\
     0000020000000000000002000000000000000100000000000000020000000700000074616c6b5f70\
     6b0100000000000000000102000000000000000700000074616c6b5f6e6201000000020000000100\
     4000000000000000\
+";
+/// `pages.journal` of [`checkpoint_journal`], captured at commit `556c9d9`
+/// (a bitwise CRC-32 in the pager, before it moved onto `codec::crc32`).
+const PAGES_JOURNAL: &str = "\
+    4344424a524e4c310100000000000000020000000000000001000000000000004ea86d8501020008\
+    0011000000000000000000000002000000060700000043726f776444420108001f00000000000000\
+    000000010200000006040000005175726b060d00000064656d6f2061627374726163740000000000\
+    00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    00000000000000000000000002000000000000003df3adde01020014000000000006070000004372\
+    6f77644442000000000000000011000000000006040000005175726b000000000000000100000000\
+    00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    00000000000000000000000000000000000000000000000000000000000000000000000000000000\
 ";
 const SESSION_SNAPSHOT: &str = "\
     8f000000000000004344425302010000000400000074616c6b49000000435245415445205441424c\
@@ -335,6 +355,37 @@ fn storage_snapshot_and_paged_metadata() {
     pinned("paged metadata", &meta, PAGED_META);
     assert!(Database::is_paged_meta(&meta));
     assert_filled(&Database::open_paged(dir.path(), cfg, &unhex(PAGED_META)).unwrap());
+}
+
+#[test]
+fn checkpoint_journal() {
+    let cfg = PagerConfig {
+        page_size: 256,
+        pool_pages: 0,
+    };
+    let talk = vec![
+        (TupleId(0), row!["CrowdDB", Value::CNull]),
+        (TupleId(1), row!["Qurk", "demo abstract"]),
+    ];
+    let dir = TestDir::new("format-fixtures-journal");
+    let db = Database::open_file(dir.path(), cfg).unwrap();
+    let ddl = "CREATE TABLE talk (title STRING PRIMARY KEY, abstract CROWD STRING)";
+    assert!(db.apply(&LogRecord::Ddl { sql: ddl.into() }).unwrap());
+    for (_, row) in &talk {
+        db.insert("talk", row.clone()).unwrap();
+    }
+    // Journaled and committed, never applied: the crash the journal is for.
+    let (_prep, meta) = db.begin_checkpoint().unwrap();
+    drop(db);
+    let journal = std::fs::read(dir.path().join(JOURNAL_FILE)).unwrap();
+    pinned("checkpoint journal", &journal, PAGES_JOURNAL);
+
+    // The other way: the captured journal beside no page file at all,
+    // redone under the metadata that committed its epoch.
+    let replay = TestDir::new("format-fixtures-journal-replay");
+    std::fs::write(replay.path().join(JOURNAL_FILE), unhex(PAGES_JOURNAL)).unwrap();
+    let db = Database::open_paged(replay.path(), cfg, &meta).unwrap();
+    assert_eq!(live_rows(&db, "talk"), talk);
 }
 
 #[test]

@@ -3,17 +3,35 @@
 //! One tree backs each table's primary storage (key = `TupleId` as
 //! big-endian bytes, value = the codec-encoded row) and each secondary
 //! index entry set (key = encoded index values ‖ tid, empty value).
-//! Nodes are whole-page encoded/decoded; values larger than
-//! `page_size / 8` spill to overflow-page chains; keys are capped at
-//! `page_size / 4` (a typed [`CrowdError::Constraint`] otherwise) so a
-//! node always holds at least two entries and splits terminate.
+//! Values larger than `page_size / 8` spill to overflow-page chains; keys
+//! are capped at `page_size / 4` (a typed [`CrowdError::Constraint`]
+//! otherwise) so a node always holds at least two entries and splits
+//! terminate.
+//!
+//! **Reads run on the page.** Every visit parses the page once into a
+//! `NodeView` — the pinned `Arc` the pager handed out plus one vector
+//! of key positions, every length bounds-checked in that one pass — and
+//! `get`, `cursor_seek`, the cursor's climb and the descent of `insert`
+//! and `remove` binary-search keys where they lie. The cursor lends: its
+//! `next` hands out slices of the pinned leaf, and only a value that
+//! lives in an overflow chain is assembled into an owned buffer.
+//!
+//! **Writes still materialize the node they change**, and only that one:
+//! the leaf an insert or remove lands in, plus each ancestor that has to
+//! absorb a child's split, is copied out into a `Node`, edited and
+//! re-encoded whole by `encode_node`. One encoder is what keeps a page
+//! image a function of the node's contents alone (the byte-identity
+//! suites lean on that), and a write pays a page-sized copy into the pool
+//! regardless.
 //!
 //! The tree is split-only: `remove` deletes from the leaf without
 //! rebalancing, which keeps the structure a deterministic function of the
 //! operation sequence (no merge heuristics) at the cost of slack after
 //! heavy deletion — acceptable for CrowdDB's insert-mostly crowd tables.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use crowddb_common::codec::{self, Reader};
 use crowddb_common::{CrowdError, Result};
@@ -87,16 +105,20 @@ fn max_inline_val(page_size: usize) -> usize {
     page_size / 8
 }
 
-#[derive(Debug, Clone)]
-enum Val {
-    Inline(Vec<u8>),
+/// A leaf value as the page stores it: the bytes themselves (`B` owns
+/// them in a [`Node`], borrows them from the page in a [`NodeView`]) or
+/// the head of an overflow chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Val<B> {
+    Inline(B),
     Overflow { first: PageId, total_len: u64 },
 }
 
-#[derive(Debug)]
+/// A node copied out of its page to be edited and re-encoded.
+#[derive(Debug, PartialEq, Eq)]
 enum Node {
     Leaf {
-        entries: Vec<(Vec<u8>, Val)>,
+        entries: Vec<(Vec<u8>, Val<Vec<u8>>)>,
     },
     Internal {
         keys: Vec<Vec<u8>>,
@@ -105,6 +127,13 @@ enum Node {
 }
 
 const OVERFLOW_FLAG: u32 = 1 << 31;
+
+// Page layout, little-endian, zero-padded to the page size:
+//   leaf:     [kind][u16 n] n × ([u16 klen][u32 vword][key][value])
+//             value = vword bytes inline, or — OVERFLOW_FLAG set in vword —
+//             [u64 first overflow page][u64 total_len]
+//   internal: [kind][u16 n][u64 child 0] n × ([u16 klen][key][u64 child])
+// `encode_node` writes it; `NodeView::parse` is the one place that reads it.
 
 fn encode_node(node: &Node, page_size: usize) -> Option<Vec<u8>> {
     let mut buf = Vec::with_capacity(page_size);
@@ -148,51 +177,161 @@ fn encode_node(node: &Node, page_size: usize) -> Option<Vec<u8>> {
     Some(buf)
 }
 
-fn decode_node(data: &[u8]) -> Result<Node> {
+/// The `N` bytes at `off`, which [`NodeView::parse`] has bounds-checked.
+fn bytes_at<const N: usize>(data: &[u8], off: usize) -> [u8; N] {
+    data[off..off + N]
+        .try_into()
+        .expect("a slice of N bytes is an [u8; N]")
+}
+
+/// A node read in place: the page as the pager pinned it, plus where
+/// each key lies in it. [`NodeView::parse`] walks the page once and
+/// checks every length against the page end, so the accessors index
+/// without failing and nothing is copied until a caller asks for an
+/// owned [`Node`] part.
+#[derive(Debug)]
+struct NodeView {
+    page: Arc<Vec<u8>>,
+    leaf: bool,
+    /// `start..end` of each leaf entry's, or each internal separator's,
+    /// key, in key order. What belongs to a key sits around it: a leaf
+    /// entry's `vword` in the four bytes before, its value right after;
+    /// a separator's right-hand child right after.
+    keys: Vec<(usize, usize)>,
+}
+
+impl NodeView {
+    fn parse(page: Arc<Vec<u8>>) -> Result<NodeView> {
+        let (leaf, keys) = key_ranges(&page)?;
+        Ok(NodeView { page, leaf, keys })
+    }
+
+    /// Entries of a leaf; separator keys of an internal node (which has
+    /// one more child than that).
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn key(&self, i: usize) -> &[u8] {
+        let (start, end) = self.keys[i];
+        &self.page[start..end]
+    }
+
+    /// The value of leaf entry `i`.
+    fn val(&self, i: usize) -> Val<&[u8]> {
+        debug_assert!(self.leaf);
+        let (key, val) = self.keys[i];
+        let vword = u32::from_le_bytes(bytes_at(&self.page, key - 4));
+        if vword & OVERFLOW_FLAG != 0 {
+            Val::Overflow {
+                first: u64::from_le_bytes(bytes_at(&self.page, val)),
+                total_len: u64::from_le_bytes(bytes_at(&self.page, val + 8)),
+            }
+        } else {
+            Val::Inline(&self.page[val..val + vword as usize])
+        }
+    }
+
+    /// Child `i` of an internal node, `0..=len()`.
+    fn child(&self, i: usize) -> PageId {
+        debug_assert!(!self.leaf);
+        let off = match i.checked_sub(1) {
+            None => 3,
+            Some(separator) => self.keys[separator].1,
+        };
+        u64::from_le_bytes(bytes_at(&self.page, off))
+    }
+
+    /// How many keys, from the front, `before` holds for.
+    fn partition(&self, before: impl Fn(&[u8]) -> bool) -> usize {
+        self.keys
+            .partition_point(|&(start, end)| before(&self.page[start..end]))
+    }
+
+    /// Index of the first leaf entry whose key is not below `key`.
+    fn lower_bound(&self, cmp: KeyCmp, key: &[u8]) -> usize {
+        self.partition(|k| cmp.cmp(k, key) == Ordering::Less)
+    }
+
+    /// Index of the leaf entry holding exactly `key`.
+    fn find(&self, cmp: KeyCmp, key: &[u8]) -> Option<usize> {
+        let pos = self.lower_bound(cmp, key);
+        (pos < self.len() && cmp.cmp(self.key(pos), key) == Ordering::Equal).then_some(pos)
+    }
+
+    /// Index of the child whose subtree covers `key`.
+    fn child_for(&self, cmp: KeyCmp, key: &[u8]) -> usize {
+        self.partition(|k| cmp.cmp(k, key) != Ordering::Greater)
+    }
+
+    /// Copy a leaf's entries out, to edit and re-encode.
+    fn entries(&self) -> Vec<(Vec<u8>, Val<Vec<u8>>)> {
+        (0..self.len())
+            .map(|i| {
+                let val = match self.val(i) {
+                    Val::Inline(bytes) => Val::Inline(bytes.to_vec()),
+                    Val::Overflow { first, total_len } => Val::Overflow { first, total_len },
+                };
+                (self.key(i).to_vec(), val)
+            })
+            .collect()
+    }
+
+    /// Copy an internal node's separator keys and children out.
+    fn separators(&self) -> (Vec<Vec<u8>>, Vec<PageId>) {
+        (
+            (0..self.len()).map(|i| self.key(i).to_vec()).collect(),
+            (0..=self.len()).map(|i| self.child(i)).collect(),
+        )
+    }
+}
+
+/// The single pass over a node page: its kind (`true` = leaf) and where
+/// every key lies, each length checked against the page end.
+fn key_ranges(data: &[u8]) -> Result<(bool, Vec<(usize, usize)>)> {
     let corrupt = |what: &str| CrowdError::Internal(format!("btree: corrupt node ({what})"));
     let tag = *data.first().ok_or_else(|| corrupt("empty page"))?;
     let mut off = 3usize;
     let take = |off: &mut usize, n: usize| -> Result<&[u8]> {
         let s = data
-            .get(*off..*off + n)
+            .get(*off..)
+            .and_then(|rest| rest.get(..n))
             .ok_or_else(|| corrupt("truncated"))?;
         *off += n;
         Ok(s)
     };
-    let n = u16::from_le_bytes(
-        data.get(1..3)
-            .ok_or_else(|| corrupt("short"))?
-            .try_into()
-            .unwrap(),
-    );
+    let take_key = |off: &mut usize, header: usize| -> Result<(usize, usize)> {
+        let header = take(off, header)?;
+        let klen = u16::from_le_bytes([header[0], header[1]]) as usize;
+        take(off, klen)?;
+        Ok((*off - klen, *off))
+    };
+    let n = data.get(1..3).ok_or_else(|| corrupt("short"))?;
+    let n = u16::from_le_bytes([n[0], n[1]]) as usize;
+    // `n` is read from the page: reserve no more than the page can hold
+    // (a leaf entry is at least its six header bytes).
+    let mut keys = Vec::with_capacity(n.min(data.len() / 6));
     match tag {
         kind::LEAF => {
-            let mut entries = Vec::with_capacity(n as usize);
             for _ in 0..n {
-                let klen = u16::from_le_bytes(take(&mut off, 2)?.try_into().unwrap()) as usize;
-                let vword = u32::from_le_bytes(take(&mut off, 4)?.try_into().unwrap());
-                let key = take(&mut off, klen)?.to_vec();
-                let val = if vword & OVERFLOW_FLAG != 0 {
-                    let first = u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap());
-                    let total_len = u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap());
-                    Val::Overflow { first, total_len }
+                let key = take_key(&mut off, 6)?;
+                let vword = u32::from_le_bytes(bytes_at(data, key.0 - 4));
+                if vword & OVERFLOW_FLAG != 0 {
+                    take(&mut off, 16)?;
                 } else {
-                    Val::Inline(take(&mut off, vword as usize)?.to_vec())
-                };
-                entries.push((key, val));
+                    take(&mut off, vword as usize)?;
+                }
+                keys.push(key);
             }
-            Ok(Node::Leaf { entries })
+            Ok((true, keys))
         }
         kind::INTERNAL => {
-            let mut children = Vec::with_capacity(n as usize + 1);
-            children.push(u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap()));
-            let mut keys = Vec::with_capacity(n as usize);
+            take(&mut off, 8)?;
             for _ in 0..n {
-                let klen = u16::from_le_bytes(take(&mut off, 2)?.try_into().unwrap()) as usize;
-                keys.push(take(&mut off, klen)?.to_vec());
-                children.push(u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap()));
+                keys.push(take_key(&mut off, 2)?);
+                take(&mut off, 8)?;
             }
-            Ok(Node::Internal { keys, children })
+            Ok((false, keys))
         }
         other => Err(corrupt(&format!("unexpected page kind {other}"))),
     }
@@ -220,10 +359,25 @@ fn write_overflow(pager: &Pager, data: &[u8]) -> Result<PageId> {
     Ok(ids[0])
 }
 
+/// A chain of more pages than the pager ever allocated revisits one: a
+/// corrupt `next` pointer closed a cycle.
+fn chain_cycles(limit: u64) -> CrowdError {
+    CrowdError::Internal(format!(
+        "btree: overflow chain runs past the {limit} pages allocated"
+    ))
+}
+
 fn read_overflow(pager: &Pager, first: PageId, total_len: u64) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(total_len as usize);
+    let limit = pager.page_count();
+    // `total_len` is read from the page: reserve no more than the file holds.
+    let mut out = Vec::with_capacity(total_len.min(limit * pager.page_size() as u64) as usize);
     let mut next = first;
+    let mut pages = 0u64;
     while next != 0 {
+        pages += 1;
+        if pages > limit {
+            return Err(chain_cycles(limit));
+        }
         let page = pager.read(next)?;
         if page.first() != Some(&kind::OVERFLOW) || page.len() < 13 {
             return Err(CrowdError::Internal(format!(
@@ -235,6 +389,9 @@ fn read_overflow(pager: &Pager, first: PageId, total_len: u64) -> Result<Vec<u8>
         out.extend_from_slice(page.get(13..13 + len).ok_or_else(|| {
             CrowdError::Internal("btree: overflow chunk length out of range".into())
         })?);
+        if out.len() as u64 > total_len {
+            break;
+        }
     }
     if out.len() as u64 != total_len {
         return Err(CrowdError::Internal(format!(
@@ -246,8 +403,14 @@ fn read_overflow(pager: &Pager, first: PageId, total_len: u64) -> Result<Vec<u8>
 }
 
 fn free_overflow(pager: &Pager, first: PageId) -> Result<()> {
+    let limit = pager.page_count();
     let mut next = first;
+    let mut pages = 0u64;
     while next != 0 {
+        pages += 1;
+        if pages > limit {
+            return Err(chain_cycles(limit));
+        }
         let page = pager.read(next)?;
         let id = next;
         next = u64::from_le_bytes(
@@ -261,10 +424,34 @@ fn free_overflow(pager: &Pager, first: PageId) -> Result<()> {
     Ok(())
 }
 
-fn resolve_val(pager: &Pager, val: &Val) -> Result<Vec<u8>> {
+/// A value's bytes: lent by the page, or assembled from its overflow
+/// chain — the one case a read copies.
+fn resolve<'a>(pager: &Pager, val: Val<&'a [u8]>) -> Result<Cow<'a, [u8]>> {
     match val {
-        Val::Inline(bytes) => Ok(bytes.clone()),
-        Val::Overflow { first, total_len } => read_overflow(pager, *first, *total_len),
+        Val::Inline(bytes) => Ok(Cow::Borrowed(bytes)),
+        Val::Overflow { first, total_len } => {
+            read_overflow(pager, first, total_len).map(Cow::Owned)
+        }
+    }
+}
+
+/// Walk down from `page_id` to a leaf, taking at each internal node the
+/// child `pick` names and reporting `(page, child index)` to `visit`
+/// (cursors keep that path). Returns the leaf and its page id.
+fn descend(
+    pager: &Pager,
+    mut page_id: PageId,
+    pick: impl Fn(&NodeView) -> usize,
+    mut visit: impl FnMut(PageId, usize),
+) -> Result<(PageId, NodeView)> {
+    loop {
+        let view = NodeView::parse(pager.read(page_id)?)?;
+        if view.leaf {
+            return Ok((page_id, view));
+        }
+        let idx = pick(&view);
+        visit(page_id, idx);
+        page_id = view.child(idx);
     }
 }
 
@@ -333,39 +520,37 @@ impl BTree {
         pager: &Pager,
         page_id: PageId,
         key: &[u8],
-        val: Val,
+        val: Val<Vec<u8>>,
     ) -> Result<Option<(Vec<u8>, PageId)>> {
-        let node = decode_node(&pager.read(page_id)?)?;
-        match node {
-            Node::Leaf { mut entries } => {
-                let pos = entries.partition_point(|(k, _)| self.cmp.cmp(k, key) == Ordering::Less);
-                if entries
-                    .get(pos)
-                    .is_some_and(|(k, _)| self.cmp.cmp(k, key) == Ordering::Equal)
-                {
-                    if let Val::Overflow { first, .. } = entries[pos].1 {
-                        free_overflow(pager, first)?;
-                    }
-                    entries[pos].1 = val;
-                } else {
-                    entries.insert(pos, (key.to_vec(), val));
+        let view = NodeView::parse(pager.read(page_id)?)?;
+        let node = if view.leaf {
+            let pos = view.lower_bound(self.cmp, key);
+            let mut entries = view.entries();
+            if entries
+                .get(pos)
+                .is_some_and(|(k, _)| self.cmp.cmp(k, key) == Ordering::Equal)
+            {
+                if let Val::Overflow { first, .. } = entries[pos].1 {
+                    free_overflow(pager, first)?;
                 }
-                self.write_split(pager, page_id, Node::Leaf { entries })
+                entries[pos].1 = val;
+            } else {
+                entries.insert(pos, (key.to_vec(), val));
             }
-            Node::Internal {
-                mut keys,
-                mut children,
-            } => {
-                let idx = keys.partition_point(|k| self.cmp.cmp(k, key) != Ordering::Greater);
-                if let Some((promoted, right)) = self.insert_rec(pager, children[idx], key, val)? {
-                    keys.insert(idx, promoted);
-                    children.insert(idx + 1, right);
-                    self.write_split(pager, page_id, Node::Internal { keys, children })
-                } else {
-                    Ok(None)
-                }
-            }
-        }
+            Node::Leaf { entries }
+        } else {
+            let idx = view.child_for(self.cmp, key);
+            let Some((promoted, right)) = self.insert_rec(pager, view.child(idx), key, val)? else {
+                return Ok(None);
+            };
+            // A child split to absorb: the one time a write materializes
+            // an internal node.
+            let (mut keys, mut children) = view.separators();
+            keys.insert(idx, promoted);
+            children.insert(idx + 1, right);
+            Node::Internal { keys, children }
+        };
+        self.write_split(pager, page_id, node)
     }
 
     /// Write a node back, splitting it if it no longer fits the page.
@@ -420,96 +605,73 @@ impl BTree {
         Ok(Some((promoted, right_id)))
     }
 
-    /// Exact-key lookup.
-    pub fn get(&self, pager: &Pager, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let mut page_id = self.root;
-        loop {
-            match decode_node(&pager.read(page_id)?)? {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| self.cmp.cmp(k, key) != Ordering::Greater);
-                    page_id = children[idx];
-                }
-                Node::Leaf { entries } => {
-                    let pos =
-                        entries.partition_point(|(k, _)| self.cmp.cmp(k, key) == Ordering::Less);
-                    return match entries.get(pos) {
-                        Some((k, v)) if self.cmp.cmp(k, key) == Ordering::Equal => {
-                            Ok(Some(resolve_val(pager, v)?))
-                        }
-                        _ => Ok(None),
-                    };
-                }
-            }
+    /// The leaf whose key range covers `key`, and its page id; `visit`
+    /// as for [`descend`].
+    fn leaf_for(
+        &self,
+        pager: &Pager,
+        key: &[u8],
+        visit: impl FnMut(PageId, usize),
+    ) -> Result<(PageId, NodeView)> {
+        descend(
+            pager,
+            self.root,
+            |node| node.child_for(self.cmp, key),
+            visit,
+        )
+    }
+
+    /// Exact-key lookup. `read` sees the value where it is stored — a
+    /// slice of the pinned leaf page, or the assembled overflow chain —
+    /// and what it returns is all that is copied out.
+    pub fn get<R>(
+        &self,
+        pager: &Pager,
+        key: &[u8],
+        read: impl FnOnce(&[u8]) -> Result<R>,
+    ) -> Result<Option<R>> {
+        let (_, leaf) = self.leaf_for(pager, key, |_, _| {})?;
+        match leaf.find(self.cmp, key) {
+            None => Ok(None),
+            Some(pos) => read(&resolve(pager, leaf.val(pos))?).map(Some),
         }
     }
 
     /// Remove a key. Returns whether it was present. Leaves are never
     /// merged (split-only policy).
     pub fn remove(&mut self, pager: &Pager, key: &[u8]) -> Result<bool> {
-        let mut page_id = self.root;
-        loop {
-            match decode_node(&pager.read(page_id)?)? {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| self.cmp.cmp(k, key) != Ordering::Greater);
-                    page_id = children[idx];
-                }
-                Node::Leaf { mut entries } => {
-                    let pos =
-                        entries.partition_point(|(k, _)| self.cmp.cmp(k, key) == Ordering::Less);
-                    if entries
-                        .get(pos)
-                        .is_none_or(|(k, _)| self.cmp.cmp(k, key) != Ordering::Equal)
-                    {
-                        return Ok(false);
-                    }
-                    let (_, val) = entries.remove(pos);
-                    if let Val::Overflow { first, .. } = val {
-                        free_overflow(pager, first)?;
-                    }
-                    let page = encode_node(&Node::Leaf { entries }, pager.page_size())
-                        .expect("a shrunk leaf always fits");
-                    pager.write(page_id, page)?;
-                    return Ok(true);
-                }
-            }
+        let (page_id, leaf) = self.leaf_for(pager, key, |_, _| {})?;
+        let Some(pos) = leaf.find(self.cmp, key) else {
+            return Ok(false);
+        };
+        let mut entries = leaf.entries();
+        let (_, val) = entries.remove(pos);
+        if let Val::Overflow { first, .. } = val {
+            free_overflow(pager, first)?;
         }
+        let page = encode_node(&Node::Leaf { entries }, pager.page_size())
+            .expect("a shrunk leaf always fits");
+        pager.write(page_id, page)?;
+        Ok(true)
     }
 
     /// A cursor positioned before the first entry.
     pub fn cursor_first(&self, pager: &Pager) -> Result<BTreeCursor> {
-        let mut cur = BTreeCursor::new();
-        cur.descend_leftmost(pager, self.root)?;
-        Ok(cur)
+        let mut stack = Vec::new();
+        let (_, leaf) = descend(pager, self.root, |_| 0, |page, idx| stack.push((page, idx)))?;
+        Ok(BTreeCursor {
+            stack,
+            leaf,
+            pos: 0,
+        })
     }
 
     /// A cursor positioned before the first entry whose key is `>= key`.
     pub fn cursor_seek(&self, pager: &Pager, key: &[u8]) -> Result<BTreeCursor> {
-        let mut cur = BTreeCursor::new();
-        let mut page_id = self.root;
-        loop {
-            match decode_node(&pager.read(page_id)?)? {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| self.cmp.cmp(k, key) != Ordering::Greater);
-                    cur.stack.push((page_id, idx));
-                    page_id = children[idx];
-                }
-                Node::Leaf { entries } => {
-                    cur.pos =
-                        entries.partition_point(|(k, _)| self.cmp.cmp(k, key) == Ordering::Less);
-                    cur.leaf = entries;
-                    return Ok(cur);
-                }
-            }
-        }
-    }
-
-    /// Free every page of the tree (nodes and overflow chains) and leave
-    /// a fresh empty root in place.
-    pub fn clear(&mut self, pager: &Pager) -> Result<()> {
-        free_tree(pager, self.root)?;
-        let fresh = BTree::create(pager, self.cmp)?;
-        self.root = fresh.root;
-        Ok(())
+        let mut stack = Vec::new();
+        let (_, leaf) = self.leaf_for(pager, key, |page, idx| stack.push((page, idx)))?;
+        let pos = leaf.lower_bound(self.cmp, key);
+        Ok(BTreeCursor { stack, leaf, pos })
     }
 
     /// Free every page of the tree, consuming it (index dropped).
@@ -519,87 +681,73 @@ impl BTree {
 }
 
 fn free_tree(pager: &Pager, page_id: PageId) -> Result<()> {
-    match decode_node(&pager.read(page_id)?)? {
-        Node::Internal { children, .. } => {
-            for child in children {
-                free_tree(pager, child)?;
+    let node = NodeView::parse(pager.read(page_id)?)?;
+    if node.leaf {
+        for i in 0..node.len() {
+            if let Val::Overflow { first, .. } = node.val(i) {
+                free_overflow(pager, first)?;
             }
         }
-        Node::Leaf { entries } => {
-            for (_, val) in entries {
-                if let Val::Overflow { first, .. } = val {
-                    free_overflow(pager, first)?;
-                }
-            }
+    } else {
+        for i in 0..=node.len() {
+            free_tree(pager, node.child(i))?;
         }
     }
     pager.free_page(page_id);
     Ok(())
 }
 
-/// Forward iterator over a [`BTree`]: yields `(key, value)` in key order.
-/// The tree must not be mutated while a cursor is open (callers
-/// materialize under the table lock).
+/// What a [`BTreeCursor`] lends: a key and its value, both slices of the
+/// pinned leaf page unless the value had to be assembled from an
+/// overflow chain.
+pub type Entry<'a> = (&'a [u8], Cow<'a, [u8]>);
+
+/// Forward iterator over a [`BTree`]: lends `(key, value)` in key order,
+/// straight from the leaf page it keeps pinned. The tree must not be
+/// mutated while a cursor is open (callers materialize under the table
+/// lock).
 #[derive(Debug)]
 pub struct BTreeCursor {
     /// Path of internal pages and the child index descended at each.
     stack: Vec<(PageId, usize)>,
-    leaf: Vec<(Vec<u8>, Val)>,
+    leaf: NodeView,
     pos: usize,
 }
 
 impl BTreeCursor {
-    fn new() -> BTreeCursor {
-        BTreeCursor {
-            stack: Vec::new(),
-            leaf: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    fn descend_leftmost(&mut self, pager: &Pager, mut page_id: PageId) -> Result<()> {
-        loop {
-            match decode_node(&pager.read(page_id)?)? {
-                Node::Internal { children, .. } => {
-                    self.stack.push((page_id, 0));
-                    page_id = children[0];
-                }
-                Node::Leaf { entries } => {
-                    self.leaf = entries;
-                    self.pos = 0;
-                    return Ok(());
-                }
+    /// The next entry in key order, or `None` at the end. Key and value
+    /// borrow the cursor's leaf until the next call; only a value stored
+    /// in an overflow chain is owned.
+    pub fn next(&mut self, pager: &Pager) -> Result<Option<Entry<'_>>> {
+        // Leaf exhausted: climb until an internal node has a further
+        // child, then descend its leftmost path.
+        while self.pos == self.leaf.len() {
+            let Some((page_id, idx)) = self.stack.pop() else {
+                return Ok(None);
+            };
+            let parent = NodeView::parse(pager.read(page_id)?)?;
+            if parent.leaf {
+                return Err(CrowdError::Internal(
+                    "btree: cursor stack entry is not internal".into(),
+                ));
+            }
+            if idx < parent.len() {
+                let stack = &mut self.stack;
+                stack.push((page_id, idx + 1));
+                let (_, leaf) = descend(
+                    pager,
+                    parent.child(idx + 1),
+                    |_| 0,
+                    |page, idx| stack.push((page, idx)),
+                )?;
+                self.leaf = leaf;
+                self.pos = 0;
             }
         }
-    }
-
-    /// The next entry in key order, or `None` at the end.
-    pub fn next(&mut self, pager: &Pager) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        loop {
-            if self.pos < self.leaf.len() {
-                let (key, val) = &self.leaf[self.pos];
-                let out = (key.clone(), resolve_val(pager, val)?);
-                self.pos += 1;
-                return Ok(Some(out));
-            }
-            // Leaf exhausted: climb until an internal node has a further
-            // child, then descend its leftmost path.
-            loop {
-                let Some((page_id, idx)) = self.stack.pop() else {
-                    return Ok(None);
-                };
-                let Node::Internal { children, .. } = decode_node(&pager.read(page_id)?)? else {
-                    return Err(CrowdError::Internal(
-                        "btree: cursor stack entry is not internal".into(),
-                    ));
-                };
-                if idx + 1 < children.len() {
-                    self.stack.push((page_id, idx + 1));
-                    self.descend_leftmost(pager, children[idx + 1])?;
-                    break;
-                }
-            }
-        }
+        let pos = self.pos;
+        self.pos += 1;
+        let val = resolve(pager, self.leaf.val(pos))?;
+        Ok(Some((self.leaf.key(pos), val)))
     }
 }
 
@@ -607,6 +755,7 @@ impl BTreeCursor {
 mod tests {
     use super::*;
     use crate::pager::PagerConfig;
+    use std::collections::BTreeMap;
 
     fn pager() -> Pager {
         Pager::new_mem(PagerConfig {
@@ -618,6 +767,20 @@ mod tests {
 
     fn key(i: u64) -> Vec<u8> {
         i.to_be_bytes().to_vec()
+    }
+
+    /// `get`, copying the value out.
+    fn get(t: &BTree, p: &Pager, key: &[u8]) -> Option<Vec<u8>> {
+        t.get(p, key, |v| Ok(v.to_vec())).unwrap()
+    }
+
+    /// Everything `cur` still yields, copied out.
+    fn drain(mut cur: BTreeCursor, p: &Pager) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::new();
+        while let Some((k, v)) = cur.next(p).unwrap() {
+            out.push((k.to_vec(), v.into_owned()));
+        }
+        out
     }
 
     #[test]
@@ -632,11 +795,11 @@ mod tests {
         }
         for i in 0..500u64 {
             assert_eq!(
-                t.get(&p, &key(i)).unwrap().as_deref(),
+                get(&t, &p, &key(i)).as_deref(),
                 Some(format!("val-{i}").as_bytes())
             );
         }
-        assert_eq!(t.get(&p, &key(500)).unwrap(), None);
+        assert_eq!(get(&t, &p, &key(500)), None);
     }
 
     #[test]
@@ -645,7 +808,7 @@ mod tests {
         let mut t = BTree::create(&p, KeyCmp::Bytes).unwrap();
         t.insert(&p, &key(1), b"old").unwrap();
         t.insert(&p, &key(1), b"new").unwrap();
-        assert_eq!(t.get(&p, &key(1)).unwrap().as_deref(), Some(&b"new"[..]));
+        assert_eq!(get(&t, &p, &key(1)).as_deref(), Some(&b"new"[..]));
         let mut cur = t.cursor_first(&p).unwrap();
         let mut n = 0;
         while cur.next(&p).unwrap().is_some() {
@@ -690,8 +853,8 @@ mod tests {
         }
         assert!(t.remove(&p, &key(42)).unwrap());
         assert!(!t.remove(&p, &key(42)).unwrap());
-        assert_eq!(t.get(&p, &key(42)).unwrap(), None);
-        assert_eq!(t.get(&p, &key(41)).unwrap().as_deref(), Some(&b"x"[..]));
+        assert_eq!(get(&t, &p, &key(42)), None);
+        assert_eq!(get(&t, &p, &key(41)).as_deref(), Some(&b"x"[..]));
         let mut cur = t.cursor_first(&p).unwrap();
         let mut n = 0;
         while cur.next(&p).unwrap().is_some() {
@@ -706,7 +869,7 @@ mod tests {
         let mut t = BTree::create(&p, KeyCmp::Bytes).unwrap();
         let big: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
         t.insert(&p, &key(7), &big).unwrap();
-        assert_eq!(t.get(&p, &key(7)).unwrap().as_deref(), Some(&big[..]));
+        assert_eq!(get(&t, &p, &key(7)).as_deref(), Some(&big[..]));
         // Replacing frees the old chain (after writing the new one, so
         // the steady state holds two chains' worth of pages); page count
         // must not grow unboundedly across repeated upserts of the key.
@@ -717,7 +880,7 @@ mod tests {
         }
         let (_, after) = p.alloc_state();
         assert_eq!(before, after, "freed overflow pages are reused");
-        assert_eq!(t.get(&p, &key(7)).unwrap().as_deref(), Some(&big[..]));
+        assert_eq!(get(&t, &p, &key(7)).as_deref(), Some(&big[..]));
     }
 
     #[test]
@@ -730,20 +893,21 @@ mod tests {
     }
 
     #[test]
-    fn clear_frees_all_pages() {
+    fn free_releases_every_page() {
         let p = pager();
         let mut t = BTree::create(&p, KeyCmp::Bytes).unwrap();
+        let big = vec![9u8; 1000];
         for i in 0..200u64 {
-            t.insert(&p, &key(i), b"some value").unwrap();
+            let value = if i % 50 == 0 { &big[..] } else { b"some value" };
+            t.insert(&p, &key(i), value).unwrap();
         }
-        t.clear(&p).unwrap();
-        assert_eq!(t.get(&p, &key(0)).unwrap(), None);
-        // A fresh insert reuses freed pages rather than extending.
-        let (free_before, count_before) = p.alloc_state();
-        assert!(!free_before.is_empty());
+        t.free(&p).unwrap();
+        let (free, count) = p.alloc_state();
+        assert_eq!(free.len() as u64, count - 1, "all but the header page");
+        // A fresh tree reuses freed pages rather than extending the file.
+        let mut t = BTree::create(&p, KeyCmp::Bytes).unwrap();
         t.insert(&p, &key(0), b"x").unwrap();
-        let (_, count_after) = p.alloc_state();
-        assert_eq!(count_before, count_after);
+        assert_eq!(p.alloc_state().1, count);
     }
 
     #[test]
@@ -772,5 +936,350 @@ mod tests {
             cmp.cmp(&entry(&Value::Int(1), 0), &entry(&Value::Int(1), 0)),
             Ordering::Equal
         );
+    }
+
+    /// The overflow chain of the only entry of a one-leaf tree.
+    fn chain_of(t: &BTree, p: &Pager) -> Vec<PageId> {
+        let root = NodeView::parse(p.read(t.root()).unwrap()).unwrap();
+        let Val::Overflow { first, .. } = root.val(0) else {
+            panic!("the value was stored inline");
+        };
+        let mut ids = vec![first];
+        loop {
+            let page = p.read(*ids.last().unwrap()).unwrap();
+            match u64::from_le_bytes(bytes_at(&page, 1)) {
+                0 => return ids,
+                next => ids.push(next),
+            }
+        }
+    }
+
+    /// Rewrite overflow page `id` to point at `next`, its chunk cut to
+    /// `len` bytes if given.
+    fn relink(p: &Pager, id: PageId, next: PageId, len: Option<u32>) {
+        let mut page = p.read(id).unwrap().to_vec();
+        page[1..9].copy_from_slice(&next.to_le_bytes());
+        if let Some(len) = len {
+            page[9..13].copy_from_slice(&len.to_le_bytes());
+        }
+        p.write(id, page).unwrap();
+    }
+
+    #[test]
+    fn a_cycling_overflow_chain_is_a_typed_error_not_a_hang() {
+        type Damage = fn(&Pager, &[PageId]);
+        let damages: [(&str, Damage); 3] = [
+            ("a chunk points at itself", |p, ids| {
+                relink(p, ids[1], ids[1], None)
+            }),
+            ("a chunk points at its predecessor", |p, ids| {
+                relink(p, ids[1], ids[0], None)
+            }),
+            ("an empty chunk points at itself", |p, ids| {
+                relink(p, ids[2], ids[2], Some(0))
+            }),
+        ];
+        for (what, damage) in damages {
+            let scene = || {
+                let p = pager();
+                let mut t = BTree::create(&p, KeyCmp::Bytes).unwrap();
+                t.insert(&p, &key(1), &[7u8; 700]).unwrap();
+                let ids = chain_of(&t, &p);
+                assert_eq!(ids.len(), 3, "700 bytes in 243-byte chunks");
+                damage(&p, &ids);
+                (p, t)
+            };
+            let typed = |err: CrowdError| {
+                assert_eq!(err.category(), "internal", "{what}");
+                assert!(
+                    err.message().starts_with("btree: overflow chain"),
+                    "{what}: {err}"
+                );
+            };
+            let (p, t) = scene();
+            typed(t.get(&p, &key(1), |_| Ok(())).unwrap_err());
+            let mut cur = t.cursor_first(&p).unwrap();
+            typed(cur.next(&p).map(|_| ()).unwrap_err());
+            let (p, mut t) = scene();
+            typed(t.remove(&p, &key(1)).unwrap_err());
+            let (p, mut t) = scene();
+            typed(t.insert(&p, &key(1), b"replacement").unwrap_err());
+            let (p, t) = scene();
+            typed(t.free(&p).unwrap_err());
+        }
+    }
+
+    /// `decode_node` as it stood before reads moved onto [`NodeView`]:
+    /// every visited page rebuilt as a vector of vectors. Kept verbatim
+    /// as the oracle for which images parse, with which error, to what.
+    fn decode_node(data: &[u8]) -> Result<Node> {
+        let corrupt = |what: &str| CrowdError::Internal(format!("btree: corrupt node ({what})"));
+        let tag = *data.first().ok_or_else(|| corrupt("empty page"))?;
+        let mut off = 3usize;
+        let take = |off: &mut usize, n: usize| -> Result<&[u8]> {
+            let s = data
+                .get(*off..*off + n)
+                .ok_or_else(|| corrupt("truncated"))?;
+            *off += n;
+            Ok(s)
+        };
+        let n = u16::from_le_bytes(
+            data.get(1..3)
+                .ok_or_else(|| corrupt("short"))?
+                .try_into()
+                .unwrap(),
+        );
+        match tag {
+            kind::LEAF => {
+                let mut entries = Vec::with_capacity(n as usize);
+                for _ in 0..n {
+                    let klen = u16::from_le_bytes(take(&mut off, 2)?.try_into().unwrap()) as usize;
+                    let vword = u32::from_le_bytes(take(&mut off, 4)?.try_into().unwrap());
+                    let key = take(&mut off, klen)?.to_vec();
+                    let val = if vword & OVERFLOW_FLAG != 0 {
+                        let first = u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap());
+                        let total_len = u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap());
+                        Val::Overflow { first, total_len }
+                    } else {
+                        Val::Inline(take(&mut off, vword as usize)?.to_vec())
+                    };
+                    entries.push((key, val));
+                }
+                Ok(Node::Leaf { entries })
+            }
+            kind::INTERNAL => {
+                let mut children = Vec::with_capacity(n as usize + 1);
+                children.push(u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap()));
+                let mut keys = Vec::with_capacity(n as usize);
+                for _ in 0..n {
+                    let klen = u16::from_le_bytes(take(&mut off, 2)?.try_into().unwrap()) as usize;
+                    keys.push(take(&mut off, klen)?.to_vec());
+                    children.push(u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap()));
+                }
+                Ok(Node::Internal { keys, children })
+            }
+            other => Err(corrupt(&format!("unexpected page kind {other}"))),
+        }
+    }
+
+    /// The view must take `image` exactly as the oracle does — the same
+    /// error text, or the same node entry for entry — and no accessor
+    /// may panic on an image it accepted.
+    fn assert_view_matches_oracle(image: &[u8], cmp: KeyCmp, what: &str) {
+        match (
+            NodeView::parse(Arc::new(image.to_vec())),
+            decode_node(image),
+        ) {
+            (Err(got), Err(want)) => assert_eq!(got.message(), want.message(), "{what}"),
+            (Ok(view), Ok(node)) => {
+                let copied = if view.leaf {
+                    Node::Leaf {
+                        entries: view.entries(),
+                    }
+                } else {
+                    let (keys, children) = view.separators();
+                    Node::Internal { keys, children }
+                };
+                assert_eq!(copied, node, "{what}");
+                // Searches over keys a corruption may have unsorted or
+                // made foreign to the comparator: any answer, no panic.
+                for i in 0..view.len() {
+                    let probe = view.key(i).to_vec();
+                    assert!(view.lower_bound(cmp, &probe) <= view.len(), "{what}");
+                    assert!(view.child_for(cmp, &probe) <= view.len(), "{what}");
+                    assert!(view.find(cmp, &probe).is_none_or(|pos| pos < view.len()));
+                }
+            }
+            (view, node) => panic!("{what}: the view says {view:?}, the oracle {node:?}"),
+        }
+    }
+
+    /// splitmix64, same shape as `tests/proptest_codec.rs`.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A key `cmp` can order: any bytes, or values ‖ tid.
+        fn key(&mut self, cmp: KeyCmp) -> Vec<u8> {
+            use crowddb_common::{TupleId, Value};
+            match cmp {
+                KeyCmp::Bytes => {
+                    let len = 1 + self.below(24);
+                    (0..len).map(|_| self.below(4) as u8).collect()
+                }
+                KeyCmp::IndexEntry => {
+                    let values: Vec<Value> = (0..1 + self.below(2))
+                        .map(|_| match self.below(8) {
+                            0 => Value::Null,
+                            1 => Value::CNull,
+                            2..=4 => Value::Int(self.below(40) as i64 - 20),
+                            _ => Value::Str("k".repeat(self.below(12))),
+                        })
+                        .collect();
+                    crate::index::encode_index_entry(&values, TupleId(self.below(6) as u64))
+                }
+            }
+        }
+
+        /// Mostly inline values (≤ 32 bytes at page size 256), one in
+        /// six long enough for a chain of up to three overflow pages.
+        fn value(&mut self) -> Vec<u8> {
+            let len = match self.below(6) {
+                0 => 33 + self.below(600),
+                _ => self.below(33),
+            };
+            let fill = self.next() as u8;
+            (0..len).map(|i| fill.wrapping_add(i as u8)).collect()
+        }
+    }
+
+    /// A key under its tree's comparator, so a `BTreeMap` is the model.
+    #[derive(Debug, Clone)]
+    struct Keyed(KeyCmp, Vec<u8>);
+
+    impl Ord for Keyed {
+        fn cmp(&self, other: &Keyed) -> Ordering {
+            self.0.cmp(&self.1, &other.1)
+        }
+    }
+    impl PartialOrd for Keyed {
+        fn partial_cmp(&self, other: &Keyed) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl PartialEq for Keyed {
+        fn eq(&self, other: &Keyed) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+    impl Eq for Keyed {}
+
+    type Model = BTreeMap<Keyed, Vec<u8>>;
+
+    fn pairs<'a>(model: impl Iterator<Item = (&'a Keyed, &'a Vec<u8>)>) -> Vec<(Vec<u8>, Vec<u8>)> {
+        model.map(|(k, v)| (k.1.clone(), v.clone())).collect()
+    }
+
+    /// Tree and model agree on a full scan, and on a `get` of and a
+    /// seek to each probe.
+    fn assert_same(t: &BTree, p: &Pager, model: &Model, probes: &[&[u8]], what: &str) {
+        assert_eq!(
+            drain(t.cursor_first(p).unwrap(), p),
+            pairs(model.iter()),
+            "{what}: full cursor"
+        );
+        for &probe in probes {
+            let from = Keyed(t.cmp, probe.to_vec());
+            assert_eq!(
+                get(t, p, probe).as_ref(),
+                model.get(&from),
+                "{what}: get {probe:?}"
+            );
+            assert_eq!(
+                drain(t.cursor_seek(p, probe).unwrap(), p),
+                pairs(model.range(from..)),
+                "{what}: seek {probe:?}"
+            );
+        }
+    }
+
+    /// Every node page of the tree, root first, and its depth in levels.
+    fn node_pages(t: &BTree, p: &Pager) -> (Vec<Arc<Vec<u8>>>, usize) {
+        let (mut pages, mut depth) = (Vec::new(), 0);
+        let mut level = vec![t.root()];
+        while !level.is_empty() {
+            depth += 1;
+            let mut below = Vec::new();
+            for id in level {
+                let page = p.read(id).unwrap();
+                if let Node::Internal { children, .. } = decode_node(&page).unwrap() {
+                    below.extend(children);
+                }
+                pages.push(page);
+            }
+            level = below;
+        }
+        (pages, depth)
+    }
+
+    #[test]
+    fn tree_matches_a_btreemap_and_the_view_matches_decode_node() {
+        for (seed, cmp) in [(1, KeyCmp::Bytes), (2, KeyCmp::IndexEntry)] {
+            let p = pager();
+            let mut rng = Rng(seed);
+            let mut t = BTree::create(&p, cmp).unwrap();
+            let mut model = Model::new();
+            for step in 0..1500 {
+                let fresh = rng.key(cmp);
+                let held = model.keys().nth(rng.below(model.len().max(1)));
+                let what = format!("{cmp:?} step {step}");
+                // Half the steps insert a new key; the others upsert or
+                // remove one the tree holds, or remove one it lacks.
+                let (k, insert) = match (rng.below(10), held) {
+                    (5..=6, Some(held)) => (held.1.clone(), true),
+                    (7..=8, Some(held)) => (held.1.clone(), false),
+                    (9, _) => (fresh, false),
+                    _ => (fresh, true),
+                };
+                if insert {
+                    let v = rng.value();
+                    t.insert(&p, &k, &v).unwrap();
+                    // An upsert keeps the stored key, as the model does.
+                    model.insert(Keyed(cmp, k.clone()), v);
+                } else {
+                    let was = model.remove(&Keyed(cmp, k.clone())).is_some();
+                    assert_eq!(t.remove(&p, &k).unwrap(), was, "{what}: remove");
+                }
+                assert_same(&t, &p, &model, &[&k, &rng.key(cmp)], &what);
+            }
+
+            let (pages, depth) = node_pages(&t, &p);
+            assert!(
+                depth >= 3,
+                "{cmp:?}: {depth} level(s), {} keys",
+                model.len()
+            );
+            for (n, page) in pages.iter().enumerate() {
+                assert_view_matches_oracle(page, cmp, &format!("{cmp:?} page {n}"));
+                for (label, image) in codec::corruptions(page) {
+                    assert_view_matches_oracle(&image, cmp, &format!("{cmp:?} page {n}: {label}"));
+                }
+            }
+
+            // A seek just past each key: one in every leaf lands behind
+            // that leaf's last entry and has to climb to the next leaf.
+            let keys: Vec<Keyed> = model.keys().cloned().collect();
+            for k in &keys {
+                let mut past = k.1.clone();
+                match cmp {
+                    KeyCmp::Bytes => past.push(0),
+                    KeyCmp::IndexEntry => *past.last_mut().unwrap() += 1,
+                }
+                assert_same(&t, &p, &model, &[&past], "seek past a key");
+            }
+            // Remove in key order, so whole leaves empty out one after
+            // the other under the cursor's path (they are never merged).
+            for (i, k) in keys.iter().enumerate() {
+                assert!(t.remove(&p, &k.1).unwrap());
+                model.remove(k);
+                if i % 7 == 0 || model.len() < 8 {
+                    assert_same(&t, &p, &model, &[&k.1], "emptying leaves");
+                }
+            }
+            assert!(drain(t.cursor_first(&p).unwrap(), &p).is_empty());
+            let (_, emptied) = node_pages(&t, &p);
+            assert_eq!(emptied, depth, "removes never shrink the tree");
+        }
     }
 }

@@ -1,9 +1,15 @@
-//! Cursors: streaming row access over a table's primary B-tree,
-//! replacing the old materialize-everything `scan_rows()` contract.
+//! Cursors: streaming row access over a table's primary B-tree.
 //!
 //! A cursor borrows the table (and through it the pager), so it lives
 //! inside a `Database::with_table` closure; callers that need rows past
-//! the closure materialize exactly the prefix they consume.
+//! the closure materialize exactly the prefix they consume. Each row is
+//! decoded straight from the leaf page the B-tree cursor keeps pinned —
+//! the decoded [`Row`] is the only copy made of a stored value.
+//!
+//! The executor's `ScanOp` still takes a whole table at once through
+//! [`HeapTable::scan_rows`](crate::table::HeapTable::scan_rows), which
+//! is [`TableCursor::collect_rows`] run under the database lock; index
+//! backfill is the caller that streams.
 
 use crowddb_common::codec::{self, Reader};
 use crowddb_common::{CrowdError, Result, Row, TupleId};
@@ -31,7 +37,7 @@ impl<'a> TableCursor<'a> {
         match self.inner.next(self.pager)? {
             None => Ok(None),
             Some((key, val)) => {
-                let tid = decode_tid_key(&key)?;
+                let tid = decode_tid_key(key)?;
                 let row = codec::decode_row(&mut Reader::new(&val))?;
                 Ok(Some((tid, row)))
             }

@@ -184,7 +184,7 @@ impl Index {
         let mut cur = self.tree.cursor_seek(pager, &target)?;
         let mut out = Vec::new();
         while let Some((entry, _)) = cur.next(pager)? {
-            let (k, tid) = decode_index_entry(&entry)?;
+            let (k, tid) = decode_index_entry(entry)?;
             if k != *key {
                 break;
             }
@@ -213,7 +213,7 @@ impl Index {
         };
         let mut out = Vec::new();
         while let Some((entry, _)) = cur.next(pager)? {
-            let (k, tid) = decode_index_entry(&entry)?;
+            let (k, tid) = decode_index_entry(entry)?;
             if k.has_missing() {
                 // With no lower bound the cursor starts inside the
                 // missing-key prefix; open-world semantics exclude those
@@ -239,7 +239,7 @@ impl Index {
         let mut cur = self.tree.cursor_first(pager)?;
         let mut out = Vec::new();
         while let Some((entry, _)) = cur.next(pager)? {
-            let (k, tid) = decode_index_entry(&entry)?;
+            let (k, tid) = decode_index_entry(entry)?;
             if k.has_missing() {
                 out.push(tid);
             } else if !k.0.first().is_some_and(Value::is_missing) {
@@ -247,26 +247,6 @@ impl Index {
             }
         }
         Ok(out)
-    }
-
-    /// Number of distinct keys (full scan).
-    pub fn distinct_keys(&self, pager: &Pager) -> Result<usize> {
-        let mut cur = self.tree.cursor_first(pager)?;
-        let mut n = 0usize;
-        let mut last: Option<IndexKey> = None;
-        while let Some((entry, _)) = cur.next(pager)? {
-            let (k, _) = decode_index_entry(&entry)?;
-            if last.as_ref() != Some(&k) {
-                n += 1;
-                last = Some(k);
-            }
-        }
-        Ok(n)
-    }
-
-    /// Drop every entry, keeping the index (re-backfill follows).
-    pub fn clear(&mut self, pager: &Pager) -> Result<()> {
-        self.tree.clear(pager)
     }
 
     /// Free the entry tree (index or table dropped).
@@ -306,7 +286,10 @@ mod tests {
             idx.get(&p, &key(vec![Value::Int(1)])).unwrap(),
             vec![TupleId(10), TupleId(11)]
         );
-        assert_eq!(idx.distinct_keys(&p).unwrap(), 2);
+        assert_eq!(
+            idx.get(&p, &key(vec![Value::Int(2)])).unwrap(),
+            vec![TupleId(12)]
+        );
         assert!(
             idx.range(&p, None, None).unwrap().is_none(),
             "hash: no range"
@@ -385,19 +368,6 @@ mod tests {
         let idx = Index::new(&p, "i", vec![2, 0], IndexKind::Hash, false).unwrap();
         let row = vec![Value::Int(1), Value::Int(2), Value::Int(3)];
         assert_eq!(idx.key_of(&row), key(vec![Value::Int(3), Value::Int(1)]));
-    }
-
-    #[test]
-    fn clear_empties_all_entries() {
-        let p = pager();
-        let mut idx = Index::new(&p, "i", vec![0], IndexKind::BTree, false).unwrap();
-        for i in 0..50i64 {
-            idx.insert(&p, &key(vec![Value::Int(i)]), TupleId(i as u64))
-                .unwrap();
-        }
-        idx.clear(&p).unwrap();
-        assert_eq!(idx.distinct_keys(&p).unwrap(), 0);
-        assert_eq!(idx.range(&p, None, None).unwrap().unwrap(), vec![]);
     }
 
     #[test]

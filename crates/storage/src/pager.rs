@@ -28,6 +28,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crowddb_common::codec;
 use crowddb_common::{CrowdError, Result};
 
 use crate::page::{self, PageId, HEADER_PAGE};
@@ -223,6 +224,12 @@ impl Pager {
         (st.free.iter().copied().collect(), st.page_count)
     }
 
+    /// Pages ever allocated, the header page and freed pages included:
+    /// no chain of distinct pages is longer.
+    pub fn page_count(&self) -> u64 {
+        self.state.lock().page_count
+    }
+
     /// Restore allocation state from a metadata snapshot.
     pub fn set_alloc_state(&self, free: Vec<PageId>, page_count: u64, epoch: u64) {
         let mut st = self.state.lock();
@@ -372,25 +379,13 @@ impl Pager {
     }
 }
 
-/// CRC-32 (IEEE, bitwise) over the page id and its contents. Journals
-/// are small and written once per checkpoint, so the table-less
-/// implementation is plenty fast and keeps this crate dependency-free.
+/// The journal's per-entry checksum: CRC-32 over the page id (little
+/// endian) followed by the page contents.
 fn journal_crc(id: PageId, data: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    let mut feed = |byte: u8| {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    };
-    for b in id.to_le_bytes() {
-        feed(b);
-    }
-    for &b in data {
-        feed(b);
-    }
-    !crc
+    let mut entry = Vec::with_capacity(8 + data.len());
+    entry.extend_from_slice(&id.to_le_bytes());
+    entry.extend_from_slice(data);
+    codec::crc32(&entry)
 }
 
 /// Outcome of parsing a checkpoint journal.

@@ -257,10 +257,10 @@ impl HeapTable {
         if tid.0 >= self.total_slots {
             return Ok(None);
         }
-        match self.primary.get(&self.pager, &encode_tid_key(tid))? {
-            None => Ok(None),
-            Some(bytes) => Ok(Some(codec::decode_row(&mut Reader::new(&bytes))?)),
-        }
+        self.primary
+            .get(&self.pager, &encode_tid_key(tid), |stored| {
+                Ok(codec::decode_row(&mut Reader::new(stored))?)
+            })
     }
 
     /// Delete a row. Returns whether it existed.
@@ -624,7 +624,10 @@ mod tests {
                 .len(),
             2
         );
-        assert_eq!(idx.distinct_keys(t.pager()).unwrap(), 2);
+        assert_eq!(
+            idx.get(t.pager(), &IndexKey(vec![Value::Int(20)])).unwrap(),
+            vec![TupleId(1)]
+        );
     }
 
     #[test]

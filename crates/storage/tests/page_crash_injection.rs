@@ -15,11 +15,15 @@
 //!   silently-wrong pages. (Truncation below the 24-byte journal header
 //!   is unreachable in this scenario — the journal is fully fsynced
 //!   before the metadata commit — so the sweep starts at the header.)
+//!
+//! Last, the entry checksum itself: the bitwise CRC-32 the pager used to
+//! carry stays here as the oracle for the table-driven one it shares
+//! with every other format now.
 
 use crowddb_common::{row, Value};
 use crowddb_common::{ColumnDef, DataType, TableSchema};
 use crowddb_storage::pager::{JOURNAL_FILE, PAGES_FILE};
-use crowddb_storage::{Database, IndexKind, PagerConfig};
+use crowddb_storage::{Database, IndexKind, Pager, PagerConfig};
 use crowddb_wal::testutil::TestDir;
 
 const JOURNAL_HEADER: usize = 24; // magic + epoch + entry count
@@ -231,4 +235,57 @@ fn reopen_after_completed_checkpoint_needs_no_journal() {
     );
     let db = Database::open_paged(dir.path(), small_cfg(), &scene.meta2).unwrap();
     assert_eq!(db.snapshot().unwrap().to_vec(), scene.ref2);
+}
+
+/// The bitwise IEEE CRC-32 the pager carried before the journal checksum
+/// moved onto `codec::crc32` (same polynomial, init and final xor), kept
+/// here as the oracle: over the little-endian page id, then the page.
+fn bitwise_journal_crc(id: u64, data: &[u8]) -> u32 {
+    let mut crc: u32 = !0;
+    for &byte in id.to_le_bytes().iter().chain(data) {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
+/// Every entry of a journal of seeded pages carries the checksum the old
+/// bitwise loop computes — the journal's bytes did not move with it.
+#[test]
+fn journal_checksums_match_the_bitwise_crc32() {
+    const PAGE_SIZE: usize = 256;
+    let dir = TestDir::new("page-crash-crc");
+    let pager = Pager::open_file(dir.path(), small_cfg(), 0).unwrap();
+    let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+    let mut written = Vec::new();
+    for _ in 0..40 {
+        let id = pager.allocate();
+        let page: Vec<u8> = (0..PAGE_SIZE)
+            .map(|_| {
+                // xorshift64: any spread of byte values will do.
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed as u8
+            })
+            .collect();
+        pager.write(id, page.clone()).unwrap();
+        written.push((id, page));
+    }
+    let prep = pager.begin_checkpoint().unwrap();
+    assert_eq!(prep.pages_written(), written.len() as u64);
+
+    let journal = std::fs::read(dir.path().join(JOURNAL_FILE)).unwrap();
+    let entries = journal[JOURNAL_HEADER..].chunks_exact(12 + PAGE_SIZE);
+    assert_eq!(entries.len(), written.len());
+    assert!(entries.remainder().is_empty());
+    for (entry, (id, page)) in entries.zip(&written) {
+        assert_eq!(entry[..8], id.to_le_bytes());
+        assert_eq!(entry[12..], page[..]);
+        let crc = u32::from_le_bytes(entry[8..12].try_into().unwrap());
+        assert_eq!(crc, bitwise_journal_crc(*id, page), "page {id}");
+    }
 }
