@@ -147,9 +147,10 @@ fn main() {
     );
     out.notes.push(
         "quality-v2 matrix (x3 rows): EM matches or beats majority at the same \
-         bill; batched HITs post ~4x fewer tasks and spend ~half the cents with \
-         accuracy within a point of singletons (batch answers share a per-worker \
-         error draw, so the noise realization differs)"
+         bill; batched HITs post ~4x fewer tasks and spend ~half the cents. Their \
+         accuracy reads at or above singletons for the reason E17's note gives \
+         (one correctness draw per worker and HIT, and an erring worker's batch \
+         keeps 30% of its verdicts) — the simulator's doing, not packing's"
             .into(),
     );
     out.print();

@@ -7,9 +7,7 @@
 //! ranked by the crowd (CROWDORDER). These generators produce the
 //! equivalents with exact ground truth, so quality can be measured.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use crowddb_common::rng::Rng;
 
 /// One professor with a known department and e-mail (experiment E4: open
 /// vs closed probe fields).
@@ -35,7 +33,7 @@ pub const DEPARTMENTS: &[&str] = &[
 
 /// Generate `n` professors deterministically.
 pub fn professors(n: usize, seed: u64) -> Vec<Professor> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let first = [
         "Ada", "Alan", "Grace", "Edsger", "Barbara", "Donald", "John", "Leslie", "Frances", "Tony",
     ];
@@ -83,7 +81,7 @@ pub struct Company {
 /// nearly identical strings yet distinct entities — the pairs that make
 /// machines false-merge and humans shine (the paper's point).
 pub fn companies(n: usize, seed: u64) -> Vec<Company> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let stems = [
         "Acme",
         "Globex",
@@ -137,7 +135,7 @@ pub fn companies(n: usize, seed: u64) -> Vec<Company> {
                     .collect();
                 variants.push(format!("{typo} {sector} {i}"));
             }
-            variants.shuffle(&mut rng);
+            rng.shuffle(&mut variants);
             Company {
                 canonical,
                 variants,
@@ -151,7 +149,7 @@ pub fn companies(n: usize, seed: u64) -> Vec<Company> {
 /// the machine-hostile initialism); non-matches are dominated by the
 /// *sibling* companies whose names differ by one digit.
 pub fn entity_pairs(corpus: &[Company], seed: u64) -> Vec<(String, String, bool)> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xE17);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xE17);
     let mut out = Vec::new();
     for (i, c) in corpus.iter().enumerate() {
         for v in c.variants.iter().take(2) {
@@ -172,7 +170,7 @@ pub fn entity_pairs(corpus: &[Company], seed: u64) -> Vec<(String, String, bool)
             out.push((c.canonical.clone(), corpus[j].canonical.clone(), false));
         }
     }
-    out.shuffle(&mut rng);
+    rng.shuffle(&mut out);
     out
 }
 
@@ -188,14 +186,14 @@ pub struct RankedItem {
 
 /// Generate `n` ranked items with well-separated latent scores.
 pub fn ranked_items(n: usize, seed: u64) -> Vec<RankedItem> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0D);
+    let mut rng = Rng::seed_from_u64(seed ^ 0x0D);
     let mut items: Vec<RankedItem> = (0..n)
         .map(|i| RankedItem {
             label: format!("picture-{i:03}"),
             score: (i as f64 + rng.gen_range(0.0..0.5)) / n as f64,
         })
         .collect();
-    items.shuffle(&mut rng);
+    rng.shuffle(&mut items);
     items
 }
 
@@ -220,7 +218,7 @@ pub struct Photo {
 /// Generate a photo corpus; each photo depicts 0–3 subjects from a small
 /// vocabulary.
 pub fn photos(n: usize, seed: u64) -> Vec<Photo> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xF0);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xF0);
     let vocabulary = [
         "dog",
         "cat",
@@ -236,8 +234,9 @@ pub fn photos(n: usize, seed: u64) -> Vec<Photo> {
     (0..n)
         .map(|i| {
             let k = rng.gen_range(0..=3usize);
-            let mut subjects: Vec<String> = vocabulary
-                .choose_multiple(&mut rng, k)
+            let mut subjects: Vec<String> = rng
+                .choose_multiple(&vocabulary, k)
+                .into_iter()
                 .map(|s| s.to_string())
                 .collect();
             subjects.sort();

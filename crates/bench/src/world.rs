@@ -4,9 +4,7 @@
 
 use std::collections::HashMap;
 
-use rand::rngs::StdRng;
-use rand::Rng;
-
+use crowddb_common::rng::Rng;
 use crowddb_platform::{Answer, CrowdModel, TaskKind};
 
 use crate::workloads::{Company, Photo, Professor, RankedItem, DEPARTMENTS};
@@ -55,7 +53,7 @@ impl CrowdModel for ProfessorWorld {
         }
     }
 
-    fn erroneous_answer(&self, task: &TaskKind, rng: &mut StdRng) -> Answer {
+    fn erroneous_answer(&self, task: &TaskKind, rng: &mut Rng) -> Answer {
         // Erring workers confuse *plausible* departments (closed field)
         // and mistype e-mails (open field) — the paper found closed
         // fields much easier to vote into correctness.
@@ -212,7 +210,7 @@ impl CrowdModel for RankingWorld {
         }
     }
 
-    fn erroneous_answer(&self, task: &TaskKind, rng: &mut StdRng) -> Answer {
+    fn erroneous_answer(&self, task: &TaskKind, rng: &mut Rng) -> Answer {
         match task {
             TaskKind::Order { left, right, .. } => {
                 // Sample from the noisy choice model instead of flipping.
@@ -292,7 +290,6 @@ impl CrowdModel for PhotoWorld {
 mod tests {
     use super::*;
     use crate::workloads;
-    use rand::SeedableRng;
 
     #[test]
     fn professor_world_answers_probes() {
@@ -326,7 +323,7 @@ mod tests {
             asked: vec![("department".into(), crowddb_common::DataType::Str)],
             instructions: String::new(),
         };
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         for _ in 0..20 {
             match w.erroneous_answer(&task, &mut rng) {
                 Answer::Form(fields) => {

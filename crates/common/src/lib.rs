@@ -5,9 +5,11 @@
 //! This crate defines the value model (including the `CNULL` marker that
 //! CrowdSQL adds to every SQL type), the schema model (including `CROWD`
 //! columns and `CROWD` tables), rows, identifiers, the common error type
-//! used across all CrowdDB crates, and [`codec`] — the one binary codec
+//! used across all CrowdDB crates, [`codec`] — the one binary codec
 //! (reader, writers, frames, CRC-32, `Value`/`Row` encoding) every
-//! on-disk and on-wire format is written in.
+//! on-disk and on-wire format is written in — and the two things the
+//! workspace would otherwise take from a registry: [`rng`], the one seeded
+//! generator, and [`sync`], the locks.
 //!
 //! The design follows the VLDB 2011 demo paper "CrowdDB: Query Processing
 //! with the VLDB Crowd": `CNULL` indicates that a value *should be
@@ -17,8 +19,10 @@
 pub mod codec;
 pub mod error;
 pub mod ids;
+pub mod rng;
 pub mod row;
 pub mod schema;
+pub mod sync;
 pub mod truth;
 pub mod types;
 pub mod value;

@@ -219,6 +219,11 @@ impl Value {
             Value::CNull => "CNULL".to_string(),
             Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
             Value::Int(i) => i.to_string(),
+            // No finite literal reads back as an infinity; an overflowing
+            // one does. (NaN has no literal and is never stored.)
+            Value::Float(f) if f.is_infinite() => {
+                if *f > 0.0 { "1e999" } else { "-1e999" }.to_string()
+            }
             Value::Float(f) => format!("{f:?}"),
             Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
         }
@@ -419,6 +424,8 @@ mod tests {
         assert_eq!(Value::str("it's").sql_literal(), "'it''s'");
         assert_eq!(Value::CNull.sql_literal(), "CNULL");
         assert_eq!(Value::Float(1.0).sql_literal(), "1.0");
+        assert_eq!(Value::Float(f64::NEG_INFINITY).sql_literal(), "-1e999");
+        assert_eq!("1e999".parse::<f64>(), Ok(f64::INFINITY));
     }
 
     #[test]

@@ -6,9 +6,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-
 use crowddb_common::codec::{self, Reader};
+use crowddb_common::sync::{Mutex, RwLock};
 use crowddb_common::{CancelReason, CrowdError, Result, Row, Value};
 use crowddb_exec::{
     dml, execute_physical_guarded, flush_op_stats, lower_plan, render_analyzed, CompareCaches,
@@ -519,9 +518,8 @@ impl CrowdDB {
         let id = self.begin_statement(sql);
         // Panic isolation: a panicking operator (or a chaos hook) must
         // not take down the session. The unwind releases the admission
-        // permit and every lock on the way out (parking_lot locks unlock
-        // on unwind; the few std locks recover from poisoning), so
-        // containment is safe.
+        // permit and every lock on the way out (`crowddb_common::sync`
+        // locks recover from poisoning), so containment is safe.
         let r = match catch_unwind(AssertUnwindSafe(|| {
             self.execute_statement(&stmt, Some(&mut *platform), &guard)
         })) {

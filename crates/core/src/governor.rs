@@ -20,8 +20,9 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, PoisonError};
 
+use crowddb_common::sync::Mutex;
 use crowddb_common::{CancelReason, CrowdError, Result};
 use crowddb_exec::ExecGuard;
 
@@ -214,11 +215,11 @@ struct AdmissionCounts {
 /// choose only the *wait* behaviour (`admission_timeout_virtual_secs`),
 /// not the limits.
 ///
-/// Uses a std `Mutex`+`Condvar` (parking_lot has no condvar pairing in
-/// this build): lock poisoning is recovered with `into_inner` everywhere
-/// because a panicking statement is contained, not fatal — its permit is
-/// released during unwind and the counters it protects (two integers)
-/// are always internally consistent.
+/// A `crowddb_common::sync::Mutex` paired with a std `Condvar`: lock
+/// poisoning is recovered everywhere (by the lock, and with `into_inner`
+/// after a wait) because a panicking statement is contained, not fatal —
+/// its permit is released during unwind and the counters it protects (two
+/// integers) are always internally consistent.
 pub struct AdmissionController {
     max_total: Option<usize>,
     max_crowd: Option<usize>,
@@ -272,7 +273,7 @@ impl AdmissionController {
         // A poisoned admission lock only means some other statement
         // panicked while holding it; the counts are two integers that are
         // never left mid-update, so recover and continue.
-        let mut counts = self.counts.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut counts = self.counts.lock();
         if !self.fits(&counts, crowd) {
             match timeout_virtual_secs {
                 None => {
@@ -289,7 +290,7 @@ impl AdmissionController {
                     // concurrent release during the advance is honoured.
                     drop(counts);
                     advance(t);
-                    counts = self.counts.lock().unwrap_or_else(PoisonError::into_inner);
+                    counts = self.counts.lock();
                     if !self.fits(&counts, crowd) {
                         return Err(CrowdError::Overloaded(format!(
                             "admission timed out after {t} virtual second(s)"
@@ -315,7 +316,7 @@ impl AdmissionController {
 
     /// Currently admitted statements `(total, crowd_touching)`.
     pub fn active(&self) -> (usize, usize) {
-        let counts = self.counts.lock().unwrap_or_else(PoisonError::into_inner);
+        let counts = self.counts.lock();
         (counts.active, counts.active_crowd)
     }
 }
@@ -349,11 +350,7 @@ impl std::fmt::Debug for AdmissionPermit<'_> {
 
 impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
-        let mut counts = self
-            .controller
-            .counts
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut counts = self.controller.counts.lock();
         counts.active = counts.active.saturating_sub(1);
         if self.crowd {
             counts.active_crowd = counts.active_crowd.saturating_sub(1);

@@ -17,6 +17,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use crowddb_common::rng::splitmix64;
 use crowddb_common::{Result, Row, TableSchema, Value};
 use crowddb_exec::{SharedCaches, TaskNeed};
 use crowddb_obs::{Event, Obs};
@@ -201,15 +202,12 @@ enum HitState {
     },
 }
 
-/// Deterministic unit-interval hash (splitmix64 finalizer). Backoff
+/// Deterministic unit-interval hash (one splitmix64 step). Backoff
 /// jitter must not disturb the byte-identical-per-seed reproducibility
 /// contract, so it is derived from a counter instead of an RNG.
 fn jitter01(x: u64) -> f64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    let mut state = x;
+    (splitmix64(&mut state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Capped exponential backoff with deterministic jitter for retry

@@ -166,6 +166,36 @@ fn ddl_and_dml_replay_across_reopen() {
     );
 }
 
+/// The log stores a statement as its rendered text and replays by parsing
+/// it again, so text that does not render back to itself replays as
+/// another statement. Each line here once did: quoted text outside ASCII
+/// (mangled again by every replay), names that only exist quoted, an
+/// overflowing float literal (`inf` is a column name), and `NOT NULL`
+/// beside `PRIMARY KEY`.
+#[test]
+fn statements_that_need_care_to_render_replay_as_themselves() {
+    let dir = TestDir::new("core-render-replay");
+    let db = CrowdDB::open_with_config(dir.path(), config()).unwrap();
+    for sql in [
+        "CREATE TABLE \"my table\" (\"select\" STRING PRIMARY KEY NOT NULL, x FLOAT)",
+        "INSERT INTO \"my table\" VALUES ('Z\u{fc}rich \u{4e2d}\u{1f600}', 1e999), ('it''s', -1e999)",
+        "UPDATE \"my table\" SET x = 2.0 WHERE \"select\" = 'it''s'",
+    ] {
+        db.execute_local(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    const READ: &str = "SELECT \"select\", x FROM \"my table\" ORDER BY x";
+    let before = db.execute_local(READ).unwrap().rows;
+    assert_eq!(before[0][0], Value::str("it's"));
+    assert_eq!(before[1][0], Value::str("Z\u{fc}rich \u{4e2d}\u{1f600}"));
+    assert_eq!(before[1][1], Value::Float(f64::INFINITY));
+    let snapshot = db.snapshot().unwrap();
+    drop(db); // no close(): recovery replays the three statements
+
+    let db = CrowdDB::open_with_config(dir.path(), config()).unwrap();
+    assert_eq!(db.execute_local(READ).unwrap().rows, before);
+    assert_eq!(db.snapshot().unwrap(), snapshot);
+}
+
 #[test]
 fn truncation_sweep_recovers_a_usable_prefix_at_every_offset() {
     // Build a full log (no checkpoints, so the whole history is in it).

@@ -141,6 +141,7 @@ fn delta_streams_are_byte_identical_across_worker_counts() {
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crowddb_common::rng::splitmix64;
 use crowddb_common::Row;
 use crowddb_core::subscribe::row_key;
 
@@ -326,20 +327,14 @@ fn reference_diff(old: &[Row], new: &[Row]) -> (Vec<Row>, Vec<Row>) {
     (added, removed)
 }
 
-/// splitmix64: the stream depends on the seed and nothing else.
-struct Rng(u64);
+/// The stream's draws are `rng::splitmix64` steps: they depend on the seed
+/// and nothing else, and the route-count floors below were set against
+/// exactly this sequence.
+struct Draws(u64);
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
+impl Draws {
     fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+        (splitmix64(&mut self.0) % n as u64) as usize
     }
 
     fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
@@ -369,7 +364,7 @@ const STREAM_LEN: usize = 300;
 /// crowd `SELECT` now and then. A model of the keys keeps most of it
 /// effective.
 fn stream(seed: u64) -> Vec<(String, Kind)> {
-    let mut rng = Rng(seed);
+    let mut rng = Draws(seed);
     let mut sessions: BTreeMap<i64, &str> = BTreeMap::new();
     let mut rooms: BTreeSet<&str> = BTreeSet::new();
     let mut fees: BTreeSet<i64> = BTreeSet::new();
@@ -388,7 +383,7 @@ fn stream(seed: u64) -> Vec<(String, Kind)> {
             ));
             continue;
         }
-        let cap = |rng: &mut Rng| match rng.below(10) {
+        let cap = |rng: &mut Draws| match rng.below(10) {
             0 => "NULL".to_string(),
             _ => rng.below(500).to_string(),
         };

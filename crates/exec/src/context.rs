@@ -5,6 +5,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
+use crowddb_common::sync::RwLock;
 use crowddb_common::{CancelReason, CrowdError, Result, Row, TableSchema};
 use crowddb_plan::LogicalPlan;
 use crowddb_storage::Database;
@@ -112,7 +113,7 @@ fn shard_for(key: &str) -> usize {
 /// single-threaded engine's semantics.
 #[derive(Debug, Default)]
 pub struct SharedCaches {
-    shards: [parking_lot::RwLock<CompareCaches>; CACHE_SHARDS],
+    shards: [RwLock<CompareCaches>; CACHE_SHARDS],
 }
 
 impl SharedCaches {

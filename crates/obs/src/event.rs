@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crowddb_common::sync::Mutex;
 
 use crate::clock::Clock;
 use crate::export;

@@ -1,6 +1,6 @@
 //! # crowddb-obs — the observability layer
 //!
-//! A small, dependency-light (parking_lot only), *deterministic*
+//! A small, dependency-free, *deterministic*
 //! measurement substrate for the engine:
 //!
 //! - [`MetricsRegistry`] — named counters, gauges, and fixed-bucket

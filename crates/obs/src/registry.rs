@@ -2,9 +2,9 @@
 //! histograms behind sharded mutexes.
 //!
 //! Lookups hash the metric name (FNV-1a) to one of a small fixed number
-//! of shards, each a `parking_lot::Mutex<HashMap>` — cheap enough for
-//! the engine's hot paths (which are dominated by simulated human
-//! latency anyway) while staying dependency-free and deterministic.
+//! of shards, each a `Mutex<HashMap>` — cheap enough for the engine's hot
+//! paths (which are dominated by simulated human latency anyway) while
+//! staying dependency-free and deterministic.
 //!
 //! Snapshots ([`MetricsRegistry::snapshot`]) copy everything into a
 //! `BTreeMap`, so iteration order — and therefore the Prometheus
@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use parking_lot::Mutex;
+use crowddb_common::sync::Mutex;
 
 use crate::export;
 

@@ -30,10 +30,9 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use crowddb_common::rng::Rng;
 use crowddb_common::{CrowdError, Result};
 use crowddb_obs::{Event, Obs};
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
 
 use crate::task::{Answer, HitId, Platform, PlatformStats, TaskResponse, TaskSpec};
 
@@ -136,7 +135,7 @@ pub struct FaultyPlatform<P> {
     inner: P,
     name: String,
     cfg: FaultConfig,
-    rng: StdRng,
+    rng: Rng,
     /// HITs swallowed by the lost-HIT fault.
     lost: HashSet<HitId>,
     /// Latency-spiked responses: `(release_at, response)`.
@@ -153,7 +152,7 @@ impl<P: Platform> FaultyPlatform<P> {
         FaultyPlatform {
             inner,
             name,
-            rng: StdRng::seed_from_u64(cfg.seed),
+            rng: Rng::seed_from_u64(cfg.seed),
             cfg,
             lost: HashSet::new(),
             delayed: Vec::new(),

@@ -11,8 +11,7 @@
 //! answers every task correctly (useful to isolate marketplace dynamics
 //! from answer quality).
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use crowddb_common::rng::Rng;
 
 use crate::task::{Answer, TaskKind};
 
@@ -24,14 +23,14 @@ pub trait CrowdModel: Send {
     /// An answer an erring worker gives. Implementations should return a
     /// *plausible* wrong answer (typo, confusion, opposite verdict), not
     /// necessarily garbage; `rng` provides the noise.
-    fn erroneous_answer(&self, task: &TaskKind, rng: &mut StdRng) -> Answer {
+    fn erroneous_answer(&self, task: &TaskKind, rng: &mut Rng) -> Answer {
         default_erroneous(self.ideal_answer(task), task, rng)
     }
 }
 
 /// A reasonable default error model: verdict tasks flip their verdict,
 /// form tasks get corrupted text, and some answers come back blank.
-pub fn default_erroneous(ideal: Answer, _task: &TaskKind, rng: &mut StdRng) -> Answer {
+pub fn default_erroneous(ideal: Answer, _task: &TaskKind, rng: &mut Rng) -> Answer {
     // ~15% of erroneous submissions are blank/spam regardless of kind.
     if rng.gen_bool(0.15) {
         return Answer::Blank;
@@ -101,7 +100,7 @@ pub fn default_erroneous(ideal: Answer, _task: &TaskKind, rng: &mut StdRng) -> A
 
 /// Corrupt a text answer the way careless workers do: typos (dropped
 /// character), digit perturbation for numbers, or an unrelated string.
-pub fn corrupt_text(v: &str, rng: &mut StdRng) -> String {
+pub fn corrupt_text(v: &str, rng: &mut Rng) -> String {
     if let Ok(n) = v.trim().parse::<i64>() {
         // Numeric answers drift by a multiplicative error.
         let factor = 1.0 + rng.gen_range(-0.5..0.5f64);
@@ -189,10 +188,9 @@ impl CrowdModel for PerfectModel {
 mod tests {
     use super::*;
     use crowddb_common::DataType;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
+    fn rng() -> Rng {
+        Rng::seed_from_u64(7)
     }
 
     fn equal_task() -> TaskKind {

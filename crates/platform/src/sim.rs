@@ -23,9 +23,7 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
+use crowddb_common::rng::Rng;
 use crowddb_common::{CrowdError, Result};
 
 use crate::model::CrowdModel;
@@ -138,7 +136,7 @@ pub struct SimPlatform {
     config: SimConfig,
     pool: WorkerPool,
     model: Box<dyn CrowdModel>,
-    rng: StdRng,
+    rng: Rng,
     clock: f64,
     next_hit: u64,
     next_seq: u64,
@@ -159,7 +157,7 @@ impl SimPlatform {
         model: Box<dyn CrowdModel>,
     ) -> SimPlatform {
         let pool = WorkerPool::generate(&config.pool, config.seed);
-        let rng = StdRng::seed_from_u64(config.seed.wrapping_mul(0x9E3779B97F4A7C15));
+        let rng = Rng::seed_from_u64(config.seed.wrapping_mul(0x9E3779B97F4A7C15));
         SimPlatform {
             name: name.into(),
             config,

@@ -12,9 +12,7 @@
 //!   distributed per-worker error rate;
 //! * task **service times are heavy-tailed** — log-normal.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rand_distr::{Beta, Distribution, LogNormal};
+use crowddb_common::rng::{Beta, LogNormal, Rng};
 
 use crate::task::WorkerId;
 
@@ -110,13 +108,11 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Generate a population deterministically from `seed`.
     pub fn generate(config: &WorkerPoolConfig, seed: u64) -> WorkerPool {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let error_dist =
-            Beta::new(config.error_alpha, config.error_beta).expect("valid beta parameters");
-        let service_dist = LogNormal::new(config.service_mu, config.service_sigma)
-            .expect("valid lognormal parameters");
+        let mut rng = Rng::seed_from_u64(seed);
+        let error_dist = Beta::new(config.error_alpha, config.error_beta);
+        let service_dist = LogNormal::new(config.service_mu, config.service_sigma);
         let wage_dist = if config.wage_mu.is_finite() && config.wage_sigma > 0.0 {
-            Some(LogNormal::new(config.wage_mu, config.wage_sigma).expect("valid lognormal"))
+            Some(LogNormal::new(config.wage_mu, config.wage_sigma))
         } else {
             None
         };
@@ -173,7 +169,7 @@ impl WorkerPool {
     }
 
     /// Sample a worker index according to Zipf activity weights.
-    pub fn sample_active(&self, rng: &mut StdRng) -> usize {
+    pub fn sample_active(&self, rng: &mut Rng) -> usize {
         let total = *self
             .cumulative_weights
             .last()
@@ -242,7 +238,7 @@ mod tests {
     #[test]
     fn activity_sampling_is_skewed() {
         let p = pool(200);
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         let mut counts = vec![0usize; p.len()];
         for _ in 0..20_000 {
             counts[p.sample_active(&mut rng)] += 1;

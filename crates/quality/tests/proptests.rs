@@ -1,6 +1,5 @@
-//! Property tests for the quality-control primitives, driven by a small
-//! hand-rolled splitmix64 generator so they run with zero external
-//! dependencies and are reproducible by seed.
+//! Property tests for the quality-control primitives: seeded loops over
+//! `crowddb_common::rng`, reproducible by seed.
 //!
 //! Properties:
 //!
@@ -17,47 +16,20 @@
 
 use std::collections::HashMap;
 
+use crowddb_common::rng::Rng;
 use crowddb_common::Value;
 use crowddb_quality::infer::{infer, refine, TaskBallots};
 use crowddb_quality::rank::{kendall_tau, PairwiseVotes};
 use crowddb_quality::{EmConfig, MajorityVote, Normalizer, VoteConfig, VoteOutcome};
 
-/// splitmix64 — tiny, seedable, and plenty random for test-case
-/// generation.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            items.swap(i, self.below(i + 1));
-        }
-    }
-}
-
 /// A random ballot multiset over a small key alphabet. The stored value
 /// is derived from the key, mirroring how the normalizer feeds the vote
 /// (one canonical key → one stored value).
 fn random_ballots(rng: &mut Rng) -> Vec<(String, Value)> {
-    let n = 1 + rng.below(12);
+    let n = rng.gen_range(1..=12);
     (0..n)
         .map(|_| {
-            let key = format!("key-{}", rng.below(5));
+            let key = format!("key-{}", rng.gen_range(0..5));
             let stored = Value::str(key.to_uppercase());
             (key, stored)
         })
@@ -66,8 +38,8 @@ fn random_ballots(rng: &mut Rng) -> Vec<(String, Value)> {
 
 fn random_vote_config(rng: &mut Rng) -> VoteConfig {
     VoteConfig {
-        replication: 1 + rng.below(5),
-        max_escalations: rng.below(4),
+        replication: rng.gen_range(1..=5),
+        max_escalations: rng.gen_range(0..4),
     }
 }
 
@@ -81,7 +53,7 @@ fn tally(ballots: &[(String, Value)]) -> MajorityVote {
 
 #[test]
 fn vote_outcome_is_permutation_invariant() {
-    let mut rng = Rng::new(0xC0FFEE);
+    let mut rng = Rng::seed_from_u64(0xC0FFEE);
     for _ in 0..300 {
         let ballots = random_ballots(&mut rng);
         let config = random_vote_config(&mut rng);
@@ -98,7 +70,7 @@ fn vote_outcome_is_permutation_invariant() {
 
 #[test]
 fn decided_vote_never_leaves_the_candidate_set() {
-    let mut rng = Rng::new(0xBEEF);
+    let mut rng = Rng::seed_from_u64(0xBEEF);
     for _ in 0..300 {
         let ballots = random_ballots(&mut rng);
         let config = random_vote_config(&mut rng);
@@ -120,7 +92,7 @@ fn decided_vote_never_leaves_the_candidate_set() {
 
 #[test]
 fn normalize_is_idempotent() {
-    let mut rng = Rng::new(0xDECADE);
+    let mut rng = Rng::seed_from_u64(0xDECADE);
     let alphabet: Vec<char> = "aAbBzZ019 \t\n.,;:!?'\"()[]{}éÉßΣσ-_/#".chars().collect();
     let normalizers = [
         Normalizer::new(),
@@ -132,9 +104,9 @@ fn normalize_is_idempotent() {
         },
     ];
     for _ in 0..300 {
-        let len = rng.below(24);
+        let len = rng.gen_range(0..24);
         let raw: String = (0..len)
-            .map(|_| alphabet[rng.below(alphabet.len())])
+            .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
             .collect();
         for n in &normalizers {
             let once = n.normalize(&raw);
@@ -146,13 +118,13 @@ fn normalize_is_idempotent() {
 
 #[test]
 fn borda_ranking_is_a_total_order() {
-    let mut rng = Rng::new(0xFACADE);
+    let mut rng = Rng::seed_from_u64(0xFACADE);
     for _ in 0..200 {
-        let n = 2 + rng.below(9);
+        let n = rng.gen_range(2..11);
         let mut pv = PairwiseVotes::new();
-        for _ in 0..rng.below(40) {
-            let a = rng.below(n);
-            let b = rng.below(n);
+        for _ in 0..rng.gen_range(0..40) {
+            let a = rng.gen_range(0..n);
+            let b = rng.gen_range(0..n);
             if a != b {
                 pv.record(a, b);
             }
@@ -171,15 +143,15 @@ fn borda_ranking_is_a_total_order() {
 
 #[test]
 fn pairwise_majorities_are_antisymmetric() {
-    let mut rng = Rng::new(0xABBA);
+    let mut rng = Rng::seed_from_u64(0xABBA);
     for _ in 0..200 {
-        let n = 2 + rng.below(6);
+        let n = rng.gen_range(2..8);
         let mut pv = PairwiseVotes::new();
         let mut flipped = PairwiseVotes::new();
         let mut counts: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-        for _ in 0..1 + rng.below(30) {
-            let a = rng.below(n);
-            let b = rng.below(n);
+        for _ in 0..rng.gen_range(1..=30) {
+            let a = rng.gen_range(0..n);
+            let b = rng.gen_range(0..n);
             if a == b {
                 continue;
             }
@@ -213,9 +185,9 @@ fn pairwise_majorities_are_antisymmetric() {
 
 #[test]
 fn kendall_tau_is_antisymmetric_under_reversal() {
-    let mut rng = Rng::new(0x5EED);
+    let mut rng = Rng::seed_from_u64(0x5EED);
     for _ in 0..200 {
-        let n = 2 + rng.below(10);
+        let n = rng.gen_range(2..12);
         let mut a: Vec<usize> = (0..n).collect();
         let mut b: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut a);
@@ -240,12 +212,17 @@ fn kendall_tau_is_antisymmetric_under_reversal() {
 /// workers drawn from a pool of 6 over a 4-key alphabet. Worker identity
 /// repeats across tasks, so reliability estimation has signal to chew on.
 fn random_tasks(rng: &mut Rng) -> Vec<TaskBallots> {
-    let n_tasks = 1 + rng.below(6);
+    let n_tasks = rng.gen_range(1..=6);
     (0..n_tasks)
         .map(|_| {
-            let n = 1 + rng.below(7);
+            let n = rng.gen_range(1..=7);
             (0..n)
-                .map(|_| (rng.below(6) as u64, format!("key-{}", rng.below(4))))
+                .map(|_| {
+                    (
+                        rng.gen_range(0..6u64),
+                        format!("key-{}", rng.gen_range(0..4)),
+                    )
+                })
                 .collect()
         })
         .collect()
@@ -257,7 +234,7 @@ fn em_is_permutation_invariant() {
     // tasks must not change posterior mass or reliability beyond float
     // roundoff (summation order moves the last bits) — the model
     // conditions on the multiset of (worker, key) ballots.
-    let mut rng = Rng::new(0xE31);
+    let mut rng = Rng::seed_from_u64(0xE31);
     let cfg = EmConfig::default();
     for _ in 0..150 {
         let tasks = random_tasks(&mut rng);
@@ -296,7 +273,7 @@ fn em_with_zero_iters_is_majority_vote() {
     // `max_iters == 0` must make the MAP answer coincide with
     // `MajorityVote::leader` — same winner, same tie-break to the
     // smaller key — on every input, not just crafted examples.
-    let mut rng = Rng::new(0xE32);
+    let mut rng = Rng::seed_from_u64(0xE32);
     let cfg = EmConfig {
         max_iters: 0,
         tol: 1e-6,
@@ -331,11 +308,11 @@ fn em_posteriors_are_normalized_and_finite() {
     // For every random input and iteration budget: each non-empty task's
     // posterior sums to 1 with no NaN/negative/infinite mass, and the
     // reliability estimates stay inside the documented clamp.
-    let mut rng = Rng::new(0xE33);
+    let mut rng = Rng::seed_from_u64(0xE33);
     for _ in 0..200 {
         let tasks = random_tasks(&mut rng);
         let cfg = EmConfig {
-            max_iters: rng.below(30) as u32,
+            max_iters: rng.gen_range(0..30u32),
             tol: 0.0, // never converge early: exercise the full budget
         };
         let sol = infer(&tasks, &cfg);
@@ -363,7 +340,7 @@ fn em_fixed_point_is_stable_under_refinement() {
     // posteriors: nothing may move by more than the tolerance. A policy
     // whose output shifts when re-settled would break settle-time
     // determinism.
-    let mut rng = Rng::new(0xE34);
+    let mut rng = Rng::seed_from_u64(0xE34);
     let cfg = EmConfig {
         max_iters: 200,
         tol: 1e-12,

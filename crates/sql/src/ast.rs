@@ -8,6 +8,9 @@ use std::fmt;
 
 use crowddb_common::{DataType, Value};
 
+use crate::lexer::is_word;
+use crate::token::Keyword;
+
 /// A top-level SQL statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
@@ -366,8 +369,8 @@ impl ColumnRef {
 impl fmt::Display for ColumnRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.table {
-            Some(t) => write!(f, "{t}.{}", self.column),
-            None => f.write_str(&self.column),
+            Some(t) => write!(f, "{}.{}", Ident(t), Ident(&self.column)),
+            None => write!(f, "{}", Ident(&self.column)),
         }
     }
 }
@@ -516,9 +519,7 @@ impl Expr {
                     op: BinaryOp::CrowdEq,
                     ..
                 } => found = true,
-                Expr::Function { name, .. } if name == "crowdequal" || name == "crowdorder" => {
-                    found = true
-                }
+                Expr::Function { name, .. } if is_crowd_builtin(name) => found = true,
                 _ => {}
             };
         });
@@ -608,6 +609,11 @@ impl Expr {
     }
 }
 
+/// Whether `name` (lower-cased) is `CROWDEQUAL` or `CROWDORDER`.
+fn is_crowd_builtin(name: &str) -> bool {
+    matches!(name, "crowdequal" | "crowdorder")
+}
+
 /// Whether `name` (lower-cased) names an aggregate function.
 pub fn is_aggregate_name(name: &str) -> bool {
     matches!(name, "count" | "sum" | "avg" | "min" | "max")
@@ -616,6 +622,28 @@ pub fn is_aggregate_name(name: &str) -> bool {
 // ---------------------------------------------------------------------
 // Display: canonical CrowdSQL rendering
 // ---------------------------------------------------------------------
+
+/// An identifier as source text: bare when the lexer reads it back as
+/// this identifier, double-quoted when it would not — a keyword, a name
+/// with a space in it — so that `"my table"` and `"select"` survive
+/// rendering (and with it a WAL replay) as the names they are.
+struct Ident<'a>(&'a str);
+
+impl fmt::Display for Ident<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if is_word(self.0) && Keyword::from_str(self.0).is_none() {
+            f.write_str(self.0)
+        } else {
+            write!(f, "\"{}\"", self.0)
+        }
+    }
+}
+
+/// `a, b, c`, each name as [`Ident`] renders it.
+fn ident_list(names: &[String]) -> String {
+    let names: Vec<String> = names.iter().map(|n| Ident(n).to_string()).collect();
+    names.join(", ")
+}
 
 impl fmt::Display for Statement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -631,7 +659,7 @@ impl fmt::Display for Statement {
                     f,
                     "DROP TABLE {}{}",
                     if *if_exists { "IF EXISTS " } else { "" },
-                    name
+                    Ident(name)
                 )
             }
             Statement::Explain { statement, analyze } => write!(
@@ -647,9 +675,9 @@ impl fmt::Display for Statement {
 
 impl fmt::Display for Insert {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "INSERT INTO {}", self.table)?;
+        write!(f, "INSERT INTO {}", Ident(&self.table))?;
         if let Some(cols) = &self.columns {
-            write!(f, " ({})", cols.join(", "))?;
+            write!(f, " ({})", ident_list(cols))?;
         }
         f.write_str(" VALUES ")?;
         for (i, row) in self.rows.iter().enumerate() {
@@ -671,12 +699,12 @@ impl fmt::Display for Insert {
 
 impl fmt::Display for Update {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "UPDATE {} SET ", self.table)?;
+        write!(f, "UPDATE {} SET ", Ident(&self.table))?;
         for (i, (c, e)) in self.assignments.iter().enumerate() {
             if i > 0 {
                 f.write_str(", ")?;
             }
-            write!(f, "{c} = {e}")?;
+            write!(f, "{} = {e}", Ident(c))?;
         }
         if let Some(p) = &self.filter {
             write!(f, " WHERE {p}")?;
@@ -687,7 +715,7 @@ impl fmt::Display for Update {
 
 impl fmt::Display for Delete {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DELETE FROM {}", self.table)?;
+        write!(f, "DELETE FROM {}", Ident(&self.table))?;
         if let Some(p) = &self.filter {
             write!(f, " WHERE {p}")?;
         }
@@ -706,7 +734,7 @@ impl fmt::Display for CreateTable {
             } else {
                 ""
             },
-            self.name
+            Ident(&self.name)
         )?;
         let mut first = true;
         for c in &self.columns {
@@ -729,7 +757,7 @@ impl fmt::Display for CreateTable {
 
 impl fmt::Display for ColumnDecl {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)?;
+        write!(f, "{}", Ident(&self.name))?;
         if self.crowd {
             f.write_str(" CROWD")?;
         }
@@ -737,7 +765,7 @@ impl fmt::Display for ColumnDecl {
         if self.primary_key {
             f.write_str(" PRIMARY KEY")?;
         }
-        if self.not_null && !self.primary_key {
+        if self.not_null {
             f.write_str(" NOT NULL")?;
         }
         Ok(())
@@ -748,7 +776,7 @@ impl fmt::Display for TableConstraint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TableConstraint::PrimaryKey(cols) => {
-                write!(f, "PRIMARY KEY ({})", cols.join(", "))
+                write!(f, "PRIMARY KEY ({})", ident_list(cols))
             }
             TableConstraint::ForeignKey {
                 columns,
@@ -757,9 +785,9 @@ impl fmt::Display for TableConstraint {
             } => write!(
                 f,
                 "FOREIGN KEY ({}) REF {}({})",
-                columns.join(", "),
-                ref_table,
-                ref_columns.join(", ")
+                ident_list(columns),
+                Ident(ref_table),
+                ident_list(ref_columns)
             ),
         }
     }
@@ -771,9 +799,9 @@ impl fmt::Display for CreateIndex {
             f,
             "CREATE {}INDEX {} ON {} ({})",
             if self.unique { "UNIQUE " } else { "" },
-            self.name,
-            self.table,
-            self.columns.join(", ")
+            Ident(&self.name),
+            Ident(&self.table),
+            ident_list(&self.columns)
         )
     }
 }
@@ -840,11 +868,11 @@ impl fmt::Display for SelectItem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SelectItem::Wildcard => f.write_str("*"),
-            SelectItem::QualifiedWildcard(t) => write!(f, "{t}.*"),
+            SelectItem::QualifiedWildcard(t) => write!(f, "{}.*", Ident(t)),
             SelectItem::Expr { expr, alias } => {
                 write!(f, "{expr}")?;
                 if let Some(a) = alias {
-                    write!(f, " AS {a}")?;
+                    write!(f, " AS {}", Ident(a))?;
                 }
                 Ok(())
             }
@@ -866,13 +894,13 @@ impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Relation::Table { name, alias } => {
-                f.write_str(name)?;
+                write!(f, "{}", Ident(name))?;
                 if let Some(a) = alias {
-                    write!(f, " AS {a}")?;
+                    write!(f, " AS {}", Ident(a))?;
                 }
                 Ok(())
             }
-            Relation::Subquery { query, alias } => write!(f, "({query}) AS {alias}"),
+            Relation::Subquery { query, alias } => write!(f, "({query}) AS {}", Ident(alias)),
         }
     }
 }
@@ -994,7 +1022,12 @@ impl fmt::Display for Expr {
                 args,
                 distinct,
             } => {
-                write!(f, "{}(", name.to_ascii_uppercase())?;
+                // The crowd built-ins are keywords that are also called.
+                if is_word(name) && (Keyword::from_str(name).is_none() || is_crowd_builtin(name)) {
+                    write!(f, "{}(", name.to_ascii_uppercase())?;
+                } else {
+                    write!(f, "\"{name}\"(")?;
+                }
                 if *distinct {
                     f.write_str("DISTINCT ")?;
                 }

@@ -212,7 +212,7 @@ impl<'a> Lexer<'a> {
             b'\'' => self.lex_string()?,
             b'"' => self.lex_quoted_ident()?,
             b'0'..=b'9' => self.lex_number()?,
-            c if c == b'_' || c.is_ascii_alphabetic() => self.lex_word(),
+            c if is_word_start(c) => self.lex_word(),
             other => {
                 return Err(self.err(format!("unexpected character '{}'", other as char)));
             }
@@ -222,7 +222,7 @@ impl<'a> Lexer<'a> {
 
     fn lex_string(&mut self) -> Result<TokenKind> {
         self.bump(); // opening quote
-        let mut s = String::new();
+        let mut s = Vec::new();
         loop {
             match self.bump() {
                 None => return Err(self.err("unterminated string literal")),
@@ -230,26 +230,36 @@ impl<'a> Lexer<'a> {
                     // '' is an escaped quote.
                     if self.peek() == Some(b'\'') {
                         self.bump();
-                        s.push('\'');
+                        s.push(b'\'');
                     } else {
-                        return Ok(TokenKind::StringLit(s));
+                        return self.utf8(s).map(TokenKind::StringLit);
                     }
                 }
-                Some(c) => s.push(c as char),
+                Some(c) => s.push(c),
             }
         }
     }
 
     fn lex_quoted_ident(&mut self) -> Result<TokenKind> {
         self.bump(); // opening quote
-        let mut s = String::new();
+        let mut s = Vec::new();
         loop {
             match self.bump() {
                 None => return Err(self.err("unterminated quoted identifier")),
-                Some(b'"') => return Ok(TokenKind::Ident(s.to_ascii_lowercase())),
-                Some(c) => s.push(c as char),
+                Some(b'"') => {
+                    return self
+                        .utf8(s)
+                        .map(|s| TokenKind::Ident(s.to_ascii_lowercase()))
+                }
+                Some(c) => s.push(c),
             }
         }
+    }
+
+    /// The text between two ASCII delimiters of a `&str` source: whole
+    /// UTF-8 sequences, never a byte at a time.
+    fn utf8(&self, bytes: Vec<u8>) -> Result<String> {
+        String::from_utf8(bytes).map_err(|_| self.err("invalid UTF-8 in quoted text"))
     }
 
     fn lex_number(&mut self) -> Result<TokenKind> {
@@ -298,7 +308,7 @@ impl<'a> Lexer<'a> {
 
     fn lex_word(&mut self) -> TokenKind {
         let start = self.pos;
-        while matches!(self.peek(), Some(c) if c == b'_' || c.is_ascii_alphanumeric()) {
+        while self.peek().is_some_and(is_word_byte) {
             self.bump();
         }
         let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii word");
@@ -307,6 +317,21 @@ impl<'a> Lexer<'a> {
             None => TokenKind::Ident(text.to_ascii_lowercase()),
         }
     }
+}
+
+fn is_word_start(c: u8) -> bool {
+    c == b'_' || c.is_ascii_alphabetic()
+}
+
+fn is_word_byte(c: u8) -> bool {
+    c == b'_' || c.is_ascii_alphanumeric()
+}
+
+/// Whether `text` lexes as exactly one word (an identifier or a keyword):
+/// what rendering asks before it writes a name without quotes.
+pub(crate) fn is_word(text: &str) -> bool {
+    let mut bytes = text.bytes();
+    bytes.next().is_some_and(is_word_start) && bytes.all(is_word_byte)
 }
 
 #[cfg(test)]
@@ -371,6 +396,20 @@ mod tests {
         assert_eq!(
             kinds("'it''s here'")[0],
             TokenKind::StringLit("it's here".into())
+        );
+    }
+
+    #[test]
+    fn quoted_text_keeps_characters_outside_ascii() {
+        // Read a byte at a time, 'Zürich' came back as 'ZÃ¼rich' — and once
+        // more mangled by every WAL replay of the statement.
+        assert_eq!(
+            kinds("'Z\u{fc}rich \u{4e2d} \u{1f600}'")[0],
+            TokenKind::StringLit("Z\u{fc}rich \u{4e2d} \u{1f600}".into())
+        );
+        assert_eq!(
+            kinds("\"T\u{e9}l\"")[0],
+            TokenKind::Ident("t\u{e9}l".into())
         );
     }
 

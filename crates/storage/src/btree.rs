@@ -755,6 +755,7 @@ impl BTreeCursor {
 mod tests {
     use super::*;
     use crate::pager::PagerConfig;
+    use crowddb_common::rng::Rng;
     use std::collections::BTreeMap;
 
     fn pager() -> Pager {
@@ -1094,54 +1095,37 @@ mod tests {
         }
     }
 
-    /// splitmix64, same shape as `tests/proptest_codec.rs`.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-
-        /// A key `cmp` can order: any bytes, or values ‖ tid.
-        fn key(&mut self, cmp: KeyCmp) -> Vec<u8> {
-            use crowddb_common::{TupleId, Value};
-            match cmp {
-                KeyCmp::Bytes => {
-                    let len = 1 + self.below(24);
-                    (0..len).map(|_| self.below(4) as u8).collect()
-                }
-                KeyCmp::IndexEntry => {
-                    let values: Vec<Value> = (0..1 + self.below(2))
-                        .map(|_| match self.below(8) {
-                            0 => Value::Null,
-                            1 => Value::CNull,
-                            2..=4 => Value::Int(self.below(40) as i64 - 20),
-                            _ => Value::Str("k".repeat(self.below(12))),
-                        })
-                        .collect();
-                    crate::index::encode_index_entry(&values, TupleId(self.below(6) as u64))
-                }
+    /// A key `cmp` can order: any bytes, or values ‖ tid.
+    fn random_key(rng: &mut Rng, cmp: KeyCmp) -> Vec<u8> {
+        use crowddb_common::{TupleId, Value};
+        match cmp {
+            KeyCmp::Bytes => {
+                let len = rng.gen_range(1..=24);
+                (0..len).map(|_| rng.gen_range(0..4u8)).collect()
+            }
+            KeyCmp::IndexEntry => {
+                let values: Vec<Value> = (0..rng.gen_range(1..=2))
+                    .map(|_| match rng.gen_range(0..8) {
+                        0 => Value::Null,
+                        1 => Value::CNull,
+                        2..=4 => Value::Int(rng.gen_range(-20..20)),
+                        _ => Value::Str("k".repeat(rng.gen_range(0..12))),
+                    })
+                    .collect();
+                crate::index::encode_index_entry(&values, TupleId(rng.gen_range(0..6)))
             }
         }
+    }
 
-        /// Mostly inline values (≤ 32 bytes at page size 256), one in
-        /// six long enough for a chain of up to three overflow pages.
-        fn value(&mut self) -> Vec<u8> {
-            let len = match self.below(6) {
-                0 => 33 + self.below(600),
-                _ => self.below(33),
-            };
-            let fill = self.next() as u8;
-            (0..len).map(|i| fill.wrapping_add(i as u8)).collect()
-        }
+    /// Mostly inline values (≤ 32 bytes at page size 256), one in
+    /// six long enough for a chain of up to three overflow pages.
+    fn random_value(rng: &mut Rng) -> Vec<u8> {
+        let len: usize = match rng.gen_range(0..6) {
+            0 => rng.gen_range(33..633),
+            _ => rng.gen_range(0..33),
+        };
+        let fill = rng.next_u64() as u8;
+        (0..len).map(|i| fill.wrapping_add(i as u8)).collect()
     }
 
     /// A key under its tree's comparator, so a `BTreeMap` is the model.
@@ -1217,23 +1201,23 @@ mod tests {
     fn tree_matches_a_btreemap_and_the_view_matches_decode_node() {
         for (seed, cmp) in [(1, KeyCmp::Bytes), (2, KeyCmp::IndexEntry)] {
             let p = pager();
-            let mut rng = Rng(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let mut t = BTree::create(&p, cmp).unwrap();
             let mut model = Model::new();
             for step in 0..1500 {
-                let fresh = rng.key(cmp);
-                let held = model.keys().nth(rng.below(model.len().max(1)));
+                let fresh = random_key(&mut rng, cmp);
+                let held = model.keys().nth(rng.gen_range(0..model.len().max(1)));
                 let what = format!("{cmp:?} step {step}");
                 // Half the steps insert a new key; the others upsert or
                 // remove one the tree holds, or remove one it lacks.
-                let (k, insert) = match (rng.below(10), held) {
+                let (k, insert) = match (rng.gen_range(0..10), held) {
                     (5..=6, Some(held)) => (held.1.clone(), true),
                     (7..=8, Some(held)) => (held.1.clone(), false),
                     (9, _) => (fresh, false),
                     _ => (fresh, true),
                 };
                 if insert {
-                    let v = rng.value();
+                    let v = random_value(&mut rng);
                     t.insert(&p, &k, &v).unwrap();
                     // An upsert keeps the stored key, as the model does.
                     model.insert(Keyed(cmp, k.clone()), v);
@@ -1241,7 +1225,7 @@ mod tests {
                     let was = model.remove(&Keyed(cmp, k.clone())).is_some();
                     assert_eq!(t.remove(&p, &k).unwrap(), was, "{what}: remove");
                 }
-                assert_same(&t, &p, &model, &[&k, &rng.key(cmp)], &what);
+                assert_same(&t, &p, &model, &[&k, &random_key(&mut rng, cmp)], &what);
             }
 
             let (pages, depth) = node_pages(&t, &p);

@@ -13,9 +13,8 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use crowddb_common::codec::{self, put_str, put_u32, put_u64, Reader};
+use crowddb_common::sync::RwLock;
 use crowddb_common::{CrowdError, Result, Row, TableSchema, TupleId, Value};
 
 use crate::catalog::Catalog;

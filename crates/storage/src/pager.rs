@@ -26,9 +26,8 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crowddb_common::codec;
+use crowddb_common::sync::Mutex;
 use crowddb_common::{CrowdError, Result};
 
 use crate::page::{self, PageId, HEADER_PAGE};

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 
+use crowddb_common::rng::Rng;
 use crowddb_common::{row, ColumnDef, DataType, TableSchema, TupleId, Value};
 use crowddb_storage::{Database, IndexKey, IndexKind, LogRecord};
 
@@ -305,7 +306,7 @@ fn wal_replay_write_backs_maintain_indexes() {
     .unwrap();
 }
 
-/// Deterministic mixed-workload fuzz: a small LCG drives hundreds of
+/// Deterministic mixed-workload fuzz: a seeded generator drives hundreds of
 /// interleaved inserts, key-changing updates, write-backs, deletes, and
 /// rollbacks; the full consistency check runs after every step. This is
 /// the "never diverge" guarantee in one test.
@@ -313,32 +314,30 @@ fn wal_replay_write_backs_maintain_indexes() {
 fn mixed_workload_never_diverges() {
     let db = talk_db();
     let mut live: Vec<TupleId> = seed(&db);
-    let mut state: u64 = 0xC0FFEE;
-    let mut next = |m: u64| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) % m
-    };
+    let mut rng = Rng::seed_from_u64(0xC0FFEE);
     let mut serial = 0u64;
     for step in 0..300 {
-        match next(5) {
+        match rng.gen_range(0..5) {
             0 => {
                 serial += 1;
-                let att = if next(3) == 0 {
+                let att = if rng.gen_range(0..3) == 0 {
                     Value::CNull
                 } else {
-                    Value::Int(next(50) as i64 * 10)
+                    Value::Int(rng.gen_range(0..50i64) * 10)
                 };
-                let track = if next(2) == 0 { "systems" } else { "languages" };
+                let track = if rng.gen_bool(0.5) {
+                    "systems"
+                } else {
+                    "languages"
+                };
                 let tid = db
                     .insert("talk", row![format!("t{serial}"), Value::CNull, att, track])
                     .unwrap();
                 live.push(tid);
             }
             1 if !live.is_empty() => {
-                let tid = live[next(live.len() as u64) as usize];
-                let att = Value::Int(next(50) as i64 * 10);
+                let tid = live[rng.gen_range(0..live.len())];
+                let att = Value::Int(rng.gen_range(0..50i64) * 10);
                 db.with_table_mut("talk", |t| {
                     let mut r = t.get(tid).unwrap().unwrap();
                     r.set(2, att);
@@ -347,12 +346,12 @@ fn mixed_workload_never_diverges() {
                 .unwrap();
             }
             2 if !live.is_empty() => {
-                let tid = live[next(live.len() as u64) as usize];
+                let tid = live[rng.gen_range(0..live.len())];
                 db.write_back_value("talk", tid, 1, Value::Str(format!("a{step}")))
                     .unwrap();
             }
             3 if !live.is_empty() => {
-                let tid = live.swap_remove(next(live.len() as u64) as usize);
+                let tid = live.swap_remove(rng.gen_range(0..live.len()));
                 assert!(db.with_table_mut("talk", |t| t.delete(tid)).unwrap());
             }
             4 => {

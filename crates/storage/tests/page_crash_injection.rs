@@ -20,6 +20,7 @@
 //! carry stays here as the oracle for the table-driven one it shares
 //! with every other format now.
 
+use crowddb_common::rng::Rng;
 use crowddb_common::{row, Value};
 use crowddb_common::{ColumnDef, DataType, TableSchema};
 use crowddb_storage::pager::{JOURNAL_FILE, PAGES_FILE};
@@ -259,19 +260,12 @@ fn journal_checksums_match_the_bitwise_crc32() {
     const PAGE_SIZE: usize = 256;
     let dir = TestDir::new("page-crash-crc");
     let pager = Pager::open_file(dir.path(), small_cfg(), 0).unwrap();
-    let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+    let mut rng = Rng::seed_from_u64(0x9E37_79B9_7F4A_7C15);
     let mut written = Vec::new();
     for _ in 0..40 {
         let id = pager.allocate();
-        let page: Vec<u8> = (0..PAGE_SIZE)
-            .map(|_| {
-                // xorshift64: any spread of byte values will do.
-                seed ^= seed << 13;
-                seed ^= seed >> 7;
-                seed ^= seed << 17;
-                seed as u8
-            })
-            .collect();
+        // Any spread of byte values will do.
+        let page: Vec<u8> = (0..PAGE_SIZE).map(|_| rng.next_u64() as u8).collect();
         pager.write(id, page.clone()).unwrap();
         written.push((id, page));
     }

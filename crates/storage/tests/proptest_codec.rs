@@ -1,6 +1,6 @@
 //! Property tests for the log-record codec and the WAL's corruption
-//! detection, driven by a hand-rolled splitmix64 generator (zero
-//! external dependencies, reproducible by seed).
+//! detection: seeded loops over `crowddb_common::rng`, reproducible by
+//! seed.
 //!
 //! * every generated [`LogRecord`] survives an encode→decode round trip;
 //! * **any** corruption of a WAL image the shared harness produces
@@ -9,85 +9,73 @@
 //!   or keeps exactly the frames that end before the damage.
 
 use crowddb_common::codec;
+use crowddb_common::rng::Rng;
 use crowddb_common::{Row, TupleId, Value};
 use crowddb_storage::LogRecord;
 use crowddb_wal::testutil::TestDir;
 use crowddb_wal::{scan_frames, FsyncPolicy, Wal, WAL_MAGIC};
 
-/// splitmix64, same shape as the quality-crate property tests.
-struct Rng(u64);
+fn random_string(rng: &mut Rng) -> String {
+    let alphabet: Vec<char> = "abcXYZ019 ,'\"()\\\u{e9}\u{4e2d}\n\t\0".chars().collect();
+    let len = rng.gen_range(0..20);
+    (0..len)
+        .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+        .collect()
+}
 
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed)
+fn random_value(rng: &mut Rng) -> Value {
+    match rng.gen_range(0..6) {
+        0 => Value::Null,
+        1 => Value::CNull,
+        2 => Value::Bool(rng.gen_bool(0.5)),
+        3 => Value::Int(rng.next_u64() as i64),
+        4 => Value::Float(rng.gen_range(0..1_000_000) as f64 / 128.0 - 1000.0),
+        _ => Value::Str(random_string(rng)),
     }
+}
 
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn string(&mut self) -> String {
-        let alphabet: Vec<char> = "abcXYZ019 ,'\"()\\\u{e9}\u{4e2d}\n\t\0".chars().collect();
-        let len = self.below(20);
-        (0..len)
-            .map(|_| alphabet[self.below(alphabet.len())])
-            .collect()
-    }
-
-    fn value(&mut self) -> Value {
-        match self.below(6) {
-            0 => Value::Null,
-            1 => Value::CNull,
-            2 => Value::Bool(self.next().is_multiple_of(2)),
-            3 => Value::Int(self.next() as i64),
-            4 => Value::Float((self.next() % 1_000_000) as f64 / 128.0 - 1000.0),
-            _ => Value::Str(self.string()),
-        }
-    }
-
-    fn record(&mut self) -> LogRecord {
-        match self.below(6) {
-            0 => LogRecord::Ddl { sql: self.string() },
-            1 => LogRecord::Dml { sql: self.string() },
-            2 => LogRecord::WriteBackValue {
-                table: self.string(),
-                tid: TupleId(self.next()),
-                col: self.below(32),
-                value: self.value(),
-            },
-            3 => LogRecord::WriteBackTuple {
-                table: self.string(),
-                row: Row::new((0..self.below(6)).map(|_| self.value()).collect()),
-            },
-            4 => LogRecord::PutEqual {
-                left: self.string(),
-                right: self.string(),
-                instruction: self.string(),
-                verdict: self.next().is_multiple_of(2),
-            },
-            _ => LogRecord::PutOrder {
-                left: self.string(),
-                right: self.string(),
-                instruction: self.string(),
-                left_preferred: self.next().is_multiple_of(2),
-            },
-        }
+fn random_record(rng: &mut Rng) -> LogRecord {
+    match rng.gen_range(0..6) {
+        0 => LogRecord::Ddl {
+            sql: random_string(rng),
+        },
+        1 => LogRecord::Dml {
+            sql: random_string(rng),
+        },
+        2 => LogRecord::WriteBackValue {
+            table: random_string(rng),
+            tid: TupleId(rng.next_u64()),
+            col: rng.gen_range(0..32),
+            value: random_value(rng),
+        },
+        3 => LogRecord::WriteBackTuple {
+            table: random_string(rng),
+            row: Row::new(
+                (0..rng.gen_range(0..6))
+                    .map(|_| random_value(rng))
+                    .collect(),
+            ),
+        },
+        4 => LogRecord::PutEqual {
+            left: random_string(rng),
+            right: random_string(rng),
+            instruction: random_string(rng),
+            verdict: rng.gen_bool(0.5),
+        },
+        _ => LogRecord::PutOrder {
+            left: random_string(rng),
+            right: random_string(rng),
+            instruction: random_string(rng),
+            left_preferred: rng.gen_bool(0.5),
+        },
     }
 }
 
 #[test]
 fn arbitrary_records_round_trip() {
-    let mut rng = Rng::new(0xC0DEC);
+    let mut rng = Rng::seed_from_u64(0xC0DEC);
     for i in 0..300 {
-        let rec = rng.record();
+        let rec = random_record(&mut rng);
         let decoded = LogRecord::decode(&rec.encode()).unwrap_or_else(|e| {
             panic!("iteration {i}: {rec:?} failed to decode: {e}");
         });
@@ -97,10 +85,10 @@ fn arbitrary_records_round_trip() {
 
 #[test]
 fn any_single_byte_corruption_is_rejected() {
-    let dir = TestDir::new("proptest-corrupt");
+    let dir = TestDir::new("codec-corrupt");
     let path = dir.path().join("wal.bin");
-    let mut rng = Rng::new(0xBADBEEF);
-    let records: Vec<LogRecord> = (0..4).map(|_| rng.record()).collect();
+    let mut rng = Rng::seed_from_u64(0xBADBEEF);
+    let records: Vec<LogRecord> = (0..4).map(|_| random_record(&mut rng)).collect();
     let mut frame_ends = Vec::new();
     {
         let (mut wal, _) = Wal::open(&path, FsyncPolicy::Never).unwrap();

@@ -9,11 +9,11 @@
 //! group-commit win — while a solo session pays exactly one fsync, the
 //! same as the unshared store.
 
-use std::sync::{Condvar, Mutex as StdMutex, PoisonError};
+use std::sync::{Condvar, PoisonError};
 
+use crowddb_common::sync::Mutex;
 use crowddb_common::Result;
 use crowddb_storage::LogRecord;
-use parking_lot::Mutex;
 
 use crate::store::DurableStore;
 
@@ -30,7 +30,7 @@ struct GroupState {
 #[derive(Debug)]
 pub struct GroupCommitStore {
     store: Mutex<DurableStore>,
-    state: StdMutex<GroupState>,
+    state: Mutex<GroupState>,
     cv: Condvar,
 }
 
@@ -39,7 +39,7 @@ impl GroupCommitStore {
     pub fn new(store: DurableStore) -> GroupCommitStore {
         GroupCommitStore {
             store: Mutex::new(store),
-            state: StdMutex::new(GroupState::default()),
+            state: Mutex::new(GroupState::default()),
             cv: Condvar::new(),
         }
     }
@@ -60,17 +60,14 @@ impl GroupCommitStore {
 
     /// Highest LSN known to be on stable storage via this wrapper.
     pub fn synced_lsn(&self) -> u64 {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .synced_lsn
+        self.state.lock().synced_lsn
     }
 
     /// Note that everything up to `lsn` is already durable (a checkpoint
     /// fsyncs the log before snapshotting), so later `sync` calls for
     /// that prefix are free.
     pub fn note_synced(&self, lsn: u64) {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = self.state.lock();
         st.synced_lsn = st.synced_lsn.max(lsn);
         self.cv.notify_all();
     }
@@ -81,7 +78,7 @@ impl GroupCommitStore {
     /// without issuing their own.
     pub fn sync(&self) -> Result<()> {
         let target = self.store.lock().last_lsn();
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = self.state.lock();
         loop {
             if st.synced_lsn >= target {
                 return Ok(());
@@ -99,7 +96,7 @@ impl GroupCommitStore {
                 let covered = store.last_lsn();
                 store.sync().map(|()| covered)
             };
-            st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            st = self.state.lock();
             st.leader_busy = false;
             match outcome {
                 Ok(covered) => {

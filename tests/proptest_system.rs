@@ -1,9 +1,34 @@
 //! System-level property tests: random data through the full
 //! parse→bind→optimize→execute stack must satisfy SQL invariants, and
 //! optimization must never change results.
+//!
+//! Each property is a seeded loop: case `n` draws its input from
+//! `Rng::seed_from_u64(n)`, and a failing case prints its seed and input.
+
+use std::collections::HashSet;
+use std::fmt::Debug;
 
 use crowddb::{CrowdDB, Value};
-use proptest::prelude::*;
+use crowddb_common::rng::Rng;
+
+/// Check `property` on `cases` inputs, input `n` generated from seed `n`.
+/// To replay one case, generate from its seed alone.
+fn for_all<T: Debug>(cases: u64, generate: impl Fn(&mut Rng) -> T, property: impl Fn(&T)) {
+    /// Names the case on the way out of a failed assertion.
+    struct Report<'a, T: Debug>(u64, &'a T);
+    impl<T: Debug> Drop for Report<'_, T> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("property failed at seed {} with input {:?}", self.0, self.1);
+            }
+        }
+    }
+    for seed in 0..cases {
+        let input = generate(&mut Rng::seed_from_u64(seed));
+        let _report = Report(seed, &input);
+        property(&input);
+    }
+}
 
 /// Build a CrowdDB with `rows` of (id, grp, score) in table `t`.
 fn seeded_db(rows: &[(i64, String, i64)]) -> CrowdDB {
@@ -20,29 +45,45 @@ fn seeded_db(rows: &[(i64, String, i64)]) -> CrowdDB {
     db
 }
 
-fn rows_strategy() -> impl Strategy<Value = Vec<(i64, String, i64)>> {
-    prop::collection::vec((0i64..1000, "[a-d]", -100i64..100), 0..40).prop_map(|v| {
-        // Deduplicate primary keys, keeping first occurrence.
-        let mut seen = std::collections::HashSet::new();
-        v.into_iter()
-            .filter(|(id, _, _)| seen.insert(*id))
-            .collect()
-    })
+/// `(id in 0..1000, one letter of `letters`)` rows, fewer than `max_len`
+/// of them, with distinct ids (first occurrence kept).
+fn keyed_letters(rng: &mut Rng, max_len: usize, letters: &[u8]) -> Vec<(i64, String)> {
+    let mut seen = HashSet::new();
+    (0..rng.gen_range(0..max_len))
+        .map(|_| {
+            let letter = letters[rng.gen_range(0..letters.len())];
+            (rng.gen_range(0..1000), char::from(letter).to_string())
+        })
+        .filter(|(id, _)| seen.insert(*id))
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+type Rows = Vec<(i64, String, i64)>;
 
-    #[test]
-    fn select_star_returns_all_rows(rows in rows_strategy()) {
-        let db = seeded_db(&rows);
+/// 0–39 rows of `(id in 0..1000, grp in a–d, score in -100..100)`.
+fn rows(rng: &mut Rng) -> Rows {
+    keyed_letters(rng, 40, b"abcd")
+        .into_iter()
+        .map(|(id, grp)| (id, grp, rng.gen_range(-100..100)))
+        .collect()
+}
+
+const CASES: u64 = 64;
+
+#[test]
+fn select_star_returns_all_rows() {
+    for_all(CASES, rows, |rows| {
+        let db = seeded_db(rows);
         let r = db.execute_local("SELECT * FROM t").unwrap();
-        prop_assert_eq!(r.rows.len(), rows.len());
-    }
+        assert_eq!(r.rows.len(), rows.len());
+    });
+}
 
-    #[test]
-    fn order_by_sorts_and_limit_windows(rows in rows_strategy(), limit in 0u64..20, offset in 0u64..10) {
-        let db = seeded_db(&rows);
+#[test]
+fn order_by_sorts_and_limit_windows() {
+    let input = |rng: &mut Rng| (rows(rng), rng.gen_range(0..20u64), rng.gen_range(0..10u64));
+    for_all(CASES, input, |(rows, limit, offset)| {
+        let db = seeded_db(rows);
         let r = db
             .execute_local(&format!(
                 "SELECT score FROM t ORDER BY score LIMIT {limit} OFFSET {offset}"
@@ -51,89 +92,101 @@ proptest! {
         // Sortedness.
         let got: Vec<i64> = r.rows.iter().map(|x| x[0].as_i64().unwrap()).collect();
         for w in got.windows(2) {
-            prop_assert!(w[0] <= w[1]);
+            assert!(w[0] <= w[1]);
         }
         // Window matches the reference computation.
         let mut expected: Vec<i64> = rows.iter().map(|(_, _, s)| *s).collect();
         expected.sort_unstable();
-        let lo = (offset as usize).min(expected.len());
-        let hi = (lo + limit as usize).min(expected.len());
-        prop_assert_eq!(got, expected[lo..hi].to_vec());
-    }
+        let lo = (*offset as usize).min(expected.len());
+        let hi = (lo + *limit as usize).min(expected.len());
+        assert_eq!(got, expected[lo..hi]);
+    });
+}
 
-    #[test]
-    fn where_filter_matches_reference(rows in rows_strategy(), threshold in -100i64..100) {
-        let db = seeded_db(&rows);
+#[test]
+fn where_filter_matches_reference() {
+    let input = |rng: &mut Rng| (rows(rng), rng.gen_range(-100..100i64));
+    for_all(CASES, input, |(rows, threshold)| {
+        let db = seeded_db(rows);
         let r = db
             .execute_local(&format!("SELECT id FROM t WHERE score > {threshold}"))
             .unwrap();
-        let expected: std::collections::HashSet<i64> = rows
+        let expected: HashSet<i64> = rows
             .iter()
-            .filter(|(_, _, s)| *s > threshold)
+            .filter(|(_, _, s)| s > threshold)
             .map(|(id, _, _)| *id)
             .collect();
-        let got: std::collections::HashSet<i64> =
-            r.rows.iter().map(|x| x[0].as_i64().unwrap()).collect();
-        prop_assert_eq!(got, expected);
-    }
+        let got: HashSet<i64> = r.rows.iter().map(|x| x[0].as_i64().unwrap()).collect();
+        assert_eq!(got, expected);
+    });
+}
 
-    #[test]
-    fn group_by_count_partitions_rows(rows in rows_strategy()) {
-        let db = seeded_db(&rows);
+#[test]
+fn group_by_count_partitions_rows() {
+    for_all(CASES, rows, |rows| {
+        let db = seeded_db(rows);
         let r = db
             .execute_local("SELECT grp, COUNT(*) FROM t GROUP BY grp")
             .unwrap();
         let total: i64 = r.rows.iter().map(|x| x[1].as_i64().unwrap()).sum();
-        prop_assert_eq!(total, rows.len() as i64);
+        assert_eq!(total, rows.len() as i64);
         // Each group's count matches the reference.
         for row in &r.rows {
             let g = row[0].to_string();
             let expected = rows.iter().filter(|(_, rg, _)| *rg == g).count() as i64;
-            prop_assert_eq!(row[1].as_i64().unwrap(), expected);
+            assert_eq!(row[1].as_i64().unwrap(), expected);
         }
-    }
+    });
+}
 
-    #[test]
-    fn aggregates_match_reference(rows in rows_strategy()) {
-        let db = seeded_db(&rows);
+#[test]
+fn aggregates_match_reference() {
+    for_all(CASES, rows, |rows| {
+        let db = seeded_db(rows);
         let r = db
             .execute_local("SELECT COUNT(*), SUM(score), MIN(score), MAX(score) FROM t")
             .unwrap();
         let row = &r.rows[0];
-        prop_assert_eq!(row[0].as_i64().unwrap(), rows.len() as i64);
+        assert_eq!(row[0].as_i64().unwrap(), rows.len() as i64);
         if rows.is_empty() {
-            prop_assert_eq!(&row[1], &Value::Null);
-            prop_assert_eq!(&row[2], &Value::Null);
+            assert_eq!(&row[1], &Value::Null);
+            assert_eq!(&row[2], &Value::Null);
         } else {
-            prop_assert_eq!(row[1].as_i64().unwrap(), rows.iter().map(|x| x.2).sum::<i64>());
-            prop_assert_eq!(row[2].as_i64().unwrap(), rows.iter().map(|x| x.2).min().unwrap());
-            prop_assert_eq!(row[3].as_i64().unwrap(), rows.iter().map(|x| x.2).max().unwrap());
+            let scores = || rows.iter().map(|x| x.2);
+            assert_eq!(row[1].as_i64().unwrap(), scores().sum::<i64>());
+            assert_eq!(row[2].as_i64().unwrap(), scores().min().unwrap());
+            assert_eq!(row[3].as_i64().unwrap(), scores().max().unwrap());
         }
-    }
+    });
+}
 
-    #[test]
-    fn self_join_on_key_is_identity_sized(rows in rows_strategy()) {
-        let db = seeded_db(&rows);
+#[test]
+fn self_join_on_key_is_identity_sized() {
+    for_all(CASES, rows, |rows| {
+        let db = seeded_db(rows);
         let r = db
             .execute_local("SELECT a.id FROM t a JOIN t b ON a.id = b.id")
             .unwrap();
-        prop_assert_eq!(r.rows.len(), rows.len());
-    }
+        assert_eq!(r.rows.len(), rows.len());
+    });
+}
 
-    #[test]
-    fn distinct_never_increases_rows(rows in rows_strategy()) {
-        let db = seeded_db(&rows);
+#[test]
+fn distinct_never_increases_rows() {
+    for_all(CASES, rows, |rows| {
+        let db = seeded_db(rows);
         let all = db.execute_local("SELECT grp FROM t").unwrap();
         let distinct = db.execute_local("SELECT DISTINCT grp FROM t").unwrap();
-        prop_assert!(distinct.rows.len() <= all.rows.len());
-        let set: std::collections::HashSet<String> =
-            all.rows.iter().map(|x| x[0].to_string()).collect();
-        prop_assert_eq!(distinct.rows.len(), set.len());
-    }
+        assert!(distinct.rows.len() <= all.rows.len());
+        let set: HashSet<String> = all.rows.iter().map(|x| x[0].to_string()).collect();
+        assert_eq!(distinct.rows.len(), set.len());
+    });
+}
 
-    #[test]
-    fn snapshot_restore_preserves_query_results(rows in rows_strategy()) {
-        let db = seeded_db(&rows);
+#[test]
+fn snapshot_restore_preserves_query_results() {
+    for_all(CASES, rows, |rows| {
+        let db = seeded_db(rows);
         let before = db
             .execute_local("SELECT id, grp, score FROM t ORDER BY id")
             .unwrap();
@@ -141,28 +194,39 @@ proptest! {
         let restored_storage = crowddb_storage::Database::restore(&snap).unwrap();
         // Query the restored storage through a fresh engine round.
         let caches = crowddb_exec::CompareCaches::default();
-        let stmt = crowddb_sql::parse_statement("SELECT id, grp, score FROM t ORDER BY id").unwrap();
-        let crowddb_sql::Statement::Select(q) = stmt else { panic!() };
+        let stmt =
+            crowddb_sql::parse_statement("SELECT id, grp, score FROM t ORDER BY id").unwrap();
+        let crowddb_sql::Statement::Select(q) = stmt else {
+            panic!()
+        };
         let plan = restored_storage
             .with_catalog(|c| crowddb_plan::Binder::new(c).bind_query(&q))
             .unwrap();
         let result = crowddb_exec::execute(&restored_storage, &caches, &plan).unwrap();
-        prop_assert_eq!(result.rows, before.rows);
-    }
+        assert_eq!(result.rows, before.rows);
+    });
+}
 
-    #[test]
-    fn update_then_delete_is_consistent(rows in rows_strategy(), bump in 1i64..50) {
-        let db = seeded_db(&rows);
+#[test]
+fn update_then_delete_is_consistent() {
+    let input = |rng: &mut Rng| (rows(rng), rng.gen_range(1..50i64));
+    for_all(CASES, input, |(rows, bump)| {
+        let db = seeded_db(rows);
         let updated = db
-            .execute_local(&format!("UPDATE t SET score = score + {bump} WHERE grp = 'a'"))
+            .execute_local(&format!(
+                "UPDATE t SET score = score + {bump} WHERE grp = 'a'"
+            ))
             .unwrap();
         let expected_a = rows.iter().filter(|(_, g, _)| g == "a").count();
-        prop_assert_eq!(updated.affected, expected_a);
+        assert_eq!(updated.affected, expected_a);
         let deleted = db.execute_local("DELETE FROM t WHERE grp = 'a'").unwrap();
-        prop_assert_eq!(deleted.affected, expected_a);
+        assert_eq!(deleted.affected, expected_a);
         let left = db.execute_local("SELECT COUNT(*) FROM t").unwrap();
-        prop_assert_eq!(left.rows[0][0].as_i64().unwrap(), (rows.len() - expected_a) as i64);
-    }
+        assert_eq!(
+            left.rows[0][0].as_i64().unwrap(),
+            (rows.len() - expected_a) as i64
+        );
+    });
 }
 
 /// Optimizer soundness: the full rule set must never change query
@@ -212,21 +276,14 @@ mod optimizer_soundness {
         rows
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn optimized_equals_unoptimized(
-            rows in super::rows_strategy(),
-            tags in proptest::collection::vec((0i64..1000, "[x-z]"), 0..25),
-            threshold in -100i64..100,
-        ) {
-            let mut seen = std::collections::HashSet::new();
-            let tags: Vec<(i64, String)> = tags
-                .into_iter()
-                .filter(|(id, _)| seen.insert(*id))
-                .collect();
-            let db = raw_db(&rows, &tags);
+    #[test]
+    fn optimized_equals_unoptimized() {
+        let input = |rng: &mut Rng| {
+            let tags = keyed_letters(rng, 25, b"xyz");
+            (rows(rng), tags, rng.gen_range(-100..100i64))
+        };
+        for_all(48, input, |(rows, tags, threshold)| {
+            let db = raw_db(rows, tags);
             let none = OptimizerConfig {
                 fold_constants: false,
                 pushdown_predicates: false,
@@ -236,9 +293,7 @@ mod optimizer_soundness {
             let full = OptimizerConfig::default();
             for sql in [
                 format!("SELECT id, score FROM t WHERE score > {threshold} AND grp <> 'q'"),
-                format!(
-                    "SELECT t.id, u.tag FROM t, u WHERE t.id = u.id AND t.score > {threshold}"
-                ),
+                format!("SELECT t.id, u.tag FROM t, u WHERE t.id = u.id AND t.score > {threshold}"),
                 "SELECT t.grp, u.tag FROM t JOIN u ON t.id = u.id WHERE 1 = 1".to_string(),
                 format!(
                     "SELECT a.id FROM t a, t b, u WHERE a.id = b.id AND b.id = u.id \
@@ -246,14 +301,13 @@ mod optimizer_soundness {
                 ),
                 "SELECT d.s FROM (SELECT id, score AS s FROM t) AS d WHERE d.s > 0".to_string(),
             ] {
-                prop_assert_eq!(
+                assert_eq!(
                     run_config(&db, &sql, &full),
                     run_config(&db, &sql, &none),
-                    "optimizer changed results for {}",
-                    sql
+                    "optimizer changed results for {sql}"
                 );
             }
-        }
+        });
     }
 }
 
@@ -262,11 +316,16 @@ mod simulator_properties {
     use super::*;
     use crowddb_platform::{PerfectModel, Platform, SimPlatform, TaskKind, TaskSpec};
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn sim_never_over_delivers(seed in 0u64..5000, hits in 1usize..20, reps in 1u32..4) {
+    #[test]
+    fn sim_never_over_delivers() {
+        let input = |rng: &mut Rng| {
+            (
+                rng.gen_range(0..5000u64),
+                rng.gen_range(1..20usize),
+                rng.gen_range(1..4u32),
+            )
+        };
+        for_all(24, input, |&(seed, hits, reps)| {
             let mut p = SimPlatform::amt(seed, Box::new(PerfectModel));
             let specs: Vec<TaskSpec> = (0..hits)
                 .map(|i| {
@@ -287,7 +346,7 @@ mod simulator_properties {
                 p.advance(600.0);
                 clock += 600.0;
                 // Clock is monotone.
-                prop_assert!(p.now() >= last_now);
+                assert!(p.now() >= last_now);
                 last_now = p.now();
                 total += p.collect().len();
                 if ids.iter().all(|h| p.is_complete(*h)) {
@@ -295,10 +354,10 @@ mod simulator_properties {
                 }
             }
             // Never more responses than requested assignments.
-            prop_assert!(total as u64 <= (hits as u64) * (reps as u64));
+            assert!(total as u64 <= (hits as u64) * (reps as u64));
             let s = p.stats();
-            prop_assert!(s.assignments_completed <= s.assignments_requested);
-            prop_assert_eq!(s.hits_posted, hits as u64);
-        }
+            assert!(s.assignments_completed <= s.assignments_requested);
+            assert_eq!(s.hits_posted, hits as u64);
+        });
     }
 }
