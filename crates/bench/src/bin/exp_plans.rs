@@ -19,7 +19,9 @@
 use crowddb_bench::harness::ExperimentOutput;
 use crowddb_common::row;
 use crowddb_common::Value;
-use crowddb_exec::{execute_physical, lower_plan, render_analyzed, CompareCaches};
+use crowddb_exec::{
+    execute_physical_analyzed, lower_plan, render_analyzed, CompareCaches, ExecGuard,
+};
 use crowddb_plan::cardinality::FnStats;
 use crowddb_plan::{analyze_boundedness, optimize, Binder, OptimizerConfig};
 use crowddb_sql::{parse_statement, Statement};
@@ -145,7 +147,9 @@ fn main() {
         let plan = optimize(bound, &FnStats(stats_fn), &config);
         let caches = CompareCaches::default();
         let physical = lower_plan(&db, &plan);
-        let (result, op_stats) = execute_physical(&db, &caches, &physical).unwrap();
+        // Rendered below: the analyzed run, whose `time=` is self time.
+        let (result, op_stats) =
+            execute_physical_analyzed(&db, &caches, &physical, ExecGuard::unlimited()).unwrap();
         out2.rows.push(vec![
             label.to_string(),
             result.needs.len().to_string(),

@@ -341,10 +341,27 @@ pub fn encode_row(out: &mut Vec<u8>, row: &Row) {
 
 /// Decode a row written by [`encode_row`].
 pub fn decode_row(r: &mut Reader<'_>) -> Decoded<Row> {
+    decode_row_reading(r, |_| true)
+}
+
+/// [`decode_row`] for a caller that will look at the columns `read`
+/// names only: a string in any other column is walked and checked —
+/// length, UTF-8 — exactly as `decode_row` checks it, then left out (the
+/// column holds `''`), so the row costs no allocation it does not need
+/// and errs whenever the full decode would have.
+pub fn decode_row_masked(r: &mut Reader<'_>, read: &[bool]) -> Decoded<Row> {
+    decode_row_reading(r, |column| read.get(column).copied().unwrap_or(false))
+}
+
+fn decode_row_reading(r: &mut Reader<'_>, read: impl Fn(usize) -> bool) -> Decoded<Row> {
     let arity = r.count(1)?;
     let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        values.push(decode_value(r)?);
+    for column in 0..arity {
+        values.push(match decode_scalar(r)? {
+            Scalar::Val(v) => v,
+            Scalar::Str(s) if read(column) => Value::Str(s.to_string()),
+            Scalar::Str(_) => Value::Str(String::new()),
+        });
     }
     Ok(Row::new(values))
 }
@@ -473,6 +490,63 @@ mod tests {
             let got = decode_row(&mut reader).and_then(|row| reader.finish().map(|_| row));
             if bad.len() != full.len() {
                 assert!(got.is_err(), "{what} decoded");
+            }
+        }
+    }
+
+    /// A row the residual drops is still a row whose bytes were checked:
+    /// leaving a string out changes what the decode returns, never
+    /// whether it succeeds.
+    #[test]
+    fn masked_decode_blanks_unread_strings_and_validates_like_the_full_decode() {
+        use crate::rng::Rng;
+        let mut rng = Rng::seed_from_u64(0x5EED_0021);
+        let alphabet: Vec<char> = "abcXYZ 019'\u{e9}\u{4e2d}\u{1f980}\0".chars().collect();
+        for case in 0..60 {
+            let arity = rng.gen_range(0..7usize);
+            let values: Vec<Value> = (0..arity)
+                .map(|_| match rng.gen_range(0..7u32) {
+                    0 => Value::Null,
+                    1 => Value::CNull,
+                    2 => Value::Bool(rng.gen_bool(0.5)),
+                    3 => Value::Int(rng.next_u64() as i64),
+                    4 => Value::Float(rng.gen_range(-1000.0..1000.0)),
+                    _ => Value::Str(
+                        (0..rng.gen_range(0..12usize))
+                            .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                            .collect(),
+                    ),
+                })
+                .collect();
+            // Masks shorter and longer than the row are legal.
+            let mask: Vec<bool> = (0..rng.gen_range(0..9usize))
+                .map(|_| rng.gen_bool(0.5))
+                .collect();
+            let row = Row::new(values);
+            let mut image = Vec::new();
+            encode_row(&mut image, &row);
+
+            let blanked: Vec<Value> = row
+                .values()
+                .iter()
+                .enumerate()
+                .map(|(i, v)| match v {
+                    Value::Str(_) if !mask.get(i).copied().unwrap_or(false) => Value::str(""),
+                    other => other.clone(),
+                })
+                .collect();
+            let got = decode_row_masked(&mut Reader::new(&image), &mask).unwrap();
+            // NaN-free values, so `==` is bytewise here.
+            assert_eq!(got, Row::new(blanked), "case {case}: {row} under {mask:?}");
+
+            for (what, bad) in corruptions(&image) {
+                let full = decode_row(&mut Reader::new(&bad));
+                let masked = decode_row_masked(&mut Reader::new(&bad), &mask);
+                assert_eq!(
+                    full.as_ref().err(),
+                    masked.as_ref().err(),
+                    "case {case}, {what}: {row} under {mask:?}"
+                );
             }
         }
     }

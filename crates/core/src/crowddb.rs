@@ -10,8 +10,9 @@ use crowddb_common::codec::{self, Reader};
 use crowddb_common::sync::{Mutex, RwLock};
 use crowddb_common::{CancelReason, CrowdError, Result, Row, Value};
 use crowddb_exec::{
-    dml, execute_physical_guarded, flush_op_stats, lower_plan, render_analyzed, CompareCaches,
-    ExecGuard, ExecResult, Maintained, OpStatsNode, SharedCaches, TableChange, TaskNeed,
+    dml, execute_physical_analyzed, execute_physical_guarded, flush_op_stats, lower_plan,
+    render_analyzed, CompareCaches, ExecGuard, ExecResult, Maintained, OpStatsNode, SharedCaches,
+    TableChange, TaskNeed,
 };
 use crowddb_obs::{Event, MetricsSnapshot, Obs};
 use crowddb_plan::cardinality::{FnStats, StatsSource};
@@ -959,9 +960,16 @@ impl CrowdDB {
         plan: &LogicalPlan,
         caches: &CompareCaches,
         guard: ExecGuard,
+        analyzed: bool,
     ) -> Result<(PhysicalPlan, ExecResult, OpStatsNode)> {
         let physical = lower_plan(&self.db, plan);
-        let (exec, stats) = execute_physical_guarded(&self.db, caches, &physical, guard)?;
+        // Only a tree that will be rendered pays for per-operator self
+        // time (a clock read around every row handed on).
+        let run = match analyzed {
+            true => execute_physical_analyzed,
+            false => execute_physical_guarded,
+        };
+        let (exec, stats) = run(&self.db, caches, &physical, guard)?;
         Ok((physical, exec, stats))
     }
 
@@ -969,7 +977,7 @@ impl CrowdDB {
     /// task preview inspects. Deliberately flushes no operator stats.
     fn evaluate_once(&self, plan: &LogicalPlan) -> Result<ExecResult> {
         let (_, exec, _) =
-            self.local_step(|caches| self.run_plan(plan, caches, ExecGuard::unlimited()))?;
+            self.local_step(|caches| self.run_plan(plan, caches, ExecGuard::unlimited(), false))?;
         Ok(exec)
     }
 
@@ -1002,7 +1010,8 @@ impl CrowdDB {
     ) -> Result<QueryResult> {
         let (plan, warnings) = self.plan_query(query, analysis.is_some())?;
         let driven = self.drive(crowd, guard, warnings, |caches| {
-            let (physical, exec, stats) = self.run_plan(&plan, caches, guard.exec.clone())?;
+            let (physical, exec, stats) =
+                self.run_plan(&plan, caches, guard.exec.clone(), analysis.is_some())?;
             flush_op_stats(self.obs.registry(), &stats);
             if let Some(analysis) = analysis.as_deref_mut() {
                 analysis.absorb(physical, stats, &exec);

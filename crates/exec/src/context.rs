@@ -275,22 +275,22 @@ pub struct RunStats {
 
 /// Cooperative-cancellation guard threaded through the operator tree.
 ///
-/// Operators call [`RunContext::check`] in their per-row loops and
-/// [`super::ops::run_op`] charges each operator's output rows through
+/// Operators call [`RunContext::check`] in their row functions and
+/// [`super::ops::run_op`] charges each row an operator puts out through
 /// [`RunContext::charge_rows`]; both are cheap no-ops when no limit is
 /// armed (`enabled` is precomputed so the hot path is one branch).
 ///
 /// The guard is per-*round*: counters reset when a fresh `ExecCtx` is
 /// built for the next round, so `max_intermediate_rows` bounds the rows
-/// materialized within a single round (the unit of work the governor
-/// terminates at). The chaos hooks `trip_cancel_after` / `panic_after`
+/// operators hand on within a single round (the unit of work the
+/// governor terminates at). The chaos hooks `trip_cancel_after` / `panic_after`
 /// fire at the Nth checkpoint and exist purely for fault-injection
 /// tests.
 #[derive(Debug, Clone, Default)]
 pub struct ExecGuard {
     /// Session cancel flag; set by `CancelToken::cancel`.
     pub cancel: Option<Arc<AtomicBool>>,
-    /// Cap on rows materialized by operators within one round.
+    /// Cap on rows put out by operators within one round.
     pub max_intermediate_rows: Option<u64>,
     /// Cap on rows returned by the plan root (enforced by
     /// `execute_physical_guarded`, not by `check`).
@@ -483,6 +483,9 @@ pub struct ExecCtx<'a> {
     /// `execute` leaves aggregate state here when there is a map to
     /// leave it in, `delta` moves it; `None` for a one-shot statement.
     pub(crate) groups: Option<GroupStates>,
+    /// `EXPLAIN ANALYZE`: time every hand-over between operators, so
+    /// that per-operator wall time is self time (see `ops::run_op`).
+    pub(crate) timed: bool,
     schema_cache: HashMap<String, TableSchema>,
 }
 
@@ -502,6 +505,7 @@ impl<'a> ExecCtx<'a> {
             db,
             rt: RunContext::with_guard(caches, guard),
             groups: None,
+            timed: false,
             schema_cache: HashMap::new(),
         }
     }
@@ -535,7 +539,7 @@ impl<'a> ExecCtx<'a> {
         let physical = crate::executor::lower_plan(self.db, plan);
         let op = crate::ops::build(&physical);
         let mut node = crate::ops::OpStatsNode::skeleton(&physical);
-        let rows = crate::ops::run_op(op.as_ref(), self, &mut node)?;
+        let rows = crate::ops::collect(op.as_ref(), self, &mut node)?;
         self.rt.subquery_results.insert(key, rows.clone());
         Ok(rows)
     }

@@ -2,11 +2,11 @@
 //! [`PhysicalPlan`] and runs it through the operator tree in
 //! [`crate::ops`].
 //!
-//! Execution is vector-at-a-time and materializing: each operator
-//! produces its full output per round. This keeps the round-based crowd
-//! semantics simple (a round is one full materialization) and is plenty
-//! fast at the scale CrowdDB operates — the bottleneck is always the
-//! human round-trips, as the paper observes.
+//! A round is one full evaluation of the plan on current knowledge,
+//! which keeps the round-based crowd semantics simple; inside it rows are
+//! pushed from operator to operator (see [`crate::ops`] for where they
+//! stream and where they are collected), and only the root's output is
+//! materialized, as the round's result.
 
 use crowddb_common::{CancelReason, CrowdError, Result, Row};
 use crowddb_plan::cardinality::FnStats;
@@ -74,8 +74,8 @@ pub(crate) fn live_row_stats(db: &Database) -> FnStats<impl Fn(&str) -> Option<u
 }
 
 /// Execute an already-lowered physical plan for one round, returning the
-/// result alongside the per-operator stats tree (for `EXPLAIN ANALYZE`
-/// and the bench harness).
+/// result alongside the per-operator stats tree (counters; for per-operator
+/// times see [`execute_physical_analyzed`]).
 pub fn execute_physical(
     db: &Database,
     caches: &CompareCaches,
@@ -154,6 +154,23 @@ pub fn execute_physical_guarded(
     Ok((result, stats_tree))
 }
 
+/// [`execute_physical_guarded`] for `EXPLAIN ANALYZE`: the same round,
+/// with every hand-over between operators timed, so that each node's wall
+/// time in the stats tree is the time spent in that operator itself. (A
+/// plain round does not read the clock per row, and its tree charges a
+/// pipeline's time to the scan that drives it.)
+pub fn execute_physical_analyzed(
+    db: &Database,
+    caches: &CompareCaches,
+    physical: &PhysicalPlan,
+    guard: ExecGuard,
+) -> Result<(ExecResult, OpStatsNode)> {
+    let mut ctx = ExecCtx::with_guard(db, caches, guard);
+    ctx.timed = true;
+    let (result, stats_tree, _) = run_round(ctx, physical)?;
+    Ok((result, stats_tree))
+}
+
 /// One round of `physical` in `ctx`: the result, the per-operator stats,
 /// and the aggregate state, if the context was set up to keep any.
 fn run_round(
@@ -162,7 +179,7 @@ fn run_round(
 ) -> Result<(ExecResult, OpStatsNode, Option<GroupStates>)> {
     let op = ops::build(physical);
     let mut stats_tree = OpStatsNode::skeleton(physical);
-    let rows = ops::run_op(op.as_ref(), &mut ctx, &mut stats_tree)?;
+    let rows = ops::collect(op.as_ref(), &mut ctx, &mut stats_tree)?;
     if let Some(cap) = ctx.rt.max_output_rows() {
         if rows.len() as u64 > cap {
             return Err(CrowdError::Cancelled(CancelReason::OutputRowLimit));

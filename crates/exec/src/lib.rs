@@ -1,8 +1,8 @@
 //! # crowddb-exec
 //!
-//! The CrowdDB execution engine: a materializing (vector-at-a-time)
-//! executor for optimized logical plans, plus the three crowd operators
-//! from paper §3.2.1:
+//! The CrowdDB execution engine: a push-based, pipelined executor for
+//! optimized logical plans, plus the three crowd operators from paper
+//! §3.2.1:
 //!
 //! * **CrowdProbe** — lives inside table scans: rows whose *needed*
 //!   CROWD columns hold `CNULL` generate probe task needs, and bounded
@@ -40,7 +40,10 @@ pub use context::{
     CompareCaches, ExecCtx, ExecGuard, NeedCounts, RunContext, RunStats, SharedCaches,
 };
 pub use executor::{
-    execute, execute_physical, execute_physical_guarded, lower_plan, ExecResult, Maintained,
+    execute, execute_physical, execute_physical_analyzed, execute_physical_guarded, lower_plan,
+    ExecResult, Maintained,
 };
 pub use need::TaskNeed;
-pub use ops::{flush_op_stats, render_analyzed, Delta, OpStatsNode, Operator, TableChange};
+pub use ops::{
+    flush_op_stats, render_analyzed, Delta, Flow, OpStatsNode, Operator, Sink, TableChange,
+};

@@ -1,12 +1,16 @@
-//! Aggregate: grouping (first-seen group order) and aggregate functions.
+//! Aggregate: grouping (first-seen group order) and aggregate functions,
+//! in one pass over running accumulators.
 //!
-//! For a standing query the operator also keeps [`Groups`] — per group a
-//! row count and one exact running accumulator per call — so that a
+//! Every input row is folded into its group's [`Acc`]s as it arrives and
+//! dropped; the output rows are read off the accumulators at the end.
+//! For a standing query that same state, [`Groups`], is what the
+//! operator keeps between triggers — provided every call has an *exact*
+//! running accumulator and every fold so far stayed exact — so that a
 //! changed input row moves its group's output row without the group
-//! being re-read. The state is built by `execute` (when the context asks
-//! for it) with the same [`AggregateOp::fold`] that `delta` applies the
-//! changed rows with.
+//! being re-read: `delta` applies the changed rows with the very
+//! [`AggregateOp::fold`] that `execute` built the state with.
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use crowddb_common::{CrowdError, Result, Row, Value};
@@ -14,7 +18,10 @@ use crowddb_plan::{AggCall, AggFn, BExpr, PhysicalPlan};
 
 use crate::context::ExecCtx;
 use crate::eval::eval;
-use crate::ops::{build, run_op, BoxedOp, Delta, OpStatsNode, Operator, TableChange};
+use crate::ops::{
+    build, emit_all, for_each_row, streams, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink,
+    TableChange,
+};
 
 /// Aggregation operator; see [`PhysicalPlan::Aggregate`].
 pub struct AggregateOp<'p> {
@@ -29,40 +36,52 @@ pub struct AggregateOp<'p> {
     /// standing query owns its boxed plan. A miss (say, after a clone)
     /// only means "no delta".
     key: usize,
+    streams: bool,
 }
 
-/// The running state of one `Aggregate` node: group key → accumulators.
-pub(crate) type Groups = HashMap<Vec<Value>, Group>;
+/// The running state of one `Aggregate` node.
+#[derive(Debug)]
+pub(crate) struct Groups {
+    by_key: HashMap<Vec<Value>, Group>,
+    /// Whether the state is still certain to equal, byte for byte, what a
+    /// fresh evaluation would build — see [`AggregateOp::fold`].
+    exact: bool,
+}
 
 /// One group's accumulators.
 #[derive(Debug)]
-pub(crate) struct Group {
+struct Group {
+    /// How many groups were seen before this one: the output order.
+    seq: usize,
     /// Input rows in the group (`COUNT(*)`; zero drops the group).
     rows: u64,
     /// One per aggregate call, in call order.
     accs: Vec<Acc>,
 }
 
-impl Group {
-    fn empty(calls: usize) -> Group {
-        Group {
-            rows: 0,
-            accs: vec![Acc::default(); calls],
-        }
-    }
-}
-
-/// The accumulator of one call over one group's non-missing arguments.
+/// The accumulator of one call over one group's arguments — the
+/// non-missing ones, each once under `DISTINCT` — in arrival order.
 #[derive(Debug, Default, Clone)]
 struct Acc {
-    /// How many there are (`COUNT(x)`; `SUM` is `NULL` at zero).
+    /// How many there are (`COUNT(x)`; `SUM`/`AVG` are `NULL` at zero).
     n: u64,
-    /// Their sum.
+    /// Their sum, while all are integers and no partial sum overflowed.
     sum: i64,
+    /// A partial integer sum overflowed: an error if they stay integers.
+    overflowed: bool,
     /// The sum of their magnitudes. While it fits an `i64` no partial sum
     /// can overflow in *any* order of addition, so a fresh evaluation
     /// returns `sum` too instead of an overflow error.
     magnitude: u64,
+    /// Their sum as floats, added in arrival order.
+    float: f64,
+    /// One was not an integer / not a number at all.
+    non_int: bool,
+    non_numeric: bool,
+    /// `MIN`/`MAX`: the winner so far.
+    extreme: Option<Value>,
+    /// `DISTINCT`: the arguments already counted.
+    seen: HashSet<Value>,
 }
 
 impl<'p> AggregateOp<'p> {
@@ -82,10 +101,34 @@ impl<'p> AggregateOp<'p> {
             maintainable: aggs.iter().all(|a| a.exact_running(&input_schema))
                 && !group_by.iter().any(BExpr::has_subplan),
             key: plan as *const PhysicalPlan as usize,
+            streams: streams(plan, input),
             input: build(input),
             group_by,
             aggs,
         }
+    }
+
+    /// No rows yet: no group, but for the one group of an aggregate
+    /// without `GROUP BY`, which exists over empty input too.
+    fn no_rows(&self) -> Groups {
+        let mut groups = Groups {
+            by_key: HashMap::new(),
+            exact: true,
+        };
+        if self.group_by.is_empty() {
+            self.group_mut(&mut groups, vec![]);
+        }
+        groups
+    }
+
+    /// Group `key`, created empty at first sight.
+    fn group_mut<'g>(&self, groups: &'g mut Groups, key: Vec<Value>) -> &'g mut Group {
+        let seq = groups.by_key.len();
+        groups.by_key.entry(key).or_insert_with(|| Group {
+            seq,
+            rows: 0,
+            accs: vec![Acc::default(); self.aggs.len()],
+        })
     }
 
     /// The grouping key of `row`.
@@ -97,13 +140,18 @@ impl<'p> AggregateOp<'p> {
         Ok(key)
     }
 
-    /// Add (`enters`) or take away one input row of group `key`. `false`
-    /// when the result would no longer be certain to equal a fresh
-    /// evaluation byte for byte: a FLOAT grouping key (`0.0 = -0.0` and
-    /// `NaN = NaN` merge groups, and the first-seen row names the key), a
-    /// `SUM` argument that is not an integer after all, a sum whose
-    /// partial sums could overflow, or a row leaving a group that does
-    /// not hold it.
+    /// The row function: add (`enters`) or take away one input row of
+    /// group `key`. Taking away is for `delta` alone, which only runs
+    /// over calls with an exact running accumulator (`COUNT`s and integer
+    /// `SUM`s).
+    ///
+    /// Clears `groups.exact` when the state would no longer be certain to
+    /// equal a fresh evaluation byte for byte: a FLOAT grouping key
+    /// (`0.0 = -0.0` and `NaN = NaN` merge groups, and the first-seen row
+    /// names the key), a `SUM` argument that is not an integer after all,
+    /// a sum whose partial sums could overflow, or a row leaving a group
+    /// that does not hold it. That ends the state's life as a standing
+    /// query's; the round's own answer is unaffected.
     fn fold(
         &self,
         ctx: &mut ExecCtx<'_>,
@@ -111,123 +159,131 @@ impl<'p> AggregateOp<'p> {
         key: Vec<Value>,
         row: &Row,
         enters: bool,
-    ) -> Result<bool> {
-        if key.iter().any(|v| matches!(v, Value::Float(_))) {
-            return Ok(false);
-        }
-        let group = groups
-            .entry(key)
-            .or_insert_with(|| Group::empty(self.aggs.len()));
+    ) -> Result<()> {
+        groups.exact &= !key.iter().any(|v| matches!(v, Value::Float(_)));
         let step = |n: u64| match enters {
             true => n.checked_add(1),
             false => n.checked_sub(1),
         };
-        let Some(rows) = step(group.rows) else {
-            return Ok(false);
-        };
-        group.rows = rows;
+        let group = self.group_mut(groups, key);
+        let rows = step(group.rows);
+        group.rows = rows.unwrap_or(0);
+        let mut exact = rows.is_some();
         for (acc, agg) in group.accs.iter_mut().zip(self.aggs) {
+            // COUNT(*) is the group's row count.
             let Some(arg) = &agg.arg else { continue };
-            let int = match (agg.func, eval(ctx, arg, row)?) {
-                (_, v) if v.is_missing() => continue,
-                (AggFn::Count, _) => 0,
-                (_, Value::Int(i)) => i,
-                _ => return Ok(false),
-            };
-            let moved = match enters {
-                true => (
-                    acc.sum.checked_add(int),
-                    acc.magnitude.checked_add(int.unsigned_abs()),
-                ),
-                false => (
-                    acc.sum.checked_sub(int),
-                    acc.magnitude.checked_sub(int.unsigned_abs()),
-                ),
-            };
-            let (Some(n), (Some(sum), Some(magnitude))) = (step(acc.n), moved) else {
-                return Ok(false);
-            };
-            if magnitude > i64::MAX as u64 {
-                return Ok(false);
+            let v = eval(ctx, arg, row)?;
+            if v.is_missing() || (agg.distinct && !acc.seen.insert(v.clone())) {
+                continue;
             }
-            *acc = Acc { n, sum, magnitude };
+            let n = step(acc.n);
+            acc.n = n.unwrap_or(0);
+            exact &= n.is_some();
+            match agg.func {
+                AggFn::Count => {}
+                AggFn::Sum | AggFn::Avg => {
+                    match v {
+                        Value::Int(i) => {
+                            let (sum, magnitude) = match enters {
+                                true => (
+                                    acc.sum.checked_add(i),
+                                    acc.magnitude.checked_add(i.unsigned_abs()),
+                                ),
+                                false => (
+                                    acc.sum.checked_sub(i),
+                                    acc.magnitude.checked_sub(i.unsigned_abs()),
+                                ),
+                            };
+                            acc.overflowed |= sum.is_none();
+                            acc.sum = sum.unwrap_or(0);
+                            acc.magnitude = magnitude.unwrap_or(u64::MAX);
+                            exact &= acc.magnitude <= i64::MAX as u64;
+                        }
+                        Value::Float(_) => acc.non_int = true,
+                        _ => (acc.non_int, acc.non_numeric) = (true, true),
+                    }
+                    acc.float += v.as_f64().unwrap_or(0.0);
+                    exact &= !acc.non_int;
+                }
+                // Of equals, MIN keeps the first and MAX the last.
+                AggFn::Min | AggFn::Max => {
+                    let wins = match (&acc.extreme, agg.func) {
+                        (None, _) => true,
+                        (Some(best), AggFn::Min) => v.sort_cmp(best) == Ordering::Less,
+                        (Some(best), _) => v.sort_cmp(best) != Ordering::Less,
+                    };
+                    if wins {
+                        acc.extreme = Some(v);
+                    }
+                }
+            }
         }
-        Ok(true)
+        groups.exact &= exact;
+        Ok(())
     }
 
     /// The output row of group `key`, if the group exists: it holds a
     /// row, or it is the one group of an aggregate without `GROUP BY`.
-    fn group_row(&self, groups: &Groups, key: &[Value]) -> Option<Row> {
-        let group = groups.get(key)?;
+    fn group_row(&self, key: &[Value], group: Option<&Group>) -> Result<Option<Row>> {
+        let Some(group) = group else {
+            return Ok(None);
+        };
         if group.rows == 0 && !self.group_by.is_empty() {
-            return None;
+            return Ok(None);
         }
         let mut values = key.to_vec();
         for (acc, agg) in group.accs.iter().zip(self.aggs) {
             values.push(match (agg.func, &agg.arg) {
                 (AggFn::Count, None) => Value::Int(group.rows as i64),
                 (AggFn::Count, Some(_)) => Value::Int(acc.n as i64),
+                (AggFn::Min | AggFn::Max, _) => acc.extreme.clone().unwrap_or(Value::Null),
                 _ if acc.n == 0 => Value::Null,
-                _ => Value::Int(acc.sum),
+                (AggFn::Sum, _) if !acc.non_int => match acc.overflowed {
+                    true => return Err(CrowdError::Exec("integer overflow in SUM".into())),
+                    false => Value::Int(acc.sum),
+                },
+                (func, _) if acc.non_numeric => {
+                    let name = func.name();
+                    return Err(CrowdError::Type(format!("{name} over non-numeric values")));
+                }
+                (AggFn::Sum, _) => Value::Float(acc.float),
+                (_, _) => Value::Float(acc.float / acc.n as f64),
             });
         }
-        Some(Row::new(values))
-    }
-
-    /// The state `rows` leave behind, if it can be kept exactly.
-    fn groups_of(&self, ctx: &mut ExecCtx<'_>, rows: &[Row]) -> Result<Option<Groups>> {
-        let mut groups = Groups::new();
-        if self.group_by.is_empty() {
-            groups.insert(vec![], Group::empty(self.aggs.len()));
-        }
-        for row in rows {
-            let key = self.key_of(ctx, row)?;
-            if !self.fold(ctx, &mut groups, key, row, true)? {
-                return Ok(None);
-            }
-        }
-        Ok(Some(groups))
+        Ok(Some(Row::new(values)))
     }
 }
 
 impl Operator for AggregateOp<'_> {
-    fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>> {
-        let rows = run_op(self.input.as_ref(), ctx, &mut stats.children[0])?;
-        stats.rows_in += rows.len() as u64;
-        // Group rows, preserving first-seen group order.
-        let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        for (i, row) in rows.iter().enumerate() {
-            ctx.rt.check()?;
-            let key = self.key_of(ctx, row)?;
-            match index.get(&key) {
-                Some(&g) => groups[g].1.push(i),
-                None => {
-                    index.insert(key.clone(), groups.len());
-                    groups.push((key, vec![i]));
-                }
-            }
+    fn execute(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        stats: &mut OpStatsNode,
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow> {
+        let mut groups = self.no_rows();
+        for_each_row(
+            self.input.as_ref(),
+            ctx,
+            &mut stats.children[0],
+            self.streams,
+            &mut |ctx, row| {
+                ctx.rt.check()?;
+                let key = self.key_of(ctx, &row)?;
+                self.fold(ctx, &mut groups, key, &row, true)?;
+                Ok(Flow::More)
+            },
+        )?;
+        let mut first_seen: Vec<_> = groups.by_key.iter().collect();
+        first_seen.sort_unstable_by_key(|(_, group)| group.seq);
+        let mut out = Vec::with_capacity(first_seen.len());
+        for (key, group) in first_seen {
+            out.extend(self.group_row(key, Some(group))?);
         }
-        // Aggregate without GROUP BY over empty input: one empty group.
-        if groups.is_empty() && self.group_by.is_empty() {
-            groups.push((vec![], vec![]));
+        if let (true, true, Some(states)) = (self.maintainable, groups.exact, &mut ctx.groups) {
+            states.insert(self.key, groups);
         }
-
-        let mut out = Vec::with_capacity(groups.len());
-        for (key, members) in groups {
-            let mut values = key;
-            for agg in self.aggs {
-                values.push(eval_agg(ctx, agg, &members, &rows)?);
-            }
-            out.push(Row::new(values));
-        }
-        if self.maintainable && ctx.groups.is_some() {
-            let groups = self.groups_of(ctx, &rows)?;
-            if let (Some(states), Some(groups)) = (&mut ctx.groups, groups) {
-                states.insert(self.key, groups);
-            }
-        }
-        Ok(out)
+        emit_all(ctx, out, sink)
     }
 
     /// Fold the input's delta into the groups it touches and emit, per
@@ -250,18 +306,20 @@ impl Operator for AggregateOp<'_> {
             for row in rows {
                 let key = self.key_of(ctx, row)?;
                 if !before.contains_key(&key) {
-                    before.insert(key.clone(), self.group_row(&groups, &key));
+                    let was = self.group_row(&key, groups.by_key.get(&key))?;
+                    before.insert(key.clone(), was);
                 }
-                if !self.fold(ctx, &mut groups, key, row, enters)? {
+                self.fold(ctx, &mut groups, key, row, enters)?;
+                if !groups.exact {
                     return Ok(None);
                 }
             }
         }
         let mut delta = Delta::default();
         for (key, was) in before {
-            let is = self.group_row(&groups, &key);
+            let is = self.group_row(&key, groups.by_key.get(&key))?;
             if is.is_none() {
-                groups.remove(&key);
+                groups.by_key.remove(&key);
             }
             if was != is {
                 delta.removed.extend(was);
@@ -273,80 +331,4 @@ impl Operator for AggregateOp<'_> {
         }
         Ok(Some(delta))
     }
-}
-
-/// Evaluate one aggregate call over a group's member rows.
-fn eval_agg(
-    ctx: &mut ExecCtx<'_>,
-    agg: &AggCall,
-    members: &[usize],
-    rows: &[Row],
-) -> Result<Value> {
-    // COUNT(*) counts rows.
-    if agg.func == AggFn::Count && agg.arg.is_none() {
-        return Ok(Value::Int(members.len() as i64));
-    }
-    let arg = agg
-        .arg
-        .as_ref()
-        .ok_or_else(|| CrowdError::Internal("non-COUNT aggregate without arg".into()))?;
-    let mut vals: Vec<Value> = Vec::with_capacity(members.len());
-    for &i in members {
-        let v = eval(ctx, arg, &rows[i])?;
-        if !v.is_missing() {
-            vals.push(v);
-        }
-    }
-    if agg.distinct {
-        let mut seen = HashSet::new();
-        vals.retain(|v| seen.insert(v.clone()));
-    }
-    Ok(match agg.func {
-        AggFn::Count => Value::Int(vals.len() as i64),
-        AggFn::Sum => {
-            if vals.is_empty() {
-                Value::Null
-            } else if vals.iter().all(|v| matches!(v, Value::Int(_))) {
-                let mut acc: i64 = 0;
-                for v in &vals {
-                    let i = v.as_i64().ok_or_else(|| {
-                        CrowdError::Internal("SUM integer fast path saw a non-integer".into())
-                    })?;
-                    acc = acc
-                        .checked_add(i)
-                        .ok_or_else(|| CrowdError::Exec("integer overflow in SUM".into()))?;
-                }
-                Value::Int(acc)
-            } else {
-                let mut acc = 0.0;
-                for v in &vals {
-                    acc += v
-                        .as_f64()
-                        .ok_or_else(|| CrowdError::Type("SUM over non-numeric values".into()))?;
-                }
-                Value::Float(acc)
-            }
-        }
-        AggFn::Avg => {
-            if vals.is_empty() {
-                Value::Null
-            } else {
-                let mut acc = 0.0;
-                for v in &vals {
-                    acc += v
-                        .as_f64()
-                        .ok_or_else(|| CrowdError::Type("AVG over non-numeric values".into()))?;
-                }
-                Value::Float(acc / vals.len() as f64)
-            }
-        }
-        AggFn::Min => vals
-            .into_iter()
-            .min_by(|a, b| a.sort_cmp(b))
-            .unwrap_or(Value::Null),
-        AggFn::Max => vals
-            .into_iter()
-            .max_by(|a, b| a.sort_cmp(b))
-            .unwrap_or(Value::Null),
-    })
 }

@@ -14,24 +14,20 @@
 use std::collections::HashSet;
 
 use crowddb_common::{Result, Row};
-use crowddb_plan::{Access, BExpr, IndexMeta, JoinType, PhysicalPlan};
+use crowddb_plan::{Access, IndexMeta, PhysicalPlan};
 use crowddb_storage::IndexKey;
 
 use crate::context::ExecCtx;
 use crate::eval::eval;
-use crate::ops::hash_join::{join_hashed, CrowdSpec};
+use crate::ops::hash_join::{CrowdSpec, HashJoin};
 use crate::ops::scan::ScanOp;
-use crate::ops::{build, run_op, BoxedOp, OpStatsNode, Operator};
+use crate::ops::{build, collect, BoxedOp, Flow, OpStatsNode, Operator, Sink};
 
 /// Crowd-join operator; see [`PhysicalPlan::CrowdJoin`].
 pub struct CrowdJoinOp<'p> {
     left: BoxedOp<'p>,
     right: BoxedOp<'p>,
-    kind: JoinType,
-    equi: &'p (BExpr, BExpr),
-    residual: &'p [BExpr],
-    right_arity: usize,
-    spec: CrowdSpec<'p>,
+    join: HashJoin<'p>,
     probe: Option<InlProbe<'p>>,
 }
 
@@ -78,17 +74,19 @@ impl<'p> CrowdJoinOp<'p> {
             _ => None,
         };
         CrowdJoinOp {
-            right_arity: right.schema().arity(),
+            join: HashJoin {
+                kind: *kind,
+                equi: std::slice::from_ref(equi),
+                residual,
+                right_arity: right.schema().arity(),
+                crowd: Some(CrowdSpec {
+                    table: inner_table,
+                    key_column,
+                    batch: *batch_size,
+                }),
+            },
             left: build(left),
             right: build(right),
-            kind: *kind,
-            equi,
-            residual,
-            spec: CrowdSpec {
-                table: inner_table,
-                key_column,
-                batch: *batch_size,
-            },
             probe,
         }
     }
@@ -111,7 +109,7 @@ impl<'p> CrowdJoinOp<'p> {
         let mut keys: Vec<IndexKey> = Vec::new();
         let mut seen = HashSet::new();
         for row in left_rows {
-            let key = eval(ctx, &self.equi.0, row)?;
+            let key = eval(ctx, &self.join.equi[0].0, row)?;
             if !key.is_missing() && seen.insert(key.clone()) {
                 keys.push(IndexKey(vec![key]));
             }
@@ -124,22 +122,19 @@ impl<'p> CrowdJoinOp<'p> {
 }
 
 impl Operator for CrowdJoinOp<'_> {
-    fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>> {
-        let left_rows = run_op(self.left.as_ref(), ctx, &mut stats.children[0])?;
+    /// Both sides collected, outer first: the operator asks the crowd
+    /// (`ops` invariant (i)) and its probes re-enter the database (ii).
+    fn execute(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        stats: &mut OpStatsNode,
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow> {
+        let left_rows = collect(self.left.as_ref(), ctx, &mut stats.children[0])?;
         let right_rows = match &self.probe {
             Some(probe) => self.probe_inner(ctx, &mut stats.children[1], probe, &left_rows)?,
-            None => run_op(self.right.as_ref(), ctx, &mut stats.children[1])?,
+            None => collect(self.right.as_ref(), ctx, &mut stats.children[1])?,
         };
-        stats.rows_in += (left_rows.len() + right_rows.len()) as u64;
-        join_hashed(
-            ctx,
-            &left_rows,
-            &right_rows,
-            self.kind,
-            std::slice::from_ref(self.equi),
-            self.residual,
-            self.right_arity,
-            Some(&self.spec),
-        )
+        self.join.join(ctx, &left_rows, &right_rows, sink)
     }
 }

@@ -13,7 +13,7 @@ use crowddb_plan::{BExpr, PhysicalPlan, SortKey};
 
 use crate::context::ExecCtx;
 use crate::eval::eval;
-use crate::ops::{build, run_op, BoxedOp, OpStatsNode, Operator};
+use crate::ops::{build, collect, emit_all, BoxedOp, Flow, OpStatsNode, Operator, Sink};
 
 /// Crowd-sort operator; see [`PhysicalPlan::CrowdSort`].
 pub struct CrowdSortOp<'p> {
@@ -35,11 +35,15 @@ impl<'p> CrowdSortOp<'p> {
 }
 
 impl Operator for CrowdSortOp<'_> {
-    fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>> {
-        let rows = run_op(self.input.as_ref(), ctx, &mut stats.children[0])?;
-        stats.rows_in += rows.len() as u64;
+    fn execute(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        stats: &mut OpStatsNode,
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow> {
+        let rows = collect(self.input.as_ref(), ctx, &mut stats.children[0])?;
         if rows.len() <= 1 {
-            return Ok(rows);
+            return emit_all(ctx, rows, sink);
         }
         // Materialize sort keys per row.
         // Checkpoints live in this key-materialization pre-pass: the
@@ -66,7 +70,7 @@ impl Operator for CrowdSortOp<'_> {
         let mut order: Vec<usize> = (0..keyed.len()).collect();
         let descs: Vec<bool> = self.keys.iter().map(|k| k.desc).collect();
         quicksort(ctx, &mut order, &keyed, &descs, 0);
-        Ok(order.into_iter().map(|i| keyed[i].1.clone()).collect())
+        emit_all(ctx, order.into_iter().map(|i| keyed[i].1.clone()), sink)
     }
 }
 

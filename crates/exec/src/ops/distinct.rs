@@ -2,15 +2,16 @@
 
 use std::collections::HashSet;
 
-use crowddb_common::{Result, Row};
+use crowddb_common::Result;
 use crowddb_plan::PhysicalPlan;
 
 use crate::context::ExecCtx;
-use crate::ops::{build, run_op, BoxedOp, OpStatsNode, Operator};
+use crate::ops::{build, for_each_row, streams, BoxedOp, Flow, OpStatsNode, Operator, Sink};
 
 /// Duplicate-elimination operator; see [`PhysicalPlan::Distinct`].
 pub struct DistinctOp<'p> {
     input: BoxedOp<'p>,
+    streams: bool,
 }
 
 impl<'p> DistinctOp<'p> {
@@ -20,19 +21,29 @@ impl<'p> DistinctOp<'p> {
             unreachable!("DistinctOp built from {plan:?}")
         };
         DistinctOp {
+            streams: streams(plan, input),
             input: build(input),
         }
     }
 }
 
 impl Operator for DistinctOp<'_> {
-    fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>> {
-        let rows = run_op(self.input.as_ref(), ctx, &mut stats.children[0])?;
-        stats.rows_in += rows.len() as u64;
+    fn execute(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        stats: &mut OpStatsNode,
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow> {
         let mut seen = HashSet::new();
-        Ok(rows
-            .into_iter()
-            .filter(|r| seen.insert(r.clone()))
-            .collect())
+        for_each_row(
+            self.input.as_ref(),
+            ctx,
+            &mut stats.children[0],
+            self.streams,
+            &mut |ctx, row| match seen.insert(row.clone()) {
+                true => sink(ctx, row),
+                false => Ok(Flow::More),
+            },
+        )
     }
 }

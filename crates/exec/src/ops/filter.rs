@@ -1,17 +1,21 @@
 //! Filter: row selection by predicate (standalone — filters directly
-//! over scans are fused into [`super::table_scan`] at lowering).
+//! over scans are fused into [`super::scan`] at lowering).
 
 use crowddb_common::{Result, Row};
 use crowddb_plan::{BExpr, PhysicalPlan};
 
 use crate::context::ExecCtx;
 use crate::eval::eval_truth;
-use crate::ops::{build, run_op, BoxedOp, Delta, OpStatsNode, Operator, TableChange};
+use crate::ops::{
+    build, for_each_row, map_delta, streams, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink,
+    TableChange,
+};
 
 /// Filter operator; see [`PhysicalPlan::Filter`].
 pub struct FilterOp<'p> {
     input: BoxedOp<'p>,
     predicate: &'p BExpr,
+    streams: bool,
 }
 
 impl<'p> FilterOp<'p> {
@@ -24,6 +28,7 @@ impl<'p> FilterOp<'p> {
             unreachable!("FilterOp built from {plan:?}")
         };
         FilterOp {
+            streams: streams(plan, input),
             input: build(input),
             predicate,
         }
@@ -31,24 +36,30 @@ impl<'p> FilterOp<'p> {
 }
 
 impl FilterOp<'_> {
-    /// The rows of `rows` the predicate passes.
-    fn select(&self, ctx: &mut ExecCtx<'_>, rows: Vec<Row>) -> Result<Vec<Row>> {
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            ctx.rt.check()?;
-            if eval_truth(ctx, self.predicate, &row)?.passes_filter() {
-                out.push(row);
-            }
+    /// `row` goes on if the predicate passes it.
+    fn select(&self, ctx: &mut ExecCtx<'_>, row: Row, sink: &mut Sink<'_>) -> Result<Flow> {
+        ctx.rt.check()?;
+        match eval_truth(ctx, self.predicate, &row)?.passes_filter() {
+            true => sink(ctx, row),
+            false => Ok(Flow::More),
         }
-        Ok(out)
     }
 }
 
 impl Operator for FilterOp<'_> {
-    fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>> {
-        let rows = run_op(self.input.as_ref(), ctx, &mut stats.children[0])?;
-        stats.rows_in += rows.len() as u64;
-        self.select(ctx, rows)
+    fn execute(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        stats: &mut OpStatsNode,
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow> {
+        for_each_row(
+            self.input.as_ref(),
+            ctx,
+            &mut stats.children[0],
+            self.streams,
+            &mut |ctx, row| self.select(ctx, row, sink),
+        )
     }
 
     /// A row-at-a-time predicate maps both lists; one that reads a
@@ -60,9 +71,6 @@ impl Operator for FilterOp<'_> {
         let Some(input) = self.input.delta(ctx, change)? else {
             return Ok(None);
         };
-        Ok(Some(Delta {
-            removed: self.select(ctx, input.removed)?,
-            added: self.select(ctx, input.added)?,
-        }))
+        map_delta(ctx, input, |ctx, row, sink| self.select(ctx, row, sink)).map(Some)
     }
 }

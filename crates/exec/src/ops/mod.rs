@@ -3,20 +3,55 @@
 //! [`build`] turns a [`PhysicalPlan`] into a tree of boxed [`Operator`]s
 //! borrowing the plan; [`run_op`] executes a node while recording
 //! per-operator statistics into an [`OpStatsNode`] tree that mirrors the
-//! plan shape. Execution stays materialize-per-round: each operator
-//! returns its full output, and crowd work surfaces as needs on the
-//! shared [`ExecCtx`].
+//! plan shape. Rows are pushed: an operator hands each output row to the
+//! [`Sink`] its consumer gave it, and the consumer answers with a
+//! [`Flow`] — `Stop` once it has enough. Nothing is materialized between
+//! two operators unless one of them has to see all of its input before
+//! it can emit anything (Sort, CrowdSort, the inputs of the three joins;
+//! Aggregate keeps accumulators, not rows) or one of the two invariants
+//! below says so. Crowd work surfaces as needs on the shared [`ExecCtx`];
+//! a round is still one full evaluation.
+//!
+//! ## Where rows may stream
+//!
+//! Both are static properties of the plan, decided once at [`build`]
+//! (`streams`); neither is a setting.
+//!
+//! * **(i) Need order is part of the bill.** The driver posts a round's
+//!   needs in the order they were recorded and, under a budget, only a
+//!   prefix of them. A materializing executor records every need of a
+//!   subtree before its consumer evaluates a single row, so an operator
+//!   runs its row code inside its input's pipeline only when that input
+//!   records no need at all — no CROWD table, no needed crowd column, no
+//!   `CROWDEQUAL`/`CROWDORDER`, no CrowdJoin/CrowdSort, no subquery (it
+//!   may record some) — and its own row code asks nothing either.
+//!   Otherwise it `collect`s the input first, as a materializing
+//!   executor would. It follows that `Flow::Stop` only ever cuts machine
+//!   work: a `LIMIT` over a subtree that asks the crowd
+//!   still lets that subtree ask everything (letting it ask less is the
+//!   paper's stop-after push-down, a change to the bill).
+//! * **(ii) A sink runs under the database read lock.** The scan at the
+//!   bottom of a pipeline holds `Database`'s read lock while its cursor
+//!   is open, and a second `read()` on a thread that already holds one
+//!   deadlocks as soon as a writer queues in between. So row code that
+//!   may re-enter the database — an expression with a subquery, an
+//!   index-nested-loop probe, a join reading its other input — never
+//!   runs inside a pipeline: that operator collects its input first too.
 //!
 //! ## Operator contract
 //!
-//! * `execute` materializes the node's full output for this round from
-//!   current knowledge; it must not block on the crowd — undecidable
-//!   work is recorded as needs via `ctx.rt.push_need`.
-//! * Children are run through [`run_op`] against `stats.children[i]`,
-//!   where `i` is the child's position in [`PhysicalPlan::children`].
-//! * `execute` sets `stats.rows_in` itself (input rows consumed);
-//!   everything else (rows out, needs, cache counters, wall time) is
-//!   attributed by [`run_op`] via snapshot diffs.
+//! * `execute` pushes this round's output, derived from current
+//!   knowledge, into `sink`, stops as soon as the sink says `Stop`, and
+//!   returns what the sink said last; it must not block on the crowd —
+//!   undecidable work is recorded as needs via `ctx.rt.push_need`.
+//! * Children are run through [`run_op`] (or `collect` /
+//!   `for_each_row` on top of it) against `stats.children[i]`, where
+//!   `i` is the child's position in [`PhysicalPlan::children`].
+//! * A leaf sets `stats.rows_in` itself (candidates examined);
+//!   everything else (rows in of an inner node, rows out, needs, cache
+//!   counters, wall time) is attributed by [`run_op`].
+//! * Each operator has one row function, which `execute` and `delta`
+//!   both drive.
 //! * `delta` answers "what does this [`TableChange`] do to my output?"
 //!   for a standing query, against storage that already holds the
 //!   change. It returns `None` unless the answer is certain to equal,
@@ -43,7 +78,7 @@ use std::time::{Duration, Instant};
 
 use crowddb_common::{Result, Row, TupleId};
 use crowddb_obs::MetricsRegistry;
-use crowddb_plan::{JoinType, PhysicalPlan};
+use crowddb_plan::{BExpr, JoinType, PhysicalPlan};
 
 use crate::context::{ExecCtx, NeedCounts};
 
@@ -85,11 +120,29 @@ impl Delta {
     }
 }
 
-/// A physical operator: materializes its output for one round.
+/// A consumer's answer to a row: whether it wants any more.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Keep the rows coming.
+    More,
+    /// Enough: the producer stops, and tells *its* input to.
+    Stop,
+}
+
+/// Where an operator's output goes: its consumer's row function.
+pub type Sink<'s> = dyn FnMut(&mut ExecCtx<'_>, Row) -> Result<Flow> + 's;
+
+/// A physical operator: pushes one round's output into a sink.
 pub trait Operator {
-    /// Produce this node's full output from current knowledge, recording
-    /// input row counts into `stats` and crowd needs into `ctx`.
-    fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>>;
+    /// Push this node's output, from current knowledge, into `sink` until
+    /// it is exhausted or the sink says [`Flow::Stop`]; crowd needs go to
+    /// `ctx`. Returns the sink's last word.
+    fn execute(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        stats: &mut OpStatsNode,
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow>;
 
     /// The difference `change` (already applied to storage) makes to
     /// this node's output, or `None` for "no delta rule: re-execute".
@@ -122,6 +175,69 @@ pub fn build<'p>(plan: &'p PhysicalPlan) -> BoxedOp<'p> {
     }
 }
 
+/// The expressions `plan`'s own row code evaluates.
+fn own_exprs(plan: &PhysicalPlan) -> Vec<&BExpr> {
+    match plan {
+        PhysicalPlan::Scan { residual, .. } => residual.iter().collect(),
+        PhysicalPlan::Filter { predicate, .. } => vec![predicate],
+        PhysicalPlan::Project { exprs, .. } => exprs.iter().collect(),
+        PhysicalPlan::HashJoin { equi, residual, .. } => equi
+            .iter()
+            .flat_map(|(l, r)| [l, r])
+            .chain(residual)
+            .collect(),
+        PhysicalPlan::CrowdJoin { equi, residual, .. } => {
+            [&equi.0, &equi.1].into_iter().chain(residual).collect()
+        }
+        PhysicalPlan::NestedLoopJoin { on, .. } => on.iter().collect(),
+        PhysicalPlan::Sort { keys, .. } | PhysicalPlan::CrowdSort { keys, .. } => {
+            keys.iter().map(|k| &k.expr).collect()
+        }
+        PhysicalPlan::Aggregate { group_by, aggs, .. } => group_by
+            .iter()
+            .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+            .collect(),
+        PhysicalPlan::Values { rows, .. } => rows.iter().flatten().collect(),
+        PhysicalPlan::StopAfter { .. }
+        | PhysicalPlan::Distinct { .. }
+        | PhysicalPlan::Union { .. } => vec![],
+    }
+}
+
+/// Whether executing `plan` can record a crowd need (invariant (i)). A
+/// subquery counts: what it records lands wherever it is first evaluated.
+fn records_needs(plan: &PhysicalPlan) -> bool {
+    let own = match plan {
+        PhysicalPlan::CrowdJoin { .. } | PhysicalPlan::CrowdSort { .. } => true,
+        PhysicalPlan::Scan {
+            schema,
+            crowd_table,
+            needed_columns,
+            ..
+        } => {
+            let probes = |c: &usize| schema.columns.get(*c).is_none_or(|c| c.crowd);
+            *crowd_table || needed_columns.iter().any(probes)
+        }
+        _ => false,
+    };
+    own || own_exprs(plan)
+        .iter()
+        .any(|e| e.is_crowd() || e.has_subplan())
+        || plan.children().into_iter().any(records_needs)
+}
+
+/// Whether `plan`'s operator may run its row code inside the pipeline of
+/// its child `input`, rather than after it: the input records no need
+/// (invariant (i)), and the row code neither re-enters the database
+/// (invariant (ii)) nor asks the crowd itself — [`run_op`] attributes
+/// needs and cache traffic by diffing counters around a child, so what a
+/// consumer recorded from inside that child's pipeline would be charged
+/// to the child.
+pub(crate) fn streams(plan: &PhysicalPlan, input: &PhysicalPlan) -> bool {
+    let quiet = |e: &&BExpr| !e.is_crowd() && !e.has_subplan();
+    !records_needs(input) && own_exprs(plan).iter().all(quiet)
+}
+
 /// Per-operator statistics, one node per physical operator, accumulated
 /// across rounds.
 ///
@@ -134,7 +250,8 @@ pub fn build<'p>(plan: &'p PhysicalPlan) -> BoxedOp<'p> {
 pub struct OpStatsNode {
     /// Operator name (e.g. `TableScan`, `CrowdJoin`).
     pub name: String,
-    /// Input rows consumed (set by the operator itself).
+    /// Input rows consumed: what the children put out, or for a leaf the
+    /// candidates it examined.
     pub rows_in: u64,
     /// Output rows produced.
     pub rows_out: u64,
@@ -294,24 +411,47 @@ impl OpStatsNode {
 ///
 /// Snapshots the shared need/cache counters around the call; the diffs
 /// (cumulative over the subtree, since children run inside the parent)
-/// accumulate on `node`.
+/// accumulate on `node`. Every row on its way to `sink` is charged to the
+/// intermediate-row cap, which makes each one a cancel checkpoint.
+///
+/// In a pipeline the consumers' row code runs *inside* this call. The
+/// counters do not mind — a sink reads no page, and a consumer that asks
+/// the crowd never streams (see `streams`) — but the clock would: under
+/// `EXPLAIN ANALYZE` (`ExecCtx::timed`) the time spent in `sink` is
+/// measured row by row and taken back out, so that `time=` stays self
+/// time. A plain statement reads the clock twice per operator, as ever,
+/// and its unread `time=` charges a pipeline to the scan that drives it.
 pub fn run_op(
     op: &dyn Operator,
     ctx: &mut ExecCtx<'_>,
     node: &mut OpStatsNode,
-) -> Result<Vec<Row>> {
+    sink: &mut Sink<'_>,
+) -> Result<Flow> {
     let needs0 = ctx.rt.need_counts;
     let hits0 = ctx.rt.stats.compare_cache_hits;
     let misses0 = ctx.rt.stats.compare_cache_misses;
     let mord0 = ctx.rt.stats.machine_ordered;
     let probes0 = ctx.rt.stats.index_probes;
     let pager0 = ctx.db.pager_stats();
+    let children_out = |node: &OpStatsNode| node.children.iter().map(|c| c.rows_out).sum::<u64>();
+    let in0 = children_out(node);
+    let timed = ctx.timed;
+    let (mut rows_out, mut downstream) = (0u64, Duration::ZERO);
     let t0 = Instant::now();
-    let rows = op.execute(ctx, node)?;
-    // Central guard charge: every operator's output counts toward the
-    // intermediate-row cap, and each boundary is a cancel checkpoint.
-    ctx.rt.charge_rows(rows.len() as u64)?;
-    node.cum_wall += t0.elapsed();
+    let flow = op.execute(ctx, node, &mut |ctx, row| {
+        rows_out += 1;
+        ctx.rt.charge_rows(1)?;
+        if !timed {
+            return sink(ctx, row);
+        }
+        let handed = Instant::now();
+        let flow = sink(ctx, row);
+        downstream += handed.elapsed();
+        flow
+    })?;
+    // Every operator boundary is a cancel checkpoint, rows or no rows.
+    ctx.rt.check()?;
+    node.cum_wall += t0.elapsed().saturating_sub(downstream);
     node.cum_needs = node.cum_needs.add(&ctx.rt.need_counts.diff(&needs0));
     node.cum_hits += ctx.rt.stats.compare_cache_hits - hits0;
     node.cum_misses += ctx.rt.stats.compare_cache_misses - misses0;
@@ -323,14 +463,84 @@ pub fn run_op(
     node.cum_pages_read += pager.pages_read;
     node.cum_pool_hits += pager.pool_hits;
     node.cum_index_probes += ctx.rt.stats.index_probes - probes0;
-    node.rows_out += rows.len() as u64;
+    node.rows_in += children_out(node) - in0;
+    node.rows_out += rows_out;
     node.rounds += 1;
+    Ok(flow)
+}
+
+/// Run `op` to its end and keep what it puts out: for an operator that
+/// must see all of an input before it can emit (or, by invariants (i)
+/// and (ii), before it may evaluate) anything.
+pub(crate) fn collect(
+    op: &dyn Operator,
+    ctx: &mut ExecCtx<'_>,
+    node: &mut OpStatsNode,
+) -> Result<Vec<Row>> {
+    let mut rows = Vec::new();
+    run_op(op, ctx, node, &mut |_, row| {
+        rows.push(row);
+        Ok(Flow::More)
+    })?;
     Ok(rows)
+}
+
+/// Hand every row of `input` to `each`, the caller's row function: as
+/// the input produces them when the caller is `streaming` (see [`streams`]),
+/// after the input has finished otherwise.
+pub(crate) fn for_each_row(
+    input: &dyn Operator,
+    ctx: &mut ExecCtx<'_>,
+    node: &mut OpStatsNode,
+    streaming: bool,
+    each: &mut Sink<'_>,
+) -> Result<Flow> {
+    if streaming {
+        return run_op(input, ctx, node, each);
+    }
+    let rows = collect(input, ctx, node)?;
+    emit_all(ctx, rows, each)
+}
+
+/// Push `rows` into `sink` until it has had enough.
+pub(crate) fn emit_all(
+    ctx: &mut ExecCtx<'_>,
+    rows: impl IntoIterator<Item = Row>,
+    sink: &mut Sink<'_>,
+) -> Result<Flow> {
+    for row in rows {
+        if sink(ctx, row)? == Flow::Stop {
+            return Ok(Flow::Stop);
+        }
+    }
+    Ok(Flow::More)
+}
+
+/// An operator's row function over both lists of its input's delta.
+pub(crate) fn map_delta(
+    ctx: &mut ExecCtx<'_>,
+    input: Delta,
+    mut each: impl FnMut(&mut ExecCtx<'_>, Row, &mut Sink<'_>) -> Result<Flow>,
+) -> Result<Delta> {
+    let mut through = |rows: Vec<Row>| -> Result<Vec<Row>> {
+        let mut out = Vec::new();
+        for row in rows {
+            each(ctx, row, &mut |_, row| {
+                out.push(row);
+                Ok(Flow::More)
+            })?;
+        }
+        Ok(out)
+    };
+    Ok(Delta {
+        removed: through(input.removed)?,
+        added: through(input.added)?,
+    })
 }
 
 /// The delta rule of the two machine joins: Δ(L ⋈ R) = ΔL ⋈ R while R
 /// stands still, and the mirror image. Both children are asked; the side
-/// that did not change is `execute`d as in any round and `join` — the
+/// that did not change is collected as in any round and `join` — the
 /// operator's own loop — runs once over the removed and once over the
 /// added rows of the other. No rule when both sides changed (a
 /// self-join) or when the nullable side of a LEFT join did (a preserved
@@ -341,7 +551,7 @@ pub(crate) fn join_delta(
     (left, left_plan): (&dyn Operator, &PhysicalPlan),
     (right, right_plan): (&dyn Operator, &PhysicalPlan),
     kind: JoinType,
-    mut join: impl FnMut(&mut ExecCtx<'_>, &[Row], &[Row]) -> Result<Vec<Row>>,
+    mut join: impl FnMut(&mut ExecCtx<'_>, &[Row], &[Row], &mut Sink<'_>) -> Result<Flow>,
 ) -> Result<Option<Delta>> {
     let (Some(dl), Some(dr)) = (left.delta(ctx, change)?, right.delta(ctx, change)?) else {
         return Ok(None);
@@ -352,11 +562,19 @@ pub(crate) fn join_delta(
         (true, false) if kind != JoinType::Left => (dr, (left, left_plan), false),
         _ => return Ok(None),
     };
-    let rows = run_op(still, ctx, &mut OpStatsNode::skeleton(still_plan))?;
-    let mut half = |changed: &[Row]| match (changed.is_empty(), left_changed) {
-        (true, _) => Ok(Vec::new()),
-        (false, true) => join(ctx, changed, &rows),
-        (false, false) => join(ctx, &rows, changed),
+    let rows = collect(still, ctx, &mut OpStatsNode::skeleton(still_plan))?;
+    let mut half = |changed: &[Row]| -> Result<Vec<Row>> {
+        let mut out = Vec::new();
+        let mut keep = |_: &mut ExecCtx<'_>, row| {
+            out.push(row);
+            Ok(Flow::More)
+        };
+        match (changed.is_empty(), left_changed) {
+            (true, _) => Flow::More,
+            (false, true) => join(ctx, changed, &rows, &mut keep)?,
+            (false, false) => join(ctx, &rows, changed, &mut keep)?,
+        };
+        Ok(out)
     };
     Ok(Some(Delta {
         removed: half(&changed.removed)?,

@@ -5,7 +5,9 @@ use crowddb_plan::{BExpr, JoinType, PhysicalPlan};
 
 use crate::context::ExecCtx;
 use crate::eval::eval_truth;
-use crate::ops::{build, join_delta, run_op, BoxedOp, Delta, OpStatsNode, Operator, TableChange};
+use crate::ops::{
+    build, collect, join_delta, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, TableChange,
+};
 
 /// Nested-loop join operator; see [`PhysicalPlan::NestedLoopJoin`].
 pub struct NestedLoopJoinOp<'p> {
@@ -43,11 +45,16 @@ impl<'p> NestedLoopJoinOp<'p> {
 }
 
 impl Operator for NestedLoopJoinOp<'_> {
-    fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>> {
-        let left_rows = run_op(self.left.as_ref(), ctx, &mut stats.children[0])?;
-        let right_rows = run_op(self.right.as_ref(), ctx, &mut stats.children[1])?;
-        stats.rows_in += (left_rows.len() + right_rows.len()) as u64;
-        self.join(ctx, &left_rows, &right_rows)
+    /// Both inputs collected: every left row reads all of the right.
+    fn execute(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        stats: &mut OpStatsNode,
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow> {
+        let left_rows = collect(self.left.as_ref(), ctx, &mut stats.children[0])?;
+        let right_rows = collect(self.right.as_ref(), ctx, &mut stats.children[1])?;
+        self.join(ctx, &left_rows, &right_rows, sink)
     }
 
     fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
@@ -61,14 +68,20 @@ impl Operator for NestedLoopJoinOp<'_> {
             (self.left.as_ref(), children[0]),
             (self.right.as_ref(), children[1]),
             self.kind,
-            |ctx, l, r| self.join(ctx, l, r),
+            |ctx, l, r, sink| self.join(ctx, l, r, sink),
         )
     }
 }
 
 impl NestedLoopJoinOp<'_> {
-    fn join(&self, ctx: &mut ExecCtx<'_>, left: &[Row], right: &[Row]) -> Result<Vec<Row>> {
-        let mut out = Vec::new();
+    /// Everything each row of `left` joins with in `right` goes on.
+    fn join(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        left: &[Row],
+        right: &[Row],
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow> {
         for l in left {
             ctx.rt.check()?;
             let mut matched = false;
@@ -79,15 +92,19 @@ impl NestedLoopJoinOp<'_> {
                     None => true,
                 };
                 if ok {
-                    out.push(joined);
                     matched = true;
+                    if sink(ctx, joined)? == Flow::Stop {
+                        return Ok(Flow::Stop);
+                    }
                 }
             }
             if !matched && self.kind == JoinType::Left {
                 let pad = Row::new(vec![Value::Null; self.right_arity]);
-                out.push(l.concat(&pad));
+                if sink(ctx, l.concat(&pad))? == Flow::Stop {
+                    return Ok(Flow::Stop);
+                }
             }
         }
-        Ok(out)
+        Ok(Flow::More)
     }
 }

@@ -5,12 +5,16 @@ use crowddb_plan::{BExpr, PhysicalPlan};
 
 use crate::context::ExecCtx;
 use crate::eval::eval;
-use crate::ops::{build, run_op, BoxedOp, Delta, OpStatsNode, Operator, TableChange};
+use crate::ops::{
+    build, for_each_row, map_delta, streams, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink,
+    TableChange,
+};
 
 /// Projection operator; see [`PhysicalPlan::Project`].
 pub struct ProjectOp<'p> {
     input: BoxedOp<'p>,
     exprs: &'p [BExpr],
+    streams: bool,
 }
 
 impl<'p> ProjectOp<'p> {
@@ -20,6 +24,7 @@ impl<'p> ProjectOp<'p> {
             unreachable!("ProjectOp built from {plan:?}")
         };
         ProjectOp {
+            streams: streams(plan, input),
             input: build(input),
             exprs,
         }
@@ -27,26 +32,31 @@ impl<'p> ProjectOp<'p> {
 }
 
 impl ProjectOp<'_> {
-    /// The output row of every row of `rows`.
-    fn project(&self, ctx: &mut ExecCtx<'_>, rows: Vec<Row>) -> Result<Vec<Row>> {
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            ctx.rt.check()?;
-            let mut values = Vec::with_capacity(self.exprs.len());
-            for e in self.exprs {
-                values.push(eval(ctx, e, &row)?);
-            }
-            out.push(Row::new(values));
+    /// The output row of `row` goes on.
+    fn project(&self, ctx: &mut ExecCtx<'_>, row: Row, sink: &mut Sink<'_>) -> Result<Flow> {
+        ctx.rt.check()?;
+        let mut values = Vec::with_capacity(self.exprs.len());
+        for e in self.exprs {
+            values.push(eval(ctx, e, &row)?);
         }
-        Ok(out)
+        sink(ctx, Row::new(values))
     }
 }
 
 impl Operator for ProjectOp<'_> {
-    fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>> {
-        let rows = run_op(self.input.as_ref(), ctx, &mut stats.children[0])?;
-        stats.rows_in += rows.len() as u64;
-        self.project(ctx, rows)
+    fn execute(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        stats: &mut OpStatsNode,
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow> {
+        for_each_row(
+            self.input.as_ref(),
+            ctx,
+            &mut stats.children[0],
+            self.streams,
+            &mut |ctx, row| self.project(ctx, row, sink),
+        )
     }
 
     /// Row-at-a-time expressions map both lists (see `FilterOp::delta`).
@@ -57,9 +67,6 @@ impl Operator for ProjectOp<'_> {
         let Some(input) = self.input.delta(ctx, change)? else {
             return Ok(None);
         };
-        Ok(Some(Delta {
-            removed: self.project(ctx, input.removed)?,
-            added: self.project(ctx, input.added)?,
-        }))
+        map_delta(ctx, input, |ctx, row, sink| self.project(ctx, row, sink)).map(Some)
     }
 }

@@ -2,22 +2,33 @@
 //! points and an optional fused residual filter.
 //!
 //! Every read of stored tuples — the three [`Access`] kinds of a query's
-//! scan, CrowdJoin's index-nested-loop probes, and the row selection of
-//! UPDATE/DELETE — is "fetch `(tid, row)` candidates, then
-//! [`ScanOp::process`]". An access path fetches a *candidate superset* of
-//! the qualifying rows (an index result is unioned with the tuples whose
-//! indexed key is still `NULL`/`CNULL`, since those may qualify once the
-//! crowd fills them) in tid order; it changes which pages are read, never
-//! what the statement means.
+//! scan, CrowdJoin's index-nested-loop probes, the row selection of
+//! UPDATE/DELETE, the changed rows of a standing query's delta — is one
+//! [`ScanOp::pass`]: fetch candidates, hand each to [`ScanOp::admit`].
+//! An access path fetches a *candidate superset* of the qualifying rows
+//! (an index result is unioned with the tuples whose indexed key is
+//! still `NULL`/`CNULL`, since those may qualify once the crowd fills
+//! them) in tid order; it changes which pages are read, never what the
+//! statement means.
+//!
+//! A candidate comes as the bytes storage holds, lent from the leaf page
+//! the cursor has pinned, and is decoded only as far as it has to be:
+//! the residual sees a row in which just the columns it reads are
+//! materialized (strings elsewhere are checked, not allocated), and only
+//! a row it does not reject is decoded in full. The whole pass runs
+//! under the database read lock — see `ops` invariant (ii) for what that
+//! forbids the consumer, and [`ScanOp::pass`] for the one case where the
+//! scan itself must step out of it first.
 
-use crowddb_common::{CrowdError, DataType, Result, Row, Truth, TupleId, Value};
+use crowddb_common::codec::{self, Reader};
+use crowddb_common::{CrowdError, DataType, Result, Row, TableSchema, Truth, TupleId, Value};
 use crowddb_plan::{Access, BExpr, IndexMeta, PhysicalPlan};
-use crowddb_storage::IndexKey;
+use crowddb_storage::{HeapTable, Index, IndexKey};
 
 use crate::context::ExecCtx;
 use crate::eval::eval_truth;
 use crate::need::TaskNeed;
-use crate::ops::{Delta, OpStatsNode, Operator, TableChange};
+use crate::ops::{Delta, Flow, OpStatsNode, Operator, Sink, TableChange};
 
 /// Scan operator; see [`PhysicalPlan::Scan`].
 pub struct ScanOp<'p> {
@@ -27,13 +38,39 @@ pub struct ScanOp<'p> {
     expected_tuples: Option<u64>,
     access: &'p Access,
     residual: Option<&'p BExpr>,
+    /// The columns the residual reads, when judging a stored row on those
+    /// alone first can save anything: on a full scan, with some STRING
+    /// column not among them.
+    residual_reads: Option<Vec<bool>>,
 }
+
+/// Where a pass takes its candidates from.
+enum Source<'a> {
+    /// Storage: the tuples `index` holds under any of `keys` (CrowdJoin's
+    /// probes), or without a probe the scan's own access path.
+    Stored(Option<(&'a IndexMeta, &'a [IndexKey])>),
+    /// Rows already in hand (a standing query's changed rows).
+    Rows(&'a [(TupleId, Row)]),
+}
+
+/// One candidate: as stored, or already decoded.
+enum Candidate<'a> {
+    Stored(&'a [u8]),
+    Row(Row),
+}
+
+/// Where the tuples a pass admits go.
+type TupleSink<'s> = dyn FnMut(&mut ExecCtx<'_>, TupleId, Row) -> Result<Flow> + 's;
+
+/// Who a fetch lends each candidate's stored bytes to.
+type Borrower<'s> = dyn FnMut(&mut ExecCtx<'_>, TupleId, &[u8]) -> Result<Flow> + 's;
 
 impl<'p> ScanOp<'p> {
     /// Build from a [`PhysicalPlan::Scan`] node.
     pub fn new(plan: &'p PhysicalPlan) -> ScanOp<'p> {
         let PhysicalPlan::Scan {
             table,
+            schema,
             needed_columns,
             crowd_table,
             expected_tuples,
@@ -44,6 +81,17 @@ impl<'p> ScanOp<'p> {
         else {
             unreachable!("ScanOp built from {plan:?}")
         };
+        // Only a full scan has the residual as its one filter; what an
+        // index fetched for it mostly passes, and would be decoded twice.
+        let screens = residual.as_ref().filter(|_| *access == Access::Full);
+        let residual_reads = screens.and_then(|p| {
+            let reads = p.column_refs();
+            let mask: Vec<bool> = (0..schema.arity()).map(|c| reads.contains(&c)).collect();
+            let spares_a_string = schema.columns.iter().zip(&mask).any(|(column, read)| {
+                !read && matches!(column.data_type, None | Some(DataType::Str))
+            });
+            spares_a_string.then_some(mask)
+        });
         ScanOp {
             table,
             needed_columns,
@@ -51,6 +99,7 @@ impl<'p> ScanOp<'p> {
             expected_tuples: *expected_tuples,
             access,
             residual: residual.as_ref(),
+            residual_reads,
         }
     }
 
@@ -59,9 +108,11 @@ impl<'p> ScanOp<'p> {
     /// anything, so an UPDATE that moves the very key the access path
     /// used never revisits a row.
     pub(crate) fn tuples(&self, ctx: &mut ExecCtx<'_>) -> Result<Vec<(TupleId, Row)>> {
-        let candidates = self.candidates(ctx)?;
         let mut out = Vec::new();
-        self.process(ctx, candidates, |tid, row| out.push((tid, row)))?;
+        self.pass(ctx, Source::Stored(None), &mut |_, tid, row| {
+            out.push((tid, row));
+            Ok(Flow::More)
+        })?;
         Ok(out)
     }
 
@@ -75,163 +126,52 @@ impl<'p> ScanOp<'p> {
         index: &IndexMeta,
         keys: &[IndexKey],
     ) -> Result<Vec<Row>> {
-        let candidates = self.probe(ctx, index, keys)?;
-        self.rows(ctx, stats, candidates)
-    }
-
-    /// Fetch the candidates of this scan's own access path.
-    fn candidates(&self, ctx: &mut ExecCtx<'_>) -> Result<Vec<(TupleId, Row)>> {
-        match self.access {
-            Access::Full => ctx.db.with_table(self.table, |t| t.scan_rows())?,
-            Access::Point { index, key } => self.probe(ctx, index, &[IndexKey(key.clone())]),
-            Access::Range { index, low, high } => {
-                let low = low.clone().map(|v| IndexKey(vec![v]));
-                let high = high.clone().map(|v| IndexKey(vec![v]));
-                self.index_fetch(ctx, index, 1, |idx, pager| {
-                    idx.range(pager, low.as_ref(), high.as_ref())?
-                        .ok_or_else(|| {
-                            CrowdError::Internal(format!(
-                                "index {} on {} is unordered but was planned for a range scan",
-                                index.name, self.table
-                            ))
-                        })
-                })
-            }
-        }
-    }
-
-    /// Point-probe `index` once per key.
-    fn probe(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        index: &IndexMeta,
-        keys: &[IndexKey],
-    ) -> Result<Vec<(TupleId, Row)>> {
-        self.index_fetch(ctx, index, keys.len() as u64, |idx, pager| {
-            let mut tids = Vec::new();
-            for key in keys {
-                tids.extend(idx.get(pager, key)?);
-            }
-            Ok(tids)
-        })
-    }
-
-    /// Resolve the planned index on the live table, take the tids
-    /// `lookup` finds in it, union the index's missing-key tuples (which
-    /// may qualify once the crowd fills them), and fetch the live rows in
-    /// tid order — the order a heap scan yields, so access-path choice
-    /// never reorders output.
-    fn index_fetch(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        index: &IndexMeta,
-        probes: u64,
-        lookup: impl FnOnce(&crowddb_storage::Index, &crowddb_storage::Pager) -> Result<Vec<TupleId>>,
-    ) -> Result<Vec<(TupleId, Row)>> {
-        ctx.rt.stats.index_probes += probes;
-        ctx.db.with_table(self.table, |t| {
-            // The plan was built against the same catalog, so absence
-            // means concurrent DDL — a typed error, not a panic.
-            let idx = t
-                .indexes()
-                .iter()
-                .find(|i| i.name == index.name)
-                .ok_or_else(|| {
-                    CrowdError::Internal(format!(
-                        "planned index {} no longer exists on {}",
-                        index.name, self.table
-                    ))
-                })?;
-            let mut tids = lookup(idx, t.pager())?;
-            tids.extend(idx.missing_key_tids(t.pager())?);
-            tids.sort_unstable_by_key(|tid| tid.0);
-            tids.dedup();
-            let mut out = Vec::with_capacity(tids.len());
-            for tid in tids {
-                if let Some(row) = t.get(tid)? {
-                    out.push((tid, row));
-                }
-            }
-            Ok(out)
-        })?
-    }
-
-    /// Run the pipeline as an operator: rows out, candidates counted in.
-    fn rows(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        stats: &mut OpStatsNode,
-        candidates: Vec<(TupleId, Row)>,
-    ) -> Result<Vec<Row>> {
-        stats.rows_in += candidates.len() as u64;
-        let mut out = Vec::with_capacity(candidates.len());
-        self.process(ctx, candidates, |_, row| out.push(row))?;
+        let mut out = Vec::new();
+        let probe = Source::Stored(Some((index, keys)));
+        let (examined, _) = self.pass(ctx, probe, &mut |_, _, row| {
+            out.push(row);
+            Ok(Flow::More)
+        })?;
+        stats.rows_in += examined;
         Ok(out)
     }
 
-    /// The scan pipeline over already-fetched candidates: residual
-    /// filtering (decidedly-False rows drop before any crowd work),
-    /// CrowdProbe needs for missing values, and the bounded CROWD-table
-    /// tuple quota. Rows whose residual is True go to `emit`.
-    fn process(
+    /// One pass of the pipeline: every candidate of `source` through
+    /// [`ScanOp::admit`] until `emit` has had enough, then the tuple
+    /// quota. Returns how many candidates were examined.
+    ///
+    /// Candidates are admitted as they are read, under the database read
+    /// lock — unless the residual reads a subquery, whose evaluation
+    /// would take that lock again (`ops` invariant (ii)): then they are
+    /// fetched and decoded first and admitted after the lock is gone.
+    fn pass(
         &self,
         ctx: &mut ExecCtx<'_>,
-        candidates: Vec<(TupleId, Row)>,
-        mut emit: impl FnMut(TupleId, Row),
-    ) -> Result<()> {
+        source: Source<'_>,
+        emit: &mut TupleSink<'_>,
+    ) -> Result<(u64, Flow)> {
         let schema = ctx.table_schema(self.table)?;
-        ctx.rt.stats.rows_scanned += candidates.len() as u64;
-
-        for (tid, row) in candidates {
-            ctx.rt.check()?;
-            // Fused filter: a decidedly-False predicate drops the row
-            // before any crowd work is generated for it; Unknown keeps
-            // probing (the missing value may decide the predicate).
-            let truth = match self.residual {
-                Some(p) => eval_truth(ctx, p, &row)?,
-                None => Truth::True,
-            };
-            if truth == Truth::False {
-                continue;
+        let mut examined = 0u64;
+        let mut admit = |ctx: &mut ExecCtx<'_>, tid, candidate: Candidate<'_>| {
+            examined += 1;
+            self.admit(ctx, &schema, tid, candidate, emit)
+        };
+        let flow = match source {
+            Source::Rows(rows) => each(rows.iter().cloned(), |(tid, row)| {
+                admit(ctx, tid, Candidate::Row(row))
+            })?,
+            Source::Stored(probe) if self.residual.is_some_and(BExpr::has_subplan) => {
+                let mut held = Vec::new();
+                self.fetch(ctx, probe, &mut |_, tid, stored| {
+                    held.push((tid, codec::decode_row(&mut Reader::new(stored))?));
+                    Ok(Flow::More)
+                })?;
+                each(held, |(tid, row)| admit(ctx, tid, Candidate::Row(row)))?
             }
-            // CrowdProbe, missing-value flavor: any needed column that is
-            // CNULL (and crowdsourceable) becomes a probe need.
-            let mut missing: Vec<(usize, String, DataType)> = Vec::new();
-            for &c in self.needed_columns {
-                if row.get(c).map(Value::is_cnull).unwrap_or(false) {
-                    let col = &schema.columns[c];
-                    if col.crowd || schema.crowd_table {
-                        ctx.rt.stats.cnulls_seen += 1;
-                        missing.push((c, col.name.clone(), col.data_type));
-                    }
-                }
-            }
-            if !missing.is_empty() {
-                let context: Vec<(String, String)> = schema
-                    .columns
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| {
-                        schema.primary_key.contains(i)
-                            || (self.needed_columns.contains(i)
-                                && !row.get(*i).map(Value::is_missing).unwrap_or(true))
-                    })
-                    .map(|(i, c)| (c.name.clone(), row[i].to_string()))
-                    .collect();
-                ctx.rt.push_need(TaskNeed::ProbeValues {
-                    table: self.table.to_string(),
-                    tid,
-                    context,
-                    columns: missing,
-                });
-            }
-            // Unknown rows are probed above but excluded from this
-            // round's output (SQL WHERE semantics); they qualify on
-            // re-execution once the crowd fills the value in.
-            if truth.passes_filter() {
-                emit(tid, row);
-            }
-        }
+            Source::Stored(probe) => self.fetch(ctx, probe, &mut |ctx, tid, stored| {
+                admit(ctx, tid, Candidate::Stored(stored))
+            })?,
+        };
 
         // CrowdProbe, new-tuple flavor: a bounded CROWD-table scan short
         // of its quota asks the crowd for more tuples. The quota counts
@@ -247,14 +187,208 @@ impl<'p> ScanOp<'p> {
                 });
             }
         }
-        Ok(())
+        Ok((examined, flow))
+    }
+
+    /// Lend `each` the stored bytes of every candidate — of `probe`, or
+    /// of the scan's own access path — in tid order, inside one
+    /// `with_table`: under the read lock.
+    fn fetch(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        probe: Option<(&IndexMeta, &[IndexKey])>,
+        each: &mut Borrower<'_>,
+    ) -> Result<Flow> {
+        let db = ctx.db;
+        db.with_table(self.table, |t| {
+            // Point-probe `index` once per key.
+            let gets =
+                |index, keys: &[IndexKey], ctx: &mut ExecCtx<'_>, each: &mut Borrower<'_>| {
+                    let lookup = |idx: &Index| {
+                        let mut tids = Vec::new();
+                        for key in keys {
+                            tids.extend(idx.get(t.pager(), key)?);
+                        }
+                        Ok(tids)
+                    };
+                    self.index_fetch(ctx, t, index, keys.len() as u64, lookup, each)
+                };
+            match (probe, self.access) {
+                (Some((index, keys)), _) => gets(index, keys, ctx, each),
+                (None, Access::Point { index, key }) => {
+                    gets(index, &[IndexKey(key.clone())], ctx, each)
+                }
+                (None, Access::Range { index, low, high }) => {
+                    let low = low.clone().map(|v| IndexKey(vec![v]));
+                    let high = high.clone().map(|v| IndexKey(vec![v]));
+                    let lookup = |idx: &Index| {
+                        idx.range(t.pager(), low.as_ref(), high.as_ref())?
+                            .ok_or_else(|| {
+                                CrowdError::Internal(format!(
+                                    "index {} on {} is unordered but was planned for a range scan",
+                                    index.name, self.table
+                                ))
+                            })
+                    };
+                    self.index_fetch(ctx, t, index, 1, lookup, each)
+                }
+                (None, Access::Full) => {
+                    let mut cursor = t.cursor()?;
+                    while let Some((tid, stored)) = cursor.next_stored()? {
+                        if each(ctx, tid, &stored)? == Flow::Stop {
+                            return Ok(Flow::Stop);
+                        }
+                    }
+                    Ok(Flow::More)
+                }
+            }
+        })?
+    }
+
+    /// Resolve the planned index on the live table, take the tids
+    /// `lookup` finds in it (`probes` probes' worth), union the index's
+    /// missing-key tuples (which may qualify once the crowd fills them),
+    /// and lend out the live rows in tid order — the order a heap scan
+    /// yields, so access-path choice never reorders output.
+    fn index_fetch(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        t: &HeapTable,
+        index: &IndexMeta,
+        probes: u64,
+        lookup: impl FnOnce(&Index) -> Result<Vec<TupleId>>,
+        each: &mut Borrower<'_>,
+    ) -> Result<Flow> {
+        ctx.rt.stats.index_probes += probes;
+        // The plan was built against the same catalog, so absence
+        // means concurrent DDL — a typed error, not a panic.
+        let idx = t
+            .indexes()
+            .iter()
+            .find(|i| i.name == index.name)
+            .ok_or_else(|| {
+                CrowdError::Internal(format!(
+                    "planned index {} no longer exists on {}",
+                    index.name, self.table
+                ))
+            })?;
+        let mut tids = lookup(idx)?;
+        tids.extend(idx.missing_key_tids(t.pager())?);
+        tids.sort_unstable_by_key(|tid| tid.0);
+        tids.dedup();
+        for tid in tids {
+            let flow = t.get_stored(tid, |stored| each(ctx, tid, stored))?;
+            if flow == Some(Flow::Stop) {
+                return Ok(Flow::Stop);
+            }
+        }
+        Ok(Flow::More)
+    }
+
+    /// The row function: residual filtering (decidedly-False rows drop
+    /// before any crowd work is generated for them, and before they are
+    /// decoded any further than the residual looked), CrowdProbe needs
+    /// for missing values. Rows whose residual is True go to `emit`.
+    fn admit(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        schema: &TableSchema,
+        tid: TupleId,
+        candidate: Candidate<'_>,
+        emit: &mut TupleSink<'_>,
+    ) -> Result<Flow> {
+        ctx.rt.check()?;
+        ctx.rt.stats.rows_scanned += 1;
+        // A stored row is first decoded only as far as the residual
+        // reads, where that saves anything; `whole` is what is left to do.
+        let (mut row, whole) = match (candidate, &self.residual_reads) {
+            (Candidate::Row(row), _) => (row, None),
+            (Candidate::Stored(stored), None) => {
+                (codec::decode_row(&mut Reader::new(stored))?, None)
+            }
+            (Candidate::Stored(stored), Some(reads)) => {
+                let row = codec::decode_row_masked(&mut Reader::new(stored), reads)?;
+                (row, Some(stored))
+            }
+        };
+        // Fused filter: a decidedly-False predicate drops the row
+        // before any crowd work is generated for it; Unknown keeps
+        // probing (the missing value may decide the predicate).
+        let truth = match self.residual {
+            Some(p) => eval_truth(ctx, p, &row)?,
+            None => Truth::True,
+        };
+        if truth == Truth::False {
+            return Ok(Flow::More);
+        }
+        if let Some(stored) = whole {
+            row = codec::decode_row(&mut Reader::new(stored))?;
+        }
+        // CrowdProbe, missing-value flavor: any needed column that is
+        // CNULL (and crowdsourceable) becomes a probe need.
+        let mut missing: Vec<(usize, String, DataType)> = Vec::new();
+        for &c in self.needed_columns {
+            if row.get(c).map(Value::is_cnull).unwrap_or(false) {
+                let col = &schema.columns[c];
+                if col.crowd || schema.crowd_table {
+                    ctx.rt.stats.cnulls_seen += 1;
+                    missing.push((c, col.name.clone(), col.data_type));
+                }
+            }
+        }
+        if !missing.is_empty() {
+            let context: Vec<(String, String)> = schema
+                .columns
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| {
+                    schema.primary_key.contains(i)
+                        || (self.needed_columns.contains(i)
+                            && !row.get(*i).map(Value::is_missing).unwrap_or(true))
+                })
+                .map(|(i, c)| (c.name.clone(), row[i].to_string()))
+                .collect();
+            ctx.rt.push_need(TaskNeed::ProbeValues {
+                table: self.table.to_string(),
+                tid,
+                context,
+                columns: missing,
+            });
+        }
+        // Unknown rows are probed above but excluded from this
+        // round's output (SQL WHERE semantics); they qualify on
+        // re-execution once the crowd fills the value in.
+        match truth.passes_filter() {
+            true => emit(ctx, tid, row),
+            false => Ok(Flow::More),
+        }
     }
 }
 
+/// `f` over `items` until it says stop.
+fn each<T>(
+    items: impl IntoIterator<Item = T>,
+    mut f: impl FnMut(T) -> Result<Flow>,
+) -> Result<Flow> {
+    for item in items {
+        if f(item)? == Flow::Stop {
+            return Ok(Flow::Stop);
+        }
+    }
+    Ok(Flow::More)
+}
+
 impl Operator for ScanOp<'_> {
-    fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>> {
-        let candidates = self.candidates(ctx)?;
-        self.rows(ctx, stats, candidates)
+    fn execute(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        stats: &mut OpStatsNode,
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow> {
+        let (examined, flow) =
+            self.pass(ctx, Source::Stored(None), &mut |ctx, _, row| sink(ctx, row))?;
+        stats.rows_in += examined;
+        Ok(flow)
     }
 
     /// The changed rows are the candidates: the residual is the whole
@@ -267,10 +401,15 @@ impl Operator for ScanOp<'_> {
         }
         let mut delta = Delta::default();
         if change.table == self.table {
-            self.process(ctx, change.removed.clone(), |_, row| {
-                delta.removed.push(row)
-            })?;
-            self.process(ctx, change.added.clone(), |_, row| delta.added.push(row))?;
+            for (rows, out) in [
+                (&change.removed, &mut delta.removed),
+                (&change.added, &mut delta.added),
+            ] {
+                self.pass(ctx, Source::Rows(rows), &mut |_, _, row| {
+                    out.push(row);
+                    Ok(Flow::More)
+                })?;
+            }
         }
         Ok(Some(delta))
     }

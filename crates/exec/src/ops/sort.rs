@@ -8,7 +8,9 @@ use crowddb_plan::{PhysicalPlan, SortKey};
 
 use crate::context::ExecCtx;
 use crate::eval::eval;
-use crate::ops::{build, run_op, BoxedOp, Delta, OpStatsNode, Operator, TableChange};
+use crate::ops::{
+    build, collect, emit_all, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, TableChange,
+};
 
 /// Machine-sort operator; see [`PhysicalPlan::Sort`].
 pub struct SortOp<'p> {
@@ -30,11 +32,15 @@ impl<'p> SortOp<'p> {
 }
 
 impl Operator for SortOp<'_> {
-    fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>> {
-        let rows = run_op(self.input.as_ref(), ctx, &mut stats.children[0])?;
-        stats.rows_in += rows.len() as u64;
+    fn execute(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        stats: &mut OpStatsNode,
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow> {
+        let rows = collect(self.input.as_ref(), ctx, &mut stats.children[0])?;
         if rows.len() <= 1 {
-            return Ok(rows);
+            return emit_all(ctx, rows, sink);
         }
         let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
         for row in rows {
@@ -55,8 +61,9 @@ impl Operator for SortOp<'_> {
             }
             Ordering::Equal
         });
-        Ok(keyed.into_iter().map(|(_, r)| r).collect())
+        emit_all(ctx, keyed.into_iter().map(|(_, r)| r), sink)
     }
+
     /// A delta is a multiset: sorting changes no row, only their order.
     fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
         self.input.delta(ctx, change)

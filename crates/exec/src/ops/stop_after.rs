@@ -1,16 +1,17 @@
 //! StopAfter: the paper's LIMIT/OFFSET operator.
 
-use crowddb_common::{Result, Row};
+use crowddb_common::Result;
 use crowddb_plan::PhysicalPlan;
 
 use crate::context::ExecCtx;
-use crate::ops::{build, run_op, BoxedOp, OpStatsNode, Operator};
+use crate::ops::{build, for_each_row, streams, BoxedOp, Flow, OpStatsNode, Operator, Sink};
 
 /// Limit/offset operator; see [`PhysicalPlan::StopAfter`].
 pub struct StopAfterOp<'p> {
     input: BoxedOp<'p>,
     limit: Option<u64>,
     offset: u64,
+    streams: bool,
 }
 
 impl<'p> StopAfterOp<'p> {
@@ -26,6 +27,7 @@ impl<'p> StopAfterOp<'p> {
             unreachable!("StopAfterOp built from {plan:?}")
         };
         StopAfterOp {
+            streams: streams(plan, input),
             input: build(input),
             limit: *limit,
             offset: *offset,
@@ -34,14 +36,41 @@ impl<'p> StopAfterOp<'p> {
 }
 
 impl Operator for StopAfterOp<'_> {
-    fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>> {
-        let rows = run_op(self.input.as_ref(), ctx, &mut stats.children[0])?;
-        stats.rows_in += rows.len() as u64;
-        let start = (self.offset as usize).min(rows.len());
-        let end = match self.limit {
-            Some(l) => (start + l as usize).min(rows.len()),
-            None => rows.len(),
-        };
-        Ok(rows[start..end].to_vec())
+    /// Skips `offset` rows, passes `limit` on, and then stops its input —
+    /// which, where the input streams, is where a `LIMIT` stops reading
+    /// pages. An input that asks the crowd is collected whole first
+    /// (`ops` invariant (i)): this operator never cuts crowd work.
+    fn execute(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        stats: &mut OpStatsNode,
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow> {
+        let (mut skip, mut take) = (self.offset, self.limit);
+        // What the consumer said last; this operator's own `Stop`s to its
+        // input are not the consumer's.
+        let mut said = Flow::More;
+        for_each_row(
+            self.input.as_ref(),
+            ctx,
+            &mut stats.children[0],
+            self.streams,
+            &mut |ctx, row| {
+                if skip > 0 {
+                    skip -= 1;
+                    return Ok(Flow::More);
+                }
+                if take == Some(0) {
+                    return Ok(Flow::Stop);
+                }
+                take = take.map(|n| n - 1);
+                said = sink(ctx, row)?;
+                Ok(match take {
+                    Some(0) => Flow::Stop,
+                    _ => said,
+                })
+            },
+        )?;
+        Ok(said)
     }
 }

@@ -6,7 +6,7 @@ use crowddb_common::{Result, Row};
 use crowddb_plan::PhysicalPlan;
 
 use crate::context::ExecCtx;
-use crate::ops::{build, run_op, BoxedOp, Delta, OpStatsNode, Operator, TableChange};
+use crate::ops::{build, run_op, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, TableChange};
 
 /// Union operator; see [`PhysicalPlan::Union`].
 pub struct UnionOp<'p> {
@@ -33,16 +33,28 @@ impl<'p> UnionOp<'p> {
 }
 
 impl Operator for UnionOp<'_> {
-    fn execute(&self, ctx: &mut ExecCtx<'_>, stats: &mut OpStatsNode) -> Result<Vec<Row>> {
-        let mut rows = run_op(self.left.as_ref(), ctx, &mut stats.children[0])?;
-        rows.extend(run_op(self.right.as_ref(), ctx, &mut stats.children[1])?);
-        stats.rows_in += rows.len() as u64;
-        if !self.all {
-            let mut seen = HashSet::new();
-            rows.retain(|r| seen.insert(r.clone()));
+    /// Left, then right, each straight into the consumer's sink: the
+    /// operator has no row code that could ask the crowd or re-enter the
+    /// database, and whether its *inputs* may be streamed from was the
+    /// consumer's decision when it chose that sink.
+    fn execute(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        stats: &mut OpStatsNode,
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow> {
+        let mut seen = HashSet::new();
+        let mut each = |ctx: &mut ExecCtx<'_>, row: Row| match self.all || seen.insert(row.clone())
+        {
+            true => sink(ctx, row),
+            false => Ok(Flow::More),
+        };
+        if run_op(self.left.as_ref(), ctx, &mut stats.children[0], &mut each)? == Flow::Stop {
+            return Ok(Flow::Stop);
         }
-        Ok(rows)
+        run_op(self.right.as_ref(), ctx, &mut stats.children[1], &mut each)
     }
+
     /// `UNION ALL` concatenates its inputs, so their deltas too. Set
     /// union has no rule: whether a row leaves depends on the copies the
     /// other input still holds.

@@ -5,7 +5,7 @@ use crowddb_plan::{BExpr, PhysicalPlan};
 
 use crate::context::ExecCtx;
 use crate::eval::eval;
-use crate::ops::{Delta, OpStatsNode, Operator, TableChange};
+use crate::ops::{Delta, Flow, OpStatsNode, Operator, Sink, TableChange};
 
 /// Literal-rows operator; see [`PhysicalPlan::Values`].
 pub struct ValuesOp<'p> {
@@ -23,19 +23,26 @@ impl<'p> ValuesOp<'p> {
 }
 
 impl Operator for ValuesOp<'_> {
-    fn execute(&self, ctx: &mut ExecCtx<'_>, _stats: &mut OpStatsNode) -> Result<Vec<Row>> {
+    fn execute(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        _stats: &mut OpStatsNode,
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow> {
         let empty = Row::default();
-        let mut out = Vec::with_capacity(self.rows.len());
         for row_exprs in self.rows {
             ctx.rt.check()?;
             let mut values = Vec::with_capacity(row_exprs.len());
             for e in row_exprs {
                 values.push(eval(ctx, e, &empty)?);
             }
-            out.push(Row::new(values));
+            if sink(ctx, Row::new(values))? == Flow::Stop {
+                return Ok(Flow::Stop);
+            }
         }
-        Ok(out)
+        Ok(Flow::More)
     }
+
     /// Literal rows read no table — unless a subquery in one does.
     fn delta(&self, _ctx: &mut ExecCtx<'_>, _change: &TableChange) -> Result<Option<Delta>> {
         let constant = !self.rows.iter().flatten().any(BExpr::has_subplan);

@@ -615,3 +615,165 @@ fn crowdorder_needs_dedup_identical_pairs() {
         .collect();
     assert_eq!(orders.len(), 1, "duplicate comparisons dedup to one need");
 }
+
+/// What the scan's residual says about a row decides everything else
+/// about it: False rows are dropped having asked nothing, Unknown rows
+/// are probed — from the whole row, not the part the residual looked at —
+/// and stay out of this round's output, True rows go on.
+#[test]
+fn residual_truth_decides_probe_and_output() {
+    let db = setup();
+    seed_talks(&db);
+    db.insert("talk", row!["Deco", Value::CNull, 10i64])
+        .unwrap();
+    for (dept, building) in [
+        ("db", Value::Int(4)),
+        ("ml", Value::Null),
+        ("os", Value::Int(2)),
+    ] {
+        db.insert("dept", row![dept, building]).unwrap();
+    }
+
+    // NULL: Unknown, and nobody to ask.
+    let r = run(&db, "SELECT dept FROM dept WHERE building > 3");
+    assert_eq!(r.rows, vec![row!["db"]]);
+    assert!(r.is_final());
+    let r = run(&db, "SELECT dept FROM dept WHERE NOT (building > 3)");
+    assert_eq!(r.rows, vec![row!["os"]]);
+    let r = run(&db, "SELECT dept FROM dept WHERE building IS NULL");
+    assert_eq!(r.rows, vec![row!["ml"]]);
+
+    // CNULL: Unknown. CrowdDB is probed for both needed columns it
+    // lacks, with its key — a string the residual never read — as
+    // context; Deco's attendance decides against it, so its missing
+    // abstract is not asked for.
+    let r = run(
+        &db,
+        "SELECT title, abstract FROM talk WHERE nb_attendees > 70",
+    );
+    assert_eq!(r.rows, vec![row!["Qurk", "qurk abstract"]]);
+    assert_eq!(r.stats.rows_scanned, 4);
+    assert_eq!(r.stats.cnulls_seen, 2);
+    let [TaskNeed::ProbeValues {
+        context, columns, ..
+    }] = &r.needs[..]
+    else {
+        panic!("one probe, got {:?}", r.needs)
+    };
+    assert_eq!(context, &vec![("title".to_string(), "CrowdDB".to_string())]);
+    let asked: Vec<&str> = columns.iter().map(|(_, name, _)| name.as_str()).collect();
+    assert_eq!(asked, vec!["abstract", "nb_attendees"]);
+
+    // IS CNULL is decided on the spot: True rows go on (and are probed).
+    let r = run(&db, "SELECT title FROM talk WHERE nb_attendees IS CNULL");
+    assert_eq!(r.rows, vec![row!["CrowdDB"]]);
+    assert_eq!(r.needs.len(), 1);
+    let r = run(&db, "SELECT title FROM talk WHERE abstract IS NOT CNULL");
+    assert_eq!(r.rows, vec![row!["Qurk"], row!["PIQL"]]);
+    assert!(r.is_final());
+}
+
+/// The corners of the aggregate functions, as the two-pass evaluation
+/// defined them.
+#[test]
+fn aggregate_accumulator_edges() {
+    let db = setup();
+    let caches = CompareCaches::default();
+    let try_run = |sql: &str| execute(&db, &caches, &plan(&db, sql));
+    let one = |sql: &str| {
+        let r = try_run(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(r.rows.len(), 1, "{sql}");
+        r.rows[0].clone()
+    };
+    let ints = |xs: &[&str]| {
+        let branches: Vec<String> = xs.iter().map(|x| format!("SELECT {x} AS x")).collect();
+        format!("({}) t", branches.join(" UNION ALL "))
+    };
+
+    // Integer SUM: exact, and an error as soon as a partial sum overflows
+    // — unless the values turn out not to be all integers.
+    let big = i64::MAX.to_string();
+    assert_eq!(
+        one(&format!("SELECT SUM(x) FROM {}", ints(&[&big, "-1", "1"]))),
+        row![i64::MAX]
+    );
+    let err = try_run(&format!("SELECT SUM(x) FROM {}", ints(&[&big, "1", "-1"])));
+    assert!(
+        matches!(&err, Err(crowddb_common::CrowdError::Exec(m)) if m.contains("overflow")),
+        "{err:?}"
+    );
+    let r = one(&format!("SELECT SUM(x) FROM {}", ints(&[&big, "1", "0.5"])));
+    assert_eq!(r, row![i64::MAX as f64 + 1.0 + 0.5]);
+
+    // Mixed INTEGER/FLOAT: a float sum; AVG always is one.
+    assert_eq!(
+        one(&format!(
+            "SELECT SUM(x), AVG(x) FROM {}",
+            ints(&["1", "2.5"])
+        )),
+        row![3.5f64, 1.75f64]
+    );
+    assert_eq!(
+        one(&format!("SELECT SUM(x), AVG(x) FROM {}", ints(&["1", "2"]))),
+        row![3i64, 1.5f64]
+    );
+    let err = try_run(&format!("SELECT SUM(x) FROM {}", ints(&["1", "'one'"])));
+    assert!(
+        matches!(&err, Err(crowddb_common::CrowdError::Type(m)) if m.contains("SUM")),
+        "{err:?}"
+    );
+
+    // 1 and 1.0 tie: MIN keeps the first it saw, MAX the last.
+    assert_eq!(
+        one(&format!(
+            "SELECT MIN(x), MAX(x) FROM {}",
+            ints(&["1", "1.0"])
+        )),
+        row![1i64, 1.0f64]
+    );
+    assert_eq!(
+        one(&format!(
+            "SELECT MIN(x), MAX(x) FROM {}",
+            ints(&["1.0", "1"])
+        )),
+        row![1.0f64, 1i64]
+    );
+
+    // DISTINCT counts a value once — and 1 and 1.0 are two values.
+    let xs = ints(&["2", "2", "3", "NULL", "3", "1.0", "1"]);
+    assert_eq!(
+        one(&format!(
+            "SELECT COUNT(x), COUNT(DISTINCT x), SUM(DISTINCT x), COUNT(*) FROM {xs}"
+        )),
+        row![6i64, 4i64, 7.0f64, 7i64]
+    );
+
+    // No input: one all-empty group without GROUP BY, no group with it.
+    assert_eq!(
+        one("SELECT COUNT(*), COUNT(building), SUM(building), AVG(building), MIN(dept), MAX(dept) FROM dept"),
+        Row::new(vec![
+            Value::Int(0),
+            Value::Int(0),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::Null
+        ])
+    );
+    let r = try_run("SELECT building, COUNT(*) FROM dept GROUP BY building").unwrap();
+    assert!(r.rows.is_empty());
+
+    // Groups come out in the order their first row came in.
+    for (dept, building) in [("db", 4i64), ("ml", 2), ("os", 4), ("pl", 9), ("ai", 2)] {
+        db.insert("dept", row![dept, building]).unwrap();
+    }
+    let r = try_run("SELECT building, COUNT(*), MIN(dept) FROM dept GROUP BY building").unwrap();
+    assert_eq!(
+        r.rows,
+        vec![
+            row![4i64, 2i64, "db"],
+            row![2i64, 2i64, "ai"],
+            row![9i64, 1i64, "pl"]
+        ]
+    );
+}

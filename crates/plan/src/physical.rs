@@ -108,8 +108,8 @@ pub enum Access {
 }
 
 /// A physical operator tree, lowered from an optimized [`LogicalPlan`]
-/// by [`lower`]. Execution semantics (materialize-per-round) live in
-/// `crowddb-exec`; this type only records *which* operator runs where.
+/// by [`lower`]. Execution semantics (one evaluation per round, rows
+/// pushed from operator to operator) live in `crowddb-exec`; this type only records *which* operator runs where.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalPlan {
     /// Base-table access — the one way a plan (and an `UPDATE`/`DELETE`)

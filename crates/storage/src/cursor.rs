@@ -1,15 +1,22 @@
 //! Cursors: streaming row access over a table's primary B-tree.
 //!
 //! A cursor borrows the table (and through it the pager), so it lives
-//! inside a `Database::with_table` closure; callers that need rows past
-//! the closure materialize exactly the prefix they consume. Each row is
-//! decoded straight from the leaf page the B-tree cursor keeps pinned —
-//! the decoded [`Row`] is the only copy made of a stored value.
+//! inside a `Database::with_table` closure — under the database read
+//! lock, which whatever consumes the rows must not take again (see
+//! `crowddb-exec`'s `ops` module, invariant (ii)). Two ways to read a
+//! row: [`TableCursor::next_stored`] lends the encoded bytes straight
+//! from the leaf page the B-tree cursor keeps pinned, for a caller that
+//! may decide on a partial decode to drop the row; [`TableCursor::next`]
+//! decodes them, the decoded [`Row`] being the only copy made of a
+//! stored value.
 //!
-//! The executor's `ScanOp` still takes a whole table at once through
-//! [`HeapTable::scan_rows`](crate::table::HeapTable::scan_rows), which
-//! is [`TableCursor::collect_rows`] run under the database lock; index
-//! backfill is the caller that streams.
+//! The executor's `ScanOp` streams through `next_stored` and stops
+//! pulling as soon as its consumer has enough; index backfill streams
+//! through `next`. [`HeapTable::scan_rows`](crate::table::HeapTable::scan_rows)
+//! — [`TableCursor::collect_rows`] — is what is left of "take the whole
+//! table at once": snapshots and tests.
+
+use std::borrow::Cow;
 
 use crowddb_common::codec::{self, Reader};
 use crowddb_common::{CrowdError, Result, Row, TupleId};
@@ -29,23 +36,32 @@ impl<'a> TableCursor<'a> {
         TableCursor { pager, inner }
     }
 
-    /// The next live row, or `None` at the end of the table. Not an
-    /// `Iterator`: page reads can fail, and `Result<Option<_>>` keeps
-    /// that explicit at every call site.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<(TupleId, Row)>> {
+    /// The next live row as stored — its tuple id and its
+    /// `codec::encode_row` bytes, lent from the pinned leaf until the
+    /// next call (owned only when the row lives in an overflow chain) —
+    /// or `None` at the end of the table. Not an `Iterator`: page reads
+    /// can fail, and `Result<Option<_>>` keeps that explicit at every
+    /// call site.
+    pub fn next_stored(&mut self) -> Result<Option<(TupleId, Cow<'_, [u8]>)>> {
         match self.inner.next(self.pager)? {
             None => Ok(None),
-            Some((key, val)) => {
-                let tid = decode_tid_key(key)?;
-                let row = codec::decode_row(&mut Reader::new(&val))?;
+            Some((key, val)) => Ok(Some((decode_tid_key(key)?, val))),
+        }
+    }
+
+    /// The next live row, decoded.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Result<Option<(TupleId, Row)>> {
+        match self.next_stored()? {
+            None => Ok(None),
+            Some((tid, stored)) => {
+                let row = codec::decode_row(&mut Reader::new(&stored))?;
                 Ok(Some((tid, row)))
             }
         }
     }
 
-    /// Drain the cursor into a vector (the compatibility path for
-    /// callers that still want full materialization).
+    /// Drain the cursor into a vector.
     pub fn collect_rows(mut self) -> Result<Vec<(TupleId, Row)>> {
         let mut out = Vec::new();
         while let Some(pair) = self.next()? {

@@ -9,9 +9,14 @@
 //! affect query results — only hit/miss counters. Eviction order is
 //! least-recently-used driven by a logical access counter, which makes
 //! the cache state itself a deterministic function of the access
-//! sequence.
+//! sequence. Under a budget the clean frames are also queued in that
+//! order, so finding the victim — or finding that there is none, which
+//! under no-steal is every page write of a bulk load — does not walk the
+//! pool. A hit does not touch the queue: a frame waits where it was
+//! queued and is moved to where its last use puts it only when it reaches
+//! the front, which picks the same victim (see `evict_over_budget`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use crate::page::PageId;
@@ -50,6 +55,9 @@ struct Frame {
     data: Arc<Vec<u8>>,
     dirty: bool,
     last_use: u64,
+    /// The `last_use` a clean frame is queued under in `BufferPool::clean`
+    /// (never later than `last_use`).
+    queued: u64,
 }
 
 /// The page cache. Owned by the pager behind its lock; all methods are
@@ -57,6 +65,9 @@ struct Frame {
 #[derive(Debug)]
 pub struct BufferPool {
     frames: HashMap<PageId, Frame>,
+    /// The clean frames as `(queued, id)`: the eviction order, up to the
+    /// hits since. Empty, and not maintained, without a budget.
+    clean: BTreeSet<(u64, PageId)>,
     /// Maximum resident pages; `0` = unbounded. Dirty pages are exempt
     /// (no-steal), so the pool may transiently exceed the budget when
     /// more than `budget` pages are dirty between checkpoints.
@@ -72,6 +83,7 @@ impl BufferPool {
     pub fn new(budget: usize) -> BufferPool {
         BufferPool {
             frames: HashMap::new(),
+            clean: BTreeSet::new(),
             budget,
             tick: 0,
             stats: PagerStats::default(),
@@ -102,16 +114,7 @@ impl BufferPool {
     /// Install a page just fetched from the backend (clean), evicting if
     /// over budget.
     pub fn install_clean(&mut self, id: PageId, data: Arc<Vec<u8>>) {
-        self.tick += 1;
-        self.frames.insert(
-            id,
-            Frame {
-                data,
-                dirty: false,
-                last_use: self.tick,
-            },
-        );
-        self.evict_over_budget();
+        self.put(id, data, false);
     }
 
     /// Install or overwrite a page with fresh contents. `dirty` marks it
@@ -119,20 +122,29 @@ impl BufferPool {
     /// backends pass `false` because the backend was updated in place.
     pub fn put(&mut self, id: PageId, data: Arc<Vec<u8>>, dirty: bool) {
         self.tick += 1;
-        self.frames.insert(
-            id,
-            Frame {
-                data,
-                dirty,
-                last_use: self.tick,
-            },
-        );
+        let frame = Frame {
+            data,
+            dirty,
+            last_use: self.tick,
+            queued: self.tick,
+        };
+        let old = self.frames.insert(id, frame);
+        if self.budget != 0 {
+            if let Some(old) = old.filter(|old| !old.dirty) {
+                self.clean.remove(&(old.queued, id));
+            }
+            if !dirty {
+                self.clean.insert((self.tick, id));
+            }
+        }
         self.evict_over_budget();
     }
 
     /// Drop a page from the cache entirely (page freed).
     pub fn remove(&mut self, id: PageId) {
-        self.frames.remove(&id);
+        if let Some(f) = self.frames.remove(&id) {
+            self.clean.remove(&(f.queued, id));
+        }
     }
 
     /// All dirty pages, sorted by page id (deterministic flush order).
@@ -158,34 +170,47 @@ impl BufferPool {
     }
 
     /// Mark every dirty page clean (checkpoint flush completed), making
-    /// them evictable again, then shrink back under budget.
+    /// them evictable again — each as recently used as it was — then
+    /// shrink back under budget.
     pub fn mark_all_clean(&mut self) {
-        for f in self.frames.values_mut() {
+        for (id, f) in &mut self.frames {
+            if f.dirty && self.budget != 0 {
+                f.queued = f.last_use;
+                self.clean.insert((f.queued, *id));
+            }
             f.dirty = false;
         }
         self.evict_over_budget();
     }
 
     /// Evict least-recently-used *clean* pages while over budget.
+    ///
+    /// The front of the queue is the victim unless it has been hit since
+    /// it was queued; then it is requeued under its last use and the new
+    /// front is asked. Every frame is queued no later than its last use,
+    /// so a front that *is* up to date is older than every other clean
+    /// frame's last use: the `(last_use, id)` minimum, as a walk over the
+    /// whole pool would have found.
     fn evict_over_budget(&mut self) {
         if self.budget == 0 {
             return;
         }
         while self.frames.len() > self.budget {
-            let victim = self
+            // Nothing clean: no-steal forbids evicting what is left.
+            let Some((queued, id)) = self.clean.pop_first() else {
+                break;
+            };
+            let frame = self
                 .frames
-                .iter()
-                .filter(|(_, f)| !f.dirty)
-                .min_by_key(|(id, f)| (f.last_use, **id))
-                .map(|(id, _)| *id);
-            match victim {
-                Some(id) => {
-                    self.frames.remove(&id);
-                    self.stats.evictions += 1;
-                }
-                // Everything resident is dirty: no-steal forbids eviction.
-                None => break,
+                .get_mut(&id)
+                .expect("a queued frame is resident");
+            if frame.last_use != queued {
+                frame.queued = frame.last_use;
+                self.clean.insert((frame.queued, id));
+                continue;
             }
+            self.frames.remove(&id);
+            self.stats.evictions += 1;
         }
     }
 }
@@ -242,6 +267,39 @@ mod tests {
         p.mark_all_clean();
         assert_eq!(p.resident(), 1);
         assert_eq!(p.dirty_count(), 0);
+    }
+
+    /// A frame that turns clean re-enters the eviction order where its
+    /// last use puts it, not at either end.
+    #[test]
+    fn frames_marked_clean_are_evicted_in_order_of_last_use() {
+        let mut p = BufferPool::new(4);
+        p.put(1, page(1), true);
+        p.install_clean(2, page(2));
+        p.put(3, page(3), true);
+        p.install_clean(4, page(4));
+        p.get(1); // dirty 1 is now the most recently used of the four
+        p.mark_all_clean();
+        assert_eq!((p.resident(), p.stats.evictions), (4, 0));
+        // Oldest first, whether it was clean all along or has just turned
+        // clean: 2, 3, 4, and 1 last.
+        for (fresh, gone) in [(5, 2), (6, 3), (7, 4), (8, 1)] {
+            p.install_clean(fresh, page(fresh as u8));
+            assert_eq!(p.resident(), 4);
+            let hits = p.stats.pool_hits;
+            assert!(p.get(gone).is_none(), "{gone} evicted for {fresh}");
+            assert_eq!(p.stats.pool_hits, hits);
+        }
+        assert_eq!(p.stats.evictions, 4);
+        // Overwriting a clean frame dirty takes it out of the order; a
+        // freed page leaves it too.
+        p.put(5, page(0), true);
+        p.remove(6);
+        p.install_clean(9, page(9));
+        p.install_clean(10, page(10));
+        assert_eq!(p.resident(), 4);
+        assert!(p.get(7).is_none(), "7 was the oldest clean frame left");
+        assert!(p.get(5).is_some() && p.get(8).is_some());
     }
 
     #[test]

@@ -254,13 +254,22 @@ impl HeapTable {
 
     /// Fetch a live row by tuple id.
     pub fn get(&self, tid: TupleId) -> Result<Option<Row>> {
+        self.get_stored(tid, |stored| {
+            Ok(codec::decode_row(&mut Reader::new(stored))?)
+        })
+    }
+
+    /// Hand `read` the stored bytes of a live row (see
+    /// [`TableCursor::next_stored`]), lent from its page for the call.
+    pub fn get_stored<R>(
+        &self,
+        tid: TupleId,
+        read: impl FnOnce(&[u8]) -> Result<R>,
+    ) -> Result<Option<R>> {
         if tid.0 >= self.total_slots {
             return Ok(None);
         }
-        self.primary
-            .get(&self.pager, &encode_tid_key(tid), |stored| {
-                Ok(codec::decode_row(&mut Reader::new(stored))?)
-            })
+        self.primary.get(&self.pager, &encode_tid_key(tid), read)
     }
 
     /// Delete a row. Returns whether it existed.
