@@ -230,12 +230,6 @@ pub struct CrowdConfig {
     pub round_budget_secs: f64,
     /// Platform pump step, virtual seconds.
     pub pump_step_secs: f64,
-    /// Reject queries the boundedness analysis flags as unbounded
-    /// (paper: the optimizer "warns the user at compile-time"; with this
-    /// set the warning is a hard error).
-    pub reject_unbounded: bool,
-    /// Maximum tuples one new-tuple assignment may carry.
-    pub max_tuples_per_assignment: usize,
     /// Ban workers whose agreement rate drops below this after 10 tasks.
     pub ban_threshold: f64,
     /// Per-statement crowdsourcing budget in cents; `None` = unlimited.
@@ -285,8 +279,6 @@ impl Default for CrowdConfig {
             max_rounds: 16,
             round_budget_secs: 14.0 * 24.0 * 3600.0, // two virtual weeks
             pump_step_secs: 600.0,
-            reject_unbounded: true,
-            max_tuples_per_assignment: 5,
             ban_threshold: 0.25,
             max_budget_cents: None,
             slow_statement_virtual_secs: None,
@@ -325,7 +317,6 @@ mod tests {
         assert!(c.max_rounds >= 2);
         assert!(c.round_budget_secs > 0.0);
         assert!(c.pump_step_secs > 0.0);
-        assert!(c.reject_unbounded);
         assert_eq!(c.vote.replication, 3);
     }
 

@@ -22,7 +22,7 @@ use crowddb_plan::{
 };
 use crowddb_platform::{Platform, WorkerRelationshipManager};
 use crowddb_sql::{parse_statement, Delete, Query, Statement, Update};
-use crowddb_storage::{Database, IndexKind, LogRecord};
+use crowddb_storage::{Database, LogRecord};
 use crowddb_ui::manager::UiTemplateManager;
 use crowddb_ui::render_task;
 use crowddb_wal::{DurableStore, FsyncPolicy, GroupCommitStore};
@@ -278,7 +278,7 @@ impl CrowdDB {
         match rec {
             LogRecord::Dml { sql } => {
                 let stmt = parse_statement(sql)?;
-                self.local_step(|c| self.eval_dml(&stmt, c, true, ExecGuard::unlimited(), false))?;
+                self.write_dml(&stmt, None, ExecGuard::unlimited(), false)?;
                 Ok(())
             }
             LogRecord::PutEqual {
@@ -787,13 +787,8 @@ impl CrowdDB {
             Statement::CreateIndex(ci) => {
                 {
                     let _latch = self.ckpt_latch.read();
-                    self.db.create_index(
-                        &ci.name,
-                        &ci.table,
-                        &ci.columns,
-                        ci.unique,
-                        IndexKind::BTree,
-                    )?;
+                    self.db
+                        .create_index(&ci.name, &ci.table, &ci.columns, ci.unique)?;
                     self.log_record(LogRecord::Ddl {
                         sql: stmt.to_string(),
                     })?;
@@ -818,10 +813,10 @@ impl CrowdDB {
                 Ok(QueryResult::ddl())
             }
             Statement::Insert(ins) => {
-                let r = self.apply_dml(stmt, &ins.table, guard)?;
+                let (affected, complete) = self.apply_dml(stmt, &ins.table, None, guard)?;
                 Ok(QueryResult {
-                    affected: r.affected,
-                    complete: r.needs.is_empty(),
+                    affected,
+                    complete,
                     ..Default::default()
                 })
             }
@@ -1028,10 +1023,10 @@ impl CrowdDB {
         })
     }
 
-    /// The DML sink of the driver: crowd predicates are resolved through
-    /// *dry runs*, then the mutation is applied exactly once — a
-    /// non-idempotent assignment like `SET n = n + 1` must not be
-    /// re-applied per round.
+    /// The DML sink of the driver: every round *selects* — what the
+    /// statement would write on current knowledge, and the crowd work its
+    /// predicates still need — and the last round's selection is applied,
+    /// once: `SET n = n + 1` must not be re-applied per round.
     fn execute_dml(
         &self,
         stmt: &Statement,
@@ -1040,20 +1035,24 @@ impl CrowdDB {
         guard: &StatementGuard,
     ) -> Result<QueryResult> {
         let mut driven = self.drive(crowd.as_deref_mut(), guard, Vec::new(), |caches| {
-            let dry_run = self.eval_dml(stmt, caches, false, guard.exec.clone(), false)?;
-            Ok(((), dry_run.needs))
+            let selection = dml::select(&self.db, caches, stmt, guard.exec.clone())?;
+            let needs = selection.needs.clone();
+            Ok((selection, needs))
         })?;
         // A cancelled or deadline-exceeded DML errors *before* the
         // mutation is applied (paid crowd verdicts stay cached).
         guard.check(crowd.map_or(0.0, |p| p.now()))?;
-        let r = self.apply_dml(stmt, table, guard)?;
+        // Only at the round cap did a wave settle after the last selection.
+        let current = driven.stop != StopReason::RoundCap;
+        let selected = driven.output.filter(|_| current);
+        let (affected, _) = self.apply_dml(stmt, table, selected, guard)?;
         if driven.stop != StopReason::Complete {
             driven
                 .warnings
                 .push("DML applied with some crowd predicates undecided".into());
         }
         Ok(QueryResult {
-            affected: r.affected,
+            affected,
             crowd: driven.summary,
             warnings: driven.warnings,
             complete: driven.stop == StopReason::Complete,
@@ -1062,59 +1061,57 @@ impl CrowdDB {
     }
 
     /// Apply a DML statement once, log it, and hand the standing queries
-    /// the rows it changed (see the `subs` field for the ticket).
+    /// the rows it changed (see the `subs` field for the ticket). Returns
+    /// the rows affected and whether no crowd work was left pending.
     fn apply_dml(
         &self,
         stmt: &Statement,
         table: &str,
+        selected: Option<dml::Selection>,
         guard: &StatementGuard,
-    ) -> Result<dml::DmlResult> {
+    ) -> Result<(usize, bool)> {
         let report = self.subs_open.load(Ordering::SeqCst) > 0;
         let ticket = self.dml_begun.fetch_add(1, Ordering::SeqCst) + 1;
-        let mut r = {
+        let (applied, complete) = {
             // Logical DML records are not idempotent: the mutation and its
             // log record must not straddle a checkpoint (see `ckpt_latch`).
             let _latch = self.ckpt_latch.read();
             let r = {
                 let _in_flight = DmlInFlight(&self.dml_ended);
-                self.local_step(|c| self.eval_dml(stmt, c, true, guard.exec.clone(), report))
+                self.write_dml(stmt, selected, guard.exec.clone(), report)
             }?;
             self.log_record(LogRecord::Dml {
                 sql: stmt.to_string(),
             })?;
             r
         };
-        let change = r.change.take();
         self.notify_subscriptions(Trigger::Dml {
             table,
             ticket,
-            change: change.as_ref(),
+            change: applied.change.as_ref(),
         });
-        Ok(r)
+        Ok((applied.affected, complete))
     }
 
-    /// Evaluate a DML statement once against `caches`; `apply == false`
-    /// is a dry run that only reports the crowd work its predicates need,
-    /// `report` asks an applied one for the rows it changed.
-    fn eval_dml(
+    /// Write `selected` — or, without one, and again whenever `apply`
+    /// finds a target no longer stored as selected (a crowd write-back or
+    /// another session's DML got there first), a fresh selection.
+    fn write_dml(
         &self,
         stmt: &Statement,
-        caches: &CompareCaches,
-        apply: bool,
+        mut selected: Option<dml::Selection>,
         guard: ExecGuard,
         report: bool,
-    ) -> Result<dml::DmlResult> {
-        match stmt {
-            Statement::Insert(ins) => dml::execute_insert(&self.db, caches, ins, guard, report),
-            Statement::Update(upd) => {
-                dml::execute_update(&self.db, caches, upd, apply, guard, report)
+    ) -> Result<(dml::Applied, bool)> {
+        loop {
+            let selection = match selected.take() {
+                Some(selection) => selection,
+                None => self.local_step(|c| dml::select(&self.db, c, stmt, guard.clone()))?,
+            };
+            let complete = selection.needs.is_empty();
+            if let Some(applied) = dml::apply(&self.db, selection, report)? {
+                return Ok((applied, complete));
             }
-            Statement::Delete(del) => {
-                dml::execute_delete(&self.db, caches, del, apply, guard, report)
-            }
-            other => Err(CrowdError::Internal(format!(
-                "not a DML statement: {other}"
-            ))),
         }
     }
 
@@ -1625,7 +1622,9 @@ impl CrowdDB {
     }
 
     /// Bind, optimize, and boundedness-check one query block (shared by
-    /// one-shot `SELECT` and standing `SUBSCRIBE` registration).
+    /// one-shot `SELECT` and standing `SUBSCRIBE` registration). A query
+    /// the analysis flags as unbounded is an error unless
+    /// `allow_unbounded` (`EXPLAIN`, previews), which gets a warning.
     fn plan_query(
         &self,
         query: &Query,
@@ -1644,7 +1643,9 @@ impl CrowdDB {
                 .cloned()
                 .collect::<Vec<_>>()
                 .join("; ");
-            if self.config.reject_unbounded && !allow_unbounded {
+            // The paper's optimizer "warns the user at compile-time";
+            // here the warning is a hard error for a query that would run.
+            if !allow_unbounded {
                 return Err(CrowdError::UnboundedCrowdQuery(detail));
             }
             warnings.push(format!("unbounded crowd query: {detail}"));

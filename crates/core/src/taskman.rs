@@ -34,6 +34,9 @@ use crowddb_ui::template::TemplateKind;
 use crate::config::{CrowdConfig, QualityPolicy};
 use crate::par::par_map_mut;
 
+/// Maximum tuples one new-tuple assignment may carry.
+const MAX_TUPLES_PER_ASSIGNMENT: usize = 5;
+
 /// Accounting for one fulfillment pass.
 #[derive(Debug, Clone, Default)]
 pub struct FulfillSummary {
@@ -134,7 +137,7 @@ pub fn need_to_spec(
                     .iter()
                     .map(|(n, v)| (n.clone(), v.to_string()))
                     .collect(),
-                max_tuples: config.max_tuples_per_assignment,
+                max_tuples: MAX_TUPLES_PER_ASSIGNMENT,
                 instructions: templates
                     .get(table, TemplateKind::NewTuples)
                     .map(|t| t.instructions.clone())

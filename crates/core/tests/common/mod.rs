@@ -1,13 +1,31 @@
 //! Shared by the integration suites: the scripted crowd they all query.
+// Each suite is its own crate and uses its own part of this module.
+#![allow(dead_code)]
 
 use std::collections::HashMap;
 
 use crowddb_platform::{Answer, MockPlatform, TaskKind};
 
-/// Deterministic scripted crowd answering from one ground-truth world:
-/// talk abstracts and attendance, two notable attendees, punctuation- and
-/// case-insensitive entity equality, order by attendance.
+/// Whom the world names when asked for a talk's notable attendees — the
+/// one arm some suite's assertions depend on.
+#[derive(Clone, Copy)]
+pub enum Attendees {
+    /// The same two, whichever talk is asked about.
+    Fixed,
+    /// Those of the talk the task presets; a blank answer if it has none.
+    ByTalk,
+}
+
+/// Deterministic scripted crowd: [`world_answers`] with
+/// [`Attendees::Fixed`], every worker unanimous.
 pub fn world_script() -> MockPlatform {
+    MockPlatform::unanimous(world_answers(Attendees::Fixed))
+}
+
+/// The answers of one ground-truth world, a pure function of the task:
+/// talk abstracts and attendance, notable attendees, punctuation- and
+/// case-insensitive entity equality, order by attendance.
+pub fn world_answers(attendees: Attendees) -> impl Fn(&TaskKind) -> Answer + Send {
     let abstracts: HashMap<&'static str, &'static str> = HashMap::from([
         ("CrowdDB", "Query processing with crowdsourced data"),
         ("Qurk", "A query processor for human operators"),
@@ -20,7 +38,17 @@ pub fn world_script() -> MockPlatform {
         ("PIQL", 90),
         ("HyPer", 180),
     ]);
-    MockPlatform::unanimous(move |task: &TaskKind| match task {
+    let notable: HashMap<&'static str, Vec<&'static str>> = HashMap::from([
+        ("CrowdDB", vec!["Mike Franklin", "Donald Kossmann"]),
+        ("Qurk", vec!["Sam Madden"]),
+    ]);
+    let tuple = |name: &str, title: &str| {
+        vec![
+            ("name".to_string(), name.to_string()),
+            ("title".to_string(), title.to_string()),
+        ]
+    };
+    move |task: &TaskKind| match task {
         TaskKind::Probe { known, asked, .. } => {
             let title = known
                 .iter()
@@ -48,16 +76,23 @@ pub fn world_script() -> MockPlatform {
                     .collect(),
             )
         }
-        TaskKind::NewTuples { .. } => Answer::Tuples(vec![
-            vec![
-                ("name".to_string(), "Mike Franklin".to_string()),
-                ("title".to_string(), "CrowdDB".to_string()),
-            ],
-            vec![
-                ("name".to_string(), "Sam Madden".to_string()),
-                ("title".to_string(), "Qurk".to_string()),
-            ],
-        ]),
+        TaskKind::NewTuples { preset, .. } => match attendees {
+            Attendees::Fixed => Answer::Tuples(vec![
+                tuple("Mike Franklin", "CrowdDB"),
+                tuple("Sam Madden", "Qurk"),
+            ]),
+            Attendees::ByTalk => {
+                let title = preset
+                    .iter()
+                    .find(|(k, _)| k == "title")
+                    .map(|(_, v)| v.as_str())
+                    .unwrap_or("");
+                match notable.get(title) {
+                    Some(names) => Answer::Tuples(names.iter().map(|n| tuple(n, title)).collect()),
+                    None => Answer::Blank,
+                }
+            }
+        },
         TaskKind::Equal { left, right, .. } => {
             let norm = |s: &str| s.replace('.', "").to_lowercase();
             if norm(left) == norm(right) {
@@ -78,5 +113,5 @@ pub fn world_script() -> MockPlatform {
         TaskKind::EqualBatch { .. } | TaskKind::OrderBatch { .. } | TaskKind::RankGroup { .. } => {
             Answer::Blank
         }
-    })
+    }
 }

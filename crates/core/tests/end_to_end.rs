@@ -3,102 +3,19 @@
 //! escalation — i.e. the full demo pipeline from the paper with the live
 //! crowd replaced by the calibrated simulator.
 
-use std::collections::HashMap;
-
 use crowddb_common::Value;
 use crowddb_core::{CrowdConfig, CrowdDB};
 use crowddb_platform::{Answer, ClosureModel, MockPlatform, SimPlatform, TaskKind};
 use crowddb_quality::VoteConfig;
 
-/// A small "real world" the simulated crowd knows about.
+mod common;
+use common::{world_answers, Attendees};
+
+/// The small "real world" the simulated crowd knows about: the suites'
+/// shared one, with each talk's own notable attendees (the CrowdJoin test
+/// counts them).
 fn conference_world() -> ClosureModel<impl Fn(&TaskKind) -> Answer + Send> {
-    let abstracts: HashMap<&'static str, &'static str> = HashMap::from([
-        ("CrowdDB", "Query processing with crowdsourced data"),
-        ("Qurk", "A query processor for human operators"),
-        ("PIQL", "Performance insightful query language"),
-    ]);
-    let attendance: HashMap<&'static str, i64> =
-        HashMap::from([("CrowdDB", 220), ("Qurk", 140), ("PIQL", 90)]);
-    let attendees: HashMap<&'static str, Vec<&'static str>> = HashMap::from([
-        ("CrowdDB", vec!["Mike Franklin", "Donald Kossmann"]),
-        ("Qurk", vec!["Sam Madden"]),
-        ("PIQL", vec![]),
-    ]);
-    ClosureModel::new(move |task: &TaskKind| match task {
-        TaskKind::Probe { known, asked, .. } => {
-            let title = known
-                .iter()
-                .find(|(k, _)| k == "title")
-                .map(|(_, v)| v.as_str())
-                .unwrap_or("");
-            Answer::Form(
-                asked
-                    .iter()
-                    .map(|(col, _)| {
-                        let text = match col.as_str() {
-                            "abstract" => abstracts
-                                .get(title)
-                                .copied()
-                                .unwrap_or("unknown")
-                                .to_string(),
-                            "nb_attendees" => attendance
-                                .get(title)
-                                .map(|n| n.to_string())
-                                .unwrap_or_else(|| "0".to_string()),
-                            _ => "unknown".to_string(),
-                        };
-                        (col.clone(), text)
-                    })
-                    .collect(),
-            )
-        }
-        TaskKind::NewTuples { preset, .. } => {
-            let title = preset
-                .iter()
-                .find(|(k, _)| k == "title")
-                .map(|(_, v)| v.as_str())
-                .unwrap_or("");
-            let names = attendees.get(title).cloned().unwrap_or_default();
-            if names.is_empty() {
-                Answer::Blank
-            } else {
-                Answer::Tuples(
-                    names
-                        .iter()
-                        .map(|n| {
-                            vec![
-                                ("name".to_string(), n.to_string()),
-                                ("title".to_string(), title.to_string()),
-                            ]
-                        })
-                        .collect(),
-                )
-            }
-        }
-        TaskKind::Equal { left, right, .. } => {
-            // The world's truth: same entity iff case-insensitively equal
-            // after stripping dots.
-            let norm = |s: &str| s.replace('.', "").to_lowercase();
-            if norm(left) == norm(right) {
-                Answer::Yes
-            } else {
-                Answer::No
-            }
-        }
-        TaskKind::Order { left, right, .. } => {
-            // The crowd's latent preference: attendance order.
-            let score = |t: &str| attendance.get(t).copied().unwrap_or(0);
-            if score(left) >= score(right) {
-                Answer::Left
-            } else {
-                Answer::Right
-            }
-        }
-        // These scripts never post batched HITs (batching off).
-        TaskKind::EqualBatch { .. } | TaskKind::OrderBatch { .. } | TaskKind::RankGroup { .. } => {
-            Answer::Blank
-        }
-    })
+    ClosureModel::new(world_answers(Attendees::ByTalk))
 }
 
 fn setup(db: &CrowdDB) {

@@ -11,72 +11,19 @@
 //! `fulfill_workers` count, and a cancelled statement never discards an
 //! answer the crowd was already paid for.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crowddb_common::{CancelReason, CrowdError};
 use crowddb_core::{CrowdConfig, CrowdDB, GovernorPolicy};
-use crowddb_platform::{Answer, MockPlatform, Platform, TaskKind};
+use crowddb_platform::Platform;
 use crowddb_quality::VoteConfig;
 use crowddb_wal::testutil::TestDir;
 use crowddb_wal::FsyncPolicy;
 
-/// Scripted crowd: pure function of the task, so every run sees the
-/// same answers regardless of schedule.
-fn scripted() -> MockPlatform {
-    let abstracts: HashMap<&'static str, &'static str> = HashMap::from([
-        ("CrowdDB", "Query processing with crowdsourced data"),
-        ("Qurk", "A query processor for human operators"),
-        ("PIQL", "Performance insightful query language"),
-        ("HyPer", "Hybrid OLTP and OLAP main memory database"),
-    ]);
-    MockPlatform::unanimous(move |task: &TaskKind| match task {
-        TaskKind::Probe { known, asked, .. } => {
-            let title = known
-                .iter()
-                .find(|(k, _)| k == "title")
-                .map(|(_, v)| v.as_str())
-                .unwrap_or("");
-            Answer::Form(
-                asked
-                    .iter()
-                    .map(|(col, _)| {
-                        (
-                            col.clone(),
-                            abstracts
-                                .get(title)
-                                .copied()
-                                .unwrap_or("unknown")
-                                .to_string(),
-                        )
-                    })
-                    .collect(),
-            )
-        }
-        TaskKind::NewTuples { .. } => Answer::Tuples(vec![vec![
-            ("name".to_string(), "Mike Franklin".to_string()),
-            ("title".to_string(), "CrowdDB".to_string()),
-        ]]),
-        TaskKind::Equal { left, right, .. } => {
-            if left.to_lowercase().replace('.', "") == right.to_lowercase().replace('.', "") {
-                Answer::Yes
-            } else {
-                Answer::No
-            }
-        }
-        TaskKind::Order { left, right, .. } => {
-            if left.len() >= right.len() {
-                Answer::Left
-            } else {
-                Answer::Right
-            }
-        }
-        // These scripts never post batched HITs (batching off).
-        TaskKind::EqualBatch { .. } | TaskKind::OrderBatch { .. } | TaskKind::RankGroup { .. } => {
-            Answer::Blank
-        }
-    })
-}
+mod common;
+/// The suites' scripted crowd: a pure function of the task, so every run
+/// sees the same answers regardless of schedule.
+use common::world_script as scripted;
 
 fn config() -> CrowdConfig {
     let mut c = CrowdConfig::fast_test();

@@ -1,24 +1,28 @@
-//! DML execution: INSERT, UPDATE, DELETE.
+//! DML execution: INSERT, UPDATE, DELETE, in two steps.
 //!
-//! DML shares the round-based crowd semantics of queries: an `UPDATE ...
-//! WHERE name ~= 'IBM'` only touches rows whose crowd predicate is
-//! already decided; undecided comparisons are returned as needs and the
-//! statement converges on re-execution. It shares the access path too:
-//! UPDATE and DELETE choose their rows through the same optimized
+//! [`select`] decides what a statement will write and writes nothing. It
+//! shares the round-based crowd semantics of queries: an `UPDATE ... WHERE
+//! name ~= 'IBM'` selects only rows whose crowd predicate is already
+//! decided; undecided comparisons come back as needs and the statement
+//! converges on re-selection. It shares the access path too: UPDATE and
+//! DELETE choose their rows through the same optimized
 //! [`PhysicalPlan::Scan`] a `SELECT` with that `WHERE` would run
 //! ([`target_plan`]), so machine conjuncts reject rows before a crowd
 //! conjunct is asked about them and a pinned index is probed, not scanned.
 //!
-//! Multi-row statements are atomic: if any row fails (constraint
-//! violation, evaluation error), mutations already applied by the same
-//! statement are compensated before the error propagates, so the
-//! database never holds a half-applied statement. The write-ahead log
-//! depends on this — a statement is logged only after it succeeds, so a
-//! partial in-memory effect would be invisible to recovery.
+//! [`apply`] is the one function that mutates, and it evaluates nothing:
+//! it writes a [`Selection`] under the table's write lock, an UPDATE or
+//! DELETE target only if it is still stored as it was selected — `SET n =
+//! n + 1` is computed once, and a crowd answer written back between the
+//! two steps is never overwritten (the caller selects again instead). A
+//! statement is atomic: if a row fails or is found changed, what was
+//! already written is compensated under the same lock, so neither a reader
+//! nor the write-ahead log (a statement is logged only after it succeeds)
+//! ever sees half of one.
 
 use crowddb_common::{CrowdError, Result, Row, TupleId, Value};
 use crowddb_plan::{optimize, Binder, OptimizerConfig, PhysicalPlan};
-use crowddb_sql::{Delete, Expr, Insert, Update};
+use crowddb_sql::{Expr, Insert, Statement, Update};
 use crowddb_storage::Database;
 
 use crate::context::{CompareCaches, ExecCtx, ExecGuard};
@@ -28,124 +32,125 @@ use crate::need::TaskNeed;
 use crate::ops::scan::ScanOp;
 use crate::ops::TableChange;
 
-/// Result of a DML statement round.
+/// One row a statement is to write.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DmlResult {
-    /// Rows inserted/updated/deleted this round.
-    pub affected: usize,
-    /// Crowd work pending (empty ⇒ the statement is fully applied).
+pub enum Target {
+    /// Store this new row.
+    Insert(Row),
+    /// Replace the row selected at this tuple id (first) by the second.
+    Update(TupleId, Row, Row),
+    /// Remove the row selected at this tuple id.
+    Delete(TupleId, Row),
+}
+
+/// What one round of a DML statement decided: [`select`]'s output,
+/// [`apply`]'s input.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Selection {
+    /// Catalog name of the table written.
+    pub table: String,
+    /// The rows to write, in statement (`VALUES`) or tuple-id order.
+    pub targets: Vec<Target>,
+    /// Crowd work pending (empty ⇒ the selection is the whole statement).
     pub needs: Vec<TaskNeed>,
-    /// The stored rows an applied statement removed and added, when the
-    /// caller asked for them (`report`); `None` for a dry run too.
+}
+
+/// What an applied statement did.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Applied {
+    /// Rows inserted/updated/deleted.
+    pub affected: usize,
+    /// The stored rows removed and added, when the caller asked for them
+    /// (`report`): only one with a standing query to tell pays the copies.
     pub change: Option<TableChange>,
 }
 
-/// Execute an INSERT under a cooperative-cancellation guard; each row is
-/// a checkpoint, and a trip rolls the whole statement back (the normal
-/// DML atomicity path).
+/// Decide what `stmt` writes on current knowledge, under a
+/// cooperative-cancellation guard; mutates nothing.
+pub fn select(
+    db: &Database,
+    caches: &CompareCaches,
+    stmt: &Statement,
+    guard: ExecGuard,
+) -> Result<Selection> {
+    let mut ctx = ExecCtx::with_guard(db, caches, guard);
+    let (table, targets) = match stmt {
+        Statement::Insert(ins) => (&ins.table, new_rows(&mut ctx, ins)?),
+        Statement::Update(upd) => (&upd.table, new_images(&mut ctx, upd)?),
+        Statement::Delete(del) => {
+            let victims = stored_targets(&mut ctx, &del.table, del.filter.as_ref())?;
+            let delete = |(tid, row)| Target::Delete(tid, row);
+            (&del.table, victims.into_iter().map(delete).collect())
+        }
+        other => {
+            return Err(CrowdError::Internal(format!(
+                "not a DML statement: {other}"
+            )))
+        }
+    };
+    let (needs, _) = ctx.finish();
+    Ok(Selection {
+        // Catalog names are the lower-cased spelling.
+        table: table.to_ascii_lowercase(),
+        targets,
+        needs,
+    })
+}
+
+/// An INSERT's rows; each is a cancellation checkpoint.
 ///
 /// Columns omitted from an explicit column list default to `CNULL` for
 /// CROWD columns (so they will be crowdsourced on first use — the
 /// CrowdSQL default) and `NULL` otherwise.
-///
-/// `report` asks for [`DmlResult::change`]; only a caller with a standing
-/// query to tell pays the row copies.
-pub fn execute_insert(
-    db: &Database,
-    caches: &CompareCaches,
-    ins: &Insert,
-    guard: ExecGuard,
-    report: bool,
-) -> Result<DmlResult> {
+fn new_rows(ctx: &mut ExecCtx<'_>, ins: &Insert) -> Result<Vec<Target>> {
+    let db = ctx.db;
     let schema = db.schema(&ins.table)?;
-    let bound_rows: Vec<Vec<crowddb_plan::BExpr>> = {
-        db.with_catalog(|catalog| {
-            let mut binder = Binder::new(catalog);
-            ins.rows
-                .iter()
-                .map(|row| row.iter().map(|e| binder.bind_value_expr(e)).collect())
-                .collect::<Result<Vec<_>>>()
-        })?
-    };
-
+    let bound_rows: Vec<Vec<crowddb_plan::BExpr>> = db.with_catalog(|catalog| {
+        let mut binder = Binder::new(catalog);
+        ins.rows
+            .iter()
+            .map(|row| row.iter().map(|e| binder.bind_value_expr(e)).collect())
+            .collect::<Result<_>>()
+    })?;
     // Map provided expressions onto schema positions.
+    let unknown = |c| format!("unknown column '{c}' in INSERT INTO {}", schema.name);
     let positions: Vec<usize> = match &ins.columns {
-        Some(cols) => {
-            let mut out = Vec::with_capacity(cols.len());
-            for c in cols {
-                out.push(schema.column_index(c).ok_or_else(|| {
-                    CrowdError::Analyze(format!(
-                        "unknown column '{c}' in INSERT INTO {}",
-                        schema.name
-                    ))
-                })?);
-            }
-            out
-        }
+        Some(cols) => cols
+            .iter()
+            .map(|c| {
+                schema
+                    .column_index(c)
+                    .ok_or_else(|| CrowdError::Analyze(unknown(c)))
+            })
+            .collect::<Result<_>>()?,
         None => (0..schema.arity()).collect(),
     };
-
-    let mut ctx = ExecCtx::with_guard(db, caches, guard);
+    // Defaults: CNULL for crowd columns, NULL otherwise.
+    let defaults: Vec<Value> = (schema.columns.iter())
+        .map(|c| match c.crowd || schema.crowd_table {
+            true => Value::CNull,
+            false => Value::Null,
+        })
+        .collect();
     let empty = Row::default();
-    let mut inserted: Vec<TupleId> = Vec::new();
-    let mut added = Vec::new();
-    let outcome = (|| {
-        for exprs in &bound_rows {
-            ctx.rt.check()?;
-            if exprs.len() != positions.len() {
-                return Err(CrowdError::Analyze(format!(
-                    "INSERT INTO {} expects {} values, got {}",
-                    schema.name,
-                    positions.len(),
-                    exprs.len()
-                )));
-            }
-            // Defaults: CNULL for crowd columns, NULL otherwise.
-            let mut values: Vec<Value> = schema
-                .columns
-                .iter()
-                .map(|c| {
-                    if c.crowd || schema.crowd_table {
-                        Value::CNull
-                    } else {
-                        Value::Null
-                    }
-                })
-                .collect();
-            for (expr, &pos) in exprs.iter().zip(&positions) {
-                values[pos] = eval(&mut ctx, expr, &empty)?;
-            }
-            let row = Row::new(values);
-            let tid = db.with_table_mut(&schema.name, |t| {
-                // A change set holds rows as stored (validated, coerced
-                // to the column types): what a scan reads back.
-                let stored = report.then(|| t.validate_row(row.clone())).transpose()?;
-                let tid = t.insert(row)?;
-                added.extend(stored.map(|row| (tid, row)));
-                Ok(tid)
-            })?;
-            inserted.push(tid);
+    let mut rows = Vec::with_capacity(bound_rows.len());
+    for exprs in &bound_rows {
+        ctx.rt.check()?;
+        if exprs.len() != positions.len() {
+            return Err(CrowdError::Analyze(format!(
+                "INSERT INTO {} expects {} values, got {}",
+                schema.name,
+                positions.len(),
+                exprs.len()
+            )));
         }
-        Ok(())
-    })();
-    if let Err(e) = outcome {
-        // Atomicity: un-insert this statement's rows, newest first.
-        for tid in inserted.into_iter().rev() {
-            let _ = db.with_table_mut(&schema.name, |t| t.rollback_insert(tid));
+        let mut values = defaults.clone();
+        for (expr, &pos) in exprs.iter().zip(&positions) {
+            values[pos] = eval(ctx, expr, &empty)?;
         }
-        return Err(e);
+        rows.push(Target::Insert(Row::new(values)));
     }
-    let affected = inserted.len();
-    let (needs, _) = ctx.finish();
-    Ok(DmlResult {
-        affected,
-        needs,
-        change: report.then(|| TableChange {
-            table: schema.name,
-            removed: Vec::new(),
-            added,
-        }),
-    })
+    Ok(rows)
 }
 
 /// The plan that selects the rows of an `UPDATE`/`DELETE` on `table`:
@@ -159,9 +164,10 @@ pub fn target_plan(db: &Database, table: &str, filter: Option<&Expr>) -> Result<
 }
 
 /// The `(tid, row)` pairs the statement's `WHERE` passes on current
-/// knowledge, in tid order, collected in full before anything is
-/// mutated; undecided crowd predicates land in `ctx` as needs.
-fn targets(
+/// knowledge, in tid order; undecided crowd predicates land in `ctx` as
+/// needs. Collected in full, so an UPDATE may move the very key its access
+/// path used without visiting a row twice.
+fn stored_targets(
     ctx: &mut ExecCtx<'_>,
     table: &str,
     filter: Option<&Expr>,
@@ -170,22 +176,10 @@ fn targets(
     ScanOp::new(&plan).tuples(ctx)
 }
 
-/// Evaluate an UPDATE for one round under a cooperative-cancellation
-/// guard.
-///
-/// With `apply == false` this is a dry run: it reports how many rows
-/// *would* be affected and which crowd work is needed, without mutating
-/// anything. The driver resolves the needs first and applies the
-/// statement exactly once — otherwise a non-idempotent assignment like
-/// `SET n = n + 1` would be re-applied on every crowd round.
-pub fn execute_update(
-    db: &Database,
-    caches: &CompareCaches,
-    upd: &Update,
-    apply: bool,
-    guard: ExecGuard,
-    report: bool,
-) -> Result<DmlResult> {
+/// An UPDATE's rows, each with its assignments evaluated over the row as
+/// selected.
+fn new_images(ctx: &mut ExecCtx<'_>, upd: &Update) -> Result<Vec<Target>> {
+    let db = ctx.db;
     let schema = db.schema(&upd.table)?;
     let assignments = db.with_catalog(|catalog| {
         let mut binder = Binder::new(catalog);
@@ -199,93 +193,95 @@ pub fn execute_update(
         Ok::<_, CrowdError>(assignments)
     })?;
 
-    let mut ctx = ExecCtx::with_guard(db, caches, guard);
-    let mut to_apply = Vec::new();
-    for (tid, row) in targets(&mut ctx, &upd.table, upd.filter.as_ref())? {
+    let mut targets = Vec::new();
+    for (tid, row) in stored_targets(ctx, &upd.table, upd.filter.as_ref())? {
         let mut new_row = row.clone();
         for (idx, expr) in &assignments {
-            let v = eval(&mut ctx, expr, &row)?;
+            let v = eval(ctx, expr, &row)?;
             new_row.set(*idx, v);
         }
-        to_apply.push((tid, row, new_row));
+        targets.push(Target::Update(tid, row, new_row));
     }
-    let affected = to_apply.len();
-    let mut change = None;
-    if apply {
-        // The rows as they were: what a failure restores, and the
-        // `removed` half of the change set.
-        let mut applied: Vec<(TupleId, Row)> = Vec::new();
-        let mut added = Vec::new();
-        for (tid, old_row, new_row) in to_apply {
-            let updated = db.with_table_mut(&upd.table, |t| {
-                if report {
-                    added.push((tid, t.validate_row(new_row.clone())?));
-                }
-                t.update(tid, new_row)
-            });
-            match updated {
-                Ok(()) => applied.push((tid, old_row)),
-                Err(e) => {
-                    // Atomicity: put the rows this statement already
-                    // touched back the way they were.
-                    for (tid, old) in applied.into_iter().rev() {
-                        let _ = db.with_table_mut(&upd.table, |t| t.update(tid, old));
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        change = report.then_some(TableChange {
-            table: schema.name,
-            removed: applied,
-            added,
-        });
-    }
-    let (needs, _) = ctx.finish();
-    Ok(DmlResult {
-        affected,
-        needs,
-        change,
-    })
+    Ok(targets)
 }
 
-/// Evaluate a DELETE for one round; `apply == false` is a dry run (see
-/// [`execute_update`]).
-pub fn execute_delete(
-    db: &Database,
-    caches: &CompareCaches,
-    del: &Delete,
-    apply: bool,
-    guard: ExecGuard,
-    report: bool,
-) -> Result<DmlResult> {
-    let mut ctx = ExecCtx::with_guard(db, caches, guard);
-    let victims = targets(&mut ctx, &del.table, del.filter.as_ref())?;
-    let affected = victims.len();
-    if apply {
-        for (tid, _) in &victims {
-            db.with_table_mut(&del.table, |t| t.delete(*tid).map(|_| ()))?;
+/// How to take back one write of a statement.
+enum Undo {
+    Insert(TupleId),
+    Update(TupleId, Row),
+    Delete(TupleId, Row),
+}
+
+/// Write `selection`, all of it or nothing, under the table's write
+/// lock. `Ok(None)` — and nothing changed — when an UPDATE or DELETE
+/// target is no longer stored as it was selected (a crowd write-back or
+/// another session got there first): select again.
+pub fn apply(db: &Database, selection: Selection, report: bool) -> Result<Option<Applied>> {
+    let Selection { table, targets, .. } = selection;
+    db.with_table_mut(&table, |t| {
+        let mut done = Vec::with_capacity(targets.len());
+        // A change set holds rows as stored (validated, coerced to the
+        // column types): what a scan reads back.
+        let mut added = Vec::new();
+        let outcome = (|| {
+            for target in targets {
+                let stored = match &target {
+                    Target::Insert(new) | Target::Update(_, _, new) if report => {
+                        Some(t.validate_row(new.clone())?)
+                    }
+                    _ => None,
+                };
+                let wrote = match target {
+                    Target::Insert(new) => Some(Undo::Insert(t.insert(new)?)),
+                    Target::Update(tid, old, new) => t
+                        .update_if(tid, &old, new)?
+                        .then_some(Undo::Update(tid, old)),
+                    Target::Delete(tid, old) => {
+                        t.delete_if(tid, &old)?.then_some(Undo::Delete(tid, old))
+                    }
+                };
+                let Some(undo) = wrote else {
+                    return Ok(false);
+                };
+                let (Undo::Insert(tid) | Undo::Update(tid, _) | Undo::Delete(tid, _)) = undo;
+                added.extend(stored.map(|row| (tid, row)));
+                done.push(undo);
+            }
+            Ok(true)
+        })();
+        if !matches!(outcome, Ok(true)) {
+            // Atomicity: take this statement's writes back, newest first
+            // (so an un-inserted row is the tail and its slot is reclaimed).
+            for undo in done.into_iter().rev() {
+                let _ = match undo {
+                    Undo::Insert(tid) => t.rollback_insert(tid).map(drop),
+                    Undo::Update(tid, old) => t.update(tid, old),
+                    Undo::Delete(tid, old) => t.restore_at(tid, old),
+                };
+            }
+            return outcome.map(|_| None);
         }
-    }
-    // Catalog names are the lower-cased spelling (`with_table_mut` above
-    // found the table by it).
-    let change = (apply && report).then(|| TableChange {
-        table: del.table.to_ascii_lowercase(),
-        removed: victims,
-        added: Vec::new(),
-    });
-    let (needs, _) = ctx.finish();
-    Ok(DmlResult {
-        affected,
-        needs,
-        change,
+        Ok(Some(Applied {
+            affected: done.len(),
+            change: report.then(|| TableChange {
+                table: table.clone(),
+                removed: done
+                    .into_iter()
+                    .filter_map(|undo| match undo {
+                        Undo::Insert(_) => None,
+                        Undo::Update(tid, old) | Undo::Delete(tid, old) => Some((tid, old)),
+                    })
+                    .collect(),
+                added,
+            }),
+        }))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowddb_sql::{parse_statement, Statement};
+    use crowddb_sql::parse_statement;
 
     fn setup() -> Database {
         let db = Database::new();
@@ -299,26 +295,33 @@ mod tests {
         db
     }
 
-    fn insert(db: &Database, sql: &str) -> DmlResult {
-        let Statement::Insert(i) = parse_statement(sql).unwrap() else {
-            panic!()
-        };
-        execute_insert(
-            db,
-            &CompareCaches::default(),
-            &i,
-            ExecGuard::unlimited(),
-            false,
-        )
-        .unwrap()
+    /// One round of `sql`, selected and applied: rows affected and the
+    /// needs left.
+    fn run(db: &Database, caches: &CompareCaches, sql: &str) -> Result<(usize, Vec<TaskNeed>)> {
+        let stmt = parse_statement(sql).unwrap();
+        let selection = select(db, caches, &stmt, ExecGuard::unlimited())?;
+        let needs = selection.needs.clone();
+        let applied = apply(db, selection, false)?.expect("nothing wrote in between");
+        Ok((applied.affected, needs))
+    }
+
+    fn exec(db: &Database, sql: &str) -> usize {
+        let (affected, needs) = run(db, &CompareCaches::default(), sql).unwrap();
+        assert!(needs.is_empty(), "{sql}: {needs:?}");
+        affected
+    }
+
+    fn rows(db: &Database) -> Vec<(TupleId, Row)> {
+        db.with_table("talk", |t| t.scan_rows()).unwrap().unwrap()
     }
 
     #[test]
     fn insert_full_row() {
         let db = setup();
-        let r = insert(&db, "INSERT INTO talk VALUES ('CrowdDB', CNULL, CNULL)");
-        assert_eq!(r.affected, 1);
-        assert!(r.needs.is_empty());
+        assert_eq!(
+            exec(&db, "INSERT INTO talk VALUES ('CrowdDB', CNULL, CNULL)"),
+            1
+        );
         assert_eq!(db.stats("talk").unwrap().live_rows, 1);
         assert_eq!(db.stats("talk").unwrap().cnull_values, 2);
     }
@@ -326,8 +329,8 @@ mod tests {
     #[test]
     fn insert_partial_defaults_crowd_columns_to_cnull() {
         let db = setup();
-        insert(&db, "INSERT INTO talk (title) VALUES ('Qurk')");
-        let rows = db.with_table("talk", |t| t.scan_rows()).unwrap().unwrap();
+        exec(&db, "INSERT INTO talk (title) VALUES ('Qurk')");
+        let rows = rows(&db);
         assert!(rows[0].1[1].is_cnull(), "abstract defaults to CNULL");
         assert!(rows[0].1[2].is_cnull(), "nb_attendees defaults to CNULL");
     }
@@ -335,12 +338,9 @@ mod tests {
     #[test]
     fn insert_multi_row_and_expressions() {
         let db = setup();
-        let r = insert(
-            &db,
-            "INSERT INTO talk (title, nb_attendees) VALUES ('a', 50 + 50), ('b', 2 * 10)",
-        );
-        assert_eq!(r.affected, 2);
-        let rows = db.with_table("talk", |t| t.scan_rows()).unwrap().unwrap();
+        let sql = "INSERT INTO talk (title, nb_attendees) VALUES ('a', 50 + 50), ('b', 2 * 10)";
+        assert_eq!(exec(&db, sql), 2);
+        let rows = rows(&db);
         assert_eq!(rows[0].1[2], Value::Int(100));
         assert_eq!(rows[1].1[2], Value::Int(20));
     }
@@ -348,192 +348,119 @@ mod tests {
     #[test]
     fn insert_arity_mismatch() {
         let db = setup();
-        let Statement::Insert(i) =
-            parse_statement("INSERT INTO talk (title) VALUES ('a', 'b')").unwrap()
-        else {
-            panic!()
-        };
-        assert!(execute_insert(
-            &db,
-            &CompareCaches::default(),
-            &i,
-            ExecGuard::unlimited(),
-            false
-        )
-        .is_err());
+        let sql = "INSERT INTO talk (title) VALUES ('a', 'b')";
+        assert!(run(&db, &CompareCaches::default(), sql).is_err());
+    }
+
+    #[test]
+    fn insert_unknown_column() {
+        let db = setup();
+        let sql = "INSERT INTO talk (nope) VALUES (1)";
+        assert!(run(&db, &CompareCaches::default(), sql).is_err());
+    }
+
+    #[test]
+    fn select_mutates_nothing() {
+        let db = setup();
+        exec(&db, TWO_TALKS);
+        let before = db.snapshot().unwrap();
+        for sql in [
+            "INSERT INTO talk (title) VALUES ('c')",
+            "UPDATE talk SET nb_attendees = nb_attendees + 1",
+            "DELETE FROM talk",
+        ] {
+            let stmt = parse_statement(sql).unwrap();
+            let s = select(
+                &db,
+                &CompareCaches::default(),
+                &stmt,
+                ExecGuard::unlimited(),
+            )
+            .unwrap();
+            assert!(!s.targets.is_empty(), "{sql}");
+            assert_eq!(db.snapshot().unwrap(), before, "{sql}");
+        }
     }
 
     #[test]
     fn failed_multi_row_insert_rolls_back_entirely() {
         let db = setup();
-        insert(&db, "INSERT INTO talk (title) VALUES ('keep')");
-        let Statement::Insert(i) =
-            parse_statement("INSERT INTO talk (title) VALUES ('a'), ('b'), ('keep'), ('c')")
-                .unwrap()
-        else {
-            panic!()
-        };
+        exec(&db, "INSERT INTO talk (title) VALUES ('keep')");
         // 'keep' violates the primary key after 'a' and 'b' landed.
-        assert!(execute_insert(
-            &db,
-            &CompareCaches::default(),
-            &i,
-            ExecGuard::unlimited(),
-            false
-        )
-        .is_err());
-        let rows = db.with_table("talk", |t| t.scan_rows()).unwrap().unwrap();
-        assert_eq!(rows.len(), 1, "partial statement must be rolled back");
+        let sql = "INSERT INTO talk (title) VALUES ('a'), ('b'), ('keep'), ('c')";
+        assert!(run(&db, &CompareCaches::default(), sql).is_err());
+        assert_eq!(rows(&db).len(), 1, "partial statement must be rolled back");
         // Tuple-id space is clean too: the next insert reuses slot 1, as
         // a log replay (which never sees the failed statement) would.
-        insert(&db, "INSERT INTO talk (title) VALUES ('next')");
-        let rows = db.with_table("talk", |t| t.scan_rows()).unwrap().unwrap();
-        assert_eq!(rows[1].0, crowddb_common::TupleId(1));
+        exec(&db, "INSERT INTO talk (title) VALUES ('next')");
+        assert_eq!(rows(&db)[1].0, TupleId(1));
     }
 
     #[test]
     fn failed_update_restores_touched_rows() {
         let db = setup();
-        insert(
+        exec(
             &db,
             "INSERT INTO talk (title, nb_attendees) VALUES ('a', 1), ('b', 2), ('c', 3)",
         );
         // Renaming every title to 'z' violates the primary key on the
         // second row; the first row's rename must be undone.
-        let Statement::Update(u) = parse_statement("UPDATE talk SET title = 'z'").unwrap() else {
-            panic!()
-        };
-        assert!(execute_update(
+        assert!(run(
             &db,
             &CompareCaches::default(),
-            &u,
-            true,
-            ExecGuard::unlimited(),
-            false
+            "UPDATE talk SET title = 'z'"
         )
         .is_err());
-        let rows = db.with_table("talk", |t| t.scan_rows()).unwrap().unwrap();
-        let titles: Vec<_> = rows.iter().map(|(_, r)| r[0].clone()).collect();
+        let titles: Vec<_> = rows(&db).iter().map(|(_, r)| r[0].clone()).collect();
         assert_eq!(
             titles,
             vec![Value::str("a"), Value::str("b"), Value::str("c")]
         );
     }
 
-    #[test]
-    fn insert_unknown_column() {
-        let db = setup();
-        let Statement::Insert(i) = parse_statement("INSERT INTO talk (nope) VALUES (1)").unwrap()
-        else {
-            panic!()
-        };
-        assert!(execute_insert(
-            &db,
-            &CompareCaches::default(),
-            &i,
-            ExecGuard::unlimited(),
-            false
-        )
-        .is_err());
-    }
+    const TWO_TALKS: &str = "INSERT INTO talk VALUES ('a', 'x', 10), ('b', 'y', 20)";
 
     #[test]
     fn update_with_filter() {
         let db = setup();
-        insert(
-            &db,
-            "INSERT INTO talk VALUES ('a', 'x', 10), ('b', 'y', 20)",
-        );
-        let Statement::Update(u) =
-            parse_statement("UPDATE talk SET nb_attendees = nb_attendees + 5 WHERE title = 'a'")
-                .unwrap()
-        else {
-            panic!()
-        };
-        let r = execute_update(
-            &db,
-            &CompareCaches::default(),
-            &u,
-            true,
-            ExecGuard::unlimited(),
-            false,
-        )
-        .unwrap();
-        assert_eq!(r.affected, 1);
-        let rows = db.with_table("talk", |t| t.scan_rows()).unwrap().unwrap();
-        assert_eq!(rows[0].1[2], Value::Int(15));
-        assert_eq!(rows[1].1[2], Value::Int(20));
+        exec(&db, TWO_TALKS);
+        let sql = "UPDATE talk SET nb_attendees = nb_attendees + 5 WHERE title = 'a'";
+        assert_eq!(exec(&db, sql), 1);
+        assert_eq!(rows(&db)[0].1[2], Value::Int(15));
+        assert_eq!(rows(&db)[1].1[2], Value::Int(20));
     }
 
     #[test]
     fn update_all_rows_without_filter() {
         let db = setup();
-        insert(
-            &db,
-            "INSERT INTO talk VALUES ('a', 'x', 10), ('b', 'y', 20)",
-        );
-        let Statement::Update(u) = parse_statement("UPDATE talk SET abstract = 'revised'").unwrap()
-        else {
-            panic!()
-        };
-        let r = execute_update(
-            &db,
-            &CompareCaches::default(),
-            &u,
-            true,
-            ExecGuard::unlimited(),
-            false,
-        )
-        .unwrap();
-        assert_eq!(r.affected, 2);
+        exec(&db, TWO_TALKS);
+        assert_eq!(exec(&db, "UPDATE talk SET abstract = 'revised'"), 2);
     }
 
     #[test]
     fn delete_with_filter() {
         let db = setup();
-        insert(
-            &db,
-            "INSERT INTO talk VALUES ('a', 'x', 10), ('b', 'y', 20)",
-        );
-        let Statement::Delete(d) =
-            parse_statement("DELETE FROM talk WHERE nb_attendees > 15").unwrap()
-        else {
-            panic!()
-        };
-        let r = execute_delete(
-            &db,
-            &CompareCaches::default(),
-            &d,
-            true,
-            ExecGuard::unlimited(),
-            false,
-        )
-        .unwrap();
-        assert_eq!(r.affected, 1);
+        exec(&db, TWO_TALKS);
+        assert_eq!(exec(&db, "DELETE FROM talk WHERE nb_attendees > 15"), 1);
         assert_eq!(db.stats("talk").unwrap().live_rows, 1);
+    }
+
+    #[test]
+    fn delete_everything() {
+        let db = setup();
+        exec(&db, TWO_TALKS);
+        assert_eq!(exec(&db, "DELETE FROM talk"), 2);
+        assert_eq!(db.stats("talk").unwrap().live_rows, 0);
     }
 
     #[test]
     fn crowd_predicate_in_dml_reports_needs() {
         let db = setup();
-        insert(&db, "INSERT INTO talk VALUES ('CrowDB', 'x', 10)");
-        let Statement::Update(u) =
-            parse_statement("UPDATE talk SET abstract = 'fixed' WHERE title ~= 'CrowdDB'").unwrap()
-        else {
-            panic!()
-        };
+        exec(&db, "INSERT INTO talk VALUES ('CrowDB', 'x', 10)");
+        let sql = "UPDATE talk SET abstract = 'fixed' WHERE title ~= 'CrowdDB'";
         // Round 1: the comparison is unknown — nothing updated, one need.
-        let r = execute_update(
-            &db,
-            &CompareCaches::default(),
-            &u,
-            true,
-            ExecGuard::unlimited(),
-            false,
-        )
-        .unwrap();
-        assert_eq!(r.affected, 0);
-        assert_eq!(r.needs.len(), 1);
+        let (affected, needs) = run(&db, &CompareCaches::default(), sql).unwrap();
+        assert_eq!((affected, needs.len()), (0, 1));
         // Crowd says yes; round 2 applies the update.
         let mut caches = CompareCaches::default();
         caches.put_equal(
@@ -542,31 +469,7 @@ mod tests {
             "Do these two values refer to the same entity?",
             true,
         );
-        let r = execute_update(&db, &caches, &u, true, ExecGuard::unlimited(), false).unwrap();
-        assert_eq!(r.affected, 1);
-        assert!(r.needs.is_empty());
-    }
-
-    #[test]
-    fn delete_everything() {
-        let db = setup();
-        insert(
-            &db,
-            "INSERT INTO talk VALUES ('a', 'x', 10), ('b', 'y', 20)",
-        );
-        let Statement::Delete(d) = parse_statement("DELETE FROM talk").unwrap() else {
-            panic!()
-        };
-        let r = execute_delete(
-            &db,
-            &CompareCaches::default(),
-            &d,
-            true,
-            ExecGuard::unlimited(),
-            false,
-        )
-        .unwrap();
-        assert_eq!(r.affected, 2);
-        assert_eq!(db.stats("talk").unwrap().live_rows, 0);
+        let (affected, needs) = run(&db, &caches, sql).unwrap();
+        assert_eq!((affected, needs.len()), (1, 0));
     }
 }

@@ -59,7 +59,6 @@ pub fn lower_plan(db: &Database, plan: &LogicalPlan) -> PhysicalPlan {
                 .map(|i| crowddb_plan::IndexMeta {
                     name: i.name.clone(),
                     columns: i.columns.clone(),
-                    ordered: i.ordered(),
                 })
                 .collect()
         })
@@ -193,7 +192,7 @@ fn run_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dml::{execute_insert, execute_update};
+    use crate::dml;
     use crowddb_common::row;
     use crowddb_plan::{optimize, Binder, OptimizerConfig};
     use crowddb_sql::{parse_statement, Statement};
@@ -234,12 +233,13 @@ mod tests {
     /// Apply a DML statement and hand back the rows it changed.
     fn apply(db: &Database, sql: &str) -> TableChange {
         let (caches, guard) = (CompareCaches::default(), ExecGuard::unlimited());
-        let applied = match parse_statement(sql).unwrap() {
-            Statement::Insert(i) => execute_insert(db, &caches, &i, guard, true),
-            Statement::Update(u) => execute_update(db, &caches, &u, true, guard, true),
-            other => panic!("{other}"),
-        };
-        applied.unwrap().change.expect("asked for")
+        let stmt = parse_statement(sql).unwrap();
+        let selection = dml::select(db, &caches, &stmt, guard).unwrap();
+        let applied = dml::apply(db, selection, true).unwrap();
+        applied
+            .expect("nobody else writes")
+            .change
+            .expect("asked for")
     }
 
     /// What one single-row UPDATE makes the delta rules of crowdbench's

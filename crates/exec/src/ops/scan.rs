@@ -221,15 +221,7 @@ impl<'p> ScanOp<'p> {
                 (None, Access::Range { index, low, high }) => {
                     let low = low.clone().map(|v| IndexKey(vec![v]));
                     let high = high.clone().map(|v| IndexKey(vec![v]));
-                    let lookup = |idx: &Index| {
-                        idx.range(t.pager(), low.as_ref(), high.as_ref())?
-                            .ok_or_else(|| {
-                                CrowdError::Internal(format!(
-                                    "index {} on {} is unordered but was planned for a range scan",
-                                    index.name, self.table
-                                ))
-                            })
-                    };
+                    let lookup = |idx: &Index| idx.range(t.pager(), low.as_ref(), high.as_ref());
                     self.index_fetch(ctx, t, index, 1, lookup, each)
                 }
                 (None, Access::Full) => {

@@ -10,14 +10,21 @@
 //! so tuple ids too) and the crowd work asked for — where the new path
 //! may ask for *less* (it never asks about a row a machine conjunct or an
 //! index already rejected), never for anything the oracle would not.
+//!
+//! The subject is driven the way the engine drives it: `dml::select`
+//! once (held to the oracle's dry run, and to having written nothing),
+//! then `dml::apply` of that very selection (held to the oracle's apply).
+//! What `apply` does when the selection has gone stale in between —
+//! compare-on-write, compensation, "select again" — is the second half
+//! of this file.
 
-use crowddb_common::{CrowdError, Result, Row, TupleId};
-use crowddb_exec::dml::{execute_delete, execute_update, target_plan, DmlResult};
+use crowddb_common::{CrowdError, Result, Row, TupleId, Value};
+use crowddb_exec::dml::{self, target_plan, Selection, Target};
 use crowddb_exec::eval::{eval, eval_truth};
 use crowddb_exec::{CompareCaches, ExecCtx, ExecGuard, TableChange, TaskNeed};
 use crowddb_plan::Binder;
 use crowddb_sql::{parse_statement, Statement};
-use crowddb_storage::{Database, IndexKind, PagerConfig};
+use crowddb_storage::{Database, PagerConfig};
 
 const EQUAL: &str = "Do these two values refer to the same entity?";
 
@@ -30,17 +37,27 @@ fn create(db: &Database, ddl: &str) {
 }
 
 fn insert(db: &Database, sql: &str) {
-    let Statement::Insert(i) = parse_statement(sql).unwrap() else {
-        panic!("{sql}")
-    };
-    crowddb_exec::dml::execute_insert(
+    let selection = select(
         db,
         &CompareCaches::default(),
-        &i,
-        ExecGuard::unlimited(),
-        false,
-    )
-    .expect(sql);
+        &parse_statement(sql).unwrap(),
+    );
+    dml::apply(db, selection.expect(sql), false)
+        .expect(sql)
+        .expect("nobody else writes");
+}
+
+fn select(db: &Database, caches: &CompareCaches, stmt: &Statement) -> Result<Selection> {
+    dml::select(db, caches, stmt, ExecGuard::unlimited())
+}
+
+/// One round of a statement, as either side reports it.
+#[derive(Debug)]
+struct Round {
+    affected: usize,
+    needs: Vec<TaskNeed>,
+    /// The rows an applied round removed and added.
+    change: Option<TableChange>,
 }
 
 /// `item`: single-column PK, a B-tree on a nullable machine column
@@ -67,7 +84,7 @@ fn world() -> Database {
         ("item_score", "item", "score"),
         ("priced_price", "priced", "price"),
     ] {
-        db.create_index(name, table, &[col.to_string()], false, IndexKind::BTree)
+        db.create_index(name, table, &[col.to_string()], false)
             .unwrap();
     }
     insert(
@@ -114,12 +131,7 @@ fn oracle_targets(
 /// The reference UPDATE/DELETE, apply and rollback included. Its change
 /// set is read back from storage: the rows the victims' tuple ids held
 /// before, the rows they hold after.
-fn oracle(
-    db: &Database,
-    caches: &CompareCaches,
-    stmt: &Statement,
-    apply: bool,
-) -> Result<DmlResult> {
+fn oracle(db: &Database, caches: &CompareCaches, stmt: &Statement, apply: bool) -> Result<Round> {
     let mut ctx = ExecCtx::with_guard(db, caches, ExecGuard::unlimited());
     let mut change = None;
     let affected = match stmt {
@@ -187,24 +199,11 @@ fn oracle(
         other => panic!("not an UPDATE/DELETE: {other}"),
     };
     let (needs, _) = ctx.finish();
-    Ok(DmlResult {
+    Ok(Round {
         affected,
         needs,
         change,
     })
-}
-
-fn subject(
-    db: &Database,
-    caches: &CompareCaches,
-    stmt: &Statement,
-    apply: bool,
-) -> Result<DmlResult> {
-    match stmt {
-        Statement::Update(u) => execute_update(db, caches, u, apply, ExecGuard::unlimited(), true),
-        Statement::Delete(d) => execute_delete(db, caches, d, apply, ExecGuard::unlimited(), true),
-        other => panic!("not an UPDATE/DELETE: {other}"),
-    }
 }
 
 fn need_keys(needs: &[TaskNeed]) -> Vec<String> {
@@ -213,45 +212,55 @@ fn need_keys(needs: &[TaskNeed]) -> Vec<String> {
     keys
 }
 
-/// Run `sql` through the subject and the oracle on twin worlds — dry run,
-/// then apply — and hold every observable to the oracle's. Returns the
-/// subject's apply-round result.
-fn differential(sql: &str, caches: &CompareCaches) -> Result<DmlResult> {
+/// Run `sql` through the subject and the oracle on twin worlds — select
+/// against the oracle's dry run, then apply that selection against the
+/// oracle's apply — and hold every observable to the oracle's. Returns
+/// the subject's apply-round result.
+fn differential(sql: &str, caches: &CompareCaches) -> Result<Round> {
     let stmt = parse_statement(sql).unwrap();
     let (ours, theirs) = (world(), world());
     let untouched = ours.snapshot().unwrap();
-    let mut last = None;
-    for apply in [false, true] {
-        let got = subject(&ours, caches, &stmt, apply);
-        let want = oracle(&theirs, caches, &stmt, apply);
+    let held = |step: &str, got: &Result<Round>, want: Result<Round>| {
         assert_eq!(
             ours.snapshot().unwrap(),
             theirs.snapshot().unwrap(),
-            "{sql} (apply={apply}): stored state diverges"
+            "{sql} ({step}): stored state diverges"
         );
-        match (&got, &want) {
+        match (got, &want) {
             (Ok(g), Ok(w)) => {
-                assert_eq!(g.affected, w.affected, "{sql} (apply={apply})");
-                assert_eq!(g.change, w.change, "{sql} (apply={apply}): change set");
+                assert_eq!(g.affected, w.affected, "{sql} ({step})");
+                assert_eq!(g.change, w.change, "{sql} ({step}): change set");
                 let (g, w) = (need_keys(&g.needs), need_keys(&w.needs));
                 assert!(
                     g.iter().all(|n| w.contains(n)),
-                    "{sql} (apply={apply}): asks what the oracle does not: {g:?} vs {w:?}"
+                    "{sql} ({step}): asks what the oracle does not: {g:?} vs {w:?}"
                 );
             }
             (Err(_), Err(_)) => {}
-            _ => panic!("{sql} (apply={apply}): {got:?} vs {want:?}"),
+            _ => panic!("{sql} ({step}): {got:?} vs {want:?}"),
         }
-        if !apply {
-            assert_eq!(
-                ours.snapshot().unwrap(),
-                untouched,
-                "{sql}: dry run mutated"
-            );
-        }
-        last = Some(got);
-    }
-    last.expect("two rounds ran")
+    };
+
+    let selection = select(&ours, caches, &stmt);
+    let selected = selection.as_ref().map_err(Clone::clone).map(|s| Round {
+        affected: s.targets.len(),
+        needs: s.needs.clone(),
+        change: None,
+    });
+    held("select", &selected, oracle(&theirs, caches, &stmt, false));
+    assert_eq!(ours.snapshot().unwrap(), untouched, "{sql}: select mutated");
+
+    let applied = selection.and_then(|s| {
+        let needs = s.needs.clone();
+        let applied = dml::apply(&ours, s, true)?.expect("nobody else writes");
+        Ok(Round {
+            affected: applied.affected,
+            needs,
+            change: applied.change,
+        })
+    });
+    held("apply", &applied, oracle(&theirs, caches, &stmt, true));
+    applied
 }
 
 fn access_of(sql: &str) -> &'static str {
@@ -482,7 +491,9 @@ fn pk_dml_page_touches_do_not_scale_with_the_table() {
         let measure = |sql: &str| {
             let stmt = parse_statement(sql).unwrap();
             let before = db.pager_stats();
-            assert_eq!(subject(&db, &caches, &stmt, true).unwrap().affected, 1);
+            let selection = select(&db, &caches, &stmt).unwrap();
+            let applied = dml::apply(&db, selection, true).unwrap().unwrap();
+            assert_eq!(applied.affected, 1);
             let d = db.pager_stats().diff(&before);
             d.pages_read + d.pool_hits
         };
@@ -505,4 +516,142 @@ fn pk_dml_page_touches_do_not_scale_with_the_table() {
             "PK {what}: {small} page touches at 200 rows, {large} at 4 000"
         );
     }
+}
+
+// ── A selection that went stale before it was applied ──────────────────
+
+fn stored(db: &Database, table: &str) -> Vec<(TupleId, Row)> {
+    db.with_table(table, |t| t.scan_rows()).unwrap().unwrap()
+}
+
+/// "Paid answers never lost": a crowd answer written back between select
+/// and apply is not overwritten by the row image the selection holds.
+/// `apply` declines, having changed nothing, and the statement's effect
+/// is then computed from the image that is there.
+#[test]
+fn a_write_back_between_select_and_apply_survives() {
+    let caches = CompareCaches::default();
+    // (statement, the tuple and column the crowd fills meanwhile, what it
+    // says, and what the tuple must hold in the end)
+    for (sql, tid, col, answer, want) in [
+        // The answer lands in a column the statement does not assign …
+        (
+            "UPDATE item SET grp = grp + 1 WHERE grp = 1",
+            TupleId(1),
+            2,
+            20i64,
+            vec![2.into(), "n2".into(), 20i64.into(), 2i64.into()],
+        ),
+        // … and in the one it reads and assigns: 35 + 1, not 30 + 1.
+        (
+            "UPDATE item SET score = score + 1 WHERE id = 3",
+            TupleId(2),
+            2,
+            35,
+            vec![3.into(), "n3".into(), 36i64.into(), 2i64.into()],
+        ),
+    ] {
+        let db = world();
+        let stmt = parse_statement(sql).unwrap();
+        let stale = select(&db, &caches, &stmt).unwrap();
+        db.write_back_value("item", tid, col, answer.into())
+            .unwrap();
+        let written_back = db.snapshot().unwrap();
+        assert_eq!(dml::apply(&db, stale.clone(), true).unwrap(), None, "{sql}");
+        assert_eq!(
+            db.snapshot().unwrap(),
+            written_back,
+            "{sql}: a declined apply left something behind"
+        );
+        let fresh = select(&db, &caches, &stmt).unwrap();
+        assert_eq!(fresh.targets.len(), stale.targets.len(), "{sql}");
+        let applied = dml::apply(&db, fresh, true).unwrap().expect("current");
+        assert_eq!(applied.affected, stale.targets.len(), "{sql}");
+        let row = db.with_table("item", |t| t.get(tid)).unwrap().unwrap();
+        assert_eq!(row, Some(Row::new(want)), "{sql}");
+        // The change set says what was really replaced: the image with
+        // the answer in it.
+        let change = applied.change.expect("asked for");
+        let removed = change.removed.iter().find(|(t, _)| *t == tid).unwrap();
+        assert_eq!(removed.1[col], Value::Int(answer), "{sql}");
+    }
+}
+
+/// A multi-row statement that finds its k-th target changed or gone puts
+/// back the k−1 rows it already wrote — same tuple ids, same index
+/// entries — before it asks to be selected again.
+#[test]
+fn a_stale_target_mid_statement_undoes_the_rows_before_it() {
+    let caches = CompareCaches::default();
+    for sql in [
+        "DELETE FROM item WHERE grp = 2",
+        "UPDATE item SET id = id + 100, grp = 9 WHERE grp = 2",
+    ] {
+        for meanwhile in [
+            "UPDATE item SET name = 'moved' WHERE id = 10",
+            "DELETE FROM item WHERE id = 10",
+        ] {
+            let db = world();
+            let stmt = parse_statement(sql).unwrap();
+            let stale = select(&db, &caches, &stmt).unwrap();
+            // ids 3, 4 and 10, in tid order: the last is the one that moves.
+            assert_eq!(stale.targets.len(), 3, "{sql}");
+            insert(&db, meanwhile);
+            let before = (db.snapshot().unwrap(), stored(&db, "item"));
+            assert_eq!(dml::apply(&db, stale, true).unwrap(), None, "{sql}");
+            assert_eq!(
+                (db.snapshot().unwrap(), stored(&db, "item")),
+                before,
+                "{sql} after {meanwhile}: half a statement stayed"
+            );
+            // Every index still finds the rows that were put back.
+            for (probe, hits) in [
+                ("id = 3", 1),
+                ("id = 103", 0),
+                ("grp = 2", 3),
+                ("grp = 9", 0),
+            ] {
+                let probe = parse_statement(&format!("DELETE FROM item WHERE {probe}")).unwrap();
+                let found = select(&db, &caches, &probe).unwrap().targets.len();
+                let gone = (meanwhile.starts_with("DELETE") && hits == 3) as usize;
+                assert_eq!(found, hits - gone, "{sql} after {meanwhile}: {probe}");
+            }
+            // Selected again, the statement acts on what is there now.
+            let fresh = select(&db, &caches, &stmt).unwrap();
+            let applied = dml::apply(&db, fresh, true).unwrap().expect("current");
+            assert_eq!(
+                applied.affected,
+                if meanwhile.starts_with("DELETE") {
+                    2
+                } else {
+                    3
+                },
+                "{sql} after {meanwhile}"
+            );
+        }
+    }
+}
+
+/// A tuple that is gone counts for nothing: two selections of the same
+/// DELETE, applied one after the other, affect the row once.
+#[test]
+fn a_row_is_deleted_once() {
+    let db = world();
+    let caches = CompareCaches::default();
+    let stmt = parse_statement("DELETE FROM item WHERE id = 7").unwrap();
+    let (first, second) = (
+        select(&db, &caches, &stmt).unwrap(),
+        select(&db, &caches, &stmt).unwrap(),
+    );
+    assert!(matches!(first.targets[..], [Target::Delete(TupleId(6), _)]));
+    let applied = dml::apply(&db, first, true).unwrap().expect("current");
+    assert_eq!(applied.affected, 1);
+    assert_eq!(applied.change.unwrap().removed.len(), 1);
+    assert_eq!(dml::apply(&db, second, true).unwrap(), None);
+    let again = select(&db, &caches, &stmt).unwrap();
+    let applied = dml::apply(&db, again, true).unwrap().expect("current");
+    assert_eq!(
+        (applied.affected, applied.change.unwrap().is_empty()),
+        (0, true)
+    );
 }

@@ -518,14 +518,8 @@ fn index_point_lookup_unifies_numeric_literals() {
     for i in 0..5 {
         db.insert("dept", row![format!("d{i}"), i as i64]).unwrap();
     }
-    db.create_index(
-        "dept_building",
-        "dept",
-        &["building".to_string()],
-        false,
-        crowddb_storage::IndexKind::BTree,
-    )
-    .unwrap();
+    db.create_index("dept_building", "dept", &["building".to_string()], false)
+        .unwrap();
     // SQL `=` unifies Int and Float; an index probe matches stored keys
     // exactly, so a float literal on an INTEGER key must not probe.
     let r = run(&db, "SELECT dept FROM dept WHERE building = 3.0");
@@ -573,19 +567,13 @@ fn crowdequal_needs_identical_for_query_and_dml_paths() {
         &db,
         "SELECT title FROM talk WHERE abstract ~= 'same.abstract'",
     );
-    let Statement::Update(upd) =
-        parse_statement("UPDATE talk SET nb_attendees = 0 WHERE abstract ~= 'same.abstract'")
-            .unwrap()
-    else {
-        panic!()
-    };
-    let dml = crowddb_exec::dml::execute_update(
+    let upd = parse_statement("UPDATE talk SET nb_attendees = 0 WHERE abstract ~= 'same.abstract'")
+        .unwrap();
+    let dml = crowddb_exec::dml::select(
         &db,
         &CompareCaches::default(),
         &upd,
-        false,
         crowddb_exec::ExecGuard::unlimited(),
-        false,
     )
     .unwrap();
     assert_eq!(

@@ -20,7 +20,7 @@ use crowddb_exec::{
 use crowddb_plan::cardinality::FnStats;
 use crowddb_plan::{optimize, Binder, LogicalPlan, OptimizerConfig};
 use crowddb_sql::{parse_statement, Statement};
-use crowddb_storage::{Database, IndexKind};
+use crowddb_storage::Database;
 
 const ROUNDS: usize = 6;
 
@@ -74,7 +74,6 @@ fn world() -> Database {
         "talk",
         &["nb_attendees".to_string()],
         false,
-        IndexKind::BTree,
     )
     .unwrap();
     for title in ["CrowdDB", "Qurk", "PIQL", "HyPer", "Deco", "CrowdER"] {

@@ -42,8 +42,6 @@ pub struct IndexMeta {
     pub name: String,
     /// Base-table column ordinals the index covers, in key order.
     pub columns: Vec<usize>,
-    /// Whether the index supports ordered range scans (B-tree vs hash).
-    pub ordered: bool,
 }
 
 /// Per-outer-tuple quota of crowdsourced matches requested by a
@@ -92,13 +90,13 @@ pub enum Access {
         /// Literal key values, one per index column, in key order.
         key: Vec<Value>,
     },
-    /// Index range access over a single-column ordered (B-tree) index
-    /// (shown as `IndexRangeScan`): literal comparisons bound the key and
-    /// the B-tree enumerates the candidate range. Strict bounds need no
+    /// Index range access over a single-column index (shown as
+    /// `IndexRangeScan`): literal comparisons bound the key and the
+    /// B-tree enumerates the candidate range. Strict bounds need no
     /// special casing — the range is a superset. Missing-key tuples are
     /// included, as for [`Access::Point`].
     Range {
-        /// The chosen single-column ordered index.
+        /// The chosen single-column index.
         index: IndexMeta,
         /// Inclusive lower bound on the key (None = open).
         low: Option<Value>,
@@ -775,8 +773,8 @@ fn lower_scan(
 /// 1. **Point**: the index whose columns are *all* pinned by literal
 ///    equalities; ties broken by most columns pinned, then catalog
 ///    order. (A unique multi-column match beats a single-column one.)
-/// 2. **Range**: the first single-column *ordered* index whose column
-///    has at least one literal comparison bound.
+/// 2. **Range**: the first single-column index whose column has at
+///    least one literal comparison bound.
 ///
 /// A point probe matches stored keys exactly, where SQL `=` unifies
 /// numerics, so a pin only counts when its literal stores as the
@@ -830,10 +828,10 @@ fn choose_access(predicate: &BExpr, schema: &PlanSchema, indexes: &[IndexMeta]) 
             key,
         };
     }
-    // Rule 2: single-column ordered index with a range bound. (A
+    // Rule 2: single-column index with a range bound. (A
     // storable equality pin on such an index is caught by rule 1.)
     for idx in indexes {
-        if !idx.ordered || idx.columns.len() != 1 {
+        if idx.columns.len() != 1 {
             continue;
         }
         let low = bound(idx.columns[0], [BinaryOp::Gt, BinaryOp::GtEq]);
@@ -1178,7 +1176,6 @@ mod tests {
         IndexMeta {
             name: "talk_pk".into(),
             columns: vec![0],
-            ordered: false,
         }
     }
 
@@ -1186,7 +1183,6 @@ mod tests {
         IndexMeta {
             name: "talk_att".into(),
             columns: vec![1],
-            ordered: true,
         }
     }
 
@@ -1221,7 +1217,6 @@ mod tests {
         let wide = IndexMeta {
             name: "talk_both".into(),
             columns: vec![0, 1],
-            ordered: true,
         };
         let plan = LogicalPlan::Filter {
             input: Box::new(talk_scan()),
@@ -1338,7 +1333,6 @@ mod tests {
         let composite = IndexMeta {
             name: "talk_pk".into(),
             columns: vec![0, 1],
-            ordered: false,
         };
         let both = and(
             eq(lit(Value::Int(7)), col(1)),
@@ -1422,8 +1416,9 @@ mod tests {
             // Not pins for either caller.
             (eq(col(0), col(1)), false, "TableScan"),
             (or, false, "TableScan"),
-            (gt(col(0), lit(Value::str("a"))), false, "TableScan"),
-            // Range on the ordered secondary index; pk untouched.
+            // A range bound pins nothing for boundedness; any
+            // single-column index serves it, the primary key's included.
+            (gt(col(0), lit(Value::str("a"))), false, "IndexRangeScan"),
             (gt(lit(Value::Int(5)), col(1)), false, "IndexRangeScan"),
             (eq(col(1), lit(Value::Int(5))), false, "IndexScan"),
             // Only comparisons are read: `title OR 'a'` is not one.
@@ -1474,7 +1469,6 @@ mod tests {
         let price = IndexMeta {
             name: "item_price".into(),
             columns: vec![1],
-            ordered: true,
         };
         let predicate = and(
             eq(col(1), lit(Value::str("3"))),
@@ -1505,7 +1499,6 @@ mod tests {
         let inner_idx = IndexMeta {
             name: "notableattendee_fk_title".into(),
             columns: vec![1],
-            ordered: true,
         };
         let p = lower_idx(&plan, vec![inner_idx]);
         let PhysicalPlan::CrowdJoin { probe_index, .. } = &p else {

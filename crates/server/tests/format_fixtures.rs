@@ -18,7 +18,7 @@ use crowddb_common::{row, Row, TupleId, Value};
 use crowddb_core::{CrowdConfig, CrowdDB};
 use crowddb_server::protocol::{self, Request, Response, WireResult};
 use crowddb_storage::pager::JOURNAL_FILE;
-use crowddb_storage::{Database, IndexKind, LogRecord, PagerConfig};
+use crowddb_storage::{Database, LogRecord, PagerConfig};
 use crowddb_wal::testutil::TestDir;
 use crowddb_wal::{scan_frames, snapshot, FsyncPolicy, Wal};
 
@@ -72,6 +72,34 @@ const SNAPSHOT_FILE: &str = "\
     776420616e7377657273\
 ";
 const PAGED_META: &str = "\
+    4344424d010100000000000000000100004100000000000000390000000000000006000000000000\
+    00070000000000000009000000000000000a000000000000000b000000000000000c000000000000\
+    000d000000000000000e000000000000000f00000000000000100000000000000011000000000000\
+    00120000000000000013000000000000001400000000000000150000000000000016000000000000\
+    001700000000000000180000000000000019000000000000001a000000000000001b000000000000\
+    001c000000000000001d000000000000001e000000000000001f0000000000000020000000000000\
+    00210000000000000022000000000000002300000000000000240000000000000025000000000000\
+    0026000000000000002700000000000000280000000000000029000000000000002a000000000000\
+    002b000000000000002c000000000000002d000000000000002e000000000000002f000000000000\
+    00300000000000000031000000000000003200000000000000330000000000000034000000000000\
+    00350000000000000036000000000000003700000000000000380000000000000039000000000000\
+    003a000000000000003b000000000000003c000000000000003d000000000000003e000000000000\
+    003f000000000000000200000008000000617474656e646565700000004352454154452043524f57\
+    44205441424c4520617474656e64656520280a20206e616d6520535452494e47205052494d415259\
+    204b45592c0a20207469746c6520535452494e472c0a2020464f524549474e204b45592028746974\
+    6c6529205245462074616c6b287469746c65290a2902000000000000000200000000000000010000\
+    00000000000300000000000000020000000b000000617474656e6465655f706b0100000000000000\
+    0101040000000000000011000000617474656e6465655f666b5f7469746c65010000000100000001\
+    0005000000000000000400000074616c6b5d000000435245415445205441424c452074616c6b2028\
+    0a20207469746c6520535452494e47205052494d415259204b45592c0a2020616273747261637420\
+    43524f574420535452494e472c0a20206e622043524f574420494e54454745520a29030000000000\
+    0000020000000000000002000000000000000100000000000000020000000700000074616c6b5f70\
+    6b0100000000000000010102000000000000000700000074616c6b5f6e6201000000020000000100\
+    4000000000000000\
+";
+/// The same image as older builds wrote it: the byte after an index's
+/// columns said `0` for a "hash" index (every `<table>_pk`), `1` for a B-tree.
+const PAGED_META_KINDS: &str = "\
     4344424d010100000000000000000100004100000000000000390000000000000006000000000000\
     00070000000000000009000000000000000a000000000000000b000000000000000c000000000000\
     000d000000000000000e000000000000000f00000000000000100000000000000011000000000000\
@@ -215,7 +243,7 @@ fn fill(db: &Database) {
         db.insert("scratch", row![i, format!("filler value number {i}")])
             .unwrap();
     }
-    db.create_index("talk_nb", "talk", &["nb".into()], false, IndexKind::BTree)
+    db.create_index("talk_nb", "talk", &["nb".into()], false)
         .unwrap();
     assert!(db.with_table_mut("talk", |t| t.delete(TupleId(2))).unwrap());
     db.drop_table("scratch", false).unwrap();
@@ -355,6 +383,18 @@ fn storage_snapshot_and_paged_metadata() {
     pinned("paged metadata", &meta, PAGED_META);
     assert!(Database::is_paged_meta(&meta));
     assert_filled(&Database::open_paged(dir.path(), cfg, &unhex(PAGED_META)).unwrap());
+    // An image from before the index kind went (`0` on both `_pk`
+    // indexes) opens the same; what a checkpoint then writes says `1`.
+    let old = Database::open_paged(dir.path(), cfg, &unhex(PAGED_META_KINDS)).unwrap();
+    assert_filled(&old);
+    let (_, mut rewritten) = old.begin_checkpoint().unwrap();
+    rewritten[5] -= 1; // the checkpoint epoch moved on
+    pinned("paged metadata, rewritten", &rewritten, PAGED_META);
+    // Any other kind byte is still refused.
+    let mut bad = unhex(PAGED_META);
+    bad[680] = 2;
+    let err = Database::open_paged(dir.path(), cfg, &bad).err().unwrap();
+    assert!(err.to_string().contains("unknown index kind 2"), "{err}");
 }
 
 #[test]

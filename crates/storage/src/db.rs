@@ -18,7 +18,7 @@ use crowddb_common::sync::RwLock;
 use crowddb_common::{CrowdError, Result, Row, TableSchema, TupleId, Value};
 
 use crate::catalog::Catalog;
-use crate::index::{Index, IndexKind};
+use crate::index::Index;
 use crate::logrec::LogRecord;
 use crate::page;
 use crate::pager::{CheckpointPrep, Pager, PagerConfig, PAGES_FILE};
@@ -131,9 +131,7 @@ impl Database {
                 let indexes = entry
                     .indexes
                     .iter()
-                    .map(|i| {
-                        Index::open(i.name.clone(), i.columns.clone(), i.kind, i.unique, i.root)
-                    })
+                    .map(|i| Index::open(i.name.clone(), i.columns.clone(), i.unique, i.root))
                     .collect();
                 let table = HeapTable::from_parts(
                     Arc::clone(&db.pager),
@@ -262,12 +260,7 @@ impl Database {
             .collect();
         for (col, ord) in fk_specs {
             if table.index_on(&[ord]).is_none() {
-                table.add_index(
-                    format!("{name}_fk_{col}"),
-                    vec![ord],
-                    IndexKind::BTree,
-                    false,
-                )?;
+                table.add_index(format!("{name}_fk_{col}"), vec![ord], false)?;
             }
         }
         inner.tables.insert(name, table);
@@ -367,7 +360,6 @@ impl Database {
         table: &str,
         columns: &[String],
         unique: bool,
-        kind: IndexKind,
     ) -> Result<()> {
         self.with_table_mut(table, |t| {
             let mut ords = Vec::with_capacity(columns.len());
@@ -376,7 +368,7 @@ impl Database {
                     CrowdError::Catalog(format!("column '{c}' not found in table '{table}'"))
                 })?);
             }
-            t.add_index(name, ords, kind, unique)
+            t.add_index(name, ords, unique)
         })
     }
 
@@ -408,13 +400,7 @@ impl Database {
                         self.create_table(schema)?;
                     }
                     crowddb_sql::Statement::CreateIndex(ci) => {
-                        self.create_index(
-                            &ci.name,
-                            &ci.table,
-                            &ci.columns,
-                            ci.unique,
-                            IndexKind::BTree,
-                        )?;
+                        self.create_index(&ci.name, &ci.table, &ci.columns, ci.unique)?;
                     }
                     crowddb_sql::Statement::DropTable { name, if_exists } => {
                         self.drop_table(&name, if_exists)?;
@@ -526,7 +512,6 @@ impl Database {
 struct MetaIndex {
     name: String,
     columns: Vec<usize>,
-    kind: IndexKind,
     unique: bool,
     root: u64,
 }
@@ -575,10 +560,9 @@ fn encode_meta(pager: &Pager, inner: &Inner, epoch: u64) -> Vec<u8> {
             for &c in &idx.columns {
                 put_u32(&mut buf, c as u32);
             }
-            buf.push(match idx.kind() {
-                IndexKind::Hash => 0,
-                IndexKind::BTree => 1,
-            });
+            // Once the index kind (0 = hash, 1 = B-tree); every index is
+            // the one tree now, and the byte stays so old images open.
+            buf.push(1);
             buf.push(idx.unique as u8);
             put_u64(&mut buf, idx.root());
         }
@@ -625,19 +609,15 @@ fn decode_meta(bytes: &[u8]) -> Result<Meta> {
             for _ in 0..n_cols {
                 columns.push(r.u32()? as usize);
             }
-            let kind = match r.u8()? {
-                0 => IndexKind::Hash,
-                1 => IndexKind::BTree,
-                other => {
-                    return Err(CrowdError::Internal(format!(
-                        "meta: unknown index kind {other}"
-                    )))
-                }
-            };
+            let kind = r.u8()?;
+            if kind > 1 {
+                return Err(CrowdError::Internal(format!(
+                    "meta: unknown index kind {kind}"
+                )));
+            }
             indexes.push(MetaIndex {
                 name: iname,
                 columns,
-                kind,
                 unique: r.u8()? != 0,
                 root: r.u64()?,
             });
@@ -785,20 +765,14 @@ mod tests {
     fn create_index_by_name() {
         let db = talk_db();
         db.insert("talk", row!["a", "x", 10i64]).unwrap();
-        db.create_index(
-            "talk_att",
-            "talk",
-            &["nb_attendees".into()],
-            false,
-            IndexKind::BTree,
-        )
-        .unwrap();
+        db.create_index("talk_att", "talk", &["nb_attendees".into()], false)
+            .unwrap();
         let found = db
             .with_table("talk", |t| t.index_on(&[2]).is_some())
             .unwrap();
         assert!(found);
         assert!(db
-            .create_index("bad", "talk", &["nope".into()], false, IndexKind::Hash)
+            .create_index("bad", "talk", &["nope".into()], false)
             .is_err());
     }
 
@@ -819,14 +793,10 @@ mod tests {
             })
             .unwrap();
         db.create_table(schema).unwrap();
-        let (has_fk_idx, ordered) = db
-            .with_table("attendee", |t| {
-                let idx = t.index_on(&[1]);
-                (idx.is_some(), idx.map(|i| i.ordered()).unwrap_or(false))
-            })
+        let has_fk_idx = db
+            .with_table("attendee", |t| t.index_on(&[1]).is_some())
             .unwrap();
         assert!(has_fk_idx, "single-column FK gets an automatic index");
-        assert!(ordered, "FK auto-index is a B-tree");
     }
 
     #[test]

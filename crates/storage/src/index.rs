@@ -7,9 +7,10 @@
 //! every lookup is a bounded range scan from the seek target
 //! `(values, tid 0)`.
 //!
-//! Both [`IndexKind`]s share this representation; `Hash` merely declines
-//! ordered range scans at the API level (it models the paper's
-//! equality-only access path). Missing values (`NULL`/`CNULL`) sort
+//! There is one kind of index — the implicit `<table>_pk`, the automatic
+//! foreign-key indexes and `CREATE INDEX` all build this tree — and every
+//! one serves point probes ([`Index::get`]) and ordered range scans
+//! ([`Index::range`]) alike. Missing values (`NULL`/`CNULL`) sort
 //! before every present value, so the entries whose indexed column the
 //! crowd has not yet filled form a contiguous prefix of the tree —
 //! [`Index::missing_key_tids`] — which index access paths must union
@@ -23,15 +24,6 @@ use crowddb_common::{CrowdError, Result, TupleId, Value};
 use crate::btree::{BTree, KeyCmp};
 use crate::page::PageId;
 use crate::pager::Pager;
-
-/// The physical kind of an index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// Hash index: point lookups only, no range scans.
-    Hash,
-    /// B-tree index: ordered, supports range scans.
-    BTree,
-}
 
 /// Wrapper giving composite keys a total order based on
 /// [`Value::sort_cmp`].
@@ -108,7 +100,6 @@ pub struct Index {
     pub columns: Vec<usize>,
     /// Enforce key uniqueness?
     pub unique: bool,
-    kind: IndexKind,
     tree: BTree,
 }
 
@@ -118,43 +109,24 @@ impl Index {
         pager: &Pager,
         name: impl Into<String>,
         columns: Vec<usize>,
-        kind: IndexKind,
         unique: bool,
     ) -> Result<Index> {
         Ok(Index {
             name: name.into(),
             columns,
             unique,
-            kind,
             tree: BTree::create(pager, KeyCmp::IndexEntry)?,
         })
     }
 
     /// Re-attach to an existing entry tree (metadata restore).
-    pub fn open(
-        name: String,
-        columns: Vec<usize>,
-        kind: IndexKind,
-        unique: bool,
-        root: PageId,
-    ) -> Index {
+    pub fn open(name: String, columns: Vec<usize>, unique: bool, root: PageId) -> Index {
         Index {
             name,
             columns,
             unique,
-            kind,
             tree: BTree::open(root, KeyCmp::IndexEntry),
         }
-    }
-
-    /// The declared kind.
-    pub fn kind(&self) -> IndexKind {
-        self.kind
-    }
-
-    /// Whether this index supports ordered range scans.
-    pub fn ordered(&self) -> bool {
-        self.kind == IndexKind::BTree
     }
 
     /// Root page of the entry tree (persisted in table metadata).
@@ -195,16 +167,13 @@ impl Index {
 
     /// Tuple ids for keys in `[low, high]` (inclusive; missing-valued
     /// keys excluded), ordered by key then tid. `None` bound = unbounded
-    /// on that side. Returns `None` for unordered (`Hash`) indexes.
+    /// on that side.
     pub fn range(
         &self,
         pager: &Pager,
         low: Option<&IndexKey>,
         high: Option<&IndexKey>,
-    ) -> Result<Option<Vec<TupleId>>> {
-        if self.kind != IndexKind::BTree {
-            return Ok(None);
-        }
+    ) -> Result<Vec<TupleId>> {
         let mut cur = match low {
             Some(lo) => self
                 .tree
@@ -227,7 +196,7 @@ impl Index {
             }
             out.push(tid);
         }
-        Ok(Some(out))
+        Ok(out)
     }
 
     /// Tuple ids whose key has a `NULL`/`CNULL` component. Index access
@@ -275,7 +244,7 @@ mod tests {
     #[test]
     fn insert_get_remove() {
         let p = pager();
-        let mut idx = Index::new(&p, "i", vec![0], IndexKind::Hash, false).unwrap();
+        let mut idx = Index::new(&p, "i", vec![0], false).unwrap();
         idx.insert(&p, &key(vec![Value::Int(1)]), TupleId(10))
             .unwrap();
         idx.insert(&p, &key(vec![Value::Int(1)]), TupleId(11))
@@ -289,10 +258,6 @@ mod tests {
         assert_eq!(
             idx.get(&p, &key(vec![Value::Int(2)])).unwrap(),
             vec![TupleId(12)]
-        );
-        assert!(
-            idx.range(&p, None, None).unwrap().is_none(),
-            "hash: no range"
         );
         assert!(idx
             .remove(&p, &key(vec![Value::Int(1)]), TupleId(10))
@@ -309,7 +274,7 @@ mod tests {
     #[test]
     fn btree_range_scan_inclusive() {
         let p = pager();
-        let mut idx = Index::new(&p, "i", vec![0], IndexKind::BTree, false).unwrap();
+        let mut idx = Index::new(&p, "i", vec![0], false).unwrap();
         for i in 0..10i64 {
             idx.insert(&p, &key(vec![Value::Int(i)]), TupleId(i as u64))
                 .unwrap();
@@ -320,14 +285,12 @@ mod tests {
                 Some(&key(vec![Value::Int(3)])),
                 Some(&key(vec![Value::Int(6)])),
             )
-            .unwrap()
             .unwrap();
         assert_eq!(mid, vec![TupleId(3), TupleId(4), TupleId(5), TupleId(6)]);
-        let all = idx.range(&p, None, None).unwrap().unwrap();
+        let all = idx.range(&p, None, None).unwrap();
         assert_eq!(all.len(), 10);
         let upper = idx
             .range(&p, Some(&key(vec![Value::Int(8)])), None)
-            .unwrap()
             .unwrap();
         assert_eq!(upper, vec![TupleId(8), TupleId(9)]);
     }
@@ -335,7 +298,7 @@ mod tests {
     #[test]
     fn missing_values_sort_into_the_missing_prefix() {
         let p = pager();
-        let mut idx = Index::new(&p, "i", vec![0], IndexKind::BTree, false).unwrap();
+        let mut idx = Index::new(&p, "i", vec![0], false).unwrap();
         idx.insert(&p, &key(vec![Value::Int(5)]), TupleId(0))
             .unwrap();
         idx.insert(&p, &key(vec![Value::CNull]), TupleId(1))
@@ -347,7 +310,7 @@ mod tests {
         assert_eq!(missing.len(), 2);
         assert!(missing.contains(&TupleId(1)) && missing.contains(&TupleId(2)));
         // Range scans exclude missing keys even with no lower bound.
-        let all = idx.range(&p, None, None).unwrap().unwrap();
+        let all = idx.range(&p, None, None).unwrap();
         assert_eq!(all, vec![TupleId(3), TupleId(0)]);
         // Equality probes on a present key see only that key.
         assert_eq!(
@@ -365,7 +328,7 @@ mod tests {
     #[test]
     fn key_of_projects_columns_in_order() {
         let p = pager();
-        let idx = Index::new(&p, "i", vec![2, 0], IndexKind::Hash, false).unwrap();
+        let idx = Index::new(&p, "i", vec![2, 0], false).unwrap();
         let row = vec![Value::Int(1), Value::Int(2), Value::Int(3)];
         assert_eq!(idx.key_of(&row), key(vec![Value::Int(3), Value::Int(1)]));
     }

@@ -39,7 +39,7 @@ pub mod table;
 pub use catalog::Catalog;
 pub use cursor::TableCursor;
 pub use db::Database;
-pub use index::{decode_index_entry, encode_index_entry, Index, IndexKey, IndexKind};
+pub use index::{decode_index_entry, encode_index_entry, Index, IndexKey};
 pub use logrec::LogRecord;
 pub use pager::{CheckpointPrep, Pager, PagerConfig};
 pub use pool::PagerStats;

@@ -15,7 +15,7 @@ use crowddb_common::{CrowdError, Result, Row, TableSchema, TupleId, Value};
 
 use crate::btree::{BTree, KeyCmp};
 use crate::cursor::{encode_tid_key, TableCursor};
-use crate::index::{Index, IndexKey, IndexKind};
+use crate::index::{Index, IndexKey};
 use crate::page::PageId;
 use crate::pager::Pager;
 
@@ -51,7 +51,7 @@ pub struct HeapTable {
 
 impl HeapTable {
     /// Create an empty table. If the schema declares a primary key, a
-    /// unique hash index named `<table>_pk` is created automatically.
+    /// unique index named `<table>_pk` is created automatically.
     pub fn new(pager: Arc<Pager>, schema: TableSchema) -> Result<HeapTable> {
         let primary = BTree::create(&pager, KeyCmp::Bytes)?;
         let mut t = HeapTable {
@@ -68,7 +68,6 @@ impl HeapTable {
                 &t.pager,
                 format!("{}_pk", t.schema.name),
                 t.schema.primary_key.clone(),
-                IndexKind::Hash,
                 true,
             )?;
             t.indexes.push(idx);
@@ -274,7 +273,22 @@ impl HeapTable {
 
     /// Delete a row. Returns whether it existed.
     pub fn delete(&mut self, tid: TupleId) -> Result<bool> {
-        let Some(row) = self.get(tid)? else {
+        self.remove(tid, None)
+    }
+
+    /// Delete the row at `tid` provided it is still stored as `expected`;
+    /// `false`, and nothing written, when it changed or is gone. The
+    /// compare reads no page the delete would not: it is made on the old
+    /// row a delete reads anyway, under the caller's write access.
+    pub fn delete_if(&mut self, tid: TupleId, expected: &Row) -> Result<bool> {
+        self.remove(tid, Some(expected))
+    }
+
+    fn remove(&mut self, tid: TupleId, expected: Option<&Row>) -> Result<bool> {
+        let Some(row) = self
+            .get(tid)?
+            .filter(|row| expected.is_none_or(|e| e == row))
+        else {
             return Ok(false);
         };
         self.primary.remove(&self.pager, &encode_tid_key(tid))?;
@@ -290,10 +304,26 @@ impl HeapTable {
 
     /// Replace an entire row in place.
     pub fn update(&mut self, tid: TupleId, new_row: Row) -> Result<()> {
+        match self.replace(tid, None, new_row)? {
+            true => Ok(()),
+            false => Err(CrowdError::Exec(format!("tuple {tid} not found"))),
+        }
+    }
+
+    /// Replace the row at `tid` provided it is still stored as `expected`
+    /// (see [`HeapTable::delete_if`]).
+    pub fn update_if(&mut self, tid: TupleId, expected: &Row, new_row: Row) -> Result<bool> {
+        self.replace(tid, Some(expected), new_row)
+    }
+
+    fn replace(&mut self, tid: TupleId, expected: Option<&Row>, new_row: Row) -> Result<bool> {
         let new_row = self.validate_row(new_row)?;
-        let old = self
+        let Some(old) = self
             .get(tid)?
-            .ok_or_else(|| CrowdError::Exec(format!("tuple {tid} not found")))?;
+            .filter(|row| expected.is_none_or(|e| e == row))
+        else {
+            return Ok(false);
+        };
         for idx in &self.indexes {
             let key = idx.key_of(new_row.values());
             self.check_unique(idx, &key, Some(tid))?;
@@ -309,7 +339,8 @@ impl HeapTable {
         }
         self.cnull_values -= old.cnull_columns().len();
         self.cnull_values += new_row.cnull_columns().len();
-        self.write_primary(tid, &new_row)
+        self.write_primary(tid, &new_row)?;
+        Ok(true)
     }
 
     /// Update a single column of a row — the write-back path used when a
@@ -347,7 +378,6 @@ impl HeapTable {
         &mut self,
         name: impl Into<String>,
         columns: Vec<usize>,
-        kind: IndexKind,
         unique: bool,
     ) -> Result<()> {
         let name = name.into();
@@ -357,7 +387,7 @@ impl HeapTable {
                 self.schema.name
             )));
         }
-        let mut index = Index::new(&self.pager, name, columns, kind, unique)?;
+        let mut index = Index::new(&self.pager, name, columns, unique)?;
         match self.backfill(&mut index) {
             Ok(()) => {
                 self.indexes.push(index);
@@ -591,6 +621,40 @@ mod tests {
     }
 
     #[test]
+    fn compare_on_write_declines_a_changed_or_missing_row() {
+        let mut t = talk_table();
+        let tid = t.insert(row!["CrowdDB", Value::CNull, 1i64]).unwrap();
+        let selected = t.get(tid).unwrap().unwrap();
+        t.update_value(tid, 1, Value::str("written back")).unwrap();
+        let current = t.get(tid).unwrap().unwrap();
+        // The image moved on: neither write happens, nothing changes.
+        assert!(!t.update_if(tid, &selected, row!["X", "y", 2i64]).unwrap());
+        assert!(!t.delete_if(tid, &selected).unwrap());
+        assert_eq!(t.get(tid).unwrap(), Some(current.clone()));
+        assert_eq!(t.lookup_pk(&[Value::str("CrowdDB")]).unwrap(), vec![tid]);
+        // Against the image that is there, both go through — and the
+        // compare reads no page the unconditional write would not.
+        let touches = |t: &HeapTable| {
+            let s = t.pager().stats();
+            s.pool_hits + s.pool_misses
+        };
+        let before = touches(&t);
+        assert!(t
+            .update_if(tid, &current, row!["CrowdDB", "written over", 2i64])
+            .unwrap());
+        let compared = touches(&t) - before;
+        let before = touches(&t);
+        t.update(tid, row!["CrowdDB", "written anew", 3i64])
+            .unwrap();
+        assert_eq!(compared, touches(&t) - before);
+        let stored = t.get(tid).unwrap().unwrap();
+        assert!(t.delete_if(tid, &stored).unwrap());
+        assert!(!t.delete_if(tid, &stored).unwrap(), "already gone");
+        assert!(!t.update_if(tid, &stored, stored.clone()).unwrap());
+        assert_eq!(t.stats().live_rows, 0);
+    }
+
+    #[test]
     fn update_maintains_pk_index() {
         let mut t = talk_table();
         let tid = t.insert(row!["Old", Value::CNull, 1i64]).unwrap();
@@ -624,8 +688,7 @@ mod tests {
         t.insert(row!["a", "x", 10i64]).unwrap();
         t.insert(row!["b", "y", 20i64]).unwrap();
         t.insert(row!["c", "z", 10i64]).unwrap();
-        t.add_index("talk_att", vec![2], IndexKind::BTree, false)
-            .unwrap();
+        t.add_index("talk_att", vec![2], false).unwrap();
         let idx = t.index_on(&[2]).unwrap();
         assert_eq!(
             idx.get(t.pager(), &IndexKey(vec![Value::Int(10)]))
@@ -642,8 +705,8 @@ mod tests {
     #[test]
     fn duplicate_index_name_rejected() {
         let mut t = talk_table();
-        t.add_index("i1", vec![2], IndexKind::Hash, false).unwrap();
-        assert!(t.add_index("i1", vec![1], IndexKind::Hash, false).is_err());
+        t.add_index("i1", vec![2], false).unwrap();
+        assert!(t.add_index("i1", vec![1], false).is_err());
     }
 
     #[test]
@@ -651,9 +714,7 @@ mod tests {
         let mut t = talk_table();
         t.insert(row!["a", "x", 10i64]).unwrap();
         t.insert(row!["b", "y", 10i64]).unwrap();
-        let err = t
-            .add_index("u", vec![2], IndexKind::Hash, true)
-            .unwrap_err();
+        let err = t.add_index("u", vec![2], true).unwrap_err();
         assert_eq!(err.category(), "constraint");
         assert!(t.index_on(&[2]).is_none(), "failed index not attached");
     }
@@ -671,8 +732,7 @@ mod tests {
         .with_primary_key(&["id"])
         .unwrap();
         let mut t = HeapTable::new(pager(), schema).unwrap();
-        t.add_index("u_email", vec![1], IndexKind::Hash, true)
-            .unwrap();
+        t.add_index("u_email", vec![1], true).unwrap();
         t.insert(row![1i64, Value::Null]).unwrap();
         t.insert(row![2i64, Value::Null]).unwrap(); // no conflict
         let err = t.insert(row![3i64, Value::Null]);

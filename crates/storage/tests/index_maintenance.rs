@@ -13,13 +13,12 @@ use std::collections::BTreeMap;
 
 use crowddb_common::rng::Rng;
 use crowddb_common::{row, ColumnDef, DataType, TableSchema, TupleId, Value};
-use crowddb_storage::{Database, IndexKey, IndexKind, LogRecord};
+use crowddb_storage::{Database, IndexKey, LogRecord};
 
 /// Assert every index on `table` matches a recomputation from the heap:
 /// present-key rows are found by point probe (and only those rows),
 /// missing-key rows appear in `missing_key_tids` (and only those), and
-/// ordered indexes enumerate exactly the present-key rows via a full
-/// range scan.
+/// a full range scan enumerates exactly the present-key rows.
 fn assert_indexes_consistent(db: &Database, table: &str) {
     db.with_table(table, |t| {
         let rows = t.scan_rows().unwrap();
@@ -58,19 +57,17 @@ fn assert_indexes_consistent(db: &Database, table: &str) {
                 idx.name
             );
 
-            // Ordered indexes: an unbounded range scan yields exactly
-            // the present-key entries — no ghosts survive behind keys we
-            // did not think to probe.
-            if idx.ordered() {
-                let scanned = idx.range(t.pager(), None, None).unwrap().unwrap();
-                let expected: usize = present.values().map(Vec::len).sum();
-                assert_eq!(
-                    scanned.len(),
-                    expected,
-                    "index '{}' range scan has ghost or lost entries",
-                    idx.name
-                );
-            }
+            // An unbounded range scan yields exactly the present-key
+            // entries — no ghosts survive behind keys we did not think
+            // to probe.
+            let scanned = idx.range(t.pager(), None, None).unwrap();
+            let expected: usize = present.values().map(Vec::len).sum();
+            assert_eq!(
+                scanned.len(),
+                expected,
+                "index '{}' range scan has ghost or lost entries",
+                idx.name
+            );
         }
     })
     .unwrap();
@@ -99,17 +96,10 @@ fn talk_db() -> Database {
         "talk",
         &["nb_attendees".to_string()],
         false,
-        IndexKind::BTree,
     )
     .unwrap();
-    db.create_index(
-        "talk_track",
-        "talk",
-        &["track".to_string()],
-        false,
-        IndexKind::BTree,
-    )
-    .unwrap();
+    db.create_index("talk_track", "talk", &["track".to_string()], false)
+        .unwrap();
     db
 }
 
@@ -401,7 +391,6 @@ fn small_pool_file_backed_indexes_stay_consistent() {
         "talk",
         &["nb_attendees".to_string()],
         false,
-        IndexKind::BTree,
     )
     .unwrap();
     let mut tids = Vec::new();

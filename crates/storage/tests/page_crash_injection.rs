@@ -24,7 +24,7 @@ use crowddb_common::rng::Rng;
 use crowddb_common::{row, Value};
 use crowddb_common::{ColumnDef, DataType, TableSchema};
 use crowddb_storage::pager::{JOURNAL_FILE, PAGES_FILE};
-use crowddb_storage::{Database, IndexKind, Pager, PagerConfig};
+use crowddb_storage::{Database, Pager, PagerConfig};
 use crowddb_wal::testutil::TestDir;
 
 const JOURNAL_HEADER: usize = 24; // magic + epoch + entry count
@@ -53,7 +53,6 @@ fn create_schema(db: &Database) {
         "talk",
         &["nb_attendees".to_string()],
         false,
-        IndexKind::BTree,
     )
     .unwrap();
 }

@@ -11,7 +11,7 @@
 //! neither.
 
 use crowddb_common::{row, ColumnDef, DataType, TableSchema, TupleId, Value};
-use crowddb_storage::{Database, IndexKey, IndexKind, PagerConfig, PagerStats};
+use crowddb_storage::{Database, IndexKey, PagerConfig, PagerStats};
 use crowddb_wal::testutil::TestDir;
 
 const ROWS: i64 = 2_000;
@@ -45,14 +45,8 @@ fn cold_table(dir: &TestDir) -> Database {
         db.insert("attendee", row![i, format!("attendee number {i}"), grp])
             .unwrap();
     }
-    db.create_index(
-        "attendee_grp",
-        "attendee",
-        &["grp".to_string()],
-        false,
-        IndexKind::BTree,
-    )
-    .unwrap();
+    db.create_index("attendee_grp", "attendee", &["grp".to_string()], false)
+        .unwrap();
     let (prep, meta) = db.begin_checkpoint().unwrap();
     db.complete_checkpoint(&prep).unwrap();
     drop(db);
