@@ -1627,12 +1627,20 @@ mod tests {
     }
 
     fn fulfill(config: &CrowdConfig, needs: &[TaskNeed], platform: &mut dyn Platform) -> Settled {
-        let db = Database::new();
+        fulfill_in(&Database::new(), config, needs, platform)
+    }
+
+    fn fulfill_in(
+        db: &Database,
+        config: &CrowdConfig,
+        needs: &[TaskNeed],
+        platform: &mut dyn Platform,
+    ) -> Settled {
         let caches = SharedCaches::default();
         let mut wrm = WorkerRelationshipManager::new();
         let obs = Obs::new();
         let summary = fulfill_needs(
-            &db,
+            db,
             &caches,
             &mut wrm,
             &UiTemplateManager::new(),
@@ -1649,6 +1657,28 @@ mod tests {
             wrm,
             obs,
         }
+    }
+
+    /// Replication 3, one escalation, 2¢ base reward.
+    fn vote_three_escalate_once(quality: QualityPolicy) -> CrowdConfig {
+        CrowdConfig {
+            reward_cents: 2,
+            vote: crowddb_quality::VoteConfig {
+                replication: 3,
+                max_escalations: 1,
+            },
+            quality,
+            ..CrowdConfig::default()
+        }
+    }
+
+    fn vote_resolved_events(obs: &Obs) -> Vec<Event> {
+        obs.events()
+            .records()
+            .into_iter()
+            .map(|r| r.event)
+            .filter(|e| matches!(e, Event::VoteResolved { .. }))
+            .collect()
     }
 
     fn run_sweep(order: [&str; 2]) -> FulfillSummary {
@@ -1769,14 +1799,7 @@ mod tests {
     /// `k` answers `script[k]`, and blank past the end of the script.
     /// Replication 3, one escalation, 2¢ base reward.
     fn run_compare_unit(order: bool, items: usize, script: Vec<String>) -> Settled {
-        let mut config = CrowdConfig {
-            reward_cents: 2,
-            vote: crowddb_quality::VoteConfig {
-                replication: 3,
-                max_escalations: 1,
-            },
-            ..CrowdConfig::default()
-        };
+        let mut config = vote_three_escalate_once(QualityPolicy::MajorityVote);
         config.concurrency.max_batch_size = if items == 1 { 0 } else { items };
         let needs: Vec<TaskNeed> = (0..items).map(|j| compare_need(order, j)).collect();
         let mut platform = crowddb_platform::MockPlatform::new(Box::new(move |kind, ordinal| {
@@ -1878,28 +1901,31 @@ mod tests {
         assert_eq!(s.summary.warnings, warnings, "{label}: warnings");
         assert_eq!(s.summary.exhausted, exhausted, "{label}: exhausted");
         assert_eq!(s.summary.gave_up, warnings.len() as u64, "{label}: gave_up");
-        let resolved: Vec<Event> = s
-            .obs
-            .events()
-            .records()
-            .into_iter()
-            .map(|r| r.event)
-            .filter(|e| matches!(e, Event::VoteResolved { .. }))
-            .collect();
+        let resolved = vote_resolved_events(&s.obs);
         assert_eq!(resolved, events, "{label}: VoteResolved events");
-        // One scored assignment moves the Laplace-smoothed rate off its
-        // 1/2 prior: 2/3 agreed, 1/3 disagreed; a contribution leaves it.
-        let seen: String = (0..s.wrm.community_size() as u64)
+        assert_eq!(
+            wrm_scoring(&s.wrm),
+            scored,
+            "{label}: WRM scoring per worker"
+        );
+    }
+
+    /// How the WRM recorded each worker's one assignment, in arrival
+    /// order: `a` scored as agreeing, `d` as disagreeing, `c` an unscored
+    /// contribution. One scored assignment moves the Laplace-smoothed
+    /// rate off its 1/2 prior: 2/3 agreed, 1/3 disagreed; a contribution
+    /// leaves it.
+    fn wrm_scoring(wrm: &WorkerRelationshipManager) -> String {
+        (0..wrm.community_size() as u64)
             .map(
-                |w| match s.wrm.agreement_rate(crowddb_platform::WorkerId(w)) {
+                |w| match wrm.agreement_rate(crowddb_platform::WorkerId(w)) {
                     Some(r) if r > 0.6 => 'a',
                     Some(r) if r < 0.4 => 'd',
                     Some(_) => 'c',
                     None => '?',
                 },
             )
-            .collect();
-        assert_eq!(seen, scored, "{label}: WRM scoring per worker");
+            .collect()
     }
 
     /// One item's scripted first-posting ballots (assignment ordinals
@@ -2071,6 +2097,287 @@ mod tests {
                 },
             ];
             assert_unit("batch of two", order, &settled, &items, "ccccc");
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The settle tables of the other two families: what one probe HIT
+    // asking two columns of a row, and one new-tuples HIT wanting two
+    // rows, leave behind.
+    // -----------------------------------------------------------------
+
+    /// What assignment `k` types into a field, from the column's ballot
+    /// string: a letter is an abstract, a digit an attendance, anything
+    /// else (and every assignment past the end) leaves the field empty.
+    fn typed(ballots: &str, k: u32) -> String {
+        match ballots.as_bytes().get(k as usize) {
+            Some(b'a') => "Alpha",
+            Some(b'b') => "Beta",
+            Some(b'c') => "Gamma",
+            Some(b'1') => "100",
+            Some(b'2') => "200",
+            _ => "",
+        }
+        .to_string()
+    }
+
+    struct ProbeCase {
+        label: &'static str,
+        /// Ballots per asked column, one char per assignment ordinal.
+        ballots: [&'static str; 2],
+        quality: QualityPolicy,
+        extend_fails: bool,
+        /// The value written back per column; `None` leaves it CNULL.
+        wrote: [Option<Value>; 2],
+        /// `VoteResolved` per column: votes for a decided winner, ballots.
+        resolved: [(Option<u64>, u64); 2],
+        warnings: &'static [&'static str],
+        gave_up: u64,
+        /// Times the need's key is pushed to `exhausted`.
+        exhausted: usize,
+        scored: &'static str,
+    }
+
+    fn probe_cases() -> Vec<ProbeCase> {
+        vec![
+            // A worker's voted key is that of the first column they
+            // answered, scored against the winners of every column.
+            ProbeCase {
+                label: "strict majority",
+                ballots: ["aab", "112"],
+                quality: QualityPolicy::MajorityVote,
+                extend_fails: false,
+                wrote: [Some(Value::str("Alpha")), Some(Value::Int(100))],
+                resolved: [(Some(2), 3), (Some(2), 3)],
+                warnings: &[],
+                gave_up: 0,
+                exhausted: 0,
+                scored: "aad",
+            },
+            // Three answers, no two alike: the vote asks for one more,
+            // the platform refuses, and the leader of the tie (smallest
+            // key) is accepted.
+            ProbeCase {
+                label: "plurality after failed extend",
+                ballots: ["abc", "111"],
+                quality: QualityPolicy::MajorityVote,
+                extend_fails: true,
+                wrote: [Some(Value::str("Alpha")), Some(Value::Int(100))],
+                resolved: [(None, 3), (Some(3), 3)],
+                warnings: &[
+                    "accepted plurality answer for talk.abstract without a strict majority",
+                    "platform faults absorbed: 0 post failure(s) (0 retried), 1 extend \
+                     failure(s), 0 duplicate answer(s) dropped, 0 HIT(s) reposted",
+                ],
+                gave_up: 1,
+                exhausted: 0,
+                scored: "add",
+            },
+            // The blank column asks for three more assignments, which
+            // answer nothing at all.
+            ProbeCase {
+                label: "one column blank",
+                ballots: ["___", "111"],
+                quality: QualityPolicy::MajorityVote,
+                extend_fails: false,
+                wrote: [None, Some(Value::Int(100))],
+                resolved: [(None, 0), (Some(3), 3)],
+                warnings: &["no usable answers for talk.abstract; value left CNULL"],
+                gave_up: 1,
+                exhausted: 1,
+                scored: "aaaccc",
+            },
+            // Each unanswered column pushes the need's key.
+            ProbeCase {
+                label: "all blank",
+                ballots: ["___", "___"],
+                quality: QualityPolicy::MajorityVote,
+                extend_fails: false,
+                wrote: [None, None],
+                resolved: [(None, 0), (None, 0)],
+                warnings: &[
+                    "no usable answers for talk.abstract; value left CNULL",
+                    "no usable answers for talk.nb; value left CNULL",
+                ],
+                gave_up: 1,
+                exhausted: 2,
+                scored: "cccccc",
+            },
+            // One ballot each way on the abstract, which the escalation
+            // (a blank form) does not break. Majority would accept the
+            // tie's leader, Alpha, as a fallback; EM trusts the worker
+            // who sided with the attendance majority and decides Beta.
+            ProbeCase {
+                label: "EM verdict overriding a tie",
+                ballots: ["ba_", "121"],
+                quality: QualityPolicy::em(),
+                extend_fails: false,
+                wrote: [Some(Value::str("Beta")), Some(Value::Int(100))],
+                resolved: [(Some(1), 2), (Some(2), 3)],
+                warnings: &[],
+                gave_up: 0,
+                exhausted: 0,
+                scored: "adac",
+            },
+        ]
+    }
+
+    #[test]
+    fn settle_table_probe_of_two_columns() {
+        let schema = TableSchema::new(
+            "talk",
+            vec![
+                ColumnDef::new("title", DataType::Str),
+                ColumnDef::new("abstract", DataType::Str).crowd(),
+                ColumnDef::new("nb", DataType::Int).crowd(),
+            ],
+        )
+        .unwrap()
+        .with_primary_key(&["title"])
+        .unwrap();
+        for case in probe_cases() {
+            let label = case.label;
+            let db = Database::new();
+            db.create_table(schema.clone()).unwrap();
+            let stored = Row::new(vec![Value::str("CrowdDB"), Value::CNull, Value::CNull]);
+            let tid = db.insert("talk", stored).unwrap();
+            let need = TaskNeed::ProbeValues {
+                table: "talk".into(),
+                tid,
+                context: vec![("title".into(), "CrowdDB".into())],
+                columns: vec![
+                    (1, "abstract".into(), DataType::Str),
+                    (2, "nb".into(), DataType::Int),
+                ],
+            };
+            let ballots = case.ballots;
+            let mock = crowddb_platform::MockPlatform::new(Box::new(move |kind, k| {
+                assert!(matches!(kind, TaskKind::Probe { .. }), "{kind:?}");
+                Answer::Form(vec![
+                    ("abstract".into(), typed(ballots[0], k)),
+                    ("nb".into(), typed(ballots[1], k)),
+                ])
+            }));
+            let mut faults = crowddb_platform::FaultConfig::none(0);
+            faults.extend_fail_rate = if case.extend_fails { 1.0 } else { 0.0 };
+            let mut platform = crowddb_platform::FaultyPlatform::new(mock, faults);
+            let config = vote_three_escalate_once(case.quality);
+            let s = fulfill_in(&db, &config, std::slice::from_ref(&need), &mut platform);
+
+            let row = db.with_table("talk", |t| t.get(tid)).unwrap().unwrap();
+            let row = row.expect("the probed row");
+            let mut log = Vec::new();
+            let mut events = Vec::new();
+            for (j, col) in [1usize, 2].into_iter().enumerate() {
+                let value = case.wrote[j].clone();
+                assert_eq!(row[col], value.clone().unwrap_or(Value::CNull), "{label}");
+                log.extend(value.map(|value| LogRecord::WriteBackValue {
+                    table: "talk".into(),
+                    tid,
+                    col,
+                    value,
+                }));
+                let (decided, total) = case.resolved[j];
+                events.push(Event::VoteResolved {
+                    kind: "probe",
+                    decided: decided.is_some(),
+                    votes: decided.unwrap_or(0),
+                    total,
+                });
+            }
+            assert_eq!(s.summary.log, log, "{label}: log");
+            assert_eq!(vote_resolved_events(&s.obs), events, "{label}: events");
+            assert_eq!(s.summary.warnings, case.warnings, "{label}: warnings");
+            assert_eq!(s.summary.gave_up, case.gave_up, "{label}: gave_up");
+            assert_eq!(
+                s.summary.exhausted,
+                vec![need.dedup_key(); case.exhausted],
+                "{label}: exhausted"
+            );
+            assert_eq!(wrm_scoring(&s.wrm), case.scored, "{label}: WRM scoring");
+            // Every assignment, scored or not, is paid the base reward.
+            assert_eq!(s.summary.tasks_posted, 1, "{label}");
+            assert_eq!(
+                s.wrm.total_paid_cents(),
+                2 * case.scored.len() as u64,
+                "{label}: paid"
+            );
+        }
+    }
+
+    #[test]
+    fn settle_table_new_tuples_wanting_two() {
+        // Per case: the name each of the three assignments contributes
+        // (`-`: a blank answer), the names inserted, and the warning.
+        let cases = [
+            ("3 valid", ["Ann", "Bob", "Cy"], "Ann Bob", None),
+            (
+                "1 valid + 1 missing PK + 1 duplicate key",
+                ["Ann", "  ", "Ann"],
+                "Ann",
+                Some("the crowd contributed 1/2 requested tuples for 'notableattendee'"),
+            ),
+            (
+                "none",
+                ["-", "-", "-"],
+                "",
+                Some("the crowd contributed no valid new tuples for 'notableattendee'"),
+            ),
+        ];
+        let need = TaskNeed::NewTuples {
+            table: "notableattendee".into(),
+            preset: vec![("title".into(), Value::str("CrowdDB"))],
+            want: 2,
+        };
+        for (label, contributed, inserted, warning) in cases {
+            let db = Database::new();
+            db.create_table(attendee_schema()).unwrap();
+            let mut platform = crowddb_platform::MockPlatform::new(Box::new(move |kind, k| {
+                assert!(matches!(kind, TaskKind::NewTuples { .. }), "{kind:?}");
+                match contributed[k as usize] {
+                    "-" => Answer::Blank,
+                    name => Answer::Tuples(vec![vec![("name".into(), name.into())]]),
+                }
+            }));
+            let config = vote_three_escalate_once(QualityPolicy::MajorityVote);
+            let s = fulfill_in(&db, &config, std::slice::from_ref(&need), &mut platform);
+
+            let rows: Vec<Row> = inserted
+                .split_whitespace()
+                .map(|name| Row::new(vec![Value::str(name), Value::str("CrowdDB")]))
+                .collect();
+            let stored: Vec<Row> = db
+                .with_table("notableattendee", |t| t.scan_rows())
+                .unwrap()
+                .unwrap()
+                .into_iter()
+                .map(|(_, row)| row)
+                .collect();
+            assert_eq!(stored, rows, "{label}: stored rows");
+            let log: Vec<LogRecord> = rows
+                .into_iter()
+                .map(|row| LogRecord::WriteBackTuple {
+                    table: "notableattendee".into(),
+                    row,
+                })
+                .collect();
+            assert_eq!(s.summary.log, log, "{label}: log");
+            let short = warning.is_some();
+            assert_eq!(
+                s.summary.warnings,
+                warning.into_iter().collect::<Vec<_>>(),
+                "{label}: warnings"
+            );
+            assert_eq!(s.summary.gave_up, u64::from(short), "{label}: gave_up");
+            assert_eq!(
+                s.summary.exhausted,
+                vec![need.dedup_key(); usize::from(short)],
+                "{label}: exhausted"
+            );
+            // Contributions are paid and never agreement-scored.
+            assert_eq!(wrm_scoring(&s.wrm), "ccc", "{label}: WRM scoring");
+            assert_eq!(s.wrm.total_paid_cents(), 6, "{label}: paid");
+            assert_eq!(vote_resolved_events(&s.obs), vec![], "{label}: events");
         }
     }
 }
