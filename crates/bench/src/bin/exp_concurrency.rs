@@ -7,10 +7,10 @@
 //!    (CROWD columns over `talk`, replication 3, ~1 KB free-text
 //!    answers so QC normalization dominates) run with
 //!    `concurrency.fulfill_workers` at 1/2/4/8. Platform traffic stays
-//!    serial on the coordinator; only the pure per-need compute (answer
-//!    ingest, vote decisions, settle planning) fans out, so every
-//!    worker count must produce identical results — the bench asserts
-//!    row-for-row equality while timing the difference.
+//!    serial on the coordinator; only answer ingest (normalization and
+//!    vote tallies) fans out, so every worker count must produce
+//!    identical results — the bench asserts row-for-row equality while
+//!    timing the difference.
 //! 2. **Multi-session reads** — one `Arc<CrowdDB>` pre-warmed so
 //!    every probe answer is already written back, then T threads each
 //!    running a batch of SELECTs with their own platform handle.

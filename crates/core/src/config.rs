@@ -120,17 +120,16 @@ impl Default for RetryPolicy {
 ///
 /// The determinism contract is preserved for *every* value of
 /// `fulfill_workers`: the platform is driven by one coordinator in a
-/// fixed order, worker threads only run pure per-need computation
-/// (answer normalization, vote outcomes, settle planning), and their
-/// results are merged in need order — so serial and parallel runs
+/// fixed order, worker threads only run pure per-unit computation
+/// (answer normalization and vote tallies), and their results are
+/// merged in need order — so serial and parallel runs
 /// produce byte-identical answers, metrics, and WAL contents (see
 /// DESIGN.md §10). `max_batch_size`, by contrast, changes *which*
 /// platform calls are made; runs are comparable only at equal values.
 #[derive(Debug, Clone)]
 pub struct ConcurrencyPolicy {
-    /// Worker threads for the parallel phases of round fulfillment
-    /// (answer QC ingest, vote decisions, settle planning). `0` or `1`
-    /// runs fully serial.
+    /// Worker threads for the parallel phase of round fulfillment
+    /// (answer QC ingest). `0` or `1` runs fully serial.
     pub fulfill_workers: usize,
     /// Maximum task specs per platform `post()` call; same-template runs
     /// are chunked to this size. `0` posts the whole wave as one batch

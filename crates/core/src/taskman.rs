@@ -3,17 +3,25 @@
 //! (storage write-back for probe answers and new tuples, session caches
 //! for comparisons).
 //!
-//! Each task family — probe, new tuples, compare — has one
-//! representation from posting through settlement. A compare unit is
-//! the same-instruction `CROWDEQUAL` (or `CROWDORDER`) pairs one HIT
-//! carries: `max_batch_size` sizes the unit, and a lone comparison is a
-//! unit of one pair that runs through the same state, decisions and
-//! settle arm. Unit size shows in two places only: the wire shape
-//! (`unit_spec` posts `Equal`/`Order` for one pair and `EqualBatch`/
-//! `OrderBatch` for more; `ingest_answer` takes back exactly the shape
-//! posted) and WRM agreement scoring (voters of a one-pair HIT are
-//! scored; batched voters are paid but not scored — inherited from the
-//! two code paths this replaced, see DESIGN §15.2).
+//! [`fulfill_needs`] is three calls over one `Wave`: `post`, `pump`,
+//! `settle`. What was asked has one holder, the wave's slice of needs;
+//! a post unit's `Tracker` keeps what was posted for it and what the
+//! crowd said back — one vote per asked column or compared pair, or the
+//! contributed tuples — and points at its needs by index, so settlement
+//! reads table, tuple id, columns, preset and operands from the need
+//! itself. Answer ingest, which normalizes free text, is the one phase
+//! that runs on the worker pool; decisions and settlement are plain
+//! loops on the coordinator.
+//!
+//! A compare unit is the same-instruction `CROWDEQUAL` (or
+//! `CROWDORDER`) pairs one HIT carries: `max_batch_size` sizes the unit,
+//! and a lone comparison is a unit of one pair that runs through the
+//! same tracker, decisions and settle arm. Unit size shows in two places
+//! only: the wire shape (`unit_spec` posts `Equal`/`Order` for one pair
+//! and `EqualBatch`/`OrderBatch` for more; `ingest_answer` takes back
+//! exactly the shape posted) and WRM agreement scoring (voters of a
+//! one-pair HIT are scored; batched voters are paid but not scored —
+//! inherited from the two code paths this replaced, see DESIGN §15.2).
 
 use std::collections::{HashMap, HashSet};
 
@@ -22,7 +30,8 @@ use crowddb_common::{Result, Row, TableSchema, Value};
 use crowddb_exec::{SharedCaches, TaskNeed};
 use crowddb_obs::{Event, Obs};
 use crowddb_platform::{
-    batched_reward_cents, Answer, HitId, Platform, TaskKind, TaskSpec, WorkerRelationshipManager,
+    batched_reward_cents, Answer, HitId, Platform, TaskKind, TaskSpec, WorkerId,
+    WorkerRelationshipManager,
 };
 use crowddb_quality::{
     infer, record_em_round, record_vote_outcome, EmConfig, MajorityVote, Normalizer, VoteOutcome,
@@ -174,37 +183,6 @@ pub fn need_to_spec(
         .replicate(assignments)
 }
 
-/// Per-HIT quality-control state.
-enum HitState {
-    /// Probe: one vote per asked column, plus write-back coordinates.
-    Probe {
-        table: String,
-        tid: crowddb_common::TupleId,
-        columns: Vec<(usize, String, crowddb_common::DataType)>,
-        votes: Vec<MajorityVote>,
-    },
-    /// New tuples: collected parsed tuples.
-    NewTuples {
-        table: String,
-        preset: Vec<(String, Value)>,
-        want: u64,
-        collected: Vec<Vec<(String, String)>>,
-        assignments_seen: u32,
-    },
-    /// One compare unit: the same-instruction CROWDEQUAL (or
-    /// CROWDORDER) pairs one HIT carries, with one vote per pair,
-    /// mirroring how a probe HIT carries one vote per asked column. A
-    /// lone comparison is a unit of one pair.
-    Compare {
-        /// `true` for Order pairs (left/right verdicts), `false` for
-        /// Equal pairs (yes/no verdicts).
-        order: bool,
-        instruction: String,
-        pairs: Vec<(String, String)>,
-        votes: Vec<MajorityVote>,
-    },
-}
-
 /// Deterministic unit-interval hash (one splitmix64 step). Backoff
 /// jitter must not disturb the byte-identical-per-seed reproducibility
 /// contract, so it is derived from a counter instead of an RNG.
@@ -252,84 +230,35 @@ impl Breaker {
     }
 }
 
-/// Post a batch with bounded retries and backoff. Specs are rebuilt per
-/// attempt and handed to the platform by value. Backoff waits advance
-/// platform-virtual time and count against the round budget. Returns
-/// `None` when every attempt failed or the breaker tripped.
-fn post_with_retry(
-    platform: &mut dyn Platform,
-    make_specs: &mut dyn FnMut() -> Vec<TaskSpec>,
-    policy: &crate::config::RetryPolicy,
-    breaker: &mut Breaker,
-    summary: &mut FulfillSummary,
-    elapsed: &mut f64,
-    obs: &Obs,
-) -> Option<Vec<HitId>> {
-    if breaker.tripped {
-        return None;
-    }
-    let attempts = policy.max_post_attempts.max(1);
-    let mut last_err = String::new();
-    for attempt in 1..=attempts {
-        let specs = make_specs();
-        let liability: u64 = specs
-            .iter()
-            .map(|s| s.reward_cents as u64 * s.assignments as u64)
-            .sum();
-        match platform.post(specs) {
-            Ok(ids) => {
-                breaker.succeeded();
-                summary.tasks_posted += ids.len() as u64;
-                obs.events().emit(Event::HitsPosted {
-                    count: ids.len() as u64,
-                    reward_cents: liability,
-                });
-                return Some(ids);
-            }
-            Err(e) => {
-                summary.post_failures += 1;
-                breaker.failed();
-                last_err = e.to_string();
-                if breaker.tripped || attempt == attempts {
-                    break;
-                }
-                let salt =
-                    summary.post_failures.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt);
-                let wait = backoff_secs(policy, attempt, salt);
-                platform.advance(wait);
-                *elapsed += wait;
-                summary.retries += 1;
-                obs.events().emit(Event::PostRetried {
-                    attempt: u64::from(attempt),
-                });
-            }
-        }
-    }
-    summary
-        .warnings
-        .push(format!("task posting failed after retries: {last_err}"));
-    None
-}
-
-/// One post unit's lifecycle across posting, reposts, and voting.
-struct NeedTracker {
-    state: HitState,
+/// One post unit's lifecycle across posting, reposts, and voting: what
+/// was posted for it and what the crowd said back. What was *asked* —
+/// table, tuple, columns, preset, operands, instruction — is read from
+/// the wave's needs, which `unit` indexes.
+struct Tracker {
+    /// The needs this unit's HIT covers, as indices into the wave's
+    /// needs: one, or the pairs of a batched compare HIT.
+    unit: Vec<usize>,
+    /// The spec posted for the unit, built once; retries and reposts
+    /// post clones of it.
+    spec: TaskSpec,
+    /// One vote per asked column (probe) or per pair (compare), in need
+    /// order — the order EM inference and settlement walk. Empty for a
+    /// new-tuples unit.
+    votes: Vec<MajorityVote>,
+    /// New-tuple contributions in arrival order.
+    tuples: Vec<Vec<(String, String)>>,
     /// The currently active HIT for this unit (reposts swap it; stale
     /// HITs stay mapped so straggler answers still count).
     hit: HitId,
     /// Virtual deadline after which the active HIT counts as abandoned.
     deadline: f64,
     reposts: u32,
-    /// Per-assignment reward actually offered for this HIT — the base
-    /// reward for singletons, [`batched_reward_cents`] for batched
-    /// compare units. Worker payments must match what was posted.
-    reward_cents: u32,
     /// No further posting/extension decisions for this unit; its final
     /// outcome is settled from whatever votes exist.
     resolved: bool,
     /// Answers staged by the (serial) collector this pump step, waiting
     /// for the parallel QC ingest: `(worker_votes slot, worker, answer)`.
-    pending: Vec<(usize, crowddb_platform::WorkerId, Answer)>,
+    pending: Vec<(usize, WorkerId, Answer)>,
 }
 
 /// Template-group key for a need, mirroring [`TaskKind::group_key`]:
@@ -412,16 +341,21 @@ fn batch_ranges(
     ranges
 }
 
-/// The `(left, right)` operands of a compare unit, in need order.
-fn unit_pairs(needs: &[TaskNeed], unit: &[usize]) -> Vec<(String, String)> {
-    unit.iter()
-        .map(|&i| match &needs[i] {
-            TaskNeed::Equal { left, right, .. } | TaskNeed::Order { left, right, .. } => {
-                (left.clone(), right.clone())
-            }
-            _ => unreachable!("a compare unit holds only compare needs"),
-        })
-        .collect()
+/// The `(left, right, instruction)` of a compare need.
+fn compare_operands(need: &TaskNeed) -> (&String, &String, &String) {
+    match need {
+        TaskNeed::Equal {
+            left,
+            right,
+            instruction,
+        }
+        | TaskNeed::Order {
+            left,
+            right,
+            instruction,
+        } => (left, right, instruction),
+        _ => unreachable!("a compare unit holds only compare needs"),
+    }
 }
 
 /// Build the platform spec for one post unit. The wire kind is chosen
@@ -437,64 +371,55 @@ fn unit_spec(
     config: &CrowdConfig,
     templates: &UiTemplateManager,
 ) -> TaskSpec {
+    let first = &needs[unit[0]];
     if unit.len() == 1 {
-        return need_to_spec(&needs[unit[0]], config, templates);
+        return need_to_spec(first, config, templates);
     }
-    let pairs = unit_pairs(needs, unit);
-    let kind = match &needs[unit[0]] {
-        TaskNeed::Equal { instruction, .. } => TaskKind::EqualBatch {
-            pairs,
-            instruction: instruction.clone(),
-        },
-        TaskNeed::Order { instruction, .. } => TaskKind::OrderBatch {
-            pairs,
-            instruction: instruction.clone(),
-        },
-        _ => unreachable!("only compare needs batch"),
+    let pairs = unit
+        .iter()
+        .map(|&i| {
+            let (left, right, _) = compare_operands(&needs[i]);
+            (left.clone(), right.clone())
+        })
+        .collect();
+    let instruction = compare_operands(first).2.clone();
+    let kind = if matches!(first, TaskNeed::Order { .. }) {
+        TaskKind::OrderBatch { pairs, instruction }
+    } else {
+        TaskKind::EqualBatch { pairs, instruction }
     };
     TaskSpec::new(kind)
         .reward(batched_reward_cents(config.reward_cents, unit.len()))
         .replicate(config.vote.replication as u32)
 }
 
-/// Initial QC state for a post unit.
-fn unit_state(needs: &[TaskNeed], unit: &[usize]) -> HitState {
-    let (order, instruction) = match &needs[unit[0]] {
-        TaskNeed::ProbeValues {
-            table,
-            tid,
-            columns,
-            ..
-        } => {
-            return HitState::Probe {
-                table: table.clone(),
-                tid: *tid,
-                columns: columns.clone(),
-                votes: vec![MajorityVote::new(); columns.len()],
-            }
-        }
-        TaskNeed::NewTuples {
-            table,
-            preset,
-            want,
-        } => {
-            return HitState::NewTuples {
-                table: table.clone(),
-                preset: preset.clone(),
-                want: *want,
-                collected: Vec::new(),
-                assignments_seen: 0,
-            }
-        }
-        TaskNeed::Equal { instruction, .. } => (false, instruction),
-        TaskNeed::Order { instruction, .. } => (true, instruction),
-    };
-    HitState::Compare {
-        order,
-        instruction: instruction.clone(),
-        pairs: unit_pairs(needs, unit),
-        votes: vec![MajorityVote::new(); unit.len()],
-    }
+/// One fulfillment pass: what [`fulfill_needs`] was called with, and
+/// what its three phases — [`post`](Wave::post), [`pump`](Wave::pump),
+/// [`settle`](Wave::settle) — hand one another.
+struct Wave<'a> {
+    db: &'a Database,
+    caches: &'a SharedCaches,
+    wrm: &'a mut WorkerRelationshipManager,
+    templates: &'a UiTemplateManager,
+    platform: &'a mut dyn Platform,
+    config: &'a CrowdConfig,
+    needs: &'a [TaskNeed],
+    obs: &'a Obs,
+    guard: &'a crate::governor::StatementGuard,
+    normalizer: Normalizer,
+    summary: FulfillSummary,
+    breaker: Breaker,
+    /// Virtual seconds this pass has spent — pump steps and backoff
+    /// waits alike — against `round_budget_secs`.
+    elapsed: f64,
+    /// One per unit the platform accepted, in unit order.
+    trackers: Vec<Tracker>,
+    hit_to_tracker: HashMap<HitId, usize>,
+    /// `(worker, tracker, voted key)` per accepted delivery, in arrival
+    /// order, to pay and score agreement at settle.
+    worker_votes: Vec<(WorkerId, usize, Option<String>)>,
+    /// Per need: its key is in `summary.exhausted` already.
+    exhausted: Vec<bool>,
 }
 
 /// Post `needs` to `platform`, pump until resolved (or the round budget
@@ -523,717 +448,604 @@ pub fn fulfill_needs(
     obs: &Obs,
     guard: &crate::governor::StatementGuard,
 ) -> Result<FulfillSummary> {
-    let mut summary = FulfillSummary::default();
     if needs.is_empty() {
-        return Ok(summary);
+        return Ok(FulfillSummary::default());
     }
-    let normalizer = Normalizer::new();
-    let policy = &config.retry;
-    let mut breaker = Breaker::new(policy.breaker_threshold);
-    let mut elapsed = 0.0_f64;
+    let mut wave = Wave {
+        db,
+        caches,
+        wrm,
+        templates,
+        platform,
+        config,
+        needs,
+        obs,
+        guard,
+        normalizer: Normalizer::new(),
+        summary: FulfillSummary::default(),
+        breaker: Breaker::new(config.retry.breaker_threshold),
+        elapsed: 0.0,
+        trackers: Vec::new(),
+        hit_to_tracker: HashMap::new(),
+        worker_votes: Vec::new(),
+        exhausted: vec![false; needs.len()],
+    };
+    wave.post();
+    wave.pump();
+    wave.settle()
+}
 
-    // Plan post units (several same-instruction compares may share one
-    // batched HIT), then post the wave: one batch by default, or
-    // same-template chunks of at most `max_batch_size` specs (HIT
-    // groups form on the platform).
-    let units = plan_units(needs, config.concurrency.max_batch_size);
-    let ranges = batch_ranges(needs, &units, config.concurrency.max_batch_size);
-    let mut posted: Vec<Option<HitId>> = vec![None; units.len()];
-    let mut rejected: Vec<std::ops::Range<usize>> = Vec::new();
-    for range in &ranges {
-        let chunk = &units[range.clone()];
-        let ids = post_with_retry(
-            platform,
-            &mut || {
-                chunk
-                    .iter()
-                    .map(|u| unit_spec(needs, u, config, templates))
-                    .collect()
-            },
-            policy,
-            &mut breaker,
-            &mut summary,
-            &mut elapsed,
-            obs,
-        );
-        match ids {
-            // A platform may accept fewer HITs than specs (partial
-            // batch); the unposted tail goes untracked and the next
-            // round re-requests it, exactly as before batching.
-            Some(ids) => {
-                for (off, id) in ids.into_iter().enumerate().take(range.len()) {
-                    posted[range.start + off] = Some(id);
+impl Wave<'_> {
+    /// Plan post units (several same-instruction compares may share one
+    /// batched HIT), then post the wave: one batch by default, or
+    /// same-template chunks of at most `max_batch_size` specs (HIT
+    /// groups form on the platform). Every unit the platform accepted
+    /// gets a tracker; the needs of a rejected batch are abandoned.
+    fn post(&mut self) {
+        let (needs, config) = (self.needs, self.config);
+        let max_batch_size = config.concurrency.max_batch_size;
+        let units = plan_units(needs, max_batch_size);
+        let specs: Vec<TaskSpec> = units
+            .iter()
+            .map(|unit| unit_spec(needs, unit, config, self.templates))
+            .collect();
+        let mut posted: Vec<Option<HitId>> = vec![None; units.len()];
+        let mut rejected: Vec<usize> = Vec::new();
+        for range in batch_ranges(needs, &units, max_batch_size) {
+            match self.post_with_retry(&specs[range.clone()]) {
+                // A platform may accept fewer HITs than specs (partial
+                // batch); the unposted tail goes untracked and the next
+                // round re-requests it, exactly as before batching.
+                Some(ids) => {
+                    for (slot, id) in posted[range].iter_mut().zip(ids) {
+                        *slot = Some(id);
+                    }
                 }
+                None => rejected.extend(units[range].iter().flatten()),
             }
-            None => rejected.push(range.clone()),
         }
-    }
-
-    if posted.iter().all(|p| p.is_none()) {
-        // The platform never accepted any batch. Abandon every need —
-        // gracefully, not with an error — so the statement still returns
-        // a (partial) result.
-        summary.gave_up += needs.len() as u64;
-        for need in needs {
-            summary.exhausted.push(need.dedup_key());
-        }
-        if breaker.tripped {
-            summary.degraded = true;
-            obs.events().emit(Event::Degraded {
-                abandoned: needs.len() as u64,
+        for ((unit, spec), hit) in units.into_iter().zip(specs).zip(posted) {
+            let Some(hit) = hit else { continue };
+            let votes = match &needs[unit[0]] {
+                TaskNeed::ProbeValues { columns, .. } => columns.len(),
+                TaskNeed::NewTuples { .. } => 0,
+                TaskNeed::Equal { .. } | TaskNeed::Order { .. } => unit.len(),
+            };
+            self.hit_to_tracker.insert(hit, self.trackers.len());
+            self.trackers.push(Tracker {
+                unit,
+                spec,
+                votes: vec![MajorityVote::new(); votes],
+                tuples: Vec::new(),
+                hit,
+                deadline: self.elapsed + config.retry.hit_deadline_secs,
+                reposts: 0,
+                resolved: false,
+                pending: Vec::new(),
             });
-            summary.warnings.push(format!(
-                "platform '{}' marked degraded after {} consecutive failures; \
-                 {} task(s) abandoned",
-                platform.name(),
-                breaker.consecutive,
-                needs.len()
-            ));
-        } else {
-            summary.warnings.push(format!(
-                "{} crowd task(s) abandoned: the platform rejected the batch",
-                needs.len()
-            ));
         }
-        summary.note_absorbed_faults();
-        return Ok(summary);
+
+        // If the platform never accepted any batch every need goes; in
+        // the batching regime, where some chunks were rejected while
+        // others posted, just the rejected ones.
+        let nothing_posted = self.trackers.is_empty();
+        if nothing_posted {
+            rejected = (0..needs.len()).collect();
+        }
+        let n = rejected.len();
+        if n == 0 {
+            return;
+        }
+        self.summary.gave_up += n as u64;
+        if nothing_posted && self.breaker.tripped {
+            self.abandon(rejected, Some(n), format!("{n} task(s) abandoned"));
+        } else {
+            let which = if nothing_posted { "the" } else { "their" };
+            let why = format!("{n} crowd task(s) abandoned: the platform rejected {which} batch");
+            self.abandon(rejected, None, why);
+        }
     }
-    if !rejected.is_empty() {
-        // Batching regime only: some chunks were rejected while others
-        // posted. Abandon just the rejected needs.
-        let mut abandoned = 0usize;
-        for range in &rejected {
-            for unit in &units[range.clone()] {
-                abandoned += unit.len();
-                for &ni in unit {
-                    summary.exhausted.push(needs[ni].dedup_key());
+
+    /// Post a batch with bounded retries and backoff; every attempt
+    /// hands the platform its own clone of `specs`. Backoff waits
+    /// advance platform-virtual time and count against the round budget.
+    /// Returns `None` when every attempt failed or the breaker tripped.
+    fn post_with_retry(&mut self, specs: &[TaskSpec]) -> Option<Vec<HitId>> {
+        if self.breaker.tripped {
+            return None;
+        }
+        let policy = &self.config.retry;
+        let attempts = policy.max_post_attempts.max(1);
+        let liability: u64 = specs
+            .iter()
+            .map(|s| s.reward_cents as u64 * s.assignments as u64)
+            .sum();
+        let mut last_err = String::new();
+        for attempt in 1..=attempts {
+            match self.platform.post(specs.to_vec()) {
+                Ok(ids) => {
+                    self.breaker.succeeded();
+                    self.summary.tasks_posted += ids.len() as u64;
+                    self.obs.events().emit(Event::HitsPosted {
+                        count: ids.len() as u64,
+                        reward_cents: liability,
+                    });
+                    return Some(ids);
+                }
+                Err(e) => {
+                    self.summary.post_failures += 1;
+                    self.breaker.failed();
+                    last_err = e.to_string();
+                    if self.breaker.tripped || attempt == attempts {
+                        break;
+                    }
+                    let salt = self
+                        .summary
+                        .post_failures
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        ^ u64::from(attempt);
+                    let wait = backoff_secs(policy, attempt, salt);
+                    self.platform.advance(wait);
+                    self.elapsed += wait;
+                    self.summary.retries += 1;
+                    self.obs.events().emit(Event::PostRetried {
+                        attempt: u64::from(attempt),
+                    });
                 }
             }
         }
-        summary.gave_up += abandoned as u64;
-        summary.warnings.push(format!(
-            "{abandoned} crowd task(s) abandoned: the platform rejected their batch"
+        self.summary
+            .warnings
+            .push(format!("task posting failed after retries: {last_err}"));
+        None
+    }
+
+    /// Record that need `ni` could not be resolved — once per pass,
+    /// however many of its columns or phases come to say so.
+    fn exhaust(&mut self, ni: usize) {
+        if !std::mem::replace(&mut self.exhausted[ni], true) {
+            self.summary.exhausted.push(self.needs[ni].dedup_key());
+        }
+    }
+
+    /// Abandon `needs` for this pass — gracefully, not with an error, so
+    /// the statement still returns a (partial) result: each is recorded
+    /// exhausted and `why` becomes a warning. `degraded` is the task
+    /// count to report when the tripped breaker is what abandons them.
+    fn abandon(&mut self, needs: Vec<usize>, degraded: Option<usize>, why: String) {
+        for ni in needs {
+            self.exhaust(ni);
+        }
+        let Some(tasks) = degraded else {
+            self.summary.warnings.push(why);
+            return;
+        };
+        self.summary.degraded = true;
+        self.obs.events().emit(Event::Degraded {
+            abandoned: tasks as u64,
+        });
+        self.summary.warnings.push(format!(
+            "platform '{}' marked degraded after {} consecutive failures; {why}",
+            self.platform.name(),
+            self.breaker.consecutive
         ));
     }
 
-    let mut trackers: Vec<NeedTracker> = Vec::new();
-    // Tracker index → index into `units` (they differ once a batch is
-    // rejected or short).
-    let mut tracker_unit: Vec<usize> = Vec::new();
-    let mut hit_to_tracker: HashMap<HitId, usize> = HashMap::new();
-    for (unit_idx, hit) in posted.iter().enumerate() {
-        let Some(hit) = hit else { continue };
-        let unit = &units[unit_idx];
-        hit_to_tracker.insert(*hit, trackers.len());
-        tracker_unit.push(unit_idx);
-        trackers.push(NeedTracker {
-            state: unit_state(needs, unit),
-            hit: *hit,
-            deadline: elapsed + policy.hit_deadline_secs,
-            reposts: 0,
-            reward_cents: batched_reward_cents(config.reward_cents, unit.len()),
-            resolved: false,
-            pending: Vec::new(),
-        });
-    }
-    // AMT one-assignment rule: each (worker, HIT) pair may vote once.
-    let mut seen: HashSet<(crowddb_platform::WorkerId, HitId)> = HashSet::new();
-    // Remember (worker, hit, voted key) pairs to score agreement later.
-    let mut worker_votes: Vec<(crowddb_platform::WorkerId, HitId, Option<String>)> = Vec::new();
-    let workers = config.concurrency.fulfill_workers.max(1);
-    let threshold = config.concurrency.parallel_threshold;
+    /// Advance virtual time step by step, feeding arrivals into their
+    /// unit's votes and deciding, extending or reposting HITs, until
+    /// every tracker is resolved, the round budget runs out, the
+    /// governor interrupts or the breaker trips.
+    fn pump(&mut self) {
+        let (needs, config, events) = (self.needs, self.config, self.obs.events());
+        let workers = config.concurrency.fulfill_workers.max(1);
+        let threshold = config.concurrency.parallel_threshold;
+        // AMT one-assignment rule: each (worker, HIT) pair may vote once.
+        let mut seen: HashSet<(WorkerId, HitId)> = HashSet::new();
 
-    while trackers.iter().any(|t| !t.resolved) && elapsed < config.round_budget_secs {
-        // Governor checkpoint: a deadline or cancel interrupts the pump
-        // *before* the next virtual-time step, so termination lands on a
-        // deterministic boundary. Answers already collected still settle
-        // below — paid work is never discarded.
-        if guard.interruption(platform.now()).is_some() {
-            summary
-                .warnings
-                .push("statement interrupted mid-round; settling answers already collected".into());
-            break;
-        }
-        platform.advance(config.pump_step_secs);
-        elapsed += config.pump_step_secs;
-        // Stage arrivals serially: dedup, ban checks, and events depend
-        // on arrival order and global state.
-        for resp in platform.collect() {
-            summary.answers_collected += 1;
-            let Some(&ti) = hit_to_tracker.get(&resp.hit) else {
-                // Unknown HIT (e.g. orphaned by a partial batch failure).
-                obs.events().emit(Event::HitAnswered { duplicate: false });
-                continue;
-            };
-            if !seen.insert((resp.worker, resp.hit)) {
-                summary.duplicates_dropped += 1;
-                obs.events().emit(Event::HitAnswered { duplicate: true });
-                continue;
-            }
-            obs.events().emit(Event::HitAnswered { duplicate: false });
-            worker_votes.push((resp.worker, resp.hit, None));
-            if !wrm.is_banned(resp.worker) {
-                trackers[ti]
-                    .pending
-                    .push((worker_votes.len() - 1, resp.worker, resp.answer));
-            }
-        }
-
-        // QC ingest — normalization and vote tallies, the CPU-heavy pure
-        // part — runs on the worker pool. Trackers are disjoint, so any
-        // schedule computes the same votes; patching the voted keys back
-        // by staged slot keeps `worker_votes` byte-identical to the
-        // serial path.
-        let voted = par_map_mut(&mut trackers, workers, threshold, |_, t| {
-            let pending = std::mem::take(&mut t.pending);
-            pending
-                .into_iter()
-                .map(|(slot, worker, answer)| {
-                    (
-                        slot,
-                        ingest_answer(&mut t.state, worker, &answer, &normalizer),
-                    )
-                })
-                .collect::<Vec<_>>()
-        });
-        for (slot, key) in voted.into_iter().flatten() {
-            worker_votes[slot].2 = key;
-        }
-
-        // Decide completed HITs; repost abandoned ones. Completion and
-        // the clock are snapshotted up front: backoff waits incurred by
-        // a mid-sweep repost must not advance the deadline arithmetic of
-        // trackers later in iteration order — deadline and budget
-        // exhaustion are order-independent by construction.
-        let sweep_elapsed = elapsed;
-        let complete_now: Vec<bool> = trackers
-            .iter()
-            .map(|t| !t.resolved && platform.is_complete(t.hit))
-            .collect();
-        let decisions: Vec<Option<Decision>> = {
-            let complete_now = &complete_now;
-            par_map_mut(&mut trackers, workers, threshold, |i, t| {
-                complete_now[i].then(|| hit_decision(&t.state, config))
-            })
-        };
-        for ti in 0..trackers.len() {
-            if breaker.tripped {
+        while self.trackers.iter().any(|t| !t.resolved) && self.elapsed < config.round_budget_secs {
+            // Governor checkpoint: a deadline or cancel interrupts the pump
+            // *before* the next virtual-time step, so termination lands on a
+            // deterministic boundary. Answers already collected still settle
+            // — paid work is never discarded.
+            if self.guard.interruption(self.platform.now()).is_some() {
+                self.summary.warnings.push(
+                    "statement interrupted mid-round; settling answers already collected".into(),
+                );
                 break;
             }
-            if trackers[ti].resolved {
+            self.platform.advance(config.pump_step_secs);
+            self.elapsed += config.pump_step_secs;
+            // Stage arrivals serially: dedup, ban checks, and events depend
+            // on arrival order and global state.
+            for resp in self.platform.collect() {
+                self.summary.answers_collected += 1;
+                let Some(&ti) = self.hit_to_tracker.get(&resp.hit) else {
+                    // Unknown HIT (e.g. orphaned by a partial batch failure).
+                    events.emit(Event::HitAnswered { duplicate: false });
+                    continue;
+                };
+                if !seen.insert((resp.worker, resp.hit)) {
+                    self.summary.duplicates_dropped += 1;
+                    events.emit(Event::HitAnswered { duplicate: true });
+                    continue;
+                }
+                events.emit(Event::HitAnswered { duplicate: false });
+                self.worker_votes.push((resp.worker, ti, None));
+                if !self.wrm.is_banned(resp.worker) {
+                    let slot = self.worker_votes.len() - 1;
+                    self.trackers[ti]
+                        .pending
+                        .push((slot, resp.worker, resp.answer));
+                }
+            }
+
+            // QC ingest — normalization and vote tallies, the CPU-heavy pure
+            // part and the one phase on the worker pool. Trackers are
+            // disjoint, so any schedule computes the same votes; patching
+            // the voted keys back by staged slot keeps `worker_votes`
+            // byte-identical to the serial path.
+            let normalizer = &self.normalizer;
+            let voted = par_map_mut(&mut self.trackers, workers, threshold, |_, t| {
+                let need = &needs[t.unit[0]];
+                std::mem::take(&mut t.pending)
+                    .into_iter()
+                    .map(|(slot, worker, answer)| {
+                        (slot, ingest_answer(need, t, worker, &answer, normalizer))
+                    })
+                    .collect::<Vec<_>>()
+            });
+            for (slot, key) in voted.into_iter().flatten() {
+                self.worker_votes[slot].2 = key;
+            }
+
+            self.sweep();
+            if self.breaker.tripped {
+                let (mut tasks, mut abandoned) = (0, Vec::new());
+                for t in self.trackers.iter_mut().filter(|t| !t.resolved) {
+                    t.resolved = true;
+                    tasks += 1;
+                    abandoned.extend(&t.unit);
+                }
+                let why = format!("abandoning {tasks} open task(s)");
+                self.abandon(abandoned, Some(tasks), why);
+                break;
+            }
+        }
+        let unresolved = self.trackers.iter().filter(|t| !t.resolved).count();
+        if unresolved > 0 {
+            self.summary.warnings.push(format!(
+                "{unresolved} task(s) did not complete within the round budget"
+            ));
+        }
+    }
+
+    /// One pass over the open trackers: decide completed HITs, repost
+    /// abandoned ones.
+    fn sweep(&mut self) {
+        let config = self.config;
+        let policy = &config.retry;
+        // Completion and the clock are snapshotted up front: a backoff
+        // wait incurred by a mid-sweep repost advances the platform, and
+        // must neither complete a later tracker's HIT under it (its new
+        // answers are not collected yet) nor move its deadline arithmetic
+        // — deadline and budget exhaustion are order-independent by
+        // construction.
+        let sweep_elapsed = self.elapsed;
+        let complete_now: Vec<bool> = self
+            .trackers
+            .iter()
+            .map(|t| !t.resolved && self.platform.is_complete(t.hit))
+            .collect();
+        for (ti, complete) in complete_now.into_iter().enumerate() {
+            if self.breaker.tripped {
+                break;
+            }
+            if self.trackers[ti].resolved {
                 continue;
             }
-            let hit = trackers[ti].hit;
-            if complete_now[ti] {
-                match decisions[ti].as_ref().expect("decision for complete HIT") {
-                    Decision::Decided => trackers[ti].resolved = true,
-                    Decision::Extend(n) => match platform.extend(hit, *n) {
-                        Ok(()) => {
-                            breaker.succeeded();
-                            note_escalations(&mut trackers[ti].state);
-                            trackers[ti].deadline = sweep_elapsed + policy.hit_deadline_secs;
-                        }
-                        Err(_) => {
-                            // Escalation unavailable: settle for whatever
-                            // plurality the collected votes give.
-                            summary.extend_failures += 1;
-                            breaker.failed();
-                            trackers[ti].resolved = true;
-                        }
-                    },
-                    Decision::GiveUp => trackers[ti].resolved = true,
+            if complete {
+                let t = &mut self.trackers[ti];
+                let Some(extra) = extension(&t.votes, &config.vote) else {
+                    t.resolved = true;
+                    continue;
+                };
+                match self.platform.extend(t.hit, extra) {
+                    Ok(()) => {
+                        self.breaker.succeeded();
+                        t.votes.iter_mut().for_each(MajorityVote::note_escalation);
+                        t.deadline = sweep_elapsed + policy.hit_deadline_secs;
+                    }
+                    Err(_) => {
+                        // Escalation unavailable: settle for whatever
+                        // plurality the collected votes give.
+                        self.summary.extend_failures += 1;
+                        self.breaker.failed();
+                        t.resolved = true;
+                    }
                 }
-            } else if sweep_elapsed >= trackers[ti].deadline {
+            } else if sweep_elapsed >= self.trackers[ti].deadline {
                 // The HIT sat incomplete past its deadline (lost or
                 // ignored by workers): repost it, a bounded number of
                 // times.
-                if trackers[ti].reposts >= policy.max_reposts {
-                    obs.events().emit(Event::HitExpired {
-                        reposts: u64::from(trackers[ti].reposts),
+                let reposts = self.trackers[ti].reposts;
+                if reposts >= policy.max_reposts {
+                    self.obs.events().emit(Event::HitExpired {
+                        reposts: u64::from(reposts),
                     });
-                    trackers[ti].resolved = true;
+                    self.trackers[ti].resolved = true;
                     continue;
                 }
-                let unit = &units[tracker_unit[ti]];
-                let reposted = post_with_retry(
-                    platform,
-                    &mut || vec![unit_spec(needs, unit, config, templates)],
-                    policy,
-                    &mut breaker,
-                    &mut summary,
-                    &mut elapsed,
-                    obs,
-                );
+                let spec = self.trackers[ti].spec.clone();
+                let reposted = self.post_with_retry(&[spec]);
+                let t = &mut self.trackers[ti];
                 match reposted.as_deref() {
                     Some([new_hit, ..]) => {
-                        summary.reposts += 1;
-                        trackers[ti].reposts += 1;
-                        obs.events().emit(Event::HitReposted {
-                            repost: u64::from(trackers[ti].reposts),
+                        self.summary.reposts += 1;
+                        t.reposts += 1;
+                        self.obs.events().emit(Event::HitReposted {
+                            repost: u64::from(t.reposts),
                         });
-                        trackers[ti].hit = *new_hit;
-                        trackers[ti].deadline = sweep_elapsed + policy.hit_deadline_secs;
+                        t.hit = *new_hit;
+                        t.deadline = sweep_elapsed + policy.hit_deadline_secs;
                         // Keep the stale HIT mapped: straggler answers to
                         // it still feed the same vote.
-                        hit_to_tracker.insert(*new_hit, ti);
+                        self.hit_to_tracker.insert(*new_hit, ti);
                     }
-                    _ => trackers[ti].resolved = true,
-                }
-            }
-        }
-
-        if breaker.tripped {
-            summary.degraded = true;
-            let abandoned: Vec<usize> = trackers
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| !t.resolved)
-                .map(|(i, _)| i)
-                .collect();
-            obs.events().emit(Event::Degraded {
-                abandoned: abandoned.len() as u64,
-            });
-            summary.warnings.push(format!(
-                "platform '{}' marked degraded after {} consecutive failures; \
-                 abandoning {} open task(s)",
-                platform.name(),
-                breaker.consecutive,
-                abandoned.len()
-            ));
-            for i in abandoned {
-                trackers[i].resolved = true;
-                for &ni in &units[tracker_unit[i]] {
-                    summary.exhausted.push(needs[ni].dedup_key());
-                }
-            }
-            break;
-        }
-    }
-    let unresolved = trackers.iter().filter(|t| !t.resolved).count();
-    if unresolved > 0 {
-        summary.warnings.push(format!(
-            "{unresolved} task(s) did not complete within the round budget"
-        ));
-    }
-
-    // Truth inference (policy knob). Under `QualityPolicy::Em` the
-    // per-vote verdicts are re-derived from a joint worker-reliability /
-    // answer-posterior estimate over *all* of this pass's votes, Dawid–
-    // Skene style. Crucially the pump loop above already ran entirely on
-    // majority logic — extend/escalate decisions, platform calls, and
-    // RNG draws are byte-identical under either policy; EM only changes
-    // what is *believed* at settle time.
-    let em_verdicts: Option<Vec<Vec<Option<EmVerdict>>>> = match config.quality {
-        QualityPolicy::MajorityVote => None,
-        QualityPolicy::Em { max_iters, tol } => {
-            let mut tasks: Vec<infer::TaskBallots> = Vec::new();
-            for t in &trackers {
-                for vote in vote_units(&t.state) {
-                    tasks.push(vote.ballots().to_vec());
-                }
-            }
-            if tasks.iter().all(|t| t.is_empty()) {
-                None
-            } else {
-                let solution = infer::infer(&tasks, &EmConfig { max_iters, tol });
-                let mut confidences = Vec::new();
-                let mut task_idx = 0usize;
-                let verdicts = trackers
-                    .iter()
-                    .map(|t| {
-                        vote_units(&t.state)
-                            .iter()
-                            .map(|vote| {
-                                let map = solution.map_answer(task_idx);
-                                task_idx += 1;
-                                map.map(|(key, confidence)| {
-                                    confidences.push(confidence);
-                                    EmVerdict {
-                                        value: vote
-                                            .stored(key)
-                                            .cloned()
-                                            .unwrap_or(Value::Bool(false)),
-                                        votes: vote.count(key),
-                                    }
-                                })
-                            })
-                            .collect()
-                    })
-                    .collect();
-                record_em_round(obs.registry(), solution.iters, &confidences);
-                Some(verdicts)
-            }
-        }
-    };
-
-    // Settle: compute each need's final outcome from its votes — pure
-    // per-need work, on the worker pool — then apply the effects
-    // (write-backs, cache puts, log records, events, warnings) serially
-    // in need order. The merge order IS the determinism argument: the
-    // applied effect sequence is identical for any worker count.
-    let plans = {
-        let em_verdicts = &em_verdicts;
-        par_map_mut(&mut trackers, workers, threshold, |i, t| {
-            let em = em_verdicts.as_ref().map(|v| v[i].as_slice());
-            settle_plan(&t.state, config, db, em)
-        })
-    };
-    // Per tracker, the answer keys its scored voters are held against.
-    let mut winning_key: HashMap<usize, Vec<String>> = HashMap::new();
-    for (ti, plan) in plans.into_iter().enumerate() {
-        let unit = &units[tracker_unit[ti]];
-        let need = &needs[unit[0]];
-        match plan? {
-            SettlePlan::Probe { table, tid, cols } => {
-                let mut winners = Vec::new();
-                let mut fell_back = false;
-                for plan in cols {
-                    let ProbeColPlan {
-                        col,
-                        name,
-                        outcome,
-                        leader,
-                        total,
-                    } = plan;
-                    record_vote(obs, "probe", total, &outcome);
-                    let (decided, accepted) = accepted_value(outcome, leader);
-                    fell_back |= !decided;
-                    // Accept the leader if any votes exist, otherwise
-                    // give up on this value.
-                    let Some(value) = accepted else {
-                        summary.exhausted.push(need.dedup_key());
-                        summary.warnings.push(format!(
-                            "no usable answers for {table}.{name}; value left CNULL"
-                        ));
-                        continue;
-                    };
-                    db.write_back_value(&table, tid, col, value.clone())?;
-                    winners.push(normalizer.normalize(&value.to_string()));
-                    summary.log.push(LogRecord::WriteBackValue {
-                        table: table.clone(),
-                        tid,
-                        col,
-                        value,
-                    });
-                    if !decided {
-                        summary.warnings.push(format!(
-                            "accepted plurality answer for {table}.{name} without a strict \
-                             majority"
-                        ));
-                    }
-                }
-                if fell_back {
-                    summary.gave_up += 1;
-                }
-                winning_key.insert(ti, winners);
-            }
-            SettlePlan::NewTuples { table, want, rows } => {
-                let mut inserted = 0u64;
-                for row in rows {
-                    if inserted >= want {
-                        break;
-                    }
-                    if db.write_back_tuple(&table, row.clone())?.is_some() {
-                        summary.log.push(LogRecord::WriteBackTuple {
-                            table: table.clone(),
-                            row,
-                        });
-                        inserted += 1;
-                    }
-                }
-                if inserted < want {
-                    // The open world ran dry: remember so the next round
-                    // does not re-request the same work forever.
-                    summary.gave_up += 1;
-                    summary.exhausted.push(need.dedup_key());
-                    if inserted == 0 {
-                        summary.warnings.push(format!(
-                            "the crowd contributed no valid new tuples for '{table}'"
-                        ));
-                    } else {
-                        summary.warnings.push(format!(
-                            "the crowd contributed {inserted}/{want} requested tuples for \
-                             '{table}'"
-                        ));
-                    }
-                }
-            }
-            SettlePlan::Compare {
-                order,
-                instruction,
-                items,
-            } => {
-                // Each pair settles on its own vote, whatever shared its
-                // HIT: a strict majority, else the plurality leader, else
-                // a default that lets the query converge (not-equal,
-                // left-preferred).
-                let kind: &'static str = if order { "order" } else { "equal" };
-                for (item, &ni) in items.into_iter().zip(unit) {
-                    let CompareItemPlan {
-                        left,
-                        right,
-                        outcome,
-                        leader,
-                        total,
-                    } = item;
-                    record_vote(obs, kind, total, &outcome);
-                    let (decided, accepted) = accepted_value(outcome, leader);
-                    let had_ballots = accepted.is_some();
-                    // The defaults: not-equal (false), left-preferred (true).
-                    let verdict = accepted.and_then(|v| v.as_bool()).unwrap_or(order);
-                    if order {
-                        caches.put_prefer(&left, &right, &instruction, verdict);
-                        summary.log.push(LogRecord::PutOrder {
-                            left: left.clone(),
-                            right: right.clone(),
-                            instruction: instruction.clone(),
-                            left_preferred: verdict,
-                        });
-                    } else {
-                        caches.put_equal(&left, &right, &instruction, verdict);
-                        summary.log.push(LogRecord::PutEqual {
-                            left: left.clone(),
-                            right: right.clone(),
-                            instruction: instruction.clone(),
-                            verdict,
-                        });
-                    }
-                    if decided {
-                        // Inherited, not designed: voters are scored
-                        // against a *decided* verdict only. A fallback
-                        // leaves no entry, and the WRM pass below then
-                        // counts every scored voter as agreeing.
-                        let key = verdict_key(order, verdict);
-                        winning_key.entry(ti).or_default().push(key.into());
-                        continue;
-                    }
-                    summary.gave_up += 1;
-                    summary.warnings.push(if order {
-                        format!(
-                            "accepted fallback preference for CROWDORDER('{left}' vs '{right}')"
-                        )
-                    } else if had_ballots {
-                        format!("accepted plurality verdict for CROWDEQUAL('{left}', '{right}')")
-                    } else {
-                        summary.exhausted.push(needs[ni].dedup_key());
-                        format!("no verdicts for CROWDEQUAL('{left}', '{right}'); assumed FALSE")
-                    });
+                    _ => t.resolved = true,
                 }
             }
         }
     }
 
-    // WRM: pay and score workers. Assignments without a voted key (new-
-    // tuple contributions, batched compares, or answers QC discarded)
-    // are paid but not scored — scoring them as disagreement would
-    // eventually ban honest contributors whose task kind simply has no
-    // majority vote.
-    for (worker, hit, voted) in worker_votes {
-        let ti = hit_to_tracker.get(&hit).copied();
-        // Pay what the HIT actually offered (batched compares carry a
-        // larger per-assignment reward than the per-need base).
-        let reward = ti
-            .map(|t| trackers[t].reward_cents as u64)
-            .unwrap_or(config.reward_cents as u64);
-        let winners = ti.and_then(|t| winning_key.get(&t));
-        match (&voted, winners) {
-            (Some(key), Some(winners)) => {
-                wrm.record_assignment(worker, reward, winners.contains(key));
-            }
-            (Some(_), None) => {
-                wrm.record_assignment(worker, reward, true);
-            }
-            (None, _) => {
-                wrm.record_contribution(worker, reward);
-            }
-        }
-    }
-    for worker in wrm.flagged_workers(10, config.ban_threshold) {
-        wrm.ban(worker);
-    }
-
-    summary.note_absorbed_faults();
-    Ok(summary)
-}
-
-/// Report one final vote outcome: registry counters (via
-/// `crowddb_quality`) plus the structured `VoteResolved` event.
-/// `vote_total` is the total ballots cast, used when the outcome itself
-/// carries no tally (pending/unresolved).
-fn record_vote(obs: &Obs, kind: &'static str, vote_total: u64, outcome: &VoteOutcome) {
-    record_vote_outcome(obs.registry(), outcome);
-    let (decided, votes, total) = match outcome {
-        VoteOutcome::Decided { votes, total, .. } => (true, *votes as u64, *total as u64),
-        _ => (false, 0, vote_total),
-    };
-    obs.events().emit(Event::VoteResolved {
-        kind,
-        decided,
-        votes,
-        total,
-    });
-}
-
-/// One need's computed final outcome: everything the settle phase can
-/// decide from the collected votes alone, with no side effects yet.
-/// Plans are computed in parallel ([`settle_plan`] is pure per-need
-/// work) and applied serially in need order.
-enum SettlePlan {
-    Probe {
-        table: String,
-        tid: crowddb_common::TupleId,
-        cols: Vec<ProbeColPlan>,
-    },
-    NewTuples {
-        table: String,
-        want: u64,
-        /// Valid candidate rows in contribution order, pre-parsed
-        /// against the table schema.
-        rows: Vec<Row>,
-    },
-    Compare {
-        order: bool,
-        instruction: String,
-        items: Vec<CompareItemPlan>,
-    },
-}
-
-/// One probe column's computed outcome: storage slot, display name,
-/// final vote outcome, plurality leader (if any), and ballots cast.
-struct ProbeColPlan {
-    col: usize,
-    name: String,
-    outcome: VoteOutcome,
-    leader: Option<Value>,
-    total: u64,
-}
-
-/// One compare pair's computed outcome.
-struct CompareItemPlan {
-    left: String,
-    right: String,
-    outcome: VoteOutcome,
-    leader: Option<Value>,
-    total: u64,
-}
-
-/// An EM-inferred verdict for one vote unit: the MAP answer's stored
-/// value and its raw ballot count. `None` for units with no ballots
-/// (nothing to infer from — majority fallbacks apply).
-struct EmVerdict {
-    value: Value,
-    votes: usize,
-}
-
-/// The value a vote settles on — the decided value, else the plurality
-/// leader, else nothing — and whether a strict majority decided it.
-fn accepted_value(outcome: VoteOutcome, leader: Option<Value>) -> (bool, Option<Value>) {
-    match outcome {
-        VoteOutcome::Decided { value, .. } => (true, Some(value)),
-        VoteOutcome::Pending { .. } | VoteOutcome::Unresolved => (false, leader),
-    }
-}
-
-/// A tracker's vote units in settle order: one per probe column, one
-/// per compare pair, none for new-tuple collection. The EM pass indexes
-/// its verdicts by this order and [`settle_plan`] walks the same votes,
-/// so the two cannot fall out of step.
-fn vote_units(state: &HitState) -> &[MajorityVote] {
-    match state {
-        HitState::Probe { votes, .. } | HitState::Compare { votes, .. } => votes,
-        HitState::NewTuples { .. } => &[],
-    }
-}
-
-/// A vote unit's final outcome: the EM verdict when truth inference ran
-/// and produced one for this unit, the plain majority outcome otherwise.
-fn unit_outcome(
-    vote: &MajorityVote,
-    config: &CrowdConfig,
-    em: Option<&[Option<EmVerdict>]>,
-    unit: usize,
-) -> VoteOutcome {
-    if let Some(Some(v)) = em.and_then(|e| e.get(unit)) {
-        return VoteOutcome::Decided {
-            value: v.value.clone(),
-            votes: v.votes,
-            total: vote.total(),
+    /// Truth inference (policy knob). Under `QualityPolicy::Em` the
+    /// per-vote verdicts are re-derived from a joint worker-reliability /
+    /// answer-posterior estimate over *all* of this pass's votes, Dawid–
+    /// Skene style. Crucially the pump already ran entirely on majority
+    /// logic — extend/escalate decisions, platform calls, and RNG draws
+    /// are byte-identical under either policy; EM only changes what is
+    /// *believed* at settle time.
+    ///
+    /// Returns one entry per vote, trackers in order and each tracker's
+    /// votes in order — the order [`settle`](Wave::settle) walks — or
+    /// nothing when inference does not run. A vote without ballots has
+    /// no verdict (nothing to infer from — majority fallbacks apply).
+    fn em_verdicts(&self, trackers: &[Tracker]) -> Vec<Option<VoteOutcome>> {
+        let QualityPolicy::Em { max_iters, tol } = self.config.quality else {
+            return Vec::new();
         };
-    }
-    vote.outcome(&config.vote)
-}
-
-/// Compute a need's [`SettlePlan`] from its QC state. Reads the catalog
-/// (new-tuple parsing needs the schema) but writes nothing. `em`, when
-/// present, carries this tracker's EM verdicts in [`vote_units`] order
-/// and overrides the per-vote majority outcome.
-fn settle_plan(
-    state: &HitState,
-    config: &CrowdConfig,
-    db: &Database,
-    em: Option<&[Option<EmVerdict>]>,
-) -> Result<SettlePlan> {
-    Ok(match state {
-        HitState::Probe {
-            table,
-            tid,
-            columns,
-            votes,
-        } => SettlePlan::Probe {
-            table: table.clone(),
-            tid: *tid,
-            cols: columns
-                .iter()
-                .zip(votes.iter())
-                .enumerate()
-                .map(|(j, ((col, name, _ty), vote))| ProbeColPlan {
-                    col: *col,
-                    name: name.clone(),
-                    outcome: unit_outcome(vote, config, em, j),
-                    leader: vote.leader().map(|(v, _)| v.clone()),
-                    total: vote.total() as u64,
+        let votes: Vec<&MajorityVote> = trackers.iter().flat_map(|t| &t.votes).collect();
+        if votes.iter().all(|v| v.ballots().is_empty()) {
+            return Vec::new();
+        }
+        let tasks: Vec<infer::TaskBallots> = votes.iter().map(|v| v.ballots().to_vec()).collect();
+        let solution = infer::infer(&tasks, &EmConfig { max_iters, tol });
+        let mut confidences = Vec::new();
+        let verdicts = votes
+            .iter()
+            .enumerate()
+            .map(|(task, vote)| {
+                let (key, confidence) = solution.map_answer(task)?;
+                confidences.push(confidence);
+                Some(VoteOutcome::Decided {
+                    value: vote.stored(key).cloned().unwrap_or(Value::Bool(false)),
+                    votes: vote.count(key),
+                    total: vote.total(),
                 })
-                .collect(),
-        },
-        HitState::NewTuples {
-            table,
-            preset,
-            want,
-            collected,
-            ..
-        } => {
-            let schema = db.schema(table)?;
-            SettlePlan::NewTuples {
-                table: table.clone(),
-                want: *want,
-                rows: collected
-                    .iter()
-                    .filter_map(|fields| build_tuple(&schema, preset, fields))
-                    .collect(),
+            })
+            .collect();
+        record_em_round(self.obs.registry(), solution.iters, &confidences);
+        verdicts
+    }
+
+    /// A vote's final word: the EM verdict when truth inference produced
+    /// one for it, the plain majority outcome otherwise. Reports it
+    /// (registry counters via `crowddb_quality`, and the `VoteResolved`
+    /// event) and returns whether it was decided, and the value to
+    /// accept — the decided value, else the plurality leader, else
+    /// nothing.
+    fn resolve(
+        &self,
+        kind: &'static str,
+        vote: &MajorityVote,
+        em: Option<VoteOutcome>,
+    ) -> (bool, Option<Value>) {
+        let outcome = em.unwrap_or_else(|| vote.outcome(&self.config.vote));
+        record_vote_outcome(self.obs.registry(), &outcome);
+        // An undecided outcome carries no tally: report the ballots cast.
+        let (decided, votes, total) = match &outcome {
+            VoteOutcome::Decided { votes, total, .. } => (true, *votes, *total),
+            _ => (false, 0, vote.total()),
+        };
+        self.obs.events().emit(Event::VoteResolved {
+            kind,
+            decided,
+            votes: votes as u64,
+            total: total as u64,
+        });
+        match outcome {
+            VoteOutcome::Decided { value, .. } => (true, Some(value)),
+            _ => (false, vote.leader().map(|(v, _)| v.clone())),
+        }
+    }
+
+    /// Settle: one arm per task family. Each tracker's outcome is read
+    /// off its votes and applied — write-backs, cache puts, log records,
+    /// events, warnings — by the one loop, in tracker (hence need) order;
+    /// then the workers are paid and scored.
+    fn settle(mut self) -> Result<FulfillSummary> {
+        let (needs, db) = (self.needs, self.db);
+        let trackers = std::mem::take(&mut self.trackers);
+        let mut em = self.em_verdicts(&trackers).into_iter();
+        // Per tracker, the answer keys its scored voters are held against.
+        let mut winning_keys: Vec<Option<Vec<String>>> = Vec::with_capacity(trackers.len());
+        for t in &trackers {
+            let mut winners = Vec::new();
+            winning_keys.push(match &needs[t.unit[0]] {
+                TaskNeed::ProbeValues {
+                    table,
+                    tid,
+                    columns,
+                    ..
+                } => {
+                    let mut fell_back = false;
+                    for ((col, name, _), vote) in columns.iter().zip(&t.votes) {
+                        let (decided, accepted) = self.resolve("probe", vote, em.next().flatten());
+                        fell_back |= !decided;
+                        // Accept the leader if any votes exist, otherwise
+                        // give up on this value.
+                        let Some(value) = accepted else {
+                            self.exhaust(t.unit[0]);
+                            self.summary.warnings.push(format!(
+                                "no usable answers for {table}.{name}; value left CNULL"
+                            ));
+                            continue;
+                        };
+                        db.write_back_value(table, *tid, *col, value.clone())?;
+                        winners.push(self.normalizer.normalize(&value.to_string()));
+                        self.summary.log.push(LogRecord::WriteBackValue {
+                            table: table.clone(),
+                            tid: *tid,
+                            col: *col,
+                            value,
+                        });
+                        if !decided {
+                            self.summary.warnings.push(format!(
+                                "accepted plurality answer for {table}.{name} without a strict \
+                                 majority"
+                            ));
+                        }
+                    }
+                    if fell_back {
+                        self.summary.gave_up += 1;
+                    }
+                    Some(winners)
+                }
+                TaskNeed::NewTuples {
+                    table,
+                    preset,
+                    want,
+                } => {
+                    let schema = db.schema(table)?;
+                    let mut inserted = 0u64;
+                    let rows = t
+                        .tuples
+                        .iter()
+                        .filter_map(|fields| build_tuple(&schema, preset, fields));
+                    for row in rows {
+                        if inserted >= *want {
+                            break;
+                        }
+                        if db.write_back_tuple(table, row.clone())?.is_some() {
+                            self.summary.log.push(LogRecord::WriteBackTuple {
+                                table: table.clone(),
+                                row,
+                            });
+                            inserted += 1;
+                        }
+                    }
+                    if inserted < *want {
+                        // The open world ran dry: remember so the next round
+                        // does not re-request the same work forever.
+                        self.summary.gave_up += 1;
+                        self.exhaust(t.unit[0]);
+                        self.summary.warnings.push(if inserted == 0 {
+                            format!("the crowd contributed no valid new tuples for '{table}'")
+                        } else {
+                            format!(
+                                "the crowd contributed {inserted}/{want} requested tuples for \
+                                 '{table}'"
+                            )
+                        });
+                    }
+                    None
+                }
+                first @ (TaskNeed::Equal { .. } | TaskNeed::Order { .. }) => {
+                    // Each pair settles on its own vote, whatever shared its
+                    // HIT: a strict majority, else the plurality leader, else
+                    // a default that lets the query converge (not-equal,
+                    // left-preferred).
+                    let order = matches!(first, TaskNeed::Order { .. });
+                    let kind = if order { "order" } else { "equal" };
+                    for (&ni, vote) in t.unit.iter().zip(&t.votes) {
+                        let (left, right, instruction) = compare_operands(&needs[ni]);
+                        let (decided, accepted) = self.resolve(kind, vote, em.next().flatten());
+                        let had_ballots = accepted.is_some();
+                        // The defaults: not-equal (false), left-preferred (true).
+                        let verdict = accepted.and_then(|v| v.as_bool()).unwrap_or(order);
+                        if order {
+                            self.caches.put_prefer(left, right, instruction, verdict);
+                            self.summary.log.push(LogRecord::PutOrder {
+                                left: left.clone(),
+                                right: right.clone(),
+                                instruction: instruction.clone(),
+                                left_preferred: verdict,
+                            });
+                        } else {
+                            self.caches.put_equal(left, right, instruction, verdict);
+                            self.summary.log.push(LogRecord::PutEqual {
+                                left: left.clone(),
+                                right: right.clone(),
+                                instruction: instruction.clone(),
+                                verdict,
+                            });
+                        }
+                        if decided {
+                            // Inherited, not designed: voters are scored
+                            // against a *decided* verdict only. A unit
+                            // settled by fallbacks alone holds its scored
+                            // voters against nothing, and the WRM pass
+                            // below then counts each as agreeing.
+                            winners.push(verdict_key(order, verdict).to_string());
+                            continue;
+                        }
+                        self.summary.gave_up += 1;
+                        let warning = if order {
+                            format!(
+                                "accepted fallback preference for CROWDORDER('{left}' vs '{right}')"
+                            )
+                        } else if had_ballots {
+                            format!(
+                                "accepted plurality verdict for CROWDEQUAL('{left}', '{right}')"
+                            )
+                        } else {
+                            self.exhaust(ni);
+                            format!(
+                                "no verdicts for CROWDEQUAL('{left}', '{right}'); assumed FALSE"
+                            )
+                        };
+                        self.summary.warnings.push(warning);
+                    }
+                    (!winners.is_empty()).then_some(winners)
+                }
+            });
+        }
+
+        // WRM: pay and score workers. Assignments without a voted key (new-
+        // tuple contributions, batched compares, or answers QC discarded)
+        // are paid but not scored — scoring them as disagreement would
+        // eventually ban honest contributors whose task kind simply has no
+        // majority vote.
+        for (worker, ti, voted) in self.worker_votes {
+            // Pay what the HIT actually offered (batched compares carry a
+            // larger per-assignment reward than the per-need base).
+            let items = trackers[ti].unit.len();
+            let reward = u64::from(batched_reward_cents(self.config.reward_cents, items));
+            match (voted, &winning_keys[ti]) {
+                (Some(key), Some(winners)) => {
+                    self.wrm
+                        .record_assignment(worker, reward, winners.contains(&key));
+                }
+                (Some(_), None) => self.wrm.record_assignment(worker, reward, true),
+                (None, _) => self.wrm.record_contribution(worker, reward),
             }
         }
-        HitState::Compare {
-            order,
-            instruction,
-            pairs,
-            votes,
-        } => SettlePlan::Compare {
-            order: *order,
-            instruction: instruction.clone(),
-            items: pairs
-                .iter()
-                .zip(votes.iter())
-                .enumerate()
-                .map(|(j, ((left, right), vote))| CompareItemPlan {
-                    left: left.clone(),
-                    right: right.clone(),
-                    outcome: unit_outcome(vote, config, em, j),
-                    leader: vote.leader().map(|(v, _)| v.clone()),
-                    total: vote.total() as u64,
-                })
-                .collect(),
-        },
-    })
+        for worker in self.wrm.flagged_workers(10, self.config.ban_threshold) {
+            self.wrm.ban(worker);
+        }
+
+        self.summary.note_absorbed_faults();
+        Ok(self.summary)
+    }
 }
 
 /// The key a compare verdict is tallied under: a worker's Yes/No
@@ -1247,57 +1059,35 @@ fn verdict_key(order: bool, verdict: bool) -> &'static str {
     }
 }
 
-enum Decision {
-    Decided,
-    Extend(u32),
-    GiveUp,
+/// The extra assignments a completed HIT asks for: the largest ask
+/// among its votes. `None` when no vote asks — each is decided, or out
+/// of escalations and settled from what it has (new-tuple collection
+/// has no vote to wait for).
+fn extension(votes: &[MajorityVote], config: &crowddb_quality::VoteConfig) -> Option<u32> {
+    let asks = votes.iter().filter_map(|vote| match vote.outcome(config) {
+        VoteOutcome::Pending { needed } => Some(needed as u32),
+        VoteOutcome::Decided { .. } | VoteOutcome::Unresolved => None,
+    });
+    asks.max().filter(|&extra| extra > 0)
 }
 
-fn hit_decision(state: &HitState, config: &CrowdConfig) -> Decision {
-    // A HIT extends by the largest ask among its votes; with no ask
-    // left it gives up if any vote is unresolved and is decided
-    // otherwise (new-tuple collection has no vote to wait for).
-    let mut extend = 0u32;
-    let mut any_giveup = false;
-    for vote in vote_units(state) {
-        match vote.outcome(&config.vote) {
-            VoteOutcome::Decided { .. } => {}
-            VoteOutcome::Pending { needed } => extend = extend.max(needed as u32),
-            VoteOutcome::Unresolved => any_giveup = true,
-        }
-    }
-    if extend > 0 {
-        Decision::Extend(extend)
-    } else if any_giveup {
-        Decision::GiveUp
-    } else {
-        Decision::Decided
-    }
-}
-
-fn note_escalations(state: &mut HitState) {
-    if let HitState::Probe { votes, .. } | HitState::Compare { votes, .. } = state {
-        for v in votes {
-            v.note_escalation();
-        }
-    }
-}
-
-/// Feed one answer into a HIT's quality-control state; returns the
-/// normalized key the worker voted for (for agreement scoring).
-/// Ballots are recorded with the worker's identity so the EM policy can
-/// estimate per-worker reliability at settle time.
+/// Feed one answer to the HIT of `need`'s unit into the unit's votes (or
+/// collected tuples); returns the normalized key the worker voted for
+/// (for agreement scoring). Ballots are recorded with the worker's
+/// identity so the EM policy can estimate per-worker reliability at
+/// settle time.
 fn ingest_answer(
-    state: &mut HitState,
-    worker: crowddb_platform::WorkerId,
+    need: &TaskNeed,
+    t: &mut Tracker,
+    worker: WorkerId,
     answer: &Answer,
     normalizer: &Normalizer,
 ) -> Option<String> {
     let w = worker.0;
-    match (state, answer) {
-        (HitState::Probe { columns, votes, .. }, Answer::Form(fields)) => {
+    match (need, answer) {
+        (TaskNeed::ProbeValues { columns, .. }, Answer::Form(fields)) => {
             let mut first_key = None;
-            for ((_, name, ty), vote) in columns.iter().zip(votes.iter_mut()) {
+            for ((_, name, ty), vote) in columns.iter().zip(t.votes.iter_mut()) {
                 if let Some((_, text)) = fields.iter().find(|(f, _)| f == name) {
                     if let Some((key, value)) = normalizer.normalize_typed(text, *ty) {
                         vote.add_from(w, key.clone(), value);
@@ -1307,40 +1097,31 @@ fn ingest_answer(
             }
             first_key
         }
-        (
-            HitState::NewTuples {
-                collected,
-                assignments_seen,
-                ..
-            },
-            Answer::Tuples(tuples),
-        ) => {
-            *assignments_seen += 1;
-            for t in tuples {
-                collected.push(t.clone());
-            }
+        (TaskNeed::NewTuples { .. }, Answer::Tuples(tuples)) => {
+            t.tuples.extend(tuples.iter().cloned());
             None
         }
         // One verdict per pair lands in that pair's vote. The answer must
         // have the shape that was posted: a bare verdict for a lone
         // pair, a batch of equal arity otherwise.
-        (HitState::Compare { order, votes, .. }, answer) => {
-            let lone = votes.len() == 1;
+        (TaskNeed::Equal { .. } | TaskNeed::Order { .. }, answer) => {
+            let order = matches!(need, TaskNeed::Order { .. });
+            let lone = t.votes.len() == 1;
             let items = match answer {
                 Answer::Batch(items) if !lone => items.as_slice(),
                 bare => std::slice::from_ref(bare),
             };
-            if items.len() != votes.len() {
+            if items.len() != t.votes.len() {
                 return None; // malformed arity: QC discards
             }
             let mut voted = None;
-            for (vote, item) in votes.iter_mut().zip(items) {
-                let verdict = match (*order, item) {
+            for (vote, item) in t.votes.iter_mut().zip(items) {
+                let verdict = match (order, item) {
                     (false, Answer::Yes) | (true, Answer::Left) => true,
                     (false, Answer::No) | (true, Answer::Right) => false,
                     _ => continue, // blank/mismatched item: discarded
                 };
-                let key = verdict_key(*order, verdict);
+                let key = verdict_key(order, verdict);
                 vote.add_from(w, key.into(), Value::Bool(verdict));
                 voted = Some(key);
             }
@@ -1604,7 +1385,7 @@ mod tests {
         }
         fn is_complete(&self, hit: HitId) -> bool {
             // Only b's original HIT, and only at the first sweep: one
-            // vote of three forces Decision::Extend, whose success gives
+            // vote of three forces an extension, whose success gives
             // b a deadline one pump step later than a's.
             self.b_first_hit == Some(hit) && self.now <= 1.5
         }
@@ -2187,7 +1968,7 @@ mod tests {
                 exhausted: 1,
                 scored: "aaaccc",
             },
-            // Each unanswered column pushes the need's key.
+            // Two unanswered columns, one exhausted need.
             ProbeCase {
                 label: "all blank",
                 ballots: ["___", "___"],
@@ -2200,7 +1981,7 @@ mod tests {
                     "no usable answers for talk.nb; value left CNULL",
                 ],
                 gave_up: 1,
-                exhausted: 2,
+                exhausted: 1,
                 scored: "cccccc",
             },
             // One ballot each way on the abstract, which the escalation

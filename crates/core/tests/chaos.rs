@@ -283,6 +283,56 @@ fn circuit_breaker_marks_platform_degraded() {
 }
 
 #[test]
+fn an_exhausted_need_is_counted_once() {
+    // A crowd that submits every form empty and every verdict blank.
+    let blank = || {
+        MockPlatform::unanimous(|kind: &TaskKind| match kind {
+            TaskKind::Probe { asked, .. } => Answer::Form(
+                asked
+                    .iter()
+                    .map(|(col, _)| (col.clone(), String::new()))
+                    .collect(),
+            ),
+            _ => Answer::Blank,
+        })
+    };
+    let exhausted = |db: &CrowdDB| db.metrics().counter("crowddb_crowd_exhausted_needs_total");
+
+    // One need asking two columns, neither answered: one exhausted need,
+    // not one per column.
+    let db = CrowdDB::with_config(chaos_config());
+    let mut p = blank();
+    db.execute(SUITE[0], &mut p).unwrap();
+    db.execute("INSERT INTO Talk (title) VALUES ('CrowdDB')", &mut p)
+        .unwrap();
+    let r = db
+        .execute("SELECT abstract, nb_attendees FROM Talk", &mut p)
+        .unwrap();
+    assert_eq!((r.crowd.tasks_posted, r.crowd.gave_up), (1, 1), "{r:?}");
+    assert_eq!(exhausted(&db), 1);
+
+    // Three verdicts in one wave. No ballots, so the first HIT asks for
+    // more assignments; that fails and trips the breaker, which abandons
+    // the other two before settlement finds all three without a verdict.
+    let mut config = chaos_config();
+    config.retry.breaker_threshold = 1;
+    let db = CrowdDB::with_config(config);
+    let mut faults = FaultConfig::none(1);
+    faults.extend_fail_rate = 1.0;
+    let mut p = FaultyPlatform::new(blank(), faults);
+    db.execute(SUITE[0], &mut p).unwrap();
+    db.execute(
+        "INSERT INTO Talk (title) VALUES ('CrowdDB'), ('Qurk'), ('PIQL')",
+        &mut p,
+    )
+    .unwrap();
+    let r = db.execute(SUITE[4], &mut p).unwrap();
+    assert!(r.crowd.degraded, "{r:?}");
+    assert_eq!((r.crowd.tasks_posted, r.crowd.gave_up), (3, 3), "{r:?}");
+    assert_eq!(exhausted(&db), 3);
+}
+
+#[test]
 fn duplicate_deliveries_do_not_double_vote() {
     let mut cfg = FaultConfig::none(5);
     cfg.duplicate_rate = 1.0; // every assignment delivered twice

@@ -11,107 +11,16 @@
 //! must survive mixed concurrent DML without deadlocks or lost log
 //! records.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crowddb_core::{CrowdConfig, CrowdDB, QueryResult};
-use crowddb_platform::{Answer, MockPlatform, Platform, TaskKind};
+use crowddb_platform::Platform;
 use crowddb_quality::VoteConfig;
 use crowddb_wal::testutil::TestDir;
 use crowddb_wal::{FsyncPolicy, WAL_FILE};
 
-/// Scripted crowd: probe forms by column, normalized equality, length
-/// ordering, and a fixed pair of new tuples — pure functions of the
-/// task, so any schedule of calls gets the same answers.
-fn scripted() -> MockPlatform {
-    let abstracts: HashMap<&'static str, &'static str> = HashMap::from([
-        ("CrowdDB", "Query processing with crowdsourced data"),
-        ("Qurk", "A query processor for human operators"),
-        ("PIQL", "Performance insightful query language"),
-        ("HyPer", "Hybrid OLTP and OLAP main memory database"),
-    ]);
-    MockPlatform::unanimous(move |task: &TaskKind| match task {
-        TaskKind::Probe { known, asked, .. } => {
-            let title = known
-                .iter()
-                .find(|(k, _)| k == "title")
-                .map(|(_, v)| v.as_str())
-                .unwrap_or("");
-            Answer::Form(
-                asked
-                    .iter()
-                    .map(|(col, _)| {
-                        let text = match col.as_str() {
-                            "abstract" => abstracts
-                                .get(title)
-                                .copied()
-                                .unwrap_or("a crowd-enabled database")
-                                .to_string(),
-                            "nb_attendees" => format!("{}", 100 + title.len()),
-                            _ => "unknown".to_string(),
-                        };
-                        (col.clone(), text)
-                    })
-                    .collect(),
-            )
-        }
-        TaskKind::NewTuples { .. } => Answer::Tuples(vec![
-            vec![
-                ("name".to_string(), "Mike Franklin".to_string()),
-                ("title".to_string(), "CrowdDB".to_string()),
-            ],
-            vec![
-                ("name".to_string(), "Sam Madden".to_string()),
-                ("title".to_string(), "Qurk".to_string()),
-            ],
-        ]),
-        TaskKind::Equal { left, right, .. } => {
-            let norm = |s: &str| s.replace('.', "").to_lowercase();
-            if norm(left) == norm(right) {
-                Answer::Yes
-            } else {
-                Answer::No
-            }
-        }
-        TaskKind::Order { left, right, .. } => {
-            if left.len() >= right.len() {
-                Answer::Left
-            } else {
-                Answer::Right
-            }
-        }
-        // Batched compares get the same per-pair verdicts the singleton
-        // arms would give, so batching changes accounting, not answers.
-        TaskKind::EqualBatch { pairs, .. } => {
-            let norm = |s: &str| s.replace('.', "").to_lowercase();
-            Answer::Batch(
-                pairs
-                    .iter()
-                    .map(|(l, r)| {
-                        if norm(l) == norm(r) {
-                            Answer::Yes
-                        } else {
-                            Answer::No
-                        }
-                    })
-                    .collect(),
-            )
-        }
-        TaskKind::OrderBatch { pairs, .. } => Answer::Batch(
-            pairs
-                .iter()
-                .map(|(l, r)| {
-                    if l.len() >= r.len() {
-                        Answer::Left
-                    } else {
-                        Answer::Right
-                    }
-                })
-                .collect(),
-        ),
-        TaskKind::RankGroup { items, .. } => Answer::Ranking((0..items.len() as u32).collect()),
-    })
-}
+mod common;
+use common::world_script as scripted;
 
 fn config(workers: usize, max_batch_size: usize) -> CrowdConfig {
     let mut c = CrowdConfig::fast_test();

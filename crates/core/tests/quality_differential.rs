@@ -21,96 +21,20 @@
 //! * **Worker counts stay invisible.** 1 vs 4 fulfill workers produce
 //!   byte-identical rows, summaries, and metrics under *both* policies.
 
-use std::collections::HashMap;
-
 use crowddb_core::{CrowdConfig, CrowdDB, QualityPolicy, QueryResult};
 use crowddb_platform::{
     Answer, ClosureModel, FaultConfig, FaultyPlatform, SimConfig, SimPlatform, TaskKind,
 };
 use crowddb_quality::VoteConfig;
 
-const PROFS: usize = 24;
+mod common;
+use common::{professors as ground_truth, world_answers, Attendees, PROFS};
 
-/// Deterministic synthetic ground truth: a professor roster with a
-/// closed-vocabulary column (department) and an open-text column
-/// (email), the shape of the paper's E4 probe experiment.
-fn ground_truth() -> HashMap<String, (String, String)> {
-    let depts = ["cs", "ee", "math", "bio", "physics", "history"];
-    (0..PROFS)
-        .map(|i| {
-            let name = format!("prof-{i:02}");
-            let dept = depts[i % depts.len()].to_string();
-            let email = format!("prof{i:02}@univ{}.edu", i % 4);
-            (name, (dept, email))
-        })
-        .collect()
-}
-
-/// The simulated crowd's knowledge: diligent workers read the truth
-/// table; careless ones get the default plausible-error model (typos,
-/// flipped verdicts, blanks).
+/// The simulated crowd's knowledge: diligent workers read the shared
+/// world's truth table; careless ones get the default plausible-error
+/// model (typos, flipped verdicts, blanks).
 fn world() -> ClosureModel<impl Fn(&TaskKind) -> Answer + Send> {
-    let truth = ground_truth();
-    ClosureModel::new(move |task: &TaskKind| match task {
-        TaskKind::Probe { known, asked, .. } => {
-            let name = known
-                .iter()
-                .find(|(k, _)| k == "name")
-                .map(|(_, v)| v.as_str())
-                .unwrap_or("");
-            let (dept, email) = truth
-                .get(name)
-                .cloned()
-                .unwrap_or_else(|| ("unknown".into(), "unknown".into()));
-            Answer::Form(
-                asked
-                    .iter()
-                    .map(|(col, _)| {
-                        let text = match col.as_str() {
-                            "department" => dept.clone(),
-                            "email" => email.clone(),
-                            _ => "unknown".to_string(),
-                        };
-                        (col.clone(), text)
-                    })
-                    .collect(),
-            )
-        }
-        TaskKind::Equal { left, right, .. } => {
-            if left.trim().eq_ignore_ascii_case(right.trim()) {
-                Answer::Yes
-            } else {
-                Answer::No
-            }
-        }
-        TaskKind::EqualBatch { pairs, .. } => Answer::Batch(
-            pairs
-                .iter()
-                .map(|(l, r)| {
-                    if l.trim().eq_ignore_ascii_case(r.trim()) {
-                        Answer::Yes
-                    } else {
-                        Answer::No
-                    }
-                })
-                .collect(),
-        ),
-        TaskKind::Order { left, right, .. } => {
-            if left <= right {
-                Answer::Left
-            } else {
-                Answer::Right
-            }
-        }
-        TaskKind::OrderBatch { pairs, .. } => Answer::Batch(
-            pairs
-                .iter()
-                .map(|(l, r)| if l <= r { Answer::Left } else { Answer::Right })
-                .collect(),
-        ),
-        TaskKind::RankGroup { items, .. } => Answer::Ranking((0..items.len() as u32).collect()),
-        TaskKind::NewTuples { .. } => Answer::Blank,
-    })
+    ClosureModel::new(world_answers(Attendees::Fixed))
 }
 
 /// A noisy AMT marketplace (mean worker error ~25%, like the paper's
