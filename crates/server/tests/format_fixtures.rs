@@ -71,8 +71,12 @@ const SNAPSHOT_FILE: &str = "\
     434442534e4150312a0000000000000016000000000000008ce1330f70726563696f75732063726f\
     776420616e7377657273\
 ";
+/// The allocation state in it — page count, then the free list — is what
+/// the dropped `scratch` table left behind: 58 pages and 51 free ids since
+/// a tree filled in key order keeps its leaves full (64 and 57 while an
+/// appended leaf was cut in half; no byte of the layout moved with them).
 const PAGED_META: &str = "\
-    4344424d010100000000000000000100004100000000000000390000000000000006000000000000\
+    4344424d010100000000000000000100003b00000000000000330000000000000006000000000000\
     00070000000000000009000000000000000a000000000000000b000000000000000c000000000000\
     000d000000000000000e000000000000000f00000000000000100000000000000011000000000000\
     00120000000000000013000000000000001400000000000000150000000000000016000000000000\
@@ -83,24 +87,22 @@ const PAGED_META: &str = "\
     002b000000000000002c000000000000002d000000000000002e000000000000002f000000000000\
     00300000000000000031000000000000003200000000000000330000000000000034000000000000\
     00350000000000000036000000000000003700000000000000380000000000000039000000000000\
-    003a000000000000003b000000000000003c000000000000003d000000000000003e000000000000\
-    003f000000000000000200000008000000617474656e646565700000004352454154452043524f57\
-    44205441424c4520617474656e64656520280a20206e616d6520535452494e47205052494d415259\
-    204b45592c0a20207469746c6520535452494e472c0a2020464f524549474e204b45592028746974\
-    6c6529205245462074616c6b287469746c65290a2902000000000000000200000000000000010000\
-    00000000000300000000000000020000000b000000617474656e6465655f706b0100000000000000\
-    0101040000000000000011000000617474656e6465655f666b5f7469746c65010000000100000001\
-    0005000000000000000400000074616c6b5d000000435245415445205441424c452074616c6b2028\
-    0a20207469746c6520535452494e47205052494d415259204b45592c0a2020616273747261637420\
-    43524f574420535452494e472c0a20206e622043524f574420494e54454745520a29030000000000\
-    0000020000000000000002000000000000000100000000000000020000000700000074616c6b5f70\
-    6b0100000000000000010102000000000000000700000074616c6b5f6e6201000000020000000100\
-    4000000000000000\
+    000200000008000000617474656e646565700000004352454154452043524f5744205441424c4520\
+    617474656e64656520280a20206e616d6520535452494e47205052494d415259204b45592c0a2020\
+    7469746c6520535452494e472c0a2020464f524549474e204b455920287469746c65292052454620\
+    74616c6b287469746c65290a29020000000000000002000000000000000100000000000000030000\
+    0000000000020000000b000000617474656e6465655f706b01000000000000000101040000000000\
+    000011000000617474656e6465655f666b5f7469746c650100000001000000010005000000000000\
+    000400000074616c6b5d000000435245415445205441424c452074616c6b20280a20207469746c65\
+    20535452494e47205052494d415259204b45592c0a202061627374726163742043524f5744205354\
+    52494e472c0a20206e622043524f574420494e54454745520a290300000000000000020000000000\
+    000002000000000000000100000000000000020000000700000074616c6b5f706b01000000000000\
+    00010102000000000000000700000074616c6b5f6e62010000000200000001003a00000000000000\
 ";
 /// The same image as older builds wrote it: the byte after an index's
 /// columns said `0` for a "hash" index (every `<table>_pk`), `1` for a B-tree.
 const PAGED_META_KINDS: &str = "\
-    4344424d010100000000000000000100004100000000000000390000000000000006000000000000\
+    4344424d010100000000000000000100003b00000000000000330000000000000006000000000000\
     00070000000000000009000000000000000a000000000000000b000000000000000c000000000000\
     000d000000000000000e000000000000000f00000000000000100000000000000011000000000000\
     00120000000000000013000000000000001400000000000000150000000000000016000000000000\
@@ -111,19 +113,17 @@ const PAGED_META_KINDS: &str = "\
     002b000000000000002c000000000000002d000000000000002e000000000000002f000000000000\
     00300000000000000031000000000000003200000000000000330000000000000034000000000000\
     00350000000000000036000000000000003700000000000000380000000000000039000000000000\
-    003a000000000000003b000000000000003c000000000000003d000000000000003e000000000000\
-    003f000000000000000200000008000000617474656e646565700000004352454154452043524f57\
-    44205441424c4520617474656e64656520280a20206e616d6520535452494e47205052494d415259\
-    204b45592c0a20207469746c6520535452494e472c0a2020464f524549474e204b45592028746974\
-    6c6529205245462074616c6b287469746c65290a2902000000000000000200000000000000010000\
-    00000000000300000000000000020000000b000000617474656e6465655f706b0100000000000000\
-    0001040000000000000011000000617474656e6465655f666b5f7469746c65010000000100000001\
-    0005000000000000000400000074616c6b5d000000435245415445205441424c452074616c6b2028\
-    0a20207469746c6520535452494e47205052494d415259204b45592c0a2020616273747261637420\
-    43524f574420535452494e472c0a20206e622043524f574420494e54454745520a29030000000000\
-    0000020000000000000002000000000000000100000000000000020000000700000074616c6b5f70\
-    6b0100000000000000000102000000000000000700000074616c6b5f6e6201000000020000000100\
-    4000000000000000\
+    000200000008000000617474656e646565700000004352454154452043524f5744205441424c4520\
+    617474656e64656520280a20206e616d6520535452494e47205052494d415259204b45592c0a2020\
+    7469746c6520535452494e472c0a2020464f524549474e204b455920287469746c65292052454620\
+    74616c6b287469746c65290a29020000000000000002000000000000000100000000000000030000\
+    0000000000020000000b000000617474656e6465655f706b01000000000000000001040000000000\
+    000011000000617474656e6465655f666b5f7469746c650100000001000000010005000000000000\
+    000400000074616c6b5d000000435245415445205441424c452074616c6b20280a20207469746c65\
+    20535452494e47205052494d415259204b45592c0a202061627374726163742043524f5744205354\
+    52494e472c0a20206e622043524f574420494e54454745520a290300000000000000020000000000\
+    000002000000000000000100000000000000020000000700000074616c6b5f706b01000000000000\
+    00000102000000000000000700000074616c6b5f6e62010000000200000001003a00000000000000\
 ";
 /// `pages.journal` of [`checkpoint_journal`], captured at commit `556c9d9`
 /// (a bitwise CRC-32 in the pager, before it moved onto `codec::crc32`).
@@ -392,7 +392,7 @@ fn storage_snapshot_and_paged_metadata() {
     pinned("paged metadata, rewritten", &rewritten, PAGED_META);
     // Any other kind byte is still refused.
     let mut bad = unhex(PAGED_META);
-    bad[680] = 2;
+    bad[632] = 2;
     let err = Database::open_paged(dir.path(), cfg, &bad).err().unwrap();
     assert!(err.to_string().contains("unknown index kind 2"), "{err}");
 }

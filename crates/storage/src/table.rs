@@ -213,14 +213,19 @@ impl HeapTable {
                 self.schema.name
             )));
         }
-        for idx in &self.indexes {
-            let key = idx.key_of(row.values());
-            self.check_unique(idx, &key, None)?;
+        // Every constraint is checked before anything is written, so a
+        // violation leaves no entry behind.
+        let keys: Vec<IndexKey> = self
+            .indexes
+            .iter()
+            .map(|idx| idx.key_of(row.values()))
+            .collect();
+        for (idx, key) in self.indexes.iter().zip(&keys) {
+            self.check_unique(idx, key, None)?;
         }
         let pager = Arc::clone(&self.pager);
-        for idx in &mut self.indexes {
-            let key = idx.key_of(row.values());
-            idx.insert(&pager, &key, tid)?;
+        for (idx, key) in self.indexes.iter_mut().zip(&keys) {
+            idx.insert(&pager, key, tid)?;
         }
         self.write_primary(tid, &row)?;
         self.total_slots = self.total_slots.max(tid.0 + 1);
@@ -737,6 +742,29 @@ mod tests {
         t.insert(row![2i64, Value::Null]).unwrap(); // no conflict
         let err = t.insert(row![3i64, Value::Null]);
         assert!(err.is_ok());
+    }
+
+    #[test]
+    fn a_violated_later_constraint_leaves_no_entry_in_an_earlier_index() {
+        let schema = TableSchema::new(
+            "t",
+            vec![
+                ColumnDef::new("id", DataType::Int),
+                ColumnDef::new("email", DataType::Str),
+            ],
+        )
+        .unwrap()
+        .with_primary_key(&["id"])
+        .unwrap();
+        let mut t = HeapTable::new(pager(), schema).unwrap();
+        t.add_index("u_email", vec![1], true).unwrap();
+        t.insert(row![1i64, "a@b"]).unwrap();
+        // `id` 2 is free, the e-mail is taken: checked after `t_pk`.
+        let err = t.insert(row![2i64, "a@b"]).unwrap_err();
+        assert_eq!(err.category(), "constraint");
+        assert!(t.lookup_pk(&[Value::Int(2)]).unwrap().is_empty());
+        assert_eq!(t.stats().live_rows, 1);
+        assert_eq!(t.insert(row![2i64, "c@d"]).unwrap(), TupleId(1));
     }
 
     #[test]

@@ -4,11 +4,16 @@
 //! A fixed 2 000-row file-backed table is checkpointed, reopened cold
 //! behind a 16-page pool, and three reads are run in a fixed order — a
 //! primary-tree point lookup, a 40-row secondary-index fetch and a full
-//! scan. The `PagerStats` delta of each is a literal captured at commit
-//! `556c9d9` (the last one that decoded every visited node into owned
-//! vectors). The twin of "an access path changes which pages are read,
-//! never what the statement means": reading nodes in place changes
-//! neither.
+//! scan. The `PagerStats` delta of each is a literal. The twin of "an
+//! access path changes which pages are read, never what the statement
+//! means": reading nodes in place (PR 19, literals of `556c9d9` held)
+//! changed neither. They moved once since, on purpose, with the two
+//! changes that are about which pages exist and which are asked for: a
+//! tree filled in key order keeps its leaves full, so the primary tree is
+//! a level shallower and less than half as many leaves (get (4, 0, 4, 0)
+//! → (3, 0, 3, 0); fetch (82, 89, 82, 70) → (57, 70, 57, 44)), and a
+//! cursor keeps its path parsed instead of asking for the parent page at
+//! every leaf change (scan (569, 500, 569, 569) → (260, 1, 260, 260)).
 
 use crowddb_common::{row, ColumnDef, DataType, TableSchema, TupleId, Value};
 use crowddb_storage::{Database, IndexKey, PagerConfig, PagerStats};
@@ -74,7 +79,7 @@ fn point_get_index_fetch_and_scan_touch_the_pinned_pages() {
             .expect("row 1234 is live");
         assert_eq!(row[0], Value::Int(1234));
     });
-    assert_eq!(get, (4, 0, 4, 0), "HeapTable::get");
+    assert_eq!(get, (3, 0, 3, 0), "HeapTable::get");
 
     let fetch = touches(&db, || {
         let rows = db
@@ -89,7 +94,7 @@ fn point_get_index_fetch_and_scan_touch_the_pinned_pages() {
         assert_eq!(rows.len() as i64, ROWS / GROUPS);
         assert!(rows.iter().all(|r| r[2] == Value::Int(7)));
     });
-    assert_eq!(fetch, (82, 89, 82, 70), "secondary-index fetch of 40 rows");
+    assert_eq!(fetch, (57, 70, 57, 44), "secondary-index fetch of 40 rows");
 
     let scan = touches(&db, || {
         let rows = db
@@ -102,5 +107,5 @@ fn point_get_index_fetch_and_scan_touch_the_pinned_pages() {
             .enumerate()
             .all(|(i, (tid, _))| tid.0 == i as u64));
     });
-    assert_eq!(scan, (569, 500, 569, 569), "full scan");
+    assert_eq!(scan, (260, 1, 260, 260), "full scan");
 }
