@@ -8,6 +8,8 @@
 //! completed assignment through the Worker Relationship Manager, and
 //! reports the share-of-work distribution.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use crowddb_bench::harness::{pump_until_complete, ExperimentOutput, Series};

@@ -17,6 +17,8 @@
 //!    Statements/sec vs thread count shows what the sharded caches and
 //!    storage RwLock buy.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use std::time::Instant;
 

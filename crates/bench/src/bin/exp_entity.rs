@@ -8,6 +8,8 @@
 //! reports the machine baseline (canonicalization + Jaro-Winkler) that a
 //! conventional DBMS could manage without people.
 
+#![forbid(unsafe_code)]
+
 use crowddb_bench::harness::ExperimentOutput;
 use crowddb_bench::workloads;
 use crowddb_bench::world::CompanyWorld;

@@ -20,6 +20,8 @@
 //!
 //! Rows must be identical across all three before a time is reported.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use crowddb_bench::harness::ExperimentOutput;

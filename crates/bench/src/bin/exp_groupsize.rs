@@ -7,6 +7,8 @@
 //! groups. The simulator reproduces the effect through its
 //! `group_size^α` attention term; this harness measures it.
 
+#![forbid(unsafe_code)]
+
 use crowddb_bench::harness::{pump_until_complete, time_to_fraction, ExperimentOutput, Series};
 use crowddb_common::DataType;
 use crowddb_platform::{PerfectModel, Platform, SimPlatform, TaskKind, TaskSpec};

@@ -9,6 +9,8 @@
 //! through CrowdDB on the simulated marketplace and scores recall
 //! against ground truth.
 
+#![forbid(unsafe_code)]
+
 use crowddb_bench::harness::ExperimentOutput;
 use crowddb_bench::workloads;
 use crowddb_bench::world::PhotoWorld;

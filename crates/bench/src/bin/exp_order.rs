@@ -10,6 +10,8 @@
 //! budget actually spent (the paper's quicksort needs ~n·log n of the
 //! n(n−1)/2 possible pairs).
 
+#![forbid(unsafe_code)]
+
 use crowddb_bench::harness::ExperimentOutput;
 use crowddb_bench::workloads;
 use crowddb_bench::world::RankingWorld;

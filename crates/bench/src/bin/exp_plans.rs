@@ -16,6 +16,8 @@
 //!    counting how many crowd tasks one execution round would request.
 //!    Push-down exists precisely to minimize requests against the crowd.
 
+#![forbid(unsafe_code)]
+
 use crowddb_bench::harness::ExperimentOutput;
 use crowddb_common::row;
 use crowddb_common::Value;

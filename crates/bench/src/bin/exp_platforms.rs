@@ -7,6 +7,8 @@
 //! through the full engine on both platforms and contrasts cost, speed,
 //! and the effect of the mobile platform's locality filter.
 
+#![forbid(unsafe_code)]
+
 use crowddb_bench::harness::ExperimentOutput;
 use crowddb_core::{CrowdConfig, CrowdDB};
 use crowddb_platform::{PerfectModel, Platform, SimPlatform};

@@ -8,6 +8,8 @@
 //! assignments per HIT. This harness runs the same table through the
 //! full CrowdDB stack against the simulated marketplace.
 
+#![forbid(unsafe_code)]
+
 use crowddb_bench::harness::ExperimentOutput;
 use crowddb_bench::workloads;
 use crowddb_bench::world::ProfessorWorld;

@@ -26,6 +26,8 @@
 //! The assertions are live: the binary panics if any acceptance
 //! condition regresses, so a bench run doubles as a quality gate.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use crowddb_bench::harness::ExperimentOutput;

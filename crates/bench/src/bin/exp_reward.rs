@@ -7,6 +7,8 @@
 //! 100 single-assignment probe HITs per reward level on a fresh simulated
 //! marketplace and reports the same curves.
 
+#![forbid(unsafe_code)]
+
 use crowddb_bench::harness::{pump_until_complete, time_to_fraction, ExperimentOutput, Series};
 use crowddb_common::DataType;
 use crowddb_platform::{PerfectModel, Platform, SimPlatform, TaskKind, TaskSpec};

@@ -8,6 +8,8 @@
 //! the same rows/series the paper reports, plus a JSON blob for scripted
 //! consumption.
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod workloads;
 pub mod world;

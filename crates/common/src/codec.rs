@@ -341,7 +341,9 @@ pub fn encode_row(out: &mut Vec<u8>, row: &Row) {
 
 /// Decode a row written by [`encode_row`].
 pub fn decode_row(r: &mut Reader<'_>) -> Decoded<Row> {
-    decode_row_reading(r, |_| true)
+    let mut row = Row::default();
+    decode_row_reading(r, |_| true, &mut row)?;
+    Ok(row)
 }
 
 /// [`decode_row`] for a caller that will look at the columns `read`
@@ -350,10 +352,101 @@ pub fn decode_row(r: &mut Reader<'_>) -> Decoded<Row> {
 /// column holds `''`), so the row costs no allocation it does not need
 /// and errs whenever the full decode would have.
 pub fn decode_row_masked(r: &mut Reader<'_>, read: &[bool]) -> Decoded<Row> {
-    decode_row_reading(r, |column| read.get(column).copied().unwrap_or(false))
+    let mut row = Row::default();
+    decode_row_into(r, read, &mut row)?;
+    Ok(row)
 }
 
-fn decode_row_reading(r: &mut Reader<'_>, read: impl Fn(usize) -> bool) -> Decoded<Row> {
+/// [`decode_row_masked`] into a row the caller keeps across calls: a
+/// slot that already holds a string keeps its allocation, so a buffer
+/// that has seen a few rows of a table decodes the next one without
+/// allocating. On an error `row` holds no particular row.
+pub fn decode_row_into(r: &mut Reader<'_>, read: &[bool], row: &mut Row) -> Decoded<()> {
+    decode_row_reading(r, masked(read), row)
+}
+
+fn masked(read: &[bool]) -> impl Fn(usize) -> bool + '_ {
+    |column| read.get(column).copied().unwrap_or(false)
+}
+
+/// The fast path, and the checked one where it gives up.
+fn decode_row_reading(
+    r: &mut Reader<'_>,
+    read: impl Fn(usize) -> bool,
+    row: &mut Row,
+) -> Decoded<()> {
+    match fast_row(r.rest, &read, row.values_mut()) {
+        Some(used) => r.rest = &r.rest[used..],
+        None => *row = checked_row(r, read)?,
+    }
+    Ok(())
+}
+
+/// The fast path of every row decode: the row at the front of `image`
+/// into `values`, each value's bounds checked once, and the bytes it
+/// took. A string outside `read` is validated (`is_ascii`, else
+/// `from_utf8`) and left `''`; a slot of `values` that holds a string
+/// keeps its allocation. `None` on anything a well-formed row does not
+/// hold — the caller then runs [`checked_row`], which returns the
+/// identical row or names the error.
+fn fast_row(image: &[u8], read: &impl Fn(usize) -> bool, values: &mut Vec<Value>) -> Option<usize> {
+    fn bytes<const N: usize>(image: &[u8], at: usize) -> Option<[u8; N]> {
+        image.get(at..at.checked_add(N)?)?.try_into().ok()
+    }
+    let arity = u32::from_le_bytes(bytes(image, 0)?) as usize;
+    let mut at = 4;
+    if arity > image.len() - at {
+        return None;
+    }
+    values.truncate(arity);
+    values.reserve(arity - values.len());
+    for column in 0..arity {
+        let tag = *image.get(at)?;
+        at += 1;
+        let v = match tag {
+            TAG_NULL => Value::Null,
+            TAG_CNULL => Value::CNull,
+            TAG_BOOL_FALSE => Value::Bool(false),
+            TAG_BOOL_TRUE => Value::Bool(true),
+            TAG_INT | TAG_FLOAT => {
+                let le = bytes(image, at)?;
+                at += 8;
+                match tag {
+                    TAG_INT => Value::Int(i64::from_le_bytes(le)),
+                    _ => Value::Float(f64::from_le_bytes(le)),
+                }
+            }
+            TAG_STR => {
+                let len = u32::from_le_bytes(bytes(image, at)?) as usize;
+                let body = image.get(at + 4..(at + 4).checked_add(len)?)?;
+                at += 4 + len;
+                let s = match read(column) {
+                    true => std::str::from_utf8(body).ok()?,
+                    false if body.is_ascii() || std::str::from_utf8(body).is_ok() => "",
+                    false => return None,
+                };
+                match values.get_mut(column) {
+                    Some(Value::Str(old)) => {
+                        old.clear();
+                        old.push_str(s);
+                        continue;
+                    }
+                    _ => Value::Str(s.to_owned()),
+                }
+            }
+            _ => return None,
+        };
+        match values.get_mut(column) {
+            Some(slot) => *slot = v,
+            None => values.push(v),
+        }
+    }
+    Some(at)
+}
+
+/// The checked decode: every read through [`Reader`], every anomaly a
+/// [`DecodeError`]. The fallback of [`fast_row`], and its oracle.
+fn checked_row(r: &mut Reader<'_>, read: impl Fn(usize) -> bool) -> Decoded<Row> {
     let arity = r.count(1)?;
     let mut values = Vec::with_capacity(arity);
     for column in 0..arity {
@@ -409,6 +502,7 @@ pub fn corruptions(image: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
     use crate::row;
 
     #[test]
@@ -494,37 +588,46 @@ mod tests {
         }
     }
 
+    /// A row of up to `max_arity` values of every tag, strings empty,
+    /// ASCII or not, and a mask for it — masks shorter and longer than
+    /// the row are legal.
+    fn random_row(rng: &mut Rng, max_arity: usize) -> (Row, Vec<bool>) {
+        let alphabet: Vec<char> = "abcXYZ 019'\u{e9}\u{4e2d}\u{1f980}\0".chars().collect();
+        let values = (0..rng.gen_range(0..max_arity + 1))
+            .map(|_| match rng.gen_range(0..7u32) {
+                0 => Value::Null,
+                1 => Value::CNull,
+                2 => Value::Bool(rng.gen_bool(0.5)),
+                3 => Value::Int(rng.next_u64() as i64),
+                4 => Value::Float(rng.gen_range(-1000.0..1000.0)),
+                _ => Value::Str(
+                    (0..rng.gen_range(0..12usize))
+                        .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                        .collect(),
+                ),
+            })
+            .collect();
+        let mask = (0..rng.gen_range(0..max_arity + 3))
+            .map(|_| rng.gen_bool(0.5))
+            .collect();
+        (Row::new(values), mask)
+    }
+
+    fn image(row: &Row) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_row(&mut out, row);
+        out
+    }
+
     /// A row the residual drops is still a row whose bytes were checked:
     /// leaving a string out changes what the decode returns, never
     /// whether it succeeds.
     #[test]
     fn masked_decode_blanks_unread_strings_and_validates_like_the_full_decode() {
-        use crate::rng::Rng;
         let mut rng = Rng::seed_from_u64(0x5EED_0021);
-        let alphabet: Vec<char> = "abcXYZ 019'\u{e9}\u{4e2d}\u{1f980}\0".chars().collect();
         for case in 0..60 {
-            let arity = rng.gen_range(0..7usize);
-            let values: Vec<Value> = (0..arity)
-                .map(|_| match rng.gen_range(0..7u32) {
-                    0 => Value::Null,
-                    1 => Value::CNull,
-                    2 => Value::Bool(rng.gen_bool(0.5)),
-                    3 => Value::Int(rng.next_u64() as i64),
-                    4 => Value::Float(rng.gen_range(-1000.0..1000.0)),
-                    _ => Value::Str(
-                        (0..rng.gen_range(0..12usize))
-                            .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
-                            .collect(),
-                    ),
-                })
-                .collect();
-            // Masks shorter and longer than the row are legal.
-            let mask: Vec<bool> = (0..rng.gen_range(0..9usize))
-                .map(|_| rng.gen_bool(0.5))
-                .collect();
-            let row = Row::new(values);
-            let mut image = Vec::new();
-            encode_row(&mut image, &row);
+            let (row, mask) = random_row(&mut rng, 6);
+            let image = image(&row);
 
             let blanked: Vec<Value> = row
                 .values()
@@ -549,6 +652,76 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// What a decode returned — a row as its encoding, so that a flipped
+    /// bit that makes a NaN still compares — and how much it left unread.
+    fn outcome(
+        bytes: &[u8],
+        decode: impl FnOnce(&mut Reader<'_>) -> Decoded<Row>,
+    ) -> Decoded<(Vec<u8>, usize)> {
+        let mut r = Reader::new(bytes);
+        let row = decode(&mut r)?;
+        Ok((image(&row), r.rest.len()))
+    }
+
+    /// The fast path and the checked path must not be told apart: on
+    /// every image, intact or damaged, each public decode returns what
+    /// the checked path returns — the same row and bytes consumed, or the
+    /// same error — and the fast path declines exactly the images the
+    /// checked path rejects, so a well-formed row never pays for both.
+    /// The buffer-reusing decode runs through one buffer for the whole
+    /// test, across rows of every arity and type.
+    #[test]
+    fn fast_and_checked_decodes_agree() {
+        let mut rng = Rng::seed_from_u64(0x5EED_0025);
+        let mut buffer = Row::default();
+        for case in 0..150 {
+            let (row, mask) = random_row(&mut rng, 8);
+            let intact = image(&row);
+            let intact_too = std::iter::once(("intact".to_string(), intact.clone()));
+            for (what, bytes) in intact_too.chain(corruptions(&intact)) {
+                let at = || format!("case {case}, {what}: {row} under {mask:?}");
+                let full = outcome(&bytes, |r| checked_row(r, |_| true));
+                let part = outcome(&bytes, |r| checked_row(r, masked(&mask)));
+                let fast = fast_row(&bytes, &masked(&mask), &mut Vec::new());
+                assert_eq!(fast.is_some(), part.is_ok(), "{}", at());
+                assert_eq!(outcome(&bytes, decode_row), full, "{}", at());
+                let got = outcome(&bytes, |r| decode_row_masked(r, &mask));
+                assert_eq!(got, part, "{}", at());
+                let into = |r: &mut Reader<'_>| {
+                    decode_row_into(r, &mask, &mut buffer)?;
+                    Ok(buffer.clone())
+                };
+                assert_eq!(outcome(&bytes, into), part, "{}", at());
+            }
+        }
+
+        // One slot holding a long string, then an int, then a short
+        // string; and a string slot refilled keeps its allocation.
+        let long = "a string longer than the next one".to_string();
+        let read = [true, false];
+        for row in [
+            crate::row![long.as_str(), "unread"],
+            crate::row![7i64],
+            crate::row!["short", "unread", 2.5f64],
+            crate::row!["tiny"],
+        ] {
+            decode_row_into(&mut Reader::new(&image(&row)), &read, &mut buffer).unwrap();
+            let want = decode_row_masked(&mut Reader::new(&image(&row)), &read).unwrap();
+            assert_eq!(buffer, want);
+        }
+        let Value::Str(before) = &buffer[0] else {
+            unreachable!()
+        };
+        let before = before.as_ptr();
+        decode_row_into(
+            &mut Reader::new(&image(&crate::row!["x"])),
+            &read,
+            &mut buffer,
+        )
+        .unwrap();
+        assert!(matches!(&buffer[0], Value::Str(s) if s == "x" && s.as_ptr() == before));
     }
 
     #[test]

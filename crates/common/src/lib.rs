@@ -16,6 +16,8 @@
 //! crowdsourced when it is first used*, which is distinct from SQL `NULL`
 //! ("known to be missing / inapplicable").
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod error;
 pub mod ids;

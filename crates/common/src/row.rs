@@ -51,22 +51,17 @@ impl Row {
         self.values
     }
 
+    /// The values, for a decoder refilling a row it reuses.
+    pub(crate) fn values_mut(&mut self) -> &mut Vec<Value> {
+        &mut self.values
+    }
+
     /// Concatenate two rows (used by joins).
     pub fn concat(&self, other: &Row) -> Row {
         let mut values = Vec::with_capacity(self.arity() + other.arity());
         values.extend_from_slice(&self.values);
         values.extend_from_slice(&other.values);
         Row { values }
-    }
-
-    /// Project the row onto the given column indexes.
-    ///
-    /// Panics if any index is out of bounds — projections are produced by
-    /// the planner, which validates them.
-    pub fn project(&self, indexes: &[usize]) -> Row {
-        Row {
-            values: indexes.iter().map(|&i| self.values[i].clone()).collect(),
-        }
     }
 
     /// Indexes of columns whose value is `CNULL`.
@@ -147,13 +142,15 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_project() {
+    fn concat() {
         let a = Row::new(vec![Value::Int(1), Value::Int(2)]);
         let b = Row::new(vec![Value::str("z")]);
         let c = a.concat(&b);
-        assert_eq!(c.arity(), 3);
-        let p = c.project(&[2, 0]);
-        assert_eq!(p, Row::new(vec![Value::str("z"), Value::Int(1)]));
+        assert_eq!(
+            c,
+            Row::new(vec![Value::Int(1), Value::Int(2), Value::str("z")])
+        );
+        assert_eq!(c.concat(&Row::default()), c);
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //! and obtain results. The Task Manager also interacts with the storage
 //! engine to [...] memorize the results sourced from the crowd." (§3)
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod crowddb;
 pub mod governor;

@@ -9,6 +9,8 @@
 //! shares them, and are re-exported here. Every operator and the DML
 //! paths call these same entry points; there are no per-caller copies.
 
+use std::borrow::Cow;
+
 use crowddb_common::{CrowdError, DataType, Result, Row, Truth, Value};
 pub use crowddb_plan::value_ops::{compare_truth, eval_binary, truth_to_value, value_truth};
 use crowddb_plan::{BExpr, ScalarFn};
@@ -25,11 +27,7 @@ use crate::need::TaskNeed;
 /// [`ExecCtx::run_subplan`].
 pub fn eval(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Value> {
     match e {
-        BExpr::Literal(v) => Ok(v.clone()),
-        BExpr::Column(i) => row
-            .get(*i)
-            .cloned()
-            .ok_or_else(|| CrowdError::Internal(format!("column #{i} out of range"))),
+        BExpr::Literal(_) | BExpr::Column(_) => operand(ctx, e, row).map(Cow::into_owned),
         BExpr::Unary { op, expr } => {
             let v = eval(ctx, expr, row)?;
             match op {
@@ -54,25 +52,25 @@ pub fn eval(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Value> {
             // FALSE machine conjunct suppresses the crowd call.
             match op {
                 BinaryOp::And => {
-                    let l = value_truth(&eval(ctx, left, row)?)?;
+                    let l = eval_truth(ctx, left, row)?;
                     if l == Truth::False {
                         return Ok(Value::Bool(false));
                     }
-                    let r = value_truth(&eval(ctx, right, row)?)?;
+                    let r = eval_truth(ctx, right, row)?;
                     return Ok(truth_to_value(l.and(r)));
                 }
                 BinaryOp::Or => {
-                    let l = value_truth(&eval(ctx, left, row)?)?;
+                    let l = eval_truth(ctx, left, row)?;
                     if l == Truth::True {
                         return Ok(Value::Bool(true));
                     }
-                    let r = value_truth(&eval(ctx, right, row)?)?;
+                    let r = eval_truth(ctx, right, row)?;
                     return Ok(truth_to_value(l.or(r)));
                 }
                 _ => {}
             }
-            let l = eval(ctx, left, row)?;
-            let r = eval(ctx, right, row)?;
+            let l = operand(ctx, left, row)?;
+            let r = operand(ctx, right, row)?;
             eval_binary(&l, *op, &r)
         }
         BExpr::Is {
@@ -80,11 +78,11 @@ pub fn eval(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Value> {
             negated,
             cnull,
         } => {
-            let v = eval(ctx, expr, row)?;
+            let v = operand(ctx, expr, row)?;
             let hit = if *cnull {
                 v.is_cnull()
             } else {
-                matches!(v, Value::Null)
+                matches!(*v, Value::Null)
             };
             Ok(Value::Bool(hit != *negated))
         }
@@ -93,8 +91,8 @@ pub fn eval(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Value> {
             pattern,
             negated,
         } => {
-            let v = eval(ctx, expr, row)?;
-            let p = eval(ctx, pattern, row)?;
+            let v = operand(ctx, expr, row)?;
+            let p = operand(ctx, pattern, row)?;
             if v.is_missing() || p.is_missing() {
                 return Ok(Value::Null);
             }
@@ -109,9 +107,9 @@ pub fn eval(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Value> {
             high,
             negated,
         } => {
-            let v = eval(ctx, expr, row)?;
-            let lo = eval(ctx, low, row)?;
-            let hi = eval(ctx, high, row)?;
+            let v = operand(ctx, expr, row)?;
+            let lo = operand(ctx, low, row)?;
+            let hi = operand(ctx, high, row)?;
             let t =
                 compare_truth(&v, BinaryOp::GtEq, &lo).and(compare_truth(&v, BinaryOp::LtEq, &hi));
             Ok(truth_to_value(if *negated { t.not() } else { t }))
@@ -121,11 +119,11 @@ pub fn eval(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Value> {
             list,
             negated,
         } => {
-            let v = eval(ctx, expr, row)?;
+            let v = operand(ctx, expr, row)?;
             let mut any_unknown = v.is_missing();
             let mut found = false;
             for cand in list {
-                let c = eval(ctx, cand, row)?;
+                let c = operand(ctx, cand, row)?;
                 match compare_truth(&v, BinaryOp::Eq, &c) {
                     Truth::True => {
                         found = true;
@@ -264,26 +262,64 @@ pub fn eval(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Value> {
 
 /// Evaluate a predicate to a truth value.
 pub fn eval_truth(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Truth> {
-    let v = eval(ctx, e, row)?;
-    value_truth(&v)
+    value_truth(&*operand(ctx, e, row)?)
+}
+
+/// [`eval`] for a caller that only looks at the value: a column of
+/// `row` or a literal is lent, not cloned, so comparing a string column
+/// costs no copy of it.
+pub(crate) fn operand<'a>(
+    ctx: &mut ExecCtx<'_>,
+    e: &'a BExpr,
+    row: &'a Row,
+) -> Result<Cow<'a, Value>> {
+    match e {
+        BExpr::Literal(v) => Ok(Cow::Borrowed(v)),
+        BExpr::Column(i) => row
+            .get(*i)
+            .map(Cow::Borrowed)
+            .ok_or_else(|| CrowdError::Internal(format!("column #{i} out of range"))),
+        other => eval(ctx, other, row).map(Cow::Owned),
+    }
 }
 
 /// SQL `LIKE` with `%` (any run) and `_` (any one char); case-sensitive.
+///
+/// The two-pointer wildcard match: walk both strings, and on a mismatch
+/// go back to just after the last `%` with that `%` swallowing one more
+/// char of the text. Only the last `%` matters — whatever an earlier one
+/// could swallow, the later one can too — so this is O(|text|·|pattern|)
+/// and allocates nothing. Positions are byte offsets at char boundaries.
 pub fn like_match(text: &str, pattern: &str) -> bool {
-    fn rec(t: &[char], p: &[char]) -> bool {
-        match p.split_first() {
-            None => t.is_empty(),
-            Some(('%', rest)) => {
-                // Try all splits, shortest first.
-                (0..=t.len()).any(|k| rec(&t[k..], rest))
+    let next = |s: &str, at: usize| s[at..].chars().next();
+    let (mut t, mut p) = (0, 0);
+    // The pattern position after the last `%`, and the text position it
+    // has swallowed up to.
+    let mut star: Option<(usize, usize)> = None;
+    loop {
+        match (next(pattern, p), next(text, t)) {
+            (None, None) => return true,
+            (Some('%'), _) => {
+                p += 1;
+                star = Some((p, t));
+                continue;
             }
-            Some(('_', rest)) => !t.is_empty() && rec(&t[1..], rest),
-            Some((c, rest)) => t.first() == Some(c) && rec(&t[1..], rest),
+            (Some(pc), Some(tc)) if pc == '_' || pc == tc => {
+                p += pc.len_utf8();
+                t += tc.len_utf8();
+                continue;
+            }
+            _ => {}
         }
+        let Some((after, swallowed)) = star else {
+            return false;
+        };
+        let Some(c) = next(text, swallowed) else {
+            return false;
+        };
+        star = Some((after, swallowed + c.len_utf8()));
+        (p, t) = (after, swallowed + c.len_utf8());
     }
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&t, &p)
 }
 
 /// Evaluate a scalar function over concrete arguments.

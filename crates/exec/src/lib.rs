@@ -29,6 +29,8 @@
 //! the per-operator modules in [`ops`], which record an [`OpStatsNode`]
 //! tree of per-operator statistics alongside the rows.
 
+#![forbid(unsafe_code)]
+
 pub mod context;
 pub mod dml;
 pub mod eval;

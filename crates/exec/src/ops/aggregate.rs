@@ -10,6 +10,7 @@
 //! being re-read: `delta` applies the changed rows with the very
 //! [`AggregateOp::fold`] that `execute` built the state with.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
@@ -17,7 +18,7 @@ use crowddb_common::{CrowdError, Result, Row, Value};
 use crowddb_plan::{AggCall, AggFn, BExpr, PhysicalPlan};
 
 use crate::context::ExecCtx;
-use crate::eval::eval;
+use crate::eval::{eval, operand};
 use crate::ops::{
     build, emit_all, for_each_row, streams, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink,
     TableChange,
@@ -111,33 +112,40 @@ impl<'p> AggregateOp<'p> {
     /// No rows yet: no group, but for the one group of an aggregate
     /// without `GROUP BY`, which exists over empty input too.
     fn no_rows(&self) -> Groups {
-        let mut groups = Groups {
-            by_key: HashMap::new(),
-            exact: true,
-        };
+        let mut by_key = HashMap::new();
         if self.group_by.is_empty() {
-            self.group_mut(&mut groups, vec![]);
+            by_key.insert(vec![], self.new_group(0));
         }
-        groups
+        Groups {
+            by_key,
+            exact: true,
+        }
     }
 
-    /// Group `key`, created empty at first sight.
-    fn group_mut<'g>(&self, groups: &'g mut Groups, key: Vec<Value>) -> &'g mut Group {
-        let seq = groups.by_key.len();
-        groups.by_key.entry(key).or_insert_with(|| Group {
+    /// An empty group, the `seq`-th seen.
+    fn new_group(&self, seq: usize) -> Group {
+        Group {
             seq,
             rows: 0,
             accs: vec![Acc::default(); self.aggs.len()],
-        })
+        }
     }
 
-    /// The grouping key of `row`.
-    fn key_of(&self, ctx: &mut ExecCtx<'_>, row: &Row) -> Result<Vec<Value>> {
+    /// The grouping key of `row`. A one-expression key that is a column
+    /// or a literal is lent from `row` or the plan: looking its group up
+    /// copies nothing, and only a new group gets a key of its own.
+    fn key_of<'a>(&'a self, ctx: &mut ExecCtx<'_>, row: &'a Row) -> Result<Cow<'a, [Value]>> {
+        if let [g] = self.group_by {
+            return Ok(match operand(ctx, g, row)? {
+                Cow::Borrowed(v) => Cow::Borrowed(std::slice::from_ref(v)),
+                Cow::Owned(v) => Cow::Owned(vec![v]),
+            });
+        }
         let mut key = Vec::with_capacity(self.group_by.len());
         for g in self.group_by {
             key.push(eval(ctx, g, row)?);
         }
-        Ok(key)
+        Ok(Cow::Owned(key))
     }
 
     /// The row function: add (`enters`) or take away one input row of
@@ -156,7 +164,7 @@ impl<'p> AggregateOp<'p> {
         &self,
         ctx: &mut ExecCtx<'_>,
         groups: &mut Groups,
-        key: Vec<Value>,
+        key: &[Value],
         row: &Row,
         enters: bool,
     ) -> Result<()> {
@@ -165,15 +173,22 @@ impl<'p> AggregateOp<'p> {
             true => n.checked_add(1),
             false => n.checked_sub(1),
         };
-        let group = self.group_mut(groups, key);
+        let seq = groups.by_key.len();
+        let group = match groups.by_key.get_mut(key) {
+            Some(group) => group,
+            None => groups
+                .by_key
+                .entry(key.to_vec())
+                .or_insert(self.new_group(seq)),
+        };
         let rows = step(group.rows);
         group.rows = rows.unwrap_or(0);
         let mut exact = rows.is_some();
         for (acc, agg) in group.accs.iter_mut().zip(self.aggs) {
             // COUNT(*) is the group's row count.
             let Some(arg) = &agg.arg else { continue };
-            let v = eval(ctx, arg, row)?;
-            if v.is_missing() || (agg.distinct && !acc.seen.insert(v.clone())) {
+            let v = operand(ctx, arg, row)?;
+            if v.is_missing() || (agg.distinct && !acc.seen.insert(v.clone().into_owned())) {
                 continue;
             }
             let n = step(acc.n);
@@ -182,7 +197,7 @@ impl<'p> AggregateOp<'p> {
             match agg.func {
                 AggFn::Count => {}
                 AggFn::Sum | AggFn::Avg => {
-                    match v {
+                    match *v {
                         Value::Int(i) => {
                             let (sum, magnitude) = match enters {
                                 true => (
@@ -213,7 +228,7 @@ impl<'p> AggregateOp<'p> {
                         (Some(best), _) => v.sort_cmp(best) != Ordering::Less,
                     };
                     if wins {
-                        acc.extreme = Some(v);
+                        acc.extreme = Some(v.into_owned());
                     }
                 }
             }
@@ -270,7 +285,7 @@ impl Operator for AggregateOp<'_> {
             &mut |ctx, row| {
                 ctx.rt.check()?;
                 let key = self.key_of(ctx, &row)?;
-                self.fold(ctx, &mut groups, key, &row, true)?;
+                self.fold(ctx, &mut groups, &key, &row, true)?;
                 Ok(Flow::More)
             },
         )?;
@@ -305,11 +320,11 @@ impl Operator for AggregateOp<'_> {
         for (rows, enters) in [(&input.removed, false), (&input.added, true)] {
             for row in rows {
                 let key = self.key_of(ctx, row)?;
-                if !before.contains_key(&key) {
-                    let was = self.group_row(&key, groups.by_key.get(&key))?;
-                    before.insert(key.clone(), was);
+                if !before.contains_key(&*key) {
+                    let was = self.group_row(&key, groups.by_key.get(&*key))?;
+                    before.insert(key.to_vec(), was);
                 }
-                self.fold(ctx, &mut groups, key, row, enters)?;
+                self.fold(ctx, &mut groups, &key, row, enters)?;
                 if !groups.exact {
                     return Ok(None);
                 }

@@ -1,6 +1,6 @@
 //! Project: expression evaluation over each input row.
 
-use crowddb_common::{Result, Row};
+use crowddb_common::{CrowdError, Result, Row, Value};
 use crowddb_plan::{BExpr, PhysicalPlan};
 
 use crate::context::ExecCtx;
@@ -14,6 +14,10 @@ use crate::ops::{
 pub struct ProjectOp<'p> {
     input: BoxedOp<'p>,
     exprs: &'p [BExpr],
+    /// The input columns the expressions are, when each is a plain
+    /// column reference and none is repeated: the output row's values are
+    /// then moved out of the input row, not cloned.
+    moves: Option<Vec<usize>>,
     streams: bool,
 }
 
@@ -23,10 +27,18 @@ impl<'p> ProjectOp<'p> {
         let PhysicalPlan::Project { input, exprs, .. } = plan else {
             unreachable!("ProjectOp built from {plan:?}")
         };
+        let columns: Option<Vec<usize>> = (exprs.iter())
+            .map(|e| match e {
+                BExpr::Column(i) => Some(*i),
+                _ => None,
+            })
+            .collect();
+        let distinct = |cs: &Vec<usize>| cs.iter().enumerate().all(|(n, c)| !cs[..n].contains(c));
         ProjectOp {
             streams: streams(plan, input),
             input: build(input),
             exprs,
+            moves: columns.filter(distinct),
         }
     }
 }
@@ -35,10 +47,25 @@ impl ProjectOp<'_> {
     /// The output row of `row` goes on.
     fn project(&self, ctx: &mut ExecCtx<'_>, row: Row, sink: &mut Sink<'_>) -> Result<Flow> {
         ctx.rt.check()?;
-        let mut values = Vec::with_capacity(self.exprs.len());
-        for e in self.exprs {
-            values.push(eval(ctx, e, &row)?);
-        }
+        let values = match &self.moves {
+            Some(columns) => {
+                let mut input = row.into_values();
+                let mut take = |i: usize| {
+                    let v = input
+                        .get_mut(i)
+                        .ok_or_else(|| CrowdError::Internal(format!("column #{i} out of range")))?;
+                    Ok(std::mem::replace(v, Value::Null))
+                };
+                columns.iter().map(|&i| take(i)).collect::<Result<_>>()?
+            }
+            None => {
+                let mut values = Vec::with_capacity(self.exprs.len());
+                for e in self.exprs {
+                    values.push(eval(ctx, e, &row)?);
+                }
+                values
+            }
+        };
         sink(ctx, Row::new(values))
     }
 }

@@ -12,11 +12,15 @@
 //! statement means.
 //!
 //! A candidate comes as the bytes storage holds, lent from the leaf page
-//! the cursor has pinned, and is decoded only as far as it has to be:
-//! the residual sees a row in which just the columns it reads are
-//! materialized (strings elsewhere are checked, not allocated), and only
-//! a row it does not reject is decoded in full. The whole pass runs
-//! under the database read lock — see `ops` invariant (ii) for what that
+//! the cursor has pinned, and is decoded only as far as the plan reads
+//! it: the residual judges it on one row buffer the pass reuses, in
+//! which just the columns the residual reads are materialized (strings
+//! elsewhere are checked, not allocated), so a rejected row allocates
+//! nothing; a row it keeps is decoded in its *kept* columns — the ones
+//! the plan reads, plus the primary key a probe need names — and its
+//! other strings hold `''`. Only [`ScanOp::tuples`], whose rows an
+//! UPDATE writes back, decodes every column. The whole pass runs under
+//! the database read lock — see `ops` invariant (ii) for what that
 //! forbids the consumer, and [`ScanOp::pass`] for the one case where the
 //! scan itself must step out of it first.
 
@@ -38,10 +42,9 @@ pub struct ScanOp<'p> {
     expected_tuples: Option<u64>,
     access: &'p Access,
     residual: Option<&'p BExpr>,
-    /// The columns the residual reads, when judging a stored row on those
-    /// alone first can save anything: on a full scan, with some STRING
-    /// column not among them.
-    residual_reads: Option<Vec<bool>>,
+    /// The columns the residual reads: a stored row is judged decoded in
+    /// these alone.
+    reads: Vec<bool>,
 }
 
 /// Where a pass takes its candidates from.
@@ -81,17 +84,10 @@ impl<'p> ScanOp<'p> {
         else {
             unreachable!("ScanOp built from {plan:?}")
         };
-        // Only a full scan has the residual as its one filter; what an
-        // index fetched for it mostly passes, and would be decoded twice.
-        let screens = residual.as_ref().filter(|_| *access == Access::Full);
-        let residual_reads = screens.and_then(|p| {
-            let reads = p.column_refs();
-            let mask: Vec<bool> = (0..schema.arity()).map(|c| reads.contains(&c)).collect();
-            let spares_a_string = schema.columns.iter().zip(&mask).any(|(column, read)| {
-                !read && matches!(column.data_type, None | Some(DataType::Str))
-            });
-            spares_a_string.then_some(mask)
-        });
+        let read = residual
+            .as_ref()
+            .map(BExpr::column_refs)
+            .unwrap_or_default();
         ScanOp {
             table,
             needed_columns,
@@ -99,7 +95,7 @@ impl<'p> ScanOp<'p> {
             expected_tuples: *expected_tuples,
             access,
             residual: residual.as_ref(),
-            residual_reads,
+            reads: (0..schema.arity()).map(|c| read.contains(&c)).collect(),
         }
     }
 
@@ -109,7 +105,7 @@ impl<'p> ScanOp<'p> {
     /// used never revisits a row.
     pub(crate) fn tuples(&self, ctx: &mut ExecCtx<'_>) -> Result<Vec<(TupleId, Row)>> {
         let mut out = Vec::new();
-        self.pass(ctx, Source::Stored(None), &mut |_, tid, row| {
+        self.pass(ctx, Source::Stored(None), true, &mut |_, tid, row| {
             out.push((tid, row));
             Ok(Flow::More)
         })?;
@@ -128,7 +124,7 @@ impl<'p> ScanOp<'p> {
     ) -> Result<Vec<Row>> {
         let mut out = Vec::new();
         let probe = Source::Stored(Some((index, keys)));
-        let (examined, _) = self.pass(ctx, probe, &mut |_, _, row| {
+        let (examined, _) = self.pass(ctx, probe, false, &mut |_, _, row| {
             out.push(row);
             Ok(Flow::More)
         })?;
@@ -138,7 +134,9 @@ impl<'p> ScanOp<'p> {
 
     /// One pass of the pipeline: every candidate of `source` through
     /// [`ScanOp::admit`] until `emit` has had enough, then the tuple
-    /// quota. Returns how many candidates were examined.
+    /// quota. Returns how many candidates were examined. A row goes to
+    /// `emit` decoded in every column if `whole`, else in its kept
+    /// columns only.
     ///
     /// Candidates are admitted as they are read, under the database read
     /// lock — unless the residual reads a subquery, whose evaluation
@@ -148,13 +146,27 @@ impl<'p> ScanOp<'p> {
         &self,
         ctx: &mut ExecCtx<'_>,
         source: Source<'_>,
+        whole: bool,
         emit: &mut TupleSink<'_>,
     ) -> Result<(u64, Flow)> {
         let schema = ctx.table_schema(self.table)?;
+        // What the plan reads of a kept row: the needed columns, the
+        // residual's, and the primary key, which a probe need's context
+        // names whether or not the query reads it.
+        let keeps: Option<Vec<bool>> = (!whole).then(|| {
+            let kept = |c: &usize| {
+                self.needed_columns.contains(c)
+                    || self.reads.get(*c) == Some(&true)
+                    || schema.primary_key.contains(c)
+            };
+            (0..schema.arity()).map(|c| kept(&c)).collect()
+        });
+        let keeps = keeps.as_deref();
+        let mut judged = Row::default();
         let mut examined = 0u64;
         let mut admit = |ctx: &mut ExecCtx<'_>, tid, candidate: Candidate<'_>| {
             examined += 1;
-            self.admit(ctx, &schema, tid, candidate, emit)
+            self.admit(ctx, &schema, (keeps, &mut judged), tid, candidate, emit)
         };
         let flow = match source {
             Source::Rows(rows) => each(rows.iter().cloned(), |(tid, row)| {
@@ -163,7 +175,7 @@ impl<'p> ScanOp<'p> {
             Source::Stored(probe) if self.residual.is_some_and(BExpr::has_subplan) => {
                 let mut held = Vec::new();
                 self.fetch(ctx, probe, &mut |_, tid, stored| {
-                    held.push((tid, codec::decode_row(&mut Reader::new(stored))?));
+                    held.push((tid, decode(stored, keeps)?));
                     Ok(Flow::More)
                 })?;
                 each(held, |(tid, row)| admit(ctx, tid, Candidate::Row(row)))?
@@ -278,44 +290,39 @@ impl<'p> ScanOp<'p> {
     }
 
     /// The row function: residual filtering (decidedly-False rows drop
-    /// before any crowd work is generated for them, and before they are
-    /// decoded any further than the residual looked), CrowdProbe needs
-    /// for missing values. Rows whose residual is True go to `emit`.
+    /// before any crowd work is generated for them, judged on the pass's
+    /// reused buffer `judged` and decoded no further), CrowdProbe needs
+    /// for missing values. Rows whose residual is True go to `emit`,
+    /// blanked outside `keeps` (`None`: every column is kept).
     fn admit(
         &self,
         ctx: &mut ExecCtx<'_>,
         schema: &TableSchema,
+        (keeps, judged): (Option<&[bool]>, &mut Row),
         tid: TupleId,
         candidate: Candidate<'_>,
         emit: &mut TupleSink<'_>,
     ) -> Result<Flow> {
         ctx.rt.check()?;
         ctx.rt.stats.rows_scanned += 1;
-        // A stored row is first decoded only as far as the residual
-        // reads, where that saves anything; `whole` is what is left to do.
-        let (mut row, whole) = match (candidate, &self.residual_reads) {
-            (Candidate::Row(row), _) => (row, None),
-            (Candidate::Stored(stored), None) => {
-                (codec::decode_row(&mut Reader::new(stored))?, None)
-            }
-            (Candidate::Stored(stored), Some(reads)) => {
-                let row = codec::decode_row_masked(&mut Reader::new(stored), reads)?;
-                (row, Some(stored))
-            }
-        };
         // Fused filter: a decidedly-False predicate drops the row
         // before any crowd work is generated for it; Unknown keeps
         // probing (the missing value may decide the predicate).
-        let truth = match self.residual {
-            Some(p) => eval_truth(ctx, p, &row)?,
-            None => Truth::True,
+        let truth = match (self.residual, &candidate) {
+            (None, _) => Truth::True,
+            (Some(p), Candidate::Stored(stored)) => {
+                codec::decode_row_into(&mut Reader::new(stored), &self.reads, judged)?;
+                eval_truth(ctx, p, judged)?
+            }
+            (Some(p), Candidate::Row(row)) => eval_truth(ctx, p, row)?,
         };
         if truth == Truth::False {
             return Ok(Flow::More);
         }
-        if let Some(stored) = whole {
-            row = codec::decode_row(&mut Reader::new(stored))?;
-        }
+        let row = match candidate {
+            Candidate::Stored(stored) => decode(stored, keeps)?,
+            Candidate::Row(row) => blank(row, keeps),
+        };
         // CrowdProbe, missing-value flavor: any needed column that is
         // CNULL (and crowdsourceable) becomes a probe need.
         let mut missing: Vec<(usize, String, DataType)> = Vec::new();
@@ -357,6 +364,28 @@ impl<'p> ScanOp<'p> {
     }
 }
 
+/// A stored row, decoded in the columns `keeps` names (every column if
+/// `None`); strings elsewhere hold `''`.
+fn decode(stored: &[u8], keeps: Option<&[bool]>) -> Result<Row> {
+    let mut r = Reader::new(stored);
+    Ok(match keeps {
+        Some(keeps) => codec::decode_row_masked(&mut r, keeps)?,
+        None => codec::decode_row(&mut r)?,
+    })
+}
+
+/// An already-decoded row as [`decode`] would have left it: strings
+/// outside `keeps` become `''`.
+fn blank(mut row: Row, keeps: Option<&[bool]>) -> Row {
+    let Some(keeps) = keeps else { return row };
+    for c in 0..row.arity() {
+        if !keeps.get(c).copied().unwrap_or(false) && matches!(row[c], Value::Str(_)) {
+            row.set(c, Value::str(""));
+        }
+    }
+    row
+}
+
 /// `f` over `items` until it says stop.
 fn each<T>(
     items: impl IntoIterator<Item = T>,
@@ -378,7 +407,9 @@ impl Operator for ScanOp<'_> {
         sink: &mut Sink<'_>,
     ) -> Result<Flow> {
         let (examined, flow) =
-            self.pass(ctx, Source::Stored(None), &mut |ctx, _, row| sink(ctx, row))?;
+            self.pass(ctx, Source::Stored(None), false, &mut |ctx, _, row| {
+                sink(ctx, row)
+            })?;
         stats.rows_in += examined;
         Ok(flow)
     }
@@ -397,7 +428,7 @@ impl Operator for ScanOp<'_> {
                 (&change.removed, &mut delta.removed),
                 (&change.added, &mut delta.added),
             ] {
-                self.pass(ctx, Source::Rows(rows), &mut |_, _, row| {
+                self.pass(ctx, Source::Rows(rows), false, &mut |_, _, row| {
                     out.push(row);
                     Ok(Flow::More)
                 })?;

@@ -34,6 +34,7 @@
 //! `crowddb_<subsystem>_<quantity>[_total]`, snake_case throughout;
 //! counters end in `_total`. The full taxonomy lives in DESIGN.md §9.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

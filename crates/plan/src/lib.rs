@@ -30,6 +30,8 @@
 //! with explicit crowd operators. Execution of that tree lives in
 //! `crowddb-exec`.
 
+#![forbid(unsafe_code)]
+
 pub mod binder;
 pub mod bound_expr;
 pub mod bounded;

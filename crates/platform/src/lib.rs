@@ -34,6 +34,8 @@
 //! quality control, write-back, escalation) is identical to what a live
 //! platform backend would exercise.
 
+#![forbid(unsafe_code)]
+
 pub mod faults;
 pub mod mock;
 pub mod model;

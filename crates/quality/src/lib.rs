@@ -23,6 +23,8 @@
 //! * [`metrics`] — votes-per-verdict counters and agreement histograms
 //!   recorded into the shared observability registry.
 
+#![forbid(unsafe_code)]
+
 pub mod agreement;
 pub mod entity;
 pub mod infer;

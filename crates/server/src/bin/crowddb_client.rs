@@ -9,6 +9,8 @@
 //! each result as a table plus its crowd-accounting line. `\metrics`
 //! prints the server's Prometheus exposition; `\q` quits.
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 

@@ -14,6 +14,8 @@
 //! The server drains on stdin EOF or a `shutdown` line — wrap it in
 //! your process supervisor of choice and close its stdin to stop it.
 
+#![forbid(unsafe_code)]
+
 use std::io::BufRead;
 use std::process::ExitCode;
 use std::sync::Arc;

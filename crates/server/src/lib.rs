@@ -30,6 +30,8 @@
 //! stream executed in-process with the same seed — remote serving adds
 //! no nondeterminism.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod protocol;
 pub mod server;

@@ -24,6 +24,8 @@
 //! assert!(stmt.to_string().starts_with("SELECT title FROM talk"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod lexer;
 pub mod parser;

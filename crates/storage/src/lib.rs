@@ -25,6 +25,8 @@
 //! [`Database`], which is how CrowdDB "memorizes the results sourced from
 //! the crowd" (paper §3).
 
+#![forbid(unsafe_code)]
+
 pub mod btree;
 pub mod catalog;
 pub mod cursor;

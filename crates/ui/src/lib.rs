@@ -22,6 +22,8 @@
 //! the HTML pages shown in the paper's Figures 2 (Mechanical Turk) and 3
 //! (mobile).
 
+#![forbid(unsafe_code)]
+
 pub mod creation;
 pub mod html;
 pub mod manager;

@@ -27,6 +27,8 @@
 //! manager logs crowd answers as each round completes — so a crash mid-
 //! query loses at most the in-flight round, never paid-for answers.
 
+#![forbid(unsafe_code)]
+
 pub mod group;
 pub mod log;
 pub mod snapshot;

@@ -11,6 +11,8 @@
 //! cargo run --example chaos
 //! ```
 
+#![forbid(unsafe_code)]
+
 use crowddb::{
     Answer, CrowdConfig, CrowdDB, FaultConfig, FaultyPlatform, Platform, QueryResult, SimPlatform,
     TaskKind, VoteConfig,

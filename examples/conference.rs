@@ -6,6 +6,8 @@
 //! cargo run --example conference
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use crowddb::{Answer, CrowdConfig, CrowdDB, SimPlatform, TaskKind, VoteConfig};

@@ -10,6 +10,8 @@
 //! them with a crowd-judged self-join, and compare against what a
 //! machine-only matcher achieves.
 
+#![forbid(unsafe_code)]
+
 use crowddb::{CrowdConfig, CrowdDB, SimPlatform, VoteConfig};
 use crowddb_bench::workloads;
 use crowddb_bench::world::CompanyWorld;

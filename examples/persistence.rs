@@ -11,6 +11,8 @@
 //! crash — recovers the exact state, so the same query (and even a
 //! cached `CROWDEQUAL` verdict) replays for free.
 
+#![forbid(unsafe_code)]
+
 use crowddb::{Answer, CrowdConfig, CrowdDB, SimPlatform, TaskKind, VoteConfig};
 use crowddb_platform::ClosureModel;
 

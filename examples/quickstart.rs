@@ -9,6 +9,8 @@
 //! Turk marketplace, and shows that answers are memorized: the second
 //! run costs nothing.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use crowddb::{Answer, CrowdDB, SimPlatform, TaskKind};

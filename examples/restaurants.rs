@@ -11,6 +11,8 @@
 //! locality constraint finds no workers — demonstrating what the
 //! locality filter does.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use crowddb::{Answer, CrowdConfig, CrowdDB, Platform, SimPlatform, TaskKind, VoteConfig};

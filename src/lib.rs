@@ -59,6 +59,8 @@
 //! already provided are never bought twice. See the `persistence`
 //! example and the "Durability & recovery" section of `DESIGN.md`.
 
+#![forbid(unsafe_code)]
+
 pub use crowddb_common::{CrowdError, DataType, Result, Row, Value};
 pub use crowddb_core::{
     CancelToken, CrowdConfig, CrowdDB, CrowdSummary, DurabilityPolicy, FsyncPolicy, GovernorPolicy,

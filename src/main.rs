@@ -25,6 +25,8 @@
 //! on the server (with its tenant quotas and admission control) until
 //! `\disconnect`.
 
+#![forbid(unsafe_code)]
+
 use std::io::{self, BufRead, Write};
 
 use crowddb::{CrowdDB, Platform, QualityPolicy, QueryResult, SimPlatform};
