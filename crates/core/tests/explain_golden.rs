@@ -295,6 +295,100 @@ fn explain_update_pk() {
     );
 }
 
+/// The plan corpus: statements that between them reach every arm of
+/// every optimizer rule — constant folding, predicate push-down, join
+/// ordering, stop-after push-down — over machine tables, CROWD columns
+/// and a CROWD table, with subqueries and crowd comparisons in each
+/// place a query can hold them.
+const CORPUS: &[&str] = &[
+    // Constant folding: boolean identities, negation, arithmetic; a CASE
+    // is left as written.
+    "SELECT title FROM Talk WHERE title = 'CrowdDB' AND TRUE",
+    "SELECT room FROM Venue WHERE room = 'R101' OR FALSE",
+    "SELECT talk FROM Venue WHERE NOT FALSE",
+    "SELECT talk, -(2), -(1.5) FROM Venue WHERE NOT (room = 'R102')",
+    "SELECT 1 + 1",
+    "SELECT talk, CASE WHEN 1 + 1 = 2 THEN room ELSE 'none' END FROM Venue",
+    // Predicate push-down through a derived table, Sort, Distinct, UNION
+    // and UNION ALL, and a conjunct that stays above a LIMIT.
+    "SELECT d.t FROM (SELECT talk AS t, room FROM Venue) AS d WHERE d.room = 'R101'",
+    "SELECT d.t FROM (SELECT talk AS t, room FROM Venue ORDER BY room) AS d WHERE d.t <> 'Qurk'",
+    "SELECT d.r FROM (SELECT DISTINCT room AS r FROM Venue) AS d WHERE d.r = 'R101'",
+    "SELECT u.x FROM (SELECT talk AS x FROM Venue UNION SELECT title FROM Talk) AS u \
+     WHERE u.x <> 'PIQL'",
+    "SELECT u.x FROM (SELECT talk AS x FROM Venue UNION ALL SELECT title FROM Talk) AS u \
+     WHERE u.x <> 'PIQL'",
+    "SELECT d.t FROM (SELECT talk AS t FROM Venue ORDER BY talk LIMIT 1) AS d WHERE d.t <> 'x'",
+    "SELECT d.t FROM (SELECT title AS t FROM Talk) AS d WHERE CROWDEQUAL(d.t, 'crowddb.')",
+    // Conjuncts over joins: a crowd conjunct and a subquery conjunct stay
+    // put, a two-sided equality becomes the join condition.
+    "SELECT t.title, v.room FROM Talk t, Venue v \
+     WHERE t.title = v.talk AND CROWDEQUAL(v.room, 'Room 101')",
+    "SELECT t.title, v.room FROM Talk t, Venue v \
+     WHERE t.title = v.talk AND v.room IN (SELECT room FROM Venue WHERE talk = 'Qurk')",
+    "SELECT t.title, v.room FROM Talk t, Venue v WHERE t.title = v.talk",
+    "SELECT t.title FROM Talk t, Venue v \
+     WHERE t.title = v.talk AND t.nb_attendees > 100 AND v.room = 'R101'",
+    "SELECT * FROM Talk t CROSS JOIN Venue v WHERE t.title = v.talk",
+    "SELECT t.title, v.room FROM Talk t, Venue v WHERE t.title < v.talk",
+    // Join ordering: the CROWD table last in 3- and 4-way joins; a LEFT
+    // JOIN keeps its order.
+    "SELECT n.name, t.title, v.room FROM NotableAttendee n, Talk t, Venue v \
+     WHERE n.title = t.title AND t.title = v.talk",
+    "SELECT n.name, v.room FROM NotableAttendee n, Venue v, Talk t, Venue w \
+     WHERE n.title = t.title AND t.title = v.talk AND v.room = w.room",
+    "SELECT t.title, v.room FROM Talk t LEFT JOIN Venue v ON t.title = v.talk \
+     WHERE t.title <> 'HyPer'",
+    "SELECT t.title, n.name FROM Talk t JOIN NotableAttendee n ON t.title = n.title",
+    // Stop-after push-down: through a projection and UNION ALL, with an
+    // OFFSET, stopped by a machine sort, and under CROWDORDER.
+    "SELECT name FROM NotableAttendee LIMIT 3",
+    "SELECT name, title FROM NotableAttendee LIMIT 2 OFFSET 1",
+    "SELECT name FROM NotableAttendee UNION ALL SELECT talk FROM Venue LIMIT 4",
+    "SELECT name FROM NotableAttendee ORDER BY name LIMIT 3",
+    "SELECT title FROM Talk ORDER BY CROWDORDER(title, 'Which talk did you like better') LIMIT 3",
+    "SELECT name FROM NotableAttendee ORDER BY CROWDORDER(name, 'Who is more notable') LIMIT 2",
+    "SELECT UPPER(talk), LENGTH(room) FROM Venue ORDER BY 1 LIMIT 1",
+    // Aggregation.
+    "SELECT room, COUNT(*) FROM Venue GROUP BY room HAVING COUNT(*) > 0",
+    "SELECT title, COUNT(*) FROM NotableAttendee GROUP BY title HAVING COUNT(*) >= 1",
+    "SELECT v.room, COUNT(*) FROM Venue v JOIN Talk t ON v.talk = t.title GROUP BY v.room",
+    "SELECT COUNT(*), AVG(nb_attendees) FROM Talk WHERE title LIKE 'C%'",
+    // Subqueries: IN, NOT IN, EXISTS, scalar.
+    "SELECT room FROM Venue WHERE talk IN (SELECT title FROM Talk WHERE nb_attendees > 100)",
+    "SELECT title FROM Talk WHERE title NOT IN (SELECT talk FROM Venue)",
+    "SELECT room FROM Venue WHERE EXISTS (SELECT abstract FROM Talk WHERE title = 'Qurk')",
+    "SELECT talk, (SELECT MAX(nb_attendees) FROM Talk) FROM Venue",
+    "SELECT room FROM Venue WHERE talk IN (SELECT name FROM NotableAttendee)",
+    // CROWDEQUAL in a select list, an ON clause and a WHERE.
+    "SELECT CROWDEQUAL(room, 'Room R101') FROM Venue",
+    "SELECT t.title, v.room FROM Talk t JOIN Venue v ON CROWDEQUAL(t.title, v.talk)",
+    "SELECT title FROM Talk WHERE title ~= 'crowddb.' AND nb_attendees >= 100",
+    // Access paths and the rest of the expression language.
+    "SELECT title, abstract FROM Talk WHERE title = 'CrowdDB'",
+    "SELECT title FROM Talk WHERE nb_attendees >= 100 ORDER BY nb_attendees DESC",
+    "SELECT title FROM Talk WHERE abstract IS CNULL",
+    "SELECT name FROM NotableAttendee WHERE name = 'Mike Franklin'",
+    "SELECT name FROM NotableAttendee WHERE title = 'CrowdDB'",
+    "SELECT name FROM NotableAttendee",
+    "SELECT DISTINCT room FROM Venue",
+    "SELECT talk FROM Venue UNION SELECT title FROM Talk",
+    "SELECT talk FROM Venue WHERE room BETWEEN 'R100' AND 'R101' AND talk IN ('CrowdDB', 'PIQL')",
+];
+
+#[test]
+fn explain_corpus() {
+    let mut actual = String::new();
+    for sql in CORPUS {
+        actual.push_str(&format!("== {sql}\n{}\n", explain(sql)));
+    }
+    assert_golden(
+        &actual,
+        include_str!("golden/explain_corpus.txt"),
+        "explain_corpus",
+    );
+}
+
 #[test]
 fn explain_delete_crowd() {
     // The crowd conjunct is written first; DML goes through the
