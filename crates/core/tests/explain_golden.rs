@@ -389,6 +389,56 @@ fn explain_corpus() {
     );
 }
 
+/// HITs a statement posts when executed on a fresh seeded database,
+/// and whether the admission classifier said beforehand that it may.
+fn posts_and_classification(sql: &str) -> (u64, bool) {
+    let mut platform = world_script();
+    let db = seeded_db(&mut platform);
+    let may = db.statement_may_touch_crowd(sql);
+    let before = platform.stats().hits_posted;
+    // An unbounded scan is refused; what counts is what reached the crowd.
+    let _ = db.execute(sql, &mut platform);
+    (platform.stats().hits_posted - before, may)
+}
+
+/// The server's admission tier trusts `statement_may_touch_crowd` to
+/// keep crowd work off the local tier: no statement of the corpus that
+/// posts a HIT may be classified local.
+#[test]
+fn every_corpus_statement_that_posts_a_hit_is_classified_crowd() {
+    let mut posting = 0;
+    for sql in CORPUS {
+        let (hits, may) = posts_and_classification(sql);
+        assert!(
+            may || hits == 0,
+            "{sql} posted {hits} HIT(s) but was classified local"
+        );
+        posting += usize::from(hits > 0);
+    }
+    assert!(
+        posting >= 20,
+        "only {posting} corpus statements posted HITs"
+    );
+}
+
+/// Crowd work that only a subquery or a select list asks for makes a
+/// query over a machine table crowd-related; a machine-only join does not.
+#[test]
+fn subqueries_and_select_lists_make_a_machine_query_crowd_related() {
+    for sql in [
+        "SELECT room FROM Venue WHERE talk IN (SELECT title FROM Talk WHERE nb_attendees > 100)",
+        "SELECT room FROM Venue WHERE EXISTS (SELECT abstract FROM Talk WHERE title = 'Qurk')",
+        "SELECT talk, (SELECT MAX(nb_attendees) FROM Talk) FROM Venue",
+        "SELECT CROWDEQUAL(room, 'Room R101') FROM Venue",
+    ] {
+        let (hits, may) = posts_and_classification(sql);
+        assert!(hits > 0, "{sql} should ask the crowd");
+        assert!(may, "{sql} classified local");
+    }
+    let join = "SELECT t.title, v.room FROM Talk t JOIN Venue v ON t.title = v.talk";
+    assert_eq!(posts_and_classification(join), (0, false));
+}
+
 #[test]
 fn explain_delete_crowd() {
     // The crowd conjunct is written first; DML goes through the

@@ -899,13 +899,7 @@ fn make_binary(l: BExpr, op: BinaryOp, r: BExpr) -> BExpr {
 }
 
 fn contains_crowd_order(e: &BExpr) -> bool {
-    let mut found = false;
-    e.walk(&mut |n| {
-        if matches!(n, BExpr::CrowdOrder { .. }) {
-            found = true;
-        }
-    });
-    found
+    e.any(&|n| matches!(n, BExpr::CrowdOrder { .. }))
 }
 
 /// Derive an output column descriptor for a bound projection expression.
@@ -935,28 +929,17 @@ fn default_name(expr: &Expr) -> String {
 }
 
 fn apply_needed_columns(plan: &mut LogicalPlan, used: &HashMap<String, BTreeSet<usize>>) {
-    match plan {
-        LogicalPlan::Scan {
-            alias,
-            needed_columns,
-            ..
-        } => {
-            if let Some(set) = used.get(alias) {
-                *needed_columns = set.iter().copied().collect();
-            }
+    if let LogicalPlan::Scan {
+        alias,
+        needed_columns,
+        ..
+    } = plan
+    {
+        if let Some(set) = used.get(alias) {
+            *needed_columns = set.iter().copied().collect();
         }
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. }
-        | LogicalPlan::Distinct { input } => apply_needed_columns(input, used),
-        LogicalPlan::Join { left, right, .. } | LogicalPlan::Union { left, right, .. } => {
-            apply_needed_columns(left, used);
-            apply_needed_columns(right, used);
-        }
-        LogicalPlan::Values { .. } => {}
     }
+    plan.inputs_mut(|input| apply_needed_columns(input, used));
 }
 
 #[cfg(test)]

@@ -279,59 +279,126 @@ pub enum BExpr {
 }
 
 impl BExpr {
-    /// Visit all nodes (not descending into subplans).
-    pub fn walk(&self, f: &mut impl FnMut(&BExpr)) {
-        f(self);
-        match self {
-            BExpr::Literal(_) | BExpr::Column(_) => {}
+    /// The immediate subexpressions, in evaluation order. A subquery's
+    /// plan is not among them: it is planned and evaluated on its own.
+    pub(crate) fn children(&self) -> impl Iterator<Item = &BExpr> {
+        type Parts<'e> = (
+            [Option<&'e BExpr>; 3],
+            &'e [BExpr],
+            &'e [(BExpr, BExpr)],
+            Option<&'e BExpr>,
+        );
+        let (head, list, pairs, tail): Parts = match self {
+            BExpr::Literal(_)
+            | BExpr::Column(_)
+            | BExpr::ExistsPlan { .. }
+            | BExpr::ScalarPlan(_) => ([None; 3], &[], &[], None),
             BExpr::Unary { expr, .. }
             | BExpr::Is { expr, .. }
             | BExpr::Cast { expr, .. }
-            | BExpr::CrowdOrder { expr, .. } => expr.walk(f),
-            BExpr::Binary { left, right, .. } | BExpr::CrowdEqual { left, right } => {
-                left.walk(f);
-                right.walk(f);
-            }
-            BExpr::Like { expr, pattern, .. } => {
-                expr.walk(f);
-                pattern.walk(f);
-            }
+            | BExpr::CrowdOrder { expr, .. }
+            | BExpr::InPlan { expr, .. } => ([Some(expr), None, None], &[], &[], None),
+            BExpr::Binary { left, right, .. }
+            | BExpr::CrowdEqual { left, right }
+            | BExpr::Like {
+                expr: left,
+                pattern: right,
+                ..
+            } => ([Some(left), Some(right), None], &[], &[], None),
             BExpr::Between {
                 expr, low, high, ..
-            } => {
-                expr.walk(f);
-                low.walk(f);
-                high.walk(f);
-            }
-            BExpr::InList { expr, list, .. } => {
-                expr.walk(f);
-                for e in list {
-                    e.walk(f);
-                }
-            }
-            BExpr::InPlan { expr, .. } => expr.walk(f),
-            BExpr::ExistsPlan { .. } | BExpr::ScalarPlan(_) => {}
+            } => ([Some(expr), Some(low), Some(high)], &[], &[], None),
+            BExpr::InList { expr, list, .. } => ([Some(expr), None, None], list, &[], None),
             BExpr::Case {
                 operand,
                 branches,
                 else_expr,
-            } => {
-                if let Some(o) = operand {
-                    o.walk(f);
-                }
-                for (w, t) in branches {
-                    w.walk(f);
-                    t.walk(f);
-                }
-                if let Some(e) = else_expr {
-                    e.walk(f);
-                }
-            }
-            BExpr::Scalar { args, .. } => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
+            } => (
+                [operand.as_deref(), None, None],
+                &[],
+                branches,
+                else_expr.as_deref(),
+            ),
+            BExpr::Scalar { args, .. } => ([None; 3], args, &[], None),
+        };
+        let pairs = pairs.iter().flat_map(|(w, t)| [w, t]);
+        head.into_iter()
+            .flatten()
+            .chain(list)
+            .chain(pairs)
+            .chain(tail)
+    }
+
+    /// [`BExpr::children`], mutably.
+    pub(crate) fn children_mut(&mut self) -> impl Iterator<Item = &mut BExpr> {
+        type Parts<'e> = (
+            [Option<&'e mut BExpr>; 3],
+            &'e mut [BExpr],
+            &'e mut [(BExpr, BExpr)],
+            Option<&'e mut BExpr>,
+        );
+        let (head, list, pairs, tail): Parts = match self {
+            BExpr::Literal(_)
+            | BExpr::Column(_)
+            | BExpr::ExistsPlan { .. }
+            | BExpr::ScalarPlan(_) => ([None, None, None], &mut [], &mut [], None),
+            BExpr::Unary { expr, .. }
+            | BExpr::Is { expr, .. }
+            | BExpr::Cast { expr, .. }
+            | BExpr::CrowdOrder { expr, .. }
+            | BExpr::InPlan { expr, .. } => ([Some(expr), None, None], &mut [], &mut [], None),
+            BExpr::Binary { left, right, .. }
+            | BExpr::CrowdEqual { left, right }
+            | BExpr::Like {
+                expr: left,
+                pattern: right,
+                ..
+            } => ([Some(left), Some(right), None], &mut [], &mut [], None),
+            BExpr::Between {
+                expr, low, high, ..
+            } => ([Some(expr), Some(low), Some(high)], &mut [], &mut [], None),
+            BExpr::InList { expr, list, .. } => ([Some(expr), None, None], list, &mut [], None),
+            BExpr::Case {
+                operand,
+                branches,
+                else_expr,
+            } => (
+                [operand.as_deref_mut(), None, None],
+                &mut [],
+                branches,
+                else_expr.as_deref_mut(),
+            ),
+            BExpr::Scalar { args, .. } => ([None, None, None], args, &mut [], None),
+        };
+        let pairs = pairs.iter_mut().flat_map(|(w, t)| [w, t]);
+        head.into_iter()
+            .flatten()
+            .chain(list)
+            .chain(pairs)
+            .chain(tail)
+    }
+
+    /// Visit all nodes pre-order (not descending into subplans).
+    pub fn walk(&self, f: &mut impl FnMut(&BExpr)) {
+        f(self);
+        for c in self.children() {
+            c.walk(f);
+        }
+    }
+
+    /// Whether `pred` holds for this node or any node below it (not
+    /// descending into subplans).
+    pub(crate) fn any(&self, pred: &impl Fn(&BExpr) -> bool) -> bool {
+        pred(self) || self.children().any(|c| c.any(pred))
+    }
+
+    /// The plan of a subquery node (`IN (SELECT …)`, `EXISTS`, scalar).
+    pub(crate) fn subplan(&self) -> Option<&crate::logical::LogicalPlan> {
+        match self {
+            BExpr::InPlan { plan, .. }
+            | BExpr::ExistsPlan { plan, .. }
+            | BExpr::ScalarPlan(plan) => Some(plan),
+            _ => None,
         }
     }
 
@@ -352,27 +419,12 @@ impl BExpr {
     /// `CROWDORDER`). Such predicates are expensive: the optimizer
     /// evaluates them after all machine predicates.
     pub fn is_crowd(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |e| {
-            if matches!(e, BExpr::CrowdEqual { .. } | BExpr::CrowdOrder { .. }) {
-                found = true;
-            }
-        });
-        found
+        self.any(&|e| matches!(e, BExpr::CrowdEqual { .. } | BExpr::CrowdOrder { .. }))
     }
 
     /// Whether the expression contains a subquery plan.
     pub fn has_subplan(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |e| {
-            if matches!(
-                e,
-                BExpr::InPlan { .. } | BExpr::ExistsPlan { .. } | BExpr::ScalarPlan(_)
-            ) {
-                found = true;
-            }
-        });
-        found
+        self.any(&|e| e.subplan().is_some())
     }
 
     /// The `column <cmp> literal` conjuncts of this predicate (`=`, `<`,
@@ -409,98 +461,20 @@ impl BExpr {
 
     /// Rewrite every column ordinal through `map` (used when predicates
     /// move across joins/projections).
+    /// A subquery's plan is copied as it is: it is uncorrelated, so its
+    /// ordinals index its own rows.
     pub fn remap_columns(&self, map: &impl Fn(usize) -> usize) -> BExpr {
-        let rec = |e: &BExpr| e.remap_columns(map);
-        match self {
-            BExpr::Literal(v) => BExpr::Literal(v.clone()),
-            BExpr::Column(i) => BExpr::Column(map(*i)),
-            BExpr::Unary { op, expr } => BExpr::Unary {
-                op: *op,
-                expr: Box::new(rec(expr)),
-            },
-            BExpr::Binary { left, op, right } => BExpr::Binary {
-                left: Box::new(rec(left)),
-                op: *op,
-                right: Box::new(rec(right)),
-            },
-            BExpr::Is {
-                expr,
-                negated,
-                cnull,
-            } => BExpr::Is {
-                expr: Box::new(rec(expr)),
-                negated: *negated,
-                cnull: *cnull,
-            },
-            BExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => BExpr::Like {
-                expr: Box::new(rec(expr)),
-                pattern: Box::new(rec(pattern)),
-                negated: *negated,
-            },
-            BExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => BExpr::Between {
-                expr: Box::new(rec(expr)),
-                low: Box::new(rec(low)),
-                high: Box::new(rec(high)),
-                negated: *negated,
-            },
-            BExpr::InList {
-                expr,
-                list,
-                negated,
-            } => BExpr::InList {
-                expr: Box::new(rec(expr)),
-                list: list.iter().map(rec).collect(),
-                negated: *negated,
-            },
-            BExpr::InPlan {
-                expr,
-                plan,
-                negated,
-            } => BExpr::InPlan {
-                expr: Box::new(rec(expr)),
-                plan: plan.clone(),
-                negated: *negated,
-            },
-            BExpr::ExistsPlan { plan, negated } => BExpr::ExistsPlan {
-                plan: plan.clone(),
-                negated: *negated,
-            },
-            BExpr::ScalarPlan(p) => BExpr::ScalarPlan(p.clone()),
-            BExpr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => BExpr::Case {
-                operand: operand.as_ref().map(|o| Box::new(rec(o))),
-                branches: branches.iter().map(|(w, t)| (rec(w), rec(t))).collect(),
-                else_expr: else_expr.as_ref().map(|e| Box::new(rec(e))),
-            },
-            BExpr::Cast { expr, data_type } => BExpr::Cast {
-                expr: Box::new(rec(expr)),
-                data_type: *data_type,
-            },
-            BExpr::Scalar { func, args } => BExpr::Scalar {
-                func: *func,
-                args: args.iter().map(rec).collect(),
-            },
-            BExpr::CrowdEqual { left, right } => BExpr::CrowdEqual {
-                left: Box::new(rec(left)),
-                right: Box::new(rec(right)),
-            },
-            BExpr::CrowdOrder { expr, instruction } => BExpr::CrowdOrder {
-                expr: Box::new(rec(expr)),
-                instruction: instruction.clone(),
-            },
+        fn remap(e: &mut BExpr, map: &impl Fn(usize) -> usize) {
+            if let BExpr::Column(i) = e {
+                *i = map(*i);
+            }
+            for c in e.children_mut() {
+                remap(c, map);
+            }
         }
+        let mut e = self.clone();
+        remap(&mut e, map);
+        e
     }
 }
 
@@ -639,6 +613,48 @@ mod tests {
         };
         let shifted = e.remap_columns(&|i| i + 10);
         assert_eq!(shifted.column_refs(), vec![10, 12]);
+        // A column in every child position of every variant that has one
+        // is both found and moved.
+        let every = BExpr::Case {
+            operand: Some(Box::new(col(1))),
+            branches: vec![(
+                BExpr::Like {
+                    expr: Box::new(col(2)),
+                    pattern: Box::new(col(3)),
+                    negated: false,
+                },
+                BExpr::Scalar {
+                    func: ScalarFn::Coalesce,
+                    args: vec![
+                        col(4),
+                        BExpr::Cast {
+                            expr: Box::new(col(5)),
+                            data_type: DataType::Int,
+                        },
+                    ],
+                },
+            )],
+            else_expr: Some(Box::new(BExpr::InList {
+                expr: Box::new(BExpr::Between {
+                    expr: Box::new(col(6)),
+                    low: Box::new(col(7)),
+                    high: Box::new(col(8)),
+                    negated: false,
+                }),
+                list: vec![
+                    col(9),
+                    BExpr::Is {
+                        expr: Box::new(col(10)),
+                        negated: false,
+                        cnull: true,
+                    },
+                ],
+                negated: false,
+            })),
+        };
+        assert_eq!(every.column_refs(), (1..=10).collect::<Vec<_>>());
+        let moved = every.remap_columns(&|i| i + 10);
+        assert_eq!(moved.column_refs(), (11..=20).collect::<Vec<_>>());
     }
 
     #[test]

@@ -167,7 +167,7 @@ fn analyze_node(
             // equality join condition (the CrowdJoin pattern).
             let driven = matches!(kind, JoinType::Inner | JoinType::Left)
                 && on.as_ref().map(has_equality_conjunct).unwrap_or(false)
-                && subtree_is_finite(left, report);
+                && subtree_is_finite(left);
             let bound = if driven {
                 Some(estimate_rows(left, stats))
             } else {
@@ -195,34 +195,31 @@ fn analyze_node(
     }
 }
 
-/// Whether this subtree contains no *unbounded* crowd scan (given what
-/// the report has discovered so far, it is re-checked conservatively).
-fn subtree_is_finite(node: &LogicalPlan, _report: &BoundednessReport) -> bool {
-    let mut finite = true;
-    node.walk(&mut |n| {
-        if let LogicalPlan::Scan {
-            crowd_table: true,
-            expected_tuples: None,
-            ..
-        } = n
-        {
-            finite = false;
-        }
-    });
-    finite
+/// Whether this subtree contains no CROWD-table scan without a
+/// stop-after bound (a conservative re-check, independent of the report).
+fn subtree_is_finite(node: &LogicalPlan) -> bool {
+    !node.any(&|n| {
+        matches!(
+            n,
+            LogicalPlan::Scan {
+                crowd_table: true,
+                expected_tuples: None,
+                ..
+            }
+        )
+    })
 }
 
 fn has_equality_conjunct(on: &BExpr) -> bool {
-    let mut found = false;
-    on.walk(&mut |e| {
-        if let BExpr::Binary {
-            op: BinaryOp::Eq, ..
-        } = e
-        {
-            found = true;
-        }
-    });
-    found
+    on.any(&|e| {
+        matches!(
+            e,
+            BExpr::Binary {
+                op: BinaryOp::Eq,
+                ..
+            }
+        )
+    })
 }
 
 /// Whether a predicate pins every primary-key column with an equality to

@@ -159,13 +159,11 @@ pub fn estimate_rows(plan: &LogicalPlan, stats: &dyn StatsSource) -> f64 {
 pub fn annotate_cardinality(plan: &LogicalPlan, stats: &dyn StatsSource) -> String {
     fn rec(plan: &LogicalPlan, stats: &dyn StatsSource, depth: usize, out: &mut String) {
         let rows = estimate_rows(plan, stats);
-        let line = plan.explain();
-        let first = line.lines().next().unwrap_or("");
         out.push_str(&format!(
             "{}[~{:.0} rows] {}\n",
             "  ".repeat(depth),
             rows,
-            first.trim_start()
+            plan.describe()
         ));
         for c in plan.children() {
             rec(c, stats, depth + 1, out);

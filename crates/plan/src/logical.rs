@@ -179,69 +179,122 @@ impl LogicalPlan {
         }
     }
 
+    /// Call `f` on each of [`LogicalPlan::children`], mutably, left
+    /// before right.
+    pub(crate) fn inputs_mut(&mut self, mut f: impl FnMut(&mut LogicalPlan)) {
+        match self {
+            LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => {}
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Distinct { input } => f(input),
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::Union { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+        }
+    }
+
+    /// This node with each input replaced by `f(input)`, left before
+    /// right, in the boxes it already has; a leaf comes back as it is. A
+    /// rewrite handles the nodes its rule acts on and hands every other
+    /// node to this.
+    pub(crate) fn map_inputs(
+        mut self,
+        mut f: impl FnMut(LogicalPlan) -> LogicalPlan,
+    ) -> LogicalPlan {
+        self.inputs_mut(|input| {
+            let placeholder = LogicalPlan::Values {
+                rows: Vec::new(),
+                schema: PlanSchema::default(),
+            };
+            *input = f(std::mem::replace(input, placeholder));
+        });
+        self
+    }
+
+    /// The expressions this node itself evaluates (not its inputs'),
+    /// aggregate arguments included.
+    pub(crate) fn exprs(&self) -> Vec<&BExpr> {
+        match self {
+            LogicalPlan::Scan { .. }
+            | LogicalPlan::Limit { .. }
+            | LogicalPlan::Distinct { .. }
+            | LogicalPlan::Union { .. } => vec![],
+            LogicalPlan::Filter { predicate, .. } => vec![predicate],
+            LogicalPlan::Project { exprs, .. } => exprs.iter().collect(),
+            LogicalPlan::Join { on, .. } => on.iter().collect(),
+            LogicalPlan::Aggregate { group_by, aggs, .. } => group_by
+                .iter()
+                .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+                .collect(),
+            LogicalPlan::Sort { keys, .. } => keys.iter().map(|k| &k.expr).collect(),
+            LogicalPlan::Values { rows, .. } => rows.iter().flatten().collect(),
+        }
+    }
+
     /// Visit all nodes pre-order.
-    pub fn walk(&self, f: &mut impl FnMut(&LogicalPlan)) {
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a LogicalPlan)) {
         f(self);
         for c in self.children() {
             c.walk(f);
         }
     }
 
+    /// Whether `pred` holds for this node or any node below it.
+    pub(crate) fn any(&self, pred: &impl Fn(&LogicalPlan) -> bool) -> bool {
+        pred(self) || self.children().into_iter().any(|c| c.any(pred))
+    }
+
     /// All scans in the plan, pre-order.
     pub fn scans(&self) -> Vec<&LogicalPlan> {
-        fn rec<'a>(n: &'a LogicalPlan, out: &mut Vec<&'a LogicalPlan>) {
+        let mut out = Vec::new();
+        self.walk(&mut |n| {
             if matches!(n, LogicalPlan::Scan { .. }) {
                 out.push(n);
             }
-            for c in n.children() {
-                rec(c, out);
-            }
-        }
-        let mut out = Vec::new();
-        rec(self, &mut out);
-        out
-    }
-
-    /// Whether the plan touches the crowd at all: a CROWD table scan, a
-    /// scan whose needed columns include CROWD columns, or a crowd
-    /// comparison anywhere in predicates/keys.
-    pub fn is_crowd_related(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |n| match n {
-            LogicalPlan::Scan {
-                schema,
-                crowd_table,
-                needed_columns,
-                ..
-            } => {
-                if *crowd_table {
-                    found = true;
-                }
-                for &c in needed_columns {
-                    if schema.columns.get(c).map(|pc| pc.crowd).unwrap_or(false) {
-                        found = true;
-                    }
-                }
-            }
-            LogicalPlan::Filter { predicate, .. } if predicate.is_crowd() => found = true,
-            LogicalPlan::Sort { keys, .. } if keys.iter().any(|k| k.expr.is_crowd()) => {
-                found = true
-            }
-            LogicalPlan::Join { on: Some(p), .. } if p.is_crowd() => found = true,
-            _ => {}
         });
-        found
-    }
-
-    /// Render the plan as an indented EXPLAIN tree.
-    pub fn explain(&self) -> String {
-        let mut out = String::new();
-        self.explain_into(&mut out, 0);
         out
     }
 
-    fn explain_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
+    /// Whether executing the plan may ask the crowd: it reads a CROWD
+    /// table or a CROWD column, any node evaluates a crowd comparison
+    /// (predicate, select list, join condition, sort key, aggregate),
+    /// or a subquery anywhere is crowd-related itself. The one answer
+    /// to that question: standing queries and the server's admission
+    /// tier both read it.
+    pub fn is_crowd_related(&self) -> bool {
+        let asks = |e: &BExpr| {
+            matches!(e, BExpr::CrowdEqual { .. } | BExpr::CrowdOrder { .. })
+                || e.subplan().is_some_and(LogicalPlan::is_crowd_related)
+        };
+        self.any(&|n| {
+            let reads_crowd = match n {
+                LogicalPlan::Scan {
+                    schema,
+                    crowd_table,
+                    needed_columns,
+                    ..
+                } => {
+                    *crowd_table
+                        || needed_columns
+                            .iter()
+                            .any(|&c| schema.columns.get(c).is_some_and(|pc| pc.crowd))
+                }
+                _ => false,
+            };
+            reads_crowd || n.exprs().into_iter().any(|e| e.any(&asks))
+        })
+    }
+
+    /// This node's own EXPLAIN line, without indentation or children.
+    pub(crate) fn describe(&self) -> String {
+        fn list<T: fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+            let items: Vec<String> = items.into_iter().map(|i| i.to_string()).collect();
+            items.join(", ")
+        }
         match self {
             LogicalPlan::Scan {
                 table,
@@ -251,14 +304,15 @@ impl LogicalPlan {
                 expected_tuples,
                 schema,
             } => {
-                let crowd_cols: Vec<&str> = needed_columns
-                    .iter()
-                    .filter_map(|&i| schema.columns.get(i))
-                    .filter(|c| c.crowd)
-                    .map(|c| c.name.as_str())
-                    .collect();
-                out.push_str(&format!(
-                    "{pad}Scan {table}{}{}{}{}\n",
+                let crowd_cols = list(
+                    needed_columns
+                        .iter()
+                        .filter_map(|&i| schema.columns.get(i))
+                        .filter(|c| c.crowd)
+                        .map(|c| &c.name),
+                );
+                format!(
+                    "Scan {table}{}{}{}{}",
                     if alias != table {
                         format!(" AS {alias}")
                     } else {
@@ -268,105 +322,74 @@ impl LogicalPlan {
                     if crowd_cols.is_empty() {
                         String::new()
                     } else {
-                        format!(" [probe: {}]", crowd_cols.join(", "))
+                        format!(" [probe: {crowd_cols}]")
                     },
                     match expected_tuples {
                         Some(n) => format!(" [expect ≤{n} tuples]"),
                         None => String::new(),
                     }
-                ));
+                )
             }
-            LogicalPlan::Filter { input, predicate } => {
+            LogicalPlan::Filter { predicate, .. } => {
                 let tag = if predicate.is_crowd() {
                     "CrowdFilter"
                 } else {
                     "Filter"
                 };
-                out.push_str(&format!("{pad}{tag} {predicate}\n"));
-                input.explain_into(out, depth + 1);
+                format!("{tag} {predicate}")
             }
-            LogicalPlan::Project { input, exprs, .. } => {
-                let cols: Vec<String> = exprs.iter().map(|e| e.to_string()).collect();
-                out.push_str(&format!("{pad}Project {}\n", cols.join(", ")));
-                input.explain_into(out, depth + 1);
+            LogicalPlan::Project { exprs, .. } => format!("Project {}", list(exprs)),
+            LogicalPlan::Join { kind, on, .. } => match on {
+                Some(p) => format!("{} Join ON {p}", kind.name()),
+                None => format!("{} Join", kind.name()),
+            },
+            LogicalPlan::Aggregate { group_by, aggs, .. } => {
+                format!("Aggregate group=[{}] aggs=[{}]", list(group_by), list(aggs))
             }
-            LogicalPlan::Join {
-                left,
-                right,
-                kind,
-                on,
-            } => {
-                out.push_str(&format!(
-                    "{pad}{} Join{}\n",
-                    kind.name(),
-                    match on {
-                        Some(p) => format!(" ON {p}"),
-                        None => String::new(),
-                    }
-                ));
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-                ..
-            } => {
-                let g: Vec<String> = group_by.iter().map(|e| e.to_string()).collect();
-                let a: Vec<String> = aggs.iter().map(|c| c.to_string()).collect();
-                out.push_str(&format!(
-                    "{pad}Aggregate group=[{}] aggs=[{}]\n",
-                    g.join(", "),
-                    a.join(", ")
-                ));
-                input.explain_into(out, depth + 1);
-            }
-            LogicalPlan::Sort { input, keys } => {
+            LogicalPlan::Sort { keys, .. } => {
                 let crowd = keys.iter().any(|k| k.expr.is_crowd());
-                let ks: Vec<String> = keys
-                    .iter()
-                    .map(|k| format!("{}{}", k.expr, if k.desc { " DESC" } else { "" }))
-                    .collect();
-                out.push_str(&format!(
-                    "{pad}{} {}\n",
+                format!(
+                    "{} {}",
                     if crowd { "CrowdSort" } else { "Sort" },
-                    ks.join(", ")
-                ));
-                input.explain_into(out, depth + 1);
+                    list(keys.iter().map(|k| format!(
+                        "{}{}",
+                        k.expr,
+                        if k.desc { " DESC" } else { "" }
+                    )))
+                )
             }
-            LogicalPlan::Limit {
-                input,
-                limit,
-                offset,
-            } => {
-                out.push_str(&format!(
-                    "{pad}Limit{}{}\n",
-                    match limit {
-                        Some(l) => format!(" {l}"),
-                        None => " ∞".to_string(),
-                    },
-                    if *offset > 0 {
-                        format!(" OFFSET {offset}")
-                    } else {
-                        String::new()
-                    }
-                ));
-                input.explain_into(out, depth + 1);
-            }
-            LogicalPlan::Distinct { input } => {
-                out.push_str(&format!("{pad}Distinct\n"));
-                input.explain_into(out, depth + 1);
-            }
-            LogicalPlan::Values { rows, .. } => {
-                out.push_str(&format!("{pad}Values [{} rows]\n", rows.len()));
-            }
-            LogicalPlan::Union { left, right, all } => {
-                out.push_str(&format!("{pad}Union{}\n", if *all { " ALL" } else { "" }));
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
+            LogicalPlan::Limit { limit, offset, .. } => format!(
+                "Limit{}{}",
+                match limit {
+                    Some(l) => format!(" {l}"),
+                    None => " ∞".to_string(),
+                },
+                if *offset > 0 {
+                    format!(" OFFSET {offset}")
+                } else {
+                    String::new()
+                }
+            ),
+            LogicalPlan::Distinct { .. } => "Distinct".to_string(),
+            LogicalPlan::Values { rows, .. } => format!("Values [{} rows]", rows.len()),
+            LogicalPlan::Union { all, .. } => format!("Union{}", if *all { " ALL" } else { "" }),
+        }
+    }
+
+    /// Render the plan as an indented EXPLAIN tree: one `describe()`
+    /// line per node, children indented below.
+    pub fn explain(&self) -> String {
+        fn rec(plan: &LogicalPlan, depth: usize, out: &mut String) {
+            out.push_str(&"  ".repeat(depth));
+            out.push_str(&plan.describe());
+            out.push('\n');
+            for c in plan.children() {
+                rec(c, depth + 1, out);
             }
         }
+        let mut out = String::new();
+        rec(self, 0, &mut out);
+        out
     }
 }
 

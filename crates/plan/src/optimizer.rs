@@ -16,6 +16,10 @@
 //!    when it reaches a CROWD-table scan it sets the scan's
 //!    `expected_tuples` bound, which is what makes an open-world query
 //!    *bounded*.
+//!
+//! Each rule matches only the nodes it acts on and hands every other
+//! node to `LogicalPlan::map_inputs`, which rebuilds it around its
+//! rewritten inputs.
 
 use crowddb_common::Value;
 use crowddb_sql::{BinaryOp, UnaryOp};
@@ -80,73 +84,22 @@ pub fn optimize(
 // Rule 1: constant folding
 // ---------------------------------------------------------------------
 
-/// Apply `f` bottom-up to every expression in the plan.
+/// Apply `f` bottom-up to the expressions of filters, projections,
+/// join conditions, group keys and sort keys.
 fn rewrite_exprs(plan: LogicalPlan, f: &impl Fn(BExpr) -> BExpr) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(rewrite_exprs(*input, f)),
-            predicate: f(predicate),
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(rewrite_exprs(*input, f)),
-            exprs: exprs.into_iter().map(f).collect(),
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => LogicalPlan::Join {
-            left: Box::new(rewrite_exprs(*left, f)),
-            right: Box::new(rewrite_exprs(*right, f)),
-            kind,
-            on: on.map(f),
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(rewrite_exprs(*input, f)),
-            group_by: group_by.into_iter().map(f).collect(),
-            aggs,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(rewrite_exprs(*input, f)),
-            keys: keys
-                .into_iter()
-                .map(|mut k| {
-                    k.expr = f(k.expr);
-                    k
-                })
-                .collect(),
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(rewrite_exprs(*input, f)),
-            limit,
-            offset,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(rewrite_exprs(*input, f)),
-        },
-        LogicalPlan::Union { left, right, all } => LogicalPlan::Union {
-            left: Box::new(rewrite_exprs(*left, f)),
-            right: Box::new(rewrite_exprs(*right, f)),
-            all,
-        },
-        leaf @ (LogicalPlan::Scan { .. } | LogicalPlan::Values { .. }) => leaf,
+    let rewrite = |e: &mut BExpr| *e = f(std::mem::replace(e, BExpr::Column(0)));
+    let mut plan = plan.map_inputs(|input| rewrite_exprs(input, f));
+    match &mut plan {
+        LogicalPlan::Filter { predicate, .. } => rewrite(predicate),
+        LogicalPlan::Project { exprs, .. }
+        | LogicalPlan::Aggregate {
+            group_by: exprs, ..
+        } => exprs.iter_mut().for_each(rewrite),
+        LogicalPlan::Join { on, .. } => on.iter_mut().for_each(rewrite),
+        LogicalPlan::Sort { keys, .. } => keys.iter_mut().for_each(|k| rewrite(&mut k.expr)),
+        _ => {}
     }
+    plan
 }
 
 /// Fold literal subexpressions and boolean identities.
@@ -274,59 +227,7 @@ fn pushdown(plan: LogicalPlan) -> LogicalPlan {
             split_conjuncts(predicate, &mut conjuncts);
             push_conjuncts(pushdown(*input), conjuncts)
         }
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(pushdown(*input)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => LogicalPlan::Join {
-            left: Box::new(pushdown(*left)),
-            right: Box::new(pushdown(*right)),
-            kind,
-            on,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(pushdown(*input)),
-            group_by,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(pushdown(*input)),
-            keys,
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(pushdown(*input)),
-            limit,
-            offset,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(pushdown(*input)),
-        },
-        LogicalPlan::Union { left, right, all } => LogicalPlan::Union {
-            left: Box::new(pushdown(*left)),
-            right: Box::new(pushdown(*right)),
-            all,
-        },
-        leaf => leaf,
+        other => other.map_inputs(pushdown),
     }
 }
 
@@ -402,21 +303,14 @@ fn push_conjuncts(plan: LogicalPlan, conjuncts: Vec<BExpr>) -> LogicalPlan {
             };
             wrap_filter(join, still_stay)
         }
-        // A filter over a union distributes into both arms (the arms have
-        // identical output shapes, so the conjuncts bind unchanged).
-        LogicalPlan::Union { left, right, all } => LogicalPlan::Union {
-            left: Box::new(push_conjuncts(*left, conjuncts.clone())),
-            right: Box::new(push_conjuncts(*right, conjuncts)),
-            all,
-        },
-        // Push below sort and distinct (both commute with filtering).
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(push_conjuncts(*input, conjuncts)),
-            keys,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(push_conjuncts(*input, conjuncts)),
-        },
+        // Push below sort and distinct (both commute with filtering), and
+        // into both arms of a union (the arms have identical output
+        // shapes, so the conjuncts bind unchanged).
+        plan @ (LogicalPlan::Sort { .. }
+        | LogicalPlan::Distinct { .. }
+        | LogicalPlan::Union { .. }) => {
+            plan.map_inputs(|input| push_conjuncts(input, conjuncts.clone()))
+        }
         // Push through a projection when every conjunct only references
         // pass-through columns.
         LogicalPlan::Project {
@@ -473,25 +367,10 @@ fn reorder_joins(plan: LogicalPlan, stats: &dyn StatsSource) -> LogicalPlan {
             kind: JoinType::Inner | JoinType::Cross,
             ..
         } => try_reorder_region(plan, stats),
-        // Outer joins are not commutative: recurse into children only.
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => LogicalPlan::Join {
-            left: Box::new(reorder_joins(*left, stats)),
-            right: Box::new(reorder_joins(*right, stats)),
-            kind,
-            on,
-        },
-        LogicalPlan::Filter { input, predicate } => {
+        LogicalPlan::Filter { .. } => {
             // Keep the filter attached to the join region below it so its
             // conjuncts participate in ordering.
-            let rebuilt = LogicalPlan::Filter {
-                input: Box::new(reorder_joins(*input, stats)),
-                predicate,
-            };
+            let rebuilt = plan.map_inputs(|input| reorder_joins(input, stats));
             if matches!(
                 rebuilt,
                 LogicalPlan::Filter { ref input, .. } if matches!(**input, LogicalPlan::Join { .. })
@@ -501,48 +380,9 @@ fn reorder_joins(plan: LogicalPlan, stats: &dyn StatsSource) -> LogicalPlan {
                 rebuilt
             }
         }
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(reorder_joins(*input, stats)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(reorder_joins(*input, stats)),
-            group_by,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(reorder_joins(*input, stats)),
-            keys,
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(reorder_joins(*input, stats)),
-            limit,
-            offset,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(reorder_joins(*input, stats)),
-        },
-        LogicalPlan::Union { left, right, all } => LogicalPlan::Union {
-            left: Box::new(reorder_joins(*left, stats)),
-            right: Box::new(reorder_joins(*right, stats)),
-            all,
-        },
-        leaf => leaf,
+        // Outer joins are not commutative: like every other node, they
+        // only have their children reordered.
+        other => other.map_inputs(|input| reorder_joins(input, stats)),
     }
 }
 
@@ -624,16 +464,15 @@ fn try_reorder_region(plan: LogicalPlan, stats: &dyn StatsSource) -> LogicalPlan
     let is_crowd_rel: Vec<bool> = relations
         .iter()
         .map(|r| {
-            let mut crowd = false;
-            r.walk(&mut |n| {
-                if let LogicalPlan::Scan {
-                    crowd_table: true, ..
-                } = n
-                {
-                    crowd = true;
-                }
-            });
-            crowd
+            r.any(&|n| {
+                matches!(
+                    n,
+                    LogicalPlan::Scan {
+                        crowd_table: true,
+                        ..
+                    }
+                )
+            })
         })
         .collect();
     let sizes: Vec<f64> = relations.iter().map(|r| estimate_rows(r, stats)).collect();
@@ -793,124 +632,39 @@ fn pushdown_limit(plan: LogicalPlan) -> LogicalPlan {
             input,
             limit,
             offset,
-        } => {
-            let want = limit.map(|l| l + offset);
-            let inner = push_limit_into(*input, want);
-            LogicalPlan::Limit {
-                input: Box::new(inner),
-                limit,
-                offset,
-            }
-        }
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(pushdown_limit(*input)),
-            predicate,
+        } => LogicalPlan::Limit {
+            input: Box::new(push_limit_into(*input, limit.map(|l| l + offset))),
+            limit,
+            offset,
         },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(pushdown_limit(*input)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => LogicalPlan::Join {
-            left: Box::new(pushdown_limit(*left)),
-            right: Box::new(pushdown_limit(*right)),
-            kind,
-            on,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(pushdown_limit(*input)),
-            group_by,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(pushdown_limit(*input)),
-            keys,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(pushdown_limit(*input)),
-        },
-        LogicalPlan::Union { left, right, all } => LogicalPlan::Union {
-            left: Box::new(pushdown_limit(*left)),
-            right: Box::new(pushdown_limit(*right)),
-            all,
-        },
-        leaf => leaf,
+        other => other.map_inputs(pushdown_limit),
     }
 }
 
 /// Descend from a Limit through order/cardinality-preserving nodes,
 /// annotating CROWD-table scans with the expected tuple bound.
-fn push_limit_into(plan: LogicalPlan, want: Option<u64>) -> LogicalPlan {
-    match plan {
-        // Projection preserves cardinality 1:1.
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(push_limit_into(*input, want)),
-            exprs,
-            schema,
-        },
-        // A machine sort needs *all* input rows, so the bound does not
-        // propagate below it — but the sort's input subtree may still
-        // contain independent Limits.
-        sort @ LogicalPlan::Sort { .. } => {
-            // A crowd sort (CROWDORDER) over a bounded item *set* is fine:
-            // the set of items is produced below; the limit doesn't shrink
-            // what must be sorted. Keep recursing for nested limits only.
-            pushdown_limit(sort)
+fn push_limit_into(mut plan: LogicalPlan, want: Option<u64>) -> LogicalPlan {
+    match &mut plan {
+        // Projection preserves cardinality 1:1, and UNION ALL needs at
+        // most `want` rows from either arm.
+        LogicalPlan::Project { .. } | LogicalPlan::Union { all: true, .. } => {
+            plan.map_inputs(|input| push_limit_into(input, want))
         }
         LogicalPlan::Scan {
-            table,
-            alias,
-            schema,
-            crowd_table,
-            needed_columns,
+            crowd_table: true,
             expected_tuples,
+            ..
         } => {
-            let expected = match (crowd_table, want) {
-                (true, Some(w)) => Some(expected_tuples.map_or(w, |e| e.min(w))),
-                _ => expected_tuples,
-            };
-            LogicalPlan::Scan {
-                table,
-                alias,
-                schema,
-                crowd_table,
-                needed_columns,
-                expected_tuples: expected,
+            if let Some(w) = want {
+                *expected_tuples = Some(expected_tuples.map_or(w, |e| e.min(w)));
             }
+            plan
         }
-        // UNION ALL preserves per-arm cardinality contributions: each arm
-        // can be bounded by the same want (we still need at most `want`
-        // rows from either side).
-        LogicalPlan::Union {
-            left,
-            right,
-            all: true,
-        } => LogicalPlan::Union {
-            left: Box::new(push_limit_into(*left, want)),
-            right: Box::new(push_limit_into(*right, want)),
-            all: true,
-        },
-        // Any other node blocks the bound.
-        other => pushdown_limit(other),
+        // Any other node blocks the bound. A machine sort needs *all*
+        // its input rows, and a crowd sort (CROWDORDER) ranks whatever
+        // item set is produced below it; the limit shrinks neither. The
+        // subtree may still hold independent Limits.
+        _ => pushdown_limit(plan),
     }
 }
 

@@ -29,21 +29,19 @@ pub struct StandingPlan {
     /// included.
     pub tables: Vec<String>,
     /// Whether crowd activity (settling rounds) can change the result,
-    /// in addition to DML: a CROWD table or needed CROWD column, or a
-    /// crowd comparison, anywhere in the plan or its subqueries. The
-    /// engine re-evaluates only such queries when a round settles, so
-    /// this errs on the side of `true`.
+    /// in addition to DML: [`LogicalPlan::is_crowd_related`]. The engine
+    /// re-evaluates only such queries when a round settles, so this errs
+    /// on the side of `true`.
     pub crowd_related: bool,
 }
 
 impl StandingPlan {
     /// Wrap an optimized logical plan as a standing plan.
     pub fn new(logical: LogicalPlan) -> StandingPlan {
-        let (tables, crowd_related) = reads_of(&logical);
         StandingPlan {
+            tables: tables_of(&logical),
+            crowd_related: logical.is_crowd_related(),
             logical,
-            tables,
-            crowd_related,
         }
     }
 
@@ -99,53 +97,28 @@ impl StandingPlan {
     }
 }
 
-/// Every expression `node` itself evaluates.
-fn exprs_of(node: &LogicalPlan) -> Vec<&BExpr> {
-    match node {
-        LogicalPlan::Scan { .. }
-        | LogicalPlan::Limit { .. }
-        | LogicalPlan::Distinct { .. }
-        | LogicalPlan::Union { .. } => vec![],
-        LogicalPlan::Filter { predicate, .. } => vec![predicate],
-        LogicalPlan::Project { exprs, .. } => exprs.iter().collect(),
-        LogicalPlan::Join { on, .. } => on.iter().collect(),
-        LogicalPlan::Aggregate { group_by, aggs, .. } => group_by
-            .iter()
-            .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
-            .collect(),
-        LogicalPlan::Sort { keys, .. } => keys.iter().map(|k| &k.expr).collect(),
-        LogicalPlan::Values { rows, .. } => rows.iter().flatten().collect(),
-    }
-}
-
-/// What `plan` reads, subqueries included: its base tables (catalog
-/// names, sorted, deduped) and whether any of it is the crowd's to fill
-/// in or decide.
-fn reads_of(plan: &LogicalPlan) -> (Vec<String>, bool) {
-    fn rec(plan: &LogicalPlan, tables: &mut Vec<String>, crowd: &mut bool) {
-        *crowd |= plan.is_crowd_related();
+/// The base tables `plan` reads, subqueries included: catalog names,
+/// sorted, deduped.
+fn tables_of(plan: &LogicalPlan) -> Vec<String> {
+    fn rec(plan: &LogicalPlan, tables: &mut Vec<String>) {
         plan.walk(&mut |n| {
             if let LogicalPlan::Scan { table, .. } = n {
                 tables.push(table.clone());
             }
-            for e in exprs_of(n) {
-                *crowd |= e.is_crowd();
+            for e in n.exprs() {
                 e.walk(&mut |e| {
-                    if let BExpr::InPlan { plan, .. }
-                    | BExpr::ExistsPlan { plan, .. }
-                    | BExpr::ScalarPlan(plan) = e
-                    {
-                        rec(plan, tables, crowd);
+                    if let Some(sub) = e.subplan() {
+                        rec(sub, tables);
                     }
                 });
             }
         });
     }
-    let (mut tables, mut crowd) = (Vec::new(), false);
-    rec(plan, &mut tables, &mut crowd);
+    let mut tables = Vec::new();
+    rec(plan, &mut tables);
     tables.sort();
     tables.dedup();
-    (tables, crowd)
+    tables
 }
 
 /// Why `node` has no delta rule, if it has none; a rule that holds only
@@ -166,7 +139,7 @@ fn no_delta_rule(node: &LogicalPlan, conditions: &mut Vec<String>) -> Option<Str
         LogicalPlan::Join {
             left, right, kind, ..
         } => {
-            let (left, right) = (reads_of(left).0, reads_of(right).0);
+            let (left, right) = (tables_of(left), tables_of(right));
             if let Some(both) = left.iter().find(|t| right.contains(t)) {
                 conditions.push(format!(
                     "a DML that changes both sides of the self-join on {both}"
@@ -181,7 +154,7 @@ fn no_delta_rule(node: &LogicalPlan, conditions: &mut Vec<String>) -> Option<Str
         }
         _ => {}
     }
-    exprs_of(node)
+    node.exprs()
         .into_iter()
         .any(BExpr::has_subplan)
         .then(|| "subquery: it reads tables the change does not name".into())

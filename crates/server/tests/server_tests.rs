@@ -461,6 +461,22 @@ fn crowd_flood_cannot_starve_local_reads() {
     // Local reads during the flood: the catalog-aware classifier admits
     // SELECTs over purely machine tables on the local tier, so they keep
     // completing — with bounded latency — while the crowd tier is full.
+    // Crowd work that only a subquery asks for is still crowd work: the
+    // moment the flood is first refused, the crowd tier is full, and a
+    // SELECT over the machine table whose `IN (SELECT …)` reads a CROWD
+    // column is refused too instead of running on the local tier.
+    let mut sub = Client::connect(&a, "public", "", 301).expect("subquery connect");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while overloaded.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    let refused = sub.query("SELECT v FROM Local WHERE v IN (SELECT abstract FROM Talk)");
+    assert!(
+        matches!(&refused, Err(e) if e.is_overloaded()),
+        "a crowd subquery was admitted past a full crowd tier: {refused:?}"
+    );
+    sub.close().expect("close subquery client");
+
     std::thread::sleep(Duration::from_millis(30)); // let the flood saturate
     let mut local = Client::connect(&a, "public", "", 300).expect("local connect");
     let mut worst = Duration::ZERO;

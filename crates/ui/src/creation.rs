@@ -47,11 +47,6 @@ impl UiCreation {
             .map(|c| FieldSpec {
                 name: c.name.clone(),
                 data_type: c.data_type,
-                asked: c.crowd || schema.crowd_table,
-                hint: c
-                    .annotation
-                    .clone()
-                    .unwrap_or_else(|| format!("{} ({})", c.name, c.data_type)),
             })
             .collect()
     }
@@ -68,7 +63,6 @@ impl UiCreation {
             name: Self::template_name(&schema.name, TemplateKind::Probe),
             table: schema.name.clone(),
             kind: TemplateKind::Probe,
-            title: "Please fill out missing fields of the following Table".into(),
             instructions,
             fields: Self::fields_of(schema),
         }
@@ -86,7 +80,6 @@ impl UiCreation {
             name: Self::template_name(&schema.name, TemplateKind::NewTuples),
             table: schema.name.clone(),
             kind: TemplateKind::NewTuples,
-            title: format!("Please add new entries to the {} table", schema.name),
             instructions,
             fields: Self::fields_of(schema),
         }
@@ -122,19 +115,6 @@ mod tests {
         assert_eq!(t.kind, TemplateKind::Probe);
         assert_eq!(t.name, "talk:probe");
         assert_eq!(t.fields.len(), 3);
-        assert!(!t.fields[0].asked); // title: electronic
-        assert!(t.fields[1].asked); // abstract: crowd
-    }
-
-    #[test]
-    fn column_annotation_becomes_hint() {
-        let templates = UiCreation::templates_for(&talk_schema());
-        assert_eq!(
-            templates[0].fields[2].hint,
-            "how many people attended the talk"
-        );
-        // Unannotated asked column falls back to name+type.
-        assert!(templates[0].fields[1].hint.contains("abstract"));
     }
 
     #[test]
@@ -154,12 +134,6 @@ mod tests {
         assert_eq!(templates.len(), 2);
         assert!(templates.iter().any(|t| t.kind == TemplateKind::Probe));
         assert!(templates.iter().any(|t| t.kind == TemplateKind::NewTuples));
-        // In a CROWD table every field is askable.
-        let new_t = templates
-            .iter()
-            .find(|t| t.kind == TemplateKind::NewTuples)
-            .unwrap();
-        assert!(new_t.fields.iter().all(|f| f.asked));
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! * **Form Editor** ([`manager::UiTemplateManager::edit`]) — lets
 //!   application developers customize instructions;
 //!
-//! plus the runtime renderer ([`render`]) that instantiates templates into
-//! the HTML pages shown in the paper's Figures 2 (Mechanical Turk) and 3
-//! (mobile).
+//! plus the runtime renderer ([`render`]) that turns each posted task —
+//! carrying its template's instructions and fields — into the HTML pages
+//! shown in the paper's Figures 2 (Mechanical Turk) and 3 (mobile).
 
 #![forbid(unsafe_code)]
 

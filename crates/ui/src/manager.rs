@@ -49,8 +49,8 @@ impl UiTemplateManager {
 
     /// The Form Editor hook: apply `edit` to the named template.
     ///
-    /// Application developers use this to customize worker instructions,
-    /// hints, or titles without regenerating the template.
+    /// Application developers use this to customize worker instructions
+    /// without regenerating the template.
     pub fn edit(
         &mut self,
         table: &str,

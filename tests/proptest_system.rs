@@ -300,6 +300,31 @@ mod optimizer_soundness {
                      AND a.score <= {threshold}"
                 ),
                 "SELECT d.s FROM (SELECT id, score AS s FROM t) AS d WHERE d.s > 0".to_string(),
+                "SELECT t.id, u.tag FROM t LEFT JOIN u ON t.id = u.id WHERE t.grp <> 'b'"
+                    .to_string(),
+                format!(
+                    "SELECT a.id, u.tag FROM t a LEFT JOIN u ON a.id = u.id, t b \
+                     WHERE a.id = b.id AND b.score > {threshold}"
+                ),
+                format!(
+                    "SELECT id FROM t WHERE score > {threshold} UNION ALL SELECT id FROM u LIMIT 7"
+                ),
+                "SELECT grp FROM t UNION SELECT tag FROM u LIMIT 3".to_string(),
+                format!(
+                    "SELECT d.id FROM (SELECT id, score FROM t ORDER BY score, id LIMIT 10) AS d \
+                     WHERE d.score > {threshold}"
+                ),
+                "SELECT d.g FROM (SELECT DISTINCT grp AS g FROM t) AS d WHERE d.g <> 'a'"
+                    .to_string(),
+                "SELECT grp, COUNT(*), SUM(score) FROM t GROUP BY grp HAVING COUNT(*) > 1"
+                    .to_string(),
+                "SELECT id FROM t WHERE id IN (SELECT id FROM u WHERE tag = 'x')".to_string(),
+                format!(
+                    "SELECT id FROM t WHERE EXISTS (SELECT id FROM u WHERE tag = 'y') \
+                     AND score <= {threshold}"
+                ),
+                format!("SELECT id FROM t WHERE score > {threshold} OR FALSE"),
+                "SELECT id, grp FROM t WHERE NOT TRUE OR grp = 'a'".to_string(),
             ] {
                 assert_eq!(
                     run_config(&db, &sql, &full),
