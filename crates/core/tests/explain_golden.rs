@@ -374,6 +374,27 @@ const CORPUS: &[&str] = &[
     "SELECT DISTINCT room FROM Venue",
     "SELECT talk FROM Venue UNION SELECT title FROM Talk",
     "SELECT talk FROM Venue WHERE room BETWEEN 'R100' AND 'R101' AND talk IN ('CrowdDB', 'PIQL')",
+    // Boundedness of a crowd scan by its place in the tree: under a
+    // Project, an Aggregate and a Sort on a join's right side; as a LEFT
+    // join inner; on a join's left side; pinned by its key as a join
+    // inner; under a non-equality join; on both sides of a UNION; and as
+    // the inner of a join that is itself a join's right side.
+    "SELECT t.title, d.n FROM Talk t JOIN (SELECT name AS n, title FROM NotableAttendee) AS d \
+     ON t.title = d.title",
+    "SELECT t.title, d.c FROM Talk t \
+     JOIN (SELECT title, COUNT(*) AS c FROM NotableAttendee GROUP BY title) AS d \
+     ON t.title = d.title",
+    "SELECT t.title, d.name FROM Talk t \
+     JOIN (SELECT name, title FROM NotableAttendee ORDER BY name) AS d ON t.title = d.title",
+    "SELECT t.title, n.name FROM Talk t LEFT JOIN NotableAttendee n ON t.title = n.title",
+    "SELECT n.name, v.room FROM NotableAttendee n LEFT JOIN Venue v ON n.title = v.talk",
+    "SELECT v.room, n.title FROM Venue v JOIN NotableAttendee n ON v.talk = n.title \
+     WHERE n.name = 'Mike Franklin'",
+    "SELECT t.title, n.name FROM Talk t JOIN NotableAttendee n ON t.title < n.title",
+    "SELECT name FROM NotableAttendee UNION SELECT title FROM NotableAttendee",
+    "SELECT v.room, d.name FROM Venue v LEFT JOIN \
+     (SELECT t.title AS tt, n.name FROM Talk t JOIN NotableAttendee n ON t.title = n.title) AS d \
+     ON v.talk = d.tt",
 ];
 
 #[test]
