@@ -10,15 +10,14 @@ use crowddb_common::codec::{self, Reader};
 use crowddb_common::sync::{Mutex, RwLock};
 use crowddb_common::{CancelReason, CrowdError, Result, Row, Value};
 use crowddb_exec::{
-    dml, execute_physical_analyzed, execute_physical_guarded, flush_op_stats, lower_plan,
-    render_analyzed, CompareCaches, ExecGuard, ExecResult, Maintained, OpStatsNode, SharedCaches,
-    TableChange, TaskNeed,
+    dml, execute_physical_analyzed, execute_physical_guarded, flush_op_stats, live_row_stats,
+    lower_plan, primary_key, render_analyzed, CompareCaches, ExecGuard, ExecResult, Maintained,
+    OpStatsNode, SharedCaches, TableChange, TaskNeed,
 };
 use crowddb_obs::{Event, MetricsSnapshot, Obs};
-use crowddb_plan::cardinality::{FnStats, StatsSource};
 use crowddb_plan::{
-    analyze_boundedness, annotate_cardinality, optimize, Binder, LogicalPlan, OptimizerConfig,
-    PhysicalPlan, StandingPlan,
+    analyze_boundedness, annotate_cardinality, optimize, Binder, BoundednessReport, LogicalPlan,
+    OptimizerConfig, PhysicalPlan, StandingPlan,
 };
 use crowddb_platform::{Platform, WorkerRelationshipManager};
 use crowddb_sql::{parse_statement, Delete, Query, Statement, Update};
@@ -681,9 +680,7 @@ impl CrowdDB {
             }
             _ => return Ok(format!("{inner}")),
         };
-        let (plan, _) = self.plan_query(query, true)?;
-        let stats = self.stats_source();
-        let report = self.boundedness(&plan, &stats);
+        let (plan, report) = self.plan_query(query, true)?;
         let mut out = String::new();
         if standing {
             out.push_str(&StandingPlan::new(plan.clone()).explain());
@@ -694,7 +691,11 @@ impl CrowdDB {
         out.push_str("\n== Physical plan ==\n");
         out.push_str(&lower_plan(&self.db, &plan).explain());
         out.push_str("\n== Cardinality ==\n");
-        out.push_str(&annotate_cardinality(&plan, &stats));
+        out.push_str(&annotate_cardinality(
+            &plan,
+            &live_row_stats(&self.db),
+            &|t| primary_key(&self.db, t),
+        ));
         out.push_str("\n== Boundedness ==\n");
         out.push_str(if report.bounded {
             "plan is BOUNDED\n"
@@ -1003,7 +1004,15 @@ impl CrowdDB {
         guard: &StatementGuard,
         mut analysis: Option<&mut Analysis>,
     ) -> Result<QueryResult> {
-        let (plan, warnings) = self.plan_query(query, analysis.is_some())?;
+        let (plan, report) = self.plan_query(query, analysis.is_some())?;
+        let warnings = if report.bounded {
+            Vec::new()
+        } else {
+            vec![format!(
+                "unbounded crowd query: {}",
+                unbounded_detail(&report)
+            )]
+        };
         let driven = self.drive(crowd, guard, warnings, |caches| {
             let (physical, exec, stats) =
                 self.run_plan(&plan, caches, guard.exec.clone(), analysis.is_some())?;
@@ -1345,7 +1354,7 @@ impl CrowdDB {
     /// Bind, optimize, and initially evaluate a standing query; queue
     /// its snapshot batch as revision 1.
     fn register_subscription(&self, query: &Query) -> Result<(u64, Vec<String>)> {
-        let (plan, _warnings) = self.plan_query(query, false)?;
+        let (plan, _) = self.plan_query(query, false)?;
         let columns = output_columns(&plan);
         let standing = StandingPlan::new(plan);
         let sql = query.to_string();
@@ -1624,52 +1633,35 @@ impl CrowdDB {
     /// Bind, optimize, and boundedness-check one query block (shared by
     /// one-shot `SELECT` and standing `SUBSCRIBE` registration). A query
     /// the analysis flags as unbounded is an error unless
-    /// `allow_unbounded` (`EXPLAIN`, previews), which gets a warning.
+    /// `allow_unbounded` (`EXPLAIN`, previews), which reads the report.
     fn plan_query(
         &self,
         query: &Query,
         allow_unbounded: bool,
-    ) -> Result<(LogicalPlan, Vec<String>)> {
+    ) -> Result<(LogicalPlan, BoundednessReport)> {
         let bound = self.db.with_catalog(|c| Binder::new(c).bind_query(query))?;
-        let stats = self.stats_source();
+        let stats = live_row_stats(&self.db);
         let plan = optimize(bound, &stats, &self.optimizer);
-        let report = self.boundedness(&plan, &stats);
-        let mut warnings = Vec::new();
-        if !report.bounded {
-            let detail = report
-                .notes
-                .iter()
-                .filter(|n| n.contains("UNBOUNDED"))
-                .cloned()
-                .collect::<Vec<_>>()
-                .join("; ");
-            // The paper's optimizer "warns the user at compile-time";
-            // here the warning is a hard error for a query that would run.
-            if !allow_unbounded {
-                return Err(CrowdError::UnboundedCrowdQuery(detail));
-            }
-            warnings.push(format!("unbounded crowd query: {detail}"));
+        let report = analyze_boundedness(&plan, &stats, &|t| primary_key(&self.db, t));
+        // The paper's optimizer "warns the user at compile-time"; here
+        // the warning is a hard error for a query that would run.
+        if !report.bounded && !allow_unbounded {
+            return Err(CrowdError::UnboundedCrowdQuery(unbounded_detail(&report)));
         }
-        Ok((plan, warnings))
+        Ok((plan, report))
     }
+}
 
-    fn boundedness(
-        &self,
-        plan: &LogicalPlan,
-        stats: &dyn StatsSource,
-    ) -> crowddb_plan::BoundednessReport {
-        let pk = |table: &str| -> Vec<usize> {
-            self.db
-                .schema(table)
-                .map(|s| s.primary_key.clone())
-                .unwrap_or_default()
-        };
-        analyze_boundedness(plan, stats, &pk)
-    }
-
-    fn stats_source(&self) -> FnStats<impl Fn(&str) -> Option<u64> + '_> {
-        FnStats(move |table: &str| self.db.stats(table).ok().map(|s| s.live_rows as u64))
-    }
+/// The UNBOUNDED notes of a report, joined: what a refused statement's
+/// error and an allowed one's warning say.
+fn unbounded_detail(report: &BoundednessReport) -> String {
+    report
+        .notes
+        .iter()
+        .filter(|n| n.contains("UNBOUNDED"))
+        .cloned()
+        .collect::<Vec<_>>()
+        .join("; ")
 }
 
 // Compile-time guarantee that sessions can be shared across threads:

@@ -47,11 +47,6 @@ pub fn execute(db: &Database, caches: &CompareCaches, plan: &LogicalPlan) -> Res
 /// and access-path choice from the tables' secondary indexes.
 pub fn lower_plan(db: &Database, plan: &LogicalPlan) -> PhysicalPlan {
     let stats = live_row_stats(db);
-    let pk = |table: &str| {
-        db.schema(table)
-            .map(|s| s.primary_key.clone())
-            .unwrap_or_default()
-    };
     let indexes = |table: &str| {
         db.with_table(table, |t| {
             t.indexes()
@@ -64,11 +59,18 @@ pub fn lower_plan(db: &Database, plan: &LogicalPlan) -> PhysicalPlan {
         })
         .unwrap_or_default()
     };
-    crowddb_plan::physical::lower(plan, &stats, &pk, &indexes)
+    crowddb_plan::physical::lower(plan, &stats, &|t| primary_key(db, t), &indexes)
+}
+
+/// Primary-key column ordinals of `table` (empty for an unknown table),
+/// read under the catalog lock.
+pub fn primary_key(db: &Database, table: &str) -> Vec<usize> {
+    db.with_catalog(|c| c.get(table).map(|s| s.primary_key.clone()))
+        .unwrap_or_default()
 }
 
 /// Table cardinalities for the planner, read off the live tables.
-pub(crate) fn live_row_stats(db: &Database) -> FnStats<impl Fn(&str) -> Option<u64> + '_> {
+pub fn live_row_stats(db: &Database) -> FnStats<impl Fn(&str) -> Option<u64> + '_> {
     FnStats(move |table: &str| db.stats(table).ok().map(|s| s.live_rows as u64))
 }
 

@@ -42,8 +42,8 @@ pub use context::{
     CompareCaches, ExecCtx, ExecGuard, NeedCounts, RunContext, RunStats, SharedCaches,
 };
 pub use executor::{
-    execute, execute_physical, execute_physical_analyzed, execute_physical_guarded, lower_plan,
-    ExecResult, Maintained,
+    execute, execute_physical, execute_physical_analyzed, execute_physical_guarded, live_row_stats,
+    lower_plan, primary_key, ExecResult, Maintained,
 };
 pub use need::TaskNeed;
 pub use ops::{

@@ -1,29 +1,39 @@
-//! Boundedness analysis for the open-world assumption.
+//! Boundedness analysis for the open-world assumption, and the one
+//! annotation pass every reader of a plan's estimates shares.
 //!
 //! "The last optimization deals with the open-world assumption by
 //! ensuring that the amount of data requested from the crowd is bounded
 //! [... the optimizer] warns the user at compile-time if the number of
 //! requests cannot be bounded." (§3.2.2)
 //!
-//! A CROWD-table access is bounded when one of these holds:
+//! `annotate` walks an optimized plan once, bottom-up, giving every node
+//! its cardinality estimate ([`crate::cardinality`]) and a `Verdict` on
+//! the new tuples it may request, in the lattice
+//! `Bounded < Drivable < Unbounded`:
 //!
-//! * the scan carries an `expected_tuples` bound (stop-after push-down
-//!   reached it);
-//! * the scan is filtered by an equality on its primary key (at most one
-//!   tuple is requested);
-//! * the scan is the **inner side of a join with a finite outer**: the
-//!   crowd is asked for matching tuples per outer row (the CrowdJoin
-//!   pattern), so requests ≤ |outer| × per-key quota.
+//! * a CROWD-table scan is `Bounded` by an `expected_tuples` quota
+//!   (stop-after push-down reached it), else `Drivable`; a filter pinning
+//!   its primary key makes it `Bounded` (at most one entity requested);
+//! * Filter, Project, Aggregate, Sort, Distinct and Limit pass their
+//!   input's verdict through (a Limit left above a machine sort bounds
+//!   nothing below it);
+//! * a join *resolves* its left side, `Drivable` → `Unbounded`; its right
+//!   side's `Drivable` becomes `Bounded` when an equality from a finite
+//!   left side drives it (the CrowdJoin pattern: requests ≤ |outer| ×
+//!   per-key quota), `Unbounded` otherwise;
+//! * a union and the root resolve their inputs like a join's left side.
 //!
-//! Everything else — a bare `SELECT * FROM crowd_table`, or sorting a
-//! crowd table by a machine key under a LIMIT — is unbounded: no finite
-//! number of crowd answers can provably complete it.
+//! A node is bounded when its verdict is `Bounded`, and resolving a scan
+//! writes its note in the root's [`BoundednessReport`]. A bare `SELECT *
+//! FROM crowd_table` resolves `Unbounded`: no finite number of crowd
+//! answers can provably complete it.
 
 use crowddb_sql::BinaryOp;
 
 use crate::bound_expr::BExpr;
-use crate::cardinality::{estimate_rows, StatsSource};
+use crate::cardinality::{node_rows, stored_rows, StatsSource};
 use crate::logical::{JoinType, LogicalPlan};
+use crate::physical::PhysAnnot;
 
 /// Result of the analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,18 +43,8 @@ pub struct BoundednessReport {
     /// Human-readable explanation per crowd access.
     pub notes: Vec<String>,
     /// Estimated upper bound on crowd task *batches* (probe groups / join
-    /// lookups), when bounded. `None` when unbounded or crowd-free.
+    /// lookups). `None` when the plan asks the crowd nothing.
     pub estimated_crowd_calls: Option<u64>,
-}
-
-impl BoundednessReport {
-    fn crowd_free() -> BoundednessReport {
-        BoundednessReport {
-            bounded: true,
-            notes: vec![],
-            estimated_crowd_calls: None,
-        }
-    }
 }
 
 /// Analyze a plan. `pk_columns` maps a table name to its primary-key
@@ -54,172 +54,197 @@ pub fn analyze_boundedness(
     stats: &dyn StatsSource,
     pk_columns: &dyn Fn(&str) -> Vec<usize>,
 ) -> BoundednessReport {
-    let mut report = BoundednessReport::crowd_free();
-    let mut calls: f64 = 0.0;
-
-    // Probe work (CNULL filling) is always bounded: it touches stored
-    // tuples only. Count it for the estimate.
-    for scan in plan.scans() {
-        let LogicalPlan::Scan {
-            table,
-            schema,
-            needed_columns,
-            ..
-        } = scan
-        else {
-            continue;
-        };
-        let crowd_needed = needed_columns
-            .iter()
-            .filter(|&&c| schema.columns.get(c).map(|x| x.crowd).unwrap_or(false))
-            .count();
-        if crowd_needed > 0 {
-            let rows = stats.table_rows(table).unwrap_or(0) as f64;
-            calls += rows; // at most one probe batch per stored tuple
-            report.notes.push(format!(
-                "probe of {crowd_needed} CROWD column(s) of '{table}' is bounded by its \
-                 {rows} stored tuple(s)"
-            ));
-        }
-    }
-
-    // New-tuple work: every CROWD-table scan must justify a bound.
-    analyze_node(plan, stats, pk_columns, None, &mut report, &mut calls);
-
-    report.estimated_crowd_calls = if report.notes.is_empty() {
-        None
-    } else {
-        Some(calls.min(u64::MAX as f64) as u64)
-    };
-    report
+    annotate(plan, stats, pk_columns).1
 }
 
-/// Recursive walk. `outer_bound` carries the estimated row count of a
-/// finite join outer when the current subtree is a join inner driven by
-/// key lookups.
-fn analyze_node(
-    node: &LogicalPlan,
+/// Where a subtree stands on requesting new tuples from the crowd.
+/// `Drivable` names the CROWD table whose bound is still open; only a
+/// chain of single-input nodes over one scan stays `Drivable`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Verdict<'p> {
+    Bounded,
+    Drivable(&'p str),
+    Unbounded,
+}
+
+/// One plan node as [`annotate`] saw it, its inputs' below it.
+pub(crate) struct Annotated<'p> {
+    pub(crate) plan: &'p LogicalPlan,
+    pub(crate) est_rows: f64,
+    verdict: Verdict<'p>,
+    /// Every CROWD-table scan below has a stop-after quota: the subtree
+    /// may drive a join's inner.
+    finite: bool,
+    pub(crate) inputs: Vec<Annotated<'p>>,
+}
+
+impl Annotated<'_> {
+    /// The node's EXPLAIN annotation.
+    pub(crate) fn annot(&self) -> PhysAnnot {
+        PhysAnnot {
+            est_rows: self.est_rows,
+            bounded: self.verdict == Verdict::Bounded,
+        }
+    }
+}
+
+/// The annotation pass: every node's estimate and verdict, each computed
+/// once from its inputs' (a scan reads `stats` once), and the report of
+/// the whole plan.
+pub(crate) fn annotate<'p>(
+    plan: &'p LogicalPlan,
     stats: &dyn StatsSource,
     pk_columns: &dyn Fn(&str) -> Vec<usize>,
-    outer_bound: Option<f64>,
-    report: &mut BoundednessReport,
-    calls: &mut f64,
-) {
-    match node {
-        LogicalPlan::Scan {
-            table,
-            crowd_table,
-            expected_tuples,
-            ..
-        } => {
-            if !crowd_table {
-                return;
-            }
-            if let Some(e) = expected_tuples {
-                *calls += *e as f64;
-                report.notes.push(format!(
-                    "CROWD table '{table}' bounded by stop-after: at most {e} tuple(s) requested"
-                ));
-            } else if let Some(outer) = outer_bound {
-                *calls += outer;
-                report.notes.push(format!(
-                    "CROWD table '{table}' bounded as join inner: one lookup batch per outer \
-                     row (~{outer:.0})"
-                ));
-            } else {
-                report.bounded = false;
-                report.notes.push(format!(
-                    "UNBOUNDED: full scan of CROWD table '{table}' — the open world cannot be \
-                     enumerated; add a LIMIT, a primary-key predicate, or join it from a \
-                     finite table"
-                ));
-            }
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            // A PK-equality filter bounds an immediate crowd scan.
-            if let LogicalPlan::Scan {
-                table,
-                crowd_table: true,
-                expected_tuples: None,
-                ..
-            } = input.as_ref()
-            {
-                if filter_pins_primary_key(predicate, &pk_columns(table)) {
-                    *calls += 1.0;
-                    report.notes.push(format!(
-                        "CROWD table '{table}' bounded by primary-key predicate: at most one \
-                         entity requested"
-                    ));
-                    return;
-                }
-            }
-            analyze_node(input, stats, pk_columns, outer_bound, report, calls);
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => {
-            // The left (outer) side must be bounded on its own.
-            analyze_node(left, stats, pk_columns, None, report, calls);
-            // The right side may be driven by the outer when there is an
-            // equality join condition (the CrowdJoin pattern).
-            let driven = matches!(kind, JoinType::Inner | JoinType::Left)
-                && on.as_ref().map(has_equality_conjunct).unwrap_or(false)
-                && subtree_is_finite(left);
-            let bound = if driven {
-                Some(estimate_rows(left, stats))
-            } else {
-                None
-            };
-            analyze_node(right, stats, pk_columns, bound, report, calls);
-        }
-        LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Distinct { input } => {
-            analyze_node(input, stats, pk_columns, outer_bound, report, calls)
-        }
-        LogicalPlan::Limit { input, .. } => {
-            // The stop-after rewrite already transferred usable bounds to
-            // scans; a Limit here does not by itself bound a deeper crowd
-            // scan (e.g. below a machine sort).
-            analyze_node(input, stats, pk_columns, outer_bound, report, calls)
-        }
-        LogicalPlan::Values { .. } => {}
-        LogicalPlan::Union { left, right, .. } => {
-            analyze_node(left, stats, pk_columns, None, report, calls);
-            analyze_node(right, stats, pk_columns, None, report, calls);
-        }
-    }
+) -> (Annotated<'p>, BoundednessReport) {
+    let mut pass = Pass {
+        stats,
+        pk_columns,
+        probes: Vec::new(),
+        fetches: Vec::new(),
+    };
+    let root = pass.node(plan);
+    let bounded = pass.resolve(root.verdict, None) == Verdict::Bounded;
+    // Probe work (CNULL filling) is always bounded; its notes come first.
+    let notes: Vec<(String, f64)> = pass.probes.into_iter().chain(pass.fetches).collect();
+    let calls: f64 = notes.iter().map(|(_, c)| c).sum();
+    let report = BoundednessReport {
+        bounded,
+        estimated_crowd_calls: (!notes.is_empty()).then(|| calls.min(u64::MAX as f64) as u64),
+        notes: notes.into_iter().map(|(n, _)| n).collect(),
+    };
+    (root, report)
 }
 
-/// Whether this subtree contains no CROWD-table scan without a
-/// stop-after bound (a conservative re-check, independent of the report).
-fn subtree_is_finite(node: &LogicalPlan) -> bool {
-    !node.any(&|n| {
-        matches!(
-            n,
+/// The pass's state: the notes so far, each with the crowd task batches
+/// it accounts for.
+struct Pass<'a> {
+    stats: &'a dyn StatsSource,
+    pk_columns: &'a dyn Fn(&str) -> Vec<usize>,
+    probes: Vec<(String, f64)>,
+    fetches: Vec<(String, f64)>,
+}
+
+impl Pass<'_> {
+    fn node<'p>(&mut self, plan: &'p LogicalPlan) -> Annotated<'p> {
+        let stored = stored_rows(plan, self.stats);
+        let (inputs, verdict) = match plan {
+            LogicalPlan::Scan {
+                table,
+                schema,
+                crowd_table,
+                needed_columns,
+                expected_tuples,
+                ..
+            } => {
+                let crowd_needed = needed_columns
+                    .iter()
+                    .filter(|&&c| schema.columns.get(c).is_some_and(|x| x.crowd))
+                    .count();
+                if crowd_needed > 0 {
+                    // At most one probe batch per stored tuple.
+                    let rows = stored.unwrap_or(0) as f64;
+                    let note = format!(
+                        "probe of {crowd_needed} CROWD column(s) of '{table}' is bounded by \
+                         its {rows} stored tuple(s)"
+                    );
+                    self.probes.push((note, rows));
+                }
+                let verdict = match expected_tuples {
+                    _ if !crowd_table => Verdict::Bounded,
+                    None => Verdict::Drivable(table),
+                    Some(e) => {
+                        let note = format!(
+                            "CROWD table '{table}' bounded by stop-after: at most {e} tuple(s) \
+                             requested"
+                        );
+                        self.fetches.push((note, *e as f64));
+                        Verdict::Bounded
+                    }
+                };
+                (Vec::new(), verdict)
+            }
+            LogicalPlan::Filter { input, predicate } => {
+                let input = self.node(input);
+                let verdict = match input.verdict {
+                    Verdict::Drivable(table)
+                        if matches!(input.plan, LogicalPlan::Scan { .. })
+                            && filter_pins_primary_key(predicate, &(self.pk_columns)(table)) =>
+                    {
+                        let note = format!(
+                            "CROWD table '{table}' bounded by primary-key predicate: at most \
+                             one entity requested"
+                        );
+                        self.fetches.push((note, 1.0));
+                        Verdict::Bounded
+                    }
+                    v => v,
+                };
+                (vec![input], verdict)
+            }
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::Union { left, right, .. } => {
+                let left = self.node(left);
+                let lv = self.resolve(left.verdict, None);
+                let right = self.node(right);
+                let driven = left.finite
+                    && matches!(plan, LogicalPlan::Join {
+                        kind: JoinType::Inner | JoinType::Left,
+                        on: Some(on),
+                        ..
+                    } if on.any(&|e| matches!(e, BExpr::Binary { op: BinaryOp::Eq, .. })));
+                let rv = self.resolve(right.verdict, driven.then_some(left.est_rows));
+                (vec![left, right], lv.max(rv))
+            }
+            LogicalPlan::Values { .. } => (Vec::new(), Verdict::Bounded),
+            LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Distinct { input } => {
+                let input = self.node(input);
+                let verdict = input.verdict;
+                (vec![input], verdict)
+            }
+        };
+        let rows: Vec<f64> = inputs.iter().map(|a| a.est_rows).collect();
+        let open_crowd_scan = matches!(
+            plan,
             LogicalPlan::Scan {
                 crowd_table: true,
                 expected_tuples: None,
                 ..
             }
-        )
-    })
-}
+        );
+        Annotated {
+            plan,
+            est_rows: node_rows(plan, &rows, stored),
+            verdict,
+            finite: !open_crowd_scan && inputs.iter().all(|a| a.finite),
+            inputs,
+        }
+    }
 
-fn has_equality_conjunct(on: &BExpr) -> bool {
-    on.any(&|e| {
-        matches!(
-            e,
-            BExpr::Binary {
-                op: BinaryOp::Eq,
-                ..
-            }
-        )
-    })
+    /// Settle a `Drivable` verdict: bounded as a join inner when `outer`
+    /// (the finite outer's estimated rows) drives it, unbounded otherwise.
+    fn resolve<'p>(&mut self, verdict: Verdict<'p>, outer: Option<f64>) -> Verdict<'p> {
+        let Verdict::Drivable(table) = verdict else {
+            return verdict;
+        };
+        let Some(outer) = outer else {
+            let note = format!(
+                "UNBOUNDED: full scan of CROWD table '{table}' — the open world cannot be \
+                 enumerated; add a LIMIT, a primary-key predicate, or join it from a finite \
+                 table"
+            );
+            self.fetches.push((note, 0.0));
+            return Verdict::Unbounded;
+        };
+        let note = format!(
+            "CROWD table '{table}' bounded as join inner: one lookup batch per outer row \
+             (~{outer:.0})"
+        );
+        self.fetches.push((note, outer));
+        Verdict::Bounded
+    }
 }
 
 /// Whether a predicate pins every primary-key column with an equality to

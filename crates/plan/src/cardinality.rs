@@ -4,10 +4,17 @@
 //! predictions between the operators" (§3.2.2). Estimates come from table
 //! statistics plus the classic textbook selectivity constants; they only
 //! need to be good enough to order joins and to bound crowd requests.
+//!
+//! `node_rows` is the one formula: a node's estimate from its inputs'.
+//! The annotation pass ([`crate::bounded`]) applies it bottom-up once per
+//! plan for `lower`, EXPLAIN's `== Cardinality ==` section and the
+//! boundedness report; [`estimate_rows`] applies it to a bare subtree,
+//! which is what join ordering asks for.
 
 use crowddb_sql::BinaryOp;
 
 use crate::bound_expr::BExpr;
+use crate::bounded::{annotate, Annotated};
 use crate::logical::{JoinType, LogicalPlan};
 
 /// Source of base-table row counts.
@@ -74,35 +81,43 @@ pub fn selectivity(pred: &BExpr) -> f64 {
 
 /// Estimate the output rows of a plan node.
 pub fn estimate_rows(plan: &LogicalPlan, stats: &dyn StatsSource) -> f64 {
+    let inputs: Vec<f64> = plan
+        .children()
+        .into_iter()
+        .map(|c| estimate_rows(c, stats))
+        .collect();
+    node_rows(plan, &inputs, stored_rows(plan, stats))
+}
+
+/// The stored rows of a scan's table, the one statistic a node's
+/// estimate reads (`None` for any other node, or when unknown).
+pub(crate) fn stored_rows(plan: &LogicalPlan, stats: &dyn StatsSource) -> Option<u64> {
+    match plan {
+        LogicalPlan::Scan { table, .. } => stats.table_rows(table),
+        _ => None,
+    }
+}
+
+/// One node's estimate from its inputs' (left before right) and, for a
+/// scan, [`stored_rows`].
+pub(crate) fn node_rows(plan: &LogicalPlan, inputs: &[f64], stored: Option<u64>) -> f64 {
     match plan {
         LogicalPlan::Scan {
-            table,
             expected_tuples,
             crowd_table,
             ..
-        } => {
-            let stored = stats.table_rows(table).map(|r| r as f64);
-            match (stored, expected_tuples, crowd_table) {
-                // A bounded crowd scan produces at most `expected` rows
-                // (existing + crowdsourced up to the bound).
-                (Some(s), Some(e), true) => s.max(*e as f64),
-                (Some(s), _, _) => s,
-                (None, Some(e), _) => *e as f64,
-                (None, None, _) => DEFAULT_TABLE_ROWS,
-            }
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            estimate_rows(input, stats) * selectivity(predicate)
-        }
-        LogicalPlan::Project { input, .. } => estimate_rows(input, stats),
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => {
-            let l = estimate_rows(left, stats);
-            let r = estimate_rows(right, stats);
+        } => match (stored.map(|r| r as f64), expected_tuples, crowd_table) {
+            // A bounded crowd scan produces at most `expected` rows
+            // (existing + crowdsourced up to the bound).
+            (Some(s), Some(e), true) => s.max(*e as f64),
+            (Some(s), _, _) => s,
+            (None, Some(e), _) => *e as f64,
+            (None, None, _) => DEFAULT_TABLE_ROWS,
+        },
+        LogicalPlan::Filter { predicate, .. } => inputs[0] * selectivity(predicate),
+        LogicalPlan::Project { .. } | LogicalPlan::Sort { .. } => inputs[0],
+        LogicalPlan::Join { kind, on, .. } => {
+            let (l, r) = (inputs[0], inputs[1]);
             match (kind, on) {
                 (JoinType::Cross, _) | (_, None) => l * r,
                 (_, Some(p)) => {
@@ -115,36 +130,22 @@ pub fn estimate_rows(plan: &LogicalPlan, stats: &dyn StatsSource) -> f64 {
                 }
             }
         }
-        LogicalPlan::Aggregate {
-            input, group_by, ..
-        } => {
-            let rows = estimate_rows(input, stats);
+        LogicalPlan::Aggregate { group_by, .. } => {
             if group_by.is_empty() {
                 1.0
             } else {
                 // Classic sqrt heuristic for group count.
-                rows.sqrt().max(1.0).min(rows)
+                inputs[0].sqrt().max(1.0).min(inputs[0])
             }
         }
-        LogicalPlan::Sort { input, .. } => estimate_rows(input, stats),
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            let rows = estimate_rows(input, stats);
-            match limit {
-                Some(l) => (*l as f64).min((rows - *offset as f64).max(0.0)),
-                None => (rows - *offset as f64).max(0.0),
-            }
+        LogicalPlan::Limit { limit, offset, .. } => {
+            let rows = (inputs[0] - *offset as f64).max(0.0);
+            limit.map_or(rows, |l| (l as f64).min(rows))
         }
-        LogicalPlan::Distinct { input } => {
-            let rows = estimate_rows(input, stats);
-            (rows * 0.8).max(1.0_f64.min(rows))
-        }
+        LogicalPlan::Distinct { .. } => (inputs[0] * 0.8).max(1.0_f64.min(inputs[0])),
         LogicalPlan::Values { rows, .. } => rows.len() as f64,
-        LogicalPlan::Union { left, right, all } => {
-            let sum = estimate_rows(left, stats) + estimate_rows(right, stats);
+        LogicalPlan::Union { all, .. } => {
+            let sum = inputs[0] + inputs[1];
             if *all {
                 sum
             } else {
@@ -154,23 +155,26 @@ pub fn estimate_rows(plan: &LogicalPlan, stats: &dyn StatsSource) -> f64 {
     }
 }
 
-/// Produce the annotated EXPLAIN text: each node line prefixed with its
-/// estimated cardinality.
-pub fn annotate_cardinality(plan: &LogicalPlan, stats: &dyn StatsSource) -> String {
-    fn rec(plan: &LogicalPlan, stats: &dyn StatsSource, depth: usize, out: &mut String) {
-        let rows = estimate_rows(plan, stats);
+/// Produce the annotated EXPLAIN text: each node line prefixed with the
+/// estimate the annotation pass gave it.
+pub fn annotate_cardinality(
+    plan: &LogicalPlan,
+    stats: &dyn StatsSource,
+    pk_columns: &dyn Fn(&str) -> Vec<usize>,
+) -> String {
+    fn rec(node: &Annotated, depth: usize, out: &mut String) {
         out.push_str(&format!(
             "{}[~{:.0} rows] {}\n",
             "  ".repeat(depth),
-            rows,
-            plan.describe()
+            node.est_rows,
+            node.plan.describe()
         ));
-        for c in plan.children() {
-            rec(c, stats, depth + 1, out);
+        for input in &node.inputs {
+            rec(input, depth + 1, out);
         }
     }
     let mut out = String::new();
-    rec(plan, stats, 0, &mut out);
+    rec(&annotate(plan, stats, pk_columns).0, 0, &mut out);
     out
 }
 
@@ -299,7 +303,7 @@ mod tests {
             input: Box::new(scan("big", None, false)),
             predicate: eq_pred(),
         };
-        let text = annotate_cardinality(&f, &stats());
+        let text = annotate_cardinality(&f, &stats(), &|_| vec![]);
         assert!(text.contains("[~1000 rows] Filter"), "{text}");
         assert!(text.contains("[~10000 rows] Scan big"), "{text}");
     }

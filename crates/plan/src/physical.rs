@@ -19,14 +19,14 @@
 //!   [`PhysicalPlan::Sort`];
 //! * `LIMIT` → [`PhysicalPlan::StopAfter`] (the paper's operator name).
 //!
-//! Every node carries a [`PhysAnnot`] with the cardinality estimate and
-//! boundedness verdict of the logical subtree it was lowered from, so
-//! `EXPLAIN` can render the annotated operator tree without re-running
-//! the analysis passes.
+//! Every node carries a [`PhysAnnot`]: the cardinality estimate and
+//! boundedness verdict that the one annotation pass
+//! ([`crate::bounded`]) gave the logical node it was lowered from.
+//! `lower` runs that pass once and reads it; it estimates nothing itself.
 
 use crate::bound_expr::{AggCall, BExpr};
-use crate::bounded::analyze_boundedness;
-use crate::cardinality::{estimate_rows, StatsSource};
+use crate::bounded::{annotate, Annotated};
+use crate::cardinality::StatsSource;
 use crate::logical::{JoinType, LogicalPlan, SortKey};
 use crate::optimizer::split_conjuncts;
 use crate::schema::PlanSchema;
@@ -49,15 +49,15 @@ pub struct IndexMeta {
 /// of matching tuples per outer tuple).
 pub const DEFAULT_JOIN_BATCH: u64 = 3;
 
-/// Static annotations attached to every physical node, computed from the
-/// existing cardinality and boundedness passes over the logical subtree
-/// the node was lowered from.
+/// Static annotations attached to every physical node: what the
+/// annotation pass ([`crate::bounded`]) computed for the logical node it
+/// was lowered from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysAnnot {
-    /// Estimated output rows (see [`crate::cardinality::estimate_rows`]).
+    /// Estimated output rows (see [`crate::cardinality`]).
     pub est_rows: f64,
-    /// Whether the crowd work below this node is bounded
-    /// (see [`crate::bounded::analyze_boundedness`]).
+    /// Whether the subtree, run as a plan of its own, requests a bounded
+    /// number of new tuples from the crowd (its verdict is `Bounded`).
     pub bounded: bool,
 }
 
@@ -418,22 +418,30 @@ impl PhysicalPlan {
                         format!(" via {} [range: {range}]", index.name)
                     }
                 };
-                format!(
-                    "{} {table}{}{via}{}",
-                    self.name(),
-                    if alias != table {
-                        format!(" AS {alias}")
-                    } else {
-                        String::new()
-                    },
-                    scan_suffixes(
-                        schema,
-                        *crowd_table,
-                        needed_columns,
-                        expected_tuples,
-                        residual
-                    )
-                )
+                let probe_cols: Vec<&str> = needed_columns
+                    .iter()
+                    .filter_map(|&i| schema.columns.get(i))
+                    .filter(|c| c.crowd || *crowd_table)
+                    .map(|c| c.name.as_str())
+                    .collect();
+                let mut out = format!("{} {table}", self.name());
+                if alias != table {
+                    out += &format!(" AS {alias}");
+                }
+                out += &via;
+                if *crowd_table {
+                    out += " [CROWD TABLE]";
+                }
+                if !probe_cols.is_empty() {
+                    out += &format!(" [probe: {}]", probe_cols.join(", "));
+                }
+                if let Some(n) = expected_tuples {
+                    out += &format!(" [expect ≤{n} tuples]");
+                }
+                if let Some(p) = residual {
+                    out += &format!(" [residual: {p}]");
+                }
+                out
             }
             PhysicalPlan::Filter { predicate, .. } => format!("{} {predicate}", self.name()),
             PhysicalPlan::Project { exprs, .. } => {
@@ -535,40 +543,6 @@ impl PhysicalPlan {
     }
 }
 
-/// The shared suffix block of every base-access node's description:
-/// `[CROWD TABLE]`, probe columns, tuple quota, residual predicate.
-fn scan_suffixes(
-    schema: &PlanSchema,
-    crowd_table: bool,
-    needed_columns: &[usize],
-    expected_tuples: &Option<u64>,
-    residual: &Option<BExpr>,
-) -> String {
-    let probe_cols: Vec<&str> = needed_columns
-        .iter()
-        .filter_map(|&i| schema.columns.get(i))
-        .filter(|c| c.crowd || crowd_table)
-        .map(|c| c.name.as_str())
-        .collect();
-    format!(
-        "{}{}{}{}",
-        if crowd_table { " [CROWD TABLE]" } else { "" },
-        if probe_cols.is_empty() {
-            String::new()
-        } else {
-            format!(" [probe: {}]", probe_cols.join(", "))
-        },
-        match expected_tuples {
-            Some(n) => format!(" [expect ≤{n} tuples]"),
-            None => String::new(),
-        },
-        match residual {
-            Some(p) => format!(" [residual: {p}]"),
-            None => String::new(),
-        }
-    )
-}
-
 fn render_residual(residual: &[BExpr]) -> String {
     if residual.is_empty() {
         String::new()
@@ -580,42 +554,44 @@ fn render_residual(residual: &[BExpr]) -> String {
 
 /// Lower an optimized logical plan to a physical operator tree.
 ///
-/// `stats` feeds the per-node cardinality estimates, `pk_columns` the
-/// boundedness analysis, and `indexes` the access-path selection; all
-/// come from the catalog in practice (see `crowddb_exec`'s driver).
+/// `stats` and `pk_columns` feed the annotation pass whose per-node
+/// estimate and verdict every node carries, and `indexes` the
+/// access-path selection; all come from the catalog in practice (see
+/// `crowddb_exec`'s driver).
 pub fn lower(
     plan: &LogicalPlan,
     stats: &dyn StatsSource,
     pk_columns: &dyn Fn(&str) -> Vec<usize>,
     indexes: &dyn Fn(&str) -> Vec<IndexMeta>,
 ) -> PhysicalPlan {
-    let annot = PhysAnnot {
-        est_rows: estimate_rows(plan, stats),
-        bounded: analyze_boundedness(plan, stats, pk_columns).bounded,
-    };
-    match plan {
-        LogicalPlan::Scan { .. } => lower_scan(plan, Access::Full, None, annot),
-        LogicalPlan::Filter { input, predicate } => {
+    lower_node(&annotate(plan, stats, pk_columns).0, indexes)
+}
+
+fn lower_node(node: &Annotated, indexes: &dyn Fn(&str) -> Vec<IndexMeta>) -> PhysicalPlan {
+    let annot = node.annot();
+    let input = |i: usize| Box::new(lower_node(&node.inputs[i], indexes));
+    match node.plan {
+        LogicalPlan::Scan { .. } => lower_scan(node.plan, Access::Full, None, annot),
+        LogicalPlan::Filter {
+            input: scan,
+            predicate,
+        } => {
             // Filter-over-scan fusion: the predicate becomes the scan's
             // residual so decidedly-rejected rows never generate probes —
             // and, when the predicate pins an index, the scan itself
             // narrows to an index access path.
-            if let LogicalPlan::Scan { table, schema, .. } = input.as_ref() {
+            if let LogicalPlan::Scan { table, schema, .. } = scan.as_ref() {
                 let access = choose_access(predicate, schema, &indexes(table));
-                return lower_scan(input, access, Some(predicate), annot);
+                return lower_scan(scan, access, Some(predicate), annot);
             }
             PhysicalPlan::Filter {
-                input: Box::new(lower(input, stats, pk_columns, indexes)),
+                input: input(0),
                 predicate: predicate.clone(),
                 annot,
             }
         }
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => PhysicalPlan::Project {
-            input: Box::new(lower(input, stats, pk_columns, indexes)),
+        LogicalPlan::Project { exprs, schema, .. } => PhysicalPlan::Project {
+            input: input(0),
             exprs: exprs.clone(),
             schema: schema.clone(),
             annot,
@@ -628,8 +604,7 @@ pub fn lower(
         } => {
             let left_arity = left.schema().arity();
             let (equi, residual) = split_join_condition(on.as_ref(), left_arity);
-            let pleft = Box::new(lower(left, stats, pk_columns, indexes));
-            let pright = Box::new(lower(right, stats, pk_columns, indexes));
+            let (pleft, pright) = (input(0), input(1));
             if equi.is_empty() {
                 return PhysicalPlan::NestedLoopJoin {
                     left: pleft,
@@ -677,48 +652,36 @@ pub fn lower(
             }
         }
         LogicalPlan::Aggregate {
-            input,
             group_by,
             aggs,
             schema,
+            ..
         } => PhysicalPlan::Aggregate {
-            input: Box::new(lower(input, stats, pk_columns, indexes)),
+            input: input(0),
             group_by: group_by.clone(),
             aggs: aggs.clone(),
             schema: schema.clone(),
             annot,
         },
-        LogicalPlan::Sort { input, keys } => {
-            let input = Box::new(lower(input, stats, pk_columns, indexes));
+        LogicalPlan::Sort { keys, .. } => {
+            let (input, keys) = (input(0), keys.clone());
             if keys
                 .iter()
                 .any(|k| matches!(k.expr, BExpr::CrowdOrder { .. }))
             {
-                PhysicalPlan::CrowdSort {
-                    input,
-                    keys: keys.clone(),
-                    annot,
-                }
+                PhysicalPlan::CrowdSort { input, keys, annot }
             } else {
-                PhysicalPlan::Sort {
-                    input,
-                    keys: keys.clone(),
-                    annot,
-                }
+                PhysicalPlan::Sort { input, keys, annot }
             }
         }
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => PhysicalPlan::StopAfter {
-            input: Box::new(lower(input, stats, pk_columns, indexes)),
+        LogicalPlan::Limit { limit, offset, .. } => PhysicalPlan::StopAfter {
+            input: input(0),
             limit: *limit,
             offset: *offset,
             annot,
         },
-        LogicalPlan::Distinct { input } => PhysicalPlan::Distinct {
-            input: Box::new(lower(input, stats, pk_columns, indexes)),
+        LogicalPlan::Distinct { .. } => PhysicalPlan::Distinct {
+            input: input(0),
             annot,
         },
         LogicalPlan::Values { rows, schema } => PhysicalPlan::Values {
@@ -726,9 +689,9 @@ pub fn lower(
             schema: schema.clone(),
             annot,
         },
-        LogicalPlan::Union { left, right, all } => PhysicalPlan::Union {
-            left: Box::new(lower(left, stats, pk_columns, indexes)),
-            right: Box::new(lower(right, stats, pk_columns, indexes)),
+        LogicalPlan::Union { all, .. } => PhysicalPlan::Union {
+            left: input(0),
+            right: input(1),
             all: *all,
             annot,
         },
@@ -1514,6 +1477,61 @@ mod tests {
             "{}",
             p.explain()
         );
+    }
+
+    /// Stats that count how often they are asked.
+    struct CountingStats(std::cell::Cell<usize>);
+
+    impl StatsSource for CountingStats {
+        fn table_rows(&self, _table: &str) -> Option<u64> {
+            self.0.set(self.0.get() + 1);
+            Some(100)
+        }
+    }
+
+    #[test]
+    fn annotation_reads_each_scan_once() {
+        let filtered_talk = || LogicalPlan::Filter {
+            input: Box::new(talk_scan()),
+            predicate: BExpr::Binary {
+                left: Box::new(col(1)),
+                op: BinaryOp::Gt,
+                right: Box::new(lit(Value::Int(10))),
+            },
+        };
+        let mut crowd_inner = attendee_scan();
+        if let LogicalPlan::Scan {
+            expected_tuples, ..
+        } = &mut crowd_inner
+        {
+            *expected_tuples = None;
+        }
+        // 1..=5 filtered machine scans joined left-deep, then the CROWD
+        // table as the inner they drive: 2- to 6-way joins.
+        for machine in 1..=5 {
+            let mut plan = filtered_talk();
+            for k in 1..machine {
+                plan = LogicalPlan::Join {
+                    left: Box::new(plan),
+                    right: Box::new(filtered_talk()),
+                    kind: JoinType::Inner,
+                    on: Some(eq(col(0), col(2 * k))),
+                };
+            }
+            let plan = LogicalPlan::Join {
+                left: Box::new(plan),
+                right: Box::new(crowd_inner.clone()),
+                kind: JoinType::Inner,
+                on: Some(eq(col(0), col(2 * machine + 1))),
+            };
+            let scans = machine + 1;
+            let stats = CountingStats(std::cell::Cell::new(0));
+            assert!(lower(&plan, &stats, &pk, &|_| vec![]).annot().bounded);
+            assert!(stats.0.get() <= scans, "lower: {} reads", stats.0.get());
+            stats.0.set(0);
+            assert!(crate::analyze_boundedness(&plan, &stats, &pk).bounded);
+            assert!(stats.0.get() <= scans, "analysis: {} reads", stats.0.get());
+        }
     }
 
     #[test]
