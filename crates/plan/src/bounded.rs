@@ -33,7 +33,6 @@ use crowddb_sql::BinaryOp;
 use crate::bound_expr::BExpr;
 use crate::cardinality::{node_rows, stored_rows, StatsSource};
 use crate::logical::{JoinType, LogicalPlan};
-use crate::physical::PhysAnnot;
 
 /// Result of the analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,21 +70,11 @@ pub(crate) enum Verdict<'p> {
 pub(crate) struct Annotated<'p> {
     pub(crate) plan: &'p LogicalPlan,
     pub(crate) est_rows: f64,
-    verdict: Verdict<'p>,
+    pub(crate) verdict: Verdict<'p>,
     /// Every CROWD-table scan below has a stop-after quota: the subtree
     /// may drive a join's inner.
     finite: bool,
     pub(crate) inputs: Vec<Annotated<'p>>,
-}
-
-impl Annotated<'_> {
-    /// The node's EXPLAIN annotation.
-    pub(crate) fn annot(&self) -> PhysAnnot {
-        PhysAnnot {
-            est_rows: self.est_rows,
-            bounded: self.verdict == Verdict::Bounded,
-        }
-    }
 }
 
 /// The annotation pass: every node's estimate and verdict, each computed

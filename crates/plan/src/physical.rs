@@ -25,7 +25,7 @@
 //! `lower` runs that pass once and reads it; it estimates nothing itself.
 
 use crate::bound_expr::{AggCall, BExpr};
-use crate::bounded::{annotate, Annotated};
+use crate::bounded::{annotate, Annotated, Verdict};
 use crate::cardinality::StatsSource;
 use crate::logical::{JoinType, LogicalPlan, SortKey};
 use crate::optimizer::split_conjuncts;
@@ -568,28 +568,28 @@ pub fn lower(
 }
 
 fn lower_node(node: &Annotated, indexes: &dyn Fn(&str) -> Vec<IndexMeta>) -> PhysicalPlan {
-    let annot = node.annot();
+    let annot = PhysAnnot {
+        est_rows: node.est_rows,
+        bounded: node.verdict == Verdict::Bounded,
+    };
     let input = |i: usize| Box::new(lower_node(&node.inputs[i], indexes));
     match node.plan {
-        LogicalPlan::Scan { .. } => lower_scan(node.plan, Access::Full, None, annot),
+        LogicalPlan::Scan { .. } => lower_scan(node.plan, None, annot, indexes),
+        // Filter-over-scan fusion: the predicate becomes the scan's
+        // residual so decidedly-rejected rows never generate probes — and,
+        // when the predicate pins an index, the scan itself narrows to an
+        // index access path.
         LogicalPlan::Filter {
             input: scan,
             predicate,
-        } => {
-            // Filter-over-scan fusion: the predicate becomes the scan's
-            // residual so decidedly-rejected rows never generate probes —
-            // and, when the predicate pins an index, the scan itself
-            // narrows to an index access path.
-            if let LogicalPlan::Scan { table, schema, .. } = scan.as_ref() {
-                let access = choose_access(predicate, schema, &indexes(table));
-                return lower_scan(scan, access, Some(predicate), annot);
-            }
-            PhysicalPlan::Filter {
-                input: input(0),
-                predicate: predicate.clone(),
-                annot,
-            }
+        } if matches!(**scan, LogicalPlan::Scan { .. }) => {
+            lower_scan(scan, Some(predicate), annot, indexes)
         }
+        LogicalPlan::Filter { predicate, .. } => PhysicalPlan::Filter {
+            input: input(0),
+            predicate: predicate.clone(),
+            annot,
+        },
         LogicalPlan::Project { exprs, schema, .. } => PhysicalPlan::Project {
             input: input(0),
             exprs: exprs.clone(),
@@ -698,12 +698,13 @@ fn lower_node(node: &Annotated, indexes: &dyn Fn(&str) -> Vec<IndexMeta>) -> Phy
     }
 }
 
-/// Build the one base-access node from a `LogicalPlan::Scan`.
+/// Build the one base-access node from a `LogicalPlan::Scan`, with the
+/// fused `residual` and the access path it allows.
 fn lower_scan(
     scan: &LogicalPlan,
-    access: Access,
     residual: Option<&BExpr>,
     annot: PhysAnnot,
+    indexes: &dyn Fn(&str) -> Vec<IndexMeta>,
 ) -> PhysicalPlan {
     let LogicalPlan::Scan {
         table,
@@ -716,6 +717,7 @@ fn lower_scan(
     else {
         unreachable!("lower_scan over {scan:?}")
     };
+    let access = residual.map_or(Access::Full, |p| choose_access(p, schema, &indexes(table)));
     PhysicalPlan::Scan {
         table: table.clone(),
         alias: alias.clone(),
