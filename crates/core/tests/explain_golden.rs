@@ -6,6 +6,7 @@
 //! comparison — `OpStatsNode::summary` deliberately emits them last on
 //! the line so a plain string split suffices.
 
+use crowddb_common::CrowdError;
 use crowddb_core::CrowdDB;
 use crowddb_platform::Platform;
 
@@ -458,6 +459,32 @@ fn subqueries_and_select_lists_make_a_machine_query_crowd_related() {
     }
     let join = "SELECT t.title, v.room FROM Talk t JOIN Venue v ON t.title = v.talk";
     assert_eq!(posts_and_classification(join), (0, false));
+}
+
+/// An open-world scan inside a subquery is as unbounded as the same scan
+/// on its own: no finite crowd answer proves the `IN` list complete, so
+/// the statement is refused instead of answering `complete` with 0 rows.
+#[test]
+fn unbounded_crowd_scan_in_a_subquery_is_refused() {
+    let mut platform = world_script();
+    let db = seeded_db(&mut platform);
+    for sql in [
+        "SELECT name FROM NotableAttendee",
+        "SELECT room FROM Venue WHERE talk IN (SELECT name FROM NotableAttendee)",
+        "SELECT room FROM Venue WHERE EXISTS (SELECT name FROM NotableAttendee)",
+        "SELECT talk, (SELECT MAX(name) FROM NotableAttendee) FROM Venue",
+    ] {
+        match db.execute(sql, &mut platform) {
+            Err(CrowdError::UnboundedCrowdQuery(detail)) => {
+                assert!(detail.contains("'notableattendee'"), "{sql}: {detail}")
+            }
+            other => panic!("{sql} was not refused as unbounded: {other:?}"),
+        }
+    }
+    // A key-pinned subquery scan stays bounded and runs.
+    let sql = "SELECT room FROM Venue WHERE talk IN \
+               (SELECT title FROM NotableAttendee WHERE name = 'Mike Franklin')";
+    db.execute(sql, &mut platform).expect(sql);
 }
 
 #[test]

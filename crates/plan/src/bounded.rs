@@ -21,7 +21,9 @@
 //!   side's `Drivable` becomes `Bounded` when an equality from a finite
 //!   left side drives it (the CrowdJoin pattern: requests ≤ |outer| ×
 //!   per-key quota), `Unbounded` otherwise;
-//! * a union and the root resolve their inputs like a join's left side.
+//! * a union and the root resolve their inputs like a join's left side,
+//!   and so does a subquery: an unbounded one makes the node whose
+//!   expression holds it `Unbounded`.
 //!
 //! A node is bounded when its verdict is `Bounded`, and resolving a scan
 //! writes its note in the root's [`BoundednessReport`]. A bare `SELECT *
@@ -116,7 +118,7 @@ struct Pass<'a> {
 impl Pass<'_> {
     fn node<'p>(&mut self, plan: &'p LogicalPlan) -> Annotated<'p> {
         let stored = stored_rows(plan, self.stats);
-        let (inputs, verdict) = match plan {
+        let (inputs, mut verdict) = match plan {
             LogicalPlan::Scan {
                 table,
                 schema,
@@ -194,6 +196,18 @@ impl Pass<'_> {
                 (vec![input], verdict)
             }
         };
+        // A subquery is planned and run on its own: its verdict resolves
+        // like a root's, and an unbounded one makes this node unbounded.
+        for e in plan.exprs() {
+            e.walk(&mut |e| {
+                if let Some(sub) = e.subplan() {
+                    let sub = self.node(sub).verdict;
+                    if self.resolve(sub, None) == Verdict::Unbounded {
+                        verdict = Verdict::Unbounded;
+                    }
+                }
+            });
+        }
         let rows: Vec<f64> = inputs.iter().map(|a| a.est_rows).collect();
         let open_crowd_scan = matches!(
             plan,
@@ -382,6 +396,18 @@ mod tests {
             "SELECT name FROM NotableAttendee ORDER BY CROWDORDER(name, 'better?') LIMIT 5",
         );
         assert!(!r.bounded, "{:?}", r.notes);
+    }
+
+    #[test]
+    fn crowd_scan_in_a_subquery_is_unbounded() {
+        let r = analyze("SELECT title FROM Talk WHERE title IN (SELECT name FROM NotableAttendee)");
+        assert!(!r.bounded, "{:?}", r.notes);
+        let r = analyze(
+            "SELECT title FROM Talk WHERE EXISTS \
+             (SELECT title FROM NotableAttendee WHERE name = 'Mike Franklin')",
+        );
+        assert!(r.bounded, "{:?}", r.notes);
+        assert!(r.notes.iter().any(|n| n.contains("primary-key")));
     }
 
     #[test]
