@@ -6,48 +6,6 @@ use crowddb_wal::FsyncPolicy;
 
 use crate::governor::GovernorPolicy;
 
-/// Paged-storage knobs for durable sessions (see
-/// [`CrowdDB::open`](crate::CrowdDB::open)): page size and buffer-pool
-/// budget. In-memory sessions take the same knobs through the storage
-/// layer's defaults.
-///
-/// Neither knob affects query results — the pool is no-steal, so its
-/// size only changes page traffic (`pages_read`/`pool_hits` in
-/// `EXPLAIN ANALYZE`), never bytes on disk or rows returned. The page
-/// size is fixed by the first checkpoint: from then on a reopen keeps
-/// the page file's recorded size regardless of this setting. Until then
-/// the page file holds nothing the log does not, and every open lays it
-/// down afresh at this size.
-#[derive(Debug, Clone)]
-pub struct StoragePolicy {
-    /// Page size in bytes for newly created page files.
-    pub page_size: usize,
-    /// Buffer-pool budget in pages; `0` = unbounded.
-    pub pool_pages: usize,
-}
-
-impl Default for StoragePolicy {
-    /// Defaults come from [`PagerConfig::default`], which honors the
-    /// `CROWDDB_PAGE_SIZE` / `CROWDDB_POOL_PAGES` environment variables.
-    fn default() -> Self {
-        let cfg = PagerConfig::default();
-        StoragePolicy {
-            page_size: cfg.page_size,
-            pool_pages: cfg.pool_pages,
-        }
-    }
-}
-
-impl StoragePolicy {
-    /// The equivalent pager configuration.
-    pub fn pager_config(&self) -> PagerConfig {
-        PagerConfig {
-            page_size: self.page_size,
-            pool_pages: self.pool_pages,
-        }
-    }
-}
-
 /// When a durable session takes checkpoints (snapshot + log truncation)
 /// and how eagerly the write-ahead log reaches stable storage.
 #[derive(Debug, Clone)]
@@ -249,9 +207,15 @@ pub struct CrowdConfig {
     pub durability: DurabilityPolicy,
     /// Parallel-fulfillment and batching knobs.
     pub concurrency: ConcurrencyPolicy,
-    /// Paged-storage knobs (page size, buffer-pool budget) for durable
-    /// sessions.
-    pub storage: StoragePolicy,
+    /// Page size and buffer-pool budget of a durable session's page file
+    /// (in-memory sessions take the storage layer's defaults). The
+    /// default honors `CROWDDB_PAGE_SIZE` / `CROWDDB_POOL_PAGES`.
+    ///
+    /// Neither knob affects query results: the pool is no-steal, so its
+    /// size only changes page traffic (`pages_read`/`pool_hits` in
+    /// `EXPLAIN ANALYZE`). The first checkpoint fixes the page size; a
+    /// later reopen keeps the page file's recorded size.
+    pub storage: PagerConfig,
     /// Resource-governor limits applied to every statement: deadline,
     /// row caps, crowd budget, and admission control. The default is
     /// fully ungoverned. Per-statement overrides go through
@@ -284,7 +248,7 @@ impl Default for CrowdConfig {
             retry: RetryPolicy::default(),
             durability: DurabilityPolicy::default(),
             concurrency: ConcurrencyPolicy::default(),
-            storage: StoragePolicy::default(),
+            storage: PagerConfig::default(),
             governor: GovernorPolicy::default(),
             subscriptions: SubscriptionPolicy::default(),
             quality: QualityPolicy::default(),

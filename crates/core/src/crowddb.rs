@@ -31,9 +31,7 @@ use crate::governor::{
     effective_budget, AdmissionController, CancelToken, GovernorPolicy, StatementGuard,
 };
 use crate::result::{CrowdSummary, QueryResult};
-use crate::subscribe::{
-    self, DeltaBatch, SubRegistry, SubState, SubscriptionHandle, SubscriptionStatement,
-};
+use crate::subscribe::{self, DeltaBatch, SubRegistry, SubState, SubscriptionHandle};
 use crate::taskman;
 
 /// A CrowdDB instance: storage + planner + crowd machinery.
@@ -155,10 +153,24 @@ impl CrowdDB {
     /// [`FaultyPlatform`](crowddb_platform::faults) (or a metrics
     /// scraper) to see engine and platform counters side by side.
     pub fn with_obs(config: CrowdConfig, obs: Arc<Obs>) -> CrowdDB {
+        Self::assemble(Database::new(), SharedCaches::new(), config, obs, &[])
+            .expect("an empty log replays")
+    }
+
+    /// The one constructor: a session around `db` and `caches` with `log`
+    /// replayed on top, and a crowd UI template registered for every
+    /// table the catalog then holds (replayed DDL included).
+    fn assemble(
+        db: Database,
+        caches: SharedCaches,
+        config: CrowdConfig,
+        obs: Arc<Obs>,
+        log: &[LogRecord],
+    ) -> Result<CrowdDB> {
         let admission = AdmissionController::new(&config.governor);
-        CrowdDB {
-            db: Database::new(),
-            caches: SharedCaches::new(),
+        let session = CrowdDB {
+            db,
+            caches,
             templates: Mutex::new(UiTemplateManager::new()),
             wrm: Mutex::new(WorkerRelationshipManager::new()),
             exhausted: Mutex::new(std::collections::HashSet::new()),
@@ -174,7 +186,20 @@ impl CrowdDB {
             subs_open: AtomicUsize::new(0),
             dml_begun: AtomicU64::new(0),
             dml_ended: AtomicU64::new(0),
+        };
+        for rec in log {
+            session.replay_record(rec).map_err(|e| {
+                CrowdError::Io(format!(
+                    "recovery: replaying {} record failed: {e}",
+                    rec.kind()
+                ))
+            })?;
         }
+        let schemas: Vec<_> = session.db.with_catalog(|c| c.schemas().cloned().collect());
+        for schema in &schemas {
+            session.templates.lock().register_schema(schema);
+        }
+        Ok(session)
     }
 
     /// Open (or create) a durable CrowdDB session rooted at directory
@@ -202,10 +227,9 @@ impl CrowdDB {
     pub fn open_with_config(path: impl AsRef<Path>, config: CrowdConfig) -> Result<CrowdDB> {
         let fsync = config.durability.fsync;
         let (mut store, recovered) = DurableStore::open(path.as_ref(), fsync)?;
-        let pager_cfg = config.storage.pager_config();
-        let mut crowddb = match &recovered.snapshot {
+        let (db, caches) = match &recovered.snapshot {
             Some(bytes) => {
-                let (storage_bytes, caches_bytes) = Self::split_snapshot(bytes)?;
+                let (storage_bytes, caches) = Self::split_snapshot(bytes)?;
                 if !Database::is_paged_meta(storage_bytes) {
                     return Err(CrowdError::Io(format!(
                         "{}: the checkpoint's storage section is not paged metadata \
@@ -214,35 +238,17 @@ impl CrowdDB {
                         path.as_ref().display()
                     )));
                 }
-                let db = Database::open_paged(path.as_ref(), pager_cfg, storage_bytes)?;
-                Self::from_storage(db, caches_bytes, config)?
+                let db = Database::open_paged(path.as_ref(), config.storage, storage_bytes)?;
+                (db, caches)
             }
             // No checkpoint yet: the log replays history from genesis
             // into a fresh page file.
-            None => {
-                let db = Database::open_file(path.as_ref(), pager_cfg)?;
-                let mut session = CrowdDB::with_config(config);
-                session.db = db;
-                session
-            }
+            None => (
+                Database::open_file(path.as_ref(), config.storage)?,
+                SharedCaches::new(),
+            ),
         };
-        for rec in &recovered.records {
-            crowddb.replay_record(rec).map_err(|e| {
-                CrowdError::Io(format!(
-                    "recovery: replaying {} record failed: {e}",
-                    rec.kind()
-                ))
-            })?;
-        }
-        // Tables created during replay need their crowd UI templates
-        // (snapshot restore already registered its own).
-        let schemas: Vec<_> = crowddb.db.with_catalog(|c| c.schemas().cloned().collect());
-        {
-            let mut templates = crowddb.templates.lock();
-            for s in &schemas {
-                templates.register_schema(s);
-            }
-        }
+        let mut crowddb = Self::assemble(db, caches, config, Obs::new(), &recovered.records)?;
         store.set_obs(crowddb.obs.clone());
         crowddb.durable = Some(GroupCommitStore::new(store));
         Ok(crowddb)
@@ -445,8 +451,35 @@ impl CrowdDB {
     /// (`config.governor`); use [`CrowdDB::execute_with_policy`] for a
     /// per-statement override.
     pub fn execute(&self, sql: &str, platform: &mut dyn Platform) -> Result<QueryResult> {
-        let policy = self.config.governor.clone();
-        self.execute_with_policy(sql, platform, &policy)
+        self.execute_with_policy(sql, platform, &self.config.governor)
+    }
+
+    /// Parse `sql` once and, for a query, bind, optimize and annotate it
+    /// once: the [`Prepared`] statement every entry point runs, and whose
+    /// [`Prepared::may_touch_crowd`] chooses its admission tier. A query
+    /// that fails to plan still prepares; it fails with that error when
+    /// run, inside its statement span.
+    pub fn prepare<'a>(&self, sql: &'a str) -> Result<Prepared<'a>> {
+        let statement = parse_statement(sql)?;
+        let plan = match strip_explain(&statement) {
+            Statement::Select(query) | Statement::Subscribe(query) => Some(self.plan_query(query)),
+            _ => None,
+        };
+        Ok(Prepared {
+            sql,
+            statement,
+            plan,
+        })
+    }
+
+    /// Bind, optimize, and annotate one query block with its boundedness
+    /// report.
+    fn plan_query(&self, query: &Query) -> Result<(LogicalPlan, BoundednessReport)> {
+        let bound = self.db.with_catalog(|c| Binder::new(c).bind_query(query))?;
+        let stats = live_row_stats(&self.db);
+        let plan = optimize(bound, &stats, &self.optimizer);
+        let report = analyze_boundedness(&plan, &stats, &|t| primary_key(&self.db, t));
+        Ok((plan, report))
     }
 
     /// A clonable handle that cancels this session's in-flight statement
@@ -475,53 +508,71 @@ impl CrowdDB {
         platform: &mut dyn Platform,
         policy: &GovernorPolicy,
     ) -> Result<QueryResult> {
-        let cancel = self.cancel.clone();
-        self.execute_with_session(sql, platform, policy, &cancel)
+        let prepared = self.prepare(sql)?;
+        self.run(&prepared, Some((platform, policy, &self.cancel)))
     }
 
-    /// [`CrowdDB::execute_with_policy`] under a caller-supplied
-    /// [`CancelToken`] instead of the session-wide one.
+    /// [`CrowdDB::execute_with_policy`] of an already [prepared](CrowdDB::prepare)
+    /// statement under a caller-supplied [`CancelToken`] instead of the
+    /// session-wide one.
     ///
     /// This is the multi-client entry point: a server holding one shared
-    /// `Arc<CrowdDB>` gives every connection its own token, so a
-    /// wire-level cancel stops exactly that connection's in-flight
-    /// statement and no one else's. The token is consumed (cleared) when
-    /// a statement terminates as user-cancelled, exactly like the
-    /// session-wide token.
+    /// `Arc<CrowdDB>` prepares each statement once, admits it on the tier
+    /// [`Prepared::may_touch_crowd`] names, and runs it here; every
+    /// connection has its own token, so a wire-level cancel stops exactly
+    /// that connection's in-flight statement and no one else's. The token
+    /// is consumed (cleared) when a statement terminates as
+    /// user-cancelled, exactly like the session-wide token.
     pub fn execute_with_session(
         &self,
-        sql: &str,
+        prepared: &Prepared<'_>,
         platform: &mut dyn Platform,
         policy: &GovernorPolicy,
         cancel: &CancelToken,
     ) -> Result<QueryResult> {
-        let stmt = parse_statement(sql)?;
+        self.run(prepared, Some((platform, policy, cancel)))
+    }
+
+    /// The one statement pipeline: admit on the tier the prepared plan
+    /// names → build the guard → open the span → execute, containing any
+    /// panic → close the span → checkpoint if due. Without `governed`
+    /// ([`CrowdDB::execute_local`]) there is no admission, no platform and
+    /// an unlimited guard.
+    fn run(
+        &self,
+        prepared: &Prepared<'_>,
+        governed: Option<(&mut dyn Platform, &GovernorPolicy, &CancelToken)>,
+    ) -> Result<QueryResult> {
         let reg = self.obs.registry();
-        let crowd_touching = statement_touches_crowd(&stmt);
-        let permit = match self.admission.acquire(
-            crowd_touching,
-            policy.admission_timeout_virtual_secs,
-            &mut |dt| platform.advance(dt),
-        ) {
-            Ok(p) => p,
-            Err(e) => {
-                reg.counter_inc("crowddb_governor_rejected_total");
-                self.obs.events().emit(Event::AdmissionRejected {
-                    crowd: crowd_touching,
-                });
-                return Err(e);
+        let (platform, guard, permit, cancel) = match governed {
+            None => (None, StatementGuard::unlimited(), None, None),
+            Some((platform, policy, cancel)) => {
+                let crowd = prepared.may_touch_crowd();
+                let permit = match self.admission.acquire(
+                    crowd,
+                    policy.admission_timeout_virtual_secs,
+                    &mut |dt| platform.advance(dt),
+                ) {
+                    Ok(p) => p,
+                    Err(e) => {
+                        reg.counter_inc("crowddb_governor_rejected_total");
+                        self.obs.events().emit(Event::AdmissionRejected { crowd });
+                        return Err(e);
+                    }
+                };
+                reg.counter_inc("crowddb_governor_admitted_total");
+                let mut guard = StatementGuard::new(policy, cancel, platform.now());
+                guard.exec.hybrid_order = self.config.hybrid_order;
+                (Some(platform), guard, Some(permit), Some(cancel))
             }
         };
-        reg.counter_inc("crowddb_governor_admitted_total");
-        let mut guard = StatementGuard::new(policy, cancel, platform.now());
-        guard.exec.hybrid_order = self.config.hybrid_order;
-        let id = self.begin_statement(sql);
+        let id = self.begin_statement(prepared.sql);
         // Panic isolation: a panicking operator (or a chaos hook) must
         // not take down the session. The unwind releases the admission
         // permit and every lock on the way out (`crowddb_common::sync`
         // locks recover from poisoning), so containment is safe.
         let r = match catch_unwind(AssertUnwindSafe(|| {
-            self.execute_statement(&stmt, Some(&mut *platform), &guard)
+            self.execute_statement(prepared, platform, &guard)
         })) {
             Ok(r) => r,
             Err(payload) => {
@@ -544,7 +595,7 @@ impl CrowdDB {
                 reason: reason.tag(),
             });
             // The cancel request is consumed by the statement it stopped.
-            if matches!(reason, CancelReason::UserRequested) {
+            if let (CancelReason::UserRequested, Some(cancel)) = (reason, cancel) {
                 cancel.clear();
             }
         }
@@ -552,31 +603,6 @@ impl CrowdDB {
         let r = r?;
         self.maybe_checkpoint()?;
         Ok(r)
-    }
-
-    /// Catalog-aware refinement of [`statement_touches_crowd`]: `true`
-    /// when executing `sql` could actually engage the crowd.
-    ///
-    /// The syntactic check treats every `SELECT` as crowd-touching; this
-    /// one additionally plans `SELECT`s against the catalog, so a query
-    /// over purely machine tables and columns classifies as local — a
-    /// server using tiered admission can then guarantee that a flood of
-    /// crowd queries never starves local reads. Unparseable or
-    /// unplannable statements answer with the conservative syntactic
-    /// verdict; they fail with their real error inside execution.
-    pub fn statement_may_touch_crowd(&self, sql: &str) -> bool {
-        let Ok(stmt) = parse_statement(sql) else {
-            return false;
-        };
-        if !statement_touches_crowd(&stmt) {
-            return false;
-        }
-        if let Statement::Select(query) = &stmt {
-            if let Ok((plan, _)) = self.plan_query(query, true) {
-                return plan.is_crowd_related();
-            }
-        }
-        true
     }
 
     /// Emit the `StatementBegin` span event and hand back its id.
@@ -644,35 +670,29 @@ impl CrowdDB {
     }
 
     /// Execute a statement using local data only — the statement driver
-    /// with no platform attached. Statements that would need the crowd
-    /// return a partial result with a warning; nothing is posted and
-    /// nothing is marked exhausted.
+    /// with no platform attached, under an unlimited guard and outside
+    /// admission control. Statements that would need the crowd return a
+    /// partial result with a warning; nothing is posted and nothing is
+    /// marked exhausted.
     pub fn execute_local(&self, sql: &str) -> Result<QueryResult> {
-        let stmt = parse_statement(sql)?;
-        let id = self.begin_statement(sql);
-        let r = self.execute_statement(&stmt, None, &StatementGuard::unlimited());
-        self.finish_statement(id, &r);
-        let r = r?;
-        self.maybe_checkpoint()?;
-        Ok(r)
+        self.run(&self.prepare(sql)?, None)
     }
 
     /// EXPLAIN output for a statement: optimized plan, lowered physical
     /// plan, cardinality annotation, and the boundedness report. For an
     /// `UPDATE`/`DELETE`, the scan that will select its rows.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let stmt = parse_statement(sql)?;
-        self.explain_statement(&stmt)
+        self.explain_statement(&self.prepare(sql)?)
     }
 
-    /// [`CrowdDB::explain`] over an already-parsed statement. `EXPLAIN`
-    /// wrappers (however deeply nested) are stripped rather than
-    /// re-stringified and re-parsed.
-    fn explain_statement(&self, stmt: &Statement) -> Result<String> {
-        let inner = strip_explain(stmt);
-        let (standing, query) = match inner {
-            Statement::Select(q) => (false, q),
-            Statement::Subscribe(q) => (true, q),
+    /// [`CrowdDB::explain`] of a prepared statement. `EXPLAIN` wrappers
+    /// (however deeply nested) are stripped, and the prepared plan is
+    /// the one explained.
+    fn explain_statement(&self, prepared: &Prepared<'_>) -> Result<String> {
+        let inner = strip_explain(&prepared.statement);
+        let standing = match inner {
+            Statement::Select(_) => false,
+            Statement::Subscribe(_) => true,
             Statement::Update(Update { table, filter, .. })
             | Statement::Delete(Delete { table, filter }) => {
                 let scan = dml::target_plan(&self.db, table, filter.as_ref())?;
@@ -680,7 +700,7 @@ impl CrowdDB {
             }
             _ => return Ok(format!("{inner}")),
         };
-        let (plan, report) = self.plan_query(query, true)?;
+        let (plan, report) = prepared.plan()?;
         let mut out = String::new();
         if standing {
             out.push_str(&StandingPlan::new(plan.clone()).explain());
@@ -689,10 +709,10 @@ impl CrowdDB {
         out.push_str("== Optimized plan ==\n");
         out.push_str(&plan.explain());
         out.push_str("\n== Physical plan ==\n");
-        out.push_str(&lower_plan(&self.db, &plan).explain());
+        out.push_str(&lower_plan(&self.db, plan).explain());
         out.push_str("\n== Cardinality ==\n");
         out.push_str(&annotate_cardinality(
-            &plan,
+            plan,
             &live_row_stats(&self.db),
             &|t| primary_key(&self.db, t),
         ));
@@ -730,12 +750,12 @@ impl CrowdDB {
     /// would post (demo support: "we will show how CrowdDB tasks are
     /// compiled onto the crowdsourcing platforms").
     pub fn preview_first_task(&self, sql: &str) -> Result<Option<String>> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(query) = &stmt else {
+        let prepared = self.prepare(sql)?;
+        let Statement::Select(_) = prepared.statement else {
             return Ok(None);
         };
-        let (plan, _) = self.plan_query(query, true)?;
-        let exec = self.evaluate_once(&plan)?;
+        let (plan, _) = prepared.plan()?;
+        let exec = self.evaluate_once(plan)?;
         let templates = self.templates.lock();
         Ok(exec.needs.first().map(|need| {
             let spec = taskman::need_to_spec(need, &self.config, &templates);
@@ -745,10 +765,14 @@ impl CrowdDB {
 
     fn execute_statement(
         &self,
-        stmt: &Statement,
+        prepared: &Prepared<'_>,
         crowd: Option<&mut dyn Platform>,
         guard: &StatementGuard,
     ) -> Result<QueryResult> {
+        let stmt = &prepared.statement;
+        let ddl_record = || LogRecord::Ddl {
+            sql: stmt.to_string(),
+        };
         match stmt {
             Statement::Explain { statement, analyze } => {
                 // EXPLAIN ANALYZE is the statement's execution, rendered:
@@ -756,12 +780,17 @@ impl CrowdDB {
                 // (warnings included) as the rows.
                 let mut r = QueryResult::ddl();
                 let text = match strip_explain(statement) {
-                    Statement::Select(query) if *analyze => {
+                    Statement::Select(_) if *analyze => {
                         let mut analysis = Analysis::default();
-                        r = self.execute_select(query, crowd, guard, Some(&mut analysis))?;
+                        r = self.execute_select(
+                            prepared.plan()?,
+                            crowd,
+                            guard,
+                            Some(&mut analysis),
+                        )?;
                         analysis.render(&r)
                     }
-                    _ => self.explain_statement(statement)?,
+                    _ => self.explain_statement(prepared)?,
                 };
                 Ok(QueryResult {
                     columns: vec!["plan".into()],
@@ -776,38 +805,25 @@ impl CrowdDB {
                     return Ok(QueryResult::ddl());
                 }
                 self.templates.lock().register_schema(&schema);
-                // DDL records are not idempotent: the mutation and its log
-                // record must not straddle a checkpoint (see `ckpt_latch`).
-                let _latch = self.ckpt_latch.read();
-                self.db.create_table(schema)?;
-                self.log_record(LogRecord::Ddl {
-                    sql: stmt.to_string(),
-                })?;
+                self.logged(ddl_record(), || self.db.create_table(schema))?;
                 Ok(QueryResult::ddl())
             }
             Statement::CreateIndex(ci) => {
-                {
-                    let _latch = self.ckpt_latch.read();
+                self.logged(ddl_record(), || {
                     self.db
-                        .create_index(&ci.name, &ci.table, &ci.columns, ci.unique)?;
-                    self.log_record(LogRecord::Ddl {
-                        sql: stmt.to_string(),
-                    })?;
-                }
+                        .create_index(&ci.name, &ci.table, &ci.columns, ci.unique)
+                })?;
                 // Standing queries keep the plan they last lowered; have
                 // the table's watchers lower again, with the new index.
                 self.notify_subscriptions(Trigger::Ddl(&ci.table));
                 Ok(QueryResult::ddl())
             }
             Statement::DropTable { name, if_exists } => {
-                {
-                    let _latch = self.ckpt_latch.read();
+                self.logged(ddl_record(), || {
                     self.db.drop_table(name, *if_exists)?;
                     self.templates.lock().drop_table(name);
-                    self.log_record(LogRecord::Ddl {
-                        sql: stmt.to_string(),
-                    })?;
-                }
+                    Ok(())
+                })?;
                 // Standing queries watching the table fail on their next
                 // trigger; notify outside the checkpoint latch.
                 self.notify_subscriptions(Trigger::Ddl(name));
@@ -823,9 +839,9 @@ impl CrowdDB {
             }
             Statement::Update(upd) => self.execute_dml(stmt, &upd.table, crowd, guard),
             Statement::Delete(del) => self.execute_dml(stmt, &del.table, crowd, guard),
-            Statement::Select(query) => self.execute_select(query, crowd, guard, None),
+            Statement::Select(_) => self.execute_select(prepared.plan()?, crowd, guard, None),
             Statement::Subscribe(query) => {
-                let (id, _columns) = self.register_subscription(query)?;
+                let (id, _columns) = self.register_subscription(query, prepared.plan()?)?;
                 Ok(QueryResult {
                     columns: vec!["subscription_id".into()],
                     rows: vec![Row::new(vec![Value::Int(id as i64)])],
@@ -838,6 +854,17 @@ impl CrowdDB {
                 Ok(QueryResult::ddl())
             }
         }
+    }
+
+    /// Apply one non-idempotent mutation (DDL, logical DML) and append
+    /// its log record under the read side of `ckpt_latch`: a mutation
+    /// and its log record never straddle a checkpoint, or recovery would
+    /// re-apply the record on top of a snapshot that already holds it.
+    fn logged<T>(&self, record: LogRecord, mutate: impl FnOnce() -> Result<T>) -> Result<T> {
+        let _latch = self.ckpt_latch.read();
+        let out = mutate()?;
+        self.log_record(record)?;
+        Ok(out)
     }
 
     /// The statement driver: the one round loop behind `SELECT`, `EXPLAIN
@@ -999,23 +1026,26 @@ impl CrowdDB {
     /// and keeps each round's operator stats for rendering.
     fn execute_select(
         &self,
-        query: &Query,
+        (plan, report): &(LogicalPlan, BoundednessReport),
         crowd: Option<&mut dyn Platform>,
         guard: &StatementGuard,
         mut analysis: Option<&mut Analysis>,
     ) -> Result<QueryResult> {
-        let (plan, report) = self.plan_query(query, analysis.is_some())?;
+        // `EXPLAIN ANALYZE` runs an unbounded query, warning about it.
+        if analysis.is_none() {
+            refuse_unbounded(report)?;
+        }
         let warnings = if report.bounded {
             Vec::new()
         } else {
             vec![format!(
                 "unbounded crowd query: {}",
-                unbounded_detail(&report)
+                unbounded_detail(report)
             )]
         };
         let driven = self.drive(crowd, guard, warnings, |caches| {
             let (physical, exec, stats) =
-                self.run_plan(&plan, caches, guard.exec.clone(), analysis.is_some())?;
+                self.run_plan(plan, caches, guard.exec.clone(), analysis.is_some())?;
             flush_op_stats(self.obs.registry(), &stats);
             if let Some(analysis) = analysis.as_deref_mut() {
                 analysis.absorb(physical, stats, &exec);
@@ -1023,7 +1053,7 @@ impl CrowdDB {
             Ok((exec.rows, exec.needs))
         })?;
         Ok(QueryResult {
-            columns: output_columns(&plan),
+            columns: output_columns(plan),
             rows: driven.output.unwrap_or_default(),
             affected: 0,
             crowd: driven.summary,
@@ -1081,19 +1111,13 @@ impl CrowdDB {
     ) -> Result<(usize, bool)> {
         let report = self.subs_open.load(Ordering::SeqCst) > 0;
         let ticket = self.dml_begun.fetch_add(1, Ordering::SeqCst) + 1;
-        let (applied, complete) = {
-            // Logical DML records are not idempotent: the mutation and its
-            // log record must not straddle a checkpoint (see `ckpt_latch`).
-            let _latch = self.ckpt_latch.read();
-            let r = {
-                let _in_flight = DmlInFlight(&self.dml_ended);
-                self.write_dml(stmt, selected, guard.exec.clone(), report)
-            }?;
-            self.log_record(LogRecord::Dml {
-                sql: stmt.to_string(),
-            })?;
-            r
+        let record = LogRecord::Dml {
+            sql: stmt.to_string(),
         };
+        let (applied, complete) = self.logged(record, || {
+            let _in_flight = DmlInFlight(&self.dml_ended);
+            self.write_dml(stmt, selected, guard.exec.clone(), report)
+        })?;
         self.notify_subscriptions(Trigger::Dml {
             table,
             ticket,
@@ -1241,17 +1265,15 @@ impl CrowdDB {
     /// output columns instead of a borrowing handle (what a server
     /// session holding `Arc<CrowdDB>` needs).
     pub fn subscribe_id(&self, sql: &str) -> Result<(u64, Vec<String>)> {
-        let stmt = parse_statement(sql)?;
-        let query = match &stmt {
-            Statement::Subscribe(q) => q.as_ref(),
-            Statement::Select(q) => q.as_ref(),
-            other => {
-                return Err(CrowdError::Plan(format!(
-                    "SUBSCRIBE requires a SELECT query, got: {other}"
-                )))
+        let prepared = self.prepare(sql)?;
+        match &prepared.statement {
+            Statement::Subscribe(query) | Statement::Select(query) => {
+                self.register_subscription(query, prepared.plan()?)
             }
-        };
-        self.register_subscription(query)
+            other => Err(CrowdError::Plan(format!(
+                "SUBSCRIBE requires a SELECT query, got: {other}"
+            ))),
+        }
     }
 
     /// Drop a standing query. Errors if the id is unknown.
@@ -1298,24 +1320,6 @@ impl CrowdDB {
         }
     }
 
-    /// Classify `sql` as a standing-query control statement, if it is
-    /// one.
-    ///
-    /// Transports that scope subscription ids per connection (the
-    /// server does: ids are session-owned, dropped on disconnect) must
-    /// route `SUBSCRIBE`/`UNSUBSCRIBE` through their own tracking
-    /// rather than the generic query path — otherwise a subscription
-    /// opened as plain SQL would outlive its session and leak. Returns
-    /// `None` for everything else, including unparseable input (which
-    /// then fails with its real error inside execution).
-    pub fn classify_subscription_statement(&self, sql: &str) -> Option<SubscriptionStatement> {
-        match parse_statement(sql) {
-            Ok(Statement::Subscribe(_)) => Some(SubscriptionStatement::Subscribe),
-            Ok(Statement::Unsubscribe { id }) => Some(SubscriptionStatement::Unsubscribe(id)),
-            _ => None,
-        }
-    }
-
     /// Next queued delta batch for subscription `id`, if any.
     ///
     /// After the consumer fell behind its bounded queue, one call
@@ -1351,12 +1355,16 @@ impl CrowdDB {
         Ok(sub.queue.pop_front())
     }
 
-    /// Bind, optimize, and initially evaluate a standing query; queue
-    /// its snapshot batch as revision 1.
-    fn register_subscription(&self, query: &Query) -> Result<(u64, Vec<String>)> {
-        let (plan, _) = self.plan_query(query, false)?;
-        let columns = output_columns(&plan);
-        let standing = StandingPlan::new(plan);
+    /// Register `query`'s prepared plan as a standing query and evaluate
+    /// it; queue its snapshot batch as revision 1.
+    fn register_subscription(
+        &self,
+        query: &Query,
+        (plan, report): &(LogicalPlan, BoundednessReport),
+    ) -> Result<(u64, Vec<String>)> {
+        refuse_unbounded(report)?;
+        let columns = output_columns(plan);
+        let standing = StandingPlan::new(plan.clone());
         let sql = query.to_string();
         // Evaluation happens under the subs lock so every standing
         // evaluation (registration or trigger) sees one serial order —
@@ -1568,14 +1576,17 @@ impl CrowdDB {
         Ok(self.wrap_snapshot(&storage))
     }
 
-    /// Split a session snapshot into its storage and caches sections.
-    fn split_snapshot(bytes: &[u8]) -> Result<(&[u8], &[u8])> {
+    /// Split a session snapshot into its storage section and its
+    /// decoded caches.
+    fn split_snapshot(bytes: &[u8]) -> Result<(&[u8], SharedCaches)> {
         let mut r = Reader::new(bytes);
         let storage_len = r.u64()? as usize;
         let storage_bytes = r.take(storage_len, "session snapshot storage section")?;
         let caches_len = r.u64()? as usize;
         let caches_bytes = r.take(caches_len, "session snapshot caches section")?;
-        Ok((storage_bytes, caches_bytes))
+        let caches = decode_caches(caches_bytes)
+            .map_err(|e| CrowdError::Internal(format!("bad caches in snapshot: {e}")))?;
+        Ok((storage_bytes, SharedCaches::from_caches(caches)))
     }
 
     /// Wrap a storage section (v2 full-state bytes or paged metadata)
@@ -1592,63 +1603,9 @@ impl CrowdDB {
 
     /// Restore a session saved by [`CrowdDB::snapshot`].
     pub fn restore(bytes: &[u8], config: CrowdConfig) -> Result<CrowdDB> {
-        let (storage_bytes, caches_bytes) = Self::split_snapshot(bytes)?;
+        let (storage_bytes, caches) = Self::split_snapshot(bytes)?;
         let db = Database::restore(storage_bytes)?;
-        Self::from_storage(db, caches_bytes, config)
-    }
-
-    /// Assemble a session around an already-built storage engine plus
-    /// encoded caches (snapshot restore and paged reopen both land here).
-    fn from_storage(db: Database, caches_bytes: &[u8], config: CrowdConfig) -> Result<CrowdDB> {
-        let caches = decode_caches(caches_bytes)
-            .map_err(|e| CrowdError::Internal(format!("bad caches in snapshot: {e}")))?;
-        // Recreate crowd UI templates from the restored storage.
-        let mut templates = UiTemplateManager::new();
-        let schemas: Vec<_> = db.with_catalog(|c| c.schemas().cloned().collect());
-        for s in &schemas {
-            templates.register_schema(s);
-        }
-        let admission = AdmissionController::new(&config.governor);
-        Ok(CrowdDB {
-            db,
-            caches: SharedCaches::from_caches(caches),
-            templates: Mutex::new(templates),
-            wrm: Mutex::new(WorkerRelationshipManager::new()),
-            exhausted: Mutex::new(std::collections::HashSet::new()),
-            config,
-            optimizer: OptimizerConfig::default(),
-            ckpt_latch: RwLock::new(()),
-            durable: None,
-            obs: Obs::new(),
-            next_statement_id: AtomicU64::new(0),
-            cancel: CancelToken::new(),
-            admission,
-            subs: Mutex::new(SubRegistry::default()),
-            subs_open: AtomicUsize::new(0),
-            dml_begun: AtomicU64::new(0),
-            dml_ended: AtomicU64::new(0),
-        })
-    }
-
-    /// Bind, optimize, and boundedness-check one query block (shared by
-    /// one-shot `SELECT` and standing `SUBSCRIBE` registration). A query
-    /// the analysis flags as unbounded is an error unless
-    /// `allow_unbounded` (`EXPLAIN`, previews), which reads the report.
-    fn plan_query(
-        &self,
-        query: &Query,
-        allow_unbounded: bool,
-    ) -> Result<(LogicalPlan, BoundednessReport)> {
-        let bound = self.db.with_catalog(|c| Binder::new(c).bind_query(query))?;
-        let stats = live_row_stats(&self.db);
-        let plan = optimize(bound, &stats, &self.optimizer);
-        let report = analyze_boundedness(&plan, &stats, &|t| primary_key(&self.db, t));
-        // The paper's optimizer "warns the user at compile-time"; here
-        // the warning is a hard error for a query that would run.
-        if !report.bounded && !allow_unbounded {
-            return Err(CrowdError::UnboundedCrowdQuery(unbounded_detail(&report)));
-        }
-        Ok((plan, report))
+        Self::assemble(db, caches, config, Obs::new(), &[])
     }
 }
 
@@ -1662,6 +1619,65 @@ fn unbounded_detail(report: &BoundednessReport) -> String {
         .cloned()
         .collect::<Vec<_>>()
         .join("; ")
+}
+
+/// The paper's optimizer "warns the user at compile-time"; here the
+/// warning is a hard error for a query about to run (`EXPLAIN` and task
+/// previews still read an unbounded plan's report).
+fn refuse_unbounded(report: &BoundednessReport) -> Result<()> {
+    match report.bounded {
+        true => Ok(()),
+        false => Err(CrowdError::UnboundedCrowdQuery(unbounded_detail(report))),
+    }
+}
+
+/// A statement parsed once — and, if it is a query (`SELECT`, `EXPLAIN
+/// [ANALYZE] SELECT`, `SUBSCRIBE`), bound, optimized and annotated once —
+/// by [`CrowdDB::prepare`]. Its plan is a compile-time fact the admission
+/// tier reads ([`Prepared::may_touch_crowd`]) before the statement runs
+/// that same plan.
+#[derive(Debug)]
+pub struct Prepared<'a> {
+    sql: &'a str,
+    statement: Statement,
+    /// The plan of the query the statement runs, explains or subscribes
+    /// to, or the error planning it raised (surfaced inside the
+    /// statement's span); `None` for any other statement.
+    plan: Option<Result<(LogicalPlan, BoundednessReport)>>,
+}
+
+impl Prepared<'_> {
+    /// The parsed statement.
+    pub fn statement(&self) -> &Statement {
+        &self.statement
+    }
+
+    /// The one admission rule: whether running this statement may engage
+    /// the crowd. A query (`SELECT`, `EXPLAIN ANALYZE SELECT`) may when
+    /// its plan is crowd-related, or when it failed to plan (it fails
+    /// with that error inside its span); `UPDATE` and `DELETE` always
+    /// may. DDL, `INSERT`, plain `EXPLAIN`, `SUBSCRIBE` and `UNSUBSCRIBE`
+    /// never post a HIT.
+    pub fn may_touch_crowd(&self) -> bool {
+        match &self.statement {
+            Statement::Update(_) | Statement::Delete(_) => true,
+            Statement::Select(_) | Statement::Explain { analyze: true, .. } => {
+                matches!(strip_explain(&self.statement), Statement::Select(_))
+                    && self
+                        .plan()
+                        .map_or(true, |(plan, _)| plan.is_crowd_related())
+            }
+            _ => false,
+        }
+    }
+
+    /// The prepared query plan and its boundedness report.
+    fn plan(&self) -> Result<&(LogicalPlan, BoundednessReport)> {
+        let planned = self.plan.as_ref().ok_or_else(|| {
+            CrowdError::Internal(format!("no query plan for: {}", self.statement))
+        })?;
+        planned.as_ref().map_err(Clone::clone)
+    }
 }
 
 // Compile-time guarantee that sessions can be shared across threads:
@@ -1792,17 +1808,6 @@ fn strip_explain(mut stmt: &Statement) -> &Statement {
 
 fn output_columns(plan: &LogicalPlan) -> Vec<String> {
     plan.schema().columns.into_iter().map(|c| c.name).collect()
-}
-
-/// Whether a parsed statement may engage the crowd (for the admission
-/// controller's crowd-statement limit). DDL and plain INSERT never post
-/// tasks; SELECT, UPDATE, DELETE, and `EXPLAIN ANALYZE` may.
-pub fn statement_touches_crowd(stmt: &Statement) -> bool {
-    match stmt {
-        Statement::Select(_) | Statement::Update(_) | Statement::Delete(_) => true,
-        Statement::Explain { analyze, statement } => *analyze && statement_touches_crowd(statement),
-        _ => false,
-    }
 }
 
 /// Best-effort text from a caught panic payload.
@@ -2265,21 +2270,6 @@ mod tests {
         let _sub = db.subscribe("SELECT a FROM t").unwrap();
         let err = db.subscribe("SELECT a FROM t").unwrap_err();
         assert_eq!(err.category(), "overloaded");
-    }
-
-    #[test]
-    fn classify_subscription_statement_routes_control_sql() {
-        let db = CrowdDB::new();
-        assert_eq!(
-            db.classify_subscription_statement("SUBSCRIBE SELECT a FROM t"),
-            Some(SubscriptionStatement::Subscribe)
-        );
-        assert_eq!(
-            db.classify_subscription_statement("UNSUBSCRIBE 7"),
-            Some(SubscriptionStatement::Unsubscribe(7))
-        );
-        assert_eq!(db.classify_subscription_statement("SELECT a FROM t"), None);
-        assert_eq!(db.classify_subscription_statement("not sql at all"), None);
     }
 
     #[test]

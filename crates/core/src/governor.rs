@@ -54,8 +54,11 @@ pub struct GovernorPolicy {
     /// Maximum statements executing concurrently in this session
     /// (admission control). `None` = unlimited.
     pub max_concurrent_statements: Option<usize>,
-    /// Maximum *crowd-touching* statements (SELECT/UPDATE/DELETE and
-    /// `EXPLAIN ANALYZE`, which may post HITs) executing concurrently.
+    /// Maximum *crowd-touching* statements executing concurrently: those
+    /// [`Prepared::may_touch_crowd`](crate::Prepared::may_touch_crowd)
+    /// names — a `SELECT` or `EXPLAIN ANALYZE SELECT` whose plan is
+    /// crowd-related, `UPDATE` and `DELETE`. A read of machine tables
+    /// takes only the total slot.
     pub max_concurrent_crowd_statements: Option<usize>,
     /// Admission wait policy when the session is at capacity:
     /// `None` blocks until a slot frees; `Some(t)` waits `t` *virtual*

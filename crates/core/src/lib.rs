@@ -39,11 +39,9 @@ pub use config::{
     ConcurrencyPolicy, CrowdConfig, DurabilityPolicy, QualityPolicy, RetryPolicy,
     SubscriptionPolicy,
 };
-pub use crowddb::{statement_touches_crowd, CrowdDB};
+pub use crowddb::{CrowdDB, Prepared};
 pub use crowddb_obs::{Event, EventRecord, MetricsSnapshot, Obs};
 pub use crowddb_wal::FsyncPolicy;
 pub use governor::{AdmissionController, CancelToken, GovernorPolicy, StatementGuard};
 pub use result::{CrowdSummary, QueryResult};
-pub use subscribe::{
-    canonical_rows, DeltaBatch, SubscriberState, SubscriptionHandle, SubscriptionStatement,
-};
+pub use subscribe::{canonical_rows, DeltaBatch, SubscriberState, SubscriptionHandle};

@@ -49,18 +49,6 @@ pub struct DeltaBatch {
     pub removed: Vec<Row>,
 }
 
-/// A standing-query control statement, as classified by
-/// [`CrowdDB::classify_subscription_statement`]. Lets a transport
-/// route these through its own ownership tracking instead of the
-/// generic query path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubscriptionStatement {
-    /// `SUBSCRIBE SELECT ...`
-    Subscribe,
-    /// `UNSUBSCRIBE <id>`
-    Unsubscribe(u64),
-}
-
 /// A multiset of rows: canonical codec bytes → copies. The key *is* the
 /// row ([`key_row`] decodes it), so each row is held once.
 pub(crate) type RowSet = BTreeMap<Vec<u8>, usize>;

@@ -1026,10 +1026,10 @@ impl Wave<'_> {
         // eventually ban honest contributors whose task kind simply has no
         // majority vote.
         for (worker, ti, voted) in self.worker_votes {
-            // Pay what the HIT actually offered (batched compares carry a
-            // larger per-assignment reward than the per-need base).
-            let items = trackers[ti].unit.len();
-            let reward = u64::from(batched_reward_cents(self.config.reward_cents, items));
+            // Pay what the posted HIT offered, which is what the platform
+            // charged (a batched compare offers more than the base, a
+            // volunteer HIT nothing).
+            let reward = u64::from(trackers[ti].spec.reward_cents);
             match (voted, &winning_keys[ti]) {
                 (Some(key), Some(winners)) => {
                     self.wrm
@@ -2083,6 +2083,58 @@ mod tests {
                 2 * case.scored.len() as u64,
                 "{label}: paid"
             );
+        }
+    }
+
+    /// The WRM pays each assignment what its posted HIT offered, so its
+    /// ledger reconciles with the platform's bill: a volunteer (0¢) probe
+    /// wave, and a batched compare wave, whose HIT offers more than the
+    /// base.
+    #[test]
+    fn wrm_earnings_equal_the_platform_bill() {
+        let schema = TableSchema::new(
+            "talk",
+            vec![
+                ColumnDef::new("title", DataType::Str),
+                ColumnDef::new("abstract", DataType::Str).crowd(),
+            ],
+        )
+        .unwrap()
+        .with_primary_key(&["title"])
+        .unwrap();
+        let db = Database::new();
+        db.create_table(schema).unwrap();
+        let tid = db
+            .insert("talk", Row::new(vec![Value::str("CrowdDB"), Value::CNull]))
+            .unwrap();
+        let probe = TaskNeed::ProbeValues {
+            table: "talk".into(),
+            tid,
+            context: vec![("title".into(), "CrowdDB".into())],
+            columns: vec![(1, "abstract".into(), DataType::Str)],
+        };
+        let compares = (0..2).map(|j| compare_need(false, j)).collect();
+        for (label, max_batch_size, needs) in [
+            ("0¢ probe", 0, vec![probe]),
+            ("batched compare", 2, compares),
+        ] {
+            let mut config = vote_three_escalate_once(QualityPolicy::MajorityVote);
+            config.reward_cents = 0;
+            config.concurrency.max_batch_size = max_batch_size;
+            let mut platform = crowddb_platform::MockPlatform::unanimous(|kind| match kind {
+                TaskKind::Probe { asked, .. } => Answer::Form(
+                    asked
+                        .iter()
+                        .map(|(c, _)| (c.clone(), "an abstract".to_string()))
+                        .collect(),
+                ),
+                TaskKind::EqualBatch { pairs, .. } => Answer::Batch(vec![Answer::Yes; pairs.len()]),
+                _ => Answer::Yes,
+            });
+            let s = fulfill_in(&db, &config, &needs, &mut platform);
+            let stats = platform.stats();
+            assert!(stats.assignments_completed > 0, "{label}");
+            assert_eq!(s.wrm.total_paid_cents(), stats.cents_spent, "{label}");
         }
     }
 

@@ -7,7 +7,7 @@
 //! the line so a plain string split suffices.
 
 use crowddb_common::CrowdError;
-use crowddb_core::CrowdDB;
+use crowddb_core::{CrowdConfig, CrowdDB};
 use crowddb_platform::Platform;
 
 mod common;
@@ -17,7 +17,11 @@ use common::world_script;
 /// crowd table (new tuples / crowd join inner), and a machine table
 /// (hash join, machine sort).
 fn seeded_db(platform: &mut dyn Platform) -> CrowdDB {
-    let db = CrowdDB::new();
+    seeded_db_with(CrowdConfig::default(), platform)
+}
+
+fn seeded_db_with(config: CrowdConfig, platform: &mut dyn Platform) -> CrowdDB {
+    let db = CrowdDB::with_config(config);
     for sql in [
         "CREATE TABLE Talk (title STRING PRIMARY KEY, abstract CROWD STRING, \
          nb_attendees CROWD INTEGER)",
@@ -416,16 +420,16 @@ fn explain_corpus() {
 fn posts_and_classification(sql: &str) -> (u64, bool) {
     let mut platform = world_script();
     let db = seeded_db(&mut platform);
-    let may = db.statement_may_touch_crowd(sql);
+    let may = db.prepare(sql).expect(sql).may_touch_crowd();
     let before = platform.stats().hits_posted;
     // An unbounded scan is refused; what counts is what reached the crowd.
     let _ = db.execute(sql, &mut platform);
     (platform.stats().hits_posted - before, may)
 }
 
-/// The server's admission tier trusts `statement_may_touch_crowd` to
-/// keep crowd work off the local tier: no statement of the corpus that
-/// posts a HIT may be classified local.
+/// Admission, embedded and on the server, trusts
+/// `Prepared::may_touch_crowd` to keep crowd work off the local tier: no
+/// statement of the corpus that posts a HIT may be classified local.
 #[test]
 fn every_corpus_statement_that_posts_a_hit_is_classified_crowd() {
     let mut posting = 0;
@@ -459,6 +463,37 @@ fn subqueries_and_select_lists_make_a_machine_query_crowd_related() {
     }
     let join = "SELECT t.title, v.room FROM Talk t JOIN Venue v ON t.title = v.talk";
     assert_eq!(posts_and_classification(join), (0, false));
+}
+
+/// The embedded twin of the server's `crowd_flood_cannot_starve_local_reads`:
+/// with no room on the crowd tier, every corpus statement is refused
+/// `Overloaded` or admitted and posts no HIT, and machine-only reads —
+/// a join among them — still run.
+#[test]
+fn a_full_crowd_tier_refuses_crowd_work_and_admits_machine_reads() {
+    let mut config = CrowdConfig::default();
+    config.governor.max_concurrent_crowd_statements = Some(0);
+    config.governor.admission_timeout_virtual_secs = Some(0.0);
+    let mut platform = world_script();
+    let db = seeded_db_with(config, &mut platform);
+    let mut admitted = 0;
+    for sql in CORPUS {
+        let before = platform.stats().hits_posted;
+        match db.execute(sql, &mut platform) {
+            Err(CrowdError::Overloaded(_)) => {}
+            outcome => {
+                let posted = platform.stats().hits_posted - before;
+                assert_eq!(posted, 0, "{sql} ran past a full crowd tier: {outcome:?}");
+                admitted += 1;
+            }
+        }
+    }
+    assert!(
+        admitted >= 10,
+        "only {admitted} corpus statements were admitted"
+    );
+    let join = "SELECT t.title, v.room FROM Talk t JOIN Venue v ON t.title = v.talk";
+    assert_eq!(db.execute(join, &mut platform).expect(join).rows.len(), 2);
 }
 
 /// An open-world scan inside a subquery is as unbounded as the same scan

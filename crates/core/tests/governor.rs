@@ -384,9 +384,24 @@ fn crowd_admission_limit_spares_local_statements() {
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)", &mut p)
         .unwrap();
     db.execute("INSERT INTO t VALUES (1)", &mut p).unwrap();
-    // SELECT may touch the crowd: rejected at the crowd limit.
-    let r = db.execute("SELECT id FROM t", &mut p);
-    assert!(matches!(r, Err(CrowdError::Overloaded(_))), "{r:?}");
+    db.execute(
+        "CREATE TABLE Talk (title STRING PRIMARY KEY, abstract CROWD STRING)",
+        &mut p,
+    )
+    .unwrap();
+    // A SELECT over a machine table cannot engage the crowd, by its
+    // plan: admitted on the local tier, and it answers.
+    let r = db.execute("SELECT id FROM t", &mut p).unwrap();
+    assert_eq!(r.rows.len(), 1);
+    // A SELECT that probes a CROWD column, and an UPDATE, may: rejected
+    // at the crowd limit.
+    for sql in [
+        "SELECT abstract FROM Talk WHERE title = 'CrowdDB'",
+        "UPDATE t SET id = 2 WHERE id = 1",
+    ] {
+        let r = db.execute(sql, &mut p);
+        assert!(matches!(r, Err(CrowdError::Overloaded(_))), "{sql}: {r:?}");
+    }
 }
 
 #[test]

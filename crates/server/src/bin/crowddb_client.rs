@@ -14,7 +14,6 @@
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
-use crowddb_core::QueryResult;
 use crowddb_server::Client;
 
 fn usage() -> ! {
@@ -38,7 +37,7 @@ fn run_one(client: &mut Client, line: &str) -> bool {
         }
         sql => {
             match client.query(sql) {
-                Ok(r) => println!("{}", QueryResult::from(&r).render()),
+                Ok(r) => println!("{}", r.render()),
                 Err(e) => eprintln!("error: {e}"),
             }
             true

@@ -12,9 +12,11 @@ use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use crowddb_core::{DeltaBatch, QueryResult};
+
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, ProtocolError, Request, Response,
-    WireDeltaBatch, WireResult, MAGIC,
+    MAGIC,
 };
 
 /// A client-side failure.
@@ -198,7 +200,7 @@ impl Client {
     }
 
     /// Execute one statement and block until its result or error.
-    pub fn query(&mut self, sql: &str) -> Result<WireResult, ClientError> {
+    pub fn query(&mut self, sql: &str) -> Result<QueryResult, ClientError> {
         send_request(
             &mut self.stream,
             &Request::Query {
@@ -233,7 +235,7 @@ impl Client {
     /// empty vector means the subscriber is caught up. A
     /// `subscription-lagged` remote error means queued batches were
     /// dropped; the next call resyncs with a snapshot batch.
-    pub fn poll_deltas(&mut self, id: u64, max: u32) -> Result<Vec<WireDeltaBatch>, ClientError> {
+    pub fn poll_deltas(&mut self, id: u64, max: u32) -> Result<Vec<DeltaBatch>, ClientError> {
         send_request(&mut self.stream, &Request::Poll { id, max })?;
         match read_response(&mut self.stream)? {
             Response::DeltaBatches { id: got, batches } if got == id => Ok(batches),

@@ -39,6 +39,6 @@ pub mod session;
 pub mod tenant;
 
 pub use client::{CancelHandle, Client, ClientError};
-pub use protocol::{ProtocolError, Request, Response, WireResult};
+pub use protocol::{ProtocolError, Request, Response};
 pub use server::{EngineGuard, PlatformFactory, Server, ServerConfig};
 pub use tenant::{AuthError, QuotaHold, TenantConfig, TenantRegistry, TenantState};

@@ -44,6 +44,7 @@ use crowddb_common::codec::{
     self, put_bool, put_f64, put_str, put_u32, put_u64, DecodeError, FrameError, Reader,
 };
 use crowddb_common::Row;
+use crowddb_core::{CrowdSummary, DeltaBatch, QueryResult};
 
 /// Connection magic: protocol name + format version.
 pub const MAGIC: &[u8; 8] = b"CDBP0001";
@@ -211,61 +212,6 @@ pub enum Request {
     },
 }
 
-/// One standing-query delta batch as carried on the wire.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireDeltaBatch {
-    /// Monotone per-subscription revision number.
-    pub revision: u64,
-    /// Whether the batch replaces the accumulated state (`added` is the
-    /// full result, `removed` empty).
-    pub snapshot: bool,
-    /// Rows entering the result.
-    pub added: Vec<Row>,
-    /// Rows leaving the result.
-    pub removed: Vec<Row>,
-}
-
-/// Full per-statement result as carried on the wire: rows plus the
-/// complete crowd-accounting summary, so remote clients reconcile
-/// cost exactly like embedded ones.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireResult {
-    /// Output column names.
-    pub columns: Vec<String>,
-    /// Result rows.
-    pub rows: Vec<Row>,
-    /// Rows affected by DML.
-    pub affected: u64,
-    /// Whether the result is final (no crowd work outstanding).
-    pub complete: bool,
-    /// Non-fatal notes.
-    pub warnings: Vec<String>,
-    /// Execution rounds.
-    pub rounds: u64,
-    /// HITs posted.
-    pub tasks_posted: u64,
-    /// Assignments collected.
-    pub answers_collected: u64,
-    /// Rewards paid, cents.
-    pub cents_spent: u64,
-    /// Virtual platform seconds consumed.
-    pub virtual_secs: f64,
-    /// Post retries.
-    pub retries: u64,
-    /// Deadline reposts.
-    pub reposts: u64,
-    /// Duplicate deliveries dropped.
-    pub duplicates_dropped: u64,
-    /// Failed platform posts absorbed.
-    pub post_failures: u64,
-    /// Failed platform extends absorbed.
-    pub extend_failures: u64,
-    /// Needs settled without strict majority.
-    pub gave_up: u64,
-    /// Circuit breaker tripped during the statement.
-    pub degraded: bool,
-}
-
 /// Server → client messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -278,8 +224,9 @@ pub enum Response {
         /// Server software identification.
         server: String,
     },
-    /// A statement's result.
-    RowSet(WireResult),
+    /// A statement's result, with its full crowd-accounting summary, so
+    /// remote clients reconcile cost exactly like embedded ones.
+    RowSet(QueryResult),
     /// A statement or protocol failure, typed by the engine's error
     /// category (`parse`, `overloaded`, `cancelled`, `budget`,
     /// `protocol`, ...).
@@ -311,7 +258,7 @@ pub enum Response {
         /// Subscription id the batches belong to.
         id: u64,
         /// Drained batches, oldest first.
-        batches: Vec<WireDeltaBatch>,
+        batches: Vec<DeltaBatch>,
     },
     /// The standing query was dropped.
     UnsubscribeOk,
@@ -373,6 +320,12 @@ fn put_strs(buf: &mut Vec<u8>, items: &[String]) {
 
 fn get_str(r: &mut Reader<'_>) -> Result<String, ProtocolError> {
     Ok(r.str()?.to_string())
+}
+
+/// A count the engine holds as `usize`, sent as a `u64`.
+fn get_usize(r: &mut Reader<'_>) -> Result<usize, ProtocolError> {
+    let n = r.u64()?;
+    usize::try_from(n).map_err(|_| ProtocolError::Malformed(format!("count {n} overflows usize")))
 }
 
 fn get_strs(r: &mut Reader<'_>) -> Result<Vec<String>, ProtocolError> {
@@ -493,21 +446,22 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             buf.push(RESP_ROWSET);
             put_strs(&mut buf, &r.columns);
             put_rows(&mut buf, &r.rows);
-            put_u64(&mut buf, r.affected);
+            put_u64(&mut buf, r.affected as u64);
             put_bool(&mut buf, r.complete);
             put_strs(&mut buf, &r.warnings);
-            put_u64(&mut buf, r.rounds);
-            put_u64(&mut buf, r.tasks_posted);
-            put_u64(&mut buf, r.answers_collected);
-            put_u64(&mut buf, r.cents_spent);
-            put_f64(&mut buf, r.virtual_secs);
-            put_u64(&mut buf, r.retries);
-            put_u64(&mut buf, r.reposts);
-            put_u64(&mut buf, r.duplicates_dropped);
-            put_u64(&mut buf, r.post_failures);
-            put_u64(&mut buf, r.extend_failures);
-            put_u64(&mut buf, r.gave_up);
-            put_bool(&mut buf, r.degraded);
+            let c = &r.crowd;
+            put_u64(&mut buf, c.rounds as u64);
+            put_u64(&mut buf, c.tasks_posted);
+            put_u64(&mut buf, c.answers_collected);
+            put_u64(&mut buf, c.cents_spent);
+            put_f64(&mut buf, c.virtual_secs);
+            put_u64(&mut buf, c.retries);
+            put_u64(&mut buf, c.reposts);
+            put_u64(&mut buf, c.duplicates_dropped);
+            put_u64(&mut buf, c.post_failures);
+            put_u64(&mut buf, c.extend_failures);
+            put_u64(&mut buf, c.gave_up);
+            put_bool(&mut buf, c.degraded);
         }
         Response::Error { category, message } => {
             buf.push(RESP_ERROR);
@@ -550,24 +504,27 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
             cancel_key: r.u64()?,
             server: get_str(r)?,
         },
-        RESP_ROWSET => Response::RowSet(WireResult {
+        // Fields are read in the order they are written.
+        RESP_ROWSET => Response::RowSet(QueryResult {
             columns: get_strs(r)?,
             rows: get_rows(r)?,
-            affected: r.u64()?,
+            affected: get_usize(r)?,
             complete: r.bool()?,
             warnings: get_strs(r)?,
-            rounds: r.u64()?,
-            tasks_posted: r.u64()?,
-            answers_collected: r.u64()?,
-            cents_spent: r.u64()?,
-            virtual_secs: r.f64()?,
-            retries: r.u64()?,
-            reposts: r.u64()?,
-            duplicates_dropped: r.u64()?,
-            post_failures: r.u64()?,
-            extend_failures: r.u64()?,
-            gave_up: r.u64()?,
-            degraded: r.bool()?,
+            crowd: CrowdSummary {
+                rounds: get_usize(r)?,
+                tasks_posted: r.u64()?,
+                answers_collected: r.u64()?,
+                cents_spent: r.u64()?,
+                virtual_secs: r.f64()?,
+                retries: r.u64()?,
+                reposts: r.u64()?,
+                duplicates_dropped: r.u64()?,
+                post_failures: r.u64()?,
+                extend_failures: r.u64()?,
+                gave_up: r.u64()?,
+                degraded: r.bool()?,
+            },
         }),
         RESP_ERROR => Response::Error {
             category: get_str(r)?,
@@ -586,7 +543,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
             let n = r.count(8 + 1 + 4 + 4)?;
             let mut batches = Vec::with_capacity(n);
             for _ in 0..n {
-                batches.push(WireDeltaBatch {
+                batches.push(DeltaBatch {
                     revision: r.u64()?,
                     snapshot: r.bool()?,
                     added: get_rows(r)?,
@@ -648,7 +605,7 @@ mod tests {
                 cancel_key: 99,
                 server: "crowddb 0.1".into(),
             },
-            Response::RowSet(WireResult {
+            Response::RowSet(QueryResult {
                 columns: vec!["title".into(), "n".into()],
                 rows: vec![
                     row!["CrowdDB", 120i64],
@@ -657,18 +614,20 @@ mod tests {
                 affected: 0,
                 complete: true,
                 warnings: vec!["partial-ish".into()],
-                rounds: 2,
-                tasks_posted: 3,
-                answers_collected: 3,
-                cents_spent: 3,
-                virtual_secs: 1234.5,
-                retries: 1,
-                reposts: 0,
-                duplicates_dropped: 2,
-                post_failures: 1,
-                extend_failures: 0,
-                gave_up: 0,
-                degraded: false,
+                crowd: CrowdSummary {
+                    rounds: 2,
+                    tasks_posted: 3,
+                    answers_collected: 3,
+                    cents_spent: 3,
+                    virtual_secs: 1234.5,
+                    retries: 1,
+                    reposts: 0,
+                    duplicates_dropped: 2,
+                    post_failures: 1,
+                    extend_failures: 0,
+                    gave_up: 0,
+                    degraded: false,
+                },
             }),
             Response::Error {
                 category: "overloaded".into(),
@@ -686,13 +645,13 @@ mod tests {
             Response::DeltaBatches {
                 id: 5,
                 batches: vec![
-                    WireDeltaBatch {
+                    DeltaBatch {
                         revision: 1,
                         snapshot: true,
                         added: vec![row!["CrowdDB", 120i64]],
                         removed: vec![],
                     },
-                    WireDeltaBatch {
+                    DeltaBatch {
                         revision: 2,
                         snapshot: false,
                         added: vec![row!["Qurk", 3i64]],

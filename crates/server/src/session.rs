@@ -23,66 +23,22 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crowddb_common::{CrowdError, Row, Value};
-use crowddb_core::{CancelToken, CrowdSummary, QueryResult, SubscriptionStatement};
+use crowddb_core::{CancelToken, Prepared, QueryResult};
 use crowddb_obs::Event;
+use crowddb_sql::Statement;
 
 use crate::protocol::{
     decode_request, encode_response, read_frame, write_frame, ProtocolError, Request, Response,
-    WireDeltaBatch, WireResult, MAGIC, MAX_FRAME,
+    MAGIC, MAX_FRAME,
 };
 use crate::server::{fresh_cancel_key, SessionEntry, Shared};
 use crate::tenant::tenant_metric;
 
-/// Convert an engine result into its wire form.
-pub fn wire_result(r: &QueryResult) -> WireResult {
-    WireResult {
-        columns: r.columns.clone(),
-        rows: r.rows.clone(),
-        affected: r.affected as u64,
-        complete: r.complete,
-        warnings: r.warnings.clone(),
-        rounds: r.crowd.rounds as u64,
-        tasks_posted: r.crowd.tasks_posted,
-        answers_collected: r.crowd.answers_collected,
-        cents_spent: r.crowd.cents_spent,
-        virtual_secs: r.crowd.virtual_secs,
-        retries: r.crowd.retries,
-        reposts: r.crowd.reposts,
-        duplicates_dropped: r.crowd.duplicates_dropped,
-        post_failures: r.crowd.post_failures,
-        extend_failures: r.crowd.extend_failures,
-        gave_up: r.crowd.gave_up,
-        degraded: r.crowd.degraded,
-    }
-}
-
-/// The engine result a wire result carries — [`wire_result`]'s inverse —
-/// so remote front ends print through [`QueryResult::render`] like the
-/// embedded one.
-impl From<&WireResult> for QueryResult {
-    fn from(r: &WireResult) -> QueryResult {
-        QueryResult {
-            columns: r.columns.clone(),
-            rows: r.rows.clone(),
-            affected: r.affected as usize,
-            crowd: CrowdSummary {
-                rounds: r.rounds as usize,
-                tasks_posted: r.tasks_posted,
-                answers_collected: r.answers_collected,
-                cents_spent: r.cents_spent,
-                virtual_secs: r.virtual_secs,
-                retries: r.retries,
-                reposts: r.reposts,
-                duplicates_dropped: r.duplicates_dropped,
-                post_failures: r.post_failures,
-                extend_failures: r.extend_failures,
-                gave_up: r.gave_up,
-                degraded: r.degraded,
-            },
-            warnings: r.warnings.clone(),
-            complete: r.complete,
-        }
-    }
+/// The result a [`Response::RowSet`] carries for `r`: the wire sends
+/// [`QueryResult`] itself, so this is a clone (kept for callers that
+/// still build a row set through it).
+pub fn wire_result(r: &QueryResult) -> QueryResult {
+    r.clone()
 }
 
 fn send(stream: &mut TcpStream, resp: &Response) -> bool {
@@ -292,38 +248,36 @@ fn run_session(shared: &Arc<Shared>, mut stream: TcpStream, tenant: &str, token:
                 // leak a standing query that re-evaluates forever.
                 Request::Query { sql } => {
                     requests += 1;
-                    match shared.engine.db().classify_subscription_statement(&sql) {
-                        Some(SubscriptionStatement::Subscribe) => open_subscription(
+                    let prepared = shared.engine.db().prepare(&sql);
+                    match prepared.as_ref().map(Prepared::statement) {
+                        Ok(Statement::Subscribe(_)) => open_subscription(
                             shared,
                             &obs,
                             slot.tenant(),
                             &sql,
                             &mut sub_ids,
                             // The embedded engine answers this statement
-                            // with a one-row result set; the wire form
-                            // matches it exactly.
+                            // with a one-row result set; so does the wire.
                             |id, _columns| {
-                                Response::RowSet(wire_result(&QueryResult {
+                                Response::RowSet(QueryResult {
                                     columns: vec!["subscription_id".into()],
                                     rows: vec![Row::new(vec![Value::Int(id as i64)])],
                                     complete: true,
                                     ..Default::default()
-                                }))
+                                })
                             },
                         ),
-                        Some(SubscriptionStatement::Unsubscribe(id)) => {
-                            match close_subscription(shared, slot.tenant(), id, &mut sub_ids) {
-                                Response::UnsubscribeOk => {
-                                    Response::RowSet(wire_result(&QueryResult::ddl()))
-                                }
+                        Ok(Statement::Unsubscribe { id }) => {
+                            match close_subscription(shared, slot.tenant(), *id, &mut sub_ids) {
+                                Response::UnsubscribeOk => Response::RowSet(QueryResult::ddl()),
                                 other => other,
                             }
                         }
-                        None => execute_query(
+                        _ => execute_query(
                             shared,
                             &obs,
                             slot.tenant(),
-                            &sql,
+                            prepared,
                             platform.as_mut(),
                             &cancel,
                         ),
@@ -476,12 +430,7 @@ fn poll_subscription(shared: &Arc<Shared>, id: u64, max: u32) -> Response {
     let mut batches = Vec::new();
     for _ in 0..max.max(1) {
         match db.poll_subscription(id) {
-            Ok(Some(b)) => batches.push(WireDeltaBatch {
-                revision: b.revision,
-                snapshot: b.snapshot,
-                added: b.added,
-                removed: b.removed,
-            }),
+            Ok(Some(b)) => batches.push(b),
             Ok(None) => break,
             Err(e) => {
                 // An error frame carries no batches, so only error when
@@ -508,18 +457,22 @@ fn execute_query(
     shared: &Arc<Shared>,
     obs: &Arc<crowddb_obs::Obs>,
     tenant: &Arc<crate::tenant::TenantState>,
-    sql: &str,
+    prepared: crowddb_common::Result<Prepared<'_>>,
     platform: &mut dyn crowddb_platform::Platform,
     cancel: &CancelToken,
 ) -> Response {
     let name = tenant.config.name.clone();
     obs.registry()
         .counter_inc(&tenant_metric("crowddb_server_requests_total", &name));
+    let prepared = match prepared {
+        Ok(prepared) => prepared,
+        Err(e) => return engine_error(&e),
+    };
 
-    // Catalog-aware tier classification: a SELECT over purely machine
-    // tables is admitted on the local tier, so a crowd flood at the
-    // crowd cap can never starve local reads.
-    let crowd = shared.engine.db().statement_may_touch_crowd(sql);
+    // The tier is the engine's own admission rule, read off the plan: a
+    // SELECT over purely machine tables is admitted on the local tier,
+    // so a crowd flood at the crowd cap can never starve local reads.
+    let crowd = prepared.may_touch_crowd();
     if crowd && tenant.exhausted() {
         // The governor would degrade gracefully to an empty partial
         // result; at the tenancy boundary an exhausted quota is a hard,
@@ -555,7 +508,7 @@ fn execute_query(
     let outcome = shared
         .engine
         .db()
-        .execute_with_session(sql, platform, &policy, cancel);
+        .execute_with_session(&prepared, platform, &policy, cancel);
     drop(permit);
 
     match outcome {
@@ -568,45 +521,10 @@ fn execute_query(
                     cents,
                 );
             }
-            Response::RowSet(wire_result(&result))
+            Response::RowSet(result)
         }
         // `hold` drops here: the reservation is released, nothing is
         // charged (a failed statement reports no summary to charge).
         Err(e) => engine_error(&e),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crowddb_common::row;
-
-    #[test]
-    fn a_result_renders_the_same_after_the_wire_round_trip() {
-        let r = QueryResult {
-            columns: vec!["title".into(), "n".into()],
-            rows: vec![row!["CrowdDB", Value::CNull], row!["Qurk", Value::Null]],
-            affected: 0,
-            crowd: CrowdSummary {
-                rounds: 2,
-                tasks_posted: 3,
-                answers_collected: 9,
-                cents_spent: 9,
-                virtual_secs: 1260.0,
-                retries: 1,
-                reposts: 2,
-                duplicates_dropped: 3,
-                post_failures: 4,
-                extend_failures: 5,
-                gave_up: 6,
-                degraded: true,
-            },
-            warnings: vec!["accepted plurality answer".into()],
-            complete: false,
-        };
-        let back = QueryResult::from(&wire_result(&r));
-        assert_eq!(back, r);
-        assert_eq!(back.render(), r.render());
-        assert!(r.render().contains("[partial]\nnote: accepted"), "{r:?}");
     }
 }

@@ -15,8 +15,8 @@ use std::collections::HashMap;
 
 use crowddb_common::codec::{self, Reader};
 use crowddb_common::{row, Row, TupleId, Value};
-use crowddb_core::{CrowdConfig, CrowdDB};
-use crowddb_server::protocol::{self, Request, Response, WireResult};
+use crowddb_core::{CrowdConfig, CrowdDB, CrowdSummary, QueryResult};
+use crowddb_server::protocol::{self, Request, Response};
 use crowddb_storage::pager::JOURNAL_FILE;
 use crowddb_storage::{Database, LogRecord, PagerConfig};
 use crowddb_wal::testutil::TestDir;
@@ -256,24 +256,26 @@ fn request() -> Request {
 }
 
 fn response() -> Response {
-    Response::RowSet(WireResult {
+    Response::RowSet(QueryResult {
         columns: vec!["title".into(), "n".into()],
         rows: vec![row!["CrowdDB", 120i64], row!["Qurk", Value::CNull]],
         affected: 2,
         complete: true,
         warnings: vec!["partial-ish".into()],
-        rounds: 2,
-        tasks_posted: 3,
-        answers_collected: 9,
-        cents_spent: 27,
-        virtual_secs: 1234.5,
-        retries: 1,
-        reposts: 4,
-        duplicates_dropped: 2,
-        post_failures: 5,
-        extend_failures: 6,
-        gave_up: 7,
-        degraded: true,
+        crowd: CrowdSummary {
+            rounds: 2,
+            tasks_posted: 3,
+            answers_collected: 9,
+            cents_spent: 27,
+            virtual_secs: 1234.5,
+            retries: 1,
+            reposts: 4,
+            duplicates_dropped: 2,
+            post_failures: 5,
+            extend_failures: 6,
+            gave_up: 7,
+            degraded: true,
+        },
     })
 }
 

@@ -165,11 +165,11 @@ fn remote_execution_is_byte_identical_to_in_process() {
         );
         assert_eq!(got.columns, expect.columns, "columns diverge for {sql}");
         assert_eq!(
-            got.cents_spent, expect.crowd.cents_spent,
+            got.crowd.cents_spent, expect.crowd.cents_spent,
             "crowd cost diverges for {sql}"
         );
         assert_eq!(
-            got.tasks_posted, expect.crowd.tasks_posted,
+            got.crowd.tasks_posted, expect.crowd.tasks_posted,
             "task count diverges for {sql}"
         );
         assert_eq!(got.complete, expect.complete);
@@ -213,7 +213,7 @@ fn concurrent_clients_share_one_durable_engine_and_survive_restart() {
                     .expect("crowd query");
                 assert_eq!(r.rows.len(), 1, "{title} row");
                 assert!(r.complete);
-                spent.fetch_add(r.cents_spent, Ordering::Relaxed);
+                spent.fetch_add(r.crowd.cents_spent, Ordering::Relaxed);
                 c.close().expect("close worker");
             }));
         }
@@ -239,7 +239,7 @@ fn concurrent_clients_share_one_durable_engine_and_survive_restart() {
             .expect("post-restart query");
         assert_eq!(r.rows.len(), 1);
         assert_eq!(
-            r.tasks_posted, 0,
+            r.crowd.tasks_posted, 0,
             "memorized answer for {title} should cost nothing after restart \
              (paid for {spent_total} cents before)"
         );
@@ -541,8 +541,8 @@ fn shutdown_drains_inflight_statements_and_checkpoints_once() {
         let r = c
             .query("SELECT abstract FROM Talk WHERE title = 'Turkit'")
             .expect("in-flight statement must finish and be answered");
-        assert!(r.cents_spent > 0, "the statement did pay the crowd");
-        r.cents_spent
+        assert!(r.crowd.cents_spent > 0, "the statement did pay the crowd");
+        r.crowd.cents_spent
     });
     std::thread::sleep(Duration::from_millis(80)); // let it get going
     server.join().expect("drain with statement in flight");
@@ -556,7 +556,7 @@ fn shutdown_drains_inflight_statements_and_checkpoints_once() {
         .query("SELECT abstract FROM Talk WHERE title = 'Turkit'")
         .expect("post-drain read");
     assert_eq!(
-        r.tasks_posted, 0,
+        r.crowd.tasks_posted, 0,
         "answer paid {paid} cents before the drain must be memorized"
     );
     c.close().expect("close");
@@ -631,7 +631,7 @@ fn exhausted_quota_refuses_crowd_statements_with_budget_error() {
         match c.query(&format!(
             "SELECT abstract FROM Talk WHERE title = '{title}'"
         )) {
-            Ok(r) => spent += r.cents_spent,
+            Ok(r) => spent += r.crowd.cents_spent,
             Err(e) => {
                 assert_eq!(e.category(), "budget", "{e}");
                 break;
@@ -650,7 +650,7 @@ fn exhausted_quota_refuses_crowd_statements_with_budget_error() {
     // Crowd statements: typed budget refusal. Local statements: fine.
     let err = c
         .query("SELECT abstract FROM Talk WHERE title = 'CrowdDB'")
-        .map(|r| r.tasks_posted)
+        .map(|r| r.crowd.tasks_posted)
         .expect_err("crowd statement after exhaustion");
     assert_eq!(err.category(), "budget", "{err}");
     c.query("INSERT INTO Talk (title) VALUES ('Datomic')")
@@ -687,7 +687,7 @@ fn explain_analyze_is_charged_against_the_tenant_quota() {
         match c.query(&format!(
             "EXPLAIN ANALYZE SELECT abstract FROM Talk WHERE title = 't{i}'"
         )) {
-            Ok(r) => reported += r.cents_spent,
+            Ok(r) => reported += r.crowd.cents_spent,
             Err(e) => {
                 assert_eq!(e.category(), "budget", "{e}");
                 refused += 1;
@@ -702,7 +702,7 @@ fn explain_analyze_is_charged_against_the_tenant_quota() {
 
     let err = c
         .query("SELECT abstract FROM Talk WHERE title = 't9'")
-        .map(|r| r.tasks_posted)
+        .map(|r| r.crowd.tasks_posted)
         .expect_err("crowd statement after exhaustion");
     assert_eq!(err.category(), "budget", "{err}");
     c.close().expect("close");
@@ -751,7 +751,7 @@ fn chaos_accounting_reconciles_across_sessions() {
                         "SELECT abstract FROM Talk WHERE title = '{title}'"
                     ))
                     .expect("chaos query");
-                client_reported.fetch_add(r.cents_spent, Ordering::Relaxed);
+                client_reported.fetch_add(r.crowd.cents_spent, Ordering::Relaxed);
             }
             c.close().expect("chaos close");
         }));

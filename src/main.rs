@@ -29,7 +29,8 @@
 
 use std::io::{self, BufRead, Write};
 
-use crowddb::{CrowdDB, Platform, QualityPolicy, QueryResult, SimPlatform};
+use crowddb::{CrowdDB, Platform, QualityPolicy, SimPlatform};
+use crowddb_core::DeltaBatch;
 use crowddb_platform::PerfectModel;
 use crowddb_server::{Client as RemoteClient, ClientError};
 
@@ -83,7 +84,7 @@ fn print_help() {
 fn run_remote(remote: &mut RemoteClient, sql: &str) -> bool {
     match remote.query(sql) {
         Ok(r) => {
-            println!("{}", QueryResult::from(&r).render());
+            println!("{}", r.render());
             true
         }
         Err(ClientError::Protocol(e)) => {
@@ -99,23 +100,18 @@ fn run_remote(remote: &mut RemoteClient, sql: &str) -> bool {
 
 /// Print one delta batch in `\watch` form: revision header, then rows
 /// prefixed `+` (entering) / `-` (leaving). Snapshots replace state.
-fn print_delta(
-    id: u64,
-    revision: u64,
-    snapshot: bool,
-    added: &[crowddb::Row],
-    removed: &[crowddb::Row],
-) {
+fn print_delta(id: u64, b: &DeltaBatch) {
     println!(
-        "watch {id} rev {revision}{}: +{} -{}",
-        if snapshot { " (snapshot)" } else { "" },
-        added.len(),
-        removed.len()
+        "watch {id} rev {}{}: +{} -{}",
+        b.revision,
+        if b.snapshot { " (snapshot)" } else { "" },
+        b.added.len(),
+        b.removed.len()
     );
-    for r in removed {
+    for r in &b.removed {
         println!("  - {}", row_text(r));
     }
-    for r in added {
+    for r in &b.added {
         println!("  + {}", row_text(r));
     }
 }
@@ -132,7 +128,7 @@ fn row_text(r: &crowddb::Row) -> String {
 fn drain_embedded(db: &CrowdDB, id: u64) {
     loop {
         match db.poll_subscription(id) {
-            Ok(Some(b)) => print_delta(id, b.revision, b.snapshot, &b.added, &b.removed),
+            Ok(Some(b)) => print_delta(id, &b),
             Ok(None) => break,
             Err(e) => {
                 println!("watch {id}: {e}");
@@ -342,7 +338,7 @@ fn run_meta(
                         Ok(batches) if batches.is_empty() => println!("watch {id}: caught up"),
                         Ok(batches) => {
                             for b in batches {
-                                print_delta(id, b.revision, b.snapshot, &b.added, &b.removed);
+                                print_delta(id, &b);
                             }
                         }
                         Err(e) => println!("watch {id}: {e}"),
@@ -368,7 +364,7 @@ fn run_meta(
                     match client.poll_deltas(id, 32) {
                         Ok(batches) => {
                             for b in batches {
-                                print_delta(id, b.revision, b.snapshot, &b.added, &b.removed);
+                                print_delta(id, &b);
                             }
                         }
                         Err(e) => println!("watch {id}: {e}"),
