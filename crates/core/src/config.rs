@@ -185,8 +185,6 @@ pub struct CrowdConfig {
     /// Virtual seconds the task manager pumps the platform per round
     /// before giving up on stragglers.
     pub round_budget_secs: f64,
-    /// Platform pump step, virtual seconds.
-    pub pump_step_secs: f64,
     /// Ban workers whose agreement rate drops below this after 10 tasks.
     pub ban_threshold: f64,
     /// Per-statement crowdsourcing budget in cents; `None` = unlimited.
@@ -241,7 +239,6 @@ impl Default for CrowdConfig {
             vote: VoteConfig::default(),
             max_rounds: 16,
             round_budget_secs: 14.0 * 24.0 * 3600.0, // two virtual weeks
-            pump_step_secs: 600.0,
             ban_threshold: 0.25,
             max_budget_cents: None,
             slow_statement_virtual_secs: None,
@@ -279,7 +276,6 @@ mod tests {
         let c = CrowdConfig::default();
         assert!(c.max_rounds >= 2);
         assert!(c.round_budget_secs > 0.0);
-        assert!(c.pump_step_secs > 0.0);
         assert_eq!(c.vote.replication, 3);
     }
 

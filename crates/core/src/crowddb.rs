@@ -3,11 +3,11 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crowddb_common::codec::{self, Reader};
-use crowddb_common::sync::{Mutex, RwLock};
+use crowddb_common::sync::Mutex;
 use crowddb_common::{CancelReason, CrowdError, Result, Row, Value};
 use crowddb_exec::{
     dml, execute_physical_analyzed, execute_physical_guarded, flush_op_stats, live_row_stats,
@@ -65,21 +65,6 @@ pub struct CrowdDB {
     exhausted: Mutex<std::collections::HashSet<String>>,
     config: CrowdConfig,
     optimizer: OptimizerConfig,
-    /// Serializes checkpoints against non-idempotent mutation+log pairs.
-    ///
-    /// Crowd-round records (write-backs, cache verdicts) are idempotent
-    /// — replaying them over a snapshot that already contains their
-    /// effect is harmless — so the fulfillment path never takes this.
-    /// DDL and logical DML records are NOT idempotent: a snapshot landing
-    /// between such a mutation and its log record would make recovery
-    /// re-apply the record on top of state that already contains it.
-    /// Those paths hold the read side across mutation+append; a
-    /// checkpoint takes the write side.
-    ///
-    /// Lock hierarchy (DESIGN.md §10): `ckpt_latch` → `durable` → cache
-    /// shards; `wrm`/`templates` are leaf locks taken by at most one
-    /// fulfillment wave at a time and never held across `durable`.
-    ckpt_latch: RwLock<()>,
     /// Write-ahead log + snapshot store for sessions created with
     /// [`CrowdDB::open`], behind a group-commit wrapper so concurrent
     /// sessions share one log and piggyback fsyncs. `None` for purely
@@ -100,31 +85,17 @@ pub struct CrowdDB {
     /// `config.governor` at construction.
     admission: AdmissionController,
     /// Standing queries (`SUBSCRIBE`): id allocator + per-subscription
-    /// state. A leaf lock in the hierarchy — held across standing-query
-    /// maintenance (which takes only storage read locks and cache
-    /// snapshots) so delta revisions are produced in one serial order,
-    /// but never held while acquiring `ckpt_latch` or `durable`.
+    /// state — and the one writer section (DESIGN.md §10). Every DDL and
+    /// DML holds it from its first mutation through its log append and
+    /// its standing-query fold, and a checkpoint, a registration and a
+    /// settlement's re-evaluation hold it too. So writers apply and log
+    /// in one order, no snapshot lands between a mutation and its
+    /// record, and nothing changes storage between a subscription's last
+    /// fold and the next DML, which makes that DML's delta exact.
     ///
-    /// It does *not* order DML against maintenance: a statement mutates
-    /// first and notifies afterwards, so a notification may find storage
-    /// ahead of the statement it speaks for. Re-evaluation does not mind
-    /// (it diffs whatever is there); a delta does — it is exact only on
-    /// top of the state its statement started from. `dml_begun` and
-    /// `dml_ended` say when that holds, with no further lock (DESIGN.md
-    /// §14.1): every DML takes the next `dml_begun` as its ticket before
-    /// its first mutation and bumps `dml_ended` after its last, failed
-    /// or not. A subscription's `epoch` is the ticket its state is exact
-    /// as of; it is set by a delta of ticket `epoch + 1` during which
-    /// `dml_begun` still read that ticket, or by a re-evaluation around
-    /// which nothing was in flight (`dml_ended == dml_begun`, unmoved
-    /// afterwards), and cleared by any other re-evaluation.
+    /// Lock order: this → `durable` → `db` / cache shards / `wrm` /
+    /// `templates`. Nothing takes it while holding one of those.
     subs: Mutex<SubRegistry>,
-    /// Live subscriptions, for a DML to read without `subs`: only with
-    /// one to tell does it copy out the rows it changes.
-    subs_open: AtomicUsize,
-    /// DML statements begun (the ticket counter) and ended.
-    dml_begun: AtomicU64,
-    dml_ended: AtomicU64,
 }
 
 impl Default for CrowdDB {
@@ -176,16 +147,12 @@ impl CrowdDB {
             exhausted: Mutex::new(std::collections::HashSet::new()),
             config,
             optimizer: OptimizerConfig::default(),
-            ckpt_latch: RwLock::new(()),
             durable: None,
             obs,
             next_statement_id: AtomicU64::new(0),
             cancel: CancelToken::new(),
             admission,
             subs: Mutex::new(SubRegistry::default()),
-            subs_open: AtomicUsize::new(0),
-            dml_begun: AtomicU64::new(0),
-            dml_ended: AtomicU64::new(0),
         };
         for rec in log {
             session.replay_record(rec).map_err(|e| {
@@ -283,7 +250,7 @@ impl CrowdDB {
         match rec {
             LogRecord::Dml { sql } => {
                 let stmt = parse_statement(sql)?;
-                self.write_dml(&stmt, None, ExecGuard::unlimited(), false)?;
+                self.write_dml(&stmt, None, &ExecGuard::unlimited(), false)?;
                 Ok(())
             }
             LogRecord::PutEqual {
@@ -334,10 +301,10 @@ impl CrowdDB {
         let Some(store) = &self.durable else {
             return Ok(());
         };
-        // Exclusive with every non-idempotent mutation+log pair (see the
-        // `ckpt_latch` field docs): a snapshot must not land between a
-        // DDL/DML mutation and its log record.
-        let _latch = self.ckpt_latch.write();
+        // Inside the writer section (the `subs` field): a snapshot must
+        // not land between a DDL/DML mutation and its log record, or
+        // recovery would apply the record on top of state that holds it.
+        let _writers = self.subs.lock();
         // Hold the store lock across the state capture so no append can
         // slip between the snapshot and the truncation.
         let covered = store.with_store(|s| {
@@ -561,8 +528,7 @@ impl CrowdDB {
                     }
                 };
                 reg.counter_inc("crowddb_governor_admitted_total");
-                let mut guard = StatementGuard::new(policy, cancel, platform.now());
-                guard.exec.hybrid_order = self.config.hybrid_order;
+                let guard = StatementGuard::new(policy, cancel, platform.now());
                 (Some(platform), guard, Some(permit), Some(cancel))
             }
         };
@@ -804,29 +770,30 @@ impl CrowdDB {
                 if ct.if_not_exists && self.db.schema(&schema.name).is_ok() {
                     return Ok(QueryResult::ddl());
                 }
-                self.templates.lock().register_schema(&schema);
-                self.logged(ddl_record(), || self.db.create_table(schema))?;
+                self.logged(ddl_record(), |_| {
+                    self.templates.lock().register_schema(&schema);
+                    self.db.create_table(schema)?;
+                    Ok(((), None))
+                })?;
                 Ok(QueryResult::ddl())
             }
             Statement::CreateIndex(ci) => {
-                self.logged(ddl_record(), || {
+                self.logged(ddl_record(), |_| {
                     self.db
-                        .create_index(&ci.name, &ci.table, &ci.columns, ci.unique)
+                        .create_index(&ci.name, &ci.table, &ci.columns, ci.unique)?;
+                    // Standing queries keep the plan they last lowered;
+                    // the table's watchers lower again, with the index.
+                    Ok(((), Some(Trigger::Ddl(&ci.table))))
                 })?;
-                // Standing queries keep the plan they last lowered; have
-                // the table's watchers lower again, with the new index.
-                self.notify_subscriptions(Trigger::Ddl(&ci.table));
                 Ok(QueryResult::ddl())
             }
             Statement::DropTable { name, if_exists } => {
-                self.logged(ddl_record(), || {
+                self.logged(ddl_record(), |_| {
                     self.db.drop_table(name, *if_exists)?;
                     self.templates.lock().drop_table(name);
-                    Ok(())
+                    // Standing queries watching the table fail.
+                    Ok(((), Some(Trigger::Ddl(name))))
                 })?;
-                // Standing queries watching the table fail on their next
-                // trigger; notify outside the checkpoint latch.
-                self.notify_subscriptions(Trigger::Ddl(name));
                 Ok(QueryResult::ddl())
             }
             Statement::Insert(ins) => {
@@ -856,21 +823,30 @@ impl CrowdDB {
         }
     }
 
-    /// Apply one non-idempotent mutation (DDL, logical DML) and append
-    /// its log record under the read side of `ckpt_latch`: a mutation
-    /// and its log record never straddle a checkpoint, or recovery would
-    /// re-apply the record on top of a snapshot that already holds it.
-    fn logged<T>(&self, record: LogRecord, mutate: impl FnOnce() -> Result<T>) -> Result<T> {
-        let _latch = self.ckpt_latch.read();
-        let out = mutate()?;
-        self.log_record(record)?;
-        Ok(out)
+    /// The writer section (the `subs` field): apply one DDL or DML
+    /// statement, append its log record and fold what it changed into the
+    /// standing queries its trigger concerns, all under the registry lock.
+    /// `mutate` is told whether any subscription is open (whether a DML
+    /// should collect its change set). A failed mutation changed nothing;
+    /// a failed append still folds, since the mutation stands.
+    fn logged<'t, T>(
+        &self,
+        record: LogRecord,
+        mutate: impl FnOnce(bool) -> Result<(T, Option<Trigger<'t>>)>,
+    ) -> Result<T> {
+        let mut subs = self.subs.lock();
+        let (out, trigger) = mutate(!subs.subs.is_empty())?;
+        let appended = self.log_record(record);
+        if let Some(trigger) = trigger {
+            self.notify_subscriptions(&mut subs, &trigger);
+        }
+        appended.map(|()| out)
     }
 
     /// The statement driver: the one round loop behind `SELECT`, `EXPLAIN
     /// ANALYZE`, `UPDATE`/`DELETE` and [`CrowdDB::execute_local`] (DESIGN.md
     /// §3, "Statement driver"). Each round checks the governor, runs `step`
-    /// against a fresh cache snapshot and, if that left needs, has the Task
+    /// as a [`CrowdDB::local_step`] and, if that left needs, has the Task
     /// Manager fulfill them and goes again. `crowd: None` is what "local"
     /// means: one round, nothing posted, nothing marked exhausted.
     fn drive<T>(
@@ -878,7 +854,7 @@ impl CrowdDB {
         mut crowd: Option<&mut (dyn Platform + '_)>,
         guard: &StatementGuard,
         mut warnings: Vec<String>,
-        mut step: impl FnMut(&CompareCaches) -> Result<(T, Vec<TaskNeed>)>,
+        mut step: impl FnMut(&CompareCaches, ExecGuard) -> Result<(T, Vec<TaskNeed>)>,
     ) -> Result<Driven<T>> {
         let start_stats = crowd.as_deref().map(|p| p.stats()).unwrap_or_default();
         let start_now = crowd.as_deref().map_or(0.0, |p| p.now());
@@ -892,7 +868,7 @@ impl CrowdDB {
             // Everything earlier rounds paid for is already memorized.
             guard.check(crowd.as_deref().map_or(0.0, |p| p.now()))?;
             summary.rounds = round;
-            let (out, mut needs) = self.local_step(&mut step)?;
+            let (out, mut needs) = self.local_step(&guard.exec, &mut step)?;
             output = Some(out);
             if needs.is_empty() {
                 stop = StopReason::Complete;
@@ -967,11 +943,21 @@ impl CrowdDB {
     }
 
     /// One local evaluation against a point-in-time copy of the verdict
-    /// caches: the driver's round step, and what standing-query
+    /// caches, under `guard` with the session's `hybrid_order`: the
+    /// driver's round step, and what task previews, standing-query
     /// evaluation, DML application and log replay run exactly once. The
-    /// only place the engine snapshots the caches for evaluation.
-    fn local_step<T>(&self, step: impl FnOnce(&CompareCaches) -> T) -> T {
-        step(&self.caches.snapshot())
+    /// only place the engine snapshots the caches for evaluation, and the
+    /// only place it reads `hybrid_order`.
+    fn local_step<T>(
+        &self,
+        guard: &ExecGuard,
+        step: impl FnOnce(&CompareCaches, ExecGuard) -> T,
+    ) -> T {
+        let guard = ExecGuard {
+            hybrid_order: self.config.hybrid_order,
+            ..guard.clone()
+        };
+        step(&self.caches.snapshot(), guard)
     }
 
     /// Lower `plan` against the live catalog and execute it for one
@@ -999,26 +985,21 @@ impl CrowdDB {
     /// One ungoverned evaluation of `plan` on current knowledge: what a
     /// task preview inspects. Deliberately flushes no operator stats.
     fn evaluate_once(&self, plan: &LogicalPlan) -> Result<ExecResult> {
-        let (_, exec, _) =
-            self.local_step(|caches| self.run_plan(plan, caches, ExecGuard::unlimited(), false))?;
+        let (_, exec, _) = self.local_step(&ExecGuard::unlimited(), |caches, guard| {
+            self.run_plan(plan, caches, guard, false)
+        })?;
         Ok(exec)
     }
 
     /// One full, ungoverned evaluation of a standing query on current
     /// knowledge (unsettled crowd state simply shows as CNULLs / missing
-    /// tuples until a later trigger): the rows, what the delta route
-    /// continues from, and the DML ticket both are exact as of — `None`
-    /// unless no DML was in flight before and none began meanwhile (see
-    /// the `subs` field). Flushes no operator stats either.
-    fn evaluate_standing(&self, plan: &LogicalPlan) -> Result<(Vec<Row>, Maintained, Option<u64>)> {
-        // `dml_ended` first: it never exceeds `dml_begun`, so reading the
-        // same number twice means nothing was in flight at the second read.
-        let ended = self.dml_ended.load(Ordering::SeqCst);
-        let begun = self.dml_begun.load(Ordering::SeqCst);
-        let (exec, maintained) =
-            self.local_step(|caches| Maintained::evaluate(&self.db, caches, plan))?;
-        let quiet = ended == begun && self.dml_begun.load(Ordering::SeqCst) == begun;
-        Ok((exec.rows, maintained, quiet.then_some(begun)))
+    /// tuples until a later trigger): the rows, and what the delta route
+    /// continues from. Flushes no operator stats either.
+    fn evaluate_standing(&self, plan: &LogicalPlan) -> Result<(Vec<Row>, Maintained)> {
+        let (exec, maintained) = self.local_step(&ExecGuard::unlimited(), |caches, guard| {
+            Maintained::evaluate(&self.db, caches, plan, guard)
+        })?;
+        Ok((exec.rows, maintained))
     }
 
     /// The rows sink of the driver — and, given an `analysis` to fill,
@@ -1043,9 +1024,9 @@ impl CrowdDB {
                 unbounded_detail(report)
             )]
         };
-        let driven = self.drive(crowd, guard, warnings, |caches| {
+        let driven = self.drive(crowd, guard, warnings, |caches, exec_guard| {
             let (physical, exec, stats) =
-                self.run_plan(plan, caches, guard.exec.clone(), analysis.is_some())?;
+                self.run_plan(plan, caches, exec_guard, analysis.is_some())?;
             flush_op_stats(self.obs.registry(), &stats);
             if let Some(analysis) = analysis.as_deref_mut() {
                 analysis.absorb(physical, stats, &exec);
@@ -1073,8 +1054,8 @@ impl CrowdDB {
         mut crowd: Option<&mut dyn Platform>,
         guard: &StatementGuard,
     ) -> Result<QueryResult> {
-        let mut driven = self.drive(crowd.as_deref_mut(), guard, Vec::new(), |caches| {
-            let selection = dml::select(&self.db, caches, stmt, guard.exec.clone())?;
+        let mut driven = self.drive(crowd.as_deref_mut(), guard, Vec::new(), |caches, exec| {
+            let selection = dml::select(&self.db, caches, stmt, exec)?;
             let needs = selection.needs.clone();
             Ok((selection, needs))
         })?;
@@ -1100,8 +1081,8 @@ impl CrowdDB {
     }
 
     /// Apply a DML statement once, log it, and hand the standing queries
-    /// the rows it changed (see the `subs` field for the ticket). Returns
-    /// the rows affected and whether no crowd work was left pending.
+    /// the rows it changed, in the writer section. Returns the rows
+    /// affected and whether no crowd work was left pending.
     fn apply_dml(
         &self,
         stmt: &Statement,
@@ -1109,21 +1090,17 @@ impl CrowdDB {
         selected: Option<dml::Selection>,
         guard: &StatementGuard,
     ) -> Result<(usize, bool)> {
-        let report = self.subs_open.load(Ordering::SeqCst) > 0;
-        let ticket = self.dml_begun.fetch_add(1, Ordering::SeqCst) + 1;
         let record = LogRecord::Dml {
             sql: stmt.to_string(),
         };
-        let (applied, complete) = self.logged(record, || {
-            let _in_flight = DmlInFlight(&self.dml_ended);
-            self.write_dml(stmt, selected, guard.exec.clone(), report)
-        })?;
-        self.notify_subscriptions(Trigger::Dml {
-            table,
-            ticket,
-            change: applied.change.as_ref(),
-        });
-        Ok((applied.affected, complete))
+        self.logged(record, |report| {
+            let (applied, complete) = self.write_dml(stmt, selected, &guard.exec, report)?;
+            let trigger = Trigger::Dml {
+                table,
+                change: applied.change,
+            };
+            Ok(((applied.affected, complete), Some(trigger)))
+        })
     }
 
     /// Write `selected` — or, without one, and again whenever `apply`
@@ -1133,13 +1110,13 @@ impl CrowdDB {
         &self,
         stmt: &Statement,
         mut selected: Option<dml::Selection>,
-        guard: ExecGuard,
+        guard: &ExecGuard,
         report: bool,
     ) -> Result<(dml::Applied, bool)> {
         loop {
             let selection = match selected.take() {
                 Some(selection) => selection,
-                None => self.local_step(|c| dml::select(&self.db, c, stmt, guard.clone()))?,
+                None => self.local_step(guard, |c, g| dml::select(&self.db, c, stmt, g))?,
             };
             let complete = selection.needs.is_empty();
             if let Some(applied) = dml::apply(&self.db, selection, report)? {
@@ -1221,8 +1198,8 @@ impl CrowdDB {
         // a paid answer. The sync is unconditional for Always/Batch
         // policies; `Never` opts out of round-boundary durability too.
         // Round records are idempotent (write-backs and cache verdicts
-        // replay harmlessly over a covering snapshot), so no `ckpt_latch`
-        // is needed here; the sync goes through group commit so concurrent
+        // replay harmlessly over a covering snapshot), so they need no
+        // writer section; the sync goes through group commit so concurrent
         // sessions finishing rounds together share one fsync.
         if let Some(store) = &self.durable {
             for rec in fulfill.log.drain(..) {
@@ -1240,9 +1217,8 @@ impl CrowdDB {
         }
         // The round settled: every write-back and cache verdict is in
         // place, so re-evaluate the crowd-related standing queries (no
-        // locks held here — see the `subs` field docs for the ordering
-        // argument).
-        self.notify_subscriptions(Trigger::Settlement);
+        // other lock is held here: see the `subs` field's lock order).
+        self.notify_subscriptions(&mut self.subs.lock(), &Trigger::Settlement);
         Ok(fulfill)
     }
 
@@ -1282,7 +1258,6 @@ impl CrowdDB {
         if subs.subs.remove(&id).is_none() {
             return Err(CrowdError::Exec(format!("no such subscription: {id}")));
         }
-        self.subs_open.store(subs.subs.len(), Ordering::SeqCst);
         self.obs
             .registry()
             .gauge_set("crowddb_subscriptions_active", subs.subs.len() as f64);
@@ -1366,9 +1341,8 @@ impl CrowdDB {
         let columns = output_columns(plan);
         let standing = StandingPlan::new(plan.clone());
         let sql = query.to_string();
-        // Evaluation happens under the subs lock so every standing
-        // evaluation (registration or trigger) sees one serial order —
-        // that is what makes delta revisions deterministic.
+        // Evaluation happens in the writer section, so the result is
+        // exact as of the last DML and the next one's delta applies to it.
         let mut subs = self.subs.lock();
         if subs.subs.len() >= self.config.subscriptions.max_subscriptions {
             return Err(CrowdError::Overloaded(format!(
@@ -1376,7 +1350,7 @@ impl CrowdDB {
                 self.config.subscriptions.max_subscriptions
             )));
         }
-        let (rows, maintained, epoch) = self.evaluate_standing(&standing.logical)?;
+        let (rows, maintained) = self.evaluate_standing(&standing.logical)?;
         // One copy at a time: the snapshot batch is decoded from `last`.
         let last = subscribe::rowset_from_rows(&rows);
         drop(rows);
@@ -1387,7 +1361,6 @@ impl CrowdDB {
             plan: standing,
             last,
             maintained,
-            epoch,
             revision: 1,
             queue: std::collections::VecDeque::new(),
             lagged: false,
@@ -1402,7 +1375,6 @@ impl CrowdDB {
         });
         let added = state.last.values().map(|n| *n as u64).sum();
         subs.subs.insert(id, state);
-        self.subs_open.store(subs.subs.len(), Ordering::SeqCst);
         let reg = self.obs.registry();
         reg.gauge_set("crowddb_subscriptions_active", subs.subs.len() as f64);
         reg.counter_inc("crowddb_subscription_deltas_total");
@@ -1422,15 +1394,15 @@ impl CrowdDB {
     /// Bring the standing queries `trigger` concerns up to date, each by
     /// its delta rules where they apply and by re-evaluation where they
     /// do not; either way at most one delta batch per subscription, and
-    /// the same one.
-    fn notify_subscriptions(&self, trigger: Trigger<'_>) {
+    /// the same one. `subs` is the held registry: the caller is in the
+    /// writer section.
+    fn notify_subscriptions(&self, subs: &mut SubRegistry, trigger: &Trigger<'_>) {
         // Fast path: with no subscriptions the machinery must be
-        // invisible — no lock, no metrics, no events, no evaluation — so
+        // invisible — no metrics, no events, no evaluation — so
         // non-subscribing workloads stay byte-identical to older builds.
-        if self.subs_open.load(Ordering::SeqCst) == 0 {
+        if subs.subs.is_empty() {
             return;
         }
-        let mut subs = self.subs.lock();
         let reg = self.obs.registry();
         let max_queue = self.config.subscriptions.max_queue_batches.max(1);
         for (id, sub) in subs.subs.iter_mut() {
@@ -1440,19 +1412,12 @@ impl CrowdDB {
             let concerned = match trigger {
                 Trigger::Settlement => sub.plan.crowd_related,
                 Trigger::Ddl(table) => sub.plan.watches(table),
-                Trigger::Dml { table, change, .. } => {
-                    sub.plan.watches(table) && !change.is_some_and(TableChange::is_empty)
+                Trigger::Dml { table, change } => {
+                    sub.plan.watches(table) && !change.as_ref().is_some_and(TableChange::is_empty)
                 }
             };
             if !concerned {
                 reg.counter_inc("crowddb_subscription_evals_skipped_total");
-                // A DML that cannot have moved this result leaves it
-                // exact as of one ticket later.
-                if let Trigger::Dml { ticket, .. } = trigger {
-                    if sub.epoch.is_some_and(|e| e + 1 == ticket) {
-                        sub.epoch = Some(ticket);
-                    }
-                }
                 continue;
             }
             reg.counter_inc("crowddb_subscription_evals_total");
@@ -1517,30 +1482,23 @@ impl CrowdDB {
     }
 
     /// The delta route: `(added, removed)` from the plan's delta rules
-    /// over the rows a DML changed. Taken only for a plan no crowd round
-    /// can move, by the DML whose ticket is the subscription's next, and
-    /// only if no later DML began before the rules were done reading
-    /// storage (see the `subs` field); `None` sends the caller to
-    /// [`CrowdDB::reevaluate`], as does an operator without a rule.
-    fn delta_of(&self, sub: &mut SubState, trigger: Trigger<'_>) -> Option<(Vec<Row>, Vec<Row>)> {
+    /// over the rows a DML changed, for a plan no crowd round can move.
+    /// Exact by construction: the writer section lets nothing change
+    /// storage between the subscription's last fold and this DML. `None`
+    /// sends the caller to [`CrowdDB::reevaluate`], as does an operator
+    /// without a rule.
+    fn delta_of(&self, sub: &mut SubState, trigger: &Trigger<'_>) -> Option<(Vec<Row>, Vec<Row>)> {
         let Trigger::Dml {
-            ticket,
             change: Some(change),
             ..
         } = trigger
         else {
             return None;
         };
-        let latest = || self.dml_begun.load(Ordering::SeqCst) == ticket;
-        let next = !sub.plan.crowd_related && sub.epoch.is_some_and(|e| e + 1 == ticket);
-        if !(next && latest()) {
+        if sub.plan.crowd_related {
             return None;
         }
         let delta = sub.maintained.delta(&self.db, change).ok().flatten()?;
-        if !latest() {
-            return None;
-        }
-        sub.epoch = Some(ticket);
         // Rows in both lists cancel (an UPDATE of a column the query does
         // not show); the rest sort as the other route's diff does.
         let (removed, added) = (&delta.removed, &delta.added);
@@ -1554,11 +1512,9 @@ impl CrowdDB {
     /// The recompute route: evaluate afresh (which also renews what the
     /// delta route continues from) and diff against the last result.
     fn reevaluate(&self, sub: &mut SubState) -> Result<(Vec<Row>, Vec<Row>)> {
-        sub.epoch = None;
-        let (rows, maintained, epoch) = self.evaluate_standing(&sub.plan.logical)?;
+        let (rows, maintained) = self.evaluate_standing(&sub.plan.logical)?;
         let diff = subscribe::diff_rowsets(&sub.last, &subscribe::rowset_from_rows(&rows))?;
         sub.maintained = maintained;
-        sub.epoch = epoch;
         Ok(diff)
     }
 
@@ -1715,29 +1671,18 @@ struct Driven<T> {
 }
 
 /// What sets the standing queries off.
-#[derive(Clone, Copy)]
 enum Trigger<'a> {
     /// A crowd round settled: every crowd-related query re-evaluates.
     Settlement,
     /// DDL on a table: its watchers re-evaluate (and re-lower).
     Ddl(&'a str),
-    /// A DML applied: its table's watchers take the change set
-    /// (`None`: it was not collected) through their delta rules when
-    /// `ticket` is their next, and re-evaluate otherwise.
+    /// A DML applied: its table's watchers take the change set through
+    /// their delta rules, or re-evaluate where a plan is crowd-related,
+    /// an operator has no rule, or the change was not collected (`None`).
     Dml {
         table: &'a str,
-        ticket: u64,
-        change: Option<&'a TableChange>,
+        change: Option<TableChange>,
     },
-}
-
-/// Bumps `dml_ended` when a DML's mutations are over, however they end.
-struct DmlInFlight<'a>(&'a AtomicU64);
-
-impl Drop for DmlInFlight<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_add(1, Ordering::SeqCst);
-    }
 }
 
 /// What `EXPLAIN ANALYZE` keeps of its statement's execution: the
@@ -2170,6 +2115,51 @@ mod tests {
         assert_eq!(sub_counter(&db, ""), evals, "EXPLAIN said DML only");
         assert_eq!(sub_counter(&db, "skipped_"), skipped + 1);
         assert!(sub.poll().unwrap().is_none());
+    }
+
+    /// A failed DML changed nothing, so the next one still finds the
+    /// subscription exact and goes the delta route.
+    #[test]
+    fn failed_dml_leaves_the_delta_route_open() {
+        let db = CrowdDB::with_config(CrowdConfig::fast_test());
+        for sql in [
+            "CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)",
+            "INSERT INTO t VALUES (1, 1)",
+        ] {
+            db.execute_local(sql).unwrap();
+        }
+        let sub = db.subscribe("SELECT k, v FROM t WHERE v > 0").unwrap();
+        db.execute_local("UPDATE t SET v = 2 WHERE k = 1").unwrap();
+        assert_eq!(sub_counter(&db, "incremental_"), 1);
+        let err = db.execute_local("INSERT INTO t VALUES (1, 5)").unwrap_err();
+        assert_eq!(err.category(), "constraint", "{err}");
+        db.execute_local("UPDATE t SET v = 3 WHERE k = 1").unwrap();
+        assert_eq!(sub_counter(&db, "incremental_"), 2);
+        let batches: Vec<_> = sub.map(Result::unwrap).collect();
+        assert_eq!(batches.last().unwrap().added, vec![row![1i64, 3i64]]);
+    }
+
+    /// `hybrid_order` holds on every path: a governed statement, a local
+    /// one and a task preview all order numbers without the crowd.
+    #[test]
+    fn hybrid_order_holds_on_every_path() {
+        let mut db = CrowdDB::with_config(CrowdConfig::fast_test());
+        db.set_hybrid_order(true);
+        db.execute_local("CREATE TABLE t (s STRING PRIMARY KEY)")
+            .unwrap();
+        db.execute_local("INSERT INTO t VALUES ('30'), ('4'), ('100')")
+            .unwrap();
+        let sql = "SELECT s FROM t ORDER BY CROWDORDER(s, 'bigger?')";
+        let ordered = vec![row!["4"], row!["30"], row!["100"]];
+        let mut crowd = MockPlatform::unanimous(|_| Answer::Blank);
+        let r = db.execute(sql, &mut crowd).unwrap();
+        assert!(r.complete, "{:?}", r.warnings);
+        assert_eq!(r.crowd.tasks_posted, 0);
+        assert_eq!(r.rows, ordered);
+        let r = db.execute_local(sql).unwrap();
+        assert!(r.complete, "{:?}", r.warnings);
+        assert_eq!(r.rows, ordered);
+        assert_eq!(db.preview_first_task(sql).unwrap(), None);
     }
 
     /// An UPDATE of a column the projection does not show produces a

@@ -164,7 +164,7 @@ impl StatementGuard {
                 max_output_rows: policy.max_output_rows,
                 trip_cancel_after: policy.trip_cancel_at_check,
                 panic_after: policy.panic_at_check,
-                hybrid_order: false,
+                ..ExecGuard::unlimited()
             },
             deadline_at: policy.deadline_virtual_secs.map(|d| start_virtual + d),
             cancel: Some(cancel.flag()),

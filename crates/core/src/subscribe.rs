@@ -130,10 +130,6 @@ pub(crate) struct SubState {
     /// What the evaluation that last produced `last` in full left for
     /// the delta route: the plan it lowered, its aggregate state.
     pub maintained: Maintained,
-    /// The DML ticket `last` is exact as of — every DML up to it folded,
-    /// none after — when that can be said (the `subs` field of `CrowdDB`
-    /// says when). A DML's delta applies only on top of its predecessor.
-    pub epoch: Option<u64>,
     /// Last assigned revision.
     pub revision: u64,
     /// Undelivered delta batches, oldest first.

@@ -46,6 +46,9 @@ use crate::par::par_map_mut;
 /// Maximum tuples one new-tuple assignment may carry.
 const MAX_TUPLES_PER_ASSIGNMENT: usize = 5;
 
+/// Virtual seconds the pump advances the platform per step.
+const PUMP_STEP_SECS: f64 = 600.0;
+
 /// Accounting for one fulfillment pass.
 #[derive(Debug, Clone, Default)]
 pub struct FulfillSummary {
@@ -653,8 +656,8 @@ impl Wave<'_> {
                 );
                 break;
             }
-            self.platform.advance(config.pump_step_secs);
-            self.elapsed += config.pump_step_secs;
+            self.platform.advance(PUMP_STEP_SECS);
+            self.elapsed += PUMP_STEP_SECS;
             // Stage arrivals serially: dedup, ban checks, and events depend
             // on arrival order and global state.
             for resp in self.platform.collect() {
@@ -1309,7 +1312,8 @@ mod tests {
     /// Scripted platform for the sweep-clock regression test below: two
     /// Equal needs, the "b" need's HIT completes once (forcing an extend
     /// and therefore a *later* deadline than "a"), the "a" need's first
-    /// repost attempt fails once (forcing a 10 s retry backoff mid-sweep).
+    /// repost attempt fails once (forcing a 10-step retry backoff
+    /// mid-sweep).
     struct SweepClockPlatform {
         now: f64,
         post_calls: u32,
@@ -1365,7 +1369,7 @@ mod tests {
             self.now += dt;
         }
         fn collect(&mut self) -> Vec<crowddb_platform::TaskResponse> {
-            if self.delivered || self.now < 1.0 {
+            if self.delivered || self.now < PUMP_STEP_SECS {
                 return vec![];
             }
             self.delivered = true;
@@ -1387,7 +1391,7 @@ mod tests {
             // Only b's original HIT, and only at the first sweep: one
             // vote of three forces an extension, whose success gives
             // b a deadline one pump step later than a's.
-            self.b_first_hit == Some(hit) && self.now <= 1.5
+            self.b_first_hit == Some(hit) && self.now <= 1.5 * PUMP_STEP_SECS
         }
     }
 
@@ -1462,17 +1466,18 @@ mod tests {
             .collect()
     }
 
+    /// Times in pump steps: 20 steps of budget, a 10-step backoff and a
+    /// 5-step HIT deadline.
     fn run_sweep(order: [&str; 2]) -> FulfillSummary {
         let mut config = CrowdConfig::default();
-        config.pump_step_secs = 1.0;
-        config.round_budget_secs = 20.0;
+        config.round_budget_secs = 20.0 * PUMP_STEP_SECS;
         config.vote = crowddb_quality::VoteConfig::replicated(3);
         config.retry = crate::config::RetryPolicy {
             max_post_attempts: 2,
-            backoff_base_secs: 10.0,
-            backoff_cap_secs: 10.0,
+            backoff_base_secs: 10.0 * PUMP_STEP_SECS,
+            backoff_cap_secs: 10.0 * PUMP_STEP_SECS,
             backoff_jitter: 0.0,
-            hit_deadline_secs: 5.0,
+            hit_deadline_secs: 5.0 * PUMP_STEP_SECS,
             max_reposts: 2,
             breaker_threshold: 100,
         };
@@ -1483,7 +1488,7 @@ mod tests {
     /// Regression: the decision sweep snapshots the clock up front, so a
     /// retry backoff incurred by one tracker's repost must not expire
     /// trackers later in iteration order. Before the snapshot, order
-    /// [a, b] saw a's 10 s backoff push the live clock past b's extended
+    /// [a, b] saw a's 10-step backoff push the live clock past b's extended
     /// deadline mid-sweep — b was reposted a sweep early and the two
     /// orders produced different accounting.
     #[test]
@@ -1504,7 +1509,7 @@ mod tests {
             )
         };
         assert_eq!(key(&ab), key(&ba), "need order must not change accounting");
-        // a expires twice (deadlines 5 then 10), b once (deadline 6,
+        // a expires twice (deadlines at steps 5 then 10), b once (step 6,
         // checked against the sweep clock, not the post-backoff clock).
         assert_eq!(ab.reposts, 3, "a twice, b once: {ab:?}");
         assert_eq!(ab.tasks_posted, 5, "2 initial + 3 reposts");

@@ -242,8 +242,8 @@ fn batched_write_backs_replay_identically_after_crash() {
 }
 
 /// N sessions hammer one durable `CrowdDB` with mixed DML and reads on
-/// disjoint key ranges. Checkpoints are forced every few records so the
-/// checkpoint latch runs against live writers. The invariants: no
+/// disjoint key ranges. Checkpoints are forced every few records so they
+/// contend with live writers for the writer section. The invariants: no
 /// deadlock (the test finishes), every session sees consistent counts,
 /// and a reopen recovers every committed row.
 #[test]
@@ -257,7 +257,7 @@ fn multi_session_stress_preserves_every_row() {
     let dir = TestDir::new("conc-stress");
     {
         let mut cfg = config(2, 0);
-        cfg.durability.checkpoint_every_records = 8; // exercise the latch
+        cfg.durability.checkpoint_every_records = 8; // contend with writers
         let db = Arc::new(CrowdDB::open_with_config(dir.path(), cfg).unwrap());
         let mut p = scripted();
         db.execute(
@@ -324,12 +324,12 @@ fn multi_session_stress_preserves_every_row() {
 
 /// Standing queries over two tables while four sessions write both and
 /// a fifth keeps registering and dropping subscriptions. A delta is only
-/// exact on top of the state its DML started from, and nothing orders
-/// one session's mutation against another's notification — the ticket
-/// protocol (the `subs` field of `CrowdDB`) has to notice every overlap
-/// and recompute instead. The queues are deep enough to keep every
-/// batch, so the final state is right only if each delta was; and once
-/// the contention is over the delta route must come back by itself.
+/// exact on top of the state its DML started from, so one session's
+/// mutation must never land between another's mutation and its fold —
+/// the writer section (the `subs` field of `CrowdDB`) keeps them apart.
+/// The queues are deep enough to keep every batch, so the final state is
+/// right only if each delta was; and once the contention is over the
+/// delta route must still be taken.
 #[test]
 fn standing_queries_stay_exact_under_concurrent_dml_on_both_join_sides() {
     use crowddb_core::{canonical_rows, SubscriberState};

@@ -644,3 +644,45 @@ fn dml_by_access_path_logs_and_replays_like_a_full_scan() {
     assert_eq!(rows(&db, "SELECT k, grp, v FROM s ORDER BY k"), s_rows);
     assert_eq!(rows(&db, "SELECT a, b, v FROM p ORDER BY a, b"), p_rows);
 }
+
+/// The log holds DML in the order it was applied. Two sessions negate
+/// one row's value while two others increment it: the statements do not
+/// commute, so a log that records two of them in the other order replays
+/// to a value the live session never had.
+#[test]
+fn wal_order_is_apply_order_under_concurrent_sessions() {
+    const SESSIONS: usize = 4;
+    const PER_SESSION: usize = 300;
+    let mut cfg = config();
+    cfg.durability.checkpoint_every_records = 0;
+    cfg.durability.checkpoint_on_close = false;
+    let value = |db: &CrowdDB| {
+        let r = db.execute_local("SELECT v FROM t WHERE k = 1").unwrap();
+        r.rows[0][0].clone()
+    };
+    for trial in 0..20 {
+        let dir = TestDir::new(&format!("core-wal-order-{trial}"));
+        let db = std::sync::Arc::new(CrowdDB::open_with_config(dir.path(), cfg.clone()).unwrap());
+        db.execute_local("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
+            .unwrap();
+        db.execute_local("INSERT INTO t VALUES (1, 1)").unwrap();
+        std::thread::scope(|scope| {
+            for s in 0..SESSIONS {
+                let db = &db;
+                scope.spawn(move || {
+                    let sql = match s % 2 {
+                        0 => "UPDATE t SET v = 0 - v WHERE k = 1",
+                        _ => "UPDATE t SET v = v + 1 WHERE k = 1",
+                    };
+                    for _ in 0..PER_SESSION {
+                        assert_eq!(db.execute_local(sql).unwrap().affected, 1);
+                    }
+                });
+            }
+        });
+        let live = value(&db);
+        drop(db); // no close(), no checkpoint: the log alone recovers
+        let db = CrowdDB::open_with_config(dir.path(), cfg.clone()).unwrap();
+        assert_eq!(value(&db), live, "trial {trial}: replay diverges");
+    }
+}

@@ -99,14 +99,15 @@ pub struct Maintained {
 
 impl Maintained {
     /// Lower `plan` against the live catalog and execute it for one
-    /// ungoverned round.
+    /// round under `guard`.
     pub fn evaluate(
         db: &Database,
         caches: &CompareCaches,
         plan: &LogicalPlan,
+        guard: ExecGuard,
     ) -> Result<(ExecResult, Maintained)> {
         let plan = Box::new(lower_plan(db, plan));
-        let mut ctx = ExecCtx::new(db, caches);
+        let mut ctx = ExecCtx::with_guard(db, caches, guard);
         ctx.groups = Some(GroupStates::new());
         let (result, _, groups) = run_round(ctx, &plan)?;
         let groups = groups.unwrap_or_default();
@@ -229,7 +230,7 @@ mod tests {
         };
         let bound = db.with_catalog(|c| Binder::new(c).bind_query(&q)).unwrap();
         let plan = optimize(bound, &live_row_stats(db), &OptimizerConfig::default());
-        Maintained::evaluate(db, &CompareCaches::default(), &plan).unwrap()
+        Maintained::evaluate(db, &CompareCaches::default(), &plan, ExecGuard::unlimited()).unwrap()
     }
 
     /// Apply a DML statement and hand back the rows it changed.

@@ -158,7 +158,9 @@ fn standing_joins_over_blanked_strings_match_recompute() {
     let mut standing: Vec<(Vec<Row>, Maintained)> = watches
         .iter()
         .map(|sql| {
-            let (result, maintained) = Maintained::evaluate(&db, &caches, &plan(&db, sql)).unwrap();
+            let guard = ExecGuard::unlimited();
+            let (result, maintained) =
+                Maintained::evaluate(&db, &caches, &plan(&db, sql), guard).unwrap();
             (result.rows, maintained)
         })
         .collect();
