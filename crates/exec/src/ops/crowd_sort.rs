@@ -69,7 +69,7 @@ impl Operator for CrowdSortOp<'_> {
         }
         let mut order: Vec<usize> = (0..keyed.len()).collect();
         let descs: Vec<bool> = self.keys.iter().map(|k| k.desc).collect();
-        quicksort(ctx, &mut order, &keyed, &descs, 0);
+        quicksort(ctx, &mut order, &keyed, &descs);
         emit_all(ctx, order.into_iter().map(|i| keyed[i].1.clone()), sink)
     }
 }
@@ -99,35 +99,36 @@ impl KeyVal {
     }
 }
 
-/// Deterministic quicksort over row indices (pivot = first index,
-/// recursion capped so crowd-fallback comparisons can't blow the stack).
+/// Deterministic quicksort over row indices: pivot = first index, the
+/// less-partition sorted before the greater one. An explicit work stack
+/// instead of recursion, so an input of any length is sorted completely.
 fn quicksort(
     ctx: &mut ExecCtx<'_>,
     idxs: &mut [usize],
     keyed: &[(Vec<KeyVal>, Row)],
     descs: &[bool],
-    depth: usize,
 ) {
-    if idxs.len() <= 1 || depth > 64 {
-        return;
-    }
-    let pivot = idxs[0];
-    let rest = &idxs[1..];
-    let mut less = Vec::new();
-    let mut greater = Vec::new();
-    for &i in rest {
-        match compare_keyed(ctx, &keyed[i].0, &keyed[pivot].0, descs) {
-            Ordering::Less => less.push(i),
-            _ => greater.push(i),
+    let mut work = vec![0..idxs.len()];
+    while let Some(range) = work.pop() {
+        if range.len() <= 1 {
+            continue;
         }
+        let pivot = idxs[range.start];
+        let (mut less, mut greater) = (Vec::new(), Vec::new());
+        for &i in &idxs[range.start + 1..range.end] {
+            match compare_keyed(ctx, &keyed[i].0, &keyed[pivot].0, descs) {
+                Ordering::Less => less.push(i),
+                _ => greater.push(i),
+            }
+        }
+        let at = range.start + less.len();
+        idxs[range.start..at].copy_from_slice(&less);
+        idxs[at] = pivot;
+        idxs[at + 1..range.end].copy_from_slice(&greater);
+        // Popped last-in first-out: the less-partition goes first.
+        work.push(at + 1..range.end);
+        work.push(range.start..at);
     }
-    quicksort(ctx, &mut less, keyed, descs, depth + 1);
-    quicksort(ctx, &mut greater, keyed, descs, depth + 1);
-    let mut merged = Vec::with_capacity(idxs.len());
-    merged.extend_from_slice(&less);
-    merged.push(pivot);
-    merged.extend_from_slice(&greater);
-    idxs.copy_from_slice(&merged);
 }
 
 fn compare_keyed(ctx: &mut ExecCtx<'_>, a: &[KeyVal], b: &[KeyVal], descs: &[bool]) -> Ordering {

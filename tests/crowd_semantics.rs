@@ -275,6 +275,38 @@ fn crowdorder_converges_over_rounds() {
 }
 
 #[test]
+fn crowdorder_sorts_every_row_of_a_long_input() {
+    // The crowd's order is the reverse of the scan order, so the first
+    // pivot's partition holds every other row: a quicksort that stops at
+    // some depth leaves the tail as the scan produced it.
+    let db = CrowdDB::with_config(CrowdConfig::fast_test());
+    db.execute_local("CREATE TABLE t (name STRING PRIMARY KEY)")
+        .unwrap();
+    let names: Vec<String> = (0..100).map(|i| format!("item{i:03}")).collect();
+    let values: Vec<String> = names.iter().map(|n| format!("('{n}')")).collect();
+    db.execute_local(&format!(
+        "INSERT INTO t (name) VALUES {}",
+        values.join(", ")
+    ))
+    .unwrap();
+    let mut crowd = MockPlatform::unanimous(|kind| match kind {
+        TaskKind::Order { left, right, .. } if left > right => Answer::Left,
+        TaskKind::Order { .. } => Answer::Right,
+        _ => Answer::Blank,
+    });
+    let r = db
+        .execute(
+            "SELECT name FROM t ORDER BY CROWDORDER(name, 'Which is better?')",
+            &mut crowd,
+        )
+        .unwrap();
+    assert!(r.complete, "warnings: {:?}", r.warnings);
+    let got: Vec<String> = r.rows.iter().map(|x| x[0].to_string()).collect();
+    let want: Vec<String> = names.into_iter().rev().collect();
+    assert_eq!(got, want);
+}
+
+#[test]
 fn update_with_crowd_predicate_applies_once() {
     let db = conference_db(CrowdConfig::fast_test());
     db.execute_local("UPDATE Talk SET nb_attendees = 100")
