@@ -243,6 +243,13 @@ const DELTA_WATCHES: &[Watch] = &[
         maintenance: "maintenance: incremental, recompute on DML to room \
                       (nullable side of a LEFT join)\n",
     },
+    Watch {
+        sql: "SELECT s.k, r.room FROM Sessions s LEFT JOIN Room r ON s.cap > r.floor * 100",
+        reads: SR,
+        route: Route::DeltaUnless("room"),
+        maintenance: "maintenance: incremental, recompute on DML to room \
+                      (nullable side of a LEFT join)\n",
+    },
     // One per way of having no rule.
     recompute(
         "SELECT room, AVG(cap) FROM Sessions GROUP BY room",

@@ -45,6 +45,11 @@ const STATEMENTS: &[&str] = &[
     "SELECT title FROM Talk WHERE abstract ~= 'abstract of qurk.'",
     "SELECT t.title, v.room FROM Talk t JOIN Venue v ON t.title = v.talk \
      WHERE t.abstract ~= v.room",
+    // Joins without an equi key: the crowd decides the ON, and a LEFT
+    // join pads the outer rows its ON (probes under it) rejects.
+    "SELECT t.title, v.room FROM Talk t JOIN Venue v ON CROWDEQUAL(t.title, v.talk)",
+    "SELECT t.title, v.room FROM Talk t LEFT JOIN Venue v \
+     ON t.nb_attendees >= 150 AND t.title ~= v.talk",
     "SELECT nb_attendees, COUNT(*) FROM Talk GROUP BY nb_attendees",
     "SELECT DISTINCT abstract FROM Talk",
     "SELECT title, abstract FROM Talk ORDER BY nb_attendees DESC",
