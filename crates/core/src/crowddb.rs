@@ -893,8 +893,27 @@ impl CrowdDB {
                 break;
             }
             if let Some(budget) = budget {
+                // Budget-aware wave sizing: post the longest prefix of the
+                // recorded needs the remaining budget pays for, each priced
+                // as the HIT it becomes (escalations may still nudge past
+                // the line; the next round's check catches that).
                 let spent = platform.stats().cents_spent - start_stats.cents_spent;
-                if spent >= budget {
+                let mut left = budget.saturating_sub(spent);
+                let affordable = needs
+                    .iter()
+                    .map(|n| {
+                        self.config.reward_cents as u64
+                            * taskman::assignments(n, &self.config) as u64
+                    })
+                    .take_while(|&price| match left.checked_sub(price) {
+                        Some(rest) => {
+                            left = rest;
+                            true
+                        }
+                        None => false,
+                    })
+                    .count();
+                if affordable == 0 {
                     warnings.push(format!(
                         "crowd budget of {budget}¢ exhausted ({spent}¢ spent); \
                          {} task(s) abandoned, result is partial",
@@ -903,12 +922,6 @@ impl CrowdDB {
                     stop = StopReason::Budget;
                     break;
                 }
-                // Budget-aware wave sizing: never post more tasks than the
-                // remaining budget can pay for (escalations may still
-                // nudge past the line; the gate above catches that).
-                let per_task =
-                    (self.config.reward_cents as u64 * self.config.vote.replication as u64).max(1);
-                let affordable = ((budget - spent) / per_task) as usize;
                 if affordable < needs.len() {
                     warnings.push(format!(
                         "budget allows only {affordable} of {} crowd task(s) this wave",

@@ -175,15 +175,20 @@ pub fn need_to_spec(
             instruction: instruction.clone(),
         },
     };
-    // New-tuple tasks are inherently replicated by asking several workers
-    // for contributions; compare/probe tasks use the vote replication.
-    let assignments = match need {
-        TaskNeed::NewTuples { .. } => config.vote.replication.max(2) as u32,
-        _ => config.vote.replication as u32,
-    };
     TaskSpec::new(kind)
         .reward(config.reward_cents)
-        .replicate(assignments)
+        .replicate(assignments(need, config))
+}
+
+/// How many assignments the HIT posted for `need` asks for: what the
+/// driver's budget check prices it at. New-tuple tasks are inherently
+/// replicated by asking several workers for contributions;
+/// compare/probe tasks use the vote replication.
+pub fn assignments(need: &TaskNeed, config: &CrowdConfig) -> u32 {
+    match need {
+        TaskNeed::NewTuples { .. } => config.vote.replication.max(2) as u32,
+        _ => config.vote.replication as u32,
+    }
 }
 
 /// Deterministic unit-interval hash (one splitmix64 step). Backoff

@@ -243,6 +243,31 @@ fn statement_crowd_budget_degrades_gracefully() {
 }
 
 #[test]
+fn budget_prices_a_new_tuples_need_at_its_assignments() {
+    // A new-tuples HIT asks at least two workers, so at 1¢ a 1¢ budget
+    // affords none: the statement stops at once, spending nothing.
+    let mut cfg = config();
+    cfg.governor.max_crowd_cents = Some(1);
+    let db = CrowdDB::with_config(cfg);
+    let mut p = scripted();
+    db.execute(
+        "CREATE CROWD TABLE NotableAttendee (name STRING PRIMARY KEY, title STRING)",
+        &mut p,
+    )
+    .unwrap();
+    let r = db
+        .execute("SELECT name FROM NotableAttendee LIMIT 1", &mut p)
+        .unwrap();
+    assert!(r.crowd.cents_spent <= 1, "summary: {:?}", r.crowd);
+    assert!(
+        r.warnings.iter().any(|w| w.contains("budget")),
+        "warnings: {:?}",
+        r.warnings
+    );
+    assert_eq!(r.crowd.rounds, 1, "summary: {:?}", r.crowd);
+}
+
+#[test]
 fn statement_budget_combines_with_session_budget_by_min() {
     let mut cfg = config();
     cfg.max_budget_cents = Some(1);
