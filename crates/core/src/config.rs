@@ -187,11 +187,6 @@ pub struct CrowdConfig {
     pub round_budget_secs: f64,
     /// Ban workers whose agreement rate drops below this after 10 tasks.
     pub ban_threshold: f64,
-    /// Per-statement crowdsourcing budget in cents; `None` = unlimited.
-    /// When a statement's crowd spending reaches the budget, remaining
-    /// needs are abandoned and the result is returned partial with a
-    /// warning.
-    pub max_budget_cents: Option<u64>,
     /// Slow-statement threshold in crowd-virtual seconds: statements
     /// whose crowd waits exceed it are counted in
     /// `crowddb_slow_statements_total` and logged as `slow_statement`
@@ -240,7 +235,6 @@ impl Default for CrowdConfig {
             max_rounds: 16,
             round_budget_secs: 14.0 * 24.0 * 3600.0, // two virtual weeks
             ban_threshold: 0.25,
-            max_budget_cents: None,
             slow_statement_virtual_secs: None,
             retry: RetryPolicy::default(),
             durability: DurabilityPolicy::default(),

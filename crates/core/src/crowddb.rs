@@ -27,9 +27,7 @@ use crowddb_ui::render_task;
 use crowddb_wal::{DurableStore, FsyncPolicy, GroupCommitStore};
 
 use crate::config::CrowdConfig;
-use crate::governor::{
-    effective_budget, AdmissionController, CancelToken, GovernorPolicy, StatementGuard,
-};
+use crate::governor::{AdmissionController, CancelToken, GovernorPolicy, StatementGuard};
 use crate::result::{CrowdSummary, QueryResult};
 use crate::subscribe::{self, DeltaBatch, SubRegistry, SubState, SubscriptionHandle};
 use crate::taskman;
@@ -858,7 +856,7 @@ impl CrowdDB {
     ) -> Result<Driven<T>> {
         let start_stats = crowd.as_deref().map(|p| p.stats()).unwrap_or_default();
         let start_now = crowd.as_deref().map_or(0.0, |p| p.now());
-        let budget = effective_budget(self.config.max_budget_cents, guard.max_crowd_cents);
+        let budget = guard.max_crowd_cents;
         let mut summary = CrowdSummary::default();
         let mut output = None;
         let mut stop = StopReason::RoundCap;

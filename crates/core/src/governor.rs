@@ -45,11 +45,15 @@ pub struct GovernorPolicy {
     /// round (a memory guard against exploding joins). Exceeding it
     /// cancels with [`CancelReason::IntermediateRowLimit`].
     pub max_intermediate_rows: Option<u64>,
-    /// Per-statement crowd budget in cents, combined with
-    /// [`CrowdConfig::max_budget_cents`](crate::CrowdConfig::max_budget_cents)
-    /// by `min`. Reaching it follows the graceful-degradation path:
-    /// remaining needs are abandoned, paid answers are kept, and the
-    /// statement returns a partial result with a warning.
+    /// Per-statement crowd budget in cents; `None` = unlimited. The one
+    /// crowd budget: `config.governor`'s value is the session default,
+    /// and a policy passed to
+    /// [`CrowdDB::execute_with_policy`](crate::CrowdDB::execute_with_policy)
+    /// replaces it. Each round posts the longest prefix of its needs the
+    /// rest of the budget pays for; once not even the first fits, the
+    /// graceful-degradation path follows: remaining needs are abandoned,
+    /// paid answers are kept, and the statement returns a partial result
+    /// with a warning.
     pub max_crowd_cents: Option<u64>,
     /// Maximum statements executing concurrently in this session
     /// (admission control). `None` = unlimited.
@@ -195,16 +199,6 @@ impl StatementGuard {
             Some(reason) => Err(CrowdError::Cancelled(reason)),
             None => Ok(()),
         }
-    }
-}
-
-/// The effective crowd budget for one statement: the session-wide
-/// `max_budget_cents` and the statement's `max_crowd_cents`, combined by
-/// `min` when both are set.
-pub fn effective_budget(session: Option<u64>, statement: Option<u64>) -> Option<u64> {
-    match (session, statement) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
     }
 }
 
@@ -410,15 +404,6 @@ mod tests {
         token.cancel();
         let g = StatementGuard::new(&policy, &token, 0.0);
         assert_eq!(g.interruption(10.0), Some(CancelReason::UserRequested));
-    }
-
-    #[test]
-    fn effective_budget_takes_min() {
-        assert_eq!(effective_budget(None, None), None);
-        assert_eq!(effective_budget(Some(5), None), Some(5));
-        assert_eq!(effective_budget(None, Some(7)), Some(7));
-        assert_eq!(effective_budget(Some(5), Some(7)), Some(5));
-        assert_eq!(effective_budget(Some(9), Some(7)), Some(7));
     }
 
     #[test]

@@ -267,24 +267,6 @@ fn budget_prices_a_new_tuples_need_at_its_assignments() {
     assert_eq!(r.crowd.rounds, 1, "summary: {:?}", r.crowd);
 }
 
-#[test]
-fn statement_budget_combines_with_session_budget_by_min() {
-    let mut cfg = config();
-    cfg.max_budget_cents = Some(1);
-    let db = CrowdDB::with_config(cfg);
-    let mut p = scripted();
-    seed_session(&db, &mut p);
-    // Statement allows 100¢ but the session caps at 1¢: min wins.
-    let r = db
-        .execute_with_policy(
-            "SELECT title, abstract FROM Talk ORDER BY title",
-            &mut p,
-            &policy(|g| g.max_crowd_cents = Some(100)),
-        )
-        .unwrap();
-    assert!(r.crowd.cents_spent <= 1, "summary: {:?}", r.crowd);
-}
-
 // ---------------------------------------------------------------------
 // Cancel token
 // ---------------------------------------------------------------------

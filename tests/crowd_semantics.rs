@@ -2,7 +2,10 @@
 //! answer memorization, open-world boundedness, quality control with
 //! disagreeing workers, escalation, and failure injection.
 
-use crowddb::{Answer, CrowdConfig, CrowdDB, MockPlatform, Platform, TaskKind, Value, VoteConfig};
+use crowddb::{
+    Answer, CrowdConfig, CrowdDB, GovernorPolicy, MockPlatform, Platform, TaskKind, Value,
+    VoteConfig,
+};
 
 fn conference_db(config: CrowdConfig) -> CrowdDB {
     let db = CrowdDB::with_config(config);
@@ -390,7 +393,10 @@ fn budget_enforcement_stops_crowd_spending() {
     let db = CrowdDB::with_config(CrowdConfig {
         vote: VoteConfig::replicated(3),
         reward_cents: 2,
-        max_budget_cents: Some(6), // enough for one HIT (3 assignments x 2c)
+        governor: GovernorPolicy {
+            max_crowd_cents: Some(6), // enough for one HIT (3 assignments x 2c)
+            ..GovernorPolicy::default()
+        },
         ..CrowdConfig::default()
     });
     db.execute_local("CREATE TABLE t (id INTEGER PRIMARY KEY, v CROWD INTEGER)")
@@ -418,7 +424,10 @@ fn budget_enforcement_stops_crowd_spending() {
 fn unlimited_budget_resolves_everything() {
     let db = CrowdDB::with_config(CrowdConfig {
         vote: VoteConfig::single(),
-        max_budget_cents: None,
+        governor: GovernorPolicy {
+            max_crowd_cents: None,
+            ..GovernorPolicy::default()
+        },
         ..CrowdConfig::default()
     });
     db.execute_local("CREATE TABLE t (id INTEGER PRIMARY KEY, v CROWD INTEGER)")
