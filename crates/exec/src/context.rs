@@ -210,6 +210,15 @@ impl SharedCaches {
     }
 }
 
+/// What a [`ExecCtx::crowd_compare`] asks of two values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Compare {
+    /// Do they refer to the same entity (`CROWDEQUAL`)?
+    Equal,
+    /// Is the left one preferred (`CROWDORDER`)?
+    Order,
+}
+
 /// Needs emitted so far, broken down by kind. Snapshot-diffed around
 /// each operator by `ops::run_op` to attribute needs per operator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -432,6 +441,12 @@ impl<'caches> RunContext<'caches> {
         self.guard.max_output_rows
     }
 
+    /// Whether the guard resolves machine-comparable `CROWDORDER` pairs
+    /// locally ([`ExecGuard::hybrid_order`]).
+    pub fn hybrid_order(&self) -> bool {
+        self.guard.hybrid_order
+    }
+
     /// Checkpoints passed so far this round (test introspection).
     pub fn checks_passed(&self) -> u64 {
         self.checks
@@ -544,50 +559,45 @@ impl<'a> ExecCtx<'a> {
         Ok(rows)
     }
 
-    /// Crowd comparison used by sorts: preferred items sort first.
-    /// Cache misses record an [`TaskNeed::Order`] need and fall back to
-    /// a deterministic lexicographic order for this round.
-    ///
-    /// Under [`ExecGuard::hybrid_order`], machine-comparable pairs
-    /// (identical after trimming, or both numeric) are ordered locally
-    /// and never reach the cache or the crowd — the hybrid CROWDORDER
-    /// optimization.
+    /// CrowdCompare, the one primitive behind `CROWDEQUAL` and
+    /// `CROWDORDER`: the session's verdict on `left` against `right`
+    /// under `instruction` — the two are equal ([`Compare::Equal`]), or
+    /// `left` is preferred ([`Compare::Order`]) — counted as a
+    /// compare-cache hit. A miss is counted, records a
+    /// [`TaskNeed::Equal`] or [`TaskNeed::Order`] need and yields `None`:
+    /// what stands in for the verdict until the crowd answers is the
+    /// caller's business.
     pub fn crowd_compare(
         &mut self,
+        kind: Compare,
         left: &str,
         right: &str,
         instruction: &str,
-    ) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        if left == right {
-            return Ordering::Equal;
+    ) -> Option<bool> {
+        let verdict = match kind {
+            Compare::Equal => self.rt.caches.get_equal(left, right, instruction),
+            Compare::Order => self.rt.caches.get_prefer(left, right, instruction),
+        };
+        if verdict.is_some() {
+            self.rt.stats.compare_cache_hits += 1;
+            return verdict;
         }
-        if self.rt.guard.hybrid_order {
-            if let Some(ord) = crowddb_quality::try_machine_order(left, right) {
-                self.rt.stats.machine_ordered += 1;
-                return ord;
-            }
-        }
-        match self.rt.caches.get_prefer(left, right, instruction) {
-            Some(true) => {
-                self.rt.stats.compare_cache_hits += 1;
-                Ordering::Less
-            }
-            Some(false) => {
-                self.rt.stats.compare_cache_hits += 1;
-                Ordering::Greater
-            }
-            None => {
-                self.rt.stats.compare_cache_misses += 1;
-                self.rt.push_need(TaskNeed::Order {
-                    left: left.to_string(),
-                    right: right.to_string(),
-                    instruction: instruction.to_string(),
-                });
-                // Deterministic fallback for this round.
-                left.cmp(right)
-            }
-        }
+        self.rt.stats.compare_cache_misses += 1;
+        let (left, right) = (left.to_string(), right.to_string());
+        let instruction = instruction.to_string();
+        self.rt.push_need(match kind {
+            Compare::Equal => TaskNeed::Equal {
+                left,
+                right,
+                instruction,
+            },
+            Compare::Order => TaskNeed::Order {
+                left,
+                right,
+                instruction,
+            },
+        });
+        None
     }
 }
 

@@ -16,15 +16,14 @@ pub use crowddb_plan::value_ops::{compare_truth, eval_binary, truth_to_value, va
 use crowddb_plan::{BExpr, ScalarFn};
 use crowddb_sql::{BinaryOp, UnaryOp};
 
-use crate::context::ExecCtx;
-use crate::need::TaskNeed;
+use crate::context::{Compare, ExecCtx};
 
 /// Evaluate an expression to a value.
 ///
-/// Handles the crowd cases inline: `CROWDEQUAL` consults the session
-/// equality cache (recording an [`TaskNeed::Equal`] need and yielding
-/// `NULL` on a miss), and subquery forms run through
-/// [`ExecCtx::run_subplan`].
+/// Handles the crowd cases inline: `CROWDEQUAL` asks
+/// [`ExecCtx::crowd_compare`] (which records a need on a miss, and the
+/// value is `NULL` until the crowd answers), and subquery forms run
+/// through [`ExecCtx::run_subplan`].
 pub fn eval(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Value> {
     match e {
         BExpr::Literal(_) | BExpr::Column(_) => operand(ctx, e, row).map(Cow::into_owned),
@@ -234,25 +233,11 @@ pub fn eval(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Value> {
             if compare_truth(&l, BinaryOp::Eq, &r) == Truth::True {
                 return Ok(Value::Bool(true));
             }
-            let ls = l.to_string();
-            let rs = r.to_string();
             let instruction = "Do these two values refer to the same entity?";
-            match ctx.rt.caches.get_equal(&ls, &rs, instruction) {
-                Some(verdict) => {
-                    ctx.rt.stats.compare_cache_hits += 1;
-                    Ok(Value::Bool(verdict))
-                }
-                None => {
-                    ctx.rt.stats.compare_cache_misses += 1;
-                    ctx.rt.push_need(TaskNeed::Equal {
-                        left: ls,
-                        right: rs,
-                        instruction: instruction.to_string(),
-                    });
-                    // Unknown until the crowd answers.
-                    Ok(Value::Null)
-                }
-            }
+            let verdict =
+                ctx.crowd_compare(Compare::Equal, &l.to_string(), &r.to_string(), instruction);
+            // Unknown until the crowd answers.
+            Ok(verdict.map_or(Value::Null, Value::Bool))
         }
         BExpr::CrowdOrder { .. } => Err(CrowdError::Internal(
             "CROWDORDER evaluated outside a sort".into(),

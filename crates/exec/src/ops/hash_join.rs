@@ -1,6 +1,9 @@
-//! HashJoin: equi-join building a hash table on the right input. Also
-//! hosts [`HashJoin`], the build and the probe that
-//! [`super::crowd_join`] reuses with a crowd enumeration policy on top.
+//! HashJoin: the machine join, building a hash table on the right input
+//! by the equi key. Without an equi key every right row sits under the
+//! one empty key, so each left row meets all of them in order: a nested
+//! loop whose residual is the whole `ON`. Also hosts [`HashJoin`], the
+//! build and the probe that [`super::crowd_join`] reuses with a crowd
+//! enumeration policy on top.
 
 use std::collections::HashMap;
 
@@ -10,9 +13,7 @@ use crowddb_plan::{BExpr, JoinType, PhysicalPlan};
 use crate::context::ExecCtx;
 use crate::eval::{eval, eval_truth};
 use crate::need::TaskNeed;
-use crate::ops::{
-    build, collect, join_delta, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, TableChange,
-};
+use crate::ops::{build, collect, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, TableChange};
 
 /// Hash-join operator; see [`PhysicalPlan::HashJoin`].
 pub struct HashJoinOp<'p> {
@@ -70,6 +71,13 @@ impl Operator for HashJoinOp<'_> {
         self.join.join(ctx, &left_rows, &right_rows, sink)
     }
 
+    /// Δ(L ⋈ R) = ΔL ⋈ R while R stands still, and the mirror image.
+    /// Both children are asked; the side that did not change is collected
+    /// as in any round and the join's own loop runs once over the removed
+    /// and once over the added rows of the other. No rule when both sides
+    /// changed (a self-join), when the nullable side of a LEFT join did
+    /// (a preserved row may gain or lose its `NULL` padding), or when the
+    /// condition holds a subquery.
     fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
         let on = self
             .join
@@ -80,15 +88,35 @@ impl Operator for HashJoinOp<'_> {
         if on.into_iter().any(BExpr::has_subplan) {
             return Ok(None);
         }
+        let (left, right) = (self.left.as_ref(), self.right.as_ref());
+        let (Some(dl), Some(dr)) = (left.delta(ctx, change)?, right.delta(ctx, change)?) else {
+            return Ok(None);
+        };
         let children = self.plan.children();
-        join_delta(
-            ctx,
-            change,
-            (self.left.as_ref(), children[0]),
-            (self.right.as_ref(), children[1]),
-            self.join.kind,
-            |ctx, l, r, sink| self.join.join(ctx, l, r, sink),
-        )
+        let (changed, (still, still_plan), left_changed) = match (dl.is_empty(), dr.is_empty()) {
+            (true, true) => return Ok(Some(Delta::default())),
+            (false, true) => (dl, (right, children[1]), true),
+            (true, false) if self.join.kind != JoinType::Left => (dr, (left, children[0]), false),
+            _ => return Ok(None),
+        };
+        let rows = collect(still, ctx, &mut OpStatsNode::skeleton(still_plan))?;
+        let mut half = |changed: &[Row]| -> Result<Vec<Row>> {
+            let mut out = Vec::new();
+            let mut keep = |_: &mut ExecCtx<'_>, row| {
+                out.push(row);
+                Ok(Flow::More)
+            };
+            match (changed.is_empty(), left_changed) {
+                (true, _) => Flow::More,
+                (false, true) => self.join.join(ctx, changed, &rows, &mut keep)?,
+                (false, false) => self.join.join(ctx, &rows, changed, &mut keep)?,
+            };
+            Ok(out)
+        };
+        Ok(Some(Delta {
+            removed: half(&changed.removed)?,
+            added: half(&changed.added)?,
+        }))
     }
 }
 

@@ -7,7 +7,7 @@
 //! [`Sink`] its consumer gave it, and the consumer answers with a
 //! [`Flow`] — `Stop` once it has enough. Nothing is materialized between
 //! two operators unless one of them has to see all of its input before
-//! it can emit anything (Sort, CrowdSort, the inputs of the three joins;
+//! it can emit anything (Sort, the inputs of the two joins;
 //! Aggregate keeps accumulators, not rows) or one of the two invariants
 //! below says so. Crowd work surfaces as needs on the shared [`ExecCtx`];
 //! a round is still one full evaluation.
@@ -23,7 +23,7 @@
 //!   subtree before its consumer evaluates a single row, so an operator
 //!   runs its row code inside its input's pipeline only when that input
 //!   records no need at all — no CROWD table, no needed crowd column, no
-//!   `CROWDEQUAL`/`CROWDORDER`, no CrowdJoin/CrowdSort, no subquery (it
+//!   `CROWDEQUAL`/`CROWDORDER` (so no CrowdSort), no CrowdJoin, no subquery (it
 //!   may record some) — and its own row code asks nothing either.
 //!   Otherwise it `collect`s the input first, as a materializing
 //!   executor would. It follows that `Flow::Stop` only ever cuts machine
@@ -62,11 +62,9 @@
 
 pub(crate) mod aggregate;
 mod crowd_join;
-mod crowd_sort;
 mod distinct;
 mod filter;
 mod hash_join;
-mod nested_loop_join;
 mod project;
 pub(crate) mod scan;
 mod sort;
@@ -78,7 +76,7 @@ use std::time::{Duration, Instant};
 
 use crowddb_common::{Result, Row, TupleId};
 use crowddb_obs::MetricsRegistry;
-use crowddb_plan::{BExpr, JoinType, PhysicalPlan};
+use crowddb_plan::{BExpr, PhysicalPlan};
 
 use crate::context::{ExecCtx, NeedCounts};
 
@@ -162,11 +160,7 @@ pub fn build<'p>(plan: &'p PhysicalPlan) -> BoxedOp<'p> {
         PhysicalPlan::Project { .. } => Box::new(project::ProjectOp::new(plan)),
         PhysicalPlan::HashJoin { .. } => Box::new(hash_join::HashJoinOp::new(plan)),
         PhysicalPlan::CrowdJoin { .. } => Box::new(crowd_join::CrowdJoinOp::new(plan)),
-        PhysicalPlan::NestedLoopJoin { .. } => {
-            Box::new(nested_loop_join::NestedLoopJoinOp::new(plan))
-        }
         PhysicalPlan::Sort { .. } => Box::new(sort::SortOp::new(plan)),
-        PhysicalPlan::CrowdSort { .. } => Box::new(crowd_sort::CrowdSortOp::new(plan)),
         PhysicalPlan::Aggregate { .. } => Box::new(aggregate::AggregateOp::new(plan)),
         PhysicalPlan::StopAfter { .. } => Box::new(stop_after::StopAfterOp::new(plan)),
         PhysicalPlan::Distinct { .. } => Box::new(distinct::DistinctOp::new(plan)),
@@ -189,10 +183,7 @@ fn own_exprs(plan: &PhysicalPlan) -> Vec<&BExpr> {
         PhysicalPlan::CrowdJoin { equi, residual, .. } => {
             [&equi.0, &equi.1].into_iter().chain(residual).collect()
         }
-        PhysicalPlan::NestedLoopJoin { on, .. } => on.iter().collect(),
-        PhysicalPlan::Sort { keys, .. } | PhysicalPlan::CrowdSort { keys, .. } => {
-            keys.iter().map(|k| &k.expr).collect()
-        }
+        PhysicalPlan::Sort { keys, .. } => keys.iter().map(|k| &k.expr).collect(),
         PhysicalPlan::Aggregate { group_by, aggs, .. } => group_by
             .iter()
             .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
@@ -208,7 +199,7 @@ fn own_exprs(plan: &PhysicalPlan) -> Vec<&BExpr> {
 /// subquery counts: what it records lands wherever it is first evaluated.
 fn records_needs(plan: &PhysicalPlan) -> bool {
     let own = match plan {
-        PhysicalPlan::CrowdJoin { .. } | PhysicalPlan::CrowdSort { .. } => true,
+        PhysicalPlan::CrowdJoin { .. } => true,
         PhysicalPlan::Scan {
             schema,
             crowd_table,
@@ -536,50 +527,6 @@ pub(crate) fn map_delta(
         removed: through(input.removed)?,
         added: through(input.added)?,
     })
-}
-
-/// The delta rule of the two machine joins: Δ(L ⋈ R) = ΔL ⋈ R while R
-/// stands still, and the mirror image. Both children are asked; the side
-/// that did not change is collected as in any round and `join` — the
-/// operator's own loop — runs once over the removed and once over the
-/// added rows of the other. No rule when both sides changed (a
-/// self-join) or when the nullable side of a LEFT join did (a preserved
-/// row may gain or lose its `NULL` padding).
-pub(crate) fn join_delta(
-    ctx: &mut ExecCtx<'_>,
-    change: &TableChange,
-    (left, left_plan): (&dyn Operator, &PhysicalPlan),
-    (right, right_plan): (&dyn Operator, &PhysicalPlan),
-    kind: JoinType,
-    mut join: impl FnMut(&mut ExecCtx<'_>, &[Row], &[Row], &mut Sink<'_>) -> Result<Flow>,
-) -> Result<Option<Delta>> {
-    let (Some(dl), Some(dr)) = (left.delta(ctx, change)?, right.delta(ctx, change)?) else {
-        return Ok(None);
-    };
-    let (changed, (still, still_plan), left_changed) = match (dl.is_empty(), dr.is_empty()) {
-        (true, true) => return Ok(Some(Delta::default())),
-        (false, true) => (dl, (right, right_plan), true),
-        (true, false) if kind != JoinType::Left => (dr, (left, left_plan), false),
-        _ => return Ok(None),
-    };
-    let rows = collect(still, ctx, &mut OpStatsNode::skeleton(still_plan))?;
-    let mut half = |changed: &[Row]| -> Result<Vec<Row>> {
-        let mut out = Vec::new();
-        let mut keep = |_: &mut ExecCtx<'_>, row| {
-            out.push(row);
-            Ok(Flow::More)
-        };
-        match (changed.is_empty(), left_changed) {
-            (true, _) => Flow::More,
-            (false, true) => join(ctx, changed, &rows, &mut keep)?,
-            (false, false) => join(ctx, &rows, changed, &mut keep)?,
-        };
-        Ok(out)
-    };
-    Ok(Some(Delta {
-        removed: half(&changed.removed)?,
-        added: half(&changed.added)?,
-    }))
 }
 
 /// Flush one round's per-operator stats tree into the metrics registry.

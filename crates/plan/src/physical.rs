@@ -11,12 +11,14 @@
 //!   [`PhysicalPlan::Scan`] with a `residual` predicate (so machine
 //!   predicates reject rows *before* any probe task is generated) and an
 //!   [`Access`] saying which tuples are fetched at all;
-//! * equi-join detection → [`PhysicalPlan::HashJoin`] vs
-//!   [`PhysicalPlan::NestedLoopJoin`];
+//! * a machine join → [`PhysicalPlan::HashJoin`] on its equi-conjuncts;
+//!   one without any is a keyless `HashJoin`, the whole `ON` its
+//!   residual, shown as `NestedLoopJoin`;
 //! * the CrowdJoin pattern (single-column equi key into a CROWD-table
 //!   scan) → [`PhysicalPlan::CrowdJoin`] with its batch-size annotation;
-//! * `CROWDORDER` sort keys → [`PhysicalPlan::CrowdSort`] vs
-//!   [`PhysicalPlan::Sort`];
+//! * `ORDER BY` → [`PhysicalPlan::Sort`], shown as `CrowdSort` when a key
+//!   is a `CROWDORDER` (CrowdCompare inside the sort, see
+//!   [`crowd_sorted`]);
 //! * `LIMIT` → [`PhysicalPlan::StopAfter`] (the paper's operator name).
 //!
 //! Every node carries a [`PhysAnnot`]: the cardinality estimate and
@@ -160,8 +162,11 @@ pub enum PhysicalPlan {
         /// Cardinality/boundedness annotations.
         annot: PhysAnnot,
     },
-    /// Hash join on one or more equi-conjuncts, building on the right
-    /// side; `residual` conjuncts are evaluated on each joined row.
+    /// Hash join on the equi-conjuncts, building on the right side;
+    /// `residual` conjuncts are evaluated on each joined row. Without an
+    /// equi key it is a nested-loop join (every left row meets every
+    /// right row) whose residual is the whole `ON`, if any, and EXPLAIN
+    /// shows it as `NestedLoopJoin … ON p`.
     HashJoin {
         /// Left (probe) input.
         left: Box<PhysicalPlan>,
@@ -204,36 +209,14 @@ pub enum PhysicalPlan {
         /// Cardinality/boundedness annotations.
         annot: PhysAnnot,
     },
-    /// Nested-loop join for conditions with no usable equi-conjunct
-    /// (cross products and arbitrary predicates).
-    NestedLoopJoin {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-        /// Join type.
-        kind: JoinType,
-        /// Join condition (`None` for a cross product).
-        on: Option<BExpr>,
-        /// Cardinality/boundedness annotations.
-        annot: PhysAnnot,
-    },
-    /// Machine sort (no `CROWDORDER` keys).
+    /// Sort. When a key is a `CROWDORDER` ([`crowd_sorted`]; shown as
+    /// `CrowdSort`) it is the paper's CrowdCompare inside a deterministic
+    /// quicksort, consulting the session order cache and emitting
+    /// compare needs for missing pairs.
     Sort {
         /// Input operator.
         input: Box<PhysicalPlan>,
         /// Sort keys.
-        keys: Vec<SortKey>,
-        /// Cardinality/boundedness annotations.
-        annot: PhysAnnot,
-    },
-    /// Crowd-assisted sort: CrowdCompare inside a deterministic
-    /// quicksort, consulting the session order cache and emitting
-    /// compare needs for missing pairs.
-    CrowdSort {
-        /// Input operator.
-        input: Box<PhysicalPlan>,
-        /// Sort keys (at least one is a `CROWDORDER`).
         keys: Vec<SortKey>,
         /// Cardinality/boundedness annotations.
         annot: PhysAnnot,
@@ -301,14 +284,10 @@ impl PhysicalPlan {
             | PhysicalPlan::Values { schema, .. } => schema.clone(),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::CrowdSort { input, .. }
             | PhysicalPlan::StopAfter { input, .. }
             | PhysicalPlan::Distinct { input, .. } => input.schema(),
             PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::CrowdJoin { left, right, .. }
-            | PhysicalPlan::NestedLoopJoin { left, right, .. } => {
-                left.schema().join(&right.schema())
-            }
+            | PhysicalPlan::CrowdJoin { left, right, .. } => left.schema().join(&right.schema()),
             PhysicalPlan::Union { left, .. } => left.schema(),
         }
     }
@@ -321,9 +300,7 @@ impl PhysicalPlan {
             | PhysicalPlan::Project { annot, .. }
             | PhysicalPlan::HashJoin { annot, .. }
             | PhysicalPlan::CrowdJoin { annot, .. }
-            | PhysicalPlan::NestedLoopJoin { annot, .. }
             | PhysicalPlan::Sort { annot, .. }
-            | PhysicalPlan::CrowdSort { annot, .. }
             | PhysicalPlan::Aggregate { annot, .. }
             | PhysicalPlan::StopAfter { annot, .. }
             | PhysicalPlan::Distinct { annot, .. }
@@ -339,13 +316,11 @@ impl PhysicalPlan {
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::CrowdSort { input, .. }
             | PhysicalPlan::Aggregate { input, .. }
             | PhysicalPlan::StopAfter { input, .. }
             | PhysicalPlan::Distinct { input, .. } => vec![input],
             PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::CrowdJoin { left, right, .. }
-            | PhysicalPlan::NestedLoopJoin { left, right, .. }
             | PhysicalPlan::Union { left, right, .. } => vec![left, right],
         }
     }
@@ -366,11 +341,11 @@ impl PhysicalPlan {
                 }
             }
             PhysicalPlan::Project { .. } => "Project",
+            PhysicalPlan::HashJoin { equi, .. } if equi.is_empty() => "NestedLoopJoin",
             PhysicalPlan::HashJoin { .. } => "HashJoin",
             PhysicalPlan::CrowdJoin { .. } => "CrowdJoin",
-            PhysicalPlan::NestedLoopJoin { .. } => "NestedLoopJoin",
+            PhysicalPlan::Sort { keys, .. } if crowd_sorted(keys) => "CrowdSort",
             PhysicalPlan::Sort { .. } => "Sort",
-            PhysicalPlan::CrowdSort { .. } => "CrowdSort",
             PhysicalPlan::Aggregate { .. } => "Aggregate",
             PhysicalPlan::StopAfter { .. } => "StopAfter",
             PhysicalPlan::Distinct { .. } => "Distinct",
@@ -453,6 +428,15 @@ impl PhysicalPlan {
                 equi,
                 residual,
                 ..
+            } if equi.is_empty() => match residual.first() {
+                Some(p) => format!("NestedLoopJoin {} ON {p}", kind.name()),
+                None => format!("NestedLoopJoin {}", kind.name()),
+            },
+            PhysicalPlan::HashJoin {
+                kind,
+                equi,
+                residual,
+                ..
             } => {
                 let keys: Vec<String> = equi.iter().map(|(l, r)| format!("{l}={r}")).collect();
                 format!(
@@ -483,15 +467,7 @@ impl PhysicalPlan {
                 },
                 render_residual(residual)
             ),
-            PhysicalPlan::NestedLoopJoin { kind, on, .. } => format!(
-                "NestedLoopJoin {}{}",
-                kind.name(),
-                match on {
-                    Some(p) => format!(" ON {p}"),
-                    None => String::new(),
-                }
-            ),
-            PhysicalPlan::Sort { keys, .. } | PhysicalPlan::CrowdSort { keys, .. } => {
+            PhysicalPlan::Sort { keys, .. } => {
                 let ks: Vec<String> = keys
                     .iter()
                     .map(|k| format!("{}{}", k.expr, if k.desc { " DESC" } else { "" }))
@@ -541,6 +517,14 @@ impl PhysicalPlan {
         rec(self, 0, &mut out);
         out
     }
+}
+
+/// Whether a [`PhysicalPlan::Sort`] over `keys` asks the crowd: some key
+/// is a `CROWDORDER`, so it sorts by CrowdCompare (and EXPLAIN shows
+/// `CrowdSort`).
+pub fn crowd_sorted(keys: &[SortKey]) -> bool {
+    keys.iter()
+        .any(|k| matches!(k.expr, BExpr::CrowdOrder { .. }))
 }
 
 fn render_residual(residual: &[BExpr]) -> String {
@@ -603,16 +587,11 @@ fn lower_node(node: &Annotated, indexes: &dyn Fn(&str) -> Vec<IndexMeta>) -> Phy
             on,
         } => {
             let left_arity = left.schema().arity();
-            let (equi, residual) = split_join_condition(on.as_ref(), left_arity);
+            let (equi, mut residual) = split_join_condition(on.as_ref(), left_arity);
             let (pleft, pright) = (input(0), input(1));
+            // No equi key: a nested loop, the whole ON its one residual.
             if equi.is_empty() {
-                return PhysicalPlan::NestedLoopJoin {
-                    left: pleft,
-                    right: pright,
-                    kind: *kind,
-                    on: on.clone(),
-                    annot,
-                };
+                residual = on.iter().cloned().collect();
             }
             // The CrowdJoin pattern: exactly one equi key, landing on a
             // base column of a CROWD-table scan on the inner side.
@@ -663,17 +642,11 @@ fn lower_node(node: &Annotated, indexes: &dyn Fn(&str) -> Vec<IndexMeta>) -> Phy
             schema: schema.clone(),
             annot,
         },
-        LogicalPlan::Sort { keys, .. } => {
-            let (input, keys) = (input(0), keys.clone());
-            if keys
-                .iter()
-                .any(|k| matches!(k.expr, BExpr::CrowdOrder { .. }))
-            {
-                PhysicalPlan::CrowdSort { input, keys, annot }
-            } else {
-                PhysicalPlan::Sort { input, keys, annot }
-            }
-        }
+        LogicalPlan::Sort { keys, .. } => PhysicalPlan::Sort {
+            input: input(0),
+            keys: keys.clone(),
+            annot,
+        },
         LogicalPlan::Limit { limit, offset, .. } => PhysicalPlan::StopAfter {
             input: input(0),
             limit: *limit,
@@ -1059,7 +1032,7 @@ mod tests {
             }),
         };
         let p = lower_t(&plan);
-        assert!(matches!(p, PhysicalPlan::NestedLoopJoin { .. }), "{p:?}");
+        assert_eq!(p.name(), "NestedLoopJoin", "{p:?}");
     }
 
     #[test]
@@ -1091,7 +1064,7 @@ mod tests {
             }],
         };
         let p = lower_t(&plan);
-        assert!(matches!(p, PhysicalPlan::CrowdSort { .. }), "{p:?}");
+        assert_eq!(p.name(), "CrowdSort", "{p:?}");
     }
 
     #[test]
@@ -1104,7 +1077,7 @@ mod tests {
             }],
         };
         let p = lower_t(&plan);
-        assert!(matches!(p, PhysicalPlan::Sort { .. }), "{p:?}");
+        assert_eq!(p.name(), "Sort", "{p:?}");
     }
 
     #[test]
