@@ -443,7 +443,7 @@ impl<'caches> RunContext<'caches> {
 
     /// Whether the guard resolves machine-comparable `CROWDORDER` pairs
     /// locally ([`ExecGuard::hybrid_order`]).
-    pub fn hybrid_order(&self) -> bool {
+    pub(crate) fn hybrid_order(&self) -> bool {
         self.guard.hybrid_order
     }
 

@@ -11,7 +11,8 @@
 //!   CROWD table: outer rows without a match generate new-tuple needs
 //!   with the join key preset;
 //! * **CrowdCompare** — embedded in predicate evaluation (`CROWDEQUAL`)
-//!   and sorting (`CROWDORDER`): comparisons missing from the session's
+//!   and sorting (`CROWDORDER`), one primitive for both
+//!   ([`ExecCtx::crowd_compare`]): comparisons missing from the session's
 //!   answer caches generate compare task needs.
 //!
 //! Execution is **round-based**: a run never blocks on humans. It

@@ -428,10 +428,12 @@ impl PhysicalPlan {
                 equi,
                 residual,
                 ..
-            } if equi.is_empty() => match residual.first() {
-                Some(p) => format!("NestedLoopJoin {} ON {p}", kind.name()),
-                None => format!("NestedLoopJoin {}", kind.name()),
-            },
+            } if equi.is_empty() => {
+                let on = residual
+                    .first()
+                    .map_or(String::new(), |p| format!(" ON {p}"));
+                format!("{} {}{on}", self.name(), kind.name())
+            }
             PhysicalPlan::HashJoin {
                 kind,
                 equi,
