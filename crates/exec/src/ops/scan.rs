@@ -220,6 +220,9 @@ impl<'p> ScanOp<'p> {
                         let mut tids = Vec::new();
                         for key in keys {
                             tids.extend(idx.get(t.pager(), key)?);
+                            // A composite key's entries that miss a later
+                            // value the crowd may yet fill to match.
+                            tids.extend(idx.missing_under(t.pager(), key)?);
                         }
                         Ok(tids)
                     };
@@ -251,9 +254,10 @@ impl<'p> ScanOp<'p> {
 
     /// Resolve the planned index on the live table, take the tids
     /// `lookup` finds in it (`probes` probes' worth), union the index's
-    /// missing-key tuples (which may qualify once the crowd fills them),
-    /// and lend out the live rows in tid order — the order a heap scan
-    /// yields, so access-path choice never reorders output.
+    /// tuples whose leading key value is missing (which may qualify once
+    /// the crowd fills them), and lend out the live rows in tid order —
+    /// the order a heap scan yields, so access-path choice never reorders
+    /// output.
     fn index_fetch(
         &self,
         ctx: &mut ExecCtx<'_>,

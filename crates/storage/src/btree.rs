@@ -8,13 +8,16 @@
 //! otherwise) so a node always holds at least two entries and splits
 //! terminate.
 //!
-//! **Reads run on the page.** Every visit parses the page once into a
-//! `NodeView` — the pinned `Arc` the pager handed out plus one vector
-//! of key positions, every length bounds-checked in that one pass — and
-//! `get`, `cursor_seek`, the cursor's climb and the descent of `insert`
-//! and `remove` binary-search keys where they lie. The cursor lends: its
-//! `next` hands out slices of the pinned leaf, and only a value that
-//! lives in an overflow chain is assembled into an owned buffer.
+//! **Reads run on the page, and an image is parsed once.** A visit reads
+//! the page through a `NodeView`: the pinned [`Page`] the pager handed
+//! out, whose layout — where each key starts, every length
+//! bounds-checked in one pass — the image keeps from its first parse on,
+//! at 4 bytes per key of a resident node page. A write wraps a fresh
+//! image, so a layout never needs invalidating. `get`, `cursor_seek`, the
+//! cursor's climb and the descent of `insert` and `remove` binary-search
+//! keys where they lie. The cursor lends: its `next` hands out slices of
+//! the pinned leaf, and only a value that lives in an overflow chain is
+//! assembled into an owned buffer.
 //!
 //! **Writes run on the page too.** `insert`, upsert and `remove` take one
 //! copy of the leaf image with the edit spliced in — the bytes before
@@ -45,7 +48,7 @@ use std::sync::Arc;
 use crowddb_common::codec::{self, Reader};
 use crowddb_common::{CrowdError, Result};
 
-use crate::page::{kind, PageId};
+use crate::page::{kind, Page, PageId};
 use crate::pager::Pager;
 
 /// How encoded keys of a tree compare.
@@ -157,36 +160,49 @@ fn bytes_at<const N: usize>(data: &[u8], off: usize) -> [u8; N] {
         .expect("a slice of N bytes is an [u8; N]")
 }
 
-/// A node read in place: the page as the pager pinned it, plus where
-/// each key lies in it. [`NodeView::parse`] walks the page once and
-/// checks every length against the page end, so the accessors index
-/// without failing and a read copies nothing; a write takes its one
-/// copy of the image through [`NodeView::splice`].
+/// A node read in place: the page as the pager pinned it, and the
+/// layout the image keeps — where each key starts in it. The first
+/// [`NodeView::parse`] of an image walks it once and checks every length
+/// against its end, so the accessors index without failing and a read
+/// copies nothing; a write takes its one copy of the image through
+/// [`NodeView::splice`].
 #[derive(Debug)]
 struct NodeView {
-    page: Arc<Vec<u8>>,
+    page: Arc<Page>,
     leaf: bool,
-    /// `start..end` of each leaf entry's, or each internal separator's,
-    /// key, in key order. What belongs to a key sits around it: a leaf
-    /// entry's `vword` in the four bytes before, its value right after;
-    /// a separator's right-hand child right after.
-    keys: Vec<(usize, usize)>,
 }
 
 impl NodeView {
-    fn parse(page: Arc<Vec<u8>>) -> Result<NodeView> {
-        let (leaf, keys) = key_ranges(&page)?;
-        Ok(NodeView { page, leaf, keys })
+    /// The node `page` holds: its layout as the image keeps it, or as
+    /// [`key_ranges`] finds it now — and the image keeps from then on.
+    fn parse(page: Arc<Page>) -> Result<NodeView> {
+        page.layout_or(key_ranges)?;
+        let leaf = page[0] == kind::LEAF;
+        Ok(NodeView { page, leaf })
+    }
+
+    /// Where each leaf entry's, or each internal separator's, key starts,
+    /// in key order. What belongs to a key sits around it: its length in
+    /// the entry's first two bytes, a leaf entry's `vword` in the four
+    /// bytes before the key and its value right after; a separator's
+    /// right-hand child right after.
+    fn keys(&self) -> &[u32] {
+        self.page.layout().expect("a parsed image keeps its layout")
+    }
+
+    /// `start..end` of key `i`.
+    fn key_range(&self, i: usize) -> (usize, usize) {
+        key_span(&self.page, self.leaf, self.keys()[i])
     }
 
     /// Entries of a leaf; separator keys of an internal node (which has
     /// one more child than that).
     fn len(&self) -> usize {
-        self.keys.len()
+        self.keys().len()
     }
 
     fn key(&self, i: usize) -> &[u8] {
-        let (start, end) = self.keys[i];
+        let (start, end) = self.key_range(i);
         &self.page[start..end]
     }
 
@@ -194,12 +210,12 @@ impl NodeView {
     /// [`OVERFLOW_FLAG`] and the length of a chain reference.
     fn vword(&self, i: usize) -> u32 {
         debug_assert!(self.leaf);
-        u32::from_le_bytes(bytes_at(&self.page, self.keys[i].0 - 4))
+        u32::from_le_bytes(bytes_at(&self.page, self.keys()[i] as usize - 4))
     }
 
     /// The value of leaf entry `i`.
     fn val(&self, i: usize) -> Val<&[u8]> {
-        let (_, val) = self.keys[i];
+        let (_, val) = self.key_range(i);
         let vword = self.vword(i);
         if vword & OVERFLOW_FLAG != 0 {
             Val::Overflow {
@@ -216,15 +232,18 @@ impl NodeView {
         debug_assert!(!self.leaf);
         let off = match i.checked_sub(1) {
             None => 3,
-            Some(separator) => self.keys[separator].1,
+            Some(separator) => self.key_range(separator).1,
         };
         u64::from_le_bytes(bytes_at(&self.page, off))
     }
 
     /// How many keys, from the front, `before` holds for.
     fn partition(&self, before: impl Fn(&[u8]) -> bool) -> usize {
-        self.keys
-            .partition_point(|&(start, end)| before(&self.page[start..end]))
+        let page: &[u8] = &self.page;
+        self.keys().partition_point(|&start| {
+            let (start, end) = key_span(page, self.leaf, start);
+            before(&page[start..end])
+        })
     }
 
     /// Index of the first leaf entry whose key is not below `key`.
@@ -246,7 +265,7 @@ impl NodeView {
     /// The bytes of entry `i`: a leaf's `[klen][vword][key][value]`, an
     /// internal node's `[klen][key][child]`.
     fn entry(&self, i: usize) -> Range<usize> {
-        let (key, key_end) = self.keys[i];
+        let (key, key_end) = self.key_range(i);
         if self.leaf {
             // After the key: the value, or a chain's page and length.
             let stored = match self.vword(i) {
@@ -288,11 +307,26 @@ impl NodeView {
     }
 }
 
-/// The single pass over a node page: its kind (`true` = leaf) and where
-/// every key lies, each length checked against the page end.
-fn key_ranges(data: &[u8]) -> Result<(bool, Vec<(usize, usize)>)> {
+/// `start..end` of the key of a node image that starts at `start`: its
+/// length leads the entry, six bytes before a leaf's key and two before
+/// a separator.
+fn key_span(page: &[u8], leaf: bool, start: u32) -> (usize, usize) {
+    let start = start as usize;
+    let len = u16::from_le_bytes(bytes_at(page, start - if leaf { 6 } else { 2 }));
+    (start, start + len as usize)
+}
+
+/// The single pass over a node image: where every key starts, each
+/// length checked against the image end. [`NodeView::parse`] is its one
+/// caller, and the image keeps what it returns.
+fn key_ranges(data: &[u8]) -> Result<Vec<u32>> {
     let corrupt = |what: &str| CrowdError::Internal(format!("btree: corrupt node ({what})"));
     let tag = *data.first().ok_or_else(|| corrupt("empty page"))?;
+    // Offsets are kept as `u32`, which reaches any page
+    // (`page::check_page_size`); only a spliced image can be longer.
+    if u32::try_from(data.len()).is_err() {
+        return Err(corrupt("image beyond u32 offsets"));
+    }
     let mut off = 3usize;
     let take = |off: &mut usize, n: usize| -> Result<&[u8]> {
         let s = data
@@ -302,11 +336,11 @@ fn key_ranges(data: &[u8]) -> Result<(bool, Vec<(usize, usize)>)> {
         *off += n;
         Ok(s)
     };
-    let take_key = |off: &mut usize, header: usize| -> Result<(usize, usize)> {
+    let take_key = |off: &mut usize, header: usize| -> Result<u32> {
         let header = take(off, header)?;
         let klen = u16::from_le_bytes([header[0], header[1]]) as usize;
         take(off, klen)?;
-        Ok((*off - klen, *off))
+        Ok((*off - klen) as u32)
     };
     let n = data.get(1..3).ok_or_else(|| corrupt("short"))?;
     let n = u16::from_le_bytes([n[0], n[1]]) as usize;
@@ -317,7 +351,7 @@ fn key_ranges(data: &[u8]) -> Result<(bool, Vec<(usize, usize)>)> {
         kind::LEAF => {
             for _ in 0..n {
                 let key = take_key(&mut off, 6)?;
-                let vword = u32::from_le_bytes(bytes_at(data, key.0 - 4));
+                let vword = u32::from_le_bytes(bytes_at(data, key as usize - 4));
                 if vword & OVERFLOW_FLAG != 0 {
                     take(&mut off, 16)?;
                 } else {
@@ -325,7 +359,6 @@ fn key_ranges(data: &[u8]) -> Result<(bool, Vec<(usize, usize)>)> {
                 }
                 keys.push(key);
             }
-            Ok((true, keys))
         }
         kind::INTERNAL => {
             take(&mut off, 8)?;
@@ -333,10 +366,10 @@ fn key_ranges(data: &[u8]) -> Result<(bool, Vec<(usize, usize)>)> {
                 keys.push(take_key(&mut off, 2)?);
                 take(&mut off, 8)?;
             }
-            Ok((false, keys))
         }
-        other => Err(corrupt(&format!("unexpected page kind {other}"))),
+        other => return Err(corrupt(&format!("unexpected page kind {other}"))),
     }
+    Ok(keys)
 }
 
 /// Write `data` as an overflow chain, returning the first page id.
@@ -595,7 +628,7 @@ impl BTree {
             return Ok(None);
         }
         // The one parser says where the entries of the long image lie.
-        let node = NodeView::parse(Arc::new(image))?;
+        let node = NodeView::parse(Arc::new(Page::new(image)))?;
         let (used, last) = (node.page.len(), node.len() - 1);
         // Entries before `cut` stay and its key goes up as the separator.
         // An append cuts before the new entry: a tree filled in key order
@@ -611,7 +644,10 @@ impl BTree {
         } else {
             let half = (node.entry_start(0) + used) / 2;
             let head = if node.leaf { 6 } else { 2 };
-            let mid = node.keys.partition_point(|&(key, _)| key - head <= half) - 1;
+            let mid = node
+                .keys()
+                .partition_point(|&key| key as usize - head <= half)
+                - 1;
             // Of a leaf the nearer edge of that entry; of an internal
             // node the entry, which leaves it.
             let entry = node.entry(mid);
@@ -1164,11 +1200,27 @@ mod tests {
     /// The view must take `image` exactly as the oracle does — the same
     /// error text, or the same node entry for entry — and no accessor
     /// may panic on an image it accepted.
+    ///
+    /// Read a second time, the image gives the same answer: a rejected
+    /// one errs again with the same text and never keeps a layout, an
+    /// accepted one keeps exactly what a fresh parse finds.
     fn assert_view_matches_oracle(image: &[u8], cmp: KeyCmp, what: &str) {
-        match (
-            NodeView::parse(Arc::new(image.to_vec())),
-            decode_node(image),
-        ) {
+        let page = Arc::new(Page::new(image.to_vec()));
+        let first = NodeView::parse(Arc::clone(&page));
+        match (&first, NodeView::parse(Arc::clone(&page))) {
+            (Err(first), Err(again)) => {
+                assert_eq!(first.message(), again.message(), "{what}: read again");
+                assert!(
+                    page.layout().is_none(),
+                    "{what}: a rejected image kept a layout"
+                );
+            }
+            (Ok(_), Ok(again)) => {
+                assert_eq!(again.keys(), &key_ranges(image).unwrap()[..], "{what}");
+            }
+            (first, again) => panic!("{what}: read once {first:?}, again {again:?}"),
+        }
+        match (first, decode_node(image)) {
             (Err(got), Err(want)) => assert_eq!(got.message(), want.message(), "{what}"),
             (Ok(view), Ok(node)) => {
                 assert_eq!(copied(&view), node, "{what}");
@@ -1273,7 +1325,7 @@ mod tests {
     }
 
     /// Every node page of the tree, root first, and its depth in levels.
-    fn node_pages(t: &BTree, p: &Pager) -> (Vec<Arc<Vec<u8>>>, usize) {
+    fn node_pages(t: &BTree, p: &Pager) -> (Vec<Arc<Page>>, usize) {
         let (mut pages, mut depth) = (Vec::new(), 0);
         let mut level = vec![t.root()];
         while !level.is_empty() {
@@ -1329,11 +1381,19 @@ mod tests {
                 model.len()
             );
             for (n, page) in pages.iter().enumerate() {
+                // The last full cursor read every node: each image keeps
+                // the layout of its own bytes, however many writes ago a
+                // page was last replaced.
+                assert_eq!(
+                    page.layout(),
+                    Some(&key_ranges(page).unwrap()[..]),
+                    "{cmp:?} page {n}"
+                );
                 assert_view_matches_oracle(page, cmp, &format!("{cmp:?} page {n}"));
                 // Splices and split halves alike: a page image is a
                 // function of the node's contents.
                 let encoded = encode_node(&decode_node(page).unwrap(), page.len());
-                assert_eq!(encoded.as_ref(), Some(&**page), "{cmp:?} page {n}");
+                assert_eq!(encoded.as_deref(), Some(&page[..]), "{cmp:?} page {n}");
                 for (label, image) in codec::corruptions(page) {
                     assert_view_matches_oracle(&image, cmp, &format!("{cmp:?} page {n}: {label}"));
                 }
@@ -1364,8 +1424,66 @@ mod tests {
             assert_eq!(emptied, depth, "removes never shrink the tree");
         }
     }
+    #[test]
+    fn a_resident_image_is_parsed_once() {
+        let p = pager();
+        let mut t = BTree::create(&p, KeyCmp::Bytes).unwrap();
+        for i in 0..200u64 {
+            t.insert(&p, &key(i), b"x").unwrap();
+        }
+        // The root, an internal node, and a leaf, each read twice.
+        let (leaf, _) = t.leaf_for(&p, &key(150), |_, _| {}).unwrap();
+        for page_id in [t.root(), leaf] {
+            let (once, twice) = (p.read(page_id).unwrap(), p.read(page_id).unwrap());
+            assert!(Arc::ptr_eq(&once, &twice), "page {page_id}: one image");
+            let (once, twice) = (
+                NodeView::parse(once).unwrap(),
+                NodeView::parse(twice).unwrap(),
+            );
+            assert!(
+                std::ptr::eq(once.keys(), twice.keys()),
+                "page {page_id}: one layout"
+            );
+        }
+    }
+
+    #[test]
+    fn a_descent_after_a_write_reads_the_new_image_s_layout() {
+        let p = pager();
+        let mut t = BTree::create(&p, KeyCmp::Bytes).unwrap();
+        // Filled from the right, each leaf is cut at its middle: room
+        // for one more entry.
+        for i in (0..40u64).rev() {
+            t.insert(&p, &key(2 * i), b"x").unwrap();
+        }
+        let leaf_of = |t: &BTree, k: u64| t.leaf_for(&p, &key(k), |_, _| {}).unwrap();
+        let (id, old) = leaf_of(&t, 41);
+        let before = old.keys().to_vec();
+        assert!(old.find(KeyCmp::Bytes, &key(41)).is_none());
+        t.insert(&p, &key(41), b"y").unwrap();
+        let (again, new) = leaf_of(&t, 41);
+        assert_eq!(again, id, "the insert did not split that leaf");
+        assert!(
+            !Arc::ptr_eq(&old.page, &new.page),
+            "a write wraps a fresh image"
+        );
+        assert_eq!(new.keys(), &key_ranges(&new.page).unwrap()[..]);
+        assert_eq!(new.len(), before.len() + 1);
+        assert!(new.find(KeyCmp::Bytes, &key(41)).is_some());
+        assert_eq!(get(&t, &p, &key(41)).as_deref(), Some(&b"y"[..]));
+        // The old image, still pinned, keeps the layout of its own bytes.
+        assert_eq!(old.keys(), &before[..]);
+        assert_eq!(old.keys(), &key_ranges(&old.page).unwrap()[..]);
+        // So does a remove.
+        assert!(t.remove(&p, &key(41)).unwrap());
+        let (_, removed) = leaf_of(&t, 41);
+        assert_eq!(removed.keys(), &key_ranges(&removed.page).unwrap()[..]);
+        assert_eq!(removed.len(), before.len());
+        assert_eq!(get(&t, &p, &key(41)), None);
+    }
+
     /// The root's image, which for these one-leaf trees is the leaf.
-    fn root_page(t: &BTree, p: &Pager) -> Arc<Vec<u8>> {
+    fn root_page(t: &BTree, p: &Pager) -> Arc<Page> {
         p.read(t.root()).unwrap()
     }
 
@@ -1403,7 +1521,7 @@ mod tests {
         }
         edit(&mut entries, &after);
         let want = encode_node(&Node::Leaf { entries }, image.len()).unwrap();
-        assert!(*image == want, "{what}: the image is not the encoder's");
+        assert!(image[..] == want, "{what}: the image is not the encoder's");
     }
 
     #[test]

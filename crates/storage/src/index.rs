@@ -11,10 +11,12 @@
 //! foreign-key indexes and `CREATE INDEX` all build this tree — and every
 //! one serves point probes ([`Index::get`]) and ordered range scans
 //! ([`Index::range`]) alike. Missing values (`NULL`/`CNULL`) sort
-//! before every present value, so the entries whose indexed column the
+//! before every present value, so the entries whose leading column the
 //! crowd has not yet filled form a contiguous prefix of the tree —
-//! [`Index::missing_key_tids`] — which index access paths must union
-//! with their probe results to preserve CNULL probe semantics.
+//! [`Index::missing_key_tids`] — and, in a composite index, those that
+//! miss a later column form a run under each bound prefix of a probed
+//! key — [`Index::missing_under`]. Index access paths union both with
+//! their probe results to preserve CNULL probe semantics.
 
 use std::cmp::Ordering;
 
@@ -199,20 +201,48 @@ impl Index {
         Ok(out)
     }
 
-    /// Tuple ids whose key has a `NULL`/`CNULL` component. Index access
-    /// paths union these with probe results so crowd-fillable rows still
-    /// generate probes. Keys with a missing *leading* component form a
-    /// contiguous prefix; for multi-column keys the scan continues until
-    /// the leading component is present.
+    /// Tuple ids of the entries whose leading value is missing: a
+    /// contiguous prefix of the tree, missing values sorting first. For a
+    /// single-column index these are all the entries with a `NULL`/`CNULL`
+    /// key, and index access paths union them with their probe results so
+    /// crowd-fillable rows still generate probes. A composite key can also
+    /// miss a later value; [`Index::missing_under`] finds those under the
+    /// key a point access probes.
     pub fn missing_key_tids(&self, pager: &Pager) -> Result<Vec<TupleId>> {
         let mut cur = self.tree.cursor_first(pager)?;
         let mut out = Vec::new();
         while let Some((entry, _)) = cur.next(pager)? {
             let (k, tid) = decode_index_entry(entry)?;
-            if k.has_missing() {
-                out.push(tid);
-            } else if !k.0.first().is_some_and(Value::is_missing) {
+            if !k.0.first().is_some_and(Value::is_missing) {
                 break;
+            }
+            out.push(tid);
+        }
+        Ok(out)
+    }
+
+    /// Tuple ids of the entries that hold `key`'s first `i` values and
+    /// miss value `i`, for each `i` from 1 to `key`'s length less one:
+    /// under every bound prefix, the run its missing values sort first
+    /// in. With [`Index::missing_key_tids`] and [`Index::get`] these are
+    /// all the entries that agree with `key` wherever they hold a value —
+    /// the rows the crowd may yet make match. A single-column key has no
+    /// such prefix: nothing is read.
+    pub fn missing_under(&self, pager: &Pager, key: &IndexKey) -> Result<Vec<TupleId>> {
+        let mut out = Vec::new();
+        for bound in 1..key.0.len() {
+            let prefix = &key.0[..bound];
+            let mut cur = self
+                .tree
+                .cursor_seek(pager, &encode_index_entry(prefix, TupleId(0)))?;
+            while let Some((entry, _)) = cur.next(pager)? {
+                let (k, tid) = decode_index_entry(entry)?;
+                if k.0.get(..bound) != Some(prefix)
+                    || !k.0.get(bound).is_some_and(Value::is_missing)
+                {
+                    break;
+                }
+                out.push(tid);
             }
         }
         Ok(out)
@@ -323,6 +353,47 @@ mod tests {
             idx.get(&p, &key(vec![Value::CNull])).unwrap(),
             vec![TupleId(1)]
         );
+    }
+
+    #[test]
+    fn a_composite_key_finds_the_entries_missing_a_later_value() {
+        let p = pager();
+        let mut idx = Index::new(&p, "i", vec![0, 1], false).unwrap();
+        let entries = [
+            (vec![Value::CNull, Value::Int(7)], 0),
+            (vec![Value::Int(1), Value::CNull], 1),
+            (vec![Value::Int(1), Value::Int(5)], 2),
+            (vec![Value::Int(2), Value::Null], 3),
+            (vec![Value::Int(2), Value::CNull], 4),
+            (vec![Value::Int(2), Value::Int(6)], 5),
+            (vec![Value::Int(3), Value::CNull], 6),
+        ];
+        for (values, tid) in entries {
+            idx.insert(&p, &key(values), TupleId(tid)).unwrap();
+        }
+        // The leading-missing prefix stops at the first present leading
+        // value: (1, CNULL) and (2, CNULL) lie further on.
+        assert_eq!(idx.missing_key_tids(&p).unwrap(), vec![TupleId(0)]);
+        // Under `a = 2`: the run whose `b` is missing, not `a = 1`'s or
+        // `a = 3`'s.
+        let probe = key(vec![Value::Int(2), Value::Int(7)]);
+        assert_eq!(
+            idx.missing_under(&p, &probe).unwrap(),
+            vec![TupleId(3), TupleId(4)]
+        );
+        assert!(idx.get(&p, &probe).unwrap().is_empty());
+        assert!(idx
+            .missing_under(&p, &key(vec![Value::Int(9), Value::Int(1)]))
+            .unwrap()
+            .is_empty());
+        // A single-column key has no bound prefix to look under.
+        let single = Index::new(&p, "s", vec![0], false).unwrap();
+        let before = p.stats();
+        assert!(single
+            .missing_under(&p, &key(vec![Value::Int(2)]))
+            .unwrap()
+            .is_empty());
+        assert_eq!(p.stats(), before, "no page read");
     }
 
     #[test]

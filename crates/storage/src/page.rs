@@ -6,6 +6,9 @@
 //! can be validated before any tree is walked; in-memory page stores keep
 //! the same layout so code paths stay uniform.
 
+use std::ops::Deref;
+use std::sync::OnceLock;
+
 use crowddb_common::{CrowdError, Result};
 
 /// Identifier of one fixed-size page. Page ids are dense: they double as
@@ -37,6 +40,56 @@ pub mod kind {
     pub const OVERFLOW: u8 = 3;
     /// The file header page (page 0).
     pub const HEADER: u8 = 4;
+}
+
+/// A page image as the pager hands it out: the bytes, never changed once
+/// wrapped — a write wraps a fresh image — and, for a B-tree node, where
+/// its keys start, found by the B-tree's parser on the first read that
+/// needs it and kept with the bytes it describes. Being tied to the
+/// image, the layout needs no invalidation: whoever still holds the old
+/// image after a write holds the old layout with it.
+#[derive(Debug)]
+pub struct Page {
+    bytes: Vec<u8>,
+    layout: OnceLock<Box<[u32]>>,
+}
+
+impl Page {
+    /// Wrap an image; nothing is parsed yet.
+    pub(crate) fn new(bytes: Vec<u8>) -> Page {
+        Page {
+            bytes,
+            layout: OnceLock::new(),
+        }
+    }
+
+    /// The layout a successful parse stored, if any.
+    pub(crate) fn layout(&self) -> Option<&[u32]> {
+        self.layout.get().map(|layout| &**layout)
+    }
+
+    /// The stored layout, or `parse`'s result on these bytes — kept only
+    /// if it is one, so an image that fails to parse fails again, the
+    /// same way, on every read. Two readers racing to the first parse
+    /// both run it and keep the one that lands first: the same offsets.
+    pub(crate) fn layout_or(
+        &self,
+        parse: impl FnOnce(&[u8]) -> Result<Vec<u32>>,
+    ) -> Result<&[u32]> {
+        if let Some(layout) = self.layout() {
+            return Ok(layout);
+        }
+        let layout = parse(&self.bytes)?;
+        Ok(self.layout.get_or_init(|| layout.into_boxed_slice()))
+    }
+}
+
+impl Deref for Page {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
 }
 
 /// Validate a requested page size.
@@ -92,6 +145,21 @@ mod tests {
         let mut p = header_page(512);
         p[3] ^= 0xff;
         assert!(parse_header_page(&p).is_err());
+    }
+
+    #[test]
+    fn a_layout_is_kept_only_when_the_parse_succeeds() {
+        let page = Page::new(vec![1, 2, 3]);
+        let fails = |_: &[u8]| Err(CrowdError::Internal("no".into()));
+        assert!(page.layout_or(fails).is_err());
+        assert!(page.layout().is_none());
+        assert_eq!(
+            page.layout_or(|bytes| Ok(vec![bytes[2] as u32])).unwrap(),
+            [3]
+        );
+        // Stored: the next parse is not run.
+        assert_eq!(page.layout_or(fails).unwrap(), [3]);
+        assert_eq!(&*page, [1, 2, 3]);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crowddb_common::codec;
 use crowddb_common::sync::Mutex;
 use crowddb_common::{CrowdError, Result};
 
-use crate::page::{self, PageId, HEADER_PAGE};
+use crate::page::{self, Page, PageId, HEADER_PAGE};
 use crate::pool::{BufferPool, PagerStats};
 
 /// Name of the page file inside a database directory.
@@ -72,7 +72,7 @@ fn env_usize(var: &str, default: usize) -> usize {
 #[derive(Debug)]
 enum Backend {
     /// Authoritative in-memory page store (write-through).
-    Mem(Vec<Arc<Vec<u8>>>),
+    Mem(Vec<Arc<Page>>),
     /// `pages.db` in a database directory (write-back, no-steal).
     File { db: File, journal_path: PathBuf },
 }
@@ -103,7 +103,7 @@ pub struct CheckpointPrep {
     /// The epoch written into the journal header. The caller must record
     /// it in its committed metadata so recovery can classify the journal.
     pub epoch: u64,
-    pages: Vec<(PageId, Arc<Vec<u8>>)>,
+    pages: Vec<(PageId, Arc<Page>)>,
 }
 
 impl CheckpointPrep {
@@ -117,7 +117,7 @@ impl Pager {
     /// An in-memory pager (write-through backend).
     pub fn new_mem(cfg: PagerConfig) -> Result<Pager> {
         page::check_page_size(cfg.page_size)?;
-        let header = Arc::new(page::header_page(cfg.page_size));
+        let header = Arc::new(Page::new(page::header_page(cfg.page_size)));
         Ok(Pager {
             page_size: cfg.page_size,
             state: Mutex::new(PagerState {
@@ -258,7 +258,7 @@ impl Pager {
     }
 
     /// Read a page through the pool.
-    pub fn read(&self, id: PageId) -> Result<Arc<Vec<u8>>> {
+    pub fn read(&self, id: PageId) -> Result<Arc<Page>> {
         let mut st = self.state.lock();
         if let Some(data) = st.pool.get(id) {
             return Ok(data);
@@ -275,7 +275,7 @@ impl Pager {
                 let mut buf = vec![0u8; self.page_size];
                 read_at(db, id * self.page_size as u64, &mut buf)?;
                 st.pool.stats.pages_read += 1;
-                Arc::new(buf)
+                Arc::new(Page::new(buf))
             }
         };
         st.pool.install_clean(id, Arc::clone(&data));
@@ -293,7 +293,7 @@ impl Pager {
                 self.page_size
             )));
         }
-        let data = Arc::new(data);
+        let data = Arc::new(Page::new(data));
         let mut st = self.state.lock();
         if id >= st.page_count {
             return Err(CrowdError::Internal(format!(
@@ -303,7 +303,10 @@ impl Pager {
         match &mut st.backend {
             Backend::Mem(pages) => {
                 if pages.len() <= id as usize {
-                    pages.resize(id as usize + 1, Arc::new(vec![0u8; self.page_size]));
+                    pages.resize(
+                        id as usize + 1,
+                        Arc::new(Page::new(vec![0u8; self.page_size])),
+                    );
                 }
                 pages[id as usize] = Arc::clone(&data);
                 st.pool.put(id, data, false);

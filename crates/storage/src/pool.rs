@@ -19,7 +19,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use crate::page::PageId;
+use crate::page::{Page, PageId};
 
 /// Cumulative pager/pool counters. Monotonic within a session; snapshot
 /// and diff them to attribute work to an operator or a checkpoint.
@@ -52,7 +52,7 @@ impl PagerStats {
 
 #[derive(Debug)]
 struct Frame {
-    data: Arc<Vec<u8>>,
+    data: Arc<Page>,
     dirty: bool,
     last_use: u64,
     /// The `last_use` a clean frame is queued under in `BufferPool::clean`
@@ -96,7 +96,7 @@ impl BufferPool {
     }
 
     /// Look up a resident page, counting a hit or miss.
-    pub fn get(&mut self, id: PageId) -> Option<Arc<Vec<u8>>> {
+    pub fn get(&mut self, id: PageId) -> Option<Arc<Page>> {
         self.tick += 1;
         match self.frames.get_mut(&id) {
             Some(f) => {
@@ -113,14 +113,14 @@ impl BufferPool {
 
     /// Install a page just fetched from the backend (clean), evicting if
     /// over budget.
-    pub fn install_clean(&mut self, id: PageId, data: Arc<Vec<u8>>) {
+    pub fn install_clean(&mut self, id: PageId, data: Arc<Page>) {
         self.put(id, data, false);
     }
 
     /// Install or overwrite a page with fresh contents. `dirty` marks it
     /// pending a checkpoint flush (file-backed pagers); write-through
     /// backends pass `false` because the backend was updated in place.
-    pub fn put(&mut self, id: PageId, data: Arc<Vec<u8>>, dirty: bool) {
+    pub fn put(&mut self, id: PageId, data: Arc<Page>, dirty: bool) {
         self.tick += 1;
         let frame = Frame {
             data,
@@ -148,8 +148,8 @@ impl BufferPool {
     }
 
     /// All dirty pages, sorted by page id (deterministic flush order).
-    pub fn dirty_pages(&self) -> Vec<(PageId, Arc<Vec<u8>>)> {
-        let mut out: Vec<(PageId, Arc<Vec<u8>>)> = self
+    pub fn dirty_pages(&self) -> Vec<(PageId, Arc<Page>)> {
+        let mut out: Vec<(PageId, Arc<Page>)> = self
             .frames
             .iter()
             .filter(|(_, f)| f.dirty)
@@ -219,8 +219,8 @@ impl BufferPool {
 mod tests {
     use super::*;
 
-    fn page(b: u8) -> Arc<Vec<u8>> {
-        Arc::new(vec![b; 16])
+    fn page(b: u8) -> Arc<Page> {
+        Arc::new(Page::new(vec![b; 16]))
     }
 
     #[test]

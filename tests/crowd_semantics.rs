@@ -249,6 +249,50 @@ fn crowd_join_writes_back_and_respects_fk_preset() {
     assert_eq!(r.rows.len(), 1);
 }
 
+/// An access path changes which pages are read, never what a statement
+/// means: under a composite index on `(a, b)`, the row whose crowd column
+/// `b` is still CNULL is a candidate for `a = 2 AND b = 7` as it is
+/// without the index, though its entry sorts after a complete one.
+#[test]
+fn a_composite_index_keeps_a_row_the_crowd_could_fill() {
+    let run = |index: bool| {
+        let db = CrowdDB::with_config(CrowdConfig::fast_test());
+        db.execute_local("CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b CROWD INTEGER)")
+            .unwrap();
+        db.execute_local("INSERT INTO t VALUES (1, 1, 5), (2, 2, CNULL)")
+            .unwrap();
+        if index {
+            db.execute_local("CREATE INDEX t_ab ON t (a, b)").unwrap();
+        }
+        let sql = "SELECT id FROM t WHERE a = 2 AND b = 7";
+        let plan = db.execute_local(&format!("EXPLAIN {sql}")).unwrap();
+        assert_eq!(
+            format!("{:?}", plan.rows).contains("via t_ab"),
+            index,
+            "{:?}",
+            plan.rows
+        );
+        let probes = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let seen = std::sync::Arc::clone(&probes);
+        let mut crowd = MockPlatform::unanimous(move |kind| match kind {
+            TaskKind::Probe { known, asked, .. } => {
+                seen.lock().unwrap().push((known.clone(), asked.clone()));
+                Answer::Form(asked.iter().map(|(c, _)| (c.clone(), "7".into())).collect())
+            }
+            _ => Answer::Blank,
+        });
+        let r = db.execute(sql, &mut crowd).unwrap();
+        assert!(r.complete);
+        let probes = probes.lock().unwrap().clone();
+        (r.rows, probes)
+    };
+    let (rows, probes) = run(false);
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0][0], Value::Int(2));
+    assert!(!probes.is_empty(), "b is asked of the crowd");
+    assert_eq!(run(true), (rows, probes), "the index changes the answer");
+}
+
 #[test]
 fn crowdorder_converges_over_rounds() {
     let db = conference_db(CrowdConfig::fast_test());
