@@ -531,12 +531,15 @@ impl CrowdDB {
             }
         };
         let id = self.begin_statement(prepared.sql);
+        // The statement's one crowd ledger: every wave adds into it as it
+        // settles, so it keeps what was paid however the statement ends.
+        let mut ledger = CrowdSummary::default();
         // Panic isolation: a panicking operator (or a chaos hook) must
         // not take down the session. The unwind releases the admission
         // permit and every lock on the way out (`crowddb_common::sync`
         // locks recover from poisoning), so containment is safe.
         let r = match catch_unwind(AssertUnwindSafe(|| {
-            self.execute_statement(prepared, platform, &guard)
+            self.execute_statement(prepared, platform, &guard, &mut ledger)
         })) {
             Ok(r) => r,
             Err(payload) => {
@@ -563,10 +566,10 @@ impl CrowdDB {
                 cancel.clear();
             }
         }
-        self.finish_statement(id, &r);
+        self.finish_statement(id, &r, &ledger);
         let r = r?;
         self.maybe_checkpoint()?;
-        Ok(r)
+        Ok(QueryResult { crowd: ledger, ..r })
     }
 
     /// Emit the `StatementBegin` span event and hand back its id.
@@ -579,55 +582,45 @@ impl CrowdDB {
         id
     }
 
-    /// Close a statement span: `StatementEnd` event, per-statement
-    /// metrics, crowd-cost accounting, and the slow-statement log.
-    fn finish_statement(&self, id: u64, outcome: &Result<QueryResult>) {
+    /// Close a statement span, whatever its outcome: `StatementEnd`
+    /// event, per-statement metrics and the slow-statement log, all read
+    /// from the statement's ledger `c`.
+    fn finish_statement(&self, id: u64, outcome: &Result<QueryResult>, c: &CrowdSummary) {
         let reg = self.obs.registry();
         reg.counter_inc("crowddb_statements_total");
-        match outcome {
-            Ok(r) => {
-                let c = &r.crowd;
-                reg.counter_add("crowddb_statement_rounds_total", c.rounds as u64);
-                reg.counter_add("crowddb_crowd_cents_spent_total", c.cents_spent);
-                reg.gauge_set("crowddb_statement_cents_spent_last", c.cents_spent as f64);
-                reg.observe("crowddb_statement_cents_spent", c.cents_spent as f64);
-                reg.observe("crowddb_statement_rounds", c.rounds as f64);
-                reg.observe("crowddb_statement_virtual_secs", c.virtual_secs);
-                if !r.complete {
-                    reg.counter_inc("crowddb_statements_incomplete_total");
-                }
-                self.obs.events().emit(Event::StatementEnd {
-                    id,
-                    ok: true,
-                    complete: r.complete,
-                    rounds: c.rounds as u64,
-                    tasks_posted: c.tasks_posted,
-                    answers: c.answers_collected,
-                    cents: c.cents_spent,
-                    virtual_secs: c.virtual_secs,
-                });
-                if let Some(threshold) = self.config.slow_statement_virtual_secs {
-                    if c.virtual_secs >= threshold {
-                        reg.counter_inc("crowddb_slow_statements_total");
-                        self.obs.events().emit(Event::SlowStatement {
-                            id,
-                            virtual_secs: c.virtual_secs,
-                            threshold_secs: threshold,
-                        });
-                    }
-                }
+        let complete = match outcome {
+            Ok(r) if !r.complete => {
+                reg.counter_inc("crowddb_statements_incomplete_total");
+                false
             }
+            Ok(_) => true,
             Err(_) => {
                 reg.counter_inc("crowddb_statement_errors_total");
-                self.obs.events().emit(Event::StatementEnd {
+                false
+            }
+        };
+        reg.counter_add("crowddb_statement_rounds_total", c.rounds as u64);
+        reg.gauge_set("crowddb_statement_cents_spent_last", c.cents_spent as f64);
+        reg.observe("crowddb_statement_cents_spent", c.cents_spent as f64);
+        reg.observe("crowddb_statement_rounds", c.rounds as f64);
+        reg.observe("crowddb_statement_virtual_secs", c.virtual_secs);
+        self.obs.events().emit(Event::StatementEnd {
+            id,
+            ok: outcome.is_ok(),
+            complete,
+            rounds: c.rounds as u64,
+            tasks_posted: c.tasks_posted,
+            answers: c.answers_collected,
+            cents: c.cents_spent,
+            virtual_secs: c.virtual_secs,
+        });
+        if let Some(threshold) = self.config.slow_statement_virtual_secs {
+            if c.virtual_secs >= threshold {
+                reg.counter_inc("crowddb_slow_statements_total");
+                self.obs.events().emit(Event::SlowStatement {
                     id,
-                    ok: false,
-                    complete: false,
-                    rounds: 0,
-                    tasks_posted: 0,
-                    answers: 0,
-                    cents: 0,
-                    virtual_secs: 0.0,
+                    virtual_secs: c.virtual_secs,
+                    threshold_secs: threshold,
                 });
             }
         }
@@ -732,6 +725,7 @@ impl CrowdDB {
         prepared: &Prepared<'_>,
         crowd: Option<&mut dyn Platform>,
         guard: &StatementGuard,
+        ledger: &mut CrowdSummary,
     ) -> Result<QueryResult> {
         let stmt = &prepared.statement;
         let ddl_record = || LogRecord::Ddl {
@@ -750,9 +744,10 @@ impl CrowdDB {
                             prepared.plan()?,
                             crowd,
                             guard,
+                            ledger,
                             Some(&mut analysis),
                         )?;
-                        analysis.render(&r)
+                        analysis.render(&r, ledger)
                     }
                     _ => self.explain_statement(prepared)?,
                 };
@@ -802,9 +797,11 @@ impl CrowdDB {
                     ..Default::default()
                 })
             }
-            Statement::Update(upd) => self.execute_dml(stmt, &upd.table, crowd, guard),
-            Statement::Delete(del) => self.execute_dml(stmt, &del.table, crowd, guard),
-            Statement::Select(_) => self.execute_select(prepared.plan()?, crowd, guard, None),
+            Statement::Update(upd) => self.execute_dml(stmt, &upd.table, crowd, guard, ledger),
+            Statement::Delete(del) => self.execute_dml(stmt, &del.table, crowd, guard, ledger),
+            Statement::Select(_) => {
+                self.execute_select(prepared.plan()?, crowd, guard, ledger, None)
+            }
             Statement::Subscribe(query) => {
                 let (id, _columns) = self.register_subscription(query, prepared.plan()?)?;
                 Ok(QueryResult {
@@ -846,18 +843,17 @@ impl CrowdDB {
     /// §3, "Statement driver"). Each round checks the governor, runs `step`
     /// as a [`CrowdDB::local_step`] and, if that left needs, has the Task
     /// Manager fulfill them and goes again. `crowd: None` is what "local"
-    /// means: one round, nothing posted, nothing marked exhausted.
+    /// means: one round, nothing posted, nothing marked exhausted. Rounds
+    /// and waves land in `ledger` as they happen.
     fn drive<T>(
         &self,
         mut crowd: Option<&mut (dyn Platform + '_)>,
         guard: &StatementGuard,
+        ledger: &mut CrowdSummary,
         mut warnings: Vec<String>,
         mut step: impl FnMut(&CompareCaches, ExecGuard) -> Result<(T, Vec<TaskNeed>)>,
     ) -> Result<Driven<T>> {
-        let start_stats = crowd.as_deref().map(|p| p.stats()).unwrap_or_default();
-        let start_now = crowd.as_deref().map_or(0.0, |p| p.now());
         let budget = guard.max_crowd_cents;
-        let mut summary = CrowdSummary::default();
         let mut output = None;
         let mut stop = StopReason::RoundCap;
         for round in 1..=self.config.max_rounds {
@@ -865,7 +861,7 @@ impl CrowdDB {
             // statement was cancelled or overran its virtual deadline.
             // Everything earlier rounds paid for is already memorized.
             guard.check(crowd.as_deref().map_or(0.0, |p| p.now()))?;
-            summary.rounds = round;
+            ledger.rounds = round;
             let (out, mut needs) = self.local_step(&guard.exec, &mut step)?;
             output = Some(out);
             if needs.is_empty() {
@@ -895,7 +891,7 @@ impl CrowdDB {
                 // recorded needs the remaining budget pays for, each priced
                 // as the HIT it becomes (escalations may still nudge past
                 // the line; the next round's check catches that).
-                let spent = platform.stats().cents_spent - start_stats.cents_spent;
+                let spent = ledger.cents_spent;
                 let mut left = budget.saturating_sub(spent);
                 let affordable = needs
                     .iter()
@@ -928,16 +924,7 @@ impl CrowdDB {
                     needs.truncate(affordable);
                 }
             }
-            let wave = self.fulfill(&needs, platform, &mut warnings, round, guard)?;
-            summary.absorb_resilience(&wave);
-        }
-        if let Some(platform) = crowd {
-            let end = platform.stats();
-            summary.tasks_posted = end.hits_posted - start_stats.hits_posted;
-            summary.answers_collected =
-                end.assignments_completed - start_stats.assignments_completed;
-            summary.cents_spent = end.cents_spent - start_stats.cents_spent;
-            summary.virtual_secs = platform.now() - start_now;
+            self.fulfill(&needs, platform, &mut warnings, round, guard, ledger)?;
         }
         if stop == StopReason::RoundCap {
             warnings.push(format!(
@@ -947,7 +934,6 @@ impl CrowdDB {
         }
         Ok(Driven {
             output,
-            summary,
             warnings,
             stop,
         })
@@ -1021,6 +1007,7 @@ impl CrowdDB {
         (plan, report): &(LogicalPlan, BoundednessReport),
         crowd: Option<&mut dyn Platform>,
         guard: &StatementGuard,
+        ledger: &mut CrowdSummary,
         mut analysis: Option<&mut Analysis>,
     ) -> Result<QueryResult> {
         // `EXPLAIN ANALYZE` runs an unbounded query, warning about it.
@@ -1035,7 +1022,7 @@ impl CrowdDB {
                 unbounded_detail(report)
             )]
         };
-        let driven = self.drive(crowd, guard, warnings, |caches, exec_guard| {
+        let driven = self.drive(crowd, guard, ledger, warnings, |caches, exec_guard| {
             let (physical, exec, stats) =
                 self.run_plan(plan, caches, exec_guard, analysis.is_some())?;
             flush_op_stats(self.obs.registry(), &stats);
@@ -1047,10 +1034,9 @@ impl CrowdDB {
         Ok(QueryResult {
             columns: output_columns(plan),
             rows: driven.output.unwrap_or_default(),
-            affected: 0,
-            crowd: driven.summary,
             warnings: driven.warnings,
             complete: driven.stop == StopReason::Complete,
+            ..Default::default()
         })
     }
 
@@ -1064,12 +1050,14 @@ impl CrowdDB {
         table: &str,
         mut crowd: Option<&mut dyn Platform>,
         guard: &StatementGuard,
+        ledger: &mut CrowdSummary,
     ) -> Result<QueryResult> {
-        let mut driven = self.drive(crowd.as_deref_mut(), guard, Vec::new(), |caches, exec| {
+        let select = |caches: &CompareCaches, exec: ExecGuard| {
             let selection = dml::select(&self.db, caches, stmt, exec)?;
             let needs = selection.needs.clone();
             Ok((selection, needs))
-        })?;
+        };
+        let mut driven = self.drive(crowd.as_deref_mut(), guard, ledger, Vec::new(), select)?;
         // A cancelled or deadline-exceeded DML errors *before* the
         // mutation is applied (paid crowd verdicts stay cached).
         guard.check(crowd.map_or(0.0, |p| p.now()))?;
@@ -1084,7 +1072,6 @@ impl CrowdDB {
         }
         Ok(QueryResult {
             affected,
-            crowd: driven.summary,
             warnings: driven.warnings,
             complete: driven.stop == StopReason::Complete,
             ..Default::default()
@@ -1137,7 +1124,8 @@ impl CrowdDB {
     }
 
     /// Hand one wave of needs to the Task Manager and settle what comes
-    /// back: registry counters, round events, the write-ahead log, the
+    /// back: the statement's ledger and the registry counters (before
+    /// anything that can fail), round events, the write-ahead log, the
     /// session's exhausted set, and the standing queries.
     fn fulfill(
         &self,
@@ -1146,15 +1134,14 @@ impl CrowdDB {
         warnings: &mut Vec<String>,
         round: usize,
         guard: &StatementGuard,
-    ) -> Result<taskman::FulfillSummary> {
-        if needs.is_empty() {
-            return Ok(taskman::FulfillSummary::default());
-        }
+        ledger: &mut CrowdSummary,
+    ) -> Result<()> {
         self.obs.events().emit(Event::RoundBegin {
             round: round as u64,
             needs: needs.len() as u64,
         });
-        let mut fulfill = {
+        let (before, start) = (platform.stats(), platform.now());
+        let fulfilled = {
             let mut wrm = self.wrm.lock();
             let templates = self.templates.lock();
             taskman::fulfill_needs(
@@ -1167,42 +1154,36 @@ impl CrowdDB {
                 needs,
                 &self.obs,
                 guard,
-            )?
+            )
         };
+        // What the platform counted over the wave, and what only the
+        // Task Manager saw: paid for, so booked even if the wave failed.
+        let after = platform.stats();
+        let wave = CrowdSummary {
+            tasks_posted: after.hits_posted - before.hits_posted,
+            answers_collected: after.assignments_completed - before.assignments_completed,
+            cents_spent: after.cents_spent - before.cents_spent,
+            virtual_secs: platform.now() - start,
+            ..fulfilled.as_ref().map(|f| f.crowd).unwrap_or_default()
+        };
+        self.book_wave(ledger, wave);
+        let mut fulfill = fulfilled?;
         warnings.append(&mut fulfill.warnings);
-        // Mirror the wave's accounting into the registry — these are the
-        // *same* fields `CrowdSummary::absorb_resilience` folds into the
-        // statement summary, so registry counters and summary totals
-        // reconcile exactly (the chaos suite asserts this).
         let reg = self.obs.registry();
-        reg.counter_add("crowddb_crowd_tasks_posted_total", fulfill.tasks_posted);
-        reg.counter_add("crowddb_crowd_answers_total", fulfill.answers_collected);
-        reg.counter_add("crowddb_crowd_retries_total", fulfill.retries);
-        reg.counter_add("crowddb_crowd_reposts_total", fulfill.reposts);
-        reg.counter_add(
-            "crowddb_crowd_duplicates_dropped_total",
-            fulfill.duplicates_dropped,
-        );
-        reg.counter_add("crowddb_crowd_post_failures_total", fulfill.post_failures);
-        reg.counter_add(
-            "crowddb_crowd_extend_failures_total",
-            fulfill.extend_failures,
-        );
-        reg.counter_add("crowddb_crowd_gave_up_total", fulfill.gave_up);
         reg.counter_add(
             "crowddb_crowd_exhausted_needs_total",
             fulfill.exhausted.len() as u64,
         );
-        if fulfill.degraded {
+        if wave.degraded {
             reg.counter_inc("crowddb_crowd_degraded_waves_total");
         }
         self.obs.events().emit(Event::RoundEnd {
             round: round as u64,
-            posted: fulfill.tasks_posted,
-            answers: fulfill.answers_collected,
-            retries: fulfill.retries,
-            reposts: fulfill.reposts,
-            degraded: fulfill.degraded,
+            posted: wave.tasks_posted,
+            answers: wave.answers_collected,
+            retries: wave.retries,
+            reposts: wave.reposts,
+            degraded: wave.degraded,
         });
         // Persist every answer the crowd just produced before the round
         // ends: a crash from here on loses at most in-flight work, never
@@ -1230,7 +1211,31 @@ impl CrowdDB {
         // place, so re-evaluate the crowd-related standing queries (no
         // other lock is held here: see the `subs` field's lock order).
         self.notify_subscriptions(&mut self.subs.lock(), &Trigger::Settlement);
-        Ok(fulfill)
+        Ok(())
+    }
+
+    /// Add one wave into the statement's ledger and the same numbers into
+    /// the `crowddb_crowd_*` counters, so the two reconcile by
+    /// construction.
+    fn book_wave(&self, ledger: &mut CrowdSummary, wave: CrowdSummary) {
+        *ledger += wave;
+        let reg = self.obs.registry();
+        for (name, n) in [
+            ("crowddb_crowd_tasks_posted_total", wave.tasks_posted),
+            ("crowddb_crowd_answers_total", wave.answers_collected),
+            ("crowddb_crowd_cents_spent_total", wave.cents_spent),
+            ("crowddb_crowd_retries_total", wave.retries),
+            ("crowddb_crowd_reposts_total", wave.reposts),
+            (
+                "crowddb_crowd_duplicates_dropped_total",
+                wave.duplicates_dropped,
+            ),
+            ("crowddb_crowd_post_failures_total", wave.post_failures),
+            ("crowddb_crowd_extend_failures_total", wave.extend_failures),
+            ("crowddb_crowd_gave_up_total", wave.gave_up),
+        ] {
+            reg.counter_add(name, n);
+        }
     }
 
     // ── Continuous queries (`SUBSCRIBE`) ────────────────────────────
@@ -1675,7 +1680,6 @@ enum StopReason {
 struct Driven<T> {
     /// The last round's output (`None` only under `max_rounds == 0`).
     output: Option<T>,
-    summary: CrowdSummary,
     /// The caller's planning warnings, each wave's, the stop reason's.
     warnings: Vec<String>,
     stop: StopReason,
@@ -1721,8 +1725,9 @@ impl Analysis {
         }
     }
 
-    /// The `EXPLAIN ANALYZE` text for the execution that produced `r`.
-    fn render(&self, r: &QueryResult) -> String {
+    /// The `EXPLAIN ANALYZE` text for the execution that produced `r`
+    /// and booked `crowd`.
+    fn render(&self, r: &QueryResult, crowd: &CrowdSummary) -> String {
         let tree = self
             .tree
             .as_ref()
@@ -1733,10 +1738,10 @@ impl Analysis {
             tree.unwrap_or_default(),
             self.rounds.concat(),
             if r.complete { "complete" } else { "partial" },
-            r.crowd.tasks_posted,
-            r.crowd.answers_collected,
-            r.crowd.cents_spent,
-            r.crowd.virtual_secs,
+            crowd.tasks_posted,
+            crowd.answers_collected,
+            crowd.cents_spent,
+            crowd.virtual_secs,
         );
         for w in &r.warnings {
             out.push_str(&format!("warning: {w}\n"));

@@ -2,14 +2,20 @@
 
 use crowddb_common::{Row, Value};
 
-/// Crowd-side accounting for one statement.
+/// Crowd-side accounting for one statement: its one ledger. The driver
+/// adds every fulfillment wave into it as the wave settles — what the
+/// platform counted around the wave (HITs, assignments, cents, virtual
+/// time) and what only the task manager saw (the rest) — and the same
+/// addition feeds the `crowddb_crowd_*` counters; the result, the
+/// `statement_end` event, the statement histograms and the slow log all
+/// read it, whether the statement returned `Ok` or not.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CrowdSummary {
     /// Execution rounds used (1 = answered from local data alone).
     pub rounds: usize,
-    /// HITs posted across all rounds.
+    /// HITs posted across all rounds, reposts included.
     pub tasks_posted: u64,
-    /// Assignments collected.
+    /// Assignments completed on the platform.
     pub answers_collected: u64,
     /// Rewards paid, cents.
     pub cents_spent: u64,
@@ -19,25 +25,31 @@ pub struct CrowdSummary {
     pub retries: u64,
     /// Abandoned HITs reposted after missing their deadline.
     pub reposts: u64,
-    /// Duplicate `(worker, HIT)` deliveries dropped by the task manager.
+    /// Duplicate `(worker, HIT)` deliveries dropped by the task manager —
+    /// AMT promises at most one assignment per worker per HIT, so a
+    /// second delivery is noise and must not count as a vote.
     pub duplicates_dropped: u64,
-    /// Failed platform `post()` calls absorbed.
+    /// Failed platform `post()` calls absorbed (before and after retries).
     pub post_failures: u64,
     /// Failed platform `extend()` calls absorbed (each one downgraded an
     /// escalation to a plurality decision).
     pub extend_failures: u64,
     /// Task needs that settled without a strict majority (plurality
-    /// fallback, default, or abandonment).
+    /// fallback, default, repost exhaustion, or abandonment).
     pub gave_up: u64,
     /// The platform was marked degraded (circuit breaker) at least once
     /// while answering this statement.
     pub degraded: bool,
 }
 
-impl CrowdSummary {
-    /// Fold one fulfillment wave's resilience accounting into this
-    /// statement-level summary.
-    pub(crate) fn absorb_resilience(&mut self, wave: &crate::taskman::FulfillSummary) {
+/// Add one wave into a ledger, field by field.
+impl std::ops::AddAssign for CrowdSummary {
+    fn add_assign(&mut self, wave: CrowdSummary) {
+        self.rounds += wave.rounds;
+        self.tasks_posted += wave.tasks_posted;
+        self.answers_collected += wave.answers_collected;
+        self.cents_spent += wave.cents_spent;
+        self.virtual_secs += wave.virtual_secs;
         self.retries += wave.retries;
         self.reposts += wave.reposts;
         self.duplicates_dropped += wave.duplicates_dropped;

@@ -42,6 +42,7 @@ use crowddb_ui::template::TemplateKind;
 
 use crate::config::{CrowdConfig, QualityPolicy};
 use crate::par::par_map_mut;
+use crate::result::CrowdSummary;
 
 /// Maximum tuples one new-tuple assignment may carry.
 const MAX_TUPLES_PER_ASSIGNMENT: usize = 5;
@@ -49,36 +50,19 @@ const MAX_TUPLES_PER_ASSIGNMENT: usize = 5;
 /// Virtual seconds the pump advances the platform per step.
 const PUMP_STEP_SECS: f64 = 600.0;
 
-/// Accounting for one fulfillment pass.
+/// What one fulfillment pass hands back to the driver.
 #[derive(Debug, Clone, Default)]
 pub struct FulfillSummary {
-    /// HITs posted (including reposts of abandoned HITs).
-    pub tasks_posted: u64,
-    /// Assignments collected (valid or not).
-    pub answers_collected: u64,
     /// Needs that could not be resolved (their dedup keys).
     pub exhausted: Vec<String>,
     /// Human-readable warnings.
     pub warnings: Vec<String>,
-    /// `post()` calls retried after a transient failure.
-    pub retries: u64,
-    /// HITs reposted after missing their completion deadline.
-    pub reposts: u64,
-    /// Duplicate `(worker, HIT)` deliveries dropped — AMT promises at
-    /// most one assignment per worker per HIT, so a second delivery is
-    /// noise and must not double-count as a vote.
-    pub duplicates_dropped: u64,
-    /// Failed `post()` calls observed (before and after retries).
-    pub post_failures: u64,
-    /// Failed `extend()` calls; each downgrades its HIT from escalation
-    /// to a give-up-with-plurality decision.
-    pub extend_failures: u64,
-    /// Needs resolved without a strict majority decision: plurality
-    /// fallbacks, defaults, repost exhaustion, degraded abandonment.
-    pub gave_up: u64,
-    /// The circuit breaker tripped: the platform was marked degraded and
-    /// every remaining need was abandoned.
-    pub degraded: bool,
+    /// The facts only the task manager sees: retries, reposts,
+    /// duplicates dropped, post and extend failures, needs given up on,
+    /// and whether the breaker tripped. What the platform itself counts
+    /// (HITs, assignments, cents, virtual time) stays zero here; the
+    /// driver reads it off the platform around the wave.
+    pub crowd: CrowdSummary,
     /// Durable effects of this pass (crowd-answer write-backs, new-tuple
     /// insertions, comparison verdicts) in the order they were applied.
     /// A durable session appends these to its write-ahead log as soon as
@@ -91,19 +75,15 @@ impl FulfillSummary {
     /// Append the structured one-line fault digest, if any fault was
     /// absorbed this pass.
     fn note_absorbed_faults(&mut self) {
-        let faulted =
-            self.post_failures + self.extend_failures + self.duplicates_dropped + self.reposts;
+        let c = &self.crowd;
+        let faulted = c.post_failures + c.extend_failures + c.duplicates_dropped + c.reposts;
         if faulted == 0 {
             return;
         }
         self.warnings.push(format!(
             "platform faults absorbed: {} post failure(s) ({} retried), {} extend failure(s), \
              {} duplicate answer(s) dropped, {} HIT(s) reposted",
-            self.post_failures,
-            self.retries,
-            self.extend_failures,
-            self.duplicates_dropped,
-            self.reposts
+            c.post_failures, c.retries, c.extend_failures, c.duplicates_dropped, c.reposts
         ));
     }
 }
@@ -544,7 +524,7 @@ impl Wave<'_> {
         if n == 0 {
             return;
         }
-        self.summary.gave_up += n as u64;
+        self.summary.crowd.gave_up += n as u64;
         if nothing_posted && self.breaker.tripped {
             self.abandon(rejected, Some(n), format!("{n} task(s) abandoned"));
         } else {
@@ -573,7 +553,6 @@ impl Wave<'_> {
             match self.platform.post(specs.to_vec()) {
                 Ok(ids) => {
                     self.breaker.succeeded();
-                    self.summary.tasks_posted += ids.len() as u64;
                     self.obs.events().emit(Event::HitsPosted {
                         count: ids.len() as u64,
                         reward_cents: liability,
@@ -581,7 +560,7 @@ impl Wave<'_> {
                     return Some(ids);
                 }
                 Err(e) => {
-                    self.summary.post_failures += 1;
+                    self.summary.crowd.post_failures += 1;
                     self.breaker.failed();
                     last_err = e.to_string();
                     if self.breaker.tripped || attempt == attempts {
@@ -589,13 +568,14 @@ impl Wave<'_> {
                     }
                     let salt = self
                         .summary
+                        .crowd
                         .post_failures
                         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                         ^ u64::from(attempt);
                     let wait = backoff_secs(policy, attempt, salt);
                     self.platform.advance(wait);
                     self.elapsed += wait;
-                    self.summary.retries += 1;
+                    self.summary.crowd.retries += 1;
                     self.obs.events().emit(Event::PostRetried {
                         attempt: u64::from(attempt),
                     });
@@ -628,7 +608,7 @@ impl Wave<'_> {
             self.summary.warnings.push(why);
             return;
         };
-        self.summary.degraded = true;
+        self.summary.crowd.degraded = true;
         self.obs.events().emit(Event::Degraded {
             abandoned: tasks as u64,
         });
@@ -666,14 +646,13 @@ impl Wave<'_> {
             // Stage arrivals serially: dedup, ban checks, and events depend
             // on arrival order and global state.
             for resp in self.platform.collect() {
-                self.summary.answers_collected += 1;
                 let Some(&ti) = self.hit_to_tracker.get(&resp.hit) else {
                     // Unknown HIT (e.g. orphaned by a partial batch failure).
                     events.emit(Event::HitAnswered { duplicate: false });
                     continue;
                 };
                 if !seen.insert((resp.worker, resp.hit)) {
-                    self.summary.duplicates_dropped += 1;
+                    self.summary.crowd.duplicates_dropped += 1;
                     events.emit(Event::HitAnswered { duplicate: true });
                     continue;
                 }
@@ -766,7 +745,7 @@ impl Wave<'_> {
                     Err(_) => {
                         // Escalation unavailable: settle for whatever
                         // plurality the collected votes give.
-                        self.summary.extend_failures += 1;
+                        self.summary.crowd.extend_failures += 1;
                         self.breaker.failed();
                         t.resolved = true;
                     }
@@ -788,7 +767,7 @@ impl Wave<'_> {
                 let t = &mut self.trackers[ti];
                 match reposted.as_deref() {
                     Some([new_hit, ..]) => {
-                        self.summary.reposts += 1;
+                        self.summary.crowd.reposts += 1;
                         t.reposts += 1;
                         self.obs.events().emit(Event::HitReposted {
                             repost: u64::from(t.reposts),
@@ -924,7 +903,7 @@ impl Wave<'_> {
                         }
                     }
                     if fell_back {
-                        self.summary.gave_up += 1;
+                        self.summary.crowd.gave_up += 1;
                     }
                     Some(winners)
                 }
@@ -954,7 +933,7 @@ impl Wave<'_> {
                     if inserted < *want {
                         // The open world ran dry: remember so the next round
                         // does not re-request the same work forever.
-                        self.summary.gave_up += 1;
+                        self.summary.crowd.gave_up += 1;
                         self.exhaust(t.unit[0]);
                         self.summary.warnings.push(if inserted == 0 {
                             format!("the crowd contributed no valid new tuples for '{table}'")
@@ -1006,7 +985,7 @@ impl Wave<'_> {
                             winners.push(verdict_key(order, verdict).to_string());
                             continue;
                         }
-                        self.summary.gave_up += 1;
+                        self.summary.crowd.gave_up += 1;
                         let warning = if order {
                             format!(
                                 "accepted fallback preference for CROWDORDER('{left}' vs '{right}')"
@@ -1390,7 +1369,10 @@ mod tests {
             self.now
         }
         fn stats(&self) -> crowddb_platform::PlatformStats {
-            Default::default()
+            crowddb_platform::PlatformStats {
+                hits_posted: self.next_hit,
+                ..Default::default()
+            }
         }
         fn is_complete(&self, hit: HitId) -> bool {
             // Only b's original HIT, and only at the first sweep: one
@@ -1473,7 +1455,7 @@ mod tests {
 
     /// Times in pump steps: 20 steps of budget, a 10-step backoff and a
     /// 5-step HIT deadline.
-    fn run_sweep(order: [&str; 2]) -> FulfillSummary {
+    fn run_sweep(order: [&str; 2]) -> (FulfillSummary, u64) {
         let mut config = CrowdConfig::default();
         config.round_budget_secs = 20.0 * PUMP_STEP_SECS;
         config.vote = crowddb_quality::VoteConfig::replicated(3);
@@ -1487,7 +1469,9 @@ mod tests {
             breaker_threshold: 100,
         };
         let needs: Vec<TaskNeed> = order.iter().map(|t| sweep_need(t)).collect();
-        fulfill(&config, &needs, &mut SweepClockPlatform::new()).summary
+        let mut platform = SweepClockPlatform::new();
+        let summary = fulfill(&config, &needs, &mut platform).summary;
+        (summary, platform.stats().hits_posted)
     }
 
     /// Regression: the decision sweep snapshots the clock up front, so a
@@ -1500,26 +1484,19 @@ mod tests {
     fn budget_exhaustion_is_order_independent() {
         let ab = run_sweep(["a", "b"]);
         let ba = run_sweep(["b", "a"]);
-        let key = |s: &FulfillSummary| {
+        let key = |(s, hits_posted): &(FulfillSummary, u64)| {
             let mut exhausted = s.exhausted.clone();
             exhausted.sort();
-            (
-                s.tasks_posted,
-                s.reposts,
-                s.retries,
-                s.post_failures,
-                s.extend_failures,
-                s.gave_up,
-                exhausted,
-            )
+            (*hits_posted, s.crowd, exhausted)
         };
         assert_eq!(key(&ab), key(&ba), "need order must not change accounting");
         // a expires twice (deadlines at steps 5 then 10), b once (step 6,
         // checked against the sweep clock, not the post-backoff clock).
-        assert_eq!(ab.reposts, 3, "a twice, b once: {ab:?}");
-        assert_eq!(ab.tasks_posted, 5, "2 initial + 3 reposts");
-        assert_eq!(ab.post_failures, 1);
-        assert_eq!(ab.retries, 1);
+        let (ab, hits_posted) = ab;
+        assert_eq!(ab.crowd.reposts, 3, "a twice, b once: {ab:?}");
+        assert_eq!(hits_posted, 5, "2 initial + 3 reposts");
+        assert_eq!(ab.crowd.post_failures, 1);
+        assert_eq!(ab.crowd.retries, 1);
     }
 
     #[test]
@@ -1612,11 +1589,6 @@ mod tests {
         // Every collected assignment was paid what the unit's HIT offered.
         let stats = platform.stats();
         assert_eq!(stats.hits_posted, 1);
-        assert_eq!(settled.summary.tasks_posted, 1);
-        assert_eq!(
-            settled.summary.answers_collected,
-            stats.assignments_completed
-        );
         assert_eq!(settled.wrm.total_paid_cents(), stats.cents_spent);
         assert_eq!(
             stats.cents_spent,
@@ -1691,7 +1663,11 @@ mod tests {
         assert_eq!(s.summary.log, log, "{label}: log");
         assert_eq!(s.summary.warnings, warnings, "{label}: warnings");
         assert_eq!(s.summary.exhausted, exhausted, "{label}: exhausted");
-        assert_eq!(s.summary.gave_up, warnings.len() as u64, "{label}: gave_up");
+        assert_eq!(
+            s.summary.crowd.gave_up,
+            warnings.len() as u64,
+            "{label}: gave_up"
+        );
         let resolved = vote_resolved_events(&s.obs);
         assert_eq!(resolved, events, "{label}: VoteResolved events");
         assert_eq!(
@@ -2079,7 +2055,7 @@ mod tests {
             assert_eq!(s.summary.log, log, "{label}: log");
             assert_eq!(vote_resolved_events(&s.obs), events, "{label}: events");
             assert_eq!(s.summary.warnings, case.warnings, "{label}: warnings");
-            assert_eq!(s.summary.gave_up, case.gave_up, "{label}: gave_up");
+            assert_eq!(s.summary.crowd.gave_up, case.gave_up, "{label}: gave_up");
             assert_eq!(
                 s.summary.exhausted,
                 vec![need.dedup_key(); case.exhausted],
@@ -2087,7 +2063,7 @@ mod tests {
             );
             assert_eq!(wrm_scoring(&s.wrm), case.scored, "{label}: WRM scoring");
             // Every assignment, scored or not, is paid the base reward.
-            assert_eq!(s.summary.tasks_posted, 1, "{label}");
+            assert_eq!(platform.stats().hits_posted, 1, "{label}");
             assert_eq!(
                 s.wrm.total_paid_cents(),
                 2 * case.scored.len() as u64,
@@ -2211,7 +2187,11 @@ mod tests {
                 warning.into_iter().collect::<Vec<_>>(),
                 "{label}: warnings"
             );
-            assert_eq!(s.summary.gave_up, u64::from(short), "{label}: gave_up");
+            assert_eq!(
+                s.summary.crowd.gave_up,
+                u64::from(short),
+                "{label}: gave_up"
+            );
             assert_eq!(
                 s.summary.exhausted,
                 vec![need.dedup_key(); usize::from(short)],

@@ -14,8 +14,8 @@
 use std::sync::Arc;
 
 use crowddb_common::{CancelReason, CrowdError};
-use crowddb_core::{CrowdConfig, CrowdDB, GovernorPolicy};
-use crowddb_platform::Platform;
+use crowddb_core::{CrowdConfig, CrowdDB, Event, GovernorPolicy};
+use crowddb_platform::{Answer, MockPlatform, Platform, TaskKind};
 use crowddb_quality::VoteConfig;
 use crowddb_wal::testutil::TestDir;
 use crowddb_wal::FsyncPolicy;
@@ -154,6 +154,50 @@ fn output_row_cap_is_a_typed_error() {
         )
         .unwrap();
     assert_eq!(r.rows.len(), 2);
+}
+
+/// A statement that pays the crowd and then errors still books what it
+/// paid: round 1 buys a probe per abstract (its filter passes no row
+/// yet), round 2 trips the output-row cap on the answers. The registry
+/// and the `statement_end` event carry the platform's cents.
+#[test]
+fn a_statement_that_errors_after_paying_books_its_spend() {
+    let db = CrowdDB::with_config(config());
+    let mut p = MockPlatform::unanimous(|kind| match kind {
+        TaskKind::Probe { asked, .. } => {
+            Answer::Form(asked.iter().map(|(c, _)| (c.clone(), "x".into())).collect())
+        }
+        _ => Answer::Blank,
+    });
+    seed_session(&db, &mut p);
+    let r = db.execute_with_policy(
+        "SELECT title FROM Talk WHERE abstract = 'x'",
+        &mut p,
+        &policy(|g| g.max_output_rows = Some(0)),
+    );
+    assert!(
+        matches!(r, Err(CrowdError::Cancelled(CancelReason::OutputRowLimit))),
+        "{r:?}"
+    );
+    let cents = p.stats().cents_spent;
+    assert_eq!(cents, 4, "one probe per CNULL abstract");
+    assert_eq!(
+        db.metrics().counter("crowddb_crowd_cents_spent_total"),
+        cents
+    );
+    let end = db
+        .obs()
+        .events()
+        .records()
+        .into_iter()
+        .rev()
+        .find_map(|r| match r.event {
+            Event::StatementEnd {
+                ok, rounds, cents, ..
+            } => Some((ok, rounds, cents)),
+            _ => None,
+        });
+    assert_eq!(end, Some((false, 2, cents)));
 }
 
 #[test]

@@ -4,6 +4,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crowddb_common::sync::RwLock;
 use crowddb_common::{CancelReason, CrowdError, Result, Row, TableSchema};
@@ -219,10 +220,13 @@ pub enum Compare {
     Order,
 }
 
-/// Needs emitted so far, broken down by kind. Snapshot-diffed around
-/// each operator by `ops::run_op` to attribute needs per operator.
+/// What an operator subtree did, as one value: the needs it recorded by
+/// kind, its verdict-cache, machine-order, page and index traffic, and
+/// its wall time. `ops::run_op` takes the difference of two
+/// `ExecCtx::op_stats` readings around an operator; a stats node keeps
+/// the sum over its subtree, so its own share is one subtraction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NeedCounts {
+pub struct OpStats {
     /// Missing-value probe needs accepted (post-dedup).
     pub probe: u64,
     /// New-tuple enumeration needs accepted.
@@ -231,32 +235,59 @@ pub struct NeedCounts {
     pub equal: u64,
     /// `CROWDORDER` comparison needs accepted.
     pub order: u64,
+    /// Crowd comparisons answered from the verdict caches.
+    pub cache_hits: u64,
+    /// Crowd comparisons missing from the verdict caches.
+    pub cache_misses: u64,
+    /// Comparisons resolved by the hybrid `CROWDORDER` machine path.
+    pub machine_ordered: u64,
+    /// Pages fetched from the storage backend (pool misses that did I/O).
+    pub pages_read: u64,
+    /// Page requests answered from the buffer pool.
+    pub pool_hits: u64,
+    /// Index probes, the primary-key index included.
+    pub index_probes: u64,
+    /// Wall time, self time once a node's children are taken out.
+    pub wall: Duration,
 }
 
-impl NeedCounts {
-    /// Component-wise difference (`self` must be the later snapshot).
-    pub fn diff(&self, earlier: &NeedCounts) -> NeedCounts {
-        NeedCounts {
-            probe: self.probe - earlier.probe,
-            new_tuples: self.new_tuples - earlier.new_tuples,
-            equal: self.equal - earlier.equal,
-            order: self.order - earlier.order,
+impl std::ops::Add for OpStats {
+    type Output = OpStats;
+    fn add(self, o: OpStats) -> OpStats {
+        OpStats {
+            probe: self.probe + o.probe,
+            new_tuples: self.new_tuples + o.new_tuples,
+            equal: self.equal + o.equal,
+            order: self.order + o.order,
+            cache_hits: self.cache_hits + o.cache_hits,
+            cache_misses: self.cache_misses + o.cache_misses,
+            machine_ordered: self.machine_ordered + o.machine_ordered,
+            pages_read: self.pages_read + o.pages_read,
+            pool_hits: self.pool_hits + o.pool_hits,
+            index_probes: self.index_probes + o.index_probes,
+            wall: self.wall + o.wall,
         }
     }
+}
 
-    /// Component-wise sum.
-    pub fn add(&self, other: &NeedCounts) -> NeedCounts {
-        NeedCounts {
-            probe: self.probe + other.probe,
-            new_tuples: self.new_tuples + other.new_tuples,
-            equal: self.equal + other.equal,
-            order: self.order + other.order,
+/// `self` must be the later reading (or the enclosing subtree). Wall
+/// time saturates: clock reads around nested operators need not nest.
+impl std::ops::Sub for OpStats {
+    type Output = OpStats;
+    fn sub(self, o: OpStats) -> OpStats {
+        OpStats {
+            probe: self.probe - o.probe,
+            new_tuples: self.new_tuples - o.new_tuples,
+            equal: self.equal - o.equal,
+            order: self.order - o.order,
+            cache_hits: self.cache_hits - o.cache_hits,
+            cache_misses: self.cache_misses - o.cache_misses,
+            machine_ordered: self.machine_ordered - o.machine_ordered,
+            pages_read: self.pages_read - o.pages_read,
+            pool_hits: self.pool_hits - o.pool_hits,
+            index_probes: self.index_probes - o.index_probes,
+            wall: self.wall.saturating_sub(o.wall),
         }
-    }
-
-    /// Total needs across all kinds.
-    pub fn total(&self) -> u64 {
-        self.probe + self.new_tuples + self.equal + self.order
     }
 }
 
@@ -342,8 +373,8 @@ pub struct RunContext<'caches> {
     pub subquery_results: HashMap<String, Vec<Row>>,
     /// Counters.
     pub stats: RunStats,
-    /// Accepted needs by kind (for per-operator attribution).
-    pub need_counts: NeedCounts,
+    /// Accepted needs by kind: the need fields of `ExecCtx::op_stats`.
+    pub need_counts: OpStats,
     /// Cooperative-cancellation guard for this round.
     guard: ExecGuard,
     /// Fast path: false ⇒ `check()` is a single branch.
@@ -372,7 +403,7 @@ impl<'caches> RunContext<'caches> {
             seen_needs: HashSet::new(),
             subquery_results: HashMap::new(),
             stats: RunStats::default(),
-            need_counts: NeedCounts::default(),
+            need_counts: OpStats::default(),
             guard,
             guard_engaged,
             chaos_engaged,
@@ -529,6 +560,21 @@ impl<'a> ExecCtx<'a> {
     pub fn finish(self) -> (Vec<TaskNeed>, RunStats) {
         let stats = self.rt.stats;
         (self.rt.into_needs(), stats)
+    }
+
+    /// Every count [`OpStats`] attributes, as of now (the wall time is
+    /// the caller's to measure).
+    pub(crate) fn op_stats(&self) -> OpStats {
+        let (stats, pager) = (&self.rt.stats, self.db.pager_stats());
+        OpStats {
+            cache_hits: stats.compare_cache_hits,
+            cache_misses: stats.compare_cache_misses,
+            machine_ordered: stats.machine_ordered,
+            pages_read: pager.pages_read,
+            pool_hits: pager.pool_hits,
+            index_probes: stats.index_probes,
+            ..self.rt.need_counts
+        }
     }
 
     /// Catalog schema for `table`, cached per round.

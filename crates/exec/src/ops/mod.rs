@@ -78,7 +78,7 @@ use crowddb_common::{Result, Row, TupleId};
 use crowddb_obs::MetricsRegistry;
 use crowddb_plan::{BExpr, PhysicalPlan};
 
-use crate::context::{ExecCtx, NeedCounts};
+use crate::context::{ExecCtx, OpStats};
 
 /// The stored rows one applied DML statement took out of and put into a
 /// base table — an `UPDATE` does both, under the same tuple id.
@@ -232,11 +232,8 @@ pub(crate) fn streams(plan: &PhysicalPlan, input: &PhysicalPlan) -> bool {
 /// Per-operator statistics, one node per physical operator, accumulated
 /// across rounds.
 ///
-/// The counters captured around `execute` are *cumulative over the
-/// subtree* (children run inside their parent's `execute`); the
-/// self-attributed accessors ([`OpStatsNode::needs`],
-/// [`OpStatsNode::cache_hits`], [`OpStatsNode::cache_misses`],
-/// [`OpStatsNode::wall`]) subtract the children's cumulative totals.
+/// `cum` is *cumulative over the subtree* (children run inside their
+/// parent's `execute`); [`OpStatsNode::own`] subtracts the children's.
 #[derive(Debug, Clone, Default)]
 pub struct OpStatsNode {
     /// Operator name (e.g. `TableScan`, `CrowdJoin`).
@@ -250,14 +247,7 @@ pub struct OpStatsNode {
     pub rounds: u64,
     /// Per-child stats, in [`PhysicalPlan::children`] order.
     pub children: Vec<OpStatsNode>,
-    pub(crate) cum_needs: NeedCounts,
-    pub(crate) cum_hits: u64,
-    pub(crate) cum_misses: u64,
-    pub(crate) cum_pages_read: u64,
-    pub(crate) cum_pool_hits: u64,
-    pub(crate) cum_index_probes: u64,
-    pub(crate) cum_machine_ordered: u64,
-    pub(crate) cum_wall: Duration,
+    pub(crate) cum: OpStats,
 }
 
 impl OpStatsNode {
@@ -270,62 +260,9 @@ impl OpStatsNode {
         }
     }
 
-    /// Needs emitted by this operator itself (children excluded).
-    pub fn needs(&self) -> NeedCounts {
-        let child: NeedCounts = self
-            .children
-            .iter()
-            .fold(NeedCounts::default(), |acc, c| acc.add(&c.cum_needs));
-        self.cum_needs.diff(&child)
-    }
-
-    /// Compare-cache hits by this operator itself.
-    pub fn cache_hits(&self) -> u64 {
-        self.cum_hits - self.children.iter().map(|c| c.cum_hits).sum::<u64>()
-    }
-
-    /// Compare-cache misses by this operator itself.
-    pub fn cache_misses(&self) -> u64 {
-        self.cum_misses - self.children.iter().map(|c| c.cum_misses).sum::<u64>()
-    }
-
-    /// Pages this operator itself fetched from the storage backend
-    /// (buffer-pool misses that did I/O).
-    pub fn pages_read(&self) -> u64 {
-        self.cum_pages_read - self.children.iter().map(|c| c.cum_pages_read).sum::<u64>()
-    }
-
-    /// Page requests this operator itself answered from the buffer pool.
-    pub fn pool_hits(&self) -> u64 {
-        self.cum_pool_hits - self.children.iter().map(|c| c.cum_pool_hits).sum::<u64>()
-    }
-
-    /// Secondary-index probes issued by this operator itself.
-    pub fn index_probes(&self) -> u64 {
-        self.cum_index_probes
-            - self
-                .children
-                .iter()
-                .map(|c| c.cum_index_probes)
-                .sum::<u64>()
-    }
-
-    /// Comparisons this operator itself resolved via the hybrid
-    /// CROWDORDER machine path.
-    pub fn machine_ordered(&self) -> u64 {
-        self.cum_machine_ordered
-            - self
-                .children
-                .iter()
-                .map(|c| c.cum_machine_ordered)
-                .sum::<u64>()
-    }
-
-    /// Wall time spent in this operator itself.
-    pub fn wall(&self) -> Duration {
-        self.children
-            .iter()
-            .fold(self.cum_wall, |acc, c| acc.saturating_sub(c.cum_wall))
+    /// What this operator did itself, its children excluded.
+    pub fn own(&self) -> OpStats {
+        self.children.iter().fold(self.cum, |own, c| own - c.cum)
     }
 
     /// Accumulate another round's stats tree into this one. The trees
@@ -341,14 +278,7 @@ impl OpStatsNode {
         self.rows_in += other.rows_in;
         self.rows_out += other.rows_out;
         self.rounds += other.rounds;
-        self.cum_needs = self.cum_needs.add(&other.cum_needs);
-        self.cum_hits += other.cum_hits;
-        self.cum_misses += other.cum_misses;
-        self.cum_pages_read += other.cum_pages_read;
-        self.cum_pool_hits += other.cum_pool_hits;
-        self.cum_index_probes += other.cum_index_probes;
-        self.cum_machine_ordered += other.cum_machine_ordered;
-        self.cum_wall += other.cum_wall;
+        self.cum = self.cum + other.cum;
         for (mine, theirs) in self.children.iter_mut().zip(&other.children) {
             mine.merge(theirs);
         }
@@ -358,24 +288,24 @@ impl OpStatsNode {
     ///
     /// `time=` is always the final token so snapshot tests can scrub it.
     pub fn summary(&self) -> String {
-        let needs = self.needs();
+        let own = self.own();
         format!(
             "rounds={} in={} out={} probe={} new={} eq={} ord={} hit={} miss={} mord={} \
              pages={} pool_hit={} iprobe={} time={:?}",
             self.rounds,
             self.rows_in,
             self.rows_out,
-            needs.probe,
-            needs.new_tuples,
-            needs.equal,
-            needs.order,
-            self.cache_hits(),
-            self.cache_misses(),
-            self.machine_ordered(),
-            self.pages_read(),
-            self.pool_hits(),
-            self.index_probes(),
-            self.wall(),
+            own.probe,
+            own.new_tuples,
+            own.equal,
+            own.order,
+            own.cache_hits,
+            own.cache_misses,
+            own.machine_ordered,
+            own.pages_read,
+            own.pool_hits,
+            own.index_probes,
+            own.wall,
         )
     }
 
@@ -400,10 +330,12 @@ impl OpStatsNode {
 
 /// Execute `op` for one round, attributing counters to `node`.
 ///
-/// Snapshots the shared need/cache counters around the call; the diffs
+/// Reads `ExecCtx::op_stats` around the call; the difference
 /// (cumulative over the subtree, since children run inside the parent)
-/// accumulate on `node`. Every row on its way to `sink` is charged to the
-/// intermediate-row cap, which makes each one a cancel checkpoint.
+/// accumulates on `node`. Pager counters are engine-global, so this
+/// charges the subtree's page traffic to `node`. Every row on its way
+/// to `sink` is charged to the intermediate-row cap, which makes each
+/// one a cancel checkpoint.
 ///
 /// In a pipeline the consumers' row code runs *inside* this call. The
 /// counters do not mind — a sink reads no page, and a consumer that asks
@@ -418,12 +350,7 @@ pub fn run_op(
     node: &mut OpStatsNode,
     sink: &mut Sink<'_>,
 ) -> Result<Flow> {
-    let needs0 = ctx.rt.need_counts;
-    let hits0 = ctx.rt.stats.compare_cache_hits;
-    let misses0 = ctx.rt.stats.compare_cache_misses;
-    let mord0 = ctx.rt.stats.machine_ordered;
-    let probes0 = ctx.rt.stats.index_probes;
-    let pager0 = ctx.db.pager_stats();
+    let before = ctx.op_stats();
     let children_out = |node: &OpStatsNode| node.children.iter().map(|c| c.rows_out).sum::<u64>();
     let in0 = children_out(node);
     let timed = ctx.timed;
@@ -442,18 +369,12 @@ pub fn run_op(
     })?;
     // Every operator boundary is a cancel checkpoint, rows or no rows.
     ctx.rt.check()?;
-    node.cum_wall += t0.elapsed().saturating_sub(downstream);
-    node.cum_needs = node.cum_needs.add(&ctx.rt.need_counts.diff(&needs0));
-    node.cum_hits += ctx.rt.stats.compare_cache_hits - hits0;
-    node.cum_misses += ctx.rt.stats.compare_cache_misses - misses0;
-    node.cum_machine_ordered += ctx.rt.stats.machine_ordered - mord0;
-    // Pager counters are engine-global; diffing around `execute` charges
-    // this subtree's page traffic to this node (children run inside, so
-    // the self-attributed accessors subtract them back out).
-    let pager = ctx.db.pager_stats().diff(&pager0);
-    node.cum_pages_read += pager.pages_read;
-    node.cum_pool_hits += pager.pool_hits;
-    node.cum_index_probes += ctx.rt.stats.index_probes - probes0;
+    let wall = t0.elapsed().saturating_sub(downstream);
+    node.cum = node.cum
+        + OpStats {
+            wall,
+            ..ctx.op_stats() - before
+        };
     node.rows_in += children_out(node) - in0;
     node.rows_out += rows_out;
     node.rounds += 1;
@@ -544,20 +465,17 @@ pub fn flush_op_stats(registry: &MetricsRegistry, stats: &OpStatsNode) {
         &format!("crowddb_exec_rows_out_{op}"),
         stats.rows_out as f64,
     );
-    let needs = stats.needs();
-    registry.counter_add("crowddb_exec_needs_probe_total", needs.probe);
-    registry.counter_add("crowddb_exec_needs_new_tuples_total", needs.new_tuples);
-    registry.counter_add("crowddb_exec_needs_equal_total", needs.equal);
-    registry.counter_add("crowddb_exec_needs_order_total", needs.order);
-    registry.counter_add("crowddb_exec_cache_hits_total", stats.cache_hits());
-    registry.counter_add("crowddb_exec_cache_misses_total", stats.cache_misses());
-    registry.counter_add(
-        "crowddb_exec_machine_ordered_total",
-        stats.machine_ordered(),
-    );
-    registry.counter_add("crowddb_exec_pages_read_total", stats.pages_read());
-    registry.counter_add("crowddb_exec_pool_hits_total", stats.pool_hits());
-    registry.counter_add("crowddb_exec_index_probes_total", stats.index_probes());
+    let own = stats.own();
+    registry.counter_add("crowddb_exec_needs_probe_total", own.probe);
+    registry.counter_add("crowddb_exec_needs_new_tuples_total", own.new_tuples);
+    registry.counter_add("crowddb_exec_needs_equal_total", own.equal);
+    registry.counter_add("crowddb_exec_needs_order_total", own.order);
+    registry.counter_add("crowddb_exec_cache_hits_total", own.cache_hits);
+    registry.counter_add("crowddb_exec_cache_misses_total", own.cache_misses);
+    registry.counter_add("crowddb_exec_machine_ordered_total", own.machine_ordered);
+    registry.counter_add("crowddb_exec_pages_read_total", own.pages_read);
+    registry.counter_add("crowddb_exec_pool_hits_total", own.pool_hits);
+    registry.counter_add("crowddb_exec_index_probes_total", own.index_probes);
     for child in &stats.children {
         flush_op_stats(registry, child);
     }

@@ -149,7 +149,7 @@ fn answer(db: &Database, caches: &mut CompareCaches, need: &TaskNeed) {
 }
 
 fn tree(node: &OpStatsNode, depth: usize, out: &mut String) {
-    let n = node.needs();
+    let n = node.own();
     out.push_str(&format!(
         "    {}{} rounds={} in={} out={} probe={} new={} eq={} ord={} hit={} miss={} iprobe={}\n",
         "  ".repeat(depth),
@@ -161,9 +161,9 @@ fn tree(node: &OpStatsNode, depth: usize, out: &mut String) {
         n.new_tuples,
         n.equal,
         n.order,
-        node.cache_hits(),
-        node.cache_misses(),
-        node.index_probes(),
+        n.cache_hits,
+        n.cache_misses,
+        n.index_probes,
     ));
     for c in &node.children {
         tree(c, depth + 1, out);

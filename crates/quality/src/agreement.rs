@@ -5,47 +5,6 @@
 //! flagged (the paper's WRM "reports and answers worker complaints" and
 //! manages bonuses — agreement is the signal it acts on).
 
-use std::collections::HashMap;
-
-/// Simple percent agreement: fraction of (worker answer, accepted answer)
-/// pairs that match.
-pub fn percent_agreement(pairs: &[(String, String)]) -> f64 {
-    if pairs.is_empty() {
-        return 1.0;
-    }
-    let ok = pairs.iter().filter(|(a, b)| a == b).count();
-    ok as f64 / pairs.len() as f64
-}
-
-/// Cohen's kappa for two raters over categorical answers.
-///
-/// Measures agreement corrected for chance. Returns 1.0 for perfect
-/// agreement, ~0 for chance-level, negative for systematic disagreement.
-/// When either rater is constant and agreement is perfect, returns 1.0.
-pub fn cohens_kappa(pairs: &[(String, String)]) -> f64 {
-    if pairs.is_empty() {
-        return 1.0;
-    }
-    let n = pairs.len() as f64;
-    let po = percent_agreement(pairs);
-    let mut count_a: HashMap<&str, usize> = HashMap::new();
-    let mut count_b: HashMap<&str, usize> = HashMap::new();
-    for (a, b) in pairs {
-        *count_a.entry(a.as_str()).or_default() += 1;
-        *count_b.entry(b.as_str()).or_default() += 1;
-    }
-    let mut pe = 0.0;
-    for (cat, ca) in &count_a {
-        if let Some(cb) = count_b.get(cat) {
-            pe += (*ca as f64 / n) * (*cb as f64 / n);
-        }
-    }
-    if (1.0 - pe).abs() < 1e-12 {
-        return if (po - 1.0).abs() < 1e-12 { 1.0 } else { 0.0 };
-    }
-    (po - pe) / (1.0 - pe)
-}
-
 /// Per-worker agreement tracker used by the WRM.
 #[derive(Debug, Clone, Default)]
 pub struct AgreementTracker {
@@ -92,44 +51,6 @@ impl AgreementTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pairs(v: &[(&str, &str)]) -> Vec<(String, String)> {
-        v.iter()
-            .map(|(a, b)| (a.to_string(), b.to_string()))
-            .collect()
-    }
-
-    #[test]
-    fn percent_agreement_basic() {
-        let p = pairs(&[("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")]);
-        assert!((percent_agreement(&p) - 0.5).abs() < 1e-12);
-        assert_eq!(percent_agreement(&[]), 1.0);
-    }
-
-    #[test]
-    fn kappa_perfect_agreement() {
-        let p = pairs(&[("a", "a"), ("b", "b"), ("a", "a")]);
-        assert!((cohens_kappa(&p) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kappa_chance_agreement_near_zero() {
-        // Raters uncorrelated, 50/50 each: po = 0.5, pe = 0.5, kappa = 0.
-        let p = pairs(&[("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]);
-        assert!(cohens_kappa(&p).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kappa_systematic_disagreement_negative() {
-        let p = pairs(&[("a", "b"), ("b", "a"), ("a", "b"), ("b", "a")]);
-        assert!(cohens_kappa(&p) < 0.0);
-    }
-
-    #[test]
-    fn kappa_constant_rater_degenerate() {
-        let p = pairs(&[("a", "a"), ("a", "a")]);
-        assert_eq!(cohens_kappa(&p), 1.0);
-    }
 
     #[test]
     fn tracker_laplace_smoothing() {

@@ -505,26 +505,26 @@ fn execute_query(
     // so collectively they cannot spend past the quota (plus one
     // statement's overshoot past the engine's budget pre-check).
     let (policy, hold) = tenant.begin_statement();
+    let spent_before = platform.stats().cents_spent;
     let outcome = shared
         .engine
         .db()
         .execute_with_session(&prepared, platform, &policy, cancel);
     drop(permit);
 
+    // The connection's platform is its own, so what it charged over the
+    // call is this statement's spend — an errored, cancelled or
+    // row-capped statement pays for the answers it bought too.
+    let cents = platform.stats().cents_spent - spent_before;
+    hold.settle(cents);
+    if cents > 0 {
+        obs.registry().counter_add(
+            &tenant_metric("crowddb_crowd_cents_spent_total", &name),
+            cents,
+        );
+    }
     match outcome {
-        Ok(result) => {
-            let cents = result.crowd.cents_spent;
-            hold.settle(cents);
-            if cents > 0 {
-                obs.registry().counter_add(
-                    &tenant_metric("crowddb_crowd_cents_spent_total", &name),
-                    cents,
-                );
-            }
-            Response::RowSet(result)
-        }
-        // `hold` drops here: the reservation is released, nothing is
-        // charged (a failed statement reports no summary to charge).
+        Ok(result) => Response::RowSet(result),
         Err(e) => engine_error(&e),
     }
 }

@@ -150,10 +150,10 @@ impl TenantState {
     /// whole remainder, so its concurrent crowd statements serialize at
     /// the quota boundary (later ones see a zero clamp, which the
     /// engine's budget path turns into a typed `budget` error for crowd
-    /// statements). The hold must be settled — or dropped, on error —
-    /// when the statement completes; collective spend is then bounded by
-    /// the quota plus at most one in-flight statement's overshoot past
-    /// the engine's budget pre-check.
+    /// statements). The hold must be settled with what the statement
+    /// paid, `Ok` or not, when it completes; collective spend is then
+    /// bounded by the quota plus at most one in-flight statement's
+    /// overshoot past the engine's budget pre-check.
     pub fn begin_statement(self: &Arc<Self>) -> (GovernorPolicy, QuotaHold) {
         let mut policy = self.config.policy.clone();
         let held = match self.config.quota_cents {
@@ -229,9 +229,9 @@ impl TenantState {
 /// [`TenantState::begin_statement`].
 ///
 /// [`QuotaHold::settle`] releases the reservation and records the
-/// statement's actual spend; dropping an unsettled hold (statement
-/// error, session panic) releases the reservation without charging
-/// anything.
+/// statement's actual spend, whatever the statement's outcome; dropping
+/// an unsettled hold (a session that panicked outside the engine's
+/// containment) releases the reservation without charging anything.
 #[derive(Debug)]
 pub struct QuotaHold {
     state: Arc<TenantState>,
@@ -427,7 +427,7 @@ mod tests {
         let (p2, h2) = tenant.begin_statement();
         assert_eq!(p1.max_crowd_cents, Some(10));
         assert_eq!(p2.max_crowd_cents, Some(0), "quota already held by p1");
-        // The failed statement's drop releases its hold without charge.
+        // Dropping an unsettled hold releases it without charge.
         drop(h1);
         h2.settle(0);
         assert_eq!(tenant.spent_cents(), 0);

@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use crowddb_common::codec;
 use crowddb_core::{CrowdConfig, CrowdDB, GovernorPolicy};
 use crowddb_platform::{
-    Answer, ClosureModel, FaultConfig, FaultyPlatform, HitId, Platform, PlatformStats, SimPlatform,
-    TaskKind, TaskResponse, TaskSpec,
+    Answer, ClosureModel, FaultConfig, FaultyPlatform, HitId, MockPlatform, Platform,
+    PlatformStats, SimPlatform, TaskKind, TaskResponse, TaskSpec,
 };
 use crowddb_server::{protocol, Client, ClientError, Server, ServerConfig, TenantConfig};
 use crowddb_wal::testutil::TestDir;
@@ -705,6 +705,114 @@ fn explain_analyze_is_charged_against_the_tenant_quota() {
         .map(|r| r.crowd.tasks_posted)
         .expect_err("crowd statement after exhaustion");
     assert_eq!(err.category(), "budget", "{err}");
+    c.close().expect("close");
+    server.join().expect("drain");
+}
+
+/// A platform decorator that publishes the cents its platform has
+/// charged, so a test can read the spend of a platform the server owns.
+struct Metered<P> {
+    inner: P,
+    cents: Arc<AtomicU64>,
+}
+
+impl<P: Platform> Metered<P> {
+    fn publish(&self) {
+        let cents = self.inner.stats().cents_spent;
+        self.cents.store(cents, Ordering::SeqCst);
+    }
+}
+
+impl<P: Platform> Platform for Metered<P> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn post(&mut self, tasks: Vec<TaskSpec>) -> crowddb_common::Result<Vec<HitId>> {
+        self.inner.post(tasks)
+    }
+    fn extend(&mut self, hit: HitId, extra: u32) -> crowddb_common::Result<()> {
+        self.inner.extend(hit, extra)
+    }
+    fn advance(&mut self, dt: f64) {
+        self.inner.advance(dt);
+        self.publish();
+    }
+    fn collect(&mut self) -> Vec<TaskResponse> {
+        self.inner.collect()
+    }
+    fn now(&self) -> f64 {
+        self.inner.now()
+    }
+    fn stats(&self) -> PlatformStats {
+        self.inner.stats()
+    }
+    fn is_complete(&self, hit: HitId) -> bool {
+        self.inner.is_complete(hit)
+    }
+}
+
+/// A statement that pays the crowd and then errors is charged what it
+/// paid: under a zero output-row cap, round 1 buys a probe per abstract
+/// (its filter passes no row yet) and round 2 trips the cap on the
+/// answers. The tenant is charged the platform's cents, and the next
+/// crowd statement gets only the quota that is left. The error-path twin
+/// of `explain_analyze_is_charged_against_the_tenant_quota`.
+#[test]
+fn a_statement_that_errors_after_paying_is_charged_against_the_quota() {
+    let cents = Arc::new(AtomicU64::new(0));
+    let published = cents.clone();
+    let factory: crowddb_server::PlatformFactory = Arc::new(move |_seed| {
+        Box::new(Metered {
+            inner: MockPlatform::unanimous(|kind| match kind {
+                TaskKind::Probe { asked, .. } => {
+                    Answer::Form(asked.iter().map(|(c, _)| (c.clone(), "x".into())).collect())
+                }
+                _ => Answer::Blank,
+            }),
+            cents: published.clone(),
+        })
+    });
+    let tenants = vec![TenantConfig {
+        name: "capped".into(),
+        token: String::new(),
+        quota_cents: Some(6),
+        max_connections: None,
+        max_subscriptions: None,
+        policy: GovernorPolicy {
+            max_output_rows: Some(0),
+            ..GovernorPolicy::default()
+        },
+    }];
+    let engine = CrowdDB::with_config(CrowdConfig::fast_test());
+    let server = Server::start(ServerConfig::local(tenants, factory), engine).expect("start");
+    let tenant = server.tenant("capped").expect("tenant");
+    let mut c = Client::connect(&addr(&server), "capped", "", 5).expect("connect");
+    c.query(DDL).expect("ddl");
+    c.query(SEED_ROWS).expect("seed");
+
+    let err = c
+        .query("SELECT title FROM Talk WHERE abstract = 'x'")
+        .expect_err("the answers trip the row cap");
+    assert_eq!(err.category(), "cancelled", "{err}");
+    let paid = cents.load(Ordering::SeqCst);
+    assert_eq!(paid, 4, "one probe per CNULL abstract");
+    assert_eq!(
+        tenant.spent_cents(),
+        paid,
+        "the errored statement is charged"
+    );
+    assert_eq!(tenant.remaining_cents(), Some(2));
+
+    // Four more CNULL abstracts to probe, and 2¢ of quota to do it with.
+    c.query("INSERT INTO Talk (title) VALUES ('PIQL'), ('HyPer'), ('Tao'), ('Zed')")
+        .expect("more rows");
+    let r = c
+        .query("SELECT title FROM Talk WHERE abstract = 'y'")
+        .expect("partial result");
+    assert!(!r.complete, "the quota left cannot buy every probe");
+    assert_eq!(r.crowd.cents_spent, 2, "{:?}", r.crowd);
+    assert_eq!(tenant.spent_cents(), cents.load(Ordering::SeqCst));
+    assert!(tenant.exhausted());
     c.close().expect("close");
     server.join().expect("drain");
 }
