@@ -14,8 +14,8 @@
 //! 2. **Multi-session reads** — one `Arc<CrowdDB>` pre-warmed so
 //!    every probe answer is already written back, then T threads each
 //!    running a batch of SELECTs with their own platform handle.
-//!    Statements/sec vs thread count shows what the sharded caches and
-//!    storage RwLock buy.
+//!    Statements/sec vs thread count shows what the storage RwLock and
+//!    the one verdict-cache RwLock (each round reads its own copy) allow.
 
 #![forbid(unsafe_code)]
 
@@ -189,7 +189,7 @@ fn main() {
     out.notes.push(
         "expected: part 1 wall time drops with >=4 workers while rows/tasks stay \
          byte-identical; part 2 statements/sec scales with sessions (reads share \
-         the storage RwLock and sharded caches)"
+         the storage RwLock and copy the verdict cache under its read lock)"
             .into(),
     );
     out.print();

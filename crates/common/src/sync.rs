@@ -12,7 +12,7 @@
 use std::sync::{self, MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
 /// A mutual-exclusion lock that does not stay poisoned.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Mutex<T>(sync::Mutex<T>);
 
 impl<T> Mutex<T> {

@@ -1,18 +1,17 @@
 //! The [`CrowdDB`] facade.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crowddb_common::codec::{self, Reader};
-use crowddb_common::sync::Mutex;
+use crowddb_common::sync::{Mutex, RwLock};
 use crowddb_common::{CancelReason, CrowdError, Result, Row, Value};
 use crowddb_exec::{
     dml, execute_physical_analyzed, execute_physical_guarded, flush_op_stats, live_row_stats,
     lower_plan, primary_key, render_analyzed, CompareCaches, ExecGuard, ExecResult, Maintained,
-    OpStatsNode, SharedCaches, TableChange, TaskNeed,
+    OpStatsNode, TableChange, TaskNeed,
 };
 use crowddb_obs::{Event, MetricsSnapshot, Obs};
 use crowddb_plan::{
@@ -54,8 +53,9 @@ use crate::taskman;
 /// ```
 pub struct CrowdDB {
     db: Database,
-    /// Comparison-verdict caches, sharded for concurrent sessions.
-    caches: SharedCaches,
+    /// Comparison-verdict caches. Settlement writes under the write
+    /// lock; a round reads its own copy (see `CrowdDB::local_step`).
+    caches: RwLock<CompareCaches>,
     templates: Mutex<UiTemplateManager>,
     wrm: Mutex<WorkerRelationshipManager>,
     /// Dedup keys of needs the crowd already failed to satisfy — never
@@ -91,7 +91,7 @@ pub struct CrowdDB {
     /// record, and nothing changes storage between a subscription's last
     /// fold and the next DML, which makes that DML's delta exact.
     ///
-    /// Lock order: this → `durable` → `db` / cache shards / `wrm` /
+    /// Lock order: this → `durable` → `db` / verdict cache / `wrm` /
     /// `templates`. Nothing takes it while holding one of those.
     subs: Mutex<SubRegistry>,
 }
@@ -122,7 +122,7 @@ impl CrowdDB {
     /// [`FaultyPlatform`](crowddb_platform::faults) (or a metrics
     /// scraper) to see engine and platform counters side by side.
     pub fn with_obs(config: CrowdConfig, obs: Arc<Obs>) -> CrowdDB {
-        Self::assemble(Database::new(), SharedCaches::new(), config, obs, &[])
+        Self::assemble(Database::new(), CompareCaches::default(), config, obs, &[])
             .expect("an empty log replays")
     }
 
@@ -131,7 +131,7 @@ impl CrowdDB {
     /// table the catalog then holds (replayed DDL included).
     fn assemble(
         db: Database,
-        caches: SharedCaches,
+        caches: CompareCaches,
         config: CrowdConfig,
         obs: Arc<Obs>,
         log: &[LogRecord],
@@ -139,7 +139,7 @@ impl CrowdDB {
         let admission = AdmissionController::new(&config.governor);
         let session = CrowdDB {
             db,
-            caches,
+            caches: RwLock::new(caches),
             templates: Mutex::new(UiTemplateManager::new()),
             wrm: Mutex::new(WorkerRelationshipManager::new()),
             exhausted: Mutex::new(std::collections::HashSet::new()),
@@ -210,7 +210,7 @@ impl CrowdDB {
             // into a fresh page file.
             None => (
                 Database::open_file(path.as_ref(), config.storage)?,
-                SharedCaches::new(),
+                CompareCaches::default(),
             ),
         };
         let mut crowddb = Self::assemble(db, caches, config, Obs::new(), &recovered.records)?;
@@ -257,7 +257,9 @@ impl CrowdDB {
                 instruction,
                 verdict,
             } => {
-                self.caches.put_equal(left, right, instruction, *verdict);
+                self.caches
+                    .write()
+                    .put_equal(left, right, instruction, *verdict);
                 Ok(())
             }
             LogRecord::PutOrder {
@@ -267,6 +269,7 @@ impl CrowdDB {
                 left_preferred,
             } => {
                 self.caches
+                    .write()
                     .put_prefer(left, right, instruction, *left_preferred);
                 Ok(())
             }
@@ -400,15 +403,11 @@ impl CrowdDB {
         f(&mut self.templates.lock())
     }
 
-    /// Run `f` against a merged copy of the session comparison caches and
-    /// write the result back (tests seed verdicts directly). Not atomic
-    /// with respect to concurrent statements — seed before going
-    /// multi-threaded.
+    /// Run `f` against the session comparison caches under their write
+    /// lock (tests seed verdicts directly). `f` must not run a statement
+    /// on this session: a round's copy waits for the lock.
     pub fn with_caches<R>(&self, f: impl FnOnce(&mut CompareCaches) -> R) -> R {
-        let mut merged = self.caches.snapshot();
-        let r = f(&mut merged);
-        self.caches.replace(merged);
-        r
+        f(&mut self.caches.write())
     }
 
     /// Execute any CrowdSQL statement, engaging `platform` as needed.
@@ -943,8 +942,9 @@ impl CrowdDB {
     /// caches, under `guard` with the session's `hybrid_order`: the
     /// driver's round step, and what task previews, standing-query
     /// evaluation, DML application and log replay run exactly once. The
-    /// only place the engine snapshots the caches for evaluation, and the
-    /// only place it reads `hybrid_order`.
+    /// only place the engine copies the caches for evaluation (the read
+    /// guard is dropped before `step` runs), and the only place it reads
+    /// `hybrid_order`.
     fn local_step<T>(
         &self,
         guard: &ExecGuard,
@@ -954,7 +954,8 @@ impl CrowdDB {
             hybrid_order: self.config.hybrid_order,
             ..guard.clone()
         };
-        step(&self.caches.snapshot(), guard)
+        let caches = self.caches.read().clone();
+        step(&caches, guard)
     }
 
     /// Lower `plan` against the live catalog and execute it for one
@@ -1550,21 +1551,21 @@ impl CrowdDB {
 
     /// Split a session snapshot into its storage section and its
     /// decoded caches.
-    fn split_snapshot(bytes: &[u8]) -> Result<(&[u8], SharedCaches)> {
+    fn split_snapshot(bytes: &[u8]) -> Result<(&[u8], CompareCaches)> {
         let mut r = Reader::new(bytes);
         let storage_len = r.u64()? as usize;
         let storage_bytes = r.take(storage_len, "session snapshot storage section")?;
         let caches_len = r.u64()? as usize;
         let caches_bytes = r.take(caches_len, "session snapshot caches section")?;
-        let caches = decode_caches(caches_bytes)
+        let caches = CompareCaches::decode(caches_bytes)
             .map_err(|e| CrowdError::Internal(format!("bad caches in snapshot: {e}")))?;
-        Ok((storage_bytes, SharedCaches::from_caches(caches)))
+        Ok((storage_bytes, caches))
     }
 
     /// Wrap a storage section (v2 full-state bytes or paged metadata)
     /// and the current caches into the session-snapshot container.
     fn wrap_snapshot(&self, storage: &[u8]) -> Vec<u8> {
-        let caches_bytes = encode_caches(&self.caches.snapshot());
+        let caches_bytes = self.caches.read().encode();
         let mut out = Vec::with_capacity(16 + storage.len() + caches_bytes.len());
         codec::put_u64(&mut out, storage.len() as u64);
         out.extend_from_slice(storage);
@@ -1780,47 +1781,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Deterministic comparison-cache encoding: each map is a count followed
-/// by `(Str key, Bool verdict)` codec values in sorted key order.
-fn encode_caches(caches: &CompareCaches) -> Vec<u8> {
-    let mut buf = Vec::new();
-    for map in [&caches.equal, &caches.order] {
-        let mut keys: Vec<&String> = map.keys().collect();
-        keys.sort();
-        codec::put_u64(&mut buf, keys.len() as u64);
-        for k in keys {
-            codec::encode_value(&mut buf, &Value::Str(k.clone()));
-            codec::encode_value(&mut buf, &Value::Bool(map[k]));
-        }
-    }
-    buf
-}
-
-fn decode_caches(bytes: &[u8]) -> Result<CompareCaches> {
-    fn decode_map(r: &mut Reader<'_>) -> Result<HashMap<String, bool>> {
-        // An entry is a tagged string (5 bytes at least) and a bool.
-        let n = r.count_u64(6)?;
-        let mut map = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let (k, v) = (codec::decode_value(r)?, codec::decode_value(r)?);
-            let (Value::Str(k), Value::Bool(v)) = (k, v) else {
-                return Err(CrowdError::Internal(
-                    "cache entry must be a (string, bool) pair".into(),
-                ));
-            };
-            map.insert(k, v);
-        }
-        Ok(map)
-    }
-    let mut r = Reader::new(bytes);
-    let caches = CompareCaches {
-        equal: decode_map(&mut r)?,
-        order: decode_map(&mut r)?,
-    };
-    r.finish()?;
-    Ok(caches)
 }
 
 #[cfg(test)]

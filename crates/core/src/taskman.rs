@@ -26,8 +26,9 @@
 use std::collections::{HashMap, HashSet};
 
 use crowddb_common::rng::splitmix64;
+use crowddb_common::sync::RwLock;
 use crowddb_common::{Result, Row, TableSchema, Value};
-use crowddb_exec::{SharedCaches, TaskNeed};
+use crowddb_exec::{CompareCaches, TaskNeed};
 use crowddb_obs::{Event, Obs};
 use crowddb_platform::{
     batched_reward_cents, Answer, HitId, Platform, TaskKind, TaskSpec, WorkerId,
@@ -386,7 +387,7 @@ fn unit_spec(
 /// [`settle`](Wave::settle) — hand one another.
 struct Wave<'a> {
     db: &'a Database,
-    caches: &'a SharedCaches,
+    caches: &'a RwLock<CompareCaches>,
     wrm: &'a mut WorkerRelationshipManager,
     templates: &'a UiTemplateManager,
     platform: &'a mut dyn Platform,
@@ -427,7 +428,7 @@ struct Wave<'a> {
 #[allow(clippy::too_many_arguments)]
 pub fn fulfill_needs(
     db: &Database,
-    caches: &SharedCaches,
+    caches: &RwLock<CompareCaches>,
     wrm: &mut WorkerRelationshipManager,
     templates: &UiTemplateManager,
     platform: &mut dyn Platform,
@@ -960,7 +961,9 @@ impl Wave<'_> {
                         // The defaults: not-equal (false), left-preferred (true).
                         let verdict = accepted.and_then(|v| v.as_bool()).unwrap_or(order);
                         if order {
-                            self.caches.put_prefer(left, right, instruction, verdict);
+                            self.caches
+                                .write()
+                                .put_prefer(left, right, instruction, verdict);
                             self.summary.log.push(LogRecord::PutOrder {
                                 left: left.clone(),
                                 right: right.clone(),
@@ -968,7 +971,9 @@ impl Wave<'_> {
                                 left_preferred: verdict,
                             });
                         } else {
-                            self.caches.put_equal(left, right, instruction, verdict);
+                            self.caches
+                                .write()
+                                .put_equal(left, right, instruction, verdict);
                             self.summary.log.push(LogRecord::PutEqual {
                                 left: left.clone(),
                                 right: right.clone(),
@@ -1393,7 +1398,7 @@ mod tests {
     /// Everything one fulfillment pass leaves behind.
     struct Settled {
         summary: FulfillSummary,
-        caches: SharedCaches,
+        caches: RwLock<CompareCaches>,
         wrm: WorkerRelationshipManager,
         obs: std::sync::Arc<Obs>,
     }
@@ -1408,7 +1413,7 @@ mod tests {
         needs: &[TaskNeed],
         platform: &mut dyn Platform,
     ) -> Settled {
-        let caches = SharedCaches::default();
+        let caches = RwLock::default();
         let mut wrm = WorkerRelationshipManager::new();
         let obs = Obs::new();
         let summary = fulfill_needs(
@@ -1618,9 +1623,9 @@ mod tests {
         for (j, item) in items.iter().enumerate() {
             let (left, right) = (format!("l{j}"), format!("r{j}"));
             let cached = if order {
-                s.caches.get_prefer(&left, &right, INSTRUCTION)
+                s.caches.read().get_prefer(&left, &right, INSTRUCTION)
             } else {
-                s.caches.get_equal(&left, &right, INSTRUCTION)
+                s.caches.read().get_equal(&left, &right, INSTRUCTION)
             };
             assert_eq!(cached, Some(item.verdict), "{label}: cached verdict {j}");
             events.push(Event::VoteResolved {

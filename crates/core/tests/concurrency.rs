@@ -447,3 +447,37 @@ fn standing_queries_stay_exact_under_concurrent_dml_on_both_join_sides() {
     check(&mut states);
     assert_eq!(db.subscriptions().len(), 3, "the churned ones are gone");
 }
+
+/// Sessions settling verdicts at once lose none of them: four threads
+/// each put 100 through `with_caches`, and all 400 are there afterwards
+/// and after a snapshot round trip.
+#[test]
+fn concurrent_verdict_writers_lose_nothing() {
+    let db = CrowdDB::new();
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let db = &db;
+            scope.spawn(move || {
+                for i in 0..100 {
+                    db.with_caches(|c| c.put_equal(&format!("t{t}-{i}"), "x", "q", i % 2 == 0));
+                }
+            });
+        }
+    });
+    let check = |db: &CrowdDB| {
+        db.with_caches(|c| {
+            assert_eq!(c.len(), 400);
+            for t in 0..4 {
+                for i in 0..100 {
+                    assert_eq!(
+                        c.get_equal("x", &format!("t{t}-{i}"), "q"),
+                        Some(i % 2 == 0)
+                    );
+                }
+            }
+        })
+    };
+    check(&db);
+    let restored = CrowdDB::restore(&db.snapshot().unwrap(), CrowdConfig::default()).unwrap();
+    check(&restored);
+}

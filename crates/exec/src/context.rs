@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crowddb_common::sync::RwLock;
-use crowddb_common::{CancelReason, CrowdError, Result, Row, TableSchema};
+use crowddb_common::codec::{self, Reader};
+use crowddb_common::{CancelReason, CrowdError, Result, Row, TableSchema, Value};
 use crowddb_plan::LogicalPlan;
 use crowddb_storage::Database;
 
@@ -30,16 +30,47 @@ pub struct CompareCaches {
     pub order: HashMap<String, bool>,
 }
 
-impl CompareCaches {
-    /// Canonical cache key for an operand pair under an instruction.
-    /// Returns `(key, swapped)` where `swapped` records whether the
-    /// operands were reordered to canonicalize.
-    pub fn pair_key(left: &str, right: &str, instruction: &str) -> (String, bool) {
-        if left <= right {
-            (format!("{instruction}\u{1}{left}\u{1}{right}"), false)
-        } else {
-            (format!("{instruction}\u{1}{right}\u{1}{left}"), true)
+/// Append `part` to `key`, writing U+0001 (the separator) and U+0002
+/// (the escape) each as U+0002 followed by the character, so a joined
+/// key names exactly one sequence of parts. A part holding neither
+/// character is copied as is.
+fn push_key_part(key: &mut String, part: &str) {
+    for c in part.chars() {
+        if c == '\u{1}' || c == '\u{2}' {
+            key.push('\u{2}');
         }
+        key.push(c);
+    }
+}
+
+/// Append the operands in canonical (ascending) order, escaped and
+/// joined by U+0001; returns whether they were swapped to get there.
+pub(crate) fn push_pair(key: &mut String, left: &str, right: &str) -> bool {
+    let swapped = left > right;
+    let (a, b) = if swapped {
+        (right, left)
+    } else {
+        (left, right)
+    };
+    push_key_part(key, a);
+    key.push('\u{1}');
+    push_key_part(key, b);
+    swapped
+}
+
+impl CompareCaches {
+    /// Canonical cache key for an operand pair under an instruction:
+    /// the instruction and the ordered operands joined by U+0001, with
+    /// U+0001 and U+0002 inside a part written as U+0002 and the
+    /// character, so two pairs never share a key. Returns `(key, swapped)`
+    /// where `swapped` records whether the operands were reordered to
+    /// canonicalize.
+    pub fn pair_key(left: &str, right: &str, instruction: &str) -> (String, bool) {
+        let mut key = String::with_capacity(instruction.len() + left.len() + right.len() + 2);
+        push_key_part(&mut key, instruction);
+        key.push('\u{1}');
+        let swapped = push_pair(&mut key, left, right);
+        (key, swapped)
     }
 
     /// Look up an equality verdict.
@@ -84,130 +115,48 @@ impl CompareCaches {
     pub fn is_empty(&self) -> bool {
         self.equal.is_empty() && self.order.is_empty()
     }
-}
 
-/// Shard count for [`SharedCaches`]. A power of two so the hash can be
-/// masked; 16 shards keep contention negligible for any realistic
-/// session count without bloating the empty-cache footprint.
-const CACHE_SHARDS: usize = 16;
-
-/// FNV-1a over the canonical pair key; stable across platforms so shard
-/// routing (and therefore lock-acquisition patterns) is deterministic.
-fn shard_for(key: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h as usize) & (CACHE_SHARDS - 1)
-}
-
-/// Sharded, thread-safe wrapper over [`CompareCaches`] so concurrent
-/// sessions can read and settle comparison verdicts without funneling
-/// through one lock.
-///
-/// Verdicts are routed to a shard by an FNV-1a hash of the canonical
-/// pair key, so lookups and inserts for different comparisons usually
-/// touch different locks. Reads during a round take a whole-cache
-/// [`snapshot`](SharedCaches::snapshot) instead of locking per
-/// comparison — a round sees one consistent cache state, matching the
-/// single-threaded engine's semantics.
-#[derive(Debug, Default)]
-pub struct SharedCaches {
-    shards: [RwLock<CompareCaches>; CACHE_SHARDS],
-}
-
-impl SharedCaches {
-    /// An empty sharded cache.
-    pub fn new() -> SharedCaches {
-        SharedCaches::default()
-    }
-
-    /// Build from a flat cache (snapshot restore), routing every verdict
-    /// to its shard.
-    pub fn from_caches(flat: CompareCaches) -> SharedCaches {
-        let shared = SharedCaches::new();
-        shared.replace(flat);
-        shared
-    }
-
-    /// Replace the entire contents with `flat`. Not atomic with respect
-    /// to concurrent writers; callers serialize externally (restore and
-    /// tests run single-threaded).
-    pub fn replace(&self, flat: CompareCaches) {
-        for shard in &self.shards {
-            let mut guard = shard.write();
-            guard.equal.clear();
-            guard.order.clear();
+    /// Deterministic encoding, the caches section of a session snapshot:
+    /// each map is a count followed by `(Str key, Bool verdict)` codec
+    /// values in sorted key order.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for map in [&self.equal, &self.order] {
+            let mut keys: Vec<&String> = map.keys().collect();
+            keys.sort();
+            codec::put_u64(&mut buf, keys.len() as u64);
+            for k in keys {
+                codec::encode_value(&mut buf, &Value::Str(k.clone()));
+                codec::encode_value(&mut buf, &Value::Bool(map[k]));
+            }
         }
-        for (key, v) in flat.equal {
-            self.shards[shard_for(&key)].write().equal.insert(key, v);
+        buf
+    }
+
+    /// Inverse of [`encode`](Self::encode); trailing bytes are an error.
+    pub fn decode(bytes: &[u8]) -> Result<CompareCaches> {
+        fn decode_map(r: &mut Reader<'_>) -> Result<HashMap<String, bool>> {
+            // An entry is a tagged string (5 bytes at least) and a bool.
+            let n = r.count_u64(6)?;
+            let mut map = HashMap::with_capacity(n);
+            for _ in 0..n {
+                let (k, v) = (codec::decode_value(r)?, codec::decode_value(r)?);
+                let (Value::Str(k), Value::Bool(v)) = (k, v) else {
+                    return Err(CrowdError::Internal(
+                        "cache entry must be a (string, bool) pair".into(),
+                    ));
+                };
+                map.insert(k, v);
+            }
+            Ok(map)
         }
-        for (key, v) in flat.order {
-            self.shards[shard_for(&key)].write().order.insert(key, v);
-        }
-    }
-
-    /// Merged copy of all shards, for round execution and snapshots.
-    pub fn snapshot(&self) -> CompareCaches {
-        let mut flat = CompareCaches::default();
-        for shard in &self.shards {
-            let guard = shard.read();
-            flat.equal
-                .extend(guard.equal.iter().map(|(k, v)| (k.clone(), *v)));
-            flat.order
-                .extend(guard.order.iter().map(|(k, v)| (k.clone(), *v)));
-        }
-        flat
-    }
-
-    /// Look up an equality verdict.
-    pub fn get_equal(&self, left: &str, right: &str, instruction: &str) -> Option<bool> {
-        let (key, _) = CompareCaches::pair_key(left, right, instruction);
-        self.shards[shard_for(&key)].read().equal.get(&key).copied()
-    }
-
-    /// Record an equality verdict.
-    pub fn put_equal(&self, left: &str, right: &str, instruction: &str, verdict: bool) {
-        let (key, _) = CompareCaches::pair_key(left, right, instruction);
-        self.shards[shard_for(&key)]
-            .write()
-            .equal
-            .insert(key, verdict);
-    }
-
-    /// Look up an order verdict: `Some(true)` means `left` is preferred.
-    pub fn get_prefer(&self, left: &str, right: &str, instruction: &str) -> Option<bool> {
-        let (key, swapped) = CompareCaches::pair_key(left, right, instruction);
-        self.shards[shard_for(&key)]
-            .read()
-            .order
-            .get(&key)
-            .map(|&small_wins| if swapped { !small_wins } else { small_wins })
-    }
-
-    /// Record an order verdict relative to the operands as given.
-    pub fn put_prefer(&self, left: &str, right: &str, instruction: &str, left_preferred: bool) {
-        let (key, swapped) = CompareCaches::pair_key(left, right, instruction);
-        let small_wins = if swapped {
-            !left_preferred
-        } else {
-            left_preferred
+        let mut r = Reader::new(bytes);
+        let caches = CompareCaches {
+            equal: decode_map(&mut r)?,
+            order: decode_map(&mut r)?,
         };
-        self.shards[shard_for(&key)]
-            .write()
-            .order
-            .insert(key, small_wins);
-    }
-
-    /// Number of cached verdicts across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        r.finish()?;
+        Ok(caches)
     }
 }
 
@@ -702,41 +651,57 @@ mod tests {
     }
 
     #[test]
-    fn shared_caches_match_flat_semantics() {
-        let shared = SharedCaches::new();
-        assert!(shared.is_empty());
-        shared.put_equal("IBM", "I.B.M.", "same?", true);
-        shared.put_prefer("b", "a", "which?", true);
-        assert_eq!(shared.get_equal("I.B.M.", "IBM", "same?"), Some(true));
-        assert_eq!(shared.get_prefer("a", "b", "which?"), Some(false));
-        assert_eq!(shared.len(), 2);
-
-        let flat = shared.snapshot();
-        assert_eq!(flat.get_equal("IBM", "I.B.M.", "same?"), Some(true));
-        assert_eq!(flat.get_prefer("b", "a", "which?"), Some(true));
-
-        let rebuilt = SharedCaches::from_caches(flat);
-        assert_eq!(rebuilt.len(), 2);
-        assert_eq!(rebuilt.get_prefer("b", "a", "which?"), Some(true));
+    fn encode_decode_round_trips() {
+        let mut c = CompareCaches::default();
+        for i in 0..200 {
+            c.put_equal(&format!("L{i}"), &format!("R{i}"), "q", i % 2 == 0);
+            c.put_prefer(&format!("L{i}"), &format!("R{i}"), "q", i % 3 == 0);
+        }
+        c.put_equal("a\u{1}b", "\u{2}", "same?", true);
+        let bytes = c.encode();
+        let back = CompareCaches::decode(&bytes).unwrap();
+        assert_eq!((back.equal.clone(), back.order.clone()), (c.equal, c.order));
+        assert_eq!(back.encode(), bytes, "the encoding is deterministic");
+        assert_eq!(back.get_prefer("R7", "L7", "q"), Some(true));
+        assert!(CompareCaches::decode(&bytes[..bytes.len() - 1]).is_err());
+        let mut trailing = bytes;
+        trailing.push(0);
+        assert!(CompareCaches::decode(&trailing).is_err());
     }
 
     #[test]
-    fn shared_caches_round_trip_many_keys() {
-        let shared = SharedCaches::new();
-        for i in 0..200 {
-            shared.put_equal(&format!("L{i}"), &format!("R{i}"), "q", i % 2 == 0);
-            shared.put_prefer(&format!("L{i}"), &format!("R{i}"), "q", i % 3 == 0);
+    fn pair_key_names_one_pair() {
+        // Joined unescaped, both pairs would read "q\u{1}a\u{1}b\u{1}c".
+        let (k1, _) = CompareCaches::pair_key("a\u{1}b", "c", "q");
+        let (k2, _) = CompareCaches::pair_key("a", "b\u{1}c", "q");
+        assert_ne!(k1, k2);
+        // Every triple over {a, U+0001, U+0002} of length <= 2 per part
+        // gets its own key.
+        let alphabet = ["a", "\u{1}", "\u{2}"];
+        let mut parts = vec![String::new()];
+        for x in alphabet {
+            parts.push(x.to_string());
+            for y in alphabet {
+                parts.push(format!("{x}{y}"));
+            }
         }
-        assert_eq!(shared.len(), 400);
-        let snap = shared.snapshot();
-        assert_eq!(snap.len(), 400);
-        for i in 0..200 {
-            assert_eq!(
-                shared.get_equal(&format!("R{i}"), &format!("L{i}"), "q"),
-                Some(i % 2 == 0),
-                "key {i}"
-            );
+        let mut seen = HashMap::new();
+        for q in &parts {
+            for l in &parts {
+                for r in parts.iter().filter(|r| l <= *r) {
+                    let (key, _) = CompareCaches::pair_key(l, r, q);
+                    assert_eq!(*seen.entry(key).or_insert((q, l, r)), (q, l, r));
+                }
+            }
         }
+        // Parts without either character keep the plain joined key.
+        assert_eq!(
+            CompareCaches::pair_key("IBM", "I.B.M.", "same?"),
+            ("same?\u{1}I.B.M.\u{1}IBM".to_string(), true)
+        );
+        let mut c = CompareCaches::default();
+        c.put_equal("a\u{1}b", "c", "q", true);
+        assert_eq!(c.get_equal("a", "b\u{1}c", "q"), None);
     }
 
     #[test]
@@ -800,21 +765,5 @@ mod tests {
             ctx.check(),
             Err(CrowdError::Cancelled(CancelReason::UserRequested))
         );
-    }
-
-    #[test]
-    fn shared_caches_concurrent_writers() {
-        let shared = std::sync::Arc::new(SharedCaches::new());
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let shared = std::sync::Arc::clone(&shared);
-                scope.spawn(move || {
-                    for i in 0..100 {
-                        shared.put_equal(&format!("t{t}-{i}"), "x", "q", true);
-                    }
-                });
-            }
-        });
-        assert_eq!(shared.len(), 400);
     }
 }

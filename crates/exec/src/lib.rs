@@ -39,7 +39,7 @@ pub mod executor;
 pub mod need;
 pub mod ops;
 
-pub use context::{CompareCaches, ExecCtx, ExecGuard, OpStats, RunContext, RunStats, SharedCaches};
+pub use context::{CompareCaches, ExecCtx, ExecGuard, OpStats, RunContext, RunStats};
 pub use executor::{
     execute, execute_physical, execute_physical_analyzed, execute_physical_guarded, live_row_stats,
     lower_plan, primary_key, ExecResult, Maintained,

@@ -6,6 +6,8 @@
 
 use crowddb_common::{DataType, TupleId, Value};
 
+use crate::context::push_pair;
+
 /// One unit of crowd work a query run discovered it needs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TaskNeed {
@@ -54,7 +56,8 @@ pub enum TaskNeed {
 
 impl TaskNeed {
     /// Canonical deduplication key. Two needs with the same key are the
-    /// same unit of crowd work.
+    /// same unit of crowd work; comparison operands are escaped as in
+    /// `CompareCaches::pair_key`, so two pairs never share one.
     pub fn dedup_key(&self) -> String {
         match self {
             TaskNeed::ProbeValues {
@@ -77,27 +80,22 @@ impl TaskNeed {
                 left,
                 right,
                 instruction,
-            } => {
-                // CROWDEQUAL is symmetric: canonicalize operand order.
-                let (a, b) = if left <= right {
-                    (left, right)
-                } else {
-                    (right, left)
-                };
-                format!("eq:{instruction}:{a}\u{1}{b}")
             }
-            TaskNeed::Order {
+            | TaskNeed::Order {
                 left,
                 right,
                 instruction,
             } => {
-                // One task decides both (a,b) and (b,a).
-                let (a, b) = if left <= right {
-                    (left, right)
+                // One task decides both (a, b) and (b, a): canonicalize
+                // the operand order.
+                let tag = if matches!(self, TaskNeed::Equal { .. }) {
+                    "eq"
                 } else {
-                    (right, left)
+                    "ord"
                 };
-                format!("ord:{instruction}:{a}\u{1}{b}")
+                let mut key = format!("{tag}:{instruction}:");
+                push_pair(&mut key, left, right);
+                key
             }
         }
     }

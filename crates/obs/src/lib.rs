@@ -4,7 +4,7 @@
 //! measurement substrate for the engine:
 //!
 //! - [`MetricsRegistry`] — named counters, gauges, and fixed-bucket
-//!   histograms behind sharded mutexes; snapshots are name-sorted and
+//!   histograms behind one mutex; snapshots are name-sorted and
 //!   export to the Prometheus text format.
 //! - [`EventLog`] — a bounded structured event sink covering statement
 //!   spans, crowd rounds, the HIT lifecycle, vote resolutions, WAL

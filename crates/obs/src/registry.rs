@@ -1,10 +1,6 @@
 //! The metrics registry: named counters, gauges, and fixed-bucket
-//! histograms behind sharded mutexes.
-//!
-//! Lookups hash the metric name (FNV-1a) to one of a small fixed number
-//! of shards, each a `Mutex<HashMap>` — cheap enough for the engine's hot
-//! paths (which are dominated by simulated human latency anyway) while
-//! staying dependency-free and deterministic.
+//! histograms in one `Mutex<HashMap>`. An update holds the lock for one
+//! map lookup, cheap next to the statements that record them.
 //!
 //! Snapshots ([`MetricsRegistry::snapshot`]) copy everything into a
 //! `BTreeMap`, so iteration order — and therefore the Prometheus
@@ -15,8 +11,6 @@ use std::collections::{BTreeMap, HashMap};
 use crowddb_common::sync::Mutex;
 
 use crate::export;
-
-const SHARDS: usize = 16;
 
 /// Default histogram bucket upper bounds, tuned for the quantities the
 /// engine observes (row counts, cents, virtual seconds).
@@ -73,50 +67,30 @@ impl Histo {
     }
 }
 
-/// Sharded registry of named metrics.
+/// Registry of named metrics.
 ///
 /// Names follow the Prometheus convention used throughout the engine:
 /// `crowddb_<subsystem>_<what>[_total]`, snake_case, counters suffixed
 /// `_total`. A name is bound to one metric kind; re-registering a name
 /// with a different kind resets it to the new kind (last kind wins).
+#[derive(Default)]
 pub struct MetricsRegistry {
-    shards: Vec<Mutex<HashMap<String, Metric>>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-fn fnv1a(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    metrics: Mutex<HashMap<String, Metric>>,
 }
 
 impl MetricsRegistry {
     /// Empty registry.
     pub fn new() -> MetricsRegistry {
-        MetricsRegistry {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn shard(&self, name: &str) -> &Mutex<HashMap<String, Metric>> {
-        &self.shards[(fnv1a(name) as usize) % SHARDS]
+        MetricsRegistry::default()
     }
 
     /// Add `delta` to the counter `name`, creating it at zero first.
     pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut shard = self.shard(name).lock();
-        match shard.get_mut(name) {
+        let mut metrics = self.metrics.lock();
+        match metrics.get_mut(name) {
             Some(Metric::Counter(c)) => *c += delta,
             _ => {
-                shard.insert(name.to_string(), Metric::Counter(delta));
+                metrics.insert(name.to_string(), Metric::Counter(delta));
             }
         }
     }
@@ -128,7 +102,7 @@ impl MetricsRegistry {
 
     /// Set the gauge `name` to `v`.
     pub fn gauge_set(&self, name: &str, v: f64) {
-        self.shard(name)
+        self.metrics
             .lock()
             .insert(name.to_string(), Metric::Gauge(v));
     }
@@ -142,22 +116,23 @@ impl MetricsRegistry {
     /// bucket bounds if absent (bounds of an existing histogram are
     /// kept — they are fixed at first observation).
     pub fn observe_with(&self, name: &str, bounds: &[f64], v: f64) {
-        let mut shard = self.shard(name).lock();
-        match shard.get_mut(name) {
+        let mut metrics = self.metrics.lock();
+        match metrics.get_mut(name) {
             Some(Metric::Histogram(h)) => h.observe(v),
             _ => {
                 let mut h = Histo::new(bounds);
                 h.observe(v);
-                shard.insert(name.to_string(), Metric::Histogram(h));
+                metrics.insert(name.to_string(), Metric::Histogram(h));
             }
         }
     }
 
     /// Copy the current state of every metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut metrics = BTreeMap::new();
-        for shard in &self.shards {
-            for (name, metric) in shard.lock().iter() {
+        let metrics = self.metrics.lock();
+        let metrics = metrics
+            .iter()
+            .map(|(name, metric)| {
                 let value = match metric {
                     Metric::Counter(c) => MetricValue::Counter(*c),
                     Metric::Gauge(g) => MetricValue::Gauge(*g),
@@ -168,9 +143,9 @@ impl MetricsRegistry {
                         count: h.count,
                     }),
                 };
-                metrics.insert(name.clone(), value);
-            }
-        }
+                (name.clone(), value)
+            })
+            .collect();
         MetricsSnapshot { metrics }
     }
 }
@@ -304,5 +279,24 @@ mod tests {
         let snap = r.snapshot();
         let names: Vec<&str> = snap.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["aa", "mm", "zz"]);
+    }
+
+    #[test]
+    fn concurrent_increments_sum_exactly() {
+        let r = MetricsRegistry::new();
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let r = &r;
+                scope.spawn(move || {
+                    for _ in 0..1000 {
+                        r.counter_inc("c_total");
+                        r.observe("h", f64::from(t));
+                    }
+                });
+            }
+        });
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("c_total"), 8000);
+        assert_eq!(snap.histogram("h").unwrap().count, 8000);
     }
 }

@@ -534,6 +534,39 @@ fn session_snapshot_restores_answers_and_caches() {
     });
 }
 
+/// Two different pairs once shared one cache key: joined with an
+/// unescaped U+0001, ('a\u{1}b', 'c') and ('a', 'b\u{1}c') both read
+/// "q\u{1}a\u{1}b\u{1}c", so the second question was answered by the
+/// first one's verdict without being asked.
+#[test]
+fn compare_pairs_with_the_separator_keep_their_own_verdicts() {
+    let db = CrowdDB::with_config(CrowdConfig::fast_test());
+    db.execute_local("CREATE TABLE t (name STRING PRIMARY KEY)")
+        .unwrap();
+    db.execute_local("INSERT INTO t VALUES ('a\u{1}b'), ('a')")
+        .unwrap();
+    let mut crowd = MockPlatform::unanimous(|kind| match kind {
+        TaskKind::Equal { left, right, .. } if left == "c" || right == "c" => Answer::Yes,
+        TaskKind::Equal { .. } => Answer::No,
+        _ => Answer::Blank,
+    });
+    let mut names = |sql: &str| {
+        let r = db.execute(sql, &mut crowd).unwrap();
+        assert!(r.complete, "{sql}: {:?}", r.warnings);
+        let mut names: Vec<String> = r.rows.iter().map(|x| x[0].to_string()).collect();
+        names.sort();
+        (names, r.crowd.tasks_posted)
+    };
+    assert_eq!(
+        names("SELECT name FROM t WHERE name ~= 'c'"),
+        (vec!["a".to_string(), "a\u{1}b".to_string()], 2)
+    );
+    assert_eq!(
+        names("SELECT name FROM t WHERE name ~= 'b\u{1}c'"),
+        (vec![], 2)
+    );
+}
+
 #[test]
 fn restore_rejects_garbage() {
     assert!(CrowdDB::restore(b"junk", CrowdConfig::default()).is_err());
