@@ -1,5 +1,6 @@
 //! Rows (tuples) flowing through the engine.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Index;
 
@@ -56,12 +57,25 @@ impl Row {
         &mut self.values
     }
 
-    /// Concatenate two rows (used by joins).
-    pub fn concat(&self, other: &Row) -> Row {
-        let mut values = Vec::with_capacity(self.arity() + other.arity());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Row { values }
+    /// Overwrite the row with `values`, slot by slot, and drop any
+    /// columns past the last one: a lent value is copied into the slot,
+    /// and a string slot that receives a string keeps its allocation, so
+    /// an operator refilling one output row per input row stops
+    /// allocating once the row has seen a few.
+    pub fn refill<'v>(&mut self, values: impl IntoIterator<Item = Cow<'v, Value>>) {
+        let mut n = 0;
+        for v in values {
+            match (self.values.get_mut(n), v) {
+                (Some(Value::Str(slot)), Cow::Borrowed(Value::Str(s))) => {
+                    slot.clear();
+                    slot.push_str(s);
+                }
+                (Some(slot), v) => *slot = v.into_owned(),
+                (None, v) => self.values.push(v.into_owned()),
+            }
+            n += 1;
+        }
+        self.values.truncate(n);
     }
 
     /// Indexes of columns whose value is `CNULL`.
@@ -142,15 +156,29 @@ mod tests {
     }
 
     #[test]
-    fn concat() {
-        let a = Row::new(vec![Value::Int(1), Value::Int(2)]);
-        let b = Row::new(vec![Value::str("z")]);
-        let c = a.concat(&b);
+    fn refill_keeps_string_allocations_and_sets_the_arity() {
+        let long = "x".repeat(64);
+        let mut r = Row::new(vec![Value::str(&long), Value::Int(1), Value::CNull]);
+        let at = match &r[0] {
+            Value::Str(s) => s.as_ptr(),
+            _ => unreachable!(),
+        };
+        let src = [Value::str("ab"), Value::Null];
+        r.refill(src.iter().map(Cow::Borrowed));
+        assert_eq!(r, Row::new(vec![Value::str("ab"), Value::Null]));
+        assert!(matches!(&r[0], Value::Str(s) if s.as_ptr() == at));
+        // Longer again, owned and lent values mixed.
+        r.refill([
+            Cow::Owned(Value::Int(7)),
+            Cow::Borrowed(&src[0]),
+            Cow::Owned(Value::CNull),
+        ]);
         assert_eq!(
-            c,
-            Row::new(vec![Value::Int(1), Value::Int(2), Value::str("z")])
+            r,
+            Row::new(vec![Value::Int(7), Value::str("ab"), Value::CNull])
         );
-        assert_eq!(c.concat(&Row::default()), c);
+        r.refill([]);
+        assert!(r.is_empty());
     }
 
     #[test]

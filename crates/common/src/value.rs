@@ -263,9 +263,18 @@ impl Hash for Value {
                 state.write_u8(3);
                 i.hash(state);
             }
+            // `eq` holds `0.0 == -0.0` and `NaN == NaN`: each class
+            // hashes as one bit pattern.
             Value::Float(f) => {
                 state.write_u8(4);
-                f.to_bits().hash(state);
+                let canonical = if *f == 0.0 {
+                    0.0
+                } else if f.is_nan() {
+                    f64::NAN
+                } else {
+                    *f
+                };
+                canonical.to_bits().hash(state);
             }
             Value::Str(s) => {
                 state.write_u8(5);
@@ -325,6 +334,25 @@ mod tests {
         assert!(Value::CNull.is_cnull());
         assert!(!Value::Null.is_cnull());
         assert!(!Value::Int(1).is_missing());
+    }
+
+    #[test]
+    fn equal_floats_hash_alike() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        let quiet = f64::NAN;
+        let other_nan = f64::from_bits(quiet.to_bits() ^ 1);
+        assert!(other_nan.is_nan());
+        for (a, b) in [(0.0, -0.0), (quiet, -quiet), (quiet, other_nan)] {
+            let (a, b) = (Value::Float(a), Value::Float(b));
+            assert_eq!(a, b);
+            assert_eq!(hash(&a), hash(&b), "{a:?} and {b:?}");
+        }
+        assert_ne!(hash(&Value::Float(1.0)), hash(&Value::Float(-1.0)));
     }
 
     #[test]

@@ -30,13 +30,13 @@ pub struct CompareCaches {
     pub order: HashMap<String, bool>,
 }
 
-/// Append `part` to `key`, writing U+0001 (the separator) and U+0002
-/// (the escape) each as U+0002 followed by the character, so a joined
-/// key names exactly one sequence of parts. A part holding neither
-/// character is copied as is.
-fn push_key_part(key: &mut String, part: &str) {
+/// Append `part` to `key`, writing `separator` and U+0002 (the escape)
+/// each as U+0002 followed by the character, so a key joined by
+/// `separator` names exactly one sequence of parts. A part holding
+/// neither character is copied as is.
+pub(crate) fn push_key_part(key: &mut String, part: &str, separator: char) {
     for c in part.chars() {
-        if c == '\u{1}' || c == '\u{2}' {
+        if c == separator || c == '\u{2}' {
             key.push('\u{2}');
         }
         key.push(c);
@@ -52,9 +52,9 @@ pub(crate) fn push_pair(key: &mut String, left: &str, right: &str) -> bool {
     } else {
         (left, right)
     };
-    push_key_part(key, a);
+    push_key_part(key, a, '\u{1}');
     key.push('\u{1}');
-    push_key_part(key, b);
+    push_key_part(key, b, '\u{1}');
     swapped
 }
 
@@ -67,7 +67,7 @@ impl CompareCaches {
     /// canonicalize.
     pub fn pair_key(left: &str, right: &str, instruction: &str) -> (String, bool) {
         let mut key = String::with_capacity(instruction.len() + left.len() + right.len() + 2);
-        push_key_part(&mut key, instruction);
+        push_key_part(&mut key, instruction, '\u{1}');
         key.push('\u{1}');
         let swapped = push_pair(&mut key, left, right);
         (key, swapped)

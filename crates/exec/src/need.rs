@@ -6,7 +6,7 @@
 
 use crowddb_common::{DataType, TupleId, Value};
 
-use crate::context::push_pair;
+use crate::context::{push_key_part, push_pair};
 
 /// One unit of crowd work a query run discovered it needs.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,8 +56,9 @@ pub enum TaskNeed {
 
 impl TaskNeed {
     /// Canonical deduplication key. Two needs with the same key are the
-    /// same unit of crowd work; comparison operands are escaped as in
-    /// `CompareCaches::pair_key`, so two pairs never share one.
+    /// same unit of crowd work; a comparison's instruction ends at the
+    /// first `:` not escaped by U+0002, and its operands are escaped as
+    /// in `CompareCaches::pair_key`, so two comparisons never share one.
     pub fn dedup_key(&self) -> String {
         match self {
             TaskNeed::ProbeValues {
@@ -93,7 +94,9 @@ impl TaskNeed {
                 } else {
                     "ord"
                 };
-                let mut key = format!("{tag}:{instruction}:");
+                let mut key = format!("{tag}:");
+                push_key_part(&mut key, instruction, ':');
+                key.push(':');
                 push_pair(&mut key, left, right);
                 key
             }
@@ -143,6 +146,32 @@ mod tests {
             instruction: "different question".into(),
         };
         assert_ne!(a.dedup_key(), c.dedup_key());
+    }
+
+    #[test]
+    fn an_instruction_with_a_colon_keeps_its_own_key() {
+        let eq = |instruction: &str, left: &str, right: &str| TaskNeed::Equal {
+            left: left.into(),
+            right: right.into(),
+            instruction: instruction.into(),
+        };
+        // Unescaped, both would read "eq:x:y:a\u{1}z".
+        assert_ne!(
+            eq("x:y", "a", "z").dedup_key(),
+            eq("x", "y:a", "z").dedup_key()
+        );
+        assert_ne!(
+            eq("x\u{2}", "a", "z").dedup_key(),
+            eq("x", "\u{2}:a", "z").dedup_key()
+        );
+        // An instruction holding neither character keeps the plain key.
+        assert_eq!(eq("same?", "b", "a").dedup_key(), "eq:same?:a\u{1}b");
+        let order = TaskNeed::Order {
+            left: "a".into(),
+            right: "b".into(),
+            instruction: "x:y".into(),
+        };
+        assert_eq!(order.dedup_key(), "ord:x\u{2}:y:a\u{1}b");
     }
 
     #[test]

@@ -284,8 +284,8 @@ impl Operator for AggregateOp<'_> {
             self.streams,
             &mut |ctx, row| {
                 ctx.rt.check()?;
-                let key = self.key_of(ctx, &row)?;
-                self.fold(ctx, &mut groups, &key, &row, true)?;
+                let key = self.key_of(ctx, row)?;
+                self.fold(ctx, &mut groups, &key, row, true)?;
                 Ok(Flow::More)
             },
         )?;

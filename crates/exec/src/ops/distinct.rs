@@ -1,4 +1,5 @@
-//! Distinct: whole-row duplicate elimination (first occurrence wins).
+//! Distinct: whole-row duplicate elimination (first occurrence wins;
+//! the seen-set keeps a copy of it, and the lent row goes on).
 
 use std::collections::HashSet;
 
@@ -40,9 +41,12 @@ impl Operator for DistinctOp<'_> {
             ctx,
             &mut stats.children[0],
             self.streams,
-            &mut |ctx, row| match seen.insert(row.clone()) {
-                true => sink(ctx, row),
-                false => Ok(Flow::More),
+            &mut |ctx, row| match seen.contains(&*row) {
+                false => {
+                    seen.insert(row.clone());
+                    sink(ctx, row)
+                }
+                true => Ok(Flow::More),
             },
         )
     }

@@ -37,9 +37,9 @@ impl<'p> FilterOp<'p> {
 
 impl FilterOp<'_> {
     /// `row` goes on if the predicate passes it.
-    fn select(&self, ctx: &mut ExecCtx<'_>, row: Row, sink: &mut Sink<'_>) -> Result<Flow> {
+    fn select(&self, ctx: &mut ExecCtx<'_>, row: &mut Row, sink: &mut Sink<'_>) -> Result<Flow> {
         ctx.rt.check()?;
-        match eval_truth(ctx, self.predicate, &row)?.passes_filter() {
+        match eval_truth(ctx, self.predicate, row)?.passes_filter() {
             true => sink(ctx, row),
             false => Ok(Flow::More),
         }

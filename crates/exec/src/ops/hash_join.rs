@@ -5,13 +5,14 @@
 //! build and the probe that [`super::crowd_join`] reuses with a crowd
 //! enumeration policy on top.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crowddb_common::{Result, Row, Value};
 use crowddb_plan::{BExpr, JoinType, PhysicalPlan};
 
 use crate::context::ExecCtx;
-use crate::eval::{eval, eval_truth};
+use crate::eval::{eval_truth, operand};
 use crate::need::TaskNeed;
 use crate::ops::{build, collect, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, TableChange};
 
@@ -102,8 +103,8 @@ impl Operator for HashJoinOp<'_> {
         let rows = collect(still, ctx, &mut OpStatsNode::skeleton(still_plan))?;
         let mut half = |changed: &[Row]| -> Result<Vec<Row>> {
             let mut out = Vec::new();
-            let mut keep = |_: &mut ExecCtx<'_>, row| {
-                out.push(row);
+            let mut keep = |_: &mut ExecCtx<'_>, row: &mut Row| {
+                out.push(std::mem::take(row));
                 Ok(Flow::More)
             };
             match (changed.is_empty(), left_changed) {
@@ -141,65 +142,104 @@ pub(crate) struct HashJoin<'p> {
     pub crowd: Option<CrowdSpec<'p>>,
 }
 
-/// The build side: the right rows, and which of them hold each key.
+/// The build side: the right rows, and which of them hold each key —
+/// the first and the last in `rows` order, and from each such row the
+/// next one under its key. Only a key seen for the first time is copied
+/// into the table; every other build row allocates nothing.
 pub(crate) struct Built<'r> {
     rows: &'r [Row],
-    by_key: HashMap<Vec<Value>, Vec<usize>>,
+    by_key: HashMap<Vec<Value>, (usize, usize)>,
+    next: Vec<Option<usize>>,
+}
+
+impl Built<'_> {
+    /// The build rows under `key`, in `rows` order.
+    fn matches(&self, key: Option<&[Value]>) -> impl Iterator<Item = &Row> {
+        let first = key
+            .and_then(|k| self.by_key.get(k))
+            .map(|&(first, _)| first);
+        std::iter::successors(first, |&at| self.next[at]).map(|at| &self.rows[at])
+    }
 }
 
 impl HashJoin<'_> {
     /// The join key of `row` under the left (`.0`) or right (`.1`) side
-    /// of every equi pair; `None` if any part is missing.
-    fn key(
-        &self,
+    /// of every equi pair; `None` if any part is missing. A one-pair key
+    /// that is a column or a literal is lent from `row` or the plan;
+    /// anything else is evaluated into `buf`, which the caller reuses.
+    fn key<'a>(
+        &'a self,
         ctx: &mut ExecCtx<'_>,
-        row: &Row,
-        side: impl Fn(&(BExpr, BExpr)) -> &BExpr,
-    ) -> Result<Option<Vec<Value>>> {
-        let mut key = Vec::with_capacity(self.equi.len());
-        for pair in self.equi {
-            let v = eval(ctx, side(pair), row)?;
+        row: &'a Row,
+        side: impl Fn(&'a (BExpr, BExpr)) -> &'a BExpr,
+        buf: &'a mut Vec<Value>,
+    ) -> Result<Option<&'a [Value]>> {
+        buf.clear();
+        if let [pair] = self.equi {
+            let v = operand(ctx, side(pair), row)?;
             if v.is_missing() {
                 return Ok(None);
             }
-            key.push(v);
+            return Ok(Some(match v {
+                Cow::Borrowed(v) => std::slice::from_ref(v),
+                Cow::Owned(v) => {
+                    buf.push(v);
+                    buf
+                }
+            }));
         }
-        Ok(Some(key))
+        for pair in self.equi {
+            let v = operand(ctx, side(pair), row)?;
+            if v.is_missing() {
+                return Ok(None);
+            }
+            buf.push(v.into_owned());
+        }
+        Ok(Some(buf))
     }
 
     /// Hash `right_rows` by join key.
     fn build<'r>(&self, ctx: &mut ExecCtx<'_>, right_rows: &'r [Row]) -> Result<Built<'r>> {
-        let mut by_key: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+        let mut by_key: HashMap<Vec<Value>, (usize, usize)> = HashMap::new();
+        let mut next = vec![None; right_rows.len()];
+        let mut buf = Vec::new();
         for (idx, r) in right_rows.iter().enumerate() {
-            if let Some(key) = self.key(ctx, r, |pair| &pair.1)? {
-                by_key.entry(key).or_default().push(idx);
+            let Some(key) = self.key(ctx, r, |pair| &pair.1, &mut buf)? else {
+                continue;
+            };
+            match by_key.get_mut(key) {
+                Some((_, last)) => {
+                    next[*last] = Some(idx);
+                    *last = idx;
+                }
+                None => {
+                    by_key.insert(key.to_vec(), (idx, idx));
+                }
             }
         }
         Ok(Built {
             rows: right_rows,
             by_key,
+            next,
         })
     }
 
-    /// The row function: everything left row `l` joins with goes on.
+    /// The row function: everything left row `l` joins with goes on,
+    /// refilled into `joined`; `buf` holds an evaluated key.
     fn probe(
         &self,
         ctx: &mut ExecCtx<'_>,
         built: &Built<'_>,
         l: &Row,
+        (joined, buf): (&mut Row, &mut Vec<Value>),
         sink: &mut Sink<'_>,
     ) -> Result<Flow> {
         ctx.rt.check()?;
-        let key = self.key(ctx, l, |pair| &pair.0)?;
+        let key = self.key(ctx, l, |pair| &pair.0, buf)?;
         let mut matched = false;
-        for &ri in key
-            .as_ref()
-            .and_then(|k| built.by_key.get(k))
-            .into_iter()
-            .flatten()
-        {
-            let joined = l.concat(&built.rows[ri]);
-            if residual_passes(ctx, self.residual, &joined)? {
+        for r in built.matches(key) {
+            joined.refill(l.values().iter().chain(r.values()).map(Cow::Borrowed));
+            if residual_passes(ctx, self.residual, joined)? {
                 matched = true;
                 if sink(ctx, joined)? == Flow::Stop {
                     return Ok(Flow::Stop);
@@ -213,7 +253,7 @@ impl HashJoin<'_> {
         // tables, at least one of which is marked as crowdsourced" — a
         // missing inner match becomes a new-tuple request with the join
         // key preset.
-        if let (Some(key), Some(spec)) = (&key, &self.crowd) {
+        if let (Some(key), Some(spec)) = (key, &self.crowd) {
             ctx.rt.push_need(TaskNeed::NewTuples {
                 table: spec.table.to_string(),
                 preset: vec![(spec.key_column.to_string(), key[0].clone())],
@@ -221,8 +261,9 @@ impl HashJoin<'_> {
             });
         }
         if self.kind == JoinType::Left {
-            let pad = Row::new(vec![Value::Null; self.right_arity]);
-            return sink(ctx, l.concat(&pad));
+            let pad = std::iter::repeat_n(&Value::Null, self.right_arity);
+            joined.refill(l.values().iter().chain(pad).map(Cow::Borrowed));
+            return sink(ctx, joined);
         }
         Ok(Flow::More)
     }
@@ -236,8 +277,9 @@ impl HashJoin<'_> {
         sink: &mut Sink<'_>,
     ) -> Result<Flow> {
         let built = self.build(ctx, right_rows)?;
+        let (mut joined, mut buf) = (Row::default(), Vec::new());
         for l in left_rows {
-            if self.probe(ctx, &built, l, sink)? == Flow::Stop {
+            if self.probe(ctx, &built, l, (&mut joined, &mut buf), sink)? == Flow::Stop {
                 return Ok(Flow::Stop);
             }
         }

@@ -3,9 +3,17 @@
 //! [`build`] turns a [`PhysicalPlan`] into a tree of boxed [`Operator`]s
 //! borrowing the plan; [`run_op`] executes a node while recording
 //! per-operator statistics into an [`OpStatsNode`] tree that mirrors the
-//! plan shape. Rows are pushed: an operator hands each output row to the
+//! plan shape. Rows are pushed: an operator lends each output row to the
 //! [`Sink`] its consumer gave it, and the consumer answers with a
-//! [`Flow`] — `Stop` once it has enough. Nothing is materialized between
+//! [`Flow`] — `Stop` once it has enough. A producer lends one buffer,
+//! which it refills from scratch for every row (a scan decodes into it,
+//! a join or a projection refills it through [`Row::refill`]), so a
+//! streaming pipeline allocates nothing per row. A consumer may read the
+//! lent row or change it in place; only one that keeps the row past its
+//! call takes it, with `std::mem::take` — `collect` (and so the inputs
+//! of Sort and the joins, and the statement's result) — and the
+//! seen-sets of Distinct and Union keep a copy of each first
+//! occurrence. Nothing is materialized between
 //! two operators unless one of them has to see all of its input before
 //! it can emit anything (Sort, the inputs of the two joins;
 //! Aggregate keeps accumulators, not rows) or one of the two invariants
@@ -127,8 +135,10 @@ pub enum Flow {
     Stop,
 }
 
-/// Where an operator's output goes: its consumer's row function.
-pub type Sink<'s> = dyn FnMut(&mut ExecCtx<'_>, Row) -> Result<Flow> + 's;
+/// Where an operator's output goes: its consumer's row function, lent
+/// each row. The producer refills the row for the next call, so a
+/// consumer that keeps one takes it (`std::mem::take`).
+pub type Sink<'s> = dyn FnMut(&mut ExecCtx<'_>, &mut Row) -> Result<Flow> + 's;
 
 /// A physical operator: pushes one round's output into a sink.
 pub trait Operator {
@@ -391,7 +401,7 @@ pub(crate) fn collect(
 ) -> Result<Vec<Row>> {
     let mut rows = Vec::new();
     run_op(op, ctx, node, &mut |_, row| {
-        rows.push(row);
+        rows.push(std::mem::take(row));
         Ok(Flow::More)
     })?;
     Ok(rows)
@@ -420,8 +430,8 @@ pub(crate) fn emit_all(
     rows: impl IntoIterator<Item = Row>,
     sink: &mut Sink<'_>,
 ) -> Result<Flow> {
-    for row in rows {
-        if sink(ctx, row)? == Flow::Stop {
+    for mut row in rows {
+        if sink(ctx, &mut row)? == Flow::Stop {
             return Ok(Flow::Stop);
         }
     }
@@ -432,13 +442,13 @@ pub(crate) fn emit_all(
 pub(crate) fn map_delta(
     ctx: &mut ExecCtx<'_>,
     input: Delta,
-    mut each: impl FnMut(&mut ExecCtx<'_>, Row, &mut Sink<'_>) -> Result<Flow>,
+    mut each: impl FnMut(&mut ExecCtx<'_>, &mut Row, &mut Sink<'_>) -> Result<Flow>,
 ) -> Result<Delta> {
     let mut through = |rows: Vec<Row>| -> Result<Vec<Row>> {
         let mut out = Vec::new();
-        for row in rows {
-            each(ctx, row, &mut |_, row| {
-                out.push(row);
+        for mut row in rows {
+            each(ctx, &mut row, &mut |_, row| {
+                out.push(std::mem::take(row));
                 Ok(Flow::More)
             })?;
         }

@@ -17,8 +17,11 @@
 //! which just the columns the residual reads are materialized (strings
 //! elsewhere are checked, not allocated), so a rejected row allocates
 //! nothing; a row it keeps is decoded in its *kept* columns — the ones
-//! the plan reads, plus the primary key a probe need names — and its
-//! other strings hold `''`. Only [`ScanOp::tuples`], whose rows an
+//! the plan reads, plus the primary key a probe need names — into a
+//! second buffer the pass reuses and lends to the consumer, and its
+//! other strings hold `''`. (Decoding the kept columns straight away,
+//! for rows the residual then rejects, measured slower than decoding a
+//! passing row twice.) Only [`ScanOp::tuples`], whose rows an
 //! UPDATE writes back, decodes every column. The whole pass runs under
 //! the database read lock — see `ops` invariant (ii) for what that
 //! forbids the consumer, and [`ScanOp::pass`] for the one case where the
@@ -62,8 +65,8 @@ enum Candidate<'a> {
     Row(Row),
 }
 
-/// Where the tuples a pass admits go.
-type TupleSink<'s> = dyn FnMut(&mut ExecCtx<'_>, TupleId, Row) -> Result<Flow> + 's;
+/// Where the tuples a pass admits go, lent as [`super::Sink`] lends rows.
+type TupleSink<'s> = dyn FnMut(&mut ExecCtx<'_>, TupleId, &mut Row) -> Result<Flow> + 's;
 
 /// Who a fetch lends each candidate's stored bytes to.
 type Borrower<'s> = dyn FnMut(&mut ExecCtx<'_>, TupleId, &[u8]) -> Result<Flow> + 's;
@@ -106,7 +109,7 @@ impl<'p> ScanOp<'p> {
     pub(crate) fn tuples(&self, ctx: &mut ExecCtx<'_>) -> Result<Vec<(TupleId, Row)>> {
         let mut out = Vec::new();
         self.pass(ctx, Source::Stored(None), true, &mut |_, tid, row| {
-            out.push((tid, row));
+            out.push((tid, std::mem::take(row)));
             Ok(Flow::More)
         })?;
         Ok(out)
@@ -125,7 +128,7 @@ impl<'p> ScanOp<'p> {
         let mut out = Vec::new();
         let probe = Source::Stored(Some((index, keys)));
         let (examined, _) = self.pass(ctx, probe, false, &mut |_, _, row| {
-            out.push(row);
+            out.push(std::mem::take(row));
             Ok(Flow::More)
         })?;
         stats.rows_in += examined;
@@ -162,11 +165,12 @@ impl<'p> ScanOp<'p> {
             (0..schema.arity()).map(|c| kept(&c)).collect()
         });
         let keeps = keeps.as_deref();
-        let mut judged = Row::default();
+        let (mut judged, mut kept) = (Row::default(), Row::default());
         let mut examined = 0u64;
         let mut admit = |ctx: &mut ExecCtx<'_>, tid, candidate: Candidate<'_>| {
             examined += 1;
-            self.admit(ctx, &schema, (keeps, &mut judged), tid, candidate, emit)
+            let buffers = (keeps, &mut judged, &mut kept);
+            self.admit(ctx, &schema, buffers, tid, candidate, emit)
         };
         let flow = match source {
             Source::Rows(rows) => each(rows.iter().cloned(), |(tid, row)| {
@@ -175,7 +179,9 @@ impl<'p> ScanOp<'p> {
             Source::Stored(probe) if self.residual.is_some_and(BExpr::has_subplan) => {
                 let mut held = Vec::new();
                 self.fetch(ctx, probe, &mut |_, tid, stored| {
-                    held.push((tid, decode(stored, keeps)?));
+                    let mut row = Row::default();
+                    decode_into(stored, keeps, &mut row)?;
+                    held.push((tid, row));
                     Ok(Flow::More)
                 })?;
                 each(held, |(tid, row)| admit(ctx, tid, Candidate::Row(row)))?
@@ -296,13 +302,14 @@ impl<'p> ScanOp<'p> {
     /// The row function: residual filtering (decidedly-False rows drop
     /// before any crowd work is generated for them, judged on the pass's
     /// reused buffer `judged` and decoded no further), CrowdProbe needs
-    /// for missing values. Rows whose residual is True go to `emit`,
-    /// blanked outside `keeps` (`None`: every column is kept).
+    /// for missing values. Rows whose residual is True go to `emit`, lent
+    /// in the pass's other buffer `row`, blanked outside `keeps` (`None`:
+    /// every column is kept).
     fn admit(
         &self,
         ctx: &mut ExecCtx<'_>,
         schema: &TableSchema,
-        (keeps, judged): (Option<&[bool]>, &mut Row),
+        (keeps, judged, row): (Option<&[bool]>, &mut Row, &mut Row),
         tid: TupleId,
         candidate: Candidate<'_>,
         emit: &mut TupleSink<'_>,
@@ -323,10 +330,10 @@ impl<'p> ScanOp<'p> {
         if truth == Truth::False {
             return Ok(Flow::More);
         }
-        let row = match candidate {
-            Candidate::Stored(stored) => decode(stored, keeps)?,
-            Candidate::Row(row) => blank(row, keeps),
-        };
+        match candidate {
+            Candidate::Stored(stored) => decode_into(stored, keeps, row)?,
+            Candidate::Row(candidate) => *row = blank(candidate, keeps),
+        }
         // CrowdProbe, missing-value flavor: any needed column that is
         // CNULL (and crowdsourceable) becomes a probe need.
         let mut missing: Vec<(usize, String, DataType)> = Vec::new();
@@ -368,17 +375,19 @@ impl<'p> ScanOp<'p> {
     }
 }
 
-/// A stored row, decoded in the columns `keeps` names (every column if
-/// `None`); strings elsewhere hold `''`.
-fn decode(stored: &[u8], keeps: Option<&[bool]>) -> Result<Row> {
+/// A stored row into `row`, decoded in the columns `keeps` names (every
+/// column if `None`); strings elsewhere hold `''`. A kept string lands in
+/// the allocation its slot already holds.
+fn decode_into(stored: &[u8], keeps: Option<&[bool]>, row: &mut Row) -> Result<()> {
     let mut r = Reader::new(stored);
-    Ok(match keeps {
-        Some(keeps) => codec::decode_row_masked(&mut r, keeps)?,
-        None => codec::decode_row(&mut r)?,
-    })
+    match keeps {
+        Some(keeps) => codec::decode_row_into(&mut r, keeps, row)?,
+        None => *row = codec::decode_row(&mut r)?,
+    }
+    Ok(())
 }
 
-/// An already-decoded row as [`decode`] would have left it: strings
+/// An already-decoded row as [`decode_into`] would have left it: strings
 /// outside `keeps` become `''`.
 fn blank(mut row: Row, keeps: Option<&[bool]>) -> Row {
     let Some(keeps) = keeps else { return row };
@@ -433,7 +442,7 @@ impl Operator for ScanOp<'_> {
                 (&change.added, &mut delta.added),
             ] {
                 self.pass(ctx, Source::Rows(rows), false, &mut |_, _, row| {
-                    out.push(row);
+                    out.push(std::mem::take(row));
                     Ok(Flow::More)
                 })?;
             }

@@ -80,7 +80,8 @@ impl Operator for SortOp<'_> {
         quicksort(&mut order, |a, b| {
             compare(ctx, self.keys, &keyed[a].0, &keyed[b].0)
         });
-        emit_all(ctx, order.into_iter().map(|i| keyed[i].1.clone()), sink)
+        let mut rows: Vec<Option<Row>> = keyed.into_iter().map(|(_, r)| Some(r)).collect();
+        emit_all(ctx, order.into_iter().filter_map(|i| rows[i].take()), sink)
     }
 
     /// A delta is a multiset: sorting changes no row, only their order.

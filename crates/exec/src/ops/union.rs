@@ -44,10 +44,14 @@ impl Operator for UnionOp<'_> {
         sink: &mut Sink<'_>,
     ) -> Result<Flow> {
         let mut seen = HashSet::new();
-        let mut each = |ctx: &mut ExecCtx<'_>, row: Row| match self.all || seen.insert(row.clone())
-        {
-            true => sink(ctx, row),
-            false => Ok(Flow::More),
+        let mut each = |ctx: &mut ExecCtx<'_>, row: &mut Row| {
+            if !self.all {
+                if seen.contains(&*row) {
+                    return Ok(Flow::More);
+                }
+                seen.insert(row.clone());
+            }
+            sink(ctx, row)
         };
         if run_op(self.left.as_ref(), ctx, &mut stats.children[0], &mut each)? == Flow::Stop {
             return Ok(Flow::Stop);

@@ -36,7 +36,7 @@ impl Operator for ValuesOp<'_> {
             for e in row_exprs {
                 values.push(eval(ctx, e, &empty)?);
             }
-            if sink(ctx, Row::new(values))? == Flow::Stop {
+            if sink(ctx, &mut Row::new(values))? == Flow::Stop {
                 return Ok(Flow::Stop);
             }
         }

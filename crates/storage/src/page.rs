@@ -42,12 +42,14 @@ pub mod kind {
     pub const HEADER: u8 = 4;
 }
 
-/// A page image as the pager hands it out: the bytes, never changed once
-/// wrapped — a write wraps a fresh image — and, for a B-tree node, where
-/// its keys start, found by the B-tree's parser on the first read that
-/// needs it and kept with the bytes it describes. Being tied to the
+/// A page image as the pager hands it out: the bytes, never changed while
+/// anyone else can see them — a write wraps a fresh image, and a read
+/// refills only an image no one else holds — and, for a B-tree node,
+/// where its keys start, found by the B-tree's parser on the first read
+/// that needs it and kept with the bytes it describes. Being tied to the
 /// image, the layout needs no invalidation: whoever still holds the old
-/// image after a write holds the old layout with it.
+/// image after a write holds the old layout with it, and a refill, which
+/// needs the image unshared, forgets it.
 #[derive(Debug)]
 pub struct Page {
     bytes: Vec<u8>,
@@ -61,6 +63,20 @@ impl Page {
             bytes,
             layout: OnceLock::new(),
         }
+    }
+
+    /// An all-zero image of `len` bytes.
+    pub(crate) fn zeroed(len: usize) -> Page {
+        Page::new(vec![0; len])
+    }
+
+    /// Overwrite the bytes in place with `fill`, forgetting the layout of
+    /// the old ones first. `&mut`: only an image no one else holds (one
+    /// out of `Arc::get_mut`) is ever refilled. If `fill` fails, the bytes
+    /// are whatever it left.
+    pub(crate) fn refill(&mut self, fill: impl FnOnce(&mut [u8]) -> Result<()>) -> Result<()> {
+        self.layout = OnceLock::new();
+        fill(&mut self.bytes)
     }
 
     /// The layout a successful parse stored, if any.

@@ -257,27 +257,32 @@ impl Pager {
         st.free.insert(id);
     }
 
-    /// Read a page through the pool.
+    /// Read a page through the pool. A file read goes into an image an
+    /// eviction left unshared ([`BufferPool::spare`]) when there is one,
+    /// else into a new one; a failed read installs nothing.
     pub fn read(&self, id: PageId) -> Result<Arc<Page>> {
         let mut st = self.state.lock();
+        let st = &mut *st;
         if let Some(data) = st.pool.get(id) {
             return Ok(data);
         }
         let data = match &st.backend {
-            Backend::Mem(pages) => {
-                let data = pages.get(id as usize).cloned().ok_or_else(|| {
-                    CrowdError::Internal(format!("pager: read of unallocated page {id}"))
-                })?;
-                st.pool.stats.pages_read += 1;
-                data
-            }
+            Backend::Mem(pages) => pages.get(id as usize).cloned().ok_or_else(|| {
+                CrowdError::Internal(format!("pager: read of unallocated page {id}"))
+            })?,
             Backend::File { db, .. } => {
-                let mut buf = vec![0u8; self.page_size];
-                read_at(db, id * self.page_size as u64, &mut buf)?;
-                st.pool.stats.pages_read += 1;
-                Arc::new(Page::new(buf))
+                let mut image = st
+                    .pool
+                    .spare()
+                    .unwrap_or_else(|| Arc::new(Page::zeroed(self.page_size)));
+                let page = Arc::get_mut(&mut image).ok_or_else(|| {
+                    CrowdError::Internal(format!("pager: image for page {id} is shared"))
+                })?;
+                page.refill(|bytes| read_at(db, id * self.page_size as u64, bytes))?;
+                image
             }
         };
+        st.pool.stats.pages_read += 1;
         st.pool.install_clean(id, Arc::clone(&data));
         Ok(data)
     }
@@ -517,6 +522,7 @@ compile_error!("crowddb-storage's pager requires a unix platform (positional fil
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::btree::{BTree, KeyCmp};
 
     fn cfg(page_size: usize, pool: usize) -> PagerConfig {
         PagerConfig {
@@ -656,6 +662,108 @@ mod tests {
         drop(Pager::open_file(&dir, cfg(256, 0), 0).unwrap());
         let err = Pager::open_file(&dir, cfg(512, 0), 0).unwrap_err();
         assert_eq!(err.category(), "io");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Key/value pairs, in key order.
+    type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// A B-tree of `n` keys with values of varying length, so its leaves
+    /// differ in layout, in a file pager over `dir` with a `pool`-page
+    /// pool, checkpointed so every page is clean and evictable.
+    fn checkpointed_tree(dir: &Path, pool: usize, n: u64) -> (Pager, BTree, Entries) {
+        let p = Pager::open_file(dir, cfg(256, pool), 0).unwrap();
+        let mut t = BTree::create(&p, KeyCmp::Bytes).unwrap();
+        let entries: Entries = (0..n)
+            .map(|i| {
+                let value = format!("v{i}-{}", "x".repeat((i * 7 % 23) as usize));
+                (i.to_be_bytes().to_vec(), value.into_bytes())
+            })
+            .collect();
+        for (k, v) in &entries {
+            t.insert(&p, k, v).unwrap();
+        }
+        let prep = p.begin_checkpoint().unwrap();
+        p.complete_checkpoint(&prep).unwrap();
+        (p, t, entries)
+    }
+
+    fn get(t: &BTree, p: &Pager, key: &[u8]) -> Option<Vec<u8>> {
+        t.get(p, key, |v| Ok(v.to_vec())).unwrap()
+    }
+
+    #[test]
+    fn a_recycled_image_reads_back_its_own_page() {
+        let dir = tempdir();
+        let (p, t, entries) = checkpointed_tree(&dir, 2, 400);
+        let fresh = Pager::open_file(&dir, cfg(256, 0), 1).unwrap();
+        // An image read, dropped, then evicted by two other pages is the
+        // one the next miss fills.
+        let (a, b, c, d) = (1, 2, 3, 4);
+        let image = Arc::as_ptr(&p.read(a).unwrap());
+        p.read(b).unwrap();
+        p.read(c).unwrap();
+        let refilled = p.read(d).unwrap();
+        assert_eq!(
+            Arc::as_ptr(&refilled),
+            image,
+            "page {d} went into {a}'s image"
+        );
+        assert_eq!(&refilled[..], &fresh.read(d).unwrap()[..]);
+        // Every descent through recycled images finds what a pager that
+        // never evicts finds: the bytes and the layout of its own page.
+        for (i, (k, v)) in entries.iter().enumerate().rev().step_by(3) {
+            assert_eq!(get(&t, &p, k).as_ref(), Some(v), "key {i}");
+            assert_eq!(get(&t, &p, k), get(&t, &fresh, k));
+        }
+        assert_eq!(get(&t, &p, &9999u64.to_be_bytes()), None);
+        assert!(p.stats().evictions > 100);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_image_a_cursor_holds_is_never_refilled() {
+        let dir = tempdir();
+        let (p, t, entries) = checkpointed_tree(&dir, 2, 400);
+        let held = p.read(1).unwrap();
+        let bytes = held.to_vec();
+        let mut cursor = t.cursor_first(&p).unwrap();
+        let mut seen = Vec::new();
+        while let Some((k, v)) = cursor.next(&p).unwrap() {
+            seen.push((k.to_vec(), v.to_vec()));
+            // Between two steps, descents evict every page the cursor
+            // pins, its leaf included, many times over.
+            let probe = &entries[(seen.len() * 37) % entries.len()].0;
+            assert!(get(&t, &p, probe).is_some());
+        }
+        assert_eq!(seen, entries);
+        assert_eq!(&held[..], &bytes[..], "a held image keeps its bytes");
+        assert_eq!(
+            Arc::strong_count(&held),
+            1,
+            "the pool evicted it, kept no spare"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_read_installs_nothing() {
+        let dir = tempdir();
+        let (p, t, entries) = checkpointed_tree(&dir, 2, 200);
+        for (k, _) in &entries[..40] {
+            get(&t, &p, k);
+        }
+        // Allocated but never written: past the end of pages.db.
+        let past = p.allocate();
+        let before = p.stats();
+        assert_eq!(p.read(past).unwrap_err().category(), "io");
+        assert_eq!(p.read(past).unwrap_err().category(), "io", "not a hit");
+        let after = p.stats();
+        assert_eq!(after.pages_read, before.pages_read);
+        assert_eq!(after.pool_misses, before.pool_misses + 2);
+        for (k, v) in &entries {
+            assert_eq!(get(&t, &p, k).as_ref(), Some(v));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -15,6 +15,10 @@
 //! pool. A hit does not touch the queue: a frame waits where it was
 //! queued and is moved to where its last use puts it only when it reaches
 //! the front, which picks the same victim (see `evict_over_budget`).
+//!
+//! An evicted image that no one else holds is kept as a *spare* (a few at
+//! most), which the pager's next miss refills in place instead of
+//! allocating a new image; the counters do not see the difference.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -60,6 +64,9 @@ struct Frame {
     queued: u64,
 }
 
+/// How many evicted images the pool keeps for the pager to refill.
+const SPARE_IMAGES: usize = 4;
+
 /// The page cache. Owned by the pager behind its lock; all methods are
 /// plain `&mut self`.
 #[derive(Debug)]
@@ -73,6 +80,8 @@ pub struct BufferPool {
     /// more than `budget` pages are dirty between checkpoints.
     budget: usize,
     tick: u64,
+    /// Evicted images whose last reference the pool held: see [`BufferPool::spare`].
+    spares: Vec<Arc<Page>>,
     /// Shared counters (the pager also bumps `pages_read`/`pages_written`
     /// here so one snapshot covers the whole storage engine).
     pub stats: PagerStats,
@@ -86,6 +95,7 @@ impl BufferPool {
             clean: BTreeSet::new(),
             budget,
             tick: 0,
+            spares: Vec::new(),
             stats: PagerStats::default(),
         }
     }
@@ -109,6 +119,13 @@ impl BufferPool {
                 None
             }
         }
+    }
+
+    /// An image an eviction dropped from the pool, unshared then and
+    /// since — no reference to it ever left the pool — for the pager to
+    /// refill with the next page it reads.
+    pub fn spare(&mut self) -> Option<Arc<Page>> {
+        self.spares.pop()
     }
 
     /// Install a page just fetched from the backend (clean), evicting if
@@ -209,7 +226,11 @@ impl BufferPool {
                 self.clean.insert((frame.queued, id));
                 continue;
             }
-            self.frames.remove(&id);
+            let gone = self.frames.remove(&id).expect("a queued frame is resident");
+            // The pool held the last reference: keep the image to refill.
+            if Arc::strong_count(&gone.data) == 1 && self.spares.len() < SPARE_IMAGES {
+                self.spares.push(gone.data);
+            }
             self.stats.evictions += 1;
         }
     }
@@ -300,6 +321,29 @@ mod tests {
         assert_eq!(p.resident(), 4);
         assert!(p.get(7).is_none(), "7 was the oldest clean frame left");
         assert!(p.get(5).is_some() && p.get(8).is_some());
+    }
+
+    #[test]
+    fn an_evicted_image_is_kept_as_a_spare_only_if_unshared() {
+        let mut p = BufferPool::new(1);
+        p.install_clean(1, page(1));
+        let held = p.get(1).unwrap();
+        p.install_clean(2, page(2)); // evicts 1, which `held` still holds
+        assert!(p.spare().is_none());
+        p.install_clean(3, page(3)); // evicts 2: the pool held the last reference
+        let spare = p.spare().expect("2's image is a spare");
+        assert_eq!(spare[0], 2);
+        assert!(p.spare().is_none(), "handed out once");
+        // A bounded stack: a checkpoint that evicts many keeps a few.
+        let mut p = BufferPool::new(0);
+        for id in 0..10 {
+            p.put(id, page(id as u8), true);
+        }
+        p.budget = 1;
+        p.mark_all_clean();
+        assert_eq!(p.stats.evictions, 9);
+        assert_eq!(std::iter::from_fn(|| p.spare()).count(), SPARE_IMAGES);
+        drop(held);
     }
 
     #[test]

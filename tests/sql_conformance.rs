@@ -386,3 +386,36 @@ fn union_round_trips_through_display() {
     let d = db();
     assert_eq!(rows(&d, sql).len(), 4);
 }
+
+/// `0.0 = -0.0` in SQL: the hash join, the groups, DISTINCT and set
+/// union must agree with the `WHERE` filter on which rows are equal.
+#[test]
+fn negative_zero_equals_zero_in_joins_groups_and_distinct() {
+    let d = CrowdDB::new();
+    for sql in [
+        "CREATE TABLE a (id INTEGER PRIMARY KEY, x FLOAT)",
+        "CREATE TABLE b (id INTEGER PRIMARY KEY, y FLOAT)",
+        "INSERT INTO a VALUES (1, 0.0)",
+        "INSERT INTO b VALUES (1, -0.0), (2, 0.0)",
+    ] {
+        d.execute_local(sql)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    assert_eq!(
+        rows(&d, "SELECT b.id FROM b WHERE b.y = 0.0 ORDER BY 1"),
+        vec![vec!["1"], vec!["2"]]
+    );
+    assert_eq!(
+        rows(
+            &d,
+            "SELECT a.id, b.id FROM a JOIN b ON a.x = b.y ORDER BY 2"
+        ),
+        vec![vec!["1", "1"], vec!["1", "2"]]
+    );
+    assert_eq!(
+        rows(&d, "SELECT COUNT(*) FROM b GROUP BY y"),
+        vec![vec!["2"]]
+    );
+    assert_eq!(rows(&d, "SELECT DISTINCT y FROM b").len(), 1);
+    assert_eq!(rows(&d, "SELECT y FROM b UNION SELECT x FROM a").len(), 1);
+}
