@@ -12,7 +12,7 @@ use crowddb_common::{Result, Row, Value};
 use crowddb_plan::{BExpr, JoinType, PhysicalPlan};
 
 use crate::context::ExecCtx;
-use crate::eval::{eval_truth, operand};
+use crate::eval::{eval, eval_truth};
 use crate::need::TaskNeed;
 use crate::ops::{build, collect, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, TableChange};
 
@@ -164,36 +164,22 @@ impl Built<'_> {
 
 impl HashJoin<'_> {
     /// The join key of `row` under the left (`.0`) or right (`.1`) side
-    /// of every equi pair; `None` if any part is missing. A one-pair key
-    /// that is a column or a literal is lent from `row` or the plan;
-    /// anything else is evaluated into `buf`, which the caller reuses.
-    fn key<'a>(
-        &'a self,
+    /// of every equi pair, evaluated into `buf`, which the caller reuses;
+    /// `None` if any part is missing.
+    fn key<'b>(
+        &self,
         ctx: &mut ExecCtx<'_>,
-        row: &'a Row,
-        side: impl Fn(&'a (BExpr, BExpr)) -> &'a BExpr,
-        buf: &'a mut Vec<Value>,
-    ) -> Result<Option<&'a [Value]>> {
+        row: &Row,
+        side: impl Fn(&(BExpr, BExpr)) -> &BExpr,
+        buf: &'b mut Vec<Value>,
+    ) -> Result<Option<&'b [Value]>> {
         buf.clear();
-        if let [pair] = self.equi {
-            let v = operand(ctx, side(pair), row)?;
-            if v.is_missing() {
-                return Ok(None);
-            }
-            return Ok(Some(match v {
-                Cow::Borrowed(v) => std::slice::from_ref(v),
-                Cow::Owned(v) => {
-                    buf.push(v);
-                    buf
-                }
-            }));
-        }
         for pair in self.equi {
-            let v = operand(ctx, side(pair), row)?;
+            let v = eval(ctx, side(pair), row)?;
             if v.is_missing() {
                 return Ok(None);
             }
-            buf.push(v.into_owned());
+            buf.push(v);
         }
         Ok(Some(buf))
     }

@@ -16,7 +16,7 @@
 //! queued and is moved to where its last use puts it only when it reaches
 //! the front, which picks the same victim (see `evict_over_budget`).
 //!
-//! An evicted image that no one else holds is kept as a *spare* (a few at
+//! An evicted image that no one else holds is kept as the *spare* (one at
 //! most), which the pager's next miss refills in place instead of
 //! allocating a new image; the counters do not see the difference.
 
@@ -64,9 +64,6 @@ struct Frame {
     queued: u64,
 }
 
-/// How many evicted images the pool keeps for the pager to refill.
-const SPARE_IMAGES: usize = 4;
-
 /// The page cache. Owned by the pager behind its lock; all methods are
 /// plain `&mut self`.
 #[derive(Debug)]
@@ -80,8 +77,10 @@ pub struct BufferPool {
     /// more than `budget` pages are dirty between checkpoints.
     budget: usize,
     tick: u64,
-    /// Evicted images whose last reference the pool held: see [`BufferPool::spare`].
-    spares: Vec<Arc<Page>>,
+    /// An evicted image whose last reference the pool held: see
+    /// [`BufferPool::spare`]. A miss takes it and the eviction that
+    /// follows puts one back, so one is enough.
+    spare: Option<Arc<Page>>,
     /// Shared counters (the pager also bumps `pages_read`/`pages_written`
     /// here so one snapshot covers the whole storage engine).
     pub stats: PagerStats,
@@ -95,7 +94,7 @@ impl BufferPool {
             clean: BTreeSet::new(),
             budget,
             tick: 0,
-            spares: Vec::new(),
+            spare: None,
             stats: PagerStats::default(),
         }
     }
@@ -125,7 +124,7 @@ impl BufferPool {
     /// since — no reference to it ever left the pool — for the pager to
     /// refill with the next page it reads.
     pub fn spare(&mut self) -> Option<Arc<Page>> {
-        self.spares.pop()
+        self.spare.take()
     }
 
     /// Install a page just fetched from the backend (clean), evicting if
@@ -228,8 +227,8 @@ impl BufferPool {
             }
             let gone = self.frames.remove(&id).expect("a queued frame is resident");
             // The pool held the last reference: keep the image to refill.
-            if Arc::strong_count(&gone.data) == 1 && self.spares.len() < SPARE_IMAGES {
-                self.spares.push(gone.data);
+            if Arc::strong_count(&gone.data) == 1 {
+                self.spare = Some(gone.data);
             }
             self.stats.evictions += 1;
         }
@@ -334,7 +333,7 @@ mod tests {
         let spare = p.spare().expect("2's image is a spare");
         assert_eq!(spare[0], 2);
         assert!(p.spare().is_none(), "handed out once");
-        // A bounded stack: a checkpoint that evicts many keeps a few.
+        // One spare at most: a checkpoint that evicts many keeps one.
         let mut p = BufferPool::new(0);
         for id in 0..10 {
             p.put(id, page(id as u8), true);
@@ -342,7 +341,7 @@ mod tests {
         p.budget = 1;
         p.mark_all_clean();
         assert_eq!(p.stats.evictions, 9);
-        assert_eq!(std::iter::from_fn(|| p.spare()).count(), SPARE_IMAGES);
+        assert_eq!(std::iter::from_fn(|| p.spare()).count(), 1);
         drop(held);
     }
 
