@@ -55,7 +55,6 @@ fn config(policy: QualityPolicy, workers: usize, batch: usize, reward: u32) -> C
     };
     c.concurrency.fulfill_workers = workers;
     c.concurrency.max_batch_size = batch;
-    c.concurrency.parallel_threshold = 0;
     c
 }
 

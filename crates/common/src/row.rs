@@ -87,11 +87,6 @@ impl Row {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Whether any column is `CNULL`.
-    pub fn has_cnull(&self) -> bool {
-        self.values.iter().any(Value::is_cnull)
-    }
 }
 
 impl Index<usize> for Row {
@@ -184,10 +179,9 @@ mod tests {
     #[test]
     fn cnull_tracking() {
         let r = Row::new(vec![Value::Int(1), Value::CNull, Value::Null, Value::CNull]);
-        assert!(r.has_cnull());
         assert_eq!(r.cnull_columns(), vec![1, 3]);
         let clean = Row::new(vec![Value::Int(1), Value::Null]);
-        assert!(!clean.has_cnull());
+        assert!(clean.cnull_columns().is_empty());
     }
 
     #[test]

@@ -214,22 +214,6 @@ impl TableSchema {
         self.crowd_table || self.columns.iter().any(|c| c.crowd)
     }
 
-    /// In a CROWD table, the ordinals of columns the crowd is *not* asked
-    /// to fill for new tuples (none — the whole tuple is requested); in a
-    /// regular table, the non-crowd columns.
-    pub fn electronic_columns(&self) -> Vec<usize> {
-        if self.crowd_table {
-            Vec::new()
-        } else {
-            self.columns
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| !c.crowd)
-                .map(|(i, _)| i)
-                .collect()
-        }
-    }
-
     /// Render the schema back to CrowdSQL DDL.
     pub fn to_ddl(&self) -> String {
         let mut out = String::new();
@@ -315,7 +299,6 @@ mod tests {
         assert_eq!(s.crowd_columns(), vec![1, 2]);
         assert!(s.is_crowd_related());
         assert!(!s.crowd_table);
-        assert_eq!(s.electronic_columns(), vec![0]);
     }
 
     #[test]
@@ -361,7 +344,6 @@ mod tests {
         .crowd();
         assert!(s.crowd_table);
         assert!(s.is_crowd_related());
-        assert_eq!(s.electronic_columns(), Vec::<usize>::new());
         assert_eq!(s.foreign_keys[0].ref_table, "talk");
     }
 

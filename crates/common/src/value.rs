@@ -10,7 +10,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use crate::truth::Truth;
 use crate::types::DataType;
 
 /// A single SQL value.
@@ -89,25 +88,17 @@ impl Value {
         Ok(())
     }
 
-    /// SQL equality in three-valued logic: any missing operand yields
-    /// `Unknown`.
-    pub fn sql_eq(&self, other: &Value) -> Truth {
-        match self.compare(other) {
-            None => Truth::Unknown,
-            Some(ord) => Truth::from_bool(ord == Ordering::Equal),
-        }
-    }
-
     /// SQL comparison: `None` when either side is missing or the types are
-    /// incomparable; otherwise the ordering under numeric unification.
+    /// incomparable; otherwise the ordering of the values. An `Int` and a
+    /// `Float` compare exactly, without rounding the integer to `f64`.
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) | (Value::CNull, _) | (_, Value::CNull) => None,
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.partial_cmp(&(*b as f64)),
+            (Value::Int(a), Value::Float(b)) => cmp_int_float(*a, *b),
+            (Value::Float(a), Value::Int(b)) => cmp_int_float(*b, *a).map(Ordering::reverse),
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             _ => None,
         }
@@ -230,17 +221,43 @@ impl Value {
     }
 }
 
-/// Structural equality used for grouping, caching, and test assertions.
+/// `2^63`: the first float past `i64::MAX`, and exactly `-i64::MIN`.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// `f` as the integer it is exactly, if it is one.
+fn exact_int(f: f64) -> Option<i64> {
+    (f.fract() == 0.0 && (-TWO_POW_63..TWO_POW_63).contains(&f)).then_some(f as i64)
+}
+
+/// Order an integer against a float exactly (`None` only for NaN).
+fn cmp_int_float(i: i64, f: f64) -> Option<Ordering> {
+    if f.is_nan() {
+        return None;
+    }
+    if !(-TWO_POW_63..TWO_POW_63).contains(&f) {
+        // Past every i64, so `i` lies on the same side of `f` as 0.
+        return Some(0f64.total_cmp(&f));
+    }
+    // Both parts are exact: `whole` fits an i64, `f - whole` is `f`'s
+    // fraction.
+    let whole = f.trunc();
+    Some(i.cmp(&(whole as i64)).then(0f64.total_cmp(&(f - whole))))
+}
+
+/// Equality used for grouping, joining, caching, and test assertions.
 ///
-/// Unlike [`Value::sql_eq`], this treats `NULL == NULL` and `CNULL ==
-/// CNULL` as true (but `NULL != CNULL`), and compares `Int` and `Float`
-/// structurally (3 != 3.0) so that hashing stays consistent with equality.
+/// Unlike SQL's `=` ([`Value::compare`]), this treats `NULL == NULL` and
+/// `CNULL == CNULL` as true (but `NULL != CNULL`). Numbers are equal by
+/// value, as `=` has them: `3 == 3.0` and `0.0 == -0.0`; `Hash` agrees.
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (Value::Null, Value::Null) | (Value::CNull, Value::CNull) => true,
             (Value::Bool(a), Value::Bool(b)) => a == b,
             (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Int(i), Value::Float(f)) | (Value::Float(f), Value::Int(i)) => {
+                exact_int(*f) == Some(*i)
+            }
             (Value::Float(a), Value::Float(b)) => a == b || (a.is_nan() && b.is_nan()),
             (Value::Str(a), Value::Str(b)) => a == b,
             _ => false,
@@ -263,19 +280,16 @@ impl Hash for Value {
                 state.write_u8(3);
                 i.hash(state);
             }
-            // `eq` holds `0.0 == -0.0` and `NaN == NaN`: each class
-            // hashes as one bit pattern.
-            Value::Float(f) => {
-                state.write_u8(4);
-                let canonical = if *f == 0.0 {
-                    0.0
-                } else if f.is_nan() {
-                    f64::NAN
-                } else {
-                    *f
-                };
-                canonical.to_bits().hash(state);
-            }
+            // `eq` holds `3.0 == 3`, `-0.0 == 0` and `NaN == NaN`: a
+            // whole float hashes as its integer, every NaN as one.
+            Value::Float(f) => match exact_int(*f) {
+                Some(i) => Value::Int(i).hash(state),
+                None => {
+                    state.write_u8(4);
+                    let canonical = if f.is_nan() { f64::NAN } else { *f };
+                    canonical.to_bits().hash(state);
+                }
+            },
             Value::Str(s) => {
                 state.write_u8(5);
                 s.hash(state);
@@ -363,15 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn sql_eq_three_valued() {
-        assert_eq!(Value::Int(1).sql_eq(&Value::Int(1)), Truth::True);
-        assert_eq!(Value::Int(1).sql_eq(&Value::Int(2)), Truth::False);
-        assert_eq!(Value::Int(1).sql_eq(&Value::Null), Truth::Unknown);
-        assert_eq!(Value::Null.sql_eq(&Value::Null), Truth::Unknown);
-        assert_eq!(Value::CNull.sql_eq(&Value::CNull), Truth::Unknown);
-    }
-
-    #[test]
     fn numeric_cross_type_compare() {
         assert_eq!(
             Value::Int(3).compare(&Value::Float(3.0)),
@@ -381,6 +386,45 @@ mod tests {
             Value::Float(2.5).compare(&Value::Int(3)),
             Some(Ordering::Less)
         );
+        // Exact, where `as f64` would round the integer to the float.
+        let big = 1i64 << 53;
+        let cases = [
+            (big + 1, big as f64, Ordering::Greater),
+            (i64::MAX, TWO_POW_63, Ordering::Less),
+            (i64::MIN, -TWO_POW_63, Ordering::Equal),
+            (i64::MIN, -1e300, Ordering::Greater),
+            (-2, -2.5, Ordering::Greater),
+            (-3, -2.5, Ordering::Less),
+            (0, -0.0, Ordering::Equal),
+        ];
+        for (i, f, ord) in cases {
+            assert_eq!(
+                Value::Int(i).compare(&Value::Float(f)),
+                Some(ord),
+                "{i} vs {f}"
+            );
+            let back = Value::Float(f).compare(&Value::Int(i));
+            assert_eq!(back, Some(ord.reverse()), "{f} vs {i}");
+            assert_eq!(Value::Int(i) == Value::Float(f), ord == Ordering::Equal);
+        }
+        assert_eq!(Value::Int(1).compare(&Value::Float(f64::NAN)), None);
+    }
+
+    #[test]
+    fn whole_floats_equal_and_hash_as_integers() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        for (i, f) in [(3, 3.0), (0, -0.0), (-7, -7.0), (i64::MIN, -TWO_POW_63)] {
+            let (i, f) = (Value::Int(i), Value::Float(f));
+            assert_eq!(i, f);
+            assert_eq!(hash(&i), hash(&f), "{i:?} and {f:?}");
+        }
+        assert_ne!(Value::Int(3), Value::Float(3.5));
+        assert_ne!(Value::Int(i64::MAX), Value::Float(TWO_POW_63));
     }
 
     #[test]

@@ -35,8 +35,10 @@ impl Default for DurabilityPolicy {
 /// with exponential backoff for failed posts, per-HIT deadlines with
 /// bounded reposts for abandoned HITs, and a circuit breaker that stops
 /// engaging a platform that keeps failing. All waits are in platform-
-/// virtual seconds and count against the round budget; jitter is derived
-/// deterministically so identical runs stay byte-identical.
+/// virtual seconds; jitter is derived deterministically so identical
+/// runs stay byte-identical. A wave ends when its HITs resolve — within
+/// `1 + max_reposts + max_escalations` HIT deadlines — when the
+/// governor's deadline passes, or when the breaker trips.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Attempts per `post()` call (1 = no retries).
@@ -87,16 +89,13 @@ impl Default for RetryPolicy {
 #[derive(Debug, Clone)]
 pub struct ConcurrencyPolicy {
     /// Worker threads for the parallel phase of round fulfillment
-    /// (answer QC ingest). `0` or `1` runs fully serial.
+    /// (answer QC ingest). `0` or `1` runs fully serial; any larger value
+    /// threads every wave of two or more HITs.
     pub fulfill_workers: usize,
     /// Maximum task specs per platform `post()` call; same-template runs
     /// are chunked to this size. `0` posts the whole wave as one batch
     /// (the historical behavior).
     pub max_batch_size: usize,
-    /// Minimum needs in a wave before a parallel phase actually spawns
-    /// threads; smaller waves run serial regardless of
-    /// `fulfill_workers` (thread spawn costs more than it saves).
-    pub parallel_threshold: usize,
 }
 
 impl Default for ConcurrencyPolicy {
@@ -104,7 +103,6 @@ impl Default for ConcurrencyPolicy {
         ConcurrencyPolicy {
             fulfill_workers: 1,
             max_batch_size: 0,
-            parallel_threshold: 8,
         }
     }
 }
@@ -182,11 +180,6 @@ pub struct CrowdConfig {
     /// Maximum execute→crowdsource→re-execute rounds before returning a
     /// partial result with a warning.
     pub max_rounds: usize,
-    /// Virtual seconds the task manager pumps the platform per round
-    /// before giving up on stragglers.
-    pub round_budget_secs: f64,
-    /// Ban workers whose agreement rate drops below this after 10 tasks.
-    pub ban_threshold: f64,
     /// Slow-statement threshold in crowd-virtual seconds: statements
     /// whose crowd waits exceed it are counted in
     /// `crowddb_slow_statements_total` and logged as `slow_statement`
@@ -233,8 +226,6 @@ impl Default for CrowdConfig {
             reward_cents: 1,
             vote: VoteConfig::default(),
             max_rounds: 16,
-            round_budget_secs: 14.0 * 24.0 * 3600.0, // two virtual weeks
-            ban_threshold: 0.25,
             slow_statement_virtual_secs: None,
             retry: RetryPolicy::default(),
             durability: DurabilityPolicy::default(),
@@ -255,7 +246,6 @@ impl CrowdConfig {
         CrowdConfig {
             vote: VoteConfig::single(),
             max_rounds: 8,
-            round_budget_secs: 1e7,
             ..CrowdConfig::default()
         }
     }
@@ -269,7 +259,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = CrowdConfig::default();
         assert!(c.max_rounds >= 2);
-        assert!(c.round_budget_secs > 0.0);
         assert_eq!(c.vote.replication, 3);
     }
 
@@ -284,7 +273,6 @@ mod tests {
         let c = ConcurrencyPolicy::default();
         assert_eq!(c.fulfill_workers, 1);
         assert_eq!(c.max_batch_size, 0);
-        assert!(c.parallel_threshold >= 1);
     }
 
     #[test]

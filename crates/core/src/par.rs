@@ -9,17 +9,16 @@
 /// across up to `workers` scoped threads, and return the results in
 /// index order.
 ///
-/// Falls back to a plain serial loop when `workers <= 1` or when the
-/// slice is shorter than `threshold` — spawning threads for a handful
-/// of items costs more than it saves.
-pub fn par_map_mut<T, R, F>(items: &mut [T], workers: usize, threshold: usize, f: F) -> Vec<R>
+/// Falls back to a plain serial loop when `workers <= 1` or when there
+/// is at most one item to share out.
+pub fn par_map_mut<T, R, F>(items: &mut [T], workers: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
     let n = items.len();
-    if workers <= 1 || n < threshold.max(2) {
+    if workers <= 1 || n < 2 {
         return items
             .iter_mut()
             .enumerate()
@@ -53,27 +52,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serial_fallback_below_threshold() {
-        let mut items = vec![1u64, 2, 3];
-        let out = par_map_mut(&mut items, 8, 100, |i, v| {
-            *v *= 10;
-            (i, *v)
-        });
-        assert_eq!(items, vec![10, 20, 30]);
-        assert_eq!(out, vec![(0, 10), (1, 20), (2, 30)]);
-    }
-
-    #[test]
     fn parallel_matches_serial_for_any_worker_count() {
         let base: Vec<u64> = (0..97).collect();
         let mut serial_items = base.clone();
-        let serial = par_map_mut(&mut serial_items, 1, 0, |i, v| {
+        let serial = par_map_mut(&mut serial_items, 1, |i, v| {
             *v += 1;
             i as u64 * 1000 + *v
         });
         for workers in [2usize, 3, 4, 8, 16, 97, 200] {
             let mut items = base.clone();
-            let out = par_map_mut(&mut items, workers, 0, |i, v| {
+            let out = par_map_mut(&mut items, workers, |i, v| {
                 *v += 1;
                 i as u64 * 1000 + *v
             });
@@ -85,15 +73,15 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let mut empty: Vec<u32> = vec![];
-        assert!(par_map_mut(&mut empty, 4, 0, |_, v| *v).is_empty());
+        assert!(par_map_mut(&mut empty, 4, |_, v| *v).is_empty());
         let mut one = vec![7u32];
-        assert_eq!(par_map_mut(&mut one, 4, 0, |_, v| *v + 1), vec![8]);
+        assert_eq!(par_map_mut(&mut one, 4, |_, v| *v + 1), vec![8]);
     }
 
     #[test]
     fn indexes_are_global_not_per_chunk() {
         let mut items = vec![0u8; 33];
-        let out = par_map_mut(&mut items, 4, 0, |i, _| i);
+        let out = par_map_mut(&mut items, 4, |i, _| i);
         assert_eq!(out, (0..33).collect::<Vec<usize>>());
     }
 }

@@ -51,6 +51,13 @@ const MAX_TUPLES_PER_ASSIGNMENT: usize = 5;
 /// Virtual seconds the pump advances the platform per step.
 const PUMP_STEP_SECS: f64 = 600.0;
 
+/// A worker is banned at settle once at least `BAN_MIN_TASKS` of their
+/// answers have been agreement-scored and their (Laplace-smoothed)
+/// agreement rate is below `BAN_AGREEMENT`. A banned worker's later
+/// answers are paid but not counted.
+const BAN_MIN_TASKS: u64 = 10;
+const BAN_AGREEMENT: f64 = 0.25;
+
 /// What one fulfillment pass hands back to the driver.
 #[derive(Debug, Clone, Default)]
 pub struct FulfillSummary {
@@ -399,7 +406,7 @@ struct Wave<'a> {
     summary: FulfillSummary,
     breaker: Breaker,
     /// Virtual seconds this pass has spent — pump steps and backoff
-    /// waits alike — against `round_budget_secs`.
+    /// waits alike; HIT deadlines are measured on it.
     elapsed: f64,
     /// One per unit the platform accepted, in unit order.
     trackers: Vec<Tracker>,
@@ -411,8 +418,9 @@ struct Wave<'a> {
     exhausted: Vec<bool>,
 }
 
-/// Post `needs` to `platform`, pump until resolved (or the round budget
-/// runs out), quality-control the answers, and memorize them.
+/// Post `needs` to `platform`, pump until resolved (or the governor
+/// interrupts, or the breaker trips), quality-control the answers, and
+/// memorize them.
 ///
 /// This function upholds the degradation contract: platform failures
 /// (post errors, partial batches, abandoned HITs, duplicate or garbled
@@ -537,7 +545,7 @@ impl Wave<'_> {
 
     /// Post a batch with bounded retries and backoff; every attempt
     /// hands the platform its own clone of `specs`. Backoff waits
-    /// advance platform-virtual time and count against the round budget.
+    /// advance platform-virtual time.
     /// Returns `None` when every attempt failed or the breaker tripped.
     fn post_with_retry(&mut self, specs: &[TaskSpec]) -> Option<Vec<HitId>> {
         if self.breaker.tripped {
@@ -622,16 +630,16 @@ impl Wave<'_> {
 
     /// Advance virtual time step by step, feeding arrivals into their
     /// unit's votes and deciding, extending or reposting HITs, until
-    /// every tracker is resolved, the round budget runs out, the
-    /// governor interrupts or the breaker trips.
+    /// every tracker is resolved, the governor interrupts or the breaker
+    /// trips. Reposts and escalations are bounded, so a tracker resolves
+    /// within `1 + max_reposts + max_escalations` HIT deadlines.
     fn pump(&mut self) {
         let (needs, config, events) = (self.needs, self.config, self.obs.events());
         let workers = config.concurrency.fulfill_workers.max(1);
-        let threshold = config.concurrency.parallel_threshold;
         // AMT one-assignment rule: each (worker, HIT) pair may vote once.
         let mut seen: HashSet<(WorkerId, HitId)> = HashSet::new();
 
-        while self.trackers.iter().any(|t| !t.resolved) && self.elapsed < config.round_budget_secs {
+        while self.trackers.iter().any(|t| !t.resolved) {
             // Governor checkpoint: a deadline or cancel interrupts the pump
             // *before* the next virtual-time step, so termination lands on a
             // deterministic boundary. Answers already collected still settle
@@ -673,7 +681,7 @@ impl Wave<'_> {
             // the voted keys back by staged slot keeps `worker_votes`
             // byte-identical to the serial path.
             let normalizer = &self.normalizer;
-            let voted = par_map_mut(&mut self.trackers, workers, threshold, |_, t| {
+            let voted = par_map_mut(&mut self.trackers, workers, |_, t| {
                 let need = &needs[t.unit[0]];
                 std::mem::take(&mut t.pending)
                     .into_iter()
@@ -702,7 +710,7 @@ impl Wave<'_> {
         let unresolved = self.trackers.iter().filter(|t| !t.resolved).count();
         if unresolved > 0 {
             self.summary.warnings.push(format!(
-                "{unresolved} task(s) did not complete within the round budget"
+                "{unresolved} task(s) did not complete before the interruption"
             ));
         }
     }
@@ -1031,7 +1039,7 @@ impl Wave<'_> {
                 (None, _) => self.wrm.record_contribution(worker, reward),
             }
         }
-        for worker in self.wrm.flagged_workers(10, self.config.ban_threshold) {
+        for worker in self.wrm.flagged_workers(BAN_MIN_TASKS, BAN_AGREEMENT) {
             self.wrm.ban(worker);
         }
 
@@ -1119,7 +1127,7 @@ fn ingest_answer(
             }
             // Inherited, not designed: only a HIT carrying one pair has
             // its voters agreement-scored. Batched voters are paid per
-            // assignment but never scored (so `ban_threshold` is inert
+            // assignment but never scored (so `BAN_AGREEMENT` is inert
             // for them); the EM policy weighs them through the ballot
             // record instead.
             voted.filter(|_| lone).map(String::from)
@@ -1407,6 +1415,8 @@ mod tests {
         fulfill_in(&Database::new(), config, needs, platform)
     }
 
+    /// One pass under `config.governor`, as a statement starting at the
+    /// platform's current clock would run it.
     fn fulfill_in(
         db: &Database,
         config: &CrowdConfig,
@@ -1416,6 +1426,11 @@ mod tests {
         let caches = RwLock::default();
         let mut wrm = WorkerRelationshipManager::new();
         let obs = Obs::new();
+        let guard = crate::governor::StatementGuard::new(
+            &config.governor,
+            &crate::governor::CancelToken::new(),
+            platform.now(),
+        );
         let summary = fulfill_needs(
             db,
             &caches,
@@ -1425,7 +1440,7 @@ mod tests {
             config,
             needs,
             &obs,
-            &crate::governor::StatementGuard::unlimited(),
+            &guard,
         )
         .unwrap();
         Settled {
@@ -1458,11 +1473,11 @@ mod tests {
             .collect()
     }
 
-    /// Times in pump steps: 20 steps of budget, a 10-step backoff and a
-    /// 5-step HIT deadline.
+    /// Times in pump steps: a 20-step statement deadline, a 10-step
+    /// backoff and a 5-step HIT deadline.
     fn run_sweep(order: [&str; 2]) -> (FulfillSummary, u64) {
         let mut config = CrowdConfig::default();
-        config.round_budget_secs = 20.0 * PUMP_STEP_SECS;
+        config.governor.deadline_virtual_secs = Some(20.0 * PUMP_STEP_SECS);
         config.vote = crowddb_quality::VoteConfig::replicated(3);
         config.retry = crate::config::RetryPolicy {
             max_post_attempts: 2,

@@ -36,7 +36,6 @@ fn chaos_config_with_workers(workers: usize) -> CrowdConfig {
         ..CrowdConfig::default()
     };
     c.concurrency.fulfill_workers = workers;
-    c.concurrency.parallel_threshold = 0; // parallelize even tiny waves
     c
 }
 

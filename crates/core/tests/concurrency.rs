@@ -27,9 +27,6 @@ fn config(workers: usize, max_batch_size: usize) -> CrowdConfig {
     c.vote = VoteConfig::replicated(3);
     c.concurrency.fulfill_workers = workers;
     c.concurrency.max_batch_size = max_batch_size;
-    // Parallelize even tiny waves so worker counts actually diverge in
-    // scheduling (the default threshold would keep these suites serial).
-    c.concurrency.parallel_threshold = 0;
     c.durability.fsync = FsyncPolicy::Never;
     c
 }

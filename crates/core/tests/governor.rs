@@ -698,7 +698,6 @@ fn governed_termination_is_identical_at_any_worker_count() {
         let mut cfg = config();
         cfg.vote = VoteConfig::replicated(3);
         cfg.concurrency.fulfill_workers = workers;
-        cfg.concurrency.parallel_threshold = 0;
         let db = CrowdDB::with_config(cfg);
         let mut p = scripted();
         seed_session(&db, &mut p);

@@ -59,7 +59,6 @@ fn config(policy: QualityPolicy, workers: usize, max_batch_size: usize) -> Crowd
     c.quality = policy;
     c.concurrency.fulfill_workers = workers;
     c.concurrency.max_batch_size = max_batch_size;
-    c.concurrency.parallel_threshold = 0;
     c
 }
 

@@ -70,7 +70,6 @@ fn config(workers: usize) -> CrowdConfig {
         ..CrowdConfig::default()
     };
     c.concurrency.fulfill_workers = workers;
-    c.concurrency.parallel_threshold = 0;
     c
 }
 

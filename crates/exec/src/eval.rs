@@ -12,9 +12,11 @@
 use std::borrow::Cow;
 
 use crowddb_common::{CrowdError, DataType, Result, Row, Truth, Value};
-pub use crowddb_plan::value_ops::{compare_truth, eval_binary, truth_to_value, value_truth};
+pub use crowddb_plan::value_ops::{
+    compare_truth, eval_binary, eval_unary, truth_to_value, value_truth,
+};
 use crowddb_plan::{BExpr, ScalarFn};
-use crowddb_sql::{BinaryOp, UnaryOp};
+use crowddb_sql::BinaryOp;
 
 use crate::context::{Compare, ExecCtx};
 
@@ -27,25 +29,7 @@ use crate::context::{Compare, ExecCtx};
 pub fn eval(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Value> {
     match e {
         BExpr::Literal(_) | BExpr::Column(_) => operand(ctx, e, row).map(Cow::into_owned),
-        BExpr::Unary { op, expr } => {
-            let v = eval(ctx, expr, row)?;
-            match op {
-                UnaryOp::Not => Ok(truth_to_value(value_truth(&v)?.not())),
-                UnaryOp::Neg => match v {
-                    Value::Int(i) => i
-                        .checked_neg()
-                        .map(Value::Int)
-                        .ok_or_else(|| CrowdError::Exec("integer overflow in -".into())),
-                    Value::Float(f) => Ok(Value::Float(-f)),
-                    Value::Null | Value::CNull => Ok(Value::Null),
-                    other => Err(CrowdError::Type(format!(
-                        "cannot negate {}",
-                        other.sql_literal()
-                    ))),
-                },
-                UnaryOp::Pos => Ok(v),
-            }
-        }
+        BExpr::Unary { op, expr } => eval_unary(*op, eval(ctx, expr, row)?),
         BExpr::Binary { left, op, right } => {
             // Short-circuit AND/OR — crucial for crowd predicates: a
             // FALSE machine conjunct suppresses the crowd call.

@@ -22,13 +22,13 @@
 //! rewritten inputs.
 
 use crowddb_common::Value;
-use crowddb_sql::{BinaryOp, UnaryOp};
+use crowddb_sql::BinaryOp;
 
 use crate::bound_expr::BExpr;
 use crate::cardinality::{estimate_rows, StatsSource};
 use crate::logical::{JoinType, LogicalPlan};
 use crate::schema::PlanSchema;
-use crate::value_ops::eval_binary;
+use crate::value_ops::{eval_binary, eval_unary};
 
 /// Optimizer knobs.
 #[derive(Debug, Clone)]
@@ -156,27 +156,16 @@ pub fn fold_expr(e: BExpr) -> BExpr {
             }
             BExpr::Binary { left, op, right }
         }
-        BExpr::Unary {
-            op: UnaryOp::Not,
-            expr,
-        } => match expr.as_ref() {
-            BExpr::Literal(Value::Bool(b)) => BExpr::Literal(Value::Bool(!b)),
-            _ => BExpr::Unary {
-                op: UnaryOp::Not,
-                expr,
-            },
-        },
-        BExpr::Unary {
-            op: UnaryOp::Neg,
-            expr,
-        } => match expr.as_ref() {
-            BExpr::Literal(Value::Int(i)) => BExpr::Literal(Value::Int(-i)),
-            BExpr::Literal(Value::Float(x)) => BExpr::Literal(Value::Float(-x)),
-            _ => BExpr::Unary {
-                op: UnaryOp::Neg,
-                expr,
-            },
-        },
+        BExpr::Unary { op, expr } => {
+            // As for binary operators: an error (`-` overflow, a type
+            // error) or a missing result stays for the runtime.
+            if let BExpr::Literal(v) = expr.as_ref() {
+                if let Some(v) = eval_unary(op, v.clone()).ok().filter(|v| !v.is_missing()) {
+                    return BExpr::Literal(v);
+                }
+            }
+            BExpr::Unary { op, expr }
+        }
         other => other,
     }
 }
@@ -673,7 +662,7 @@ mod tests {
     use super::*;
     use crate::binder::Binder;
     use crate::cardinality::FnStats;
-    use crowddb_sql::{parse_statement, Statement};
+    use crowddb_sql::{parse_statement, Statement, UnaryOp};
     use crowddb_storage::Catalog;
 
     fn catalog() -> Catalog {
@@ -763,10 +752,11 @@ mod tests {
     }
 
     /// The folder has no arithmetic or logic of its own: over every
-    /// literal pair and operator it either leaves the expression for the
-    /// runtime or writes down exactly what the executor's `eval_binary`
-    /// computes — so `FALSE AND NULL` folds to `FALSE`, `NULL = NULL`
-    /// and `1 / 0` stay, and `CROWDEQUAL` (an error there) never folds.
+    /// literal, literal pair and operator it either leaves the expression
+    /// for the runtime or writes down exactly what the executor's
+    /// `eval_unary` / `eval_binary` computes — so `FALSE AND NULL` folds
+    /// to `FALSE`, `NULL = NULL`, `1 / 0` and `-(-9223372036854775808)`
+    /// stay, and `CROWDEQUAL` (an error there) never folds.
     #[test]
     fn fold_agrees_with_the_executor_on_every_literal_pair() {
         use BinaryOp::*;
@@ -774,6 +764,7 @@ mod tests {
             Value::Int(0),
             Value::Int(7),
             Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
             Value::Float(2.5),
             Value::Float(0.0),
             Value::str("a"),
@@ -811,7 +802,21 @@ mod tests {
                 }
             }
         }
-        assert!(folded_count > 300, "{folded_count} of 1500 folded");
+        assert!(folded_count > 300, "{folded_count} of 1815 folded");
+        for op in [UnaryOp::Neg, UnaryOp::Not, UnaryOp::Pos] {
+            for v in &values {
+                let e = BExpr::Unary {
+                    op,
+                    expr: Box::new(BExpr::Literal(v.clone())),
+                };
+                let folded = fold_expr(e.clone());
+                let ok = match eval_unary(op, v.clone()) {
+                    Ok(r) if !r.is_missing() => folded == BExpr::Literal(r),
+                    Ok(_) | Err(_) => folded == e,
+                };
+                assert!(ok, "{op:?} {v:?} folded to {folded:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,35 @@
-//! SQL binary operators over two concrete values: arithmetic,
+//! SQL operators over concrete values: arithmetic, negation,
 //! comparison and three-valued logic.
 //!
 //! The one copy. The executor evaluates rows through these
 //! (`crowddb_exec::eval` re-exports them) and the optimizer folds
-//! literal subexpressions through [`eval_binary`], so a folded plan
-//! computes exactly what the unfolded one would have at run time.
+//! literal subexpressions through [`eval_binary`] and [`eval_unary`], so
+//! a folded plan computes exactly what the unfolded one would have at
+//! run time.
 
 use crowddb_common::{CrowdError, Result, Truth, Value};
-use crowddb_sql::BinaryOp;
+use crowddb_sql::{BinaryOp, UnaryOp};
+
+/// Evaluate a unary operator over a concrete value: `NOT` in 3VL,
+/// overflow-checked `-`, and `+` as the identity.
+pub fn eval_unary(op: UnaryOp, v: Value) -> Result<Value> {
+    match op {
+        UnaryOp::Not => Ok(truth_to_value(value_truth(&v)?.not())),
+        UnaryOp::Neg => match v {
+            Value::Int(i) => i
+                .checked_neg()
+                .map(Value::Int)
+                .ok_or_else(|| CrowdError::Exec("integer overflow in -".into())),
+            Value::Float(f) => Ok(Value::Float(-f)),
+            Value::Null | Value::CNull => Ok(Value::Null),
+            other => Err(CrowdError::Type(format!(
+                "cannot negate {}",
+                other.sql_literal()
+            ))),
+        },
+        UnaryOp::Pos => Ok(v),
+    }
+}
 
 /// Evaluate a binary operator over two concrete values (3VL for
 /// comparisons, missing-propagation for arithmetic).

@@ -133,18 +133,6 @@ impl TaskKind {
         }
     }
 
-    /// Number of individually-answerable items this task carries (1 for
-    /// the single-item kinds).
-    pub fn item_count(&self) -> usize {
-        match self {
-            TaskKind::EqualBatch { pairs, .. } | TaskKind::OrderBatch { pairs, .. } => {
-                pairs.len().max(1)
-            }
-            TaskKind::RankGroup { items, .. } => items.len().max(1),
-            _ => 1,
-        }
-    }
-
     /// Short human-readable label used in logs and the demo UI.
     pub fn label(&self) -> String {
         match self {
@@ -405,8 +393,6 @@ mod tests {
             instruction: "same?".into(),
         };
         assert_ne!(single.group_key(), batch.group_key());
-        assert_eq!(batch.item_count(), 2);
-        assert_eq!(single.item_count(), 1);
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl MajorityVote {
         self.total
     }
 
-    /// Number of distinct answers seen.
-    pub fn distinct_answers(&self) -> usize {
-        self.tallies.len()
-    }
-
     /// Record that an escalation round was posted.
     pub fn note_escalation(&mut self) {
         self.escalations_used += 1;
@@ -339,6 +334,5 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(v.distinct_answers(), 2);
     }
 }

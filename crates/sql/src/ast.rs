@@ -496,36 +496,6 @@ impl Expr {
         Expr::Column(ColumnRef::bare(name))
     }
 
-    /// Conjunction builder that skips `None`s.
-    pub fn and_all(mut parts: Vec<Expr>) -> Option<Expr> {
-        let mut acc = parts.pop()?;
-        while let Some(p) = parts.pop() {
-            acc = Expr::Binary {
-                left: Box::new(p),
-                op: BinaryOp::And,
-                right: Box::new(acc),
-            };
-        }
-        Some(acc)
-    }
-
-    /// Whether this expression contains a crowd comparison
-    /// (`CROWDEQUAL`/`~=` or `CROWDORDER`) anywhere.
-    pub fn contains_crowd_call(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |e| {
-            match e {
-                Expr::Binary {
-                    op: BinaryOp::CrowdEq,
-                    ..
-                } => found = true,
-                Expr::Function { name, .. } if is_crowd_builtin(name) => found = true,
-                _ => {}
-            };
-        });
-        found
-    }
-
     /// Whether this expression contains an aggregate function call at the
     /// top level of expression nesting (not inside a subquery).
     pub fn contains_aggregate(&self) -> bool {
@@ -1056,31 +1026,6 @@ mod tests {
             right: Box::new(Expr::lit(1i64)),
         };
         assert_eq!(e.to_string(), "(a = 1)");
-    }
-
-    #[test]
-    fn and_all_combines() {
-        let parts = vec![Expr::col("a"), Expr::col("b"), Expr::col("c")];
-        let e = Expr::and_all(parts).unwrap();
-        assert_eq!(e.to_string(), "(a AND (b AND c))");
-        assert!(Expr::and_all(vec![]).is_none());
-    }
-
-    #[test]
-    fn crowd_call_detection() {
-        let e = Expr::Function {
-            name: "crowdorder".into(),
-            args: vec![Expr::col("title")],
-            distinct: false,
-        };
-        assert!(e.contains_crowd_call());
-        let e2 = Expr::Binary {
-            left: Box::new(Expr::col("x")),
-            op: BinaryOp::CrowdEq,
-            right: Box::new(Expr::lit("IBM")),
-        };
-        assert!(e2.contains_crowd_call());
-        assert!(!Expr::col("x").contains_crowd_call());
     }
 
     #[test]

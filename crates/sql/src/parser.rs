@@ -1022,7 +1022,7 @@ mod tests {
         );
         assert_eq!(q.limit, Some(10));
         assert_eq!(q.order_by.len(), 1);
-        assert!(q.order_by[0].expr.contains_crowd_call());
+        assert!(matches!(&q.order_by[0].expr, Expr::Function { name, .. } if name == "crowdorder"));
     }
 
     #[test]
@@ -1095,7 +1095,7 @@ mod tests {
     #[test]
     fn crowdequal_function_form() {
         let q = sel("SELECT * FROM company WHERE CROWDEQUAL(name, 'IBM')");
-        assert!(q.filter.unwrap().contains_crowd_call());
+        assert!(matches!(q.filter.unwrap(), Expr::Function { name, .. } if name == "crowdequal"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crowddb_common::{ColumnDef, CrowdError, ForeignKey, Result, TableId, TableSchema};
+use crowddb_common::{ColumnDef, CrowdError, Result, TableId, TableSchema};
 use crowddb_sql::{CreateTable, TableConstraint};
 
 /// Catalog of table schemas.
@@ -151,18 +151,6 @@ impl Catalog {
         }
         Ok(schema)
     }
-
-    /// Foreign keys of `from_table` that reference `to_table`.
-    pub fn fks_between(&self, from_table: &str, to_table: &str) -> Vec<&ForeignKey> {
-        match self.get(from_table) {
-            Some(s) => s
-                .foreign_keys
-                .iter()
-                .filter(|fk| fk.ref_table == to_table.to_ascii_lowercase())
-                .collect(),
-            None => Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -229,8 +217,9 @@ mod tests {
              FOREIGN KEY (title) REF talk(title))",
         )
         .unwrap();
-        assert_eq!(c.fks_between("n", "talk").len(), 1);
-        assert!(c.fks_between("talk", "n").is_empty());
+        let fks = &c.get("n").unwrap().foreign_keys;
+        assert_eq!((fks.len(), fks[0].ref_table.as_str()), (1, "talk"));
+        assert!(c.get("talk").unwrap().foreign_keys.is_empty());
     }
 
     #[test]

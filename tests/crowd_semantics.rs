@@ -3,9 +3,10 @@
 //! disagreeing workers, escalation, and failure injection.
 
 use crowddb::{
-    Answer, CrowdConfig, CrowdDB, GovernorPolicy, MockPlatform, Platform, TaskKind, Value,
-    VoteConfig,
+    Answer, CrowdConfig, CrowdDB, GovernorPolicy, MockPlatform, Platform, TaskKind, TaskSpec,
+    Value, VoteConfig,
 };
+use crowddb_platform::{HitId, PlatformStats, TaskResponse, WorkerId};
 
 fn conference_db(config: CrowdConfig) -> CrowdDB {
     let db = CrowdDB::with_config(config);
@@ -388,12 +389,12 @@ fn update_with_crowd_predicate_applies_once() {
 fn wrm_flags_and_bans_bad_workers() {
     let db = conference_db(CrowdConfig {
         vote: VoteConfig::replicated(3),
-        ban_threshold: 0.45,
         ..CrowdConfig::default()
     });
-    // Worker ordinal 2 of every HIT always disagrees (MockPlatform gives
-    // each assignment a fresh worker id, so the "bad worker" is spread —
-    // instead we check the aggregate accounting here).
+    // Worker ordinal 2 of every HIT always disagrees. MockPlatform gives
+    // each assignment a fresh worker id, so no one worker reaches the ban
+    // minimum here: this checks the aggregate accounting, and
+    // `a_worker_who_keeps_disagreeing_is_banned` the ban itself.
     let mut crowd = MockPlatform::new(Box::new(|kind: &TaskKind, ordinal| match kind {
         TaskKind::Probe { asked, .. } => Answer::Form(
             asked
@@ -415,6 +416,104 @@ fn wrm_flags_and_bans_bad_workers() {
         let dist = wrm.work_distribution();
         assert!(!dist.is_empty());
     });
+}
+
+/// A [`MockPlatform`] whose first assignment on every HIT is always the
+/// same worker, [`STUBBORN`], answering `No`; every other assignment is a
+/// fresh worker answering `Yes`.
+struct OneStubbornWorker(MockPlatform);
+
+const STUBBORN: WorkerId = WorkerId(u64::MAX);
+
+impl OneStubbornWorker {
+    fn new() -> OneStubbornWorker {
+        OneStubbornWorker(MockPlatform::new(Box::new(|_, ordinal| {
+            if ordinal == 0 {
+                Answer::No
+            } else {
+                Answer::Yes
+            }
+        })))
+    }
+}
+
+impl Platform for OneStubbornWorker {
+    fn name(&self) -> &str {
+        "one-stubborn-worker"
+    }
+    fn post(&mut self, tasks: Vec<TaskSpec>) -> crowddb::Result<Vec<HitId>> {
+        self.0.post(tasks)
+    }
+    fn extend(&mut self, hit: HitId, extra: u32) -> crowddb::Result<()> {
+        self.0.extend(hit, extra)
+    }
+    fn advance(&mut self, dt: f64) {
+        self.0.advance(dt)
+    }
+    fn collect(&mut self) -> Vec<TaskResponse> {
+        let mut responses = self.0.collect();
+        for r in &mut responses {
+            if r.answer == Answer::No {
+                r.worker = STUBBORN;
+            }
+        }
+        responses
+    }
+    fn now(&self) -> f64 {
+        self.0.now()
+    }
+    fn stats(&self) -> PlatformStats {
+        self.0.stats()
+    }
+    fn is_complete(&self, hit: HitId) -> bool {
+        self.0.is_complete(hit)
+    }
+}
+
+/// The WRM's ban: a worker outvoted on 10 agreement-scored tasks (lone
+/// `CROWDEQUAL` pairs, one HIT each) is banned at settle, and from then
+/// on their answers are paid but not counted — each of their votes is
+/// short a ballot and escalates to a fresh worker.
+#[test]
+fn a_worker_who_keeps_disagreeing_is_banned() {
+    let db = CrowdDB::with_config(CrowdConfig {
+        vote: VoteConfig::replicated(3),
+        ..CrowdConfig::default()
+    });
+    db.execute_local("CREATE TABLE Company (name STRING PRIMARY KEY)")
+        .unwrap();
+    for i in 0..14 {
+        db.execute_local(&format!("INSERT INTO Company VALUES ('c{i:02}')"))
+            .unwrap();
+    }
+    let mut crowd = OneStubbornWorker::new();
+    let mut ask = |filter: &str| {
+        let sql = format!("SELECT name FROM Company WHERE {filter} AND name ~= 'IBM'");
+        let rows = db.execute(&sql, &mut crowd).unwrap().rows.len();
+        let requested = crowd.stats().assignments_requested;
+        let (banned, rate, done) = db.with_wrm(|wrm| {
+            let done = wrm.work_distribution();
+            let done = done.iter().find(|(w, _)| *w == STUBBORN).map(|(_, n)| *n);
+            (wrm.is_banned(STUBBORN), wrm.agreement_rate(STUBBORN), done)
+        });
+        (rows, requested, banned, rate, done)
+    };
+
+    // Nine pairs, nine HITs of three: outvoted nine times, not yet banned.
+    let (rows, requested, banned, _, done) = ask("name < 'c09'");
+    assert_eq!((rows, requested, banned, done), (9, 27, false, Some(9)));
+    // The tenth scored task crosses the minimum: agreement 1/12 < 0.25.
+    let (rows, requested, banned, rate, done) = ask("name = 'c09'");
+    assert_eq!((rows, requested, banned, done), (1, 30, true, Some(10)));
+    assert_eq!(rate, Some(1.0 / 12.0));
+    // Banned: the worker still answers and is paid, but their `No` is not
+    // a ballot, so each of the four votes asks for one more assignment.
+    let (rows, requested, banned, after, done) = ask("name > 'c09'");
+    assert_eq!(
+        (rows, requested, banned, done),
+        (4, 30 + 4 * 4, true, Some(14))
+    );
+    assert_eq!(after, rate, "a banned worker's answers are not scored");
 }
 
 #[test]

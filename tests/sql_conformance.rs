@@ -419,3 +419,64 @@ fn negative_zero_equals_zero_in_joins_groups_and_distinct() {
     assert_eq!(rows(&d, "SELECT DISTINCT y FROM b").len(), 1);
     assert_eq!(rows(&d, "SELECT y FROM b UNION SELECT x FROM a").len(), 1);
 }
+
+/// `3 = 3.0` in SQL: the hash join, the groups, DISTINCT and set union
+/// must agree with the `WHERE` filter, a range and `IN` on which INTEGER
+/// and FLOAT values are equal — and all compare exactly: 2^53 + 1 is
+/// not 2^53, though the two are one `f64`.
+#[test]
+fn integer_and_float_keys_match_in_joins_groups_and_distinct() {
+    let d = CrowdDB::new();
+    for sql in [
+        "CREATE TABLE a (id INTEGER PRIMARY KEY, i INTEGER)",
+        "CREATE TABLE b (id INTEGER PRIMARY KEY, f FLOAT)",
+        "INSERT INTO a VALUES (1, 3), (2, 9007199254740993)",
+        "INSERT INTO b VALUES (1, 3.0), (2, 3.5), (3, 9007199254740992.0)",
+    ] {
+        d.execute_local(sql)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    let one_pair = vec![vec!["1", "1"]];
+    assert_eq!(rows(&d, "SELECT 3 = 3.0"), vec![vec!["true"]]);
+    assert_eq!(
+        rows(&d, "SELECT a.id, b.id FROM a, b WHERE a.i = b.f"),
+        one_pair
+    );
+    assert_eq!(
+        rows(
+            &d,
+            "SELECT a.id, b.id FROM a JOIN b ON a.i >= b.f AND a.i <= b.f"
+        ),
+        one_pair
+    );
+    assert_eq!(
+        rows(&d, "SELECT id FROM a WHERE i IN (SELECT f FROM b)"),
+        vec![vec!["1"]]
+    );
+    assert_eq!(
+        rows(&d, "SELECT a.id, b.id FROM a JOIN b ON a.i = b.f"),
+        one_pair
+    );
+    let both = "SELECT i FROM a WHERE id = 1 UNION ALL SELECT f FROM b WHERE id = 1";
+    assert_eq!(rows(&d, both).len(), 2);
+    assert_eq!(
+        rows(&d, &format!("SELECT COUNT(*) FROM ({both}) t GROUP BY i")),
+        vec![vec!["2"]]
+    );
+    assert_eq!(
+        rows(&d, &format!("SELECT DISTINCT i FROM ({both}) t")).len(),
+        1
+    );
+    let union = "SELECT i FROM a WHERE id = 1 UNION SELECT f FROM b WHERE id = 1";
+    assert_eq!(rows(&d, union).len(), 1);
+}
+
+/// `-` of the smallest INTEGER overflows: the statement fails with the
+/// executor's error, and the constant folder neither panics nor wraps.
+#[test]
+fn negating_the_smallest_integer_is_an_overflow_error() {
+    let err = CrowdDB::new()
+        .execute_local("SELECT -(-9223372036854775807 - 1)")
+        .unwrap_err();
+    assert!(err.to_string().contains("integer overflow in -"), "{err}");
+}
