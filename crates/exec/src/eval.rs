@@ -411,19 +411,26 @@ pub fn eval_cast(v: &Value, ty: DataType) -> Result<Value> {
 mod tests {
     use super::*;
 
+    /// `assert_eq!` that also compares the variants: `Value`'s `==` holds
+    /// `3 == 3.0`, so on its own it cannot pin a result's type.
+    #[track_caller]
+    fn assert_typed(got: Value, want: Value) {
+        assert_eq!((got.data_type(), &got), (want.data_type(), &want));
+    }
+
     #[test]
     fn arithmetic_int_and_float() {
-        assert_eq!(
+        assert_typed(
             eval_binary(&Value::Int(7), BinaryOp::Add, &Value::Int(5)).unwrap(),
-            Value::Int(12)
+            Value::Int(12),
         );
-        assert_eq!(
+        assert_typed(
             eval_binary(&Value::Int(7), BinaryOp::Div, &Value::Int(2)).unwrap(),
-            Value::Int(3)
+            Value::Int(3),
         );
-        assert_eq!(
+        assert_typed(
             eval_binary(&Value::Float(1.5), BinaryOp::Mul, &Value::Int(2)).unwrap(),
-            Value::Float(3.0)
+            Value::Float(3.0),
         );
         assert!(eval_binary(&Value::Int(1), BinaryOp::Div, &Value::Int(0)).is_err());
         assert!(eval_binary(&Value::Int(i64::MAX), BinaryOp::Add, &Value::Int(1)).is_err());
@@ -505,29 +512,29 @@ mod tests {
             eval_scalar_fn(ScalarFn::Lower, &[Value::str("AbC")]).unwrap(),
             Value::str("abc")
         );
-        assert_eq!(
+        assert_typed(
             eval_scalar_fn(ScalarFn::Length, &[Value::str("héllo")]).unwrap(),
-            Value::Int(5)
+            Value::Int(5),
         );
-        assert_eq!(
+        assert_typed(
             eval_scalar_fn(ScalarFn::Abs, &[Value::Int(-4)]).unwrap(),
-            Value::Int(4)
+            Value::Int(4),
         );
-        assert_eq!(
+        assert_typed(
             eval_scalar_fn(ScalarFn::Round, &[Value::Float(2.6)]).unwrap(),
-            Value::Float(3.0)
+            Value::Float(3.0),
         );
         assert_eq!(
             eval_scalar_fn(ScalarFn::Trim, &[Value::str("  x ")]).unwrap(),
             Value::str("x")
         );
-        assert_eq!(
+        assert_typed(
             eval_scalar_fn(
                 ScalarFn::Coalesce,
-                &[Value::Null, Value::CNull, Value::Int(3)]
+                &[Value::Null, Value::CNull, Value::Int(3)],
             )
             .unwrap(),
-            Value::Int(3)
+            Value::Int(3),
         );
         assert_eq!(
             eval_scalar_fn(ScalarFn::Coalesce, &[Value::Null]).unwrap(),
@@ -554,21 +561,21 @@ mod tests {
 
     #[test]
     fn casts() {
-        assert_eq!(
+        assert_typed(
             eval_cast(&Value::str("42"), DataType::Int).unwrap(),
-            Value::Int(42)
+            Value::Int(42),
         );
-        assert_eq!(
+        assert_typed(
             eval_cast(&Value::Float(2.9), DataType::Int).unwrap(),
-            Value::Int(2)
+            Value::Int(2),
         );
         assert_eq!(
             eval_cast(&Value::Int(1), DataType::Str).unwrap(),
             Value::str("1")
         );
-        assert_eq!(
+        assert_typed(
             eval_cast(&Value::Bool(true), DataType::Int).unwrap(),
-            Value::Int(1)
+            Value::Int(1),
         );
         assert_eq!(
             eval_cast(&Value::CNull, DataType::Int).unwrap(),

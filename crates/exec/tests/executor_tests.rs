@@ -47,6 +47,20 @@ fn run_with(db: &Database, sql: &str, caches: &CompareCaches) -> ExecResult {
     execute(db, caches, &p).unwrap()
 }
 
+/// `assert_eq!` on rows that also compares each column's type: `Value`'s
+/// `==` holds `1 == 1.0`, so on its own it cannot tell an INTEGER result
+/// from a FLOAT one.
+#[track_caller]
+fn assert_rows_typed(got: &[Row], want: &[Row]) {
+    assert_eq!(got, want);
+    let types = |rows: &[Row]| -> Vec<Vec<_>> {
+        rows.iter()
+            .map(|r| r.values().iter().map(Value::data_type).collect())
+            .collect()
+    };
+    assert_eq!(types(got), types(want), "{got:?} vs {want:?}");
+}
+
 fn seed_talks(db: &Database) {
     db.insert("talk", row!["CrowdDB", Value::CNull, Value::CNull])
         .unwrap();
@@ -316,12 +330,11 @@ fn aggregates_over_all_rows() {
          MIN(title), MAX(title) FROM talk",
     );
     // COUNT(*) counts rows; COUNT(col) skips missing (CrowdDB's CNULL).
-    assert_eq!(r.rows[0][0], Value::Int(3));
-    assert_eq!(r.rows[0][1], Value::Int(2));
-    assert_eq!(r.rows[0][2], Value::Int(140));
-    assert_eq!(r.rows[0][3], Value::Float(70.0));
-    assert_eq!(r.rows[0][4], Value::str("CrowdDB"));
-    assert_eq!(r.rows[0][5], Value::str("Qurk"));
+    // SUM of integers is an integer, AVG a float.
+    assert_rows_typed(
+        &r.rows,
+        &[row![3i64, 2i64, 140i64, 70.0f64, "CrowdDB", "Qurk"]],
+    );
 }
 
 #[test]
@@ -673,6 +686,7 @@ fn aggregate_accumulator_edges() {
         assert_eq!(r.rows.len(), 1, "{sql}");
         r.rows[0].clone()
     };
+    let assert_one = |sql: &str, want: Row| assert_rows_typed(&[one(sql)], &[want]);
     let ints = |xs: &[&str]| {
         let branches: Vec<String> = xs.iter().map(|x| format!("SELECT {x} AS x")).collect();
         format!("({}) t", branches.join(" UNION ALL "))
@@ -681,29 +695,28 @@ fn aggregate_accumulator_edges() {
     // Integer SUM: exact, and an error as soon as a partial sum overflows
     // — unless the values turn out not to be all integers.
     let big = i64::MAX.to_string();
-    assert_eq!(
-        one(&format!("SELECT SUM(x) FROM {}", ints(&[&big, "-1", "1"]))),
-        row![i64::MAX]
+    assert_one(
+        &format!("SELECT SUM(x) FROM {}", ints(&[&big, "-1", "1"])),
+        row![i64::MAX],
     );
     let err = try_run(&format!("SELECT SUM(x) FROM {}", ints(&[&big, "1", "-1"])));
     assert!(
         matches!(&err, Err(crowddb_common::CrowdError::Exec(m)) if m.contains("overflow")),
         "{err:?}"
     );
-    let r = one(&format!("SELECT SUM(x) FROM {}", ints(&[&big, "1", "0.5"])));
-    assert_eq!(r, row![i64::MAX as f64 + 1.0 + 0.5]);
+    assert_one(
+        &format!("SELECT SUM(x) FROM {}", ints(&[&big, "1", "0.5"])),
+        row![i64::MAX as f64 + 1.0 + 0.5],
+    );
 
     // Mixed INTEGER/FLOAT: a float sum; AVG always is one.
-    assert_eq!(
-        one(&format!(
-            "SELECT SUM(x), AVG(x) FROM {}",
-            ints(&["1", "2.5"])
-        )),
-        row![3.5f64, 1.75f64]
+    assert_one(
+        &format!("SELECT SUM(x), AVG(x) FROM {}", ints(&["1", "2.5"])),
+        row![3.5f64, 1.75f64],
     );
-    assert_eq!(
-        one(&format!("SELECT SUM(x), AVG(x) FROM {}", ints(&["1", "2"]))),
-        row![3i64, 1.5f64]
+    assert_one(
+        &format!("SELECT SUM(x), AVG(x) FROM {}", ints(&["1", "2"])),
+        row![3i64, 1.5f64],
     );
     let err = try_run(&format!("SELECT SUM(x) FROM {}", ints(&["1", "'one'"])));
     assert!(
@@ -712,33 +725,26 @@ fn aggregate_accumulator_edges() {
     );
 
     // 1 and 1.0 tie: MIN keeps the first it saw, MAX the last.
-    assert_eq!(
-        one(&format!(
-            "SELECT MIN(x), MAX(x) FROM {}",
-            ints(&["1", "1.0"])
-        )),
-        row![1i64, 1.0f64]
+    assert_one(
+        &format!("SELECT MIN(x), MAX(x) FROM {}", ints(&["1", "1.0"])),
+        row![1i64, 1.0f64],
     );
-    assert_eq!(
-        one(&format!(
-            "SELECT MIN(x), MAX(x) FROM {}",
-            ints(&["1.0", "1"])
-        )),
-        row![1.0f64, 1i64]
+    assert_one(
+        &format!("SELECT MIN(x), MAX(x) FROM {}", ints(&["1.0", "1"])),
+        row![1.0f64, 1i64],
     );
 
     // DISTINCT counts a value once — and 1 and 1.0 are one value, as
     // `1 = 1.0` says: the first seen (1.0) stands for both.
     let xs = ints(&["2", "2", "3", "NULL", "3", "1.0", "1"]);
-    let r = one(&format!(
-        "SELECT COUNT(x), COUNT(DISTINCT x), SUM(DISTINCT x), COUNT(*) FROM {xs}"
-    ));
-    assert_eq!(r, row![6i64, 3i64, 6.0f64, 7i64]);
-    assert!(matches!(r[2], Value::Float(_)), "{r:?}");
+    assert_one(
+        &format!("SELECT COUNT(x), COUNT(DISTINCT x), SUM(DISTINCT x), COUNT(*) FROM {xs}"),
+        row![6i64, 3i64, 6.0f64, 7i64],
+    );
 
     // No input: one all-empty group without GROUP BY, no group with it.
-    assert_eq!(
-        one("SELECT COUNT(*), COUNT(building), SUM(building), AVG(building), MIN(dept), MAX(dept) FROM dept"),
+    assert_one(
+        "SELECT COUNT(*), COUNT(building), SUM(building), AVG(building), MIN(dept), MAX(dept) FROM dept",
         Row::new(vec![
             Value::Int(0),
             Value::Int(0),
@@ -746,7 +752,7 @@ fn aggregate_accumulator_edges() {
             Value::Null,
             Value::Null,
             Value::Null
-        ])
+        ]),
     );
     let r = try_run("SELECT building, COUNT(*) FROM dept GROUP BY building").unwrap();
     assert!(r.rows.is_empty());
@@ -756,12 +762,12 @@ fn aggregate_accumulator_edges() {
         db.insert("dept", row![dept, building]).unwrap();
     }
     let r = try_run("SELECT building, COUNT(*), MIN(dept) FROM dept GROUP BY building").unwrap();
-    assert_eq!(
-        r.rows,
-        vec![
+    assert_rows_typed(
+        &r.rows,
+        &[
             row![4i64, 2i64, "db"],
             row![2i64, 2i64, "ai"],
-            row![9i64, 1i64, "pl"]
-        ]
+            row![9i64, 1i64, "pl"],
+        ],
     );
 }

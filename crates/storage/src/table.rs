@@ -684,7 +684,9 @@ mod tests {
         let schema = TableSchema::new("m", vec![ColumnDef::new("score", DataType::Float)]).unwrap();
         let mut t = HeapTable::new(pager(), schema).unwrap();
         let tid = t.insert(row![3i64]).unwrap();
-        assert_eq!(t.get(tid).unwrap().unwrap()[0], Value::Float(3.0));
+        let stored = t.get(tid).unwrap().unwrap()[0].clone();
+        // `Value`'s `==` holds `3 == 3.0`: match the variant.
+        assert!(matches!(stored, Value::Float(f) if f == 3.0), "{stored:?}");
     }
 
     #[test]
