@@ -789,7 +789,7 @@ impl CrowdDB {
                 Ok(QueryResult::ddl())
             }
             Statement::Insert(ins) => {
-                let (affected, complete) = self.apply_dml(stmt, &ins.table, None, guard)?;
+                let (affected, complete, _) = self.apply_dml(stmt, &ins.table, None, guard)?;
                 Ok(QueryResult {
                     affected,
                     complete,
@@ -1065,61 +1065,72 @@ impl CrowdDB {
         // Only at the round cap did a wave settle after the last selection.
         let current = driven.stop != StopReason::RoundCap;
         let selected = driven.output.filter(|_| current);
-        let (affected, _) = self.apply_dml(stmt, table, selected, guard)?;
+        let (affected, complete, undecided) = self.apply_dml(stmt, table, selected, guard)?;
         if driven.stop != StopReason::Complete {
             driven
                 .warnings
                 .push("DML applied with some crowd predicates undecided".into());
         }
+        if undecided > 0 {
+            driven.warnings.push(format!(
+                "{undecided} row(s) left alone: the WHERE reads a CNULL, \
+                 which a DML statement does not ask the crowd for"
+            ));
+        }
         Ok(QueryResult {
             affected,
             warnings: driven.warnings,
-            complete: driven.stop == StopReason::Complete,
+            complete: driven.stop == StopReason::Complete && complete,
             ..Default::default()
         })
     }
 
     /// Apply a DML statement once, log it, and hand the standing queries
-    /// the rows it changed, in the writer section. Returns the rows
-    /// affected and whether no crowd work was left pending.
+    /// the rows it changed, in the writer section. Returns what
+    /// `write_dml` does, with the rows affected.
     fn apply_dml(
         &self,
         stmt: &Statement,
         table: &str,
         selected: Option<dml::Selection>,
         guard: &StatementGuard,
-    ) -> Result<(usize, bool)> {
+    ) -> Result<(usize, bool, u64)> {
         let record = LogRecord::Dml {
             sql: stmt.to_string(),
         };
         self.logged(record, |report| {
-            let (applied, complete) = self.write_dml(stmt, selected, &guard.exec, report)?;
+            let (applied, complete, undecided) =
+                self.write_dml(stmt, selected, &guard.exec, report)?;
             let trigger = Trigger::Dml {
                 table,
                 change: applied.change,
             };
-            Ok(((applied.affected, complete), Some(trigger)))
+            Ok(((applied.affected, complete, undecided), Some(trigger)))
         })
     }
 
     /// Write `selected` — or, without one, and again whenever `apply`
     /// finds a target no longer stored as selected (a crowd write-back or
-    /// another session's DML got there first), a fresh selection.
+    /// another session's DML got there first), a fresh selection. Also
+    /// returns whether the selection written was the whole statement —
+    /// no crowd work pending and no row left undecided on a `CNULL` — and
+    /// how many rows were ([`dml::Selection::undecided`]).
     fn write_dml(
         &self,
         stmt: &Statement,
         mut selected: Option<dml::Selection>,
         guard: &ExecGuard,
         report: bool,
-    ) -> Result<(dml::Applied, bool)> {
+    ) -> Result<(dml::Applied, bool, u64)> {
         loop {
             let selection = match selected.take() {
                 Some(selection) => selection,
                 None => self.local_step(guard, |c, g| dml::select(&self.db, c, stmt, g))?,
             };
-            let complete = selection.needs.is_empty();
+            let undecided = selection.undecided;
+            let complete = selection.needs.is_empty() && undecided == 0;
             if let Some(applied) = dml::apply(&self.db, selection, report)? {
-                return Ok((applied, complete));
+                return Ok((applied, complete, undecided));
             }
         }
     }

@@ -481,7 +481,7 @@ pub struct ExecCtx<'a> {
     /// `EXPLAIN ANALYZE`: time every hand-over between operators, so
     /// that per-operator wall time is self time (see `ops::run_op`).
     pub(crate) timed: bool,
-    schema_cache: HashMap<String, TableSchema>,
+    schema_cache: HashMap<String, Arc<TableSchema>>,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -526,13 +526,14 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Catalog schema for `table`, cached per round.
-    pub fn table_schema(&mut self, table: &str) -> Result<TableSchema> {
+    /// Catalog schema for `table`, read from the catalog once per round
+    /// and shared after that: a scan pass copies no column name.
+    pub fn table_schema(&mut self, table: &str) -> Result<Arc<TableSchema>> {
         if let Some(s) = self.schema_cache.get(table) {
-            return Ok(s.clone());
+            return Ok(Arc::clone(s));
         }
-        let s = self.db.schema(table)?;
-        self.schema_cache.insert(table.to_string(), s.clone());
+        let s = Arc::new(self.db.schema(table)?);
+        self.schema_cache.insert(table.to_string(), Arc::clone(&s));
         Ok(s)
     }
 

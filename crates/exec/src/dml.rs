@@ -51,8 +51,13 @@ pub struct Selection {
     pub table: String,
     /// The rows to write, in statement (`VALUES`) or tuple-id order.
     pub targets: Vec<Target>,
-    /// Crowd work pending (empty ⇒ the selection is the whole statement).
+    /// Crowd work pending.
     pub needs: Vec<TaskNeed>,
+    /// Rows an UPDATE or DELETE left alone because its `WHERE` was
+    /// Unknown on a `CNULL` it reads. A DML's `WHERE` asks the crowd
+    /// nothing, so only with no needs and no such rows is the selection
+    /// the whole statement.
+    pub undecided: u64,
 }
 
 /// What an applied statement did.
@@ -74,13 +79,20 @@ pub fn select(
     guard: ExecGuard,
 ) -> Result<Selection> {
     let mut ctx = ExecCtx::with_guard(db, caches, guard);
-    let (table, targets) = match stmt {
-        Statement::Insert(ins) => (&ins.table, new_rows(&mut ctx, ins)?),
-        Statement::Update(upd) => (&upd.table, new_images(&mut ctx, upd)?),
+    let (table, targets, undecided) = match stmt {
+        Statement::Insert(ins) => (&ins.table, new_rows(&mut ctx, ins)?, 0),
+        Statement::Update(upd) => {
+            let (targets, undecided) = new_images(&mut ctx, upd)?;
+            (&upd.table, targets, undecided)
+        }
         Statement::Delete(del) => {
-            let victims = stored_targets(&mut ctx, &del.table, del.filter.as_ref())?;
+            let (victims, undecided) = stored_targets(&mut ctx, &del.table, del.filter.as_ref())?;
             let delete = |(tid, row)| Target::Delete(tid, row);
-            (&del.table, victims.into_iter().map(delete).collect())
+            (
+                &del.table,
+                victims.into_iter().map(delete).collect(),
+                undecided,
+            )
         }
         other => {
             return Err(CrowdError::Internal(format!(
@@ -94,6 +106,7 @@ pub fn select(
         table: table.to_ascii_lowercase(),
         targets,
         needs,
+        undecided,
     })
 }
 
@@ -164,21 +177,22 @@ pub fn target_plan(db: &Database, table: &str, filter: Option<&Expr>) -> Result<
 }
 
 /// The `(tid, row)` pairs the statement's `WHERE` passes on current
-/// knowledge, in tid order; undecided crowd predicates land in `ctx` as
-/// needs. Collected in full, so an UPDATE may move the very key its access
-/// path used without visiting a row twice.
+/// knowledge, in tid order, and how many rows it could not decide on a
+/// `CNULL` (see [`Selection::undecided`]); undecided crowd predicates land
+/// in `ctx` as needs. Collected in full, so an UPDATE may move the very
+/// key its access path used without visiting a row twice.
 fn stored_targets(
     ctx: &mut ExecCtx<'_>,
     table: &str,
     filter: Option<&Expr>,
-) -> Result<Vec<(TupleId, Row)>> {
+) -> Result<(Vec<(TupleId, Row)>, u64)> {
     let plan = target_plan(ctx.db, table, filter)?;
     ScanOp::new(&plan).tuples(ctx)
 }
 
 /// An UPDATE's rows, each with its assignments evaluated over the row as
-/// selected.
-fn new_images(ctx: &mut ExecCtx<'_>, upd: &Update) -> Result<Vec<Target>> {
+/// selected, and the rows its `WHERE` could not decide.
+fn new_images(ctx: &mut ExecCtx<'_>, upd: &Update) -> Result<(Vec<Target>, u64)> {
     let db = ctx.db;
     let schema = db.schema(&upd.table)?;
     let assignments = db.with_catalog(|catalog| {
@@ -193,8 +207,9 @@ fn new_images(ctx: &mut ExecCtx<'_>, upd: &Update) -> Result<Vec<Target>> {
         Ok::<_, CrowdError>(assignments)
     })?;
 
-    let mut targets = Vec::new();
-    for (tid, row) in stored_targets(ctx, &upd.table, upd.filter.as_ref())? {
+    let (selected, undecided) = stored_targets(ctx, &upd.table, upd.filter.as_ref())?;
+    let mut targets = Vec::with_capacity(selected.len());
+    for (tid, row) in selected {
         let mut new_row = row.clone();
         for (idx, expr) in &assignments {
             let v = eval(ctx, expr, &row)?;
@@ -202,7 +217,7 @@ fn new_images(ctx: &mut ExecCtx<'_>, upd: &Update) -> Result<Vec<Target>> {
         }
         targets.push(Target::Update(tid, row, new_row));
     }
-    Ok(targets)
+    Ok((targets, undecided))
 }
 
 /// How to take back one write of a statement.

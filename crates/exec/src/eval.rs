@@ -2,9 +2,13 @@
 //!
 //! [`eval`] is the full evaluator (literals through subqueries and
 //! `CROWDEQUAL`), threaded through an [`ExecCtx`] so crowd comparisons
-//! hit the session caches and record needs. The value-level helpers
-//! (LIKE, scalar functions, casts) below it are pure; the binary
-//! operators (arithmetic, comparison, 3VL) live in
+//! hit the session caches and record needs. Every predicate form — the
+//! comparisons, `BETWEEN`, `IN`, `IS [NOT] NULL/CNULL`, `LIKE`, `AND`/`OR`/
+//! `NOT`, the subquery predicates and `CROWDEQUAL` — is written once, in
+//! [`eval_truth`], which yields a [`Truth`] without building a value to
+//! test; [`eval`] meets a predicate by converting that truth. The
+//! value-level helpers (LIKE, scalar functions, casts) below are pure; the
+//! binary operators (arithmetic, comparison, 3VL) live in
 //! [`crowddb_plan::value_ops`], where the optimizer's constant folder
 //! shares them, and are re-exported here. Every operator and the DML
 //! paths call these same entry points; there are no per-caller copies.
@@ -16,146 +20,47 @@ pub use crowddb_plan::value_ops::{
     compare_truth, eval_binary, eval_unary, truth_to_value, value_truth,
 };
 use crowddb_plan::{BExpr, ScalarFn};
-use crowddb_sql::BinaryOp;
+use crowddb_sql::{BinaryOp, UnaryOp};
 
 use crate::context::{Compare, ExecCtx};
 
 /// Evaluate an expression to a value.
 ///
-/// Handles the crowd cases inline: `CROWDEQUAL` asks
-/// [`ExecCtx::crowd_compare`] (which records a need on a miss, and the
-/// value is `NULL` until the crowd answers), and subquery forms run
-/// through [`ExecCtx::run_subplan`].
+/// A predicate is [`eval_truth`]'s, as `TRUE`/`FALSE`/`NULL`; what is
+/// left are the arithmetic and `||` operators (the binary `CrowdEq` too,
+/// which binding turns into `CROWDEQUAL` and [`eval_binary`] rejects),
+/// negation, `CASE`, casts, scalar functions and scalar subqueries, which
+/// run through [`ExecCtx::run_subplan`].
 pub fn eval(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Value> {
     match e {
         BExpr::Literal(_) | BExpr::Column(_) => operand(ctx, e, row).map(Cow::into_owned),
+        BExpr::Binary {
+            op:
+                BinaryOp::Eq
+                | BinaryOp::NotEq
+                | BinaryOp::Lt
+                | BinaryOp::LtEq
+                | BinaryOp::Gt
+                | BinaryOp::GtEq
+                | BinaryOp::And
+                | BinaryOp::Or,
+            ..
+        }
+        | BExpr::Unary {
+            op: UnaryOp::Not, ..
+        }
+        | BExpr::Is { .. }
+        | BExpr::Like { .. }
+        | BExpr::Between { .. }
+        | BExpr::InList { .. }
+        | BExpr::InPlan { .. }
+        | BExpr::ExistsPlan { .. }
+        | BExpr::CrowdEqual { .. } => eval_truth(ctx, e, row).map(truth_to_value),
         BExpr::Unary { op, expr } => eval_unary(*op, eval(ctx, expr, row)?),
         BExpr::Binary { left, op, right } => {
-            // Short-circuit AND/OR — crucial for crowd predicates: a
-            // FALSE machine conjunct suppresses the crowd call.
-            match op {
-                BinaryOp::And => {
-                    let l = eval_truth(ctx, left, row)?;
-                    if l == Truth::False {
-                        return Ok(Value::Bool(false));
-                    }
-                    let r = eval_truth(ctx, right, row)?;
-                    return Ok(truth_to_value(l.and(r)));
-                }
-                BinaryOp::Or => {
-                    let l = eval_truth(ctx, left, row)?;
-                    if l == Truth::True {
-                        return Ok(Value::Bool(true));
-                    }
-                    let r = eval_truth(ctx, right, row)?;
-                    return Ok(truth_to_value(l.or(r)));
-                }
-                _ => {}
-            }
             let l = operand(ctx, left, row)?;
             let r = operand(ctx, right, row)?;
             eval_binary(&l, *op, &r)
-        }
-        BExpr::Is {
-            expr,
-            negated,
-            cnull,
-        } => {
-            let v = operand(ctx, expr, row)?;
-            let hit = if *cnull {
-                v.is_cnull()
-            } else {
-                matches!(*v, Value::Null)
-            };
-            Ok(Value::Bool(hit != *negated))
-        }
-        BExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = operand(ctx, expr, row)?;
-            let p = operand(ctx, pattern, row)?;
-            if v.is_missing() || p.is_missing() {
-                return Ok(Value::Null);
-            }
-            let (Some(s), Some(pat)) = (v.as_str(), p.as_str()) else {
-                return Err(CrowdError::Type("LIKE expects strings".into()));
-            };
-            Ok(Value::Bool(like_match(s, pat) != *negated))
-        }
-        BExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = operand(ctx, expr, row)?;
-            let lo = operand(ctx, low, row)?;
-            let hi = operand(ctx, high, row)?;
-            let t =
-                compare_truth(&v, BinaryOp::GtEq, &lo).and(compare_truth(&v, BinaryOp::LtEq, &hi));
-            Ok(truth_to_value(if *negated { t.not() } else { t }))
-        }
-        BExpr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = operand(ctx, expr, row)?;
-            let mut any_unknown = v.is_missing();
-            let mut found = false;
-            for cand in list {
-                let c = operand(ctx, cand, row)?;
-                match compare_truth(&v, BinaryOp::Eq, &c) {
-                    Truth::True => {
-                        found = true;
-                        break;
-                    }
-                    Truth::Unknown => any_unknown = true,
-                    Truth::False => {}
-                }
-            }
-            let t = if found {
-                Truth::True
-            } else if any_unknown {
-                Truth::Unknown
-            } else {
-                Truth::False
-            };
-            Ok(truth_to_value(if *negated { t.not() } else { t }))
-        }
-        BExpr::InPlan {
-            expr,
-            plan,
-            negated,
-        } => {
-            let v = eval(ctx, expr, row)?;
-            let rows = ctx.run_subplan(plan)?;
-            let mut any_unknown = v.is_missing();
-            let mut found = false;
-            for r in &rows {
-                match compare_truth(&v, BinaryOp::Eq, &r[0]) {
-                    Truth::True => {
-                        found = true;
-                        break;
-                    }
-                    Truth::Unknown => any_unknown = true,
-                    Truth::False => {}
-                }
-            }
-            let t = if found {
-                Truth::True
-            } else if any_unknown {
-                Truth::Unknown
-            } else {
-                Truth::False
-            };
-            Ok(truth_to_value(if *negated { t.not() } else { t }))
-        }
-        BExpr::ExistsPlan { plan, negated } => {
-            let rows = ctx.run_subplan(plan)?;
-            Ok(Value::Bool(rows.is_empty() == *negated))
         }
         BExpr::ScalarPlan(plan) => {
             let rows = ctx.run_subplan(plan)?;
@@ -168,26 +73,20 @@ pub fn eval(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Value> {
             }
         }
         BExpr::Case {
-            operand,
+            operand: case_operand,
             branches,
             else_expr,
         } => {
-            let op_val = match operand {
+            let op_val = match case_operand {
                 Some(o) => Some(eval(ctx, o, row)?),
                 None => None,
             };
             for (when, then) in branches {
                 let hit = match &op_val {
-                    Some(v) => {
-                        let w = eval(ctx, when, row)?;
-                        compare_truth(v, BinaryOp::Eq, &w) == Truth::True
-                    }
-                    None => {
-                        let w = eval(ctx, when, row)?;
-                        value_truth(&w)? == Truth::True
-                    }
+                    Some(v) => compare_truth(v, BinaryOp::Eq, &*operand(ctx, when, row)?),
+                    None => eval_truth(ctx, when, row)?,
                 };
-                if hit {
+                if hit == Truth::True {
                     return eval(ctx, then, row);
                 }
             }
@@ -207,31 +106,174 @@ pub fn eval(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Value> {
             }
             eval_scalar_fn(*func, &vals)
         }
-        BExpr::CrowdEqual { left, right } => {
-            let l = eval(ctx, left, row)?;
-            let r = eval(ctx, right, row)?;
-            if l.is_missing() || r.is_missing() {
-                return Ok(Value::Null);
-            }
-            // Fast path: machine-equal values need no crowd.
-            if compare_truth(&l, BinaryOp::Eq, &r) == Truth::True {
-                return Ok(Value::Bool(true));
-            }
-            let instruction = "Do these two values refer to the same entity?";
-            let verdict =
-                ctx.crowd_compare(Compare::Equal, &l.to_string(), &r.to_string(), instruction);
-            // Unknown until the crowd answers.
-            Ok(verdict.map_or(Value::Null, Value::Bool))
-        }
         BExpr::CrowdOrder { .. } => Err(CrowdError::Internal(
             "CROWDORDER evaluated outside a sort".into(),
         )),
     }
 }
 
-/// Evaluate a predicate to a truth value.
+/// Evaluate a predicate to a truth value, the one evaluator of every
+/// predicate form. Anything else is evaluated by [`eval`] and read as a
+/// boolean ([`value_truth`]).
+///
+/// `AND`/`OR` short-circuit — crucial for crowd predicates: a FALSE
+/// machine conjunct suppresses the crowd call. `CROWDEQUAL` asks
+/// [`ExecCtx::crowd_compare`], which records a need on a miss; the
+/// comparison is Unknown until the crowd answers.
 pub fn eval_truth(ctx: &mut ExecCtx<'_>, e: &BExpr, row: &Row) -> Result<Truth> {
-    value_truth(&*operand(ctx, e, row)?)
+    let t = match e {
+        BExpr::Binary {
+            left,
+            op: BinaryOp::And,
+            right,
+        } => {
+            let l = eval_truth(ctx, left, row)?;
+            if l == Truth::False {
+                return Ok(Truth::False);
+            }
+            l.and(eval_truth(ctx, right, row)?)
+        }
+        BExpr::Binary {
+            left,
+            op: BinaryOp::Or,
+            right,
+        } => {
+            let l = eval_truth(ctx, left, row)?;
+            if l == Truth::True {
+                return Ok(Truth::True);
+            }
+            l.or(eval_truth(ctx, right, row)?)
+        }
+        BExpr::Binary {
+            left,
+            op:
+                op @ (BinaryOp::Eq
+                | BinaryOp::NotEq
+                | BinaryOp::Lt
+                | BinaryOp::LtEq
+                | BinaryOp::Gt
+                | BinaryOp::GtEq),
+            right,
+        } => {
+            let l = operand(ctx, left, row)?;
+            let r = operand(ctx, right, row)?;
+            compare_truth(&l, *op, &r)
+        }
+        BExpr::Unary {
+            op: UnaryOp::Not,
+            expr,
+        } => eval_truth(ctx, expr, row)?.not(),
+        BExpr::Is {
+            expr,
+            negated,
+            cnull,
+        } => {
+            let v = operand(ctx, expr, row)?;
+            let hit = if *cnull {
+                v.is_cnull()
+            } else {
+                matches!(*v, Value::Null)
+            };
+            Truth::from_bool(hit != *negated)
+        }
+        BExpr::Like {
+            expr,
+            pattern,
+            negated,
+        } => {
+            let v = operand(ctx, expr, row)?;
+            let p = operand(ctx, pattern, row)?;
+            if v.is_missing() || p.is_missing() {
+                return Ok(Truth::Unknown);
+            }
+            let (Some(s), Some(pat)) = (v.as_str(), p.as_str()) else {
+                return Err(CrowdError::Type("LIKE expects strings".into()));
+            };
+            Truth::from_bool(like_match(s, pat) != *negated)
+        }
+        BExpr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => {
+            let v = operand(ctx, expr, row)?;
+            let lo = operand(ctx, low, row)?;
+            let hi = operand(ctx, high, row)?;
+            let t =
+                compare_truth(&v, BinaryOp::GtEq, &lo).and(compare_truth(&v, BinaryOp::LtEq, &hi));
+            negate(t, *negated)
+        }
+        BExpr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let v = operand(ctx, expr, row)?;
+            let candidates = list.iter().map(|c| operand(ctx, c, row));
+            negate(membership(&v, candidates)?, *negated)
+        }
+        BExpr::InPlan {
+            expr,
+            plan,
+            negated,
+        } => {
+            let v = operand(ctx, expr, row)?;
+            let rows = ctx.run_subplan(plan)?;
+            let candidates = rows.iter().map(|r| Ok(Cow::Borrowed(&r[0])));
+            negate(membership(&v, candidates)?, *negated)
+        }
+        BExpr::ExistsPlan { plan, negated } => {
+            Truth::from_bool(ctx.run_subplan(plan)?.is_empty() == *negated)
+        }
+        BExpr::CrowdEqual { left, right } => {
+            let l = operand(ctx, left, row)?;
+            let r = operand(ctx, right, row)?;
+            if l.is_missing() || r.is_missing() {
+                return Ok(Truth::Unknown);
+            }
+            // Fast path: machine-equal values need no crowd.
+            if compare_truth(&l, BinaryOp::Eq, &r) == Truth::True {
+                return Ok(Truth::True);
+            }
+            let instruction = "Do these two values refer to the same entity?";
+            let verdict =
+                ctx.crowd_compare(Compare::Equal, &l.to_string(), &r.to_string(), instruction);
+            verdict.map_or(Truth::Unknown, Truth::from_bool)
+        }
+        other => value_truth(&*operand(ctx, other, row)?)?,
+    };
+    Ok(t)
+}
+
+/// `t`, or `NOT t` for a `NOT BETWEEN` / `NOT IN`.
+fn negate(t: Truth, negated: bool) -> Truth {
+    if negated {
+        t.not()
+    } else {
+        t
+    }
+}
+
+/// `v IN (candidates)`: True at the first candidate equal to `v` (the
+/// rest are not evaluated), else Unknown if `v` is missing or any
+/// comparison was Unknown, else False.
+fn membership<'c>(
+    v: &Value,
+    candidates: impl IntoIterator<Item = Result<Cow<'c, Value>>>,
+) -> Result<Truth> {
+    let mut t = match v.is_missing() {
+        true => Truth::Unknown,
+        false => Truth::False,
+    };
+    for c in candidates {
+        match compare_truth(v, BinaryOp::Eq, &*c?) {
+            Truth::True => return Ok(Truth::True),
+            Truth::Unknown => t = Truth::Unknown,
+            Truth::False => {}
+        }
+    }
+    Ok(t)
 }
 
 /// [`eval`] for a caller that only looks at the value: a column of

@@ -1,9 +1,9 @@
 //! HashJoin: the machine join, building a hash table on the right input
-//! by the equi key. Without an equi key every right row sits under the
-//! one empty key, so each left row meets all of them in order: a nested
-//! loop whose residual is the whole `ON`. Also hosts [`HashJoin`], the
-//! build and the probe that [`super::crowd_join`] reuses with a crowd
-//! enumeration policy on top.
+//! by the equi key and probing it with the left. Without an equi key
+//! every right row sits under the one empty key, so each left row meets
+//! all of them in order: a nested loop whose residual is the whole `ON`.
+//! Also hosts [`HashJoin`], the build and the probe that
+//! [`super::crowd_join`] reuses with a crowd enumeration policy on top.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -14,7 +14,9 @@ use crowddb_plan::{BExpr, JoinType, PhysicalPlan};
 use crate::context::ExecCtx;
 use crate::eval::{eval, eval_truth};
 use crate::need::TaskNeed;
-use crate::ops::{build, collect, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, TableChange};
+use crate::ops::{
+    build, collect, run_op, streams, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, TableChange,
+};
 
 /// Hash-join operator; see [`PhysicalPlan::HashJoin`].
 pub struct HashJoinOp<'p> {
@@ -23,6 +25,8 @@ pub struct HashJoinOp<'p> {
     /// The node, for the children's plans (`delta` runs one unobserved).
     plan: &'p PhysicalPlan,
     join: HashJoin<'p>,
+    /// The probe may run inside the left input's pipeline.
+    streams: bool,
 }
 
 impl<'p> HashJoinOp<'p> {
@@ -47,6 +51,7 @@ impl<'p> HashJoinOp<'p> {
                 right_arity: right.schema().arity(),
                 crowd: None,
             },
+            streams: streams(plan, left),
             left: build(left),
             right: build(right),
             plan,
@@ -55,21 +60,41 @@ impl<'p> HashJoinOp<'p> {
 }
 
 impl Operator for HashJoinOp<'_> {
-    /// Both inputs collected, left before right, and only the joined rows
-    /// stream. Probing from inside the left input's pipeline would mean
-    /// running the right input first, and the order in which two scans
-    /// go through a bounded buffer pool is page traffic: measured on
-    /// crowdbench's `scan_join`, swapping them moved `pages_read` and the
-    /// pool hit rate, which an executor change may not.
+    /// Where the left input may stream (`ops::streams`: it records no
+    /// need, and the join condition asks nothing and reads no subquery),
+    /// the right input is collected and built first and the left input's
+    /// pipeline runs through the probe: only the build side is held, and
+    /// nothing re-enters the database under the left scan's read lock.
+    /// The join order puts the smaller input on the right for this
+    /// (`crowddb_plan` rule 3). Otherwise both inputs are collected, left
+    /// before right, so the needs either records keep their order.
+    ///
+    /// Which input runs first decides the order in which two scans go
+    /// through a bounded buffer pool, which is page traffic: a plan
+    /// change that moves a relation from one side to the other moves it.
     fn execute(
         &self,
         ctx: &mut ExecCtx<'_>,
         stats: &mut OpStatsNode,
         sink: &mut Sink<'_>,
     ) -> Result<Flow> {
-        let left_rows = collect(self.left.as_ref(), ctx, &mut stats.children[0])?;
+        if !self.streams {
+            let left_rows = collect(self.left.as_ref(), ctx, &mut stats.children[0])?;
+            let right_rows = collect(self.right.as_ref(), ctx, &mut stats.children[1])?;
+            return self.join.join(ctx, &left_rows, &right_rows, sink);
+        }
         let right_rows = collect(self.right.as_ref(), ctx, &mut stats.children[1])?;
-        self.join.join(ctx, &left_rows, &right_rows, sink)
+        let built = self.join.build(ctx, &right_rows)?;
+        let (mut joined, mut buf) = (Row::default(), Vec::new());
+        run_op(
+            self.left.as_ref(),
+            ctx,
+            &mut stats.children[0],
+            &mut |ctx, l| {
+                self.join
+                    .probe(ctx, &built, l, (&mut joined, &mut buf), sink)
+            },
+        )
     }
 
     /// Δ(L ⋈ R) = ΔL ⋈ R while R stands still, and the mirror image.

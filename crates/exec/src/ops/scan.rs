@@ -103,16 +103,18 @@ impl<'p> ScanOp<'p> {
     }
 
     /// The `(tid, row)` pairs this scan passes, in tid order — what an
-    /// UPDATE/DELETE acts on. Collected in full before the caller mutates
-    /// anything, so an UPDATE that moves the very key the access path
-    /// used never revisits a row.
-    pub(crate) fn tuples(&self, ctx: &mut ExecCtx<'_>) -> Result<Vec<(TupleId, Row)>> {
+    /// UPDATE/DELETE acts on — and how many rows it left out because the
+    /// residual was Unknown on a `CNULL` it reads: rows the statement
+    /// cannot decide without asking the crowd. Collected in full before
+    /// the caller mutates anything, so an UPDATE that moves the very key
+    /// the access path used never revisits a row.
+    pub(crate) fn tuples(&self, ctx: &mut ExecCtx<'_>) -> Result<(Vec<(TupleId, Row)>, u64)> {
         let mut out = Vec::new();
-        self.pass(ctx, Source::Stored(None), true, &mut |_, tid, row| {
+        let pass = self.pass(ctx, Source::Stored(None), true, &mut |_, tid, row| {
             out.push((tid, std::mem::take(row)));
             Ok(Flow::More)
         })?;
-        Ok(out)
+        Ok((out, pass.undecided))
     }
 
     /// Index-nested-loop fetch for CrowdJoin: this scan's pipeline over
@@ -127,19 +129,18 @@ impl<'p> ScanOp<'p> {
     ) -> Result<Vec<Row>> {
         let mut out = Vec::new();
         let probe = Source::Stored(Some((index, keys)));
-        let (examined, _) = self.pass(ctx, probe, false, &mut |_, _, row| {
+        let pass = self.pass(ctx, probe, false, &mut |_, _, row| {
             out.push(std::mem::take(row));
             Ok(Flow::More)
         })?;
-        stats.rows_in += examined;
+        stats.rows_in += pass.examined;
         Ok(out)
     }
 
     /// One pass of the pipeline: every candidate of `source` through
     /// [`ScanOp::admit`] until `emit` has had enough, then the tuple
-    /// quota. Returns how many candidates were examined. A row goes to
-    /// `emit` decoded in every column if `whole`, else in its kept
-    /// columns only.
+    /// quota. A row goes to `emit` decoded in every column if `whole`,
+    /// else in its kept columns only.
     ///
     /// Candidates are admitted as they are read, under the database read
     /// lock — unless the residual reads a subquery, whose evaluation
@@ -151,7 +152,7 @@ impl<'p> ScanOp<'p> {
         source: Source<'_>,
         whole: bool,
         emit: &mut TupleSink<'_>,
-    ) -> Result<(u64, Flow)> {
+    ) -> Result<Pass> {
         let schema = ctx.table_schema(self.table)?;
         // What the plan reads of a kept row: the needed columns, the
         // residual's, and the primary key, which a probe need's context
@@ -166,11 +167,14 @@ impl<'p> ScanOp<'p> {
         });
         let keeps = keeps.as_deref();
         let (mut judged, mut kept) = (Row::default(), Row::default());
-        let mut examined = 0u64;
+        let (mut examined, mut undecided) = (0u64, 0u64);
         let mut admit = |ctx: &mut ExecCtx<'_>, tid, candidate: Candidate<'_>| {
             examined += 1;
             let buffers = (keeps, &mut judged, &mut kept);
-            self.admit(ctx, &schema, buffers, tid, candidate, emit)
+            let (flow, unknown_on_cnull) =
+                self.admit(ctx, &schema, buffers, tid, candidate, emit)?;
+            undecided += u64::from(unknown_on_cnull);
+            Ok(flow)
         };
         let flow = match source {
             Source::Rows(rows) => each(rows.iter().cloned(), |(tid, row)| {
@@ -205,7 +209,11 @@ impl<'p> ScanOp<'p> {
                 });
             }
         }
-        Ok((examined, flow))
+        Ok(Pass {
+            examined,
+            undecided,
+            flow,
+        })
     }
 
     /// Lend `each` the stored bytes of every candidate — of `probe`, or
@@ -304,7 +312,8 @@ impl<'p> ScanOp<'p> {
     /// reused buffer `judged` and decoded no further), CrowdProbe needs
     /// for missing values. Rows whose residual is True go to `emit`, lent
     /// in the pass's other buffer `row`, blanked outside `keeps` (`None`:
-    /// every column is kept).
+    /// every column is kept). Also says whether the residual was Unknown
+    /// on a row with a `CNULL` in a column it reads.
     fn admit(
         &self,
         ctx: &mut ExecCtx<'_>,
@@ -313,22 +322,22 @@ impl<'p> ScanOp<'p> {
         tid: TupleId,
         candidate: Candidate<'_>,
         emit: &mut TupleSink<'_>,
-    ) -> Result<Flow> {
+    ) -> Result<(Flow, bool)> {
         ctx.rt.check()?;
         ctx.rt.stats.rows_scanned += 1;
         // Fused filter: a decidedly-False predicate drops the row
         // before any crowd work is generated for it; Unknown keeps
         // probing (the missing value may decide the predicate).
-        let truth = match (self.residual, &candidate) {
-            (None, _) => Truth::True,
+        let (truth, unknown_on_cnull) = match (self.residual, &candidate) {
+            (None, _) => (Truth::True, false),
             (Some(p), Candidate::Stored(stored)) => {
                 codec::decode_row_into(&mut Reader::new(stored), &self.reads, judged)?;
-                eval_truth(ctx, p, judged)?
+                self.judge(ctx, p, judged)?
             }
-            (Some(p), Candidate::Row(row)) => eval_truth(ctx, p, row)?,
+            (Some(p), Candidate::Row(row)) => self.judge(ctx, p, row)?,
         };
         if truth == Truth::False {
-            return Ok(Flow::More);
+            return Ok((Flow::More, false));
         }
         match candidate {
             Candidate::Stored(stored) => decode_into(stored, keeps, row)?,
@@ -368,11 +377,31 @@ impl<'p> ScanOp<'p> {
         // Unknown rows are probed above but excluded from this
         // round's output (SQL WHERE semantics); they qualify on
         // re-execution once the crowd fills the value in.
-        match truth.passes_filter() {
-            true => emit(ctx, tid, row),
-            false => Ok(Flow::More),
-        }
+        let flow = match truth.passes_filter() {
+            true => emit(ctx, tid, row)?,
+            false => Flow::More,
+        };
+        Ok((flow, unknown_on_cnull))
     }
+
+    /// The residual's verdict on `row`, and whether it is Unknown with a
+    /// `CNULL` in a column the residual reads.
+    fn judge(&self, ctx: &mut ExecCtx<'_>, p: &BExpr, row: &Row) -> Result<(Truth, bool)> {
+        let truth = eval_truth(ctx, p, row)?;
+        let on_cnull = truth == Truth::Unknown
+            && (row.values().iter().zip(&self.reads)).any(|(v, read)| *read && v.is_cnull());
+        Ok((truth, on_cnull))
+    }
+}
+
+/// What one [`ScanOp::pass`] did.
+struct Pass {
+    /// Candidates examined.
+    examined: u64,
+    /// Candidates whose residual was Unknown on a `CNULL` it reads.
+    undecided: u64,
+    /// What the consumer said last.
+    flow: Flow,
 }
 
 /// A stored row into `row`, decoded in the columns `keeps` names (every
@@ -419,12 +448,11 @@ impl Operator for ScanOp<'_> {
         stats: &mut OpStatsNode,
         sink: &mut Sink<'_>,
     ) -> Result<Flow> {
-        let (examined, flow) =
-            self.pass(ctx, Source::Stored(None), false, &mut |ctx, _, row| {
-                sink(ctx, row)
-            })?;
-        stats.rows_in += examined;
-        Ok(flow)
+        let pass = self.pass(ctx, Source::Stored(None), false, &mut |ctx, _, row| {
+            sink(ctx, row)
+        })?;
+        stats.rows_in += pass.examined;
+        Ok(pass.flow)
     }
 
     /// The changed rows are the candidates: the residual is the whole

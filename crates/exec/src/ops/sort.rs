@@ -1,15 +1,21 @@
 //! Sort: every row's keys evaluated once, then ordered by a machine
 //! comparison or, for a `CROWDORDER` key, by the paper's CrowdCompare.
 //!
-//! All-machine keys go through the std stable sort. With a `CROWDORDER`
-//! key (shown as `CrowdSort`) the comparator consults the session order
-//! cache; missing pairs are recorded as needs and compared by rendered
-//! text for this round (the fallback keeps the round deterministic; once
-//! the crowd answers arrive the cache decides). Crowd verdicts need not
-//! be transitive, and std's sort may panic on a comparator that is not a
-//! total order, so such a sort runs a deterministic quicksort instead.
+//! All-machine keys go through the std stable sort — or, with a `keep`
+//! of `k` (a `LIMIT` above, shown as `top=k`), through a heap of the `k`
+//! best rows so far, ordered by (keys, arrival): O(n log k), and the same
+//! `k` rows, in the same order, as the first `k` of the stable sort. The
+//! input is read through `for_each_row`, so it streams where `ops`
+//! allows. With a `CROWDORDER` key (shown as `CrowdSort`) the comparator
+//! consults the session order cache; missing pairs are recorded as needs
+//! and compared by rendered text for this round (the fallback keeps the
+//! round deterministic; once the crowd answers arrive the cache decides).
+//! Crowd verdicts need not be transitive, and std's sort may panic on a
+//! comparator that is not a total order, so such a sort runs a
+//! deterministic quicksort instead, over every row.
 
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crowddb_common::{Result, Row, Value};
 use crowddb_plan::physical::crowd_sorted;
@@ -18,29 +24,74 @@ use crowddb_plan::{BExpr, PhysicalPlan, SortKey};
 use crate::context::{Compare, ExecCtx};
 use crate::eval::eval;
 use crate::ops::{
-    build, collect, emit_all, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, TableChange,
+    build, emit_all, for_each_row, streams, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink,
+    TableChange,
 };
 
 /// Sort operator; see [`PhysicalPlan::Sort`].
 pub struct SortOp<'p> {
     input: BoxedOp<'p>,
     keys: &'p [SortKey],
+    /// Emit only this many rows (never set on a crowd sort).
+    keep: Option<u64>,
     /// Some key is a `CROWDORDER`: sort by [`quicksort`].
     crowd: bool,
+    streams: bool,
 }
 
 impl<'p> SortOp<'p> {
     /// Build from a [`PhysicalPlan::Sort`] node.
     pub fn new(plan: &'p PhysicalPlan) -> SortOp<'p> {
-        let PhysicalPlan::Sort { input, keys, .. } = plan else {
+        let PhysicalPlan::Sort {
+            input, keys, keep, ..
+        } = plan
+        else {
             unreachable!("SortOp built from {plan:?}")
         };
+        let crowd = crowd_sorted(keys);
         SortOp {
+            streams: streams(plan, input),
             input: build(input),
             keys,
-            crowd: crowd_sorted(keys),
+            keep: keep.filter(|_| !crowd),
+            crowd,
         }
     }
+
+    /// The row function: `row`'s keys evaluated into `keys` (a buffer the
+    /// caller reuses), and the row taken in. A checkpoint: the
+    /// comparators below return `Ordering` and cannot propagate a
+    /// cancellation error. A `CROWDORDER` key is kept as the text the
+    /// crowd compares.
+    fn take(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        taken: &mut Taken<'_>,
+        keys: &mut Vec<Value>,
+        row: &mut Row,
+    ) -> Result<()> {
+        ctx.rt.check()?;
+        keys.clear();
+        for key in self.keys {
+            keys.push(match &key.expr {
+                BExpr::CrowdOrder { expr, .. } => Value::Str(eval(ctx, expr, row)?.to_string()),
+                machine => eval(ctx, machine, row)?,
+            });
+        }
+        match taken {
+            Taken::Top(top) => top.offer(keys, row),
+            Taken::All(all) => all.push((std::mem::take(keys), std::mem::take(row))),
+        }
+        Ok(())
+    }
+}
+
+/// The rows a sort has taken in, with their keys.
+enum Taken<'k> {
+    /// Every row, in arrival order.
+    All(Vec<(Vec<Value>, Row)>),
+    /// The first `k` so far (a `keep`).
+    Top(TopK<'k>),
 }
 
 impl Operator for SortOp<'_> {
@@ -50,30 +101,41 @@ impl Operator for SortOp<'_> {
         stats: &mut OpStatsNode,
         sink: &mut Sink<'_>,
     ) -> Result<Flow> {
-        let rows = collect(self.input.as_ref(), ctx, &mut stats.children[0])?;
-        if rows.len() <= 1 {
-            return emit_all(ctx, rows, sink);
+        let mut taken = match self.keep {
+            Some(k) => Taken::Top(TopK::new(self.keys, k)),
+            None => Taken::All(Vec::new()),
+        };
+        // An input of one row goes on as it is, its keys never evaluated,
+        // as a sort's always has: the first row waits for a second.
+        let (mut first, mut arrived, mut keys) = (None, 0u64, Vec::new());
+        let input = self.input.as_ref();
+        for_each_row(
+            input,
+            ctx,
+            &mut stats.children[0],
+            self.streams,
+            &mut |ctx, row| {
+                arrived += 1;
+                if arrived == 1 {
+                    first = Some(std::mem::take(row));
+                    return Ok(Flow::More);
+                }
+                if let Some(mut held) = first.take() {
+                    self.take(ctx, &mut taken, &mut keys, &mut held)?;
+                }
+                self.take(ctx, &mut taken, &mut keys, row)?;
+                Ok(Flow::More)
+            },
+        )?;
+        if let Some(only) = first {
+            return emit_all(ctx, [only], sink);
         }
-        // Checkpoints live in this key-materialization pre-pass: the
-        // comparators below return `Ordering` and cannot propagate a
-        // cancellation error. A `CROWDORDER` key is kept as the text the
-        // crowd compares.
-        let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-        for row in rows {
-            ctx.rt.check()?;
-            let mut ks = Vec::with_capacity(self.keys.len());
-            for key in self.keys {
-                ks.push(match &key.expr {
-                    BExpr::CrowdOrder { expr, .. } => {
-                        Value::Str(eval(ctx, expr, &row)?.to_string())
-                    }
-                    machine => eval(ctx, machine, &row)?,
-                });
-            }
-            keyed.push((ks, row));
-        }
+        let mut keyed = match taken {
+            Taken::Top(top) => return emit_all(ctx, top.into_sorted(), sink),
+            Taken::All(keyed) => keyed,
+        };
         if !self.crowd {
-            keyed.sort_by(|(a, _), (b, _)| compare(ctx, self.keys, a, b));
+            keyed.sort_by(|(a, _), (b, _)| machine_compare(self.keys, a, b));
             return emit_all(ctx, keyed.into_iter().map(|(_, r)| r), sink);
         }
         let mut order: Vec<usize> = (0..keyed.len()).collect();
@@ -85,9 +147,108 @@ impl Operator for SortOp<'_> {
     }
 
     /// A delta is a multiset: sorting changes no row, only their order.
+    /// Keeping the first `k` does change which rows: no rule then.
     fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
+        if self.keep.is_some() {
+            return Ok(None);
+        }
         self.input.delta(ctx, change)
     }
+}
+
+/// The `k` rows that sort first among those offered so far: a max-heap
+/// whose root is the kept row that sorts last, so a new row either beats
+/// it or is dropped without a copy. Arrival breaks ties — an earlier row
+/// sorts first — which is what makes the rows kept the first `k` of a
+/// stable sort.
+struct TopK<'k> {
+    by: &'k [SortKey],
+    k: usize,
+    heap: BinaryHeap<Kept<'k>>,
+    arrived: u64,
+}
+
+/// One kept row with its keys and arrival number.
+struct Kept<'k> {
+    by: &'k [SortKey],
+    keys: Vec<Value>,
+    seq: u64,
+    row: Row,
+}
+
+impl Ord for Kept<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        machine_compare(self.by, &self.keys, &other.keys).then(self.seq.cmp(&other.seq))
+    }
+}
+
+impl PartialOrd for Kept<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Kept<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Kept<'_> {}
+
+impl<'k> TopK<'k> {
+    fn new(by: &'k [SortKey], k: u64) -> TopK<'k> {
+        let k = usize::try_from(k).unwrap_or(usize::MAX);
+        TopK {
+            by,
+            k,
+            heap: BinaryHeap::with_capacity(k.min(1024)),
+            arrived: 0,
+        }
+    }
+
+    /// Offer the next row, its keys evaluated into `keys`. A row that
+    /// makes the cut is taken (`row` and `keys` are left empty); one that
+    /// does not leaves both as they were, for the caller to reuse.
+    fn offer(&mut self, keys: &mut Vec<Value>, row: &mut Row) {
+        let (by, seq) = (self.by, self.arrived);
+        self.arrived += 1;
+        let kept = |keys: &mut Vec<Value>, row: &mut Row| Kept {
+            by,
+            keys: std::mem::take(keys),
+            seq,
+            row: std::mem::take(row),
+        };
+        if self.heap.len() < self.k {
+            self.heap.push(kept(keys, row));
+            return;
+        }
+        // Full (or `k` is 0): the new row arrived last, so it must sort
+        // strictly before the root to displace it.
+        let Some(mut last) = self.heap.peek_mut() else {
+            return;
+        };
+        if machine_compare(by, keys, &last.keys) == Ordering::Less {
+            *last = kept(keys, row);
+        }
+    }
+
+    /// The kept rows, first to last.
+    fn into_sorted(self) -> impl Iterator<Item = Row> + 'k {
+        self.heap.into_sorted_vec().into_iter().map(|kept| kept.row)
+    }
+}
+
+/// Two rows' machine keys, key by key.
+fn machine_compare(keys: &[SortKey], a: &[Value], b: &[Value]) -> Ordering {
+    for ((key, a), b) in keys.iter().zip(a).zip(b) {
+        let ord = a.sort_cmp(b);
+        let ord = if key.desc { ord.reverse() } else { ord };
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
 }
 
 /// Two rows' materialized keys, key by key: by machine ordering, or by

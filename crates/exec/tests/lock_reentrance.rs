@@ -142,6 +142,80 @@ fn subqueries_under_a_scan_do_not_wait_behind_a_queued_insert() {
     });
 }
 
+/// A hash join builds its smaller input first and then streams the larger
+/// one's scan through the probe: the probe runs under that scan's read
+/// lock, so it must not take the lock again — a join that read its build
+/// side lazily would hang here behind the queued INSERT. The join feeds
+/// an aggregate and, in the second statement, a `LIMIT` that stops the
+/// scan early.
+#[test]
+fn a_streaming_hash_join_does_not_wait_behind_a_queued_insert() {
+    bounded("streaming hash join beside an INSERT stream", || {
+        let db = Arc::new(world());
+        let joins: [(&str, Vec<crowddb_common::Row>); 2] = [
+            (
+                "SELECT p.grp, COUNT(*) FROM item i JOIN pick p ON i.grp = p.grp GROUP BY p.grp",
+                vec![row![3i64, 300i64], row![7i64, 300i64]],
+            ),
+            (
+                "SELECT i.id FROM item i JOIN pick p ON i.grp = p.grp LIMIT 3",
+                vec![row![3i64], row![7i64], row![13i64]],
+            ),
+        ];
+        for (sql, _) in &joins {
+            let Statement::Select(q) = parse_statement(sql).unwrap() else {
+                panic!()
+            };
+            let bound = db.with_catalog(|c| Binder::new(c).bind_query(&q)).unwrap();
+            let stats = FnStats(|t: &str| db.stats(t).ok().map(|s| s.live_rows as u64));
+            let shown =
+                lower_plan(&db, &optimize(bound, &stats, &OptimizerConfig::default())).explain();
+            let probe = shown.find("TableScan item").expect("item is scanned");
+            let build = shown.find("TableScan pick").expect("pick is scanned");
+            assert!(probe < build, "item must be the probe side:\n{shown}");
+        }
+        let start = Arc::new(Barrier::new(2));
+        let stop = Arc::new(AtomicBool::new(false));
+        let inserted = Arc::new(AtomicU64::new(0));
+        let writer = {
+            let (db, start, stop, inserted) = (
+                Arc::clone(&db),
+                Arc::clone(&start),
+                Arc::clone(&stop),
+                Arc::clone(&inserted),
+            );
+            std::thread::spawn(move || {
+                start.wait();
+                while !stop.load(Ordering::SeqCst) {
+                    let tid = db.insert("item", row![ITEMS, "late", 1i64]).unwrap();
+                    db.with_table_mut("item", |t| t.delete(tid).map(|_| ()))
+                        .unwrap();
+                    inserted.fetch_add(1, Ordering::SeqCst);
+                    let paused = Instant::now();
+                    while paused.elapsed() < Duration::from_micros(50) {
+                        std::hint::spin_loop();
+                    }
+                }
+            })
+        };
+        start.wait();
+        let (mut statements, mut overlapped, mut seen) = (0u64, 0u64, 0u64);
+        while overlapped < 50 && statements < 5_000 {
+            for (sql, want) in &joins {
+                let r = run(&db, sql, ExecGuard::unlimited()).unwrap();
+                assert_eq!(&r.rows, want, "{sql}");
+            }
+            statements += 1;
+            let now = inserted.load(Ordering::SeqCst);
+            overlapped += u64::from(now > seen);
+            seen = now;
+        }
+        stop.store(true, Ordering::SeqCst);
+        writer.join().unwrap();
+        assert!(overlapped >= 50, "the writer never ran beside the reader");
+    });
+}
+
 #[test]
 fn a_statement_that_ends_mid_stream_leaves_the_table_writable() {
     bounded("INSERT after an interrupted SELECT", || {

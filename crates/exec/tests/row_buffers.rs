@@ -175,9 +175,15 @@ fn unfuse(plan: PhysicalPlan) -> PhysicalPlan {
             predicate,
             annot,
         },
-        PhysicalPlan::Sort { input, keys, annot } => PhysicalPlan::Sort {
+        PhysicalPlan::Sort {
+            input,
+            keys,
+            keep,
+            annot,
+        } => PhysicalPlan::Sort {
             input: Box::new(unfuse(*input)),
             keys,
+            keep,
             annot,
         },
         PhysicalPlan::Project {

@@ -9,9 +9,14 @@
 //!    pushed and always ordered *after* machine predicates at the same
 //!    level, so the expensive human calls see as few rows as possible;
 //! 3. **join ordering** — inner/cross join chains are re-ordered
-//!    greedily by estimated cardinality with CROWD tables placed last
-//!    (minimizing crowd requests); a final projection restores the
-//!    original column order so the rewrite is transparent;
+//!    greedily by estimated cardinality. In a statement that asks no
+//!    crowd a chain starts with its largest relation, so that every hash
+//!    join probes with the stream and builds on a smaller relation; in
+//!    one that asks the crowd it starts with its smallest and places
+//!    CROWD tables last (minimizing crowd requests), and the needs keep
+//!    the order they were always recorded in. Where the order changed, a
+//!    final projection restores the original column order so the rewrite
+//!    is transparent;
 //! 4. **stop-after push-down** — `LIMIT` descends through projections;
 //!    when it reaches a CROWD-table scan it sets the scan's
 //!    `expected_tuples` bound, which is what makes an open-world query
@@ -68,7 +73,8 @@ pub fn optimize(
         plan = pushdown(plan);
     }
     if config.reorder_joins {
-        plan = reorder_joins(plan, stats);
+        let asks_crowd = plan.is_crowd_related();
+        plan = reorder_joins(plan, stats, asks_crowd);
         if config.pushdown_predicates {
             // Re-run push-down: re-ordering exposes new opportunities.
             plan = pushdown(plan);
@@ -350,34 +356,27 @@ fn wrap_filter(plan: LogicalPlan, conjuncts: Vec<BExpr>) -> LogicalPlan {
 // Rule 3: join ordering
 // ---------------------------------------------------------------------
 
-fn reorder_joins(plan: LogicalPlan, stats: &dyn StatsSource) -> LogicalPlan {
+/// Reorder every inner/cross join region of `plan`. `asks_crowd`: the
+/// statement asks the crowd somewhere — in a region or in what reads one
+/// — so the order rows flow in is the order its needs are recorded in.
+fn reorder_joins(plan: LogicalPlan, stats: &dyn StatsSource, asks_crowd: bool) -> LogicalPlan {
     match plan {
         LogicalPlan::Join {
             kind: JoinType::Inner | JoinType::Cross,
             ..
-        } => try_reorder_region(plan, stats),
-        LogicalPlan::Filter { .. } => {
-            // Keep the filter attached to the join region below it so its
-            // conjuncts participate in ordering.
-            let rebuilt = plan.map_inputs(|input| reorder_joins(input, stats));
-            if matches!(
-                rebuilt,
-                LogicalPlan::Filter { ref input, .. } if matches!(**input, LogicalPlan::Join { .. })
-            ) {
-                try_reorder_region(rebuilt, stats)
-            } else {
-                rebuilt
-            }
-        }
+        } => try_reorder_region(plan, stats, asks_crowd),
         // Outer joins are not commutative: like every other node, they
-        // only have their children reordered.
-        other => other.map_inputs(|input| reorder_joins(input, stats)),
+        // only have their children reordered. So does a filter above a
+        // region: push-down has already moved every conjunct it could
+        // into the region, and what stays above — a crowd comparison, a
+        // subquery — sees joined rows only.
+        other => other.map_inputs(|input| reorder_joins(input, stats, asks_crowd)),
     }
 }
 
-/// Flatten a maximal inner/cross join region (optionally under a filter),
-/// reorder it greedily, and rebuild with a restoring projection.
-fn try_reorder_region(plan: LogicalPlan, stats: &dyn StatsSource) -> LogicalPlan {
+/// Flatten a maximal inner/cross join region, reorder it greedily, and
+/// rebuild — with a restoring projection if the order moved.
+fn try_reorder_region(plan: LogicalPlan, stats: &dyn StatsSource, asks_crowd: bool) -> LogicalPlan {
     // 1. Flatten.
     let mut relations: Vec<LogicalPlan> = Vec::new();
     let mut conjuncts: Vec<BExpr> = Vec::new();
@@ -386,6 +385,7 @@ fn try_reorder_region(plan: LogicalPlan, stats: &dyn StatsSource) -> LogicalPlan
         relations: &mut Vec<LogicalPlan>,
         conjuncts: &mut Vec<BExpr>,
         stats: &dyn StatsSource,
+        asks_crowd: bool,
     ) -> bool {
         match node {
             LogicalPlan::Join {
@@ -395,12 +395,12 @@ fn try_reorder_region(plan: LogicalPlan, stats: &dyn StatsSource) -> LogicalPlan
                 on,
             } => {
                 let base = relations.iter().map(|r| r.schema().arity()).sum::<usize>();
-                let ok_left = flatten(*left, relations, conjuncts, stats);
+                let ok_left = flatten(*left, relations, conjuncts, stats, asks_crowd);
                 if !ok_left {
                     return false;
                 }
                 let mid = relations.iter().map(|r| r.schema().arity()).sum::<usize>();
-                let ok_right = flatten(*right, relations, conjuncts, stats);
+                let ok_right = flatten(*right, relations, conjuncts, stats, asks_crowd);
                 if !ok_right {
                     return false;
                 }
@@ -416,26 +416,16 @@ fn try_reorder_region(plan: LogicalPlan, stats: &dyn StatsSource) -> LogicalPlan
             // aggregates, projected subqueries...).
             other => {
                 // Recursively optimize inside the leaf.
-                relations.push(reorder_joins(other, stats));
+                relations.push(reorder_joins(other, stats, asks_crowd));
                 true
             }
         }
     }
 
-    let (region, top_conjuncts) = match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            let mut parts = Vec::new();
-            split_conjuncts(predicate, &mut parts);
-            (*input, parts)
-        }
-        other => (other, Vec::new()),
-    };
-    if !flatten(region, &mut relations, &mut conjuncts, stats) || relations.len() < 2 {
+    if !flatten(plan, &mut relations, &mut conjuncts, stats, asks_crowd) || relations.len() < 2 {
         // Nothing to reorder; rebuild as it was.
-        let rebuilt = rebuild_left_deep(relations, conjuncts);
-        return wrap_filter(rebuilt, top_conjuncts);
+        return rebuild_left_deep(relations, conjuncts);
     }
-    conjuncts.extend(top_conjuncts);
 
     // Old flat offsets per relation.
     let arities: Vec<usize> = relations.iter().map(|r| r.schema().arity()).collect();
@@ -447,9 +437,13 @@ fn try_reorder_region(plan: LogicalPlan, stats: &dyn StatsSource) -> LogicalPlan
     }
     let total_arity = acc;
 
-    // 2. Greedy order: crowd-table relations last, then by estimated rows;
-    //    among the rest prefer relations connected by a predicate to the
-    //    already-chosen set.
+    // 2. Greedy order. A statement that asks the crowd keeps the order its
+    //    needs are pinned to: crowd-table relations last, the smallest of
+    //    the rest first. One that asks nothing starts with the largest
+    //    relation: it is the probe side every later join streams, and the
+    //    smaller relations are the build sides. Either way the rest follow
+    //    connected by a predicate to the already-chosen set first, then
+    //    smallest first.
     let is_crowd_rel: Vec<bool> = relations
         .iter()
         .map(|r| {
@@ -479,11 +473,16 @@ fn try_reorder_region(plan: LogicalPlan, stats: &dyn StatsSource) -> LogicalPlan
     let mut chosen: Vec<usize> = Vec::with_capacity(n);
     let mut remaining: Vec<usize> = (0..n).collect();
 
-    // Seed: smallest non-crowd relation (or smallest overall).
+    // Seed: the largest relation, or with the crowd asked the smallest
+    // non-crowd relation (or smallest overall).
     remaining.sort_by(|&a, &b| {
+        let size = match asks_crowd {
+            true => sizes[a].total_cmp(&sizes[b]),
+            false => sizes[b].total_cmp(&sizes[a]),
+        };
         is_crowd_rel[a]
             .cmp(&is_crowd_rel[b])
-            .then(sizes[a].total_cmp(&sizes[b]))
+            .then(size)
             .then(a.cmp(&b))
     });
     chosen.push(remaining.remove(0));
@@ -536,6 +535,11 @@ fn try_reorder_region(plan: LogicalPlan, stats: &dyn StatsSource) -> LogicalPlan
             .collect()
     };
     let plan = rebuild_left_deep(ordered_rels, remapped);
+    // A statement that asks the crowd is planned as it always was, its
+    // restoring projections included.
+    if !asks_crowd && chosen.iter().enumerate().all(|(at, &rel)| at == rel) {
+        return plan;
+    }
 
     // 5. Restore original column order for transparency.
     let restore: Vec<BExpr> = (0..total_arity)
@@ -903,6 +907,25 @@ mod tests {
         let schema = plan.schema();
         assert_eq!(schema.columns[0].qualifier.as_deref(), Some("b"));
         assert_eq!(schema.columns[1].qualifier.as_deref(), Some("s"));
+    }
+
+    /// With no crowd asked, the largest relation starts the chain — the
+    /// probe side — whatever order the statement wrote; written that
+    /// way, the chain needs no restoring projection.
+    #[test]
+    fn machine_join_starts_with_the_largest_relation() {
+        for (sql, projections) in [
+            ("SELECT * FROM Big b, Small s WHERE b.id = s.id", 1),
+            ("SELECT * FROM Small s, Big b WHERE b.id = s.id", 2),
+        ] {
+            let text = plan_of(sql).explain();
+            let scans: Vec<&str> = text
+                .lines()
+                .filter(|l| l.trim_start().starts_with("Scan"))
+                .collect();
+            assert!(scans[0].contains("big"), "{text}");
+            assert_eq!(text.matches("Project").count(), projections, "{text}");
+        }
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! * `ORDER BY` → [`PhysicalPlan::Sort`], shown as `CrowdSort` when a key
 //!   is a `CROWDORDER` (CrowdCompare inside the sort, see
 //!   [`crowd_sorted`]);
-//! * `LIMIT` → [`PhysicalPlan::StopAfter`] (the paper's operator name).
+//! * `LIMIT` → [`PhysicalPlan::StopAfter`] (the paper's operator name),
+//!   which hands a machine-keyed sort below it the number of rows it
+//!   needs (`top=k`).
 //!
 //! Every node carries a [`PhysAnnot`]: the cardinality estimate and
 //! boundedness verdict that the one annotation pass
@@ -162,8 +164,10 @@ pub enum PhysicalPlan {
         /// Cardinality/boundedness annotations.
         annot: PhysAnnot,
     },
-    /// Hash join on the equi-conjuncts, building on the right side;
-    /// `residual` conjuncts are evaluated on each joined row. Without an
+    /// Hash join on the equi-conjuncts, building on the right side and
+    /// probing with the left (the executor builds first and streams the
+    /// left input through the probe where it may); `residual` conjuncts
+    /// are evaluated on each joined row. Without an
     /// equi key it is a nested-loop join (every left row meets every
     /// right row) whose residual is the whole `ON`, if any, and EXPLAIN
     /// shows it as `NestedLoopJoin … ON p`.
@@ -218,6 +222,11 @@ pub enum PhysicalPlan {
         input: Box<PhysicalPlan>,
         /// Sort keys.
         keys: Vec<SortKey>,
+        /// Emit only the first `k` rows of the (stable) order, keeping
+        /// no more than `k` while sorting — shown as `top=k`. Set by
+        /// [`lower`] on a machine-keyed sort that a `LIMIT` reads through
+        /// nothing but projections which ask no crowd: `offset + limit`.
+        keep: Option<u64>,
         /// Cardinality/boundedness annotations.
         annot: PhysAnnot,
     },
@@ -309,7 +318,7 @@ impl PhysicalPlan {
         }
     }
 
-    /// Child operators, in execution order.
+    /// Child operators, in plan order (a join's left input first).
     pub fn children(&self) -> Vec<&PhysicalPlan> {
         match self {
             PhysicalPlan::Scan { .. } | PhysicalPlan::Values { .. } => vec![],
@@ -469,12 +478,13 @@ impl PhysicalPlan {
                 },
                 render_residual(residual)
             ),
-            PhysicalPlan::Sort { keys, .. } => {
+            PhysicalPlan::Sort { keys, keep, .. } => {
                 let ks: Vec<String> = keys
                     .iter()
                     .map(|k| format!("{}{}", k.expr, if k.desc { " DESC" } else { "" }))
                     .collect();
-                format!("{} {}", self.name(), ks.join(", "))
+                let top = keep.map_or(String::new(), |k| format!(" top={k}"));
+                format!("{} {}{top}", self.name(), ks.join(", "))
             }
             PhysicalPlan::Aggregate { group_by, aggs, .. } => {
                 let g: Vec<String> = group_by.iter().map(|e| e.to_string()).collect();
@@ -647,14 +657,21 @@ fn lower_node(node: &Annotated, indexes: &dyn Fn(&str) -> Vec<IndexMeta>) -> Phy
         LogicalPlan::Sort { keys, .. } => PhysicalPlan::Sort {
             input: input(0),
             keys: keys.clone(),
+            keep: None,
             annot,
         },
-        LogicalPlan::Limit { limit, offset, .. } => PhysicalPlan::StopAfter {
-            input: input(0),
-            limit: *limit,
-            offset: *offset,
-            annot,
-        },
+        LogicalPlan::Limit { limit, offset, .. } => {
+            let mut input = input(0);
+            if let Some(limit) = limit {
+                keep_top(&mut input, offset.saturating_add(*limit));
+            }
+            PhysicalPlan::StopAfter {
+                input,
+                limit: *limit,
+                offset: *offset,
+                annot,
+            }
+        }
         LogicalPlan::Distinct { .. } => PhysicalPlan::Distinct {
             input: input(0),
             annot,
@@ -670,6 +687,24 @@ fn lower_node(node: &Annotated, indexes: &dyn Fn(&str) -> Vec<IndexMeta>) -> Phy
             all: *all,
             annot,
         },
+    }
+}
+
+/// Stop-after push-down into a sort: the machine-keyed [`PhysicalPlan::Sort`]
+/// under `plan` — `plan` itself or below projections — keeps its first `k`
+/// rows only. A projection that asks the crowd or holds a subquery stops
+/// the descent: it evaluates every row the sort emits, so keeping fewer
+/// would change what it asks. A `CROWDORDER` sort keeps its every row
+/// too: the comparisons it asks are the bill.
+fn keep_top(plan: &mut PhysicalPlan, k: u64) {
+    match plan {
+        PhysicalPlan::Sort { keys, keep, .. } if !crowd_sorted(keys) => *keep = Some(k),
+        PhysicalPlan::Project { input, exprs, .. }
+            if !exprs.iter().any(|e| e.is_crowd() || e.has_subplan()) =>
+        {
+            keep_top(input, k)
+        }
+        _ => {}
     }
 }
 

@@ -385,6 +385,59 @@ fn update_with_crowd_predicate_applies_once() {
     assert_eq!(check.rows[0][0], Value::Int(101));
 }
 
+/// A DML's `WHERE` asks the crowd nothing, so a row it cannot decide
+/// because it reads a `CNULL` is left alone — and the statement says so
+/// instead of claiming to be complete.
+#[test]
+fn a_dml_that_skips_cnull_rows_is_not_complete() {
+    let db = conference_db(CrowdConfig::fast_test());
+    let mut crowd = probe_answers("500");
+    let r = db
+        .execute("DELETE FROM Talk WHERE nb_attendees > 100", &mut crowd)
+        .unwrap();
+    assert_eq!(crowd.stats().hits_posted, 0);
+    assert_eq!(r.crowd.tasks_posted, 0);
+    assert_eq!(r.affected, 0);
+    assert!(!r.complete);
+    assert_eq!(
+        r.warnings,
+        vec![
+            "2 row(s) left alone: the WHERE reads a CNULL, which a DML statement does not \
+             ask the crowd for"
+                .to_string()
+        ]
+    );
+    let left = db.execute_local("SELECT title FROM Talk").unwrap();
+    assert_eq!(left.rows.len(), 2);
+}
+
+/// With every row's `WHERE` decided — a `NULL` makes a comparison
+/// Unknown too, but that is SQL's answer, not a missing one — the same
+/// statement is complete.
+#[test]
+fn a_dml_decided_on_every_row_is_complete() {
+    let db = conference_db(CrowdConfig::fast_test());
+    db.execute_local("UPDATE Talk SET nb_attendees = 150 WHERE title = 'CrowdDB'")
+        .unwrap();
+    db.execute_local("UPDATE Talk SET nb_attendees = NULL WHERE title = 'Qurk'")
+        .unwrap();
+    let mut crowd = probe_answers("500");
+    let r = db
+        .execute("DELETE FROM Talk WHERE nb_attendees > 100", &mut crowd)
+        .unwrap();
+    assert_eq!(crowd.stats().hits_posted, 0);
+    assert_eq!(r.affected, 1);
+    assert!(r.complete, "{:?}", r.warnings);
+    assert!(r.warnings.is_empty(), "{:?}", r.warnings);
+    let r = db
+        .execute(
+            "UPDATE Talk SET abstract = 'x' WHERE title = 'Qurk'",
+            &mut crowd,
+        )
+        .unwrap();
+    assert_eq!((r.affected, r.complete), (1, true));
+}
+
 #[test]
 fn wrm_flags_and_bans_bad_workers() {
     let db = conference_db(CrowdConfig {
