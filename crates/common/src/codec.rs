@@ -37,12 +37,53 @@ const fn crc_table() -> [u32; 256] {
 
 const CRC_TABLE: [u32; 256] = crc_table();
 
+/// The slicing-by-8 tables: `CRC_TABLES[k][b]` is the CRC register after
+/// byte `b` followed by `k` zero bytes, so eight table lookups advance
+/// the register over eight input bytes. Row 0 is [`CRC_TABLE`]; the
+/// others are derived from it at compile time.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [CRC_TABLE; 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ CRC_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
 /// CRC-32 checksum of `data` (IEEE polynomial, reflected, init/final-xor
-/// `!0`); the table is built at compile time.
+/// `!0`); the tables are built at compile time.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    crc32_update(0, data)
+}
+
+/// Extend `crc`, the CRC-32 of some bytes (`0` for none), over `data`:
+/// `crc32_update(crc32(a), b) == crc32(a ++ b)`. Eight bytes per step
+/// (slicing-by-8), then the tail one at a time.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !crc;
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -525,6 +566,34 @@ mod tests {
                 let mut flipped = data.clone();
                 flipped[byte] ^= 1 << bit;
                 assert_ne!(crc32(&flipped), base, "flip at {byte}:{bit} undetected");
+            }
+        }
+    }
+
+    /// The one-byte-at-a-time loop `crc32` ran before slicing-by-8.
+    fn bytewise_crc32(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop() {
+        let mut rng = Rng::seed_from_u64(0xC0DE_C32C);
+        let bytes: Vec<u8> = (0..4096 + 8).map(|_| rng.next_u64() as u8).collect();
+        for len in 0..=4096 {
+            for start in 0..8 {
+                let data = &bytes[start..start + len];
+                let want = bytewise_crc32(data);
+                assert_eq!(crc32(data), want, "len {len} at offset {start}");
+                let cut = (len * 5 + start) % (len + 1);
+                assert_eq!(
+                    crc32_update(crc32(&data[..cut]), &data[cut..]),
+                    want,
+                    "len {len} at offset {start}, split at {cut}"
+                );
             }
         }
     }

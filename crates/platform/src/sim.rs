@@ -21,7 +21,7 @@
 //! same marketplace byte for byte.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
 use crowddb_common::rng::Rng;
 use crowddb_common::{CrowdError, Result};
@@ -142,7 +142,7 @@ pub struct SimPlatform {
     next_seq: u64,
     hits: HashMap<HitId, Hit>,
     /// group key -> HITs with open slots
-    open_groups: HashMap<String, Vec<HitId>>,
+    open_groups: BTreeMap<String, Vec<HitId>>,
     events: BinaryHeap<Event>,
     ready: Vec<TaskResponse>,
     stats: PlatformStats,
@@ -168,7 +168,7 @@ impl SimPlatform {
             next_hit: 0,
             next_seq: 0,
             hits: HashMap::new(),
-            open_groups: HashMap::new(),
+            open_groups: BTreeMap::new(),
             events: BinaryHeap::new(),
             ready: Vec::new(),
             stats: PlatformStats::default(),
@@ -563,6 +563,32 @@ mod tests {
         // Different seeds explore different trajectories (statistically
         // certain with continuous completion times).
         assert_ne!(run(7).2, run(8).2);
+    }
+
+    #[test]
+    fn one_seed_logs_one_arrival_sequence_across_open_groups() {
+        // Five groups open at once, so every browse's weighted pick
+        // depends on the order the groups are walked in.
+        let run = || {
+            let mut p = SimPlatform::amt(5, Box::new(PerfectModel));
+            let mut hits = Vec::new();
+            for table in ["talk", "paper", "room", "chair", "slot"] {
+                let spec = TaskSpec::new(TaskKind::Probe {
+                    table: table.into(),
+                    known: vec![("title".into(), "CrowdDB".into())],
+                    asked: vec![("abstract".into(), crowddb_common::DataType::Str)],
+                    instructions: String::new(),
+                });
+                hits.extend(p.post(vec![spec.reward(2).replicate(2); 6]).unwrap());
+            }
+            run_until_complete(&mut p, &hits, 96.0)
+                .iter()
+                .map(|r| (r.hit, r.worker, r.completed_at.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let first = run();
+        assert_eq!(first.len(), 60);
+        assert_eq!(first, run());
     }
 
     #[test]

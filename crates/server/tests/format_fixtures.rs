@@ -17,8 +17,8 @@ use crowddb_common::codec::{self, Reader};
 use crowddb_common::{row, Row, TupleId, Value};
 use crowddb_core::{CrowdConfig, CrowdDB, CrowdSummary, QueryResult};
 use crowddb_server::protocol::{self, Request, Response};
-use crowddb_storage::pager::JOURNAL_FILE;
-use crowddb_storage::{Database, LogRecord, PagerConfig};
+use crowddb_storage::pager::{JOURNAL_FILE, PAGES_FILE};
+use crowddb_storage::{Database, LogRecord, Pager, PagerConfig};
 use crowddb_wal::testutil::TestDir;
 use crowddb_wal::{scan_frames, snapshot, FsyncPolicy, Wal};
 
@@ -416,10 +416,23 @@ fn checkpoint_journal() {
     for (_, row) in &talk {
         db.insert("talk", row.clone()).unwrap();
     }
-    // Journaled and committed, never applied: the crash the journal is for.
+    // A first checkpoint commits no page yet, so both of its pages are
+    // fresh: written straight to the page file, no journal at all.
     let (_prep, meta) = db.begin_checkpoint().unwrap();
     drop(db);
-    let journal = std::fs::read(dir.path().join(JOURNAL_FILE)).unwrap();
+    assert!(!dir.path().join(JOURNAL_FILE).exists());
+    // The journal is pinned over those same two pages: a pager opened on
+    // that page file counts both as committed, so rewriting them journals
+    // them, at epoch 1 again.
+    let pages = std::fs::read(dir.path().join(PAGES_FILE)).unwrap();
+    let rewrite = TestDir::new("format-fixtures-journal-rewrite");
+    std::fs::write(rewrite.path().join(PAGES_FILE), &pages).unwrap();
+    let pager = Pager::open_file(rewrite.path(), cfg, 0).unwrap();
+    for (id, image) in pages.chunks_exact(cfg.page_size).enumerate().skip(1) {
+        pager.write(id as u64, image.to_vec()).unwrap();
+    }
+    pager.begin_checkpoint().unwrap();
+    let journal = std::fs::read(rewrite.path().join(JOURNAL_FILE)).unwrap();
     pinned("checkpoint journal", &journal, PAGES_JOURNAL);
 
     // The other way: the captured journal beside no page file at all,

@@ -8,13 +8,17 @@
 //!   so a bounded pool only ever drops re-readable pages.
 //! * **File** — pages live in `pages.db`; writes are write-back
 //!   (*no-steal*): dirty pages stay resident until a checkpoint flushes
-//!   them. A checkpoint is a double-write: dirty pages are first appended
-//!   to `pages.journal` (CRC-framed, fsynced), then — after the caller
+//!   them. A checkpoint splits its dirty pages at the *committed mark*,
+//!   the page count the last committed metadata recorded. A page at or
+//!   above the mark is *fresh*: no committed state can reach it, so it is
+//!   written straight to `pages.db`, fsynced before the caller commits.
+//!   A page below the mark is a double-write: first appended to
+//!   `pages.journal` (CRC-framed, fsynced), then — after the caller
 //!   commits its metadata snapshot — applied to `pages.db` and the
 //!   journal is truncated. Crash recovery replays or discards the journal
 //!   by comparing its epoch against the committed metadata epoch, so
-//!   `pages.db` is always restored to exactly the bytes of the last
-//!   committed checkpoint.
+//!   `pages.db` below the mark is always restored to exactly the bytes of
+//!   the last committed checkpoint.
 //!
 //! Determinism: page allocation order is a function of the logical
 //! operation sequence (free ids are reused smallest-first), and pool
@@ -73,8 +77,12 @@ fn env_usize(var: &str, default: usize) -> usize {
 enum Backend {
     /// Authoritative in-memory page store (write-through).
     Mem(Vec<Arc<Page>>),
-    /// `pages.db` in a database directory (write-back, no-steal).
-    File { db: File, journal_path: PathBuf },
+    /// `pages.db` in a database directory (write-back, no-steal). The
+    /// file is shared so a checkpoint can fsync it outside the pager lock.
+    File {
+        db: Arc<File>,
+        journal_path: PathBuf,
+    },
 }
 
 #[derive(Debug)]
@@ -84,6 +92,13 @@ struct PagerState {
     free: BTreeSet<PageId>,
     /// Pages ever allocated, including the header page.
     page_count: u64,
+    /// The committed mark: `page_count` as the last committed metadata
+    /// recorded it. Ids at or above it are unreachable from committed
+    /// state, so a checkpoint writes them without journaling them.
+    committed_pages: u64,
+    /// Whether `pages.journal` may hold entries: a checkpoint wrote it
+    /// and no `complete_checkpoint` has truncated it since.
+    journal_live: bool,
     /// Epoch of the most recent `begin_checkpoint` (committed or not).
     epoch: u64,
 }
@@ -95,21 +110,30 @@ pub struct Pager {
     state: Mutex<PagerState>,
 }
 
-/// An in-flight checkpoint: the journal is durable, the page-file apply
-/// is pending. Produced by [`Pager::begin_checkpoint`]; the caller
-/// commits its metadata (which records `epoch`) between the two halves.
+/// An in-flight checkpoint: fresh pages are in `pages.db` and the
+/// journal is durable, the page-file apply is pending. Produced by
+/// [`Pager::begin_checkpoint`]; the caller commits its metadata (which
+/// records `epoch` and the page count) between the two halves.
 #[derive(Debug)]
 pub struct CheckpointPrep {
     /// The epoch written into the journal header. The caller must record
     /// it in its committed metadata so recovery can classify the journal.
     pub epoch: u64,
-    pages: Vec<(PageId, Arc<Page>)>,
+    /// The page count when the checkpoint began: the committed mark once
+    /// the caller's metadata, which records it, commits.
+    page_count: u64,
+    /// Dirty pages below the committed mark, in the journal; empty when
+    /// no journal was written.
+    journaled: Vec<(PageId, Arc<Page>)>,
+    /// Dirty pages at or above the mark, already written and fsynced.
+    fresh: usize,
 }
 
 impl CheckpointPrep {
-    /// Number of dirty pages this checkpoint flushes.
+    /// Number of dirty pages this checkpoint flushes, fresh and
+    /// journaled.
     pub fn pages_written(&self) -> u64 {
-        self.pages.len() as u64
+        (self.journaled.len() + self.fresh) as u64
     }
 }
 
@@ -125,6 +149,8 @@ impl Pager {
                 backend: Backend::Mem(vec![header]),
                 free: BTreeSet::new(),
                 page_count: 1,
+                committed_pages: 1,
+                journal_live: false,
                 epoch: 0,
             }),
         })
@@ -134,6 +160,9 @@ impl Pager {
     /// checkpoint journal against `committed_epoch` — the epoch recorded
     /// in the caller's last committed metadata snapshot (`0` for a fresh
     /// database).
+    ///
+    /// Until [`Pager::set_alloc_state`] says otherwise, every page the
+    /// file holds counts as committed: the committed mark is its length.
     ///
     /// Journal classification:
     /// * empty/absent — nothing to do;
@@ -183,9 +212,14 @@ impl Pager {
             page_size,
             state: Mutex::new(PagerState {
                 pool: BufferPool::new(cfg.pool_pages),
-                backend: Backend::File { db, journal_path },
+                backend: Backend::File {
+                    db: Arc::new(db),
+                    journal_path,
+                },
                 free: BTreeSet::new(),
                 page_count,
+                committed_pages: page_count,
+                journal_live: false,
                 epoch: committed_epoch,
             }),
         })
@@ -229,11 +263,13 @@ impl Pager {
         self.state.lock().page_count
     }
 
-    /// Restore allocation state from a metadata snapshot.
+    /// Restore allocation state from a metadata snapshot; its page count
+    /// is the committed mark.
     pub fn set_alloc_state(&self, free: Vec<PageId>, page_count: u64, epoch: u64) {
         let mut st = self.state.lock();
         st.free = free.into_iter().collect();
         st.page_count = page_count.max(1);
+        st.committed_pages = st.page_count;
         st.epoch = epoch;
     }
 
@@ -323,65 +359,100 @@ impl Pager {
         Ok(())
     }
 
-    /// First half of a checkpoint (file backends only): write every dirty
-    /// page to the journal and fsync it. Dirty flags are *not* cleared —
-    /// the caller must commit its metadata (recording the returned epoch)
-    /// and then call [`Pager::complete_checkpoint`].
+    /// First half of a checkpoint (file backends only). Dirty pages at or
+    /// above the committed mark are written straight to `pages.db` under
+    /// the lock and fsynced outside it, so a pool miss never waits on the
+    /// disk; the rest go to the journal, which is fsynced too. With no page
+    /// below the mark, no journal is written; one an uncompleted
+    /// checkpoint left is truncated, so recovery never meets a journal
+    /// older than the committed epoch. Dirty flags are *not*
+    /// cleared — the caller must commit its metadata (recording the
+    /// returned epoch and page count) and then call
+    /// [`Pager::complete_checkpoint`].
     pub fn begin_checkpoint(&self) -> Result<CheckpointPrep> {
         let mut st = self.state.lock();
-        let Backend::File { journal_path, .. } = &st.backend else {
-            return Err(CrowdError::Internal(
-                "pager: checkpoint on a memory-backed pager".into(),
-            ));
-        };
-        let journal_path = journal_path.clone();
-        st.epoch += 1;
-        let epoch = st.epoch;
-        let pages = st.pool.dirty_pages();
-        drop(st);
-
-        let mut journal = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&journal_path)
-            .map_err(|e| CrowdError::Io(format!("pager: open journal: {e}")))?;
-        let mut buf = Vec::with_capacity(24 + pages.len() * (12 + self.page_size));
-        buf.extend_from_slice(JOURNAL_MAGIC);
-        buf.extend_from_slice(&epoch.to_le_bytes());
-        buf.extend_from_slice(&(pages.len() as u64).to_le_bytes());
-        for (id, data) in &pages {
-            buf.extend_from_slice(&id.to_le_bytes());
-            buf.extend_from_slice(&journal_crc(*id, data).to_le_bytes());
-            buf.extend_from_slice(data);
-        }
-        journal
-            .write_all(&buf)
-            .map_err(|e| CrowdError::Io(format!("pager: write journal: {e}")))?;
-        sync(&journal)?;
-        Ok(CheckpointPrep { epoch, pages })
-    }
-
-    /// Second half of a checkpoint: apply the journaled pages to
-    /// `pages.db`, fsync it, truncate the journal, and mark the flushed
-    /// pages clean (evictable).
-    pub fn complete_checkpoint(&self, prep: &CheckpointPrep) -> Result<()> {
-        let st = self.state.lock();
         let Backend::File { db, journal_path } = &st.backend else {
             return Err(CrowdError::Internal(
                 "pager: checkpoint on a memory-backed pager".into(),
             ));
         };
-        let journal_path = journal_path.clone();
-        for (id, data) in &prep.pages {
-            write_at(db, *id * self.page_size as u64, data)?;
+        let (db, journal_path) = (Arc::clone(db), journal_path.clone());
+        st.epoch += 1;
+        let (epoch, page_count, mark) = (st.epoch, st.page_count, st.committed_pages);
+        let (fresh, journaled): (Vec<_>, Vec<_>) = st
+            .pool
+            .dirty_pages()
+            .into_iter()
+            .partition(|(id, _)| *id >= mark);
+        for (id, data) in &fresh {
+            write_at(&db, *id * self.page_size as u64, data)?;
         }
-        sync(db)?;
+        let journal_was_live = st.journal_live;
+        st.journal_live |= !journaled.is_empty();
         drop(st);
-        truncate_journal(&journal_path)?;
+
+        if !fresh.is_empty() {
+            sync(&db)?;
+        }
+        if journaled.is_empty() {
+            if journal_was_live {
+                truncate_journal(&journal_path)?;
+            }
+        } else {
+            let mut journal = OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&journal_path)
+                .map_err(|e| CrowdError::Io(format!("pager: open journal: {e}")))?;
+            let mut buf = Vec::with_capacity(24 + journaled.len() * (12 + self.page_size));
+            buf.extend_from_slice(JOURNAL_MAGIC);
+            buf.extend_from_slice(&epoch.to_le_bytes());
+            buf.extend_from_slice(&(journaled.len() as u64).to_le_bytes());
+            for (id, data) in &journaled {
+                buf.extend_from_slice(&id.to_le_bytes());
+                buf.extend_from_slice(&journal_crc(*id, data).to_le_bytes());
+                buf.extend_from_slice(data);
+            }
+            journal
+                .write_all(&buf)
+                .map_err(|e| CrowdError::Io(format!("pager: write journal: {e}")))?;
+            sync(&journal)?;
+        }
+        Ok(CheckpointPrep {
+            epoch,
+            page_count,
+            journaled,
+            fresh: fresh.len(),
+        })
+    }
+
+    /// Second half of a checkpoint: apply the journaled pages to
+    /// `pages.db` (under the lock), fsync it (outside it) and truncate
+    /// the journal — when one was written — then mark the flushed pages
+    /// clean (evictable) and move the committed mark to the page count
+    /// the checkpoint recorded.
+    pub fn complete_checkpoint(&self, prep: &CheckpointPrep) -> Result<()> {
+        if !prep.journaled.is_empty() {
+            let st = self.state.lock();
+            let Backend::File { db, journal_path } = &st.backend else {
+                return Err(CrowdError::Internal(
+                    "pager: checkpoint on a memory-backed pager".into(),
+                ));
+            };
+            let (db, journal_path) = (Arc::clone(db), journal_path.clone());
+            for (id, data) in &prep.journaled {
+                write_at(&db, *id * self.page_size as u64, data)?;
+            }
+            drop(st);
+            sync(&db)?;
+            truncate_journal(&journal_path)?;
+        }
         let mut st = self.state.lock();
-        st.pool.stats.pages_written += prep.pages.len() as u64;
+        st.pool.stats.pages_written += prep.pages_written();
         st.pool.mark_all_clean();
+        st.committed_pages = prep.page_count;
+        st.journal_live = false;
         Ok(())
     }
 }
@@ -389,10 +460,7 @@ impl Pager {
 /// The journal's per-entry checksum: CRC-32 over the page id (little
 /// endian) followed by the page contents.
 fn journal_crc(id: PageId, data: &[u8]) -> u32 {
-    let mut entry = Vec::with_capacity(8 + data.len());
-    entry.extend_from_slice(&id.to_le_bytes());
-    entry.extend_from_slice(data);
-    codec::crc32(&entry)
+    codec::crc32_update(codec::crc32_update(0, &id.to_le_bytes()), data)
 }
 
 /// Outcome of parsing a checkpoint journal.
@@ -587,6 +655,68 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_journals_only_pages_below_the_committed_mark() {
+        let dir = tempdir();
+        let p = Pager::open_file(&dir, cfg(256, 0), 0).unwrap();
+        let (a, b) = (p.allocate(), p.allocate());
+        fill(&p, a, 1);
+        fill(&p, b, 2);
+        // A fresh file's mark is 1: every page is fresh, no journal.
+        let prep = p.begin_checkpoint().unwrap();
+        assert_eq!(
+            (prep.journaled.len(), prep.fresh, prep.page_count),
+            (0, 2, 3)
+        );
+        assert!(!dir.join(JOURNAL_FILE).exists(), "no journal is opened");
+        p.complete_checkpoint(&prep).unwrap();
+        // The mark is now 3: a rewrite of `a` is journaled, a new page and
+        // a page freed and reallocated at or above the mark are not.
+        fill(&p, a, 3);
+        let c = p.allocate();
+        fill(&p, c, 4);
+        p.free_page(b);
+        assert_eq!(p.allocate(), b);
+        fill(&p, b, 5);
+        let prep = p.begin_checkpoint().unwrap();
+        let journaled: Vec<PageId> = prep.journaled.iter().map(|(id, _)| *id).collect();
+        assert_eq!((journaled, prep.fresh), (vec![a, b], 1));
+        assert_eq!(prep.pages_written(), 3);
+        p.complete_checkpoint(&prep).unwrap();
+        assert_eq!(std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len(), 0);
+        assert_eq!(p.stats().pages_written, 5);
+        let reopened = Pager::open_file(&dir, cfg(256, 0), 2).unwrap();
+        for (id, byte) in [(a, 3), (b, 5), (c, 4)] {
+            assert_eq!(reopened.read(id).unwrap()[5], byte, "page {id}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_checkpoint_without_a_journal_truncates_a_stale_one() {
+        let dir = tempdir();
+        let p = Pager::open_file(&dir, cfg(256, 0), 0).unwrap();
+        let a = p.allocate();
+        fill(&p, a, 1);
+        let prep = p.begin_checkpoint().unwrap();
+        p.complete_checkpoint(&prep).unwrap();
+        // Epoch 2 journals `a` beside a fresh `b`, then its metadata
+        // commit fails: no complete. `a` is freed, so epoch 3 has only
+        // the fresh page.
+        fill(&p, a, 2);
+        let b = p.allocate();
+        fill(&p, b, 3);
+        assert_eq!(p.begin_checkpoint().unwrap().journaled.len(), 1);
+        p.free_page(a);
+        let prep = p.begin_checkpoint().unwrap();
+        assert_eq!((prep.epoch, prep.journaled.len()), (3, 0));
+        // Epoch 3 commits; a crash before or after its complete reopens.
+        assert_eq!(std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len(), 0);
+        let reopened = Pager::open_file(&dir, cfg(256, 0), 3).unwrap();
+        assert_eq!(reopened.read(b).unwrap()[5], 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn file_reopen_reads_flushed_pages() {
         let dir = tempdir();
         {
@@ -603,18 +733,28 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A pager whose page 1 a completed checkpoint (epoch 1) committed
+    /// holding `first`, then rewritten to `second` and journaled by a
+    /// second checkpoint (epoch 2) that crashes before its apply. Only a
+    /// committed page is journaled: a fresh one goes straight to the file.
+    fn crash_after_journaling_page_1(dir: &Path, first: u8, second: u8) {
+        let p = Pager::open_file(dir, cfg(256, 0), 0).unwrap();
+        let a = p.allocate();
+        fill(&p, a, first);
+        let prep = p.begin_checkpoint().unwrap();
+        p.complete_checkpoint(&prep).unwrap();
+        fill(&p, a, second);
+        let prep = p.begin_checkpoint().unwrap();
+        assert_eq!((prep.epoch, prep.journaled.len()), (2, 1));
+    }
+
     #[test]
     fn journal_discarded_when_crash_precedes_commit() {
         let dir = tempdir();
-        {
-            let p = Pager::open_file(&dir, cfg(256, 0), 0).unwrap();
-            let a = p.allocate();
-            fill(&p, a, 1);
-            // Journal written, metadata never committed (no complete).
-            let _prep = p.begin_checkpoint().unwrap();
-        }
-        // Reopen with committed epoch 0: journal (epoch 1) is discarded.
-        let p = Pager::open_file(&dir, cfg(256, 0), 0).unwrap();
+        // Journal written, metadata never committed (no complete).
+        crash_after_journaling_page_1(&dir, 1, 2);
+        // Reopen with committed epoch 1: journal (epoch 2) is discarded.
+        let p = Pager::open_file(&dir, cfg(256, 0), 1).unwrap();
         assert_eq!(std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len(), 0);
         drop(p);
         std::fs::remove_dir_all(&dir).ok();
@@ -623,15 +763,10 @@ mod tests {
     #[test]
     fn journal_replayed_when_commit_preceded_crash() {
         let dir = tempdir();
-        {
-            let p = Pager::open_file(&dir, cfg(256, 0), 0).unwrap();
-            let a = p.allocate();
-            fill(&p, a, 5);
-            let _prep = p.begin_checkpoint().unwrap();
-            // Metadata committed (epoch 1) but apply crashed: journal left.
-        }
-        let p = Pager::open_file(&dir, cfg(256, 0), 1).unwrap();
-        p.set_alloc_state(vec![], 2, 1);
+        // Metadata committed (epoch 2) but apply crashed: journal left.
+        crash_after_journaling_page_1(&dir, 1, 5);
+        let p = Pager::open_file(&dir, cfg(256, 0), 2).unwrap();
+        p.set_alloc_state(vec![], 2, 2);
         assert_eq!(p.read(1).unwrap()[5], 5, "journal redo applied");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -639,19 +774,14 @@ mod tests {
     #[test]
     fn torn_journal_for_committed_epoch_fails_typed() {
         let dir = tempdir();
-        {
-            let p = Pager::open_file(&dir, cfg(256, 0), 0).unwrap();
-            let a = p.allocate();
-            fill(&p, a, 5);
-            let _prep = p.begin_checkpoint().unwrap();
-        }
-        // Corrupt one payload byte: epoch still reads as 1.
+        crash_after_journaling_page_1(&dir, 1, 5);
+        // Corrupt one payload byte: epoch still reads as 2.
         let path = dir.join(JOURNAL_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let err = Pager::open_file(&dir, cfg(256, 0), 1).unwrap_err();
+        let err = Pager::open_file(&dir, cfg(256, 0), 2).unwrap_err();
         assert_eq!(err.category(), "io");
         std::fs::remove_dir_all(&dir).ok();
     }
