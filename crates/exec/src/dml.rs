@@ -230,7 +230,11 @@ enum Undo {
 /// Write `selection`, all of it or nothing, under the table's write
 /// lock. `Ok(None)` — and nothing changed — when an UPDATE or DELETE
 /// target is no longer stored as it was selected (a crowd write-back or
-/// another session got there first): select again.
+/// another session got there first): select again. Consecutive INSERT
+/// targets are one run ([`HeapTable::insert_rows`]), which checks every
+/// row before it writes any.
+///
+/// [`HeapTable::insert_rows`]: crowddb_storage::HeapTable::insert_rows
 pub fn apply(db: &Database, selection: Selection, report: bool) -> Result<Option<Applied>> {
     let Selection { table, targets, .. } = selection;
     db.with_table_mut(&table, |t| {
@@ -239,28 +243,40 @@ pub fn apply(db: &Database, selection: Selection, report: bool) -> Result<Option
         // column types): what a scan reads back.
         let mut added = Vec::new();
         let outcome = (|| {
-            for target in targets {
-                let stored = match &target {
-                    Target::Insert(new) | Target::Update(_, _, new) if report => {
-                        Some(t.validate_row(new.clone())?)
+            let mut targets = targets.into_iter().peekable();
+            while let Some(target) = targets.next() {
+                match target {
+                    Target::Insert(row) => {
+                        // Consecutive INSERT targets go in as one run, at
+                        // consecutive tuple ids.
+                        let mut rows = vec![row];
+                        let more = |t: &Target| matches!(t, Target::Insert(_));
+                        while let Some(Target::Insert(row)) = targets.next_if(more) {
+                            rows.push(row);
+                        }
+                        let next = t.next_tid().0;
+                        let rows: Vec<(TupleId, Row)> = (next..).map(TupleId).zip(rows).collect();
+                        let stored = t.insert_rows(rows)?;
+                        done.extend(stored.iter().map(|(tid, _)| Undo::Insert(*tid)));
+                        if report {
+                            added.extend(stored);
+                        }
                     }
-                    _ => None,
-                };
-                let wrote = match target {
-                    Target::Insert(new) => Some(Undo::Insert(t.insert(new)?)),
-                    Target::Update(tid, old, new) => t
-                        .update_if(tid, &old, new)?
-                        .then_some(Undo::Update(tid, old)),
+                    Target::Update(tid, old, new) => {
+                        let stored = report.then(|| t.validate_row(new.clone())).transpose()?;
+                        if !t.update_if(tid, &old, new)? {
+                            return Ok(false);
+                        }
+                        added.extend(stored.map(|row| (tid, row)));
+                        done.push(Undo::Update(tid, old));
+                    }
                     Target::Delete(tid, old) => {
-                        t.delete_if(tid, &old)?.then_some(Undo::Delete(tid, old))
+                        if !t.delete_if(tid, &old)? {
+                            return Ok(false);
+                        }
+                        done.push(Undo::Delete(tid, old));
                     }
-                };
-                let Some(undo) = wrote else {
-                    return Ok(false);
-                };
-                let (Undo::Insert(tid) | Undo::Update(tid, _) | Undo::Delete(tid, _)) = undo;
-                added.extend(stored.map(|row| (tid, row)));
-                done.push(undo);
+                }
             }
             Ok(true)
         })();
@@ -271,7 +287,7 @@ pub fn apply(db: &Database, selection: Selection, report: bool) -> Result<Option
                 let _ = match undo {
                     Undo::Insert(tid) => t.rollback_insert(tid).map(drop),
                     Undo::Update(tid, old) => t.update(tid, old),
-                    Undo::Delete(tid, old) => t.restore_at(tid, old),
+                    Undo::Delete(tid, old) => t.insert_rows(vec![(tid, old)]).map(drop),
                 };
             }
             return outcome.map(|_| None);
@@ -434,6 +450,44 @@ mod tests {
     }
 
     const TWO_TALKS: &str = "INSERT INTO talk VALUES ('a', 'x', 10), ('b', 'y', 20)";
+
+    #[test]
+    fn rows_inserted_one_per_statement_or_many_store_the_same() {
+        let tuples: Vec<String> = (0..600)
+            .map(|i| match i % 7 {
+                0 => format!("('talk {i:03}', CNULL, CNULL)"),
+                _ => format!("('talk {i:03}', 'abstract {}', {})", i % 13, (i * 37) % 101),
+            })
+            .collect();
+        let load = |per_statement: usize| {
+            let db = setup();
+            db.create_index("talk_nb", "talk", &["nb_attendees".into()], false)
+                .unwrap();
+            for chunk in tuples.chunks(per_statement) {
+                let sql = format!("INSERT INTO talk VALUES {}", chunk.join(", "));
+                assert_eq!(exec(&db, &sql), chunk.len());
+            }
+            let entries = db
+                .with_table("talk", |t| {
+                    (t.indexes().iter())
+                        .map(|idx| {
+                            let mut tids = idx.missing_key_tids(t.pager()).unwrap();
+                            tids.extend(idx.range(t.pager(), None, None).unwrap());
+                            tids
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .unwrap();
+            (db.snapshot().unwrap(), entries)
+        };
+        let one = load(1);
+        for per_statement in [7, 250, 600] {
+            assert!(
+                load(per_statement) == one,
+                "{per_statement} rows a statement"
+            );
+        }
+    }
 
     #[test]
     fn update_with_filter() {

@@ -14,26 +14,33 @@
 //! bounds-checked in one pass — the image keeps from its first parse on,
 //! at 4 bytes per key of a resident node page. A write wraps a fresh
 //! image, so a layout never needs invalidating. `get`, `cursor_seek`, the
-//! cursor's climb and the descent of `insert` and `remove` binary-search
-//! keys where they lie. The cursor lends: its `next` hands out slices of
-//! the pinned leaf, and only a value that lives in an overflow chain is
-//! assembled into an owned buffer.
+//! cursor's climb and the descent of a write binary-search keys where
+//! they lie. The cursor lends: its `next` hands out slices of the pinned
+//! leaf, and only a value that lives in an overflow chain is assembled
+//! into an owned buffer.
 //!
-//! **Writes run on the page too.** `insert`, upsert and `remove` take one
-//! copy of the leaf image with the edit spliced in — the bytes before
-//! the entry, the entry, the bytes after it, zeros to the page end — and
-//! an ancestor absorbs a child's split the same way. That is exactly the
-//! image a whole-node encoder gives the edited node (a page image stays
-//! a function of the node's contents; the byte-identity suites lean on
-//! that, and the test module holds the splice to `encode_node`).
+//! **Writes come in runs.** [`BTree::insert_sorted`] is the one way in: a
+//! [`Run`] of entries in key order, a single row being a run of one. A
+//! node is visited once per run, however many of its entries land in it:
+//! a leaf is merged with its whole part of the run into one image — the
+//! bytes between two run entries copied as they lie — and an ancestor
+//! absorbs all its children's splits the same way; `remove` splices its
+//! one entry out. Every page the run touches is written once, with
+//! exactly the image a whole-node encoder gives its contents (a page
+//! image stays a function of the node's contents; the byte-identity
+//! suites lean on that, and the test module holds every write to
+//! `encode_node`).
 //!
 //! **A split cuts by bytes.** An image that outgrew its page is cut at
 //! the entry boundary nearest its byte midpoint, so either half is at
-//! most half a page plus one entry whatever the entries' sizes. The one
-//! exception is an append at the tree's right edge, which cuts before
-//! the new entry: whoever fills a tree in key order — every primary
-//! tree, tuple ids only ascend — will not come back to the left page, so
-//! it stays full instead of half empty.
+//! most half a page plus one entry whatever the entries' sizes, and the
+//! halves are cut again until each fits. The one exception is what a
+//! run appends at the tree's right edge: once the entries before it fit
+//! a page, a page keeps as many entries as fit and the rest move on.
+//! Whoever fills a tree in key order — every primary tree, tuple ids only
+//! ascend — will not come back to the left page, so it stays full
+//! instead of half empty, and a key-ordered load leaves the same entries
+//! in each node whether its rows came one at a time or in runs.
 //!
 //! The tree is split-only: `remove` deletes from the leaf without
 //! rebalancing, which keeps the structure a deterministic function of the
@@ -78,21 +85,36 @@ impl KeyCmp {
 fn cmp_index_entries(a: &[u8], b: &[u8]) -> Ordering {
     let (av, atid) = split_index_entry(a);
     let (bv, btid) = split_index_entry(b);
-    let (mut ar, mut br) = (Reader::new(av), Reader::new(bv));
+    cmp_encoded_value_lists(av, bv)
+        .unwrap_or_else(|| a.cmp(b))
+        .then_with(|| atid.cmp(btid))
+}
+
+/// Whether two index-entry keys hold equal values under the entry order,
+/// their tids aside: the entries a unique index may not hold both of.
+pub(crate) fn same_index_values(a: &[u8], b: &[u8]) -> bool {
+    let ((av, _), (bv, _)) = (split_index_entry(a), split_index_entry(b));
+    cmp_encoded_value_lists(av, bv) == Some(Ordering::Equal)
+}
+
+/// Two lists of encoded values, component-wise by `Value::sort_cmp`,
+/// shorter lists first; `None` on bytes that are not encoded values.
+fn cmp_encoded_value_lists(a: &[u8], b: &[u8]) -> Option<Ordering> {
+    let (mut ar, mut br) = (Reader::new(a), Reader::new(b));
     loop {
         match (ar.is_empty(), br.is_empty()) {
-            (true, true) => return atid.cmp(btid),
-            (true, false) => return Ordering::Less,
-            (false, true) => return Ordering::Greater,
+            (true, true) => return Some(Ordering::Equal),
+            (true, false) => return Some(Ordering::Less),
+            (false, true) => return Some(Ordering::Greater),
             (false, false) => {}
         }
         // Values compare straight from the page bytes, no allocation.
         match codec::cmp_encoded_values(&mut ar, &mut br) {
             Ok(Ordering::Equal) => continue,
-            Ok(other) => return other,
-            // Unreachable for keys this module encoded; fall back to a
-            // total order rather than panic on foreign bytes.
-            Err(_) => return a.cmp(b),
+            Ok(other) => return Some(other),
+            // Unreachable for keys this module encoded; the caller falls
+            // back to a total order rather than panic on foreign bytes.
+            Err(_) => return None,
         }
     }
 }
@@ -106,9 +128,22 @@ fn split_index_entry(k: &[u8]) -> (&[u8], &[u8]) {
     }
 }
 
-/// Largest key accepted by [`BTree::insert`].
+/// Largest key accepted by [`BTree::insert_sorted`].
 pub fn max_key_len(page_size: usize) -> usize {
     page_size / 4
+}
+
+/// A typed [`CrowdError::Constraint`] for a key longer than
+/// [`max_key_len`]: checked for a whole run before it writes anything,
+/// and by a table for every key of a statement before any tree is.
+pub(crate) fn check_key_len(len: usize, page_size: usize) -> Result<()> {
+    if len > max_key_len(page_size) {
+        return Err(CrowdError::Constraint(format!(
+            "index key of {len} bytes exceeds the {}-byte limit for page size {page_size}",
+            max_key_len(page_size)
+        )));
+    }
+    Ok(())
 }
 
 /// Largest value stored inline in a leaf; longer values spill to
@@ -305,6 +340,151 @@ impl NodeView {
         image[1..3].copy_from_slice(&(n as u16).to_le_bytes());
         image
     }
+
+    /// The page a node of entries `range` takes: kind, count, an internal
+    /// node's leftmost child — the one after the entry before the range,
+    /// or the node's own — and the entries.
+    fn piece_len(&self, range: Range<usize>) -> usize {
+        let child = if self.leaf { 0 } else { 8 };
+        3 + child + self.entry_start(range.end) - self.entry_start(range.start)
+    }
+
+    /// Cut entries `lo..hi` of an image longer than a page into pieces
+    /// that each fit one, pushed to `pieces` in key order. An internal
+    /// node's cut entry moves up, so it lies between two pieces, in
+    /// neither. Entries from `appended` on sort after everything else in
+    /// the tree.
+    ///
+    /// Once what is left of the not-appended entries fits a page, the
+    /// piece keeps as many entries as fit and the rest move on: whoever
+    /// fills a tree in key order never comes back to the left page, so
+    /// it stays full instead of half empty (an internal node keeps one
+    /// fewer, the one that moves up). Anything else is cut at the entry
+    /// lying across the byte midpoint of the entries not appended, so
+    /// neither half exceeds half of them plus that one entry whatever
+    /// the entries' sizes — a cut by entry count could leave a few long
+    /// entries no page holds.
+    fn cut(
+        &self,
+        mut lo: usize,
+        hi: usize,
+        appended: usize,
+        page_size: usize,
+        pieces: &mut Vec<Range<usize>>,
+    ) {
+        let moves_up = usize::from(!self.leaf);
+        loop {
+            if self.piece_len(lo..hi) <= page_size {
+                pieces.push(lo..hi);
+                return;
+            }
+            let tail = appended.clamp(lo, hi);
+            let cut = if self.piece_len(lo..tail) <= page_size {
+                let cut = (self.fitting(lo, hi, page_size) - moves_up).max(lo + 1);
+                pieces.push(lo..cut);
+                cut
+            } else {
+                let cut = self.midpoint(lo, tail);
+                self.cut(lo, cut, cut, page_size, pieces);
+                cut
+            };
+            lo = cut + moves_up;
+        }
+    }
+
+    /// The largest `end` below `hi` for which entries `lo..end` fit a
+    /// page, found by bisection over where the entries start.
+    fn fitting(&self, lo: usize, hi: usize, page_size: usize) -> usize {
+        let head = if self.leaf { 6 } else { 2 };
+        let (start, room) = (self.entry_start(lo), page_size - self.piece_len(lo..lo));
+        let fit =
+            self.keys()[lo + 1..hi].partition_point(|&key| key as usize - head - start <= room);
+        lo + fit.max(1)
+    }
+
+    /// Where entries `lo..hi` are cut by bytes: at the entry lying across
+    /// their byte midpoint — of a leaf its nearer edge, of an internal
+    /// node the entry itself, which moves up.
+    fn midpoint(&self, lo: usize, hi: usize) -> usize {
+        let head = if self.leaf { 6 } else { 2 };
+        let half = (self.entry_start(lo) + self.entry_start(hi)) / 2;
+        let mid = lo + self.keys()[lo..hi].partition_point(|&key| key as usize - head <= half) - 1;
+        let entry = self.entry(mid);
+        let after = self.leaf && entry.end - half < half - entry.start;
+        (mid + usize::from(after)).min(hi - 1).max(lo + 1)
+    }
+}
+
+/// Copy entries `range` of `view` to the end of `image`, and where their
+/// keys now start to `keys`.
+fn copy_entries(view: &NodeView, range: Range<usize>, image: &mut Vec<u8>, keys: &mut Vec<u32>) {
+    if range.is_empty() {
+        return;
+    }
+    let (from, to) = (view.entry_start(range.start), image.len());
+    image.extend_from_slice(&view.page[from..view.entry_start(range.end)]);
+    keys.extend(
+        view.keys()[range]
+            .iter()
+            .map(|&key| (key as usize - from + to) as u32),
+    );
+}
+
+/// Append separators and the right siblings they lead to an internal
+/// node's `image`, and where their keys start to `keys`.
+fn push_separators(image: &mut Vec<u8>, keys: &mut Vec<u32>, split: &[(Vec<u8>, PageId)]) {
+    for (separator, child) in split {
+        image.extend_from_slice(&(separator.len() as u16).to_le_bytes());
+        keys.push(image.len() as u32);
+        image.extend_from_slice(separator);
+        image.extend_from_slice(&child.to_le_bytes());
+    }
+}
+
+/// Write a node's rebuilt `image` — `keys` says where each key starts,
+/// `appended` is the first entry of a tail that sorts after everything
+/// else in the tree (`keys.len()`: no such tail) — to `page_id`, cut
+/// into as many pages as it needs ([`NodeView::cut`]); the first stays
+/// at `page_id`. Returns the separators and the new right siblings.
+fn write_node(
+    pager: &Pager,
+    page_id: PageId,
+    mut image: Vec<u8>,
+    keys: Vec<u32>,
+    leaf: bool,
+    appended: usize,
+) -> Result<Vec<(Vec<u8>, PageId)>> {
+    let page_size = pager.page_size();
+    if image.len() <= page_size {
+        image[1..3].copy_from_slice(&(keys.len() as u16).to_le_bytes());
+        image.resize(page_size, 0);
+        // The pool keeps the image: a page's bytes and no more.
+        image.shrink_to_fit();
+        pager.write(page_id, image)?;
+        return Ok(Vec::new());
+    }
+    let node = NodeView {
+        page: Arc::new(Page::with_layout(image, keys)),
+        leaf,
+    };
+    let mut pieces = Vec::new();
+    node.cut(0, node.len(), appended, page_size, &mut pieces);
+    let mut grown = Vec::with_capacity(pieces.len() - 1);
+    for (n, piece) in pieces.into_iter().enumerate() {
+        let id = match n {
+            0 => page_id,
+            _ => pager.allocate(),
+        };
+        let from = node.entry_start(piece.start) - if leaf { 0 } else { 8 };
+        let body = &node.page[from..node.entry_start(piece.end)];
+        pager.write(id, node_page(node.page[0], piece.len(), body, page_size)?)?;
+        if n > 0 {
+            // A leaf's first key, or the internal entry that moved up.
+            let separator = piece.start - usize::from(!leaf);
+            grown.push((node.key(separator).to_vec(), id));
+        }
+    }
+    Ok(grown)
 }
 
 /// `start..end` of the key of a node image that starts at `start`: its
@@ -490,6 +670,80 @@ fn descend(
     }
 }
 
+/// Entries for [`BTree::insert_sorted`], packed into one buffer: each
+/// key followed by its value, and per entry three offsets into it. An
+/// entry costs its bytes and twelve more, never an allocation of its
+/// own, so a run of a whole table's index entries is one buffer and one
+/// array, and sorting it moves only the offsets.
+#[derive(Debug, Default)]
+pub struct Run {
+    bytes: Vec<u8>,
+    /// Per entry: where its key starts, where its value starts (the
+    /// key's end), where the value ends.
+    spans: Vec<[u32; 3]>,
+}
+
+impl Run {
+    /// An empty run with room for `entries` entries' offsets.
+    pub fn with_capacity(entries: usize) -> Run {
+        Run {
+            bytes: Vec::new(),
+            spans: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Append an entry: `key` writes its key into the buffer, then
+    /// `value` its value.
+    pub fn push(&mut self, key: impl FnOnce(&mut Vec<u8>), value: impl FnOnce(&mut Vec<u8>)) {
+        let at = |bytes: &Vec<u8>| u32::try_from(bytes.len()).expect("a run holds under 4 GiB");
+        let start = at(&self.bytes);
+        key(&mut self.bytes);
+        let mid = at(&self.bytes);
+        value(&mut self.bytes);
+        self.spans.push([start, mid, at(&self.bytes)]);
+    }
+
+    /// Entries in the run.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether the run holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The key of entry `i`.
+    pub fn key(&self, i: usize) -> &[u8] {
+        let [start, mid, _] = self.spans[i];
+        &self.bytes[start as usize..mid as usize]
+    }
+
+    /// The value of entry `i`.
+    pub fn value(&self, i: usize) -> &[u8] {
+        let [_, mid, end] = self.spans[i];
+        &self.bytes[mid as usize..end as usize]
+    }
+
+    /// Put the entries in key order under `cmp`: the bytes stay where
+    /// they are, only the offsets move.
+    pub fn sort(&mut self, cmp: KeyCmp) {
+        let bytes = &self.bytes;
+        let key = |&[start, mid, _]: &[u32; 3]| &bytes[start as usize..mid as usize];
+        self.spans.sort_unstable_by(|a, b| cmp.cmp(key(a), key(b)));
+    }
+
+    /// The first entry of `range` whose key `before` does not hold for,
+    /// `before` holding for a prefix of the range.
+    fn partition(&self, range: Range<usize>, before: impl Fn(&[u8]) -> bool) -> usize {
+        let start = range.start;
+        let bytes = &self.bytes;
+        start
+            + self.spans[range]
+                .partition_point(|&[from, mid, _]| before(&bytes[from as usize..mid as usize]))
+    }
+}
+
 /// A B-tree rooted at a page. The struct is cheap metadata (root id +
 /// comparator); all node state lives in the pager.
 #[derive(Debug, Clone)]
@@ -516,157 +770,184 @@ impl BTree {
         self.root
     }
 
-    /// Insert or replace (`upsert`) a key.
-    pub fn insert(&mut self, pager: &Pager, key: &[u8], value: &[u8]) -> Result<()> {
+    /// Insert a run: every entry of `run`, whose keys must ascend under
+    /// the tree's comparator, none twice. A key the tree holds keeps its
+    /// stored bytes and takes the run's value (an upsert). Each node the
+    /// run reaches is rebuilt once — a leaf merged with its whole part of
+    /// the run, an ancestor with all of its children's splits — and each
+    /// page is written once. Nothing is written unless every key is
+    /// within [`max_key_len`] and the run ascends.
+    pub fn insert_sorted(&mut self, pager: &Pager, run: &Run) -> Result<()> {
         let page_size = pager.page_size();
-        if key.len() > max_key_len(page_size) {
-            return Err(CrowdError::Constraint(format!(
-                "index key of {} bytes exceeds the {}-byte limit for page size {}",
-                key.len(),
-                max_key_len(page_size),
-                page_size
-            )));
+        for i in 0..run.len() {
+            check_key_len(run.key(i).len(), page_size)?;
+            if i > 0 && self.cmp.cmp(run.key(i - 1), run.key(i)) != Ordering::Less {
+                return Err(CrowdError::Internal(
+                    "btree: a run's keys must ascend, none twice".into(),
+                ));
+            }
         }
-        // The value as a leaf stores it: `vword`, and the bytes after the key.
-        let mut chain = [0u8; 16];
-        let stored = if value.len() > max_inline_val(page_size) {
-            chain[..8].copy_from_slice(&write_overflow(pager, value)?.to_le_bytes());
-            chain[8..].copy_from_slice(&(value.len() as u64).to_le_bytes());
-            (16 | OVERFLOW_FLAG, &chain[..])
-        } else {
-            (value.len() as u32, value)
-        };
-        if let Some((promoted, right)) = self.insert_rec(pager, self.root, key, stored, true)? {
-            let new_root = pager.allocate();
-            let body = [
-                &self.root.to_le_bytes()[..],
-                &(promoted.len() as u16).to_le_bytes(),
-                &promoted,
-                &right.to_le_bytes(),
-            ]
-            .concat();
-            pager.write(new_root, node_page(kind::INTERNAL, 1, &body, page_size)?)?;
-            self.root = new_root;
+        if run.is_empty() {
+            return Ok(());
+        }
+        let mut grown = self.insert_run(pager, self.root, run, 0..run.len(), true)?;
+        // The root split: a new root above it and its new siblings, each
+        // separator appended at the right edge — and split in turn until
+        // one node holds them.
+        while !grown.is_empty() {
+            let mut image = Vec::with_capacity(page_size);
+            image.extend_from_slice(&[kind::INTERNAL, 0, 0]);
+            image.extend_from_slice(&self.root.to_le_bytes());
+            let mut keys = Vec::with_capacity(grown.len());
+            push_separators(&mut image, &mut keys, &grown);
+            let root = pager.allocate();
+            grown = write_node(pager, root, image, keys, false, 0)?;
+            self.root = root;
         }
         Ok(())
     }
 
-    /// Insert below `page_id`, which lies on the tree's right edge — no
-    /// key of the tree sorts after its subtree — iff `right_edge`.
-    /// Returns the separator and the new right sibling if the node split.
-    fn insert_rec(
+    /// Insert `run[range]` below `page_id`, which lies on the tree's
+    /// right edge — no key of the tree sorts after its subtree — iff
+    /// `right_edge`. Returns the separators and new right siblings the
+    /// node was cut into, in key order: none if it still fits its page.
+    fn insert_run(
         &self,
         pager: &Pager,
         page_id: PageId,
-        key: &[u8],
-        stored: (u32, &[u8]),
+        run: &Run,
+        range: Range<usize>,
         right_edge: bool,
-    ) -> Result<Option<(Vec<u8>, PageId)>> {
+    ) -> Result<Vec<(Vec<u8>, PageId)>> {
         let view = NodeView::parse(pager.read(page_id)?)?;
-        if !view.leaf {
-            let idx = view.child_for(self.cmp, key);
+        if view.leaf {
+            return self.merge_leaf(pager, page_id, &view, run, range, right_edge);
+        }
+        // Each child takes the part of the run its subtree covers: the
+        // keys below the separator on its right.
+        let mut grown = Vec::new();
+        let mut at = range.start;
+        while at < range.end {
+            let idx = view.child_for(self.cmp, run.key(at));
+            let end = match idx < view.len() {
+                true => run.partition(at..range.end, |k| {
+                    self.cmp.cmp(k, view.key(idx)) == Ordering::Less
+                }),
+                false => range.end,
+            };
             // The last child of a node on the right edge is on it too.
             let below = right_edge && idx == view.len();
-            let Some((promoted, right)) =
-                self.insert_rec(pager, view.child(idx), key, stored, below)?
-            else {
-                return Ok(None);
-            };
-            // A child split to absorb: its separator goes in after the
-            // child's own — the last child's after every other, an append.
-            let at = view.entry_start(idx);
-            let image = view.splice(
-                at..at,
-                [
-                    &(promoted.len() as u16).to_le_bytes(),
-                    &promoted,
-                    &right.to_le_bytes(),
-                ],
-                view.len() + 1,
-            );
-            return self.write_split(pager, page_id, image, below);
-        }
-        let pos = view.lower_bound(self.cmp, key);
-        let (vword, value) = stored;
-        let head = |key: &[u8]| {
-            let mut head = [0u8; 6];
-            head[..2].copy_from_slice(&(key.len() as u16).to_le_bytes());
-            head[2..].copy_from_slice(&vword.to_le_bytes());
-            head
-        };
-        if pos < view.len() && self.cmp.cmp(view.key(pos), key) == Ordering::Equal {
-            if let Val::Overflow { first, .. } = view.val(pos) {
-                free_overflow(pager, first)?;
+            let split = self.insert_run(pager, view.child(idx), run, at..end, below)?;
+            if !split.is_empty() {
+                grown.push((idx, split));
             }
-            // An upsert keeps the stored key (equal under the comparator,
-            // not necessarily the same bytes).
-            let kept = view.key(pos);
-            let image = view.splice(view.entry(pos), [&head(kept), kept, value], view.len());
-            self.write_split(pager, page_id, image, false)
-        } else {
-            let at = view.entry_start(pos);
-            let image = view.splice(at..at, [&head(key), key, value], view.len() + 1);
-            self.write_split(pager, page_id, image, right_edge && pos == view.len())
+            at = end;
         }
+        let Some((last, last_split)) = grown.last() else {
+            return Ok(Vec::new());
+        };
+        // A child's separators go in right after the child's own; the
+        // last child's follow every other, appended at the right edge.
+        let added: usize = grown.iter().map(|(_, split)| split.len()).sum();
+        let appended = match right_edge && *last == view.len() {
+            true => view.len() + added - last_split.len(),
+            false => view.len() + added,
+        };
+        let mut image = Vec::with_capacity(pager.page_size());
+        image.extend_from_slice(&view.page[..view.entry_start(0)]);
+        let mut keys = Vec::with_capacity(view.len() + added);
+        let mut copied = 0;
+        for (idx, split) in &grown {
+            copy_entries(&view, copied..*idx, &mut image, &mut keys);
+            push_separators(&mut image, &mut keys, split);
+            copied = *idx;
+        }
+        copy_entries(&view, copied..view.len(), &mut image, &mut keys);
+        write_node(pager, page_id, image, keys, false, appended)
     }
 
-    /// Write a node's spliced image back; one that outgrew the page is
-    /// cut in two by bytes, and the separator and the new right sibling
-    /// returned. `append`: the image's last entry is new and nothing in
-    /// the tree sorts after it.
-    fn write_split(
+    /// The leaf `view` merged with `run[range]`, all of which its key
+    /// range covers, into one image: the bytes between two run entries
+    /// copied as they lie, each run entry's value stored as a leaf stores
+    /// it — inline, or as the head of an overflow chain written now.
+    ///
+    /// A tail appended at the tree's right edge streams out a page at a
+    /// time once what comes before it fits one page: [`NodeView::cut`]
+    /// would keep as many entries per page as fit anyway, so a page is
+    /// written as soon as the next entry would not fit, and a run as long
+    /// as a whole index is never held twice.
+    fn merge_leaf(
         &self,
         pager: &Pager,
         page_id: PageId,
-        mut image: Vec<u8>,
-        append: bool,
-    ) -> Result<Option<(Vec<u8>, PageId)>> {
+        view: &NodeView,
+        run: &Run,
+        range: Range<usize>,
+        right_edge: bool,
+    ) -> Result<Vec<(Vec<u8>, PageId)>> {
         let page_size = pager.page_size();
-        if image.len() <= page_size {
-            image.resize(page_size, 0);
-            pager.write(page_id, image)?;
-            return Ok(None);
+        let fresh = || {
+            let mut image = Vec::with_capacity(page_size);
+            image.extend_from_slice(&view.page[..3]);
+            image
+        };
+        let mut image = fresh();
+        let mut keys = Vec::with_capacity(view.len() + range.len().min(page_size / 8));
+        let (mut copied, mut appended) = (0, None);
+        // The pages the streamed tail filled: the separator and page of
+        // each after the first, and the page the image goes to now.
+        let (mut grown, mut target, mut streams) = (Vec::new(), page_id, false);
+        for i in range {
+            let key = run.key(i);
+            let pos = match copied == view.len() {
+                true => copied,
+                false => view.lower_bound(self.cmp, key),
+            };
+            copy_entries(view, copied..pos, &mut image, &mut keys);
+            let value = run.value(i);
+            let mut chain = [0u8; 16];
+            let (vword, stored) = if value.len() > max_inline_val(page_size) {
+                chain[..8].copy_from_slice(&write_overflow(pager, value)?.to_le_bytes());
+                chain[8..].copy_from_slice(&(value.len() as u64).to_le_bytes());
+                (16 | OVERFLOW_FLAG, &chain[..])
+            } else {
+                (value.len() as u32, value)
+            };
+            let held = pos < view.len() && self.cmp.cmp(view.key(pos), key) == Ordering::Equal;
+            let key = if held {
+                if let Val::Overflow { first, .. } = view.val(pos) {
+                    free_overflow(pager, first)?;
+                }
+                // An upsert keeps the stored key (equal under the
+                // comparator, not necessarily the same bytes).
+                view.key(pos)
+            } else {
+                if right_edge && pos == view.len() {
+                    if appended.is_none() {
+                        appended = Some(keys.len());
+                        streams = image.len() <= page_size;
+                    }
+                    if streams && image.len() + 6 + key.len() + stored.len() > page_size {
+                        let full = std::mem::replace(&mut image, fresh());
+                        write_node(pager, target, full, std::mem::take(&mut keys), true, 0)?;
+                        target = pager.allocate();
+                        grown.push((key.to_vec(), target));
+                        appended = Some(0);
+                    }
+                }
+                key
+            };
+            image.extend_from_slice(&(key.len() as u16).to_le_bytes());
+            image.extend_from_slice(&vword.to_le_bytes());
+            keys.push(image.len() as u32);
+            image.extend_from_slice(key);
+            image.extend_from_slice(stored);
+            copied = pos + usize::from(held);
         }
-        // The one parser says where the entries of the long image lie.
-        let node = NodeView::parse(Arc::new(Page::new(image)))?;
-        let (used, last) = (node.page.len(), node.len() - 1);
-        // Entries before `cut` stay and its key goes up as the separator.
-        // An append cuts before the new entry: a tree filled in key order
-        // never comes back to the left page, which stays as full as it
-        // was rather than half empty for good. Anything else cuts at the
-        // entry lying across the byte midpoint, so that neither half
-        // exceeds half a page plus that one entry whatever the sizes — a
-        // cut by entry count could leave a few long entries no page holds.
-        let cut = if append {
-            // In an internal node the cut entry itself moves up, so the
-            // new separator stays in by cutting at the one before it.
-            last - usize::from(!node.leaf)
-        } else {
-            let half = (node.entry_start(0) + used) / 2;
-            let head = if node.leaf { 6 } else { 2 };
-            let mid = node
-                .keys()
-                .partition_point(|&key| key as usize - head <= half)
-                - 1;
-            // Of a leaf the nearer edge of that entry; of an internal
-            // node the entry, which leaves it.
-            let entry = node.entry(mid);
-            let after = node.leaf && entry.end - half < half - entry.start;
-            (mid + usize::from(after)).min(last).max(1)
-        };
-        let (right, right_len) = if node.leaf {
-            (node.entry_start(cut), node.len() - cut)
-        } else {
-            // The child after the separator that left heads the right node.
-            (node.entry(cut).end - 8, last - cut)
-        };
-        let right_id = pager.allocate();
-        let tag = node.page[0];
-        let left_page = node_page(tag, cut, &node.page[3..node.entry_start(cut)], page_size)?;
-        let right_page = node_page(tag, right_len, &node.page[right..used], page_size)?;
-        pager.write(page_id, left_page)?;
-        pager.write(right_id, right_page)?;
-        Ok(Some((node.key(cut).to_vec(), right_id)))
+        copy_entries(view, copied..view.len(), &mut image, &mut keys);
+        let appended = appended.unwrap_or(keys.len());
+        grown.extend(write_node(pager, target, image, keys, true, appended)?);
+        Ok(grown)
     }
 
     /// The leaf whose key range covers `key`, and its page id; `visit`
@@ -711,9 +992,10 @@ impl BTree {
         if let Val::Overflow { first, .. } = leaf.val(pos) {
             free_overflow(pager, first)?;
         }
-        let image = leaf.splice(leaf.entry(pos), [&[]; 3], leaf.len() - 1);
+        let mut image = leaf.splice(leaf.entry(pos), [&[]; 3], leaf.len() - 1);
         // Shorter than it was: it fits, nothing splits.
-        self.write_split(pager, page_id, image, false)?;
+        image.resize(pager.page_size(), 0);
+        pager.write(page_id, image)?;
         Ok(true)
     }
 
@@ -821,6 +1103,36 @@ mod tests {
 
     fn key(i: u64) -> Vec<u8> {
         i.to_be_bytes().to_vec()
+    }
+
+    impl BTree {
+        /// Each node's contents, root first, level by level: a leaf's
+        /// keys and values (chains read back), an internal node's
+        /// separators — what a tree holds where, page ids aside.
+        pub(crate) fn contents(&self, p: &Pager) -> Vec<Vec<(Vec<u8>, Vec<u8>)>> {
+            let (pages, _) = node_pages(self, p);
+            let node = |page: &Arc<Page>| match decode_node(page).unwrap() {
+                Node::Leaf { entries } => entries
+                    .into_iter()
+                    .map(|(k, v)| {
+                        let v = match v {
+                            Val::Inline(bytes) => bytes,
+                            Val::Overflow { first, total_len } => {
+                                read_overflow(p, first, total_len).unwrap()
+                            }
+                        };
+                        (k, v)
+                    })
+                    .collect(),
+                Node::Internal { keys, .. } => keys.into_iter().map(|k| (k, Vec::new())).collect(),
+            };
+            pages.iter().map(node).collect()
+        }
+
+        /// A run of one, as a row-at-a-time caller inserts.
+        pub(crate) fn insert(&mut self, pager: &Pager, key: &[u8], value: &[u8]) -> Result<()> {
+            self.insert_sorted(pager, &run_of([(key, value)]))
+        }
     }
 
     /// `get`, copying the value out.
@@ -1688,6 +2000,178 @@ mod tests {
                         assert!(cur.next(&p).unwrap().is_none(), "{what}");
                     }
                 }
+            }
+        }
+    }
+
+    /// A run of `entries`, which ascend under their comparator.
+    fn run_of<'a>(entries: impl IntoIterator<Item = (&'a [u8], &'a [u8])>) -> Run {
+        let mut run = Run::default();
+        for (k, v) in entries {
+            run.push(
+                |buf| buf.extend_from_slice(k),
+                |buf| buf.extend_from_slice(v),
+            );
+        }
+        run
+    }
+
+    /// Every page of the tree holds the image the whole-node encoder
+    /// gives its contents, and keeps the layout of its own bytes.
+    fn assert_pages_encoded(t: &BTree, p: &Pager, what: &str) {
+        let (pages, _) = node_pages(t, p);
+        for (n, page) in pages.iter().enumerate() {
+            let node = decode_node(page).unwrap();
+            let encoded = encode_node(&node, page.len());
+            assert_eq!(encoded.as_deref(), Some(&page[..]), "{what}: page {n}");
+            NodeView::parse(Arc::clone(page)).unwrap();
+            assert_eq!(
+                page.layout(),
+                Some(&key_ranges(page).unwrap()[..]),
+                "{what}: page {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn runs_into_random_trees_match_a_btreemap() {
+        for page_size in [512, 4096] {
+            for (seed, cmp) in [(3, KeyCmp::Bytes), (4, KeyCmp::IndexEntry)] {
+                let p = Pager::new_mem(PagerConfig {
+                    page_size,
+                    pool_pages: 0,
+                })
+                .unwrap();
+                let mut rng = Rng::seed_from_u64(seed);
+                let mut t = BTree::create(&p, cmp).unwrap();
+                let mut model = Model::new();
+                for round in 0..50 {
+                    let what = format!("page {page_size}, {cmp:?}, round {round}");
+                    // The tree as rows one at a time leave it…
+                    for _ in 0..rng.gen_range(0..30) {
+                        let k = random_key(&mut rng, cmp);
+                        if rng.gen_range(0..4) == 0 {
+                            let was = model.remove(&Keyed(cmp, k.clone())).is_some();
+                            assert_eq!(t.remove(&p, &k).unwrap(), was, "{what}");
+                        } else {
+                            let v = random_value(&mut rng);
+                            t.insert(&p, &k, &v).unwrap();
+                            model.insert(Keyed(cmp, k), v);
+                        }
+                    }
+                    // …then one run of fresh keys and keys it holds, each
+                    // once: now and then long enough to split a leaf into
+                    // many pages and the root more than once.
+                    let mut batch = Model::new();
+                    let len = match rng.gen_range(0..8) {
+                        0 => rng.gen_range(200..1200),
+                        _ => rng.gen_range(1..60),
+                    };
+                    for _ in 0..len {
+                        let k = match model.keys().nth(rng.gen_range(0..model.len().max(1))) {
+                            Some(held) if rng.gen_range(0..3) == 0 => held.1.clone(),
+                            _ => random_key(&mut rng, cmp),
+                        };
+                        batch.insert(Keyed(cmp, k), random_value(&mut rng));
+                    }
+                    let run = run_of(batch.iter().map(|(k, v)| (&k.1[..], &v[..])));
+                    t.insert_sorted(&p, &run).unwrap();
+                    // An upsert keeps the stored key, as the model does.
+                    let probe = batch.keys().next().map(|k| k.1.clone()).unwrap_or_default();
+                    model.extend(batch);
+                    assert_same(&t, &p, &model, &[&probe, &random_key(&mut rng, cmp)], &what);
+                    assert_pages_encoded(&t, &p, &what);
+                }
+                let (_, depth) = node_pages(&t, &p);
+                let levels = if page_size == 512 { 3 } else { 2 };
+                assert!(
+                    depth >= levels,
+                    "page {page_size}, {cmp:?}: {depth} level(s)"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_is_checked_whole_before_anything_is_written() {
+        let p = pager();
+        let mut t = BTree::create(&p, KeyCmp::Bytes).unwrap();
+        for i in 0..40u64 {
+            t.insert(&p, &key(i * 2), b"x").unwrap();
+        }
+        let (pages, before) = (node_pages(&t, &p).0, p.stats());
+        let long = vec![1u8; max_key_len(256) + 1];
+        let (k1, k3, k5) = (key(1), key(3), key(5));
+        for (run, category) in [
+            (
+                run_of([(&k1[..], &b"a"[..]), (&long[..], &b"b"[..])]),
+                "constraint",
+            ),
+            (
+                run_of([(&k3[..], &b"a"[..]), (&k1[..], &b"b"[..])]),
+                "internal",
+            ),
+            (
+                run_of([(&k5[..], &b"a"[..]), (&k5[..], &b"b"[..])]),
+                "internal",
+            ),
+        ] {
+            let err = t.insert_sorted(&p, &run).unwrap_err();
+            assert_eq!(err.category(), category, "{err}");
+        }
+        assert_eq!(
+            p.stats().images_written,
+            before.images_written,
+            "nothing written"
+        );
+        let after = node_pages(&t, &p).0;
+        assert!(pages.iter().zip(&after).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert!(t.insert_sorted(&p, &Run::default()).is_ok());
+    }
+
+    #[test]
+    fn key_ordered_runs_leave_the_nodes_row_at_a_time_leaves() {
+        use crowddb_common::{TupleId, Value};
+        for page_size in [512, 4096] {
+            for cmp in [KeyCmp::Bytes, KeyCmp::IndexEntry] {
+                let what = format!("page {page_size}, {cmp:?}");
+                let mut rng = Rng::seed_from_u64(page_size as u64);
+                let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..3000u64)
+                    .map(|i| {
+                        let k = match cmp {
+                            KeyCmp::Bytes => key(i),
+                            KeyCmp::IndexEntry => crate::index::encode_index_entry(
+                                &[Value::Str(format!("v{:05}", i / 3))],
+                                TupleId(i),
+                            ),
+                        };
+                        (k, random_value(&mut rng))
+                    })
+                    .collect();
+                let p = Pager::new_mem(PagerConfig {
+                    page_size,
+                    pool_pages: 0,
+                })
+                .unwrap();
+                let mut one = BTree::create(&p, cmp).unwrap();
+                for (k, v) in &entries {
+                    one.insert(&p, k, v).unwrap();
+                }
+                let mut runs = BTree::create(&p, cmp).unwrap();
+                let mut rest = &entries[..];
+                while !rest.is_empty() {
+                    let n = rng.gen_range(1..=400usize).min(rest.len());
+                    let run = run_of(rest[..n].iter().map(|(k, v)| (&k[..], &v[..])));
+                    runs.insert_sorted(&p, &run).unwrap();
+                    rest = &rest[n..];
+                }
+                assert_eq!(one.contents(&p), runs.contents(&p), "{what}");
+                assert_pages_encoded(&runs, &p, &what);
+                // And one run of all of them, as `CREATE INDEX` builds.
+                let mut whole = BTree::create(&p, cmp).unwrap();
+                let run = run_of(entries.iter().map(|(k, v)| (&k[..], &v[..])));
+                whole.insert_sorted(&p, &run).unwrap();
+                assert_eq!(one.contents(&p), whole.contents(&p), "{what}");
             }
         }
     }

@@ -324,9 +324,12 @@ impl Database {
         f(t)
     }
 
-    /// Insert a row.
+    /// Insert a row at the table's next tuple id: a run of one.
     pub fn insert(&self, table: &str, row: Row) -> Result<TupleId> {
-        self.with_table_mut(table, |t| t.insert(row))
+        self.with_table_mut(table, |t| {
+            let tid = t.next_tid();
+            t.insert_rows(vec![(tid, row)]).map(|_| tid)
+        })
     }
 
     /// Write back a crowdsourced value into a specific column of a tuple.
@@ -346,11 +349,11 @@ impl Database {
     ///
     /// Returns `Ok(Some(tid))` when inserted, `Ok(None)` on a duplicate.
     pub fn write_back_tuple(&self, table: &str, row: Row) -> Result<Option<TupleId>> {
-        self.with_table_mut(table, |t| match t.insert(row) {
+        match self.insert(table, row) {
             Ok(tid) => Ok(Some(tid)),
             Err(CrowdError::Constraint(msg)) if msg.contains("unique constraint") => Ok(None),
             Err(e) => Err(e),
-        })
+        }
     }
 
     /// Create a secondary index.
@@ -495,11 +498,13 @@ impl Database {
                 let rows = &mut Reader::new(rows_buf);
                 // Each row is a tuple id and at least an arity.
                 let n_rows = rows.count_u64(12)?;
+                let mut restored = Vec::with_capacity(n_rows);
+                for _ in 0..n_rows {
+                    let tid = TupleId(rows.u64()?);
+                    restored.push((tid, codec::decode_row(rows)?));
+                }
                 db.with_table_mut(name, |t| {
-                    for _ in 0..n_rows {
-                        let tid = TupleId(rows.u64()?);
-                        t.restore_at(tid, codec::decode_row(rows)?)?;
-                    }
+                    t.insert_rows(restored)?;
                     t.pad_slots(*total_slots);
                     Ok(())
                 })

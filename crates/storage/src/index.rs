@@ -19,11 +19,12 @@
 //! their probe results to preserve CNULL probe semantics.
 
 use std::cmp::Ordering;
+use std::collections::HashSet;
 
 use crowddb_common::codec::{self, Reader};
 use crowddb_common::{CrowdError, Result, TupleId, Value};
 
-use crate::btree::{BTree, KeyCmp};
+use crate::btree::{same_index_values, BTree, BTreeCursor, KeyCmp, Run};
 use crate::page::PageId;
 use crate::pager::Pager;
 
@@ -62,11 +63,22 @@ impl IndexKey {
 /// Encode an index entry key: codec-encoded values ‖ tid (8 bytes BE).
 pub fn encode_index_entry(values: &[Value], tid: TupleId) -> Vec<u8> {
     let mut key = Vec::new();
-    for v in values {
-        codec::encode_value(&mut key, v);
-    }
-    key.extend_from_slice(&tid.0.to_be_bytes());
+    write_index_entry(&mut key, values.iter(), tid);
     key
+}
+
+/// [`encode_index_entry`] onto the end of `out`.
+fn write_index_entry<'a>(out: &mut Vec<u8>, values: impl Iterator<Item = &'a Value>, tid: TupleId) {
+    for v in values {
+        codec::encode_value(out, v);
+    }
+    out.extend_from_slice(&tid.0.to_be_bytes());
+}
+
+/// The tuple id an index entry key ends in.
+pub(crate) fn entry_tid(key: &[u8]) -> TupleId {
+    let tid = key.len().saturating_sub(8);
+    TupleId(key[tid..].try_into().map_or(0, u64::from_be_bytes))
 }
 
 /// Decode an index entry key back into `(values, tid)`.
@@ -92,8 +104,8 @@ pub fn decode_index_entry(key: &[u8]) -> Result<(IndexKey, TupleId)> {
 /// a paged entry tree.
 ///
 /// Indexes are non-unique at this layer; uniqueness (primary keys,
-/// unique indexes) is enforced by the table before insertion by
-/// consulting [`Index::get`].
+/// unique indexes) is enforced by the table before insertion, by
+/// asking which entries of a run `Index::repeated` finds repeated.
 #[derive(Debug, Clone)]
 pub struct Index {
     /// Index name (unique within the database).
@@ -141,10 +153,20 @@ impl Index {
         IndexKey(self.columns.iter().map(|&i| row[i].clone()).collect())
     }
 
-    /// Add an entry.
-    pub fn insert(&mut self, pager: &Pager, key: &IndexKey, tid: TupleId) -> Result<()> {
-        self.tree
-            .insert(pager, &encode_index_entry(&key.0, tid), &[])
+    /// Append the entry of the row `row` stored at `tid` to `run`,
+    /// encoded straight from the row's indexed columns; returns the
+    /// entry key's length, which
+    /// [`check_key_len`](crate::btree::check_key_len) bounds.
+    pub(crate) fn push_entry(&self, run: &mut Run, row: &[Value], tid: TupleId) -> usize {
+        let columns = self.columns.iter().map(|&i| &row[i]);
+        run.push(|buf| write_index_entry(buf, columns, tid), |_| {});
+        run.key(run.len() - 1).len()
+    }
+
+    /// Add a run of entries built by [`Index::push_entry`], in entry
+    /// order ([`Run::sort`] with [`KeyCmp::IndexEntry`]).
+    pub(crate) fn insert_sorted(&mut self, pager: &Pager, run: &Run) -> Result<()> {
+        self.tree.insert_sorted(pager, run)
     }
 
     /// Remove an entry; returns whether it existed.
@@ -152,17 +174,86 @@ impl Index {
         self.tree.remove(pager, &encode_index_entry(&key.0, tid))
     }
 
-    /// Tuple ids whose key equals `key` exactly, in tid order.
+    /// For each entry of `run`, in entry order, whether its values equal
+    /// those of an earlier entry of the run or of an entry the tree holds
+    /// — one of `ignore`'s aside: the entries a unique index refuses. A
+    /// key with a missing value repeats nothing. The entry order compares
+    /// numbers as `f64`, coarser than `=` (two INTEGERs past 2^53 may sort
+    /// equal), so it only finds the class of entries that sort equal, side
+    /// by side in the run and in the tree; `=` decides within the class.
+    /// Against the tree, one seek serves every class up to the first entry
+    /// the tree holds beyond it — a run appended past the tree's last key
+    /// costs one descent.
+    pub(crate) fn repeated(
+        &self,
+        pager: &Pager,
+        run: &Run,
+        ignore: Option<TupleId>,
+    ) -> Result<Vec<bool>> {
+        let mut out = Vec::with_capacity(run.len());
+        // The tree's first entry at or past the last seek target (`None`:
+        // there is none), and the cursor standing after it.
+        let mut ahead: Option<(BTreeCursor, Option<Vec<u8>>)> = None;
+        let mut start = 0;
+        while start < run.len() {
+            let key = run.key(start);
+            let end = (start + 1..run.len())
+                .find(|&i| !same_index_values(key, run.key(i)))
+                .unwrap_or(run.len());
+            let target = [&key[..key.len().saturating_sub(8)], &[0; 8]].concat();
+            let stale = ahead.as_ref().is_none_or(|(_, held)| {
+                held.as_ref()
+                    .is_some_and(|held| KeyCmp::IndexEntry.cmp(held, &target) == Ordering::Less)
+            });
+            if stale {
+                let mut cur = self.tree.cursor_seek(pager, &target)?;
+                let held = cur.next(pager)?.map(|(k, _)| k.to_vec());
+                ahead = Some((cur, held));
+            }
+            let (cur, held) = ahead.as_mut().expect("sought above");
+            let in_class = |held: &Option<Vec<u8>>| {
+                held.as_ref()
+                    .is_some_and(|held| same_index_values(held, key))
+            };
+            if end - start == 1 && !in_class(held) {
+                // The common case: nothing else sorts equal.
+                out.push(false);
+            } else if decode_index_entry(key)?.0.has_missing() {
+                out.extend((start..end).map(|_| false));
+            } else {
+                let mut seen = HashSet::new();
+                while in_class(held) {
+                    let entry = held.take().expect("in the class");
+                    // The row being replaced does not repeat itself.
+                    if Some(entry_tid(&entry)) != ignore {
+                        seen.insert(decode_index_entry(&entry)?.0);
+                    }
+                    *held = cur.next(pager)?.map(|(k, _)| k.to_vec());
+                }
+                for i in start..end {
+                    out.push(!seen.insert(decode_index_entry(run.key(i))?.0));
+                }
+            }
+            start = end;
+        }
+        Ok(out)
+    }
+
+    /// Tuple ids whose key equals `key` exactly, in tid order, read from
+    /// the entries that sort equal to it: past 2^53 the index order,
+    /// which compares numbers as `f64`, puts unequal INTEGERs among them.
     pub fn get(&self, pager: &Pager, key: &IndexKey) -> Result<Vec<TupleId>> {
         let target = encode_index_entry(&key.0, TupleId(0));
         let mut cur = self.tree.cursor_seek(pager, &target)?;
         let mut out = Vec::new();
         while let Some((entry, _)) = cur.next(pager)? {
             let (k, tid) = decode_index_entry(entry)?;
-            if k != *key {
+            if k.cmp(key) != Ordering::Equal {
                 break;
             }
-            out.push(tid);
+            if k == *key {
+                out.push(tid);
+            }
         }
         Ok(out)
     }
@@ -237,12 +328,15 @@ impl Index {
                 .cursor_seek(pager, &encode_index_entry(prefix, TupleId(0)))?;
             while let Some((entry, _)) = cur.next(pager)? {
                 let (k, tid) = decode_index_entry(entry)?;
-                if k.0.get(..bound) != Some(prefix)
-                    || !k.0.get(bound).is_some_and(Value::is_missing)
-                {
+                let held = &k.0[..bound.min(k.0.len())];
+                let sorts_equal = held.len() == bound
+                    && (held.iter().zip(prefix)).all(|(a, b)| a.sort_cmp(b) == Ordering::Equal);
+                if !sorts_equal || !k.0.get(bound).is_some_and(Value::is_missing) {
                     break;
                 }
-                out.push(tid);
+                if held == prefix {
+                    out.push(tid);
+                }
             }
         }
         Ok(out)
@@ -269,6 +363,21 @@ mod tests {
 
     fn key(vs: Vec<Value>) -> IndexKey {
         IndexKey(vs)
+    }
+
+    impl Index {
+        /// The entry tree.
+        pub(crate) fn tree(&self) -> &BTree {
+            &self.tree
+        }
+
+        /// A run of one entry.
+        fn insert(&mut self, pager: &Pager, key: &IndexKey, tid: TupleId) -> Result<()> {
+            let mut run = Run::default();
+            let entry = encode_index_entry(&key.0, tid);
+            run.push(|buf| buf.extend_from_slice(&entry), |_| {});
+            self.insert_sorted(pager, &run)
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub enum LogRecord {
         /// Table holding the tuple.
         table: String,
         /// Tuple id (stable across snapshots — see
-        /// [`HeapTable::restore_at`](crate::HeapTable::restore_at)).
+        /// [`HeapTable::insert_rows`](crate::HeapTable::insert_rows)).
         tid: TupleId,
         /// Column ordinal.
         col: usize,

@@ -65,6 +65,15 @@ impl Page {
         }
     }
 
+    /// Wrap an image whose layout its builder already knows: a B-tree
+    /// node it assembled entry by entry, which no parse need walk again.
+    pub(crate) fn with_layout(bytes: Vec<u8>, layout: Vec<u32>) -> Page {
+        Page {
+            bytes,
+            layout: OnceLock::from(layout.into_boxed_slice()),
+        }
+    }
+
     /// An all-zero image of `len` bytes.
     pub(crate) fn zeroed(len: usize) -> Page {
         Page::new(vec![0; len])

@@ -341,6 +341,7 @@ impl Pager {
                 "pager: write to unallocated page {id}"
             )));
         }
+        st.pool.stats.images_written += 1;
         match &mut st.backend {
             Backend::Mem(pages) => {
                 if pages.len() <= id as usize {

@@ -33,6 +33,9 @@ pub struct PagerStats {
     pub pages_read: u64,
     /// Pages flushed to stable storage by checkpoints.
     pub pages_written: u64,
+    /// Page images handed to [`Pager::write`](crate::Pager::write): what
+    /// the B-tree rewrote, each time it rewrote it.
+    pub images_written: u64,
     /// Page requests answered from the pool.
     pub pool_hits: u64,
     /// Page requests that missed the pool.
@@ -47,6 +50,7 @@ impl PagerStats {
         PagerStats {
             pages_read: self.pages_read - earlier.pages_read,
             pages_written: self.pages_written - earlier.pages_written,
+            images_written: self.images_written - earlier.images_written,
             pool_hits: self.pool_hits - earlier.pool_hits,
             pool_misses: self.pool_misses - earlier.pool_misses,
             evictions: self.evictions - earlier.evictions,

@@ -13,11 +13,28 @@ use std::sync::Arc;
 use crowddb_common::codec::{self, Reader};
 use crowddb_common::{CrowdError, Result, Row, TableSchema, TupleId, Value};
 
-use crate::btree::{BTree, KeyCmp};
+use crate::btree::{check_key_len, BTree, KeyCmp, Run};
 use crate::cursor::{encode_tid_key, TableCursor};
-use crate::index::{Index, IndexKey};
+use crate::index::{decode_index_entry, entry_tid, Index, IndexKey};
 use crate::page::PageId;
 use crate::pager::Pager;
+
+/// The error for a unique index that `key` would repeat a key of.
+fn unique_violation(idx: &Index, key: &IndexKey) -> CrowdError {
+    CrowdError::Constraint(format!(
+        "unique constraint '{}' violated by key {:?}",
+        idx.name,
+        key.0.iter().map(Value::sql_literal).collect::<Vec<_>>()
+    ))
+}
+
+/// Append the row `row` stored at `tid` to a primary-tree run.
+fn push_row(run: &mut Run, tid: TupleId, row: &Row) {
+    run.push(
+        |buf| buf.extend_from_slice(&encode_tid_key(tid)),
+        |buf| codec::encode_row(buf, row),
+    );
+}
 
 /// Statistics maintained incrementally and consumed by the optimizer's
 /// cardinality annotation (paper §3.2.2: "the heuristic first annotates
@@ -166,72 +183,102 @@ impl HeapTable {
         Ok(Row::new(out))
     }
 
-    fn check_unique(&self, idx: &Index, key: &IndexKey, ignore: Option<TupleId>) -> Result<()> {
-        if !idx.unique {
-            return Ok(());
-        }
-        // Keys containing missing values never conflict (SQL semantics).
-        if key.has_missing() {
-            return Ok(());
-        }
-        let hit = idx
-            .get(&self.pager, key)?
-            .iter()
-            .any(|t| Some(*t) != ignore);
-        if hit {
-            return Err(CrowdError::Constraint(format!(
-                "unique constraint '{}' violated by key {:?}",
-                idx.name,
-                key.0.iter().map(Value::sql_literal).collect::<Vec<_>>()
-            )));
-        }
-        Ok(())
-    }
-
     fn write_primary(&mut self, tid: TupleId, row: &Row) -> Result<()> {
-        let mut buf = Vec::new();
-        codec::encode_row(&mut buf, row);
-        self.primary.insert(&self.pager, &encode_tid_key(tid), &buf)
+        let mut run = Run::default();
+        push_row(&mut run, tid, row);
+        self.primary.insert_sorted(&self.pager, &run)
     }
 
-    /// Insert a row, returning its tuple id.
-    pub fn insert(&mut self, row: Row) -> Result<TupleId> {
-        let tid = TupleId(self.total_slots);
-        self.restore_at(tid, row)?;
-        Ok(tid)
+    /// The tuple id the next inserted row takes.
+    pub fn next_tid(&self) -> TupleId {
+        TupleId(self.total_slots)
     }
 
-    /// Place a row at a specific tuple id, reserving any intermediate
-    /// ids. This is the snapshot/recovery path: tuple ids must survive a
-    /// restart unchanged, because the write-ahead log addresses
-    /// crowd-answer write-backs by tuple id.
-    pub fn restore_at(&mut self, tid: TupleId, row: Row) -> Result<()> {
-        let row = self.validate_row(row)?;
-        if self.get(tid)?.is_some() {
+    /// Store `rows`, each at its tuple id. The ids ascend; each is at or
+    /// past [`HeapTable::next_tid`], or a slot no live row holds (a
+    /// snapshot restore, a delete taken back), and any ids skipped are
+    /// reserved — tuple ids must survive a restart unchanged, because the
+    /// write-ahead log addresses crowd-answer write-backs by tuple id.
+    ///
+    /// Every row is validated and every constraint checked before
+    /// anything is written, in row order: the first violation is the one
+    /// row-at-a-time insertion would have met — uniqueness against the
+    /// table and against the earlier rows, then every index key's length
+    /// — and leaves every tree as it was. Then each index takes one
+    /// sorted run of the rows' entries and the primary tree one run of
+    /// the rows. Returns the rows as stored: validated, each value coerced
+    /// to its column's type — what a scan reads back.
+    pub fn insert_rows(&mut self, rows: Vec<(TupleId, Row)>) -> Result<Vec<(TupleId, Row)>> {
+        if rows.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
             return Err(CrowdError::Internal(format!(
-                "tuple slot {tid} of table '{}' is already occupied",
+                "rows for table '{}' must ascend by tuple id",
                 self.schema.name
             )));
         }
-        // Every constraint is checked before anything is written, so a
-        // violation leaves no entry behind.
-        let keys: Vec<IndexKey> = self
-            .indexes
-            .iter()
-            .map(|idx| idx.key_of(row.values()))
-            .collect();
-        for (idx, key) in self.indexes.iter().zip(&keys) {
-            self.check_unique(idx, key, None)?;
+        let mut valid = Vec::with_capacity(rows.len());
+        let mut invalid = Ok(());
+        for (tid, row) in rows {
+            match self.validate_row(row) {
+                Ok(row) => valid.push((tid, row)),
+                Err(e) => {
+                    // No row after it is checked, or written.
+                    invalid = Err(e);
+                    break;
+                }
+            }
         }
+        // Each index's entries, sorted, how long each row's is, and — for
+        // a unique index — which rows repeat a key.
+        let mut entries = Vec::with_capacity(self.indexes.len());
+        for idx in &self.indexes {
+            let mut run = Run::with_capacity(valid.len());
+            let lens: Vec<usize> = (valid.iter())
+                .map(|(tid, row)| idx.push_entry(&mut run, row.values(), *tid))
+                .collect();
+            run.sort(KeyCmp::IndexEntry);
+            let mut repeats = vec![false; valid.len()];
+            if idx.unique {
+                let repeated = idx.repeated(&self.pager, &run, None)?;
+                for i in (0..run.len()).filter(|&i| repeated[i]) {
+                    let tid = entry_tid(run.key(i));
+                    repeats[valid.partition_point(|(t, _)| *t < tid)] = true;
+                }
+            }
+            entries.push((run, lens, repeats));
+        }
+        let page_size = self.pager.page_size();
+        let mut heap = Run::with_capacity(valid.len());
+        for (n, (tid, row)) in valid.iter().enumerate() {
+            if tid.0 < self.total_slots && self.get_stored(*tid, |_| Ok(()))?.is_some() {
+                return Err(CrowdError::Internal(format!(
+                    "tuple slot {tid} of table '{}' is already occupied",
+                    self.schema.name
+                )));
+            }
+            for (idx, (_, _, repeats)) in self.indexes.iter().zip(&entries) {
+                if repeats[n] {
+                    return Err(unique_violation(idx, &idx.key_of(row.values())));
+                }
+            }
+            for (_, lens, _) in &entries {
+                check_key_len(lens[n], page_size)?;
+            }
+            push_row(&mut heap, *tid, row);
+        }
+        invalid?;
         let pager = Arc::clone(&self.pager);
-        for (idx, key) in self.indexes.iter_mut().zip(&keys) {
-            idx.insert(&pager, key, tid)?;
+        for (idx, (run, _, _)) in self.indexes.iter_mut().zip(entries) {
+            idx.insert_sorted(&pager, &run)?;
         }
-        self.write_primary(tid, &row)?;
-        self.total_slots = self.total_slots.max(tid.0 + 1);
-        self.cnull_values += row.cnull_columns().len();
-        self.live_rows += 1;
-        Ok(())
+        self.primary.insert_sorted(&pager, &heap)?;
+        if let Some((tid, _)) = valid.last() {
+            self.total_slots = self.total_slots.max(tid.0 + 1);
+        }
+        self.live_rows += valid.len();
+        self.cnull_values += (valid.iter())
+            .map(|(_, row)| row.values().iter().filter(|v| v.is_cnull()).count())
+            .sum::<usize>();
+        Ok(valid)
     }
 
     /// Reserve tuple-id space up to `total` ids, so the next allocated
@@ -329,18 +376,30 @@ impl HeapTable {
         else {
             return Ok(false);
         };
+        // Every new key is checked before any old one is removed, so a
+        // violation leaves the row and each of its entries in place.
+        let mut entries = Vec::with_capacity(self.indexes.len());
         for idx in &self.indexes {
-            let key = idx.key_of(new_row.values());
-            self.check_unique(idx, &key, Some(tid))?;
+            let mut run = Run::with_capacity(1);
+            let len = idx.push_entry(&mut run, new_row.values(), tid);
+            if idx.unique && idx.repeated(&self.pager, &run, Some(tid))?[0] {
+                return Err(unique_violation(idx, &idx.key_of(new_row.values())));
+            }
+            entries.push((run, len));
+        }
+        let page_size = self.pager.page_size();
+        let mut moved = Vec::new();
+        for ((i, idx), (run, len)) in self.indexes.iter().enumerate().zip(entries) {
+            let old_key = idx.key_of(old.values());
+            if old_key != idx.key_of(new_row.values()) {
+                check_key_len(len, page_size)?;
+                moved.push((i, old_key, run));
+            }
         }
         let pager = Arc::clone(&self.pager);
-        for idx in &mut self.indexes {
-            let old_key = idx.key_of(old.values());
-            let new_key = idx.key_of(new_row.values());
-            if old_key != new_key {
-                idx.remove(&pager, &old_key, tid)?;
-                idx.insert(&pager, &new_key, tid)?;
-            }
+        for (i, old_key, run) in moved {
+            self.indexes[i].remove(&pager, &old_key, tid)?;
+            self.indexes[i].insert_sorted(&pager, &run)?;
         }
         self.cnull_values -= old.cnull_columns().len();
         self.cnull_values += new_row.cnull_columns().len();
@@ -406,20 +465,45 @@ impl HeapTable {
         }
     }
 
+    /// Fill a new index from the table in four steps: one cursor pass
+    /// decoding only the indexed columns, a sort of the entries held in
+    /// one buffer ([`Run`]), a uniqueness check on the keys that sort
+    /// side by side, and one run into the empty tree.
     fn backfill(&self, index: &mut Index) -> Result<()> {
+        let page_size = self.pager.page_size();
+        let read: Vec<bool> = (0..self.schema.arity())
+            .map(|c| index.columns.contains(&c))
+            .collect();
+        let (mut run, mut row) = (Run::with_capacity(self.live_rows), Row::default());
+        // A key too long for any page: backfilled in tuple-id order, the
+        // index stopped at that row, so no later row matters.
+        let mut too_long = Ok(());
         let mut cur = self.cursor()?;
-        while let Some((tid, row)) = cur.next()? {
-            let key = index.key_of(row.values());
-            if index.unique && !key.has_missing() && !index.get(&self.pager, &key)?.is_empty() {
-                return Err(CrowdError::Constraint(format!(
-                    "unique constraint '{}' violated by key {:?}",
-                    index.name,
-                    key.0.iter().map(Value::sql_literal).collect::<Vec<_>>()
-                )));
+        while let Some((tid, stored)) = cur.next_stored()? {
+            codec::decode_row_into(&mut Reader::new(&stored), &read, &mut row)?;
+            too_long = check_key_len(index.push_entry(&mut run, row.values(), tid), page_size);
+            if too_long.is_err() {
+                break;
             }
-            index.insert(&self.pager, &key, tid)?;
         }
-        Ok(())
+        run.sort(KeyCmp::IndexEntry);
+        if index.unique {
+            // The row the tid-order backfill stopped at is the least tid
+            // whose key an earlier row holds — before any long key.
+            let repeated = index.repeated(&self.pager, &run, None)?;
+            let mut first: Option<(TupleId, IndexKey)> = None;
+            for i in (0..run.len()).filter(|&i| repeated[i]) {
+                let (key, tid) = decode_index_entry(run.key(i))?;
+                if first.as_ref().is_none_or(|(least, _)| tid < *least) {
+                    first = Some((tid, key));
+                }
+            }
+            if let Some((_, key)) = first {
+                return Err(unique_violation(index, &key));
+            }
+        }
+        too_long?;
+        index.insert_sorted(&self.pager, &run)
     }
 
     /// All indexes on this table.
@@ -468,6 +552,15 @@ mod tests {
             })
             .unwrap(),
         )
+    }
+
+    impl HeapTable {
+        /// A run of one at the next tuple id.
+        fn insert(&mut self, row: Row) -> Result<TupleId> {
+            let tid = self.next_tid();
+            self.insert_rows(vec![(tid, row)])?;
+            Ok(tid)
+        }
     }
 
     fn talk_table() -> HeapTable {
@@ -785,5 +878,173 @@ mod tests {
         let rows = t.scan_rows().unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1[1], Value::str(&big));
+    }
+
+    /// `t`: a primary key, a unique index on `email`, a plain one on
+    /// `name` and a NOT NULL `age`, holding rows 0 to 2.
+    fn parity_table(page_size: usize) -> HeapTable {
+        let schema = TableSchema::new(
+            "t",
+            vec![
+                ColumnDef::new("id", DataType::Int),
+                ColumnDef::new("email", DataType::Str),
+                ColumnDef::new("name", DataType::Str),
+                ColumnDef::new("age", DataType::Int).not_null(),
+            ],
+        )
+        .unwrap()
+        .with_primary_key(&["id"])
+        .unwrap();
+        let pager = Pager::new_mem(PagerConfig {
+            page_size,
+            pool_pages: 0,
+        })
+        .unwrap();
+        let mut t = HeapTable::new(Arc::new(pager), schema).unwrap();
+        t.add_index("u_email", vec![1], true).unwrap();
+        t.add_index("t_name", vec![2], false).unwrap();
+        for i in 0..3i64 {
+            t.insert(row![i, format!("e{i}"), format!("n{i}"), i])
+                .unwrap();
+        }
+        t
+    }
+
+    /// Every page image the table's pager holds.
+    fn images(t: &HeapTable) -> Vec<Vec<u8>> {
+        (1..t.pager().page_count())
+            .map(|id| t.pager().read(id).unwrap().to_vec())
+            .collect()
+    }
+
+    /// `rows` at the next tuple ids, in one run.
+    fn insert_run(t: &mut HeapTable, rows: &[Row]) -> Result<()> {
+        let next = t.next_tid().0;
+        t.insert_rows((next..).map(TupleId).zip(rows.iter().cloned()).collect())
+            .map(drop)
+    }
+
+    #[test]
+    fn a_run_fails_as_row_at_a_time_would_and_writes_nothing() {
+        let long = "x".repeat(300);
+        let ok = |i: i64| row![i, format!("e{i}"), format!("n{i}"), i];
+        let batches: Vec<(&str, Vec<Row>)> = vec![
+            ("a stored id", vec![ok(10), ok(11), ok(1), ok(12)]),
+            (
+                "an earlier row's id",
+                vec![ok(10), ok(11), ok(10), row![12, "e12", long.clone(), 12]],
+            ),
+            (
+                "a stored email",
+                vec![ok(10), ok(11), row![12, "e0", "n", 12], ok(1)],
+            ),
+            (
+                "an earlier row's email",
+                vec![ok(10), ok(11), row![12, "e10", "n", 12]],
+            ),
+            (
+                "a long name",
+                vec![ok(10), ok(11), row![12, "e12", long.clone(), 12], ok(0)],
+            ),
+            (
+                "a stored id and a long name in one row",
+                vec![ok(10), row![1, "e12", long.clone(), 12]],
+            ),
+            (
+                "a type",
+                vec![ok(10), ok(11), row![12, "e12", "n", "many"], ok(1)],
+            ),
+            (
+                "NOT NULL, then a repeat",
+                vec![ok(10), row![11, "e11", "n", Value::Null], ok(1)],
+            ),
+            ("arity", vec![ok(10), row![11]]),
+            (
+                "an earlier row's id past 2^53",
+                vec![ok(1 << 53), ok((1 << 53) + 1), ok(1 << 53)],
+            ),
+            (
+                "a repeat before a type",
+                vec![ok(10), ok(1), row![12, "e12", "n", "many"]],
+            ),
+        ];
+        for page_size in [512, 4096] {
+            for (what, batch) in &batches {
+                let what = format!("page {page_size}: {what}");
+                let mut run = parity_table(page_size);
+                let before = (images(&run), run.stats());
+                let err = insert_run(&mut run, batch).unwrap_err();
+                assert_eq!((images(&run), run.stats()), before, "{what}: written");
+                let mut single = parity_table(page_size);
+                let first = (batch.iter())
+                    .find_map(|row| single.insert(row.clone()).err())
+                    .expect(&what);
+                assert_eq!(err.message(), first.message(), "{what}");
+            }
+            // Keys missing a value repeat nothing.
+            let mut t = parity_table(page_size);
+            let nulls = [
+                row![10, Value::Null, "n", 10],
+                row![11, Value::Null, "n", 11],
+            ];
+            insert_run(&mut t, &nulls).unwrap();
+            assert_eq!(t.stats().live_rows, 5);
+        }
+    }
+
+    #[test]
+    fn rows_loaded_in_runs_match_rows_loaded_one_at_a_time() {
+        use crowddb_common::rng::Rng;
+        for page_size in [512, 4096] {
+            let mut rng = Rng::seed_from_u64(page_size as u64);
+            let rows: Vec<Row> = (3..2003i64)
+                .map(|i| {
+                    let email = match i % 11 {
+                        0 => Value::Null,
+                        _ => Value::str(format!("e{:05}", (i * 7919) % 10007)),
+                    };
+                    let name = format!("name {}", rng.gen_range(0..300));
+                    row![i, email, name, i % 37]
+                })
+                .collect();
+            let mut one = parity_table(page_size);
+            for row in &rows {
+                one.insert(row.clone()).unwrap();
+            }
+            let mut runs = parity_table(page_size);
+            let mut rest = &rows[..];
+            while !rest.is_empty() {
+                let n = rng.gen_range(1..=300usize).min(rest.len());
+                insert_run(&mut runs, &rest[..n]).unwrap();
+                rest = &rest[n..];
+            }
+            let what = format!("page {page_size}");
+            assert_eq!(
+                one.scan_rows().unwrap(),
+                runs.scan_rows().unwrap(),
+                "{what}"
+            );
+            assert_eq!(one.stats(), runs.stats(), "{what}");
+            for (a, b) in one.indexes().iter().zip(runs.indexes()) {
+                let all = |t: &HeapTable, idx: &Index| {
+                    let mut tids = idx.missing_key_tids(t.pager()).unwrap();
+                    tids.extend(idx.range(t.pager(), None, None).unwrap());
+                    tids
+                };
+                assert_eq!(all(&one, a), all(&runs, b), "{what}: {}", a.name);
+            }
+            // Ids ascend, so the primary tree and the primary key's index
+            // are filled in key order: node for node the same.
+            assert_eq!(
+                one.primary.contents(one.pager()),
+                runs.primary.contents(runs.pager()),
+                "{what}: primary tree"
+            );
+            assert_eq!(
+                one.indexes[0].tree().contents(one.pager()),
+                runs.indexes[0].tree().contents(runs.pager()),
+                "{what}: t_pk"
+            );
+        }
     }
 }

@@ -14,6 +14,11 @@
 //! → (3, 0, 3, 0); fetch (82, 89, 82, 70) → (57, 70, 57, 44)), and a
 //! cursor keeps its path parsed instead of asking for the parent page at
 //! every leaf change (scan (569, 500, 569, 569) → (260, 1, 260, 260)).
+//! The fetch moved once more when `CREATE INDEX` became one sorted run
+//! into the empty tree: every entry is an append at its right edge, so
+//! `attendee_grp`'s leaves are packed full instead of cut at their
+//! middles by shuffled inserts — 165 pages → 97, pinned below — and the
+//! fetch reads two leaves fewer: (57, 70, 57, 44) → (55, 70, 55, 42).
 
 use crowddb_common::{row, ColumnDef, DataType, TableSchema, TupleId, Value};
 use crowddb_storage::{Database, IndexKey, PagerConfig, PagerStats};
@@ -58,6 +63,22 @@ fn cold_table(dir: &TestDir) -> Database {
     Database::open_paged(dir.path(), cfg(), &meta).unwrap()
 }
 
+/// `attendee_grp`'s entries in key order, and every page of its tree:
+/// a full walk reads each page once, the leaves through the cursor and
+/// the internal nodes on its path, which it keeps parsed.
+fn walk_attendee_grp(db: &Database) -> (usize, u64) {
+    let mut entries = 0;
+    let read = touches(db, || {
+        entries = db
+            .with_table("attendee", |t| {
+                let idx = t.index_on(&[2]).expect("attendee_grp");
+                idx.range(t.pager(), None, None).unwrap().len()
+            })
+            .unwrap();
+    });
+    (entries, read.0)
+}
+
 /// `(pages_read, pool_hits, pool_misses, evictions)` spent by `f`.
 fn touches(db: &Database, f: impl FnOnce()) -> (u64, u64, u64, u64) {
     let before: PagerStats = db.pager_stats();
@@ -94,7 +115,7 @@ fn point_get_index_fetch_and_scan_touch_the_pinned_pages() {
         assert_eq!(rows.len() as i64, ROWS / GROUPS);
         assert!(rows.iter().all(|r| r[2] == Value::Int(7)));
     });
-    assert_eq!(fetch, (57, 70, 57, 44), "secondary-index fetch of 40 rows");
+    assert_eq!(fetch, (55, 70, 55, 42), "secondary-index fetch of 40 rows");
 
     let scan = touches(&db, || {
         let rows = db
@@ -108,4 +129,17 @@ fn point_get_index_fetch_and_scan_touch_the_pinned_pages() {
             .all(|(i, (tid, _))| tid.0 == i as u64));
     });
     assert_eq!(scan, (260, 1, 260, 260), "full scan");
+}
+
+#[test]
+fn create_index_packs_the_index_it_builds() {
+    let dir = TestDir::new("page-touches-index");
+    let db = cold_table(&dir);
+    // Built by one sorted run into the empty tree, every entry an append
+    // at its right edge: each leaf holds as many entries as fit.
+    assert_eq!(
+        walk_attendee_grp(&db),
+        (ROWS as usize, 97),
+        "attendee_grp pages"
+    );
 }

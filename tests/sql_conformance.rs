@@ -275,6 +275,88 @@ fn constraint_violations_surface() {
 }
 
 #[test]
+fn a_key_too_long_for_an_index_leaves_every_index_as_it_was() {
+    let d = CrowdDB::new();
+    for sql in [
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, name STRING)",
+        "CREATE INDEX t_name ON t (name)",
+        "INSERT INTO t VALUES (2, 'two')",
+    ] {
+        d.execute_local(sql)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    let long = "x".repeat(2000);
+    for sql in [
+        format!("INSERT INTO t VALUES (1, '{long}')"),
+        format!("UPDATE t SET name = '{long}' WHERE id = 2"),
+    ] {
+        let err = d.execute_local(&sql).unwrap_err();
+        assert_eq!(err.category(), "constraint", "{err}");
+        assert!(err.message().contains("exceeds"), "{err}");
+    }
+    // No entry of the failed INSERT is left in `t_pk`, and the failed
+    // UPDATE kept row 2's entry in `t_name`, which the probe reads.
+    d.execute_local("INSERT INTO t VALUES (1, 'short')")
+        .unwrap();
+    assert_eq!(
+        rows(&d, "SELECT id FROM t WHERE name = 'two'"),
+        vec![vec!["2"]]
+    );
+    assert_eq!(
+        rows(&d, "SELECT id, name FROM t ORDER BY id"),
+        vec![vec!["1", "short"], vec!["2", "two"]]
+    );
+}
+
+#[test]
+fn integers_past_2_53_that_share_a_float_are_distinct_keys() {
+    let d = CrowdDB::new();
+    d.execute_local("CREATE TABLE t (id INTEGER PRIMARY KEY, name STRING)")
+        .unwrap();
+    // 2^53 and 2^53 + 1 are one `f64`, the order the index sorts by, but
+    // two keys: as two statements and as two rows of one.
+    for sql in [
+        "INSERT INTO t VALUES (9007199254740992, 'a')",
+        "INSERT INTO t VALUES (9007199254740993, 'b')",
+        "INSERT INTO t VALUES (9007199254740995, 'c'), (9007199254740996, 'd')",
+    ] {
+        d.execute_local(sql)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    // A true repeat is still refused, whichever member of the class it
+    // repeats, and so is a repeat within one statement.
+    for sql in [
+        "INSERT INTO t VALUES (9007199254740993, 'e')",
+        "INSERT INTO t VALUES (9007199254740997, 'f'), (9007199254740997, 'g')",
+    ] {
+        let err = d.execute_local(sql).unwrap_err();
+        assert!(
+            err.message().contains("unique constraint 't_pk'"),
+            "{sql}: {err}"
+        );
+    }
+    // An UPDATE into a class the row shares with another: refused only
+    // onto that row's own key.
+    let err = d
+        .execute_local("UPDATE t SET id = 9007199254740996 WHERE name = 'c'")
+        .unwrap_err();
+    assert!(err.message().contains("unique constraint 't_pk'"), "{err}");
+    d.execute_local("UPDATE t SET id = 9007199254740997 WHERE name = 'c'")
+        .unwrap();
+    assert_eq!(
+        rows(&d, "SELECT name FROM t ORDER BY name"),
+        vec![vec!["a"], vec!["b"], vec!["c"], vec!["d"]]
+    );
+    d.execute_local("CREATE UNIQUE INDEX t_id ON t (id)")
+        .unwrap();
+    // A probe finds its own key, not the class's first member.
+    assert_eq!(
+        rows(&d, "SELECT name FROM t WHERE id = 9007199254740993"),
+        vec![vec!["b"]]
+    );
+}
+
+#[test]
 fn derived_tables_and_alias_scoping() {
     let d = db();
     assert_eq!(
