@@ -726,10 +726,10 @@ impl CrowdDB {
         guard: &StatementGuard,
         ledger: &mut CrowdSummary,
     ) -> Result<QueryResult> {
-        let stmt = &prepared.statement;
-        let ddl_record = || LogRecord::Ddl {
-            sql: stmt.to_string(),
-        };
+        let (sql, stmt) = (prepared.sql, &prepared.statement);
+        // The log keeps the text the statement was parsed from: replay
+        // parses exactly what was parsed live.
+        let ddl_record = || LogRecord::Ddl { sql: sql.into() };
         match stmt {
             Statement::Explain { statement, analyze } => {
                 // EXPLAIN ANALYZE is the statement's execution, rendered:
@@ -789,15 +789,15 @@ impl CrowdDB {
                 Ok(QueryResult::ddl())
             }
             Statement::Insert(ins) => {
-                let (affected, complete, _) = self.apply_dml(stmt, &ins.table, None, guard)?;
+                let (affected, complete, _) = self.apply_dml(sql, stmt, &ins.table, None, guard)?;
                 Ok(QueryResult {
                     affected,
                     complete,
                     ..Default::default()
                 })
             }
-            Statement::Update(upd) => self.execute_dml(stmt, &upd.table, crowd, guard, ledger),
-            Statement::Delete(del) => self.execute_dml(stmt, &del.table, crowd, guard, ledger),
+            Statement::Update(upd) => self.execute_dml(sql, stmt, &upd.table, crowd, guard, ledger),
+            Statement::Delete(del) => self.execute_dml(sql, stmt, &del.table, crowd, guard, ledger),
             Statement::Select(_) => {
                 self.execute_select(prepared.plan()?, crowd, guard, ledger, None)
             }
@@ -1047,6 +1047,7 @@ impl CrowdDB {
     /// once: `SET n = n + 1` must not be re-applied per round.
     fn execute_dml(
         &self,
+        sql: &str,
         stmt: &Statement,
         table: &str,
         mut crowd: Option<&mut dyn Platform>,
@@ -1065,7 +1066,7 @@ impl CrowdDB {
         // Only at the round cap did a wave settle after the last selection.
         let current = driven.stop != StopReason::RoundCap;
         let selected = driven.output.filter(|_| current);
-        let (affected, complete, undecided) = self.apply_dml(stmt, table, selected, guard)?;
+        let (affected, complete, undecided) = self.apply_dml(sql, stmt, table, selected, guard)?;
         if driven.stop != StopReason::Complete {
             driven
                 .warnings
@@ -1085,19 +1086,19 @@ impl CrowdDB {
         })
     }
 
-    /// Apply a DML statement once, log it, and hand the standing queries
-    /// the rows it changed, in the writer section. Returns what
-    /// `write_dml` does, with the rows affected.
+    /// Apply a DML statement once, log it as `sql`, the text it was parsed
+    /// from, and hand the standing queries the rows it changed, in the
+    /// writer section. Returns what `write_dml` does, with the rows
+    /// affected.
     fn apply_dml(
         &self,
+        sql: &str,
         stmt: &Statement,
         table: &str,
         selected: Option<dml::Selection>,
         guard: &StatementGuard,
     ) -> Result<(usize, bool, u64)> {
-        let record = LogRecord::Dml {
-            sql: stmt.to_string(),
-        };
+        let record = LogRecord::Dml { sql: sql.into() };
         self.logged(record, |report| {
             let (applied, complete, undecided) =
                 self.write_dml(stmt, selected, &guard.exec, report)?;
@@ -1622,6 +1623,8 @@ fn refuse_unbounded(report: &BoundednessReport) -> Result<()> {
 /// that same plan.
 #[derive(Debug)]
 pub struct Prepared<'a> {
+    /// The text the statement was parsed from: what its span names and,
+    /// for DDL and DML, what the write-ahead log keeps.
     sql: &'a str,
     statement: Statement,
     /// The plan of the query the statement runs, explains or subscribes

@@ -166,9 +166,9 @@ fn ddl_and_dml_replay_across_reopen() {
     );
 }
 
-/// The log stores a statement as its rendered text and replays by parsing
-/// it again, so text that does not render back to itself replays as
-/// another statement. Each line here once did: quoted text outside ASCII
+/// The log once stored a statement as its rendered text and replayed by
+/// parsing it again, so text that did not render back to itself replayed
+/// as another statement. Each line here once did: quoted text outside ASCII
 /// (mangled again by every replay), names that only exist quoted, an
 /// overflowing float literal (`inf` is a column name), and `NOT NULL`
 /// beside `PRIMARY KEY`.
@@ -194,6 +194,75 @@ fn statements_that_need_care_to_render_replay_as_themselves() {
     let db = CrowdDB::open_with_config(dir.path(), config()).unwrap();
     assert_eq!(db.execute_local(READ).unwrap().rows, before);
     assert_eq!(db.snapshot().unwrap(), snapshot);
+}
+
+/// The log keeps each statement's text exactly as it was given, and
+/// replay parses that text: statements written the way people type them
+/// (comments, mixed-case and quoted names, `''` escapes, a string spanning
+/// lines, a trailing `;`) recover to the state they built.
+#[test]
+fn statements_as_typed_are_logged_as_given_and_replay() {
+    const TYPED: &[&str] = &[
+        "-- talks, keyed by title\nCREATE TABLE \"Talk\" (\n  Title STRING PRIMARY KEY, \
+         /* the key */\n  \"Abstract\" CROWD STRING,\n  Nb INTEGER\n);",
+        "CREATE INDEX Talk_Nb ON talk (NB);",
+        "insert into TALK (title, nb) values ('CrowdDB', 10), ('It''s a crowd', 20);",
+        "INSERT INTO Talk VALUES ('Two\nlines', 'An abstract\nthat spans\n''three'' lines', 30) ; \
+         -- trailing comment",
+        "Update TALK set \"ABSTRACT\" = 'it''s done' -- set it\n  WHERE Title = 'It''s a crowd';",
+        "/* the small one goes */ DELETE FROM talk WHERE nb < 15;",
+        "CREATE TABLE Scratch (K INTEGER PRIMARY KEY);",
+        "drop table SCRATCH;",
+    ];
+    let dir = TestDir::new("core-typed");
+    let db = CrowdDB::open_with_config(dir.path(), config()).unwrap();
+    for sql in TYPED {
+        db.execute_local(sql)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    const READ: &str = "SELECT title, abstract, nb FROM talk ORDER BY nb";
+    let before = db.execute_local(READ).unwrap().rows;
+    let cells: Vec<Vec<Value>> = before.iter().map(|r| r.values().to_vec()).collect();
+    assert_eq!(
+        cells,
+        [
+            vec![
+                Value::str("It's a crowd"),
+                Value::str("it's done"),
+                Value::Int(20)
+            ],
+            vec![
+                Value::str("Two\nlines"),
+                Value::str("An abstract\nthat spans\n'three' lines"),
+                Value::Int(30)
+            ],
+        ]
+    );
+    let snapshot = db.snapshot().unwrap();
+    drop(db); // no close(): recovery replays every statement
+
+    // The log holds the texts as given, one record each.
+    let copy = TestDir::new("core-typed-log");
+    std::fs::copy(
+        dir.path().join(crowddb_wal::WAL_FILE),
+        copy.path().join(crowddb_wal::WAL_FILE),
+    )
+    .unwrap();
+    let (_, recovered) = DurableStore::open(copy.path(), FsyncPolicy::Never).unwrap();
+    let logged: Vec<&str> = (recovered.records.iter())
+        .map(|rec| match rec {
+            crowddb_storage::LogRecord::Ddl { sql } | crowddb_storage::LogRecord::Dml { sql } => {
+                sql.as_str()
+            }
+            other => panic!("unexpected {} record", other.kind()),
+        })
+        .collect();
+    assert_eq!(logged, TYPED);
+
+    let db = CrowdDB::open_with_config(dir.path(), config()).unwrap();
+    assert_eq!(db.execute_local(READ).unwrap().rows, before);
+    assert_eq!(db.snapshot().unwrap(), snapshot);
+    assert!(db.execute_local("SELECT k FROM scratch").is_err());
 }
 
 #[test]
@@ -622,7 +691,8 @@ fn dml_by_access_path_logs_and_replays_like_a_full_scan() {
     let oracle_dir = TestDir::new("core-dml-access-oracle");
     let (mut store, _) = DurableStore::open(oracle_dir.path(), FsyncPolicy::Never).unwrap();
     for sql in STREAM {
-        let sql = crowddb_sql::parse_statement(sql).unwrap().to_string();
+        // The log keeps each statement's text as it was given.
+        let sql = sql.to_string();
         store
             .append(&if sql.starts_with("CREATE") {
                 crowddb_storage::LogRecord::Ddl { sql }

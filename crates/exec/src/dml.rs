@@ -110,7 +110,8 @@ pub fn select(
     })
 }
 
-/// An INSERT's rows; each is a cancellation checkpoint.
+/// An INSERT's rows, each bound and evaluated in turn; each is a
+/// cancellation checkpoint.
 ///
 /// Columns omitted from an explicit column list default to `CNULL` for
 /// CROWD columns (so they will be crowdsourced on first use — the
@@ -118,13 +119,6 @@ pub fn select(
 fn new_rows(ctx: &mut ExecCtx<'_>, ins: &Insert) -> Result<Vec<Target>> {
     let db = ctx.db;
     let schema = db.schema(&ins.table)?;
-    let bound_rows: Vec<Vec<crowddb_plan::BExpr>> = db.with_catalog(|catalog| {
-        let mut binder = Binder::new(catalog);
-        ins.rows
-            .iter()
-            .map(|row| row.iter().map(|e| binder.bind_value_expr(e)).collect())
-            .collect::<Result<_>>()
-    })?;
     // Map provided expressions onto schema positions.
     let unknown = |c| format!("unknown column '{c}' in INSERT INTO {}", schema.name);
     let positions: Vec<usize> = match &ins.columns {
@@ -146,8 +140,9 @@ fn new_rows(ctx: &mut ExecCtx<'_>, ins: &Insert) -> Result<Vec<Target>> {
         })
         .collect();
     let empty = Row::default();
-    let mut rows = Vec::with_capacity(bound_rows.len());
-    for exprs in &bound_rows {
+    let mut bound = Vec::with_capacity(positions.len());
+    let mut rows = Vec::with_capacity(ins.rows.len());
+    for exprs in &ins.rows {
         ctx.rt.check()?;
         if exprs.len() != positions.len() {
             return Err(CrowdError::Analyze(format!(
@@ -157,8 +152,18 @@ fn new_rows(ctx: &mut ExecCtx<'_>, ins: &Insert) -> Result<Vec<Target>> {
                 exprs.len()
             )));
         }
+        // Bound under the catalog's lock, evaluated outside it: a
+        // subquery among the values takes that lock itself.
+        bound.clear();
+        db.with_catalog(|catalog| {
+            let mut binder = Binder::new(catalog);
+            for expr in exprs {
+                bound.push(binder.bind_value_expr(expr)?);
+            }
+            Ok::<_, CrowdError>(())
+        })?;
         let mut values = defaults.clone();
-        for (expr, &pos) in exprs.iter().zip(&positions) {
+        for (expr, &pos) in bound.iter().zip(&positions) {
             values[pos] = eval(ctx, expr, &empty)?;
         }
         rows.push(Target::Insert(Row::new(values)));

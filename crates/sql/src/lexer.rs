@@ -10,7 +10,12 @@ use crate::token::{Keyword, Token, TokenKind};
 /// into that vector. Identifiers are lower-cased at lexing time (CrowdDB
 /// identifiers are case-insensitive), keywords are recognized here, and
 /// `--` line comments plus `/* */` block comments are skipped.
+///
+/// Quoted text, comments, words and numbers are found with a slice search
+/// and stepped over in one move; a literal's text is copied out of the
+/// source once.
 pub struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: u32,
@@ -21,6 +26,7 @@ impl<'a> Lexer<'a> {
     /// Create a lexer over `src`.
     pub fn new(src: &'a str) -> Lexer<'a> {
         Lexer {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -61,6 +67,39 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
+    /// Step over the source up to byte `end`, moving line and column as
+    /// [`Lexer::bump`] would have, a byte at a time.
+    fn skip_to(&mut self, end: usize) {
+        let skipped = &self.src[self.pos..end];
+        match skipped.iter().rposition(|&c| c == b'\n') {
+            Some(last) => {
+                self.line += skipped.iter().filter(|&&c| c == b'\n').count() as u32;
+                self.col = (skipped.len() - last) as u32;
+            }
+            None => self.col += skipped.len() as u32,
+        }
+        self.pos = end;
+    }
+
+    /// Where the first `needle` at or after byte `from` starts.
+    fn find(&self, from: usize, needle: &[u8]) -> Option<usize> {
+        let mut at = from;
+        loop {
+            at += self.src[at..].iter().position(|&c| c == needle[0])?;
+            if self.src[at..].starts_with(needle) {
+                return Some(at);
+            }
+            at += 1;
+        }
+    }
+
+    /// The end of the run of bytes from `from` that `keep` accepts.
+    fn run_end(&self, from: usize, keep: impl Fn(u8) -> bool) -> usize {
+        (self.src[from..].iter())
+            .position(|&c| !keep(c))
+            .map_or(self.src.len(), |at| from + at)
+    }
+
     fn err(&self, msg: impl Into<String>) -> CrowdError {
         CrowdError::Parse(format!(
             "{} at line {}, column {}",
@@ -74,33 +113,18 @@ impl<'a> Lexer<'a> {
         loop {
             match self.peek() {
                 Some(c) if c.is_ascii_whitespace() => {
-                    self.bump();
+                    self.skip_to(self.run_end(self.pos, |c| c.is_ascii_whitespace()));
                 }
                 Some(b'-') if self.peek2() == Some(b'-') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+                    self.skip_to(self.run_end(self.pos, |c| c != b'\n'));
                 }
-                Some(b'/') if self.peek2() == Some(b'*') => {
-                    self.bump();
-                    self.bump();
-                    loop {
-                        match (self.peek(), self.peek2()) {
-                            (Some(b'*'), Some(b'/')) => {
-                                self.bump();
-                                self.bump();
-                                break;
-                            }
-                            (Some(_), _) => {
-                                self.bump();
-                            }
-                            (None, _) => return Err(self.err("unterminated block comment")),
-                        }
+                Some(b'/') if self.peek2() == Some(b'*') => match self.find(self.pos + 2, b"*/") {
+                    Some(close) => self.skip_to(close + 2),
+                    None => {
+                        self.skip_to(self.src.len());
+                        return Err(self.err("unterminated block comment"));
                     }
-                }
+                },
                 _ => return Ok(()),
             }
         }
@@ -220,81 +244,62 @@ impl<'a> Lexer<'a> {
         Ok(tok(kind))
     }
 
+    /// A `'...'` literal: the text between the quotes, copied once, each
+    /// `''` (an escaped quote) spliced in as one `'`. Slicing the source
+    /// `&str` between two ASCII quotes always cuts whole UTF-8 sequences.
     fn lex_string(&mut self) -> Result<TokenKind> {
-        self.bump(); // opening quote
-        let mut s = Vec::new();
+        let mut from = self.pos + 1; // past the opening quote
+        let mut text = String::new();
         loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string literal")),
-                Some(b'\'') => {
-                    // '' is an escaped quote.
-                    if self.peek() == Some(b'\'') {
-                        self.bump();
-                        s.push(b'\'');
-                    } else {
-                        return self.utf8(s).map(TokenKind::StringLit);
-                    }
-                }
-                Some(c) => s.push(c),
+            let Some(quote) = self.find(from, b"'") else {
+                self.skip_to(self.src.len());
+                return Err(self.err("unterminated string literal"));
+            };
+            text.push_str(&self.text[from..quote]);
+            if self.src.get(quote + 1) != Some(&b'\'') {
+                self.skip_to(quote + 1);
+                return Ok(TokenKind::StringLit(text));
             }
+            text.push('\'');
+            from = quote + 2;
         }
     }
 
     fn lex_quoted_ident(&mut self) -> Result<TokenKind> {
-        self.bump(); // opening quote
-        let mut s = Vec::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated quoted identifier")),
-                Some(b'"') => {
-                    return self
-                        .utf8(s)
-                        .map(|s| TokenKind::Ident(s.to_ascii_lowercase()))
-                }
-                Some(c) => s.push(c),
-            }
-        }
-    }
-
-    /// The text between two ASCII delimiters of a `&str` source: whole
-    /// UTF-8 sequences, never a byte at a time.
-    fn utf8(&self, bytes: Vec<u8>) -> Result<String> {
-        String::from_utf8(bytes).map_err(|_| self.err("invalid UTF-8 in quoted text"))
+        let from = self.pos + 1; // past the opening quote
+        let Some(quote) = self.find(from, b"\"") else {
+            self.skip_to(self.src.len());
+            return Err(self.err("unterminated quoted identifier"));
+        };
+        let name = self.text[from..quote].to_ascii_lowercase();
+        self.skip_to(quote + 1);
+        Ok(TokenKind::Ident(name))
     }
 
     fn lex_number(&mut self) -> Result<TokenKind> {
         let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.bump();
-        }
+        let digits = |from| self.run_end(from, |c| c.is_ascii_digit());
+        let mut end = digits(start);
         let mut is_float = false;
         // Only consume '.' when followed by a digit, so "1." is not eaten
         // and "tbl.1" style input errors in the parser, not the lexer.
-        if self.peek() == Some(b'.') && matches!(self.peek2(), Some(c) if c.is_ascii_digit()) {
+        let at = |i: usize| self.src.get(i).copied();
+        if at(end) == Some(b'.') && at(end + 1).is_some_and(|c| c.is_ascii_digit()) {
             is_float = true;
-            self.bump();
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
-            }
+            end = digits(end + 1);
         }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            let mut look = self.pos + 1;
-            if matches!(self.src.get(look), Some(b'+') | Some(b'-')) {
+        if matches!(at(end), Some(b'e') | Some(b'E')) {
+            let mut look = end + 1;
+            if matches!(at(look), Some(b'+') | Some(b'-')) {
                 look += 1;
             }
-            if matches!(self.src.get(look), Some(c) if c.is_ascii_digit()) {
+            if at(look).is_some_and(|c| c.is_ascii_digit()) {
                 is_float = true;
-                self.bump(); // e
-                if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                    self.bump();
-                }
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.bump();
-                }
+                end = digits(look);
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos])
-            .map_err(|_| self.err("invalid UTF-8 in number"))?;
+        self.skip_to(end);
+        let text = &self.text[start..end];
         if is_float {
             text.parse::<f64>()
                 .map(TokenKind::FloatLit)
@@ -308,10 +313,8 @@ impl<'a> Lexer<'a> {
 
     fn lex_word(&mut self) -> TokenKind {
         let start = self.pos;
-        while self.peek().is_some_and(is_word_byte) {
-            self.bump();
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii word");
+        self.skip_to(self.run_end(start, is_word_byte));
+        let text = &self.text[start..self.pos];
         match Keyword::from_str(text) {
             Some(kw) => TokenKind::Keyword(kw),
             None => TokenKind::Ident(text.to_ascii_lowercase()),

@@ -6,6 +6,16 @@ use crate::ast::*;
 use crate::lexer::Lexer;
 use crate::token::{Keyword, Token, TokenKind};
 
+// Binding levels of the expression grammar, loosest first.
+const OR: u8 = 1;
+const AND: u8 = 2;
+/// Prefix `NOT`; a `NOT` inside a tighter operand is [`Parser::parse_unary`]'s.
+const NOT: u8 = 3;
+/// One comparison, IS, or [NOT] LIKE/IN/BETWEEN over additive operands.
+const PREDICATE: u8 = 4;
+const ADDITIVE: u8 = 5;
+const MULTIPLICATIVE: u8 = 6;
+
 /// Parse a single statement; trailing semicolon is allowed.
 pub fn parse_statement(sql: &str) -> Result<Statement> {
     let mut p = Parser::new(sql)?;
@@ -63,12 +73,15 @@ impl Parser {
         &self.tokens[idx].kind
     }
 
+    /// Step past the next token and hand it over by move. The parser never
+    /// looks back, so a consumed token's slot keeps a placeholder; the
+    /// final `Eof` is never consumed.
     fn advance(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+        if self.pos + 1 == self.tokens.len() {
+            return TokenKind::Eof;
         }
-        t
+        self.pos += 1;
+        std::mem::replace(&mut self.tokens[self.pos - 1].kind, TokenKind::Eof)
     }
 
     fn at_eof(&self) -> bool {
@@ -135,11 +148,11 @@ impl Parser {
 
     /// Parse an identifier (keywords are not identifiers).
     fn ident(&mut self) -> Result<String> {
-        match self.peek().clone() {
-            TokenKind::Ident(s) => {
-                self.advance();
-                Ok(s)
-            }
+        match self.peek() {
+            TokenKind::Ident(_) => match self.advance() {
+                TokenKind::Ident(s) => Ok(s),
+                _ => unreachable!("peeked an identifier"),
+            },
             // `KEY` etc. sometimes appear as column names in the wild; we
             // keep the grammar strict and require quoting instead.
             _ => Err(self.unexpected("identifier")),
@@ -412,10 +425,10 @@ impl Parser {
         self.advance();
         // Optional length, e.g. VARCHAR(255): parsed and ignored.
         if self.eat(&TokenKind::LParen) {
-            match self.advance() {
-                TokenKind::IntLit(_) => {}
-                _ => return Err(self.unexpected("length")),
+            if !matches!(self.peek(), TokenKind::IntLit(_)) {
+                return Err(self.unexpected("length"));
             }
+            self.advance();
             self.expect(&TokenKind::RParen)?;
         }
         Ok(ty)
@@ -531,7 +544,7 @@ impl Parser {
     }
 
     fn parse_u64(&mut self) -> Result<u64> {
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::IntLit(v) if v >= 0 => {
                 self.advance();
                 Ok(v as u64)
@@ -545,13 +558,14 @@ impl Parser {
             return Ok(SelectItem::Wildcard);
         }
         // table.* ?
-        if let TokenKind::Ident(name) = self.peek().clone() {
-            if *self.peek_at(1) == TokenKind::Dot && *self.peek_at(2) == TokenKind::Star {
-                self.advance();
-                self.advance();
-                self.advance();
-                return Ok(SelectItem::QualifiedWildcard(name));
-            }
+        if matches!(self.peek(), TokenKind::Ident(_))
+            && *self.peek_at(1) == TokenKind::Dot
+            && *self.peek_at(2) == TokenKind::Star
+        {
+            let name = self.ident()?;
+            self.advance();
+            self.advance();
+            return Ok(SelectItem::QualifiedWildcard(name));
         }
         let expr = self.parse_expr()?;
         let alias = if self.eat_kw(Keyword::As) {
@@ -625,50 +639,86 @@ impl Parser {
 
     /// Parse an expression.
     pub fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.parse_level(OR)
     }
 
-    fn parse_or(&mut self) -> Result<Expr> {
-        let mut left = self.parse_and()?;
-        while self.eat_kw(Keyword::Or) {
-            let right = self.parse_and()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op: BinaryOp::Or,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_and(&mut self) -> Result<Expr> {
-        let mut left = self.parse_not()?;
-        while self.eat_kw(Keyword::And) {
-            let right = self.parse_not()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op: BinaryOp::And,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_not(&mut self) -> Result<Expr> {
-        if self.eat_kw(Keyword::Not) {
-            let e = self.parse_not()?;
-            return Ok(Expr::Unary {
+    /// An expression of operators binding at level `min` or tighter, by
+    /// precedence climbing: one operand, then operators while they bind at
+    /// least as tight as `min` and no tighter than the last one applied
+    /// (whose right operand took every tighter one). A predicate does not
+    /// chain: after one, only `AND` and `OR` go on. A lone operand costs
+    /// one call and one look at the token after it.
+    fn parse_level(&mut self, min: u8) -> Result<Expr> {
+        let (mut left, mut limit) = if min <= NOT && self.eat_kw(Keyword::Not) {
+            let e = self.parse_level(NOT)?;
+            let not = Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(e),
-            });
+            };
+            (not, AND)
+        } else {
+            (self.parse_unary()?, MULTIPLICATIVE)
+        };
+        loop {
+            let (level, op) = self.infix();
+            if level < min || level > limit {
+                return Ok(left);
+            }
+            left = match op {
+                Some(op) => {
+                    self.advance();
+                    let right = self.parse_level(level + 1)?;
+                    Expr::Binary {
+                        left: Box::new(left),
+                        op,
+                        right: Box::new(right),
+                    }
+                }
+                None => self.parse_predicate(left)?,
+            };
+            limit = match level {
+                PREDICATE => NOT,
+                _ => level,
+            };
         }
-        self.parse_predicate()
     }
 
-    /// Comparisons, IS [NOT] [C]NULL, [NOT] LIKE/IN/BETWEEN.
-    fn parse_predicate(&mut self) -> Result<Expr> {
-        let left = self.parse_additive()?;
-        // Postfix predicates can chain (a IS NOT NULL is one level).
+    /// The level of the operator the next token starts, with its operator
+    /// unless it is a predicate's; level 0 when it starts none.
+    fn infix(&self) -> (u8, Option<BinaryOp>) {
+        let (level, op) = match self.peek() {
+            TokenKind::Keyword(Keyword::Or) => (OR, BinaryOp::Or),
+            TokenKind::Keyword(Keyword::And) => (AND, BinaryOp::And),
+            TokenKind::Plus => (ADDITIVE, BinaryOp::Add),
+            TokenKind::Minus => (ADDITIVE, BinaryOp::Sub),
+            TokenKind::Concat => (ADDITIVE, BinaryOp::Concat),
+            TokenKind::Star => (MULTIPLICATIVE, BinaryOp::Mul),
+            TokenKind::Slash => (MULTIPLICATIVE, BinaryOp::Div),
+            TokenKind::Percent => (MULTIPLICATIVE, BinaryOp::Mod),
+            TokenKind::Keyword(Keyword::Is | Keyword::Like | Keyword::Between | Keyword::In)
+            | TokenKind::Eq
+            | TokenKind::NotEq
+            | TokenKind::Lt
+            | TokenKind::LtEq
+            | TokenKind::Gt
+            | TokenKind::GtEq
+            | TokenKind::CrowdEq => return (PREDICATE, None),
+            TokenKind::Keyword(Keyword::Not)
+                if matches!(
+                    self.peek_at(1),
+                    TokenKind::Keyword(Keyword::Like | Keyword::In | Keyword::Between)
+                ) =>
+            {
+                return (PREDICATE, None)
+            }
+            _ => return (0, None),
+        };
+        (level, Some(op))
+    }
+
+    /// The predicate over `left` the next token starts: a comparison,
+    /// IS [NOT] [C]NULL, [NOT] LIKE/IN/BETWEEN.
+    fn parse_predicate(&mut self, left: Expr) -> Result<Expr> {
         if self.eat_kw(Keyword::Is) {
             let negated = self.eat_kw(Keyword::Not);
             let cnull = if self.eat_kw(Keyword::Cnull) {
@@ -696,7 +746,7 @@ impl Parser {
             false
         };
         if self.eat_kw(Keyword::Like) {
-            let pattern = self.parse_additive()?;
+            let pattern = self.parse_level(ADDITIVE)?;
             return Ok(Expr::Like {
                 expr: Box::new(left),
                 pattern: Box::new(pattern),
@@ -704,9 +754,9 @@ impl Parser {
             });
         }
         if self.eat_kw(Keyword::Between) {
-            let low = self.parse_additive()?;
+            let low = self.parse_level(ADDITIVE)?;
             self.expect_kw(Keyword::And)?;
-            let high = self.parse_additive()?;
+            let high = self.parse_level(ADDITIVE)?;
             return Ok(Expr::Between {
                 expr: Box::new(left),
                 low: Box::new(low),
@@ -751,7 +801,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.advance();
-            let right = self.parse_additive()?;
+            let right = self.parse_level(ADDITIVE)?;
             return Ok(Expr::Binary {
                 left: Box::new(left),
                 op,
@@ -761,49 +811,9 @@ impl Parser {
         Ok(left)
     }
 
-    fn parse_additive(&mut self) -> Result<Expr> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinaryOp::Add,
-                TokenKind::Minus => BinaryOp::Sub,
-                TokenKind::Concat => BinaryOp::Concat,
-                _ => break,
-            };
-            self.advance();
-            let right = self.parse_multiplicative()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr> {
-        let mut left = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinaryOp::Mul,
-                TokenKind::Slash => BinaryOp::Div,
-                TokenKind::Percent => BinaryOp::Mod,
-                _ => break,
-            };
-            self.advance();
-            let right = self.parse_unary()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
     fn parse_unary(&mut self) -> Result<Expr> {
-        // `NOT` normally binds looser than comparisons (handled in
-        // `parse_not`), but we also accept it as a tight unary operator so
+        // `NOT` normally binds looser than comparisons (the `NOT` level of
+        // `parse_level`), but we also accept it as a tight unary operator so
         // that expressions like `a = NOT b` — which our canonical
         // rendering produces for nested NOTs — re-parse correctly.
         if self.eat_kw(Keyword::Not) {
@@ -832,18 +842,14 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr> {
-        match self.peek().clone() {
-            TokenKind::IntLit(v) => {
-                self.advance();
-                Ok(Expr::Literal(Value::Int(v)))
-            }
-            TokenKind::FloatLit(v) => {
-                self.advance();
-                Ok(Expr::Literal(Value::Float(v)))
-            }
-            TokenKind::StringLit(s) => {
-                self.advance();
-                Ok(Expr::Literal(Value::Str(s)))
+        match self.peek() {
+            TokenKind::IntLit(_) | TokenKind::FloatLit(_) | TokenKind::StringLit(_) => {
+                Ok(Expr::Literal(match self.advance() {
+                    TokenKind::IntLit(v) => Value::Int(v),
+                    TokenKind::FloatLit(v) => Value::Float(v),
+                    TokenKind::StringLit(s) => Value::Str(s),
+                    _ => unreachable!("peeked a literal"),
+                }))
             }
             TokenKind::Keyword(Keyword::True) => {
                 self.advance();
@@ -927,8 +933,8 @@ impl Parser {
                 self.expect(&TokenKind::RParen)?;
                 Ok(e)
             }
-            TokenKind::Ident(name) => {
-                self.advance();
+            TokenKind::Ident(_) => {
+                let name = self.ident()?;
                 // Function call?
                 if self.check(&TokenKind::LParen) {
                     self.advance();

@@ -81,76 +81,81 @@ impl Keyword {
     /// Look up a keyword from an identifier, case-insensitively.
     #[allow(clippy::should_implement_trait)] // fallible lookup, not parsing
     pub fn from_str(s: &str) -> Option<Keyword> {
-        let up = s.to_ascii_uppercase();
-        Some(match up.as_str() {
-            "ALL" => Keyword::All,
-            "AND" => Keyword::And,
-            "AS" => Keyword::As,
-            "ASC" => Keyword::Asc,
-            "BETWEEN" => Keyword::Between,
-            "BOOLEAN" | "BOOL" => Keyword::Boolean,
-            "BY" => Keyword::By,
-            "CASE" => Keyword::Case,
-            "CAST" => Keyword::Cast,
-            "CNULL" => Keyword::Cnull,
-            "CREATE" => Keyword::Create,
-            "CROSS" => Keyword::Cross,
-            "CROWD" => Keyword::Crowd,
-            "CROWDEQUAL" => Keyword::Crowdequal,
-            "CROWDORDER" => Keyword::Crowdorder,
-            "DELETE" => Keyword::Delete,
-            "DESC" => Keyword::Desc,
-            "DISTINCT" => Keyword::Distinct,
-            "DOUBLE" => Keyword::Double,
-            "DROP" => Keyword::Drop,
-            "ELSE" => Keyword::Else,
-            "END" => Keyword::End,
-            "EXISTS" => Keyword::Exists,
-            "EXPLAIN" => Keyword::Explain,
-            "FALSE" => Keyword::False,
-            "FLOAT" => Keyword::Float,
-            "FOREIGN" => Keyword::Foreign,
-            "FROM" => Keyword::From,
-            "GROUP" => Keyword::Group,
-            "HAVING" => Keyword::Having,
-            "IF" => Keyword::If,
-            "IN" => Keyword::In,
-            "INDEX" => Keyword::Index,
-            "INNER" => Keyword::Inner,
-            "INSERT" => Keyword::Insert,
-            "INT" => Keyword::Int,
-            "INTEGER" => Keyword::Integer,
-            "INTO" => Keyword::Into,
-            "IS" => Keyword::Is,
-            "JOIN" => Keyword::Join,
-            "KEY" => Keyword::Key,
-            "LEFT" => Keyword::Left,
-            "LIKE" => Keyword::Like,
-            "LIMIT" => Keyword::Limit,
-            "NOT" => Keyword::Not,
-            "NULL" => Keyword::Null,
-            "OFFSET" => Keyword::Offset,
-            "ON" => Keyword::On,
-            "OR" => Keyword::Or,
-            "ORDER" => Keyword::Order,
-            "OUTER" => Keyword::Outer,
-            "PRIMARY" => Keyword::Primary,
-            "REF" => Keyword::Ref,
-            "REFERENCES" => Keyword::References,
-            "SELECT" => Keyword::Select,
-            "SET" => Keyword::Set,
-            "STRING" => Keyword::String,
-            "TABLE" => Keyword::Table,
-            "TEXT" => Keyword::Text,
-            "THEN" => Keyword::Then,
-            "TRUE" => Keyword::True,
-            "UNION" => Keyword::Union,
-            "UNIQUE" => Keyword::Unique,
-            "UPDATE" => Keyword::Update,
-            "VALUES" => Keyword::Values,
-            "VARCHAR" => Keyword::Varchar,
-            "WHEN" => Keyword::When,
-            "WHERE" => Keyword::Where,
+        // Upper-case into a stack buffer as long as the longest keyword;
+        // a longer word is no keyword.
+        let mut buf = [0u8; 10];
+        let up = buf.get_mut(..s.len())?;
+        up.copy_from_slice(s.as_bytes());
+        up.make_ascii_uppercase();
+        Some(match &*up {
+            b"ALL" => Keyword::All,
+            b"AND" => Keyword::And,
+            b"AS" => Keyword::As,
+            b"ASC" => Keyword::Asc,
+            b"BETWEEN" => Keyword::Between,
+            b"BOOLEAN" | b"BOOL" => Keyword::Boolean,
+            b"BY" => Keyword::By,
+            b"CASE" => Keyword::Case,
+            b"CAST" => Keyword::Cast,
+            b"CNULL" => Keyword::Cnull,
+            b"CREATE" => Keyword::Create,
+            b"CROSS" => Keyword::Cross,
+            b"CROWD" => Keyword::Crowd,
+            b"CROWDEQUAL" => Keyword::Crowdequal,
+            b"CROWDORDER" => Keyword::Crowdorder,
+            b"DELETE" => Keyword::Delete,
+            b"DESC" => Keyword::Desc,
+            b"DISTINCT" => Keyword::Distinct,
+            b"DOUBLE" => Keyword::Double,
+            b"DROP" => Keyword::Drop,
+            b"ELSE" => Keyword::Else,
+            b"END" => Keyword::End,
+            b"EXISTS" => Keyword::Exists,
+            b"EXPLAIN" => Keyword::Explain,
+            b"FALSE" => Keyword::False,
+            b"FLOAT" => Keyword::Float,
+            b"FOREIGN" => Keyword::Foreign,
+            b"FROM" => Keyword::From,
+            b"GROUP" => Keyword::Group,
+            b"HAVING" => Keyword::Having,
+            b"IF" => Keyword::If,
+            b"IN" => Keyword::In,
+            b"INDEX" => Keyword::Index,
+            b"INNER" => Keyword::Inner,
+            b"INSERT" => Keyword::Insert,
+            b"INT" => Keyword::Int,
+            b"INTEGER" => Keyword::Integer,
+            b"INTO" => Keyword::Into,
+            b"IS" => Keyword::Is,
+            b"JOIN" => Keyword::Join,
+            b"KEY" => Keyword::Key,
+            b"LEFT" => Keyword::Left,
+            b"LIKE" => Keyword::Like,
+            b"LIMIT" => Keyword::Limit,
+            b"NOT" => Keyword::Not,
+            b"NULL" => Keyword::Null,
+            b"OFFSET" => Keyword::Offset,
+            b"ON" => Keyword::On,
+            b"OR" => Keyword::Or,
+            b"ORDER" => Keyword::Order,
+            b"OUTER" => Keyword::Outer,
+            b"PRIMARY" => Keyword::Primary,
+            b"REF" => Keyword::Ref,
+            b"REFERENCES" => Keyword::References,
+            b"SELECT" => Keyword::Select,
+            b"SET" => Keyword::Set,
+            b"STRING" => Keyword::String,
+            b"TABLE" => Keyword::Table,
+            b"TEXT" => Keyword::Text,
+            b"THEN" => Keyword::Then,
+            b"TRUE" => Keyword::True,
+            b"UNION" => Keyword::Union,
+            b"UNIQUE" => Keyword::Unique,
+            b"UPDATE" => Keyword::Update,
+            b"VALUES" => Keyword::Values,
+            b"VARCHAR" => Keyword::Varchar,
+            b"WHEN" => Keyword::When,
+            b"WHERE" => Keyword::Where,
             _ => return None,
         })
     }
@@ -276,6 +281,14 @@ mod tests {
         assert_eq!(Keyword::from_str("BOOL"), Some(Keyword::Boolean));
         assert_eq!(Keyword::from_str("VARCHAR"), Some(Keyword::Varchar));
         assert_eq!(Keyword::from_str("TEXT"), Some(Keyword::Text));
+    }
+
+    #[test]
+    fn words_longer_than_any_keyword_are_not_keywords() {
+        assert_eq!(Keyword::from_str("CrowdOrder"), Some(Keyword::Crowdorder));
+        assert_eq!(Keyword::from_str("REFERENCESX"), None);
+        assert_eq!(Keyword::from_str("a_rather_long_column_name"), None);
+        assert_eq!(Keyword::from_str(""), None);
     }
 
     #[test]

@@ -142,6 +142,27 @@ fn lexer_and_parser_errors_keep_their_text_and_position() {
 }
 
 #[test]
+fn a_bad_type_length_names_the_bad_token() {
+    for (sql, want) in [
+        (
+            "CREATE TABLE t (a VARCHAR(abc))",
+            "expected length, found identifier 'abc' at line 1, column 27",
+        ),
+        (
+            "CREATE TABLE t (a VARCHAR())",
+            "expected length, found ')' at line 1, column 27",
+        ),
+        (
+            "SELECT CAST(a AS STRING('x')) FROM t",
+            "expected length, found string 'x' at line 1, column 25",
+        ),
+    ] {
+        let err = parse_statement(sql).expect_err(sql).to_string();
+        assert_eq!(err, format!("parse error: {want}"), "input {sql:?}");
+    }
+}
+
+#[test]
 fn a_script_error_keeps_its_position_past_earlier_statements() {
     let err = parse_statements("SELECT 'a\nb';\nSELECT 'it''s' 1")
         .unwrap_err()

@@ -2,12 +2,12 @@
 //! `crowddb_common::rng`: canonical rendering of a random AST re-parses to
 //! the identical AST, and the parser never panics on arbitrary input.
 //!
-//! The round trip is a durability contract, not a nicety: the WAL's
-//! `LogRecord::{Dml, Ddl}` store `stmt.to_string()` and recovery re-parses
-//! it, so a statement that renders to something else than itself replays
-//! as something else than was executed. The generators therefore cover
-//! every statement kind that is logged and stay inside what the parser can
-//! produce (it folds `-<number>` into the literal, drops unary `+`, and
+//! The round trip guards `Display`, which names statements wherever one is
+//! shown as text: the subscription listing and error messages. Recovery
+//! no longer rests on it: the WAL's `LogRecord::{Dml, Ddl}` keep the text a
+//! statement was parsed from, and replay parses that same text. The
+//! generators cover every statement kind and stay inside what the parser
+//! can produce (it folds `-<number>` into the literal, drops unary `+`, and
 //! reads `NOT EXISTS` as `NOT (EXISTS …)`).
 //!
 //! Case `n` of a property draws its input from `Rng::seed_from_u64(n)`; a
