@@ -28,7 +28,7 @@ use crowddb_wal::{DurableStore, FsyncPolicy, GroupCommitStore};
 use crate::config::CrowdConfig;
 use crate::governor::{AdmissionController, CancelToken, GovernorPolicy, StatementGuard};
 use crate::result::{CrowdSummary, QueryResult};
-use crate::subscribe::{self, DeltaBatch, SubRegistry, SubState, SubscriptionHandle};
+use crate::subscribe::{self, DeltaBatch, NetDelta, SubRegistry, SubState, SubscriptionHandle};
 use crate::taskman;
 
 /// A CrowdDB instance: storage + planner + crowd machinery.
@@ -1457,12 +1457,9 @@ impl CrowdDB {
                 }
                 None => self.reevaluate(sub),
             };
-            // One tail for both routes from here on.
-            let folded = delta.and_then(|(added, removed)| {
-                subscribe::fold_delta(&mut sub.last, &added, &removed)?;
-                Ok((added, removed))
-            });
-            let (added, removed) = match folded {
+            // One tail for both routes from here on: the netted change
+            // folds into `last` and comes out as the batch's lists.
+            let (added, removed) = match delta.and_then(|net| net.apply(&mut sub.last)) {
                 Ok(delta) => delta,
                 Err(e) => {
                     // E.g. a watched table was dropped. The error is
@@ -1516,7 +1513,7 @@ impl CrowdDB {
     /// storage between the subscription's last fold and this DML. `None`
     /// sends the caller to [`CrowdDB::reevaluate`], as does an operator
     /// without a rule.
-    fn delta_of(&self, sub: &mut SubState, trigger: &Trigger<'_>) -> Option<(Vec<Row>, Vec<Row>)> {
+    fn delta_of(&self, sub: &mut SubState, trigger: &Trigger<'_>) -> Option<NetDelta> {
         let Trigger::Dml {
             change: Some(change),
             ..
@@ -1528,21 +1525,14 @@ impl CrowdDB {
             return None;
         }
         let delta = sub.maintained.delta(&self.db, change).ok().flatten()?;
-        // Rows in both lists cancel (an UPDATE of a column the query does
-        // not show); the rest sort as the other route's diff does.
-        let (removed, added) = (&delta.removed, &delta.added);
-        subscribe::diff_rowsets(
-            &subscribe::rowset_from_rows(removed),
-            &subscribe::rowset_from_rows(added),
-        )
-        .ok()
+        Some(NetDelta::of_lists(delta.removed, delta.added))
     }
 
     /// The recompute route: evaluate afresh (which also renews what the
     /// delta route continues from) and diff against the last result.
-    fn reevaluate(&self, sub: &mut SubState) -> Result<(Vec<Row>, Vec<Row>)> {
+    fn reevaluate(&self, sub: &mut SubState) -> Result<NetDelta> {
         let (rows, maintained) = self.evaluate_standing(&sub.plan.logical)?;
-        let diff = subscribe::diff_rowsets(&sub.last, &subscribe::rowset_from_rows(&rows))?;
+        let diff = NetDelta::between(&sub.last, &subscribe::rowset_from_rows(&rows))?;
         sub.maintained = maintained;
         Ok(diff)
     }

@@ -20,8 +20,7 @@
 //! resynced with a fresh snapshot batch — bounded memory, no silent
 //! gaps.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use crowddb_common::codec;
 use crowddb_common::{CrowdError, Result, Row};
@@ -50,8 +49,10 @@ pub struct DeltaBatch {
 }
 
 /// A multiset of rows: canonical codec bytes → copies. The key *is* the
-/// row ([`key_row`] decodes it), so each row is held once.
-pub(crate) type RowSet = BTreeMap<Vec<u8>, usize>;
+/// row ([`key_row`] decodes it), so each row is held once. Hashed: keys
+/// are put in order only where rows leave — a batch's lists, a snapshot,
+/// [`SubscriberState::canonical`].
+pub(crate) type RowSet = HashMap<Vec<u8>, usize>;
 
 /// Canonical byte encoding of one row ([`crowddb_common::codec`]).
 pub fn row_key(row: &Row) -> Vec<u8> {
@@ -76,45 +77,135 @@ pub(crate) fn rowset_from_rows(rows: &[Row]) -> RowSet {
 /// Expand a multiset into rows sorted by canonical encoding: what it
 /// adds to nothing.
 pub(crate) fn rowset_to_rows(set: &RowSet) -> Result<Vec<Row>> {
-    Ok(diff_rowsets(&RowSet::new(), set)?.0)
+    let mut rows = Vec::with_capacity(set.values().sum());
+    for (key, copies) in sorted(set) {
+        rows.extend(std::iter::repeat_n(key_row(key)?, copies));
+    }
+    Ok(rows)
+}
+
+/// The entries of `set` in key order.
+fn sorted(set: &RowSet) -> Vec<(&[u8], usize)> {
+    let mut entries: Vec<_> = set.iter().map(|(k, n)| (k.as_slice(), *n)).collect();
+    entries.sort_unstable();
+    entries
 }
 
 /// Multiset difference `new - old` / `old - new`, both sorted by
-/// canonical encoding: one merge pass over the two ordered maps, a row
-/// decoded only where its counts differ. (Of an operator-tree delta's
-/// two lists, it cancels the rows in both and sorts the rest.)
+/// canonical encoding, a row decoded only where its counts differ: the
+/// recompute route's diff as two lists.
+#[cfg(test)]
 pub(crate) fn diff_rowsets(old: &RowSet, new: &RowSet) -> Result<(Vec<Row>, Vec<Row>)> {
-    let (mut added, mut removed) = (Vec::new(), Vec::new());
-    let (mut olds, mut news) = (old.iter().peekable(), new.iter().peekable());
-    while let Some(key) = match (olds.peek(), news.peek()) {
-        (Some((o, _)), Some((n, _))) => Some(*o.min(n)),
-        (o, n) => o.or(n).map(|(key, _)| *key),
-    } {
-        let was = olds.next_if(|(k, _)| *k == key).map_or(0, |(_, n)| *n);
-        let is = news.next_if(|(k, _)| *k == key).map_or(0, |(_, n)| *n);
-        if was != is {
-            let list = if is > was { &mut added } else { &mut removed };
-            list.resize(list.len() + is.abs_diff(was), key_row(key)?);
-        }
+    Ok(NetDelta::between(old, new)?.into_lists())
+}
+
+/// A change to a result multiset, netted by row and sorted by key: each
+/// row that enters (`copies > 0`) or leaves (`copies < 0`) once, beside
+/// its encoding. Both routes of a trigger end in one, so everything after
+/// — the fold into the last result and the batch — is one tail.
+pub(crate) struct NetDelta(Vec<(Vec<u8>, Row, isize)>);
+
+impl NetDelta {
+    /// An operator tree's delta: its two lists, each row encoded once and
+    /// netted by its encoding. Rows in both cancel (an UPDATE of a column
+    /// the query does not show).
+    pub(crate) fn of_lists(removed: Vec<Row>, added: Vec<Row>) -> NetDelta {
+        let signed = |rows: Vec<Row>, sign| rows.into_iter().map(move |r| (row_key(&r), r, sign));
+        let mut net: Vec<_> = signed(removed, -1).chain(signed(added, 1)).collect();
+        net.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        net.dedup_by(|next, kept| {
+            next.0 == kept.0 && {
+                kept.2 += next.2;
+                true
+            }
+        });
+        net.retain(|(_, _, copies)| *copies != 0);
+        NetDelta(net)
     }
-    Ok((added, removed))
+
+    /// The recompute route's diff: `new - old`, key by key, a row decoded
+    /// from its key where the counts differ.
+    pub(crate) fn between(old: &RowSet, new: &RowSet) -> Result<NetDelta> {
+        let mut net = Vec::new();
+        let counts = |set: &RowSet, key: &Vec<u8>| set.get(key).map_or(0, |n| *n as isize);
+        for key in new
+            .keys()
+            .chain(old.keys().filter(|k| !new.contains_key(*k)))
+        {
+            let copies = counts(new, key) - counts(old, key);
+            if copies != 0 {
+                net.push((key.clone(), key_row(key)?, copies));
+            }
+        }
+        net.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        Ok(NetDelta(net))
+    }
+
+    /// Fold the change into `set` and hand back the batch's `(added,
+    /// removed)`, in key order, a row once per copy. Errors on a row
+    /// leaving more often than `set` holds it.
+    pub(crate) fn apply(self, set: &mut RowSet) -> Result<(Vec<Row>, Vec<Row>)> {
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        for (key, row, copies) in self.0 {
+            let n = copies.unsigned_abs();
+            if copies > 0 {
+                *set.entry(key).or_insert(0) += n;
+                added.extend(std::iter::repeat_n(row, n));
+                continue;
+            }
+            let held = set
+                .get_mut(&key)
+                .filter(|held| **held >= n)
+                .ok_or_else(|| {
+                    CrowdError::Internal("delta removed a row the subscriber never had".into())
+                })?;
+            *held -= n;
+            if *held == 0 {
+                set.remove(&key);
+            }
+            removed.extend(std::iter::repeat_n(row, n));
+        }
+        Ok((added, removed))
+    }
+
+    /// `(added, removed)` as [`NetDelta::apply`] gives them, folded
+    /// nowhere.
+    #[cfg(test)]
+    fn into_lists(self) -> (Vec<Row>, Vec<Row>) {
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        for (_, row, copies) in self.0 {
+            let list = if copies > 0 { &mut added } else { &mut removed };
+            list.extend(std::iter::repeat_n(row, copies.unsigned_abs()));
+        }
+        (added, removed)
+    }
 }
 
 /// Apply a delta to a multiset, removals first. Errors on a removed row
-/// the set does not hold.
+/// the set does not hold. Each row is encoded into one reused buffer and
+/// looked up by it; only a row new to the set allocates a key.
 pub(crate) fn fold_delta(set: &mut RowSet, added: &[Row], removed: &[Row]) -> Result<()> {
+    let mut key = Vec::new();
     for r in removed {
-        let k = row_key(r);
-        let copies = set.get_mut(&k).ok_or_else(|| {
+        key.clear();
+        codec::encode_row(&mut key, r);
+        let copies = set.get_mut(key.as_slice()).ok_or_else(|| {
             CrowdError::Internal("delta removed a row the subscriber never had".into())
         })?;
         *copies -= 1;
         if *copies == 0 {
-            set.remove(&k);
+            set.remove(key.as_slice());
         }
     }
     for r in added {
-        *set.entry(row_key(r)).or_insert(0) += 1;
+        key.clear();
+        codec::encode_row(&mut key, r);
+        match set.get_mut(key.as_slice()) {
+            Some(copies) => *copies += 1,
+            None => {
+                set.insert(key.clone(), 1);
+            }
+        }
     }
     Ok(())
 }
@@ -267,13 +358,16 @@ impl SubscriberState {
 /// Canonical byte encoding of an arbitrary row collection — what a
 /// fresh one-shot re-execution hashes to for the oracle comparison.
 pub fn canonical_rows(rows: &[Row]) -> Vec<u8> {
-    canonical_of(&rowset_from_rows(rows))
+    let mut keys: Vec<Vec<u8>> = rows.iter().map(row_key).collect();
+    keys.sort_unstable();
+    keys.concat()
 }
 
+/// The keys of `set` in order, each once per copy, concatenated.
 fn canonical_of(set: &RowSet) -> Vec<u8> {
     let mut out = Vec::new();
-    for (key, n) in set {
-        for _ in 0..*n {
+    for (key, n) in sorted(set) {
+        for _ in 0..n {
             out.extend_from_slice(key);
         }
     }

@@ -460,9 +460,33 @@ impl<'caches> RunContext<'caches> {
     }
 }
 
-/// The running state of a standing query's `Aggregate` nodes, by node
-/// (see `ops::aggregate`).
-pub(crate) type GroupStates = HashMap<usize, crate::ops::aggregate::Groups>;
+/// What a standing query's stateful nodes keep between triggers, by
+/// plan-node address, which is stable for as long as the standing query
+/// owns its boxed plan (a miss, say after a clone, only means "no delta"
+/// or "build again").
+pub(crate) type NodeStates = HashMap<usize, NodeState>;
+
+/// The state one node keeps (see [`NodeStates`]).
+#[derive(Debug)]
+pub(crate) enum NodeState {
+    /// An `Aggregate`'s running groups (`ops::aggregate`).
+    Groups(crate::ops::aggregate::Groups),
+    /// A `HashJoin`'s build side (`ops::hash_join`).
+    Build(crate::ops::hash_join::Kept),
+}
+
+/// Table schemas read off the catalog, by name.
+pub(crate) type Schemas = HashMap<String, Arc<TableSchema>>;
+
+/// What a standing query carries from one trigger to the next besides
+/// its plan: what its nodes keep and the schemas its scans read. Only a
+/// DDL changes a schema, and a DDL on a watched table re-evaluates the
+/// query, which starts a fresh `Carried`.
+#[derive(Debug, Default)]
+pub(crate) struct Carried {
+    states: NodeStates,
+    schemas: Schemas,
+}
 
 /// Everything one execution round threads through the operator tree:
 /// the database, the per-round [`RunContext`], and a table-schema cache.
@@ -475,13 +499,14 @@ pub struct ExecCtx<'a> {
     pub db: &'a Database,
     /// Per-round mutable state (needs, counters, subquery memo).
     pub rt: RunContext<'a>,
-    /// `execute` leaves aggregate state here when there is a map to
-    /// leave it in, `delta` moves it; `None` for a one-shot statement.
-    pub(crate) groups: Option<GroupStates>,
+    /// `execute` leaves what a stateful node keeps here when there is a
+    /// map to leave it in, `delta` moves it; `None` for a one-shot
+    /// statement.
+    states: Option<NodeStates>,
     /// `EXPLAIN ANALYZE`: time every hand-over between operators, so
     /// that per-operator wall time is self time (see `ops::run_op`).
     pub(crate) timed: bool,
-    schema_cache: HashMap<String, Arc<TableSchema>>,
+    schemas: Schemas,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -499,9 +524,38 @@ impl<'a> ExecCtx<'a> {
         ExecCtx {
             db,
             rt: RunContext::with_guard(caches, guard),
-            groups: None,
+            states: None,
             timed: false,
-            schema_cache: HashMap::new(),
+            schemas: Schemas::new(),
+        }
+    }
+
+    /// Continue from what a standing query carried out of its last
+    /// evaluation or trigger: its nodes find what they kept, its scans
+    /// the schemas they read, and what they keep now is kept.
+    pub(crate) fn carry_in(&mut self, carried: Carried) {
+        self.states = Some(carried.states);
+        self.schemas = carried.schemas;
+    }
+
+    /// What this context carries out for the next trigger.
+    pub(crate) fn carry_out(&mut self) -> Carried {
+        Carried {
+            states: self.states.take().unwrap_or_default(),
+            schemas: std::mem::take(&mut self.schemas),
+        }
+    }
+
+    /// Take out what node `key` kept, if anything.
+    pub(crate) fn take_state(&mut self, key: usize) -> Option<NodeState> {
+        self.states.as_mut()?.remove(&key)
+    }
+
+    /// Keep `state` for node `key`, if this context keeps anything (a
+    /// standing query's does).
+    pub(crate) fn keep_state(&mut self, key: usize, state: NodeState) {
+        if let Some(states) = &mut self.states {
+            states.insert(key, state);
         }
     }
 
@@ -527,13 +581,15 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Catalog schema for `table`, read from the catalog once per round
-    /// and shared after that: a scan pass copies no column name.
+    /// (once per standing query, which carries its schemas from trigger
+    /// to trigger) and shared after that: a scan pass copies no column
+    /// name.
     pub fn table_schema(&mut self, table: &str) -> Result<Arc<TableSchema>> {
-        if let Some(s) = self.schema_cache.get(table) {
+        if let Some(s) = self.schemas.get(table) {
             return Ok(Arc::clone(s));
         }
         let s = Arc::new(self.db.schema(table)?);
-        self.schema_cache.insert(table.to_string(), Arc::clone(&s));
+        self.schemas.insert(table.to_string(), Arc::clone(&s));
         Ok(s)
     }
 

@@ -26,7 +26,7 @@ use crowddb_sql::{Expr, Insert, Statement, Update};
 use crowddb_storage::Database;
 
 use crate::context::{CompareCaches, ExecCtx, ExecGuard};
-use crate::eval::eval;
+use crate::eval::{eval, eval_owned};
 use crate::executor::{live_row_stats, lower_plan};
 use crate::need::TaskNeed;
 use crate::ops::scan::ScanOp;
@@ -154,7 +154,6 @@ fn new_rows(ctx: &mut ExecCtx<'_>, ins: &Insert) -> Result<Vec<Target>> {
         }
         // Bound under the catalog's lock, evaluated outside it: a
         // subquery among the values takes that lock itself.
-        bound.clear();
         db.with_catalog(|catalog| {
             let mut binder = Binder::new(catalog);
             for expr in exprs {
@@ -163,8 +162,8 @@ fn new_rows(ctx: &mut ExecCtx<'_>, ins: &Insert) -> Result<Vec<Target>> {
             Ok::<_, CrowdError>(())
         })?;
         let mut values = defaults.clone();
-        for (expr, &pos) in bound.iter().zip(&positions) {
-            values[pos] = eval(ctx, expr, &empty)?;
+        for (expr, &pos) in bound.drain(..).zip(&positions) {
+            values[pos] = eval_owned(ctx, expr, &empty)?;
         }
         rows.push(Target::Insert(Row::new(values)));
     }

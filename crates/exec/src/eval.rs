@@ -276,6 +276,16 @@ fn membership<'c>(
     Ok(t)
 }
 
+/// [`eval`] of an expression the caller is done with: a literal is moved
+/// out rather than copied, so a bound `VALUES` literal is copied once, by
+/// the binder, on its way into a row.
+pub(crate) fn eval_owned(ctx: &mut ExecCtx<'_>, e: BExpr, row: &Row) -> Result<Value> {
+    match e {
+        BExpr::Literal(v) => Ok(v),
+        e => eval(ctx, &e, row),
+    }
+}
+
 /// [`eval`] for a caller that only looks at the value: a column of
 /// `row` or a literal is lent, not cloned, so comparing a string column
 /// costs no copy of it.

@@ -13,7 +13,7 @@ use crowddb_plan::cardinality::FnStats;
 use crowddb_plan::{LogicalPlan, PhysicalPlan};
 use crowddb_storage::Database;
 
-use crate::context::{CompareCaches, ExecCtx, ExecGuard, GroupStates, RunStats};
+use crate::context::{Carried, CompareCaches, ExecCtx, ExecGuard, RunStats};
 use crate::need::TaskNeed;
 use crate::ops::{self, Delta, OpStatsNode, TableChange};
 
@@ -86,15 +86,16 @@ pub fn execute_physical(
 }
 
 /// A standing query between triggers: the plan one evaluation lowered
-/// and the aggregate state that same evaluation left behind. Holding the
-/// two together is what makes [`Maintained::delta`] sound — its answer is
-/// relative to exactly the result [`Maintained::evaluate`] returned, as
-/// moved by every delta since.
+/// and what that same evaluation left behind — the groups of its
+/// aggregates, the build sides of its joins, the schemas its scans read.
+/// Holding them together is what makes [`Maintained::delta`] sound — its
+/// answer is relative to exactly the result [`Maintained::evaluate`]
+/// returned, as moved by every delta since.
 #[derive(Debug)]
 pub struct Maintained {
-    /// Boxed: `Aggregate` nodes find their state by plan-node address.
+    /// Boxed: stateful nodes find their state by plan-node address.
     plan: Box<PhysicalPlan>,
-    groups: GroupStates,
+    carried: Carried,
 }
 
 impl Maintained {
@@ -108,10 +109,9 @@ impl Maintained {
     ) -> Result<(ExecResult, Maintained)> {
         let plan = Box::new(lower_plan(db, plan));
         let mut ctx = ExecCtx::with_guard(db, caches, guard);
-        ctx.groups = Some(GroupStates::new());
-        let (result, _, groups) = run_round(ctx, &plan)?;
-        let groups = groups.unwrap_or_default();
-        Ok((result, Maintained { plan, groups }))
+        ctx.carry_in(Carried::default());
+        let (result, _, carried) = run_round(ctx, &plan)?;
+        Ok((result, Maintained { plan, carried }))
     }
 
     /// What `change` — already applied to `db`, and the only difference
@@ -133,9 +133,9 @@ impl Maintained {
     ) -> Result<(Option<Delta>, RunStats)> {
         let caches = CompareCaches::default();
         let mut ctx = ExecCtx::new(db, &caches);
-        ctx.groups = Some(std::mem::take(&mut self.groups));
+        ctx.carry_in(std::mem::take(&mut self.carried));
         let delta = ops::build(&self.plan).delta(&mut ctx, change)?;
-        self.groups = ctx.groups.take().unwrap_or_default();
+        self.carried = ctx.carry_out();
         let (needs, stats) = ctx.finish();
         Ok((delta.filter(|_| needs.is_empty()), stats))
     }
@@ -174,11 +174,12 @@ pub fn execute_physical_analyzed(
 }
 
 /// One round of `physical` in `ctx`: the result, the per-operator stats,
-/// and the aggregate state, if the context was set up to keep any.
+/// and what the context carries out (node state only if it was set up to
+/// keep any).
 fn run_round(
     mut ctx: ExecCtx<'_>,
     physical: &PhysicalPlan,
-) -> Result<(ExecResult, OpStatsNode, Option<GroupStates>)> {
+) -> Result<(ExecResult, OpStatsNode, Carried)> {
     let op = ops::build(physical);
     let mut stats_tree = OpStatsNode::skeleton(physical);
     let rows = ops::collect(op.as_ref(), &mut ctx, &mut stats_tree)?;
@@ -187,9 +188,9 @@ fn run_round(
             return Err(CrowdError::Cancelled(CancelReason::OutputRowLimit));
         }
     }
-    let groups = ctx.groups.take();
+    let carried = ctx.carry_out();
     let (needs, stats) = ctx.finish();
-    Ok((ExecResult { rows, needs, stats }, stats_tree, groups))
+    Ok((ExecResult { rows, needs, stats }, stats_tree, carried))
 }
 
 #[cfg(test)]
@@ -281,10 +282,10 @@ mod tests {
     #[test]
     fn a_delta_scans_the_change_not_the_table() {
         let (small, large) = (one_update(200), one_update(4000));
-        // The old and the new row; the join also reads the 7-row Room.
+        // The old and the new row; the join probes the Room it kept.
         for run in [&small, &large] {
             let scanned: Vec<u64> = run.iter().map(|(n, _)| *n).collect();
-            assert_eq!(scanned, vec![2, 9, 2]);
+            assert_eq!(scanned, vec![2, 2, 2]);
         }
         assert_eq!(small[..2], large[..2], "same change, same answer");
         // 100 % 7 = 2, (100 * 37) % 500 = 200: the row enters the filter,
@@ -305,6 +306,41 @@ mod tests {
         );
         assert_eq!((small[2].1.removed.len(), small[2].1.added.len()), (2, 2));
     }
+
+    /// A join's kept build side follows a change to its own input: after
+    /// a `Room` UPDATE that moves a join key, a `Sessions` DML into that
+    /// room gets the delta a freshly evaluated standing query gets.
+    #[test]
+    fn a_kept_build_side_follows_a_change_to_it() {
+        let db = world(50);
+        let sql = "SELECT s.k, r.floor FROM Sessions s JOIN Room r ON s.room = r.room";
+        let (_, mut kept) = standing(&db, sql);
+        let change = apply(&db, "UPDATE Room SET room = 'R9' WHERE room = 'R3'");
+        let (delta, stats) = kept.delta_counted(&db, &change).unwrap();
+        let delta = delta.expect("one side changed");
+        // The 7 sessions in R3 leave; the 50 are read to find them.
+        assert_eq!((delta.removed.len(), delta.added.len()), (7, 0));
+        assert_eq!(stats.rows_scanned, 2 + 50);
+
+        let (_, mut fresh) = standing(&db, sql);
+        let change = apply(&db, "INSERT INTO Sessions VALUES (100, 'R9', 7)");
+        let (want, fresh_stats) = fresh.delta_counted(&db, &change).unwrap();
+        let (got, kept_stats) = kept.delta_counted(&db, &change).unwrap();
+        assert_eq!(want, got);
+        assert_eq!(
+            got.expect("one side changed").added,
+            vec![row![100i64, 3i64]]
+        );
+        // What was kept went stale and was dropped: built again, and kept.
+        assert_eq!(
+            (fresh_stats.rows_scanned, kept_stats.rows_scanned),
+            (1, 1 + 7)
+        );
+        let change = apply(&db, "INSERT INTO Sessions VALUES (101, 'R9', 8)");
+        let (_, stats) = kept.delta_counted(&db, &change).unwrap();
+        assert_eq!(stats.rows_scanned, 1);
+    }
+
     /// An aggregate answers only while its answer is certain to equal a
     /// fresh evaluation byte for byte; once it has declined, its state is
     /// spent until the next evaluation.

@@ -17,10 +17,10 @@ use std::collections::{HashMap, HashSet};
 use crowddb_common::{CrowdError, Result, Row, Value};
 use crowddb_plan::{AggCall, AggFn, BExpr, PhysicalPlan};
 
-use crate::context::ExecCtx;
+use crate::context::{ExecCtx, NodeState};
 use crate::eval::{eval, operand};
 use crate::ops::{
-    build, emit_all, for_each_row, streams, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink,
+    build, emit_all, for_each_row, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, Streams,
     TableChange,
 };
 
@@ -32,12 +32,10 @@ pub struct AggregateOp<'p> {
     /// Every call has an exact running accumulator
     /// ([`AggCall::exact_running`]) and no grouping key reads a subquery.
     maintainable: bool,
-    /// Where this node's [`Groups`] live in `ExecCtx::groups`: the
-    /// address of the plan node, which is stable for as long as the
-    /// standing query owns its boxed plan. A miss (say, after a clone)
-    /// only means "no delta".
+    /// Where this node's [`Groups`] live in the context's node states:
+    /// the address of the plan node.
     key: usize,
-    streams: bool,
+    streams: Streams<'p>,
 }
 
 /// The running state of one `Aggregate` node.
@@ -102,7 +100,7 @@ impl<'p> AggregateOp<'p> {
             maintainable: aggs.iter().all(|a| a.exact_running(&input_schema))
                 && !group_by.iter().any(BExpr::has_subplan),
             key: plan as *const PhysicalPlan as usize,
-            streams: streams(plan, input),
+            streams: Streams::new(plan, input),
             input: build(input),
             group_by,
             aggs,
@@ -281,7 +279,7 @@ impl Operator for AggregateOp<'_> {
             self.input.as_ref(),
             ctx,
             &mut stats.children[0],
-            self.streams,
+            self.streams.get(),
             &mut |ctx, row| {
                 ctx.rt.check()?;
                 let key = self.key_of(ctx, row)?;
@@ -295,8 +293,8 @@ impl Operator for AggregateOp<'_> {
         for (key, group) in first_seen {
             out.extend(self.group_row(key, Some(group))?);
         }
-        if let (true, true, Some(states)) = (self.maintainable, groups.exact, &mut ctx.groups) {
-            states.insert(self.key, groups);
+        if self.maintainable && groups.exact {
+            ctx.keep_state(self.key, NodeState::Groups(groups));
         }
         emit_all(ctx, out, sink)
     }
@@ -313,7 +311,7 @@ impl Operator for AggregateOp<'_> {
         let Some(input) = self.input.delta(ctx, change)? else {
             return Ok(None);
         };
-        let Some(mut groups) = ctx.groups.as_mut().and_then(|s| s.remove(&self.key)) else {
+        let Some(NodeState::Groups(mut groups)) = ctx.take_state(self.key) else {
             return Ok(None);
         };
         let mut before: HashMap<Vec<Value>, Option<Row>> = HashMap::new();
@@ -341,9 +339,7 @@ impl Operator for AggregateOp<'_> {
                 delta.added.extend(is);
             }
         }
-        if let Some(states) = &mut ctx.groups {
-            states.insert(self.key, groups);
-        }
+        ctx.keep_state(self.key, NodeState::Groups(groups));
         Ok(Some(delta))
     }
 }

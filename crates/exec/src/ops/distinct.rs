@@ -7,12 +7,12 @@ use crowddb_common::Result;
 use crowddb_plan::PhysicalPlan;
 
 use crate::context::ExecCtx;
-use crate::ops::{build, for_each_row, streams, BoxedOp, Flow, OpStatsNode, Operator, Sink};
+use crate::ops::{build, for_each_row, BoxedOp, Flow, OpStatsNode, Operator, Sink, Streams};
 
 /// Duplicate-elimination operator; see [`PhysicalPlan::Distinct`].
 pub struct DistinctOp<'p> {
     input: BoxedOp<'p>,
-    streams: bool,
+    streams: Streams<'p>,
 }
 
 impl<'p> DistinctOp<'p> {
@@ -22,7 +22,7 @@ impl<'p> DistinctOp<'p> {
             unreachable!("DistinctOp built from {plan:?}")
         };
         DistinctOp {
-            streams: streams(plan, input),
+            streams: Streams::new(plan, input),
             input: build(input),
         }
     }
@@ -40,7 +40,7 @@ impl Operator for DistinctOp<'_> {
             self.input.as_ref(),
             ctx,
             &mut stats.children[0],
-            self.streams,
+            self.streams.get(),
             &mut |ctx, row| match seen.contains(&*row) {
                 false => {
                     seen.insert(row.clone());

@@ -7,7 +7,7 @@ use crowddb_plan::{BExpr, PhysicalPlan};
 use crate::context::ExecCtx;
 use crate::eval::eval_truth;
 use crate::ops::{
-    build, for_each_row, map_delta, streams, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink,
+    build, for_each_row, map_delta, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, Streams,
     TableChange,
 };
 
@@ -15,7 +15,7 @@ use crate::ops::{
 pub struct FilterOp<'p> {
     input: BoxedOp<'p>,
     predicate: &'p BExpr,
-    streams: bool,
+    streams: Streams<'p>,
 }
 
 impl<'p> FilterOp<'p> {
@@ -28,7 +28,7 @@ impl<'p> FilterOp<'p> {
             unreachable!("FilterOp built from {plan:?}")
         };
         FilterOp {
-            streams: streams(plan, input),
+            streams: Streams::new(plan, input),
             input: build(input),
             predicate,
         }
@@ -57,7 +57,7 @@ impl Operator for FilterOp<'_> {
             self.input.as_ref(),
             ctx,
             &mut stats.children[0],
-            self.streams,
+            self.streams.get(),
             &mut |ctx, row| self.select(ctx, row, sink),
         )
     }

@@ -4,6 +4,11 @@
 //! all of them in order: a nested loop whose residual is the whole `ON`.
 //! Also hosts [`HashJoin`], the build and the probe that
 //! [`super::crowd_join`] reuses with a crowd enumeration policy on top.
+//!
+//! In a standing query the join keeps its build side between triggers
+//! (as `Aggregate` keeps its groups): a change to the left input probes
+//! what the last evaluation built instead of reading the right input
+//! again.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -11,11 +16,11 @@ use std::collections::HashMap;
 use crowddb_common::{Result, Row, Value};
 use crowddb_plan::{BExpr, JoinType, PhysicalPlan};
 
-use crate::context::ExecCtx;
+use crate::context::{ExecCtx, NodeState};
 use crate::eval::{eval, eval_truth};
 use crate::need::TaskNeed;
 use crate::ops::{
-    build, collect, run_op, streams, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, TableChange,
+    build, collect, run_op, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, Streams, TableChange,
 };
 
 /// Hash-join operator; see [`PhysicalPlan::HashJoin`].
@@ -26,7 +31,13 @@ pub struct HashJoinOp<'p> {
     plan: &'p PhysicalPlan,
     join: HashJoin<'p>,
     /// The probe may run inside the left input's pipeline.
-    streams: bool,
+    streams: Streams<'p>,
+    /// The condition reads no subquery: `delta` has a rule, so the build
+    /// side is worth keeping for it.
+    maintainable: bool,
+    /// Where this node's build side lives in the context's node states:
+    /// the address of the plan node.
+    key: usize,
 }
 
 impl<'p> HashJoinOp<'p> {
@@ -43,6 +54,7 @@ impl<'p> HashJoinOp<'p> {
         else {
             unreachable!("HashJoinOp built from {plan:?}")
         };
+        let on = equi.iter().flat_map(|(l, r)| [l, r]).chain(residual);
         HashJoinOp {
             join: HashJoin {
                 kind: *kind,
@@ -51,10 +63,19 @@ impl<'p> HashJoinOp<'p> {
                 right_arity: right.schema().arity(),
                 crowd: None,
             },
-            streams: streams(plan, left),
+            streams: Streams::new(plan, left),
+            maintainable: !on.into_iter().any(BExpr::has_subplan),
+            key: plan as *const PhysicalPlan as usize,
             left: build(left),
             right: build(right),
             plan,
+        }
+    }
+
+    /// Keep `built` for the next trigger, if it may be used there.
+    fn keep(&self, ctx: &mut ExecCtx<'_>, built: Kept) {
+        if self.maintainable {
+            ctx.keep_state(self.key, NodeState::Build(built));
         }
     }
 }
@@ -72,46 +93,53 @@ impl Operator for HashJoinOp<'_> {
     /// Which input runs first decides the order in which two scans go
     /// through a bounded buffer pool, which is page traffic: a plan
     /// change that moves a relation from one side to the other moves it.
+    ///
+    /// A standing query's evaluation keeps the build side (see `delta`).
     fn execute(
         &self,
         ctx: &mut ExecCtx<'_>,
         stats: &mut OpStatsNode,
         sink: &mut Sink<'_>,
     ) -> Result<Flow> {
-        if !self.streams {
-            let left_rows = collect(self.left.as_ref(), ctx, &mut stats.children[0])?;
-            let right_rows = collect(self.right.as_ref(), ctx, &mut stats.children[1])?;
-            return self.join.join(ctx, &left_rows, &right_rows, sink);
-        }
+        let left_rows = match self.streams.get() {
+            true => None,
+            false => Some(collect(self.left.as_ref(), ctx, &mut stats.children[0])?),
+        };
         let right_rows = collect(self.right.as_ref(), ctx, &mut stats.children[1])?;
-        let built = self.join.build(ctx, &right_rows)?;
-        let (mut joined, mut buf) = (Row::default(), Vec::new());
-        run_op(
-            self.left.as_ref(),
-            ctx,
-            &mut stats.children[0],
-            &mut |ctx, l| {
-                self.join
-                    .probe(ctx, &built, l, (&mut joined, &mut buf), sink)
-            },
-        )
+        let built = self
+            .join
+            .build(ctx, Cow::Owned(right_rows), |pair| &pair.1)?;
+        let flow = match left_rows {
+            Some(left_rows) => self.join.probe_all(ctx, &built, &left_rows, sink)?,
+            None => {
+                let (mut joined, mut buf) = (Row::default(), Vec::new());
+                run_op(
+                    self.left.as_ref(),
+                    ctx,
+                    &mut stats.children[0],
+                    &mut |ctx, l| {
+                        self.join
+                            .probe(ctx, &built, l, (&mut joined, &mut buf), sink)
+                    },
+                )?
+            }
+        };
+        self.keep(ctx, built);
+        Ok(flow)
     }
 
     /// Δ(L ⋈ R) = ΔL ⋈ R while R stands still, and the mirror image.
-    /// Both children are asked; the side that did not change is collected
-    /// as in any round and the join's own loop runs once over the removed
-    /// and once over the added rows of the other. No rule when both sides
-    /// changed (a self-join), when the nullable side of a LEFT join did
-    /// (a preserved row may gain or lose its `NULL` padding), or when the
-    /// condition holds a subquery.
+    /// Both children are asked. A changed left input is probed, removed
+    /// rows and added rows, through the right input's table: the one the
+    /// last evaluation or trigger kept, or else one collected and built
+    /// now and kept. A changed right input makes what was kept stale, so
+    /// it is dropped; the left input is collected as in any round, built
+    /// once, and probed with the removed and the added right rows. No
+    /// rule when both sides changed (a self-join), when the nullable side
+    /// of a LEFT join did (a preserved row may gain or lose its `NULL`
+    /// padding), or when the condition holds a subquery.
     fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
-        let on = self
-            .join
-            .equi
-            .iter()
-            .flat_map(|(l, r)| [l, r])
-            .chain(self.join.residual);
-        if on.into_iter().any(BExpr::has_subplan) {
+        if !self.maintainable {
             return Ok(None);
         }
         let (left, right) = (self.left.as_ref(), self.right.as_ref());
@@ -119,30 +147,42 @@ impl Operator for HashJoinOp<'_> {
             return Ok(None);
         };
         let children = self.plan.children();
-        let (changed, (still, still_plan), left_changed) = match (dl.is_empty(), dr.is_empty()) {
-            (true, true) => return Ok(Some(Delta::default())),
-            (false, true) => (dl, (right, children[1]), true),
-            (true, false) if self.join.kind != JoinType::Left => (dr, (left, children[0]), false),
-            _ => return Ok(None),
-        };
-        let rows = collect(still, ctx, &mut OpStatsNode::skeleton(still_plan))?;
-        let mut half = |changed: &[Row]| -> Result<Vec<Row>> {
-            let mut out = Vec::new();
-            let mut keep = |_: &mut ExecCtx<'_>, row: &mut Row| {
-                out.push(std::mem::take(row));
-                Ok(Flow::More)
-            };
-            match (changed.is_empty(), left_changed) {
-                (true, _) => Flow::More,
-                (false, true) => self.join.join(ctx, changed, &rows, &mut keep)?,
-                (false, false) => self.join.join(ctx, &rows, changed, &mut keep)?,
-            };
-            Ok(out)
-        };
-        Ok(Some(Delta {
-            removed: half(&changed.removed)?,
-            added: half(&changed.added)?,
-        }))
+        match (dl.is_empty(), dr.is_empty()) {
+            (true, true) => Ok(Some(Delta::default())),
+            (false, true) => {
+                let built = match ctx.take_state(self.key) {
+                    Some(NodeState::Build(built)) => built,
+                    _ => {
+                        let rows = collect(right, ctx, &mut OpStatsNode::skeleton(children[1]))?;
+                        self.join.build(ctx, Cow::Owned(rows), |pair| &pair.1)?
+                    }
+                };
+                let half = |ctx: &mut ExecCtx<'_>, changed: &[Row]| -> Result<Vec<Row>> {
+                    let mut out = Vec::new();
+                    self.join.probe_all(ctx, &built, changed, &mut |_, row| {
+                        out.push(std::mem::take(row));
+                        Ok(Flow::More)
+                    })?;
+                    Ok(out)
+                };
+                let delta = Delta {
+                    removed: half(ctx, &dl.removed)?,
+                    added: half(ctx, &dl.added)?,
+                };
+                self.keep(ctx, built);
+                Ok(Some(delta))
+            }
+            (true, false) if self.join.kind != JoinType::Left => {
+                ctx.take_state(self.key);
+                let rows = collect(left, ctx, &mut OpStatsNode::skeleton(children[0]))?;
+                let built = self.join.build(ctx, Cow::Borrowed(&rows), |pair| &pair.0)?;
+                Ok(Some(Delta {
+                    removed: self.join.probe_right(ctx, &built, &dr.removed)?,
+                    added: self.join.probe_right(ctx, &built, &dr.added)?,
+                }))
+            }
+            _ => Ok(None),
+        }
     }
 }
 
@@ -167,15 +207,20 @@ pub(crate) struct HashJoin<'p> {
     pub crowd: Option<CrowdSpec<'p>>,
 }
 
-/// The build side: the right rows, and which of them hold each key —
+/// The build side: one input's rows, and which of them hold each key —
 /// the first and the last in `rows` order, and from each such row the
 /// next one under its key. Only a key seen for the first time is copied
 /// into the table; every other build row allocates nothing.
+#[derive(Debug)]
 pub(crate) struct Built<'r> {
-    rows: &'r [Row],
+    rows: Cow<'r, [Row]>,
     by_key: HashMap<Vec<Value>, (usize, usize)>,
     next: Vec<Option<usize>>,
 }
+
+/// A build side that owns its rows: what a standing query's join keeps
+/// between triggers.
+pub(crate) type Kept = Built<'static>;
 
 impl Built<'_> {
     /// The build rows under `key`, in `rows` order.
@@ -209,13 +254,18 @@ impl HashJoin<'_> {
         Ok(Some(buf))
     }
 
-    /// Hash `right_rows` by join key.
-    fn build<'r>(&self, ctx: &mut ExecCtx<'_>, right_rows: &'r [Row]) -> Result<Built<'r>> {
+    /// Hash `rows` by their join key under `side` (see [`HashJoin::key`]).
+    fn build<'r>(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        rows: Cow<'r, [Row]>,
+        side: impl Fn(&(BExpr, BExpr)) -> &BExpr,
+    ) -> Result<Built<'r>> {
         let mut by_key: HashMap<Vec<Value>, (usize, usize)> = HashMap::new();
-        let mut next = vec![None; right_rows.len()];
+        let mut next = vec![None; rows.len()];
         let mut buf = Vec::new();
-        for (idx, r) in right_rows.iter().enumerate() {
-            let Some(key) = self.key(ctx, r, |pair| &pair.1, &mut buf)? else {
+        for (idx, r) in rows.iter().enumerate() {
+            let Some(key) = self.key(ctx, r, &side, &mut buf)? else {
                 continue;
             };
             match by_key.get_mut(key) {
@@ -228,11 +278,7 @@ impl HashJoin<'_> {
                 }
             }
         }
-        Ok(Built {
-            rows: right_rows,
-            by_key,
-            next,
-        })
+        Ok(Built { rows, by_key, next })
     }
 
     /// The row function: everything left row `l` joins with goes on,
@@ -279,6 +325,48 @@ impl HashJoin<'_> {
         Ok(Flow::More)
     }
 
+    /// Probe `built`, a table of the right input, with every row of
+    /// `left_rows`.
+    fn probe_all(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        built: &Built<'_>,
+        left_rows: &[Row],
+        sink: &mut Sink<'_>,
+    ) -> Result<Flow> {
+        let (mut joined, mut buf) = (Row::default(), Vec::new());
+        for l in left_rows {
+            if self.probe(ctx, built, l, (&mut joined, &mut buf), sink)? == Flow::Stop {
+                return Ok(Flow::Stop);
+            }
+        }
+        Ok(Flow::More)
+    }
+
+    /// The mirror image of [`HashJoin::probe_all`] for a join that pads
+    /// nothing: every pair of a row of `right_rows` with a row of
+    /// `built`, a table of the left input, that passes the condition,
+    /// joined as the probe joins them (left values first).
+    fn probe_right(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        built: &Built<'_>,
+        right_rows: &[Row],
+    ) -> Result<Vec<Row>> {
+        let (mut out, mut joined, mut buf) = (Vec::new(), Row::default(), Vec::new());
+        for r in right_rows {
+            ctx.rt.check()?;
+            let key = self.key(ctx, r, |pair| &pair.1, &mut buf)?;
+            for l in built.matches(key) {
+                joined.refill(l.values().iter().chain(r.values()).map(Cow::Borrowed));
+                if residual_passes(ctx, self.residual, &joined)? {
+                    out.push(joined.clone());
+                }
+            }
+        }
+        Ok(out)
+    }
+
     /// Build, then probe with every row of `left_rows`.
     pub fn join(
         &self,
@@ -287,14 +375,8 @@ impl HashJoin<'_> {
         right_rows: &[Row],
         sink: &mut Sink<'_>,
     ) -> Result<Flow> {
-        let built = self.build(ctx, right_rows)?;
-        let (mut joined, mut buf) = (Row::default(), Vec::new());
-        for l in left_rows {
-            if self.probe(ctx, &built, l, (&mut joined, &mut buf), sink)? == Flow::Stop {
-                return Ok(Flow::Stop);
-            }
-        }
-        Ok(Flow::More)
+        let built = self.build(ctx, Cow::Borrowed(right_rows), |pair| &pair.1)?;
+        self.probe_all(ctx, &built, left_rows, sink)
     }
 }
 

@@ -22,8 +22,9 @@
 //!
 //! ## Where rows may stream
 //!
-//! Both are static properties of the plan, decided once at [`build`]
-//! (`streams`); neither is a setting.
+//! Both are static properties of the plan, read off it when an operator
+//! executes (`streams`; a delta never streams, so building an operator
+//! for one does not walk the plan for it); neither is a setting.
 //!
 //! * **(i) Need order is part of the bill.** The driver posts a round's
 //!   needs in the order they were recorded and, under a budget, only a
@@ -72,7 +73,7 @@ pub(crate) mod aggregate;
 mod crowd_join;
 mod distinct;
 mod filter;
-mod hash_join;
+pub(crate) mod hash_join;
 mod project;
 pub(crate) mod scan;
 mod sort;
@@ -234,9 +235,27 @@ fn records_needs(plan: &PhysicalPlan) -> bool {
 /// needs and cache traffic by diffing counters around a child, so what a
 /// consumer recorded from inside that child's pipeline would be charged
 /// to the child.
-pub(crate) fn streams(plan: &PhysicalPlan, input: &PhysicalPlan) -> bool {
+fn streams(plan: &PhysicalPlan, input: &PhysicalPlan) -> bool {
     let quiet = |e: &&BExpr| !e.is_crowd() && !e.has_subplan();
     !records_needs(input) && own_exprs(plan).iter().all(quiet)
+}
+
+/// Whether an operator may run its row code inside its input's pipeline
+/// ([`streams`]), worked out when it executes.
+#[derive(Clone, Copy)]
+pub(crate) struct Streams<'p> {
+    plan: &'p PhysicalPlan,
+    input: &'p PhysicalPlan,
+}
+
+impl<'p> Streams<'p> {
+    pub(crate) fn new(plan: &'p PhysicalPlan, input: &'p PhysicalPlan) -> Streams<'p> {
+        Streams { plan, input }
+    }
+
+    pub(crate) fn get(self) -> bool {
+        streams(self.plan, self.input)
+    }
 }
 
 /// Per-operator statistics, one node per physical operator, accumulated

@@ -7,7 +7,7 @@ use crowddb_plan::{BExpr, PhysicalPlan};
 use crate::context::ExecCtx;
 use crate::eval::operand;
 use crate::ops::{
-    build, for_each_row, map_delta, streams, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink,
+    build, for_each_row, map_delta, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, Streams,
     TableChange,
 };
 
@@ -15,7 +15,7 @@ use crate::ops::{
 pub struct ProjectOp<'p> {
     input: BoxedOp<'p>,
     exprs: &'p [BExpr],
-    streams: bool,
+    streams: Streams<'p>,
 }
 
 impl<'p> ProjectOp<'p> {
@@ -25,7 +25,7 @@ impl<'p> ProjectOp<'p> {
             unreachable!("ProjectOp built from {plan:?}")
         };
         ProjectOp {
-            streams: streams(plan, input),
+            streams: Streams::new(plan, input),
             input: build(input),
             exprs,
         }
@@ -68,7 +68,7 @@ impl Operator for ProjectOp<'_> {
             self.input.as_ref(),
             ctx,
             &mut stats.children[0],
-            self.streams,
+            self.streams.get(),
             &mut |ctx, row| self.project(ctx, row, &mut out, sink),
         )
     }

@@ -24,7 +24,7 @@ use crowddb_plan::{BExpr, PhysicalPlan, SortKey};
 use crate::context::{Compare, ExecCtx};
 use crate::eval::eval;
 use crate::ops::{
-    build, emit_all, for_each_row, streams, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink,
+    build, emit_all, for_each_row, BoxedOp, Delta, Flow, OpStatsNode, Operator, Sink, Streams,
     TableChange,
 };
 
@@ -36,7 +36,7 @@ pub struct SortOp<'p> {
     keep: Option<u64>,
     /// Some key is a `CROWDORDER`: sort by [`quicksort`].
     crowd: bool,
-    streams: bool,
+    streams: Streams<'p>,
 }
 
 impl<'p> SortOp<'p> {
@@ -50,7 +50,7 @@ impl<'p> SortOp<'p> {
         };
         let crowd = crowd_sorted(keys);
         SortOp {
-            streams: streams(plan, input),
+            streams: Streams::new(plan, input),
             input: build(input),
             keys,
             keep: keep.filter(|_| !crowd),
@@ -113,7 +113,7 @@ impl Operator for SortOp<'_> {
             input,
             ctx,
             &mut stats.children[0],
-            self.streams,
+            self.streams.get(),
             &mut |ctx, row| {
                 arrived += 1;
                 if arrived == 1 {

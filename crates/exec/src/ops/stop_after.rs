@@ -4,14 +4,14 @@ use crowddb_common::Result;
 use crowddb_plan::PhysicalPlan;
 
 use crate::context::ExecCtx;
-use crate::ops::{build, for_each_row, streams, BoxedOp, Flow, OpStatsNode, Operator, Sink};
+use crate::ops::{build, for_each_row, BoxedOp, Flow, OpStatsNode, Operator, Sink, Streams};
 
 /// Limit/offset operator; see [`PhysicalPlan::StopAfter`].
 pub struct StopAfterOp<'p> {
     input: BoxedOp<'p>,
     limit: Option<u64>,
     offset: u64,
-    streams: bool,
+    streams: Streams<'p>,
 }
 
 impl<'p> StopAfterOp<'p> {
@@ -27,7 +27,7 @@ impl<'p> StopAfterOp<'p> {
             unreachable!("StopAfterOp built from {plan:?}")
         };
         StopAfterOp {
-            streams: streams(plan, input),
+            streams: Streams::new(plan, input),
             input: build(input),
             limit: *limit,
             offset: *offset,
@@ -54,7 +54,7 @@ impl Operator for StopAfterOp<'_> {
             self.input.as_ref(),
             ctx,
             &mut stats.children[0],
-            self.streams,
+            self.streams.get(),
             &mut |ctx, row| {
                 if skip > 0 {
                     skip -= 1;

@@ -28,6 +28,8 @@
 //! ([`crate::bounded`]) gave the logical node it was lowered from.
 //! `lower` runs that pass once and reads it; it estimates nothing itself.
 
+use std::borrow::Cow;
+
 use crate::bound_expr::{AggCall, BExpr};
 use crate::bounded::{annotate, Annotated, Verdict};
 use crate::cardinality::StatsSource;
@@ -284,19 +286,22 @@ pub enum PhysicalPlan {
 }
 
 impl PhysicalPlan {
-    /// Output schema of this operator.
-    pub fn schema(&self) -> PlanSchema {
+    /// Output schema of this operator: lent where a node below holds it,
+    /// built only where a join puts two together.
+    pub fn schema(&self) -> Cow<'_, PlanSchema> {
         match self {
             PhysicalPlan::Scan { schema, .. }
             | PhysicalPlan::Project { schema, .. }
             | PhysicalPlan::Aggregate { schema, .. }
-            | PhysicalPlan::Values { schema, .. } => schema.clone(),
+            | PhysicalPlan::Values { schema, .. } => Cow::Borrowed(schema),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::StopAfter { input, .. }
             | PhysicalPlan::Distinct { input, .. } => input.schema(),
             PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::CrowdJoin { left, right, .. } => left.schema().join(&right.schema()),
+            | PhysicalPlan::CrowdJoin { left, right, .. } => {
+                Cow::Owned(left.schema().join(&right.schema()))
+            }
             PhysicalPlan::Union { left, .. } => left.schema(),
         }
     }
