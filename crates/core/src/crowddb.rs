@@ -1507,8 +1507,8 @@ impl CrowdDB {
         }
     }
 
-    /// The delta route: `(added, removed)` from the plan's delta rules
-    /// over the rows a DML changed, for a plan no crowd round can move.
+    /// The delta route: the plan's delta rules over the rows a DML
+    /// changed, netted by row, for a plan no crowd round can move.
     /// Exact by construction: the writer section lets nothing change
     /// storage between the subscription's last fold and this DML. `None`
     /// sends the caller to [`CrowdDB::reevaluate`], as does an operator
