@@ -10,8 +10,8 @@ use crowddb_common::sync::{Mutex, RwLock};
 use crowddb_common::{CancelReason, CrowdError, Result, Row, Value};
 use crowddb_exec::{
     dml, execute_physical_analyzed, execute_physical_guarded, flush_op_stats, live_row_stats,
-    lower_plan, primary_key, render_analyzed, CompareCaches, ExecGuard, ExecResult, Maintained,
-    OpStatsNode, TableChange, TaskNeed,
+    lower_plan, maintenance, primary_key, render_analyzed, CompareCaches, ExecGuard, ExecResult,
+    Maintained, OpStatsNode, TableChange, TaskNeed,
 };
 use crowddb_obs::{Event, MetricsSnapshot, Obs};
 use crowddb_plan::{
@@ -657,15 +657,17 @@ impl CrowdDB {
             _ => return Ok(format!("{inner}")),
         };
         let (plan, report) = prepared.plan()?;
+        let physical = lower_plan(&self.db, plan);
         let mut out = String::new();
         if standing {
-            out.push_str(&StandingPlan::new(plan.clone()).explain());
+            let route = maintenance(plan, &physical);
+            out.push_str(&StandingPlan::new(plan.clone()).explain(route));
             out.push('\n');
         }
         out.push_str("== Optimized plan ==\n");
         out.push_str(&plan.explain());
         out.push_str("\n== Physical plan ==\n");
-        out.push_str(&lower_plan(&self.db, plan).explain());
+        out.push_str(&physical.explain());
         out.push_str("\n== Cardinality ==\n");
         out.push_str(&annotate_cardinality(
             plan,
@@ -992,8 +994,9 @@ impl CrowdDB {
     /// One full, ungoverned evaluation of a standing query on current
     /// knowledge (unsettled crowd state simply shows as CNULLs / missing
     /// tuples until a later trigger): the rows, and what the delta route
-    /// continues from. Flushes no operator stats either.
-    fn evaluate_standing(&self, plan: &LogicalPlan) -> Result<(Vec<Row>, Maintained)> {
+    /// continues from if the plan is routed there. Flushes no operator
+    /// stats either.
+    fn evaluate_standing(&self, plan: &LogicalPlan) -> Result<(Vec<Row>, Option<Maintained>)> {
         let (exec, maintained) = self.local_step(&ExecGuard::unlimited(), |caches, guard| {
             Maintained::evaluate(&self.db, caches, plan, guard)
         })?;
@@ -1385,38 +1388,26 @@ impl CrowdDB {
         drop(rows);
         subs.next_id += 1;
         let id = subs.next_id;
+        let snapshot = subscribe::rowset_to_rows(&last)?;
         let mut state = SubState {
             sql: sql.clone(),
             plan: standing,
             last,
             maintained,
-            revision: 1,
+            revision: 0,
             queue: std::collections::VecDeque::new(),
             lagged: false,
             resync_pending: false,
             failed: None,
         };
-        state.queue.push_back(DeltaBatch {
-            revision: 1,
-            snapshot: true,
-            added: subscribe::rowset_to_rows(&state.last)?,
-            removed: vec![],
-        });
-        let added = state.last.values().map(|n| *n as u64).sum();
-        subs.subs.insert(id, state);
-        let reg = self.obs.registry();
-        reg.gauge_set("crowddb_subscriptions_active", subs.subs.len() as f64);
-        reg.counter_inc("crowddb_subscription_deltas_total");
-        reg.counter_add("crowddb_subscription_rows_added_total", added);
         self.obs
             .events()
             .emit(Event::SubscriptionOpened { id, sql });
-        self.obs.events().emit(Event::SubscriptionDelta {
-            id,
-            revision: 1,
-            added,
-            removed: 0,
-        });
+        let max_queue = self.config.subscriptions.max_queue_batches.max(1);
+        state.publish(id, &self.obs, max_queue, true, (snapshot, vec![]));
+        subs.subs.insert(id, state);
+        let reg = self.obs.registry();
+        reg.gauge_set("crowddb_subscriptions_active", subs.subs.len() as f64);
         Ok((id, columns))
     }
 
@@ -1468,63 +1459,31 @@ impl CrowdDB {
                     continue;
                 }
             };
-            if added.is_empty() && removed.is_empty() {
-                continue;
-            }
-            sub.revision += 1;
-            reg.counter_inc("crowddb_subscription_deltas_total");
-            reg.counter_add("crowddb_subscription_rows_added_total", added.len() as u64);
-            reg.counter_add(
-                "crowddb_subscription_rows_removed_total",
-                removed.len() as u64,
-            );
-            self.obs.events().emit(Event::SubscriptionDelta {
-                id: *id,
-                revision: sub.revision,
-                added: added.len() as u64,
-                removed: removed.len() as u64,
-            });
-            if sub.lagged || sub.resync_pending {
-                // Consumer is already resyncing: the snapshot it will
-                // receive reflects `last`, so this delta need not queue.
-                continue;
-            }
-            sub.queue.push_back(DeltaBatch {
-                revision: sub.revision,
-                snapshot: false,
-                added,
-                removed,
-            });
-            if sub.queue.len() > max_queue {
-                let dropped = sub.queue.len() as u64;
-                sub.queue.clear();
-                sub.lagged = true;
-                reg.counter_add("crowddb_subscription_lag_drops_total", dropped);
-                self.obs
-                    .events()
-                    .emit(Event::SubscriptionLagged { id: *id, dropped });
+            if !added.is_empty() || !removed.is_empty() {
+                sub.publish(*id, &self.obs, max_queue, false, (added, removed));
             }
         }
     }
 
     /// The delta route: the plan's delta rules over the rows a DML
-    /// changed, netted by row, for a plan no crowd round can move.
+    /// changed, netted by row, for a subscription that holds a
+    /// [`Maintained`] — one whose plan the last evaluation routed there.
     /// Exact by construction: the writer section lets nothing change
     /// storage between the subscription's last fold and this DML. `None`
-    /// sends the caller to [`CrowdDB::reevaluate`], as does an operator
-    /// without a rule.
+    /// sends the caller to [`CrowdDB::reevaluate`], as does a rule that
+    /// declines this DML.
     fn delta_of(&self, sub: &mut SubState, trigger: &Trigger<'_>) -> Option<NetDelta> {
-        let Trigger::Dml {
-            change: Some(change),
-            ..
-        } = trigger
+        let (
+            Trigger::Dml {
+                change: Some(change),
+                ..
+            },
+            Some(maintained),
+        ) = (trigger, &mut sub.maintained)
         else {
             return None;
         };
-        if sub.plan.crowd_related {
-            return None;
-        }
-        let delta = sub.maintained.delta(&self.db, change).ok().flatten()?;
+        let delta = maintained.delta(&self.db, change).ok().flatten()?;
         Some(NetDelta::of_lists(delta.removed, delta.added))
     }
 
@@ -2095,6 +2054,64 @@ mod tests {
         assert_eq!(sub_counter(&db, ""), evals, "EXPLAIN said DML only");
         assert_eq!(sub_counter(&db, "skipped_"), skipped + 1);
         assert!(sub.poll().unwrap().is_none());
+    }
+
+    /// Only a watch that the one maintenance decision routes incremental
+    /// keeps node state: a crowd-related one and one with an operator
+    /// without a rule hold no `Maintained`, after registration and after
+    /// a trigger, while crowdbench's three watches do.
+    #[test]
+    fn only_a_watch_routed_incremental_holds_node_state() {
+        let db = CrowdDB::with_config(CrowdConfig::fast_test());
+        ddl(&db);
+        for sql in [
+            "CREATE TABLE Sessions (k INTEGER PRIMARY KEY, room STRING, cap INTEGER)",
+            "CREATE TABLE Room (room STRING PRIMARY KEY, floor INTEGER)",
+            "INSERT INTO Room VALUES ('R0', 0), ('R1', 1)",
+            "INSERT INTO Sessions VALUES (1, 'R0', 300), (2, 'R1', 40)",
+            "INSERT INTO talk (title) VALUES ('CrowdDB')",
+        ] {
+            db.execute_local(sql).unwrap();
+        }
+        let watches = [
+            ("SELECT abstract FROM talk WHERE title = 'CrowdDB'", false),
+            ("SELECT DISTINCT room FROM Sessions", false),
+            ("SELECT room, AVG(cap) FROM Sessions GROUP BY room", false),
+            (
+                "SELECT k FROM Sessions WHERE room IN (SELECT room FROM Room WHERE floor > 0)",
+                false,
+            ),
+            ("SELECT k, room FROM Sessions WHERE cap >= 250", true),
+            (
+                "SELECT s.k, r.floor FROM Sessions s JOIN Room r ON s.room = r.room",
+                true,
+            ),
+            (
+                "SELECT room, COUNT(*), SUM(cap) FROM Sessions GROUP BY room",
+                true,
+            ),
+        ];
+        let ids: Vec<u64> = watches
+            .iter()
+            .map(|(sql, _)| db.subscribe(sql).unwrap().id())
+            .collect();
+        let held = || -> Vec<bool> {
+            let subs = db.subs.lock();
+            let held = |id| subs.subs[id].maintained.is_some();
+            ids.iter().map(held).collect()
+        };
+        let routed: Vec<bool> = watches
+            .iter()
+            .map(|(_, incremental)| *incremental)
+            .collect();
+        assert_eq!(held(), routed, "after registration");
+        db.execute_local("UPDATE Sessions SET cap = 260 WHERE k = 2")
+            .unwrap();
+        db.execute_local("INSERT INTO talk (title) VALUES ('Qurk')")
+            .unwrap();
+        assert_eq!(sub_counter(&db, ""), 7, "every watch was triggered");
+        assert_eq!(sub_counter(&db, "incremental_"), 3);
+        assert_eq!(held(), routed, "after a trigger");
     }
 
     /// A failed DML changed nothing, so the next one still finds the

@@ -25,6 +25,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use crowddb_common::codec;
 use crowddb_common::{CrowdError, Result, Row};
 use crowddb_exec::Maintained;
+use crowddb_obs::{Event, Obs};
 use crowddb_plan::StandingPlan;
 
 use crate::crowddb::CrowdDB;
@@ -219,8 +220,10 @@ pub(crate) struct SubState {
     /// The result as of the last trigger, as a multiset.
     pub last: RowSet,
     /// What the evaluation that last produced `last` in full left for
-    /// the delta route: the plan it lowered, its aggregate state.
-    pub maintained: Maintained,
+    /// the delta route — the plan it lowered, its node state — if the
+    /// plan is routed there (`crowddb_exec::maintenance`); `None` for a
+    /// query that recomputes.
+    pub maintained: Option<Maintained>,
     /// Last assigned revision.
     pub revision: u64,
     /// Undelivered delta batches, oldest first.
@@ -233,6 +236,55 @@ pub(crate) struct SubState {
     /// A trigger evaluation failed (e.g. a watched table was dropped);
     /// polls surface this error until unsubscribed.
     pub failed: Option<CrowdError>,
+}
+
+impl SubState {
+    /// Publish subscription `id`'s next revision: the snapshot of `last`
+    /// at registration, or the batch one trigger folded into it. The
+    /// revision is booked — `crowddb_subscription_deltas_total`, the rows
+    /// counters, a `SubscriptionDelta` event — and its batch queued,
+    /// unless the consumer is already resyncing: the snapshot it will
+    /// receive reflects `last`. A queue that grows past `max_queue` is
+    /// dropped, and the consumer lags.
+    pub(crate) fn publish(
+        &mut self,
+        id: u64,
+        obs: &Obs,
+        max_queue: usize,
+        snapshot: bool,
+        (added, removed): (Vec<Row>, Vec<Row>),
+    ) {
+        self.revision += 1;
+        let (n_added, n_removed) = (added.len() as u64, removed.len() as u64);
+        let reg = obs.registry();
+        reg.counter_inc("crowddb_subscription_deltas_total");
+        reg.counter_add("crowddb_subscription_rows_added_total", n_added);
+        if !snapshot {
+            reg.counter_add("crowddb_subscription_rows_removed_total", n_removed);
+        }
+        obs.events().emit(Event::SubscriptionDelta {
+            id,
+            revision: self.revision,
+            added: n_added,
+            removed: n_removed,
+        });
+        if self.lagged || self.resync_pending {
+            return;
+        }
+        self.queue.push_back(DeltaBatch {
+            revision: self.revision,
+            snapshot,
+            added,
+            removed,
+        });
+        if self.queue.len() > max_queue {
+            let dropped = self.queue.len() as u64;
+            self.queue.clear();
+            self.lagged = true;
+            reg.counter_add("crowddb_subscription_lag_drops_total", dropped);
+            obs.events().emit(Event::SubscriptionLagged { id, dropped });
+        }
+    }
 }
 
 /// The engine-wide registry behind `CrowdDB`'s subscription mutex.

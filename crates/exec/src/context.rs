@@ -501,7 +501,7 @@ pub struct ExecCtx<'a> {
     pub rt: RunContext<'a>,
     /// `execute` leaves what a stateful node keeps here when there is a
     /// map to leave it in, `delta` moves it; `None` for a one-shot
-    /// statement.
+    /// statement and for a standing query that recomputes.
     states: Option<NodeStates>,
     /// `EXPLAIN ANALYZE`: time every hand-over between operators, so
     /// that per-operator wall time is self time (see `ops::run_op`).
@@ -552,7 +552,7 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Keep `state` for node `key`, if this context keeps anything (a
-    /// standing query's does).
+    /// standing query's on the delta route does).
     pub(crate) fn keep_state(&mut self, key: usize, state: NodeState) {
         if let Some(states) = &mut self.states {
             states.insert(key, state);

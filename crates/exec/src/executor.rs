@@ -15,7 +15,7 @@ use crowddb_storage::Database;
 
 use crate::context::{Carried, CompareCaches, ExecCtx, ExecGuard, RunStats};
 use crate::need::TaskNeed;
-use crate::ops::{self, Delta, OpStatsNode, TableChange};
+use crate::ops::{self, maintenance, Delta, Maintenance, OpStatsNode, TableChange};
 
 /// Outcome of one execution round.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,12 +85,13 @@ pub fn execute_physical(
     execute_physical_guarded(db, caches, physical, ExecGuard::unlimited())
 }
 
-/// A standing query between triggers: the plan one evaluation lowered
-/// and what that same evaluation left behind — the groups of its
-/// aggregates, the build sides of its joins, the schemas its scans read.
-/// Holding them together is what makes [`Maintained::delta`] sound — its
-/// answer is relative to exactly the result [`Maintained::evaluate`]
-/// returned, as moved by every delta since.
+/// A standing query on the delta route, between triggers: the plan one
+/// evaluation lowered and what that same evaluation left behind — the
+/// groups of its aggregates, the build sides of its joins, the schemas
+/// its scans read. Holding them together is what makes
+/// [`Maintained::delta`] sound — its answer is relative to exactly the
+/// result [`Maintained::evaluate`] returned, as moved by every delta
+/// since.
 #[derive(Debug)]
 pub struct Maintained {
     /// Boxed: stateful nodes find their state by plan-node address.
@@ -99,28 +100,35 @@ pub struct Maintained {
 }
 
 impl Maintained {
-    /// Lower `plan` against the live catalog and execute it for one
-    /// round under `guard`.
+    /// Lower the standing query `logical` against the live catalog and
+    /// execute it for one round under `guard`: with the node state the
+    /// delta route continues from if [`maintenance`] routes the plan
+    /// there, as a plain round that keeps nothing otherwise.
     pub fn evaluate(
         db: &Database,
         caches: &CompareCaches,
-        plan: &LogicalPlan,
+        logical: &LogicalPlan,
         guard: ExecGuard,
-    ) -> Result<(ExecResult, Maintained)> {
-        let plan = Box::new(lower_plan(db, plan));
+    ) -> Result<(ExecResult, Option<Maintained>)> {
+        let plan = Box::new(lower_plan(db, logical));
         let mut ctx = ExecCtx::with_guard(db, caches, guard);
-        ctx.carry_in(Carried::default());
+        let incremental = matches!(maintenance(logical, &plan), Maintenance::Incremental(_));
+        if incremental {
+            ctx.carry_in(Carried::default());
+        }
         let (result, _, carried) = run_round(ctx, &plan)?;
-        Ok((result, Maintained { plan, carried }))
+        Ok((result, incremental.then(|| Maintained { plan, carried })))
     }
 
     /// What `change` — already applied to `db`, and the only difference
     /// between `db` now and `db` as the last `evaluate` or `delta` saw it
     /// — does to the result: [`ops::Operator::delta`] of the plan's root.
-    /// `None` means some operator has no rule for it; the state is then
-    /// spent and the caller evaluates afresh. So does a delta that would
-    /// have had to ask the crowd (every comparison misses the empty cache
-    /// it runs against): what the crowd settles arrives outside any DML.
+    /// `None` means a rule declined this DML (a self-join whose both
+    /// sides it changed, the nullable side of a LEFT join, an aggregate
+    /// no longer exact); the state is then spent and the caller
+    /// evaluates afresh. So does a delta that would have had to ask the
+    /// crowd (every comparison misses the empty cache it runs against):
+    /// what the crowd settles arrives outside any DML.
     pub fn delta(&mut self, db: &Database, change: &TableChange) -> Result<Option<Delta>> {
         Ok(self.delta_counted(db, change)?.0)
     }
@@ -231,7 +239,10 @@ mod tests {
         };
         let bound = db.with_catalog(|c| Binder::new(c).bind_query(&q)).unwrap();
         let plan = optimize(bound, &live_row_stats(db), &OptimizerConfig::default());
-        Maintained::evaluate(db, &CompareCaches::default(), &plan, ExecGuard::unlimited()).unwrap()
+        let (result, maintained) =
+            Maintained::evaluate(db, &CompareCaches::default(), &plan, ExecGuard::unlimited())
+                .unwrap();
+        (result, maintained.expect("routed incremental"))
     }
 
     /// Apply a DML statement and hand back the rows it changed.

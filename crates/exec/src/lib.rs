@@ -46,5 +46,6 @@ pub use executor::{
 };
 pub use need::TaskNeed;
 pub use ops::{
-    flush_op_stats, render_analyzed, Delta, Flow, OpStatsNode, Operator, Sink, TableChange,
+    flush_op_stats, maintenance, render_analyzed, Delta, Flow, Maintenance, OpStatsNode, Operator,
+    Sink, TableChange,
 };

@@ -29,9 +29,6 @@ pub struct AggregateOp<'p> {
     input: BoxedOp<'p>,
     group_by: &'p [BExpr],
     aggs: &'p [AggCall],
-    /// Every call has an exact running accumulator
-    /// ([`AggCall::exact_running`]) and no grouping key reads a subquery.
-    maintainable: bool,
     /// Where this node's [`Groups`] live in the context's node states:
     /// the address of the plan node.
     key: usize,
@@ -95,10 +92,7 @@ impl<'p> AggregateOp<'p> {
         else {
             unreachable!("AggregateOp built from {plan:?}")
         };
-        let input_schema = input.schema();
         AggregateOp {
-            maintainable: aggs.iter().all(|a| a.exact_running(&input_schema))
-                && !group_by.iter().any(BExpr::has_subplan),
             key: plan as *const PhysicalPlan as usize,
             streams: Streams::new(plan, input),
             input: build(input),
@@ -293,7 +287,7 @@ impl Operator for AggregateOp<'_> {
         for (key, group) in first_seen {
             out.extend(self.group_row(key, Some(group))?);
         }
-        if self.maintainable && groups.exact {
+        if groups.exact {
             ctx.keep_state(self.key, NodeState::Groups(groups));
         }
         emit_all(ctx, out, sink)
@@ -305,9 +299,6 @@ impl Operator for AggregateOp<'_> {
     /// a `None` on the way leaves none behind, and the re-execution that
     /// follows rebuilds it.
     fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
-        if !self.maintainable {
-            return Ok(None);
-        }
         let Some(input) = self.input.delta(ctx, change)? else {
             return Ok(None);
         };

@@ -62,15 +62,10 @@ impl Operator for FilterOp<'_> {
         )
     }
 
-    /// A row-at-a-time predicate maps both lists; one that reads a
-    /// subquery depends on tables the change does not name.
+    /// A row-at-a-time predicate maps both lists.
     fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
-        if self.predicate.has_subplan() {
-            return Ok(None);
-        }
-        let Some(input) = self.input.delta(ctx, change)? else {
-            return Ok(None);
-        };
-        map_delta(ctx, input, |ctx, row, sink| self.select(ctx, row, sink)).map(Some)
+        map_delta(ctx, self.input.as_ref(), change, |ctx, row, sink| {
+            self.select(ctx, row, sink)
+        })
     }
 }

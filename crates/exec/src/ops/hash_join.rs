@@ -27,14 +27,11 @@ use crate::ops::{
 pub struct HashJoinOp<'p> {
     left: BoxedOp<'p>,
     right: BoxedOp<'p>,
-    /// The node, for the children's plans (`delta` runs one unobserved).
-    plan: &'p PhysicalPlan,
+    /// The plans of the two inputs (`delta` runs one unobserved).
+    inputs: [&'p PhysicalPlan; 2],
     join: HashJoin<'p>,
     /// The probe may run inside the left input's pipeline.
     streams: Streams<'p>,
-    /// The condition reads no subquery: `delta` has a rule, so the build
-    /// side is worth keeping for it.
-    maintainable: bool,
     /// Where this node's build side lives in the context's node states:
     /// the address of the plan node.
     key: usize,
@@ -54,7 +51,6 @@ impl<'p> HashJoinOp<'p> {
         else {
             unreachable!("HashJoinOp built from {plan:?}")
         };
-        let on = equi.iter().flat_map(|(l, r)| [l, r]).chain(residual);
         HashJoinOp {
             join: HashJoin {
                 kind: *kind,
@@ -64,18 +60,10 @@ impl<'p> HashJoinOp<'p> {
                 crowd: None,
             },
             streams: Streams::new(plan, left),
-            maintainable: !on.into_iter().any(BExpr::has_subplan),
             key: plan as *const PhysicalPlan as usize,
             left: build(left),
             right: build(right),
-            plan,
-        }
-    }
-
-    /// Keep `built` for the next trigger, if it may be used there.
-    fn keep(&self, ctx: &mut ExecCtx<'_>, built: Kept) {
-        if self.maintainable {
-            ctx.keep_state(self.key, NodeState::Build(built));
+            inputs: [left, right],
         }
     }
 }
@@ -124,7 +112,7 @@ impl Operator for HashJoinOp<'_> {
                 )?
             }
         };
-        self.keep(ctx, built);
+        ctx.keep_state(self.key, NodeState::Build(built));
         Ok(flow)
     }
 
@@ -135,25 +123,21 @@ impl Operator for HashJoinOp<'_> {
     /// now and kept. A changed right input makes what was kept stale, so
     /// it is dropped; the left input is collected as in any round, built
     /// once, and probed with the removed and the added right rows. No
-    /// rule when both sides changed (a self-join), when the nullable side
-    /// of a LEFT join did (a preserved row may gain or lose its `NULL`
-    /// padding), or when the condition holds a subquery.
+    /// rule when both sides changed (a self-join) or when the nullable
+    /// side of a LEFT join did (a preserved row may gain or lose its
+    /// `NULL` padding).
     fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
-        if !self.maintainable {
-            return Ok(None);
-        }
         let (left, right) = (self.left.as_ref(), self.right.as_ref());
         let (Some(dl), Some(dr)) = (left.delta(ctx, change)?, right.delta(ctx, change)?) else {
             return Ok(None);
         };
-        let children = self.plan.children();
         match (dl.is_empty(), dr.is_empty()) {
             (true, true) => Ok(Some(Delta::default())),
             (false, true) => {
                 let built = match ctx.take_state(self.key) {
                     Some(NodeState::Build(built)) => built,
                     _ => {
-                        let rows = collect(right, ctx, &mut OpStatsNode::skeleton(children[1]))?;
+                        let rows = collect(right, ctx, &mut OpStatsNode::skeleton(self.inputs[1]))?;
                         self.join.build(ctx, Cow::Owned(rows), |pair| &pair.1)?
                     }
                 };
@@ -169,12 +153,12 @@ impl Operator for HashJoinOp<'_> {
                     removed: half(ctx, &dl.removed)?,
                     added: half(ctx, &dl.added)?,
                 };
-                self.keep(ctx, built);
+                ctx.keep_state(self.key, NodeState::Build(built));
                 Ok(Some(delta))
             }
             (true, false) if self.join.kind != JoinType::Left => {
                 ctx.take_state(self.key);
-                let rows = collect(left, ctx, &mut OpStatsNode::skeleton(children[0]))?;
+                let rows = collect(left, ctx, &mut OpStatsNode::skeleton(self.inputs[0]))?;
                 let built = self.join.build(ctx, Cow::Borrowed(&rows), |pair| &pair.0)?;
                 Ok(Some(Delta {
                     removed: self.join.probe_right(ctx, &built, &dr.removed)?,

@@ -63,11 +63,15 @@
 //!   both drive.
 //! * `delta` answers "what does this [`TableChange`] do to my output?"
 //!   for a standing query, against storage that already holds the
-//!   change. It returns `None` unless the answer is certain to equal,
-//!   row for row, the difference of two `execute`s — the default, which
-//!   every operator without a rule keeps, and which makes the caller
-//!   re-execute and diff. A rule re-runs the operator's own row code
-//!   over the changed rows; there is no second evaluator.
+//!   change. It is asked only of a plan [`maintenance`] admits to the
+//!   delta route, so it checks nothing that decision has checked: what
+//!   is left are the conditions that depend on which table the DML
+//!   wrote (both sides of a self-join, the nullable side of a LEFT join,
+//!   an aggregate whose state stopped being exact), on which it returns
+//!   `None` and the caller re-executes and diffs. A rule re-runs the
+//!   operator's own row code over the changed rows; there is no second
+//!   evaluator. An operator the decision never admits keeps the
+//!   default, `None`.
 
 pub(crate) mod aggregate;
 mod crowd_join;
@@ -81,11 +85,12 @@ mod stop_after;
 mod union;
 mod values;
 
+use std::fmt;
 use std::time::{Duration, Instant};
 
 use crowddb_common::{Result, Row, TupleId};
 use crowddb_obs::MetricsRegistry;
-use crowddb_plan::{BExpr, PhysicalPlan};
+use crowddb_plan::{BExpr, JoinType, LogicalPlan, PhysicalPlan};
 
 use crate::context::{ExecCtx, OpStats};
 
@@ -154,10 +159,109 @@ pub trait Operator {
     ) -> Result<Flow>;
 
     /// The difference `change` (already applied to storage) makes to
-    /// this node's output, or `None` for "no delta rule: re-execute".
+    /// this node's output, or `None` for "no rule for this DML:
+    /// re-execute". Asked only of a plan [`maintenance`] admits.
     fn delta(&self, _ctx: &mut ExecCtx<'_>, _change: &TableChange) -> Result<Option<Delta>> {
         Ok(None)
     }
+}
+
+/// How a standing query answers a DML, as `EXPLAIN SUBSCRIBE` prints it:
+/// the one decision between the operators' delta rules and
+/// recompute-and-diff ([`maintenance`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Maintenance {
+    /// Every operator has a delta rule: the delta route, on which the
+    /// query keeps node state. Names the DMLs on which a rule declines,
+    /// and the query recomputes for that DML.
+    Incremental(Vec<String>),
+    /// No delta route: why, the first thing without a rule.
+    Recompute(String),
+}
+
+impl fmt::Display for Maintenance {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Maintenance::Incremental(except) if except.is_empty() => f.write_str("incremental"),
+            Maintenance::Incremental(except) => {
+                write!(f, "incremental, recompute on {}", except.join("; "))
+            }
+            Maintenance::Recompute(why) => write!(f, "recompute ({why})"),
+        }
+    }
+}
+
+/// The one decision on how a standing query is maintained: over the plan
+/// `physical` that `logical` lowered to, whether every operator has a
+/// delta rule ([`Operator::delta`]). A crowd-related plan
+/// ([`LogicalPlan::is_crowd_related`]) never has: a settled round can
+/// flip any verdict and arrives outside any DML. Otherwise the first
+/// node without a rule, from the root down, is the reason to recompute;
+/// the rules that hold only for some DMLs say on which they do not.
+pub fn maintenance(logical: &LogicalPlan, physical: &PhysicalPlan) -> Maintenance {
+    if logical.is_crowd_related() {
+        let why = "crowd-related: a settled round can change any verdict";
+        return Maintenance::Recompute(why.into());
+    }
+    let mut except = Vec::new();
+    match no_delta_rule(physical, &mut except) {
+        Some(why) => Maintenance::Recompute(why),
+        None => Maintenance::Incremental(except),
+    }
+}
+
+/// Why `plan`, or the first node below it, has no delta rule, if one
+/// has none; a rule that holds only for some DMLs adds when it does not
+/// to `except`.
+fn no_delta_rule(plan: &PhysicalPlan, except: &mut Vec<String>) -> Option<String> {
+    let why = match plan {
+        PhysicalPlan::StopAfter { .. } => Some("StopAfter".into()),
+        PhysicalPlan::Distinct { .. } => Some("Distinct".into()),
+        PhysicalPlan::CrowdJoin { .. } => Some("CrowdJoin".into()),
+        PhysicalPlan::Union { all: false, .. } => Some("UNION without ALL".into()),
+        PhysicalPlan::Aggregate { input, aggs, .. } => {
+            let schema = input.schema();
+            let call = aggs.iter().find(|a| !a.exact_running(&schema));
+            call.map(|call| format!("Aggregate {call}"))
+        }
+        PhysicalPlan::HashJoin {
+            left, right, kind, ..
+        } => {
+            let (left, right) = (scanned_tables(left), scanned_tables(right));
+            if let Some(both) = left.iter().find(|t| right.contains(t)) {
+                except.push(format!(
+                    "a DML that changes both sides of the self-join on {both}"
+                ));
+            }
+            if *kind == JoinType::Left && !right.is_empty() {
+                except.push(format!(
+                    "DML to {} (nullable side of a LEFT join)",
+                    right.join(", ")
+                ));
+            }
+            None
+        }
+        _ => None,
+    };
+    // A sort is the identity, whatever its keys read.
+    let subquery = || {
+        let reads =
+            !matches!(plan, PhysicalPlan::Sort { .. }) && any_own_expr(plan, BExpr::has_subplan);
+        reads.then(|| "subquery: it reads tables the change does not name".into())
+    };
+    why.or_else(subquery)
+        .or_else(|| plan.inputs().find_map(|input| no_delta_rule(input, except)))
+}
+
+/// The base tables `plan`'s scans read: catalog names, sorted, deduped.
+fn scanned_tables(plan: &PhysicalPlan) -> Vec<&str> {
+    let mut tables: Vec<&str> = plan.inputs().flat_map(scanned_tables).collect();
+    if let PhysicalPlan::Scan { table, .. } = plan {
+        tables.push(table);
+    }
+    tables.sort_unstable();
+    tables.dedup();
+    tables
 }
 
 /// A built operator tree borrowing the physical plan it was built from.
@@ -180,29 +284,27 @@ pub fn build<'p>(plan: &'p PhysicalPlan) -> BoxedOp<'p> {
     }
 }
 
-/// The expressions `plan`'s own row code evaluates.
-fn own_exprs(plan: &PhysicalPlan) -> Vec<&BExpr> {
+/// Whether `pred` holds for any expression `plan`'s own row code
+/// evaluates, each visited in place.
+fn any_own_expr(plan: &PhysicalPlan, pred: impl Fn(&BExpr) -> bool) -> bool {
     match plan {
-        PhysicalPlan::Scan { residual, .. } => residual.iter().collect(),
-        PhysicalPlan::Filter { predicate, .. } => vec![predicate],
-        PhysicalPlan::Project { exprs, .. } => exprs.iter().collect(),
-        PhysicalPlan::HashJoin { equi, residual, .. } => equi
-            .iter()
-            .flat_map(|(l, r)| [l, r])
-            .chain(residual)
-            .collect(),
-        PhysicalPlan::CrowdJoin { equi, residual, .. } => {
-            [&equi.0, &equi.1].into_iter().chain(residual).collect()
+        PhysicalPlan::Scan { residual, .. } => residual.iter().any(pred),
+        PhysicalPlan::Filter { predicate, .. } => pred(predicate),
+        PhysicalPlan::Project { exprs, .. } => exprs.iter().any(pred),
+        PhysicalPlan::HashJoin { equi, residual, .. } => {
+            equi.iter().any(|(l, r)| pred(l) || pred(r)) || residual.iter().any(pred)
         }
-        PhysicalPlan::Sort { keys, .. } => keys.iter().map(|k| &k.expr).collect(),
-        PhysicalPlan::Aggregate { group_by, aggs, .. } => group_by
-            .iter()
-            .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
-            .collect(),
-        PhysicalPlan::Values { rows, .. } => rows.iter().flatten().collect(),
+        PhysicalPlan::CrowdJoin { equi, residual, .. } => {
+            pred(&equi.0) || pred(&equi.1) || residual.iter().any(pred)
+        }
+        PhysicalPlan::Sort { keys, .. } => keys.iter().any(|k| pred(&k.expr)),
+        PhysicalPlan::Aggregate { group_by, aggs, .. } => {
+            group_by.iter().any(&pred) || aggs.iter().filter_map(|a| a.arg.as_ref()).any(pred)
+        }
+        PhysicalPlan::Values { rows, .. } => rows.iter().flatten().any(pred),
         PhysicalPlan::StopAfter { .. }
         | PhysicalPlan::Distinct { .. }
-        | PhysicalPlan::Union { .. } => vec![],
+        | PhysicalPlan::Union { .. } => false,
     }
 }
 
@@ -222,10 +324,8 @@ fn records_needs(plan: &PhysicalPlan) -> bool {
         }
         _ => false,
     };
-    own || own_exprs(plan)
-        .iter()
-        .any(|e| e.is_crowd() || e.has_subplan())
-        || plan.children().into_iter().any(records_needs)
+    let asks = |e: &BExpr| e.is_crowd() || e.has_subplan();
+    own || any_own_expr(plan, asks) || plan.inputs().any(records_needs)
 }
 
 /// Whether `plan`'s operator may run its row code inside the pipeline of
@@ -236,8 +336,7 @@ fn records_needs(plan: &PhysicalPlan) -> bool {
 /// consumer recorded from inside that child's pipeline would be charged
 /// to the child.
 fn streams(plan: &PhysicalPlan, input: &PhysicalPlan) -> bool {
-    let quiet = |e: &&BExpr| !e.is_crowd() && !e.has_subplan();
-    !records_needs(input) && own_exprs(plan).iter().all(quiet)
+    !records_needs(input) && !any_own_expr(plan, |e| e.is_crowd() || e.has_subplan())
 }
 
 /// Whether an operator may run its row code inside its input's pipeline
@@ -284,7 +383,7 @@ impl OpStatsNode {
     pub fn skeleton(plan: &PhysicalPlan) -> OpStatsNode {
         OpStatsNode {
             name: plan.name().to_string(),
-            children: plan.children().into_iter().map(Self::skeleton).collect(),
+            children: plan.inputs().map(Self::skeleton).collect(),
             ..OpStatsNode::default()
         }
     }
@@ -457,12 +556,17 @@ pub(crate) fn emit_all(
     Ok(Flow::More)
 }
 
-/// An operator's row function over both lists of its input's delta.
+/// An operator's row function over both lists of `input`'s delta, if
+/// it has one for `change`.
 pub(crate) fn map_delta(
     ctx: &mut ExecCtx<'_>,
-    input: Delta,
+    input: &dyn Operator,
+    change: &TableChange,
     mut each: impl FnMut(&mut ExecCtx<'_>, &mut Row, &mut Sink<'_>) -> Result<Flow>,
-) -> Result<Delta> {
+) -> Result<Option<Delta>> {
+    let Some(input) = input.delta(ctx, change)? else {
+        return Ok(None);
+    };
     let mut through = |rows: Vec<Row>| -> Result<Vec<Row>> {
         let mut out = Vec::new();
         for mut row in rows {
@@ -473,10 +577,10 @@ pub(crate) fn map_delta(
         }
         Ok(out)
     };
-    Ok(Delta {
+    Ok(Some(Delta {
         removed: through(input.removed)?,
         added: through(input.added)?,
-    })
+    }))
 }
 
 /// Flush one round's per-operator stats tree into the metrics registry.
@@ -538,11 +642,103 @@ pub fn render_analyzed(plan: &PhysicalPlan, stats: &OpStatsNode) -> String {
             plan.annot().render(),
             stats.summary()
         ));
-        for (c, cs) in plan.children().into_iter().zip(&stats.children) {
+        for (c, cs) in plan.inputs().zip(&stats.children) {
             rec(c, cs, depth + 1, out);
         }
     }
     let mut out = String::new();
     rec(plan, stats, 0, &mut out);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crowddb_common::DataType;
+    use crowddb_plan::cardinality::FnStats;
+    use crowddb_plan::{AggCall, AggFn, PlanColumn, PlanSchema};
+
+    fn scan(table: &str, crowd: bool) -> LogicalPlan {
+        LogicalPlan::Scan {
+            table: table.into(),
+            alias: table.into(),
+            schema: PlanSchema::new(vec![PlanColumn {
+                qualifier: Some(table.into()),
+                name: "a".into(),
+                data_type: Some(DataType::Int),
+                crowd: false,
+                base: Some((table.into(), 0)),
+            }]),
+            crowd_table: crowd,
+            needed_columns: vec![0],
+            expected_tuples: None,
+        }
+    }
+
+    /// The route of `plan`, decided over what it lowers to.
+    fn route(plan: &LogicalPlan) -> String {
+        let stats = FnStats(|_: &str| None);
+        let physical = crowddb_plan::lower(plan, &stats, &|_| vec![0], &|_| vec![]);
+        maintenance(plan, &physical).to_string()
+    }
+
+    #[test]
+    fn maintenance_names_what_has_no_delta_rule() {
+        let join = |kind, right: &str| LogicalPlan::Join {
+            left: Box::new(scan("sessions", false)),
+            right: Box::new(scan(right, false)),
+            kind,
+            on: None,
+        };
+        let of = |plan: LogicalPlan| route(&plan);
+        assert_eq!(of(join(JoinType::Inner, "room")), "incremental");
+        assert_eq!(
+            of(join(JoinType::Left, "room")),
+            "incremental, recompute on DML to room (nullable side of a LEFT join)"
+        );
+        assert!(of(join(JoinType::Inner, "sessions")).contains("self-join"));
+        // The first node without a rule, from the root down.
+        let limited = LogicalPlan::Limit {
+            input: Box::new(LogicalPlan::Distinct {
+                input: Box::new(scan("sessions", false)),
+            }),
+            limit: Some(3),
+            offset: 0,
+        };
+        assert_eq!(of(limited), "recompute (StopAfter)");
+        let sum_of = |data_type| LogicalPlan::Aggregate {
+            input: Box::new(LogicalPlan::Scan {
+                table: "fee".into(),
+                alias: "fee".into(),
+                schema: PlanSchema::new(vec![PlanColumn::computed("amount", Some(data_type))]),
+                crowd_table: false,
+                needed_columns: vec![0],
+                expected_tuples: None,
+            }),
+            group_by: vec![],
+            aggs: vec![AggCall {
+                func: AggFn::Sum,
+                arg: Some(BExpr::Column(0)),
+                distinct: false,
+            }],
+            schema: PlanSchema::default(),
+        };
+        assert_eq!(of(sum_of(DataType::Int)), "incremental");
+        assert_eq!(of(sum_of(DataType::Float)), "recompute (Aggregate SUM(#0))");
+    }
+
+    /// A subquery over a CROWD table makes the plan crowd-related, and
+    /// that decides the route before any operator is looked at.
+    #[test]
+    fn a_crowd_related_plan_recomputes() {
+        let plan = LogicalPlan::Filter {
+            input: Box::new(scan("sessions", false)),
+            predicate: BExpr::InPlan {
+                expr: Box::new(BExpr::Column(0)),
+                plan: Box::new(scan("paper", true)),
+                negated: false,
+            },
+        };
+        assert!(route(&plan).starts_with("recompute (crowd-related"));
+    }
 }

@@ -75,16 +75,9 @@ impl Operator for ProjectOp<'_> {
 
     /// Row-at-a-time expressions map both lists (see `FilterOp::delta`).
     fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
-        if self.exprs.iter().any(BExpr::has_subplan) {
-            return Ok(None);
-        }
-        let Some(input) = self.input.delta(ctx, change)? else {
-            return Ok(None);
-        };
         let mut out = Row::default();
-        map_delta(ctx, input, |ctx, row, sink| {
+        map_delta(ctx, self.input.as_ref(), change, |ctx, row, sink| {
             self.project(ctx, row, &mut out, sink)
         })
-        .map(Some)
     }
 }

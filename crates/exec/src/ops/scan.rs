@@ -27,6 +27,9 @@
 //! forbids the consumer, and [`ScanOp::pass`] for the one case where the
 //! scan itself must step out of it first.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
+
 use crowddb_common::codec::{self, Reader};
 use crowddb_common::{CrowdError, DataType, Result, Row, TableSchema, Truth, TupleId, Value};
 use crowddb_plan::{Access, BExpr, IndexMeta, PhysicalPlan};
@@ -48,6 +51,9 @@ pub struct ScanOp<'p> {
     /// The columns the residual reads: a stored row is judged decoded in
     /// these alone.
     reads: Vec<bool>,
+    /// The columns a kept row is decoded in, worked out on the first
+    /// pass that lends rows in their kept columns only.
+    keeps: OnceCell<Vec<bool>>,
 }
 
 /// Where a pass takes its candidates from.
@@ -62,7 +68,7 @@ enum Source<'a> {
 /// One candidate: as stored, or already decoded.
 enum Candidate<'a> {
     Stored(&'a [u8]),
-    Row(Row),
+    Row(&'a Row),
 }
 
 /// Where the tuples a pass admits go, lent as [`super::Sink`] lends rows.
@@ -99,6 +105,7 @@ impl<'p> ScanOp<'p> {
             access,
             residual: residual.as_ref(),
             reads: (0..schema.arity()).map(|c| read.contains(&c)).collect(),
+            keeps: OnceCell::new(),
         }
     }
 
@@ -157,15 +164,17 @@ impl<'p> ScanOp<'p> {
         // What the plan reads of a kept row: the needed columns, the
         // residual's, and the primary key, which a probe need's context
         // names whether or not the query reads it.
-        let keeps: Option<Vec<bool>> = (!whole).then(|| {
+        let keeps = (!whole).then(|| {
             let kept = |c: &usize| {
                 self.needed_columns.contains(c)
                     || self.reads.get(*c) == Some(&true)
                     || schema.primary_key.contains(c)
             };
-            (0..schema.arity()).map(|c| kept(&c)).collect()
+            let keeps = self
+                .keeps
+                .get_or_init(|| (0..schema.arity()).map(|c| kept(&c)).collect());
+            keeps.as_slice()
         });
-        let keeps = keeps.as_deref();
         let (mut judged, mut kept) = (Row::default(), Row::default());
         let (mut examined, mut undecided) = (0u64, 0u64);
         let mut admit = |ctx: &mut ExecCtx<'_>, tid, candidate: Candidate<'_>| {
@@ -177,9 +186,7 @@ impl<'p> ScanOp<'p> {
             Ok(flow)
         };
         let flow = match source {
-            Source::Rows(rows) => each(rows.iter().cloned(), |(tid, row)| {
-                admit(ctx, tid, Candidate::Row(row))
-            })?,
+            Source::Rows(rows) => each(rows, |(tid, row)| admit(ctx, *tid, Candidate::Row(row)))?,
             Source::Stored(probe) if self.residual.is_some_and(BExpr::has_subplan) => {
                 let mut held = Vec::new();
                 self.fetch(ctx, probe, &mut |_, tid, stored| {
@@ -188,7 +195,7 @@ impl<'p> ScanOp<'p> {
                     held.push((tid, row));
                     Ok(Flow::More)
                 })?;
-                each(held, |(tid, row)| admit(ctx, tid, Candidate::Row(row)))?
+                each(&held, |(tid, row)| admit(ctx, *tid, Candidate::Row(row)))?
             }
             Source::Stored(probe) => self.fetch(ctx, probe, &mut |ctx, tid, stored| {
                 admit(ctx, tid, Candidate::Stored(stored))
@@ -341,7 +348,7 @@ impl<'p> ScanOp<'p> {
         }
         match candidate {
             Candidate::Stored(stored) => decode_into(stored, keeps, row)?,
-            Candidate::Row(candidate) => *row = blank(candidate, keeps),
+            Candidate::Row(candidate) => copy_into(candidate, keeps, row),
         }
         // CrowdProbe, missing-value flavor: any needed column that is
         // CNULL (and crowdsourceable) becomes a probe need.
@@ -416,16 +423,16 @@ fn decode_into(stored: &[u8], keeps: Option<&[bool]>, row: &mut Row) -> Result<(
     Ok(())
 }
 
-/// An already-decoded row as [`decode_into`] would have left it: strings
-/// outside `keeps` become `''`.
-fn blank(mut row: Row, keeps: Option<&[bool]>) -> Row {
-    let Some(keeps) = keeps else { return row };
-    for c in 0..row.arity() {
-        if !keeps.get(c).copied().unwrap_or(false) && matches!(row[c], Value::Str(_)) {
-            row.set(c, Value::str(""));
-        }
-    }
-    row
+/// An already-decoded row into `row` as [`decode_into`] would have left
+/// it: strings outside `keeps` hold `''`. A string lands in the
+/// allocation its slot already holds.
+fn copy_into(candidate: &Row, keeps: Option<&[bool]>, row: &mut Row) {
+    static BLANK: Value = Value::Str(String::new());
+    let kept = |c: usize| keeps.is_none_or(|keeps| keeps.get(c).copied().unwrap_or(false));
+    row.refill(candidate.values().iter().enumerate().map(|(c, v)| match v {
+        Value::Str(_) if !kept(c) => Cow::Borrowed(&BLANK),
+        v => Cow::Borrowed(v),
+    }));
 }
 
 /// `f` over `items` until it says stop.
@@ -460,9 +467,6 @@ impl Operator for ScanOp<'_> {
     /// matter. A change to another table leaves a scan alone, and storage
     /// is not touched either way.
     fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
-        if self.residual.is_some_and(BExpr::has_subplan) {
-            return Ok(None);
-        }
         let mut delta = Delta::default();
         if change.table == self.table {
             for (rows, out) in [

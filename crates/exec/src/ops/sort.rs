@@ -147,11 +147,9 @@ impl Operator for SortOp<'_> {
     }
 
     /// A delta is a multiset: sorting changes no row, only their order.
-    /// Keeping the first `k` does change which rows: no rule then.
+    /// (Keeping the first `k` does change which rows, but only under a
+    /// `StopAfter`, which has no rule.)
     fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
-        if self.keep.is_some() {
-            return Ok(None);
-        }
         self.input.delta(ctx, change)
     }
 }

@@ -59,13 +59,10 @@ impl Operator for UnionOp<'_> {
         run_op(self.right.as_ref(), ctx, &mut stats.children[1], &mut each)
     }
 
-    /// `UNION ALL` concatenates its inputs, so their deltas too. Set
+    /// `UNION ALL` concatenates its inputs, so their deltas too. (Set
     /// union has no rule: whether a row leaves depends on the copies the
-    /// other input still holds.
+    /// other input still holds.)
     fn delta(&self, ctx: &mut ExecCtx<'_>, change: &TableChange) -> Result<Option<Delta>> {
-        if !self.all {
-            return Ok(None);
-        }
         let (Some(mut delta), Some(right)) = (
             self.left.delta(ctx, change)?,
             self.right.delta(ctx, change)?,

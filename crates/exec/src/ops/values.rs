@@ -43,9 +43,8 @@ impl Operator for ValuesOp<'_> {
         Ok(Flow::More)
     }
 
-    /// Literal rows read no table — unless a subquery in one does.
+    /// Literal rows read no table.
     fn delta(&self, _ctx: &mut ExecCtx<'_>, _change: &TableChange) -> Result<Option<Delta>> {
-        let constant = !self.rows.iter().flatten().any(BExpr::has_subplan);
-        Ok(constant.then(Delta::default))
+        Ok(Some(Delta::default()))
     }
 }

@@ -161,7 +161,7 @@ fn standing_joins_over_blanked_strings_match_recompute() {
             let guard = ExecGuard::unlimited();
             let (result, maintained) =
                 Maintained::evaluate(&db, &caches, &plan(&db, sql), guard).unwrap();
-            (result.rows, maintained)
+            (result.rows, maintained.expect("routed incremental"))
         })
         .collect();
     for dml in [

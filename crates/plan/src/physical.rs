@@ -325,18 +325,24 @@ impl PhysicalPlan {
 
     /// Child operators, in plan order (a join's left input first).
     pub fn children(&self) -> Vec<&PhysicalPlan> {
-        match self {
-            PhysicalPlan::Scan { .. } | PhysicalPlan::Values { .. } => vec![],
+        self.inputs().collect()
+    }
+
+    /// [`PhysicalPlan::children`], visited in place: nothing is collected.
+    pub fn inputs(&self) -> impl Iterator<Item = &PhysicalPlan> {
+        let (first, second) = match self {
+            PhysicalPlan::Scan { .. } | PhysicalPlan::Values { .. } => (None, None),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Aggregate { input, .. }
             | PhysicalPlan::StopAfter { input, .. }
-            | PhysicalPlan::Distinct { input, .. } => vec![input],
+            | PhysicalPlan::Distinct { input, .. } => (Some(&**input), None),
             PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::CrowdJoin { left, right, .. }
-            | PhysicalPlan::Union { left, right, .. } => vec![left, right],
-        }
+            | PhysicalPlan::Union { left, right, .. } => (Some(&**left), Some(&**right)),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Operator name, as shown in EXPLAIN and the stats tree.

@@ -1,22 +1,24 @@
 //! Standing plans for continuous queries (`SUBSCRIBE SELECT ...`).
 //!
 //! A standing plan wraps an optimized logical plan with the metadata the
-//! incremental evaluator needs: which base tables the query *watches*
-//! (any write to one of them can change the result), whether the query
-//! is crowd-related (so settling crowd rounds must also trigger
-//! re-evaluation), and how a trigger is answered — by the operators'
+//! engine needs to keep it up to date: which base tables the query
+//! *watches* (any write to one of them can change the result), and
+//! whether the query is crowd-related (so settling crowd rounds must also
+//! trigger re-evaluation). How a trigger is answered — by the operators'
 //! delta rules over the rows a DML changed, or by evaluating afresh and
-//! diffing ([`StandingPlan::maintenance`]). The engine lowers the logical
-//! plan whenever it evaluates afresh, so index selection follows the
-//! catalog.
+//! diffing — is decided once, over the lowered plan, next to those rules
+//! (`crowddb-exec`'s `maintenance`); this section only prints it. The
+//! engine lowers the logical plan whenever it evaluates afresh, so index
+//! selection follows the catalog.
 //!
 //! The trigger model is deliberately coarse (table-level, not
 //! predicate-level): CrowdDB's open-world tables gain tuples and fill
 //! CNULLs in ways no static predicate analysis can bound, so the only
 //! safe skip is "no watched table was touched".
 
-use crate::bound_expr::BExpr;
-use crate::logical::{JoinType, LogicalPlan};
+use std::fmt::Display;
+
+use crate::logical::LogicalPlan;
 
 /// A lowered standing query: the optimized logical plan plus the
 /// trigger metadata for incremental re-evaluation.
@@ -51,33 +53,10 @@ impl StandingPlan {
         self.tables.iter().any(|t| t == table)
     }
 
-    /// How a DML trigger is answered, as `EXPLAIN SUBSCRIBE` words it:
-    /// `incremental` when every operator has a delta rule
-    /// (`crowddb-exec`'s `Operator::delta`; this walk states the same
-    /// rules over the logical plan), else `recompute (<the first thing
-    /// without one>)`. Two rules depend on which table a DML writes and
-    /// say so instead.
-    pub fn maintenance(&self) -> String {
-        if self.crowd_related {
-            return "recompute (crowd-related: a settled round can change any verdict)".into();
-        }
-        let mut reason = None;
-        let mut conditions = Vec::new();
-        self.logical.walk(&mut |n| {
-            if reason.is_none() {
-                reason = no_delta_rule(n, &mut conditions);
-            }
-        });
-        match reason {
-            Some(reason) => format!("recompute ({reason})"),
-            None if conditions.is_empty() => "incremental".into(),
-            None => format!("incremental, recompute on {}", conditions.join("; ")),
-        }
-    }
-
     /// The `== Standing plan ==` EXPLAIN section: watched tables,
-    /// triggers, maintenance route, and delivery semantics.
-    pub fn explain(&self) -> String {
+    /// triggers, the `maintenance` route the engine decided, and delivery
+    /// semantics.
+    pub fn explain(&self, maintenance: impl Display) -> String {
         let watches = if self.tables.is_empty() {
             "(none — constant query, initial snapshot only)".to_string()
         } else {
@@ -90,9 +69,8 @@ impl StandingPlan {
         };
         format!(
             "== Standing plan ==\nwatches: {watches}\ntriggers: {triggers}\n\
-             maintenance: {}\n\
-             delivery: delta batches (+row/-row), monotone revisions, bounded queue\n",
-            self.maintenance()
+             maintenance: {maintenance}\n\
+             delivery: delta batches (+row/-row), monotone revisions, bounded queue\n"
         )
     }
 }
@@ -121,48 +99,10 @@ fn tables_of(plan: &LogicalPlan) -> Vec<String> {
     tables
 }
 
-/// Why `node` has no delta rule, if it has none; a rule that holds only
-/// for some DMLs adds when it does not to `conditions`.
-fn no_delta_rule(node: &LogicalPlan, conditions: &mut Vec<String>) -> Option<String> {
-    match node {
-        // The identity, whatever its keys read.
-        LogicalPlan::Sort { .. } => return None,
-        LogicalPlan::Limit { .. } => return Some("StopAfter".into()),
-        LogicalPlan::Distinct { .. } => return Some("Distinct".into()),
-        LogicalPlan::Union { all: false, .. } => return Some("UNION without ALL".into()),
-        LogicalPlan::Aggregate { input, aggs, .. } => {
-            let schema = input.schema();
-            if let Some(call) = aggs.iter().find(|a| !a.exact_running(&schema)) {
-                return Some(format!("Aggregate {call}"));
-            }
-        }
-        LogicalPlan::Join {
-            left, right, kind, ..
-        } => {
-            let (left, right) = (tables_of(left), tables_of(right));
-            if let Some(both) = left.iter().find(|t| right.contains(t)) {
-                conditions.push(format!(
-                    "a DML that changes both sides of the self-join on {both}"
-                ));
-            }
-            if *kind == JoinType::Left && !right.is_empty() {
-                conditions.push(format!(
-                    "DML to {} (nullable side of a LEFT join)",
-                    right.join(", ")
-                ));
-            }
-        }
-        _ => {}
-    }
-    node.exprs()
-        .into_iter()
-        .any(BExpr::has_subplan)
-        .then(|| "subquery: it reads tables the change does not name".into())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bound_expr::BExpr;
     use crate::schema::{PlanColumn, PlanSchema};
     use crowddb_common::DataType;
 
@@ -207,7 +147,7 @@ mod tests {
     fn crowd_scan_marks_crowd_related() {
         let sp = StandingPlan::new(scan("paper", true));
         assert!(sp.crowd_related);
-        let section = sp.explain();
+        let section = sp.explain("recompute (crowd-related)");
         assert!(section.contains("== Standing plan =="));
         assert!(section.contains("watches: paper"));
         assert!(section.contains("crowd round settlement"));
@@ -216,8 +156,9 @@ mod tests {
     #[test]
     fn local_plan_triggers_on_dml_only() {
         let sp = StandingPlan::new(scan("sessions", false));
-        let section = sp.explain();
+        let section = sp.explain("incremental");
         assert!(section.contains("triggers: DML commit\n"));
+        assert!(section.contains("maintenance: incremental\n"));
     }
 
     #[test]
@@ -236,55 +177,6 @@ mod tests {
             sp.crowd_related,
             "a round can change what the subquery holds"
         );
-        assert!(sp.maintenance().starts_with("recompute (crowd-related"));
-    }
-
-    #[test]
-    fn maintenance_names_what_has_no_delta_rule() {
-        let join = |kind, right: &str| LogicalPlan::Join {
-            left: Box::new(scan("sessions", false)),
-            right: Box::new(scan(right, false)),
-            kind,
-            on: None,
-        };
-        let of = |plan: LogicalPlan| StandingPlan::new(plan).maintenance();
-        assert_eq!(
-            of(join(crate::logical::JoinType::Inner, "room")),
-            "incremental"
-        );
-        assert_eq!(
-            of(join(crate::logical::JoinType::Left, "room")),
-            "incremental, recompute on DML to room (nullable side of a LEFT join)"
-        );
-        assert!(of(join(crate::logical::JoinType::Inner, "sessions")).contains("self-join"));
-        // The first node without a rule, from the root down.
-        let limited = LogicalPlan::Limit {
-            input: Box::new(LogicalPlan::Distinct {
-                input: Box::new(scan("sessions", false)),
-            }),
-            limit: Some(3),
-            offset: 0,
-        };
-        assert_eq!(of(limited), "recompute (StopAfter)");
-        let sum_of = |data_type| LogicalPlan::Aggregate {
-            input: Box::new(LogicalPlan::Scan {
-                table: "fee".into(),
-                alias: "fee".into(),
-                schema: PlanSchema::new(vec![PlanColumn::computed("amount", Some(data_type))]),
-                crowd_table: false,
-                needed_columns: vec![0],
-                expected_tuples: None,
-            }),
-            group_by: vec![],
-            aggs: vec![crate::bound_expr::AggCall {
-                func: crate::bound_expr::AggFn::Sum,
-                arg: Some(BExpr::Column(0)),
-                distinct: false,
-            }],
-            schema: PlanSchema::default(),
-        };
-        assert_eq!(of(sum_of(DataType::Int)), "incremental");
-        assert_eq!(of(sum_of(DataType::Float)), "recompute (Aggregate SUM(#0))");
     }
 
     #[test]
@@ -294,6 +186,6 @@ mod tests {
             schema: PlanSchema::default(),
         });
         assert!(sp.tables.is_empty());
-        assert!(sp.explain().contains("constant query"));
+        assert!(sp.explain("incremental").contains("constant query"));
     }
 }
