@@ -6,7 +6,8 @@
 //! machine could do alone. This harness runs labeled pairs through the
 //! full CROWDEQUAL path (predicate → task → vote → cache) and also
 //! reports the machine baseline (canonicalization + Jaro-Winkler) that a
-//! conventional DBMS could manage without people.
+//! conventional DBMS could manage without people. Every crowd arm runs
+//! on three marketplace seeds.
 
 #![forbid(unsafe_code)]
 
@@ -24,6 +25,7 @@ fn main() {
         "CROWDEQUAL entity-resolution accuracy vs assignments, with machine baseline",
     );
     out.headers = vec![
+        "seed".into(),
         "method".into(),
         "accuracy".into(),
         "false merges".into(),
@@ -52,6 +54,7 @@ fn main() {
             }
         }
         out.rows.push(vec![
+            "-".into(),
             "machine (JW 0.92)".into(),
             format!("{:.1}%", 100.0 * ok as f64 / pairs.len() as f64),
             false_merge.to_string(),
@@ -75,7 +78,10 @@ fn main() {
         (3, QualityPolicy::em(), 0),
         (3, QualityPolicy::em(), 4),
     ]);
-    for (replication, policy, batch) in arms {
+    let runs = [1u64, 2, 3]
+        .into_iter()
+        .flat_map(|seed| arms.iter().map(move |&arm| (seed, arm)));
+    for (seed, (replication, policy, batch)) in runs {
         let mut config = CrowdConfig {
             vote: VoteConfig::replicated(replication),
             reward_cents: 1,
@@ -94,7 +100,7 @@ fn main() {
             ))
             .expect("insert");
         }
-        let mut amt = SimPlatform::amt(808, Box::new(CompanyWorld::new(&corpus)));
+        let mut amt = SimPlatform::amt(seed, Box::new(CompanyWorld::new(&corpus)));
         let r = db
             .execute(
                 "SELECT id FROM pairs WHERE CROWDEQUAL(a, b) ORDER BY id",
@@ -131,6 +137,7 @@ fn main() {
             String::new()
         };
         out.rows.push(vec![
+            seed.to_string(),
             format!("crowd x{replication} ({policy_tag}{batch_tag})"),
             format!("{:.1}%", 100.0 * ok as f64 / pairs.len() as f64),
             false_merge.to_string(),

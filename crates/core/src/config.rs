@@ -37,11 +37,14 @@ impl Default for DurabilityPolicy {
 /// engaging a platform that keeps failing. All waits are in platform-
 /// virtual seconds; jitter is derived deterministically so identical
 /// runs stay byte-identical. A wave ends when its HITs resolve — within
-/// `1 + max_reposts + max_escalations` HIT deadlines — when the
-/// governor's deadline passes, or when the breaker trips.
+/// a bounded number of HIT deadlines, one per post, repost and
+/// extension — when the governor's deadline passes, or when the breaker
+/// trips.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
-    /// Attempts per `post()` call (1 = no retries).
+    /// Attempts per `post()` call (1 = no retries), and the refusals a
+    /// free extension (a contested vote's way to its replication) takes,
+    /// one per sweep, before its vote settles by plurality.
     pub max_post_attempts: u32,
     /// Backoff before retry `k` is `base * 2^(k-1)`, capped below.
     pub backoff_base_secs: f64,

@@ -890,8 +890,11 @@ impl CrowdDB {
             if let Some(budget) = budget {
                 // Budget-aware wave sizing: post the longest prefix of the
                 // recorded needs the remaining budget pays for, each priced
-                // as the HIT it becomes (escalations may still nudge past
-                // the line; the next round's check catches that).
+                // at the most its HIT asks before it escalates — a vote's
+                // whole replication, though its HIT first asks a quorum —
+                // so free extensions cannot overrun the budget (escalations
+                // may still nudge past the line; the next round's check
+                // catches that).
                 let spent = ledger.cents_spent;
                 let mut left = budget.saturating_sub(spent);
                 let affordable = needs
@@ -1351,13 +1354,7 @@ impl CrowdDB {
         }
         if sub.resync_pending {
             sub.resync_pending = false;
-            sub.revision += 1;
-            return Ok(Some(DeltaBatch {
-                revision: sub.revision,
-                snapshot: true,
-                added: subscribe::rowset_to_rows(&sub.last)?,
-                removed: vec![],
-            }));
+            return sub.resync(id, &self.obs).map(Some);
         }
         Ok(sub.queue.pop_front())
     }
@@ -2204,6 +2201,44 @@ mod tests {
         db.execute("INSERT INTO t VALUES (9)", &mut p).unwrap();
         let d = sub.poll().unwrap().unwrap();
         assert_eq!(d.added, vec![row![9i64]]);
+    }
+
+    /// A resync snapshot is a revision like any other: the counters and
+    /// the event log book it, so their revisions stay consecutive across
+    /// a lag.
+    #[test]
+    fn a_resync_books_its_revision() {
+        let mut cfg = CrowdConfig::fast_test();
+        cfg.subscriptions.max_queue_batches = 2;
+        let db = CrowdDB::with_config(cfg);
+        let mut p = MockPlatform::unanimous(|_| Answer::Blank);
+        db.execute("CREATE TABLE t (a INTEGER)", &mut p).unwrap();
+        let sub = db.subscribe("SELECT a FROM t").unwrap();
+        for i in 0..5 {
+            db.execute(&format!("INSERT INTO t VALUES ({i})"), &mut p)
+                .unwrap();
+        }
+        assert!(sub.poll().is_err(), "lagged");
+        assert_eq!(sub.poll().unwrap().unwrap().revision, 7, "the resync");
+        db.execute("INSERT INTO t VALUES (9)", &mut p).unwrap();
+        assert_eq!(sub.poll().unwrap().unwrap().revision, 8);
+
+        let revisions: Vec<u64> = db
+            .obs()
+            .events()
+            .records()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                Event::SubscriptionDelta { id, revision, .. } if id == sub.id() => Some(revision),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(revisions, (1..=8).collect::<Vec<_>>());
+        let snap = db.metrics();
+        assert_eq!(snap.counter("crowddb_subscription_deltas_total"), 8);
+        // An empty snapshot, five inserts, the resync's five rows, one
+        // insert.
+        assert_eq!(snap.counter("crowddb_subscription_rows_added_total"), 11);
     }
 
     /// A consumed lag error can be re-armed: the next poll delivers the

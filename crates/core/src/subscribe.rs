@@ -254,6 +254,40 @@ impl SubState {
         snapshot: bool,
         (added, removed): (Vec<Row>, Vec<Row>),
     ) {
+        let batch = self.book(id, obs, snapshot, added, removed);
+        if self.lagged || self.resync_pending {
+            return;
+        }
+        self.queue.push_back(batch);
+        if self.queue.len() > max_queue {
+            let dropped = self.queue.len() as u64;
+            self.queue.clear();
+            self.lagged = true;
+            obs.registry()
+                .counter_add("crowddb_subscription_lag_drops_total", dropped);
+            obs.events().emit(Event::SubscriptionLagged { id, dropped });
+        }
+    }
+
+    /// Subscription `id`'s resync batch, which a poll hands a consumer
+    /// that lagged: the whole of `last` as the next revision, booked like
+    /// every other.
+    pub(crate) fn resync(&mut self, id: u64, obs: &Obs) -> Result<DeltaBatch> {
+        let rows = rowset_to_rows(&self.last)?;
+        Ok(self.book(id, obs, true, rows, vec![]))
+    }
+
+    /// Assign the next revision to a batch and book it: the
+    /// `crowddb_subscription_deltas_total` and rows counters and a
+    /// `SubscriptionDelta` event.
+    fn book(
+        &mut self,
+        id: u64,
+        obs: &Obs,
+        snapshot: bool,
+        added: Vec<Row>,
+        removed: Vec<Row>,
+    ) -> DeltaBatch {
         self.revision += 1;
         let (n_added, n_removed) = (added.len() as u64, removed.len() as u64);
         let reg = obs.registry();
@@ -268,21 +302,11 @@ impl SubState {
             added: n_added,
             removed: n_removed,
         });
-        if self.lagged || self.resync_pending {
-            return;
-        }
-        self.queue.push_back(DeltaBatch {
+        DeltaBatch {
             revision: self.revision,
             snapshot,
             added,
             removed,
-        });
-        if self.queue.len() > max_queue {
-            let dropped = self.queue.len() as u64;
-            self.queue.clear();
-            self.lagged = true;
-            reg.counter_add("crowddb_subscription_lag_drops_total", dropped);
-            obs.events().emit(Event::SubscriptionLagged { id, dropped });
         }
     }
 }

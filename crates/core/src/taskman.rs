@@ -165,17 +165,28 @@ pub fn need_to_spec(
     };
     TaskSpec::new(kind)
         .reward(config.reward_cents)
-        .replicate(assignments(need, config))
+        .replicate(first_ask(need, config))
 }
 
-/// How many assignments the HIT posted for `need` asks for: what the
-/// driver's budget check prices it at. New-tuple tasks are inherently
+/// The most assignments the HIT posted for `need` asks for before it
+/// escalates: what the driver's budget check prices it at, so that no
+/// free extension can overrun a budget. New-tuple tasks are inherently
 /// replicated by asking several workers for contributions;
 /// compare/probe tasks use the vote replication.
 pub fn assignments(need: &TaskNeed, config: &CrowdConfig) -> u32 {
     match need {
         TaskNeed::NewTuples { .. } => config.vote.replication.max(2) as u32,
         _ => config.vote.replication as u32,
+    }
+}
+
+/// How many assignments the HIT posted for `need` asks for at first:
+/// a vote's quorum, which a contested vote extends towards
+/// [`assignments`]; a new-tuples HIT asks for all of them.
+fn first_ask(need: &TaskNeed, config: &CrowdConfig) -> u32 {
+    match need {
+        TaskNeed::NewTuples { .. } => assignments(need, config),
+        _ => config.vote.quorum() as u32,
     }
 }
 
@@ -246,9 +257,16 @@ struct Tracker {
     /// The currently active HIT for this unit (reposts swap it; stale
     /// HITs stay mapped so straggler answers still count).
     hit: HitId,
+    /// Assignments the active HIT has asked for: its post plus every
+    /// extension. Extensions up to the vote replication are free; past
+    /// it each one is an escalation.
+    asked: u32,
     /// Virtual deadline after which the active HIT counts as abandoned.
     deadline: f64,
     reposts: u32,
+    /// Free extensions the platform refused; each is tried again at the
+    /// next sweep, up to `retry.max_post_attempts` refusals.
+    refused_extensions: u32,
     /// No further posting/extension decisions for this unit; its final
     /// outcome is settled from whatever votes exist.
     resolved: bool,
@@ -386,7 +404,7 @@ fn unit_spec(
     };
     TaskSpec::new(kind)
         .reward(batched_reward_cents(config.reward_cents, unit.len()))
-        .replicate(config.vote.replication as u32)
+        .replicate(config.vote.quorum() as u32)
 }
 
 /// One fulfillment pass: what [`fulfill_needs`] was called with, and
@@ -428,7 +446,9 @@ struct Wave<'a> {
 /// answers already collected. Failed posts are retried with capped
 /// exponential backoff; HITs that miss their deadline are reposted a
 /// bounded number of times; duplicate `(worker, HIT)` deliveries are
-/// dropped; a failed escalation downgrades to a plurality decision; and
+/// dropped; a refused extension towards the vote replication is asked
+/// again at the next sweep, a bounded number of times; a failed
+/// escalation downgrades to a plurality decision; and
 /// after `RetryPolicy::breaker_threshold` consecutive failures the
 /// platform is marked degraded and every remaining need is converted to
 /// an exhausted entry. The summary always comes back `Ok`, with warnings
@@ -511,12 +531,14 @@ impl Wave<'_> {
             self.hit_to_tracker.insert(hit, self.trackers.len());
             self.trackers.push(Tracker {
                 unit,
-                spec,
                 votes: vec![MajorityVote::new(); votes],
                 tuples: Vec::new(),
                 hit,
+                asked: spec.assignments,
+                spec,
                 deadline: self.elapsed + config.retry.hit_deadline_secs,
                 reposts: 0,
+                refused_extensions: 0,
                 resolved: false,
                 pending: Vec::new(),
             });
@@ -631,8 +653,9 @@ impl Wave<'_> {
     /// Advance virtual time step by step, feeding arrivals into their
     /// unit's votes and deciding, extending or reposting HITs, until
     /// every tracker is resolved, the governor interrupts or the breaker
-    /// trips. Reposts and escalations are bounded, so a tracker resolves
-    /// within `1 + max_reposts + max_escalations` HIT deadlines.
+    /// trips. Reposts, extensions up to the replication and escalations
+    /// are each bounded, so a tracker resolves within a bounded number of
+    /// HIT deadlines: one per post, repost and extension.
     fn pump(&mut self) {
         let (needs, config, events) = (self.needs, self.config, self.obs.events());
         let workers = config.concurrency.fulfill_workers.max(1);
@@ -741,22 +764,31 @@ impl Wave<'_> {
             }
             if complete {
                 let t = &mut self.trackers[ti];
-                let Some(extra) = extension(&t.votes, &config.vote) else {
+                let Some(ask) = extension(&t.votes, &config.vote, t.asked) else {
                     t.resolved = true;
                     continue;
                 };
-                match self.platform.extend(t.hit, extra) {
+                match self.platform.extend(t.hit, ask.extra) {
                     Ok(()) => {
                         self.breaker.succeeded();
-                        t.votes.iter_mut().for_each(MajorityVote::note_escalation);
+                        t.asked += ask.extra;
+                        if ask.escalation {
+                            t.votes.iter_mut().for_each(MajorityVote::note_escalation);
+                        }
                         t.deadline = sweep_elapsed + policy.hit_deadline_secs;
                     }
                     Err(_) => {
-                        // Escalation unavailable: settle for whatever
-                        // plurality the collected votes give.
                         self.summary.crowd.extend_failures += 1;
                         self.breaker.failed();
-                        t.resolved = true;
+                        // A free extension asks for ballots that posting
+                        // the whole replication would have had, so it is
+                        // tried again at the next sweep, a bounded number
+                        // of times. An escalation unavailable, or a free
+                        // extension refused too often: settle for
+                        // whatever plurality the collected votes give.
+                        t.refused_extensions += u32::from(!ask.escalation);
+                        t.resolved = ask.escalation
+                            || t.refused_extensions >= policy.max_post_attempts.max(1);
                     }
                 }
             } else if sweep_elapsed >= self.trackers[ti].deadline {
@@ -782,6 +814,7 @@ impl Wave<'_> {
                             repost: u64::from(t.reposts),
                         });
                         t.hit = *new_hit;
+                        t.asked = t.spec.assignments;
                         t.deadline = sweep_elapsed + policy.hit_deadline_secs;
                         // Keep the stale HIT mapped: straggler answers to
                         // it still feed the same vote.
@@ -1059,16 +1092,51 @@ fn verdict_key(order: bool, verdict: bool) -> &'static str {
     }
 }
 
-/// The extra assignments a completed HIT asks for: the largest ask
-/// among its votes. `None` when no vote asks — each is decided, or out
-/// of escalations and settled from what it has (new-tuple collection
-/// has no vote to wait for).
-fn extension(votes: &[MajorityVote], config: &crowddb_quality::VoteConfig) -> Option<u32> {
-    let asks = votes.iter().filter_map(|vote| match vote.outcome(config) {
-        VoteOutcome::Pending { needed } => Some(needed as u32),
-        VoteOutcome::Decided { .. } | VoteOutcome::Unresolved => None,
-    });
-    asks.max().filter(|&extra| extra > 0)
+/// One extension of a completed HIT: how many more assignments it asks
+/// for, and whether the ask uses up an escalation.
+struct Extension {
+    extra: u32,
+    escalation: bool,
+}
+
+/// The extension a completed HIT asks for, given the `asked`
+/// assignments its active HIT has asked for so far. `None` when no vote
+/// needs another ballot, or the HIT is out of escalations — each vote
+/// then settles from what it has (new-tuple collection has no vote to
+/// wait for).
+///
+/// Below the replication `r` an extension is free: it asks the fewest
+/// ballots that could decide the most contested vote, never past `r`.
+/// At `r` the HIT has asked what posting all `r` up front would have, so
+/// from there each extension is one escalation and asks what an
+/// escalation always asked — the valid ballots a vote is short of `r`,
+/// else one — and a HIT out of escalations asks nothing.
+fn extension(
+    votes: &[MajorityVote],
+    config: &crowddb_quality::VoteConfig,
+    asked: u32,
+) -> Option<Extension> {
+    let r = config.replication as u32;
+    let free = asked < r;
+    let extra = votes
+        .iter()
+        .filter_map(|vote| {
+            let needed = vote.needed(config)? as u32;
+            Some(if free {
+                needed.min(r - asked)
+            } else {
+                r.saturating_sub(vote.total() as u32).max(1)
+            })
+        })
+        .max()?;
+    // A tracker's votes escalate together, so they share one count.
+    let out_of_escalations = votes
+        .iter()
+        .any(|vote| vote.escalations_used() >= config.max_escalations);
+    (free || !out_of_escalations).then_some(Extension {
+        extra,
+        escalation: !free,
+    })
 }
 
 /// Feed one answer to the HIT of `need`'s unit into the unit's votes (or
@@ -1174,6 +1242,8 @@ fn build_tuple(
 mod tests {
     use super::*;
     use crowddb_common::{ColumnDef, DataType};
+    use crowddb_platform::PlatformStats;
+    use crowddb_quality::VoteConfig;
 
     fn attendee_schema() -> TableSchema {
         TableSchema::new(
@@ -1261,7 +1331,9 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(spec.assignments, 3);
+        // A quorum of the default 3-way replication: a contested vote
+        // is extended towards 3.
+        assert_eq!(spec.assignments, 2);
     }
 
     #[test]
@@ -1389,8 +1461,9 @@ mod tests {
         }
         fn is_complete(&self, hit: HitId) -> bool {
             // Only b's original HIT, and only at the first sweep: one
-            // vote of three forces an extension, whose success gives
-            // b a deadline one pump step later than a's.
+            // vote, short of its quorum of two, forces an extension,
+            // whose success gives b a deadline one pump step later than
+            // a's.
             self.b_first_hit == Some(hit) && self.now <= 1.5 * PUMP_STEP_SECS
         }
     }
@@ -1715,15 +1788,17 @@ mod tests {
             .collect()
     }
 
-    /// One item's scripted first-posting ballots (assignment ordinals
-    /// 0–2; every escalation assignment answers blank, so an item's
-    /// tally does not depend on what shares its HIT) and what they must
-    /// settle to.
+    /// One item's scripted ballots for assignment ordinals 0–2 and what
+    /// they must settle to. The HIT asks for ordinals 0–1 (a quorum of
+    /// three), ordinal 2 while a vote is split or short, and past that
+    /// escalates; every escalation assignment answers blank. An item
+    /// decided by ordinals 0–1 leaves ordinal 2 blank, so when a partner
+    /// on its HIT asks for ordinal 2 the item's tally does not move.
     struct ItemCase {
         ballots: &'static str,
-        /// Extra assignments the item's vote asks for when its HIT first
-        /// completes (a HIT extends by the largest ask among its items).
-        extend: usize,
+        /// Assignments the item's HIT asks for in all when the item is
+        /// alone on it (a shared HIT asks the most any of its items asks).
+        asks: usize,
         decided: Option<u64>,
         total: u64,
         /// Verdict memorized when the item is a CROWDEQUAL pair / a
@@ -1731,72 +1806,83 @@ mod tests {
         /// the smaller key: `no` < `yes` but `left` < `right`.
         equal: bool,
         order: bool,
-        /// WRM view of workers 0–2 when the item is its own HIT.
+        /// WRM view of each worker when the item is its own HIT.
         scored: &'static str,
     }
 
-    const ITEM_CASES: [ItemCase; 6] = [
-        // Strict majorities, one dissenter each.
+    const ITEM_CASES: [ItemCase; 7] = [
+        // A quorum agrees: ordinal 2 is never asked.
         ItemCase {
-            ballots: "yyn",
-            extend: 0,
+            ballots: "yy_",
+            asks: 2,
+            decided: Some(2),
+            total: 2,
+            equal: true,
+            order: true,
+            scored: "aa",
+        },
+        // Strict majorities, one dissenter each: the split asks for the
+        // replication's third ballot, free, and it decides.
+        ItemCase {
+            ballots: "yny",
+            asks: 3,
             decided: Some(2),
             total: 3,
             equal: true,
             order: true,
-            scored: "aad",
+            scored: "ada",
         },
         ItemCase {
-            ballots: "nny",
-            extend: 0,
+            ballots: "nyn",
+            asks: 3,
             decided: Some(2),
             total: 3,
             equal: false,
             order: false,
-            scored: "aad",
+            scored: "ada",
         },
         // A split the escalation does not resolve: the plurality leader
         // of an exact tie is accepted, and on a lone HIT both voters
         // score as agreeing with it.
         ItemCase {
             ballots: "yn_",
-            extend: 1,
+            asks: 4,
             decided: None,
             total: 2,
             equal: false,
             order: true,
-            scored: "aac",
+            scored: "aacc",
         },
         // Too few valid ballots after escalation: the leader, which is
         // not the kind's default for `y`/Equal and `n`/Order.
         ItemCase {
             ballots: "y__",
-            extend: 2,
+            asks: 5,
             decided: None,
             total: 1,
             equal: true,
             order: true,
-            scored: "acc",
+            scored: "acccc",
         },
         ItemCase {
             ballots: "n__",
-            extend: 2,
+            asks: 5,
             decided: None,
             total: 1,
             equal: false,
             order: false,
-            scored: "acc",
+            scored: "acccc",
         },
         // No ballots at all: Equal assumes FALSE and is exhausted, Order
         // assumes the left operand.
         ItemCase {
             ballots: "___",
-            extend: 3,
+            asks: 6,
             decided: None,
             total: 0,
             equal: false,
             order: true,
-            scored: "ccc",
+            scored: "cccccc",
         },
     ];
 
@@ -1828,13 +1914,12 @@ mod tests {
                             total: c.total,
                         })
                         .collect();
-                    let extend = unit.iter().map(|c| c.extend).max().unwrap();
                     // Inherited, not designed: only a HIT carrying one
                     // pair has its voters agreement-scored.
                     let scored = if size == 1 {
-                        format!("{}{}", unit[0].scored, "c".repeat(extend))
+                        unit[0].scored.to_string()
                     } else {
-                        "c".repeat(3 + extend)
+                        "c".repeat(unit.iter().map(|c| c.asks).max().unwrap())
                     };
                     let label = format!(
                         "{} x{size} {:?}",
@@ -1851,8 +1936,9 @@ mod tests {
     fn settle_table_discards_answers_of_the_wrong_shape() {
         for order in [false, true] {
             // A lone pair takes a bare verdict; a batch answer to it is
-            // discarded (that worker is paid, not scored). y + n ask for
-            // one more assignment, whose y decides 2 of 3.
+            // discarded (that worker is paid, not scored). y alone asks
+            // the replication's third assignment; y + n escalate once,
+            // and that y decides 2 of 3.
             let script = ["y", "[y]", "n", "y"].map(String::from).to_vec();
             let settled = run_compare_unit(order, 1, script);
             let items = [ItemOutcome {
@@ -1864,10 +1950,11 @@ mod tests {
 
             // A batch of two takes a batch answer of arity two: the
             // one-item answer and the bare verdict are discarded whole,
-            // a blank item only skips its own vote. Item 0 gets y,y,y
-            // (decided); item 1 y,y — short of replication once the
-            // escalation is spent, so its leader is accepted.
-            let script = ["[yy]", "[y]", "[y_]", "[yy]", "y"]
+            // a blank item only skips its own vote. Item 0 gets y,y
+            // (decided) and, from the escalation item 1 asks, one more y;
+            // item 1 gets one y — short of a quorum once the escalation
+            // is spent, so its leader is accepted.
+            let script = ["[yy]", "[y]", "[y_]", "[y_]", "y"]
                 .map(String::from)
                 .to_vec();
             let settled = run_compare_unit(order, 2, script);
@@ -1880,7 +1967,7 @@ mod tests {
                 ItemOutcome {
                     verdict: true,
                     decided: None,
-                    total: 2,
+                    total: 1,
                 },
             ];
             assert_unit("batch of two", order, &settled, &items, "ccccc");
@@ -1928,10 +2015,11 @@ mod tests {
     fn probe_cases() -> Vec<ProbeCase> {
         vec![
             // A worker's voted key is that of the first column they
-            // answered, scored against the winners of every column.
+            // answered, scored against the winners of every column. Both
+            // columns split on the quorum and the third ballot decides.
             ProbeCase {
                 label: "strict majority",
-                ballots: ["aab", "112"],
+                ballots: ["aba", "121"],
                 quality: QualityPolicy::MajorityVote,
                 extend_fails: false,
                 wrote: [Some(Value::str("Alpha")), Some(Value::Int(100))],
@@ -1939,29 +2027,32 @@ mod tests {
                 warnings: &[],
                 gave_up: 0,
                 exhausted: 0,
-                scored: "aad",
+                scored: "ada",
             },
-            // Three answers, no two alike: the vote asks for one more,
-            // the platform refuses, and the leader of the tie (smallest
-            // key) is accepted.
+            // Two answers, unlike: the vote asks for one more, the
+            // platform refuses at each of the four sweeps that ask (the
+            // default `max_post_attempts`), and the leader of the tie
+            // (smallest key) is accepted. The attendance's quorum already
+            // decided it.
             ProbeCase {
                 label: "plurality after failed extend",
-                ballots: ["abc", "111"],
+                ballots: ["ab", "11"],
                 quality: QualityPolicy::MajorityVote,
                 extend_fails: true,
                 wrote: [Some(Value::str("Alpha")), Some(Value::Int(100))],
-                resolved: [(None, 3), (Some(3), 3)],
+                resolved: [(None, 2), (Some(2), 2)],
                 warnings: &[
                     "accepted plurality answer for talk.abstract without a strict majority",
-                    "platform faults absorbed: 0 post failure(s) (0 retried), 1 extend \
+                    "platform faults absorbed: 0 post failure(s) (0 retried), 4 extend \
                      failure(s), 0 duplicate answer(s) dropped, 0 HIT(s) reposted",
                 ],
                 gave_up: 1,
                 exhausted: 0,
-                scored: "add",
+                scored: "ad",
             },
-            // The blank column asks for three more assignments, which
-            // answer nothing at all.
+            // The blank column asks for the replication's third
+            // assignment and then escalates by three more, which answer
+            // nothing at all.
             ProbeCase {
                 label: "one column blank",
                 ballots: ["___", "111"],
@@ -2221,6 +2312,270 @@ mod tests {
             assert_eq!(wrm_scoring(&s.wrm), "ccc", "{label}: WRM scoring");
             assert_eq!(s.wrm.total_paid_cents(), 6, "{label}: paid");
             assert_eq!(vote_resolved_events(&s.obs), vec![], "{label}: events");
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // A quorum first, extended while contested, settles what posting the
+    // whole replication up front settled.
+    // -----------------------------------------------------------------
+
+    /// How one rule left a vote over a ballot sequence: the assignments
+    /// its HIT asked for, whether the vote was decided, and the value it
+    /// accepts (the decided value, else the plurality leader).
+    #[derive(Debug, PartialEq)]
+    struct Ran {
+        asked: usize,
+        decided: bool,
+        value: Option<Value>,
+    }
+
+    /// Feed `vote` the answers of ordinals `*fed..asked` of `sequence`
+    /// (`None` is a blank, discarded before the tally). `false` when the
+    /// sequence ends first.
+    fn feed(
+        vote: &mut MajorityVote,
+        sequence: &[Option<char>],
+        fed: &mut usize,
+        asked: usize,
+    ) -> bool {
+        let Some(answers) = sequence.get(*fed..asked) else {
+            return false;
+        };
+        for key in answers.iter().flatten() {
+            vote.add(key.to_string(), Value::str(key.to_string()));
+        }
+        *fed = asked;
+        true
+    }
+
+    fn ran(vote: &MajorityVote, asked: usize, outcome: VoteOutcome) -> Ran {
+        match outcome {
+            VoteOutcome::Decided { value, .. } => Ran {
+                asked,
+                decided: true,
+                value: Some(value),
+            },
+            _ => Ran {
+                asked,
+                decided: false,
+                value: vote.leader().map(|(value, _)| value.clone()),
+            },
+        }
+    }
+
+    /// The rule the quorum replaced: post `r` assignments; decide a
+    /// strict majority of at least `r` valid ballots; else escalate by
+    /// the valid ballots short of `r`, or by one, while escalations last.
+    /// `None` when it asks past the end of `sequence`.
+    fn replication_first(sequence: &[Option<char>], config: &VoteConfig) -> Option<Ran> {
+        let (r, mut vote, mut fed) = (config.replication, MajorityVote::new(), 0);
+        let mut asked = r;
+        loop {
+            if !feed(&mut vote, sequence, &mut fed, asked) {
+                return None;
+            }
+            let total = vote.total();
+            let majority = vote
+                .leader()
+                .filter(|&(_, votes)| total >= r && votes * 2 > total);
+            if let Some((value, votes)) = majority {
+                let value = value.clone();
+                let decided = VoteOutcome::Decided {
+                    value,
+                    votes,
+                    total,
+                };
+                return Some(ran(&vote, asked, decided));
+            }
+            if vote.escalations_used() >= config.max_escalations {
+                return Some(ran(&vote, asked, VoteOutcome::Unresolved));
+            }
+            vote.note_escalation();
+            asked += if total < r { r - total } else { 1 };
+        }
+    }
+
+    /// The rule in force, as `Wave::sweep` runs it over one completed
+    /// HIT at a time: post a quorum, then extend by what `extension` asks.
+    fn quorum_first(sequence: &[Option<char>], config: &VoteConfig) -> Option<Ran> {
+        let (mut vote, mut fed) = (MajorityVote::new(), 0);
+        let mut asked = config.quorum() as u32;
+        loop {
+            if !feed(&mut vote, sequence, &mut fed, asked as usize) {
+                return None;
+            }
+            let Some(ask) = extension(std::slice::from_ref(&vote), config, asked) else {
+                return Some(ran(&vote, asked as usize, vote.outcome(config)));
+            };
+            asked += ask.extra;
+            if ask.escalation {
+                vote.note_escalation();
+            }
+        }
+    }
+
+    /// Walk every ballot sequence over {a, b, c, blank} that either rule
+    /// reads, extending a prefix only while one of them asks past it.
+    fn every_sequence(prefix: &mut Vec<Option<char>>, config: &VoteConfig, checked: &mut usize) {
+        if let (Some(old), Some(new)) = (
+            replication_first(prefix, config),
+            quorum_first(prefix, config),
+        ) {
+            let at = format!("{config:?} over {prefix:?}: {old:?} then, now {new:?}");
+            assert!(new.asked <= old.asked, "asked for more: {at}");
+            assert!(
+                new.decided || !old.decided,
+                "left a decided vote undecided: {at}"
+            );
+            assert_eq!(new.value, old.value, "settled another value: {at}");
+            *checked += 1;
+            return;
+        }
+        for ballot in [Some('a'), Some('b'), Some('c'), None] {
+            prefix.push(ballot);
+            every_sequence(prefix, config, checked);
+            prefix.pop();
+        }
+    }
+
+    #[test]
+    fn a_quorum_first_settles_what_the_whole_replication_settled() {
+        let mut checked = 0;
+        for replication in [1, 2, 3, 5] {
+            for max_escalations in [0, 2] {
+                let config = VoteConfig {
+                    replication,
+                    max_escalations,
+                };
+                every_sequence(&mut Vec::new(), &config, &mut checked);
+            }
+        }
+        // Every sequence either rule can tell apart, none skipped.
+        assert_eq!(checked, 112_262);
+    }
+
+    /// A mock that refuses the first `refusals` extensions asked of it.
+    struct RefusingExtensions {
+        inner: crowddb_platform::MockPlatform,
+        refusals: u64,
+    }
+
+    impl Platform for RefusingExtensions {
+        fn name(&self) -> &str {
+            "refusing-extensions"
+        }
+        fn post(&mut self, tasks: Vec<TaskSpec>) -> Result<Vec<HitId>> {
+            self.inner.post(tasks)
+        }
+        fn extend(&mut self, hit: HitId, extra: u32) -> Result<()> {
+            if self.refusals > 0 {
+                self.refusals -= 1;
+                return Err(crowddb_common::CrowdError::Platform("refused".into()));
+            }
+            self.inner.extend(hit, extra)
+        }
+        fn advance(&mut self, dt: f64) {
+            self.inner.advance(dt)
+        }
+        fn collect(&mut self) -> Vec<crowddb_platform::TaskResponse> {
+            self.inner.collect()
+        }
+        fn now(&self) -> f64 {
+            self.inner.now()
+        }
+        fn stats(&self) -> PlatformStats {
+            self.inner.stats()
+        }
+        fn is_complete(&self, hit: HitId) -> bool {
+            self.inner.is_complete(hit)
+        }
+    }
+
+    /// A mock whose assignment `k` answers the `k`-th char of `script`
+    /// (`y` Yes, `n` No, anything else or past the end a blank), refusing
+    /// the first `refusals` extensions, and a lone CROWDEQUAL need run
+    /// through it: what its one HIT asked for.
+    fn run_lone_equal(
+        vote: VoteConfig,
+        script: &'static str,
+        refusals: u64,
+    ) -> (Settled, PlatformStats) {
+        let config = CrowdConfig {
+            vote,
+            ..CrowdConfig::default()
+        };
+        let inner = crowddb_platform::MockPlatform::new(Box::new(move |_, k| {
+            scripted_answer(false, script.get(k as usize..=k as usize).unwrap_or("_"))
+        }));
+        let mut platform = RefusingExtensions { inner, refusals };
+        let settled = fulfill(&config, &[compare_need(false, 0)], &mut platform);
+        (settled, platform.stats())
+    }
+
+    #[test]
+    fn a_refused_free_extension_is_asked_again() {
+        // Posting the replication would have had the split's third
+        // ballot without an extension, so a refusal is not the end of
+        // it: two refusals, then the third ask decides 2 of 3.
+        let (s, stats) = run_lone_equal(VoteConfig::replicated(3), "yny", 2);
+        assert_eq!(s.summary.crowd.extend_failures, 2);
+        assert_eq!(stats.assignments_requested, 3);
+        let decided = Event::VoteResolved {
+            kind: "equal",
+            decided: true,
+            votes: 2,
+            total: 3,
+        };
+        assert_eq!(vote_resolved_events(&s.obs), [decided]);
+        assert!(!s.summary.crowd.degraded);
+    }
+
+    #[test]
+    fn a_split_gets_its_replications_last_ballot_without_escalations() {
+        let vote = VoteConfig {
+            replication: 3,
+            max_escalations: 0,
+        };
+        let (s, stats) = run_lone_equal(vote, "yny", 0);
+        assert_eq!(stats.hits_posted, 1);
+        assert_eq!(stats.assignments_requested, 3, "a quorum of 2, then 1 free");
+        let items = [ItemOutcome {
+            verdict: true,
+            decided: Some(2),
+            total: 3,
+        }];
+        assert_unit("1-1 split", false, &s, &items, "ada");
+    }
+
+    #[test]
+    fn a_hit_answered_only_blank_stops_after_its_escalations() {
+        // Free extensions end at the replication; past it each ask is an
+        // escalation, sized as posting the replication sized it: the
+        // valid ballots short of r. So r + max_escalations * r in all.
+        for (replication, max_escalations) in [(1, 0), (2, 0), (3, 0), (3, 2), (5, 2)] {
+            let vote = VoteConfig {
+                replication,
+                max_escalations,
+            };
+            let (s, stats) = run_lone_equal(vote, "", 0);
+            let label = format!("{vote:?}");
+            assert_eq!(
+                stats.assignments_requested,
+                (replication * (1 + max_escalations)) as u64,
+                "{label}"
+            );
+            assert_eq!(
+                stats.assignments_completed, stats.assignments_requested,
+                "{label}"
+            );
+            let items = [ItemOutcome {
+                verdict: false,
+                decided: None,
+                total: 0,
+            }];
+            let scored = "c".repeat(stats.assignments_completed as usize);
+            assert_unit(&label, false, &s, &items, &scored);
         }
     }
 }

@@ -198,15 +198,16 @@ fn chaos_sweep_populates_resilience_accounting() {
 
 #[test]
 fn extend_failure_keeps_collected_answers_as_plurality() {
-    // Two of three workers answer, the third submits nothing usable, so
-    // every Equal vote is short of replication and wants an escalation —
-    // which always fails. The statement must still finish, settling each
-    // vote from the answers already collected.
+    // The first of the quorum's two workers answers, the second submits
+    // nothing usable, so every Equal vote is short of a quorum and wants
+    // another assignment — whose extension always fails. The statement
+    // must still finish, settling each vote from the answers already
+    // collected.
     let mut cfg = FaultConfig::none(7);
     cfg.extend_fail_rate = 1.0;
-    cfg.max_consecutive_failures = 0; // every escalation fails
+    cfg.max_consecutive_failures = 0; // every extension fails
     let script = MockPlatform::new(Box::new(|kind: &TaskKind, ordinal| {
-        if ordinal >= 2 {
+        if ordinal >= 1 {
             return Answer::Blank;
         }
         match kind {
@@ -219,7 +220,7 @@ fn extend_failure_keeps_collected_answers_as_plurality() {
     db.execute(SUITE[0], &mut p).unwrap();
     db.execute(SUITE[2], &mut p).unwrap();
     let r = db.execute(SUITE[4], &mut p).unwrap();
-    assert_eq!(r.rows.len(), 4, "both yes-votes per row were kept: {r:?}");
+    assert_eq!(r.rows.len(), 4, "each row's yes-vote was kept: {r:?}");
     assert!(r.crowd.extend_failures >= 4, "summary: {:?}", r.crowd);
     assert!(r.crowd.gave_up >= 4);
     assert!(

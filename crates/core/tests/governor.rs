@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use crowddb_common::{CancelReason, CrowdError};
+use crowddb_common::{CancelReason, CrowdError, Row, Value};
 use crowddb_core::{CrowdConfig, CrowdDB, Event, GovernorPolicy};
 use crowddb_platform::{Answer, MockPlatform, Platform, TaskKind};
 use crowddb_quality::VoteConfig;
@@ -309,6 +309,79 @@ fn budget_prices_a_new_tuples_need_at_its_assignments() {
         r.warnings
     );
     assert_eq!(r.crowd.rounds, 1, "summary: {:?}", r.crowd);
+}
+
+/// A crowd whose assignment `k` of every probe HIT types the `k`-th of
+/// "one", "two", "one", ...: each vote splits on its quorum of two, and
+/// the third ballot — free up to the 3-way replication — decides it.
+fn split_on_the_quorum() -> MockPlatform {
+    MockPlatform::new(Box::new(|kind, k| match kind {
+        TaskKind::Probe { asked, .. } => Answer::Form(
+            asked
+                .iter()
+                .map(|(c, _)| (c.clone(), ["one", "two"][k as usize % 2].to_string()))
+                .collect(),
+        ),
+        other => panic!("unexpected task {other:?}"),
+    }))
+}
+
+fn three_way_without_escalations() -> CrowdConfig {
+    let mut cfg = config();
+    cfg.vote = VoteConfig {
+        replication: 3,
+        max_escalations: 0,
+    };
+    cfg
+}
+
+#[test]
+fn budget_prices_a_vote_at_its_whole_replication() {
+    // A probe HIT first asks a quorum of two at 1¢, but a split extends
+    // it to three: a 2¢ budget pays for the first ask and not the
+    // worst case, so it posts nothing.
+    let mut cfg = three_way_without_escalations();
+    cfg.governor.max_crowd_cents = Some(2);
+    let db = CrowdDB::with_config(cfg);
+    let mut p = split_on_the_quorum();
+    seed_session(&db, &mut p);
+    let r = db
+        .execute("SELECT abstract FROM Talk WHERE title = 'CrowdDB'", &mut p)
+        .unwrap();
+    assert_eq!(r.crowd.tasks_posted, 0, "summary: {:?}", r.crowd);
+    assert_eq!(p.stats().cents_spent, 0);
+    assert!(
+        r.warnings.iter().any(|w| w.contains("budget")),
+        "warnings: {:?}",
+        r.warnings
+    );
+}
+
+#[test]
+fn free_extensions_stay_inside_the_budget() {
+    // Four probes priced at 3¢ each: a 10¢ budget posts three, each of
+    // whose splits is extended to its third ballot — 9¢ — and the next
+    // round affords nothing. Priced at the quorum, four would post and
+    // extend to 12¢.
+    let mut cfg = three_way_without_escalations();
+    cfg.governor.max_crowd_cents = Some(10);
+    let db = CrowdDB::with_config(cfg);
+    let mut p = split_on_the_quorum();
+    seed_session(&db, &mut p);
+    let r = db
+        .execute("SELECT title, abstract FROM Talk ORDER BY title", &mut p)
+        .unwrap();
+    assert_eq!(r.crowd.tasks_posted, 3, "summary: {:?}", r.crowd);
+    assert_eq!(r.crowd.cents_spent, 9, "summary: {:?}", r.crowd);
+    assert_eq!(p.stats().assignments_requested, 9);
+    assert!(!r.complete);
+    let decided: Vec<&Row> = r.rows.iter().filter(|row| !row[1].is_cnull()).collect();
+    assert_eq!(decided.len(), 3, "{:?}", r.rows);
+    assert!(
+        decided.iter().all(|row| row[1] == Value::str("one")),
+        "{:?}",
+        r.rows
+    );
 }
 
 // ---------------------------------------------------------------------

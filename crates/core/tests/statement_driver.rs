@@ -259,7 +259,8 @@ fn explain_analyze_reports_the_statements_real_summary() {
     let text = db
         .explain_analyze("SELECT title, nb_attendees FROM Talk", &mut p)
         .unwrap();
-    assert!(text.contains("cents spent: 12\n"), "{text}");
+    // Four probes, each decided by the quorum of two at 1¢ apiece.
+    assert!(text.contains("cents spent: 8\n"), "{text}");
     let snap = db.metrics();
     assert_eq!(snap.counter("crowddb_statements_total"), statements + 1);
     assert_eq!(
@@ -339,7 +340,9 @@ fn dml_words_its_stop_reason_like_select() {
     assert_eq!((s.crowd.tasks_posted, d.crowd.tasks_posted), (0, 0));
     assert_eq!(d.affected, 0);
 
-    // Budget: a stop for money is not also a stop for rounds.
+    // Budget: a stop for money is not also a stop for rounds. Each need
+    // is priced at its whole 3-way replication, so 3¢ posts one; its
+    // quorum of two agrees, and the 1¢ left affords no other.
     let policy = GovernorPolicy {
         max_crowd_cents: Some(3),
         ..GovernorPolicy::default()
@@ -357,7 +360,7 @@ fn dml_words_its_stop_reason_like_select() {
         u.warnings,
         [
             "budget allows only 1 of 4 crowd task(s) this wave",
-            "crowd budget of 3¢ exhausted (3¢ spent); 3 task(s) abandoned, result is partial",
+            "crowd budget of 3¢ exhausted (2¢ spent); 3 task(s) abandoned, result is partial",
             "DML applied with some crowd predicates undecided",
         ]
     );

@@ -89,7 +89,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use crowddb_common::{Result, Row, TupleId};
-use crowddb_obs::MetricsRegistry;
+use crowddb_obs::{MetricsBatch, MetricsRegistry};
 use crowddb_plan::{BExpr, JoinType, LogicalPlan, PhysicalPlan};
 
 use crate::context::{ExecCtx, OpStats};
@@ -364,8 +364,9 @@ impl<'p> Streams<'p> {
 /// parent's `execute`); [`OpStatsNode::own`] subtracts the children's.
 #[derive(Debug, Clone, Default)]
 pub struct OpStatsNode {
-    /// Operator name (e.g. `TableScan`, `CrowdJoin`).
-    pub name: String,
+    /// Operator name (e.g. `TableScan`, `CrowdJoin`): its
+    /// [`PhysicalPlan::name`].
+    pub name: &'static str,
     /// Input rows consumed: what the children put out, or for a leaf the
     /// candidates it examined.
     pub rows_in: u64,
@@ -382,7 +383,7 @@ impl OpStatsNode {
     /// An all-zero stats tree mirroring `plan`.
     pub fn skeleton(plan: &PhysicalPlan) -> OpStatsNode {
         OpStatsNode {
-            name: plan.name().to_string(),
+            name: plan.name(),
             children: plan.inputs().map(Self::skeleton).collect(),
             ..OpStatsNode::default()
         }
@@ -583,7 +584,8 @@ pub(crate) fn map_delta(
     }))
 }
 
-/// Flush one round's per-operator stats tree into the metrics registry.
+/// Flush one round's per-operator stats tree into the metrics registry,
+/// under one registry lock.
 ///
 /// Per operator (by sanitized lowercase name): rows in/out counters and
 /// a rows-out histogram. Crowd needs, compare-cache hits and misses are
@@ -591,28 +593,80 @@ pub(crate) fn map_delta(
 /// time is deliberately *not* flushed — it is nondeterministic and would
 /// break golden metric snapshots.
 pub fn flush_op_stats(registry: &MetricsRegistry, stats: &OpStatsNode) {
-    let op = sanitize_metric_component(&stats.name);
-    registry.counter_add(&format!("crowddb_exec_rows_in_total_{op}"), stats.rows_in);
-    registry.counter_add(&format!("crowddb_exec_rows_out_total_{op}"), stats.rows_out);
-    registry.observe(
-        &format!("crowddb_exec_rows_out_{op}"),
-        stats.rows_out as f64,
-    );
-    let own = stats.own();
-    registry.counter_add("crowddb_exec_needs_probe_total", own.probe);
-    registry.counter_add("crowddb_exec_needs_new_tuples_total", own.new_tuples);
-    registry.counter_add("crowddb_exec_needs_equal_total", own.equal);
-    registry.counter_add("crowddb_exec_needs_order_total", own.order);
-    registry.counter_add("crowddb_exec_cache_hits_total", own.cache_hits);
-    registry.counter_add("crowddb_exec_cache_misses_total", own.cache_misses);
-    registry.counter_add("crowddb_exec_machine_ordered_total", own.machine_ordered);
-    registry.counter_add("crowddb_exec_pages_read_total", own.pages_read);
-    registry.counter_add("crowddb_exec_pool_hits_total", own.pool_hits);
-    registry.counter_add("crowddb_exec_index_probes_total", own.index_probes);
-    for child in &stats.children {
-        flush_op_stats(registry, child);
-    }
+    registry.batch(|batch| {
+        let own = flush_node(batch, stats);
+        batch.counter_add("crowddb_exec_needs_probe_total", own.probe);
+        batch.counter_add("crowddb_exec_needs_new_tuples_total", own.new_tuples);
+        batch.counter_add("crowddb_exec_needs_equal_total", own.equal);
+        batch.counter_add("crowddb_exec_needs_order_total", own.order);
+        batch.counter_add("crowddb_exec_cache_hits_total", own.cache_hits);
+        batch.counter_add("crowddb_exec_cache_misses_total", own.cache_misses);
+        batch.counter_add("crowddb_exec_machine_ordered_total", own.machine_ordered);
+        batch.counter_add("crowddb_exec_pages_read_total", own.pages_read);
+        batch.counter_add("crowddb_exec_pool_hits_total", own.pool_hits);
+        batch.counter_add("crowddb_exec_index_probes_total", own.index_probes);
+    });
 }
+
+/// Record `stats`'s per-operator metrics, its subtree's too, and return
+/// the sum of what each node of the subtree did itself.
+fn flush_node(batch: &mut MetricsBatch<'_>, stats: &OpStatsNode) -> OpStats {
+    let known = OP_METRICS.iter().find(|(kind, _)| *kind == stats.name);
+    let formatted;
+    let [rows_in, rows_out, rows_out_hist] = match known {
+        Some((_, names)) => *names,
+        None => {
+            let op = sanitize_metric_component(stats.name);
+            formatted = [
+                format!("crowddb_exec_rows_in_total_{op}"),
+                format!("crowddb_exec_rows_out_total_{op}"),
+                format!("crowddb_exec_rows_out_{op}"),
+            ];
+            formatted.each_ref().map(String::as_str)
+        }
+    };
+    batch.counter_add(rows_in, stats.rows_in);
+    batch.counter_add(rows_out, stats.rows_out);
+    batch.observe(rows_out_hist, stats.rows_out as f64);
+    let own = stats.own();
+    stats
+        .children
+        .iter()
+        .fold(own, |sum, child| sum + flush_node(batch, child))
+}
+
+/// Spell out an operator kind's three metric names at compile time.
+macro_rules! op_metric_names {
+    ($($kind:literal => $op:literal),* $(,)?) => {
+        [$(($kind, [
+            concat!("crowddb_exec_rows_in_total_", $op),
+            concat!("crowddb_exec_rows_out_total_", $op),
+            concat!("crowddb_exec_rows_out_", $op),
+        ])),*]
+    };
+}
+
+/// The rows-in counter, rows-out counter and rows-out histogram of
+/// every operator kind [`PhysicalPlan::name`] returns, so that flushing
+/// a round formats no name. A kind missing here is formatted per flush.
+const OP_METRICS: [(&str, [&str; 3]); 16] = op_metric_names! {
+    "TableScan" => "tablescan",
+    "IndexScan" => "indexscan",
+    "IndexRangeScan" => "indexrangescan",
+    "Filter" => "filter",
+    "CrowdFilter" => "crowdfilter",
+    "Project" => "project",
+    "HashJoin" => "hashjoin",
+    "NestedLoopJoin" => "nestedloopjoin",
+    "CrowdJoin" => "crowdjoin",
+    "Sort" => "sort",
+    "CrowdSort" => "crowdsort",
+    "Aggregate" => "aggregate",
+    "StopAfter" => "stopafter",
+    "Distinct" => "distinct",
+    "Values" => "values",
+    "Union" => "union",
+};
 
 /// Lowercase `name` and replace anything outside `[a-z0-9]` with `_` so
 /// operator names slot into Prometheus-legal metric names.
@@ -673,6 +727,42 @@ mod tests {
             needed_columns: vec![0],
             expected_tuples: None,
         }
+    }
+
+    #[test]
+    fn op_metric_names_are_the_sanitized_kinds() {
+        for (kind, [rows_in, rows_out, rows_out_hist]) in OP_METRICS {
+            let op = sanitize_metric_component(kind);
+            assert_eq!(rows_in, format!("crowddb_exec_rows_in_total_{op}"));
+            assert_eq!(rows_out, format!("crowddb_exec_rows_out_total_{op}"));
+            assert_eq!(rows_out_hist, format!("crowddb_exec_rows_out_{op}"));
+        }
+    }
+
+    #[test]
+    fn a_kind_without_spelled_out_names_is_flushed_under_its_sanitized_name() {
+        let leaf = OpStatsNode {
+            name: "TableScan",
+            rows_out: 3,
+            ..OpStatsNode::default()
+        };
+        let root = OpStatsNode {
+            name: "Crowd Thing",
+            rows_in: 3,
+            rows_out: 1,
+            children: vec![leaf],
+            ..OpStatsNode::default()
+        };
+        let registry = MetricsRegistry::new();
+        flush_op_stats(&registry, &root);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("crowddb_exec_rows_in_total_crowd_thing"), 3);
+        assert_eq!(snap.counter("crowddb_exec_rows_out_total_crowd_thing"), 1);
+        assert_eq!(snap.counter("crowddb_exec_rows_out_total_tablescan"), 3);
+        assert!(snap
+            .histogram("crowddb_exec_rows_out_crowd_thing")
+            .is_some());
+        assert_eq!(snap.len(), 6 + 10, "three per operator, ten engine-wide");
     }
 
     /// The route of `plan`, decided over what it lowers to.

@@ -46,7 +46,9 @@ use std::sync::Arc;
 
 pub use clock::{Clock, FixedClock, TickClock, WallClock};
 pub use event::{Event, EventLog, EventRecord};
-pub use registry::{HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use registry::{
+    HistogramSnapshot, MetricValue, MetricsBatch, MetricsRegistry, MetricsSnapshot,
+};
 
 /// The shared observability handle: one registry + one event log.
 ///

@@ -1,6 +1,9 @@
 //! The metrics registry: named counters, gauges, and fixed-bucket
 //! histograms in one `Mutex<HashMap>`. An update holds the lock for one
-//! map lookup, cheap next to the statements that record them.
+//! map lookup, cheap next to the statements that record them; a caller
+//! recording many at once takes the lock once ([`MetricsRegistry::batch`]).
+//! A name is copied into the map when its metric is created, never on
+//! an update.
 //!
 //! Snapshots ([`MetricsRegistry::snapshot`]) copy everything into a
 //! `BTreeMap`, so iteration order — and therefore the Prometheus
@@ -86,13 +89,7 @@ impl MetricsRegistry {
 
     /// Add `delta` to the counter `name`, creating it at zero first.
     pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut metrics = self.metrics.lock();
-        match metrics.get_mut(name) {
-            Some(Metric::Counter(c)) => *c += delta,
-            _ => {
-                metrics.insert(name.to_string(), Metric::Counter(delta));
-            }
-        }
+        self.batch(|batch| batch.counter_add(name, delta));
     }
 
     /// Increment the counter `name` by one.
@@ -102,9 +99,13 @@ impl MetricsRegistry {
 
     /// Set the gauge `name` to `v`.
     pub fn gauge_set(&self, name: &str, v: f64) {
-        self.metrics
-            .lock()
-            .insert(name.to_string(), Metric::Gauge(v));
+        let mut metrics = self.metrics.lock();
+        match metrics.get_mut(name) {
+            Some(Metric::Gauge(g)) => *g = v,
+            _ => {
+                metrics.insert(name.to_string(), Metric::Gauge(v));
+            }
+        }
     }
 
     /// Record `v` into the histogram `name` with [`DEFAULT_BUCKETS`].
@@ -116,15 +117,15 @@ impl MetricsRegistry {
     /// bucket bounds if absent (bounds of an existing histogram are
     /// kept — they are fixed at first observation).
     pub fn observe_with(&self, name: &str, bounds: &[f64], v: f64) {
-        let mut metrics = self.metrics.lock();
-        match metrics.get_mut(name) {
-            Some(Metric::Histogram(h)) => h.observe(v),
-            _ => {
-                let mut h = Histo::new(bounds);
-                h.observe(v);
-                metrics.insert(name.to_string(), Metric::Histogram(h));
-            }
-        }
+        self.batch(|batch| batch.observe_with(name, bounds, v));
+    }
+
+    /// Make several updates under one lock. Other threads' updates wait
+    /// for `f`, so keep it to recording.
+    pub fn batch(&self, f: impl FnOnce(&mut MetricsBatch<'_>)) {
+        f(&mut MetricsBatch {
+            metrics: &mut self.metrics.lock(),
+        })
     }
 
     /// Copy the current state of every metric, sorted by name.
@@ -147,6 +148,43 @@ impl MetricsRegistry {
             })
             .collect();
         MetricsSnapshot { metrics }
+    }
+}
+
+/// The registry's metrics while [`MetricsRegistry::batch`] holds its
+/// lock: the registry's counter and histogram updates, without a lock
+/// each.
+pub struct MetricsBatch<'a> {
+    metrics: &'a mut HashMap<String, Metric>,
+}
+
+impl MetricsBatch<'_> {
+    /// [`MetricsRegistry::counter_add`] under the batch's lock.
+    pub fn counter_add(&mut self, name: &str, delta: u64) {
+        match self.metrics.get_mut(name) {
+            Some(Metric::Counter(c)) => *c += delta,
+            _ => {
+                self.metrics
+                    .insert(name.to_string(), Metric::Counter(delta));
+            }
+        }
+    }
+
+    /// [`MetricsRegistry::observe`] under the batch's lock.
+    pub fn observe(&mut self, name: &str, v: f64) {
+        self.observe_with(name, DEFAULT_BUCKETS, v);
+    }
+
+    /// [`MetricsRegistry::observe_with`] under the batch's lock.
+    pub fn observe_with(&mut self, name: &str, bounds: &[f64], v: f64) {
+        match self.metrics.get_mut(name) {
+            Some(Metric::Histogram(h)) => h.observe(v),
+            _ => {
+                let mut h = Histo::new(bounds);
+                h.observe(v);
+                self.metrics.insert(name.to_string(), Metric::Histogram(h));
+            }
+        }
     }
 }
 
@@ -254,6 +292,33 @@ mod tests {
         r.gauge_set("g", -2.0);
         assert_eq!(r.snapshot().gauge("g"), Some(-2.0));
         assert_eq!(r.snapshot().gauge("missing"), None);
+    }
+
+    #[test]
+    fn a_batch_updates_like_single_calls() {
+        let single = MetricsRegistry::new();
+        single.counter_add("a_total", 2);
+        single.counter_add("a_total", 3);
+        single.observe("h", 7.0);
+        single.gauge_set("g", 1.0);
+        let batched = MetricsRegistry::new();
+        batched.batch(|b| {
+            b.counter_add("a_total", 2);
+            b.counter_add("a_total", 3);
+            b.observe("h", 7.0);
+        });
+        batched.gauge_set("g", 1.0);
+        assert_eq!(batched.snapshot(), single.snapshot());
+    }
+
+    #[test]
+    fn a_name_rebound_to_another_kind_takes_the_new_kind() {
+        let r = MetricsRegistry::new();
+        r.counter_add("m", 4);
+        r.gauge_set("m", 0.5);
+        assert_eq!(r.snapshot().gauge("m"), Some(0.5));
+        r.counter_add("m", 1);
+        assert_eq!(r.snapshot().counter("m"), 1);
     }
 
     #[test]

@@ -226,54 +226,44 @@ impl SimPlatform {
     }
 
     /// A worker session: browse groups, pick one, take a few assignments.
+    ///
+    /// Runs once per simulated arrival, most of which take nothing, so it
+    /// reads the open groups in place: no group key or HIT list is copied.
     fn handle_arrival(&mut self) {
         let worker_idx = self.pool.sample_active(&mut self.rng);
         // Browse: weight each open group by size^alpha * reward^beta.
-        let group_keys: Vec<String> = self
-            .open_groups
-            .iter()
-            .filter(|(_, hits)| !hits.is_empty())
-            .map(|(k, _)| k.clone())
-            .collect();
-        if group_keys.is_empty() {
-            return;
-        }
-        let mut weights = Vec::with_capacity(group_keys.len());
-        for k in &group_keys {
-            let hits = &self.open_groups[k];
-            let size = hits.len() as f64;
-            let reward = hits
-                .first()
+        let open = || self.open_groups.values().filter(|hits| !hits.is_empty());
+        let group_reward = |hits: &[HitId]| {
+            hits.first()
                 .and_then(|h| self.hits.get(h))
-                .map(|h| h.spec.reward_cents as f64)
-                .unwrap_or(1.0)
-                .max(0.25); // zero-reward tasks still get nonzero attention
-            weights.push(
-                size.powf(self.config.group_size_affinity)
-                    * reward.powf(self.config.reward_affinity),
-            );
-        }
-        let total: f64 = weights.iter().sum();
+                .map(|h| h.spec.reward_cents)
+        };
+        let weight = |hits: &[HitId]| {
+            let size = hits.len() as f64;
+            // Zero-reward tasks still get nonzero attention.
+            let reward = group_reward(hits).map_or(1.0, f64::from).max(0.25);
+            size.powf(self.config.group_size_affinity) * reward.powf(self.config.reward_affinity)
+        };
+        let total: f64 = open().map(|hits| weight(hits)).sum();
         if total <= 0.0 {
             return;
         }
         let mut x = self.rng.gen_range(0.0..total);
-        let mut chosen = 0usize;
-        for (i, w) in weights.iter().enumerate() {
-            if x < *w {
-                chosen = i;
-                break;
+        let landed = |hits: &&Vec<HitId>| {
+            let w = weight(hits);
+            if x < w {
+                return true;
             }
             x -= w;
-        }
-        let group_key = group_keys[chosen].clone();
+            false
+        };
+        // Rounding can walk past the last group: the first one takes it.
+        let Some(chosen) = open().find(landed).or_else(|| open().next()) else {
+            return;
+        };
 
         // Acceptance: reservation wage vs reward of the group.
-        let reward = self.open_groups[&group_key]
-            .first()
-            .and_then(|h| self.hits.get(h))
-            .map(|h| h.spec.reward_cents)
-            .unwrap_or(0);
+        let reward = group_reward(chosen).unwrap_or(0);
         let accept_p = WorkerPool::acceptance_probability(self.pool.get(worker_idx), reward);
         if !self.rng.gen_bool(accept_p.clamp(0.0, 1.0)) {
             return;
@@ -288,26 +278,20 @@ impl SimPlatform {
         }
 
         let worker_id = self.pool.get(worker_idx).id;
+        // Take assignments from the chosen group, in its order.
+        let taken: Vec<HitId> = chosen
+            .iter()
+            .filter(|&hit_id| {
+                self.hits.get(hit_id).is_some_and(|hit| {
+                    hit.open_slots() > 0
+                        && !hit.workers_seen.contains(&worker_id)
+                        && self.distance_ok(worker_idx, &hit.spec)
+                })
+            })
+            .take(remaining)
+            .copied()
+            .collect();
         let mut t = self.clock;
-        let mut taken = Vec::new();
-        // Take assignments from the chosen group; the borrow of
-        // open_groups is kept short so we can mutate hits.
-        let candidates: Vec<HitId> = self.open_groups[&group_key].clone();
-        for hit_id in candidates {
-            if taken.len() >= remaining {
-                break;
-            }
-            let Some(hit) = self.hits.get(&hit_id) else {
-                continue;
-            };
-            if hit.open_slots() == 0 || hit.workers_seen.contains(&worker_id) {
-                continue;
-            }
-            if !self.distance_ok(worker_idx, &hit.spec) {
-                continue;
-            }
-            taken.push(hit_id);
-        }
         for hit_id in taken {
             let service = {
                 let w = self.pool.get(worker_idx);

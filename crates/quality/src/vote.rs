@@ -1,10 +1,14 @@
 //! Majority voting with escalation.
 //!
 //! Each crowd task is replicated across several assignments; the answers
-//! are normalized into keys and the key with a strict majority wins. When
-//! no strict majority exists the vote **escalates**: the task manager
-//! posts additional assignments until a majority emerges or the escalation
-//! budget is exhausted.
+//! are normalized into keys and the key with a strict majority wins. A
+//! vote over a replication of `r` asks for its ballots a quorum at a
+//! time: `⌊r/2⌋ + 1` ballots can already hold a majority of `r`, and
+//! once the leader holds that many, the ballots not yet asked cannot
+//! overturn it. A contested vote grows towards `r`; when `r` ballots
+//! still give no strict majority the vote **escalates**: the task manager
+//! posts additional assignments until a majority emerges or the
+//! escalation budget is exhausted.
 
 use std::collections::HashMap;
 
@@ -13,11 +17,12 @@ use crowddb_common::Value;
 /// Voting policy for one task type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VoteConfig {
-    /// Initial number of assignments per task (the paper's experiments
-    /// used 1, 3, and 5).
+    /// The ballots a contested vote reaches before it escalates (the
+    /// paper's experiments replicated 1, 3, and 5 ways). A task first
+    /// asks for [`quorum`](VoteConfig::quorum) of them.
     pub replication: usize,
-    /// Maximum number of *additional* assignments that may be posted when
-    /// the vote ties.
+    /// Maximum number of extensions past `replication` that may be
+    /// posted while the vote ties or its answers are unusable.
     pub max_escalations: usize,
 }
 
@@ -46,6 +51,13 @@ impl VoteConfig {
             max_escalations: n,
         }
     }
+
+    /// The fewest ballots that hold a strict majority of `replication`:
+    /// `⌊r/2⌋ + 1`, what a task asks for first. A leader with this many
+    /// ballots has won whatever the rest of the replication says.
+    pub fn quorum(&self) -> usize {
+        (self.replication / 2 + 1).min(self.replication)
+    }
 }
 
 /// The current state of a vote.
@@ -61,10 +73,10 @@ pub enum VoteOutcome {
         /// Total valid votes cast.
         total: usize,
     },
-    /// Not enough votes yet, or a tie: `needed` more assignments are
-    /// required before a strict majority is possible.
+    /// No quorum yet, or a tie: `needed` more ballots are the fewest
+    /// that could decide the vote.
     Pending {
-        /// Additional assignments to post.
+        /// Additional ballots that could decide it.
         needed: usize,
     },
     /// Escalation budget exhausted without a majority.
@@ -148,38 +160,48 @@ impl MajorityVote {
             .map(|(_, (v, c))| (v, *c))
     }
 
+    /// The fewest further votes that could decide the vote under
+    /// `config`, escalation budget aside; `None` once it is decided.
+    ///
+    /// Short of `replication` votes, that is the votes its leader lacks
+    /// for a quorum, capped at what `replication` still owes. At or past
+    /// `replication` it is one: one extra vote breaks a two-way tie.
+    pub fn needed(&self, config: &VoteConfig) -> Option<usize> {
+        let votes = self.leader().map_or(0, |(_, votes)| votes);
+        if votes >= config.quorum() && votes * 2 > self.total {
+            return None;
+        }
+        Some(if self.total < config.replication {
+            (config.quorum() - votes).min(config.replication - self.total)
+        } else {
+            1
+        })
+    }
+
     /// Evaluate the vote under `config`.
     ///
-    /// A winner needs a *strict* majority of the votes cast so far, and at
-    /// least `config.replication` votes must have been cast (so a 1-vote
-    /// "majority" cannot short-circuit a 3-way replication).
+    /// A winner needs a *strict* majority of the votes cast so far and at
+    /// least [`quorum`](VoteConfig::quorum) votes (so a 1-vote "majority"
+    /// cannot short-circuit a 3-way replication). An undecided vote is
+    /// pending its [`needed`](MajorityVote::needed) votes while it has
+    /// escalations left, and unresolved once they are spent.
+    ///
+    /// Whether a vote short of `replication` gets its next vote free, as
+    /// an escalation, or not at all depends on what its HIT has asked
+    /// for, which the task manager counts: a vote with no escalations
+    /// left reads unresolved here and may still be extended to
+    /// `replication`.
     pub fn outcome(&self, config: &VoteConfig) -> VoteOutcome {
-        if self.total < config.replication {
-            // Too few *valid* votes (spam/blank answers are discarded
-            // before they reach the tally). Keep escalating only while
-            // the budget allows; otherwise the vote is unresolvable —
-            // without this check a task whose answers never parse would
-            // escalate forever.
-            if self.escalations_used >= config.max_escalations {
-                return VoteOutcome::Unresolved;
-            }
-            return VoteOutcome::Pending {
-                needed: config.replication - self.total,
+        let Some(needed) = self.needed(config) else {
+            let (value, votes) = self.leader().expect("a decided vote has a leader");
+            return VoteOutcome::Decided {
+                value: value.clone(),
+                votes,
+                total: self.total,
             };
-        }
-        if let Some((value, votes)) = self.leader() {
-            if votes * 2 > self.total {
-                return VoteOutcome::Decided {
-                    value: value.clone(),
-                    votes,
-                    total: self.total,
-                };
-            }
-        }
+        };
         if self.escalations_used < config.max_escalations {
-            // Post enough extra assignments that a strict majority becomes
-            // possible: one extra vote breaks a two-way tie.
-            VoteOutcome::Pending { needed: 1 }
+            VoteOutcome::Pending { needed }
         } else {
             VoteOutcome::Unresolved
         }
@@ -231,11 +253,70 @@ mod tests {
     }
 
     #[test]
-    fn pending_until_replication_met() {
+    fn pending_until_a_quorum_agrees() {
         let mut v = MajorityVote::new();
         add_str(&mut v, "IBM");
+        // One more agreeing vote makes a quorum of two.
         let out = v.outcome(&VoteConfig::default());
+        assert_eq!(out, VoteOutcome::Pending { needed: 1 });
+        // Five-way: the leader lacks two votes for a quorum of three.
+        let out = v.outcome(&VoteConfig::replicated(5));
         assert_eq!(out, VoteOutcome::Pending { needed: 2 });
+    }
+
+    #[test]
+    fn a_quorum_decides_before_the_replication() {
+        let mut v = MajorityVote::new();
+        add_str(&mut v, "IBM");
+        add_str(&mut v, "IBM");
+        assert!(matches!(
+            v.outcome(&VoteConfig::default()),
+            VoteOutcome::Decided {
+                votes: 2,
+                total: 2,
+                ..
+            }
+        ));
+        // A split asks only what the replication still owes.
+        let mut v = MajorityVote::new();
+        add_str(&mut v, "IBM");
+        add_str(&mut v, "Apple");
+        let out = v.outcome(&VoteConfig::default());
+        assert_eq!(out, VoteOutcome::Pending { needed: 1 });
+    }
+
+    #[test]
+    fn a_vote_out_of_escalations_still_needs_its_replication() {
+        // No escalations, but the replication still owes a vote: whether
+        // asking for it is free is the task manager's call.
+        let cfg = VoteConfig {
+            replication: 3,
+            max_escalations: 0,
+        };
+        let mut v = MajorityVote::new();
+        add_str(&mut v, "IBM");
+        add_str(&mut v, "Apple");
+        assert_eq!(v.needed(&cfg), Some(1));
+        assert_eq!(v.outcome(&cfg), VoteOutcome::Unresolved);
+        add_str(&mut v, "IBM");
+        assert_eq!(v.needed(&cfg), None);
+        assert!(matches!(
+            v.outcome(&cfg),
+            VoteOutcome::Decided {
+                votes: 2,
+                total: 3,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn quorum_is_a_majority_of_the_replication() {
+        let quorum = |r| VoteConfig::replicated(r).quorum();
+        assert_eq!(
+            [quorum(1), quorum(2), quorum(3), quorum(4), quorum(5)],
+            [1, 2, 2, 3, 3]
+        );
     }
 
     #[test]

@@ -444,16 +444,18 @@ fn wrm_flags_and_bans_bad_workers() {
         vote: VoteConfig::replicated(3),
         ..CrowdConfig::default()
     });
-    // Worker ordinal 2 of every HIT always disagrees. MockPlatform gives
-    // each assignment a fresh worker id, so no one worker reaches the ban
-    // minimum here: this checks the aggregate accounting, and
+    // Worker ordinal 1 of every HIT always disagrees, splitting the
+    // quorum of two, so each HIT asks for a third assignment, which
+    // agrees with ordinal 0. MockPlatform gives each assignment a fresh
+    // worker id, so no one worker reaches the ban minimum here: this
+    // checks the aggregate accounting, and
     // `a_worker_who_keeps_disagreeing_is_banned` the ban itself.
     let mut crowd = MockPlatform::new(Box::new(|kind: &TaskKind, ordinal| match kind {
         TaskKind::Probe { asked, .. } => Answer::Form(
             asked
                 .iter()
                 .map(|(c, _)| {
-                    let v = if ordinal == 2 { "999999" } else { "77" };
+                    let v = if ordinal == 1 { "999999" } else { "77" };
                     (c.clone(), v.to_string())
                 })
                 .collect(),
@@ -560,13 +562,27 @@ fn a_worker_who_keeps_disagreeing_is_banned() {
     assert_eq!((rows, requested, banned, done), (1, 30, true, Some(10)));
     assert_eq!(rate, Some(1.0 / 12.0));
     // Banned: the worker still answers and is paid, but their `No` is not
-    // a ballot, so each of the four votes asks for one more assignment.
+    // a ballot. Each of the four votes is one `Yes` short of its quorum,
+    // so it asks for the replication's third assignment, as the split
+    // did before the ban, and is decided 2 of 2 instead of 2 of 3.
     let (rows, requested, banned, after, done) = ask("name > 'c09'");
     assert_eq!(
         (rows, requested, banned, done),
-        (4, 30 + 4 * 4, true, Some(14))
+        (4, 30 + 4 * 3, true, Some(14))
     );
     assert_eq!(after, rate, "a banned worker's answers are not scored");
+    let tallies: Vec<(u64, u64)> = db
+        .obs()
+        .events()
+        .records()
+        .into_iter()
+        .filter_map(|r| match r.event {
+            crowddb_obs::Event::VoteResolved { votes, total, .. } => Some((votes, total)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(tallies[..10], [(2, 3); 10], "outvoted, before the ban");
+    assert_eq!(tallies[10..], [(2, 2); 4], "not a ballot, after it");
 }
 
 #[test]
