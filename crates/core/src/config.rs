@@ -42,9 +42,7 @@ impl Default for DurabilityPolicy {
 /// trips.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
-    /// Attempts per `post()` call (1 = no retries), and the refusals a
-    /// free extension (a contested vote's way to its replication) takes,
-    /// one per sweep, before its vote settles by plurality.
+    /// Attempts per `post()` call (1 = no retries).
     pub max_post_attempts: u32,
     /// Backoff before retry `k` is `base * 2^(k-1)`, capped below.
     pub backoff_base_secs: f64,

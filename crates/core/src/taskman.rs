@@ -265,7 +265,7 @@ struct Tracker {
     deadline: f64,
     reposts: u32,
     /// Free extensions the platform refused; each is tried again at the
-    /// next sweep, up to `retry.max_post_attempts` refusals.
+    /// next sweep, up to [`FREE_EXTENSION_ATTEMPTS`] refusals.
     refused_extensions: u32,
     /// No further posting/extension decisions for this unit; its final
     /// outcome is settled from whatever votes exist.
@@ -764,31 +764,36 @@ impl Wave<'_> {
             }
             if complete {
                 let t = &mut self.trackers[ti];
-                let Some(ask) = extension(&t.votes, &config.vote, t.asked) else {
+                let Some(extra) = extension(&t.votes, &config.vote, t.asked) else {
                     t.resolved = true;
                     continue;
                 };
-                match self.platform.extend(t.hit, ask.extra) {
+                let escalation = t.asked >= config.vote.replication as u32;
+                match self.platform.extend(t.hit, extra) {
                     Ok(()) => {
                         self.breaker.succeeded();
-                        t.asked += ask.extra;
-                        if ask.escalation {
+                        t.asked += extra;
+                        if escalation {
                             t.votes.iter_mut().for_each(MajorityVote::note_escalation);
                         }
                         t.deadline = sweep_elapsed + policy.hit_deadline_secs;
                     }
                     Err(_) => {
                         self.summary.crowd.extend_failures += 1;
-                        self.breaker.failed();
                         // A free extension asks for ballots that posting
                         // the whole replication would have had, so it is
                         // tried again at the next sweep, a bounded number
                         // of times. An escalation unavailable, or a free
-                        // extension refused too often: settle for
+                        // extension refused that often: settle for
                         // whatever plurality the collected votes give.
-                        t.refused_extensions += u32::from(!ask.escalation);
-                        t.resolved = ask.escalation
-                            || t.refused_extensions >= policy.max_post_attempts.max(1);
+                        // Only the refusal that settles the vote counts
+                        // towards the breaker, so a contested vote costs
+                        // it one failure however often it was asked.
+                        t.refused_extensions += u32::from(!escalation);
+                        t.resolved = escalation || t.refused_extensions >= FREE_EXTENSION_ATTEMPTS;
+                        if t.resolved {
+                            self.breaker.failed();
+                        }
                     }
                 }
             } else if sweep_elapsed >= self.trackers[ti].deadline {
@@ -1092,18 +1097,15 @@ fn verdict_key(order: bool, verdict: bool) -> &'static str {
     }
 }
 
-/// One extension of a completed HIT: how many more assignments it asks
-/// for, and whether the ask uses up an escalation.
-struct Extension {
-    extra: u32,
-    escalation: bool,
-}
+/// How many times a free extension is asked of the platform, one ask
+/// per sweep, before its vote settles by plurality.
+const FREE_EXTENSION_ATTEMPTS: u32 = 4;
 
-/// The extension a completed HIT asks for, given the `asked`
-/// assignments its active HIT has asked for so far. `None` when no vote
-/// needs another ballot, or the HIT is out of escalations — each vote
-/// then settles from what it has (new-tuple collection has no vote to
-/// wait for).
+/// The assignments a completed HIT's extension asks for, given the
+/// `asked` assignments its active HIT has asked for so far. `None` when
+/// no vote needs another ballot, or the HIT is out of escalations — each
+/// vote then settles from what it has (new-tuple collection has no vote
+/// to wait for).
 ///
 /// Below the replication `r` an extension is free: it asks the fewest
 /// ballots that could decide the most contested vote, never past `r`.
@@ -1115,7 +1117,7 @@ fn extension(
     votes: &[MajorityVote],
     config: &crowddb_quality::VoteConfig,
     asked: u32,
-) -> Option<Extension> {
+) -> Option<u32> {
     let r = config.replication as u32;
     let free = asked < r;
     let extra = votes
@@ -1133,10 +1135,7 @@ fn extension(
     let out_of_escalations = votes
         .iter()
         .any(|vote| vote.escalations_used() >= config.max_escalations);
-    (free || !out_of_escalations).then_some(Extension {
-        extra,
-        escalation: !free,
-    })
+    (free || !out_of_escalations).then_some(extra)
 }
 
 /// Feed one answer to the HIT of `need`'s unit into the unit's votes (or
@@ -2030,8 +2029,8 @@ mod tests {
                 scored: "ada",
             },
             // Two answers, unlike: the vote asks for one more, the
-            // platform refuses at each of the four sweeps that ask (the
-            // default `max_post_attempts`), and the leader of the tie
+            // platform refuses at each of the four sweeps that ask
+            // (`FREE_EXTENSION_ATTEMPTS`), and the leader of the tie
             // (smallest key) is accepted. The attendance's quorum already
             // decided it.
             ProbeCase {
@@ -2405,13 +2404,13 @@ mod tests {
             if !feed(&mut vote, sequence, &mut fed, asked as usize) {
                 return None;
             }
-            let Some(ask) = extension(std::slice::from_ref(&vote), config, asked) else {
+            let Some(extra) = extension(std::slice::from_ref(&vote), config, asked) else {
                 return Some(ran(&vote, asked as usize, vote.outcome(config)));
             };
-            asked += ask.extra;
-            if ask.escalation {
+            if asked >= config.replication as u32 {
                 vote.note_escalation();
             }
+            asked += extra;
         }
     }
 
@@ -2453,6 +2452,14 @@ mod tests {
         }
         // Every sequence either rule can tell apart, none skipped.
         assert_eq!(checked, 112_262);
+    }
+
+    /// The default config under `vote`.
+    fn voting(vote: VoteConfig) -> CrowdConfig {
+        CrowdConfig {
+            vote,
+            ..CrowdConfig::default()
+        }
     }
 
     /// A mock that refuses the first `refusals` extensions asked of it.
@@ -2497,14 +2504,10 @@ mod tests {
     /// the first `refusals` extensions, and a lone CROWDEQUAL need run
     /// through it: what its one HIT asked for.
     fn run_lone_equal(
-        vote: VoteConfig,
+        config: CrowdConfig,
         script: &'static str,
         refusals: u64,
     ) -> (Settled, PlatformStats) {
-        let config = CrowdConfig {
-            vote,
-            ..CrowdConfig::default()
-        };
         let inner = crowddb_platform::MockPlatform::new(Box::new(move |_, k| {
             scripted_answer(false, script.get(k as usize..=k as usize).unwrap_or("_"))
         }));
@@ -2518,7 +2521,7 @@ mod tests {
         // Posting the replication would have had the split's third
         // ballot without an extension, so a refusal is not the end of
         // it: two refusals, then the third ask decides 2 of 3.
-        let (s, stats) = run_lone_equal(VoteConfig::replicated(3), "yny", 2);
+        let (s, stats) = run_lone_equal(voting(VoteConfig::replicated(3)), "yny", 2);
         assert_eq!(s.summary.crowd.extend_failures, 2);
         assert_eq!(stats.assignments_requested, 3);
         let decided = Event::VoteResolved {
@@ -2532,12 +2535,35 @@ mod tests {
     }
 
     #[test]
+    fn a_free_extension_refused_every_time_costs_the_breaker_one_failure() {
+        // Refused at every ask, the split settles by plurality. Only the
+        // last refusal counts towards the breaker: a threshold of two
+        // does not trip on one contested vote.
+        let mut config = voting(VoteConfig::replicated(3));
+        config.retry.breaker_threshold = 2;
+        let (s, stats) = run_lone_equal(config, "yn", u64::MAX);
+        assert_eq!(
+            s.summary.crowd.extend_failures,
+            u64::from(FREE_EXTENSION_ATTEMPTS)
+        );
+        assert_eq!(stats.assignments_requested, 2);
+        assert!(!s.summary.crowd.degraded, "{:?}", s.summary.warnings);
+        let unsettled = Event::VoteResolved {
+            kind: "equal",
+            decided: false,
+            votes: 0,
+            total: 2,
+        };
+        assert_eq!(vote_resolved_events(&s.obs), [unsettled]);
+    }
+
+    #[test]
     fn a_split_gets_its_replications_last_ballot_without_escalations() {
         let vote = VoteConfig {
             replication: 3,
             max_escalations: 0,
         };
-        let (s, stats) = run_lone_equal(vote, "yny", 0);
+        let (s, stats) = run_lone_equal(voting(vote), "yny", 0);
         assert_eq!(stats.hits_posted, 1);
         assert_eq!(stats.assignments_requested, 3, "a quorum of 2, then 1 free");
         let items = [ItemOutcome {
@@ -2558,7 +2584,7 @@ mod tests {
                 replication,
                 max_escalations,
             };
-            let (s, stats) = run_lone_equal(vote, "", 0);
+            let (s, stats) = run_lone_equal(voting(vote), "", 0);
             let label = format!("{vote:?}");
             assert_eq!(
                 stats.assignments_requested,

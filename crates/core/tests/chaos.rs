@@ -196,13 +196,11 @@ fn chaos_sweep_populates_resilience_accounting() {
     assert!(exhausted_warned, "fault digests should surface as warnings");
 }
 
-#[test]
-fn extend_failure_keeps_collected_answers_as_plurality() {
-    // The first of the quorum's two workers answers, the second submits
-    // nothing usable, so every Equal vote is short of a quorum and wants
-    // another assignment — whose extension always fails. The statement
-    // must still finish, settling each vote from the answers already
-    // collected.
+/// Every CROWDEQUAL vote of `SUITE[4]` is short of its quorum and every
+/// extension of it is refused: the first of the quorum's two workers
+/// answers yes, the second submits nothing usable, and the platform
+/// fails every extend. Returns the statement's result.
+fn equal_votes_whose_extensions_fail(config: CrowdConfig) -> QueryResult {
     let mut cfg = FaultConfig::none(7);
     cfg.extend_fail_rate = 1.0;
     cfg.max_consecutive_failures = 0; // every extension fails
@@ -216,13 +214,22 @@ fn extend_failure_keeps_collected_answers_as_plurality() {
         }
     }));
     let mut p = FaultyPlatform::new(script, cfg);
-    let db = CrowdDB::with_config(chaos_config());
+    let db = CrowdDB::with_config(config);
     db.execute(SUITE[0], &mut p).unwrap();
     db.execute(SUITE[2], &mut p).unwrap();
-    let r = db.execute(SUITE[4], &mut p).unwrap();
+    db.execute(SUITE[4], &mut p).unwrap()
+}
+
+#[test]
+fn extend_failure_keeps_collected_answers_as_plurality() {
+    // The statement must still finish, settling each vote from the
+    // answers already collected.
+    let r = equal_votes_whose_extensions_fail(chaos_config());
     assert_eq!(r.rows.len(), 4, "each row's yes-vote was kept: {r:?}");
-    assert!(r.crowd.extend_failures >= 4, "summary: {:?}", r.crowd);
+    // Each of the four votes' free extension is asked four times.
+    assert_eq!(r.crowd.extend_failures, 16, "summary: {:?}", r.crowd);
     assert!(r.crowd.gave_up >= 4);
+    assert!(!r.crowd.degraded, "summary: {:?}", r.crowd);
     assert!(
         r.warnings.iter().any(|w| w.contains("plurality")),
         "warnings: {:?}",
@@ -233,6 +240,23 @@ fn extend_failure_keeps_collected_answers_as_plurality() {
         "warnings: {:?}",
         r.warnings
     );
+}
+
+#[test]
+fn refused_extensions_of_contested_votes_do_not_trip_the_default_breaker() {
+    // Four contested votes, each refused at every ask, cost the breaker
+    // one failure each: under the default threshold, no vote that was
+    // still collecting is abandoned.
+    let config = CrowdConfig {
+        vote: VoteConfig::replicated(3),
+        ..CrowdConfig::default()
+    };
+    assert!(config.retry.breaker_threshold > 4);
+    let r = equal_votes_whose_extensions_fail(config);
+    assert!(!r.crowd.degraded, "summary: {:?}", r.crowd);
+    assert_eq!(r.crowd.extend_failures, 16, "summary: {:?}", r.crowd);
+    assert_eq!(r.rows.len(), 4, "{r:?}");
+    assert!(r.complete, "{r:?}");
 }
 
 #[test]

@@ -90,7 +90,7 @@ use std::time::{Duration, Instant};
 
 use crowddb_common::{Result, Row, TupleId};
 use crowddb_obs::{MetricsBatch, MetricsRegistry};
-use crowddb_plan::{BExpr, JoinType, LogicalPlan, PhysicalPlan};
+use crowddb_plan::{BExpr, JoinType, LogicalPlan, OpKind, PhysicalPlan};
 
 use crate::context::{ExecCtx, OpStats};
 
@@ -376,14 +376,18 @@ pub struct OpStatsNode {
     pub rounds: u64,
     /// Per-child stats, in [`PhysicalPlan::children`] order.
     pub children: Vec<OpStatsNode>,
+    /// The operator's rows metric names: its [`OpKind::metrics`].
+    metrics: [&'static str; 3],
     pub(crate) cum: OpStats,
 }
 
 impl OpStatsNode {
     /// An all-zero stats tree mirroring `plan`.
     pub fn skeleton(plan: &PhysicalPlan) -> OpStatsNode {
+        let OpKind { name, metrics } = plan.kind();
         OpStatsNode {
-            name: plan.name(),
+            name,
+            metrics,
             children: plan.inputs().map(Self::skeleton).collect(),
             ..OpStatsNode::default()
         }
@@ -587,7 +591,7 @@ pub(crate) fn map_delta(
 /// Flush one round's per-operator stats tree into the metrics registry,
 /// under one registry lock.
 ///
-/// Per operator (by sanitized lowercase name): rows in/out counters and
+/// Per operator (by its lowercase name): rows in/out counters and
 /// a rows-out histogram. Crowd needs, compare-cache hits and misses are
 /// self-attributed per node and summed into engine-wide counters. Wall
 /// time is deliberately *not* flushed — it is nondeterministic and would
@@ -611,20 +615,7 @@ pub fn flush_op_stats(registry: &MetricsRegistry, stats: &OpStatsNode) {
 /// Record `stats`'s per-operator metrics, its subtree's too, and return
 /// the sum of what each node of the subtree did itself.
 fn flush_node(batch: &mut MetricsBatch<'_>, stats: &OpStatsNode) -> OpStats {
-    let known = OP_METRICS.iter().find(|(kind, _)| *kind == stats.name);
-    let formatted;
-    let [rows_in, rows_out, rows_out_hist] = match known {
-        Some((_, names)) => *names,
-        None => {
-            let op = sanitize_metric_component(stats.name);
-            formatted = [
-                format!("crowddb_exec_rows_in_total_{op}"),
-                format!("crowddb_exec_rows_out_total_{op}"),
-                format!("crowddb_exec_rows_out_{op}"),
-            ];
-            formatted.each_ref().map(String::as_str)
-        }
-    };
+    let [rows_in, rows_out, rows_out_hist] = stats.metrics;
     batch.counter_add(rows_in, stats.rows_in);
     batch.counter_add(rows_out, stats.rows_out);
     batch.observe(rows_out_hist, stats.rows_out as f64);
@@ -633,53 +624,6 @@ fn flush_node(batch: &mut MetricsBatch<'_>, stats: &OpStatsNode) -> OpStats {
         .children
         .iter()
         .fold(own, |sum, child| sum + flush_node(batch, child))
-}
-
-/// Spell out an operator kind's three metric names at compile time.
-macro_rules! op_metric_names {
-    ($($kind:literal => $op:literal),* $(,)?) => {
-        [$(($kind, [
-            concat!("crowddb_exec_rows_in_total_", $op),
-            concat!("crowddb_exec_rows_out_total_", $op),
-            concat!("crowddb_exec_rows_out_", $op),
-        ])),*]
-    };
-}
-
-/// The rows-in counter, rows-out counter and rows-out histogram of
-/// every operator kind [`PhysicalPlan::name`] returns, so that flushing
-/// a round formats no name. A kind missing here is formatted per flush.
-const OP_METRICS: [(&str, [&str; 3]); 16] = op_metric_names! {
-    "TableScan" => "tablescan",
-    "IndexScan" => "indexscan",
-    "IndexRangeScan" => "indexrangescan",
-    "Filter" => "filter",
-    "CrowdFilter" => "crowdfilter",
-    "Project" => "project",
-    "HashJoin" => "hashjoin",
-    "NestedLoopJoin" => "nestedloopjoin",
-    "CrowdJoin" => "crowdjoin",
-    "Sort" => "sort",
-    "CrowdSort" => "crowdsort",
-    "Aggregate" => "aggregate",
-    "StopAfter" => "stopafter",
-    "Distinct" => "distinct",
-    "Values" => "values",
-    "Union" => "union",
-};
-
-/// Lowercase `name` and replace anything outside `[a-z0-9]` with `_` so
-/// operator names slot into Prometheus-legal metric names.
-fn sanitize_metric_component(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 /// Render the physical plan with per-operator stats appended to each
@@ -727,42 +671,6 @@ mod tests {
             needed_columns: vec![0],
             expected_tuples: None,
         }
-    }
-
-    #[test]
-    fn op_metric_names_are_the_sanitized_kinds() {
-        for (kind, [rows_in, rows_out, rows_out_hist]) in OP_METRICS {
-            let op = sanitize_metric_component(kind);
-            assert_eq!(rows_in, format!("crowddb_exec_rows_in_total_{op}"));
-            assert_eq!(rows_out, format!("crowddb_exec_rows_out_total_{op}"));
-            assert_eq!(rows_out_hist, format!("crowddb_exec_rows_out_{op}"));
-        }
-    }
-
-    #[test]
-    fn a_kind_without_spelled_out_names_is_flushed_under_its_sanitized_name() {
-        let leaf = OpStatsNode {
-            name: "TableScan",
-            rows_out: 3,
-            ..OpStatsNode::default()
-        };
-        let root = OpStatsNode {
-            name: "Crowd Thing",
-            rows_in: 3,
-            rows_out: 1,
-            children: vec![leaf],
-            ..OpStatsNode::default()
-        };
-        let registry = MetricsRegistry::new();
-        flush_op_stats(&registry, &root);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("crowddb_exec_rows_in_total_crowd_thing"), 3);
-        assert_eq!(snap.counter("crowddb_exec_rows_out_total_crowd_thing"), 1);
-        assert_eq!(snap.counter("crowddb_exec_rows_out_total_tablescan"), 3);
-        assert!(snap
-            .histogram("crowddb_exec_rows_out_crowd_thing")
-            .is_some());
-        assert_eq!(snap.len(), 6 + 10, "three per operator, ten engine-wide");
     }
 
     /// The route of `plan`, decided over what it lowers to.

@@ -49,6 +49,6 @@ pub use bounded::{analyze_boundedness, BoundednessReport};
 pub use cardinality::annotate_cardinality;
 pub use logical::{JoinType, LogicalPlan, SortKey};
 pub use optimizer::{optimize, OptimizerConfig};
-pub use physical::{lower, Access, IndexMeta, PhysAnnot, PhysicalPlan};
+pub use physical::{lower, Access, IndexMeta, OpKind, PhysAnnot, PhysicalPlan};
 pub use schema::{PlanColumn, PlanSchema};
 pub use standing::StandingPlan;

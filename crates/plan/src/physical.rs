@@ -111,6 +111,54 @@ pub enum Access {
     },
 }
 
+/// An operator kind's name and the names of its per-operator metrics:
+/// the rows-in counter, the rows-out counter and the rows-out histogram.
+/// The metric names are spelled out at compile time, so flushing a
+/// round's stats formats none.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpKind {
+    /// As shown in EXPLAIN and the stats tree (e.g. `TableScan`).
+    pub name: &'static str,
+    /// `crowddb_exec_rows_in_total_<op>`, `crowddb_exec_rows_out_total_<op>`
+    /// and `crowddb_exec_rows_out_<op>`, `<op>` the name in lowercase.
+    pub metrics: [&'static str; 3],
+}
+
+/// The [`OpKind`] named `$name`, whose metric names end in `$op`; a
+/// `$op` that is not `$name` in lowercase fails to compile.
+macro_rules! op_kind {
+    ($name:literal, $op:literal) => {{
+        const _: () = assert!(
+            lowercase_of($name, $op),
+            concat!($op, " must be ", $name, " in lowercase")
+        );
+        OpKind {
+            name: $name,
+            metrics: [
+                concat!("crowddb_exec_rows_in_total_", $op),
+                concat!("crowddb_exec_rows_out_total_", $op),
+                concat!("crowddb_exec_rows_out_", $op),
+            ],
+        }
+    }};
+}
+
+/// Whether `lower` is `name` in ASCII lowercase.
+const fn lowercase_of(name: &str, lower: &str) -> bool {
+    let (name, lower) = (name.as_bytes(), lower.as_bytes());
+    if name.len() != lower.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < name.len() {
+        if name[i].to_ascii_lowercase() != lower[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
 /// A physical operator tree, lowered from an optimized [`LogicalPlan`]
 /// by [`lower`]. Execution semantics (one evaluation per round, rows
 /// pushed from operator to operator) live in `crowddb-exec`; this type only records *which* operator runs where.
@@ -347,30 +395,39 @@ impl PhysicalPlan {
 
     /// Operator name, as shown in EXPLAIN and the stats tree.
     pub fn name(&self) -> &'static str {
+        self.kind().name
+    }
+
+    /// The operator's name and its metric names.
+    pub fn kind(&self) -> OpKind {
         match self {
             PhysicalPlan::Scan { access, .. } => match access {
-                Access::Full => "TableScan",
-                Access::Point { .. } => "IndexScan",
-                Access::Range { .. } => "IndexRangeScan",
+                Access::Full => op_kind!("TableScan", "tablescan"),
+                Access::Point { .. } => op_kind!("IndexScan", "indexscan"),
+                Access::Range { .. } => op_kind!("IndexRangeScan", "indexrangescan"),
             },
             PhysicalPlan::Filter { predicate, .. } => {
                 if predicate.is_crowd() {
-                    "CrowdFilter"
+                    op_kind!("CrowdFilter", "crowdfilter")
                 } else {
-                    "Filter"
+                    op_kind!("Filter", "filter")
                 }
             }
-            PhysicalPlan::Project { .. } => "Project",
-            PhysicalPlan::HashJoin { equi, .. } if equi.is_empty() => "NestedLoopJoin",
-            PhysicalPlan::HashJoin { .. } => "HashJoin",
-            PhysicalPlan::CrowdJoin { .. } => "CrowdJoin",
-            PhysicalPlan::Sort { keys, .. } if crowd_sorted(keys) => "CrowdSort",
-            PhysicalPlan::Sort { .. } => "Sort",
-            PhysicalPlan::Aggregate { .. } => "Aggregate",
-            PhysicalPlan::StopAfter { .. } => "StopAfter",
-            PhysicalPlan::Distinct { .. } => "Distinct",
-            PhysicalPlan::Values { .. } => "Values",
-            PhysicalPlan::Union { .. } => "Union",
+            PhysicalPlan::Project { .. } => op_kind!("Project", "project"),
+            PhysicalPlan::HashJoin { equi, .. } if equi.is_empty() => {
+                op_kind!("NestedLoopJoin", "nestedloopjoin")
+            }
+            PhysicalPlan::HashJoin { .. } => op_kind!("HashJoin", "hashjoin"),
+            PhysicalPlan::CrowdJoin { .. } => op_kind!("CrowdJoin", "crowdjoin"),
+            PhysicalPlan::Sort { keys, .. } if crowd_sorted(keys) => {
+                op_kind!("CrowdSort", "crowdsort")
+            }
+            PhysicalPlan::Sort { .. } => op_kind!("Sort", "sort"),
+            PhysicalPlan::Aggregate { .. } => op_kind!("Aggregate", "aggregate"),
+            PhysicalPlan::StopAfter { .. } => op_kind!("StopAfter", "stopafter"),
+            PhysicalPlan::Distinct { .. } => op_kind!("Distinct", "distinct"),
+            PhysicalPlan::Values { .. } => op_kind!("Values", "values"),
+            PhysicalPlan::Union { .. } => op_kind!("Union", "union"),
         }
     }
 

@@ -52,7 +52,7 @@ pub fn record_vote_outcome(registry: &MetricsRegistry, outcome: &VoteOutcome) {
                 );
             }
         }
-        VoteOutcome::Pending { .. } => registry.counter_inc("crowddb_votes_pending_total"),
+        VoteOutcome::Pending => registry.counter_inc("crowddb_votes_pending_total"),
         VoteOutcome::Unresolved => registry.counter_inc("crowddb_votes_unresolved_total"),
     }
 }
@@ -87,7 +87,7 @@ mod tests {
                 total: 3,
             },
         );
-        record_vote_outcome(&r, &VoteOutcome::Pending { needed: 1 });
+        record_vote_outcome(&r, &VoteOutcome::Pending);
         record_vote_outcome(&r, &VoteOutcome::Unresolved);
         let snap = r.snapshot();
         assert_eq!(snap.counter("crowddb_votes_total"), 3);

@@ -73,13 +73,11 @@ pub enum VoteOutcome {
         /// Total valid votes cast.
         total: usize,
     },
-    /// No quorum yet, or a tie: `needed` more ballots are the fewest
-    /// that could decide the vote.
-    Pending {
-        /// Additional ballots that could decide it.
-        needed: usize,
-    },
-    /// Escalation budget exhausted without a majority.
+    /// No quorum yet, or a tie, and escalations left.
+    /// [`needed`](MajorityVote::needed) says how many more ballots could
+    /// decide it.
+    Pending,
+    /// No majority, and the escalation budget is spent.
     Unresolved,
 }
 
@@ -183,27 +181,22 @@ impl MajorityVote {
     /// A winner needs a *strict* majority of the votes cast so far and at
     /// least [`quorum`](VoteConfig::quorum) votes (so a 1-vote "majority"
     /// cannot short-circuit a 3-way replication). An undecided vote is
-    /// pending its [`needed`](MajorityVote::needed) votes while it has
-    /// escalations left, and unresolved once they are spent.
-    ///
-    /// Whether a vote short of `replication` gets its next vote free, as
-    /// an escalation, or not at all depends on what its HIT has asked
-    /// for, which the task manager counts: a vote with no escalations
-    /// left reads unresolved here and may still be extended to
-    /// `replication`.
+    /// pending while it has escalations left, and unresolved once they
+    /// are spent. Whether and how far an undecided vote is extended is
+    /// the task manager's call, which counts what its HIT has asked for.
     pub fn outcome(&self, config: &VoteConfig) -> VoteOutcome {
-        let Some(needed) = self.needed(config) else {
-            let (value, votes) = self.leader().expect("a decided vote has a leader");
-            return VoteOutcome::Decided {
-                value: value.clone(),
-                votes,
-                total: self.total,
+        if self.needed(config).is_some() {
+            return if self.escalations_used < config.max_escalations {
+                VoteOutcome::Pending
+            } else {
+                VoteOutcome::Unresolved
             };
-        };
-        if self.escalations_used < config.max_escalations {
-            VoteOutcome::Pending { needed }
-        } else {
-            VoteOutcome::Unresolved
+        }
+        let (value, votes) = self.leader().expect("a decided vote has a leader");
+        VoteOutcome::Decided {
+            value: value.clone(),
+            votes,
+            total: self.total,
         }
     }
 }
@@ -257,11 +250,11 @@ mod tests {
         let mut v = MajorityVote::new();
         add_str(&mut v, "IBM");
         // One more agreeing vote makes a quorum of two.
-        let out = v.outcome(&VoteConfig::default());
-        assert_eq!(out, VoteOutcome::Pending { needed: 1 });
+        assert_eq!(v.outcome(&VoteConfig::default()), VoteOutcome::Pending);
+        assert_eq!(v.needed(&VoteConfig::default()), Some(1));
         // Five-way: the leader lacks two votes for a quorum of three.
-        let out = v.outcome(&VoteConfig::replicated(5));
-        assert_eq!(out, VoteOutcome::Pending { needed: 2 });
+        assert_eq!(v.outcome(&VoteConfig::replicated(5)), VoteOutcome::Pending);
+        assert_eq!(v.needed(&VoteConfig::replicated(5)), Some(2));
     }
 
     #[test]
@@ -281,8 +274,8 @@ mod tests {
         let mut v = MajorityVote::new();
         add_str(&mut v, "IBM");
         add_str(&mut v, "Apple");
-        let out = v.outcome(&VoteConfig::default());
-        assert_eq!(out, VoteOutcome::Pending { needed: 1 });
+        assert_eq!(v.outcome(&VoteConfig::default()), VoteOutcome::Pending);
+        assert_eq!(v.needed(&VoteConfig::default()), Some(1));
     }
 
     #[test]
@@ -326,7 +319,7 @@ mod tests {
         add_str(&mut v, "IBM");
         assert!(matches!(
             v.outcome(&VoteConfig::replicated(3)),
-            VoteOutcome::Pending { .. }
+            VoteOutcome::Pending
         ));
     }
 
@@ -339,7 +332,8 @@ mod tests {
         let mut v = MajorityVote::new();
         add_str(&mut v, "IBM");
         add_str(&mut v, "Apple");
-        assert_eq!(v.outcome(&cfg), VoteOutcome::Pending { needed: 1 });
+        assert_eq!(v.outcome(&cfg), VoteOutcome::Pending);
+        assert_eq!(v.needed(&cfg), Some(1));
         v.note_escalation();
         add_str(&mut v, "IBM");
         assert!(matches!(
